@@ -20,11 +20,13 @@
 //! answer probes locally (DESIGN.md §15) and the numbers measure the
 //! engine rather than coordinator probe round-trips.
 //!
-//! Rows also land in `BENCH_scaling.json` at the repo root for tooling —
-//! CI's scaling-regression gate (`tools/check_scaling.py`) fails if
-//! shards=4 falls below shards=2 at any gated point. With one worker the
-//! parallel path degenerates to the sequential loop, so speedups only
-//! show on multi-core runners.
+//! Rows also land in `BENCH_scaling.json` at the repo root for tooling,
+//! each stamped with the commit and the host's core count. CI's gate
+//! (`tools/check_scaling.py`) fails if sharding on one thread buys more
+//! than locality can explain (a super-linear term in the single engine),
+//! or if shards=4 falls below shards=2 where the host has the cores for
+//! it. With one worker the parallel path degenerates to the sequential
+//! loop, so speedups only show on multi-core runners.
 
 use srb_bench::{figure_header, full_scale};
 use srb_core::{
@@ -178,8 +180,23 @@ fn run_sustained(shards: usize, threads: usize, n_objects: usize, sim: &SimConfi
     Cell { threads, updates, seconds }
 }
 
+/// The checkout's commit (`-dirty` when the tree has uncommitted changes),
+/// or `unknown` outside a git checkout.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
+}
+
 fn main() {
     let sim = srb_bench::base_config();
+    let commit = commit();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     figure_header("Scaling", "sharded batch-update throughput", &sim);
     let (shard_counts, thread_counts, object_counts): (&[usize], &[usize], &[usize]) =
         if full_scale() {
@@ -188,7 +205,7 @@ fn main() {
             (&[1, 2, 4], &[1, 2, 4], &[2_000, 8_000])
         };
     println!(
-        "    host threads={} (matrix pins its own), rounds={ROUNDS}, batch=N/10",
+        "    commit={commit} cores={cores} host threads={} (matrix pins its own), rounds={ROUNDS}, batch=N/10",
         configured_threads()
     );
 
@@ -217,6 +234,8 @@ fn main() {
                     "seconds": cell.seconds,
                     "updates_per_sec": cell.throughput(),
                     "speedup_vs_1_shard": speedup,
+                    "commit": commit.as_str(),
+                    "cores": cores,
                 });
                 println!("JSON {line}");
                 rows.push(line.to_string());
@@ -250,6 +269,8 @@ fn main() {
                 "seconds": cell.seconds,
                 "updates_per_sec": cell.throughput(),
                 "speedup_vs_1_shard": speedup,
+                "commit": commit.as_str(),
+                "cores": cores,
             });
             println!("JSON {line}");
             rows.push(line.to_string());

@@ -27,7 +27,6 @@ const CLEARANCE_FRACTION: f64 = 0.05;
 /// Objects recorded in `ctx.exact` are treated as having *invalid* safe
 /// regions (probed but not yet recomputed), triggering the midpoint
 /// replacement rule of §5.2.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     grid: &GridIndex,
@@ -39,32 +38,40 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
 ) -> Rect {
     let cell = grid.cell_rect_of(pos);
     let scale = CLEARANCE_FRACTION * cell.width().min(cell.height());
-    // Stack-dispatched objective: this runs once per safe-region
-    // computation (every report), so the previous `Box<dyn>` was a heap
-    // allocation on the hot path. Both variants live on the stack; only
-    // the vtable pointer differs.
-    let weighted;
-    let ordinary;
-    let objective: &dyn PerimeterObjective = match steadiness {
+    // The objective is scored ~50 times per Ir-lp θ-search, so it is picked
+    // once here and the search below is compiled per objective type.
+    match steadiness {
         Some(d) if p_lst != pos => {
-            weighted = ClearanceObjective::new(WeightedPerimeter::new(pos, p_lst, d), pos, scale);
-            &weighted
+            let weighted = WeightedPerimeter::new(pos, p_lst, d);
+            let objective = ClearanceObjective::new(weighted, pos, scale);
+            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective)
         }
         _ => {
-            ordinary = ClearanceObjective::new(OrdinaryPerimeter, pos, scale);
-            &ordinary
+            let objective = ClearanceObjective::new(OrdinaryPerimeter, pos, scale);
+            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective)
         }
-    };
+    }
+}
+
+fn safe_region_under<B: srb_index::SpatialBackend, O: PerimeterObjective>(
+    ctx: &mut EvalCtx<'_, B>,
+    grid: &GridIndex,
+    queries: &[Option<QueryState>],
+    oid: ObjectId,
+    pos: Point,
+    cell: &Rect,
+    objective: &O,
+) -> Rect {
     srb_obs::counter!("safe_region.computations").inc();
     srb_obs::histogram!("safe_region.relevant_queries").record(grid.queries_at(pos).len() as u64);
-    let mut sr = cell;
+    let mut sr = *cell;
     let mut range_blocks: Vec<Rect> = Vec::new();
 
     for &qid in grid.queries_at(pos) {
         let Some(qs) = queries.get(qid.index()).and_then(|q| q.as_ref()) else {
             continue;
         };
-        match sr_for_query(ctx, qs, oid, pos, &cell, objective) {
+        match sr_for_query(ctx, qs, oid, pos, cell, objective) {
             SrQ::Rect(r) => {
                 sr = sr.intersection(&r).unwrap_or_else(|| Rect::point(pos));
             }
@@ -74,7 +81,7 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
     }
 
     if !range_blocks.is_empty() {
-        let batch = irlp_rect_complement_batch(&range_blocks, pos, &cell, objective);
+        let batch = irlp_rect_complement_batch(&range_blocks, pos, cell, objective);
         sr = sr.intersection(&batch).unwrap_or_else(|| Rect::point(pos));
     }
     if !sr.contains_point(pos) {
@@ -89,25 +96,6 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
     sr
 }
 
-/// Computes the safe region contribution `p.sr_Q` of a *single* query — used
-/// when a probe during new-query evaluation only needs the intersection
-/// `p.sr ∩ p.sr_Q` (§5, case 1).
-#[allow(dead_code)]
-pub(crate) fn sr_for_single_query<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
-    grid: &GridIndex,
-    qs: &QueryState,
-    oid: ObjectId,
-    pos: Point,
-) -> Rect {
-    let cell = grid.cell_rect_of(pos);
-    match sr_for_query(ctx, qs, oid, pos, &cell, &OrdinaryPerimeter) {
-        SrQ::Rect(r) => r,
-        SrQ::RangeBlock(b) => irlp_rect_complement_batch(&[b], pos, &cell, &OrdinaryPerimeter),
-        SrQ::Whole => cell,
-    }
-}
-
 enum SrQ {
     /// A concrete rectangle to intersect into the safe region.
     Rect(Rect),
@@ -117,13 +105,13 @@ enum SrQ {
     Whole,
 }
 
-fn sr_for_query<B: srb_index::SpatialBackend>(
+fn sr_for_query<B: srb_index::SpatialBackend, O: PerimeterObjective>(
     ctx: &mut EvalCtx<'_, B>,
     qs: &QueryState,
     oid: ObjectId,
     pos: Point,
     cell: &Rect,
-    objective: &dyn PerimeterObjective,
+    objective: &O,
 ) -> SrQ {
     match (&qs.spec, &qs.quarantine) {
         (QuerySpec::Range { rect }, _) => {

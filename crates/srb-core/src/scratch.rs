@@ -16,6 +16,7 @@
 //! moves three pointers per group; nothing is copied.
 
 use crate::ids::{ObjectId, QueryId};
+use crate::location::Worklist;
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
 
@@ -34,6 +35,8 @@ pub(crate) struct OpBuffers {
     pub recomputed: Vec<(ObjectId, Rect)>,
     /// Affected-query candidates of the current report.
     pub candidates: Vec<QueryId>,
+    /// Visiting order of the safe-region recompute (reseeded per call).
+    pub worklist: Worklist,
 }
 
 impl OpBuffers {
@@ -50,14 +53,57 @@ impl OpBuffers {
 pub(crate) struct BatchBuffers {
     /// Previous anchor (`p_lst`) of every mover in the batch.
     pub prev: FastMap<ObjectId, Point>,
-    /// Movers grouped by affected query.
-    pub per_query: Vec<(QueryId, Vec<ObjectId>)>,
+    /// True when some object reported more than once in the batch.
+    pub repeated_ids: bool,
+    /// One `(query, report index, mover)` per affected-query candidate of
+    /// every report, grouped by [`group_movers`](Self::group_movers).
+    pub touched: Vec<(QueryId, usize, ObjectId)>,
+    /// Movers grouped by affected query. Only the first `groups` slots
+    /// belong to the current batch; the rest keep their mover vectors'
+    /// capacity for later batches.
+    per_query: Vec<(QueryId, Vec<ObjectId>)>,
+    groups: usize,
 }
 
 impl BatchBuffers {
     fn clear(&mut self) {
         self.prev.clear();
-        self.per_query.clear();
+        self.repeated_ids = false;
+        self.touched.clear();
+        self.groups = 0;
+    }
+
+    /// Groups `touched` by query, ascending, each query's movers in the
+    /// order their reports arrived and listed once.
+    pub fn group_movers(&mut self) {
+        if self.repeated_ids {
+            // Only a repeated id can touch one query twice; its first
+            // report decides its place among the movers.
+            self.touched.sort_unstable_by_key(|&(q, i, id)| (q, id, i));
+            self.touched.dedup_by_key(|&mut (q, _, id)| (q, id));
+        }
+        self.touched.sort_unstable();
+        self.groups = 0;
+        for &(qid, _, id) in &self.touched {
+            match self.per_query[..self.groups].last_mut() {
+                Some((q, movers)) if *q == qid => movers.push(id),
+                _ => {
+                    if self.groups == self.per_query.len() {
+                        self.per_query.push((qid, Vec::new()));
+                    }
+                    let (q, movers) = &mut self.per_query[self.groups];
+                    *q = qid;
+                    movers.clear();
+                    movers.push(id);
+                    self.groups += 1;
+                }
+            }
+        }
+    }
+
+    /// The current batch's affected queries with their movers.
+    pub fn per_query(&self) -> &[(QueryId, Vec<ObjectId>)] {
+        &self.per_query[..self.groups]
     }
 }
 

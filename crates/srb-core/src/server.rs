@@ -677,31 +677,22 @@ impl<B: SpatialBackend> Server<B> {
         let mut batch = self.scratch.take_batch();
         for &(id, pos) in updates {
             let st = *self.index.get(id).expect("batch ids are pre-checked");
-            batch.prev.insert(id, st.p_lst);
+            batch.repeated_ids |= batch.prev.insert(id, st.p_lst).is_some();
             self.index.pin_to_point(id, pos);
             op.exact.insert(id, pos);
         }
 
-        // Affected-query candidates, with the set of movers per query.
-        for &(id, pos) in updates {
+        // Affected-query candidates, grouped into the movers per query.
+        for (i, &(id, pos)) in updates.iter().enumerate() {
             let p_lst = batch.prev[&id];
             self.processor.candidates_into(pos, p_lst, &mut op.candidates);
-            for &qid in &op.candidates {
-                match batch.per_query.iter_mut().find(|(q, _)| *q == qid) {
-                    Some((_, movers)) => {
-                        if !movers.contains(&id) {
-                            movers.push(id);
-                        }
-                    }
-                    None => batch.per_query.push((qid, vec![id])),
-                }
-            }
+            batch.touched.extend(op.candidates.iter().map(|&qid| (qid, i, id)));
         }
-        batch.per_query.sort_by_key(|(q, _)| *q);
+        batch.group_movers();
 
         let space = self.config.space;
         let mut changes = Vec::new();
-        for (qid, movers) in &batch.per_query {
+        for (qid, movers) in batch.per_query() {
             let mut ctx = ctx(
                 &self.index,
                 &mut self.costs,
@@ -728,7 +719,7 @@ impl<B: SpatialBackend> Server<B> {
         let first = out.len();
         let mut extra: Vec<(ObjectId, Rect)> = Vec::new();
         for &(oid, sr) in &op.recomputed {
-            if updates.iter().any(|&(uid, _)| uid == oid) {
+            if batch.prev.contains_key(&oid) {
                 out.push((
                     oid,
                     UpdateResponse { safe_region: sr, probed: Vec::new(), changes: Vec::new() },
@@ -1206,9 +1197,7 @@ impl<B: SpatialBackend> Server<B> {
             &self.processor,
             &mut self.costs,
             &mut self.work,
-            &mut op.exact,
-            &mut op.deferred,
-            &mut op.recomputed,
+            op,
             provider,
             now,
         )

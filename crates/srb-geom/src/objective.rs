@@ -166,8 +166,7 @@ where
     if lo.partial_cmp(&hi).is_none_or(|o| o == std::cmp::Ordering::Greater) {
         return None;
     }
-    let mut candidates: Vec<f64> = vec![lo, hi, preferred.clamp(lo, hi)];
-    if !objective.is_ordinary() && hi - lo > 1e-12 {
+    let refined = (!objective.is_ordinary() && hi - lo > 1e-12).then(|| {
         // Ternary search on the (near-unimodal) weighted objective.
         let (mut a, mut b) = (lo, hi);
         for _ in 0..THETA_SEARCH_STEPS {
@@ -181,10 +180,11 @@ where
                 b = m2;
             }
         }
-        candidates.push((a + b) * 0.5);
-    }
+        (a + b) * 0.5
+    });
+    let candidates = [Some(lo), Some(hi), Some(preferred.clamp(lo, hi)), refined];
     let mut best: Option<(f64, Rect)> = None;
-    for theta in candidates {
+    for theta in candidates.into_iter().flatten() {
         if let Some(rect) = rect_of(theta) {
             let s = objective.score(&rect);
             if best.as_ref().is_none_or(|(bs, _)| s > *bs) {

@@ -10,6 +10,8 @@
 //! With `--no-default-features` the whole telemetry layer compiles away and
 //! the snapshot is empty — the example prints that instead of failing.
 
+use srb::core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
+use srb::geom::Point;
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
 
@@ -68,10 +70,49 @@ fn main() {
     }
 
     // Spot-check the acceptance surface: per-layer spans, per-shard batch
-    // timings, and the R*-tree visit histogram must all be present.
-    for key in ["location.recompute_safe_regions", "sharded.shard0.batch_ns", "index.search.visits"]
-    {
+    // timings, the R*-tree visit histogram, and the regions-per-recompute
+    // histogram must all be present.
+    for key in [
+        "location.recompute_safe_regions",
+        "location.recompute_regions",
+        "sharded.shard0.batch_ns",
+        "index.search.visits",
+    ] {
         assert!(json.contains(key), "snapshot is missing {key}");
     }
+    // Neighbour probes are rare enough that a short run may see none, and
+    // idle counters are not snapshotted — so force one.
+    force_neighbor_probe();
+    let after = obs::registry().snapshot().diff(&before);
+    assert_eq!(
+        after.counters.get("location.worklist_rescans"),
+        after.counters.get("safe_region.neighbor_probes"),
+        "every neighbour probe grows the recompute worklist"
+    );
     println!("\nsnapshot covers spans, per-shard batch timings, and index histograms ✓");
+}
+
+/// Two results of an order-sensitive 2-NN query report from the same
+/// distance in one batch: whichever region is computed second finds the
+/// first one's fresh region touching its own position and probes it — the
+/// probe that makes `location.recompute_safe_regions` rescan its worklist.
+fn force_neighbor_probe() {
+    let q = Point::new(0.5, 0.5);
+    let mut at = [Point::new(0.52, 0.5), Point::new(0.5, 0.56)];
+    let mut server = Server::new(ServerConfig::default());
+    {
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+        }
+        server.register_query(QuerySpec::knn(q, 2), &mut provider, 0.0);
+    }
+    at = [Point::new(q.x + 0.03, q.y), Point::new(q.x, q.y + 0.03)];
+    let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+    server.handle_location_updates(
+        &[(ObjectId(0), at[0]), (ObjectId(1), at[1])],
+        &mut provider,
+        1.0,
+    );
+    assert_eq!(server.work().probes_neighbor, 1, "the equidistant pair forces one probe");
 }

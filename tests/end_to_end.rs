@@ -2,7 +2,9 @@
 //! (geometry → index → framework → mobility → simulator) wired together the
 //! way a downstream user would.
 
-use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, Server, ServerConfig};
+use srb::core::{
+    FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, Server, ServerConfig,
+};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobilityConfig, Trajectory};
 use srb::sim::{run_scheme, Scheme, SimConfig};
@@ -115,4 +117,87 @@ fn index_reexports_are_usable() {
         t.insert(i, Rect::point(Point::new((i % 10) as f64 / 10.0, (i / 10) as f64 / 10.0)));
     }
     assert_eq!(t.nearest_iter(Point::new(0.0, 0.0)).next().unwrap().id, 0);
+}
+
+#[test]
+fn one_batch_of_twenty_thousand_reports_stays_exact() {
+    // Complexity guard for the batch path: the cost of one call must grow
+    // like the batch, not like its cube. A worklist that rescans per region
+    // needs ~10^12 comparisons here, so a regression hangs this test
+    // rather than tripping a timer.
+    const REPORTS: usize = 20_000;
+    const BYSTANDERS: usize = 2_000;
+    const QUERIES: usize = 200;
+    fn unit(i: u64, salt: u64) -> f64 {
+        let mut z = (i ^ (salt << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+    let n = REPORTS + BYSTANDERS;
+    let mut at: Vec<Point> = (0..n as u64).map(|i| Point::new(unit(i, 1), unit(i, 2))).collect();
+
+    let mut server = Server::new(ServerConfig::default());
+    let mut specs = Vec::new();
+    {
+        let ps = at.clone();
+        let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+        }
+        for q in 0..QUERIES as u64 {
+            let c = Point::new(unit(q, 3), unit(q, 4));
+            let spec = match q % 4 {
+                0 | 1 => QuerySpec::range(
+                    Rect::centered(c, 0.03, 0.02).intersection(&Rect::UNIT).expect("c is inside"),
+                ),
+                2 => QuerySpec::knn(c, 1 + (q % 5) as usize),
+                _ => QuerySpec::knn_unordered(c, 1 + (q % 5) as usize),
+            };
+            specs.push((server.register_query(spec, &mut provider, 0.0).id, spec));
+        }
+    }
+
+    // Every non-bystander moves a little and reports in the same call.
+    let updates: Vec<SequencedUpdate> = (0..REPORTS)
+        .map(|i| {
+            let step = Point::new(unit(i as u64, 5) - 0.5, unit(i as u64, 6) - 0.5);
+            at[i] = Point::new(
+                (at[i].x + 0.02 * step.x).clamp(0.0, 1.0),
+                (at[i].y + 0.02 * step.y).clamp(0.0, 1.0),
+            );
+            SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: 1 }
+        })
+        .collect();
+    let ps = at.clone();
+    let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+    let mut out = Vec::new();
+    server.handle_sequenced_updates_into(&updates, &mut provider, 1.0, &mut out);
+    assert!(out.len() >= REPORTS, "every report is answered");
+
+    for &(qid, spec) in &specs {
+        let got = server.results(qid).expect("registered").to_vec();
+        match spec {
+            QuerySpec::Range { rect } => {
+                let mut got = got;
+                got.sort_unstable();
+                let want: Vec<ObjectId> = (0..n as u32)
+                    .map(ObjectId)
+                    .filter(|o| rect.contains_point(at[o.index()]))
+                    .collect();
+                assert_eq!(got, want, "range {rect:?}");
+            }
+            QuerySpec::Knn { center, k, order_sensitive } => {
+                let mut want: Vec<f64> = at.iter().map(|p| p.dist(center)).collect();
+                want.sort_by(f64::total_cmp);
+                want.truncate(k);
+                let mut got: Vec<f64> = got.iter().map(|o| at[o.index()].dist(center)).collect();
+                if !order_sensitive {
+                    got.sort_by(f64::total_cmp);
+                }
+                assert_eq!(got, want, "kNN at {center:?}");
+            }
+        }
+    }
+    server.check_invariants();
 }
