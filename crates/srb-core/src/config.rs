@@ -5,10 +5,12 @@ use srb_durable::SyncPolicy;
 use srb_geom::Rect;
 use srb_index::BackendConfig;
 
-/// Configuration of the durability plane (write-ahead log + checkpoints).
-/// The default — `dir: None` — disables durability entirely: the server
-/// runs exactly the paper's in-memory semantics with zero logging
-/// overhead.
+/// Configuration of the durability plane (write-ahead log + checkpoints),
+/// which `ShardedServer` owns: a durable single node is the 1-shard
+/// engine, and a plain `Server` — the shard-local stack — never logs,
+/// whatever this says. The default — `dir: None` — disables durability
+/// entirely: the engine runs exactly the paper's in-memory semantics with
+/// zero logging overhead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Directory holding the log and checkpoint files. `None` disables
@@ -21,7 +23,7 @@ pub struct DurabilityConfig {
     pub group_ops: u32,
     /// Rotate to a fresh checkpoint every this many logged operations.
     /// `0` never checkpoints automatically (explicit
-    /// `Server::checkpoint` calls still work).
+    /// `ShardedServer::checkpoint` calls still work).
     pub checkpoint_ops: u64,
 }
 

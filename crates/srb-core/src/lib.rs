@@ -52,6 +52,11 @@
 //! into the other structure mid-stream with bit-identical results, and
 //! `SRB_BACKEND=adaptive` arms an [`AdaptiveController`] that migrates and
 //! retunes per shard from observed telemetry at batch boundaries.
+//!
+//! Durability ([`DurabilityConfig`]) belongs to [`ShardedServer`] alone:
+//! it logs, checkpoints and recovers ([`ShardedServer::recover`]) for the
+//! shard-local [`Server`] stacks it owns, and a durable single node is the
+//! 1-shard engine.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -90,9 +95,7 @@ pub use object::{ObjectSlot, ObjectState, ObjectTable};
 pub use processor::QueryProcessor;
 pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
-pub use server::{
-    RegisterResponse, ResponseSink, ResultRemoval, SequencedUpdate, Server, UpdateResponse,
-};
+pub use server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
 pub use sharded::{configured_threads, ShardedServer, SyncProvider, TableProvider};
 pub use srb_durable::{CrashPoint, SyncPolicy};
 pub use srb_index::{

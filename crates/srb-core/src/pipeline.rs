@@ -127,14 +127,17 @@ pub(crate) enum ResultKind {
 /// recirculate.
 pub(crate) struct ResultSlot<B: srb_index::SpatialBackend> {
     pub kind: ResultKind,
-    /// Response entries for `Chunk` results.
+    /// Response entries for `Chunk` results: at most [`CHUNK_ENTRIES`],
+    /// which the buffer holds from the start, so filling it never
+    /// reallocates whatever order the slots come round in.
     pub entries: Vec<(ObjectId, UpdateResponse)>,
     /// The object to probe for `Probe` results.
     pub probe: ObjectId,
     /// The shard server, returned in the `Done` result.
     pub server: Option<Server<B>>,
-    /// The batch's update buffer, returned so its capacity goes back to
-    /// the coordinator's partition scratch.
+    /// The batch's update buffer, returned untouched: its capacity goes
+    /// back to the coordinator's partition scratch, its length into the
+    /// batch marker.
     pub updates: Vec<SequencedUpdate>,
     /// Worker-side batch duration (`None` when telemetry is off).
     pub duration_ns: Option<u64>,
@@ -158,7 +161,7 @@ impl<B: srb_index::SpatialBackend> Default for ResultSlot<B> {
     fn default() -> Self {
         ResultSlot {
             kind: ResultKind::Idle,
-            entries: Vec::new(),
+            entries: Vec::with_capacity(CHUNK_ENTRIES),
             probe: ObjectId(0),
             server: None,
             updates: Vec::new(),
@@ -292,13 +295,16 @@ fn worker_main<B: srb_index::SpatialBackend>(
         *c.worker.lock().expect("worker handle poisoned") = Some(thread::current());
     }
     let mut wal_buf: Vec<u8> = Vec::new();
+    // A shard batch's responses are staged here whole, then streamed out
+    // in chunks; the buffer never leaves this thread.
+    let mut stage: Vec<(ObjectId, UpdateResponse)> = Vec::new();
     loop {
         if shutdown.load(Ordering::Acquire) {
             return;
         }
         let mut busy = false;
         for cell in cells {
-            busy |= service(cell, signal, shutdown, &mut wal_buf);
+            busy |= service(cell, signal, shutdown, &mut wal_buf, &mut stage);
         }
         if !busy {
             thread::park_timeout(IDLE_PARK);
@@ -313,6 +319,7 @@ fn service<B: srb_index::SpatialBackend>(
     signal: &CoordSignal,
     shutdown: &AtomicBool,
     wal_buf: &mut Vec<u8>,
+    stage: &mut Vec<(ObjectId, UpdateResponse)>,
 ) -> bool {
     let mut server: Option<Server<B>> = None;
     let mut updates: Vec<SequencedUpdate> = Vec::new();
@@ -358,24 +365,30 @@ fn service<B: srb_index::SpatialBackend>(
             probe_log: &mut probe_log,
             record,
         };
-        let mut emit = |chunk: &mut Vec<(ObjectId, UpdateResponse)>| {
-            push_result(cell, signal, shutdown, |slot| {
-                slot.kind = ResultKind::Chunk;
-                std::mem::swap(&mut slot.entries, chunk);
-            });
-        };
         catch_unwind(AssertUnwindSafe(|| {
-            server.handle_sequenced_updates_chunked(
-                &updates,
-                &mut provider,
-                now,
-                CHUNK_ENTRIES,
-                &mut emit,
-            );
+            server.handle_sequenced_updates_into(&updates, &mut provider, now, stage);
         }))
         .err()
         .map(panic_message)
     };
+    if panic_msg.is_some() {
+        // A batch that died half way answers nobody.
+        stage.clear();
+    }
+    // The batch was processed whole (one probe pattern, one response
+    // list); the responses go out in order, a chunk per result slot.
+    let mut rest = stage.drain(..);
+    while rest.len() > 0 {
+        let pushed = push_result(cell, signal, shutdown, |slot| {
+            slot.kind = ResultKind::Chunk;
+            debug_assert!(slot.entries.is_empty(), "the coordinator drains every chunk");
+            slot.entries.extend(rest.by_ref().take(CHUNK_ENTRIES));
+        });
+        if !pushed {
+            break;
+        }
+    }
+    drop(rest);
     let duration_ns = watch.elapsed_ns();
 
     let mut server = Some(server);
@@ -396,21 +409,21 @@ fn service<B: srb_index::SpatialBackend>(
 }
 
 /// Pushes one result, retrying until a slot frees up. `fill` runs at
-/// most once (only on the successful push). Bails out silently on
-/// shutdown so a dying pipeline cannot deadlock its workers.
+/// most once (only on the successful push). Bails out on shutdown,
+/// returning `false`, so a dying pipeline cannot deadlock its workers.
 fn push_result<B: srb_index::SpatialBackend>(
     cell: &ShardCell<B>,
     signal: &CoordSignal,
     shutdown: &AtomicBool,
     mut fill: impl FnMut(&mut ResultSlot<B>),
-) {
+) -> bool {
     loop {
         if cell.results.try_push(&mut fill) {
             signal.notify();
-            return;
+            return true;
         }
         if shutdown.load(Ordering::Acquire) {
-            return;
+            return false;
         }
         thread::park_timeout(BUSY_PARK);
     }

@@ -121,22 +121,67 @@ pub struct WorkStats {
 }
 
 impl WorkStats {
+    /// Every counter, in declaration order (the order of the durable
+    /// encoding). Destructured without `..`, so a new field fails to
+    /// compile until it is listed here — and with that `merge`, `encode`
+    /// and `decode` all carry it.
+    fn fields(&mut self) -> [&mut u64; 13] {
+        let WorkStats {
+            evaluations,
+            safe_regions,
+            probes_avoided,
+            ordering_fallbacks,
+            probes_range,
+            probes_knn_eval,
+            probes_radius,
+            probes_reeval,
+            probes_neighbor,
+            stale_seq_drops,
+            unknown_object_drops,
+            lease_probes,
+            regrants,
+        } = self;
+        [
+            evaluations,
+            safe_regions,
+            probes_avoided,
+            ordering_fallbacks,
+            probes_range,
+            probes_knn_eval,
+            probes_radius,
+            probes_reeval,
+            probes_neighbor,
+            stale_seq_drops,
+            unknown_object_drops,
+            lease_probes,
+            regrants,
+        ]
+    }
+
     /// Adds another set of counters into this one — used to aggregate
     /// per-shard stats into a fleet-wide view.
     pub fn merge(&mut self, other: &WorkStats) {
-        self.evaluations += other.evaluations;
-        self.safe_regions += other.safe_regions;
-        self.probes_avoided += other.probes_avoided;
-        self.ordering_fallbacks += other.ordering_fallbacks;
-        self.probes_range += other.probes_range;
-        self.probes_knn_eval += other.probes_knn_eval;
-        self.probes_radius += other.probes_radius;
-        self.probes_reeval += other.probes_reeval;
-        self.probes_neighbor += other.probes_neighbor;
-        self.stale_seq_drops += other.stale_seq_drops;
-        self.unknown_object_drops += other.unknown_object_drops;
-        self.lease_probes += other.lease_probes;
-        self.regrants += other.regrants;
+        let mut other = *other;
+        for (mine, theirs) in self.fields().into_iter().zip(other.fields()) {
+            *mine += *theirs;
+        }
+    }
+
+    /// Appends the counters to a checkpoint payload.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let mut copy = *self;
+        for v in copy.fields() {
+            srb_durable::codec::put_u64(out, *v);
+        }
+    }
+
+    /// Reads back counters written by [`encode`](Self::encode).
+    pub fn decode(dec: &mut srb_durable::Dec<'_>) -> Result<Self, srb_durable::DurableError> {
+        let mut stats = WorkStats::default();
+        for v in stats.fields() {
+            *v = dec.u64()?;
+        }
+        Ok(stats)
     }
 }
 

@@ -107,25 +107,6 @@ impl BatchBuffers {
     }
 }
 
-/// Buffers for the chunked-yield response path (the pipelined front-end):
-/// the whole batch is staged in `stage`, then drained into `chunk`-sized
-/// pieces that are swapped with ring-slot buffers. Both vectors recirculate
-/// capacity with the ring, keeping the streaming path allocation-free.
-#[derive(Default)]
-pub(crate) struct RespBuffers {
-    /// The full batch response, staged before chunked emission.
-    pub stage: Vec<(ObjectId, crate::server::UpdateResponse)>,
-    /// The chunk currently being handed to the emitter.
-    pub chunk: Vec<(ObjectId, crate::server::UpdateResponse)>,
-}
-
-impl RespBuffers {
-    fn clear(&mut self) {
-        self.stage.clear();
-        self.chunk.clear();
-    }
-}
-
 /// Buffers for the sequenced-update admission pass.
 #[derive(Default)]
 pub(crate) struct SeqBuffers {
@@ -150,7 +131,6 @@ pub(crate) struct BatchScratch {
     op: OpBuffers,
     batch: BatchBuffers,
     seq: SeqBuffers,
-    resp: RespBuffers,
     high_water: usize,
 }
 
@@ -194,19 +174,6 @@ impl BatchScratch {
         self.seq = b;
     }
 
-    /// Takes the chunked-response buffers, cleared.
-    pub fn take_resp(&mut self) -> RespBuffers {
-        let mut b = std::mem::take(&mut self.resp);
-        b.clear();
-        b
-    }
-
-    /// Returns the chunked-response buffers.
-    pub fn put_resp(&mut self, b: RespBuffers) {
-        self.note(b.stage.len());
-        self.resp = b;
-    }
-
     /// Most entries any scratch buffer held during a single operation.
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -218,7 +185,6 @@ impl BatchScratch {
         self.op = OpBuffers::default();
         self.batch = BatchBuffers::default();
         self.seq = SeqBuffers::default();
-        self.resp = RespBuffers::default();
     }
 
     fn note(&mut self, used: usize) {

@@ -22,11 +22,10 @@ use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::scratch::{BatchScratch, OpBuffers};
-use crate::wal::{self, Record, ReplayProvider, Wal};
+use crate::wal;
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
 use srb_index::{BackendConfig, BackendKind, RStarTree, SpatialBackend};
-use std::path::Path;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -60,11 +59,6 @@ pub struct UpdateResponse {
     pub changes: Vec<ResultChange>,
 }
 
-/// Receiver of response chunks from
-/// [`Server::handle_sequenced_updates_chunked`]: called once per chunk
-/// with a `&mut Vec` the sink may drain or swap against its own buffer.
-pub type ResponseSink<'a> = dyn FnMut(&mut Vec<(ObjectId, UpdateResponse)>) + 'a;
-
 /// A source-initiated location update stamped with the client's sequence
 /// number. Over a lossy channel the same report can arrive duplicated or
 /// reordered; the server accepts each sequence number at most once
@@ -93,10 +87,6 @@ pub struct Server<B: SpatialBackend = RStarTree> {
     /// Reused per-operation buffers (see `scratch.rs`): the reason the
     /// steady-state report path allocates nothing.
     scratch: BatchScratch,
-    /// The write-ahead log, when durability is enabled. `None` (the
-    /// default) keeps every hot path exactly as before — the hooks check
-    /// one `Option` discriminant and fall through.
-    wal: Option<Box<Wal>>,
 }
 
 impl Server {
@@ -117,20 +107,15 @@ impl<B: SpatialBackend> Server<B> {
     /// Creates a server whose object index uses the backend `B`, built from
     /// `config.backend`. Panics when the config variant does not match `B`.
     pub fn with_backend(config: ServerConfig) -> Self {
-        let mut server = Server {
+        Server {
             index: ObjectIndex::with_backend(&config.backend, config.space),
             processor: QueryProcessor::new(config.space, config.grid_m),
             location: LocationManager::new(),
             costs: CostTracker::default(),
             work: WorkStats::default(),
             scratch: BatchScratch::default(),
-            wal: None,
             config,
-        };
-        if server.config.durability.enabled() {
-            server.attach_durability().expect("failed to create the configured durability store");
         }
-        server
     }
 
     // ------------------------------------------------------------------
@@ -183,10 +168,11 @@ impl<B: SpatialBackend> Server<B> {
         self.index.get(id).map(|s| (s.p_lst, s.t_lst))
     }
 
-    /// The last accepted sequence number of `id` — the sharded coordinator
-    /// stamps convenience (unsequenced) updates with this.
-    pub(crate) fn last_seq(&self, id: ObjectId) -> Option<u64> {
-        self.index.get(id).map(|s| s.last_seq)
+    /// The sequence number an unsequenced update of `id` is stamped with:
+    /// one past the last accepted. Unknown objects get 1 — the sequenced
+    /// path drops them whatever they carry.
+    pub(crate) fn next_seq(&self, id: ObjectId) -> u64 {
+        self.index.get(id).map_or(1, |s| s.last_seq + 1)
     }
 
     /// Accumulated communication events.
@@ -250,20 +236,6 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Result<Rect, ServerError> {
-        // WAL hook: record the operation (inputs + probe transcript) and
-        // re-enter with logging disarmed. Logged unconditionally — even a
-        // rejected duplicate mutates no state but must replay to the same
-        // rejection, keeping the record streams aligned.
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.add_object(id, pos, &mut rp, now)
-            };
-            w.log_add_object(id, pos, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         let _span = srb_obs::span!("server.add_object");
         if self.index.get(id).is_some() {
             return Err(ServerError::DuplicateObject(id));
@@ -316,16 +288,6 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Option<ResultRemoval> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.remove_object(id, &mut rp, now)
-            };
-            w.log_remove_object(id, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         let st = self.index.remove(id)?;
         let mut changes = Vec::new();
         let mut op = self.scratch.take_op();
@@ -374,16 +336,6 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> RegisterResponse {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.register_query(spec, &mut rp, now)
-            };
-            w.log_register_query(&spec, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         let _span = srb_obs::span!("server.register_query");
         let mut op = self.scratch.take_op();
         let space = self.config.space;
@@ -455,13 +407,6 @@ impl<B: SpatialBackend> Server<B> {
     /// Deregisters a query (Algorithm 1 lines 6-7). Safe regions are not
     /// eagerly enlarged; they regrow on the next update of each object.
     pub fn deregister_query(&mut self, id: QueryId) -> bool {
-        if let Some(mut w) = self.wal.take() {
-            let result = self.processor.remove(id);
-            w.log_deregister_query(id);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         self.processor.remove(id)
     }
 
@@ -485,16 +430,6 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Result<UpdateResponse, ServerError> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.handle_location_update(id, pos, &mut rp, now)
-            };
-            w.log_update(id, pos, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         let st = self.index.get_mut(id).ok_or(ServerError::UnknownObject(id))?;
         st.last_seq += 1;
         srb_obs::counter!("server.updates").inc();
@@ -516,29 +451,13 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<(ObjectId, UpdateResponse)> {
-        // WAL hook: the raw batch is logged verbatim (unknown-object
-        // drops must recur on replay), and the sequenced path below runs
-        // with logging disarmed so it cannot double-log.
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.handle_location_updates(updates, &mut rp, now)
-            };
-            w.log_raw_batch_inline(now, updates);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         // Stamp each update with the object's next sequence number; the
-        // sequenced path drops unknown objects (and in-batch duplicates)
-        // instead of panicking.
+        // sequenced path drops (and counts) unknown objects and in-batch
+        // duplicates instead of panicking.
         let sequenced: Vec<SequencedUpdate> = updates
             .iter()
-            .filter_map(|&(id, pos)| {
-                self.index.get(id).map(|st| SequencedUpdate { id, pos, seq: st.last_seq + 1 })
-            })
+            .map(|&(id, pos)| SequencedUpdate { id, pos, seq: self.next_seq(id) })
             .collect();
-        self.work.unknown_object_drops += (updates.len() - sequenced.len()) as u64;
         self.handle_sequenced_updates(&sequenced, provider, now)
     }
 
@@ -574,16 +493,6 @@ impl<B: SpatialBackend> Server<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        if let Some(mut w) = self.wal.take() {
-            {
-                let mut rp = w.recorder(provider);
-                self.handle_sequenced_updates_into(updates, &mut rp, now, out);
-            }
-            w.log_batch_inline(now, updates);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return;
-        }
         let mut seq = self.scratch.take_seq();
         for u in updates {
             match self.index.get_mut(u.id) {
@@ -620,35 +529,6 @@ impl<B: SpatialBackend> Server<B> {
             }
         }
         self.scratch.put_seq(seq);
-    }
-
-    /// Chunked-yield variant of
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into)
-    /// for the streaming coordinator merge: the batch is processed whole
-    /// (identical probe pattern, identical responses), then the responses
-    /// are handed to `emit` in chunks of at most `chunk_cap` entries, in
-    /// order. `emit` receives each chunk as a `&mut Vec` it may drain or
-    /// swap with its own buffer; the vectors recirculate through the
-    /// server's scratch arena, so the steady-state path stays
-    /// allocation-free.
-    pub fn handle_sequenced_updates_chunked(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-        chunk_cap: usize,
-        emit: &mut ResponseSink<'_>,
-    ) {
-        let chunk_cap = chunk_cap.max(1);
-        let mut resp = self.scratch.take_resp();
-        self.handle_sequenced_updates_into(updates, provider, now, &mut resp.stage);
-        while !resp.stage.is_empty() {
-            let take = resp.stage.len().min(chunk_cap);
-            resp.chunk.clear();
-            resp.chunk.extend(resp.stage.drain(..take));
-            emit(&mut resp.chunk);
-        }
-        self.scratch.put_resp(resp);
     }
 
     /// Shared batch body: every position installed first, then each affected
@@ -837,18 +717,10 @@ impl<B: SpatialBackend> Server<B> {
     // ------------------------------------------------------------------
 
     /// The earliest pending deferred-probe time, if any. Stale entries are
-    /// discarded lazily. Event-driven callers (the simulator) use this to
-    /// schedule [`process_deferred`](Self::process_deferred).
+    /// discarded lazily — so even this "read" mutates the deferred heap
+    /// that checkpoints serialize. Event-driven callers (the simulator) use
+    /// this to schedule [`process_deferred`](Self::process_deferred).
     pub fn next_deferred_due(&mut self) -> Option<f64> {
-        // Even this "read" is logged: it lazily pops stale timer entries,
-        // mutating the deferred heap that checkpoints serialize.
-        if let Some(mut w) = self.wal.take() {
-            let result = self.location.next_due(self.index.objects());
-            w.log_next_due();
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         self.location.next_due(self.index.objects())
     }
 
@@ -861,16 +733,6 @@ impl<B: SpatialBackend> Server<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<(ObjectId, UpdateResponse)> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.process_deferred(&mut rp, now)
-            };
-            w.log_process_deferred(now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
         let _span = srb_obs::span!("server.process_deferred");
         let mut out = Vec::new();
         while let Some(d) = self.location.pop_due(self.index.objects(), now) {
@@ -885,79 +747,8 @@ impl<B: SpatialBackend> Server<B> {
     }
 
     // ------------------------------------------------------------------
-    // Durability plane (WAL + checkpoints + recovery)
+    // Backend migration and state serialization
     // ------------------------------------------------------------------
-
-    /// Creates the configured durability store and attaches a fresh WAL,
-    /// rooted at a checkpoint of the current state. Generations already
-    /// in the directory are superseded, never overwritten.
-    pub fn attach_durability(&mut self) -> Result<(), RecoveryError> {
-        let d = self.config.durability;
-        let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        let mut payload = Vec::new();
-        self.encode_state(&mut payload);
-        let store = srb_durable::Store::create(Path::new(dir), 1, d.policy, d.group_ops, &payload)?;
-        self.wal = Some(Box::new(Wal::new(store, d.checkpoint_ops)));
-        Ok(())
-    }
-
-    /// Rebuilds a server from the durability directory in
-    /// `config.durability`: loads the newest valid checkpoint (falling
-    /// back a generation when the newest is damaged), replays the log
-    /// tail through the regular entry points, and reattaches the WAL.
-    /// Returns the server and the number of replayed operations.
-    pub fn recover(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
-        let d = config.durability;
-        let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        let rec = srb_durable::Store::recover(Path::new(dir), 1, d.policy, d.group_ops)?;
-        let mut server = Self::decode_state(&config, &rec.payload)?;
-        let mut replayed = 0usize;
-        for genf in &rec.generations {
-            for payload in &genf.logs[0] {
-                server.apply_record(payload)?;
-                replayed += 1;
-            }
-        }
-        server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
-        Ok((server, replayed))
-    }
-
-    /// True when a WAL is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// True when an earlier I/O failure poisoned the WAL. A poisoned
-    /// server keeps serving from memory but persists nothing further;
-    /// the durable state is whatever the last commit made stable, and
-    /// the only path back is [`Server::recover`].
-    pub fn wal_poisoned(&self) -> bool {
-        self.wal.as_ref().map(|w| w.poisoned()).unwrap_or(false)
-    }
-
-    /// The active checkpoint generation, when durability is on.
-    pub fn wal_generation(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.generation())
-    }
-
-    /// Forces every buffered log record to stable storage now.
-    pub fn sync_wal(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            w.sync();
-        }
-    }
-
-    /// Rotates the durability store to a fresh checkpoint of the current
-    /// state, truncating the replay tail. Returns `false` when no WAL is
-    /// attached or the rotation failed (which poisons the WAL).
-    pub fn checkpoint(&mut self) -> bool {
-        let Some(mut w) = self.wal.take() else { return false };
-        let mut payload = Vec::new();
-        self.encode_state(&mut payload);
-        let ok = w.checkpoint(&payload).is_ok();
-        self.wal = Some(w);
-        ok
-    }
 
     /// The index structure currently live under this server (which, on
     /// the adaptive plane, can differ from what `config.backend` names).
@@ -970,26 +761,17 @@ impl<B: SpatialBackend> Server<B> {
     /// region is preserved, so query results are unchanged. Returns
     /// `false` when the backend type `B` cannot represent `config`
     /// (everything except `DynBackend`).
-    ///
-    /// With durability attached this forces a checkpoint: an explicit
-    /// migration is *not* an operation the log replays, so the checkpoint
-    /// is what carries the new structure across a crash. (Migrations made
-    /// by the adaptive controller need no checkpoint — they are replayed
-    /// deterministically from controller state.)
     pub fn migrate_backend(&mut self, config: &BackendConfig) -> bool {
         if !self.migrate_index(config) {
             return false;
         }
         srb_obs::counter!("index.adaptive.explicit_migrations").inc();
-        if self.wal.is_some() {
-            self.checkpoint();
-        }
         true
     }
 
     /// The bare index migration, without the explicit-migration telemetry
-    /// or checkpoint — the adaptive controller's path (its migrations are
-    /// replayed from controller state, so no checkpoint is needed).
+    /// — the path of the sharded engine, which counts (and, when durable,
+    /// checkpoints) at its own level.
     pub(crate) fn migrate_index(&mut self, config: &BackendConfig) -> bool {
         self.index.migrate_backend(config)
     }
@@ -1000,18 +782,6 @@ impl<B: SpatialBackend> Server<B> {
         let mut buf = Vec::new();
         self.encode_state(&mut buf);
         wal::fnv1a64(&buf)
-    }
-
-    /// Group-commit + checkpoint-cadence bookkeeping after one logged
-    /// operation.
-    fn wal_post_op(&mut self) {
-        let due = match self.wal.as_mut() {
-            Some(w) => w.note_op(),
-            None => false,
-        };
-        if due {
-            self.checkpoint();
-        }
     }
 
     /// Serializes the complete engine state (everything a checkpoint
@@ -1027,44 +797,16 @@ impl<B: SpatialBackend> Server<B> {
         put_u8(out, self.index.tree().kind().tag());
         put_u64(out, self.costs.source_updates);
         put_u64(out, self.costs.probes);
-        let w = &self.work;
-        for v in [
-            w.evaluations,
-            w.safe_regions,
-            w.probes_avoided,
-            w.ordering_fallbacks,
-            w.probes_range,
-            w.probes_knn_eval,
-            w.probes_radius,
-            w.probes_reeval,
-            w.probes_neighbor,
-            w.stale_seq_drops,
-            w.unknown_object_drops,
-            w.lease_probes,
-            w.regrants,
-        ] {
-            put_u64(out, v);
-        }
+        self.work.encode(out);
         self.index.encode_state(out);
         self.processor.encode_state(out);
         self.location.encode_state(out);
     }
 
-    /// Rebuilds a server from a checkpoint payload. The WAL is *not*
-    /// attached — [`Server::recover`] does that after replay.
-    pub(crate) fn decode_state(
-        config: &ServerConfig,
-        payload: &[u8],
-    ) -> Result<Self, RecoveryError> {
-        let mut dec = srb_durable::Dec::new(payload);
-        let server = Self::decode_state_from(config, &mut dec)?;
-        dec.finish()?;
-        Ok(server)
-    }
-
-    /// Like [`decode_state`](Self::decode_state) but reads from an open
-    /// decoder without requiring it to be exhausted — the sharded
-    /// coordinator embeds one of these per shard in its own checkpoint.
+    /// Rebuilds a shard from the state [`encode_state`](Self::encode_state)
+    /// wrote, reading from an open decoder without requiring it to be
+    /// exhausted — the sharded coordinator embeds one of these per shard in
+    /// its own checkpoint.
     pub(crate) fn decode_state_from(
         config: &ServerConfig,
         dec: &mut srb_durable::Dec<'_>,
@@ -1081,21 +823,7 @@ impl<B: SpatialBackend> Server<B> {
             });
         }
         let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
-        let work = WorkStats {
-            evaluations: dec.u64()?,
-            safe_regions: dec.u64()?,
-            probes_avoided: dec.u64()?,
-            ordering_fallbacks: dec.u64()?,
-            probes_range: dec.u64()?,
-            probes_knn_eval: dec.u64()?,
-            probes_radius: dec.u64()?,
-            probes_reeval: dec.u64()?,
-            probes_neighbor: dec.u64()?,
-            stale_seq_drops: dec.u64()?,
-            unknown_object_drops: dec.u64()?,
-            lease_probes: dec.u64()?,
-            regrants: dec.u64()?,
-        };
+        let work = WorkStats::decode(dec)?;
         let index = ObjectIndex::decode_state(dec)?;
         let processor = QueryProcessor::decode_state(dec)?;
         let location = LocationManager::decode_state(dec)?;
@@ -1107,74 +835,7 @@ impl<B: SpatialBackend> Server<B> {
             costs,
             work,
             scratch: BatchScratch::default(),
-            wal: None,
         })
-    }
-
-    /// Replays one log record through the public entry points (the WAL
-    /// is detached during recovery, so nothing re-logs). Rejected
-    /// operations recur deterministically and are ignored exactly as the
-    /// original run ignored them.
-    pub(crate) fn apply_record(&mut self, payload: &[u8]) -> Result<(), RecoveryError> {
-        match wal::decode_record(payload)? {
-            Record::AddObject { id, pos, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.add_object(id, pos, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::RemoveObject { id, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.remove_object(id, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::RegisterQuery { spec, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.register_query(spec, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::DeregisterQuery { id } => {
-                let _ = self.deregister_query(id);
-                Ok(())
-            }
-            Record::Update { id, pos, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_location_update(id, pos, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::Batch { now, updates, shard_counts, probes } => {
-                if !shard_counts.is_empty() {
-                    return Err(RecoveryError::Corrupt("sharded marker in a plain log"));
-                }
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_sequenced_updates(&updates, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::RawBatch { now, updates, shard_counts, probes } => {
-                if !shard_counts.is_empty() {
-                    return Err(RecoveryError::Corrupt("sharded marker in a plain log"));
-                }
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_location_updates(&updates, &mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::ProcessDeferred { now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.process_deferred(&mut rp, now);
-                Self::check_replay(&rp)
-            }
-            Record::NextDue => {
-                let _ = self.next_deferred_due();
-                Ok(())
-            }
-        }
-    }
-
-    fn check_replay(rp: &ReplayProvider<'_>) -> Result<(), RecoveryError> {
-        if rp.diverged() {
-            Err(RecoveryError::Corrupt("replay diverged from the probe transcript"))
-        } else {
-            Ok(())
-        }
     }
 
     // ------------------------------------------------------------------

@@ -40,11 +40,11 @@
 //! instead of being left pending.
 
 use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
-use crate::config::{DurabilityConfig, ServerConfig};
+use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
 use crate::ids::{ObjectId, QueryId};
 use crate::pipeline::{JobKind, PipelineState, ResultKind};
-use crate::provider::{CostTracker, LocationProvider, WorkStats};
+use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{QuerySpec, ResultChange};
 use crate::server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
 use crate::wal::{self, Record, ReplayProvider, Wal};
@@ -157,8 +157,6 @@ struct CoordScratch<B: srb_index::SpatialBackend> {
     tables: Vec<Vec<Point>>,
     /// Per-shard "job still in flight" flags of the pipelined drain.
     pending: Vec<bool>,
-    /// Landing buffer swapped against result-ring chunk slots.
-    chunk: Vec<(ObjectId, UpdateResponse)>,
     /// Parking slots for the shard servers while a pipelined batch has
     /// them checked out (idle shards never leave this vector).
     returned: Vec<Option<Server<B>>>,
@@ -173,7 +171,6 @@ impl<B: srb_index::SpatialBackend> Default for CoordScratch<B> {
             transcripts: Vec::new(),
             tables: Vec::new(),
             pending: Vec::new(),
-            chunk: Vec::new(),
             returned: Vec::new(),
         }
     }
@@ -192,8 +189,9 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     specs: Vec<Option<QuerySpec>>,
     /// Coordinator-merged result per query (maintained only with `N > 1`).
     merged: Vec<Option<Vec<ObjectId>>>,
-    /// Coordinator-level work counters (e.g. unknown-object drops detected
-    /// before an update reaches any shard).
+    /// Coordinator-level work counters, a fixed part of the checkpoint
+    /// layout. Nothing at the coordinator counts work at present: an
+    /// unknown-object drop is counted by the shard the update lands on.
     coord_work: WorkStats,
     /// Explicit thread-count override; `None` defers to
     /// [`configured_threads`].
@@ -243,16 +241,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         srb_obs::gauge!("sharded.shards").set(shards as u64);
-        // Shards never attach their own durability store: the coordinator
-        // logs for the whole fleet, one partition log per shard plus the
-        // arbiter log.
-        let shard_config = ServerConfig { durability: DurabilityConfig::default(), ..config };
         let adaptive = match config.backend {
             srb_index::BackendConfig::Adaptive(ac) => Some(AdaptiveController::new(ac, shards)),
             _ => None,
         };
         let mut server = ShardedServer {
-            shards: (0..shards).map(|_| Server::with_backend(shard_config)).collect(),
+            shards: (0..shards).map(|_| Server::with_backend(config)).collect(),
             owner: Vec::new(),
             specs: Vec::new(),
             merged: Vec::new(),
@@ -412,18 +406,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Result<Rect, ServerError> {
-        // WAL hook: record the operation (inputs + probe transcript) and
-        // re-enter with logging disarmed. Logged unconditionally — even a
-        // rejected duplicate must replay to the same rejection.
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.add_object(id, pos, &mut rp, now)
-            };
-            w.log_add_object(id, pos, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        // Logged unconditionally — even a rejected duplicate must replay to
+        // the same rejection.
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.add_object(id, pos, p, now),
+                |w| w.log_add_object(id, pos, now),
+            );
         }
         if self.owner_of(id).is_some() {
             return Err(ServerError::DuplicateObject(id));
@@ -456,15 +446,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Option<ResultRemoval> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.remove_object(id, &mut rp, now)
-            };
-            w.log_remove_object(id, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.remove_object(id, p, now),
+                |w| w.log_remove_object(id, now),
+            );
         }
         let target = self.owner_of(id)?;
         let mut removal = self.shards[target].remove_object(id, provider, now)?;
@@ -496,15 +483,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> RegisterResponse {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.register_query(spec, &mut rp, now)
-            };
-            w.log_register_query(&spec, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.register_query(spec, p, now),
+                |w| w.log_register_query(&spec, now),
+            );
         }
         if self.shards.len() == 1 {
             let resp = self.shards[0].register_query(spec, provider, now);
@@ -551,12 +535,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Deregisters a query from every shard.
     pub fn deregister_query(&mut self, id: QueryId) -> bool {
-        if let Some(mut w) = self.wal.take() {
-            let result = self.deregister_query(id);
-            w.log_deregister_query(id);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                &mut NoProbe,
+                |this, _| this.deregister_query(id),
+                |w| w.log_deregister_query(id),
+            );
         }
         let mut removed = false;
         for shard in &mut self.shards {
@@ -586,15 +570,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Result<UpdateResponse, ServerError> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.handle_location_update(id, pos, &mut rp, now)
-            };
-            w.log_update(id, pos, now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.handle_location_update(id, pos, p, now),
+                |w| w.log_update(id, pos, now),
+            );
         }
         if self.shards.len() == 1 {
             return self.shards[0].handle_location_update(id, pos, provider, now);
@@ -617,43 +598,22 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Handles a batch of simultaneous updates, stamping each with its
-    /// object's next sequence number (unknown objects are dropped and
-    /// counted).
+    /// object's next sequence number and handing the result to
+    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates) — which
+    /// is also what logs it, so an unsequenced batch replays as the
+    /// sequenced batch it became. Unknown objects are stamped too and
+    /// left for the sequenced path to drop and count, so the drops recur
+    /// on replay.
     pub fn handle_location_updates(
         &mut self,
         updates: &[(ObjectId, Point)],
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<(ObjectId, UpdateResponse)> {
-        // WAL hook: the partitions go to the shard logs first; the marker
-        // (written last, with the probe transcript) is the commit point —
-        // orphan partitions from a crash mid-operation are ignored on
-        // recovery because no marker references them.
-        if let Some(mut w) = self.wal.take() {
-            let counts = self.wal_partition_raw(updates, &mut w);
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.handle_location_updates(updates, &mut rp, now)
-            };
-            w.log_raw_batch_marker(now, &counts);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
-        }
-        if self.shards.len() == 1 {
-            let result = self.shards[0].handle_location_updates(updates, provider, now);
-            self.maybe_adapt();
-            return result;
-        }
         let sequenced: Vec<SequencedUpdate> = updates
             .iter()
-            .filter_map(|&(id, pos)| {
-                let shard = self.owning_shard(id)?;
-                shard.last_known(id)?;
-                Some(SequencedUpdate { id, pos, seq: self.next_seq(id) })
-            })
+            .map(|&(id, pos)| SequencedUpdate { id, pos, seq: self.next_seq(id) })
             .collect();
-        self.coord_work.unknown_object_drops += (updates.len() - sequenced.len()) as u64;
         self.handle_sequenced_updates(&sequenced, provider, now)
     }
 
@@ -685,23 +645,38 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        if let Some(mut w) = self.wal.take() {
-            let counts = self.wal_partition_seq(updates, &mut w);
-            {
-                let mut rp = w.recorder(provider);
-                self.handle_sequenced_updates_into(updates, &mut rp, now, out);
-            }
-            w.log_batch_marker(now, &counts);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return;
-        }
+        // The WAL (when attached) is held for the whole batch. The
+        // partitions go to the shard logs first; the marker (written last,
+        // with the probe transcript) is the commit point — orphan
+        // partitions from a crash mid-batch are ignored on recovery
+        // because no marker references them.
+        let mut wal = self.wal.take();
+        let mut recorder;
         if self.shards.len() == 1 {
+            // Pure pass-through: the one partition is `updates` itself.
+            let provider: &mut dyn LocationProvider = match wal.as_mut() {
+                Some(w) => {
+                    w.append_part_seq(0, updates);
+                    recorder = w.recorder(provider);
+                    &mut recorder
+                }
+                None => provider,
+            };
             self.shards[0].handle_sequenced_updates_into(updates, provider, now, out);
-            self.maybe_adapt();
+            self.commit_batch(wal, now, std::iter::once(updates.len()));
             return;
         }
         let batches = self.partition(updates);
+        let provider: &mut dyn LocationProvider = match wal.as_mut() {
+            Some(w) => {
+                for (i, batch) in batches.iter().enumerate() {
+                    w.append_part_seq(i, batch);
+                }
+                recorder = w.recorder(provider);
+                &mut recorder
+            }
+            None => provider,
+        };
         let mut durations = std::mem::take(&mut self.scratch.durations);
         durations.clear();
         let start = out.len();
@@ -720,9 +695,29 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         record_straggler_gap(&durations);
         self.scratch.durations = durations;
-        self.scratch.batches = batches;
         self.finish_batch_in(out, start, provider, now);
+        self.commit_batch(wal, now, batches.iter().map(Vec::len));
+        self.scratch.batches = batches;
+    }
+
+    /// The tail both batch paths share. Adapt before the marker commits
+    /// the batch: the controller's decision state (and any migration it
+    /// makes) must be inside the state a post-marker checkpoint captures,
+    /// and replay — which runs the same entry points without a WAL —
+    /// re-makes the decision at exactly this point. `counts` are the
+    /// partition sizes in shard order, zeros included.
+    fn commit_batch(
+        &mut self,
+        wal: Option<Box<Wal>>,
+        now: f64,
+        counts: impl ExactSizeIterator<Item = usize>,
+    ) {
         self.maybe_adapt();
+        if let Some(mut w) = wal {
+            w.log_batch_marker(now, counts);
+            self.wal = Some(w);
+            self.wal_post_op();
+        }
     }
 
     /// The parallel twin of
@@ -815,11 +810,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // `Done`; the marker is written only after the full drain.
         let mut wal = self.wal.take();
         let mut batches = self.partition(updates);
-        // Marker counts cover every shard, zeros included (replay skips
-        // zero-count shards), so they are derived before submission.
-        let counts: Option<Vec<u32>> =
-            wal.as_ref().map(|_| batches.iter().map(|b| b.len() as u32).collect());
-
         let mut durations = std::mem::take(&mut self.scratch.durations);
         durations.clear();
         let mut transcripts = std::mem::take(&mut self.scratch.transcripts);
@@ -838,7 +828,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let mut pending = std::mem::take(&mut self.scratch.pending);
         pending.clear();
         pending.resize(n, false);
-        let mut chunk = std::mem::take(&mut self.scratch.chunk);
         let mut returned = std::mem::take(&mut self.scratch.returned);
         returned.clear();
 
@@ -891,7 +880,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let cell = &pipeline.cells[i];
                 loop {
                     let mut probe_req: Option<ObjectId> = None;
-                    let mut got_chunk = false;
                     let mut done = None;
                     let popped = cell.results.try_pop(|slot| match slot.kind {
                         ResultKind::Probe => {
@@ -900,8 +888,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                         }
                         ResultKind::Chunk => {
                             slot.kind = ResultKind::Idle;
-                            std::mem::swap(&mut chunk, &mut slot.entries);
-                            got_chunk = true;
+                            out.append(&mut slot.entries);
                         }
                         ResultKind::Done => {
                             slot.kind = ResultKind::Idle;
@@ -935,9 +922,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                         });
                         assert!(answered, "probe-answer slot unavailable");
                         cell.unpark_worker();
-                    }
-                    if got_chunk {
-                        out.append(&mut chunk);
                     }
                     if let Some((server, log, log_err, dur, panicked)) = done {
                         returned[i] = Some(server.expect("Done returns the shard server"));
@@ -990,9 +974,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         record_straggler_gap(&durations);
         self.scratch.durations = durations;
         self.scratch.pending = pending;
-        self.scratch.chunk = chunk;
         self.scratch.returned = returned;
-        self.scratch.batches = batches;
         self.scratch.transcripts = transcripts;
         self.scratch.tables = tables;
 
@@ -1007,35 +989,27 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             panic!("shard worker panicked: {msg}");
         }
 
-        if let Some(mut w) = wal {
-            // Replay runs each shard's partition to completion in shard
-            // order, then the coordinator merge — exactly the
-            // concatenation of the per-shard transcripts plus the
-            // merge-time probes the recorder captures below.
-            let mut transcripts = std::mem::take(&mut self.scratch.transcripts);
-            for t in &mut transcripts {
-                w.extend_probes(t);
+        let mut adapter = SyncAdapter(provider);
+        let mut recorder;
+        let merge_provider: &mut dyn LocationProvider = match wal.as_mut() {
+            Some(w) => {
+                // Replay runs each shard's partition to completion in shard
+                // order, then the coordinator merge — exactly the
+                // concatenation of the per-shard transcripts plus the
+                // merge-time probes the recorder captures.
+                for t in &mut self.scratch.transcripts {
+                    w.extend_probes(t);
+                }
+                recorder = w.recorder(&mut adapter);
+                &mut recorder
             }
-            self.scratch.transcripts = transcripts;
-            {
-                let mut adapter = SyncAdapter(provider);
-                let mut rp = w.recorder(&mut adapter);
-                self.finish_batch_in(out, start, &mut rp, now);
-            }
-            // Adapt before the marker commits the batch: the controller's
-            // decision state (and any migration it makes) must be inside
-            // the state a post-marker checkpoint captures, and replay —
-            // which runs the same entry points without a WAL — re-makes
-            // the decision at exactly this point.
-            self.maybe_adapt();
-            w.log_batch_marker(now, &counts.expect("counts derived with the wal"));
-            self.wal = Some(w);
-            self.wal_post_op();
-        } else {
-            let mut adapter = SyncAdapter(provider);
-            self.finish_batch_in(out, start, &mut adapter, now);
-            self.maybe_adapt();
-        }
+            None => &mut adapter,
+        };
+        self.finish_batch_in(out, start, merge_provider, now);
+        // The partitions came home with their contents, so their sizes
+        // are still the marker's counts.
+        self.commit_batch(wal, now, batches.iter().map(Vec::len));
+        self.scratch.batches = batches;
     }
 
     // ------------------------------------------------------------------
@@ -1047,12 +1021,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // Logged even though it looks like a read: each shard lazily pops
         // stale timer entries, mutating the deferred heaps checkpoints
         // serialize.
-        if let Some(mut w) = self.wal.take() {
-            let result = self.next_deferred_due();
-            w.log_next_due();
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                &mut NoProbe,
+                |this, _| this.next_deferred_due(),
+                |w| w.log_next_due(),
+            );
         }
         self.shards.iter_mut().filter_map(|s| s.next_deferred_due()).min_by(|a, b| a.total_cmp(b))
     }
@@ -1065,15 +1039,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<(ObjectId, UpdateResponse)> {
-        if let Some(mut w) = self.wal.take() {
-            let result = {
-                let mut rp = w.recorder(provider);
-                self.process_deferred(&mut rp, now)
-            };
-            w.log_process_deferred(now);
-            self.wal = Some(w);
-            self.wal_post_op();
-            return result;
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.process_deferred(p, now),
+                |w| w.log_process_deferred(now),
+            );
         }
         if self.shards.len() == 1 {
             return self.shards[0].process_deferred(provider, now);
@@ -1099,10 +1070,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// operation stream.
     ///
     /// Every signal the controller reads is part of the per-shard
-    /// serialized state, and this runs *inside* the WAL recursion (the
-    /// coordinator's log hooks re-enter with the WAL detached), so
-    /// recovery replays each decision at exactly the batch that
-    /// originally made it.
+    /// serialized state, and this runs inside the logged batch, before
+    /// its marker ([`commit_batch`](Self::commit_batch)), so recovery
+    /// replays each decision at exactly the batch that originally made it.
     fn maybe_adapt(&mut self) {
         let Some(mut ctl) = self.adaptive.take() else { return };
         if ctl.note_batch() {
@@ -1262,6 +1232,26 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         wal::fnv1a64(&buf)
     }
 
+    /// The log protocol of every non-batch operation, in one place: detach
+    /// the WAL, run `body` (which re-enters the public entry point, now
+    /// unlogged) with every probe transcribed, append the record `log`
+    /// writes — inputs plus that transcript — reattach, and run the
+    /// group-commit / checkpoint cadence. Callers check the WAL is
+    /// attached; that check is also what ends the re-entry.
+    fn logged<R>(
+        &mut self,
+        provider: &mut dyn LocationProvider,
+        body: impl FnOnce(&mut Self, &mut dyn LocationProvider) -> R,
+        log: impl FnOnce(&mut Wal),
+    ) -> R {
+        let mut w = self.wal.take().expect("logged() runs with the WAL attached");
+        let result = body(self, &mut w.recorder(provider));
+        log(&mut w);
+        self.wal = Some(w);
+        self.wal_post_op();
+        result
+    }
+
     /// Group-commit + checkpoint-cadence bookkeeping after one logged
     /// operation.
     fn wal_post_op(&mut self) {
@@ -1281,24 +1271,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.shards.len());
-        let w = &self.coord_work;
-        for v in [
-            w.evaluations,
-            w.safe_regions,
-            w.probes_avoided,
-            w.ordering_fallbacks,
-            w.probes_range,
-            w.probes_knn_eval,
-            w.probes_radius,
-            w.probes_reeval,
-            w.probes_neighbor,
-            w.stale_seq_drops,
-            w.unknown_object_drops,
-            w.lease_probes,
-            w.regrants,
-        ] {
-            put_u64(out, v);
-        }
+        self.coord_work.encode(out);
         put_usize(out, self.owner.len());
         for o in &self.owner {
             match o {
@@ -1358,21 +1331,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if dec.usize()? != shards {
             return Err(RecoveryError::Corrupt("checkpoint shard count mismatch"));
         }
-        let coord_work = WorkStats {
-            evaluations: dec.u64()?,
-            safe_regions: dec.u64()?,
-            probes_avoided: dec.u64()?,
-            ordering_fallbacks: dec.u64()?,
-            probes_range: dec.u64()?,
-            probes_knn_eval: dec.u64()?,
-            probes_radius: dec.u64()?,
-            probes_reeval: dec.u64()?,
-            probes_neighbor: dec.u64()?,
-            stale_seq_drops: dec.u64()?,
-            unknown_object_drops: dec.u64()?,
-            lease_probes: dec.u64()?,
-            regrants: dec.u64()?,
-        };
+        let coord_work = WorkStats::decode(&mut dec)?;
         let n_owner = dec.len(1)?;
         let mut owner = Vec::with_capacity(n_owner);
         for _ in 0..n_owner {
@@ -1428,10 +1387,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             _ => return Err(RecoveryError::Corrupt("bad controller tag")),
         };
-        let shard_config = ServerConfig { durability: DurabilityConfig::default(), ..*config };
         let mut shard_servers = Vec::with_capacity(shards);
         for _ in 0..shards {
-            shard_servers.push(Server::decode_state_from(&shard_config, &mut dec)?);
+            shard_servers.push(Server::decode_state_from(config, &mut dec)?);
         }
         dec.finish()?;
         Ok(ShardedServer {
@@ -1450,39 +1408,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             adaptive,
             config: *config,
         })
-    }
-
-    /// Partitions a sequenced batch by owning shard and appends each
-    /// non-empty partition to its shard log. Returns the per-shard update
-    /// counts for the marker record.
-    fn wal_partition_seq(&self, updates: &[SequencedUpdate], w: &mut Wal) -> Vec<u32> {
-        let mut parts: Vec<Vec<SequencedUpdate>> = vec![Vec::new(); self.shards.len()];
-        for &u in updates {
-            // Unknown objects go to shard 0, matching `partition`.
-            parts[self.owner_of(u.id).unwrap_or(0)].push(u);
-        }
-        let counts = parts.iter().map(|p| p.len() as u32).collect();
-        for (i, p) in parts.iter().enumerate() {
-            if !p.is_empty() {
-                w.append_part_seq(i, p);
-            }
-        }
-        counts
-    }
-
-    /// Raw-batch twin of [`wal_partition_seq`](Self::wal_partition_seq).
-    fn wal_partition_raw(&self, updates: &[(ObjectId, Point)], w: &mut Wal) -> Vec<u32> {
-        let mut parts: Vec<Vec<(ObjectId, Point)>> = vec![Vec::new(); self.shards.len()];
-        for &u in updates {
-            parts[self.owner_of(u.0).unwrap_or(0)].push(u);
-        }
-        let counts = parts.iter().map(|p| p.len() as u32).collect();
-        for (i, p) in parts.iter().enumerate() {
-            if !p.is_empty() {
-                w.append_part_raw(i, p);
-            }
-        }
-        counts
     }
 
     /// Replays one arbiter-log record through the public entry points.
@@ -1520,30 +1445,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let _ = self.handle_location_update(id, pos, &mut rp, now);
                 check_replay(&rp)
             }
-            Record::Batch { now, updates, shard_counts, probes } => {
-                if !updates.is_empty() {
-                    return Err(RecoveryError::Corrupt("inline batch in a sharded log"));
-                }
-                let updates = self.take_partitions(&shard_counts, gen_logs, cursors, false)?;
-                let seq = match updates {
-                    Partitions::Seq(v) => v,
-                    Partitions::Raw(_) => unreachable!("seq partitions requested"),
-                };
+            Record::Batch { now, shard_counts, probes } => {
+                let updates = self.take_partitions(&shard_counts, gen_logs, cursors)?;
                 let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_sequenced_updates(&seq, &mut rp, now);
-                check_replay(&rp)
-            }
-            Record::RawBatch { now, updates, shard_counts, probes } => {
-                if !updates.is_empty() {
-                    return Err(RecoveryError::Corrupt("inline batch in a sharded log"));
-                }
-                let updates = self.take_partitions(&shard_counts, gen_logs, cursors, true)?;
-                let raw = match updates {
-                    Partitions::Raw(v) => v,
-                    Partitions::Seq(_) => unreachable!("raw partitions requested"),
-                };
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_location_updates(&raw, &mut rp, now);
+                let _ = self.handle_sequenced_updates(&updates, &mut rp, now);
                 check_replay(&rp)
             }
             Record::ProcessDeferred { now, probes } => {
@@ -1568,13 +1473,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         counts: &[u32],
         gen_logs: &[Vec<Vec<u8>>],
         cursors: &mut [usize],
-        raw: bool,
-    ) -> Result<Partitions, RecoveryError> {
+    ) -> Result<Vec<SequencedUpdate>, RecoveryError> {
         if counts.len() != self.shards.len() {
             return Err(RecoveryError::Corrupt("marker shard count mismatch"));
         }
-        let mut seq: Vec<SequencedUpdate> = Vec::new();
-        let mut raws: Vec<(ObjectId, Point)> = Vec::new();
+        let mut updates: Vec<SequencedUpdate> = Vec::new();
         for (i, &c) in counts.iter().enumerate() {
             if c == 0 {
                 continue;
@@ -1583,21 +1486,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 .get(cursors[i])
                 .ok_or(RecoveryError::Corrupt("missing shard partition"))?;
             cursors[i] += 1;
-            if raw {
-                let part = wal::decode_part_raw(rec)?;
-                if part.len() != c as usize {
-                    return Err(RecoveryError::Corrupt("partition length mismatch"));
-                }
-                raws.extend(part);
-            } else {
-                let part = wal::decode_part_seq(rec)?;
-                if part.len() != c as usize {
-                    return Err(RecoveryError::Corrupt("partition length mismatch"));
-                }
-                seq.extend(part);
+            let part = wal::decode_part_seq(rec)?;
+            if part.len() != c as usize {
+                return Err(RecoveryError::Corrupt("partition length mismatch"));
             }
+            updates.extend(part);
         }
-        Ok(if raw { Partitions::Raw(raws) } else { Partitions::Seq(seq) })
+        Ok(updates)
     }
 
     // ------------------------------------------------------------------
@@ -1633,7 +1528,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     fn next_seq(&self, id: ObjectId) -> u64 {
-        self.owning_shard(id).and_then(|s| s.last_seq(id)).map_or(1, |s| s + 1)
+        self.owning_shard(id).map_or(1, |s| s.next_seq(id))
     }
 
     fn record_spec(&mut self, id: QueryId, spec: QuerySpec) {
@@ -1902,12 +1797,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     fn is_exact(&self, o: ObjectId, now: f64) -> bool {
         self.owning_shard(o).and_then(|s| s.last_known(o)).map(|(_, t)| t) == Some(now)
     }
-}
-
-/// A reassembled marker batch: either shape, matching the marker opcode.
-enum Partitions {
-    Seq(Vec<SequencedUpdate>),
-    Raw(Vec<(ObjectId, Point)>),
 }
 
 /// Surfaces a replay that consumed its probe transcript incorrectly.
@@ -2184,9 +2073,6 @@ mod tests {
         let mut positions = world(20, 42);
         let mut sharded = ShardedServer::new(config, 3);
         assert!(sharded.wal_attached());
-        for s in sharded.shards() {
-            assert!(!s.wal_attached(), "shards must not own a durability store");
-        }
         {
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
@@ -2230,6 +2116,52 @@ mod tests {
         assert_eq!(recovered.state_digest(), digest, "recovery must be bit-identical");
         recovered.check_invariants_deep();
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// An unsequenced batch is logged as the sequenced batch it is stamped
+    /// into, so what the stamping cannot place — an unknown id, a second
+    /// report of one object — must reach the log and be dropped again on
+    /// replay: same digest, same drop counters as the run that never
+    /// stopped.
+    #[test]
+    fn raw_batch_drops_recur_on_replay() {
+        for shards in [1, 2] {
+            let dir = temp_dir("rawdrops");
+            let config = ServerConfig {
+                durability: crate::config::DurabilityConfig {
+                    dir: Some(dir),
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let positions = world(8, 17);
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+            let mut twin = ShardedServer::new(ServerConfig::default(), shards);
+            let mut durable = ShardedServer::new(config, shards);
+            for engine in [&mut twin, &mut durable] {
+                for (i, &p) in positions.iter().enumerate() {
+                    engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+                }
+                engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut provider, 0.0);
+                let raw = [
+                    (ObjectId(3), Point::new(0.31, 0.32)),
+                    (ObjectId(99), Point::new(0.1, 0.1)),
+                    (ObjectId(3), Point::new(0.33, 0.34)),
+                    (ObjectId(5), Point::new(0.6, 0.7)),
+                ];
+                let resp = engine.handle_location_updates(&raw, &mut provider, 0.1);
+                assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
+            }
+            durable.sync_wal();
+            drop(durable);
+            let (recovered, _) =
+                ShardedServer::<RStarTree>::recover(config, shards).expect("recovery");
+            assert_eq!(recovered.work(), twin.work(), "{shards} shard(s)");
+            assert_eq!(recovered.work().unknown_object_drops, 1);
+            assert_eq!(recovered.work().stale_seq_drops, 1);
+            assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The durability plane's server-side half: operation records, probe
 //! transcripts, and the write-ahead log wrapper.
 //!
-//! Every top-level server entry point is one *logical operation*. The log
-//! records the operation's inputs **plus the transcript of every probe
+//! Every top-level [`ShardedServer`](crate::ShardedServer) entry point is
+//! one *logical operation* (the shard-local `Server` stacks never log). The
+//! log records the operation's inputs **plus the transcript of every probe
 //! the provider answered during it** — probes are the only
 //! non-deterministic input (they read the outside world), so with the
 //! transcript in hand a recovering server can replay the operation
@@ -183,45 +184,34 @@ const OP_REGISTER: u8 = 3;
 const OP_DEREGISTER: u8 = 4;
 const OP_UPDATE: u8 = 5;
 const OP_BATCH: u8 = 6;
-const OP_RAW_BATCH: u8 = 7;
 const OP_DEFERRED: u8 = 8;
 const OP_NEXT_DUE: u8 = 9;
 const OP_PART_SEQ: u8 = 10;
-const OP_PART_RAW: u8 = 11;
+/// The mode byte of a batch record: a marker of per-shard partition sizes.
+const BATCH_MODE_MARKER: u8 = 1;
+// Opcodes 7 and 11 (raw batch, raw partition) and batch mode 0 (inline
+// updates) belong to earlier logs. Never reuse them: such a record must
+// keep decoding to `Corrupt`.
 
-/// A decoded log record: one top-level operation plus its probe
-/// transcript. `Batch`/`RawBatch` come in two shapes — *inline* (the
-/// plain server logs the updates in the record) and *marker* (the
-/// sharded coordinator logs per-shard counts; the updates themselves
-/// live as partition records in the shard logs).
+/// A decoded arbiter-log record: one top-level operation plus its probe
+/// transcript.
 pub(crate) enum Record {
-    /// `Server::add_object`.
+    /// `add_object`.
     AddObject { id: ObjectId, pos: Point, now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `Server::remove_object`.
+    /// `remove_object`.
     RemoveObject { id: ObjectId, now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `Server::register_query`.
+    /// `register_query`.
     RegisterQuery { spec: QuerySpec, now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `Server::deregister_query`.
+    /// `deregister_query`.
     DeregisterQuery { id: QueryId },
-    /// `Server::handle_location_update`.
+    /// `handle_location_update`.
     Update { id: ObjectId, pos: Point, now: f64, probes: Vec<(ObjectId, Point)> },
-    /// A sequenced batch: inline updates or per-shard marker counts.
-    Batch {
-        now: f64,
-        updates: Vec<SequencedUpdate>,
-        shard_counts: Vec<u32>,
-        probes: Vec<(ObjectId, Point)>,
-    },
-    /// A convenience (unsequenced) batch: same two shapes.
-    RawBatch {
-        now: f64,
-        updates: Vec<(ObjectId, Point)>,
-        shard_counts: Vec<u32>,
-        probes: Vec<(ObjectId, Point)>,
-    },
-    /// `Server::process_deferred`.
+    /// A batch marker: the per-shard update counts. The updates themselves
+    /// live as partition records in the shard logs.
+    Batch { now: f64, shard_counts: Vec<u32>, probes: Vec<(ObjectId, Point)> },
+    /// `process_deferred`.
     ProcessDeferred { now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `Server::next_deferred_due` — it lazily pops stale timer entries,
+    /// `next_deferred_due` — it lazily pops stale timer entries,
     /// so even this "read" mutates durable state.
     NextDue,
 }
@@ -251,16 +241,6 @@ fn dec_seq_updates(dec: &mut Dec<'_>) -> Result<Vec<SequencedUpdate>, DurableErr
         let id = ObjectId(dec.u32()?);
         let pos = dec_point(dec)?;
         out.push(SequencedUpdate { id, pos, seq: dec.u64()? });
-    }
-    Ok(out)
-}
-
-fn dec_raw_updates(dec: &mut Dec<'_>) -> Result<Vec<(ObjectId, Point)>, DurableError> {
-    let n = dec.len(20)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = ObjectId(dec.u32()?);
-        out.push((id, dec_point(dec)?));
     }
     Ok(out)
 }
@@ -304,21 +284,11 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
         }
         OP_BATCH => {
             let now = dec.f64()?;
-            let (updates, shard_counts) = match dec.u8()? {
-                0 => (dec_seq_updates(&mut dec)?, Vec::new()),
-                1 => (Vec::new(), dec_shard_counts(&mut dec)?),
-                _ => return Err(DurableError::Corrupt("bad batch mode")),
-            };
-            Record::Batch { now, updates, shard_counts, probes: dec_probes(&mut dec)? }
-        }
-        OP_RAW_BATCH => {
-            let now = dec.f64()?;
-            let (updates, shard_counts) = match dec.u8()? {
-                0 => (dec_raw_updates(&mut dec)?, Vec::new()),
-                1 => (Vec::new(), dec_shard_counts(&mut dec)?),
-                _ => return Err(DurableError::Corrupt("bad batch mode")),
-            };
-            Record::RawBatch { now, updates, shard_counts, probes: dec_probes(&mut dec)? }
+            if dec.u8()? != BATCH_MODE_MARKER {
+                return Err(DurableError::Corrupt("bad batch mode"));
+            }
+            let shard_counts = dec_shard_counts(&mut dec)?;
+            Record::Batch { now, shard_counts, probes: dec_probes(&mut dec)? }
         }
         OP_DEFERRED => {
             let now = dec.f64()?;
@@ -352,17 +322,6 @@ pub(crate) fn decode_part_seq(payload: &[u8]) -> Result<Vec<SequencedUpdate>, Du
         return Err(DurableError::Corrupt("not a sequenced partition"));
     }
     let v = dec_seq_updates(&mut dec)?;
-    dec.finish()?;
-    Ok(v)
-}
-
-/// Decodes a shard-log partition of raw (unsequenced) updates.
-pub(crate) fn decode_part_raw(payload: &[u8]) -> Result<Vec<(ObjectId, Point)>, DurableError> {
-    let mut dec = Dec::new(payload);
-    if dec.u8()? != OP_PART_RAW {
-        return Err(DurableError::Corrupt("not a raw partition"));
-    }
-    let v = dec_raw_updates(&mut dec)?;
     dec.finish()?;
     Ok(v)
 }
@@ -522,58 +481,21 @@ impl Wal {
         self.emit();
     }
 
-    /// Plain-server sequenced batch: updates inline in the record.
-    pub(crate) fn log_batch_inline(&mut self, now: f64, updates: &[SequencedUpdate]) {
+    /// Coordinator marker committing a batch: only the per-shard update
+    /// counts (one per shard, zeros included); the partitions live in the
+    /// shard logs.
+    pub(crate) fn log_batch_marker(
+        &mut self,
+        now: f64,
+        counts: impl ExactSizeIterator<Item = usize>,
+    ) {
         self.buf.clear();
         put_u8(&mut self.buf, OP_BATCH);
         put_f64(&mut self.buf, now);
-        put_u8(&mut self.buf, 0);
-        put_usize(&mut self.buf, updates.len());
-        for u in updates {
-            put_u32(&mut self.buf, u.id.0);
-            put_point(&mut self.buf, u.pos);
-            put_u64(&mut self.buf, u.seq);
-        }
-        self.emit();
-    }
-
-    /// Plain-server raw batch: updates inline in the record.
-    pub(crate) fn log_raw_batch_inline(&mut self, now: f64, updates: &[(ObjectId, Point)]) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_RAW_BATCH);
-        put_f64(&mut self.buf, now);
-        put_u8(&mut self.buf, 0);
-        put_usize(&mut self.buf, updates.len());
-        for &(id, pos) in updates {
-            put_u32(&mut self.buf, id.0);
-            put_point(&mut self.buf, pos);
-        }
-        self.emit();
-    }
-
-    /// Coordinator marker for a sharded sequenced batch: only the
-    /// per-shard record counts; the partitions live in the shard logs.
-    pub(crate) fn log_batch_marker(&mut self, now: f64, counts: &[u32]) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_BATCH);
-        put_f64(&mut self.buf, now);
-        put_u8(&mut self.buf, 1);
+        put_u8(&mut self.buf, BATCH_MODE_MARKER);
         put_usize(&mut self.buf, counts.len());
-        for &c in counts {
-            put_u32(&mut self.buf, c);
-        }
-        self.emit();
-    }
-
-    /// Coordinator marker for a sharded raw batch.
-    pub(crate) fn log_raw_batch_marker(&mut self, now: f64, counts: &[u32]) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_RAW_BATCH);
-        put_f64(&mut self.buf, now);
-        put_u8(&mut self.buf, 1);
-        put_usize(&mut self.buf, counts.len());
-        for &c in counts {
-            put_u32(&mut self.buf, c);
+        for c in counts {
+            put_u32(&mut self.buf, c as u32);
         }
         self.emit();
     }
@@ -592,8 +514,13 @@ impl Wal {
     }
 
     /// Appends one shard's partition of a sequenced batch to shard log
-    /// `shard` (0-based shard id → log index `shard + 1`).
+    /// `shard` (0-based shard id → log index `shard + 1`). An empty
+    /// partition writes nothing: the marker's zero count tells replay to
+    /// skip the shard.
     pub(crate) fn append_part_seq(&mut self, shard: usize, updates: &[SequencedUpdate]) {
+        if updates.is_empty() {
+            return;
+        }
         self.buf.clear();
         encode_part_seq(&mut self.buf, updates);
         let _ = self.store.append(shard + 1, &self.buf);
@@ -623,18 +550,6 @@ impl Wal {
     /// Drains `probes` but keeps its capacity.
     pub(crate) fn extend_probes(&mut self, probes: &mut Vec<(ObjectId, Point)>) {
         self.probes.append(probes);
-    }
-
-    /// Appends one shard's partition of a raw batch.
-    pub(crate) fn append_part_raw(&mut self, shard: usize, updates: &[(ObjectId, Point)]) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_PART_RAW);
-        put_usize(&mut self.buf, updates.len());
-        for &(id, pos) in updates {
-            put_u32(&mut self.buf, id.0);
-            put_point(&mut self.buf, pos);
-        }
-        let _ = self.store.append(shard + 1, &self.buf);
     }
 
     /// Ends one logical operation: applies the sync policy (group
@@ -697,7 +612,29 @@ mod tests {
             let junk: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             let _ = decode_record(&junk);
             let _ = decode_part_seq(&junk);
-            let _ = decode_part_raw(&junk);
+        }
+    }
+
+    /// Raw-batch records (opcode 7, partition opcode 11) and inline
+    /// batches (`OP_BATCH` mode 0) are no longer written; a log that still
+    /// holds one is refused with a typed error, in either decoder.
+    #[test]
+    fn retired_record_shapes_decode_to_corrupt() {
+        let mut marker = vec![7u8];
+        put_f64(&mut marker, 0.5);
+        put_u8(&mut marker, 1);
+        put_usize(&mut marker, 0);
+        put_probes(&mut marker, &[]);
+        let mut part = vec![11u8];
+        put_usize(&mut part, 0);
+        let mut inline = vec![OP_BATCH];
+        put_f64(&mut inline, 0.5);
+        put_u8(&mut inline, 0);
+        put_usize(&mut inline, 0);
+        put_probes(&mut inline, &[]);
+        for payload in [&marker, &part, &inline] {
+            assert!(matches!(decode_record(payload), Err(DurableError::Corrupt(_))));
+            assert!(matches!(decode_part_seq(payload), Err(DurableError::Corrupt(_))));
         }
     }
 
@@ -758,26 +695,10 @@ mod tests {
             OP_BATCH => {
                 put_u8(&mut buf, OP_BATCH);
                 put_f64(&mut buf, f(seed));
-                put_u8(&mut buf, (seed % 2) as u8);
-                if seed.is_multiple_of(2) {
-                    put_usize(&mut buf, 1);
-                    put_u32(&mut buf, seed as u32);
-                    put_point(&mut buf, pt(seed));
-                    put_u64(&mut buf, seed);
-                } else {
-                    put_usize(&mut buf, 2);
-                    put_u32(&mut buf, 1);
-                    put_u32(&mut buf, 2);
-                }
-                put_probes(&mut buf, &probes);
-            }
-            OP_RAW_BATCH => {
-                put_u8(&mut buf, OP_RAW_BATCH);
-                put_f64(&mut buf, f(seed));
-                put_u8(&mut buf, 0);
-                put_usize(&mut buf, 1);
-                put_u32(&mut buf, seed as u32);
-                put_point(&mut buf, pt(seed));
+                put_u8(&mut buf, BATCH_MODE_MARKER);
+                put_usize(&mut buf, 2);
+                put_u32(&mut buf, 1);
+                put_u32(&mut buf, 2);
                 put_probes(&mut buf, &probes);
             }
             OP_DEFERRED => {
@@ -791,12 +712,6 @@ mod tests {
                 put_u32(&mut buf, seed as u32);
                 put_point(&mut buf, pt(seed));
                 put_u64(&mut buf, seed);
-            }
-            OP_PART_RAW => {
-                put_u8(&mut buf, OP_PART_RAW);
-                put_usize(&mut buf, 1);
-                put_u32(&mut buf, seed as u32);
-                put_point(&mut buf, pt(seed));
             }
             _ => put_u8(&mut buf, OP_NEXT_DUE),
         }
@@ -838,14 +753,12 @@ mod tests {
             for v in &variants {
                 let _ = decode_record(v);
                 let _ = decode_part_seq(v);
-                let _ = decode_part_raw(v);
             }
 
             // The untouched payload still decodes through its own entry
             // point (corruption of *other* copies must not matter).
             match kind {
                 OP_PART_SEQ => assert!(decode_part_seq(&valid).is_ok()),
-                OP_PART_RAW => assert!(decode_part_raw(&valid).is_ok()),
                 _ => assert!(decode_record(&valid).is_ok()),
             }
         }

@@ -54,10 +54,11 @@ impl LocationProvider for Provider<'_> {
     }
 }
 
-/// [`Provider`] for the pipelined batch path, which takes a shared
-/// [`SyncProvider`]. Probes are answered on the coordinator thread (the
-/// merge loop relays worker probe requests), so the mutex is uncontended;
-/// it exists only to satisfy the `Sync` bound with `&mut` clients inside.
+/// [`Provider`] for the batch entry point, which takes a shared
+/// [`SyncProvider`] (the engine decides per batch whether shard workers
+/// run it). Probes are answered on the coordinator thread (the merge loop
+/// relays worker probe requests), so the mutex is uncontended; it exists
+/// only to satisfy the `Sync` bound with `&mut` clients inside.
 struct SharedProvider<'a> {
     clients: Mutex<(&'a mut [MobileClient], Vec<u32>)>,
     now: f64,
@@ -179,6 +180,7 @@ pub fn run_srb_with<B: SpatialBackend + Send + 'static>(cfg: &SimConfig) -> RunM
     // mover (the paper's sequential-processing assumption, upheld at tick
     // granularity).
     let mut batch: Vec<SequencedUpdate> = Vec::new();
+    let mut resps = Vec::new();
     let mut batch_t = 0.0f64;
     let rtt_pad = 2.0 * (cfg.delay + cfg.channel.jitter);
     // Downlink delivery of a safe-region grant: through the channel, so a
@@ -215,35 +217,25 @@ pub fn run_srb_with<B: SpatialBackend + Send + 'static>(cfg: &SimConfig) -> RunM
                 srb_obs::counter!("sim.batches").inc();
                 srb_obs::histogram!("sim.batch_size").record(batch.len() as u64);
                 let t0 = Instant::now();
-                // Sharded runs go through the pipelined front-end (persistent
-                // shard workers, streaming merge); the single stack keeps the
-                // paper's sequential path, bit-identical to the goldens.
-                let resps = if cfg.shards > 1 {
-                    let provider = SharedProvider {
-                        clients: Mutex::new((&mut clients[..], Vec::new())),
-                        now: batch_t,
-                    };
-                    let resps =
-                        server.handle_sequenced_updates_parallel(&batch, &provider, batch_t);
-                    let (cl, probed) = provider.clients.into_inner().expect("provider lock");
-                    for &p in &probed {
-                        cl[p as usize].mark_pending();
-                    }
-                    resps
-                } else {
-                    let mut provider =
-                        Provider { clients: &mut clients, now: batch_t, probed: Vec::new() };
-                    let resps = server.handle_sequenced_updates(&batch, &mut provider, batch_t);
-                    for &p in &provider.probed {
-                        provider.clients[p as usize].mark_pending();
-                    }
-                    resps
+                // One entry point for every shape: the engine runs a single
+                // stack (or a single thread) sequentially — the paper's
+                // path, bit-identical to the goldens — and a sharded fleet
+                // through its persistent shard workers.
+                let provider = SharedProvider {
+                    clients: Mutex::new((&mut clients[..], Vec::new())),
+                    now: batch_t,
                 };
+                server
+                    .handle_sequenced_updates_parallel_into(&batch, &provider, batch_t, &mut resps);
+                let (cl, probed) = provider.clients.into_inner().expect("provider lock");
+                for &p in &probed {
+                    cl[p as usize].mark_pending();
+                }
                 cpu += t0.elapsed().as_secs_f64();
                 // Only the uplink is delayed (§7.2: "the server receives the
                 // location update τ time units after the client sends it");
                 // responses are modeled as immediate.
-                for (oid, resp) in resps {
+                for (oid, resp) in resps.drain(..) {
                     deliver_sr!(oid.0, resp.safe_region, batch_t);
                     for (other, sr) in resp.probed {
                         deliver_sr!(other.0, sr, batch_t);

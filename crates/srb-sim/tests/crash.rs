@@ -12,16 +12,16 @@
 //! operations are then re-driven and the final digest must equal the
 //! golden run's, operation for operation and bit for bit.
 //!
-//! The same matrix runs on the plain [`Server`] (one log) and a 2-shard
-//! [`ShardedServer`] (per-shard partition logs + a coordinator marker
-//! log), plus a grid-backend round trip and a corruption fuzzer that
-//! bit-flips and truncates every file in the store — recovery may refuse
-//! (an error is a fine answer to a mangled disk) but must never panic.
+//! The same matrix runs on the durable single node — a 1-shard
+//! [`ShardedServer`] — and on 2 shards (a coordinator marker log plus one
+//! partition log per shard either way), plus a grid-backend round trip and
+//! a corruption fuzzer that bit-flips and truncates every file in the
+//! store — recovery may refuse (an error is a fine answer to a mangled
+//! disk) but must never panic.
 
 use srb_core::{
-    BackendConfig, CrashPoint, DurabilityConfig, FnProvider, GridConfig, LocationProvider,
-    ObjectId, QueryId, QuerySpec, RecoveryError, Server, ServerConfig, ShardedServer, SyncPolicy,
-    UniformGrid,
+    BackendConfig, CrashPoint, DurabilityConfig, FnProvider, GridConfig, ObjectId, QueryId,
+    QuerySpec, RStarTree, RecoveryError, ServerConfig, ShardedServer, SyncPolicy, UniformGrid,
 };
 use srb_durable::crash;
 use srb_geom::{Point, Rect};
@@ -75,119 +75,6 @@ fn spec_at(r: u64) -> QuerySpec {
     }
 }
 
-/// The two engines under test, behind one face so the script and the
-/// crash loop are written once.
-trait Engine: Sized {
-    fn build(config: ServerConfig) -> Self;
-    fn recover(config: ServerConfig) -> Result<(Self, usize), RecoveryError>;
-    fn digest(&self) -> u64;
-    fn poisoned(&self) -> bool;
-    fn sync(&mut self);
-    fn deep_check(&self);
-    fn add_object(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64);
-    fn remove_object(&mut self, id: ObjectId, p: &mut dyn LocationProvider, now: f64);
-    fn register_query(&mut self, spec: QuerySpec, p: &mut dyn LocationProvider, now: f64);
-    fn deregister_query(&mut self, id: QueryId);
-    fn single_update(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64);
-    fn raw_batch(&mut self, ups: &[(ObjectId, Point)], p: &mut dyn LocationProvider, now: f64);
-    fn next_due(&mut self);
-    fn process_deferred(&mut self, p: &mut dyn LocationProvider, now: f64);
-}
-
-impl<B: SpatialBackend> Engine for Server<B> {
-    fn build(config: ServerConfig) -> Self {
-        Server::with_backend(config)
-    }
-    fn recover(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
-        Server::recover(config)
-    }
-    fn digest(&self) -> u64 {
-        self.state_digest()
-    }
-    fn poisoned(&self) -> bool {
-        self.wal_poisoned()
-    }
-    fn sync(&mut self) {
-        self.sync_wal();
-    }
-    fn deep_check(&self) {
-        self.check_invariants_deep();
-    }
-    fn add_object(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::add_object(self, id, pos, p, now);
-    }
-    fn remove_object(&mut self, id: ObjectId, p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::remove_object(self, id, p, now);
-    }
-    fn register_query(&mut self, spec: QuerySpec, p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::register_query(self, spec, p, now);
-    }
-    fn deregister_query(&mut self, id: QueryId) {
-        let _ = Server::deregister_query(self, id);
-    }
-    fn single_update(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::handle_location_update(self, id, pos, p, now);
-    }
-    fn raw_batch(&mut self, ups: &[(ObjectId, Point)], p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::handle_location_updates(self, ups, p, now);
-    }
-    fn next_due(&mut self) {
-        let _ = Server::next_deferred_due(self);
-    }
-    fn process_deferred(&mut self, p: &mut dyn LocationProvider, now: f64) {
-        let _ = Server::process_deferred(self, p, now);
-    }
-}
-
-/// Shard count for the sharded half of the matrix.
-const SHARDS: usize = 2;
-
-impl<B: SpatialBackend> Engine for ShardedServer<B> {
-    fn build(config: ServerConfig) -> Self {
-        ShardedServer::with_backend(config, SHARDS)
-    }
-    fn recover(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
-        ShardedServer::recover(config, SHARDS)
-    }
-    fn digest(&self) -> u64 {
-        self.state_digest()
-    }
-    fn poisoned(&self) -> bool {
-        self.wal_poisoned()
-    }
-    fn sync(&mut self) {
-        self.sync_wal();
-    }
-    fn deep_check(&self) {
-        self.check_invariants_deep();
-        self.check_invariants();
-    }
-    fn add_object(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::add_object(self, id, pos, p, now);
-    }
-    fn remove_object(&mut self, id: ObjectId, p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::remove_object(self, id, p, now);
-    }
-    fn register_query(&mut self, spec: QuerySpec, p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::register_query(self, spec, p, now);
-    }
-    fn deregister_query(&mut self, id: QueryId) {
-        let _ = ShardedServer::deregister_query(self, id);
-    }
-    fn single_update(&mut self, id: ObjectId, pos: Point, p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::handle_location_update(self, id, pos, p, now);
-    }
-    fn raw_batch(&mut self, ups: &[(ObjectId, Point)], p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::handle_location_updates(self, ups, p, now);
-    }
-    fn next_due(&mut self) {
-        let _ = ShardedServer::next_deferred_due(self);
-    }
-    fn process_deferred(&mut self, p: &mut dyn LocationProvider, now: f64) {
-        let _ = ShardedServer::process_deferred(self, p, now);
-    }
-}
-
 /// One primitive operation — exactly one WAL record. The golden prefix
 /// table is indexed at this granularity: a crash can land between any
 /// two of these, but never inside one.
@@ -232,25 +119,44 @@ fn script() -> Vec<(u64, Op)> {
     s
 }
 
-fn apply<E: Engine>(e: &mut E, r: u64, op: Op) {
+fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, r: u64, op: Op) {
     let now = 0.05 + r as f64 * 0.1;
     let mut p = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, r));
     match op {
-        Op::Add(id) => e.add_object(ObjectId(id as u32), pos_at(id, r), &mut p, now),
-        Op::Remove(id) => e.remove_object(ObjectId(id as u32), &mut p, now),
-        Op::Register(seed) => e.register_query(spec_at(seed), &mut p, now),
-        Op::Deregister(q) => e.deregister_query(QueryId(q)),
-        Op::Single(o) => e.single_update(ObjectId(o as u32), pos_at(o, r), &mut p, now),
+        Op::Add(id) => {
+            let _ = e.add_object(ObjectId(id as u32), pos_at(id, r), &mut p, now);
+        }
+        Op::Remove(id) => {
+            let _ = e.remove_object(ObjectId(id as u32), &mut p, now);
+        }
+        Op::Register(seed) => {
+            let _ = e.register_query(spec_at(seed), &mut p, now);
+        }
+        Op::Deregister(q) => {
+            let _ = e.deregister_query(QueryId(q));
+        }
+        Op::Single(o) => {
+            let _ = e.handle_location_update(ObjectId(o as u32), pos_at(o, r), &mut p, now);
+        }
         Op::Batch => {
             let ups: Vec<(ObjectId, Point)> = (0..N_OBJ)
                 .filter(|o| (o + r).is_multiple_of(3))
                 .map(|o| (ObjectId(o as u32), pos_at(o, r)))
                 .collect();
-            e.raw_batch(&ups, &mut p, now);
+            e.handle_location_updates(&ups, &mut p, now);
         }
-        Op::NextDue => e.next_due(),
-        Op::Deferred => e.process_deferred(&mut p, now),
+        Op::NextDue => {
+            let _ = e.next_deferred_due();
+        }
+        Op::Deferred => {
+            let _ = e.process_deferred(&mut p, now);
+        }
     }
+}
+
+fn deep_check<B: SpatialBackend>(e: &ShardedServer<B>) {
+    e.check_invariants_deep();
+    e.check_invariants();
 }
 
 fn base_config() -> ServerConfig {
@@ -280,12 +186,16 @@ fn durable_config(base: ServerConfig, dir: &'static str) -> ServerConfig {
 
 /// Digest-after-every-op table from an uninterrupted, durability-OFF run.
 /// `golden[j]` is the state after the first `j` primitive operations.
-fn golden_digests<E: Engine>(config: ServerConfig, script: &[(u64, Op)]) -> Vec<u64> {
-    let mut e = E::build(config);
-    let mut digests = vec![e.digest()];
+fn golden_digests<B: SpatialBackend>(
+    config: ServerConfig,
+    shards: usize,
+    script: &[(u64, Op)],
+) -> Vec<u64> {
+    let mut e = ShardedServer::<B>::with_backend(config, shards);
+    let mut digests = vec![e.state_digest()];
     for &(r, op) in script {
         apply(&mut e, r, op);
-        digests.push(e.digest());
+        digests.push(e.state_digest());
     }
     digests
 }
@@ -294,8 +204,9 @@ fn golden_digests<E: Engine>(config: ServerConfig, script: &[(u64, Op)]) -> Vec<
 /// proves the recovered state is a completed prefix whose resumption
 /// reproduces the golden final state bit for bit. Returns whether the
 /// point actually fired (a too-large `nth` legitimately never does).
-fn crash_run<E: Engine>(
+fn crash_run<B: SpatialBackend>(
     base: ServerConfig,
+    shards: usize,
     point: CrashPoint,
     nth: u32,
     script: &[(u64, Op)],
@@ -303,11 +214,11 @@ fn crash_run<E: Engine>(
     tag: &str,
 ) -> bool {
     let cfg = durable_config(base, scratch(tag));
-    let mut e = E::build(cfg);
+    let mut e = ShardedServer::<B>::with_backend(cfg, shards);
     crash::arm(point, nth);
     for &(r, op) in script {
         apply(&mut e, r, op);
-        if e.poisoned() {
+        if e.wal_poisoned() {
             break;
         }
     }
@@ -317,10 +228,10 @@ fn crash_run<E: Engine>(
     // the page cache in a power cut.
     drop(e);
 
-    let (mut rec, _replayed) = E::recover(cfg)
+    let (mut rec, _replayed) = ShardedServer::<B>::recover(cfg, shards)
         .unwrap_or_else(|err| panic!("recovery after {point:?} #{nth} failed: {err:?}"));
-    rec.deep_check();
-    let d = rec.digest();
+    deep_check(&rec);
+    let d = rec.state_digest();
     let j = golden.iter().position(|&g| g == d).unwrap_or_else(|| {
         panic!("state recovered after {point:?} #{nth} matches no completed prefix of the script")
     });
@@ -328,20 +239,20 @@ fn crash_run<E: Engine>(
         apply(&mut rec, r, op);
     }
     assert_eq!(
-        rec.digest(),
+        rec.state_digest(),
         *golden.last().unwrap(),
         "resume after {point:?} #{nth} diverged from the uninterrupted golden run"
     );
-    rec.deep_check();
+    deep_check(&rec);
     injected
 }
 
-fn crash_matrix<E: Engine>(base: ServerConfig, tag: &str) {
+fn crash_matrix<B: SpatialBackend>(base: ServerConfig, shards: usize, tag: &str) {
     let script = script();
-    let golden = golden_digests::<E>(base, &script);
+    let golden = golden_digests::<B>(base, shards, &script);
     for &point in CrashPoint::ALL.iter() {
         for nth in [0u32, 1, 3] {
-            let fired = crash_run::<E>(base, point, nth, &script, &golden, tag);
+            let fired = crash_run::<B>(base, shards, point, nth, &script, &golden, tag);
             assert!(
                 fired || nth > 0,
                 "{point:?} never fired at nth=0 — the script misses that boundary"
@@ -351,13 +262,13 @@ fn crash_matrix<E: Engine>(base: ServerConfig, tag: &str) {
 }
 
 #[test]
-fn crash_matrix_plain_server() {
-    crash_matrix::<Server>(base_config(), "plain");
+fn crash_matrix_one_shard() {
+    crash_matrix::<RStarTree>(base_config(), 1, "one-shard");
 }
 
 #[test]
-fn crash_matrix_sharded_server() {
-    crash_matrix::<ShardedServer>(base_config(), "sharded");
+fn crash_matrix_two_shards() {
+    crash_matrix::<RStarTree>(base_config(), 2, "two-shards");
 }
 
 /// The full crash matrix on the uniform-grid backend. Gated behind
@@ -369,7 +280,7 @@ fn crash_matrix_grid_backend() {
     if !matches!(BackendConfig::from_env(), BackendConfig::Grid(_)) {
         return;
     }
-    crash_matrix::<Server<UniformGrid>>(grid_config(), "grid-matrix");
+    crash_matrix::<UniformGrid>(grid_config(), 1, "grid-matrix");
 }
 
 /// With no crash injected, a durable run must shadow the golden run
@@ -378,12 +289,12 @@ fn crash_matrix_grid_backend() {
 #[test]
 fn durable_run_matches_golden_per_op() {
     let script = script();
-    let golden = golden_digests::<Server>(base_config(), &script);
+    let golden = golden_digests::<RStarTree>(base_config(), 1, &script);
     let cfg = durable_config(base_config(), scratch("shadow"));
-    let mut e = <Server as Engine>::build(cfg);
+    let mut e = ShardedServer::new(cfg, 1);
     for (j, &(r, op)) in script.iter().enumerate() {
         apply(&mut e, r, op);
-        assert_eq!(Engine::digest(&e), golden[j + 1], "durable run diverged at op {j} ({op:?})");
+        assert_eq!(e.state_digest(), golden[j + 1], "durable run diverged at op {j} ({op:?})");
     }
 }
 
@@ -392,17 +303,17 @@ fn durable_run_matches_golden_per_op() {
 #[test]
 fn grid_backend_recovers_bit_identical() {
     let script = script();
-    let golden = golden_digests::<Server<UniformGrid>>(grid_config(), &script);
+    let golden = golden_digests::<UniformGrid>(grid_config(), 1, &script);
 
     let cfg = durable_config(grid_config(), scratch("grid"));
-    let mut e = <Server<UniformGrid> as Engine>::build(cfg);
+    let mut e = ShardedServer::<UniformGrid>::with_backend(cfg, 1);
     for &(r, op) in &script {
         apply(&mut e, r, op);
     }
-    Engine::sync(&mut e);
+    e.sync_wal();
     drop(e);
-    let (rec, _) = <Server<UniformGrid> as Engine>::recover(cfg).expect("grid recovery");
-    assert_eq!(Engine::digest(&rec), *golden.last().unwrap(), "grid backend recovery diverged");
+    let (rec, _) = ShardedServer::<UniformGrid>::recover(cfg, 1).expect("grid recovery");
+    assert_eq!(rec.state_digest(), *golden.last().unwrap(), "grid backend recovery diverged");
 }
 
 /// Recovering with a different configuration must be refused, not
@@ -411,15 +322,15 @@ fn grid_backend_recovers_bit_identical() {
 fn recovery_rejects_config_mismatch() {
     let script = script();
     let cfg = durable_config(base_config(), scratch("mismatch"));
-    let mut e = <Server as Engine>::build(cfg);
+    let mut e = ShardedServer::new(cfg, 1);
     for &(r, op) in &script[..8] {
         apply(&mut e, r, op);
     }
-    Engine::sync(&mut e);
+    e.sync_wal();
     drop(e);
     let mut other = cfg;
     other.grid_m = 32;
-    match <Server as Engine>::recover(other) {
+    match ShardedServer::<RStarTree>::recover(other, 1) {
         Err(RecoveryError::ConfigMismatch) => {}
         other => panic!("expected ConfigMismatch, got {other:?}", other = other.map(|_| ())),
     }
@@ -433,11 +344,11 @@ fn corruption_fuzz_never_panics() {
     let script = script();
     let src = scratch("fuzz-src");
     let cfg = durable_config(base_config(), src);
-    let mut e = <ShardedServer as Engine>::build(cfg);
+    let mut e = ShardedServer::new(cfg, 2);
     for &(r, op) in &script {
         apply(&mut e, r, op);
     }
-    Engine::sync(&mut e);
+    e.sync_wal();
     drop(e);
 
     let files: Vec<PathBuf> = std::fs::read_dir(src)
@@ -480,8 +391,8 @@ fn corruption_fuzz_never_panics() {
             fcfg.durability.dir = Some(dst);
             // Err is acceptable (the disk is genuinely mangled); a panic
             // is not. An Ok state must still be internally consistent.
-            if let Ok((rec, _)) = <ShardedServer as Engine>::recover(fcfg) {
-                Engine::deep_check(&rec);
+            if let Ok((rec, _)) = ShardedServer::<RStarTree>::recover(fcfg, 2) {
+                deep_check(&rec);
             }
             cases += 1;
         }

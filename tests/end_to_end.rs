@@ -201,3 +201,80 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
     }
     server.check_invariants();
 }
+
+#[test]
+fn durable_single_node_round_trips_through_recovery() {
+    // The durable single node is the 1-shard engine: a few dozen mixed
+    // operations go through the log, the engine is dropped cold, and what
+    // `recover` rebuilds from disk equals a twin that never had a log.
+    use srb::core::{DurabilityConfig, QueryId, RStarTree, ShardedServer};
+    let dir = std::env::temp_dir().join(format!("srb-e2e-durable-{}", std::process::id()));
+    let dir: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
+    let durable_cfg = ServerConfig {
+        durability: DurabilityConfig {
+            dir: Some(dir),
+            group_ops: 4,
+            checkpoint_ops: 11,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let unit = |i: u64, salt: u64| {
+        let h = (i * 0x9E37_79B9 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let pos_at = |i: u64, round: u64| Point::new(unit(i, 2 * round), unit(i, 2 * round + 1));
+
+    let mut durable = ShardedServer::new(durable_cfg, 1);
+    let mut twin = ShardedServer::new(ServerConfig::default(), 1);
+    let mut queries: Vec<QueryId> = Vec::new();
+    for engine in [&mut durable, &mut twin] {
+        queries.clear();
+        for round in 0..6u64 {
+            let now = round as f64 * 0.1;
+            let mut provider = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, round));
+            if round == 0 {
+                for i in 0..12u64 {
+                    engine
+                        .add_object(ObjectId(i as u32), pos_at(i, 0), &mut provider, now)
+                        .expect("fresh id");
+                }
+            }
+            let spec = match round % 3 {
+                0 => QuerySpec::range(Rect::centered(Point::new(0.5, 0.5), 0.2, 0.2)),
+                1 => QuerySpec::knn(Point::new(0.3, 0.6), 3),
+                _ => QuerySpec::knn_unordered(Point::new(0.7, 0.4), 2),
+            };
+            queries.push(engine.register_query(spec, &mut provider, now).id);
+            let raw: Vec<(ObjectId, Point)> = (0..12u64)
+                .filter(|i| (i + round) % 2 == 0)
+                .map(|i| (ObjectId(i as u32), pos_at(i, round)))
+                .collect();
+            engine.handle_location_updates(&raw, &mut provider, now);
+            let _ = engine.handle_location_update(
+                ObjectId(round as u32),
+                pos_at(round, round),
+                &mut provider,
+                now,
+            );
+            if engine.next_deferred_due().is_some() {
+                engine.process_deferred(&mut provider, now);
+            }
+        }
+        engine.deregister_query(queries[1]);
+        let mut provider = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, 5));
+        engine.remove_object(ObjectId(11), &mut provider, 0.6);
+    }
+
+    durable.sync_wal();
+    drop(durable);
+    let (recovered, replayed) =
+        ShardedServer::<RStarTree>::recover(durable_cfg, 1).expect("recovery");
+    assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
+    assert_eq!(recovered.state_digest(), twin.state_digest());
+    for &q in &queries {
+        assert_eq!(recovered.results(q), twin.results(q), "query {q}");
+    }
+    recovered.check_invariants();
+    let _ = std::fs::remove_dir_all(dir);
+}
