@@ -3,7 +3,7 @@
 //!
 //! Design: two *identical* populated `ShardedServer`s are stepped in
 //! lockstep through the same rounds of N/10-mover batches
-//! (`handle_sequenced_updates_parallel`). Each round is timed once with
+//! (`handle_sequenced_updates_parallel_into`). Each round is timed once with
 //! the runtime recorder disabled (`srb_obs::set_enabled(false)`) on one
 //! server and once enabled on the other, with the order flipped every
 //! round — a paired-sample design, so scheduler noise hits both sides of
@@ -16,7 +16,10 @@
 //! Results land in `BENCH_obs.json` at the repo root.
 
 use srb_bench::{figure_header, full_scale};
-use srb_core::{FnProvider, ObjectId, SequencedUpdate, ServerConfig, ShardedServer};
+use srb_core::{
+    FnProvider, ObjectId, SequencedUpdate, ServerConfig, ShardedServer, TableProvider,
+    UpdateResponse,
+};
 use srb_geom::Point;
 use srb_sim::{generate_workload, SimConfig};
 use std::time::Instant;
@@ -72,11 +75,12 @@ fn timed_round(
     positions: &[Point],
     now: f64,
     on: bool,
+    responses: &mut Vec<(ObjectId, UpdateResponse)>,
 ) -> f64 {
     srb_obs::set_enabled(on);
-    let provider = |id: ObjectId| positions[id.index()];
+    responses.clear();
     let t0 = Instant::now();
-    let responses = server.handle_sequenced_updates_parallel(batch, &provider, now);
+    server.handle_sequenced_updates_parallel_into(batch, &TableProvider(positions), now, responses);
     let s = t0.elapsed().as_secs_f64();
     assert_eq!(responses.len(), batch.len(), "every mover gets a response");
     s
@@ -99,6 +103,7 @@ fn main() {
     let mut disabled_s = 0.0f64;
     let mut enabled_s = 0.0f64;
     let mut updates = 0u64;
+    let mut responses = Vec::new();
     for round in 1..=(WARMUP + ROUNDS) {
         // A rotating tenth of the fleet moves and reports; everyone else
         // stays inside their safe region.
@@ -118,12 +123,14 @@ fn main() {
         // Paired sample: both servers see the identical batch; the order of
         // the (off, on) pair flips every round.
         let (s_off, s_on) = if round % 2 == 0 {
-            let s_off = timed_round(&mut baseline, &batch, &positions, now, false);
-            let s_on = timed_round(&mut instrumented, &batch, &positions, now, true);
+            let s_off = timed_round(&mut baseline, &batch, &positions, now, false, &mut responses);
+            let s_on =
+                timed_round(&mut instrumented, &batch, &positions, now, true, &mut responses);
             (s_off, s_on)
         } else {
-            let s_on = timed_round(&mut instrumented, &batch, &positions, now, true);
-            let s_off = timed_round(&mut baseline, &batch, &positions, now, false);
+            let s_on =
+                timed_round(&mut instrumented, &batch, &positions, now, true, &mut responses);
+            let s_off = timed_round(&mut baseline, &batch, &positions, now, false, &mut responses);
             (s_off, s_on)
         };
         if round > WARMUP {

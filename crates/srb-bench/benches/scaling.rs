@@ -4,9 +4,9 @@
 //! Unlike the figure benches this drives `ShardedServer` directly (no
 //! event queue, no channel model): each round re-positions a tenth of the
 //! objects and pushes the batch through
-//! [`ShardedServer::handle_sequenced_updates_parallel`], i.e. through the
-//! pipelined front-end — per-shard ingest rings, persistent shard
-//! workers, streaming coordinator merge. Two series land per cell grid:
+//! [`ShardedServer::handle_sequenced_updates_parallel_into`], i.e. through
+//! the pipelined front-end — persistent shard workers, one job out and
+//! home per busy shard, coordinator merge. Two series land per cell grid:
 //!
 //! - `mode: "batch"` — per-batch throughput over the full
 //!   threads × shards matrix (each leg pins the worker count with
@@ -16,9 +16,8 @@
 //!   batches timed as one window at the widest thread count, measuring
 //!   steady-state ingest with the rings primed and the workers hot.
 //!
-//! Both modes probe through a [`TableProvider`] snapshot, so workers
-//! answer probes locally (DESIGN.md §15) and the numbers measure the
-//! engine rather than coordinator probe round-trips.
+//! Both modes probe through a [`TableProvider`] snapshot, which the
+//! workers read directly (DESIGN.md §15).
 //!
 //! Rows also land in `BENCH_scaling.json` at the repo root for tooling,
 //! each stamped with the commit and the host's core count. CI's gate
@@ -132,12 +131,14 @@ fn run_cell(shards: usize, threads: usize, n_objects: usize, sim: &SimConfig) ->
     let seed = sim.seed;
     let mut updates = 0u64;
     let mut seconds = 0.0f64;
+    let mut responses = Vec::new();
     for round in 1..=ROUNDS {
         let batch = round_batch(seed, n_objects, round, &mut positions);
         let provider = TableProvider(&positions);
         let now = round as f64 * 0.1;
+        responses.clear();
         let t0 = Instant::now();
-        let responses = server.handle_sequenced_updates_parallel(&batch, &provider, now);
+        server.handle_sequenced_updates_parallel_into(&batch, &provider, now, &mut responses);
         seconds += t0.elapsed().as_secs_f64();
         assert_eq!(responses.len(), batch.len(), "every mover gets a response");
         updates += batch.len() as u64;

@@ -152,14 +152,7 @@ impl QueryProcessor {
 
     /// The affected-query candidates of a move from `p_lst` to `pos`: the
     /// buckets of the new and old cells, deduplicated in that order.
-    pub fn candidates(&self, pos: Point, p_lst: Point) -> Vec<QueryId> {
-        let mut out = Vec::new();
-        self.candidates_into(pos, p_lst, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`candidates`](Self::candidates): clears
-    /// `out` and fills it with the candidate set, reusing its capacity.
+    /// Clears `out` and fills it, reusing its capacity.
     pub fn candidates_into(&self, pos: Point, p_lst: Point, out: &mut Vec<QueryId>) {
         out.clear();
         out.extend_from_slice(self.grid.queries_at(pos));
@@ -167,26 +160,6 @@ impl QueryProcessor {
             if !out.contains(&q) {
                 out.push(q);
             }
-        }
-    }
-
-    /// Chunked-yield variant of [`candidates_into`](Self::candidates_into)
-    /// for streaming consumers: the candidate set is produced in the same
-    /// deduplicated order, handed to `emit` as slices of at most
-    /// `chunk_cap` ids. `scratch` is the caller's reusable staging buffer
-    /// (cleared here), so repeated calls allocate nothing once warm.
-    pub fn candidates_chunked(
-        &self,
-        pos: Point,
-        p_lst: Point,
-        chunk_cap: usize,
-        scratch: &mut Vec<QueryId>,
-        emit: &mut dyn FnMut(&[QueryId]),
-    ) {
-        let chunk_cap = chunk_cap.max(1);
-        self.candidates_into(pos, p_lst, scratch);
-        for chunk in scratch.chunks(chunk_cap) {
-            emit(chunk);
         }
     }
 
@@ -425,10 +398,11 @@ mod tests {
         p.install(a, state(near_origin));
         let b = p.alloc_id();
         p.install(b, state(far_corner));
-        let c = p.candidates(Point::new(0.92, 0.92), Point::new(0.02, 0.02));
+        let mut c = Vec::new();
+        p.candidates_into(Point::new(0.92, 0.92), Point::new(0.02, 0.02), &mut c);
         assert!(c.contains(&a) && c.contains(&b));
         // Same cell twice: no duplicates.
-        let c = p.candidates(Point::new(0.01, 0.01), Point::new(0.02, 0.02));
+        p.candidates_into(Point::new(0.01, 0.01), Point::new(0.02, 0.02), &mut c);
         assert_eq!(c, vec![a]);
     }
 }

@@ -2,7 +2,7 @@
 //! payloads — the transport of the pipelined ingestion front-end.
 //!
 //! Classic SPSC queues move `T` by value, which for our batch payloads
-//! (update vectors, response chunks) would re-allocate on every hop. This
+//! (update and response vectors) would re-allocate on every hop. This
 //! ring instead keeps `cap` permanent slot payloads alive inside the ring
 //! and hands the producer/consumer a `&mut T` callback view: the producer
 //! *fills* a slot (typically by `mem::swap`-ing its warmed buffers in) and
@@ -52,11 +52,6 @@ impl<T: Default> Spsc<T> {
 }
 
 impl<T> Spsc<T> {
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Filled slots awaiting the consumer (racy by nature; exact from
     /// either endpoint's own side).
     pub fn len(&self) -> usize {
@@ -106,7 +101,6 @@ mod tests {
     #[test]
     fn push_pop_round_trip_in_order() {
         let ring: Spsc<Vec<u32>> = Spsc::new(4);
-        assert_eq!(ring.capacity(), 4);
         for i in 0..3u32 {
             assert!(ring.try_push(|v| {
                 v.clear();

@@ -14,12 +14,13 @@
 //!   union.
 //!
 //! Batch location updates fan out to the shards. The
-//! [`handle_sequenced_updates_parallel`](ShardedServer::handle_sequenced_updates_parallel)
+//! [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
 //! path runs them through the pipelined front-end (see [`crate::pipeline`]):
-//! persistent shard workers fed over bounded per-shard rings, with the
-//! coordinator merging response chunks as they stream back. Responses are
-//! merged deterministically regardless of arrival order: response entries
-//! sorted by [`ObjectId`], coordinator result changes sorted by [`QueryId`].
+//! persistent shard workers, one job out and the same job home per busy
+//! shard, probes read from one shared copy of the provider's position
+//! table. Responses are merged deterministically regardless of arrival
+//! order: response entries sorted by [`ObjectId`], coordinator result
+//! changes sorted by [`QueryId`].
 //! With one shard the engine is a pure pass-through and bit-identical to a
 //! plain [`Server`].
 //!
@@ -43,7 +44,7 @@ use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
 use crate::ids::{ObjectId, QueryId};
-use crate::pipeline::{JobKind, PipelineState, ResultKind};
+use crate::pipeline::{PipelineState, ShardJob};
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{QuerySpec, ResultChange};
 use crate::server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
@@ -52,45 +53,35 @@ use srb_durable::codec::{put_u32, put_u64, put_u8, put_usize};
 use srb_geom::{Point, Rect};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Interval-separation slack for cross-shard kNN ranking.
 const EPS: f64 = 1e-9;
 
-/// How long the streaming merge parks when every result ring is empty
-/// (the workers' wakeup signal is the primary trigger; the timeout is
+/// How long the pipelined drain parks when no job has come home (the
+/// workers' wakeup signal is the primary trigger; the timeout is
 /// lost-wakeup insurance).
 const MERGE_PARK: Duration = Duration::from_micros(50);
 
-/// A thread-safe location provider for the parallel fan-out path: probes
-/// take `&self` so shards running on different threads can share one
-/// provider. The simulator's true-position table and the benches' position
-/// vectors implement this trivially.
+/// The location provider of the parallel fan-out path: a dense position
+/// table the shard workers read their probes from, plus a `&self` probe
+/// for the coordinator's own (merge-time) probes.
 pub trait SyncProvider: Sync {
     /// Returns the exact current location of `id`.
     fn probe(&self, id: ObjectId) -> Point;
 
-    /// A dense position table (index = object id) covering every object
-    /// this batch may probe, if the provider can expose one. The
-    /// pipelined front-end copies it into each shard job so workers
-    /// answer probes locally instead of round-tripping to the
-    /// coordinator; ids beyond the table's length still fall back to the
-    /// RPC path. Entries must agree with [`SyncProvider::probe`].
-    fn snapshot(&self) -> Option<&[Point]> {
-        None
-    }
+    /// The dense position table (index = object id). It must cover every
+    /// object a batch may probe — a shard worker that probes past its end
+    /// panics the batch — and agree with [`SyncProvider::probe`]. The
+    /// pipelined front-end copies it once per batch and every busy shard
+    /// reads that one copy.
+    fn snapshot(&self) -> &[Point];
 }
 
-impl<F: Fn(ObjectId) -> Point + Sync> SyncProvider for F {
-    fn probe(&self, id: ObjectId) -> Point {
-        self(id)
-    }
-}
-
-/// A [`SyncProvider`] backed by a dense position table, the common shape
-/// in benches and tests: probing is an array read, and the table doubles
-/// as the [`snapshot`](SyncProvider::snapshot) the pipelined workers use
-/// to answer probes without a coordinator round trip.
+/// The [`SyncProvider`] over a borrowed position table: probing is an
+/// array read, and the table itself is the
+/// [`snapshot`](SyncProvider::snapshot).
 pub struct TableProvider<'a>(pub &'a [Point]);
 
 impl SyncProvider for TableProvider<'_> {
@@ -98,8 +89,8 @@ impl SyncProvider for TableProvider<'_> {
         self.0[id.index()]
     }
 
-    fn snapshot(&self) -> Option<&[Point]> {
-        Some(self.0)
+    fn snapshot(&self) -> &[Point] {
+        self.0
     }
 }
 
@@ -148,18 +139,17 @@ struct CoordScratch<B: srb_index::SpatialBackend> {
     /// Objects moved or probed in the current batch, sorted + deduped before
     /// the membership scan.
     moved: Vec<ObjectId>,
-    /// Per-shard probe transcripts of a pipelined batch, recorded on the
-    /// workers (in probe order) only under a WAL and spliced onto the
-    /// marker record in shard order.
-    transcripts: Vec<Vec<(ObjectId, Point)>>,
-    /// Per-shard copies of the provider's position snapshot, lent to the
-    /// workers so they answer probes locally instead of via ring RPC.
-    tables: Vec<Vec<Point>>,
-    /// Per-shard "job still in flight" flags of the pipelined drain.
-    pending: Vec<bool>,
-    /// Parking slots for the shard servers while a pipelined batch has
-    /// them checked out (idle shards never leave this vector).
-    returned: Vec<Option<Server<B>>>,
+    /// The batch's copy of the provider's position snapshot. Every busy
+    /// shard's job carries a handle; the workers drop theirs before the
+    /// job comes home, so between batches this is the only one and the
+    /// next batch refills the allocation in place.
+    table: Arc<Vec<Point>>,
+    /// One job per shard, at rest between pipelined batches. During a
+    /// batch a busy shard's job (server, partition, responses, probe
+    /// transcript) is away at its worker and the entry here is an empty
+    /// stand-in; an idle shard's job never leaves and just parks its
+    /// server.
+    jobs: Vec<ShardJob<B>>,
 }
 
 impl<B: srb_index::SpatialBackend> Default for CoordScratch<B> {
@@ -168,10 +158,8 @@ impl<B: srb_index::SpatialBackend> Default for CoordScratch<B> {
             batches: Vec::new(),
             durations: Vec::new(),
             moved: Vec::new(),
-            transcripts: Vec::new(),
-            tables: Vec::new(),
-            pending: Vec::new(),
-            returned: Vec::new(),
+            table: Arc::default(),
+            jobs: Vec::new(),
         }
     }
 }
@@ -193,9 +181,10 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// layout. Nothing at the coordinator counts work at present: an
     /// unknown-object drop is counted by the shard the update lands on.
     coord_work: WorkStats,
-    /// Explicit thread-count override; `None` defers to
-    /// [`configured_threads`].
-    threads: Option<usize>,
+    /// The fan-out thread count: [`configured_threads`] as resolved at
+    /// construction, unless [`with_threads`](Self::with_threads)
+    /// overwrote it.
+    threads: usize,
     /// Per-shard batch-duration histograms (`sharded.shard{i}.batch_ns`),
     /// resolved once at construction so the hot path never touches the
     /// registry lock.
@@ -251,7 +240,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             specs: Vec::new(),
             merged: Vec::new(),
             coord_work: WorkStats::default(),
-            threads: None,
+            threads: configured_threads(),
             shard_batch_ns: (0..shards)
                 .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
                 .collect(),
@@ -270,7 +259,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// Overrides the fan-out thread count (otherwise [`configured_threads`]
     /// decides). A value of 1 forces the deterministic inline path.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
+        self.threads = threads.max(1);
+        srb_obs::gauge!("sharded.threads").set(self.threads as u64);
         self
     }
 
@@ -721,35 +711,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// The parallel twin of
-    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates): shard
-    /// partitions run on the persistent worker pool of the pipelined
-    /// front-end (see [`crate::pipeline`]), sharing one [`SyncProvider`].
-    /// The coordinator streams the per-shard response chunks into the
-    /// merge as they complete, so the output is identical to the
-    /// sequential path regardless of thread count or arrival order. With
-    /// a WAL attached the workers append their partition records to the
-    /// shard logs they are lent; the marker stays coordinator-written and
-    /// last, so the durability contract is unchanged.
-    pub fn handle_sequenced_updates_parallel<P: SyncProvider>(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &P,
-        now: f64,
-    ) -> Vec<(ObjectId, UpdateResponse)>
-    where
-        B: Send + 'static,
-    {
-        let mut out = Vec::new();
-        self.handle_sequenced_updates_parallel_into(updates, provider, now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`handle_sequenced_updates_parallel`](Self::handle_sequenced_updates_parallel):
-    /// **appends** the batch's responses to `out`. With a caller-reused
-    /// `out`, a steady-state pipelined batch allocates nothing — ring
-    /// slots, partitions, and response chunks all recirculate warmed
-    /// buffers between the coordinator and the workers.
+    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
+    /// shard partitions run on the persistent worker pool of the pipelined
+    /// front-end (see [`crate::pipeline`]), probing one shared copy of the
+    /// provider's [`snapshot`](SyncProvider::snapshot). The output is
+    /// identical to the sequential path regardless of thread count or the
+    /// order the shards finish in. With a WAL attached the workers append
+    /// their partition records to the shard logs they are lent; the marker
+    /// stays coordinator-written and last, so the durability contract is
+    /// unchanged. **Appends** the batch's responses to `out`; with a
+    /// caller-reused `out`, a steady-state pipelined batch allocates
+    /// nothing — the jobs recirculate their warmed buffers between the
+    /// coordinator and the workers.
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -762,7 +735,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // One shard or one thread pipelines nothing; a poisoned WAL
         // refuses log checkouts. All three take the (output-identical)
         // sequential path, which also owns the WAL hook for them.
-        if self.shards.len() == 1 || self.threads() <= 1 || self.wal_poisoned() {
+        if self.shards.len() == 1 || self.threads <= 1 || self.wal_poisoned() {
             let mut adapter = SyncAdapter(provider);
             self.handle_sequenced_updates_into(updates, &mut adapter, now, out);
             return;
@@ -770,27 +743,28 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.pipelined_batch(updates, provider, now, out);
     }
 
-    /// Builds (or rebuilds) the standing pipeline for `workers` threads.
-    fn ensure_pipeline(&mut self, workers: usize)
+    /// Builds (or rebuilds) the standing pipeline for `self.threads`
+    /// workers.
+    fn ensure_pipeline(&mut self)
     where
         B: Send + 'static,
     {
-        let want = workers.min(self.shards.len()).max(1);
+        let want = self.threads.min(self.shards.len());
         let stale = match &self.pipeline {
             Some(p) => p.workers != want || p.cells.len() != self.shards.len(),
             None => true,
         };
         if stale {
-            self.pipeline = Some(PipelineState::new(self.shards.len(), workers));
+            self.pipeline = Some(PipelineState::new(self.shards.len(), want));
         }
     }
 
-    /// One batch through the pipelined front-end: submit every non-empty
-    /// partition (moving the shard server, its partition buffer, and —
-    /// under a WAL — its partition log into the job slot), then drain the
-    /// result rings, answering probe RPCs and merging response chunks as
-    /// they stream back. See the module docs of [`crate::pipeline`] for
-    /// the determinism argument.
+    /// One batch through the pipelined front-end: copy the provider's
+    /// position table, submit one job per non-empty partition (the shard
+    /// server, its partition buffer, a handle to the table and — under a
+    /// WAL — its partition log), then collect the jobs as they come home.
+    /// See the module docs of [`crate::pipeline`] for the determinism
+    /// argument.
     fn pipelined_batch<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -802,39 +776,27 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     {
         let _span = srb_obs::span!("sharded.pipeline");
         let n = self.shards.len();
-        let workers = self.threads();
-        self.ensure_pipeline(workers);
+        self.ensure_pipeline();
 
         // The WAL (when attached) is held for the whole batch: shard logs
-        // are lent to the workers at submission and returned with each
-        // `Done`; the marker is written only after the full drain.
+        // are lent to the workers at submission and come home with the
+        // jobs; the marker is written only after the full drain.
         let mut wal = self.wal.take();
         let mut batches = self.partition(updates);
         let mut durations = std::mem::take(&mut self.scratch.durations);
         durations.clear();
-        let mut transcripts = std::mem::take(&mut self.scratch.transcripts);
-        transcripts.resize_with(n, Vec::new);
-        transcripts.truncate(n);
-        for t in &mut transcripts {
-            t.clear();
-        }
-        let mut tables = std::mem::take(&mut self.scratch.tables);
-        tables.resize_with(n, Vec::new);
-        tables.truncate(n);
-        // When the provider exposes a dense snapshot each worker gets a
-        // private copy and answers its probes locally; otherwise the
-        // tables stay empty and every probe takes the ring RPC.
-        let snap = provider.snapshot();
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        pending.clear();
-        pending.resize(n, false);
-        let mut returned = std::mem::take(&mut self.scratch.returned);
-        returned.clear();
+        let table = Arc::get_mut(&mut self.scratch.table)
+            .expect("every worker dropped its table handle before its job came home");
+        table.clear();
+        table.extend_from_slice(provider.snapshot());
 
-        // Check every shard server out of the coordinator; busy shards go
-        // to their workers, idle ones stay parked in `returned`.
-        let mut servers = std::mem::take(&mut self.shards);
-        returned.extend(servers.drain(..).map(Some));
+        // Check every shard server out of the coordinator into its job;
+        // busy shards' jobs go to their workers, idle ones stay put.
+        let mut jobs = std::mem::take(&mut self.scratch.jobs);
+        jobs.resize_with(n, ShardJob::default);
+        for (job, server) in jobs.iter_mut().zip(self.shards.drain(..)) {
+            job.server = Some(server);
+        }
 
         let pipeline = self.pipeline.take().expect("pipeline built above");
         let start = out.len();
@@ -843,117 +805,63 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             if batch.is_empty() {
                 continue;
             }
-            let mut server = returned[i].take();
-            let mut log = wal.as_mut().and_then(|w| w.take_shard_log(i));
+            let job = &mut jobs[i];
+            std::mem::swap(&mut job.updates, batch);
+            job.now = now;
+            job.table = Some(Arc::clone(&self.scratch.table));
+            job.log = wal.as_mut().and_then(|w| w.take_shard_log(i));
             let cell = &pipeline.cells[i];
-            tables[i].clear();
-            if let Some(s) = snap {
-                tables[i].extend_from_slice(s);
-            }
-            let pushed = cell.jobs.try_push(|slot| {
-                slot.kind = JobKind::Batch;
-                slot.server = server.take();
-                std::mem::swap(&mut slot.updates, batch);
-                slot.now = now;
-                slot.log = log.take();
-                std::mem::swap(&mut slot.table, &mut tables[i]);
-                std::mem::swap(&mut slot.probe_log, &mut transcripts[i]);
-            });
-            assert!(pushed, "job ring holds stale entries between batches");
+            // The stand-in that comes back has no server: that is what
+            // marks shard `i` as in flight below.
+            let pushed = cell.jobs.try_push(|slot| std::mem::swap(slot, job));
+            assert!(pushed, "a job slot is still occupied between batches");
             cell.unpark_worker();
-            pending[i] = true;
             remaining += 1;
         }
         srb_obs::gauge!("sharded.pipeline_queue_depth").set(remaining as u64);
 
-        // Streaming merge: consume each shard's results as they arrive.
-        // Entries land in arrival order; the stable sort in
-        // `finish_batch_in` restores the deterministic global order.
+        // Collect each shard's job as it comes home. Responses land in
+        // arrival order; the stable sort in `finish_batch_in` restores the
+        // deterministic global order.
         let mut wait_ns = 0u64;
         let mut worker_panic: Option<String> = None;
         while remaining > 0 {
             let mut progress = false;
             for i in 0..n {
-                if !pending[i] {
+                let job = &mut jobs[i];
+                if job.server.is_some()
+                    || !pipeline.cells[i].results.try_pop(|slot| std::mem::swap(slot, job))
+                {
                     continue;
                 }
-                let cell = &pipeline.cells[i];
-                loop {
-                    let mut probe_req: Option<ObjectId> = None;
-                    let mut done = None;
-                    let popped = cell.results.try_pop(|slot| match slot.kind {
-                        ResultKind::Probe => {
-                            slot.kind = ResultKind::Idle;
-                            probe_req = Some(slot.probe);
-                        }
-                        ResultKind::Chunk => {
-                            slot.kind = ResultKind::Idle;
-                            out.append(&mut slot.entries);
-                        }
-                        ResultKind::Done => {
-                            slot.kind = ResultKind::Idle;
-                            std::mem::swap(&mut batches[i], &mut slot.updates);
-                            // The worker hands back the position table and
-                            // its probe transcript (recorded in probe
-                            // order) with the final result.
-                            std::mem::swap(&mut tables[i], &mut slot.table);
-                            std::mem::swap(&mut transcripts[i], &mut slot.probe_log);
-                            done = Some((
-                                slot.server.take(),
-                                slot.log.take(),
-                                std::mem::replace(&mut slot.log_err, false),
-                                slot.duration_ns.take(),
-                                slot.panic.take(),
-                            ));
-                        }
-                        ResultKind::Idle => debug_assert!(false, "popped an idle result slot"),
-                    });
-                    if !popped {
-                        break;
+                progress = true;
+                out.append(&mut job.responses);
+                std::mem::swap(&mut batches[i], &mut job.updates);
+                let log_err = std::mem::take(&mut job.log_err);
+                if let Some(w) = wal.as_mut() {
+                    if let Some(l) = job.log.take() {
+                        w.put_shard_log(i, l);
                     }
-                    progress = true;
-                    if let Some(oid) = probe_req {
-                        // The worker records the answer into its own
-                        // transcript, so the coordinator only relays it.
-                        let pos = provider.probe(oid);
-                        let answered = cell.jobs.try_push(|slot| {
-                            slot.kind = JobKind::ProbeAnswer;
-                            slot.answer = pos;
-                        });
-                        assert!(answered, "probe-answer slot unavailable");
-                        cell.unpark_worker();
-                    }
-                    if let Some((server, log, log_err, dur, panicked)) = done {
-                        returned[i] = Some(server.expect("Done returns the shard server"));
-                        if let Some(w) = wal.as_mut() {
-                            if let Some(l) = log {
-                                w.put_shard_log(i, l);
-                            }
-                            if log_err {
-                                w.poison();
-                            }
-                        }
-                        if let Some(ns) = dur {
-                            self.shard_batch_ns[i].record(ns);
-                            srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
-                            durations.push(ns);
-                        }
-                        if worker_panic.is_none() {
-                            worker_panic = panicked;
-                        }
-                        pending[i] = false;
-                        remaining -= 1;
-                        srb_obs::gauge!("sharded.pipeline_queue_depth").set(remaining as u64);
-                        break;
+                    if log_err {
+                        w.poison();
                     }
                 }
+                if let Some(ns) = job.duration_ns.take() {
+                    self.shard_batch_ns[i].record(ns);
+                    srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
+                    durations.push(ns);
+                }
+                worker_panic = worker_panic.or(job.panic.take());
+                remaining -= 1;
+                srb_obs::gauge!("sharded.pipeline_queue_depth").set(remaining as u64);
             }
-            if !progress && remaining > 0 {
+            if !progress {
                 // Register before re-checking so a notify between the
                 // check and the park is never lost; the timeout is only
                 // insurance on top of that.
                 pipeline.signal.register();
-                let ready = (0..n).any(|i| pending[i] && pipeline.cells[i].results.len() > 0);
+                let ready =
+                    (0..n).any(|i| jobs[i].server.is_none() && pipeline.cells[i].results.len() > 0);
                 if !ready {
                     let watch = srb_obs::Stopwatch::start();
                     std::thread::park_timeout(MERGE_PARK);
@@ -968,15 +876,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
         // Every server is home; restore the coordinator's state before
         // the merge (which walks the shards) or any panic propagation.
-        servers.extend(returned.iter_mut().map(|s| s.take().expect("all shards returned")));
-        self.shards = servers;
+        self.shards.extend(jobs.iter_mut().map(|j| j.server.take().expect("all shards returned")));
         self.pipeline = Some(pipeline);
         record_straggler_gap(&durations);
         self.scratch.durations = durations;
-        self.scratch.pending = pending;
-        self.scratch.returned = returned;
-        self.scratch.transcripts = transcripts;
-        self.scratch.tables = tables;
 
         if let Some(msg) = worker_panic {
             // The panicking shard may hold partial batch state. Nothing
@@ -997,14 +900,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 // order, then the coordinator merge — exactly the
                 // concatenation of the per-shard transcripts plus the
                 // merge-time probes the recorder captures.
-                for t in &mut self.scratch.transcripts {
-                    w.extend_probes(t);
+                for job in &mut jobs {
+                    w.extend_probes(&mut job.probe_log);
                 }
                 recorder = w.recorder(&mut adapter);
                 &mut recorder
             }
             None => &mut adapter,
         };
+        self.scratch.jobs = jobs;
         self.finish_batch_in(out, start, merge_provider, now);
         // The partitions came home with their contents, so their sizes
         // are still the marker's counts.
@@ -1398,7 +1302,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             specs,
             merged,
             coord_work,
-            threads: None,
+            threads: configured_threads(),
             shard_batch_ns: (0..shards)
                 .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
                 .collect(),
@@ -1498,12 +1402,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // ------------------------------------------------------------------
     // Coordinator internals
     // ------------------------------------------------------------------
-
-    fn threads(&self) -> usize {
-        let t = self.threads.unwrap_or_else(configured_threads).max(1);
-        srb_obs::gauge!("sharded.threads").set(t as u64);
-        t
-    }
 
     fn owner_of(&self, id: ObjectId) -> Option<usize> {
         self.owner.get(id.index()).copied().flatten().map(|s| s as usize)
@@ -2006,8 +1904,13 @@ mod tests {
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
             let a = seq_server.handle_sequenced_updates(&batch, &mut provider, now);
-            let sync = |id: ObjectId| snapshot[id.index()];
-            let b = par_server.handle_sequenced_updates_parallel(&batch, &sync, now);
+            let mut b = Vec::new();
+            par_server.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&snapshot),
+                now,
+                &mut b,
+            );
             let strip = |v: &[(ObjectId, UpdateResponse)]| {
                 v.iter().map(|(o, r)| (*o, r.safe_region)).collect::<Vec<_>>()
             };
@@ -2210,10 +2113,15 @@ mod tests {
             .enumerate()
             .map(|(i, &p)| SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: 1 })
             .collect();
-        let sync = |id: ObjectId| snapshot[id.index()];
         // The pipelined path logs on the worker threads; the resulting
         // log must replay exactly like a sequentially-logged batch.
-        sharded.handle_sequenced_updates_parallel(&batch, &sync, 0.5);
+        let mut out = Vec::new();
+        sharded.handle_sequenced_updates_parallel_into(
+            &batch,
+            &TableProvider(&snapshot),
+            0.5,
+            &mut out,
+        );
         sharded.sync_wal();
         let digest = sharded.state_digest();
         drop(sharded);
@@ -2221,6 +2129,94 @@ mod tests {
             ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
         assert!(replayed > 0);
         assert_eq!(recovered.state_digest(), digest);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A fleet over `world(30, 11)` with a range and a kNN query, the
+    /// world one `step` later, and the batch real clients would send at
+    /// that point: reports from the objects that left their safe region.
+    fn fleet_one_step_on(
+        config: ServerConfig,
+        shards: usize,
+        threads: usize,
+    ) -> (ShardedServer, Vec<Point>, Vec<SequencedUpdate>) {
+        let mut positions = world(30, 11);
+        let mut server = ShardedServer::new(config, shards).with_threads(threads);
+        let snapshot = positions.clone();
+        let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
+        for (i, &p) in snapshot.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+        }
+        server.register_query(
+            QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
+            &mut provider,
+            0.0,
+        );
+        server.register_query(QuerySpec::knn(Point::new(0.4, 0.6), 4), &mut provider, 0.0);
+        step(&mut positions, 1);
+        let batch = positions
+            .iter()
+            .enumerate()
+            .filter(|&(i, &p)| {
+                server.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p))
+            })
+            .map(|(i, &p)| SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: 1 })
+            .collect();
+        (server, positions, batch)
+    }
+
+    /// The suites that moved from a closure provider to [`TableProvider`]
+    /// still run on the shard workers: the pipeline is built exactly when
+    /// more than one thread is asked for.
+    #[test]
+    fn table_batches_reach_the_workers_unless_single_threaded() {
+        for (threads, pipelined) in [(4, true), (1, false)] {
+            let (mut server, positions, batch) =
+                fleet_one_step_on(ServerConfig::default(), 4, threads);
+            let mut out = Vec::new();
+            server.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&positions),
+                0.1,
+                &mut out,
+            );
+            assert!(!out.is_empty());
+            assert_eq!(server.pipeline.is_some(), pipelined, "threads {threads}");
+        }
+    }
+
+    /// A shard batch that probes past the end of the table panics on its
+    /// worker. The caller must see that panic — with every shard server
+    /// back in the coordinator, the WAL poisoned, and no marker written,
+    /// so recovery lands on the state before the batch.
+    #[test]
+    fn worker_panic_surfaces_with_every_shard_home_and_nothing_committed() {
+        let dir = temp_dir("panic");
+        let config = ServerConfig {
+            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
+            ..Default::default()
+        };
+        let (mut server, _, batch) = fleet_one_step_on(config, 2, 2);
+        server.sync_wal();
+        let digest = server.state_digest();
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = Vec::new();
+            server.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&[]),
+                0.1,
+                &mut out,
+            );
+        }))
+        .expect_err("a probe past the table's end must fail the batch");
+        let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.starts_with("shard worker panicked: index out of bounds"), "{msg}");
+        assert_eq!(server.shard_count(), 2);
+        server.check_invariants();
+        assert!(server.wal_poisoned());
+        drop(server);
+        let (recovered, _) = ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
+        assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no marker");
         let _ = std::fs::remove_dir_all(dir);
     }
 

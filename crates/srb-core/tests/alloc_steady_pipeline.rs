@@ -93,16 +93,16 @@ fn pipelined_steady_state_batches_do_not_allocate() {
         server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
     }
 
-    // A snapshot provider: workers copy the table into their lent
-    // buffers and answer probes locally, so the pin also covers the
-    // snapshot-circulation path (clear + extend into warmed capacity).
+    // The coordinator copies this table once per batch into the one
+    // allocation every worker reads, so the pin also covers that refill
+    // (clear + extend into warmed capacity).
     let positions: Vec<Point> = (0..N_OBJECTS).map(home).collect();
     let provider = TableProvider(&positions);
 
     let mut out: Vec<(ObjectId, UpdateResponse)> = Vec::new();
     // Warmup spawns the worker pool, resolves every metric slot, and
-    // grows ring-slot buffers, partitions, and response chunks to their
-    // steady-state capacities.
+    // grows the position table and each job's partition and response
+    // buffers to their steady-state capacities.
     for b in 0..WARMUP_BATCHES {
         out.clear();
         server.handle_sequenced_updates_parallel_into(&batch(b), &provider, b as f64, &mut out);

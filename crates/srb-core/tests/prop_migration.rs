@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use srb_core::{
     AdaptiveConfig, BackendConfig, BackendKind, DurabilityConfig, DynBackend, FnProvider,
     GridConfig, ObjectId, QueryId, QuerySpec, RStarTree, RecoveryError, SequencedUpdate,
-    ServerConfig, ShardedServer, SyncPolicy, TreeConfig,
+    ServerConfig, ShardedServer, SyncPolicy, TableProvider, TreeConfig,
 };
 use srb_geom::{Point, Rect};
 
@@ -93,6 +93,7 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
     let mut live: Vec<(QueryId, Rect)> = Vec::new();
     let mut seqs = [0u64; N_OBJECTS];
     let mut now = 0.0;
+    let mut out = Vec::new();
     for batch_events in batches {
         now += 0.1;
         let mut batch: Vec<SequencedUpdate> = Vec::new();
@@ -131,8 +132,13 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         if pipelined {
-            let sync = |id: ObjectId| snapshot[id.index()];
-            dyn_fleet.handle_sequenced_updates_parallel(&batch, &sync, now);
+            out.clear();
+            dyn_fleet.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&snapshot),
+                now,
+                &mut out,
+            );
         } else {
             dyn_fleet.handle_sequenced_updates(&batch, &mut provider, now);
         }
@@ -206,6 +212,7 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
     let mut live: Vec<(QueryId, Rect)> = Vec::new();
     let mut seqs = [0u64; N_OBJECTS];
     let mut now = 0.0;
+    let mut out = Vec::new();
     let restart_after = batches.len() / 2;
     for (bi, batch_events) in batches.iter().enumerate() {
         now += 0.1;
@@ -238,8 +245,13 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         if pipelined {
-            let sync = |id: ObjectId| snapshot[id.index()];
-            server.handle_sequenced_updates_parallel(&batch, &sync, now);
+            out.clear();
+            server.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&snapshot),
+                now,
+                &mut out,
+            );
         } else {
             server.handle_sequenced_updates(&batch, &mut provider, now);
         }

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use srb_core::{
     DurabilityConfig, FnProvider, ObjectId, QueryId, QuerySpec, SequencedUpdate, Server,
-    ServerConfig, ShardedServer, SyncPolicy,
+    ServerConfig, ShardedServer, SyncPolicy, TableProvider,
 };
 use srb_geom::{Point, Rect};
 
@@ -51,8 +51,8 @@ fn range_rect(cx: f64, cy: f64, half: f64) -> Rect {
 
 /// Drives the churn stream through a plain server and a sharded one.
 /// `pipelined` routes the sharded batches through the persistent-worker
-/// front-end (`handle_sequenced_updates_parallel` with 4 workers) instead
-/// of the sequential path; every oracle below must hold identically.
+/// front-end (`handle_sequenced_updates_parallel_into` with 4 workers)
+/// instead of the sequential path; every oracle below must hold identically.
 fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) {
     let mut positions: Vec<Point> = (0..N_OBJECTS)
         .map(|i| {
@@ -76,6 +76,7 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
     let mut dead: Vec<QueryId> = Vec::new();
     let mut seqs = [0u64; N_OBJECTS];
     let mut now = 0.0;
+    let mut out = Vec::new();
     for batch_events in batches {
         now += 0.1;
         let mut batch: Vec<SequencedUpdate> = Vec::new();
@@ -128,8 +129,13 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         plain.handle_sequenced_updates(&batch, &mut provider, now);
         if pipelined {
-            let sync = |id: ObjectId| snapshot[id.index()];
-            sharded.handle_sequenced_updates_parallel(&batch, &sync, now);
+            out.clear();
+            sharded.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&snapshot),
+                now,
+                &mut out,
+            );
         } else {
             sharded.handle_sequenced_updates(&batch, &mut provider, now);
         }
@@ -220,6 +226,7 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
     let mut dead: Vec<QueryId> = Vec::new();
     let mut seqs = [0u64; N_OBJECTS];
     let mut now = 0.0;
+    let mut out = Vec::new();
     // The restart splits the stream roughly in half; every batch before it
     // is replayed from the log, every batch after it runs on the
     // recovered server.
@@ -267,8 +274,13 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         if pipelined {
-            let sync = |id: ObjectId| snapshot[id.index()];
-            server.handle_sequenced_updates_parallel(&batch, &sync, now);
+            out.clear();
+            server.handle_sequenced_updates_parallel_into(
+                &batch,
+                &TableProvider(&snapshot),
+                now,
+                &mut out,
+            );
         } else {
             server.handle_sequenced_updates(&batch, &mut provider, now);
         }

@@ -12,11 +12,10 @@ use crate::truth::evaluate_truth;
 use crate::workload::generate_workload;
 use srb_core::{
     BackendConfig, DynBackend, LocationProvider, ObjectId, QueryId, QuerySpec, RStarTree,
-    SequencedUpdate, ServerConfig, ShardedServer, SpatialBackend, SyncProvider, UniformGrid,
+    SequencedUpdate, ServerConfig, ShardedServer, SpatialBackend, UniformGrid,
 };
 use srb_geom::{Point, Rect};
 use srb_mobility::{MobileClient, Trajectory};
-use std::sync::Mutex;
 use std::time::Instant;
 
 enum Ev {
@@ -54,24 +53,6 @@ impl LocationProvider for Provider<'_> {
     }
 }
 
-/// [`Provider`] for the batch entry point, which takes a shared
-/// [`SyncProvider`] (the engine decides per batch whether shard workers
-/// run it). Probes are answered on the coordinator thread (the merge loop
-/// relays worker probe requests), so the mutex is uncontended; it exists
-/// only to satisfy the `Sync` bound with `&mut` clients inside.
-struct SharedProvider<'a> {
-    clients: Mutex<(&'a mut [MobileClient], Vec<u32>)>,
-    now: f64,
-}
-
-impl SyncProvider for SharedProvider<'_> {
-    fn probe(&self, id: ObjectId) -> Point {
-        let mut g = self.clients.lock().expect("provider lock");
-        g.1.push(id.0);
-        g.0[id.index()].position(self.now)
-    }
-}
-
 /// Runs the SRB scheme and returns the aggregated metrics. With
 /// `cfg.shards == 1` (the default) the server is a single Figure-3.1 stack,
 /// bit-identical to the paper's setup; larger values run the sharded engine.
@@ -87,7 +68,7 @@ pub fn run_srb(cfg: &SimConfig) -> RunMetrics {
 
 /// The monomorphic body of [`run_srb`]: runs the SRB scheme on the spatial
 /// backend `B`, which must match the variant of `cfg.backend`.
-pub fn run_srb_with<B: SpatialBackend + Send + 'static>(cfg: &SimConfig) -> RunMetrics {
+pub fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
     let mob = mobility(cfg);
     let server_cfg = ServerConfig {
         space: cfg.space,
@@ -217,19 +198,15 @@ pub fn run_srb_with<B: SpatialBackend + Send + 'static>(cfg: &SimConfig) -> RunM
                 srb_obs::counter!("sim.batches").inc();
                 srb_obs::histogram!("sim.batch_size").record(batch.len() as u64);
                 let t0 = Instant::now();
-                // One entry point for every shape: the engine runs a single
-                // stack (or a single thread) sequentially — the paper's
-                // path, bit-identical to the goldens — and a sharded fleet
-                // through its persistent shard workers.
-                let provider = SharedProvider {
-                    clients: Mutex::new((&mut clients[..], Vec::new())),
-                    now: batch_t,
-                };
-                server
-                    .handle_sequenced_updates_parallel_into(&batch, &provider, batch_t, &mut resps);
-                let (cl, probed) = provider.clients.into_inner().expect("provider lock");
-                for &p in &probed {
-                    cl[p as usize].mark_pending();
+                // One entry point for every shape, single stack or sharded
+                // fleet: probes are answered by the live clients, in the
+                // order the engine asks (the paper's path, bit-identical
+                // to the goldens).
+                let mut provider =
+                    Provider { clients: &mut clients, now: batch_t, probed: Vec::new() };
+                server.handle_sequenced_updates_into(&batch, &mut provider, batch_t, &mut resps);
+                for &p in &provider.probed {
+                    provider.clients[p as usize].mark_pending();
                 }
                 cpu += t0.elapsed().as_secs_f64();
                 // Only the uplink is delayed (§7.2: "the server receives the

@@ -21,7 +21,7 @@
 
 use srb_core::{
     CrashPoint, DurabilityConfig, FnProvider, ObjectId, QueryId, QuerySpec, SequencedUpdate,
-    ServerConfig, ShardedServer, SyncPolicy,
+    ServerConfig, ShardedServer, SyncPolicy, TableProvider,
 };
 use srb_durable::crash;
 use srb_geom::{Point, Rect};
@@ -83,7 +83,7 @@ enum Op {
     Add(u64),
     Register(u64),
     Deregister(u32),
-    /// A sequenced batch through `handle_sequenced_updates_parallel`:
+    /// A sequenced batch through `handle_sequenced_updates_parallel_into`:
     /// submitted to the rings, processed and WAL-logged on the workers.
     Batch,
     Deferred,
@@ -138,7 +138,9 @@ fn apply(e: &mut ShardedServer, r: u64, op: Op) {
                 .filter(|o| (o + r).is_multiple_of(3))
                 .map(|o| SequencedUpdate { id: ObjectId(o as u32), pos: pos_at(o, r), seq: r + 1 })
                 .collect();
-            let _ = e.handle_sequenced_updates_parallel(&ups, &sync, now);
+            let table: Vec<Point> = (0..N_OBJ).map(|o| pos_at(o, r)).collect();
+            let mut out = Vec::new();
+            e.handle_sequenced_updates_parallel_into(&ups, &TableProvider(&table), now, &mut out);
         }
         Op::Deferred => {
             let mut p = FnProvider(sync);
