@@ -8,7 +8,7 @@ use rand::{Rng, SeedableRng};
 use srb_core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
 use srb_geom::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, Circle,
-    OrdinaryPerimeter, Point, Rect, Ring,
+    ClearanceObjective, OrdinaryPerimeter, Point, Rect, Ring,
 };
 use srb_index::{bulk_load, LeafEntry, RStarTree, TreeConfig};
 use std::hint::black_box;
@@ -85,6 +85,34 @@ fn bench_irlp(c: &mut Criterion) {
     g.bench_function("ring", |b| {
         let ring = Ring::new(Point::new(0.39, 0.39), 0.02, 0.04);
         b.iter(|| irlp_ring(black_box(&ring), p, &cell, &OrdinaryPerimeter))
+    });
+    // What the engine runs: every region is scored under the clearance
+    // objective (5 % of the cell), so each candidate family is a full
+    // θ-search unless its envelope bound prunes it. Result objects of
+    // order-sensitive kNN queries sit in rings a fraction of a percent to a
+    // few percent of the cell thick; non-results beside a large quarantine
+    // circle have a slab candidate for the arc search to beat.
+    let clearance = ClearanceObjective::new(OrdinaryPerimeter, p, 0.05 * cell.width());
+    let q = Point::new(0.37, 0.38);
+    let d = q.dist(p);
+    for (name, thickness) in [("ring_clr_thin_0.1pct", 2e-5), ("ring_clr_thin_5pct", 1e-3)] {
+        g.bench_function(name, |b| {
+            let ring = Ring::new(q, d - 0.4 * thickness, d + 0.6 * thickness);
+            b.iter(|| irlp_ring(black_box(&ring), p, &cell, &clearance))
+        });
+    }
+    g.bench_function("ring_clr_thick", |b| {
+        let ring = Ring::new(Point::new(0.39, 0.39), 0.02, 0.04);
+        b.iter(|| irlp_ring(black_box(&ring), p, &cell, &clearance))
+    });
+    g.bench_function("complement_clr_slab", |b| {
+        // p is past the circle's top: slab ① spans the cell above it.
+        let circle = Circle::new(Point::new(0.409, 0.35), 0.055);
+        b.iter(|| irlp_circle_complement(black_box(&circle), p, &cell, &clearance))
+    });
+    g.bench_function("complement_clr_arc", |b| {
+        let circle = Circle::new(Point::new(0.39, 0.39), 0.02);
+        b.iter(|| irlp_circle_complement(black_box(&circle), p, &cell, &clearance))
     });
     g.bench_function("staircase_8_blocks", |b| {
         let mut rng = StdRng::seed_from_u64(7);

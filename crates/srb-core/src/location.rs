@@ -186,7 +186,8 @@ impl LocationManager {
         now: f64,
     ) {
         let _span = srb_obs::span!("location.recompute_safe_regions");
-        let OpBuffers { exact, deferred: scratch, recomputed: out, worklist, .. } = op;
+        let OpBuffers { exact, deferred: scratch, recomputed: out, worklist, range_blocks, .. } =
+            op;
         debug_assert!(out.is_empty(), "caller clears the recompute buffer");
         // Worklist in deterministic (id) order. Recomputing one object's
         // ring can probe a conflicting neighbor (see
@@ -221,6 +222,7 @@ impl LocationManager {
                     pos,
                     p_lst,
                     config.steadiness,
+                    range_blocks,
                 )
             };
             work.safe_regions += 1;

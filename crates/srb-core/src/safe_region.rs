@@ -26,7 +26,9 @@ const CLEARANCE_FRACTION: f64 = 0.05;
 /// previous exactly-known location) supplies the movement direction.
 /// Objects recorded in `ctx.exact` are treated as having *invalid* safe
 /// regions (probed but not yet recomputed), triggering the midpoint
-/// replacement rule of §5.2.
+/// replacement rule of §5.2. `range_blocks` is a reused scratch buffer (its
+/// content on entry is discarded), so no region allocates.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     grid: &GridIndex,
@@ -35,6 +37,7 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
     pos: Point,
     p_lst: Point,
     steadiness: Option<f64>,
+    range_blocks: &mut Vec<Rect>,
 ) -> Rect {
     let cell = grid.cell_rect_of(pos);
     let scale = CLEARANCE_FRACTION * cell.width().min(cell.height());
@@ -44,15 +47,16 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
         Some(d) if p_lst != pos => {
             let weighted = WeightedPerimeter::new(pos, p_lst, d);
             let objective = ClearanceObjective::new(weighted, pos, scale);
-            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective)
+            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective, range_blocks)
         }
         _ => {
             let objective = ClearanceObjective::new(OrdinaryPerimeter, pos, scale);
-            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective)
+            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective, range_blocks)
         }
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn safe_region_under<B: srb_index::SpatialBackend, O: PerimeterObjective>(
     ctx: &mut EvalCtx<'_, B>,
     grid: &GridIndex,
@@ -61,11 +65,12 @@ fn safe_region_under<B: srb_index::SpatialBackend, O: PerimeterObjective>(
     pos: Point,
     cell: &Rect,
     objective: &O,
+    range_blocks: &mut Vec<Rect>,
 ) -> Rect {
     srb_obs::counter!("safe_region.computations").inc();
     srb_obs::histogram!("safe_region.relevant_queries").record(grid.queries_at(pos).len() as u64);
     let mut sr = *cell;
-    let mut range_blocks: Vec<Rect> = Vec::new();
+    range_blocks.clear();
 
     for &qid in grid.queries_at(pos) {
         let Some(qs) = queries.get(qid.index()).and_then(|q| q.as_ref()) else {
@@ -81,7 +86,7 @@ fn safe_region_under<B: srb_index::SpatialBackend, O: PerimeterObjective>(
     }
 
     if !range_blocks.is_empty() {
-        let batch = irlp_rect_complement_batch(&range_blocks, pos, cell, objective);
+        let batch = irlp_rect_complement_batch(range_blocks, pos, cell, objective);
         sr = sr.intersection(&batch).unwrap_or_else(|| Rect::point(pos));
     }
     if !sr.contains_point(pos) {

@@ -37,6 +37,9 @@ pub(crate) struct OpBuffers {
     pub candidates: Vec<QueryId>,
     /// Visiting order of the safe-region recompute (reseeded per call).
     pub worklist: Worklist,
+    /// Range-query rectangles one safe region has to avoid, handed to the
+    /// batch staircase (refilled per region).
+    pub range_blocks: Vec<Rect>,
 }
 
 impl OpBuffers {

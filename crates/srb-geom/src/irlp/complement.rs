@@ -12,10 +12,15 @@
 //! at its endpoints, so this implementation evaluates both endpoints (plus
 //! π/4 for fidelity — it can never win, but costs nothing) and the two slab
 //! candidates, returning the best.
+//!
+//! Under a non-ordinary objective the arc is a θ-search. The slabs and the
+//! whole cell cost one score each, so they are scored first and the arc is
+//! searched only if its envelope can still beat them (see the
+//! [module docs](super)).
 
-use super::{clip_containing, pad_range, QuadFrame, EPS};
+use super::{below, best_of_families, clip_containing, offer_rect, pad_range, QuadFrame, EPS};
 use crate::circle::Circle;
-use crate::objective::{better_of, optimize_theta, PerimeterObjective};
+use crate::objective::{optimize_theta_scored, PerimeterObjective};
 use crate::point::Point;
 use crate::rect::Rect;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
@@ -71,38 +76,44 @@ where
     // r·sinθ <= dx (θ <= θ_hi).
     let theta_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
     let theta_hi = if dx >= r { FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
-    let mut best: Option<Rect> = None;
-    if theta_lo <= theta_hi + 1e-9 {
-        let (lo, hi) = (theta_lo.min(theta_hi), theta_hi.max(theta_lo));
-        // Both θ-range endpoints put a rectangle edge through p; pad them
-        // so p keeps positive clearance (unless the endpoint is the natural
-        // 0 / π/2 limit, where the constraint is the circle, not p).
-        let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
-        let rect_of = |theta: f64| {
-            let u1 = (r * theta.sin()).min(a);
-            let v1 = (r * theta.cos()).min(b);
-            clip_containing(frame.rect_to_world(u1, a, v1, b), cell, p)
-        };
-        best = optimize_theta(lo, hi, FRAC_PI_4, objective, rect_of);
-    }
+    // Candidates in evaluation order (a tie goes to the earlier): the arc
+    // family (0), slab ① (1), slab ② (2), the whole cell (3).
+    let mut best = None;
     // Slab candidate ①: p beyond the circle top (dy >= r) — full-width
     // rectangle above the circle: [-mx, a] x [r, b].
     if dy >= r - EPS && b >= r {
-        let cand = clip_containing(frame.rect_to_world(-mx, a, r.min(b), b), cell, p);
-        best = better_of(best, cand, objective);
+        let slab = clip_containing(frame.rect_to_world(-mx, a, r.min(b), b), cell, p);
+        offer_rect(&mut best, 1, slab, objective);
     }
     // Slab candidate ②: p beyond the circle side (dx >= r) — full-height
     // rectangle beside the circle: [r, a] x [-my, b].
     if dx >= r - EPS && a >= r {
-        let cand = clip_containing(frame.rect_to_world(r.min(a), a, -my, b), cell, p);
-        best = better_of(best, cand, objective);
+        let slab = clip_containing(frame.rect_to_world(r.min(a), a, -my, b), cell, p);
+        offer_rect(&mut best, 2, slab, objective);
     }
     // If the circle does not even reach the original cell, the whole cell is
     // feasible and dominates everything above.
     if !circle.overlaps_rect(cell) {
-        best = better_of(best, Some(*cell), objective);
+        offer_rect(&mut best, 3, Some(*cell), objective);
     }
-    best
+    let (lo, hi) = (theta_lo.min(theta_hi), theta_hi.max(theta_lo));
+    // Both θ-range endpoints put a rectangle edge through p; pad them
+    // so p keeps positive clearance (unless the endpoint is the natural
+    // 0 / π/2 limit, where the constraint is the circle, not p).
+    let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
+    let arc_rect = |sin: f64, cos: f64| {
+        clip_containing(frame.rect_to_world((r * sin).min(a), a, (r * cos).min(b), b), cell, p)
+    };
+    // The arc corner is nearest the circle's axes — the rectangle largest —
+    // at the sine of the range's lower end and the cosine of its upper end.
+    let envelope =
+        if theta_lo <= theta_hi + 1e-9 { arc_rect(below(lo.sin()), below(hi.cos())) } else { None };
+    let bound = envelope.map(|e| objective.upper_bound(&e));
+    best_of_families(best, [bound], |_| {
+        optimize_theta_scored(lo, hi, FRAC_PI_4, objective, |theta| {
+            arc_rect(theta.sin(), theta.cos())
+        })
+    })
 }
 
 #[cfg(test)]

@@ -16,9 +16,26 @@
 //!
 //! All results are intersected with `cell` and are guaranteed to contain `p`
 //! whenever a result is returned at all.
+//!
+//! # Candidate families and the envelope bound
+//!
+//! The ring and the circle complement have no single closed form: each
+//! scores several *candidate families* — a rectangle layout with one free
+//! angle θ, searched by [`optimize_theta`](crate::optimize_theta) — and
+//! keeps the best, the earliest family winning a tie. A search costs ~50
+//! objective evaluations, so a family is searched only if it can still win:
+//! its *envelope* (the rectangle spanned by the extreme edges the layout
+//! reaches over its θ-range, clipped like a member) contains every member,
+//! [`PerimeterObjective::upper_bound`] of the envelope is therefore at least
+//! the score the search would return, and a family whose bound is strictly
+//! below the score already in hand is skipped. The result is the rectangle
+//! the exhaustive evaluation returns, bit for bit (`best_of_families`;
+//! DESIGN.md §5 has the family table and the floating-point argument).
 
 mod circle;
 mod complement;
+#[cfg(test)]
+mod reference;
 mod ring;
 mod staircase;
 
@@ -27,6 +44,7 @@ pub use complement::irlp_circle_complement;
 pub use ring::irlp_ring;
 pub use staircase::irlp_rect_complement_batch;
 
+use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
 
@@ -53,6 +71,101 @@ pub(crate) fn pad_range(lo: f64, hi: f64, pad_lo: bool, pad_hi: bool) -> (f64, f
     } else {
         (lo, hi)
     }
+}
+
+/// Relative slack put on a `sin`/`cos` value that bounds a family's edge.
+///
+/// Over `[0, π/2]` the real sine rises and the cosine falls, but libm's are
+/// only *faithful* (within an ulp of the true value), not monotone: the
+/// computed `sin θ` of a θ just inside a range can exceed the computed sine
+/// of the range's end by an ulp or two. Eight ulps cover that several times
+/// over, and every operation between the trig value and the final rectangle
+/// (scaling by the radius, the frame's offset, `min`/`max` clipping, the
+/// snap onto `p`) rounds monotonically, so an envelope built from the
+/// slackened values contains every member as `f64` rectangles, not only as
+/// real ones. The slack has to sit here, on the edge: a relative margin on
+/// the *score* would not do, because where `p` is an ulp from an edge the
+/// clearance factor turns one ulp of edge into a large factor of score.
+const TRIG_SLACK: f64 = 8.0 * f64::EPSILON;
+
+/// The computed `sin`/`cos` value `x` pushed up by the slack: no smaller
+/// than what libm returns for any angle whose true value is at most `x`'s.
+#[inline]
+pub(crate) fn above(x: f64) -> f64 {
+    x + x.abs() * TRIG_SLACK
+}
+
+/// The mirror image of [`above`].
+#[inline]
+pub(crate) fn below(x: f64) -> f64 {
+    x - x.abs() * TRIG_SLACK
+}
+
+/// A scored candidate and the family it came from. Families are numbered in
+/// evaluation order; between equal scores the lower number wins.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Incumbent {
+    score: f64,
+    family: usize,
+    rect: Rect,
+}
+
+/// Folds `cand` of family `family` into `best`: the higher score wins, the
+/// earlier family on a tie — what evaluating every family in order and
+/// replacing the incumbent only on a strictly higher score selects,
+/// whatever order the candidates arrive in.
+#[inline]
+pub(crate) fn offer(best: &mut Option<Incumbent>, family: usize, cand: Option<(f64, Rect)>) {
+    let Some((score, rect)) = cand else { return };
+    let wins =
+        best.as_ref().is_none_or(|b| score > b.score || (score == b.score && family < b.family));
+    if wins {
+        *best = Some(Incumbent { score, family, rect });
+    }
+}
+
+/// Scores an O(1) candidate rectangle and folds it into `best`.
+#[inline]
+pub(crate) fn offer_rect<O: PerimeterObjective + ?Sized>(
+    best: &mut Option<Incumbent>,
+    family: usize,
+    rect: Option<Rect>,
+    objective: &O,
+) {
+    offer(best, family, rect.map(|r| (objective.score(&r), r)));
+}
+
+/// Exact branch-and-bound over θ-searched candidate families.
+///
+/// `bounds[i]` is `None` for an infeasible family and otherwise an upper
+/// bound on the score `search(i)` can return. Families are visited from the
+/// highest bound down (the likely winner first, so the incumbent is strong
+/// early); one whose bound is *strictly* below the incumbent's score can
+/// neither win nor tie and is not searched. Everything else is searched and
+/// folded with [`offer`], so the result is the exhaustive one. A bound that
+/// is infinite or NaN never prunes.
+pub(crate) fn best_of_families<const N: usize>(
+    mut best: Option<Incumbent>,
+    mut bounds: [Option<f64>; N],
+    mut search: impl FnMut(usize) -> Option<(f64, Rect)>,
+) -> Option<Rect> {
+    loop {
+        let mut next: Option<(usize, f64)> = None;
+        for (i, bound) in bounds.iter().enumerate() {
+            if let Some(b) = *bound {
+                if next.is_none_or(|(_, top)| b > top) {
+                    next = Some((i, b));
+                }
+            }
+        }
+        let Some((i, bound)) = next else { break };
+        bounds[i] = None;
+        if best.as_ref().is_some_and(|b| bound < b.score) {
+            continue;
+        }
+        offer(&mut best, i, search(i));
+    }
+    best.map(|b| b.rect)
 }
 
 /// A local frame that maps the quadrant of `p` relative to `origin` onto the

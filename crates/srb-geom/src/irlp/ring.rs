@@ -9,16 +9,23 @@
 //! inputs this implementation adds a *corner-contact* layout (III) whose
 //! inner corner slides on the inner circle (see DESIGN.md §5).
 
-use super::{clip_containing, pad_range, QuadFrame, EPS};
+use super::{above, best_of_families, clip_containing, pad_range, QuadFrame, EPS};
 use crate::circle::Ring;
-use crate::objective::{better_of, optimize_theta, PerimeterObjective};
+use crate::objective::{optimize_theta_scored, PerimeterObjective};
 use crate::point::Point;
 use crate::rect::Rect;
-use std::f64::consts::FRAC_PI_4;
+use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
 /// Computes the longest-perimeter rectangle containing `p`, inside `cell`,
 /// whose points all lie within the ring (outside the open inner disc, inside
 /// the closed outer disc).
+///
+/// Five candidate families are considered, in this order — layout I, layout
+/// II, and layout III at the low, middle and high inner-corner angle φ — and
+/// the best-scoring rectangle is returned, the earliest family winning a
+/// tie. A family is θ-searched only while the objective's
+/// [`upper_bound`](PerimeterObjective::upper_bound) over its envelope says
+/// it can still win (see the [module docs](super)).
 ///
 /// Returns `None` when `p` lies outside the closed ring or outside `cell`.
 pub fn irlp_ring<O>(ring: &Ring, p: Point, cell: &Rect, objective: &O) -> Option<Rect>
@@ -52,46 +59,56 @@ where
         return None; // numerically outside the outer circle
     }
     let (t_lo, t_hi) = (theta_x.min(theta_y), theta_y.max(theta_x));
-    let mut best: Option<Rect> = None;
+    let local_rect = |u1, u2, v1, v2| clip_containing(frame.rect_to_world(u1, u2, v1, v2), cell, p);
+    // Every layout below is written in (sin θ, cos θ) and only grows with
+    // either, so a family's envelope is its own layout at the largest sine
+    // and cosine its θ-range reaches — the range's upper and lower end —
+    // each with the slack that makes the containment hold for libm's values.
+    let bound = |(lo, hi): (f64, f64), layout: &dyn Fn(f64, f64) -> Option<Rect>| {
+        layout(above(hi.sin()), above(lo.cos())).map(|envelope| objective.upper_bound(&envelope))
+    };
+    // θ-range and bound per family; a family without a bound is infeasible.
+    let mut ranges = [(0.0, 0.0); 5];
+    let mut bounds = [None; 5];
 
     // Layout I: horizontal tangent side at v = r; rectangle
     // [-R sinθ, R sinθ] x [r, R cosθ]. Feasible only when p is past the
     // tangent line (dy >= r) and the far side clears it (R cosθ >= r).
+    let layout_1 = |sin: f64, cos: f64| {
+        let w = big_r * sin;
+        let v2 = big_r * cos;
+        if v2 < r {
+            return None;
+        }
+        local_rect(-w, w, r, v2)
+    };
     if dy >= r - EPS {
-        let hi = t_hi.min((r / big_r).acos());
+        let tangent = (r / big_r).acos();
+        let hi = t_hi.min(tangent);
         if t_lo <= hi + 1e-9 {
-            let (t_lo, hi) = pad_range(t_lo.min(hi), hi, true, hi < (r / big_r).acos());
-            let rect_of = |theta: f64| {
-                let w = big_r * theta.sin();
-                let v2 = big_r * theta.cos();
-                if v2 < r {
-                    return None;
-                }
-                clip_containing(frame.rect_to_world(-w, w, r, v2), cell, p)
-            };
-            // Plain perimeter 4R sinθ + 2(R cosθ − r) peaks at θ = arctan 2.
-            let cand = optimize_theta(t_lo, hi.max(t_lo), 2f64.atan(), objective, rect_of);
-            best = better_of(best, cand, objective);
+            let (lo, hi) = pad_range(t_lo.min(hi), hi, true, hi < tangent);
+            ranges[0] = (lo, hi.max(lo));
+            bounds[0] = bound(ranges[0], &layout_1);
         }
     }
 
     // Layout II: vertical tangent side at u = r; rectangle
     // [r, R sinθ] x [-R cosθ, R cosθ]. Feasible when dx >= r.
+    let layout_2 = |sin: f64, cos: f64| {
+        let u2 = big_r * sin;
+        let h = big_r * cos;
+        if u2 < r {
+            return None;
+        }
+        local_rect(r, u2, -h, h)
+    };
     if dx >= r - EPS {
-        let lo = t_lo.max((r / big_r).asin());
+        let tangent = (r / big_r).asin();
+        let lo = t_lo.max(tangent);
         if lo <= t_hi + 1e-9 {
-            let (lo, t_hi) = pad_range(lo, lo.max(t_hi), lo > (r / big_r).asin(), true);
-            let rect_of = |theta: f64| {
-                let u2 = big_r * theta.sin();
-                let h = big_r * theta.cos();
-                if u2 < r {
-                    return None;
-                }
-                clip_containing(frame.rect_to_world(r, u2, -h, h), cell, p)
-            };
-            // Plain perimeter 4R cosθ + 2(R sinθ − r) peaks at θ = arccot 2.
-            let cand = optimize_theta(lo.min(t_hi), t_hi, 0.5f64.atan(), objective, rect_of);
-            best = better_of(best, cand, objective);
+            let (lo, hi) = pad_range(lo, lo.max(t_hi), lo > tangent, true);
+            ranges[1] = (lo.min(hi), hi);
+            bounds[1] = bound(ranges[1], &layout_2);
         }
     }
 
@@ -99,32 +116,47 @@ where
     // circle at angle φ, outer corner on the outer circle at angle θ:
     // [r sinφ, R sinθ] x [r cosφ, R cosθ]. Containment of p requires
     // r sinφ <= dx and r cosφ <= dy.
-    {
-        let phi_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
-        let phi_hi = if dx >= r { std::f64::consts::FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
-        if phi_lo <= phi_hi + 1e-9 {
-            // Pad the φ endpoints (inner-corner contact with p) and the
-            // outer θ range below.
-            let (phi_lo, phi_hi) = pad_range(phi_lo.min(phi_hi), phi_hi.max(phi_lo), true, true);
-            let (t_lo, t_hi) = pad_range(t_lo, t_hi, true, true);
-            let phis = [phi_lo, (phi_lo + phi_hi) * 0.5, phi_hi];
-            for phi in phis {
-                let (iu, iv) = (r * phi.sin(), r * phi.cos());
-                let rect_of = |theta: f64| {
-                    let u2 = big_r * theta.sin();
-                    let v2 = big_r * theta.cos();
-                    if u2 < iu - EPS || v2 < iv - EPS {
-                        return None;
-                    }
-                    clip_containing(frame.rect_to_world(iu, u2.max(iu), iv, v2.max(iv)), cell, p)
-                };
-                let cand = optimize_theta(t_lo, t_hi, FRAC_PI_4, objective, rect_of);
-                best = better_of(best, cand, objective);
-            }
+    let layout_3 = |(iu, iv): (f64, f64), sin: f64, cos: f64| {
+        let u2 = big_r * sin;
+        let v2 = big_r * cos;
+        if u2 < iu - EPS || v2 < iv - EPS {
+            return None;
+        }
+        local_rect(iu, u2.max(iu), iv, v2.max(iv))
+    };
+    let mut inner_corners = [(0.0, 0.0); 3];
+    let phi_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
+    let phi_hi = if dx >= r { FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
+    if phi_lo <= phi_hi + 1e-9 {
+        // Pad the φ endpoints (inner-corner contact with p) and the outer
+        // θ range.
+        let (phi_lo, phi_hi) = pad_range(phi_lo.min(phi_hi), phi_hi.max(phi_lo), true, true);
+        let range = pad_range(t_lo, t_hi, true, true);
+        let phis = [phi_lo, (phi_lo + phi_hi) * 0.5, phi_hi];
+        for (k, phi) in phis.into_iter().enumerate() {
+            let corner = (r * phi.sin(), r * phi.cos());
+            inner_corners[k] = corner;
+            ranges[2 + k] = range;
+            bounds[2 + k] = bound(range, &|sin, cos| layout_3(corner, sin, cos));
         }
     }
 
-    best
+    best_of_families(None, bounds, |family| {
+        let (lo, hi) = ranges[family];
+        match family {
+            // Plain perimeter 4R sinθ + 2(R cosθ − r) peaks at θ = arctan 2.
+            0 => optimize_theta_scored(lo, hi, 2f64.atan(), objective, |theta| {
+                layout_1(theta.sin(), theta.cos())
+            }),
+            // Plain perimeter 4R cosθ + 2(R sinθ − r) peaks at θ = arccot 2.
+            1 => optimize_theta_scored(lo, hi, 0.5f64.atan(), objective, |theta| {
+                layout_2(theta.sin(), theta.cos())
+            }),
+            k => optimize_theta_scored(lo, hi, FRAC_PI_4, objective, |theta| {
+                layout_3(inner_corners[k - 2], theta.sin(), theta.cos())
+            }),
+        }
+    })
 }
 
 #[cfg(test)]

@@ -32,8 +32,8 @@ mod rect;
 pub use circle::{Circle, Ring};
 pub use irlp::{irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring};
 pub use objective::{
-    better_of, optimize_theta, ClearanceObjective, OrdinaryPerimeter, PerimeterObjective,
-    WeightedPerimeter, THETA_SEARCH_STEPS,
+    optimize_theta, ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, WeightedPerimeter,
+    THETA_SEARCH_STEPS,
 };
 pub use point::Point;
 pub use rect::Rect;

@@ -6,6 +6,13 @@
 //! replaces the uniform direction assumption with a *steady movement* model
 //! and derives a *weighted* perimeter; plugging a different objective into
 //! the same Ir-lp searches yields the enhanced safe regions.
+//!
+//! An objective also bounds itself: [`PerimeterObjective::upper_bound`]
+//! scores an *envelope* — a rectangle containing every member of a candidate
+//! family — at least as high as any member, which lets `irlp_ring` and
+//! `irlp_circle_complement` skip the θ-search of a family that cannot beat
+//! the candidate already in hand (see the `irlp` module docs and DESIGN.md
+//! §5, "Candidate families and the envelope bound").
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -24,6 +31,18 @@ pub trait PerimeterObjective {
     fn is_ordinary(&self) -> bool {
         false
     }
+
+    /// An upper bound on [`score`](Self::score) over every rectangle that
+    /// lies inside `envelope`.
+    ///
+    /// The bound has to hold for the `f64` values `score` actually returns,
+    /// not only for the real-number formula: the Ir-lp searches prune with
+    /// it and promise the rectangle an exhaustive search would return. The
+    /// default never prunes.
+    fn upper_bound(&self, envelope: &Rect) -> f64 {
+        let _ = envelope;
+        f64::INFINITY
+    }
 }
 
 /// The ordinary perimeter `2(w + h)` of Theorem 5.1.
@@ -39,6 +58,14 @@ impl PerimeterObjective for OrdinaryPerimeter {
     #[inline]
     fn is_ordinary(&self) -> bool {
         true
+    }
+
+    /// The envelope's own perimeter: subtraction and addition round
+    /// monotonically, so a rectangle inside `envelope` cannot compute a
+    /// longer one.
+    #[inline]
+    fn upper_bound(&self, envelope: &Rect) -> f64 {
+        envelope.perimeter()
     }
 }
 
@@ -92,6 +119,13 @@ impl PerimeterObjective for WeightedPerimeter {
         let arg = (2.0 * PI * dist * cos_beta / lambda).clamp(-1.0, 1.0);
         (1.0 + self.steadiness) * lambda - (2.0 * self.steadiness * lambda / PI) * arg.acos()
     }
+
+    /// `(1 + d)·λ` of the envelope: `score` returns either `λ` itself or
+    /// this same product minus a term whose factors are all non-negative,
+    /// and `λ` is monotone under inclusion.
+    fn upper_bound(&self, envelope: &Rect) -> f64 {
+        (1.0 + self.steadiness) * envelope.perimeter()
+    }
 }
 
 /// Weights an inner objective by the *clearance* of a designated point from
@@ -121,17 +155,36 @@ impl<O: PerimeterObjective> ClearanceObjective<O> {
     pub fn new(inner: O, p: Point, scale: f64) -> Self {
         ClearanceObjective { inner, p, scale: scale.max(1e-12) }
     }
-}
 
-impl<O: PerimeterObjective> PerimeterObjective for ClearanceObjective<O> {
-    fn score(&self, rect: &Rect) -> f64 {
+    /// Floor of the clearance factor: a rectangle touching `p` still ranks
+    /// by its inner score.
+    const MIN_FACTOR: f64 = 1e-6;
+
+    /// `min(1, clearance/scale)`, floored at [`Self::MIN_FACTOR`].
+    #[inline]
+    fn factor(&self, rect: &Rect) -> f64 {
         let md = (self.p.x - rect.min().x)
             .min(rect.max().x - self.p.x)
             .min(self.p.y - rect.min().y)
             .min(rect.max().y - self.p.y)
             .max(0.0);
-        let factor = (md / self.scale).clamp(1e-6, 1.0);
-        self.inner.score(rect) * factor
+        (md / self.scale).clamp(Self::MIN_FACTOR, 1.0)
+    }
+}
+
+impl<O: PerimeterObjective> PerimeterObjective for ClearanceObjective<O> {
+    fn score(&self, rect: &Rect) -> f64 {
+        self.inner.score(rect) * self.factor(rect)
+    }
+
+    /// The inner bound times the envelope's own clearance factor: all four
+    /// clearances of `p` grow with the rectangle and every step of the
+    /// factor rounds monotonically, so the product of the two bounds bounds
+    /// the product. (A negative inner bound is scaled by the smallest
+    /// factor instead, the one that leaves it largest.)
+    fn upper_bound(&self, envelope: &Rect) -> f64 {
+        let inner = self.inner.upper_bound(envelope);
+        inner * if inner >= 0.0 { self.factor(envelope) } else { Self::MIN_FACTOR }
     }
 }
 
@@ -161,6 +214,26 @@ where
     O: PerimeterObjective + ?Sized,
     F: Fn(f64) -> Option<Rect>,
 {
+    optimize_theta_scored(lo, hi, preferred, objective, rect_of).map(|(_, rect)| rect)
+}
+
+/// [`optimize_theta`] returning the winner's score with it, so a caller
+/// comparing several searches does not score the rectangle again. Every θ
+/// it evaluates lies in `[lo, hi]` — the envelope bounds of the Ir-lp
+/// families rely on that.
+pub(crate) fn optimize_theta_scored<O, F>(
+    lo: f64,
+    hi: f64,
+    preferred: f64,
+    objective: &O,
+    rect_of: F,
+) -> Option<(f64, Rect)>
+where
+    O: PerimeterObjective + ?Sized,
+    F: Fn(f64) -> Option<Rect>,
+{
+    #[cfg(test)]
+    search_count::bump();
     // NaN-propagating emptiness check: an invalid (NaN) bound must also
     // yield no rectangle, which `lo > hi` alone would miss.
     if lo.partial_cmp(&hi).is_none_or(|o| o == std::cmp::Ordering::Greater) {
@@ -184,39 +257,48 @@ where
     });
     let candidates = [Some(lo), Some(hi), Some(preferred.clamp(lo, hi)), refined];
     let mut best: Option<(f64, Rect)> = None;
-    for theta in candidates.into_iter().flatten() {
-        if let Some(rect) = rect_of(theta) {
-            let s = objective.score(&rect);
-            if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                best = Some((s, rect));
-            }
+    for (i, theta) in candidates.iter().enumerate() {
+        // A θ already scored cannot win again: replacement needs a strictly
+        // higher score. (`preferred` clamps onto an endpoint more often
+        // than not.)
+        if candidates[..i].contains(theta) {
+            continue;
+        }
+        let Some(rect) = theta.and_then(&rect_of) else { continue };
+        let s = objective.score(&rect);
+        if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
+            best = Some((s, rect));
         }
     }
-    best.map(|(_, r)| r)
+    best
 }
 
-/// Picks the better of two optional rectangles under `objective`.
-pub fn better_of<O: PerimeterObjective + ?Sized>(
-    a: Option<Rect>,
-    b: Option<Rect>,
-    objective: &O,
-) -> Option<Rect> {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            if objective.score(&x) >= objective.score(&y) {
-                Some(x)
-            } else {
-                Some(y)
-            }
-        }
-        (Some(x), None) => Some(x),
-        (None, y) => y,
+/// Test-only count of θ-searches started on this thread, so a test can pin
+/// that a pruned family is really skipped.
+#[cfg(test)]
+pub(crate) mod search_count {
+    use std::cell::Cell;
+
+    thread_local! {
+        static SEARCHES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn bump() {
+        SEARCHES.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Runs `f` and returns its result with the searches it started.
+    pub(crate) fn counting<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = SEARCHES.with(Cell::get);
+        let out = f();
+        (out, SEARCHES.with(Cell::get) - before)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::FRAC_PI_4;
 
     #[test]
     fn ordinary_is_perimeter() {
@@ -298,17 +380,49 @@ mod tests {
     }
 
     #[test]
-    fn optimize_theta_empty_interval() {
-        let rect_of = |_t: f64| Some(Rect::UNIT);
-        assert!(optimize_theta(1.0, 0.0, 0.5, &OrdinaryPerimeter, rect_of).is_none());
+    fn optimize_theta_scores_each_angle_once() {
+        use std::cell::Cell;
+        let calls = Cell::new(0);
+        let rect_of = |t: f64| {
+            calls.set(calls.get() + 1);
+            Some(Rect::new(Point::new(0.0, 0.0), Point::new(1.0 + t, 1.0)))
+        };
+        // A point interval: lo, hi and the clamped preference coincide.
+        let best = optimize_theta(0.3, 0.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
+        assert_eq!((calls.take(), best.width()), (1, 1.3));
+        // The preference clamps onto hi.
+        let best = optimize_theta(0.1, 0.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
+        assert_eq!((calls.take(), best.width()), (2, 1.3));
+        // An interior preference is its own candidate.
+        optimize_theta(0.1, 1.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
+        assert_eq!(calls.take(), 3);
     }
 
     #[test]
-    fn better_of_picks_higher_score() {
-        let small = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let big = Rect::new(Point::new(0.0, 0.0), Point::new(3.0, 3.0));
-        assert_eq!(better_of(Some(small), Some(big), &OrdinaryPerimeter), Some(big));
-        assert_eq!(better_of(None, Some(small), &OrdinaryPerimeter), Some(small));
-        assert_eq!(better_of::<OrdinaryPerimeter>(None, None, &OrdinaryPerimeter), None);
+    fn clearance_bound_of_a_negative_inner_bound_uses_the_smallest_factor() {
+        /// Scores (and bounds) every rectangle at −1.
+        struct Debt;
+        impl PerimeterObjective for Debt {
+            fn score(&self, _: &Rect) -> f64 {
+                -1.0
+            }
+            fn upper_bound(&self, _: &Rect) -> f64 {
+                -1.0
+            }
+        }
+        let p = Point::new(0.5, 0.5);
+        let objective = ClearanceObjective::new(Debt, p, 0.1);
+        // The member hugs p (factor 1e-6, score −1e-6), the envelope does
+        // not (factor 1): scaling the bound by the envelope's factor would
+        // put it at −1, below the member's score.
+        let member = Rect::new(p, Point::new(0.6, 0.6));
+        let envelope = Rect::UNIT;
+        assert!(objective.upper_bound(&envelope) >= objective.score(&member));
+    }
+
+    #[test]
+    fn optimize_theta_empty_interval() {
+        let rect_of = |_t: f64| Some(Rect::UNIT);
+        assert!(optimize_theta(1.0, 0.0, 0.5, &OrdinaryPerimeter, rect_of).is_none());
     }
 }

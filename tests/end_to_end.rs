@@ -9,6 +9,15 @@ use srb::geom::{Point, Rect};
 use srb::mobility::{MobilityConfig, Trajectory};
 use srb::sim::{run_scheme, Scheme, SimConfig};
 
+/// A uniform draw in `[0, 1)` from `(i, salt)` (SplitMix64 finaliser): the
+/// seeded tests below lay out their worlds with it.
+fn unit(i: u64, salt: u64) -> f64 {
+    let mut z = (i ^ (salt << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[test]
 fn trajectory_driven_monitoring_stays_exact() {
     // Drive the core server with real random-waypoint trajectories (no
@@ -128,12 +137,6 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
     const REPORTS: usize = 20_000;
     const BYSTANDERS: usize = 2_000;
     const QUERIES: usize = 200;
-    fn unit(i: u64, salt: u64) -> f64 {
-        let mut z = (i ^ (salt << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-    }
     let n = REPORTS + BYSTANDERS;
     let mut at: Vec<Point> = (0..n as u64).map(|i| Point::new(unit(i, 1), unit(i, 2))).collect();
 
@@ -277,4 +280,106 @@ fn durable_single_node_round_trips_through_recovery() {
     }
     recovered.check_invariants();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn granted_safe_regions_are_pinned_bit_for_bit() {
+    // Bit-identity guard for the safe-region geometry: a kNN-dense run on
+    // the one-shard engine whose every granted rectangle is hashed. Half
+    // the queries are order-sensitive kNN, so most reports go through the
+    // ring Ir-lp and its candidate-family search; the rest exercise the
+    // circle, the circle complement and the staircase. The pinned values
+    // were printed by this very test at commit ed46566 (the parent of the
+    // envelope-bound pruning in `srb-geom::irlp`), in debug and in release:
+    // an optimisation of the Ir-lp search has to reproduce them exactly.
+    const N: usize = 400;
+    const QUERIES: u64 = 48;
+    const BATCHES: u64 = 24;
+    fn fold(hash: &mut u64, grants: &[(ObjectId, srb::core::UpdateResponse)]) {
+        let mut mix = |v: u64| *hash = (*hash ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        for (id, resp) in grants {
+            for (o, r) in std::iter::once(&(*id, resp.safe_region)).chain(&resp.probed) {
+                mix(o.0 as u64);
+                for c in [r.min().x, r.min().y, r.max().x, r.max().y] {
+                    mix(c.to_bits());
+                }
+            }
+        }
+    }
+
+    let run = |config: ServerConfig| -> (u64, u64, usize) {
+        let mut at: Vec<Point> =
+            (0..N as u64).map(|i| Point::new(unit(i, 11), unit(i, 12))).collect();
+        let mut server = Server::new(config);
+        let (mut hash, mut grants) = (0xCBF2_9CE4_8422_2325u64, 0usize);
+        {
+            let ps = at.clone();
+            let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+            for (i, &p) in at.iter().enumerate() {
+                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+            }
+            for q in 0..QUERIES {
+                let c = Point::new(unit(q, 13), unit(q, 14));
+                let k = 2 + (q % 5) as usize;
+                let spec = match q % 4 {
+                    0 | 2 => QuerySpec::knn(c, k),
+                    1 => QuerySpec::knn_unordered(c, k),
+                    _ => QuerySpec::range(
+                        Rect::centered(c, 0.05, 0.04).intersection(&Rect::UNIT).expect("inside"),
+                    ),
+                };
+                server.register_query(spec, &mut provider, 0.0);
+            }
+        }
+        let mut seq = vec![0u64; N];
+        let mut out = Vec::new();
+        for batch in 1..=BATCHES {
+            let now = batch as f64 * 0.1;
+            for (i, p) in at.iter_mut().enumerate() {
+                let i = i as u64;
+                let step =
+                    Point::new(unit(i, 100 + 2 * batch) - 0.5, unit(i, 101 + 2 * batch) - 0.5);
+                *p = Point::new(
+                    (p.x + 0.02 * step.x).clamp(0.0, 1.0),
+                    (p.y + 0.02 * step.y).clamp(0.0, 1.0),
+                );
+            }
+            let ps = at.clone();
+            let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+            if server.next_deferred_due().is_some() {
+                let fired = server.process_deferred(&mut provider, now);
+                grants += fired.len();
+                fold(&mut hash, &fired);
+            }
+            let updates: Vec<SequencedUpdate> = (0..N)
+                .filter(|&i| {
+                    let sr = server.safe_region(ObjectId(i as u32)).expect("registered");
+                    !sr.contains_point(at[i])
+                })
+                .map(|i| {
+                    seq[i] += 1;
+                    SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: seq[i] }
+                })
+                .collect();
+            out.clear();
+            server.handle_sequenced_updates_into(&updates, &mut provider, now, &mut out);
+            grants += out.len();
+            fold(&mut hash, &out);
+        }
+        server.check_invariants();
+        (server.state_digest(), hash, grants)
+    };
+
+    let plain = run(ServerConfig::default());
+    let enhanced = run(ServerConfig::enhanced(0.2, 0.5));
+    assert_eq!(
+        plain,
+        (0x1716_AD2B_55DD_53F7, 0x84C6_BE64_960E_4ED9, 5404),
+        "ordinary-perimeter regions moved"
+    );
+    assert_eq!(
+        enhanced,
+        (0xE2EA_5A0C_4C6A_DCF2, 0x4C4E_21B1_3A82_EAF0, 5426),
+        "weighted-perimeter regions moved"
+    );
 }
