@@ -26,8 +26,8 @@ use std::time::Instant;
 
 /// Timed rounds of batched updates (plus `WARMUP` untimed ones).
 const ROUNDS: u64 = 120;
-/// Untimed leading rounds: populate allocator arenas, the telemetry
-/// registry, and the worker pool so first-touch cost lands on neither side.
+/// Untimed leading rounds: populate allocator arenas and the telemetry
+/// registry so first-touch cost lands on neither side.
 const WARMUP: u64 = 10;
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -90,8 +90,9 @@ fn main() {
     let sim = srb_bench::base_config();
     figure_header("Obs overhead", "telemetry cost on the sharded batch path", &sim);
     let (shards, n_objects) = if full_scale() { (2, 20_000) } else { (2, 4_000) };
+    let (commit, cores) = srb_bench::provenance();
     println!(
-        "    shards={shards}, N={n_objects}, rounds={ROUNDS} (+{WARMUP} warmup), compiled={}",
+        "    commit={commit} cores={cores} shards={shards}, N={n_objects}, rounds={ROUNDS} (+{WARMUP} warmup), compiled={}",
         srb_obs::compiled()
     );
 
@@ -162,6 +163,8 @@ fn main() {
         "enabled_s": enabled_s,
         "overhead_pct": overhead_pct,
         "compiled": srb_obs::compiled(),
+        "commit": commit.as_str(),
+        "cores": cores,
     });
     println!("JSON {line}");
 

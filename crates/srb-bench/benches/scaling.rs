@@ -5,27 +5,27 @@
 //! event queue, no channel model): each round re-positions a tenth of the
 //! objects and pushes the batch through
 //! [`ShardedServer::handle_sequenced_updates_parallel_into`], i.e. through
-//! the pipelined front-end — persistent shard workers, one job out and
-//! home per busy shard, coordinator merge. Two series land per cell grid:
+//! the threaded batch path — scoped helper threads and the caller running
+//! the busy shards' lanes, coordinator merge. Two series land per cell grid:
 //!
 //! - `mode: "batch"` — per-batch throughput over the full
-//!   threads × shards matrix (each leg pins the worker count with
+//!   threads × shards matrix (each leg pins the thread count with
 //!   `with_threads`, so the matrix is reproducible regardless of
 //!   `SRB_THREADS`);
 //! - `mode: "sustained"` — a long pre-built stream of back-to-back
 //!   batches timed as one window at the widest thread count, measuring
-//!   steady-state ingest with the rings primed and the workers hot.
+//!   steady-state ingest with every buffer warm.
 //!
-//! Both modes probe through a [`TableProvider`] snapshot, which the
-//! workers read directly (DESIGN.md §15).
+//! Both modes probe through a [`TableProvider`], which every lane reads
+//! directly (DESIGN.md §15).
 //!
 //! Rows also land in `BENCH_scaling.json` at the repo root for tooling,
 //! each stamped with the commit and the host's core count. CI's gate
 //! (`tools/check_scaling.py`) fails if sharding on one thread buys more
 //! than locality can explain (a super-linear term in the single engine),
 //! or if shards=4 falls below shards=2 where the host has the cores for
-//! it. With one worker the parallel path degenerates to the sequential
-//! loop, so speedups only show on multi-core runners.
+//! it. With one thread every lane runs on the caller, so speedups only
+//! show on multi-core runners.
 
 use srb_bench::{figure_header, full_scale};
 use srb_core::{
@@ -39,8 +39,8 @@ use std::time::Instant;
 /// Rounds of batched updates timed per cell.
 const ROUNDS: u64 = 20;
 
-/// Rounds in the sustained-ingest stream: long enough that worker
-/// spawn/park transients vanish into the steady state.
+/// Rounds in the sustained-ingest stream: long enough that warm-up
+/// transients vanish into the steady state.
 const SUSTAINED_ROUNDS: u64 = 120;
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -72,7 +72,7 @@ impl Cell {
     }
 }
 
-/// Builds a populated `shards`-way server pinned to `threads` workers.
+/// Builds a populated `shards`-way server pinned to `threads` threads.
 fn build_server(
     shards: usize,
     threads: usize,
@@ -125,7 +125,7 @@ fn round_batch(
 }
 
 /// Times `ROUNDS` update batches of N/10 re-positioned objects through
-/// the pipelined batch path, per-batch.
+/// the threaded batch path, per-batch.
 fn run_cell(shards: usize, threads: usize, n_objects: usize, sim: &SimConfig) -> Cell {
     let (mut server, mut positions) = build_server(shards, threads, n_objects, sim);
     let seed = sim.seed;
@@ -148,9 +148,9 @@ fn run_cell(shards: usize, threads: usize, n_objects: usize, sim: &SimConfig) ->
 }
 
 /// Sustained ingest: every batch of the stream is built up front, then
-/// the whole submission loop is timed as one window — the rings stay
-/// primed, the workers never go cold, and the number measures the
-/// front-end's steady-state throughput rather than per-batch latency.
+/// the whole submission loop is timed as one window, so the number
+/// measures the engine's steady-state throughput rather than per-batch
+/// latency.
 fn run_sustained(shards: usize, threads: usize, n_objects: usize, sim: &SimConfig) -> Cell {
     let (mut server, mut positions) = build_server(shards, threads, n_objects, sim);
     let seed = sim.seed;
@@ -181,23 +181,9 @@ fn run_sustained(shards: usize, threads: usize, n_objects: usize, sim: &SimConfi
     Cell { threads, updates, seconds }
 }
 
-/// The checkout's commit (`-dirty` when the tree has uncommitted changes),
-/// or `unknown` outside a git checkout.
-fn commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
-}
-
 fn main() {
     let sim = srb_bench::base_config();
-    let commit = commit();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let (commit, cores) = srb_bench::provenance();
     figure_header("Scaling", "sharded batch-update throughput", &sim);
     let (shard_counts, thread_counts, object_counts): (&[usize], &[usize], &[usize]) =
         if full_scale() {

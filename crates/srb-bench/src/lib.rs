@@ -34,6 +34,21 @@ pub fn full_scale() -> bool {
     std::env::var_os("SRB_FULL_SCALE").is_some()
 }
 
+/// What a `BENCH_*.json` row is stamped with: the checkout's commit
+/// (`-dirty` when the tree has uncommitted changes, `unknown` outside a git
+/// checkout) and the host's core count.
+pub fn provenance() -> (String, u64) {
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    (commit, std::thread::available_parallelism().map_or(1, |n| n.get()) as u64)
+}
+
 /// Runs a scheme and prints one table row.
 pub fn run_row(label: &str, scheme: Scheme, cfg: &SimConfig) -> RunMetrics {
     let m = srb_sim::run_scheme(scheme, cfg);

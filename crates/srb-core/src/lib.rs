@@ -71,12 +71,10 @@ mod ids;
 mod index;
 mod location;
 mod object;
-mod pipeline;
 mod processor;
 mod provider;
 mod query;
 mod reeval;
-mod ring;
 mod safe_region;
 mod scratch;
 mod server;

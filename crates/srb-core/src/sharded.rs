@@ -13,14 +13,19 @@
 //!   per-shard top-k lists, so the coordinator only ranks that candidate
 //!   union.
 //!
-//! Batch location updates fan out to the shards. The
+//! A batch of location updates is partitioned by owning shard, and every
+//! busy shard's partition is one *lane*: the partition record goes to the
+//! shard's own WAL log (when durability is on) and the shard-local
+//! [`Server`] processes the partition into the lane's response buffer.
+//! [`handle_sequenced_updates_into`](ShardedServer::handle_sequenced_updates_into)
+//! runs the lanes one after another on the caller's provider;
 //! [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
-//! path runs them through the pipelined front-end (see [`crate::pipeline`]):
-//! persistent shard workers, one job out and the same job home per busy
-//! shard, probes read from one shared copy of the provider's position
-//! table. Responses are merged deterministically regardless of arrival
-//! order: response entries sorted by [`ObjectId`], coordinator result
-//! changes sorted by [`QueryId`].
+//! forks scoped helper threads that take lanes from one queue beside the
+//! caller and joins them — the merge ranks across all shards, so a barrier
+//! per batch is inherent, and between batches the engine owns no thread.
+//! Either way the lanes are appended in shard order and merged
+//! deterministically: response entries sorted by [`ObjectId`], coordinator
+//! result changes sorted by [`QueryId`].
 //! With one shard the engine is a pure pass-through and bit-identical to a
 //! plain [`Server`].
 //!
@@ -44,53 +49,38 @@ use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
 use crate::ids::{ObjectId, QueryId};
-use crate::pipeline::{PipelineState, ShardJob};
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{QuerySpec, ResultChange};
 use crate::server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
-use crate::wal::{self, Record, ReplayProvider, Wal};
+use crate::wal::{self, Record, RecordingProvider, ReplayProvider, Wal};
 use srb_durable::codec::{put_u32, put_u64, put_u8, put_usize};
+use srb_durable::log::LogWriter;
 use srb_geom::{Point, Rect};
 use std::collections::{BTreeMap, BTreeSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::Mutex;
 
 /// Interval-separation slack for cross-shard kNN ranking.
 const EPS: f64 = 1e-9;
 
-/// How long the pipelined drain parks when no job has come home (the
-/// workers' wakeup signal is the primary trigger; the timeout is
-/// lost-wakeup insurance).
-const MERGE_PARK: Duration = Duration::from_micros(50);
-
-/// The location provider of the parallel fan-out path: a dense position
-/// table the shard workers read their probes from, plus a `&self` probe
-/// for the coordinator's own (merge-time) probes.
+/// The location provider of the threaded batch path: a provider several
+/// lanes may probe at once through `&self` (the coordinator's merge-time
+/// probes go through it as well).
 pub trait SyncProvider: Sync {
     /// Returns the exact current location of `id`.
     fn probe(&self, id: ObjectId) -> Point;
-
-    /// The dense position table (index = object id). It must cover every
-    /// object a batch may probe — a shard worker that probes past its end
-    /// panics the batch — and agree with [`SyncProvider::probe`]. The
-    /// pipelined front-end copies it once per batch and every busy shard
-    /// reads that one copy.
-    fn snapshot(&self) -> &[Point];
 }
 
-/// The [`SyncProvider`] over a borrowed position table: probing is an
-/// array read, and the table itself is the
-/// [`snapshot`](SyncProvider::snapshot).
+/// The [`SyncProvider`] over a borrowed dense position table (index =
+/// object id): probing is an array read. The table must cover every id a
+/// batch may probe — a probe past its end panics that shard's batch, which
+/// reaches the caller as `shard worker panicked: …`.
 pub struct TableProvider<'a>(pub &'a [Point]);
 
 impl SyncProvider for TableProvider<'_> {
     fn probe(&self, id: ObjectId) -> Point {
         self.0[id.index()]
-    }
-
-    fn snapshot(&self) -> &[Point] {
-        self.0
     }
 }
 
@@ -126,42 +116,100 @@ pub fn configured_threads() -> usize {
     resolved
 }
 
+/// One busy shard's share of a batch: its partition going in, its
+/// responses and probe transcript coming out. Whichever thread takes the
+/// lane runs it against `&mut` of the shard's own [`Server`], so lanes of
+/// one batch share nothing but the provider.
+#[derive(Default)]
+struct Lane {
+    /// The shard's update partition; its length goes into the batch marker.
+    updates: Vec<SequencedUpdate>,
+    /// The shard's WAL partition log, lent by the store for the batch.
+    log: Option<LogWriter>,
+    /// Encoding buffer of the partition record.
+    record: Vec<u8>,
+    /// Out: the shard's responses, in shard-FIFO order.
+    responses: Vec<(ObjectId, UpdateResponse)>,
+    /// Out: the probe transcript, in probe order, recorded only when a WAL
+    /// log rides along.
+    probe_log: Vec<(ObjectId, Point)>,
+    /// Out: how long the shard batch ran (`None` when telemetry is off).
+    duration_ns: Option<u64>,
+    /// Out: true when the WAL partition append failed — the coordinator
+    /// must poison the store.
+    log_err: bool,
+    /// Out: set when the shard batch panicked. The lane still completes, so
+    /// every other lane finishes before the coordinator re-raises.
+    panic: Option<String>,
+    /// The thread that ran the lane.
+    #[cfg(test)]
+    ran_on: Option<std::thread::ThreadId>,
+}
+
+impl Lane {
+    /// Runs the shard batch. WAL first, as everywhere in the protocol: the
+    /// partition record is appended (to this shard's own log) before
+    /// processing, so the coordinator's marker — written only after every
+    /// lane finished — is always the last record referencing it.
+    fn run<B: srb_index::SpatialBackend>(
+        &mut self,
+        server: &mut Server<B>,
+        provider: &mut dyn LocationProvider,
+        now: f64,
+    ) {
+        #[cfg(test)]
+        self.ran_on.replace(std::thread::current().id());
+        if let Some(log) = self.log.as_mut() {
+            self.record.clear();
+            wal::encode_part_seq(&mut self.record, &self.updates);
+            self.log_err = log.append(&self.record).is_err();
+        }
+        let watch = srb_obs::Stopwatch::start();
+        let mut recorder;
+        let provider: &mut dyn LocationProvider = if self.log.is_some() {
+            recorder = RecordingProvider { inner: provider, transcript: &mut self.probe_log };
+            &mut recorder
+        } else {
+            provider
+        };
+        let (updates, responses) = (&self.updates, &mut self.responses);
+        self.panic = catch_unwind(AssertUnwindSafe(|| {
+            server.handle_sequenced_updates_into(updates, provider, now, responses);
+        }))
+        .err()
+        .map(panic_message);
+        if self.panic.is_some() {
+            // A batch that died half way answers nobody.
+            self.responses.clear();
+        }
+        self.duration_ns = watch.elapsed_ns();
+    }
+}
+
+/// The lanes of a batch that have work, each with its shard server, in
+/// shard order.
+fn busy_lanes<'a, B: srb_index::SpatialBackend>(
+    shards: &'a mut [Server<B>],
+    lanes: &'a mut [Lane],
+) -> impl Iterator<Item = (&'a mut Server<B>, &'a mut Lane)> {
+    shards.iter_mut().zip(lanes).filter(|(_, lane)| !lane.updates.is_empty())
+}
+
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
-/// steady-state batch — sequential or pipelined — allocates nothing at the
-/// coordinator level either (the per-shard arenas live inside each
-/// [`Server`]). Buffer groups are taken by value and returned, mirroring
-/// `BatchScratch`.
-struct CoordScratch<B: srb_index::SpatialBackend> {
-    /// Per-shard update partitions (outer Vec sized to the shard count once).
-    batches: Vec<Vec<SequencedUpdate>>,
-    /// Per-shard batch durations of the current fan-out.
-    durations: Vec<u64>,
+/// steady-state batch allocates nothing at the coordinator level (the
+/// per-shard arenas live inside each [`Server`]); what a threaded batch
+/// still allocates is what spawning its helpers costs. Buffer groups are
+/// taken by value and returned, mirroring `BatchScratch`.
+#[derive(Default)]
+struct CoordScratch {
+    /// One lane per shard (sized to the shard count once); a lane with an
+    /// empty partition sits the batch out.
+    lanes: Vec<Lane>,
     /// Objects moved or probed in the current batch, sorted + deduped before
     /// the membership scan.
     moved: Vec<ObjectId>,
-    /// The batch's copy of the provider's position snapshot. Every busy
-    /// shard's job carries a handle; the workers drop theirs before the
-    /// job comes home, so between batches this is the only one and the
-    /// next batch refills the allocation in place.
-    table: Arc<Vec<Point>>,
-    /// One job per shard, at rest between pipelined batches. During a
-    /// batch a busy shard's job (server, partition, responses, probe
-    /// transcript) is away at its worker and the entry here is an empty
-    /// stand-in; an idle shard's job never leaves and just parks its
-    /// server.
-    jobs: Vec<ShardJob<B>>,
-}
-
-impl<B: srb_index::SpatialBackend> Default for CoordScratch<B> {
-    fn default() -> Self {
-        CoordScratch {
-            batches: Vec::new(),
-            durations: Vec::new(),
-            moved: Vec::new(),
-            table: Arc::default(),
-            jobs: Vec::new(),
-        }
-    }
+    /// The permutation [`sort_by_object`] sorts in place of the responses.
+    order: Vec<u32>,
 }
 
 /// A server of servers: `N` shard-local [`Server`] stacks behind one
@@ -190,16 +238,11 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// registry lock.
     shard_batch_ns: Vec<&'static srb_obs::Histogram>,
     /// Reused coordinator batch buffers (see [`CoordScratch`]).
-    scratch: CoordScratch<B>,
+    scratch: CoordScratch,
     /// The coordinator-owned write-ahead log, when durability is on. Log 0
     /// is the arbiter log (one marker per operation); logs `1..=N` hold the
     /// per-shard batch partitions. Shards never own a store of their own.
     wal: Option<Box<Wal>>,
-    /// The standing pipelined front-end (rings + persistent workers),
-    /// built lazily on the first pipelined batch and rebuilt only when
-    /// the requested worker count changes. Carries no engine state: at
-    /// rest every shard server is checked back into `shards`.
-    pipeline: Option<PipelineState<B>>,
     /// The adaptive backend controller, present exactly when
     /// `config.backend` is [`BackendConfig::Adaptive`]
     /// (`srb_index::BackendConfig::Adaptive`). Consulted by
@@ -246,7 +289,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 .collect(),
             scratch: CoordScratch::default(),
             wal: None,
-            pipeline: None,
             adaptive,
             config,
         };
@@ -257,7 +299,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Overrides the fan-out thread count (otherwise [`configured_threads`]
-    /// decides). A value of 1 forces the deterministic inline path.
+    /// decides): at most this many threads, the caller included, work on
+    /// one batch. 1 runs every lane on the caller.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         srb_obs::gauge!("sharded.threads").set(self.threads as u64);
@@ -625,9 +668,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// Allocation-free variant of
     /// [`handle_sequenced_updates`](Self::handle_sequenced_updates):
     /// **appends** the batch's responses to `out`. With a caller-reused
-    /// `out`, a steady-state batch on the sequential path allocates nothing
-    /// — the per-shard partitions, duration samples, and moved-object set
-    /// all live in coordinator scratch buffers.
+    /// `out`, a steady-state batch allocates nothing — the lanes (per-shard
+    /// partitions, responses, probe transcripts) and the moved-object set
+    /// live in coordinator scratch buffers. Every lane runs on the calling
+    /// thread, in shard order.
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -635,15 +679,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        // The WAL (when attached) is held for the whole batch. The
-        // partitions go to the shard logs first; the marker (written last,
-        // with the probe transcript) is the commit point — orphan
-        // partitions from a crash mid-batch are ignored on recovery
-        // because no marker references them.
-        let mut wal = self.wal.take();
-        let mut recorder;
         if self.shards.len() == 1 {
             // Pure pass-through: the one partition is `updates` itself.
+            // The WAL (when attached) is held for the whole batch; the
+            // marker, written last with the probe transcript, commits it.
+            let mut wal = self.wal.take();
+            let mut recorder;
             let provider: &mut dyn LocationProvider = match wal.as_mut() {
                 Some(w) => {
                     w.append_part_seq(0, updates);
@@ -656,42 +697,147 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             self.commit_batch(wal, now, std::iter::once(updates.len()));
             return;
         }
-        let batches = self.partition(updates);
+        let _span = srb_obs::span!("sharded.fan_out");
+        self.batch(updates, provider, now, out, |shards, lanes, provider| {
+            for (server, lane) in busy_lanes(shards, lanes) {
+                lane.run(server, provider, now);
+            }
+        });
+    }
+
+    /// The threaded twin of
+    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
+    /// the same batch, its lanes run by up to
+    /// [`with_threads`](Self::with_threads) threads at once — scoped
+    /// helpers forked for this batch and joined before the merge, the
+    /// calling thread working beside them, each taking the next busy lane
+    /// from one shared queue and probing `provider` through `&P`. Output
+    /// and every byte logged are identical to the sequential path whatever
+    /// the thread count and whoever ran which lane. **Appends** the
+    /// responses to `out`; with a caller-reused `out` a steady-state batch
+    /// allocates only what spawning its helpers does. One shard, one
+    /// thread and a poisoned WAL (which lends no logs) run the lanes on
+    /// the caller.
+    pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
+        &mut self,
+        updates: &[SequencedUpdate],
+        provider: &P,
+        now: f64,
+        out: &mut Vec<(ObjectId, UpdateResponse)>,
+    ) where
+        B: Send,
+    {
+        let threads = self.threads;
+        if self.shards.len() == 1 || threads <= 1 || self.wal_poisoned() {
+            self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
+            return;
+        }
+        let _span = srb_obs::span!("sharded.pipeline");
+        self.batch(updates, &mut SyncAdapter(provider), now, out, |shards, lanes, _| {
+            let busy = busy_lanes(shards, lanes).count();
+            let queue = Mutex::new(busy_lanes(shards, lanes));
+            let work = || loop {
+                // Its own statement: the lock is released before the lane runs.
+                let next = queue.lock().expect("no lane runs under the queue lock").next();
+                let Some((server, lane)) = next else { break };
+                lane.run(server, &mut SyncAdapter(provider), now);
+            };
+            let joining = std::thread::scope(|scope| {
+                for _ in 1..threads.min(busy) {
+                    // A spawn error just leaves that lane to the threads
+                    // that did start — at worst the caller alone.
+                    let _ = std::thread::Builder::new().spawn_scoped(scope, work);
+                }
+                work();
+                srb_obs::Stopwatch::start()
+            });
+            if let Some(ns) = joining.elapsed_ns() {
+                srb_obs::histogram!("sharded.merge_wait_ns").record(ns);
+            }
+        });
+    }
+
+    /// The one batch body: partition → lanes → append in shard order →
+    /// merge → commit. `run_lanes` gets the shard servers, the lanes and
+    /// the caller's provider and must have run every busy lane
+    /// ([`busy_lanes`]) by the time it returns; the order lanes finish in
+    /// is invisible, because their responses are appended in shard order
+    /// and stably sorted after the merge.
+    fn batch(
+        &mut self,
+        updates: &[SequencedUpdate],
+        provider: &mut dyn LocationProvider,
+        now: f64,
+        out: &mut Vec<(ObjectId, UpdateResponse)>,
+        run_lanes: impl FnOnce(&mut [Server<B>], &mut [Lane], &mut dyn LocationProvider),
+    ) {
+        // The WAL (when attached) is held for the whole batch. Each busy
+        // lane borrows its shard's log and appends its partition record
+        // there; the marker (written last, with the probe transcript) is
+        // the commit point — orphan partitions from a crash mid-batch are
+        // ignored on recovery because no marker references them.
+        let mut wal = self.wal.take();
+        let mut lanes = self.partition(updates);
+        if let Some(w) = wal.as_mut() {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                if !lane.updates.is_empty() {
+                    lane.log = w.take_shard_log(i);
+                }
+            }
+        }
+        run_lanes(&mut self.shards, &mut lanes, provider);
+
+        let start = out.len();
+        let (mut fastest, mut slowest, mut timed) = (u64::MAX, 0, 0);
+        let mut panicked: Option<String> = None;
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            out.append(&mut lane.responses);
+            if let (Some(w), Some(log)) = (wal.as_mut(), lane.log.take()) {
+                // Replay runs each shard's partition to completion in shard
+                // order, then the coordinator merge — exactly the
+                // concatenation of the lanes' transcripts plus the
+                // merge-time probes the recorder below captures.
+                w.return_shard_log(i, log, &mut lane.probe_log, lane.log_err);
+            }
+            if let Some(ns) = lane.duration_ns.take() {
+                self.shard_batch_ns[i].record(ns);
+                srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
+                (fastest, slowest, timed) = (fastest.min(ns), slowest.max(ns), timed + 1);
+            }
+            panicked = panicked.or(lane.panic.take());
+        }
+        if timed > 1 {
+            // The load-imbalance signal of the fan-out.
+            srb_obs::histogram!("sharded.straggler_gap_ns").record(slowest - fastest);
+        }
+
+        if let Some(msg) = panicked {
+            // The panicking shard may hold partial batch state. Nothing
+            // was committed (no marker references the partitions), and
+            // poisoning refuses further writes against divergent memory.
+            if let Some(w) = wal.as_mut() {
+                w.poison();
+            }
+            self.wal = wal;
+            self.scratch.lanes = lanes;
+            panic!("shard worker panicked: {msg}");
+        }
+
+        let mut recorder;
         let provider: &mut dyn LocationProvider = match wal.as_mut() {
             Some(w) => {
-                for (i, batch) in batches.iter().enumerate() {
-                    w.append_part_seq(i, batch);
-                }
                 recorder = w.recorder(provider);
                 &mut recorder
             }
             None => provider,
         };
-        let mut durations = std::mem::take(&mut self.scratch.durations);
-        durations.clear();
-        let start = out.len();
-        {
-            let _span = srb_obs::span!("sharded.fan_out");
-            for (i, (shard, batch)) in self.shards.iter_mut().zip(&batches).enumerate() {
-                if !batch.is_empty() {
-                    let watch = srb_obs::Stopwatch::start();
-                    shard.handle_sequenced_updates_into(batch, provider, now, out);
-                    if let Some(ns) = watch.elapsed_ns() {
-                        self.shard_batch_ns[i].record(ns);
-                        durations.push(ns);
-                    }
-                }
-            }
-        }
-        record_straggler_gap(&durations);
-        self.scratch.durations = durations;
         self.finish_batch_in(out, start, provider, now);
-        self.commit_batch(wal, now, batches.iter().map(Vec::len));
-        self.scratch.batches = batches;
+        self.commit_batch(wal, now, lanes.iter().map(|lane| lane.updates.len()));
+        self.scratch.lanes = lanes;
     }
 
-    /// The tail both batch paths share. Adapt before the marker commits
-    /// the batch: the controller's decision state (and any migration it
+    /// The tail every batch shares. Adapt before the marker commits the
+    /// batch: the controller's decision state (and any migration it
     /// makes) must be inside the state a post-marker checkpoint captures,
     /// and replay — which runs the same entry points without a WAL —
     /// re-makes the decision at exactly this point. `counts` are the
@@ -708,212 +854,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             self.wal = Some(w);
             self.wal_post_op();
         }
-    }
-
-    /// The parallel twin of
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
-    /// shard partitions run on the persistent worker pool of the pipelined
-    /// front-end (see [`crate::pipeline`]), probing one shared copy of the
-    /// provider's [`snapshot`](SyncProvider::snapshot). The output is
-    /// identical to the sequential path regardless of thread count or the
-    /// order the shards finish in. With a WAL attached the workers append
-    /// their partition records to the shard logs they are lent; the marker
-    /// stays coordinator-written and last, so the durability contract is
-    /// unchanged. **Appends** the batch's responses to `out`; with a
-    /// caller-reused `out`, a steady-state pipelined batch allocates
-    /// nothing — the jobs recirculate their warmed buffers between the
-    /// coordinator and the workers.
-    pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &P,
-        now: f64,
-        out: &mut Vec<(ObjectId, UpdateResponse)>,
-    ) where
-        B: Send + 'static,
-    {
-        // One shard or one thread pipelines nothing; a poisoned WAL
-        // refuses log checkouts. All three take the (output-identical)
-        // sequential path, which also owns the WAL hook for them.
-        if self.shards.len() == 1 || self.threads <= 1 || self.wal_poisoned() {
-            let mut adapter = SyncAdapter(provider);
-            self.handle_sequenced_updates_into(updates, &mut adapter, now, out);
-            return;
-        }
-        self.pipelined_batch(updates, provider, now, out);
-    }
-
-    /// Builds (or rebuilds) the standing pipeline for `self.threads`
-    /// workers.
-    fn ensure_pipeline(&mut self)
-    where
-        B: Send + 'static,
-    {
-        let want = self.threads.min(self.shards.len());
-        let stale = match &self.pipeline {
-            Some(p) => p.workers != want || p.cells.len() != self.shards.len(),
-            None => true,
-        };
-        if stale {
-            self.pipeline = Some(PipelineState::new(self.shards.len(), want));
-        }
-    }
-
-    /// One batch through the pipelined front-end: copy the provider's
-    /// position table, submit one job per non-empty partition (the shard
-    /// server, its partition buffer, a handle to the table and — under a
-    /// WAL — its partition log), then collect the jobs as they come home.
-    /// See the module docs of [`crate::pipeline`] for the determinism
-    /// argument.
-    fn pipelined_batch<P: SyncProvider>(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &P,
-        now: f64,
-        out: &mut Vec<(ObjectId, UpdateResponse)>,
-    ) where
-        B: Send + 'static,
-    {
-        let _span = srb_obs::span!("sharded.pipeline");
-        let n = self.shards.len();
-        self.ensure_pipeline();
-
-        // The WAL (when attached) is held for the whole batch: shard logs
-        // are lent to the workers at submission and come home with the
-        // jobs; the marker is written only after the full drain.
-        let mut wal = self.wal.take();
-        let mut batches = self.partition(updates);
-        let mut durations = std::mem::take(&mut self.scratch.durations);
-        durations.clear();
-        let table = Arc::get_mut(&mut self.scratch.table)
-            .expect("every worker dropped its table handle before its job came home");
-        table.clear();
-        table.extend_from_slice(provider.snapshot());
-
-        // Check every shard server out of the coordinator into its job;
-        // busy shards' jobs go to their workers, idle ones stay put.
-        let mut jobs = std::mem::take(&mut self.scratch.jobs);
-        jobs.resize_with(n, ShardJob::default);
-        for (job, server) in jobs.iter_mut().zip(self.shards.drain(..)) {
-            job.server = Some(server);
-        }
-
-        let pipeline = self.pipeline.take().expect("pipeline built above");
-        let start = out.len();
-        let mut remaining = 0usize;
-        for (i, batch) in batches.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            let job = &mut jobs[i];
-            std::mem::swap(&mut job.updates, batch);
-            job.now = now;
-            job.table = Some(Arc::clone(&self.scratch.table));
-            job.log = wal.as_mut().and_then(|w| w.take_shard_log(i));
-            let cell = &pipeline.cells[i];
-            // The stand-in that comes back has no server: that is what
-            // marks shard `i` as in flight below.
-            let pushed = cell.jobs.try_push(|slot| std::mem::swap(slot, job));
-            assert!(pushed, "a job slot is still occupied between batches");
-            cell.unpark_worker();
-            remaining += 1;
-        }
-        srb_obs::gauge!("sharded.pipeline_queue_depth").set(remaining as u64);
-
-        // Collect each shard's job as it comes home. Responses land in
-        // arrival order; the stable sort in `finish_batch_in` restores the
-        // deterministic global order.
-        let mut wait_ns = 0u64;
-        let mut worker_panic: Option<String> = None;
-        while remaining > 0 {
-            let mut progress = false;
-            for i in 0..n {
-                let job = &mut jobs[i];
-                if job.server.is_some()
-                    || !pipeline.cells[i].results.try_pop(|slot| std::mem::swap(slot, job))
-                {
-                    continue;
-                }
-                progress = true;
-                out.append(&mut job.responses);
-                std::mem::swap(&mut batches[i], &mut job.updates);
-                let log_err = std::mem::take(&mut job.log_err);
-                if let Some(w) = wal.as_mut() {
-                    if let Some(l) = job.log.take() {
-                        w.put_shard_log(i, l);
-                    }
-                    if log_err {
-                        w.poison();
-                    }
-                }
-                if let Some(ns) = job.duration_ns.take() {
-                    self.shard_batch_ns[i].record(ns);
-                    srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
-                    durations.push(ns);
-                }
-                worker_panic = worker_panic.or(job.panic.take());
-                remaining -= 1;
-                srb_obs::gauge!("sharded.pipeline_queue_depth").set(remaining as u64);
-            }
-            if !progress {
-                // Register before re-checking so a notify between the
-                // check and the park is never lost; the timeout is only
-                // insurance on top of that.
-                pipeline.signal.register();
-                let ready =
-                    (0..n).any(|i| jobs[i].server.is_none() && pipeline.cells[i].results.len() > 0);
-                if !ready {
-                    let watch = srb_obs::Stopwatch::start();
-                    std::thread::park_timeout(MERGE_PARK);
-                    if let Some(ns) = watch.elapsed_ns() {
-                        wait_ns += ns;
-                    }
-                }
-                pipeline.signal.clear();
-            }
-        }
-        srb_obs::histogram!("sharded.merge_wait_ns").record(wait_ns);
-
-        // Every server is home; restore the coordinator's state before
-        // the merge (which walks the shards) or any panic propagation.
-        self.shards.extend(jobs.iter_mut().map(|j| j.server.take().expect("all shards returned")));
-        self.pipeline = Some(pipeline);
-        record_straggler_gap(&durations);
-        self.scratch.durations = durations;
-
-        if let Some(msg) = worker_panic {
-            // The panicking shard may hold partial batch state. Nothing
-            // was committed (no marker references the partitions), and
-            // poisoning refuses further writes against divergent memory.
-            if let Some(w) = wal.as_mut() {
-                w.poison();
-            }
-            self.wal = wal;
-            panic!("shard worker panicked: {msg}");
-        }
-
-        let mut adapter = SyncAdapter(provider);
-        let mut recorder;
-        let merge_provider: &mut dyn LocationProvider = match wal.as_mut() {
-            Some(w) => {
-                // Replay runs each shard's partition to completion in shard
-                // order, then the coordinator merge — exactly the
-                // concatenation of the per-shard transcripts plus the
-                // merge-time probes the recorder captures.
-                for job in &mut jobs {
-                    w.extend_probes(&mut job.probe_log);
-                }
-                recorder = w.recorder(&mut adapter);
-                &mut recorder
-            }
-            None => &mut adapter,
-        };
-        self.scratch.jobs = jobs;
-        self.finish_batch_in(out, start, merge_provider, now);
-        // The partitions came home with their contents, so their sizes
-        // are still the marker's counts.
-        self.commit_batch(wal, now, batches.iter().map(Vec::len));
-        self.scratch.batches = batches;
     }
 
     // ------------------------------------------------------------------
@@ -1308,7 +1248,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 .collect(),
             scratch: CoordScratch::default(),
             wal: None,
-            pipeline: None,
             adaptive,
             config: *config,
         })
@@ -1436,21 +1375,20 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.specs[id.index()] = Some(spec);
     }
 
-    /// Splits `updates` into per-shard batches, reusing the coordinator's
-    /// partition buffers (the caller returns them via
-    /// `self.scratch.batches = batches` when done).
-    fn partition(&mut self, updates: &[SequencedUpdate]) -> Vec<Vec<SequencedUpdate>> {
-        let mut batches = std::mem::take(&mut self.scratch.batches);
-        batches.resize_with(self.shards.len(), Vec::new);
-        batches.truncate(self.shards.len());
-        for b in &mut batches {
-            b.clear();
+    /// Splits `updates` into one lane per shard, reusing the coordinator's
+    /// lane buffers (the caller returns them via
+    /// `self.scratch.lanes = lanes` when done).
+    fn partition(&mut self, updates: &[SequencedUpdate]) -> Vec<Lane> {
+        let mut lanes = std::mem::take(&mut self.scratch.lanes);
+        lanes.resize_with(self.shards.len(), Lane::default);
+        for lane in &mut lanes {
+            lane.updates.clear();
         }
         for &u in updates {
             // Unknown objects go to shard 0, which drops and counts them.
-            batches[self.owner_of(u.id).unwrap_or(0)].push(u);
+            lanes[self.owner_of(u.id).unwrap_or(0)].updates.push(u);
         }
-        batches
+        lanes
     }
 
     /// Adds every kNN query holding a moved/probed object in some shard's
@@ -1513,7 +1451,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.membership_triggers(&moved, &mut triggers);
         self.scratch.moved = moved;
         let (probed, changes) = self.merge_after(triggers, provider, now);
-        out[start..].sort_by_key(|&(oid, _)| oid);
+        sort_by_object(&mut out[start..], &mut self.scratch.order);
         if let Some(first) = out.get_mut(start) {
             first.1.probed.extend(probed);
             first.1.changes = changes;
@@ -1697,6 +1635,17 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 }
 
+/// Renders a `catch_unwind` payload into a printable message.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "shard worker panicked".to_string()
+    }
+}
+
 /// Surfaces a replay that consumed its probe transcript incorrectly.
 fn check_replay(rp: &ReplayProvider<'_>) -> Result<(), RecoveryError> {
     if rp.diverged() {
@@ -1706,13 +1655,26 @@ fn check_replay(rp: &ReplayProvider<'_>) -> Result<(), RecoveryError> {
     }
 }
 
-/// Records the gap between the slowest and fastest shard of one batch —
-/// the load-imbalance signal of the fan-out.
-fn record_straggler_gap(durations: &[u64]) {
-    if durations.len() > 1 {
-        let max = durations.iter().copied().max().unwrap_or(0);
-        let min = durations.iter().copied().min().unwrap_or(0);
-        srb_obs::histogram!("sharded.straggler_gap_ns").record(max - min);
+/// Sorts a batch's responses by [`ObjectId`], entries of one object staying
+/// in the order they were appended — what `sort_by_key` does, without the
+/// merge buffer it allocates beyond twenty entries: the (id, position)
+/// keys are unique, so an unstable sort of the positions finds the same
+/// permutation, which is then applied cycle by cycle.
+fn sort_by_object(responses: &mut [(ObjectId, UpdateResponse)], order: &mut Vec<u32>) {
+    order.clear();
+    order.extend(0..responses.len() as u32);
+    order.sort_unstable_by_key(|&i| (responses[i as usize].0, i));
+    // `order[k]` is the position of the entry that belongs at `k`; a slot
+    // is marked done by pointing it at itself.
+    for start in 0..order.len() {
+        let mut k = start;
+        while order[k] as usize != start {
+            let from = order[k] as usize;
+            responses.swap(k, from);
+            order[k] = k as u32;
+            k = from;
+        }
+        order[k] = k as u32;
     }
 }
 
@@ -1729,6 +1691,7 @@ mod tests {
     use super::*;
     use crate::provider::FnProvider;
     use srb_index::RStarTree;
+    use std::collections::HashSet;
 
     #[test]
     fn parse_threads_accepts_positive_integers() {
@@ -1745,6 +1708,24 @@ mod tests {
         assert_eq!(parse_threads(Some("two")), None);
         assert_eq!(parse_threads(Some("1.5")), None);
         assert_eq!(parse_threads(None), None);
+    }
+
+    #[test]
+    fn sort_by_object_is_the_stable_sort() {
+        // Ids repeat; the rectangle carries where the entry was appended.
+        let entry = |i: usize| {
+            let at = Point::new(i as f64, 0.0);
+            let safe_region = Rect::new(at, at);
+            let resp = UpdateResponse { safe_region, probed: Vec::new(), changes: Vec::new() };
+            (ObjectId((splitmix64(i as u64) % 7) as u32), resp)
+        };
+        for n in [0, 1, 2, 19, 64, 500] {
+            let mut got: Vec<_> = (0..n).map(entry).collect();
+            let mut want = got.clone();
+            want.sort_by_key(|&(id, _)| id);
+            sort_by_object(&mut got, &mut Vec::new());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{n} entries");
+        }
     }
 
     #[test]
@@ -1866,56 +1847,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_path_matches_sequential_path() {
-        let mut positions = world(30, 11);
-        let mut seq_server = ShardedServer::new(ServerConfig::default(), 4);
-        let mut par_server = ShardedServer::new(ServerConfig::default(), 4).with_threads(4);
-        {
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            for (i, &p) in snapshot.iter().enumerate() {
-                seq_server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                par_server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-            }
-            for spec in [
-                QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
-                QuerySpec::knn(Point::new(0.4, 0.6), 4),
-            ] {
-                seq_server.register_query(spec, &mut provider, 0.0);
-                par_server.register_query(spec, &mut provider, 0.0);
-            }
+    /// A fleet over `world(30, 11)` with a range and a kNN query.
+    fn fleet(config: ServerConfig, shards: usize, threads: usize) -> (ShardedServer, Vec<Point>) {
+        let positions = world(30, 11);
+        let mut server = ShardedServer::new(config, shards).with_threads(threads);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        for (i, &p) in positions.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
         }
+        for spec in [
+            QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
+            QuerySpec::knn(Point::new(0.4, 0.6), 4),
+        ] {
+            server.register_query(spec, &mut provider, 0.0);
+        }
+        (server, positions)
+    }
+
+    /// Drives a sequential and a `threads`-threaded [`fleet`] through the
+    /// same 15 rounds of exit reports and holds the threaded one to the
+    /// sequential one after every batch: responses, digest, costs and work
+    /// counters.
+    fn assert_parallel_matches_sequential(
+        configs: [ServerConfig; 2],
+        shards: usize,
+        threads: usize,
+    ) -> [ShardedServer; 2] {
+        let (mut seq_server, mut positions) = fleet(configs[0], shards, 1);
+        let (mut par_server, _) = fleet(configs[1], shards, threads);
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=15u64 {
             step(&mut positions, round);
             let now = round as f64 * 0.1;
-            let batch: Vec<SequencedUpdate> = positions
-                .iter()
-                .enumerate()
-                .filter(|&(i, &p)| {
-                    seq_server.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p))
-                })
-                .map(|(i, &p)| {
-                    seqs[i] += 1;
-                    SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: seqs[i] }
-                })
-                .collect();
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
+            let batch = exit_reports(&seq_server, &positions, &mut seqs);
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
             let a = seq_server.handle_sequenced_updates(&batch, &mut provider, now);
             let mut b = Vec::new();
-            par_server.handle_sequenced_updates_parallel_into(
-                &batch,
-                &TableProvider(&snapshot),
-                now,
-                &mut b,
-            );
-            let strip = |v: &[(ObjectId, UpdateResponse)]| {
-                v.iter().map(|(o, r)| (*o, r.safe_region)).collect::<Vec<_>>()
-            };
-            assert_eq!(strip(&a), strip(&b), "round {round}");
-            assert_eq!(seq_server.costs(), par_server.costs(), "round {round}");
+            let table = TableProvider(&positions);
+            par_server.handle_sequenced_updates_parallel_into(&batch, &table, now, &mut b);
+            let what = format!("{shards} shards, {threads} threads, round {round}");
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+            assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
+            assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
+            assert_eq!(seq_server.work(), par_server.work(), "{what}");
+        }
+        [seq_server, par_server]
+    }
+
+    #[test]
+    fn parallel_path_matches_sequential_path() {
+        for shards in [2, 4] {
+            for threads in [1, 2, 4] {
+                assert_parallel_matches_sequential([ServerConfig::default(); 2], shards, threads);
+            }
         }
     }
 
@@ -1950,11 +1934,6 @@ mod tests {
         assert_eq!(sharded.work().unknown_object_drops, 1);
     }
 
-    #[test]
-    fn configured_threads_is_positive() {
-        assert!(configured_threads() >= 1);
-    }
-
     /// A unique throwaway durability directory (leaked so the config can
     /// hold a `&'static str`).
     fn temp_dir(tag: &str) -> &'static str {
@@ -1966,13 +1945,36 @@ mod tests {
         Box::leak(dir.to_string_lossy().into_owned().into_boxed_str())
     }
 
+    /// The default configuration, logging to `dir`.
+    fn durable(dir: &'static str) -> ServerConfig {
+        ServerConfig {
+            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
+            ..Default::default()
+        }
+    }
+
+    /// The batch real clients would send: a report, stamped with its
+    /// object's next sequence number, from every object that left its safe
+    /// region.
+    fn exit_reports(
+        server: &ShardedServer,
+        positions: &[Point],
+        seqs: &mut [u64],
+    ) -> Vec<SequencedUpdate> {
+        let left = |&(i, &p): &(usize, &Point)| {
+            server.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p))
+        };
+        let report = |(i, &pos): (usize, &Point)| {
+            seqs[i] += 1;
+            SequencedUpdate { id: ObjectId(i as u32), pos, seq: seqs[i] }
+        };
+        positions.iter().enumerate().filter(left).map(report).collect()
+    }
+
     #[test]
     fn durable_sharded_recovery_is_bit_identical() {
         let dir = temp_dir("roundtrip");
-        let config = ServerConfig {
-            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
-            ..Default::default()
-        };
+        let config = durable(dir);
         let mut positions = world(20, 42);
         let mut sharded = ShardedServer::new(config, 3);
         assert!(sharded.wal_attached());
@@ -1993,17 +1995,7 @@ mod tests {
         for round in 1..=8u64 {
             step(&mut positions, round);
             let now = round as f64 * 0.1;
-            let batch: Vec<SequencedUpdate> = positions
-                .iter()
-                .enumerate()
-                .filter(|&(i, &p)| {
-                    sharded.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p))
-                })
-                .map(|(i, &p)| {
-                    seqs[i] += 1;
-                    SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: seqs[i] }
-                })
-                .collect();
+            let batch = exit_reports(&sharded, &positions, &mut seqs);
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
             sharded.handle_sequenced_updates(&batch, &mut provider, now);
@@ -2030,13 +2022,7 @@ mod tests {
     fn raw_batch_drops_recur_on_replay() {
         for shards in [1, 2] {
             let dir = temp_dir("rawdrops");
-            let config = ServerConfig {
-                durability: crate::config::DurabilityConfig {
-                    dir: Some(dir),
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
+            let config = durable(dir);
             let positions = world(8, 17);
             let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
             let mut twin = ShardedServer::new(ServerConfig::default(), shards);
@@ -2070,10 +2056,7 @@ mod tests {
     #[test]
     fn durable_sharded_checkpoint_truncates_replay_tail() {
         let dir = temp_dir("ckpt");
-        let config = ServerConfig {
-            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
-            ..Default::default()
-        };
+        let config = durable(dir);
         let positions = world(12, 9);
         let mut sharded = ShardedServer::new(config, 2);
         let snapshot = positions.clone();
@@ -2094,109 +2077,132 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    #[test]
-    fn parallel_path_under_wal_stays_sequentially_logged() {
-        let dir = temp_dir("par");
-        let config = ServerConfig {
-            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
-            ..Default::default()
+    /// Every file of a durability directory, by name.
+    fn dir_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
+        let read = |(name, _): (String, u64)| {
+            let bytes = std::fs::read(Path::new(dir).join(&name)).expect("store file");
+            (name, bytes)
         };
-        let positions = world(16, 5);
-        let mut sharded = ShardedServer::new(config, 2).with_threads(4);
-        let snapshot = positions.clone();
-        let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        for (i, &p) in snapshot.iter().enumerate() {
-            sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
-        let batch: Vec<SequencedUpdate> = positions
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: 1 })
-            .collect();
-        // The pipelined path logs on the worker threads; the resulting
-        // log must replay exactly like a sequentially-logged batch.
-        let mut out = Vec::new();
-        sharded.handle_sequenced_updates_parallel_into(
-            &batch,
-            &TableProvider(&snapshot),
-            0.5,
-            &mut out,
-        );
-        sharded.sync_wal();
-        let digest = sharded.state_digest();
-        drop(sharded);
-        let (recovered, replayed) =
-            ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
-        assert!(replayed > 0);
-        assert_eq!(recovered.state_digest(), digest);
-        let _ = std::fs::remove_dir_all(dir);
+        srb_durable::store::dir_listing(Path::new(dir)).into_iter().map(read).collect()
     }
 
-    /// A fleet over `world(30, 11)` with a range and a kNN query, the
-    /// world one `step` later, and the batch real clients would send at
-    /// that point: reports from the objects that left their safe region.
+    /// Threaded lanes append their partition records on whichever thread
+    /// runs them; what reaches the disk must be what the sequential path
+    /// writes, byte for byte, and replay like it.
+    #[test]
+    fn parallel_path_under_wal_stays_sequentially_logged() {
+        for shards in [2, 4] {
+            for threads in [1, 2, 4] {
+                let what = format!("{shards} shards, {threads} threads");
+                let dirs = [temp_dir("seq"), temp_dir("par")];
+                let [mut seq_server, mut par_server] =
+                    assert_parallel_matches_sequential(dirs.map(durable), shards, threads);
+                seq_server.sync_wal();
+                par_server.sync_wal();
+                assert!(!par_server.wal_poisoned());
+                let logged = dir_bytes(dirs[1]);
+                assert!(logged.len() > shards, "a checkpoint and one log per shard and arbiter");
+                assert_eq!(dir_bytes(dirs[0]), logged, "{what}");
+                let digest = par_server.state_digest();
+                drop(par_server);
+                let (recovered, replayed) =
+                    ShardedServer::<RStarTree>::recover(durable(dirs[1]), shards)
+                        .expect("recovery");
+                assert!(replayed > 0);
+                assert_eq!(recovered.state_digest(), digest, "{what}");
+                for dir in dirs {
+                    let _ = std::fs::remove_dir_all(dir);
+                }
+            }
+        }
+    }
+
+    /// A [`fleet`], the world one `step` later, and the [`exit_reports`] of
+    /// that point.
     fn fleet_one_step_on(
         config: ServerConfig,
         shards: usize,
         threads: usize,
     ) -> (ShardedServer, Vec<Point>, Vec<SequencedUpdate>) {
-        let mut positions = world(30, 11);
-        let mut server = ShardedServer::new(config, shards).with_threads(threads);
-        let snapshot = positions.clone();
-        let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        for (i, &p) in snapshot.iter().enumerate() {
-            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
-        server.register_query(
-            QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
-            &mut provider,
-            0.0,
-        );
-        server.register_query(QuerySpec::knn(Point::new(0.4, 0.6), 4), &mut provider, 0.0);
+        let (server, mut positions) = fleet(config, shards, threads);
         step(&mut positions, 1);
-        let batch = positions
-            .iter()
-            .enumerate()
-            .filter(|&(i, &p)| {
-                server.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p))
-            })
-            .map(|(i, &p)| SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: 1 })
-            .collect();
+        let batch = exit_reports(&server, &positions, &mut vec![0; positions.len()]);
         (server, positions, batch)
     }
 
-    /// The suites that moved from a closure provider to [`TableProvider`]
-    /// still run on the shard workers: the pipeline is built exactly when
-    /// more than one thread is asked for.
-    #[test]
-    fn table_batches_reach_the_workers_unless_single_threaded() {
-        for (threads, pipelined) in [(4, true), (1, false)] {
-            let (mut server, positions, batch) =
-                fleet_one_step_on(ServerConfig::default(), 4, threads);
-            let mut out = Vec::new();
-            server.handle_sequenced_updates_parallel_into(
-                &batch,
-                &TableProvider(&positions),
-                0.1,
-                &mut out,
-            );
-            assert!(!out.is_empty());
-            assert_eq!(server.pipeline.is_some(), pipelined, "threads {threads}");
+    /// The distinct threads the busy lanes of the last batch ran on.
+    fn lane_threads(server: &ShardedServer) -> HashSet<std::thread::ThreadId> {
+        let lanes = server.scratch.lanes.iter().filter(|lane| !lane.updates.is_empty());
+        lanes.map(|lane| lane.ran_on.expect("a busy lane ran")).collect()
+    }
+
+    /// A position table whose first prober waits (five seconds at most) for
+    /// a probe from a second thread.
+    struct Rendezvous<'a>(&'a [Point], Mutex<HashSet<std::thread::ThreadId>>);
+
+    impl SyncProvider for Rendezvous<'_> {
+        fn probe(&self, id: ObjectId) -> Point {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            self.1.lock().unwrap().insert(std::thread::current().id());
+            while self.1.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            self.0[id.index()]
         }
     }
 
-    /// A shard batch that probes past the end of the table panics on its
-    /// worker. The caller must see that panic — with every shard server
-    /// back in the coordinator, the WAL poisoned, and no marker written,
-    /// so recovery lands on the state before the batch.
+    /// Helpers are forked exactly when more than one thread is asked for.
+    /// Half of a 400-object fleet stays silent, so every shard has kNN
+    /// candidates to probe: at four threads the [`Rendezvous`] holds the
+    /// first lane until a second thread runs one; at one thread every lane
+    /// runs on the caller.
     #[test]
-    fn worker_panic_surfaces_with_every_shard_home_and_nothing_committed() {
-        let dir = temp_dir("panic");
-        let config = ServerConfig {
-            durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
-            ..Default::default()
-        };
-        let (mut server, _, batch) = fleet_one_step_on(config, 2, 2);
+    fn lanes_spread_over_threads_unless_single_threaded() {
+        for threads in [4, 1] {
+            let mut positions = world(400, 23);
+            let mut server = ShardedServer::new(ServerConfig::default(), 4).with_threads(threads);
+            {
+                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+                for (i, &p) in positions.iter().enumerate() {
+                    server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+                }
+                for c in [0.2, 0.4, 0.6, 0.8] {
+                    server.register_query(QuerySpec::knn(Point::new(c, c), 5), &mut provider, 0.0);
+                }
+            }
+            step(&mut positions, 1);
+            let batch: Vec<SequencedUpdate> = positions
+                .iter()
+                .enumerate()
+                .step_by(2)
+                .map(|(i, &pos)| SequencedUpdate { id: ObjectId(i as u32), pos, seq: 1 })
+                .collect();
+            let mut out = Vec::new();
+            if threads == 1 {
+                let table = TableProvider(&positions);
+                server.handle_sequenced_updates_parallel_into(&batch, &table, 0.1, &mut out);
+                assert_eq!(lane_threads(&server), HashSet::from([std::thread::current().id()]));
+            } else {
+                let table = Rendezvous(&positions, Mutex::default());
+                server.handle_sequenced_updates_parallel_into(&batch, &table, 0.1, &mut out);
+                assert!(lane_threads(&server).len() > 1, "every lane ran on one thread");
+            }
+        }
+    }
+
+    /// A shard batch that probes past the end of the table panics in its
+    /// lane. The caller must see that panic — after every lane finished,
+    /// with the WAL poisoned and no marker written, so recovery lands on
+    /// the state before the batch. `only` narrows the batch to one shard's
+    /// partition; returns the threads the lanes ran on.
+    fn assert_lane_panic_commits_nothing(
+        tag: &str,
+        only: Option<usize>,
+    ) -> HashSet<std::thread::ThreadId> {
+        let dir = temp_dir(tag);
+        let config = durable(dir);
+        let (mut server, _, mut batch) = fleet_one_step_on(config, 2, 2);
+        batch.retain(|u| only.is_none() || server.owner_of(u.id) == only);
         server.sync_wal();
         let digest = server.state_digest();
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2214,10 +2220,32 @@ mod tests {
         assert_eq!(server.shard_count(), 2);
         server.check_invariants();
         assert!(server.wal_poisoned());
+        let ran_on = lane_threads(&server);
         drop(server);
         let (recovered, _) = ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
         assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no marker");
         let _ = std::fs::remove_dir_all(dir);
+        ran_on
+    }
+
+    #[test]
+    fn worker_panic_surfaces_with_every_shard_home_and_nothing_committed() {
+        assert_lane_panic_commits_nothing("panic", None);
+    }
+
+    /// The other kind of lane: a batch with one busy shard forks no helper,
+    /// so the partition that panics is the one the calling thread runs.
+    #[test]
+    fn caller_lane_panic_surfaces_with_nothing_committed() {
+        // Which shard's partition probes is found on a throwaway twin.
+        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2, 1);
+        let probes = |s: &ShardedServer| s.shards().iter().map(|x| x.costs().probes).collect();
+        let before: Vec<u64> = probes(&twin);
+        twin.handle_sequenced_updates(&batch, &mut FnProvider(|id| positions[id.index()]), 0.1);
+        let probing = before.iter().zip(probes(&twin)).position(|(b, a)| a > *b);
+        assert!(probing.is_some(), "some shard batch probes");
+        let ran_on = assert_lane_panic_commits_nothing("panic-caller", probing);
+        assert_eq!(ran_on, HashSet::from([std::thread::current().id()]));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! A [`ShardedServer`] over [`DynBackend`] has its shards *explicitly
 //! migrated between the R\*-tree and the uniform grid mid-stream* — under
-//! the sequential path, the pipelined front-end, and across a durable
+//! the sequential path, the threaded batch path, and across a durable
 //! crash/recover boundary — while a never-migrated static twin consumes
 //! the identical event stream. Migration swaps the cost structure of one
 //! shard's object index and nothing else, so every registered query's
@@ -72,9 +72,9 @@ fn seed_positions(seed_pts: &[(f64, f64)]) -> Vec<Point> {
 
 /// Drives the stream through a migrating `DynBackend` fleet and a static
 /// R\*-tree twin. `pipelined` routes the dyn fleet's batches through the
-/// persistent-worker front-end; the twin always takes the sequential path,
-/// so this also pins "migration under live workers" against "no migration,
-/// no workers".
+/// threaded batch path; the twin always takes the sequential path, so this
+/// also pins "migration between threaded batches" against "no migration,
+/// no threads".
 fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) {
     let mut positions = seed_positions(seed_pts);
     let cfg = ServerConfig { grid_m: 10, ..Default::default() };
@@ -109,8 +109,8 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
                     live.push((a.id, rect));
                 }
                 Ev::Flip { shard, to_grid, m } => {
-                    // Migration between server calls is always legal: the
-                    // worker pool only runs inside a batch.
+                    // Migration between server calls is always legal: a
+                    // batch's helper threads are joined before it returns.
                     assert!(
                         dyn_fleet.migrate_shard(shard % n_shards, &flip_target(to_grid, m)),
                         "explicit migration on a DynBackend shard must succeed"
@@ -316,8 +316,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Migration under the *pipelined* front-end: shards flip backends
-    /// between batches while the persistent worker pool stays alive.
+    /// Migration under the *threaded* batch path: shards flip backends
+    /// between batches whose lanes run on helper threads.
     #[test]
     fn pipelined_migrating_fleet_matches_static_twin(
         n_shards in 2usize..=5,
@@ -341,8 +341,7 @@ proptest! {
         drive_durable(false, &seed_pts, &batches);
     }
 
-    /// Migration + mid-stream restart while the pipelined workers are
-    /// live.
+    /// Migration + mid-stream restart between threaded batches.
     #[test]
     fn pipelined_migration_survives_recovery(
         seed_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 5..12),

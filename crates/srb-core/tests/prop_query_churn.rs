@@ -50,9 +50,9 @@ fn range_rect(cx: f64, cy: f64, half: f64) -> Rect {
 }
 
 /// Drives the churn stream through a plain server and a sharded one.
-/// `pipelined` routes the sharded batches through the persistent-worker
-/// front-end (`handle_sequenced_updates_parallel_into` with 4 workers)
-/// instead of the sequential path; every oracle below must hold identically.
+/// `pipelined` routes the sharded batches through the threaded batch path
+/// (`handle_sequenced_updates_parallel_into` at 4 threads) instead of the
+/// sequential path; every oracle below must hold identically.
 fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) {
     let mut positions: Vec<Point> = (0..N_OBJECTS)
         .map(|i| {
@@ -174,11 +174,11 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
 /// bit-identical, dead queries stay dead across the restart, and live
 /// ones still answer exactly their predicate.
 ///
-/// With `pipelined`, batches run through the persistent-worker front-end
-/// (partition records appended on the worker threads) and a non-durable
-/// *synchronous twin* consumes the identical event stream through the
-/// sequential path; their state digests must agree after every batch —
-/// the pipelined WAL transcript and the drained-queue restart are only
+/// With `pipelined`, batches run through the threaded batch path
+/// (partition records appended on whichever thread runs the lane) and a
+/// non-durable *synchronous twin* consumes the identical event stream
+/// through the sequential path; their state digests must agree after
+/// every batch — the threaded WAL transcript and the restart are only
 /// correct if the completed-operation prefix is the synchronous one.
 fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,8 +312,8 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
             drop(server);
             let (recovered, _replayed) =
                 ShardedServer::recover(cfg, 2).expect("recovery of a cleanly synced log");
-            // The restart happens while the worker pool is live; recovery
-            // starts a fresh pool so post-restart batches stay pipelined.
+            // A recovered engine takes its thread count from the
+            // environment; ask again so post-restart batches stay threaded.
             server = if pipelined { recovered.with_threads(4) } else { recovered };
             assert_eq!(
                 server.state_digest(),
@@ -324,9 +324,9 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
 
         server.check_invariants();
         if let Some(t) = twin.as_ref() {
-            // Drained-queue equivalence: after every batch (and across the
-            // mid-stream restart) the pipelined server's completed-operation
-            // prefix is exactly the synchronous twin's state.
+            // After every batch (and across the mid-stream restart) the
+            // threaded server's completed-operation prefix is exactly the
+            // synchronous twin's state.
             assert_eq!(
                 server.state_digest(),
                 t.state_digest(),
@@ -378,10 +378,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Churn through the *pipelined* front-end: persistent shard workers,
-    /// ring submission, streaming merge — under the same oracles. Query
-    /// registration mutates the processors between batches while the worker
-    /// pool stays alive, so this also exercises shard hand-off churn.
+    /// Churn through the *threaded* batch path — lanes on scoped helper
+    /// threads beside the caller — under the same oracles. Query
+    /// registration mutates the processors between batches, so every batch
+    /// hands its helpers shard state the previous batch's never saw.
     #[test]
     fn pipelined_query_churn_never_resurrects_dead_queries(
         n_shards in 2usize..=6,
@@ -410,11 +410,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Churn + mid-stream restart while the pipelined workers are live:
-    /// partition records are appended on the worker threads, the server is
-    /// dropped cold (draining the queues), and recovery must land on the
-    /// completed-operation prefix — checked after every batch against a
-    /// synchronous twin's digest.
+    /// Churn + mid-stream restart between threaded batches: partition
+    /// records are appended on whichever thread runs the lane, the server
+    /// is dropped cold, and recovery must land on the completed-operation
+    /// prefix — checked after every batch against a synchronous twin's
+    /// digest.
     #[test]
     fn pipelined_query_churn_survives_recovery(
         seed_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 5..12),

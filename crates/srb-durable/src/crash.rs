@@ -11,11 +11,11 @@
 //!
 //! The default plan ([`arm`]) is thread-local: crash tests in different
 //! threads do not interfere, and production code pays one thread-local
-//! read per boundary (zero when nothing is armed). Boundaries that run
-//! on pipeline worker threads — a WAL partition append happens on the
-//! worker that owns the shard — are reachable only through the shared
-//! plan ([`arm_shared`]), a process-wide atomic countdown whose
-//! disarmed fast path is a single relaxed load.
+//! read per boundary (zero when nothing is armed). Boundaries that may
+//! run on another thread — a threaded batch appends a shard's WAL
+//! partition on whichever thread takes that shard's lane — are reachable
+//! reliably only through the shared plan ([`arm_shared`]), a process-wide
+//! atomic countdown whose disarmed fast path is a single relaxed load.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -111,9 +111,10 @@ pub fn arm(point: CrashPoint, nth: u32) {
 }
 
 /// Arms `point` process-wide: the boundary fires on *whichever thread*
-/// reaches it the `nth` time (0-based) — required for boundaries that
-/// live on pipeline worker threads, which a test thread's thread-local
-/// plan can never reach. Clears any previous shared plan and flag.
+/// reaches it the `nth` time (0-based) — required for boundaries a
+/// helper thread of a threaded batch may reach, which a test thread's
+/// thread-local plan does not cover. Clears any previous shared plan and
+/// flag.
 pub fn arm_shared(point: CrashPoint, nth: u32) {
     SHARED_FIRED.store(false, Ordering::SeqCst);
     SHARED_PLAN.store(encode_plan(point, nth), Ordering::SeqCst);

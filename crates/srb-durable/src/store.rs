@@ -86,7 +86,7 @@ pub struct Store {
     dir: PathBuf,
     gen: u64,
     /// Per-log writers. A slot is `None` only while that log is lent to
-    /// a pipeline worker via [`Store::take_log`]; every commit-protocol
+    /// a batch lane via [`Store::take_log`]; every commit-protocol
     /// operation requires the full set to be checked back in.
     logs: Vec<Option<LogWriter>>,
     policy: SyncPolicy,
@@ -287,7 +287,7 @@ impl Store {
     }
 
     /// Poisons the store explicitly — used when a lent log writer failed
-    /// on a worker thread, where the failure cannot flow through
+    /// in its lane, where the failure cannot flow through
     /// [`Store::append`]'s guard.
     pub fn poison(&mut self) {
         self.poisoned = true;
@@ -300,7 +300,8 @@ impl Store {
         r
     }
 
-    /// Lends log `idx`'s writer out (to a pipeline worker thread).
+    /// Lends log `idx`'s writer out (to a batch lane, which may run on
+    /// another thread).
     /// Returns `None` when the store is poisoned or the log is already
     /// checked out. The commit protocol requires every log back before
     /// the next [`Store::commit`]/[`Store::checkpoint`].

@@ -1,20 +1,20 @@
-//! Crash-injection matrix for the *pipelined* ingestion front-end: the
-//! sharded server with live worker threads, batches submitted through the
-//! per-shard rings, and WAL partition records appended **on the worker
-//! threads**.
+//! Crash-injection matrix for the *threaded* batch path: the sharded
+//! server forking scoped helper threads per batch, every busy shard's lane
+//! run — and its WAL partition record appended — **on whichever thread
+//! takes it**, the caller included.
 //!
 //! The method is the same golden-digest prefix table as `crash.rs`: an
 //! uninterrupted durability-OFF run records the digest after every op;
 //! each crash run arms a [`CrashPoint`], drives the same script until the
-//! WAL poisons, drops the server cold mid-stream (workers still parked on
-//! their rings — the drop drains and joins them), recovers, and the
-//! recovered state must be a completed-operation prefix whose resumption
-//! reproduces the golden final digest bit for bit. That *is* the
-//! drained-queue guarantee: whatever the interleaving of worker-thread
-//! appends, recovery lands exactly where the synchronous engine would.
+//! WAL poisons, drops the server cold mid-stream (no thread outlives a
+//! batch, so there is nothing to drain), recovers, and the recovered state
+//! must be a completed-operation prefix whose resumption reproduces the
+//! golden final digest bit for bit: whatever the interleaving of the
+//! lanes' appends, recovery lands exactly where the synchronous engine
+//! would.
 //!
-//! This matrix lives in its own test binary because worker-thread
-//! boundaries are reachable only through the process-wide shared plan
+//! This matrix lives in its own test binary because a boundary a helper
+//! thread may reach is covered only by the process-wide shared plan
 //! ([`crash::arm_shared`]); run next to the thread-local matrix it would
 //! steal those countdowns. Cargo runs test binaries sequentially, and the
 //! in-file mutex serializes the tests within this one.
@@ -59,7 +59,8 @@ fn frac(x: u64) -> f64 {
 
 /// The whole world is this pure function: where object `id` is at round
 /// `r`. Golden run, crash run, and post-recovery resume all agree on it,
-/// so the worker threads' probe answers are reproducible too.
+/// so the probe answers a lane reads on a helper thread are reproducible
+/// too.
 fn pos_at(id: u64, r: u64) -> Point {
     let h = splitmix(id.wrapping_mul(0x0100_0000_01B3).wrapping_add(r));
     Point::new(frac(h), frac(splitmix(h)))
@@ -84,12 +85,12 @@ enum Op {
     Register(u64),
     Deregister(u32),
     /// A sequenced batch through `handle_sequenced_updates_parallel_into`:
-    /// submitted to the rings, processed and WAL-logged on the workers.
+    /// its lanes processed and WAL-logged by the caller and its helpers.
     Batch,
     Deferred,
 }
 
-/// The deterministic script: object setup, query churn, pipelined batches
+/// The deterministic script: object setup, query churn, threaded batches
 /// every other round, and the deferred-probe timer.
 fn script() -> Vec<(u64, Op)> {
     let mut s = Vec::new();
@@ -167,7 +168,7 @@ fn durable_config(dir: &'static str) -> ServerConfig {
 }
 
 /// Digest-after-every-op table from an uninterrupted, durability-OFF,
-/// fully pipelined run.
+/// fully threaded run.
 fn golden_digests(script: &[(u64, Op)]) -> Vec<u64> {
     let mut e = build(base_config());
     let mut digests = vec![e.state_digest()];
@@ -179,7 +180,7 @@ fn golden_digests(script: &[(u64, Op)]) -> Vec<u64> {
 }
 
 /// Arms `point` process-wide, drives the script into the crash (the point
-/// may fire on a worker thread mid-batch), recovers, and proves the
+/// may fire on a helper thread mid-batch), recovers, and proves the
 /// recovered state is a completed-operation prefix whose resumption
 /// reproduces the golden final state. Returns whether the point fired.
 fn crash_run(point: CrashPoint, nth: u32, script: &[(u64, Op)], golden: &[u64]) -> bool {
@@ -194,9 +195,8 @@ fn crash_run(point: CrashPoint, nth: u32, script: &[(u64, Op)], golden: &[u64]) 
     }
     crash::disarm();
     let injected = crash::fired_shared();
-    // A cold drop mid-stream: the workers are joined, but group-commit
-    // buffers and unsynced tails are lost, like the page cache in a
-    // power cut.
+    // A cold drop mid-stream: group-commit buffers and unsynced tails are
+    // lost, like the page cache in a power cut.
     drop(e);
 
     let (rec, _replayed) = ShardedServer::recover(cfg, SHARDS)
@@ -236,9 +236,9 @@ fn crash_matrix_pipelined_sharded_server() {
     }
 }
 
-/// With no crash injected, the durable pipelined run must shadow the
-/// golden (non-durable, equally pipelined) run digest for digest: the
-/// worker-thread WAL appends may not perturb a single decision.
+/// With no crash injected, the durable threaded run must shadow the
+/// golden (non-durable, equally threaded) run digest for digest: WAL
+/// appends from the lanes' threads may not perturb a single decision.
 #[test]
 fn durable_pipelined_run_matches_golden_per_op() {
     let _guard = PLAN.lock().unwrap();
