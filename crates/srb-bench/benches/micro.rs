@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srb_core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
+use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb_geom::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, Circle,
     ClearanceObjective, OrdinaryPerimeter, Point, Rect, Ring,
@@ -167,9 +167,10 @@ fn bench_server(c: &mut Criterion) {
             }
         }
         let mut rng = StdRng::seed_from_u64(11);
-        let mut now = 1.0;
+        let (mut now, mut seq, mut out) = (1.0, 0u64, Vec::new());
         b.iter(|| {
             now += 0.001;
+            seq += 1;
             let i = rng.gen_range(0..world.len());
             let p = world[i];
             world[i] = Point::new(
@@ -178,9 +179,9 @@ fn bench_server(c: &mut Criterion) {
             );
             let ps = world.clone();
             let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-            server
-                .handle_location_update(ObjectId(i as u32), world[i], &mut provider, now)
-                .expect("registered object")
+            let report = SequencedUpdate { id: ObjectId(i as u32), pos: world[i], seq };
+            out.clear();
+            server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut out);
         })
     });
     g.finish();

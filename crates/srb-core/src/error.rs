@@ -9,9 +9,6 @@ use std::fmt;
 /// Why the server rejected a request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerError {
-    /// A location update or probe referenced an object that was never
-    /// registered (or was removed).
-    UnknownObject(ObjectId),
     /// `add_object` was called with an id that is already registered.
     DuplicateObject(ObjectId),
     /// A sequenced update carried a sequence number at or below the
@@ -29,7 +26,6 @@ pub enum ServerError {
 impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServerError::UnknownObject(id) => write!(f, "unknown object {id}"),
             ServerError::DuplicateObject(id) => write!(f, "duplicate object {id}"),
             ServerError::StaleSequence { id, seq, last } => {
                 write!(f, "stale sequence {seq} for {id} (last accepted {last})")
@@ -144,8 +140,8 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains('7') && s.contains('3') && s.contains('5'), "{s}");
         assert_eq!(
-            ServerError::UnknownObject(ObjectId(1)).to_string(),
-            format!("unknown object {}", ObjectId(1))
+            ServerError::DuplicateObject(ObjectId(1)).to_string(),
+            format!("duplicate object {}", ObjectId(1))
         );
     }
 }

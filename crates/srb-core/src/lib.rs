@@ -8,8 +8,9 @@
 //! and k-nearest-neighbor queries ([`QuerySpec`]) over a population of
 //! moving objects, hands each object a rectangular **safe region**, and
 //! guarantees that every registered query's result stays exact as long as
-//! each object reports (a *source-initiated update*,
-//! [`Server::handle_location_update`]) whenever it leaves its safe region.
+//! each object reports (a *source-initiated update*: a [`SequencedUpdate`]
+//! through [`Server::handle_sequenced_updates_into`], the one way in — a
+//! single report is a batch of one) whenever it leaves its safe region.
 //! When an update leaves a query undecided, the server *probes* specific
 //! objects through the caller-supplied [`LocationProvider`] — and the lazy
 //! probing discipline of §4 guarantees each probe is mandatory.

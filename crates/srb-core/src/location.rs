@@ -449,7 +449,7 @@ mod tests {
 
     use crate::provider::FnProvider;
     use crate::query::QuerySpec;
-    use crate::server::Server;
+    use crate::server::{SequencedUpdate, Server};
 
     const Q: Point = Point { x: 0.5, y: 0.5 };
 
@@ -482,10 +482,13 @@ mod tests {
         let ps = at.clone();
         let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
         let before = server.work();
-        let out = server.handle_location_updates(
-            &[(other, at[other.index()]), (far, at[far.index()])],
+        let report = |id: ObjectId| SequencedUpdate { id, pos: at[id.index()], seq: 1 };
+        let mut out = Vec::new();
+        server.handle_sequenced_updates_into(
+            &[report(other), report(far)],
             &mut provider,
             1.0,
+            &mut out,
         );
         assert_eq!(server.work().probes_neighbor - before.probes_neighbor, 1);
         let mut movers = vec![far, other];
@@ -517,10 +520,13 @@ mod tests {
         let ps = at.clone();
         let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
         let before = server.work();
-        let out = server.handle_location_updates(
-            &[(near, at[near.index()]), (far, at[far.index()])],
+        let report = |id: ObjectId| SequencedUpdate { id, pos: at[id.index()], seq: 1 };
+        let mut out = Vec::new();
+        server.handle_sequenced_updates_into(
+            &[report(near), report(far)],
             &mut provider,
             1.0,
+            &mut out,
         );
         assert_eq!(server.work().probes_neighbor - before.probes_neighbor, 1);
         assert_eq!(server.work().safe_regions - before.safe_regions, 2);

@@ -177,11 +177,6 @@ impl BatchScratch {
         self.seq = b;
     }
 
-    /// Most entries any scratch buffer held during a single operation.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Drops every retained capacity (bench baseline: simulates the old
     /// build-buffers-per-batch behavior when called before each batch).
     pub fn drop_capacity(&mut self) {
@@ -219,7 +214,7 @@ mod tests {
         assert!(op.exact.capacity() >= map_cap);
         assert!(op.deferred.capacity() >= vec_cap);
         s.put_op(op);
-        assert_eq!(s.high_water(), 64);
+        assert_eq!(s.high_water, 64);
     }
 
     #[test]

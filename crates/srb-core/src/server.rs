@@ -62,7 +62,7 @@ pub struct UpdateResponse {
 /// A source-initiated location update stamped with the client's sequence
 /// number. Over a lossy channel the same report can arrive duplicated or
 /// reordered; the server accepts each sequence number at most once
-/// ([`Server::handle_sequenced_updates`]).
+/// ([`Server::handle_sequenced_updates_into`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SequencedUpdate {
     /// The reporting object.
@@ -166,13 +166,6 @@ impl<B: SpatialBackend> Server<B> {
     /// The last exactly-known location of `id` and its timestamp.
     pub fn last_known(&self, id: ObjectId) -> Option<(Point, f64)> {
         self.index.get(id).map(|s| (s.p_lst, s.t_lst))
-    }
-
-    /// The sequence number an unsequenced update of `id` is stamped with:
-    /// one past the last accepted. Unknown objects get 1 — the sequenced
-    /// path drops them whatever they carry.
-    pub(crate) fn next_seq(&self, id: ObjectId) -> u64 {
-        self.index.get(id).map_or(1, |s| s.last_seq + 1)
     }
 
     /// Accumulated communication events.
@@ -414,78 +407,28 @@ impl<B: SpatialBackend> Server<B> {
     // Location updates (Algorithm 1, lines 8-15)
     // ------------------------------------------------------------------
 
-    /// Handles a source-initiated location update: finds affected queries
-    /// via the grid, incrementally reevaluates them (probing lazily),
-    /// reports result changes, and recomputes the safe regions of the
-    /// updating object and every probed object. Fails with
-    /// [`ServerError::UnknownObject`] instead of aborting when the update
-    /// references an unregistered object (e.g. a misdirected or replayed
-    /// message). The update is implicitly stamped with the next sequence
-    /// number; use [`handle_sequenced_updates`](Self::handle_sequenced_updates)
-    /// for explicit client-side numbering.
-    pub fn handle_location_update(
-        &mut self,
-        id: ObjectId,
-        pos: Point,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Result<UpdateResponse, ServerError> {
-        let st = self.index.get_mut(id).ok_or(ServerError::UnknownObject(id))?;
-        st.last_seq += 1;
-        srb_obs::counter!("server.updates").inc();
-        self.costs.source_updates += 1;
-        Ok(self.process_report(id, pos, provider, now))
-    }
-
-    /// Handles a *batch* of simultaneous source-initiated updates
-    /// consistently: all reported positions are installed first (so no
-    /// query is evaluated against a stale bound of a same-instant mover),
-    /// then each affected query is reevaluated exactly once — incrementally
-    /// when a single mover affects it, from scratch when several do. This
-    /// both preserves exactness under synchronized client check ticks and
-    /// shares evaluation work across movers (in the spirit of SINA's shared
-    /// execution).
-    pub fn handle_location_updates(
-        &mut self,
-        updates: &[(ObjectId, Point)],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Vec<(ObjectId, UpdateResponse)> {
-        // Stamp each update with the object's next sequence number; the
-        // sequenced path drops (and counts) unknown objects and in-batch
-        // duplicates instead of panicking.
-        let sequenced: Vec<SequencedUpdate> = updates
-            .iter()
-            .map(|&(id, pos)| SequencedUpdate { id, pos, seq: self.next_seq(id) })
-            .collect();
-        self.handle_sequenced_updates(&sequenced, provider, now)
-    }
-
-    /// Handles a batch of *sequenced* updates from an unreliable channel.
-    /// Updates whose sequence number is at or below the object's last
-    /// accepted one are duplicates or reorderings: they are dropped
+    /// Handles a batch of source-initiated location updates — the one
+    /// update entry point; a single report is a batch of one. Each update
+    /// carries its client's sequence number: one at or below the object's
+    /// last accepted number is a duplicate or reordering, dropped
     /// idempotently (counted in [`WorkStats::stale_seq_drops`]) and answered
     /// with a re-grant of the object's current safe region, so a client
     /// whose previous grant was lost on the downlink still converges.
-    /// Updates for unknown objects are dropped and counted. Accepted
-    /// updates are processed exactly like
-    /// [`handle_location_updates`](Self::handle_location_updates).
-    pub fn handle_sequenced_updates(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Vec<(ObjectId, UpdateResponse)> {
-        let mut out = Vec::new();
-        self.handle_sequenced_updates_into(updates, provider, now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates):
-    /// **appends** the responses to `out` instead of returning a fresh
-    /// vector, so a caller reusing `out` across batches completes a
-    /// steady-state batch with zero heap allocations (see `alloc_steady.rs`).
+    /// Updates for unknown objects (a misdirected or replayed message) are
+    /// dropped and counted in [`WorkStats::unknown_object_drops`].
+    ///
+    /// All accepted positions are installed first (so no query is evaluated
+    /// against a stale bound of a same-instant mover), then each affected
+    /// query is reevaluated exactly once — incrementally, probing lazily,
+    /// when a single mover affects it, from scratch when several do — and
+    /// the safe regions of the updating and the probed objects are
+    /// recomputed. This both preserves exactness under synchronized client
+    /// check ticks and shares evaluation work across movers (in the spirit
+    /// of SINA's shared execution).
+    ///
+    /// **Appends** the responses to `out`, so a caller reusing `out` across
+    /// batches completes a steady-state batch with zero heap allocations
+    /// (see `alloc_steady.rs`).
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -760,18 +703,8 @@ impl<B: SpatialBackend> Server<B> {
     /// [`SpatialBackend::migrate`]) — a semantic no-op: every stored safe
     /// region is preserved, so query results are unchanged. Returns
     /// `false` when the backend type `B` cannot represent `config`
-    /// (everything except `DynBackend`).
-    pub fn migrate_backend(&mut self, config: &BackendConfig) -> bool {
-        if !self.migrate_index(config) {
-            return false;
-        }
-        srb_obs::counter!("index.adaptive.explicit_migrations").inc();
-        true
-    }
-
-    /// The bare index migration, without the explicit-migration telemetry
-    /// — the path of the sharded engine, which counts (and, when durable,
-    /// checkpoints) at its own level.
+    /// (everything except `DynBackend`). The sharded engine counts (and,
+    /// when durable, checkpoints) the migration at its own level.
     pub(crate) fn migrate_index(&mut self, config: &BackendConfig) -> bool {
         self.index.migrate_backend(config)
     }
@@ -884,11 +817,6 @@ impl<B: SpatialBackend> Server<B> {
     #[doc(hidden)]
     pub fn drop_scratch_capacity(&mut self) {
         self.scratch.drop_capacity();
-    }
-
-    /// Most entries any scratch buffer held during a single operation.
-    pub fn scratch_high_water(&self) -> usize {
-        self.scratch.high_water()
     }
 }
 

@@ -417,11 +417,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Most entries any shard's scratch buffer held during one operation.
-    pub fn scratch_high_water(&self) -> usize {
-        self.shards.iter().map(|s| s.scratch_high_water()).max().unwrap_or(0)
-    }
-
     // ------------------------------------------------------------------
     // Object lifecycle
     // ------------------------------------------------------------------
@@ -592,83 +587,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Location updates
     // ------------------------------------------------------------------
 
-    /// Handles one source-initiated update: routed to the owning shard, then
-    /// affected queries are re-merged globally. Coordinator-probed safe
-    /// regions ride along in `probed`; `changes` carries the *global* result
-    /// changes.
-    pub fn handle_location_update(
-        &mut self,
-        id: ObjectId,
-        pos: Point,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Result<UpdateResponse, ServerError> {
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.handle_location_update(id, pos, p, now),
-                |w| w.log_update(id, pos, now),
-            );
-        }
-        if self.shards.len() == 1 {
-            return self.shards[0].handle_location_update(id, pos, provider, now);
-        }
-        let target = self.owner_of(id).ok_or(ServerError::UnknownObject(id))?;
-        let mut resp = self.shards[target].handle_location_update(id, pos, provider, now)?;
-        let mut triggers: BTreeSet<QueryId> = resp.changes.drain(..).map(|c| c.query).collect();
-        let mut moved = std::mem::take(&mut self.scratch.moved);
-        moved.clear();
-        moved.push(id);
-        moved.extend(resp.probed.iter().map(|&(o, _)| o));
-        moved.sort_unstable();
-        moved.dedup();
-        self.membership_triggers(&moved, &mut triggers);
-        self.scratch.moved = moved;
-        let (probed, changes) = self.merge_after(triggers, provider, now);
-        resp.probed.extend(probed);
-        resp.changes = changes;
-        Ok(resp)
-    }
-
-    /// Handles a batch of simultaneous updates, stamping each with its
-    /// object's next sequence number and handing the result to
-    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates) — which
-    /// is also what logs it, so an unsequenced batch replays as the
-    /// sequenced batch it became. Unknown objects are stamped too and
-    /// left for the sequenced path to drop and count, so the drops recur
-    /// on replay.
-    pub fn handle_location_updates(
-        &mut self,
-        updates: &[(ObjectId, Point)],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Vec<(ObjectId, UpdateResponse)> {
-        let sequenced: Vec<SequencedUpdate> = updates
-            .iter()
-            .map(|&(id, pos)| SequencedUpdate { id, pos, seq: self.next_seq(id) })
-            .collect();
-        self.handle_sequenced_updates(&sequenced, provider, now)
-    }
-
-    /// Handles a batch of sequenced updates: partitioned by owning shard,
-    /// applied shard by shard, then merged. Responses come back sorted by
-    /// [`ObjectId`]; the global result changes (sorted by [`QueryId`]) ride
-    /// on the first response entry, mirroring the unsharded batch contract.
-    pub fn handle_sequenced_updates(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Vec<(ObjectId, UpdateResponse)> {
-        let mut out = Vec::new();
-        self.handle_sequenced_updates_into(updates, provider, now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of
-    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates):
-    /// **appends** the batch's responses to `out`. With a caller-reused
-    /// `out`, a steady-state batch allocates nothing — the lanes (per-shard
+    /// Handles a batch of sequenced updates (a single report is a batch of
+    /// one; see [`Server::handle_sequenced_updates_into`] for admission):
+    /// partitioned by owning shard, applied shard by shard, then merged.
+    /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
+    /// the global result changes (sorted by [`QueryId`]) and the safe
+    /// regions of coordinator-probed objects ride on the first entry,
+    /// mirroring the unsharded batch contract. With a caller-reused `out`,
+    /// a steady-state batch allocates nothing — the lanes (per-shard
     /// partitions, responses, probe transcripts) and the moved-object set
     /// live in coordinator scratch buffers. Every lane runs on the calling
     /// thread, in shard order.
@@ -877,7 +803,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Fires every deferred probe due at or before `now` on every shard,
     /// then re-merges affected queries (batch response contract as in
-    /// [`handle_sequenced_updates`](Self::handle_sequenced_updates)).
+    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into)).
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
@@ -907,9 +833,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Runs the adaptive controller at a batch boundary. No-op (one
     /// `Option` check) unless the engine was built with
-    /// `BackendConfig::Adaptive`. Only the batch entry points adapt —
-    /// single updates, registrations, and deferred-probe drains are
-    /// deliberately excluded so the batch cadence (and therefore every
+    /// `BackendConfig::Adaptive`. Every ingest call is a batch boundary,
+    /// whatever its size; registrations and deferred-probe drains are
+    /// deliberately excluded so the cadence (and therefore every
     /// controller decision) is a deterministic function of the logged
     /// operation stream.
     ///
@@ -960,8 +886,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Explicitly live-migrates one shard's index to `backend` (see
-    /// [`Server::migrate_backend`]) — the post-recovery escape hatch when
-    /// a checkpoint's backend no longer matches the deployment's wishes,
+    /// [`SpatialBackend::migrate`](srb_index::SpatialBackend::migrate)) —
+    /// the post-recovery escape hatch when a checkpoint's backend no
+    /// longer matches the deployment's wishes,
     /// and the way to hand-place per-shard backends on a `DynBackend`
     /// fleet. Semantically a no-op: safe regions, query results, and
     /// probe behavior are unchanged. Returns `false` when `B` cannot
@@ -1042,11 +969,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// the only path back is [`ShardedServer::recover`].
     pub fn wal_poisoned(&self) -> bool {
         self.wal.as_ref().map(|w| w.poisoned()).unwrap_or(false)
-    }
-
-    /// The active checkpoint generation, when durability is on.
-    pub fn wal_generation(&self) -> Option<u64> {
-        self.wal.as_ref().map(|w| w.generation())
     }
 
     /// Forces every buffered log record to stable storage now.
@@ -1283,15 +1205,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let _ = self.deregister_query(id);
                 Ok(())
             }
-            Record::Update { id, pos, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_location_update(id, pos, &mut rp, now);
-                check_replay(&rp)
-            }
             Record::Batch { now, shard_counts, probes } => {
                 let updates = self.take_partitions(&shard_counts, gen_logs, cursors)?;
                 let mut rp = ReplayProvider::new(&probes);
-                let _ = self.handle_sequenced_updates(&updates, &mut rp, now);
+                self.handle_sequenced_updates_into(&updates, &mut rp, now, &mut Vec::new());
                 check_replay(&rp)
             }
             Record::ProcessDeferred { now, probes } => {
@@ -1362,10 +1279,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let (i, j) = grid.cell_of(pos);
         let key = (i as u64) * (grid.m() as u64) + j as u64;
         (splitmix64(key) % self.shards.len() as u64) as usize
-    }
-
-    fn next_seq(&self, id: ObjectId) -> u64 {
-        self.owning_shard(id).map_or(1, |s| s.next_seq(id))
     }
 
     fn record_spec(&mut self, id: QueryId, spec: QuerySpec) {
@@ -1793,8 +1706,8 @@ mod tests {
             }
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            plain.handle_sequenced_updates(&batch, &mut provider, now);
-            sharded.handle_sequenced_updates(&batch, &mut provider, now);
+            plain.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+            sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
             plain.check_invariants_deep();
             sharded.check_invariants_deep();
             for (q, spec) in specs.iter().enumerate() {
@@ -1865,7 +1778,8 @@ mod tests {
     }
 
     /// Drives a sequential and a `threads`-threaded [`fleet`] through the
-    /// same 15 rounds of exit reports and holds the threaded one to the
+    /// same 15 rounds of exit reports — odd rounds as one batch, even
+    /// rounds one report per call — and holds the threaded one to the
     /// sequential one after every batch: responses, digest, costs and work
     /// counters.
     fn assert_parallel_matches_sequential(
@@ -1879,17 +1793,20 @@ mod tests {
         for round in 1..=15u64 {
             step(&mut positions, round);
             let now = round as f64 * 0.1;
-            let batch = exit_reports(&seq_server, &positions, &mut seqs);
-            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-            let a = seq_server.handle_sequenced_updates(&batch, &mut provider, now);
-            let mut b = Vec::new();
-            let table = TableProvider(&positions);
-            par_server.handle_sequenced_updates_parallel_into(&batch, &table, now, &mut b);
-            let what = format!("{shards} shards, {threads} threads, round {round}");
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
-            assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
-            assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
-            assert_eq!(seq_server.work(), par_server.work(), "{what}");
+            let reports = exit_reports(&seq_server, &positions, &mut seqs);
+            let size = if round % 2 == 0 { 1 } else { reports.len().max(1) };
+            for batch in reports.chunks(size) {
+                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                seq_server.handle_sequenced_updates_into(batch, &mut provider, now, &mut a);
+                let table = TableProvider(&positions);
+                par_server.handle_sequenced_updates_parallel_into(batch, &table, now, &mut b);
+                let what = format!("{shards} shards, {threads} threads, round {round}");
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
+                assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
+                assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
+                assert_eq!(seq_server.work(), par_server.work(), "{what}");
+            }
         }
         [seq_server, par_server]
     }
@@ -1925,10 +1842,13 @@ mod tests {
         let mut sharded = ShardedServer::new(ServerConfig::default(), 2);
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
         sharded.add_object(ObjectId(0), Point::new(0.3, 0.3), &mut provider, 0.0).unwrap();
-        let resp = sharded.handle_location_updates(
-            &[(ObjectId(0), Point::new(0.4, 0.4)), (ObjectId(99), Point::new(0.1, 0.1))],
+        let report = |id, x| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, x), seq: 1 };
+        let mut resp = Vec::new();
+        sharded.handle_sequenced_updates_into(
+            &[report(0, 0.4), report(99, 0.1)],
             &mut provider,
             0.1,
+            &mut resp,
         );
         assert_eq!(resp.len(), 1);
         assert_eq!(sharded.work().unknown_object_drops, 1);
@@ -1998,7 +1918,7 @@ mod tests {
             let batch = exit_reports(&sharded, &positions, &mut seqs);
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            sharded.handle_sequenced_updates(&batch, &mut provider, now);
+            sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
         sharded.deregister_query(QueryId(0));
         sharded.sync_wal();
@@ -2013,13 +1933,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// An unsequenced batch is logged as the sequenced batch it is stamped
-    /// into, so what the stamping cannot place — an unknown id, a second
-    /// report of one object — must reach the log and be dropped again on
-    /// replay: same digest, same drop counters as the run that never
-    /// stopped.
+    /// What admission refuses — an unknown id, a stale `seq` — is logged
+    /// with the batch that carried it and must be dropped, counted and
+    /// re-granted again on replay: same digest, same drop counters as the
+    /// run that never stopped.
     #[test]
-    fn raw_batch_drops_recur_on_replay() {
+    fn sequenced_batch_drops_recur_on_replay() {
         for shards in [1, 2] {
             let dir = temp_dir("rawdrops");
             let config = durable(dir);
@@ -2032,13 +1951,16 @@ mod tests {
                     engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
                 }
                 engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut provider, 0.0);
-                let raw = [
-                    (ObjectId(3), Point::new(0.31, 0.32)),
-                    (ObjectId(99), Point::new(0.1, 0.1)),
-                    (ObjectId(3), Point::new(0.33, 0.34)),
-                    (ObjectId(5), Point::new(0.6, 0.7)),
+                let report =
+                    |id, x, y| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, y), seq: 1 };
+                let batch = [
+                    report(3, 0.31, 0.32),
+                    report(99, 0.1, 0.1),
+                    report(3, 0.33, 0.34),
+                    report(5, 0.6, 0.7),
                 ];
-                let resp = engine.handle_location_updates(&raw, &mut provider, 0.1);
+                let mut resp = Vec::new();
+                engine.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut resp);
                 assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
             }
             durable.sync_wal();
@@ -2065,9 +1987,7 @@ mod tests {
             sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
         }
         sharded.register_query(QuerySpec::knn(Point::new(0.4, 0.4), 2), &mut provider, 0.0);
-        let gen_before = sharded.wal_generation().unwrap();
         assert!(sharded.checkpoint());
-        assert!(sharded.wal_generation().unwrap() > gen_before);
         let digest = sharded.state_digest();
         drop(sharded);
         let (recovered, replayed) =
@@ -2241,7 +2161,8 @@ mod tests {
         let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2, 1);
         let probes = |s: &ShardedServer| s.shards().iter().map(|x| x.costs().probes).collect();
         let before: Vec<u64> = probes(&twin);
-        twin.handle_sequenced_updates(&batch, &mut FnProvider(|id| positions[id.index()]), 0.1);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        twin.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
         let probing = before.iter().zip(probes(&twin)).position(|(b, a)| a > *b);
         assert!(probing.is_some(), "some shard batch probes");
         let ran_on = assert_lane_panic_commits_nothing("panic-caller", probing);

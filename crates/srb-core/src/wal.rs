@@ -182,16 +182,15 @@ const OP_ADD: u8 = 1;
 const OP_REMOVE: u8 = 2;
 const OP_REGISTER: u8 = 3;
 const OP_DEREGISTER: u8 = 4;
-const OP_UPDATE: u8 = 5;
 const OP_BATCH: u8 = 6;
 const OP_DEFERRED: u8 = 8;
 const OP_NEXT_DUE: u8 = 9;
 const OP_PART_SEQ: u8 = 10;
 /// The mode byte of a batch record: a marker of per-shard partition sizes.
 const BATCH_MODE_MARKER: u8 = 1;
-// Opcodes 7 and 11 (raw batch, raw partition) and batch mode 0 (inline
-// updates) belong to earlier logs. Never reuse them: such a record must
-// keep decoding to `Corrupt`.
+// Opcodes 5, 7 and 11 (single update, raw batch, raw partition) and batch
+// mode 0 (inline updates) belong to earlier logs. Never reuse them: such a
+// record must keep decoding to `Corrupt`.
 
 /// A decoded arbiter-log record: one top-level operation plus its probe
 /// transcript.
@@ -204,8 +203,6 @@ pub(crate) enum Record {
     RegisterQuery { spec: QuerySpec, now: f64, probes: Vec<(ObjectId, Point)> },
     /// `deregister_query`.
     DeregisterQuery { id: QueryId },
-    /// `handle_location_update`.
-    Update { id: ObjectId, pos: Point, now: f64, probes: Vec<(ObjectId, Point)> },
     /// A batch marker: the per-shard update counts. The updates themselves
     /// live as partition records in the shard logs.
     Batch { now: f64, shard_counts: Vec<u32>, probes: Vec<(ObjectId, Point)> },
@@ -276,12 +273,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
             Record::RegisterQuery { spec, now, probes: dec_probes(&mut dec)? }
         }
         OP_DEREGISTER => Record::DeregisterQuery { id: QueryId(dec.u32()?) },
-        OP_UPDATE => {
-            let id = ObjectId(dec.u32()?);
-            let pos = dec_point(&mut dec)?;
-            let now = dec.f64()?;
-            Record::Update { id, pos, now, probes: dec_probes(&mut dec)? }
-        }
         OP_BATCH => {
             let now = dec.f64()?;
             if dec.u8()? != BATCH_MODE_MARKER {
@@ -421,11 +412,6 @@ impl Wal {
         self.store.poisoned()
     }
 
-    /// The active checkpoint generation.
-    pub(crate) fn generation(&self) -> u64 {
-        self.store.generation()
-    }
-
     fn emit(&mut self) {
         put_probes(&mut self.buf, &self.probes);
         self.probes.clear();
@@ -470,15 +456,6 @@ impl Wal {
         put_u8(&mut self.buf, OP_DEREGISTER);
         put_u32(&mut self.buf, id.0);
         self.emit_no_probes();
-    }
-
-    pub(crate) fn log_update(&mut self, id: ObjectId, pos: Point, now: f64) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_UPDATE);
-        put_u32(&mut self.buf, id.0);
-        put_point(&mut self.buf, pos);
-        put_f64(&mut self.buf, now);
-        self.emit();
     }
 
     /// Coordinator marker committing a batch: only the per-shard update
@@ -621,11 +598,17 @@ mod tests {
         }
     }
 
-    /// Raw-batch records (opcode 7, partition opcode 11) and inline
-    /// batches (`OP_BATCH` mode 0) are no longer written; a log that still
-    /// holds one is refused with a typed error, in either decoder.
+    /// Single-update records (opcode 5), raw-batch records (opcode 7,
+    /// partition opcode 11) and inline batches (`OP_BATCH` mode 0) are no
+    /// longer written; a log that still holds one is refused with a typed
+    /// error, in either decoder.
     #[test]
     fn retired_record_shapes_decode_to_corrupt() {
+        let mut single = vec![5u8];
+        put_u32(&mut single, 3);
+        put_point(&mut single, Point::new(0.1, 0.2));
+        put_f64(&mut single, 0.5);
+        put_probes(&mut single, &[]);
         let mut marker = vec![7u8];
         put_f64(&mut marker, 0.5);
         put_u8(&mut marker, 1);
@@ -638,7 +621,7 @@ mod tests {
         put_u8(&mut inline, 0);
         put_usize(&mut inline, 0);
         put_probes(&mut inline, &[]);
-        for payload in [&marker, &part, &inline] {
+        for payload in [&single, &marker, &part, &inline] {
             assert!(matches!(decode_record(payload), Err(DurableError::Corrupt(_))));
             assert!(matches!(decode_part_seq(payload), Err(DurableError::Corrupt(_))));
         }
@@ -690,13 +673,6 @@ mod tests {
             OP_DEREGISTER => {
                 put_u8(&mut buf, OP_DEREGISTER);
                 put_u32(&mut buf, seed as u32);
-            }
-            OP_UPDATE => {
-                put_u8(&mut buf, OP_UPDATE);
-                put_u32(&mut buf, seed as u32);
-                put_point(&mut buf, pt(seed));
-                put_f64(&mut buf, f(seed));
-                put_probes(&mut buf, &probes);
             }
             OP_BATCH => {
                 put_u8(&mut buf, OP_BATCH);

@@ -140,9 +140,9 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
                 &mut out,
             );
         } else {
-            dyn_fleet.handle_sequenced_updates(&batch, &mut provider, now);
+            dyn_fleet.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
-        twin.handle_sequenced_updates(&batch, &mut provider, now);
+        twin.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         dyn_fleet.check_invariants();
         twin.check_invariants();
 
@@ -253,7 +253,7 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
                 &mut out,
             );
         } else {
-            server.handle_sequenced_updates(&batch, &mut provider, now);
+            server.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
         for _ in 0..16 {
             let Some(due) = server.next_deferred_due() else { break };
@@ -457,8 +457,8 @@ fn mixed_backend_adaptive_fleet_matches_static_run() {
         }
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        fleet.handle_sequenced_updates(&batch, &mut provider, now);
-        twin.handle_sequenced_updates(&batch, &mut provider, now);
+        fleet.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        twin.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         fleet.check_invariants();
         twin.check_invariants();
 
@@ -565,7 +565,7 @@ fn adaptive_controller_decisions_replay_identically() {
         }
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        server.handle_sequenced_updates(&batch, &mut provider, now);
+        server.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
 
         if batch_i == 4 {
             // By now the controller has migrated all three shards (density

@@ -127,7 +127,7 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
         }
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        plain.handle_sequenced_updates(&batch, &mut provider, now);
+        plain.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         if pipelined {
             out.clear();
             sharded.handle_sequenced_updates_parallel_into(
@@ -137,7 +137,7 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
                 &mut out,
             );
         } else {
-            sharded.handle_sequenced_updates(&batch, &mut provider, now);
+            sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
         plain.check_invariants();
         sharded.check_invariants();
@@ -282,10 +282,10 @@ fn drive_durable(pipelined: bool, seed_pts: &[(f64, f64)], batches: &[Vec<Ev>]) 
                 &mut out,
             );
         } else {
-            server.handle_sequenced_updates(&batch, &mut provider, now);
+            server.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
         if let Some(t) = twin.as_mut() {
-            t.handle_sequenced_updates(&batch, &mut provider, now);
+            t.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         }
         // Updates may defer probes (the Slack scheme), leaving results
         // provisional until the deferral fires; drain them so the oracle
@@ -463,10 +463,11 @@ fn registration_probe_maintains_existing_queries() {
     assert_eq!(s.results(q2).map(<[ObjectId]>::to_vec), Some(vec![]), "q2 drops the mover");
 
     // The (now redundant) report must stay a no-op, not resurrect anything.
-    s.handle_sequenced_updates(
+    s.handle_sequenced_updates_into(
         &[SequencedUpdate { id: ObjectId(0), pos: pos1, seq: 1 }],
         &mut p1,
         0.4,
+        &mut Vec::new(),
     );
     assert_eq!(s.results(q2).map(<[ObjectId]>::to_vec), Some(vec![]));
     assert_eq!(s.results(r3.id).map(<[ObjectId]>::to_vec), Some(vec![]));

@@ -3,7 +3,7 @@
 //! proptest explore query geometry and k values adversarially.
 
 use proptest::prelude::*;
-use srb_core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
+use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb_geom::{Point, Rect};
 
 #[derive(Clone, Debug)]
@@ -70,6 +70,7 @@ proptest! {
         }
 
         let mut now = 0.0;
+        let mut seqs = vec![0u64; n];
         for &(raw_i, dx, dy) in &moves {
             now += 0.1;
             {
@@ -85,9 +86,9 @@ proptest! {
             if !sr.contains_point(positions[i]) {
                 let ps = positions.clone();
                 let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-                server
-                    .handle_location_update(oid, positions[i], &mut provider, now)
-                    .expect("registered object");
+                seqs[i] += 1;
+                let report = SequencedUpdate { id: oid, pos: positions[i], seq: seqs[i] };
+                server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut Vec::new());
             }
             // Verify every query against brute force.
             for &(qid, spec) in &qids {

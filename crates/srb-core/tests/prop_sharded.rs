@@ -148,8 +148,8 @@ fn drive(
         }
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index() % N_OBJECTS]);
-        plain.handle_sequenced_updates(&batch, &mut provider, now);
-        sharded.handle_sequenced_updates(&batch, &mut provider, now);
+        plain.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
         plain.check_invariants_deep();
         sharded.check_invariants_deep();
 

@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srb_core::{FnProvider, ObjectId, Quarantine, QueryId, QuerySpec, Server, ServerConfig};
+use srb_core::{
+    FnProvider, ObjectId, Quarantine, QueryId, QuerySpec, SequencedUpdate, Server, ServerConfig,
+};
 use srb_geom::{Point, Rect};
 
 struct World {
@@ -153,11 +155,11 @@ fn run_protocol(seed: u64, config: ServerConfig, steps: usize, max_step: f64) {
             if !sr.contains_point(pos) {
                 let positions = world.positions.clone();
                 let mut provider = FnProvider(move |id: ObjectId| positions[id.index()]);
-                let resp = server
-                    .handle_location_update(oid, pos, &mut provider, now)
-                    .expect("registered object");
+                let report = SequencedUpdate { id: oid, pos, seq: step as u64 };
+                let mut grants = Vec::new();
+                server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut grants);
                 assert!(
-                    resp.safe_region.contains_point(pos),
+                    grants[0].0 == oid && grants[0].1.safe_region.contains_point(pos),
                     "new safe region excludes the reporter at step {step}"
                 );
             }

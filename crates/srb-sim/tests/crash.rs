@@ -21,7 +21,8 @@
 
 use srb_core::{
     BackendConfig, CrashPoint, DurabilityConfig, FnProvider, GridConfig, ObjectId, QueryId,
-    QuerySpec, RStarTree, RecoveryError, ServerConfig, ShardedServer, SyncPolicy, UniformGrid,
+    QuerySpec, RStarTree, RecoveryError, SequencedUpdate, ServerConfig, ShardedServer, SyncPolicy,
+    UniformGrid,
 };
 use srb_durable::crash;
 use srb_geom::{Point, Rect};
@@ -75,9 +76,10 @@ fn spec_at(r: u64) -> QuerySpec {
     }
 }
 
-/// One primitive operation — exactly one WAL record. The golden prefix
-/// table is indexed at this granularity: a crash can land between any
-/// two of these, but never inside one.
+/// One primitive operation — exactly one arbiter-log record (for the two
+/// ingest calls, `Single` and `Batch`, the marker that commits their
+/// partitions). The golden prefix table is indexed at this granularity: a
+/// crash can land between any two of these, but never inside one.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Add(u64),
@@ -90,8 +92,8 @@ enum Op {
     Deferred,
 }
 
-/// The deterministic script: object lifecycle, query churn, single and
-/// batched updates, the deferred-probe timer, and (via the lease in
+/// The deterministic script: object lifecycle, query churn, one-report
+/// and many-report batches, the deferred-probe timer, and (via the lease in
 /// [`base_config`]) lease regrants inside `process_deferred`.
 fn script() -> Vec<(u64, Op)> {
     let mut s = Vec::new();
@@ -122,6 +124,9 @@ fn script() -> Vec<(u64, Op)> {
 fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, r: u64, op: Op) {
     let now = 0.05 + r as f64 * 0.1;
     let mut p = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, r));
+    // An object reports in at most one operation per round, so the round is
+    // the client's sequence number — and `apply` stays a pure function.
+    let report = |o: u64| SequencedUpdate { id: ObjectId(o as u32), pos: pos_at(o, r), seq: r };
     match op {
         Op::Add(id) => {
             let _ = e.add_object(ObjectId(id as u32), pos_at(id, r), &mut p, now);
@@ -136,14 +141,12 @@ fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, r: u64, op: Op) {
             let _ = e.deregister_query(QueryId(q));
         }
         Op::Single(o) => {
-            let _ = e.handle_location_update(ObjectId(o as u32), pos_at(o, r), &mut p, now);
+            e.handle_sequenced_updates_into(&[report(o)], &mut p, now, &mut Vec::new());
         }
         Op::Batch => {
-            let ups: Vec<(ObjectId, Point)> = (0..N_OBJ)
-                .filter(|o| (o + r).is_multiple_of(3))
-                .map(|o| (ObjectId(o as u32), pos_at(o, r)))
-                .collect();
-            e.handle_location_updates(&ups, &mut p, now);
+            let ups: Vec<SequencedUpdate> =
+                (0..N_OBJ).filter(|o| (o + r).is_multiple_of(3)).map(report).collect();
+            e.handle_sequenced_updates_into(&ups, &mut p, now, &mut Vec::new());
         }
         Op::NextDue => {
             let _ = e.next_deferred_due();

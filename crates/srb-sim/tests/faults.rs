@@ -26,19 +26,15 @@ fn faults_cfg() -> SimConfig {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn unknown_object_update_is_an_error_not_a_panic() {
+fn unknown_object_update_is_dropped_and_counted_not_a_panic() {
     let mut server = Server::with_defaults();
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
-    let err = server
-        .handle_location_update(ObjectId(7), Point::new(0.5, 0.5), &mut provider, 0.0)
-        .unwrap_err();
-    assert_eq!(err, ServerError::UnknownObject(ObjectId(7)));
-
-    // The batch path drops and counts instead of failing the whole batch.
-    let resps =
-        server.handle_location_updates(&[(ObjectId(7), Point::new(0.5, 0.5))], &mut provider, 0.0);
+    let stray = SequencedUpdate { id: ObjectId(7), pos: Point::new(0.5, 0.5), seq: 1 };
+    let mut resps = Vec::new();
+    server.handle_sequenced_updates_into(&[stray], &mut provider, 0.0, &mut resps);
     assert!(resps.is_empty());
     assert_eq!(server.work().unknown_object_drops, 1);
+    assert_eq!(server.costs().source_updates, 0, "a dropped report is not charged");
 }
 
 #[test]
@@ -60,14 +56,15 @@ fn duplicate_sequenced_update_is_dropped_and_regranted() {
     server.add_object(ObjectId(1), Point::new(0.8, 0.8), &mut provider, 0.0).unwrap();
 
     let u = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.4, 0.4), seq: 1 };
-    let r1 = server.handle_sequenced_updates(&[u], &mut provider, 0.1);
+    let (mut r1, mut r2) = (Vec::new(), Vec::new());
+    server.handle_sequenced_updates_into(&[u], &mut provider, 0.1, &mut r1);
     assert_eq!(r1.len(), 1);
     assert_eq!(server.costs().source_updates, 1);
 
     // The channel delivered a second copy later: dropped idempotently, but
     // answered with the *current* safe region so a client whose grant was
     // lost still converges.
-    let r2 = server.handle_sequenced_updates(&[u], &mut provider, 0.2);
+    server.handle_sequenced_updates_into(&[u], &mut provider, 0.2, &mut r2);
     assert_eq!(server.costs().source_updates, 1, "duplicate must not be charged");
     assert_eq!(server.work().stale_seq_drops, 1);
     assert_eq!(server.work().regrants, 1);
@@ -77,7 +74,7 @@ fn duplicate_sequenced_update_is_dropped_and_regranted() {
 
     // A reordered (older-than-accepted) sequence number behaves the same.
     let stale = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.9, 0.9), seq: 0 };
-    server.handle_sequenced_updates(&[stale], &mut provider, 0.3);
+    server.handle_sequenced_updates_into(&[stale], &mut provider, 0.3, &mut Vec::new());
     assert_eq!(server.work().stale_seq_drops, 2);
     assert_eq!(server.last_known(ObjectId(0)).unwrap().0, Point::new(0.4, 0.4));
     server.check_invariants();
@@ -93,7 +90,8 @@ fn in_batch_duplicates_accept_first_copy_only() {
             .unwrap();
     }
     let u = SequencedUpdate { id: ObjectId(1), pos: Point::new(0.45, 0.5), seq: 1 };
-    let resps = server.handle_sequenced_updates(&[u, u], &mut provider, 0.1);
+    let mut resps = Vec::new();
+    server.handle_sequenced_updates_into(&[u, u], &mut provider, 0.1, &mut resps);
     assert_eq!(server.costs().source_updates, 1);
     assert_eq!(server.work().stale_seq_drops, 1);
     // One accepted response plus one regrant, both for object 1.
@@ -166,7 +164,7 @@ fn contact_renews_lease_without_probing() {
     for k in 1..=5 {
         let t = 0.4 * k as f64;
         let u = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.5, 0.5), seq: k };
-        server.handle_sequenced_updates(&[u], &mut provider, t);
+        server.handle_sequenced_updates_into(&[u], &mut provider, t, &mut Vec::new());
         server.process_deferred(&mut provider, t);
     }
     assert_eq!(server.work().lease_probes, 0);
@@ -379,7 +377,7 @@ proptest! {
             }
             let w = world.clone();
             let mut provider = FnProvider(move |id: ObjectId| w[id.index()]);
-            server.handle_sequenced_updates(&batch, &mut provider, now);
+            server.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
             server.process_deferred(&mut provider, now);
             server.check_invariants();
         }

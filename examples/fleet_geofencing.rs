@@ -7,7 +7,7 @@
 //! cargo run --release --example fleet_geofencing
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -63,23 +63,25 @@ fn main() {
     // Drive the world. Each tick every vehicle checks its safe region — the
     // client-side cost of the protocol is exactly this containment test.
     let mut events = 0u64;
+    let mut grants = Vec::new();
     let mut t = TICK;
     while t <= DURATION {
         for i in 0..FLEET {
             let pos = fleet[i].position(t);
             let sr = fleet[i].safe_region().expect("registered");
             if !sr.contains_point(pos) {
-                let resp = {
-                    let snapshot: Vec<Point> = fleet.iter_mut().map(|c| c.position(t)).collect();
-                    let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
-                    server
-                        .handle_location_update(ObjectId(i as u32), pos, &mut provider, t)
-                        .expect("registered object")
-                };
-                events += resp.changes.len() as u64;
-                fleet[i].receive_safe_region(resp.safe_region, t);
-                for (oid, sr) in resp.probed {
-                    fleet[oid.index()].receive_safe_region(sr, t);
+                // A report is a batch of one, numbered by the client.
+                let seq = fleet[i].send_report(pos);
+                let report = SequencedUpdate { id: ObjectId(i as u32), pos, seq };
+                let snapshot: Vec<Point> = fleet.iter_mut().map(|c| c.position(t)).collect();
+                let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
+                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                for (oid, resp) in grants.drain(..) {
+                    events += resp.changes.len() as u64;
+                    fleet[oid.index()].receive_safe_region(resp.safe_region, t);
+                    for (other, sr) in resp.probed {
+                        fleet[other.index()].receive_safe_region(sr, t);
+                    }
                 }
             }
         }

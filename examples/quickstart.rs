@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, Server};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server};
 use srb::geom::{Point, Rect};
 
 fn main() {
@@ -49,6 +49,7 @@ fn main() {
 
     // --- Move object o1 to the right, step by step -------------------------
     println!("\nmoving o1 rightward 0.05 per step:");
+    let mut seq = 0u64;
     for step in 1..=12 {
         let now = step as f64;
         positions[1] = Point::new(positions[1].x + 0.05, 0.5);
@@ -58,9 +59,12 @@ fn main() {
         if !sr.contains_point(pos) {
             let ps = positions.clone();
             let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-            let resp = server
-                .handle_location_update(ObjectId(1), pos, &mut provider, now)
-                .expect("registered object");
+            // A report is a batch of one, numbered by the client.
+            seq += 1;
+            let report = SequencedUpdate { id: ObjectId(1), pos, seq };
+            let mut grants = Vec::new();
+            server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut grants);
+            let (_, resp) = grants.pop().expect("the reporter is answered");
             for change in &resp.changes {
                 println!(
                     "  t={now}: o1 at x={:.2} -> query {} results now {:?}",

@@ -7,7 +7,7 @@
 //! cargo run --release --example ride_hailing_knn
 //! ```
 
-use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, Server};
+use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, Server};
 use srb::geom::Point;
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -56,13 +56,14 @@ fn main() {
             let pos = drivers[i].position(t);
             let sr = drivers[i].safe_region().expect("registered");
             if !sr.contains_point(pos) {
-                let resp = {
-                    let snapshot: Vec<Point> = drivers.iter_mut().map(|c| c.position(t)).collect();
-                    let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
-                    server
-                        .handle_location_update(ObjectId(i as u32), pos, &mut provider, t)
-                        .expect("registered object")
-                };
+                // A report is a batch of one, numbered by the client.
+                let seq = drivers[i].send_report(pos);
+                let report = SequencedUpdate { id: ObjectId(i as u32), pos, seq };
+                let snapshot: Vec<Point> = drivers.iter_mut().map(|c| c.position(t)).collect();
+                let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
+                let mut grants = Vec::new();
+                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                let (_, resp) = grants.pop().expect("the reporter is answered");
                 drivers[i].receive_safe_region(resp.safe_region, t);
                 for (oid, sr) in resp.probed {
                     drivers[oid.index()].receive_safe_region(sr, t);

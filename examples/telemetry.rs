@@ -10,7 +10,7 @@
 //! With `--no-default-features` the whole telemetry layer compiles away and
 //! the snapshot is empty — the example prints that instead of failing.
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, Server, ServerConfig};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb::geom::Point;
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
@@ -109,10 +109,7 @@ fn force_neighbor_probe() {
     }
     at = [Point::new(q.x + 0.03, q.y), Point::new(q.x, q.y + 0.03)];
     let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-    server.handle_location_updates(
-        &[(ObjectId(0), at[0]), (ObjectId(1), at[1])],
-        &mut provider,
-        1.0,
-    );
+    let batch = [0, 1].map(|i| SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: 1 });
+    server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut Vec::new());
     assert_eq!(server.work().probes_neighbor, 1, "the equidistant pair forces one probe");
 }

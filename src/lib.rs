@@ -20,7 +20,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use srb::core::{FnProvider, ObjectId, QuerySpec, Server};
+//! use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server};
 //! use srb::geom::{Point, Rect};
 //!
 //! let positions = vec![Point::new(0.2, 0.2), Point::new(0.7, 0.7)];
@@ -35,6 +35,13 @@
 //!     0.0,
 //! );
 //! assert_eq!(reg.results, vec![ObjectId(0)]);
+//!
+//! // Object 1 left its safe region and reports, numbered by the client. A
+//! // report is a batch of one — the engine has one way in.
+//! let report = SequencedUpdate { id: ObjectId(1), pos: Point::new(0.4, 0.4), seq: 1 };
+//! let mut grants = Vec::new();
+//! server.handle_sequenced_updates_into(&[report], &mut provider, 1.0, &mut grants);
+//! assert_eq!(server.results(reg.id), Some(&[ObjectId(0), ObjectId(1)][..]));
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/srb-bench`

@@ -48,6 +48,8 @@ fn trajectory_driven_monitoring_stays_exact() {
         );
     }
 
+    // One report per call, numbered by the client: a batch of one.
+    let mut seqs = vec![0u64; n];
     let steps = 400;
     for step in 1..=steps {
         let t = step as f64 * 0.01;
@@ -58,9 +60,11 @@ fn trajectory_driven_monitoring_stays_exact() {
             if !sr.contains_point(snapshot[i]) {
                 let ps = snapshot.clone();
                 let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-                server
-                    .handle_location_update(oid, snapshot[i], &mut provider, t)
-                    .expect("registered object");
+                seqs[i] += 1;
+                let report = SequencedUpdate { id: oid, pos: snapshot[i], seq: seqs[i] };
+                let mut grants = Vec::new();
+                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                assert_eq!(grants[0].0, oid, "the reporter is answered");
             }
         }
         if step % 50 == 0 {
@@ -208,10 +212,18 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
 #[test]
 fn durable_single_node_round_trips_through_recovery() {
     // The durable single node is the 1-shard engine: a few dozen mixed
-    // operations go through the log, the engine is dropped cold, and what
-    // `recover` rebuilds from disk equals a twin that never had a log.
+    // operations — many-report and one-report batches among them — go
+    // through the log, the engine is dropped cold, and what `recover`
+    // rebuilds from disk equals a twin that never had a log. At 2 shards
+    // the same stream replays through the partition logs and markers.
+    for shards in [1, 2] {
+        durable_round_trip(shards);
+    }
+}
+
+fn durable_round_trip(shards: usize) {
     use srb::core::{DurabilityConfig, QueryId, RStarTree, ShardedServer};
-    let dir = std::env::temp_dir().join(format!("srb-e2e-durable-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("srb-e2e-durable-{}-{shards}", std::process::id()));
     let dir: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
     let durable_cfg = ServerConfig {
         durability: DurabilityConfig {
@@ -228,11 +240,16 @@ fn durable_single_node_round_trips_through_recovery() {
     };
     let pos_at = |i: u64, round: u64| Point::new(unit(i, 2 * round), unit(i, 2 * round + 1));
 
-    let mut durable = ShardedServer::new(durable_cfg, 1);
-    let mut twin = ShardedServer::new(ServerConfig::default(), 1);
+    let mut durable = ShardedServer::new(durable_cfg, shards);
+    let mut twin = ShardedServer::new(ServerConfig::default(), shards);
     let mut queries: Vec<QueryId> = Vec::new();
     for engine in [&mut durable, &mut twin] {
         queries.clear();
+        let mut seqs = [0u64; 12];
+        let mut report = |i: u64, round: u64| {
+            seqs[i as usize] += 1;
+            SequencedUpdate { id: ObjectId(i as u32), pos: pos_at(i, round), seq: seqs[i as usize] }
+        };
         for round in 0..6u64 {
             let now = round as f64 * 0.1;
             let mut provider = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, round));
@@ -249,16 +266,15 @@ fn durable_single_node_round_trips_through_recovery() {
                 _ => QuerySpec::knn_unordered(Point::new(0.7, 0.4), 2),
             };
             queries.push(engine.register_query(spec, &mut provider, now).id);
-            let raw: Vec<(ObjectId, Point)> = (0..12u64)
-                .filter(|i| (i + round) % 2 == 0)
-                .map(|i| (ObjectId(i as u32), pos_at(i, round)))
-                .collect();
-            engine.handle_location_updates(&raw, &mut provider, now);
-            let _ = engine.handle_location_update(
-                ObjectId(round as u32),
-                pos_at(round, round),
+            let many: Vec<SequencedUpdate> =
+                (0..12u64).filter(|i| (i + round) % 2 == 0).map(|i| report(i, round)).collect();
+            let mut out = Vec::new();
+            engine.handle_sequenced_updates_into(&many, &mut provider, now, &mut out);
+            engine.handle_sequenced_updates_into(
+                &[report(round, round)],
                 &mut provider,
                 now,
+                &mut out,
             );
             if engine.next_deferred_due().is_some() {
                 engine.process_deferred(&mut provider, now);
@@ -272,11 +288,11 @@ fn durable_single_node_round_trips_through_recovery() {
     durable.sync_wal();
     drop(durable);
     let (recovered, replayed) =
-        ShardedServer::<RStarTree>::recover(durable_cfg, 1).expect("recovery");
+        ShardedServer::<RStarTree>::recover(durable_cfg, shards).expect("recovery");
     assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
-    assert_eq!(recovered.state_digest(), twin.state_digest());
+    assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
     for &q in &queries {
-        assert_eq!(recovered.results(q), twin.results(q), "query {q}");
+        assert_eq!(recovered.results(q), twin.results(q), "query {q}, {shards} shard(s)");
     }
     recovered.check_invariants();
     let _ = std::fs::remove_dir_all(dir);
