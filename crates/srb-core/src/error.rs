@@ -11,25 +11,12 @@ use std::fmt;
 pub enum ServerError {
     /// `add_object` was called with an id that is already registered.
     DuplicateObject(ObjectId),
-    /// A sequenced update carried a sequence number at or below the
-    /// object's last accepted one — a duplicate or reordered delivery.
-    StaleSequence {
-        /// The object the update was for.
-        id: ObjectId,
-        /// The sequence number carried by the rejected update.
-        seq: u64,
-        /// The highest sequence number accepted so far.
-        last: u64,
-    },
 }
 
 impl fmt::Display for ServerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServerError::DuplicateObject(id) => write!(f, "duplicate object {id}"),
-            ServerError::StaleSequence { id, seq, last } => {
-                write!(f, "stale sequence {seq} for {id} (last accepted {last})")
-            }
         }
     }
 }
@@ -136,9 +123,6 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = ServerError::StaleSequence { id: ObjectId(7), seq: 3, last: 5 };
-        let s = e.to_string();
-        assert!(s.contains('7') && s.contains('3') && s.contains('5'), "{s}");
         assert_eq!(
             ServerError::DuplicateObject(ObjectId(1)).to_string(),
             format!("duplicate object {}", ObjectId(1))

@@ -8,11 +8,11 @@
 
 use crate::bounds::LocBound;
 use crate::ids::ObjectId;
-use crate::object::ObjectTable;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
+use crate::view::ObjectView;
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::{NearestStream, SpatialBackend};
+use srb_index::NearestStream;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -21,9 +21,8 @@ use std::collections::BinaryHeap;
 /// current server operation (the updating object plus all probed objects);
 /// the server recomputes safe regions for exactly these objects afterwards
 /// (Algorithm 1 lines 14–15).
-pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
-    pub tree: &'a B,
-    pub objects: &'a ObjectTable,
+pub(crate) struct EvalCtx<'a, V: ObjectView> {
+    pub view: &'a V,
     pub exact: &'a mut FastMap<ObjectId, Point>,
     pub provider: &'a mut dyn LocationProvider,
     pub costs: &'a mut CostTracker,
@@ -39,23 +38,21 @@ pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
     pub now: f64,
 }
 
-/// Read-only view of the server state needed to bound object locations —
-/// used by safe-region computation, which never probes.
-pub(crate) struct ReadCtx<'a, B: SpatialBackend> {
-    pub tree: &'a B,
-    pub objects: &'a ObjectTable,
+/// Read-only view of the server state needed to bound object locations.
+pub(crate) struct ReadCtx<'a, V: ObjectView> {
+    pub view: &'a V,
     pub exact: &'a FastMap<ObjectId, Point>,
     pub max_speed: Option<f64>,
     pub now: f64,
 }
 
-impl<B: SpatialBackend> ReadCtx<'_, B> {
+impl<V: ObjectView> ReadCtx<'_, V> {
     /// The location bound for an object whose stored rectangle is `sr`.
     pub fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
         if let Some(&p) = self.exact.get(&id) {
             return LocBound::Exact(p);
         }
-        let reach = match (self.max_speed, self.objects.get(id)) {
+        let reach = match (self.max_speed, self.view.state_of(id)) {
             (Some(v), Some(st)) => {
                 Some(Circle::new(st.p_lst, (v * (self.now - st.t_lst)).max(0.0)))
             }
@@ -65,26 +62,85 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
     }
 
     /// The location bound for an object, looking its rectangle up in the
-    /// tree.
+    /// view.
     pub fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         if let Some(&p) = self.exact.get(&id) {
             return Some(LocBound::Exact(p));
         }
-        let sr = self.tree.get(id.entry())?;
+        let sr = self.view.rect_of(id)?;
         Some(self.bound(id, sr))
+    }
+
+    /// `t_lst + slack(p_lst) / v`: when `id`, leaving the anchor of its
+    /// last report at top speed, has used up the slack a decision left it
+    /// — the instant that decision could stop holding. `None` with the
+    /// enhancement off or for an unknown object.
+    fn due_after(&self, id: ObjectId, slack: impl FnOnce(Point) -> f64) -> Option<f64> {
+        let (v, st) = (self.max_speed?, self.view.state_of(id)?);
+        Some(st.t_lst + slack(st.p_lst) / v)
+    }
+
+    /// The earliest time `id` could be at distance `threshold` from `q` —
+    /// when a `Δ_ref(id) <= threshold` decision could stop holding.
+    pub fn due_dist_threshold(&self, id: ObjectId, q: Point, threshold: f64) -> Option<f64> {
+        self.due_after(id, |anchor| threshold - anchor.dist(q))
+    }
+
+    /// The earliest time `id` could be closer to `q` than `threshold` —
+    /// when a `δ_ref(id) >= threshold` decision could stop holding.
+    pub fn due_min_dist_threshold(&self, id: ObjectId, q: Point, threshold: f64) -> Option<f64> {
+        self.due_after(id, |anchor| anchor.dist(q) - threshold)
     }
 }
 
-impl<B: SpatialBackend> EvalCtx<'_, B> {
-    /// A read-only view sharing this context's state.
-    pub fn as_read(&self) -> ReadCtx<'_, B> {
-        ReadCtx {
-            tree: self.tree,
-            objects: self.objects,
-            exact: self.exact,
-            max_speed: self.max_speed,
-            now: self.now,
+/// What safe-region computation (§5) asks of its caller beyond reading
+/// bounds. The single server answers inline ([`EvalCtx`]); a lane of the
+/// sharded engine, which reads shared state and may not probe, hands the
+/// question back to its coordinator.
+pub(crate) trait RegionCtx<V: ObjectView> {
+    /// The read-only half.
+    fn read(&self) -> ReadCtx<'_, V>;
+
+    /// Keeps a reachability-based decision about `id` sound: a deferred
+    /// probe at `due` — or, when `due` is not in the future, an exact
+    /// location now (a deferred probe would fire at this very instant, and
+    /// two objects can schedule each other forever at a frozen timestamp).
+    fn defer_until(&mut self, id: ObjectId, due: f64);
+
+    /// The exact location of the neighbour `id`, whose stale safe region
+    /// leaves no room. `None` when this context cannot probe: the region
+    /// being computed is then void, and is computed again once the caller
+    /// has the location.
+    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point>;
+}
+
+impl<V: ObjectView> RegionCtx<V> for EvalCtx<'_, V> {
+    fn read(&self) -> ReadCtx<'_, V> {
+        self.as_read()
+    }
+
+    fn defer_until(&mut self, id: ObjectId, due: f64) {
+        if due > self.now + 1e-9 {
+            self.deferred.push((id, due));
+            self.work.probes_avoided += 1;
+        } else {
+            // The object's safe region is recomputed at the end of this
+            // operation like any other probe target.
+            let _ = self.probe(id);
         }
+    }
+
+    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point> {
+        self.work.probes_neighbor += 1;
+        srb_obs::counter!("safe_region.neighbor_probes").inc();
+        Some(self.probe(id))
+    }
+}
+
+impl<V: ObjectView> EvalCtx<'_, V> {
+    /// A read-only view sharing this context's state.
+    pub fn as_read(&self) -> ReadCtx<'_, V> {
+        ReadCtx { view: self.view, exact: self.exact, max_speed: self.max_speed, now: self.now }
     }
 
     /// The location bound for an object whose stored rectangle is `sr`.
@@ -93,7 +149,7 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
     }
 
     /// The location bound for an object, looking its rectangle up in the
-    /// tree.
+    /// view.
     pub fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         self.as_read().bound_of(id)
     }
@@ -111,60 +167,16 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
     /// distance `threshold` from `q` — the instant a `Δ_ref(id) <= threshold`
     /// decision could stop holding.
     pub fn defer_dist_threshold(&mut self, id: ObjectId, q: Point, threshold: f64) {
-        let (Some(v), Some(st)) = (self.max_speed, self.objects.get(id)) else {
-            return;
-        };
-        let slack = threshold - st.p_lst.dist(q);
-        let due = st.t_lst + slack / v;
-        if due > self.now + 1e-9 {
-            self.deferred.push((id, due));
-            self.work.probes_avoided += 1;
-        } else {
-            // The anchor is already at (or past) the threshold: a deferred
-            // probe would fire at this very instant — and two objects can
-            // schedule each other forever at a frozen timestamp. Probe
-            // inline instead; the object's safe region is recomputed at the
-            // end of this operation like any other probe target.
-            let _ = self.probe(id);
-        }
-    }
-
-    /// Schedules a deferred probe of `id` at the earliest time the object's
-    /// reachability circle could shrink its distance from `q` *below*
-    /// `threshold` — the instant a `δ_ref(id) >= threshold` decision could
-    /// stop holding.
-    pub fn defer_min_dist_threshold(&mut self, id: ObjectId, q: Point, threshold: f64) {
-        let (Some(v), Some(st)) = (self.max_speed, self.objects.get(id)) else {
-            return;
-        };
-        let slack = st.p_lst.dist(q) - threshold;
-        let due = st.t_lst + slack / v;
-        if due > self.now + 1e-9 {
-            self.deferred.push((id, due));
-            self.work.probes_avoided += 1;
-        } else {
-            // See `defer_dist_threshold`: immediate-due deferrals can
-            // livelock at a frozen timestamp; probe inline instead.
-            let _ = self.probe(id);
+        if let Some(due) = self.as_read().due_dist_threshold(id, q, threshold) {
+            self.defer_until(id, due);
         }
     }
 
     /// Schedules a deferred probe of `id` at the earliest time its circle
     /// could travel `dist` from the anchor — used for rectangle constraints.
     pub fn defer_travel(&mut self, id: ObjectId, dist: f64) {
-        let (Some(v), Some(st)) = (self.max_speed, self.objects.get(id)) else {
-            return;
-        };
-        let due = st.t_lst + dist.max(0.0) / v;
-        if due > self.now + 1e-9 {
-            self.deferred.push((id, due));
-            self.work.probes_avoided += 1;
-        } else {
-            // See `defer_dist_threshold`: a non-positive slack means the
-            // decision could already be stale, and an immediately-due
-            // deferred probe both livelocks at a frozen timestamp and costs
-            // an extra scheduling round-trip. Probe inline instead.
-            let _ = self.probe(id);
+        if let Some(due) = self.as_read().due_after(id, |_| dist.max(0.0)) {
+            self.defer_until(id, due);
         }
     }
 }
@@ -175,13 +187,13 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
 
 /// Evaluates a new range query over safe regions, probing only objects whose
 /// bound straddles the rectangle boundary.
-pub(crate) fn evaluate_range<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn evaluate_range<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     rect: &Rect,
 ) -> Vec<ObjectId> {
     ctx.work.evaluations += 1;
     let mut results = Vec::new();
-    let candidates = ctx.tree.search_vec(rect);
+    let candidates = ctx.view.search(rect);
     for entry in candidates {
         let oid = ObjectId(entry.id as u32);
         let bound = ctx.bound(oid, entry.rect);
@@ -297,17 +309,17 @@ impl Ord for Item {
     }
 }
 
-/// Merges the backend's best-first browser with probed exact points pushed
+/// Merges the view's best-first browser with probed exact points pushed
 /// back into the frontier, yielding objects in non-decreasing key order.
-struct Stream<'a, B: SpatialBackend + 'a> {
-    browser: B::Nearest<'a>,
+struct Stream<'a, V: ObjectView + 'a> {
+    browser: V::Nearest<'a>,
     heap: BinaryHeap<Reverse<Item>>,
     q: Point,
 }
 
-impl<'a, B: SpatialBackend + 'a> Stream<'a, B> {
-    fn new(tree: &'a B, q: Point) -> Self {
-        Stream { browser: tree.nearest_iter(q), heap: BinaryHeap::new(), q }
+impl<'a, V: ObjectView + 'a> Stream<'a, V> {
+    fn new(view: &'a V, q: Point) -> Self {
+        Stream { browser: view.nearest(q), heap: BinaryHeap::new(), q }
     }
 
     fn push(&mut self, item: Item) {
@@ -315,7 +327,7 @@ impl<'a, B: SpatialBackend + 'a> Stream<'a, B> {
     }
 
     /// Next object by key, skipping `exclude`.
-    fn next(&mut self, ctx: &EvalCtx<'_, B>, exclude: &[ObjectId]) -> Option<Item> {
+    fn next(&mut self, ctx: &EvalCtx<'_, V>, exclude: &[ObjectId]) -> Option<Item> {
         loop {
             // Pull from the browser until its lower bound can no longer beat
             // the heap top.
@@ -349,15 +361,15 @@ fn open_radius(q: Point, space: &Rect, inner: f64) -> f64 {
 }
 
 /// Evaluates a new **order-sensitive** kNN query (Algorithm 2).
-pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn evaluate_knn_ordered<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     q: Point,
     k: usize,
     space: &Rect,
     exclude: &[ObjectId],
 ) -> KnnEval {
     ctx.work.evaluations += 1;
-    let mut stream = Stream::new(ctx.tree, q);
+    let mut stream = Stream::new(ctx.view, q);
     let mut held: Option<Item> = None;
     let mut results: Vec<Item> = Vec::with_capacity(k);
     let mut next_for_radius: Option<Item> = None;
@@ -419,12 +431,12 @@ pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
 /// confirmations leave those raw ranges overlapping, the separation is
 /// restored by probing (each probed object's safe region is recomputed by
 /// the server afterwards, shrinking it to an exact point here).
-fn sound_radius<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn sound_radius<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     q: Point,
     results: &mut [Item],
     mut next: Option<Item>,
-    stream: &mut Stream<'_, B>,
+    stream: &mut Stream<'_, V>,
     exclude: &[ObjectId],
     space: &Rect,
 ) -> f64 {
@@ -476,15 +488,15 @@ fn sound_radius<B: SpatialBackend>(
 /// Evaluates a new **order-insensitive** kNN query: same browsing, but up to
 /// `k` objects may be held simultaneously, so fewer probes are needed
 /// (§4.2, last paragraph).
-pub(crate) fn evaluate_knn_unordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn evaluate_knn_unordered<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     q: Point,
     k: usize,
     space: &Rect,
     exclude: &[ObjectId],
 ) -> KnnEval {
     ctx.work.evaluations += 1;
-    let mut stream = Stream::new(ctx.tree, q);
+    let mut stream = Stream::new(ctx.view, q);
     let mut held: Vec<Item> = Vec::new();
     let mut results: Vec<Item> = Vec::with_capacity(k);
     let mut next_for_radius: Option<Item> = None;

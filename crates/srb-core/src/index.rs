@@ -99,6 +99,15 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.tree.update(id.entry(), Rect::point(pos));
     }
 
+    /// Undoes [`pin_to_point`](Self::pin_to_point) for an operation that
+    /// ended before a new region was installed: the backend entry goes back
+    /// to the safe region the state table still holds.
+    pub(crate) fn unpin(&mut self, id: ObjectId) {
+        if let Some(st) = self.objects.get(id) {
+            self.tree.update(id.entry(), st.safe_region);
+        }
+    }
+
     /// Installs a freshly computed safe region: updates the backend entry
     /// and rewrites the state with the new anchor `pos` at time `now`,
     /// preserving the accepted sequence number.

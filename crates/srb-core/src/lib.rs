@@ -54,6 +54,12 @@
 //! `SRB_BACKEND=adaptive` arms an [`AdaptiveController`] that migrates and
 //! retunes per shard from observed telemetry at batch boundaries.
 //!
+//! [`ShardedServer`] scales the server out without changing its answers:
+//! the shards hold the objects, the coordinator holds the queries and
+//! evaluates each once, with the same §4 code, over the union of the shard
+//! indexes — exact at every shard count — and the safe regions of a batch
+//! are computed by one lane per shard, on as many threads as it is given.
+//!
 //! Durability ([`DurabilityConfig`]) belongs to [`ShardedServer`] alone:
 //! it logs, checkpoints and recovers ([`ShardedServer::recover`]) for the
 //! shard-local [`Server`] stacks it owns, and a durable single node is the
@@ -80,6 +86,7 @@ mod safe_region;
 mod scratch;
 mod server;
 mod sharded;
+mod view;
 mod wal;
 
 pub use adaptive::{AdaptAction, AdaptiveController, ShardSignals};

@@ -84,15 +84,30 @@ impl LocationManager {
         objects: &ObjectTable,
     ) {
         for (oid, due) in scratch.drain(..) {
-            if exact.contains_key(&oid) {
-                continue;
+            if !exact.contains_key(&oid) {
+                self.defer(oid, due, objects);
             }
-            let Some(st) = objects.get(oid) else { continue };
+        }
+    }
+
+    /// Schedules one reachability-slack probe of `oid` (an object of
+    /// `objects`; unknown ids are ignored) at `due`.
+    pub(crate) fn defer(&mut self, oid: ObjectId, due: f64, objects: &ObjectTable) {
+        let Some(st) = objects.get(oid) else { return };
+        self.deferred.push(Reverse(Deferred { due, oid, epoch: st.t_lst, kind: DeferKind::Slack }));
+    }
+
+    /// Schedules the lease-expiry probe of the region just granted to `oid`
+    /// at `now`, when leases are enabled. Renewal-on-contact is implicit:
+    /// the entry's epoch is the fresh `t_lst`, so any later contact (which
+    /// bumps `t_lst`) invalidates it via the staleness rule.
+    pub(crate) fn start_lease(&mut self, lease: Option<f64>, oid: ObjectId, now: f64) {
+        if let Some(lease) = lease.filter(|&l| l > 0.0) {
             self.deferred.push(Reverse(Deferred {
-                due,
+                due: now + lease,
                 oid,
-                epoch: st.t_lst,
-                kind: DeferKind::Slack,
+                epoch: now,
+                kind: DeferKind::Lease,
             }));
         }
     }
@@ -204,8 +219,7 @@ impl LocationManager {
             let p_lst = index.get(oid).map(|s| s.p_lst).unwrap_or(pos);
             let sr = {
                 let mut ctx = EvalCtx {
-                    tree: index.tree(),
-                    objects: index.objects(),
+                    view: &*index,
                     exact,
                     provider,
                     costs,
@@ -227,19 +241,7 @@ impl LocationManager {
             };
             work.safe_regions += 1;
             index.install_region(oid, pos, sr, now);
-            if let Some(lease) = config.lease {
-                if lease > 0.0 {
-                    // Renewal-on-contact is implicit: this entry's epoch is
-                    // the fresh `t_lst`, so any later contact (which bumps
-                    // `t_lst`) invalidates it via the staleness rule.
-                    self.deferred.push(Reverse(Deferred {
-                        due: now + lease,
-                        oid,
-                        epoch: now,
-                        kind: DeferKind::Lease,
-                    }));
-                }
-            }
+            self.start_lease(config.lease, oid, now);
             out.push((oid, sr));
             // Nothing removes keys during a computation, so a longer map
             // means a neighbor probe added some.
@@ -271,7 +273,11 @@ pub(crate) struct Worklist {
 impl Worklist {
     /// Rebuilds the pending ids from the map: at the start of a recompute
     /// (`recomputed` empty) and whenever a probe has grown `exact` since.
-    fn refill(&mut self, exact: &FastMap<ObjectId, Point>, recomputed: &[(ObjectId, Rect)]) {
+    pub(crate) fn refill(
+        &mut self,
+        exact: &FastMap<ObjectId, Point>,
+        recomputed: &[(ObjectId, Rect)],
+    ) {
         self.done.clear();
         self.done.extend(recomputed.iter().map(|&(o, _)| o));
         self.done.sort_unstable();
@@ -281,7 +287,7 @@ impl Worklist {
         self.pending.sort_unstable_by(|a, b| b.cmp(a));
     }
 
-    fn pop(&mut self) -> Option<ObjectId> {
+    pub(crate) fn pop(&mut self) -> Option<ObjectId> {
         self.pending.pop()
     }
 }

@@ -10,8 +10,10 @@
 use crate::eval::{evaluate_knn_ordered, evaluate_knn_unordered, evaluate_range, EvalCtx};
 use crate::grid::GridIndex;
 use crate::ids::{ObjectId, QueryId};
-use crate::query::{Quarantine, QuerySpec, QueryState};
+use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::reeval::{reevaluate, reevaluate_multi};
+use crate::scratch::BatchBuffers;
+use crate::view::ObjectView;
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
 
@@ -19,8 +21,7 @@ use srb_hash::FastMap;
 /// locates the queries a moving object can affect.
 pub struct QueryProcessor {
     /// Slot-allocated query states (`None` = free slot, ids are reused).
-    /// A [`QueryId`] *is* its slot index — the sharded engine relies on
-    /// lockstep lowest-free-id allocation across shards.
+    /// A [`QueryId`] *is* its slot index.
     queries: Vec<Option<QueryState>>,
     /// Per-slot reuse generation, bumped on deregistration, so callers can
     /// tell a reused id apart from the query that previously held it.
@@ -165,9 +166,9 @@ impl QueryProcessor {
 
     /// Evaluates a brand-new query from scratch (§4.1–§4.2), returning its
     /// initial results and quarantine area. Nothing is registered yet.
-    pub(crate) fn evaluate_new<B: srb_index::SpatialBackend>(
+    pub(crate) fn evaluate_new<V: ObjectView>(
         &self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_, V>,
         spec: QuerySpec,
         space: &Rect,
     ) -> (Vec<ObjectId>, Quarantine) {
@@ -189,9 +190,9 @@ impl QueryProcessor {
     /// `pos` (§4.3), updating the grid when the quarantine changed. Returns
     /// the new result set when it changed, `None` otherwise (including for
     /// unknown ids).
-    pub(crate) fn reevaluate_single<B: srb_index::SpatialBackend>(
+    pub(crate) fn reevaluate_single<V: ObjectView>(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_, V>,
         qid: QueryId,
         oid: ObjectId,
         pos: Point,
@@ -199,24 +200,22 @@ impl QueryProcessor {
         space: &Rect,
     ) -> Option<Vec<ObjectId>> {
         let _span = srb_obs::span!("processor.reevaluate");
-        let mut qs = self.queries.get_mut(qid.index())?.take()?;
+        let qs = self.queries.get_mut(qid.index())?.as_mut()?;
         let old_bbox = qs.quarantine.bbox();
-        let outcome = reevaluate(ctx, &mut qs, oid, pos, p_lst, space);
+        let outcome = reevaluate(ctx, qs, oid, pos, p_lst, space);
         if outcome.quarantine_changed {
             self.grid.update(qid, &old_bbox, &qs.quarantine.bbox());
         }
-        let changed = outcome.results_changed.then(|| qs.results.clone());
-        self.queries[qid.index()] = Some(qs);
-        changed
+        outcome.results_changed.then(|| qs.results.clone())
     }
 
     /// Reevaluates `qid` for a batch of simultaneous movers: incrementally
     /// when a single mover affects it, from scratch when several do. All
     /// movers' exact positions must already be in `ctx.exact`; `prev` holds
     /// their previous anchors.
-    pub(crate) fn reevaluate_batch<B: srb_index::SpatialBackend>(
+    pub(crate) fn reevaluate_batch<V: ObjectView>(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_, V>,
         qid: QueryId,
         movers: &[ObjectId],
         prev: &FastMap<ObjectId, Point>,
@@ -230,27 +229,110 @@ impl QueryProcessor {
         // Delegated single-mover calls are timed inside reevaluate_single;
         // opening the span after the delegation keeps counts one-per-call.
         let _span = srb_obs::span!("processor.reevaluate");
-        let mut qs = self.queries.get_mut(qid.index())?.take()?;
+        let qs = self.queries.get_mut(qid.index())?.as_mut()?;
         let old_bbox = qs.quarantine.bbox();
-        let outcome = reevaluate_multi(ctx, &mut qs, movers, prev, space);
+        let outcome = reevaluate_multi(ctx, qs, movers, prev, space);
         if outcome.quarantine_changed {
             self.grid.update(qid, &old_bbox, &qs.quarantine.bbox());
         }
-        let changed = outcome.results_changed.then(|| qs.results.clone());
-        self.queries[qid.index()] = Some(qs);
-        changed
+        outcome.results_changed.then(|| qs.results.clone())
+    }
+
+    /// Reevaluates, once each and in ascending id order, every query the
+    /// movers of one batch can affect — incrementally when a single mover
+    /// affects it, from scratch when several do. Every mover's position
+    /// must already be pinned in the view and recorded in `ctx.exact`, its
+    /// previous anchor in `batch.prev`; a repeated mover flagged in
+    /// `batch.repeated_ids`. Returns the changed results.
+    pub(crate) fn reevaluate_movers<V: ObjectView>(
+        &mut self,
+        ctx: &mut EvalCtx<'_, V>,
+        movers: impl Iterator<Item = (ObjectId, Point)>,
+        batch: &mut BatchBuffers,
+        candidates: &mut Vec<QueryId>,
+        space: &Rect,
+    ) -> Vec<ResultChange> {
+        for (i, (id, pos)) in movers.enumerate() {
+            self.candidates_into(pos, batch.prev[&id], candidates);
+            batch.touched.extend(candidates.iter().map(|&qid| (qid, i, id)));
+        }
+        batch.group_movers();
+        let mut changes = Vec::new();
+        for (qid, movers) in batch.per_query() {
+            if let Some(results) = self.reevaluate_batch(ctx, *qid, movers, &batch.prev, space) {
+                changes.push(ResultChange { query: *qid, results });
+            }
+        }
+        changes
+    }
+
+    /// Folds a newly registered object at `pos` into every query whose
+    /// quarantine area covers it: a range query gains it, a kNN query is
+    /// re-run. `ctx.exact` must already hold the object.
+    pub(crate) fn fold_in<V: ObjectView>(
+        &mut self,
+        ctx: &mut EvalCtx<'_, V>,
+        id: ObjectId,
+        pos: Point,
+        candidates: &mut Vec<QueryId>,
+        space: &Rect,
+    ) {
+        candidates.clear();
+        candidates.extend(
+            self.grid.queries_at(pos).iter().copied().filter(|&qid| {
+                self.get(qid).map(|qs| qs.quarantine.contains(pos)).unwrap_or(false)
+            }),
+        );
+        for &qid in candidates.iter() {
+            let qs = self.get_mut(qid).expect("candidates are registered");
+            if matches!(qs.spec, QuerySpec::Range { .. }) {
+                if !qs.is_result(id) {
+                    qs.results.push(id);
+                }
+            } else {
+                self.refold_knn(ctx, qid, space);
+            }
+        }
+    }
+
+    /// Drops a removed object from every query holding it as a result (a
+    /// kNN query is re-run to refill). The object must already be gone
+    /// from the view. Returns the changed results.
+    pub(crate) fn fold_out<V: ObjectView>(
+        &mut self,
+        ctx: &mut EvalCtx<'_, V>,
+        id: ObjectId,
+        candidates: &mut Vec<QueryId>,
+        space: &Rect,
+    ) -> Vec<ResultChange> {
+        candidates.clear();
+        candidates.extend(self.ids());
+        let mut changes = Vec::new();
+        for &qid in candidates.iter() {
+            let qs = self.get_mut(qid).expect("listed ids are registered");
+            if !qs.is_result(id) {
+                continue;
+            }
+            qs.results.retain(|&o| o != id);
+            if matches!(qs.spec, QuerySpec::Knn { .. }) {
+                self.refold_knn(ctx, qid, space);
+            }
+            let results = self.get(qid).expect("query exists").results.clone();
+            changes.push(ResultChange { query: qid, results });
+        }
+        changes
     }
 
     /// Re-runs a kNN query from scratch and installs the fresh results and
     /// quarantine (used when object churn invalidates the incremental
     /// cases). No-op for range queries and unknown ids.
-    pub(crate) fn refold_knn<B: srb_index::SpatialBackend>(
+    pub(crate) fn refold_knn<V: ObjectView>(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_, V>,
         qid: QueryId,
         space: &Rect,
     ) {
-        let Some(mut qs) = self.queries.get_mut(qid.index()).and_then(Option::take) else {
+        let Some(qs) = self.queries.get_mut(qid.index()).and_then(Option::as_mut) else {
             return;
         };
         if let QuerySpec::Knn { center, k, order_sensitive } = qs.spec {
@@ -264,13 +346,12 @@ impl QueryProcessor {
             qs.quarantine = Quarantine::Circle(Circle::new(center, eval.radius));
             self.grid.update(qid, &old, &qs.quarantine.bbox());
         }
-        self.queries[qid.index()] = Some(qs);
     }
 
     /// Serializes the processor for a durability checkpoint: the query
-    /// slots in slot order (ids are slot indices, so this preserves the
-    /// lockstep lowest-free-id allocation), the per-slot reuse
-    /// generations, the occupancy counters, and the grid index.
+    /// slots in slot order (ids are slot indices, so this preserves
+    /// lowest-free-id allocation), the per-slot reuse generations, the
+    /// occupancy counters, and the grid index.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         use srb_durable::codec::*;
         put_usize(out, self.queries.len());

@@ -68,6 +68,19 @@ impl Quarantine {
         }
     }
 
+    /// Whether the safe region `sr` keeps to one side of the area — within
+    /// it when `inside`, clear of its interior otherwise (both closed, to
+    /// 1e-9). What a consistency check holds a granted region to.
+    pub(crate) fn keeps(&self, sr: &Rect, inside: bool) -> bool {
+        const EPS: f64 = 1e-9;
+        match (self, inside) {
+            (Quarantine::Circle(c), true) => sr.max_dist(c.center) <= c.radius + EPS,
+            (Quarantine::Circle(c), false) => sr.min_dist(c.center) >= c.radius - EPS,
+            (Quarantine::Rect(r), true) => r.inflate(EPS).contains_rect(sr),
+            (Quarantine::Rect(r), false) => !r.inflate(-EPS).intersects(sr),
+        }
+    }
+
     /// Bounding box — used to register the query in the grid index.
     #[inline]
     pub fn bbox(&self) -> Rect {

@@ -17,6 +17,7 @@
 use crate::eval::{evaluate_knn_ordered, evaluate_knn_unordered, EvalCtx};
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
+use crate::view::ObjectView;
 use srb_geom::{Circle, Point, Rect};
 
 const EPS: f64 = 1e-12;
@@ -33,8 +34,8 @@ pub(crate) struct Reeval {
 /// Reevaluates `qs` after object `oid` reported a move from `p_lst` to
 /// `pos`. `pos` must already be recorded in `ctx.exact` and in the object
 /// tree (as a degenerate rectangle) by the caller.
-pub(crate) fn reevaluate<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn reevaluate<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     qs: &mut QueryState,
     oid: ObjectId,
     pos: Point,
@@ -56,8 +57,8 @@ pub(crate) fn reevaluate<B: srb_index::SpatialBackend>(
 /// queries flip each mover's membership independently; kNN queries are
 /// reevaluated from scratch (every mover's exact position is already in
 /// `ctx.exact`, so the evaluation is consistent and probes stay lazy).
-pub(crate) fn reevaluate_multi<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn reevaluate_multi<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     qs: &mut QueryState,
     movers: &[ObjectId],
     prev: &srb_hash::FastMap<ObjectId, Point>,
@@ -136,8 +137,8 @@ fn quarantine_circle(qs: &QueryState) -> Circle {
     }
 }
 
-fn reevaluate_knn_unordered<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn reevaluate_knn_unordered<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     qs: &mut QueryState,
     pos: Point,
     p_lst: Point,
@@ -164,8 +165,8 @@ fn reevaluate_knn_unordered<B: srb_index::SpatialBackend>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn reevaluate_knn_ordered<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn reevaluate_knn_ordered<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     qs: &mut QueryState,
     oid: ObjectId,
     pos: Point,
@@ -289,8 +290,8 @@ fn reevaluate_knn_ordered<B: srb_index::SpatialBackend>(
     Reeval { results_changed, quarantine_changed }
 }
 
-fn full_reevaluate<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn full_reevaluate<V: ObjectView>(
+    ctx: &mut EvalCtx<'_, V>,
     qs: &mut QueryState,
     center: Point,
     k: usize,
@@ -309,8 +310,8 @@ fn full_reevaluate<B: srb_index::SpatialBackend>(
 /// Collects `(δ, Δ)` bounds for `seq` and verifies the §4.3 interleaving
 /// invariant `δ_1 ≤ Δ_1 ≤ δ_2 ≤ Δ_2 ≤ …`. Returns `None` when an object is
 /// missing or the invariant is broken.
-fn collect_ordered_bounds<B: srb_index::SpatialBackend>(
-    ctx: &EvalCtx<'_, B>,
+fn collect_ordered_bounds<V: ObjectView>(
+    ctx: &EvalCtx<'_, V>,
     seq: &[ObjectId],
     center: Point,
 ) -> Option<Vec<(f64, f64)>> {

@@ -7,10 +7,11 @@
 //! not contain `p` are handled together by the batch staircase algorithm of
 //! §5.3; everything else goes through the Ir-lp constructions of §5.1–§5.2.
 
-use crate::eval::EvalCtx;
+use crate::eval::RegionCtx;
 use crate::grid::GridIndex;
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
+use crate::view::ObjectView;
 use srb_geom::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, ClearanceObjective,
     OrdinaryPerimeter, PerimeterObjective, Point, Rect, Ring, WeightedPerimeter,
@@ -24,13 +25,13 @@ const CLEARANCE_FRACTION: f64 = 0.05;
 ///
 /// `steadiness` selects the §6.2 weighted-perimeter objective; `p_lst` (the
 /// previous exactly-known location) supplies the movement direction.
-/// Objects recorded in `ctx.exact` are treated as having *invalid* safe
+/// Objects the context knows exactly are treated as having *invalid* safe
 /// regions (probed but not yet recomputed), triggering the midpoint
 /// replacement rule of §5.2. `range_blocks` is a reused scratch buffer (its
 /// content on entry is discarded), so no region allocates.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn compute_safe_region<V: ObjectView>(
+    ctx: &mut impl RegionCtx<V>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
     oid: ObjectId,
@@ -57,8 +58,8 @@ pub(crate) fn compute_safe_region<B: srb_index::SpatialBackend>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn safe_region_under<B: srb_index::SpatialBackend, O: PerimeterObjective>(
-    ctx: &mut EvalCtx<'_, B>,
+fn safe_region_under<V: ObjectView, O: PerimeterObjective>(
+    ctx: &mut impl RegionCtx<V>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
     oid: ObjectId,
@@ -110,8 +111,8 @@ enum SrQ {
     Whole,
 }
 
-fn sr_for_query<B: srb_index::SpatialBackend, O: PerimeterObjective>(
-    ctx: &mut EvalCtx<'_, B>,
+fn sr_for_query<V: ObjectView, O: PerimeterObjective>(
+    ctx: &mut impl RegionCtx<V>,
     qs: &QueryState,
     oid: ObjectId,
     pos: Point,
@@ -188,28 +189,30 @@ fn sr_for_query<B: srb_index::SpatialBackend, O: PerimeterObjective>(
 /// The ring bound contributed by the neighbor `o` of a result object at
 /// `pos`: `Δ(q, o.sr)` for the inner neighbor / `δ(q, o.sr)` for the outer.
 /// When `o`'s safe region is *invalid* (probed this round, not yet
-/// recomputed — i.e. present in `ctx.exact`), §5.2 replaces the bound by the
+/// recomputed — i.e. exactly known to the context), §5.2 replaces the bound by the
 /// midpoint `(d(q, o) + d(q, pos)) / 2`.
 ///
 /// When the neighbor's *stale* safe region conflicts with `pos` (its bound
 /// would leave no room for the ring — `Δ(q, o.sr) >= d(q, pos)` for the
 /// inner neighbor, or `δ(q, o.sr) <= d(q, pos)` for the outer), the
-/// neighbor is probed, which both resolves the conflict via the midpoint
-/// rule and queues the neighbor's own safe region for recomputation.
+/// neighbor is probed ([`RegionCtx::probe_neighbor`]), which both resolves
+/// the conflict via the midpoint rule and queues the neighbor's own safe
+/// region for recomputation.
 /// Without the probe the ring collapses to a sliver pinned at `pos`, and
 /// the object would have to update continuously.
-fn neighbor_bound<B: srb_index::SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn neighbor_bound<V: ObjectView>(
+    ctx: &mut impl RegionCtx<V>,
     o: ObjectId,
     q: Point,
     pos: Point,
     inner: bool,
 ) -> f64 {
     let d = pos.dist(q);
-    if let Some(&pt) = ctx.exact.get(&o) {
+    let read = ctx.read();
+    if let Some(&pt) = read.exact.get(&o) {
         return (pt.dist(q) + d) * 0.5;
     }
-    let Some(bound_full) = ctx.bound_of(o) else {
+    let Some(bound_full) = read.bound_of(o) else {
         return d; // unknown neighbor: degenerate to pos distance
     };
     let raw = if inner { bound_full.raw_max_dist(q) } else { bound_full.raw_min_dist(q) };
@@ -221,23 +224,20 @@ fn neighbor_bound<B: srb_index::SpatialBackend>(
     // reachability circle first (§6.1): if it bounds the neighbor away
     // from `d`, use the midpoint and schedule the deferred probe that
     // keeps the decision sound as the circle grows.
-    if inner {
-        let refined = bound_full.max_dist(q);
-        if refined < d - 1e-12 {
-            let chosen = (refined + d) * 0.5;
-            ctx.defer_dist_threshold(o, q, chosen);
-            return chosen;
+    let refined = if inner { bound_full.max_dist(q) } else { bound_full.min_dist(q) };
+    let clear = if inner { refined < d - 1e-12 } else { refined > d + 1e-12 };
+    if clear {
+        let chosen = (refined + d) * 0.5;
+        let due = if inner {
+            read.due_dist_threshold(o, q, chosen)
+        } else {
+            read.due_min_dist_threshold(o, q, chosen)
+        };
+        if let Some(due) = due {
+            ctx.defer_until(o, due);
         }
-    } else {
-        let refined = bound_full.min_dist(q);
-        if refined > d + 1e-12 {
-            let chosen = (refined + d) * 0.5;
-            ctx.defer_min_dist_threshold(o, q, chosen);
-            return chosen;
-        }
+        return chosen;
     }
-    ctx.work.probes_neighbor += 1;
-    srb_obs::counter!("safe_region.neighbor_probes").inc();
-    let pt = ctx.probe(o);
-    (pt.dist(q) + d) * 0.5
+    // A context that cannot probe voids this region; `d` is a placeholder.
+    ctx.probe_neighbor(o).map_or(d, |pt| (pt.dist(q) + d) * 0.5)
 }

@@ -79,11 +79,13 @@ pub struct SequencedUpdate {
 /// R\*-tree so `Server` (no annotation) keeps its historical meaning.
 pub struct Server<B: SpatialBackend = RStarTree> {
     config: ServerConfig,
-    index: ObjectIndex<B>,
+    // The object-side layers are open to the sharded engine, whose
+    // coordinator wires them to the fleet's one query plane itself.
+    pub(crate) index: ObjectIndex<B>,
     processor: QueryProcessor,
-    location: LocationManager,
-    costs: CostTracker,
-    work: WorkStats,
+    pub(crate) location: LocationManager,
+    pub(crate) costs: CostTracker,
+    pub(crate) work: WorkStats,
     /// Reused per-operation buffers (see `scratch.rs`): the reason the
     /// steady-state report path allocates nothing.
     scratch: BatchScratch,
@@ -237,36 +239,19 @@ impl<B: SpatialBackend> Server<B> {
             id,
             ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 },
         );
-        // Fold into affected queries: any query whose quarantine contains
-        // pos may gain the new object.
         let mut op = self.scratch.take_op();
-        op.candidates.extend(self.processor.grid().queries_at(pos).iter().copied().filter(
-            |&qid| self.processor.get(qid).map(|qs| qs.quarantine.contains(pos)).unwrap_or(false),
-        ));
         op.exact.insert(id, pos);
-        let space = self.config.space;
-        for &qid in &op.candidates {
-            let is_range =
-                matches!(self.processor.get(qid).map(|qs| qs.spec), Some(QuerySpec::Range { .. }));
-            if is_range {
-                let qs = self.processor.get_mut(qid).expect("query exists");
-                if !qs.is_result(id) {
-                    qs.results.push(id);
-                }
-            } else {
-                let mut ctx = ctx(
-                    &self.index,
-                    &mut self.costs,
-                    &mut self.work,
-                    &mut op.exact,
-                    &mut op.deferred,
-                    provider,
-                    self.config.max_speed,
-                    now,
-                );
-                self.processor.refold_knn(&mut ctx, qid, &space);
-            }
-        }
+        let mut ctx = ctx(
+            &self.index,
+            &mut self.costs,
+            &mut self.work,
+            &mut op.exact,
+            &mut op.deferred,
+            provider,
+            self.config.max_speed,
+            now,
+        );
+        self.processor.fold_in(&mut ctx, id, pos, &mut op.candidates, &self.config.space);
         self.recompute_safe_regions(&mut op, provider, now);
         self.location.absorb_deferred(&mut op.deferred, &op.exact, self.index.objects());
         self.scratch.put_op(op);
@@ -282,34 +267,18 @@ impl<B: SpatialBackend> Server<B> {
         now: f64,
     ) -> Option<ResultRemoval> {
         let st = self.index.remove(id)?;
-        let mut changes = Vec::new();
         let mut op = self.scratch.take_op();
-        op.candidates.extend(self.processor.ids());
-        let space = self.config.space;
-        for i in 0..op.candidates.len() {
-            let qid = op.candidates[i];
-            let holds = self.processor.get(qid).map(|qs| qs.is_result(id)).unwrap_or(false);
-            if !holds {
-                continue;
-            }
-            let qs = self.processor.get_mut(qid).expect("query exists");
-            qs.results.retain(|&o| o != id);
-            if matches!(qs.spec, QuerySpec::Knn { .. }) {
-                let mut ctx = ctx(
-                    &self.index,
-                    &mut self.costs,
-                    &mut self.work,
-                    &mut op.exact,
-                    &mut op.deferred,
-                    provider,
-                    self.config.max_speed,
-                    now,
-                );
-                self.processor.refold_knn(&mut ctx, qid, &space);
-            }
-            let results = self.processor.get(qid).expect("query exists").results.clone();
-            changes.push(ResultChange { query: qid, results });
-        }
+        let mut ctx = ctx(
+            &self.index,
+            &mut self.costs,
+            &mut self.work,
+            &mut op.exact,
+            &mut op.deferred,
+            provider,
+            self.config.max_speed,
+            now,
+        );
+        let changes = self.processor.fold_out(&mut ctx, id, &mut op.candidates, &self.config.space);
         self.recompute_safe_regions(&mut op, provider, now);
         self.location.absorb_deferred(&mut op.deferred, &op.exact, self.index.objects());
         let probed = op.recomputed.clone();
@@ -437,25 +406,7 @@ impl<B: SpatialBackend> Server<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
         let mut seq = self.scratch.take_seq();
-        for u in updates {
-            match self.index.get_mut(u.id) {
-                None => {
-                    self.work.unknown_object_drops += 1;
-                    srb_obs::counter!("server.unknown_object_drops").inc();
-                }
-                Some(st) if u.seq <= st.last_seq => {
-                    self.work.stale_seq_drops += 1;
-                    self.work.regrants += 1;
-                    srb_obs::counter!("server.stale_seq_drops").inc();
-                    srb_obs::counter!("server.regrants").inc();
-                    seq.regrants.push(u.id);
-                }
-                Some(st) => {
-                    st.last_seq = u.seq;
-                    seq.accepted.push((u.id, u.pos));
-                }
-            }
-        }
+        self.admit(updates, &mut seq.accepted, &mut seq.regrants);
         self.apply_update_batch(&seq.accepted, provider, now, out);
         // Re-grants are materialized *after* the batch is applied so they
         // carry the post-update safe region, never a stale one.
@@ -472,6 +423,37 @@ impl<B: SpatialBackend> Server<B> {
             }
         }
         self.scratch.put_seq(seq);
+    }
+
+    /// The admission pass of a batch: appends the updates whose sequence
+    /// number is fresh to `accepted` (in arrival order) and the senders of
+    /// stale ones, owed a re-grant, to `regrants`; drops and counts updates
+    /// for unknown objects.
+    pub(crate) fn admit(
+        &mut self,
+        updates: &[SequencedUpdate],
+        accepted: &mut Vec<(ObjectId, Point)>,
+        regrants: &mut Vec<ObjectId>,
+    ) {
+        for u in updates {
+            match self.index.get_mut(u.id) {
+                None => {
+                    self.work.unknown_object_drops += 1;
+                    srb_obs::counter!("server.unknown_object_drops").inc();
+                }
+                Some(st) if u.seq <= st.last_seq => {
+                    self.work.stale_seq_drops += 1;
+                    self.work.regrants += 1;
+                    srb_obs::counter!("server.stale_seq_drops").inc();
+                    srb_obs::counter!("server.regrants").inc();
+                    regrants.push(u.id);
+                }
+                Some(st) => {
+                    st.last_seq = u.seq;
+                    accepted.push((u.id, u.pos));
+                }
+            }
+        }
     }
 
     /// Shared batch body: every position installed first, then each affected
@@ -505,33 +487,23 @@ impl<B: SpatialBackend> Server<B> {
             op.exact.insert(id, pos);
         }
 
-        // Affected-query candidates, grouped into the movers per query.
-        for (i, &(id, pos)) in updates.iter().enumerate() {
-            let p_lst = batch.prev[&id];
-            self.processor.candidates_into(pos, p_lst, &mut op.candidates);
-            batch.touched.extend(op.candidates.iter().map(|&qid| (qid, i, id)));
-        }
-        batch.group_movers();
-
-        let space = self.config.space;
-        let mut changes = Vec::new();
-        for (qid, movers) in batch.per_query() {
-            let mut ctx = ctx(
-                &self.index,
-                &mut self.costs,
-                &mut self.work,
-                &mut op.exact,
-                &mut op.deferred,
-                provider,
-                self.config.max_speed,
-                now,
-            );
-            if let Some(results) =
-                self.processor.reevaluate_batch(&mut ctx, *qid, movers, &batch.prev, &space)
-            {
-                changes.push(ResultChange { query: *qid, results });
-            }
-        }
+        let mut ctx = ctx(
+            &self.index,
+            &mut self.costs,
+            &mut self.work,
+            &mut op.exact,
+            &mut op.deferred,
+            provider,
+            self.config.max_speed,
+            now,
+        );
+        let changes = self.processor.reevaluate_movers(
+            &mut ctx,
+            updates.iter().copied(),
+            &mut batch,
+            &mut op.candidates,
+            &self.config.space,
+        );
 
         self.recompute_safe_regions(&mut op, provider, now);
         self.absorb_probed_only(&mut op);
@@ -636,23 +608,6 @@ impl<B: SpatialBackend> Server<B> {
         let safe_region = safe_region.expect("updating object gets a safe region");
         self.scratch.put_op(op);
         UpdateResponse { safe_region, probed, changes }
-    }
-
-    /// Ingests a coordinator-initiated probe result as a server-initiated
-    /// update: the probe cost is booked here, then the position is processed
-    /// exactly like a report (reevaluation, safe-region regrant). Used by
-    /// the sharded coordinator when cross-shard merging had to pin an
-    /// object's exact location — the owning shard must regrant a region so
-    /// the client is not left pending.
-    pub(crate) fn ingest_probe(
-        &mut self,
-        id: ObjectId,
-        pos: Point,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> UpdateResponse {
-        self.costs.probes += 1;
-        self.process_report(id, pos, provider, now)
     }
 
     // ------------------------------------------------------------------
@@ -831,18 +786,8 @@ fn ctx<'a, B: SpatialBackend>(
     provider: &'a mut dyn LocationProvider,
     max_speed: Option<f64>,
     now: f64,
-) -> EvalCtx<'a, B> {
-    EvalCtx {
-        tree: index.tree(),
-        objects: index.objects(),
-        exact,
-        provider,
-        costs,
-        work,
-        deferred,
-        max_speed,
-        now,
-    }
+) -> EvalCtx<'a, ObjectIndex<B>> {
+    EvalCtx { view: index, exact, provider, costs, work, deferred, max_speed, now }
 }
 
 /// Result of [`Server::remove_object`].

@@ -3,70 +3,78 @@
 //!
 //! [`ShardedServer`] hash-partitions the moving objects across `N`
 //! shard-local [`Server`] stacks, keyed by the grid cell of each object's
-//! registration position. Every query is registered on every shard (the
-//! per-shard allocators run in lockstep, so ids align), which makes each
-//! shard's answer exact *over its own objects*:
+//! registration position. A shard keeps what is per object: its slice of
+//! the object index and state table, sequence numbers, leases and deferred
+//! probes, its own backend and its WAL partition log. The queries live
+//! once, in the coordinator's [`QueryProcessor`], and are evaluated once,
+//! by the unchanged §4 code, over the union of the shard indexes
+//! ([`FleetView`]) — the fleet is the single-server algorithm over a
+//! partitioned index, so its answers are exact at every shard count and it
+//! probes no more than one server would.
 //!
-//! - a **range** query's global result is the disjoint union of per-shard
-//!   results;
-//! - a **kNN** query's global top-k is contained in the union of the
-//!   per-shard top-k lists, so the coordinator only ranks that candidate
-//!   union.
+//! A batch of location updates runs in four steps:
 //!
-//! A batch of location updates is partitioned by owning shard, and every
-//! busy shard's partition is one *lane*: the partition record goes to the
-//! shard's own WAL log (when durability is on) and the shard-local
-//! [`Server`] processes the partition into the lane's response buffer.
-//! [`handle_sequenced_updates_into`](ShardedServer::handle_sequenced_updates_into)
-//! runs the lanes one after another on the caller's provider;
-//! [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
-//! forks scoped helper threads that take lanes from one queue beside the
-//! caller and joins them — the merge ranks across all shards, so a barrier
-//! per batch is inherent, and between batches the engine owns no thread.
-//! Either way the lanes are appended in shard order and merged
-//! deterministically: response entries sorted by [`ObjectId`], coordinator
-//! result changes sorted by [`QueryId`].
-//! With one shard the engine is a pure pass-through and bit-identical to a
-//! plain [`Server`].
+//! 1. **pin** — per shard, on the caller: the shard's partition record goes
+//!    to its own WAL log (when durability is on), admission checks the
+//!    sequence numbers, and every accepted position is pinned in the
+//!    shard's index, so no query is evaluated against a stale bound of a
+//!    same-instant mover;
+//! 2. **evaluate** — the coordinator finds the affected queries in its one
+//!    grid and reevaluates each once, in query-id order. Every probe of
+//!    the batch is issued here, by the caller's thread;
+//! 3. **regions** — one *lane* per shard computes the safe regions of that
+//!    shard's exactly-known objects (movers and probed) against the query
+//!    plane and the union view, mutating nothing shared. Every other
+//!    exactly-known object, local or foreign, is an *invalid* neighbour and
+//!    takes the §5.2 midpoint rule, so a region does not depend on the
+//!    order regions are computed in. A lane that would have to probe a
+//!    neighbour whose stale region leaves no room returns the request
+//!    instead; the coordinator probes in `(requester, target)` order and
+//!    only the regions that could see the difference are computed again.
+//!    [`handle_sequenced_updates_into`](ShardedServer::handle_sequenced_updates_into)
+//!    runs the lanes one after another;
+//!    [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
+//!    forks scoped helper threads that take lanes from one queue beside
+//!    the caller and joins them — between batches the engine owns no
+//!    thread;
+//! 4. **install** — the regions go into the shard indexes, leases and
+//!    deferred probes into the shard timers, and the responses are sorted
+//!    by [`ObjectId`], result changes by [`QueryId`].
 //!
-//! # Cross-shard kNN resolution
-//!
-//! Per-shard safe regions are computed against shard-local neighbors, so
-//! the coordinator cannot compare candidates by region geometry across
-//! shards in general. Instead it ranks candidates by the distance interval
-//! `[minDist, maxDist]` from the query point to each candidate's current
-//! safe region (or its exact position when the object reported or was
-//! probed at the current timestamp). When two intervals overlap across a
-//! rank that matters — adjacent ranks of an order-sensitive query, any
-//! selected candidate against the first unselected one of an
-//! order-insensitive query — the coordinator probes the
-//! wider interval and feeds the exact position back into the owning shard
-//! through its server-initiated-update path, so the probe is billed (`c_p`),
-//! the shard reevaluates, and the client receives a fresh safe region
-//! instead of being left pending.
+//! Registration, deregistration, object churn and deferred probes go
+//! through the same evaluate → regions → install steps. With one shard the
+//! engine is a pure pass-through and bit-identical to a plain [`Server`].
 
 use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
+use crate::eval::{EvalCtx, ReadCtx, RegionCtx};
 use crate::ids::{ObjectId, QueryId};
+use crate::location::DeferKind;
+use crate::object::ObjectState;
+use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
-use crate::query::{QuerySpec, ResultChange};
+use crate::query::{QuerySpec, QueryState, ResultChange};
+use crate::safe_region::compute_safe_region;
+use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
 use crate::server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
-use crate::wal::{self, Record, RecordingProvider, ReplayProvider, Wal};
+use crate::view::{FleetView, ObjectView};
+use crate::wal::{self, Record, ReplayProvider, Wal};
 use srb_durable::codec::{put_u32, put_u64, put_u8, put_usize};
-use srb_durable::log::LogWriter;
 use srb_geom::{Point, Rect};
-use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use srb_hash::FastMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Interval-separation slack for cross-shard kNN ranking.
-const EPS: f64 = 1e-9;
+/// Leads a multi-shard checkpoint's coordinator section: the layout with
+/// one query plane ("SRBFLT" + version). See `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0001;
 
-/// The location provider of the threaded batch path: a provider several
-/// lanes may probe at once through `&self` (the coordinator's merge-time
-/// probes go through it as well).
+/// The location provider of the threaded batch path, probed through
+/// `&self`. Only the coordinator probes — on the calling thread, between
+/// the forks — so an implementation is never probed from two threads at
+/// once.
 pub trait SyncProvider: Sync {
     /// Returns the exact current location of `id`.
     fn probe(&self, id: ObjectId) -> Point;
@@ -74,8 +82,9 @@ pub trait SyncProvider: Sync {
 
 /// The [`SyncProvider`] over a borrowed dense position table (index =
 /// object id): probing is an array read. The table must cover every id a
-/// batch may probe — a probe past its end panics that shard's batch, which
-/// reaches the caller as `shard worker panicked: …`.
+/// batch may probe — a probe past its end panics on the calling thread
+/// before any safe region of the batch is installed: nothing is committed
+/// and the WAL is poisoned.
 pub struct TableProvider<'a>(pub &'a [Point]);
 
 impl SyncProvider for TableProvider<'_> {
@@ -85,7 +94,7 @@ impl SyncProvider for TableProvider<'_> {
 }
 
 /// Adapts a shared [`SyncProvider`] to the sequential [`LocationProvider`]
-/// interface each shard expects.
+/// interface the coordinator probes through.
 struct SyncAdapter<'a, P: SyncProvider + ?Sized>(&'a P);
 
 impl<P: SyncProvider + ?Sized> LocationProvider for SyncAdapter<'_, P> {
@@ -116,128 +125,183 @@ pub fn configured_threads() -> usize {
     resolved
 }
 
-/// One busy shard's share of a batch: its partition going in, its
-/// responses and probe transcript coming out. Whichever thread takes the
-/// lane runs it against `&mut` of the shard's own [`Server`], so lanes of
-/// one batch share nothing but the provider.
+/// One shard's share of a batch going in: its updates and, after
+/// admission, the senders owed a re-grant.
+#[derive(Default)]
+struct Partition {
+    /// The shard's updates; their number goes into the batch marker.
+    updates: Vec<SequencedUpdate>,
+    /// Senders of stale reports, answered with their region as it stands
+    /// after the batch.
+    regrants: Vec<ObjectId>,
+}
+
+/// What a region round reads, shared by every lane: the union view, the
+/// query plane and the exactly-known objects of the operation.
+struct Plane<'a, B: srb_index::SpatialBackend> {
+    view: FleetView<'a, B>,
+    processor: &'a QueryProcessor,
+    exact: &'a FastMap<ObjectId, Point>,
+    config: &'a ServerConfig,
+    now: f64,
+}
+
+/// One shard's share of the region step. Whichever thread takes the lane
+/// reads the shared [`Plane`] and writes only here.
 #[derive(Default)]
 struct Lane {
-    /// The shard's update partition; its length goes into the batch marker.
-    updates: Vec<SequencedUpdate>,
-    /// The shard's WAL partition log, lent by the store for the batch.
-    log: Option<LogWriter>,
-    /// Encoding buffer of the partition record.
-    record: Vec<u8>,
-    /// Out: the shard's responses, in shard-FIFO order.
-    responses: Vec<(ObjectId, UpdateResponse)>,
-    /// Out: the probe transcript, in probe order, recorded only when a WAL
-    /// log rides along.
-    probe_log: Vec<(ObjectId, Point)>,
-    /// Out: how long the shard batch ran (`None` when telemetry is off).
+    /// In: the shard's objects whose regions this round computes —
+    /// `(id, position, previous anchor)`, ascending by id.
+    todo: Vec<(ObjectId, Point, Point)>,
+    /// Out: the regions computed so far in this operation, ascending by id.
+    regions: Vec<(ObjectId, Rect)>,
+    /// Out: `(requester, target)` — a neighbour whose stale region leaves
+    /// the requester no room and has to be probed. The requester gets no
+    /// region this round.
+    requests: Vec<(ObjectId, ObjectId)>,
+    /// Out: `(requester, target, due)` — deferred probes that keep the
+    /// requester's reachability-based bounds sound.
+    deferred: Vec<(ObjectId, ObjectId, f64)>,
+    /// Scratch of one region computation.
+    range_blocks: Vec<Rect>,
+    /// Out: how long the round ran (`None` when telemetry is off).
     duration_ns: Option<u64>,
-    /// Out: true when the WAL partition append failed — the coordinator
-    /// must poison the store.
-    log_err: bool,
-    /// Out: set when the shard batch panicked. The lane still completes, so
-    /// every other lane finishes before the coordinator re-raises.
-    panic: Option<String>,
     /// The thread that ran the lane.
     #[cfg(test)]
     ran_on: Option<std::thread::ThreadId>,
 }
 
 impl Lane {
-    /// Runs the shard batch. WAL first, as everywhere in the protocol: the
-    /// partition record is appended (to this shard's own log) before
-    /// processing, so the coordinator's marker — written only after every
-    /// lane finished — is always the last record referencing it.
-    fn run<B: srb_index::SpatialBackend>(
-        &mut self,
-        server: &mut Server<B>,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) {
+    /// Runs one region round over [`todo`](Self::todo).
+    fn compute<B: srb_index::SpatialBackend>(&mut self, plane: &Plane<'_, B>) {
         #[cfg(test)]
         self.ran_on.replace(std::thread::current().id());
-        if let Some(log) = self.log.as_mut() {
-            self.record.clear();
-            wal::encode_part_seq(&mut self.record, &self.updates);
-            self.log_err = log.append(&self.record).is_err();
-        }
+        let _span = srb_obs::span!("location.recompute_safe_regions");
         let watch = srb_obs::Stopwatch::start();
-        let mut recorder;
-        let provider: &mut dyn LocationProvider = if self.log.is_some() {
-            recorder = RecordingProvider { inner: provider, transcript: &mut self.probe_log };
-            &mut recorder
-        } else {
-            provider
-        };
-        let (updates, responses) = (&self.updates, &mut self.responses);
-        self.panic = catch_unwind(AssertUnwindSafe(|| {
-            server.handle_sequenced_updates_into(updates, provider, now, responses);
-        }))
-        .err()
-        .map(panic_message);
-        if self.panic.is_some() {
-            // A batch that died half way answers nobody.
-            self.responses.clear();
+        for &(oid, pos, p_lst) in &self.todo {
+            let (requests, deferred) = (self.requests.len(), self.deferred.len());
+            let sr = compute_safe_region(
+                &mut LaneCtx {
+                    plane,
+                    requester: oid,
+                    requests: &mut self.requests,
+                    deferred: &mut self.deferred,
+                },
+                plane.processor.grid(),
+                plane.processor.slots(),
+                oid,
+                pos,
+                p_lst,
+                plane.config.steadiness,
+                &mut self.range_blocks,
+            );
+            if self.requests.len() > requests {
+                // Void: computed again once the targets are exactly known.
+                self.deferred.truncate(deferred);
+                continue;
+            }
+            match self.regions.binary_search_by_key(&oid, |&(o, _)| o) {
+                Ok(i) => self.regions[i].1 = sr,
+                Err(i) => self.regions.insert(i, (oid, sr)),
+            }
         }
+        srb_obs::histogram!("location.recompute_regions").record(self.todo.len() as u64);
         self.duration_ns = watch.elapsed_ns();
     }
 }
 
-/// The lanes of a batch that have work, each with its shard server, in
-/// shard order.
-fn busy_lanes<'a, B: srb_index::SpatialBackend>(
-    shards: &'a mut [Server<B>],
-    lanes: &'a mut [Lane],
-) -> impl Iterator<Item = (&'a mut Server<B>, &'a mut Lane)> {
-    shards.iter_mut().zip(lanes).filter(|(_, lane)| !lane.updates.is_empty())
+/// The [`RegionCtx`] of a lane: reads the shared plane, and instead of
+/// probing records what the coordinator has to probe.
+struct LaneCtx<'a, 'p, B: srb_index::SpatialBackend> {
+    plane: &'a Plane<'p, B>,
+    requester: ObjectId,
+    requests: &'a mut Vec<(ObjectId, ObjectId)>,
+    deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
+}
+
+impl<'p, B: srb_index::SpatialBackend> RegionCtx<FleetView<'p, B>> for LaneCtx<'_, 'p, B> {
+    fn read(&self) -> ReadCtx<'_, FleetView<'p, B>> {
+        let plane = self.plane;
+        ReadCtx {
+            view: &plane.view,
+            exact: plane.exact,
+            max_speed: plane.config.max_speed,
+            now: plane.now,
+        }
+    }
+
+    fn defer_until(&mut self, id: ObjectId, due: f64) {
+        if due > self.plane.now + 1e-9 {
+            self.deferred.push((self.requester, id, due));
+        } else {
+            self.requests.push((self.requester, id));
+        }
+    }
+
+    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point> {
+        self.requests.push((self.requester, id));
+        None
+    }
+}
+
+/// The lanes of a region round that have work.
+fn busy(lanes: &mut [Lane]) -> impl Iterator<Item = &mut Lane> {
+    lanes.iter_mut().filter(|lane| !lane.todo.is_empty())
+}
+
+/// Runs every busy lane on the calling thread, in shard order.
+fn run_here(lanes: &mut [Lane], compute: &(dyn Fn(&mut Lane) + Sync)) {
+    busy(lanes).for_each(compute);
 }
 
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
-/// steady-state batch allocates nothing at the coordinator level (the
-/// per-shard arenas live inside each [`Server`]); what a threaded batch
-/// still allocates is what spawning its helpers costs. Buffer groups are
-/// taken by value and returned, mirroring `BatchScratch`.
+/// steady-state batch allocates nothing at the coordinator level; what a
+/// threaded batch still allocates is what spawning its helpers costs.
+/// Buffer groups are taken by value and returned, mirroring
+/// [`BatchScratch`].
 #[derive(Default)]
 struct CoordScratch {
-    /// One lane per shard (sized to the shard count once); a lane with an
-    /// empty partition sits the batch out.
+    /// One partition per shard (sized to the shard count once).
+    parts: Vec<Partition>,
+    /// One lane per shard; a lane with nothing to compute sits the round
+    /// out.
     lanes: Vec<Lane>,
-    /// Objects moved or probed in the current batch, sorted + deduped before
-    /// the membership scan.
-    moved: Vec<ObjectId>,
+    /// The accepted updates of a batch, shard by shard.
+    movers: Vec<(ObjectId, Point)>,
+    /// The per-operation buffers of the query plane.
+    arena: BatchScratch,
     /// The permutation [`sort_by_object`] sorts in place of the responses.
     order: Vec<u32>,
 }
 
-/// A server of servers: `N` shard-local [`Server`] stacks behind one
-/// coordinator that owns cross-shard query merging. See the module docs for
-/// the partitioning and merge rules. One shard means pure delegation —
-/// behaviorally identical to a plain [`Server`].
+/// A server of servers: `N` shard-local [`Server`] stacks holding the
+/// objects behind one coordinator that holds the queries. See the module
+/// docs for the partitioning and the steps of an operation. One shard
+/// means pure delegation — behaviorally identical to a plain [`Server`].
 pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     config: ServerConfig,
     shards: Vec<Server<B>>,
     /// Object → owning shard, indexed by `ObjectId::index()`.
     owner: Vec<Option<u32>>,
-    /// Coordinator copy of each query's spec, indexed by `QueryId::index()`.
-    specs: Vec<Option<QuerySpec>>,
-    /// Coordinator-merged result per query (maintained only with `N > 1`).
-    merged: Vec<Option<Vec<ObjectId>>>,
-    /// Coordinator-level work counters, a fixed part of the checkpoint
-    /// layout. Nothing at the coordinator counts work at present: an
-    /// unknown-object drop is counted by the shard the update lands on.
+    /// The fleet's one query plane: slots, grid index and id allocator of
+    /// every registered query. Empty with one shard, whose own stack is
+    /// the whole engine.
+    processor: QueryProcessor,
+    /// Probes the coordinator issued (it is a fleet's only prober; the
+    /// shards count the uplinks they admit).
+    coord_costs: CostTracker,
+    /// The coordinator's work: evaluations, probes by cause, safe regions
+    /// installed. Zero with one shard.
     coord_work: WorkStats,
     /// The fan-out thread count: [`configured_threads`] as resolved at
     /// construction, unless [`with_threads`](Self::with_threads)
     /// overwrote it.
     threads: usize,
-    /// Per-shard batch-duration histograms (`sharded.shard{i}.batch_ns`),
+    /// Per-shard lane-duration histograms (`sharded.shard{i}.batch_ns`),
     /// resolved once at construction so the hot path never touches the
     /// registry lock.
     shard_batch_ns: Vec<&'static srb_obs::Histogram>,
-    /// Reused coordinator batch buffers (see [`CoordScratch`]).
+    /// Reused coordinator buffers (see [`CoordScratch`]).
     scratch: CoordScratch,
     /// The coordinator-owned write-ahead log, when durability is on. Log 0
     /// is the arbiter log (one marker per operation); logs `1..=N` hold the
@@ -272,30 +336,55 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// variant does not match `B`.
     pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        srb_obs::gauge!("sharded.shards").set(shards as u64);
         let adaptive = match config.backend {
             srb_index::BackendConfig::Adaptive(ac) => Some(AdaptiveController::new(ac, shards)),
             _ => None,
         };
-        let mut server = ShardedServer {
-            shards: (0..shards).map(|_| Server::with_backend(config)).collect(),
-            owner: Vec::new(),
-            specs: Vec::new(),
-            merged: Vec::new(),
-            coord_work: WorkStats::default(),
-            threads: configured_threads(),
-            shard_batch_ns: (0..shards)
-                .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
-                .collect(),
-            scratch: CoordScratch::default(),
-            wal: None,
-            adaptive,
+        // One shard never uses the coordinator's plane: a one-cell grid
+        // keeps it weightless there.
+        let grid_m = if shards > 1 { config.grid_m } else { 1 };
+        let shards = (0..shards).map(|_| Server::with_backend(config)).collect();
+        let mut server = Self::assemble(
             config,
-        };
+            shards,
+            Vec::new(),
+            QueryProcessor::new(config.space, grid_m),
+            CostTracker::default(),
+            WorkStats::default(),
+            adaptive,
+        );
         if server.config.durability.enabled() {
             server.attach_durability().expect("failed to create the configured durability store");
         }
         server
+    }
+
+    /// A fleet around its durable parts; everything else starts fresh.
+    fn assemble(
+        config: ServerConfig,
+        shards: Vec<Server<B>>,
+        owner: Vec<Option<u32>>,
+        processor: QueryProcessor,
+        coord_costs: CostTracker,
+        coord_work: WorkStats,
+        adaptive: Option<AdaptiveController>,
+    ) -> Self {
+        srb_obs::gauge!("sharded.shards").set(shards.len() as u64);
+        ShardedServer {
+            shard_batch_ns: (0..shards.len())
+                .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
+                .collect(),
+            shards,
+            owner,
+            processor,
+            coord_costs,
+            coord_work,
+            threads: configured_threads(),
+            scratch: CoordScratch::default(),
+            wal: None,
+            adaptive,
+            config,
+        }
     }
 
     /// Overrides the fan-out thread count (otherwise [`configured_threads`]
@@ -331,26 +420,31 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter().map(|s| s.object_count()).sum()
     }
 
-    /// Number of registered queries (identical on every shard).
+    /// The query plane: shard 0's own with one shard, the coordinator's
+    /// otherwise.
+    fn plane(&self) -> &QueryProcessor {
+        match &self.shards[..] {
+            [only] => only.query_processor(),
+            _ => &self.processor,
+        }
+    }
+
+    /// Number of registered queries.
     pub fn query_count(&self) -> usize {
-        self.shards[0].query_count()
+        self.plane().count()
     }
 
     /// Iterates over the registered query ids.
     pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.shards[0].query_ids()
+        self.plane().ids()
     }
 
-    /// The current (merged) result set of a query. Ordered for
-    /// order-sensitive kNN; sorted by id otherwise when `N > 1`.
+    /// The current result set of a query, ordered for order-sensitive kNN.
     pub fn results(&self, id: QueryId) -> Option<&[ObjectId]> {
-        if self.shards.len() == 1 {
-            return self.shards[0].results(id);
-        }
-        self.merged.get(id.index()).and_then(|r| r.as_deref())
+        self.plane().get(id).map(|q| q.results.as_slice())
     }
 
-    /// The safe region of `id`, as granted by its owning shard.
+    /// The safe region of `id`, as held by its owning shard.
     pub fn safe_region(&self, id: ObjectId) -> Option<Rect> {
         self.owning_shard(id)?.safe_region(id)
     }
@@ -360,10 +454,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.owning_shard(id)?.last_known(id)
     }
 
-    /// Communication totals summed across shards. Coordinator probes are
-    /// billed on the owning shard, so the sum is the fleet-wide truth.
+    /// Communication totals of the fleet: the uplinks every shard admitted
+    /// plus the probes the coordinator (or, with one shard, the shard)
+    /// issued.
     pub fn costs(&self) -> CostTracker {
-        let mut total = CostTracker::default();
+        let mut total = self.coord_costs;
         for s in &self.shards {
             total.merge(&s.costs());
         }
@@ -384,25 +479,60 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter().map(|s| s.index_visits()).sum()
     }
 
-    /// Total grid-index footprint across shards.
+    /// Size (bucket entries) of the grid query index.
     pub fn grid_footprint(&self) -> usize {
-        self.shards.iter().map(|s| s.grid_footprint()).sum()
+        self.plane().grid_footprint()
     }
 
-    /// Verifies per-shard consistency plus the coordinator's owner map.
+    /// Verifies the fleet's consistency. In release builds a cheap
+    /// structural check (per-shard and owner-map counts); debug builds run
+    /// the full [`check_invariants_deep`](Self::check_invariants_deep) scan.
     pub fn check_invariants(&self) {
         for s in &self.shards {
-            s.check_invariants();
+            s.index.check_counts();
         }
         let owned = self.owner.iter().filter(|o| o.is_some()).count();
         assert_eq!(owned, self.object_count(), "owner map out of sync with shards");
+        #[cfg(debug_assertions)]
+        self.check_invariants_deep();
     }
 
-    /// Full consistency scan on every shard (release included).
+    /// Full consistency scan (release included). With several shards: every
+    /// shard index coherent, every object on exactly the shard the owner
+    /// map names, no query on a shard's own stack, and the query plane
+    /// against the union view — results are registered objects, and
+    /// wherever an object's anchor agrees with its membership in a query,
+    /// its safe region lies on that side of the quarantine area too (the
+    /// raw safe regions bound nothing while the reachability enhancement
+    /// stands in for them, so that part is skipped with it on).
     #[doc(hidden)]
     pub fn check_invariants_deep(&self) {
-        for s in &self.shards {
-            s.check_invariants_deep();
+        if let [only] = &self.shards[..] {
+            return only.check_invariants_deep();
+        }
+        self.processor.check_result_sizes();
+        for (i, shard) in self.shards.iter().enumerate() {
+            shard.index.check_coherence();
+            assert_eq!(shard.query_count(), 0, "shard {i} holds a query of its own");
+            for (oid, st) in shard.index.objects().iter() {
+                assert_eq!(self.owner_of(oid), Some(i), "{oid} lives on shard {i}");
+                if self.config.max_speed.is_some() {
+                    continue;
+                }
+                for &qid in self.processor.grid().queries_at(st.p_lst) {
+                    let qs = self.processor.get(qid).expect("grid entries are registered");
+                    let inside = qs.quarantine.contains(st.p_lst);
+                    if inside == qs.is_result(oid) {
+                        let kept = qs.quarantine.keeps(&st.safe_region, inside);
+                        assert!(kept, "{oid} ({st:?}) strays across {qid} ({qs:?})");
+                    }
+                }
+            }
+        }
+        for qid in self.processor.ids() {
+            for &oid in &self.processor.get(qid).expect("listed").results {
+                assert!(self.last_known(oid).is_some(), "{qid} holds unregistered {oid}");
+            }
         }
     }
 
@@ -422,11 +552,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // ------------------------------------------------------------------
 
     /// Registers a new moving object at `pos` on the shard its registration
-    /// grid cell hashes to. With `N > 1`, register objects before queries
-    /// when possible: safe regions granted to other clients by merge-time
-    /// probes during a later `add_object` cannot be returned through this
-    /// signature and are dropped (each affected client recovers on its next
-    /// report).
+    /// grid cell hashes to, folds it into every query whose quarantine area
+    /// covers it, and returns its initial safe region. As on a plain
+    /// [`Server`], the regions of objects probed on the way are granted
+    /// but cannot be returned through this signature (each affected client
+    /// recovers on its next report).
     pub fn add_object(
         &mut self,
         id: ObjectId,
@@ -447,27 +577,30 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             return Err(ServerError::DuplicateObject(id));
         }
         let target = self.assign_shard(pos);
-        let sr = self.shards[target].add_object(id, pos, provider, now)?;
         if self.owner.len() <= id.index() {
             self.owner.resize(id.index() + 1, None);
         }
-        self.owner[id.index()] = Some(target as u32);
-        if self.shards.len() > 1 {
-            // The owning shard folded the object into every query whose
-            // quarantine covers it; re-merge those queries' global results.
-            let triggers: BTreeSet<QueryId> = self.shards[target]
-                .query_ids()
-                .filter(|&q| {
-                    self.shards[target].quarantine(q).map(|qa| qa.contains(pos)).unwrap_or(false)
-                })
-                .collect();
-            let _ = self.merge_after(triggers, provider, now);
+        if self.shards.len() == 1 {
+            let sr = self.shards[0].add_object(id, pos, provider, now)?;
+            self.owner[id.index()] = Some(0);
+            return Ok(sr);
         }
-        Ok(sr)
+        let state =
+            ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
+        self.shards[target].index.insert(id, state);
+        self.owner[id.index()] = Some(target as u32);
+        let mut op = self.scratch.arena.take_op();
+        op.exact.insert(id, pos);
+        self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
+            plane.fold_in(ctx, id, pos, candidates, space)
+        });
+        self.grant(&mut op, provider, now, run_here);
+        self.scratch.arena.put_op(op);
+        Ok(self.safe_region(id).expect("just added"))
     }
 
-    /// Removes a moving object from its owning shard; queries holding it are
-    /// reevaluated there and re-merged globally.
+    /// Removes a moving object from its owning shard; queries holding it
+    /// are reevaluated.
     pub fn remove_object(
         &mut self,
         id: ObjectId,
@@ -482,29 +615,32 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             );
         }
         let target = self.owner_of(id)?;
-        let mut removal = self.shards[target].remove_object(id, provider, now)?;
-        self.owner[id.index()] = None;
-        if self.shards.len() > 1 {
-            let mut triggers: BTreeSet<QueryId> = removal.changes.iter().map(|c| c.query).collect();
-            for (qi, r) in self.merged.iter().enumerate() {
-                if r.as_ref().is_some_and(|r| r.contains(&id)) {
-                    triggers.insert(QueryId(qi as u32));
-                }
-            }
-            let (probed, changes) = self.merge_after(triggers, provider, now);
-            removal.probed.extend(probed);
-            removal.changes = changes;
+        if self.shards.len() == 1 {
+            let removal = self.shards[0].remove_object(id, provider, now)?;
+            self.owner[id.index()] = None;
+            return Some(removal);
         }
-        Some(removal)
+        let last_state = self.shards[target].index.remove(id)?;
+        self.owner[id.index()] = None;
+        let mut op = self.scratch.arena.take_op();
+        let changes = self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
+            plane.fold_out(ctx, id, candidates, space)
+        });
+        self.grant(&mut op, provider, now, run_here);
+        let mut probed = op.recomputed.clone();
+        probed.sort_unstable_by_key(|&(o, _)| o);
+        self.scratch.arena.put_op(op);
+        Some(ResultRemoval { last_state, changes, probed })
     }
 
     // ------------------------------------------------------------------
     // Query lifecycle
     // ------------------------------------------------------------------
 
-    /// Registers a continuous query on every shard (the allocators run in
-    /// lockstep so all shards assign the same id) and merges the initial
-    /// per-shard results into the global answer.
+    /// Registers a continuous query: evaluates it over the union view
+    /// (probing lazily), installs it in the query plane, folds what the
+    /// probes revealed about silent movers into the existing queries, and
+    /// grants every probed object a fresh safe region.
     pub fn register_query(
         &mut self,
         spec: QuerySpec,
@@ -519,49 +655,40 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             );
         }
         if self.shards.len() == 1 {
-            let resp = self.shards[0].register_query(spec, provider, now);
-            self.record_spec(resp.id, spec);
-            return resp;
+            return self.shards[0].register_query(spec, provider, now);
         }
-        let mut id: Option<QueryId> = None;
-        let mut safe_regions: Vec<(ObjectId, Rect)> = Vec::new();
-        let mut triggers: BTreeSet<QueryId> = BTreeSet::new();
-        for shard in &mut self.shards {
-            let resp = shard.register_query(spec, provider, now);
-            match id {
-                None => id = Some(resp.id),
-                Some(expected) => {
-                    assert_eq!(expected, resp.id, "shard query allocators out of lockstep")
-                }
-            }
-            safe_regions.extend(resp.safe_regions);
-            // Registration probes can reveal silent movers, changing the
-            // shard-local answers of existing queries; those queries must
-            // be re-merged globally along with the new one.
-            triggers.extend(resp.changes.iter().map(|c| c.query));
-        }
-        let id = id.expect("at least one shard");
-        self.record_spec(id, spec);
-        if self.merged.len() <= id.index() {
-            self.merged.resize(id.index() + 1, None);
-        }
-        self.merged[id.index()] = Some(Vec::new());
-        triggers.insert(id);
-        let (probed, mut changes) = self.merge_after(triggers, provider, now);
-        safe_regions.extend(probed);
+        let mut op = self.scratch.arena.take_op();
+        let (id, mut revealed) = self.evaluating(&mut op, provider, now, |plane, ctx, _, space| {
+            let (results, quarantine) = plane.evaluate_new(ctx, spec, space);
+            // A registration probe may reveal that an object silently moved
+            // since its last report (see `Server::register_query`): each
+            // such object is a mover of the existing queries, from its old
+            // anchor.
+            let moved =
+                |o: ObjectId, p: Point| ctx.view.state_of(o).is_some_and(|st| st.p_lst != p);
+            let probed = ctx.exact.iter().map(|(&o, &p)| (o, p));
+            let revealed: Vec<(ObjectId, Point)> = probed.filter(|&(o, p)| moved(o, p)).collect();
+            let id = plane.alloc_id();
+            plane.install(id, QueryState { spec, results, quarantine });
+            (id, revealed)
+        });
+        revealed.sort_unstable_by_key(|&(o, _)| o);
+
+        let mut batch = self.scratch.arena.take_batch();
+        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now, run_here);
+        self.scratch.arena.put_batch(batch);
+        // Reevaluation never disturbs the freshly installed query: it saw
+        // the exact positions already.
         changes.retain(|c| c.query != id);
-        // Deduplicate grants (later regions supersede earlier ones) and
-        // emit them in deterministic id order.
-        let deduped: BTreeMap<ObjectId, Rect> = safe_regions.into_iter().collect();
-        RegisterResponse {
-            id,
-            results: self.merged[id.index()].clone().unwrap_or_default(),
-            safe_regions: deduped.into_iter().collect(),
-            changes,
-        }
+        let mut safe_regions = op.recomputed.clone();
+        safe_regions.sort_unstable_by_key(|&(o, _)| o);
+        self.scratch.arena.put_op(op);
+        let results = self.results(id).expect("just installed").to_vec();
+        RegisterResponse { id, results, safe_regions, changes }
     }
 
-    /// Deregisters a query from every shard.
+    /// Deregisters a query (safe regions regrow on each object's next
+    /// update).
     pub fn deregister_query(&mut self, id: QueryId) -> bool {
         if self.wal.is_some() {
             return self.logged(
@@ -570,17 +697,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_deregister_query(id),
             );
         }
-        let mut removed = false;
-        for shard in &mut self.shards {
-            removed |= shard.deregister_query(id);
+        match &mut self.shards[..] {
+            [only] => only.deregister_query(id),
+            _ => self.processor.remove(id),
         }
-        if let Some(s) = self.specs.get_mut(id.index()) {
-            *s = None;
-        }
-        if let Some(m) = self.merged.get_mut(id.index()) {
-            *m = None;
-        }
-        removed
     }
 
     // ------------------------------------------------------------------
@@ -588,16 +708,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // ------------------------------------------------------------------
 
     /// Handles a batch of sequenced updates (a single report is a batch of
-    /// one; see [`Server::handle_sequenced_updates_into`] for admission):
-    /// partitioned by owning shard, applied shard by shard, then merged.
-    /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
-    /// the global result changes (sorted by [`QueryId`]) and the safe
-    /// regions of coordinator-probed objects ride on the first entry,
-    /// mirroring the unsharded batch contract. With a caller-reused `out`,
-    /// a steady-state batch allocates nothing — the lanes (per-shard
-    /// partitions, responses, probe transcripts) and the moved-object set
-    /// live in coordinator scratch buffers. Every lane runs on the calling
-    /// thread, in shard order.
+    /// one; see [`Server::handle_sequenced_updates_into`] for admission)
+    /// through the pin → evaluate → regions → install steps of the module
+    /// docs. **Appends** the batch's responses to `out`, sorted by
+    /// [`ObjectId`]; the result changes (sorted by [`QueryId`]) and the
+    /// safe regions of probed objects ride on the first entry, mirroring
+    /// the unsharded batch contract. With a caller-reused `out`, a
+    /// steady-state batch allocates nothing — partitions, lanes and the
+    /// query plane's buffers live in coordinator scratch. Every lane runs
+    /// on the calling thread, in shard order.
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -624,52 +743,45 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             return;
         }
         let _span = srb_obs::span!("sharded.fan_out");
-        self.batch(updates, provider, now, out, |shards, lanes, provider| {
-            for (server, lane) in busy_lanes(shards, lanes) {
-                lane.run(server, provider, now);
-            }
-        });
+        self.batch(updates, provider, now, out, run_here);
     }
 
     /// The threaded twin of
     /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
-    /// the same batch, its lanes run by up to
+    /// the same batch, the lanes of its region step run by up to
     /// [`with_threads`](Self::with_threads) threads at once — scoped
-    /// helpers forked for this batch and joined before the merge, the
-    /// calling thread working beside them, each taking the next busy lane
-    /// from one shared queue and probing `provider` through `&P`. Output
-    /// and every byte logged are identical to the sequential path whatever
-    /// the thread count and whoever ran which lane. **Appends** the
-    /// responses to `out`; with a caller-reused `out` a steady-state batch
-    /// allocates only what spawning its helpers does. One shard, one
-    /// thread and a poisoned WAL (which lends no logs) run the lanes on
-    /// the caller.
+    /// helpers forked for this batch and joined before the regions are
+    /// installed, the calling thread working beside them, each taking the
+    /// next busy lane from one shared queue. `provider` is probed by the
+    /// calling thread only. Output and every byte logged are identical to
+    /// the sequential path whatever the thread count and whoever ran which
+    /// lane. **Appends** the responses to `out`; with a caller-reused `out`
+    /// a steady-state batch allocates only what spawning its helpers does.
+    /// One shard or one thread runs the lanes on the caller.
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
         provider: &P,
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
-    ) where
-        B: Send,
-    {
+    ) {
         let threads = self.threads;
-        if self.shards.len() == 1 || threads <= 1 || self.wal_poisoned() {
+        if self.shards.len() == 1 || threads <= 1 {
             self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
             return;
         }
         let _span = srb_obs::span!("sharded.pipeline");
-        self.batch(updates, &mut SyncAdapter(provider), now, out, |shards, lanes, _| {
-            let busy = busy_lanes(shards, lanes).count();
-            let queue = Mutex::new(busy_lanes(shards, lanes));
+        self.batch(updates, &mut SyncAdapter(provider), now, out, |lanes, compute| {
+            let lanes_busy = busy(lanes).count();
+            let queue = Mutex::new(busy(lanes));
             let work = || loop {
                 // Its own statement: the lock is released before the lane runs.
                 let next = queue.lock().expect("no lane runs under the queue lock").next();
-                let Some((server, lane)) = next else { break };
-                lane.run(server, &mut SyncAdapter(provider), now);
+                let Some(lane) = next else { break };
+                compute(lane);
             };
             let joining = std::thread::scope(|scope| {
-                for _ in 1..threads.min(busy) {
+                for _ in 1..threads.min(lanes_busy) {
                     // A spawn error just leaves that lane to the threads
                     // that did start — at worst the caller alone.
                     let _ = std::thread::Builder::new().spawn_scoped(scope, work);
@@ -683,83 +795,96 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         });
     }
 
-    /// The one batch body: partition → lanes → append in shard order →
-    /// merge → commit. `run_lanes` gets the shard servers, the lanes and
-    /// the caller's provider and must have run every busy lane
-    /// ([`busy_lanes`]) by the time it returns; the order lanes finish in
-    /// is invisible, because their responses are appended in shard order
-    /// and stably sorted after the merge.
+    /// The one batch body. `regions` gets the lanes of the first region
+    /// round and the computation to run on each busy one ([`busy`]), and
+    /// must have run them all by the time it returns; who runs which lane
+    /// is invisible, because a lane's output depends on its input only.
     fn batch(
         &mut self,
         updates: &[SequencedUpdate],
         provider: &mut dyn LocationProvider,
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
-        run_lanes: impl FnOnce(&mut [Server<B>], &mut [Lane], &mut dyn LocationProvider),
+        regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
     ) {
-        // The WAL (when attached) is held for the whole batch. Each busy
-        // lane borrows its shard's log and appends its partition record
-        // there; the marker (written last, with the probe transcript) is
-        // the commit point — orphan partitions from a crash mid-batch are
-        // ignored on recovery because no marker references them.
+        // The WAL (when attached) is held for the whole batch. Each
+        // partition record goes to its shard's log first; the marker
+        // (written last, with the one probe transcript) is the commit
+        // point — orphan partitions from a crash mid-batch are ignored on
+        // recovery because no marker references them.
         let mut wal = self.wal.take();
-        let mut lanes = self.partition(updates);
-        if let Some(w) = wal.as_mut() {
-            for (i, lane) in lanes.iter_mut().enumerate() {
-                if !lane.updates.is_empty() {
-                    lane.log = w.take_shard_log(i);
+        let mut parts = self.partition(updates);
+        let mut movers = std::mem::take(&mut self.scratch.movers);
+        movers.clear();
+        for (i, (shard, part)) in self.shards.iter_mut().zip(&mut parts).enumerate() {
+            if part.updates.is_empty() {
+                continue;
+            }
+            if let Some(w) = wal.as_mut() {
+                w.append_part_seq(i, &part.updates);
+            }
+            let admitted = movers.len();
+            shard.admit(&part.updates, &mut movers, &mut part.regrants);
+            let accepted = (movers.len() - admitted) as u64;
+            shard.costs.source_updates += accepted;
+            srb_obs::counter!("server.updates").add(accepted);
+        }
+
+        // One response per mover; probed bystanders and the result changes
+        // ride with the batch's first entry.
+        let start = out.len();
+        let (mut extra, mut changes) = (Vec::new(), Vec::new());
+        if !movers.is_empty() {
+            let mut op = self.scratch.arena.take_op();
+            let mut batch = self.scratch.arena.take_batch();
+            // Fail-stop: every probe of the batch precedes the first
+            // install, so a provider that panics leaves the objects with
+            // the regions and anchors they had. Nothing was committed (no
+            // marker references the partitions), and poisoning refuses
+            // further writes against the half-evaluated query plane.
+            let folded = catch_unwind(AssertUnwindSafe(|| match wal.as_mut() {
+                Some(w) => {
+                    self.fold(&mut op, &mut batch, &movers, &mut w.recorder(provider), now, regions)
+                }
+                None => self.fold(&mut op, &mut batch, &movers, provider, now, regions),
+            }));
+            changes = folded.unwrap_or_else(|panic| {
+                for &(id, _) in &movers {
+                    let shard = self.owner_of(id).expect("admitted objects have owners");
+                    self.shards[shard].index.unpin(id);
+                }
+                if let Some(w) = wal.as_mut() {
+                    w.poison();
+                }
+                self.wal = wal.take();
+                resume_unwind(panic)
+            });
+            for &(oid, safe_region) in &op.recomputed {
+                if batch.prev.contains_key(&oid) {
+                    let (probed, changes) = (Vec::new(), Vec::new());
+                    out.push((oid, UpdateResponse { safe_region, probed, changes }));
+                } else {
+                    extra.push((oid, safe_region));
                 }
             }
+            self.scratch.arena.put_batch(batch);
+            self.scratch.arena.put_op(op);
         }
-        run_lanes(&mut self.shards, &mut lanes, provider);
-
-        let start = out.len();
-        let (mut fastest, mut slowest, mut timed) = (u64::MAX, 0, 0);
-        let mut panicked: Option<String> = None;
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            out.append(&mut lane.responses);
-            if let (Some(w), Some(log)) = (wal.as_mut(), lane.log.take()) {
-                // Replay runs each shard's partition to completion in shard
-                // order, then the coordinator merge — exactly the
-                // concatenation of the lanes' transcripts plus the
-                // merge-time probes the recorder below captures.
-                w.return_shard_log(i, log, &mut lane.probe_log, lane.log_err);
+        // Re-grants carry the post-batch safe region, never a stale one.
+        for (shard, part) in self.shards.iter().zip(&parts) {
+            for &id in &part.regrants {
+                let safe_region = shard.safe_region(id).expect("admission saw the object");
+                let (probed, changes) = (Vec::new(), Vec::new());
+                out.push((id, UpdateResponse { safe_region, probed, changes }));
             }
-            if let Some(ns) = lane.duration_ns.take() {
-                self.shard_batch_ns[i].record(ns);
-                srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
-                (fastest, slowest, timed) = (fastest.min(ns), slowest.max(ns), timed + 1);
-            }
-            panicked = panicked.or(lane.panic.take());
         }
-        if timed > 1 {
-            // The load-imbalance signal of the fan-out.
-            srb_obs::histogram!("sharded.straggler_gap_ns").record(slowest - fastest);
+        sort_by_object(&mut out[start..], &mut self.scratch.order);
+        if let Some((_, first)) = out.get_mut(start) {
+            (first.probed, first.changes) = (extra, changes);
         }
-
-        if let Some(msg) = panicked {
-            // The panicking shard may hold partial batch state. Nothing
-            // was committed (no marker references the partitions), and
-            // poisoning refuses further writes against divergent memory.
-            if let Some(w) = wal.as_mut() {
-                w.poison();
-            }
-            self.wal = wal;
-            self.scratch.lanes = lanes;
-            panic!("shard worker panicked: {msg}");
-        }
-
-        let mut recorder;
-        let provider: &mut dyn LocationProvider = match wal.as_mut() {
-            Some(w) => {
-                recorder = w.recorder(provider);
-                &mut recorder
-            }
-            None => provider,
-        };
-        self.finish_batch_in(out, start, provider, now);
-        self.commit_batch(wal, now, lanes.iter().map(|lane| lane.updates.len()));
-        self.scratch.lanes = lanes;
+        self.commit_batch(wal, now, parts.iter().map(|part| part.updates.len()));
+        self.scratch.parts = parts;
+        self.scratch.movers = movers;
     }
 
     /// The tail every batch shares. Adapt before the marker commits the
@@ -783,6 +908,213 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     // ------------------------------------------------------------------
+    // The steps of an operation (several shards)
+    // ------------------------------------------------------------------
+
+    /// pin → evaluate → regions → install for `movers`, each already
+    /// admitted: the report path of the fleet, shared by batches,
+    /// registration revelations and deferred probes. Objects already in
+    /// `op.exact` (probed earlier in the operation) get regions too.
+    /// Returns the result changes, ascending by query; the installed
+    /// regions are in `op.recomputed`, the movers' previous anchors in
+    /// `batch.prev`.
+    fn fold(
+        &mut self,
+        op: &mut OpBuffers,
+        batch: &mut BatchBuffers,
+        movers: &[(ObjectId, Point)],
+        provider: &mut dyn LocationProvider,
+        now: f64,
+        regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
+    ) -> Vec<ResultChange> {
+        for &(id, pos) in movers {
+            let shard = self.owner_of(id).expect("movers are registered");
+            let index = &mut self.shards[shard].index;
+            let anchor = index.get(id).expect("owner map names the holder").p_lst;
+            batch.repeated_ids |= batch.prev.insert(id, anchor).is_some();
+            index.pin_to_point(id, pos);
+            op.exact.insert(id, pos);
+        }
+        let changes = {
+            let _span = srb_obs::span!("sharded.merge");
+            let probes = self.coord_costs.probes;
+            let changes = self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
+                plane.reevaluate_movers(ctx, movers.iter().copied(), batch, candidates, space)
+            });
+            srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
+            srb_obs::counter!("sharded.coordinator_probes").add(self.coord_costs.probes - probes);
+            changes
+        };
+        self.grant(op, provider, now, regions);
+        changes
+    }
+
+    /// The coordinator's evaluate step: runs `step` on the query plane with
+    /// an evaluation context over the union view. Every probe it issues is
+    /// billed to the coordinator and lands in `op.exact`.
+    fn evaluating<R>(
+        &mut self,
+        op: &mut OpBuffers,
+        provider: &mut dyn LocationProvider,
+        now: f64,
+        step: impl FnOnce(
+            &mut QueryProcessor,
+            &mut EvalCtx<'_, FleetView<'_, B>>,
+            &mut Vec<QueryId>,
+            &Rect,
+        ) -> R,
+    ) -> R {
+        let view = FleetView { shards: &self.shards, owner: &self.owner };
+        let mut ctx = EvalCtx {
+            view: &view,
+            exact: &mut op.exact,
+            provider,
+            costs: &mut self.coord_costs,
+            work: &mut self.coord_work,
+            deferred: &mut op.deferred,
+            max_speed: self.config.max_speed,
+            now,
+        };
+        step(&mut self.processor, &mut ctx, &mut op.candidates, &self.config.space)
+    }
+
+    /// regions → install: computes, lane by lane, the safe region of every
+    /// object in `op.exact`, installs them (filling `op.recomputed`, in
+    /// shard order and ascending by id within a shard) and moves the
+    /// operation's deferred-probe requests into the shard timers.
+    /// `first_round` runs the lanes of the first region round (see
+    /// [`batch`](Self::batch)); the rare later rounds run on the caller.
+    fn grant(
+        &mut self,
+        op: &mut OpBuffers,
+        provider: &mut dyn LocationProvider,
+        now: f64,
+        first_round: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
+    ) {
+        let mut lanes = std::mem::take(&mut self.scratch.lanes);
+        lanes.resize_with(self.shards.len(), Lane::default);
+        for lane in &mut lanes {
+            lane.todo.clear();
+            lane.regions.clear();
+        }
+        op.worklist.refill(&op.exact, &[]);
+        while let Some(oid) = op.worklist.pop() {
+            self.enlist(&mut lanes, oid, op.exact[&oid]);
+        }
+
+        let mut first_round = Some(first_round);
+        loop {
+            let plane = Plane {
+                view: FleetView { shards: &self.shards, owner: &self.owner },
+                processor: &self.processor,
+                exact: &op.exact,
+                config: &self.config,
+                now,
+            };
+            let compute = |lane: &mut Lane| lane.compute(&plane);
+            match first_round.take() {
+                Some(run) => run(&mut lanes, &compute),
+                None => run_here(&mut lanes, &compute),
+            }
+            self.time_lanes(&mut lanes);
+
+            // Every region of the round stands unless a lane asked for a
+            // neighbour's exact location. Probing it makes it an invalid
+            // neighbour (§5.2) of everything computed so far, so its ring
+            // neighbours among them are computed again beside the
+            // requester and the target itself.
+            let mut requests: Vec<(ObjectId, ObjectId)> = Vec::new();
+            for lane in &mut lanes {
+                requests.append(&mut lane.requests);
+                lane.todo.clear();
+            }
+            if requests.is_empty() {
+                break;
+            }
+            requests.sort_unstable();
+            let (mut again, known) = (Vec::new(), op.exact.len());
+            for &(requester, target) in &requests {
+                again.push(requester);
+                if op.exact.contains_key(&target) {
+                    continue;
+                }
+                self.coord_costs.probes += 1;
+                self.coord_work.probes_neighbor += 1;
+                srb_obs::counter!("safe_region.neighbor_probes").inc();
+                op.exact.insert(target, provider.probe(target));
+                again.push(target);
+                // Its last anchor lies in its stale region, hence in the
+                // cell whose bucket lists every query holding it.
+                let (anchor, _) = self.last_known(target).expect("a registered object");
+                for &qid in self.processor.grid().queries_at(anchor) {
+                    let qs = self.processor.get(qid).expect("grid entries are registered");
+                    let ordered = matches!(qs.spec, QuerySpec::Knn { order_sensitive: true, .. });
+                    if let Some(rank) = qs.result_rank(target).filter(|_| ordered) {
+                        let ring = [rank.checked_sub(1), Some(rank + 1)];
+                        let beside = ring.into_iter().flatten().filter_map(|r| qs.results.get(r));
+                        again.extend(beside.filter(|o| op.exact.contains_key(o)));
+                    }
+                }
+            }
+            again.sort_unstable();
+            again.dedup();
+            let computed_before = again.len() - (op.exact.len() - known);
+            srb_obs::counter!("sharded.region_reruns").add(computed_before as u64);
+            for &oid in &again {
+                let lane = self.enlist(&mut lanes, oid, op.exact[&oid]);
+                // A second run supersedes what the first one deferred.
+                lane.deferred.retain(|&(by, ..)| by != oid);
+            }
+        }
+
+        for (shard, lane) in self.shards.iter_mut().zip(&mut lanes) {
+            for &(oid, sr) in &lane.regions {
+                shard.index.install_region(oid, op.exact[&oid], sr, now);
+                shard.location.start_lease(self.config.lease, oid, now);
+            }
+            op.recomputed.extend_from_slice(&lane.regions);
+            self.coord_work.probes_avoided += lane.deferred.len() as u64;
+            op.deferred.extend(lane.deferred.drain(..).map(|(_, target, due)| (target, due)));
+        }
+        self.coord_work.safe_regions += op.recomputed.len() as u64;
+        // A request for an object that ended up exactly known is dropped:
+        // its region was just granted afresh.
+        for (oid, due) in op.deferred.drain(..) {
+            if let Some(shard) = self.owner_of(oid).filter(|_| !op.exact.contains_key(&oid)) {
+                let shard = &mut self.shards[shard];
+                shard.location.defer(oid, due, shard.index.objects());
+            }
+        }
+        self.scratch.lanes = lanes;
+    }
+
+    /// Puts `oid`, exactly known at `pos`, on its owner's lane for the next
+    /// region round.
+    fn enlist<'l>(&self, lanes: &'l mut [Lane], oid: ObjectId, pos: Point) -> &'l mut Lane {
+        let shard = self.owner_of(oid).expect("exactly-known objects are registered");
+        let anchor = self.shards[shard].index.get(oid).expect("owner map names the holder").p_lst;
+        lanes[shard].todo.push((oid, pos, anchor));
+        &mut lanes[shard]
+    }
+
+    /// Publishes what a region round's lanes took: per-shard and overall
+    /// busy time, and the load imbalance between the fastest and the
+    /// slowest lane.
+    fn time_lanes(&self, lanes: &mut [Lane]) {
+        let (mut fastest, mut slowest, mut timed) = (u64::MAX, 0, 0);
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            if let Some(ns) = lane.duration_ns.take() {
+                self.shard_batch_ns[i].record(ns);
+                srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
+                (fastest, slowest, timed) = (fastest.min(ns), slowest.max(ns), timed + 1);
+            }
+        }
+        if timed > 1 {
+            srb_obs::histogram!("sharded.straggler_gap_ns").record(slowest - fastest);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Deferred probes
     // ------------------------------------------------------------------
 
@@ -801,9 +1133,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter_mut().filter_map(|s| s.next_deferred_due()).min_by(|a, b| a.total_cmp(b))
     }
 
-    /// Fires every deferred probe due at or before `now` on every shard,
-    /// then re-merges affected queries (batch response contract as in
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into)).
+    /// Fires every deferred probe due at or before `now`, shard by shard:
+    /// each still-fresh target is probed (cost `c_p`) and handled like a
+    /// report from it, as [`Server::process_deferred`] does.
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
@@ -819,12 +1151,29 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if self.shards.len() == 1 {
             return self.shards[0].process_deferred(provider, now);
         }
-        let mut responses = Vec::new();
-        for shard in &mut self.shards {
-            responses.extend(shard.process_deferred(provider, now));
+        let mut out = Vec::new();
+        for shard in 0..self.shards.len() {
+            let due = |s: &mut Server<B>| s.location.pop_due(s.index.objects(), now);
+            while let Some(d) = due(&mut self.shards[shard]) {
+                let pos = provider.probe(d.oid);
+                self.coord_costs.probes += 1;
+                if d.kind == DeferKind::Lease {
+                    self.coord_work.lease_probes += 1;
+                }
+                let mut op = self.scratch.arena.take_op();
+                let mut batch = self.scratch.arena.take_batch();
+                let changes =
+                    self.fold(&mut op, &mut batch, &[(d.oid, pos)], provider, now, run_here);
+                let safe_region = self.safe_region(d.oid).expect("the target got a region");
+                let mut probed = op.recomputed.clone();
+                probed.retain(|&(o, _)| o != d.oid);
+                probed.sort_unstable_by_key(|&(o, _)| o);
+                out.push((d.oid, UpdateResponse { safe_region, probed, changes }));
+                self.scratch.arena.put_batch(batch);
+                self.scratch.arena.put_op(op);
+            }
         }
-        self.finish_batch_in(&mut responses, 0, provider, now);
-        responses
+        out
     }
 
     // ------------------------------------------------------------------
@@ -1031,12 +1380,21 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Serializes the complete fleet state: config fingerprint, shard
-    /// count, coordinator counters and maps, then every shard's own state
-    /// in shard order. Scratch buffers, thread overrides, and telemetry
-    /// handles carry no state and are excluded.
+    /// count, coordinator counters and owner map, the controller, the query
+    /// plane, then every shard's own state in shard order. Scratch
+    /// buffers, thread overrides, and telemetry handles carry no state and
+    /// are excluded. A one-shard engine keeps the layout it always had (its
+    /// stores recover across this change): zeroed coordinator counters and,
+    /// where a multi-shard payload carries the query plane, the spec of
+    /// every slot of shard 0's plane and an empty list.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.shards.len());
+        let fleet = self.shards.len() > 1;
+        if fleet {
+            put_u64(out, FLEET_LAYOUT);
+            put_u64(out, self.coord_costs.probes);
+        }
         self.coord_work.encode(out);
         put_usize(out, self.owner.len());
         for o in &self.owner {
@@ -1048,28 +1406,19 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 }
             }
         }
-        put_usize(out, self.specs.len());
-        for s in &self.specs {
-            match s {
-                None => put_u8(out, 0),
-                Some(spec) => {
-                    put_u8(out, 1);
-                    wal::put_spec(out, spec);
-                }
-            }
-        }
-        put_usize(out, self.merged.len());
-        for m in &self.merged {
-            match m {
-                None => put_u8(out, 0),
-                Some(rs) => {
-                    put_u8(out, 1);
-                    put_usize(out, rs.len());
-                    for o in rs {
-                        put_u32(out, o.0);
+        if !fleet {
+            let slots = self.plane().slots();
+            put_usize(out, slots.len());
+            for slot in slots {
+                match slot {
+                    None => put_u8(out, 0),
+                    Some(qs) => {
+                        put_u8(out, 1);
+                        wal::put_spec(out, &qs.spec);
                     }
                 }
             }
+            put_usize(out, 0);
         }
         match &self.adaptive {
             None => put_u8(out, 0),
@@ -1077,6 +1426,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 put_u8(out, 1);
                 ctl.encode_state(out);
             }
+        }
+        if fleet {
+            self.processor.encode_state(out);
         }
         for s in &self.shards {
             s.encode_state(out);
@@ -1097,6 +1449,17 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if dec.usize()? != shards {
             return Err(RecoveryError::Corrupt("checkpoint shard count mismatch"));
         }
+        let fleet = shards > 1;
+        let mut coord_costs = CostTracker::default();
+        if fleet {
+            // Where this tag sits an older multi-shard checkpoint (every
+            // shard a replica of every query) holds a counter that was
+            // always zero: it is refused here, never misread.
+            if dec.u64()? != FLEET_LAYOUT {
+                return Err(RecoveryError::Corrupt("multi-shard checkpoint of an older layout"));
+            }
+            coord_costs.probes = dec.u64()?;
+        }
         let coord_work = WorkStats::decode(&mut dec)?;
         let n_owner = dec.len(1)?;
         let mut owner = Vec::with_capacity(n_owner);
@@ -1113,30 +1476,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 _ => return Err(RecoveryError::Corrupt("bad owner tag")),
             });
         }
-        let n_specs = dec.len(1)?;
-        let mut specs = Vec::with_capacity(n_specs);
-        for _ in 0..n_specs {
-            specs.push(match dec.u8()? {
-                0 => None,
-                1 => Some(wal::dec_spec(&mut dec)?),
-                _ => return Err(RecoveryError::Corrupt("bad spec tag")),
-            });
-        }
-        let n_merged = dec.len(1)?;
-        let mut merged = Vec::with_capacity(n_merged);
-        for _ in 0..n_merged {
-            merged.push(match dec.u8()? {
-                0 => None,
-                1 => {
-                    let n = dec.len(4)?;
-                    let mut rs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        rs.push(ObjectId(dec.u32()?));
-                    }
-                    Some(rs)
+        if !fleet {
+            // Shard 0's own state, further down, is the authority.
+            for _ in 0..dec.len(1)? {
+                match dec.u8()? {
+                    0 => {}
+                    1 => drop(wal::dec_spec(&mut dec)?),
+                    _ => return Err(RecoveryError::Corrupt("bad spec tag")),
                 }
-                _ => return Err(RecoveryError::Corrupt("bad merged tag")),
-            });
+            }
+            if dec.usize()? != 0 {
+                return Err(RecoveryError::Corrupt("one shard merges nothing"));
+            }
         }
         // The controller tag must agree with the config (whose fingerprint
         // was already checked): adaptive engines always checkpoint their
@@ -1153,26 +1504,25 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             _ => return Err(RecoveryError::Corrupt("bad controller tag")),
         };
+        let processor = if fleet {
+            QueryProcessor::decode_state(&mut dec)?
+        } else {
+            QueryProcessor::new(config.space, 1)
+        };
         let mut shard_servers = Vec::with_capacity(shards);
         for _ in 0..shards {
             shard_servers.push(Server::decode_state_from(config, &mut dec)?);
         }
         dec.finish()?;
-        Ok(ShardedServer {
-            shards: shard_servers,
+        Ok(Self::assemble(
+            *config,
+            shard_servers,
             owner,
-            specs,
-            merged,
+            processor,
+            coord_costs,
             coord_work,
-            threads: configured_threads(),
-            shard_batch_ns: (0..shards)
-                .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
-                .collect(),
-            scratch: CoordScratch::default(),
-            wal: None,
             adaptive,
-            config: *config,
-        })
+        ))
     }
 
     /// Replays one arbiter-log record through the public entry points.
@@ -1272,290 +1622,30 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// The shard a registration at `pos` lands on: a hash of the grid cell,
     /// modulo the shard count. The assignment is fixed at registration time
-    /// — later movement never migrates the object, because the coordinator
-    /// union keeps query answers exact regardless of the partition.
+    /// — later movement never migrates the object, because the union view
+    /// keeps query answers exact regardless of the partition.
     fn assign_shard(&self, pos: Point) -> usize {
-        let grid = self.shards[0].query_processor().grid();
+        let grid = self.plane().grid();
         let (i, j) = grid.cell_of(pos);
         let key = (i as u64) * (grid.m() as u64) + j as u64;
         (splitmix64(key) % self.shards.len() as u64) as usize
     }
 
-    fn record_spec(&mut self, id: QueryId, spec: QuerySpec) {
-        if self.specs.len() <= id.index() {
-            self.specs.resize(id.index() + 1, None);
-        }
-        self.specs[id.index()] = Some(spec);
-    }
-
-    /// Splits `updates` into one lane per shard, reusing the coordinator's
-    /// lane buffers (the caller returns them via
-    /// `self.scratch.lanes = lanes` when done).
-    fn partition(&mut self, updates: &[SequencedUpdate]) -> Vec<Lane> {
-        let mut lanes = std::mem::take(&mut self.scratch.lanes);
-        lanes.resize_with(self.shards.len(), Lane::default);
-        for lane in &mut lanes {
-            lane.updates.clear();
+    /// Splits `updates` into one partition per shard, reusing the
+    /// coordinator's buffers (the caller returns them via
+    /// `self.scratch.parts = parts` when done).
+    fn partition(&mut self, updates: &[SequencedUpdate]) -> Vec<Partition> {
+        let mut parts = std::mem::take(&mut self.scratch.parts);
+        parts.resize_with(self.shards.len(), Partition::default);
+        for part in &mut parts {
+            part.updates.clear();
+            part.regrants.clear();
         }
         for &u in updates {
             // Unknown objects go to shard 0, which drops and counts them.
-            lanes[self.owner_of(u.id).unwrap_or(0)].updates.push(u);
+            parts[self.owner_of(u.id).unwrap_or(0)].updates.push(u);
         }
-        lanes
-    }
-
-    /// Adds every kNN query holding a moved/probed object in some shard's
-    /// local result to the trigger set: an in-place position change can
-    /// reorder the global ranking without changing any shard-local result.
-    /// `moved` must be sorted (the callers sort + dedup their scratch
-    /// buffer before the scan).
-    fn membership_triggers(&self, moved: &[ObjectId], triggers: &mut BTreeSet<QueryId>) {
-        debug_assert!(
-            moved.windows(2).all(|w| w[0] <= w[1]),
-            "membership scan expects a sorted moved set"
-        );
-        for (qi, spec) in self.specs.iter().enumerate() {
-            if !matches!(spec, Some(QuerySpec::Knn { .. })) {
-                continue;
-            }
-            let qid = QueryId(qi as u32);
-            if triggers.contains(&qid) {
-                continue;
-            }
-            let hit = self.shards.iter().any(|shard| {
-                shard
-                    .results(qid)
-                    .is_some_and(|rs| rs.iter().any(|o| moved.binary_search(o).is_ok()))
-            });
-            if hit {
-                triggers.insert(qid);
-            }
-        }
-    }
-
-    /// Shared batch tail: derive the trigger set from the shard responses in
-    /// `out[start..]`, re-merge, and sort that tail into the deterministic
-    /// global response (changes and coordinator probes ride its first
-    /// entry).
-    fn finish_batch_in(
-        &mut self,
-        out: &mut [(ObjectId, UpdateResponse)],
-        start: usize,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) {
-        let mut triggers: BTreeSet<QueryId> = BTreeSet::new();
-        let mut moved = std::mem::take(&mut self.scratch.moved);
-        moved.clear();
-        for (oid, resp) in &mut out[start..] {
-            for ch in resp.changes.drain(..) {
-                triggers.insert(ch.query);
-            }
-            moved.extend(resp.probed.iter().map(|&(o, _)| o));
-            // Regrant entries did not touch the object state; only entries
-            // whose object was contacted at `now` represent movement.
-            if self.owning_shard(*oid).and_then(|s| s.last_known(*oid)).map(|(_, t)| t) == Some(now)
-            {
-                moved.push(*oid);
-            }
-        }
-        moved.sort_unstable();
-        moved.dedup();
-        self.membership_triggers(&moved, &mut triggers);
-        self.scratch.moved = moved;
-        let (probed, changes) = self.merge_after(triggers, provider, now);
-        sort_by_object(&mut out[start..], &mut self.scratch.order);
-        if let Some(first) = out.get_mut(start) {
-            first.1.probed.extend(probed);
-            first.1.changes = changes;
-        } else {
-            debug_assert!(
-                probed.is_empty() && changes.is_empty(),
-                "merge produced output without any shard response"
-            );
-        }
-    }
-
-    /// Re-merges every query in `queue` to fixpoint. Coordinator probes made
-    /// along the way can change *other* queries' shard-local results; those
-    /// queries are appended to the queue. Returns the safe regions granted
-    /// by coordinator probes and the global result changes in ascending
-    /// [`QueryId`] order.
-    fn merge_after(
-        &mut self,
-        mut queue: BTreeSet<QueryId>,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> (Vec<(ObjectId, Rect)>, Vec<ResultChange>) {
-        let _span = srb_obs::span!("sharded.merge");
-        let mut probed: Vec<(ObjectId, Rect)> = Vec::new();
-        let mut changed: BTreeMap<QueryId, Vec<ObjectId>> = BTreeMap::new();
-        let mut rounds = 0usize;
-        while let Some(qid) = queue.pop_first() {
-            rounds += 1;
-            assert!(rounds <= 100_000, "cross-shard merge failed to converge");
-            let Some(spec) = self.specs.get(qid.index()).copied().flatten() else { continue };
-            let new = match spec {
-                QuerySpec::Range { .. } => self.merge_range(qid),
-                QuerySpec::Knn { center, k, order_sensitive } => self.merge_knn(
-                    qid,
-                    center,
-                    k,
-                    order_sensitive,
-                    &mut probed,
-                    &mut queue,
-                    provider,
-                    now,
-                ),
-            };
-            if self.merged.len() <= qid.index() {
-                self.merged.resize(qid.index() + 1, None);
-            }
-            if self.merged[qid.index()].as_ref() != Some(&new) {
-                self.merged[qid.index()] = Some(new.clone());
-                changed.insert(qid, new);
-            }
-        }
-        srb_obs::counter!("sharded.merge_rounds").add(rounds as u64);
-        let changes =
-            changed.into_iter().map(|(query, results)| ResultChange { query, results }).collect();
-        (probed, changes)
-    }
-
-    /// Objects live on exactly one shard, so a range query's global answer
-    /// is the concatenation of per-shard answers, sorted for determinism.
-    fn merge_range(&self, qid: QueryId) -> Vec<ObjectId> {
-        let mut out: Vec<ObjectId> = Vec::new();
-        for shard in &self.shards {
-            if let Some(rs) = shard.results(qid) {
-                out.extend_from_slice(rs);
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
-    /// Ranks the union of per-shard top-k lists by distance intervals,
-    /// probing (through the owning shard) until every rank that matters is
-    /// separated. See the module docs for the guarantees.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_knn(
-        &mut self,
-        qid: QueryId,
-        center: Point,
-        k: usize,
-        order_sensitive: bool,
-        probed: &mut Vec<(ObjectId, Rect)>,
-        queue: &mut BTreeSet<QueryId>,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) -> Vec<ObjectId> {
-        let mut guard = 0usize;
-        loop {
-            guard += 1;
-            assert!(guard <= 10_000, "cross-shard kNN ranking failed to converge");
-            // Candidate union, rebuilt each round: an ingested probe can
-            // reorder the owning shard's local list.
-            let mut iv: Vec<(f64, f64, ObjectId)> = Vec::new();
-            for shard in &self.shards {
-                let Some(rs) = shard.results(qid) else { continue };
-                for &o in rs {
-                    if iv.iter().all(|e| e.2 != o) {
-                        let (lo, hi) = self.bound_of(o, center, now);
-                        iv.push((lo, hi, o));
-                    }
-                }
-            }
-            iv.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
-            let k_eff = k.min(iv.len());
-            // Interval pairs that must be separated. Order-sensitive: every
-            // adjacent pair through the k-boundary (proves the full order).
-            // Unordered: every *selected* candidate against the first
-            // unselected one — the boundary pair alone is not enough, since
-            // a wide interval can sort into the top k by its lower bound
-            // while its upper bound reaches past the boundary.
-            let mut pairs: Vec<(usize, usize)> = Vec::new();
-            if order_sensitive {
-                for i in 0..k_eff.min(iv.len().saturating_sub(1)) {
-                    pairs.push((i, i + 1));
-                }
-            } else if iv.len() > k_eff {
-                for i in 0..k_eff {
-                    pairs.push((i, k_eff));
-                }
-            }
-            let mut target: Option<ObjectId> = None;
-            for (i, j) in pairs {
-                let (a_lo, a_hi, a) = iv[i];
-                let (b_lo, b_hi, b) = iv[j];
-                if a_hi <= b_lo + EPS {
-                    continue;
-                }
-                let a_exact = self.is_exact(a, now);
-                let b_exact = self.is_exact(b, now);
-                if a_exact && b_exact {
-                    // A true tie: both distances are exact and equal (the
-                    // sort put the smaller first otherwise); resolved by id.
-                    continue;
-                }
-                target = Some(if a_exact {
-                    b
-                } else if b_exact || (a_hi - a_lo) >= (b_hi - b_lo) {
-                    a
-                } else {
-                    b
-                });
-                break;
-            }
-            let Some(o) = target else {
-                let mut out: Vec<ObjectId> = iv[..k_eff].iter().map(|e| e.2).collect();
-                if !order_sensitive {
-                    out.sort_unstable();
-                }
-                return out;
-            };
-            srb_obs::counter!("sharded.coordinator_probes").inc();
-            let pos = provider.probe(o);
-            let shard = self.owner_of(o).expect("candidate objects have owners");
-            let resp = self.shards[shard].ingest_probe(o, pos, provider, now);
-            probed.push((o, resp.safe_region));
-            probed.extend(resp.probed);
-            for ch in resp.changes {
-                if ch.query != qid {
-                    queue.insert(ch.query);
-                }
-            }
-        }
-    }
-
-    /// Distance interval from the query point to `o`: degenerate when the
-    /// object was contacted at `now` (its position is exact), the safe
-    /// region's `[minDist, maxDist]` otherwise.
-    fn bound_of(&self, o: ObjectId, center: Point, now: f64) -> (f64, f64) {
-        let shard = self.owning_shard(o).expect("candidate objects have owners");
-        if let Some((p, t)) = shard.last_known(o) {
-            if t == now {
-                let d = Rect::point(p).min_dist(center);
-                return (d, d);
-            }
-        }
-        let r = shard.safe_region(o).expect("candidate objects have regions");
-        (r.min_dist(center), r.max_dist(center))
-    }
-
-    fn is_exact(&self, o: ObjectId, now: f64) -> bool {
-        self.owning_shard(o).and_then(|s| s.last_known(o)).map(|(_, t)| t) == Some(now)
-    }
-}
-
-/// Renders a `catch_unwind` payload into a printable message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "shard worker panicked".to_string()
+        parts
     }
 }
 
@@ -1604,7 +1694,7 @@ mod tests {
     use super::*;
     use crate::provider::FnProvider;
     use srb_index::RStarTree;
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn parse_threads_accepts_positive_integers() {
@@ -1822,7 +1912,8 @@ mod tests {
 
     #[test]
     fn sharded_costs_include_coordinator_probes() {
-        // Probes made by the coordinator must land in the fleet-wide totals.
+        // Probes made by the coordinator must land in the fleet-wide totals
+        // (no shard issues any), its work in the fleet-wide counters.
         let positions = world(16, 3);
         let mut sharded = ShardedServer::new(ServerConfig::default(), 4);
         let snapshot = positions.clone();
@@ -1833,7 +1924,9 @@ mod tests {
         let before = sharded.costs();
         sharded.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 5), &mut provider, 0.0);
         let after = sharded.costs();
-        assert!(after.probes >= before.probes);
+        assert_eq!(after.probes - before.probes, sharded.coord_costs.probes);
+        assert!(sharded.shards().iter().all(|s| s.costs().probes == 0));
+        assert_eq!(sharded.work().evaluations, 1);
         sharded.check_invariants();
     }
 
@@ -1997,6 +2090,31 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// A multi-shard checkpoint from before the one query plane (every
+    /// shard a replica of every query, an always-zero counter block right
+    /// after the shard count) is refused with a typed error; it is never
+    /// decoded as something else.
+    #[test]
+    fn older_multi_shard_checkpoint_is_refused_not_misread() {
+        let config = ServerConfig::default();
+        let mut payload = Vec::new();
+        put_u64(&mut payload, wal::config_fingerprint(&config));
+        put_usize(&mut payload, 2);
+        WorkStats::default().encode(&mut payload);
+        put_usize(&mut payload, 0); // owner map, specs, merged results …
+        match ShardedServer::<RStarTree>::decode_state(&config, 2, &payload) {
+            Err(RecoveryError::Corrupt(what)) => assert!(what.contains("older layout"), "{what}"),
+            other => panic!("decoded an older layout: {:?}", other.map(|_| ())),
+        }
+        // The current layout round-trips.
+        let (fleet, _) = fleet(config, 2, 1);
+        let mut current = Vec::new();
+        fleet.encode_state(&mut current);
+        let decoded =
+            ShardedServer::<RStarTree>::decode_state(&config, 2, &current).expect("decodes");
+        assert_eq!(decoded.state_digest(), fleet.state_digest());
+    }
+
     /// Every file of a durability directory, by name.
     fn dir_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
         let read = |(name, _): (String, u64)| {
@@ -2006,9 +2124,8 @@ mod tests {
         srb_durable::store::dir_listing(Path::new(dir)).into_iter().map(read).collect()
     }
 
-    /// Threaded lanes append their partition records on whichever thread
-    /// runs them; what reaches the disk must be what the sequential path
-    /// writes, byte for byte, and replay like it.
+    /// Whatever threads run the region lanes, what reaches the disk must be
+    /// what the sequential path writes, byte for byte, and replay like it.
     #[test]
     fn parallel_path_under_wal_stays_sequentially_logged() {
         for shards in [2, 4] {
@@ -2050,36 +2167,20 @@ mod tests {
         (server, positions, batch)
     }
 
-    /// The distinct threads the busy lanes of the last batch ran on.
+    /// The distinct threads the lanes of the last region round ran on.
     fn lane_threads(server: &ShardedServer) -> HashSet<std::thread::ThreadId> {
-        let lanes = server.scratch.lanes.iter().filter(|lane| !lane.updates.is_empty());
-        lanes.map(|lane| lane.ran_on.expect("a busy lane ran")).collect()
+        server.scratch.lanes.iter().filter_map(|lane| lane.ran_on).collect()
     }
 
-    /// A position table whose first prober waits (five seconds at most) for
-    /// a probe from a second thread.
-    struct Rendezvous<'a>(&'a [Point], Mutex<HashSet<std::thread::ThreadId>>);
-
-    impl SyncProvider for Rendezvous<'_> {
-        fn probe(&self, id: ObjectId) -> Point {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            self.1.lock().unwrap().insert(std::thread::current().id());
-            while self.1.lock().unwrap().len() < 2 && std::time::Instant::now() < deadline {
-                std::thread::yield_now();
-            }
-            self.0[id.index()]
-        }
-    }
-
-    /// Helpers are forked exactly when more than one thread is asked for.
-    /// Half of a 400-object fleet stays silent, so every shard has kNN
-    /// candidates to probe: at four threads the [`Rendezvous`] holds the
-    /// first lane until a second thread runs one; at one thread every lane
-    /// runs on the caller.
+    /// Helpers are forked for the region step exactly when more than one
+    /// thread is asked for. Every object of a 2 000-object fleet reports, so
+    /// each of the four lanes has hundreds of regions to compute — long
+    /// enough for a helper to start beside the caller (in which batch that
+    /// first happens is the scheduler's business).
     #[test]
     fn lanes_spread_over_threads_unless_single_threaded() {
         for threads in [4, 1] {
-            let mut positions = world(400, 23);
+            let mut positions = world(2000, 23);
             let mut server = ShardedServer::new(ServerConfig::default(), 4).with_threads(threads);
             {
                 let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
@@ -2090,42 +2191,56 @@ mod tests {
                     server.register_query(QuerySpec::knn(Point::new(c, c), 5), &mut provider, 0.0);
                 }
             }
-            step(&mut positions, 1);
-            let batch: Vec<SequencedUpdate> = positions
-                .iter()
-                .enumerate()
-                .step_by(2)
-                .map(|(i, &pos)| SequencedUpdate { id: ObjectId(i as u32), pos, seq: 1 })
-                .collect();
-            let mut out = Vec::new();
-            if threads == 1 {
+            let mut spread = false;
+            for round in 1..=if threads == 1 { 3 } else { 200u64 } {
+                step(&mut positions, round);
+                let batch: Vec<SequencedUpdate> = positions
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &pos)| SequencedUpdate { id: ObjectId(i as u32), pos, seq: round })
+                    .collect();
                 let table = TableProvider(&positions);
-                server.handle_sequenced_updates_parallel_into(&batch, &table, 0.1, &mut out);
-                assert_eq!(lane_threads(&server), HashSet::from([std::thread::current().id()]));
-            } else {
-                let table = Rendezvous(&positions, Mutex::default());
-                server.handle_sequenced_updates_parallel_into(&batch, &table, 0.1, &mut out);
-                assert!(lane_threads(&server).len() > 1, "every lane ran on one thread");
+                let now = round as f64 * 0.1;
+                server.handle_sequenced_updates_parallel_into(&batch, &table, now, &mut Vec::new());
+                let ran_on = lane_threads(&server);
+                if threads == 1 {
+                    assert_eq!(ran_on, HashSet::from([std::thread::current().id()]));
+                }
+                spread |= ran_on.len() > 1;
+                if spread {
+                    break;
+                }
             }
+            assert_eq!(spread, threads > 1, "{threads} threads");
         }
     }
 
-    /// A shard batch that probes past the end of the table panics in its
-    /// lane. The caller must see that panic — after every lane finished,
-    /// with the WAL poisoned and no marker written, so recovery lands on
-    /// the state before the batch. `only` narrows the batch to one shard's
-    /// partition; returns the threads the lanes ran on.
-    fn assert_lane_panic_commits_nothing(
-        tag: &str,
-        only: Option<usize>,
-    ) -> HashSet<std::thread::ThreadId> {
-        let dir = temp_dir(tag);
+    /// A provider that panics (a table that ends before the probed id) does
+    /// so on the calling thread, before any region of the batch is
+    /// installed: the panic reaches the caller, every object keeps the
+    /// region and anchor it had, the shard indexes stay coherent, the WAL is
+    /// poisoned with no marker written — recovery lands on the state before
+    /// the batch.
+    #[test]
+    fn provider_panic_surfaces_with_nothing_installed_or_committed() {
+        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2, 1);
+        let before = twin.costs().probes;
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        twin.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
+        assert!(twin.costs().probes > before, "the batch probes");
+
+        let dir = temp_dir("panic");
         let config = durable(dir);
-        let (mut server, _, mut batch) = fleet_one_step_on(config, 2, 2);
-        batch.retain(|u| only.is_none() || server.owner_of(u.id) == only);
+        let (mut server, _, _) = fleet_one_step_on(config, 2, 2);
         server.sync_wal();
         let digest = server.state_digest();
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let held = |s: &ShardedServer| -> Vec<_> {
+            (0..positions.len() as u32)
+                .map(|i| (s.safe_region(ObjectId(i)), s.last_known(ObjectId(i))))
+                .collect()
+        };
+        let granted = held(&server);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
             let mut out = Vec::new();
             server.handle_sequenced_updates_parallel_into(
                 &batch,
@@ -2136,37 +2251,85 @@ mod tests {
         }))
         .expect_err("a probe past the table's end must fail the batch");
         let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
-        assert!(msg.starts_with("shard worker panicked: index out of bounds"), "{msg}");
-        assert_eq!(server.shard_count(), 2);
+        assert!(msg.starts_with("index out of bounds"), "{msg}");
+        assert_eq!(held(&server), granted, "a region was installed");
         server.check_invariants();
         assert!(server.wal_poisoned());
-        let ran_on = lane_threads(&server);
         drop(server);
         let (recovered, _) = ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
         assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no marker");
         let _ = std::fs::remove_dir_all(dir);
-        ran_on
     }
 
+    /// The stale-neighbour request path across two shards, twice in one
+    /// batch. Each of two order-sensitive 2-NN queries has its second
+    /// result (on shard 0) report from exactly the distance its first
+    /// result's (on shard 1) stale region reaches out to: reevaluation
+    /// keeps the order without probing, but the reporter's ring has no
+    /// room, so its lane hands the first result back as a request. The
+    /// coordinator probes in `(requester, target)` order — here against
+    /// target order — and both objects of each pair get regions that keep
+    /// them apart.
     #[test]
-    fn worker_panic_surfaces_with_every_shard_home_and_nothing_committed() {
-        assert_lane_panic_commits_nothing("panic", None);
-    }
-
-    /// The other kind of lane: a batch with one busy shard forks no helper,
-    /// so the partition that panics is the one the calling thread runs.
-    #[test]
-    fn caller_lane_panic_surfaces_with_nothing_committed() {
-        // Which shard's partition probes is found on a throwaway twin.
-        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2, 1);
-        let probes = |s: &ShardedServer| s.shards().iter().map(|x| x.costs().probes).collect();
-        let before: Vec<u64> = probes(&twin);
-        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-        twin.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
-        let probing = before.iter().zip(probes(&twin)).position(|(b, a)| a > *b);
-        assert!(probing.is_some(), "some shard batch probes");
-        let ran_on = assert_lane_panic_commits_nothing("panic-caller", probing);
-        assert_eq!(ran_on, HashSet::from([std::thread::current().id()]));
+    fn stale_neighbour_requests_are_probed_in_requester_order_across_shards() {
+        let mut server = ShardedServer::new(ServerConfig::default(), 2);
+        // The first position at or beyond `from` (in grid-cell steps) that
+        // `shard` owns.
+        let owned_by = |server: &ShardedServer, shard: usize, from: Point| {
+            let step = |i: usize| Point::new(from.x + 0.02 * (i % 4) as f64, from.y);
+            (0..4).map(step).find(|&p| server.assign_shard(p) == shard).expect("a cell per shard")
+        };
+        // (query point, first result, second result)
+        let pairs = [
+            (Point::new(0.3, 0.3), ObjectId(2), ObjectId(3)),
+            (Point::new(0.7, 0.7), ObjectId(1), ObjectId(7)),
+        ];
+        let mut at = [Point::new(0.05, 0.95); 8];
+        for (q, near, far) in pairs {
+            at[near.index()] = owned_by(&server, 1, Point::new(q.x + 0.02, q.y));
+            at[far.index()] = owned_by(&server, 0, Point::new(q.x + 0.1, q.y));
+        }
+        {
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            for (q, near, far) in pairs {
+                for id in [near, far] {
+                    server.add_object(id, at[id.index()], &mut provider, 0.0).expect("fresh id");
+                }
+                let reg = server.register_query(QuerySpec::knn(q, 2), &mut provider, 0.0);
+                assert_eq!(reg.results, vec![near, far]);
+                assert_eq!((server.owner_of(near), server.owner_of(far)), (Some(1), Some(0)));
+            }
+        }
+        let mut batch = Vec::new();
+        for (q, near, far) in pairs {
+            let reach = server.safe_region(near).expect("registered").max_dist(q);
+            at[far.index()] = Point::new(q.x, q.y + reach);
+            batch.push(SequencedUpdate { id: far, pos: at[far.index()], seq: 1 });
+        }
+        let mut probed = Vec::new();
+        let mut provider = FnProvider(|id: ObjectId| {
+            probed.push(id);
+            at[id.index()]
+        });
+        let before = server.work();
+        let mut out = Vec::new();
+        server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut out);
+        assert_eq!(probed, vec![ObjectId(2), ObjectId(1)], "requesters 3 and 7, in that order");
+        assert_eq!(server.work().probes_neighbor - before.probes_neighbor, 2);
+        assert_eq!(server.work().safe_regions - before.safe_regions, 4);
+        assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(7)]);
+        let bystanders: Vec<ObjectId> = out[0].1.probed.iter().map(|(o, _)| *o).collect();
+        assert_eq!(bystanders, vec![ObjectId(1), ObjectId(2)], "both of shard 1, ascending");
+        for (q, near, far) in pairs {
+            let (inner, outer) =
+                (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
+            assert!(
+                inner.contains_point(at[near.index()]) && outer.contains_point(at[far.index()])
+            );
+            assert!(inner.max_dist(q) <= outer.min_dist(q), "{near} and {far} may swap unseen");
+            assert_eq!(server.results(QueryId(u32::from(q.x > 0.5))), Some(&[near, far][..]));
+        }
+        server.check_invariants_deep();
     }
 
     #[test]

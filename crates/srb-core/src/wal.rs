@@ -293,10 +293,8 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
 }
 
 /// Encodes a shard-log partition of sequenced updates into `buf`
-/// (append-only; callers clear). Shared by the one-shard pass-through and
-/// the lanes of a sharded batch, each of which encodes into its own
-/// buffer on whichever thread runs it.
-pub(crate) fn encode_part_seq(buf: &mut Vec<u8>, updates: &[SequencedUpdate]) {
+/// (append-only; callers clear).
+fn encode_part_seq(buf: &mut Vec<u8>, updates: &[SequencedUpdate]) {
     put_u8(buf, OP_PART_SEQ);
     put_usize(buf, updates.len());
     for u in updates {
@@ -324,8 +322,8 @@ pub(crate) fn decode_part_seq(payload: &[u8]) -> Result<Vec<SequencedUpdate>, Du
 /// Wraps the real provider and records every answered probe into the
 /// operation's transcript.
 pub(crate) struct RecordingProvider<'a> {
-    pub(crate) inner: &'a mut dyn LocationProvider,
-    pub(crate) transcript: &'a mut Vec<(ObjectId, Point)>,
+    inner: &'a mut dyn LocationProvider,
+    transcript: &'a mut Vec<(ObjectId, Point)>,
 }
 
 impl LocationProvider for RecordingProvider<'_> {
@@ -503,34 +501,8 @@ impl Wal {
         let _ = self.store.append(shard + 1, &self.buf);
     }
 
-    /// Lends shard `shard`'s partition log to its lane for one batch, so
-    /// the partition record is appended on whichever thread runs the
-    /// lane. Returns `None` when the log is already checked out or the
-    /// store is poisoned (the lane then logs nothing).
-    pub(crate) fn take_shard_log(&mut self, shard: usize) -> Option<srb_durable::log::LogWriter> {
-        self.store.take_log(shard + 1)
-    }
-
-    /// Takes back the log lent to shard `shard`'s lane and splices the
-    /// lane's probe transcript onto the pending record's — the coordinator
-    /// does so in shard order; `probes` is drained but keeps its capacity.
-    /// A lane whose append `failed` poisons the store.
-    pub(crate) fn return_shard_log(
-        &mut self,
-        shard: usize,
-        log: srb_durable::log::LogWriter,
-        probes: &mut Vec<(ObjectId, Point)>,
-        failed: bool,
-    ) {
-        self.store.put_log(shard + 1, log);
-        self.probes.append(probes);
-        if failed {
-            self.store.poison();
-        }
-    }
-
-    /// Poisons the store after a shard batch panicked; writes are refused
-    /// from here on and later batches lend no logs.
+    /// Poisons the store after a batch failed between its partition
+    /// records and its marker; writes are refused from here on.
     pub(crate) fn poison(&mut self) {
         self.store.poison();
     }

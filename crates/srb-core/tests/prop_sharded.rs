@@ -1,21 +1,30 @@
-//! Property-based shard-equivalence tests: a `ShardedServer` with 1..=8
-//! shards is driven through the same random sequenced-update stream as a
-//! plain `Server` (same duplicates, replays, and unknown stragglers the
-//! fault suite uses) and must agree with it.
+//! Property-based shard tests, two harnesses.
 //!
-//! Agreement levels (see `DESIGN.md`, Architecture & sharding):
+//! **Oracle** ([`drive_oracle`]): a `ShardedServer` with 1, 2, 4 or 8
+//! shards on each backend (R\*-tree, grid, runtime-dispatched) monitors a
+//! world whose clients behave — every object moves every round and reports
+//! when it left its safe region — while queries are registered and
+//! deregistered and objects added and removed mid-stream. After every
+//! batch and every churn operation every query's result must equal the
+//! brute-force answer over the true positions: the fleet evaluates each
+//! query once over the union of its shard indexes, so it is exact at every
+//! shard count, not nearly so. A fixed workload reports
+//! `comm_cost(shards = k) / comm_cost(1)` and bounds it.
 //!
-//! - any shard count, range-only workload: *exact* equivalence — results,
-//!   safe regions, last-known state, uplink/probe costs, and drop counters
-//!   all match, because per-object decisions never depend on other objects;
-//! - 1 shard, any workload: exact equivalence (pure delegation);
-//! - many shards, kNN workloads: result equivalence (sequences for
-//!   order-sensitive queries, sets otherwise); the coordinator may pay
-//!   *extra* probes to separate cross-shard candidates, never fewer.
+//! **Twin** ([`drive`]): the fleet is driven through the same random
+//! sequenced-update stream as a plain `Server` (same duplicates, replays,
+//! and unknown stragglers the fault suite uses) and must agree with it —
+//! exactly (results, safe regions, last-known state, uplink/probe costs,
+//! drop counters) for a range-only workload at any shard count, because
+//! per-object decisions never depend on other objects, and for any
+//! workload at one shard (pure delegation); on every query result, the
+//! admitted uplinks and the drop counters otherwise.
 
 use proptest::prelude::*;
 use srb_core::{
-    FnProvider, ObjectId, QueryId, QuerySpec, SequencedUpdate, Server, ServerConfig, ShardedServer,
+    AdaptiveConfig, BackendConfig, CostModel, DynBackend, FnProvider, GridConfig, ObjectId,
+    QueryId, QuerySpec, RStarTree, SequencedUpdate, Server, ServerConfig, ShardedServer,
+    SpatialBackend, TreeConfig, UniformGrid,
 };
 use srb_geom::{Point, Rect};
 
@@ -182,12 +191,232 @@ fn drive(
             // Uplinks are routed to exactly one shard, never duplicated,
             // and acceptance is a per-object sequence decision — so the
             // charged source updates (and fault counters) stay identical
-            // even when coordinator kNN probes differ.
+            // even where the fleet's regions, cut by the midpoint rule
+            // alone, make its probes differ.
             assert_eq!(plain.costs().source_updates, sharded.costs().source_updates);
             let (pw, sw) = (plain.work(), sharded.work());
             assert_eq!(pw.stale_seq_drops, sw.stale_seq_drops, "stale drops");
             assert_eq!(pw.unknown_object_drops, sw.unknown_object_drops, "unknown drops");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The oracle harness
+// ---------------------------------------------------------------------
+
+/// What happens between two rounds of movement.
+#[derive(Clone, Debug)]
+enum Churn {
+    Register(Q),
+    /// Deregisters the `n`-th live query (modulo their number).
+    Deregister(usize),
+    /// Adds a fresh object at the given position.
+    Add(f64, f64),
+    /// Removes the `n`-th live object (modulo their number).
+    Remove(usize),
+}
+
+fn arb_churn() -> impl Strategy<Value = Option<Churn>> {
+    // kind 0..3: a quiet round; 3..7: one operation of each kind.
+    (0u8..7, arb_query(), 0usize..N_OBJECTS, 0.0f64..1.0, 0.0f64..1.0).prop_map(
+        |(kind, q, n, x, y)| match kind {
+            3 => Some(Churn::Register(q)),
+            4 => Some(Churn::Deregister(n)),
+            5 => Some(Churn::Add(x, y)),
+            6 => Some(Churn::Remove(n)),
+            _ => None,
+        },
+    )
+}
+
+/// The brute-force answer over the true positions (`None` = no such
+/// object): ids in ascending order for a range query, nearest first for a
+/// kNN query.
+fn brute_force(spec: &QuerySpec, world: &[Option<Point>]) -> Vec<ObjectId> {
+    let live = world.iter().enumerate().filter_map(|(i, p)| Some((ObjectId(i as u32), (*p)?)));
+    match *spec {
+        QuerySpec::Range { rect } => {
+            live.filter(|&(_, p)| rect.contains_point(p)).map(|(o, _)| o).collect()
+        }
+        QuerySpec::Knn { center, k, .. } => {
+            let mut ranked: Vec<(f64, ObjectId)> = live.map(|(o, p)| (p.dist(center), o)).collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            ranked.into_iter().take(k).map(|(_, o)| o).collect()
+        }
+    }
+}
+
+/// Holds every live query's monitored result to [`brute_force`].
+fn assert_exact<B: SpatialBackend>(
+    engine: &ShardedServer<B>,
+    live: &[(QueryId, QuerySpec)],
+    world: &[Option<Point>],
+    what: &dyn Fn() -> String,
+) {
+    for (qid, spec) in live {
+        let mut got = engine.results(*qid).expect("registered").to_vec();
+        let mut want = brute_force(spec, world);
+        if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
+            got.sort_unstable();
+            want.sort_unstable();
+        }
+        assert_eq!(got, want, "{qid} ({spec:?}) is not exact {}", what());
+    }
+}
+
+/// A uniform draw in `[-1, 1)` from `(a, b)` (SplitMix64 finaliser).
+fn jitter(a: u64, b: u64) -> f64 {
+    let mut z = (a ^ (b << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+}
+
+/// Drives a `shards`-shard engine on backend `B` through `rounds` rounds:
+/// in each, every object moves up to `step` per axis and the ones that
+/// left their safe region report as one batch; then the round's churn
+/// operation runs. Results are held to the brute-force oracle after each.
+/// Returns the run's communication cost (§7.1: uplinks + 1.5 probes).
+fn drive_oracle<B: SpatialBackend>(
+    backend: BackendConfig,
+    shards: usize,
+    seed_pts: &[(f64, f64)],
+    queries: &[Q],
+    rounds: &[Option<Churn>],
+    step: f64,
+) -> f64 {
+    let cfg = ServerConfig { grid_m: 10, backend, ..Default::default() };
+    let mut engine = ShardedServer::<B>::with_backend(cfg, shards);
+    let mut world: Vec<Option<Point>> = (0..seed_pts.len())
+        .map(|i| {
+            let (x, y) = seed_pts[i];
+            Some(Point::new((x + i as f64 * 0.013).fract(), (y + i as f64 * 0.029).fract()))
+        })
+        .collect();
+    let mut seqs: Vec<u64> = vec![0; world.len()];
+    let mut live: Vec<(QueryId, QuerySpec)> = Vec::new();
+    let at = |world: &[Option<Point>], id: ObjectId| world[id.index()].expect("a live object");
+    {
+        let mut provider = FnProvider(|id: ObjectId| at(&world, id));
+        for i in 0..world.len() {
+            let id = ObjectId(i as u32);
+            engine.add_object(id, at(&world, id), &mut provider, 0.0).unwrap();
+        }
+        for q in queries {
+            live.push((engine.register_query(q.spec(), &mut provider, 0.0).id, q.spec()));
+        }
+    }
+    let what = |round: usize| format!("at {shards} shards on {}, round {round}", B::label());
+    assert_exact(&engine, &live, &world, &|| what(0));
+
+    for (round, churn) in rounds.iter().enumerate() {
+        let now = (round + 1) as f64 * 0.1;
+        let mut batch = Vec::new();
+        for (i, slot) in world.iter_mut().enumerate() {
+            let Some(p) = slot else { continue };
+            p.x = (p.x + step * jitter(i as u64, 2 * round as u64)).clamp(0.0, 1.0);
+            p.y = (p.y + step * jitter(i as u64, 2 * round as u64 + 1)).clamp(0.0, 1.0);
+            let id = ObjectId(i as u32);
+            if !engine.safe_region(id).expect("registered").contains_point(*p) {
+                seqs[i] += 1;
+                batch.push(SequencedUpdate { id, pos: *p, seq: seqs[i] });
+            }
+        }
+        let mut provider = FnProvider(|id: ObjectId| at(&world, id));
+        engine.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        engine.check_invariants_deep();
+        assert_exact(&engine, &live, &world, &|| what(round + 1));
+
+        // Every object has just checked its region, so a churn probe
+        // finds none outside the region the engine holds for it.
+        match churn {
+            None => continue,
+            Some(Churn::Register(q)) => {
+                let mut provider = FnProvider(|id: ObjectId| at(&world, id));
+                live.push((engine.register_query(q.spec(), &mut provider, now).id, q.spec()));
+            }
+            Some(Churn::Deregister(n)) if !live.is_empty() => {
+                let (qid, _) = live.remove(n % live.len());
+                assert!(engine.deregister_query(qid));
+                assert!(engine.results(qid).is_none());
+            }
+            Some(Churn::Add(x, y)) => {
+                let id = ObjectId(world.len() as u32);
+                world.push(Some(Point::new(*x, *y)));
+                seqs.push(0);
+                let mut provider = FnProvider(|id: ObjectId| at(&world, id));
+                let sr = engine.add_object(id, at(&world, id), &mut provider, now).unwrap();
+                assert!(sr.contains_point(at(&world, id)));
+            }
+            Some(Churn::Remove(n)) => {
+                let alive: Vec<usize> = (0..world.len()).filter(|&i| world[i].is_some()).collect();
+                if alive.len() > 1 {
+                    let gone = alive[n % alive.len()];
+                    world[gone] = None;
+                    let mut provider = FnProvider(|id: ObjectId| at(&world, id));
+                    let removed = engine.remove_object(ObjectId(gone as u32), &mut provider, now);
+                    assert!(removed.is_some());
+                }
+            }
+            Some(Churn::Deregister(_)) => {}
+        }
+        engine.check_invariants_deep();
+        assert_exact(&engine, &live, &world, &|| format!("{} after {churn:?}", what(round + 1)));
+    }
+    assert_eq!(engine.object_count(), world.iter().flatten().count());
+    engine.costs().total(&CostModel::default())
+}
+
+/// [`drive_oracle`] at `shards` on each of the three backends.
+fn drive_oracle_on_every_backend(
+    shards: usize,
+    seed_pts: &[(f64, f64)],
+    queries: &[Q],
+    rounds: &[Option<Churn>],
+) {
+    let rstar = BackendConfig::RStar(TreeConfig::default());
+    drive_oracle::<RStarTree>(rstar, shards, seed_pts, queries, rounds, 0.06);
+    let grid = BackendConfig::Grid(GridConfig::default());
+    drive_oracle::<UniformGrid>(grid, shards, seed_pts, queries, rounds, 0.06);
+    let adaptive = BackendConfig::Adaptive(AdaptiveConfig::default());
+    drive_oracle::<DynBackend>(adaptive, shards, seed_pts, queries, rounds, 0.06);
+}
+
+/// One query plane costs what one server costs: on a fixed workload (300
+/// objects, 16 mixed queries, 60 rounds with churn every fourth) the
+/// fleet's communication cost stays within 15 % of the single server's at
+/// every shard count. The ratios are printed (`--nocapture`).
+#[test]
+fn communication_cost_does_not_grow_with_the_shard_count() {
+    let seed_pts: Vec<(f64, f64)> =
+        (0..300u64).map(|i| (0.5 + 0.5 * jitter(i, 901), 0.5 + 0.5 * jitter(i, 902))).collect();
+    let unit = |i: u64, salt: u64| 0.5 + 0.5 * jitter(i, salt);
+    let query = |i: u64| match i % 4 {
+        0 => Q::Range { cx: unit(i, 903), cy: unit(i, 904), half: 0.04 + 0.08 * unit(i, 905) },
+        n => {
+            Q::Knn { cx: unit(i, 903), cy: unit(i, 904), k: 1 + (i % 5) as usize, ordered: n != 3 }
+        }
+    };
+    let queries: Vec<Q> = (0..16).map(query).collect();
+    let rounds: Vec<Option<Churn>> = (0..60u64)
+        .map(|r| match r % 16 {
+            3 => Some(Churn::Register(query(100 + r))),
+            7 => Some(Churn::Deregister(r as usize)),
+            11 => Some(Churn::Add(unit(r, 906), unit(r, 907))),
+            15 => Some(Churn::Remove(r as usize)),
+            _ => None,
+        })
+        .collect();
+    let cost = |shards: usize| {
+        let rstar = BackendConfig::RStar(TreeConfig::default());
+        drive_oracle::<RStarTree>(rstar, shards, &seed_pts, &queries, &rounds, 0.02)
+    };
+    let one = cost(1);
+    for shards in [2, 4, 8] {
+        let ratio = cost(shards) / one;
+        println!("comm_cost(shards = {shards}) / comm_cost(1) = {ratio:.4} (of {one})");
+        assert!(ratio <= 1.15, "{shards} shards cost {ratio:.4} of one server's communication");
     }
 }
 
@@ -217,9 +446,8 @@ proptest! {
         drive(1, &seed_pts, &queries, &batches, true);
     }
 
-    /// Mixed workloads (kNN included) agree on every query result at any
-    /// shard count; the coordinator may pay extra probes, never wrong
-    /// answers.
+    /// Mixed workloads (kNN included) agree with the plain server on every
+    /// query result at any shard count, fault events included.
     #[test]
     fn mixed_workloads_agree_on_results_at_any_shard_count(
         n_shards in 2usize..=8,
@@ -228,5 +456,17 @@ proptest! {
         batches in prop::collection::vec(prop::collection::vec(arb_event(), 1..10), 1..12),
     ) {
         drive(n_shards, &seed_pts, &queries, &batches, false);
+    }
+
+    /// Exact at every shard count on every backend, against brute force,
+    /// with registration, deregistration and object churn mid-stream.
+    #[test]
+    fn every_result_matches_brute_force_at_every_shard_count(
+        shards in prop::sample::select(vec![1usize, 2, 4, 8]),
+        seed_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), N_OBJECTS..=N_OBJECTS),
+        queries in prop::collection::vec(arb_query(), 1..6),
+        rounds in prop::collection::vec(arb_churn(), 4..16),
+    ) {
+        drive_oracle_on_every_backend(shards, &seed_pts, &queries, &rounds);
     }
 }

@@ -85,10 +85,8 @@ pub struct Recovered {
 pub struct Store {
     dir: PathBuf,
     gen: u64,
-    /// Per-log writers. A slot is `None` only while that log is lent to
-    /// a batch lane via [`Store::take_log`]; every commit-protocol
-    /// operation requires the full set to be checked back in.
-    logs: Vec<Option<LogWriter>>,
+    /// Per-log writers.
+    logs: Vec<LogWriter>,
     policy: SyncPolicy,
     group_ops: u32,
     ops_since_sync: u32,
@@ -266,7 +264,7 @@ impl Store {
         Ok(Store {
             dir: dir.to_path_buf(),
             gen,
-            logs: logs.into_iter().map(Some).collect(),
+            logs,
             policy,
             group_ops: group_ops.max(1),
             ops_since_sync: 0,
@@ -286,9 +284,9 @@ impl Store {
         self.poisoned
     }
 
-    /// Poisons the store explicitly — used when a lent log writer failed
-    /// in its lane, where the failure cannot flow through
-    /// [`Store::append`]'s guard.
+    /// Poisons the store explicitly — used when the engine above failed
+    /// half way through an operation whose records are already appended,
+    /// a failure that cannot flow through [`Store::append`]'s guard.
     pub fn poison(&mut self) {
         self.poisoned = true;
     }
@@ -300,31 +298,13 @@ impl Store {
         r
     }
 
-    /// Lends log `idx`'s writer out (to a batch lane, which may run on
-    /// another thread).
-    /// Returns `None` when the store is poisoned or the log is already
-    /// checked out. The commit protocol requires every log back before
-    /// the next [`Store::commit`]/[`Store::checkpoint`].
-    pub fn take_log(&mut self, idx: usize) -> Option<LogWriter> {
-        if self.poisoned {
-            return None;
-        }
-        self.logs[idx].take()
-    }
-
-    /// Returns a writer previously lent with [`Store::take_log`].
-    pub fn put_log(&mut self, idx: usize, log: LogWriter) {
-        debug_assert!(self.logs[idx].is_none(), "log {idx} returned while checked in");
-        self.logs[idx] = Some(log);
-    }
-
     /// Appends `payload` as one record to log `idx` (group-commit
     /// buffered; durable at the next commit boundary).
     pub fn append(&mut self, idx: usize, payload: &[u8]) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
-        let r = self.logs[idx].as_mut().expect("log checked out during append").append(payload);
+        let r = self.logs[idx].append(payload);
         self.guard(r)
     }
 
@@ -356,7 +336,7 @@ impl Store {
         }
         self.ops_since_sync = 0;
         for idx in (1..self.logs.len()).chain([0]) {
-            let r = self.logs[idx].as_mut().expect("log checked out during commit").sync();
+            let r = self.logs[idx].sync();
             self.guard(r)?;
         }
         Ok(())
@@ -374,7 +354,7 @@ impl Store {
         let n_logs = self.logs.len();
         let r = install_generation(&self.dir, new_gen, payload, n_logs);
         let logs = self.guard(r)?;
-        self.logs = logs.into_iter().map(Some).collect();
+        self.logs = logs;
         self.gen = new_gen;
         // Keep generation `new_gen - 1` as the fallback root; everything
         // older is unreachable and can go.
@@ -525,7 +505,7 @@ impl Store {
             store: Store {
                 dir: dir.to_path_buf(),
                 gen: active,
-                logs: writers.into_iter().map(Some).collect(),
+                logs: writers,
                 policy,
                 group_ops: group_ops.max(1),
                 ops_since_sync: 0,
@@ -709,26 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn lent_log_appends_survive_return_and_commit() {
-        let dir = scratch();
-        let mut s = Store::create(&dir, 2, SyncPolicy::Always, 1, b"root").unwrap();
-        let mut log = s.take_log(1).expect("log available");
-        assert!(s.take_log(1).is_none(), "double checkout refused");
-        log.append(b"from-worker").unwrap();
-        s.put_log(1, log);
-        s.commit().unwrap();
-        drop(s);
-        let r = Store::recover(&dir, 2, SyncPolicy::Always, 1).unwrap();
-        assert_eq!(all_records(&r), vec![b"from-worker".to_vec()]);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn poisoned_store_refuses_log_checkout() {
+    fn poisoned_store_refuses_appends() {
         let dir = scratch();
         let mut s = Store::create(&dir, 1, SyncPolicy::Always, 1, b"root").unwrap();
         s.poison();
-        assert!(s.take_log(0).is_none());
         assert!(matches!(s.append(0, b"x"), Err(DurableError::Poisoned)));
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -24,6 +24,30 @@ use crate::{EntryId, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
 use srb_geom::{Point, Rect};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// A backend's work-unit counter. One thread at a time browses or searches
+/// a backend, but a fleet's shard indexes are read by reference from every
+/// thread that computes safe regions, so the counter behind `&self` has to
+/// be `Sync`: a relaxed load and a relaxed store — what a `Cell` costs.
+#[derive(Debug, Default)]
+pub(crate) struct Visits(AtomicU64);
+
+impl Visits {
+    pub(crate) fn new(v: u64) -> Self {
+        Visits(AtomicU64::new(v))
+    }
+
+    #[inline]
+    pub(crate) fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    pub(crate) fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+}
 
 /// The concrete index structure a backend instance is running right now.
 ///
@@ -239,8 +263,10 @@ pub trait NearestStream: Iterator<Item = Neighbor> {
 ///
 /// Implementations must agree on *semantics* (same result sets for the same
 /// contents); they are free to differ in enumeration order, cost profile,
-/// and the [`UpdateOutcome`] fast-path classification.
-pub trait SpatialBackend {
+/// and the [`UpdateOutcome`] fast-path classification. Backends are `Sync`:
+/// the sharded engine reads every shard's index by reference while its
+/// threads compute safe regions.
+pub trait SpatialBackend: Sync {
     /// The backend's best-first browse iterator (a GAT so backends can
     /// borrow internal structures without boxing).
     type Nearest<'a>: NearestStream + 'a

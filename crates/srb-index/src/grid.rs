@@ -24,13 +24,12 @@
 //! tradeoffs).
 
 use crate::backend::{
-    BackendConfig, BackendKind, BackendStats, HeapItem, HeapKind, NearestScratch,
+    BackendConfig, BackendKind, BackendStats, HeapItem, HeapKind, NearestScratch, Visits,
 };
 use crate::UpdateOutcome;
 use crate::{ConfigError, EntryId, LeafEntry, NearestStream, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -80,7 +79,7 @@ pub struct UniformGrid {
     pub(crate) cell_h: f64,
     pub(crate) buckets: Vec<Vec<LeafEntry>>,
     pub(crate) rects: FastMap<EntryId, Rect>,
-    pub(crate) visits: Cell<u64>,
+    pub(crate) visits: Visits,
 }
 
 impl UniformGrid {
@@ -95,7 +94,7 @@ impl UniformGrid {
             cell_h: space.height() / m as f64,
             buckets: vec![Vec::new(); m * m],
             rects: FastMap::default(),
-            visits: Cell::new(0),
+            visits: Visits::new(0),
         }
     }
 

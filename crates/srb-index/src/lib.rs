@@ -51,12 +51,11 @@ pub use dyn_backend::{DynBackend, DynNearest};
 pub use grid::{GridConfig, GridNearest, UniformGrid};
 pub use node::{EntryId, LeafEntry};
 
-use backend::{HeapItem, HeapKind};
+use backend::{HeapItem, HeapKind, Visits};
 use node::{Node, NodeId, NodeKind, NO_NODE};
 use split::{mbr_of, rstar_split};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -216,7 +215,7 @@ pub struct RStarTree {
     pub(crate) len: usize,
     pub(crate) leaf_of: FastMap<EntryId, NodeId>,
     pub(crate) config: TreeConfig,
-    pub(crate) visits: Cell<u64>,
+    pub(crate) visits: Visits,
     /// Bulk-loaded trees may have trailing nodes below `min_entries`; the
     /// invariant checker relaxes the fill-factor assertion for them.
     pub(crate) relaxed_min: bool,
@@ -239,7 +238,7 @@ impl RStarTree {
             len: 0,
             leaf_of: FastMap::default(),
             config,
-            visits: Cell::new(0),
+            visits: Visits::new(0),
             relaxed_min: false,
         };
         tree.root = tree.alloc(Node::new_leaf());
@@ -819,7 +818,7 @@ impl RStarTree {
             len,
             leaf_of,
             config,
-            visits: Cell::new(0),
+            visits: Visits::new(0),
             relaxed_min: true,
         }
     }

@@ -23,13 +23,13 @@
 //! reference is still bounds-checked and returns
 //! [`DurableError::Corrupt`] instead of panicking.
 
+use crate::backend::Visits;
 use crate::node::{Node, NodeId, NodeKind, NO_NODE};
 use crate::{EntryId, GridConfig, LeafEntry, RStarTree, TreeConfig, UniformGrid};
 use srb_durable::codec::{put_bool, put_f64, put_u16, put_u32, put_u64, put_u8, put_usize};
 use srb_durable::{Dec, DurableError};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
-use std::cell::Cell;
 
 pub(crate) fn put_rect(out: &mut Vec<u8>, r: &Rect) {
     put_f64(out, r.min().x);
@@ -186,7 +186,7 @@ impl RStarTree {
             len,
             leaf_of,
             config,
-            visits: Cell::new(visits),
+            visits: Visits::new(visits),
             relaxed_min,
         })
     }
@@ -234,7 +234,7 @@ impl UniformGrid {
             cell_h: space.height() / m as f64,
             buckets,
             rects,
-            visits: Cell::new(visits),
+            visits: Visits::new(visits),
         })
     }
 }

@@ -1,7 +1,11 @@
 //! Crash-injection matrix for the *threaded* batch path: the sharded
-//! server forking scoped helper threads per batch, every busy shard's lane
-//! run — and its WAL partition record appended — **on whichever thread
-//! takes it**, the caller included.
+//! server forking scoped helper threads for the region step of every
+//! batch. Only the calling thread touches the WAL — partition records
+//! first, the marker with the coordinator's one probe transcript last —
+//! so what this matrix adds to `crash.rs` is the entry point: a crash at
+//! any fsync/rename boundary of a run driven through
+//! `handle_sequenced_updates_parallel_into` recovers exactly where the
+//! sequential engine would.
 //!
 //! The method is the same golden-digest prefix table as `crash.rs`: an
 //! uninterrupted durability-OFF run records the digest after every op;
@@ -9,14 +13,12 @@
 //! WAL poisons, drops the server cold mid-stream (no thread outlives a
 //! batch, so there is nothing to drain), recovers, and the recovered state
 //! must be a completed-operation prefix whose resumption reproduces the
-//! golden final digest bit for bit: whatever the interleaving of the
-//! lanes' appends, recovery lands exactly where the synchronous engine
-//! would.
+//! golden final digest bit for bit.
 //!
-//! This matrix lives in its own test binary because a boundary a helper
-//! thread may reach is covered only by the process-wide shared plan
-//! ([`crash::arm_shared`]); run next to the thread-local matrix it would
-//! steal those countdowns. Cargo runs test binaries sequentially, and the
+//! The matrix arms the process-wide shared plan ([`crash::arm_shared`],
+//! which trips on whichever thread reaches the boundary), so it lives in
+//! its own test binary: run next to the thread-local matrix it would steal
+//! those countdowns. Cargo runs test binaries sequentially, and the
 //! in-file mutex serializes the tests within this one.
 
 use srb_core::{

@@ -81,13 +81,16 @@ fn main() {
         assert!(json.contains(key), "snapshot is missing {key}");
     }
     // Neighbour probes are rare enough that a short run may see none, and
-    // idle counters are not snapshotted — so force one.
+    // idle counters are not snapshotted — so force one, on a single server
+    // (a fleet's coordinator recomputes the regions around a probed
+    // neighbour instead: `sharded.region_reruns`).
+    let before = obs::registry().snapshot();
     force_neighbor_probe();
     let after = obs::registry().snapshot().diff(&before);
     assert_eq!(
         after.counters.get("location.worklist_rescans"),
         after.counters.get("safe_region.neighbor_probes"),
-        "every neighbour probe grows the recompute worklist"
+        "every neighbour probe of a server grows its recompute worklist"
     );
     println!("\nsnapshot covers spans, per-shard batch timings, and index histograms ✓");
 }

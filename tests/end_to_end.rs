@@ -99,6 +99,82 @@ fn trajectory_driven_monitoring_stays_exact() {
 }
 
 #[test]
+fn sharded_trajectory_driven_monitoring_matches_brute_force() {
+    // The fleet evaluates every query once, over the union of its shard
+    // indexes: exact at every shard count. Same trajectories as above,
+    // reduced; the reports of one check instant go in as one batch through
+    // the threaded path, and every query is held to the brute-force answer
+    // at every check instant.
+    use srb::core::{ShardedServer, TableProvider};
+    let n = 100;
+    let mob = MobilityConfig { mean_speed: 0.02, mean_period: 0.5, ..Default::default() };
+    let queries: Vec<QuerySpec> = (0..9u64)
+        .map(|i| {
+            let centre = Point::new(0.15 + 0.7 * unit(i, 31), 0.15 + 0.7 * unit(i, 32));
+            match i % 3 {
+                0 => QuerySpec::range(Rect::centered(centre, 0.12, 0.08)),
+                1 => QuerySpec::knn(centre, 2 + i as usize % 4),
+                _ => QuerySpec::knn_unordered(centre, 3),
+            }
+        })
+        .collect();
+    for shards in [2, 4] {
+        let mut trajs: Vec<Trajectory> =
+            (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
+        let mut at: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
+        let mut server = ShardedServer::new(ServerConfig::default(), shards).with_threads(2);
+        {
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            for (i, &pos) in at.iter().enumerate() {
+                server.add_object(ObjectId(i as u32), pos, &mut provider, 0.0).expect("fresh id");
+            }
+            for &spec in &queries {
+                server.register_query(spec, &mut provider, 0.0);
+            }
+        }
+        let mut seqs = vec![0u64; n];
+        let mut reports = 0;
+        for step in 1..=150 {
+            let t = step as f64 * 0.02;
+            let mut batch = Vec::new();
+            for i in 0..n {
+                at[i] = trajs[i].position(t);
+                let id = ObjectId(i as u32);
+                if !server.safe_region(id).expect("registered").contains_point(at[i]) {
+                    seqs[i] += 1;
+                    batch.push(SequencedUpdate { id, pos: at[i], seq: seqs[i] });
+                }
+            }
+            reports += batch.len();
+            let table = TableProvider(&at);
+            server.handle_sequenced_updates_parallel_into(&batch, &table, t, &mut Vec::new());
+            for (q, spec) in server.query_ids().zip(&queries) {
+                let mut got = server.results(q).expect("registered").to_vec();
+                let mut want: Vec<ObjectId> = match *spec {
+                    QuerySpec::Range { rect } => (0..n)
+                        .filter(|&i| rect.contains_point(at[i]))
+                        .map(|i| ObjectId(i as u32))
+                        .collect(),
+                    QuerySpec::Knn { center, k, .. } => {
+                        let mut ranked: Vec<(f64, u32)> =
+                            (0..n).map(|i| (at[i].dist(center), i as u32)).collect();
+                        ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
+                        ranked[..k].iter().map(|&(_, i)| ObjectId(i)).collect()
+                    }
+                };
+                if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
+                    got.sort_unstable();
+                    want.sort_unstable();
+                }
+                assert_eq!(got, want, "{q} ({spec:?}) at {shards} shards, step {step}");
+            }
+        }
+        assert!(reports > 100, "the objects moved: {reports} reports");
+        server.check_invariants();
+    }
+}
+
+#[test]
 fn simulator_matches_core_guarantee() {
     let cfg = SimConfig {
         n_objects: 200,
