@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
+use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
 use srb_geom::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, Circle,
     ClearanceObjective, OrdinaryPerimeter, Point, Rect, Ring,
@@ -134,7 +134,7 @@ fn bench_server(c: &mut Criterion) {
     let pts = rng_points(5_000, 3);
 
     g.bench_function("register_knn_query", |b| {
-        let mut server = Server::with_defaults();
+        let mut server = ShardedServer::with_defaults();
         {
             let ps = pts.clone();
             let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
@@ -153,7 +153,7 @@ fn bench_server(c: &mut Criterion) {
     });
 
     g.bench_function("location_update", |b| {
-        let mut server = Server::new(ServerConfig::default());
+        let mut server = ShardedServer::new(ServerConfig::default(), 1);
         let mut world = pts.clone();
         {
             let ps = world.clone();

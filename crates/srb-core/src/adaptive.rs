@@ -38,7 +38,7 @@ pub enum AdaptAction {
 pub struct ShardSignals {
     /// Objects currently owned by the shard.
     pub len: usize,
-    /// Cumulative index visit counter ([`crate::Server::index_visits`]).
+    /// Cumulative index visit counter ([`crate::Shard::index_visits`]).
     pub visits: u64,
     /// Cumulative source updates handled ([`crate::CostTracker`]).
     pub updates: u64,

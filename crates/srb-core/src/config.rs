@@ -7,8 +7,7 @@ use srb_index::BackendConfig;
 
 /// Configuration of the durability plane (write-ahead log + checkpoints),
 /// which `ShardedServer` owns: a durable single node is the 1-shard
-/// engine, and a plain `Server` — the shard-local stack — never logs,
-/// whatever this says. The default — `dir: None` — disables durability
+/// engine. The default — `dir: None` — disables durability
 /// entirely: the engine runs exactly the paper's in-memory semantics with
 /// zero logging overhead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

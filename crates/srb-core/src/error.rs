@@ -53,7 +53,7 @@ pub enum RecoveryError {
     /// configuration than the one supplied to `recover`.
     ConfigMismatch,
     /// The checkpoint records an index structure the recovering backend
-    /// type cannot hold. Recover into `Server<DynBackend>` (which accepts
+    /// type cannot hold. Recover into `ShardedServer<DynBackend>` (which accepts
     /// every kind) and migrate explicitly afterwards.
     BackendMismatch {
         /// The kind label the checkpoint recorded.

@@ -9,28 +9,31 @@
 use crate::bounds::LocBound;
 use crate::ids::ObjectId;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
-use crate::view::ObjectView;
+use crate::view::{FleetView, MergedNearest};
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::NearestStream;
+use srb_index::{NearestStream, SpatialBackend};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Everything an evaluation needs from the server, bundled to keep borrows
+/// Everything an evaluation needs from the engine, bundled to keep borrows
 /// manageable. `exact` accumulates every exactly-known location of the
-/// current server operation (the updating object plus all probed objects);
-/// the server recomputes safe regions for exactly these objects afterwards
+/// current operation (the updating objects plus all probed objects); the
+/// engine recomputes safe regions for exactly these objects afterwards
 /// (Algorithm 1 lines 14–15).
-pub(crate) struct EvalCtx<'a, V: ObjectView> {
-    pub view: &'a V,
+pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
+    pub view: FleetView<'a, B>,
     pub exact: &'a mut FastMap<ObjectId, Point>,
+    /// The objects probed so far, in probe order: the part of `exact` the
+    /// caller did not put there itself.
+    pub probed: &'a mut Vec<ObjectId>,
     pub provider: &'a mut dyn LocationProvider,
     pub costs: &'a mut CostTracker,
     pub work: &'a mut WorkStats,
     /// Deferred probes scheduled by reachability-based decisions: the
     /// earliest future instants at which those decisions could be
     /// invalidated by the growing circle (see DESIGN.md — this makes §6.1
-    /// sound). The server moves these into its timer queue.
+    /// sound). The engine moves these into the shard timers.
     pub deferred: &'a mut Vec<(ObjectId, f64)>,
     /// `Some(max_speed)` when the reachability enhancement is enabled.
     pub max_speed: Option<f64>,
@@ -38,15 +41,15 @@ pub(crate) struct EvalCtx<'a, V: ObjectView> {
     pub now: f64,
 }
 
-/// Read-only view of the server state needed to bound object locations.
-pub(crate) struct ReadCtx<'a, V: ObjectView> {
-    pub view: &'a V,
+/// Read-only view of the engine state needed to bound object locations.
+pub(crate) struct ReadCtx<'a, B: SpatialBackend> {
+    pub view: FleetView<'a, B>,
     pub exact: &'a FastMap<ObjectId, Point>,
     pub max_speed: Option<f64>,
     pub now: f64,
 }
 
-impl<V: ObjectView> ReadCtx<'_, V> {
+impl<B: SpatialBackend> ReadCtx<'_, B> {
     /// The location bound for an object whose stored rectangle is `sr`.
     pub fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
         if let Some(&p) = self.exact.get(&id) {
@@ -93,53 +96,45 @@ impl<V: ObjectView> ReadCtx<'_, V> {
     }
 }
 
-/// What safe-region computation (§5) asks of its caller beyond reading
-/// bounds. The single server answers inline ([`EvalCtx`]); a lane of the
-/// sharded engine, which reads shared state and may not probe, hands the
-/// question back to its coordinator.
-pub(crate) trait RegionCtx<V: ObjectView> {
-    /// The read-only half.
-    fn read(&self) -> ReadCtx<'_, V>;
+/// What one safe-region computation (§5) works with: shared state it only
+/// reads — regions are computed lane by lane, possibly on several threads,
+/// and none may probe — and two lists it hands back to the coordinator.
+pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
+    pub read: &'a ReadCtx<'a, B>,
+    /// The object whose region is being computed.
+    pub requester: ObjectId,
+    /// Out: `(requester, target)` — a neighbour whose exact location the
+    /// computation needs. The region computed meanwhile is void and is
+    /// computed again once the coordinator has probed the target.
+    pub requests: &'a mut Vec<(ObjectId, ObjectId)>,
+    /// Out: `(requester, target, due)` — deferred probes that keep the
+    /// requester's reachability-based bounds sound.
+    pub deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
+}
 
+impl<B: SpatialBackend> RegionCtx<'_, B> {
     /// Keeps a reachability-based decision about `id` sound: a deferred
     /// probe at `due` — or, when `due` is not in the future, an exact
     /// location now (a deferred probe would fire at this very instant, and
     /// two objects can schedule each other forever at a frozen timestamp).
-    fn defer_until(&mut self, id: ObjectId, due: f64);
-
-    /// The exact location of the neighbour `id`, whose stale safe region
-    /// leaves no room. `None` when this context cannot probe: the region
-    /// being computed is then void, and is computed again once the caller
-    /// has the location.
-    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point>;
-}
-
-impl<V: ObjectView> RegionCtx<V> for EvalCtx<'_, V> {
-    fn read(&self) -> ReadCtx<'_, V> {
-        self.as_read()
-    }
-
-    fn defer_until(&mut self, id: ObjectId, due: f64) {
-        if due > self.now + 1e-9 {
-            self.deferred.push((id, due));
-            self.work.probes_avoided += 1;
+    pub fn defer_until(&mut self, id: ObjectId, due: f64) {
+        if due > self.read.now + 1e-9 {
+            self.deferred.push((self.requester, id, due));
         } else {
-            // The object's safe region is recomputed at the end of this
-            // operation like any other probe target.
-            let _ = self.probe(id);
+            self.request_neighbor(id);
         }
     }
 
-    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point> {
-        self.work.probes_neighbor += 1;
-        srb_obs::counter!("safe_region.neighbor_probes").inc();
-        Some(self.probe(id))
+    /// Asks for the exact location of the neighbour `id`, whose stale safe
+    /// region leaves no room.
+    pub fn request_neighbor(&mut self, id: ObjectId) {
+        self.requests.push((self.requester, id));
     }
 }
 
-impl<V: ObjectView> EvalCtx<'_, V> {
+impl<B: SpatialBackend> EvalCtx<'_, B> {
     /// A read-only view sharing this context's state.
-    pub fn as_read(&self) -> ReadCtx<'_, V> {
+    pub fn as_read(&self) -> ReadCtx<'_, B> {
         ReadCtx { view: self.view, exact: self.exact, max_speed: self.max_speed, now: self.now }
     }
 
@@ -158,8 +153,23 @@ impl<V: ObjectView> EvalCtx<'_, V> {
     pub fn probe(&mut self, id: ObjectId) -> Point {
         let p = self.provider.probe(id);
         self.costs.probes += 1;
-        self.exact.insert(id, p);
+        if self.exact.insert(id, p).is_none() {
+            self.probed.push(id);
+        }
         p
+    }
+
+    /// Keeps a reachability-based decision about `id` sound: a deferred
+    /// probe at `due`, or a probe now when `due` is not in the future (its
+    /// safe region is then recomputed at the end of the operation like any
+    /// other probe target's).
+    fn defer_until(&mut self, id: ObjectId, due: f64) {
+        if due > self.now + 1e-9 {
+            self.deferred.push((id, due));
+            self.work.probes_avoided += 1;
+        } else {
+            let _ = self.probe(id);
+        }
     }
 
     /// Schedules a deferred probe of `id` at the earliest time the object's
@@ -187,8 +197,8 @@ impl<V: ObjectView> EvalCtx<'_, V> {
 
 /// Evaluates a new range query over safe regions, probing only objects whose
 /// bound straddles the rectangle boundary.
-pub(crate) fn evaluate_range<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+pub(crate) fn evaluate_range<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     rect: &Rect,
 ) -> Vec<ObjectId> {
     ctx.work.evaluations += 1;
@@ -311,14 +321,14 @@ impl Ord for Item {
 
 /// Merges the view's best-first browser with probed exact points pushed
 /// back into the frontier, yielding objects in non-decreasing key order.
-struct Stream<'a, V: ObjectView + 'a> {
-    browser: V::Nearest<'a>,
+struct Stream<'a, B: SpatialBackend> {
+    browser: MergedNearest<'a, B>,
     heap: BinaryHeap<Reverse<Item>>,
     q: Point,
 }
 
-impl<'a, V: ObjectView + 'a> Stream<'a, V> {
-    fn new(view: &'a V, q: Point) -> Self {
+impl<'a, B: SpatialBackend> Stream<'a, B> {
+    fn new(view: FleetView<'a, B>, q: Point) -> Self {
         Stream { browser: view.nearest(q), heap: BinaryHeap::new(), q }
     }
 
@@ -327,7 +337,7 @@ impl<'a, V: ObjectView + 'a> Stream<'a, V> {
     }
 
     /// Next object by key, skipping `exclude`.
-    fn next(&mut self, ctx: &EvalCtx<'_, V>, exclude: &[ObjectId]) -> Option<Item> {
+    fn next(&mut self, ctx: &EvalCtx<'_, B>, exclude: &[ObjectId]) -> Option<Item> {
         loop {
             // Pull from the browser until its lower bound can no longer beat
             // the heap top.
@@ -361,8 +371,8 @@ fn open_radius(q: Point, space: &Rect, inner: f64) -> f64 {
 }
 
 /// Evaluates a new **order-sensitive** kNN query (Algorithm 2).
-pub(crate) fn evaluate_knn_ordered<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     q: Point,
     k: usize,
     space: &Rect,
@@ -431,12 +441,12 @@ pub(crate) fn evaluate_knn_ordered<V: ObjectView>(
 /// confirmations leave those raw ranges overlapping, the separation is
 /// restored by probing (each probed object's safe region is recomputed by
 /// the server afterwards, shrinking it to an exact point here).
-fn sound_radius<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+fn sound_radius<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     q: Point,
     results: &mut [Item],
     mut next: Option<Item>,
-    stream: &mut Stream<'_, V>,
+    stream: &mut Stream<'_, B>,
     exclude: &[ObjectId],
     space: &Rect,
 ) -> f64 {
@@ -488,8 +498,8 @@ fn sound_radius<V: ObjectView>(
 /// Evaluates a new **order-insensitive** kNN query: same browsing, but up to
 /// `k` objects may be held simultaneously, so fewer probes are needed
 /// (§4.2, last paragraph).
-pub(crate) fn evaluate_knn_unordered<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+pub(crate) fn evaluate_knn_unordered<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     q: Point,
     k: usize,
     space: &Rect,

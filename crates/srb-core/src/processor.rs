@@ -13,9 +13,9 @@ use crate::ids::{ObjectId, QueryId};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::reeval::{reevaluate, reevaluate_multi};
 use crate::scratch::BatchBuffers;
-use crate::view::ObjectView;
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
+use srb_index::SpatialBackend;
 
 /// The query processor: registered query states plus the grid index that
 /// locates the queries a moving object can affect.
@@ -166,9 +166,9 @@ impl QueryProcessor {
 
     /// Evaluates a brand-new query from scratch (§4.1–§4.2), returning its
     /// initial results and quarantine area. Nothing is registered yet.
-    pub(crate) fn evaluate_new<V: ObjectView>(
+    pub(crate) fn evaluate_new<B: SpatialBackend>(
         &self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         spec: QuerySpec,
         space: &Rect,
     ) -> (Vec<ObjectId>, Quarantine) {
@@ -190,9 +190,9 @@ impl QueryProcessor {
     /// `pos` (§4.3), updating the grid when the quarantine changed. Returns
     /// the new result set when it changed, `None` otherwise (including for
     /// unknown ids).
-    pub(crate) fn reevaluate_single<V: ObjectView>(
+    pub(crate) fn reevaluate_single<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         qid: QueryId,
         oid: ObjectId,
         pos: Point,
@@ -213,9 +213,9 @@ impl QueryProcessor {
     /// when a single mover affects it, from scratch when several do. All
     /// movers' exact positions must already be in `ctx.exact`; `prev` holds
     /// their previous anchors.
-    pub(crate) fn reevaluate_batch<V: ObjectView>(
+    pub(crate) fn reevaluate_batch<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         qid: QueryId,
         movers: &[ObjectId],
         prev: &FastMap<ObjectId, Point>,
@@ -244,9 +244,9 @@ impl QueryProcessor {
     /// must already be pinned in the view and recorded in `ctx.exact`, its
     /// previous anchor in `batch.prev`; a repeated mover flagged in
     /// `batch.repeated_ids`. Returns the changed results.
-    pub(crate) fn reevaluate_movers<V: ObjectView>(
+    pub(crate) fn reevaluate_movers<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         movers: impl Iterator<Item = (ObjectId, Point)>,
         batch: &mut BatchBuffers,
         candidates: &mut Vec<QueryId>,
@@ -269,9 +269,9 @@ impl QueryProcessor {
     /// Folds a newly registered object at `pos` into every query whose
     /// quarantine area covers it: a range query gains it, a kNN query is
     /// re-run. `ctx.exact` must already hold the object.
-    pub(crate) fn fold_in<V: ObjectView>(
+    pub(crate) fn fold_in<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         id: ObjectId,
         pos: Point,
         candidates: &mut Vec<QueryId>,
@@ -298,9 +298,9 @@ impl QueryProcessor {
     /// Drops a removed object from every query holding it as a result (a
     /// kNN query is re-run to refill). The object must already be gone
     /// from the view. Returns the changed results.
-    pub(crate) fn fold_out<V: ObjectView>(
+    pub(crate) fn fold_out<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         id: ObjectId,
         candidates: &mut Vec<QueryId>,
         space: &Rect,
@@ -326,9 +326,9 @@ impl QueryProcessor {
     /// Re-runs a kNN query from scratch and installs the fresh results and
     /// quarantine (used when object churn invalidates the incremental
     /// cases). No-op for range queries and unknown ids.
-    pub(crate) fn refold_knn<V: ObjectView>(
+    pub(crate) fn refold_knn<B: SpatialBackend>(
         &mut self,
-        ctx: &mut EvalCtx<'_, V>,
+        ctx: &mut EvalCtx<'_, B>,
         qid: QueryId,
         space: &Rect,
     ) {

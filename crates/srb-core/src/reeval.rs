@@ -17,8 +17,8 @@
 use crate::eval::{evaluate_knn_ordered, evaluate_knn_unordered, EvalCtx};
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
-use crate::view::ObjectView;
 use srb_geom::{Circle, Point, Rect};
+use srb_index::SpatialBackend;
 
 const EPS: f64 = 1e-12;
 
@@ -34,8 +34,8 @@ pub(crate) struct Reeval {
 /// Reevaluates `qs` after object `oid` reported a move from `p_lst` to
 /// `pos`. `pos` must already be recorded in `ctx.exact` and in the object
 /// tree (as a degenerate rectangle) by the caller.
-pub(crate) fn reevaluate<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+pub(crate) fn reevaluate<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     oid: ObjectId,
     pos: Point,
@@ -57,8 +57,8 @@ pub(crate) fn reevaluate<V: ObjectView>(
 /// queries flip each mover's membership independently; kNN queries are
 /// reevaluated from scratch (every mover's exact position is already in
 /// `ctx.exact`, so the evaluation is consistent and probes stay lazy).
-pub(crate) fn reevaluate_multi<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+pub(crate) fn reevaluate_multi<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     movers: &[ObjectId],
     prev: &srb_hash::FastMap<ObjectId, Point>,
@@ -137,8 +137,8 @@ fn quarantine_circle(qs: &QueryState) -> Circle {
     }
 }
 
-fn reevaluate_knn_unordered<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+fn reevaluate_knn_unordered<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     pos: Point,
     p_lst: Point,
@@ -165,8 +165,8 @@ fn reevaluate_knn_unordered<V: ObjectView>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn reevaluate_knn_ordered<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+fn reevaluate_knn_ordered<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     oid: ObjectId,
     pos: Point,
@@ -290,8 +290,8 @@ fn reevaluate_knn_ordered<V: ObjectView>(
     Reeval { results_changed, quarantine_changed }
 }
 
-fn full_reevaluate<V: ObjectView>(
-    ctx: &mut EvalCtx<'_, V>,
+fn full_reevaluate<B: SpatialBackend>(
+    ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     center: Point,
     k: usize,
@@ -310,8 +310,8 @@ fn full_reevaluate<V: ObjectView>(
 /// Collects `(δ, Δ)` bounds for `seq` and verifies the §4.3 interleaving
 /// invariant `δ_1 ≤ Δ_1 ≤ δ_2 ≤ Δ_2 ≤ …`. Returns `None` when an object is
 /// missing or the invariant is broken.
-fn collect_ordered_bounds<V: ObjectView>(
-    ctx: &EvalCtx<'_, V>,
+fn collect_ordered_bounds<B: SpatialBackend>(
+    ctx: &EvalCtx<'_, B>,
     seq: &[ObjectId],
     center: Point,
 ) -> Option<Vec<(f64, f64)>> {

@@ -11,17 +11,18 @@ use crate::eval::RegionCtx;
 use crate::grid::GridIndex;
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
-use crate::view::ObjectView;
 use srb_geom::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, ClearanceObjective,
     OrdinaryPerimeter, PerimeterObjective, Point, Rect, Ring, WeightedPerimeter,
 };
+use srb_index::SpatialBackend;
 
 /// Fraction of the grid-cell size up to which an object's clearance from
 /// its safe-region boundary is rewarded (see [`ClearanceObjective`]).
 const CLEARANCE_FRACTION: f64 = 0.05;
 
-/// Computes the safe region for object `oid` located exactly at `pos`.
+/// Computes the safe region for the object `ctx.requester`, located exactly
+/// at `pos`.
 ///
 /// `steadiness` selects the §6.2 weighted-perimeter objective; `p_lst` (the
 /// previous exactly-known location) supplies the movement direction.
@@ -29,12 +30,10 @@ const CLEARANCE_FRACTION: f64 = 0.05;
 /// regions (probed but not yet recomputed), triggering the midpoint
 /// replacement rule of §5.2. `range_blocks` is a reused scratch buffer (its
 /// content on entry is discarded), so no region allocates.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn compute_safe_region<V: ObjectView>(
-    ctx: &mut impl RegionCtx<V>,
+pub(crate) fn compute_safe_region<B: SpatialBackend>(
+    ctx: &mut RegionCtx<'_, B>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
-    oid: ObjectId,
     pos: Point,
     p_lst: Point,
     steadiness: Option<f64>,
@@ -48,21 +47,19 @@ pub(crate) fn compute_safe_region<V: ObjectView>(
         Some(d) if p_lst != pos => {
             let weighted = WeightedPerimeter::new(pos, p_lst, d);
             let objective = ClearanceObjective::new(weighted, pos, scale);
-            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective, range_blocks)
+            safe_region_under(ctx, grid, queries, pos, &cell, &objective, range_blocks)
         }
         _ => {
             let objective = ClearanceObjective::new(OrdinaryPerimeter, pos, scale);
-            safe_region_under(ctx, grid, queries, oid, pos, &cell, &objective, range_blocks)
+            safe_region_under(ctx, grid, queries, pos, &cell, &objective, range_blocks)
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn safe_region_under<V: ObjectView, O: PerimeterObjective>(
-    ctx: &mut impl RegionCtx<V>,
+fn safe_region_under<B: SpatialBackend, O: PerimeterObjective>(
+    ctx: &mut RegionCtx<'_, B>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
-    oid: ObjectId,
     pos: Point,
     cell: &Rect,
     objective: &O,
@@ -77,7 +74,7 @@ fn safe_region_under<V: ObjectView, O: PerimeterObjective>(
         let Some(qs) = queries.get(qid.index()).and_then(|q| q.as_ref()) else {
             continue;
         };
-        match sr_for_query(ctx, qs, oid, pos, cell, objective) {
+        match sr_for_query(ctx, qs, pos, cell, objective) {
             SrQ::Rect(r) => {
                 sr = sr.intersection(&r).unwrap_or_else(|| Rect::point(pos));
             }
@@ -111,10 +108,9 @@ enum SrQ {
     Whole,
 }
 
-fn sr_for_query<V: ObjectView, O: PerimeterObjective>(
-    ctx: &mut impl RegionCtx<V>,
+fn sr_for_query<B: SpatialBackend, O: PerimeterObjective>(
+    ctx: &mut RegionCtx<'_, B>,
     qs: &QueryState,
-    oid: ObjectId,
     pos: Point,
     cell: &Rect,
     objective: &O,
@@ -136,7 +132,7 @@ fn sr_for_query<V: ObjectView, O: PerimeterObjective>(
         }
         (QuerySpec::Knn { center, k, order_sensitive }, Quarantine::Circle(c)) => {
             let q = *center;
-            match qs.result_rank(oid) {
+            match qs.result_rank(ctx.requester) {
                 None => {
                     // Non-result: stay outside the quarantine circle (§5.2).
                     srb_obs::counter!("safe_region.case.knn_nonresult").inc();
@@ -195,20 +191,20 @@ fn sr_for_query<V: ObjectView, O: PerimeterObjective>(
 /// When the neighbor's *stale* safe region conflicts with `pos` (its bound
 /// would leave no room for the ring — `Δ(q, o.sr) >= d(q, pos)` for the
 /// inner neighbor, or `δ(q, o.sr) <= d(q, pos)` for the outer), the
-/// neighbor is probed ([`RegionCtx::probe_neighbor`]), which both resolves
-/// the conflict via the midpoint rule and queues the neighbor's own safe
-/// region for recomputation.
+/// neighbor's exact location is requested ([`RegionCtx::request_neighbor`]):
+/// the coordinator's probe both resolves the conflict via the midpoint rule
+/// and queues the neighbor's own safe region for recomputation.
 /// Without the probe the ring collapses to a sliver pinned at `pos`, and
 /// the object would have to update continuously.
-fn neighbor_bound<V: ObjectView>(
-    ctx: &mut impl RegionCtx<V>,
+fn neighbor_bound<B: SpatialBackend>(
+    ctx: &mut RegionCtx<'_, B>,
     o: ObjectId,
     q: Point,
     pos: Point,
     inner: bool,
 ) -> f64 {
     let d = pos.dist(q);
-    let read = ctx.read();
+    let read = ctx.read;
     if let Some(&pt) = read.exact.get(&o) {
         return (pt.dist(q) + d) * 0.5;
     }
@@ -238,6 +234,7 @@ fn neighbor_bound<V: ObjectView>(
         }
         return chosen;
     }
-    // A context that cannot probe voids this region; `d` is a placeholder.
-    ctx.probe_neighbor(o).map_or(d, |pt| (pt.dist(q) + d) * 0.5)
+    // The request voids this region; `d` is a placeholder.
+    ctx.request_neighbor(o);
+    d
 }

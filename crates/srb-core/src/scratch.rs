@@ -1,50 +1,45 @@
-//! Reusable per-operation buffers — the server's memory plane.
+//! Reusable per-operation buffers — the engine's memory plane.
 //!
-//! Every state-mutating server operation used to open with the same block:
-//! build a fresh `exact: HashMap<ObjectId, Point>` and a fresh deferred-probe
-//! `Vec`, run the operation, drop both. At millions of reports per second
-//! that per-batch construction — not geometry — bounds throughput, so the
-//! buffers now live in a [`BatchScratch`] arena owned by each `Server`
-//! (per-shard in the sharded engine) and are cleared and reused instead of
-//! reallocated. Once capacities have warmed up, the steady-state report path
-//! performs **zero** heap allocations (pinned by the counting-allocator test
-//! `alloc_steady.rs` and the `mem` bench).
+//! Every state-mutating operation needs the same working set: the map of
+//! exactly-known locations, the deferred-probe requests, the regions it
+//! recomputed. Building them per operation — not geometry — used to bound
+//! throughput at millions of reports per second, so they live in a
+//! [`BatchScratch`] arena owned by the coordinator and are cleared and
+//! reused instead of reallocated. Once capacities have warmed up, the
+//! steady-state report path performs **zero** heap allocations (pinned by
+//! the counting-allocator test `alloc_steady.rs` and the `mem` bench).
 //!
 //! The buffers are handed out by value (`take_*`) and returned (`put_*`)
 //! rather than borrowed, so an operation can hold its buffers as locals
-//! while freely taking `&mut self` borrows of the server's layers. Taking
-//! moves three pointers per group; nothing is copied.
+//! while freely taking `&mut self` borrows of the engine's layers. Taking
+//! moves a few pointers per group; nothing is copied.
 
 use crate::ids::{ObjectId, QueryId};
-use crate::location::Worklist;
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
 
 /// Buffers shared by *every* state-mutating operation (`add_object`,
-/// `remove_object`, `register_query`, `process_report`, the batch path) —
-/// the deduplicated form of the per-operation preamble each of them used to
-/// build inline.
+/// `remove_object`, `register_query`, `process_deferred`, the batch path).
 #[derive(Default)]
 pub(crate) struct OpBuffers {
-    /// Exactly-known locations of the current operation (the updater plus
+    /// Exactly-known locations of the current operation (the updaters plus
     /// every probed object) — Algorithm 1's invalid set.
     pub exact: FastMap<ObjectId, Point>,
+    /// The probed part of `exact`, in probe order, until the region step
+    /// puts each on its shard's lane.
+    pub probed: Vec<ObjectId>,
     /// Deferred-probe requests accumulated during evaluation.
     pub deferred: Vec<(ObjectId, f64)>,
     /// Safe regions recomputed at the end of the operation.
     pub recomputed: Vec<(ObjectId, Rect)>,
     /// Affected-query candidates of the current report.
     pub candidates: Vec<QueryId>,
-    /// Visiting order of the safe-region recompute (reseeded per call).
-    pub worklist: Worklist,
-    /// Range-query rectangles one safe region has to avoid, handed to the
-    /// batch staircase (refilled per region).
-    pub range_blocks: Vec<Rect>,
 }
 
 impl OpBuffers {
     fn clear(&mut self) {
         self.exact.clear();
+        self.probed.clear();
         self.deferred.clear();
         self.recomputed.clear();
         self.candidates.clear();
@@ -110,30 +105,13 @@ impl BatchBuffers {
     }
 }
 
-/// Buffers for the sequenced-update admission pass.
-#[derive(Default)]
-pub(crate) struct SeqBuffers {
-    /// Updates that passed the sequence check, in arrival order.
-    pub accepted: Vec<(ObjectId, Point)>,
-    /// Stale-sequence senders owed a safe-region re-grant.
-    pub regrants: Vec<ObjectId>,
-}
-
-impl SeqBuffers {
-    fn clear(&mut self) {
-        self.accepted.clear();
-        self.regrants.clear();
-    }
-}
-
-/// The per-server scratch arena. All buffers retain their capacity across
+/// The coordinator's scratch arena. All buffers retain their capacity across
 /// operations; `take_*` clears content (never capacity) before handing a
 /// group out.
 #[derive(Default)]
 pub(crate) struct BatchScratch {
     op: OpBuffers,
     batch: BatchBuffers,
-    seq: SeqBuffers,
     high_water: usize,
 }
 
@@ -162,27 +140,6 @@ impl BatchScratch {
     pub fn put_batch(&mut self, b: BatchBuffers) {
         self.note(b.prev.len());
         self.batch = b;
-    }
-
-    /// Takes the sequenced-admission buffers, cleared.
-    pub fn take_seq(&mut self) -> SeqBuffers {
-        let mut b = std::mem::take(&mut self.seq);
-        b.clear();
-        b
-    }
-
-    /// Returns the sequenced-admission buffers.
-    pub fn put_seq(&mut self, b: SeqBuffers) {
-        self.note(b.accepted.len());
-        self.seq = b;
-    }
-
-    /// Drops every retained capacity (bench baseline: simulates the old
-    /// build-buffers-per-batch behavior when called before each batch).
-    pub fn drop_capacity(&mut self) {
-        self.op = OpBuffers::default();
-        self.batch = BatchBuffers::default();
-        self.seq = SeqBuffers::default();
     }
 
     fn note(&mut self, used: usize) {
@@ -215,15 +172,5 @@ mod tests {
         assert!(op.deferred.capacity() >= vec_cap);
         s.put_op(op);
         assert_eq!(s.high_water, 64);
-    }
-
-    #[test]
-    fn drop_capacity_resets_buffers() {
-        let mut s = BatchScratch::default();
-        let mut op = s.take_op();
-        op.deferred.reserve(128);
-        s.put_op(op);
-        s.drop_capacity();
-        assert_eq!(s.take_op().deferred.capacity(), 0);
     }
 }

@@ -1,16 +1,17 @@
-//! A sharded, batch-parallel engine built on top of the Figure-3.1 layer
-//! stack (scalability direction of §7.3).
+//! The engine: one query plane over a partitioned object index (the
+//! paper's server loop, §3.1 Algorithm 1, and the scalability direction of
+//! §7.3).
 //!
 //! [`ShardedServer`] hash-partitions the moving objects across `N`
-//! shard-local [`Server`] stacks, keyed by the grid cell of each object's
-//! registration position. A shard keeps what is per object: its slice of
-//! the object index and state table, sequence numbers, leases and deferred
-//! probes, its own backend and its WAL partition log. The queries live
-//! once, in the coordinator's [`QueryProcessor`], and are evaluated once,
-//! by the unchanged §4 code, over the union of the shard indexes
-//! ([`FleetView`]) — the fleet is the single-server algorithm over a
-//! partitioned index, so its answers are exact at every shard count and it
-//! probes no more than one server would.
+//! [`Shard`]s, keyed by the grid cell of each object's registration
+//! position. A shard keeps what is per object: its slice of the object
+//! index and state table, sequence numbers, leases and deferred probes, its
+//! own backend and its WAL partition log. The queries live once, in the
+//! coordinator's [`QueryProcessor`], and are evaluated once, by the §4
+//! code, over the union of the shard indexes ([`FleetView`]) — the
+//! single-server algorithm over a partitioned index, so the answers are
+//! exact and the probes the same at every shard count. A single server is
+//! the fleet of one shard; there is no other engine.
 //!
 //! A batch of location updates runs in four steps:
 //!
@@ -42,8 +43,7 @@
 //!    by [`ObjectId`], result changes by [`QueryId`].
 //!
 //! Registration, deregistration, object churn and deferred probes go
-//! through the same evaluate → regions → install steps. With one shard the
-//! engine is a pure pass-through and bit-identical to a plain [`Server`].
+//! through the same evaluate → regions → install steps.
 
 use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
@@ -54,22 +54,80 @@ use crate::location::DeferKind;
 use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
-use crate::query::{QuerySpec, QueryState, ResultChange};
+use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::safe_region::compute_safe_region;
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
-use crate::server::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
-use crate::view::{FleetView, ObjectView};
+use crate::shard::Shard;
+use crate::view::FleetView;
 use crate::wal::{self, Record, ReplayProvider, Wal};
 use srb_durable::codec::{put_u32, put_u64, put_u8, put_usize};
 use srb_geom::{Point, Rect};
-use srb_hash::FastMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Leads a multi-shard checkpoint's coordinator section: the layout with
-/// one query plane ("SRBFLT" + version). See `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0001;
+/// Leads a checkpoint's coordinator section: the layout with one query
+/// plane and query-less shards ("SRBFLT" + version). See
+/// `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0002;
+
+/// Response to a query registration: the id, the initial results, and the
+/// updated safe regions of every object probed during evaluation (step 5 of
+/// Figure 3.1 — those clients must be informed).
+#[derive(Clone, Debug)]
+pub struct RegisterResponse {
+    /// The assigned query id.
+    pub id: QueryId,
+    /// Initial result set (ordered for order-sensitive kNN).
+    pub results: Vec<ObjectId>,
+    /// New safe regions for the probed objects.
+    pub safe_regions: Vec<(ObjectId, Rect)>,
+    /// Result changes to *existing* queries. A registration probe can
+    /// reveal that an object silently moved (its own report may still be
+    /// in flight), and that revelation is folded through the same
+    /// reevaluation pipeline as a report — which may change the answers
+    /// of queries that were watching the object's old position.
+    pub changes: Vec<ResultChange>,
+}
+
+/// Response to a source-initiated location update: the updated object's new
+/// safe region, the new safe regions of probed objects, and the queries
+/// whose results changed.
+#[derive(Clone, Debug)]
+pub struct UpdateResponse {
+    /// New safe region of the updating object.
+    pub safe_region: Rect,
+    /// New safe regions of objects probed while reevaluating.
+    pub probed: Vec<(ObjectId, Rect)>,
+    /// Result changes to push to application servers.
+    pub changes: Vec<ResultChange>,
+}
+
+/// A source-initiated location update stamped with the client's sequence
+/// number. Over a lossy channel the same report can arrive duplicated or
+/// reordered; the engine accepts each sequence number at most once
+/// ([`ShardedServer::handle_sequenced_updates_into`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SequencedUpdate {
+    /// The reporting object.
+    pub id: ObjectId,
+    /// The reported position.
+    pub pos: Point,
+    /// Client-assigned, strictly increasing per object. Retransmissions of
+    /// the same report reuse the same number.
+    pub seq: u64,
+}
+
+/// Result of [`ShardedServer::remove_object`].
+#[derive(Clone, Debug)]
+pub struct ResultRemoval {
+    /// The removed object's last known state.
+    pub last_state: ObjectState,
+    /// Queries whose results changed.
+    pub changes: Vec<ResultChange>,
+    /// Safe regions recomputed for objects probed during the removal.
+    pub probed: Vec<(ObjectId, Rect)>,
+}
 
 /// The location provider of the threaded batch path, probed through
 /// `&self`. Only the coordinator probes — on the calling thread, between
@@ -125,29 +183,18 @@ pub fn configured_threads() -> usize {
     resolved
 }
 
-/// One shard's share of a batch going in: its updates and, after
-/// admission, the senders owed a re-grant.
-#[derive(Default)]
-struct Partition {
-    /// The shard's updates; their number goes into the batch marker.
-    updates: Vec<SequencedUpdate>,
-    /// Senders of stale reports, answered with their region as it stands
-    /// after the batch.
-    regrants: Vec<ObjectId>,
-}
-
-/// What a region round reads, shared by every lane: the union view, the
-/// query plane and the exactly-known objects of the operation.
+/// What a region round reads, shared by every lane: the union view and
+/// the exactly-known objects of the operation (`read`), and the query
+/// plane.
 struct Plane<'a, B: srb_index::SpatialBackend> {
-    view: FleetView<'a, B>,
+    read: ReadCtx<'a, B>,
     processor: &'a QueryProcessor,
-    exact: &'a FastMap<ObjectId, Point>,
-    config: &'a ServerConfig,
-    now: f64,
+    steadiness: Option<f64>,
 }
 
 /// One shard's share of the region step. Whichever thread takes the lane
-/// reads the shared [`Plane`] and writes only here.
+/// reads the shared [`Plane`] and writes only here. Between operations a
+/// lane holds capacity and nothing else.
 #[derive(Default)]
 struct Lane {
     /// In: the shard's objects whose regions this round computes —
@@ -164,7 +211,7 @@ struct Lane {
     deferred: Vec<(ObjectId, ObjectId, f64)>,
     /// Scratch of one region computation.
     range_blocks: Vec<Rect>,
-    /// Out: how long the round ran (`None` when telemetry is off).
+    /// Out: how long a timed round ran (`None` when telemetry is off).
     duration_ns: Option<u64>,
     /// The thread that ran the lane.
     #[cfg(test)]
@@ -172,27 +219,27 @@ struct Lane {
 }
 
 impl Lane {
-    /// Runs one region round over [`todo`](Self::todo).
-    fn compute<B: srb_index::SpatialBackend>(&mut self, plane: &Plane<'_, B>) {
+    /// Runs one region round over [`todo`](Self::todo); `timed` when the
+    /// round has other lanes to compare this one's duration with.
+    fn compute<B: srb_index::SpatialBackend>(&mut self, plane: &Plane<'_, B>, timed: bool) {
         #[cfg(test)]
         self.ran_on.replace(std::thread::current().id());
-        let _span = srb_obs::span!("location.recompute_safe_regions");
-        let watch = srb_obs::Stopwatch::start();
+        let watch = timed.then(srb_obs::Stopwatch::start);
         for &(oid, pos, p_lst) in &self.todo {
             let (requests, deferred) = (self.requests.len(), self.deferred.len());
+            let mut ctx = RegionCtx {
+                read: &plane.read,
+                requester: oid,
+                requests: &mut self.requests,
+                deferred: &mut self.deferred,
+            };
             let sr = compute_safe_region(
-                &mut LaneCtx {
-                    plane,
-                    requester: oid,
-                    requests: &mut self.requests,
-                    deferred: &mut self.deferred,
-                },
+                &mut ctx,
                 plane.processor.grid(),
                 plane.processor.slots(),
-                oid,
                 pos,
                 p_lst,
-                plane.config.steadiness,
+                plane.steadiness,
                 &mut self.range_blocks,
             );
             if self.requests.len() > requests {
@@ -200,47 +247,17 @@ impl Lane {
                 self.deferred.truncate(deferred);
                 continue;
             }
-            match self.regions.binary_search_by_key(&oid, |&(o, _)| o) {
-                Ok(i) => self.regions[i].1 = sr,
-                Err(i) => self.regions.insert(i, (oid, sr)),
+            // In id order; only a later round's rerun lands mid-list.
+            if self.regions.last().is_none_or(|&(last, _)| last < oid) {
+                self.regions.push((oid, sr));
+            } else {
+                match self.regions.binary_search_by_key(&oid, |&(o, _)| o) {
+                    Ok(i) => self.regions[i].1 = sr,
+                    Err(i) => self.regions.insert(i, (oid, sr)),
+                }
             }
         }
-        srb_obs::histogram!("location.recompute_regions").record(self.todo.len() as u64);
-        self.duration_ns = watch.elapsed_ns();
-    }
-}
-
-/// The [`RegionCtx`] of a lane: reads the shared plane, and instead of
-/// probing records what the coordinator has to probe.
-struct LaneCtx<'a, 'p, B: srb_index::SpatialBackend> {
-    plane: &'a Plane<'p, B>,
-    requester: ObjectId,
-    requests: &'a mut Vec<(ObjectId, ObjectId)>,
-    deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
-}
-
-impl<'p, B: srb_index::SpatialBackend> RegionCtx<FleetView<'p, B>> for LaneCtx<'_, 'p, B> {
-    fn read(&self) -> ReadCtx<'_, FleetView<'p, B>> {
-        let plane = self.plane;
-        ReadCtx {
-            view: &plane.view,
-            exact: plane.exact,
-            max_speed: plane.config.max_speed,
-            now: plane.now,
-        }
-    }
-
-    fn defer_until(&mut self, id: ObjectId, due: f64) {
-        if due > self.plane.now + 1e-9 {
-            self.deferred.push((self.requester, id, due));
-        } else {
-            self.requests.push((self.requester, id));
-        }
-    }
-
-    fn probe_neighbor(&mut self, id: ObjectId) -> Option<Point> {
-        self.requests.push((self.requester, id));
-        None
+        self.duration_ns = watch.and_then(|w| w.elapsed_ns());
     }
 }
 
@@ -255,43 +272,45 @@ fn run_here(lanes: &mut [Lane], compute: &(dyn Fn(&mut Lane) + Sync)) {
 }
 
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
-/// steady-state batch allocates nothing at the coordinator level; what a
-/// threaded batch still allocates is what spawning its helpers costs.
-/// Buffer groups are taken by value and returned, mirroring
-/// [`BatchScratch`].
+/// steady-state batch allocates nothing; what a threaded batch still
+/// allocates is what spawning its helpers costs. Buffer groups are taken by
+/// value and returned, mirroring [`BatchScratch`].
 #[derive(Default)]
 struct CoordScratch {
-    /// One partition per shard (sized to the shard count once).
-    parts: Vec<Partition>,
+    /// How many updates of the batch each shard owns (sized to the shard
+    /// count once); the batch marker's payload.
+    counts: Vec<usize>,
+    /// The accepted updates of a batch, shard by shard.
+    movers: Vec<(ObjectId, Point)>,
+    /// Senders of stale reports, answered with their region as it stands
+    /// after the batch; shard by shard.
+    regrants: Vec<ObjectId>,
     /// One lane per shard; a lane with nothing to compute sits the round
     /// out.
     lanes: Vec<Lane>,
-    /// The accepted updates of a batch, shard by shard.
-    movers: Vec<(ObjectId, Point)>,
     /// The per-operation buffers of the query plane.
     arena: BatchScratch,
     /// The permutation [`sort_by_object`] sorts in place of the responses.
     order: Vec<u32>,
 }
 
-/// A server of servers: `N` shard-local [`Server`] stacks holding the
-/// objects behind one coordinator that holds the queries. See the module
-/// docs for the partitioning and the steps of an operation. One shard
-/// means pure delegation — behaviorally identical to a plain [`Server`].
+/// The SRB database server: `N` [`Shard`]s holding the objects behind one
+/// coordinator that holds the queries. See the module docs for the
+/// partitioning and the steps of an operation. The paper's single server
+/// is `ShardedServer::new(config, 1)`.
 pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     config: ServerConfig,
-    shards: Vec<Server<B>>,
+    shards: Vec<Shard<B>>,
     /// Object → owning shard, indexed by `ObjectId::index()`.
     owner: Vec<Option<u32>>,
-    /// The fleet's one query plane: slots, grid index and id allocator of
-    /// every registered query. Empty with one shard, whose own stack is
-    /// the whole engine.
+    /// The one query plane: slots, grid index and id allocator of every
+    /// registered query.
     processor: QueryProcessor,
-    /// Probes the coordinator issued (it is a fleet's only prober; the
-    /// shards count the uplinks they admit).
+    /// Probes issued — the coordinator is the only prober; the shards
+    /// count the uplinks they admit.
     coord_costs: CostTracker,
     /// The coordinator's work: evaluations, probes by cause, safe regions
-    /// installed. Zero with one shard.
+    /// installed.
     coord_work: WorkStats,
     /// The fan-out thread count: [`configured_threads`] as resolved at
     /// construction, unless [`with_threads`](Self::with_threads)
@@ -316,39 +335,36 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
 }
 
 impl ShardedServer {
-    /// Creates an R\*-tree-backed sharded server with `shards` shard-local
-    /// stacks, each configured identically. Panics when `config.backend`
-    /// selects a different backend — use [`ShardedServer::with_backend`]
-    /// with an explicit type for those.
+    /// Creates an R\*-tree-backed server with `shards` shards. Panics when
+    /// `config.backend` selects a different backend — use
+    /// [`ShardedServer::with_backend`] with an explicit type for those.
     pub fn new(config: ServerConfig, shards: usize) -> Self {
         Self::with_backend(config, shards)
     }
 
-    /// Creates a single-shard server with the default configuration.
+    /// Creates a single-shard server with the default (paper Table 7.1)
+    /// configuration.
     pub fn with_defaults() -> Self {
         Self::new(ServerConfig::default(), 1)
     }
 }
 
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
-    /// Creates a sharded server whose per-shard object indexes use the
-    /// backend `B`, built from `config.backend`. Panics when the config
-    /// variant does not match `B`.
+    /// Creates a server whose per-shard object indexes use the backend `B`,
+    /// built from `config.backend`. Panics when the config variant does not
+    /// match `B`.
     pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let adaptive = match config.backend {
             srb_index::BackendConfig::Adaptive(ac) => Some(AdaptiveController::new(ac, shards)),
             _ => None,
         };
-        // One shard never uses the coordinator's plane: a one-cell grid
-        // keeps it weightless there.
-        let grid_m = if shards > 1 { config.grid_m } else { 1 };
-        let shards = (0..shards).map(|_| Server::with_backend(config)).collect();
+        let shards = (0..shards).map(|_| Shard::new(&config.backend, config.space)).collect();
         let mut server = Self::assemble(
             config,
             shards,
             Vec::new(),
-            QueryProcessor::new(config.space, grid_m),
+            QueryProcessor::new(config.space, config.grid_m),
             CostTracker::default(),
             WorkStats::default(),
             adaptive,
@@ -359,10 +375,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         server
     }
 
-    /// A fleet around its durable parts; everything else starts fresh.
+    /// An engine around its durable parts; everything else starts fresh.
     fn assemble(
         config: ServerConfig,
-        shards: Vec<Server<B>>,
+        shards: Vec<Shard<B>>,
         owner: Vec<Option<u32>>,
         processor: QueryProcessor,
         coord_costs: CostTracker,
@@ -400,7 +416,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Accessors
     // ------------------------------------------------------------------
 
-    /// The shared shard configuration.
+    /// The server configuration.
     pub fn config(&self) -> &ServerConfig {
         &self.config
     }
@@ -410,8 +426,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.len()
     }
 
-    /// The shard-local server stacks, in shard order.
-    pub fn shards(&self) -> &[Server<B>] {
+    /// The shards, in shard order.
+    pub fn shards(&self) -> &[Shard<B>] {
         &self.shards
     }
 
@@ -420,28 +436,24 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter().map(|s| s.object_count()).sum()
     }
 
-    /// The query plane: shard 0's own with one shard, the coordinator's
-    /// otherwise.
-    fn plane(&self) -> &QueryProcessor {
-        match &self.shards[..] {
-            [only] => only.query_processor(),
-            _ => &self.processor,
-        }
-    }
-
     /// Number of registered queries.
     pub fn query_count(&self) -> usize {
-        self.plane().count()
+        self.processor.count()
     }
 
     /// Iterates over the registered query ids.
     pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.plane().ids()
+        self.processor.ids()
     }
 
     /// The current result set of a query, ordered for order-sensitive kNN.
     pub fn results(&self, id: QueryId) -> Option<&[ObjectId]> {
-        self.plane().get(id).map(|q| q.results.as_slice())
+        self.processor.get(id).map(|q| q.results.as_slice())
+    }
+
+    /// The current quarantine area of a query.
+    pub fn quarantine(&self, id: QueryId) -> Option<Quarantine> {
+        self.processor.get(id).map(|q| q.quarantine)
     }
 
     /// The safe region of `id`, as held by its owning shard.
@@ -454,9 +466,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.owning_shard(id)?.last_known(id)
     }
 
-    /// Communication totals of the fleet: the uplinks every shard admitted
-    /// plus the probes the coordinator (or, with one shard, the shard)
-    /// issued.
+    /// Communication totals: the uplinks every shard admitted plus the
+    /// probes the coordinator issued.
     pub fn costs(&self) -> CostTracker {
         let mut total = self.coord_costs;
         for s in &self.shards {
@@ -479,13 +490,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter().map(|s| s.index_visits()).sum()
     }
 
-    /// Size (bucket entries) of the grid query index.
+    /// Size (bucket entries) of the grid query index — the footprint metric
+    /// of §7.3.
     pub fn grid_footprint(&self) -> usize {
-        self.plane().grid_footprint()
+        self.processor.grid_footprint()
     }
 
-    /// Verifies the fleet's consistency. In release builds a cheap
-    /// structural check (per-shard and owner-map counts); debug builds run
+    /// Verifies the engine's consistency. In release builds a cheap
+    /// structural check (per-shard and owner-map counts), so tests can call
+    /// it on hot paths without distorting measurements; debug builds run
     /// the full [`check_invariants_deep`](Self::check_invariants_deep) scan.
     pub fn check_invariants(&self) {
         for s in &self.shards {
@@ -497,23 +510,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.check_invariants_deep();
     }
 
-    /// Full consistency scan (release included). With several shards: every
-    /// shard index coherent, every object on exactly the shard the owner
-    /// map names, no query on a shard's own stack, and the query plane
-    /// against the union view — results are registered objects, and
-    /// wherever an object's anchor agrees with its membership in a query,
-    /// its safe region lies on that side of the quarantine area too (the
-    /// raw safe regions bound nothing while the reachability enhancement
-    /// stands in for them, so that part is skipped with it on).
+    /// Full consistency scan (release included): every shard index
+    /// coherent, every object on exactly the shard the owner map names, and
+    /// the query plane against the union view — results are registered
+    /// objects, and wherever an object's anchor agrees with its membership
+    /// in a query, its safe region lies on that side of the quarantine area
+    /// too (the raw safe regions bound nothing while the reachability
+    /// enhancement stands in for them, so that part is skipped with it on).
     #[doc(hidden)]
     pub fn check_invariants_deep(&self) {
-        if let [only] = &self.shards[..] {
-            return only.check_invariants_deep();
-        }
         self.processor.check_result_sizes();
         for (i, shard) in self.shards.iter().enumerate() {
             shard.index.check_coherence();
-            assert_eq!(shard.query_count(), 0, "shard {i} holds a query of its own");
             for (oid, st) in shard.index.objects().iter() {
                 assert_eq!(self.owner_of(oid), Some(i), "{oid} lives on shard {i}");
                 if self.config.max_speed.is_some() {
@@ -536,15 +544,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Drops every retained scratch capacity — coordinator buffers and all
-    /// per-shard arenas. Bench-only hook that simulates the old
-    /// build-buffers-per-batch behavior; never call it on a hot path.
+    /// Drops every retained scratch capacity. Bench-only hook that
+    /// simulates build-buffers-per-batch behavior; never call it on a hot
+    /// path.
     #[doc(hidden)]
     pub fn drop_scratch_capacity(&mut self) {
         self.scratch = CoordScratch::default();
-        for s in &mut self.shards {
-            s.drop_scratch_capacity();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -553,8 +558,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Registers a new moving object at `pos` on the shard its registration
     /// grid cell hashes to, folds it into every query whose quarantine area
-    /// covers it, and returns its initial safe region. As on a plain
-    /// [`Server`], the regions of objects probed on the way are granted
+    /// covers it, and returns its initial safe region (the client must be
+    /// told). Fails with [`ServerError::DuplicateObject`] if the id is
+    /// already registered — a replayed registration must not corrupt
+    /// existing state. The regions of objects probed on the way are granted
     /// but cannot be returned through this signature (each affected client
     /// recovers on its next report).
     pub fn add_object(
@@ -573,6 +580,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_add_object(id, pos, now),
             );
         }
+        let _span = srb_obs::span!("server.add_object");
         if self.owner_of(id).is_some() {
             return Err(ServerError::DuplicateObject(id));
         }
@@ -580,27 +588,24 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if self.owner.len() <= id.index() {
             self.owner.resize(id.index() + 1, None);
         }
-        if self.shards.len() == 1 {
-            let sr = self.shards[0].add_object(id, pos, provider, now)?;
-            self.owner[id.index()] = Some(0);
-            return Ok(sr);
-        }
         let state =
             ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
         self.shards[target].index.insert(id, state);
         self.owner[id.index()] = Some(target as u32);
         let mut op = self.scratch.arena.take_op();
+        let mut lanes = self.take_lanes();
         op.exact.insert(id, pos);
+        lanes[target].todo.push((id, pos, pos));
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_in(ctx, id, pos, candidates, space)
         });
-        self.grant(&mut op, provider, now, run_here);
+        self.grant(&mut op, lanes, provider, now, run_here);
         self.scratch.arena.put_op(op);
         Ok(self.safe_region(id).expect("just added"))
     }
 
-    /// Removes a moving object from its owning shard; queries holding it
-    /// are reevaluated.
+    /// Removes a moving object from its owning shard (extension beyond the
+    /// paper: object churn); queries holding it are reevaluated.
     pub fn remove_object(
         &mut self,
         id: ObjectId,
@@ -615,18 +620,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             );
         }
         let target = self.owner_of(id)?;
-        if self.shards.len() == 1 {
-            let removal = self.shards[0].remove_object(id, provider, now)?;
-            self.owner[id.index()] = None;
-            return Some(removal);
-        }
         let last_state = self.shards[target].index.remove(id)?;
         self.owner[id.index()] = None;
         let mut op = self.scratch.arena.take_op();
+        let lanes = self.take_lanes();
         let changes = self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_out(ctx, id, candidates, space)
         });
-        self.grant(&mut op, provider, now, run_here);
+        self.grant(&mut op, lanes, provider, now, run_here);
         let mut probed = op.recomputed.clone();
         probed.sort_unstable_by_key(|&(o, _)| o);
         self.scratch.arena.put_op(op);
@@ -634,13 +635,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     // ------------------------------------------------------------------
-    // Query lifecycle
+    // Query lifecycle (Algorithm 1, lines 2-7)
     // ------------------------------------------------------------------
 
     /// Registers a continuous query: evaluates it over the union view
-    /// (probing lazily), installs it in the query plane, folds what the
-    /// probes revealed about silent movers into the existing queries, and
-    /// grants every probed object a fresh safe region.
+    /// (probing lazily), computes its quarantine area, installs it in the
+    /// query plane, folds what the probes revealed about silent movers into
+    /// the existing queries, and grants every probed object a fresh safe
+    /// region. Only probed objects need to learn about the new query (§5,
+    /// case 1); their regions are recomputed against all constraints.
     pub fn register_query(
         &mut self,
         spec: QuerySpec,
@@ -654,16 +657,16 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_register_query(&spec, now),
             );
         }
-        if self.shards.len() == 1 {
-            return self.shards[0].register_query(spec, provider, now);
-        }
+        let _span = srb_obs::span!("server.register_query");
         let mut op = self.scratch.arena.take_op();
         let (id, mut revealed) = self.evaluating(&mut op, provider, now, |plane, ctx, _, space| {
             let (results, quarantine) = plane.evaluate_new(ctx, spec, space);
             // A registration probe may reveal that an object silently moved
-            // since its last report (see `Server::register_query`): each
-            // such object is a mover of the existing queries, from its old
-            // anchor.
+            // since its last report (the report can still be in flight).
+            // The new query already evaluated against the exact position,
+            // but the object's membership in *existing* queries was last
+            // decided against the stale bound: each such object is a mover
+            // of the existing queries, from its old anchor.
             let moved =
                 |o: ObjectId, p: Point| ctx.view.state_of(o).is_some_and(|st| st.p_lst != p);
             let probed = ctx.exact.iter().map(|(&o, &p)| (o, p));
@@ -673,6 +676,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             (id, revealed)
         });
         revealed.sort_unstable_by_key(|&(o, _)| o);
+        // The revealed movers get their lanes from `fold`, the other probed
+        // objects from the region step.
+        op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
 
         let mut batch = self.scratch.arena.take_batch();
         let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now, run_here);
@@ -687,8 +693,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         RegisterResponse { id, results, safe_regions, changes }
     }
 
-    /// Deregisters a query (safe regions regrow on each object's next
-    /// update).
+    /// Deregisters a query (Algorithm 1 lines 6-7). Safe regions are not
+    /// eagerly enlarged; they regrow on each object's next update.
     pub fn deregister_query(&mut self, id: QueryId) -> bool {
         if self.wal.is_some() {
             return self.logged(
@@ -697,26 +703,38 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_deregister_query(id),
             );
         }
-        match &mut self.shards[..] {
-            [only] => only.deregister_query(id),
-            _ => self.processor.remove(id),
-        }
+        self.processor.remove(id)
     }
 
     // ------------------------------------------------------------------
-    // Location updates
+    // Location updates (Algorithm 1, lines 8-15)
     // ------------------------------------------------------------------
 
-    /// Handles a batch of sequenced updates (a single report is a batch of
-    /// one; see [`Server::handle_sequenced_updates_into`] for admission)
-    /// through the pin → evaluate → regions → install steps of the module
-    /// docs. **Appends** the batch's responses to `out`, sorted by
-    /// [`ObjectId`]; the result changes (sorted by [`QueryId`]) and the
-    /// safe regions of probed objects ride on the first entry, mirroring
-    /// the unsharded batch contract. With a caller-reused `out`, a
-    /// steady-state batch allocates nothing — partitions, lanes and the
-    /// query plane's buffers live in coordinator scratch. Every lane runs
-    /// on the calling thread, in shard order.
+    /// Handles a batch of source-initiated location updates — the one
+    /// update entry point; a single report is a batch of one. Each update
+    /// carries its client's sequence number: one at or below the object's
+    /// last accepted number is a duplicate or reordering, dropped
+    /// idempotently (counted in [`WorkStats::stale_seq_drops`]) and answered
+    /// with a re-grant of the object's safe region as it stands after the
+    /// batch, so a client whose previous grant was lost on the downlink
+    /// still converges. Updates for unknown objects (a misdirected or
+    /// replayed message) are dropped and counted in
+    /// [`WorkStats::unknown_object_drops`].
+    ///
+    /// The accepted updates go through the pin → evaluate → regions →
+    /// install steps of the module docs: every position is pinned first (so
+    /// no query is evaluated against a stale bound of a same-instant
+    /// mover), then each affected query is reevaluated exactly once —
+    /// incrementally, probing lazily, when a single mover affects it, from
+    /// scratch when several do — and the safe regions of the updating and
+    /// the probed objects are recomputed.
+    ///
+    /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
+    /// the result changes (sorted by [`QueryId`]) and the safe regions of
+    /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
+    /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
+    /// lanes and the query plane's buffers live in coordinator scratch.
+    /// Every lane runs on the calling thread, in shard order.
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -724,24 +742,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        if self.shards.len() == 1 {
-            // Pure pass-through: the one partition is `updates` itself.
-            // The WAL (when attached) is held for the whole batch; the
-            // marker, written last with the probe transcript, commits it.
-            let mut wal = self.wal.take();
-            let mut recorder;
-            let provider: &mut dyn LocationProvider = match wal.as_mut() {
-                Some(w) => {
-                    w.append_part_seq(0, updates);
-                    recorder = w.recorder(provider);
-                    &mut recorder
-                }
-                None => provider,
-            };
-            self.shards[0].handle_sequenced_updates_into(updates, provider, now, out);
-            self.commit_batch(wal, now, std::iter::once(updates.len()));
-            return;
-        }
         let _span = srb_obs::span!("sharded.fan_out");
         self.batch(updates, provider, now, out, run_here);
     }
@@ -757,7 +757,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// the sequential path whatever the thread count and whoever ran which
     /// lane. **Appends** the responses to `out`; with a caller-reused `out`
     /// a steady-state batch allocates only what spawning its helpers does.
-    /// One shard or one thread runs the lanes on the caller.
+    /// One thread, or one busy lane, runs on the caller alone.
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -766,7 +766,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
         let threads = self.threads;
-        if self.shards.len() == 1 || threads <= 1 {
+        if threads <= 1 {
             self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
             return;
         }
@@ -813,18 +813,30 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // point — orphan partitions from a crash mid-batch are ignored on
         // recovery because no marker references them.
         let mut wal = self.wal.take();
-        let mut parts = self.partition(updates);
+        let mut counts = std::mem::take(&mut self.scratch.counts);
         let mut movers = std::mem::take(&mut self.scratch.movers);
+        let mut regrants = std::mem::take(&mut self.scratch.regrants);
+        counts.clear();
+        counts.resize(self.shards.len(), 0);
         movers.clear();
-        for (i, (shard, part)) in self.shards.iter_mut().zip(&mut parts).enumerate() {
-            if part.updates.is_empty() {
+        regrants.clear();
+        // Unknown objects go to shard 0, which drops and counts them.
+        let shard_of = |owner: &[Option<u32>], id| owner_in(owner, id).unwrap_or(0);
+        for u in updates {
+            counts[shard_of(&self.owner, u.id)] += 1;
+        }
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            if counts[i] == 0 {
                 continue;
             }
+            // A batch that one shard owns whole is its own partition.
+            let (whole, owner) = (counts[i] == updates.len(), &self.owner);
+            let part = updates.iter().filter(|u| whole || shard_of(owner, u.id) == i);
             if let Some(w) = wal.as_mut() {
-                w.append_part_seq(i, &part.updates);
+                w.append_part_seq(i, counts[i], part.clone());
             }
             let admitted = movers.len();
-            shard.admit(&part.updates, &mut movers, &mut part.regrants);
+            shard.admit(part, &mut movers, &mut regrants);
             let accepted = (movers.len() - admitted) as u64;
             shard.costs.source_updates += accepted;
             srb_obs::counter!("server.updates").add(accepted);
@@ -837,87 +849,68 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if !movers.is_empty() {
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            // Fail-stop: every probe of the batch precedes the first
-            // install, so a provider that panics leaves the objects with
-            // the regions and anchors they had. Nothing was committed (no
-            // marker references the partitions), and poisoning refuses
-            // further writes against the half-evaluated query plane.
-            let folded = catch_unwind(AssertUnwindSafe(|| match wal.as_mut() {
+            changes = self.fail_stop(&mut wal, |this, wal| match wal {
                 Some(w) => {
-                    self.fold(&mut op, &mut batch, &movers, &mut w.recorder(provider), now, regions)
+                    this.fold(&mut op, &mut batch, &movers, &mut w.recorder(provider), now, regions)
                 }
-                None => self.fold(&mut op, &mut batch, &movers, provider, now, regions),
-            }));
-            changes = folded.unwrap_or_else(|panic| {
-                for &(id, _) in &movers {
-                    let shard = self.owner_of(id).expect("admitted objects have owners");
-                    self.shards[shard].index.unpin(id);
-                }
-                if let Some(w) = wal.as_mut() {
-                    w.poison();
-                }
-                self.wal = wal.take();
-                resume_unwind(panic)
+                None => this.fold(&mut op, &mut batch, &movers, provider, now, regions),
             });
+            // Every mover got a region; any beyond theirs is a bystander's.
+            let movers_only = op.recomputed.len() == batch.prev.len();
             for &(oid, safe_region) in &op.recomputed {
-                if batch.prev.contains_key(&oid) {
+                if movers_only || batch.prev.contains_key(&oid) {
                     let (probed, changes) = (Vec::new(), Vec::new());
                     out.push((oid, UpdateResponse { safe_region, probed, changes }));
                 } else {
                     extra.push((oid, safe_region));
                 }
             }
+            // In id order, like the responses: no trace of the partition.
+            extra.sort_unstable_by_key(|&(oid, _)| oid);
             self.scratch.arena.put_batch(batch);
             self.scratch.arena.put_op(op);
         }
         // Re-grants carry the post-batch safe region, never a stale one.
-        for (shard, part) in self.shards.iter().zip(&parts) {
-            for &id in &part.regrants {
-                let safe_region = shard.safe_region(id).expect("admission saw the object");
-                let (probed, changes) = (Vec::new(), Vec::new());
-                out.push((id, UpdateResponse { safe_region, probed, changes }));
-            }
+        for &id in &regrants {
+            let safe_region = self.safe_region(id).expect("admission saw the object");
+            let (probed, changes) = (Vec::new(), Vec::new());
+            out.push((id, UpdateResponse { safe_region, probed, changes }));
         }
         sort_by_object(&mut out[start..], &mut self.scratch.order);
         if let Some((_, first)) = out.get_mut(start) {
             (first.probed, first.changes) = (extra, changes);
         }
-        self.commit_batch(wal, now, parts.iter().map(|part| part.updates.len()));
-        self.scratch.parts = parts;
-        self.scratch.movers = movers;
-    }
 
-    /// The tail every batch shares. Adapt before the marker commits the
-    /// batch: the controller's decision state (and any migration it
-    /// makes) must be inside the state a post-marker checkpoint captures,
-    /// and replay — which runs the same entry points without a WAL —
-    /// re-makes the decision at exactly this point. `counts` are the
-    /// partition sizes in shard order, zeros included.
-    fn commit_batch(
-        &mut self,
-        wal: Option<Box<Wal>>,
-        now: f64,
-        counts: impl ExactSizeIterator<Item = usize>,
-    ) {
+        // Adapt before the marker commits the batch: the controller's
+        // decision state (and any migration it makes) must be inside the
+        // state a post-marker checkpoint captures, and replay — which runs
+        // the same entry points without a WAL — re-makes the decision at
+        // exactly this point.
         self.maybe_adapt();
         if let Some(mut w) = wal {
-            w.log_batch_marker(now, counts);
+            w.log_batch_marker(now, &counts);
             self.wal = Some(w);
             self.wal_post_op();
         }
+        self.scratch.counts = counts;
+        self.scratch.movers = movers;
+        self.scratch.regrants = regrants;
     }
 
     // ------------------------------------------------------------------
-    // The steps of an operation (several shards)
+    // The steps of an operation
     // ------------------------------------------------------------------
 
     /// pin → evaluate → regions → install for `movers`, each already
-    /// admitted: the report path of the fleet, shared by batches,
-    /// registration revelations and deferred probes. Objects already in
-    /// `op.exact` (probed earlier in the operation) get regions too.
-    /// Returns the result changes, ascending by query; the installed
-    /// regions are in `op.recomputed`, the movers' previous anchors in
-    /// `batch.prev`.
+    /// admitted: the report path, shared by batches, registration
+    /// revelations and deferred probes. Objects already in `op.exact`
+    /// (probed earlier in the operation) get regions too. Returns the
+    /// result changes, ascending by query; the installed regions are in
+    /// `op.recomputed`, the movers' previous anchors in `batch.prev`.
+    ///
+    /// Fail-stop: every probe precedes the first install, so when the
+    /// provider panics the pins are undone and the objects keep the regions
+    /// and anchors they had; the panic resumes.
     fn fold(
         &mut self,
         op: &mut OpBuffers,
@@ -927,47 +920,69 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
     ) -> Vec<ResultChange> {
+        let mut lanes = self.take_lanes();
         for &(id, pos) in movers {
             let shard = self.owner_of(id).expect("movers are registered");
             let index = &mut self.shards[shard].index;
             let anchor = index.get(id).expect("owner map names the holder").p_lst;
-            batch.repeated_ids |= batch.prev.insert(id, anchor).is_some();
             index.pin_to_point(id, pos);
             op.exact.insert(id, pos);
+            let todo = &mut lanes[shard].todo;
+            match batch.prev.insert(id, anchor) {
+                None => todo.push((id, pos, anchor)),
+                // A later report of the same batch supersedes the earlier.
+                Some(_) => {
+                    batch.repeated_ids = true;
+                    todo.iter_mut().find(|t| t.0 == id).expect("on its lane since its first").1 =
+                        pos;
+                }
+            }
         }
-        let changes = {
-            let _span = srb_obs::span!("sharded.merge");
-            let probes = self.coord_costs.probes;
-            let changes = self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
-                plane.reevaluate_movers(ctx, movers.iter().copied(), batch, candidates, space)
-            });
-            srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
-            srb_obs::counter!("sharded.coordinator_probes").add(self.coord_costs.probes - probes);
+        let folded = catch_unwind(AssertUnwindSafe(|| {
+            let changes = {
+                let _span = srb_obs::span!("sharded.merge");
+                let probes = self.coord_costs.probes;
+                let changes =
+                    self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
+                        plane.reevaluate_movers(
+                            ctx,
+                            movers.iter().copied(),
+                            batch,
+                            candidates,
+                            space,
+                        )
+                    });
+                srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
+                srb_obs::counter!("sharded.coordinator_probes")
+                    .add(self.coord_costs.probes - probes);
+                changes
+            };
+            self.grant(op, lanes, provider, now, regions);
             changes
-        };
-        self.grant(op, provider, now, regions);
-        changes
+        }));
+        folded.unwrap_or_else(|panic| {
+            for &(id, _) in movers {
+                let shard = self.owner_of(id).expect("movers are registered");
+                self.shards[shard].index.unpin(id);
+            }
+            resume_unwind(panic)
+        })
     }
 
-    /// The coordinator's evaluate step: runs `step` on the query plane with
-    /// an evaluation context over the union view. Every probe it issues is
-    /// billed to the coordinator and lands in `op.exact`.
+    /// The evaluate step: runs `step` on the query plane with an evaluation
+    /// context over the union view. Every probe it issues is billed to the
+    /// coordinator and lands in `op.exact` and `op.probed`.
     fn evaluating<R>(
         &mut self,
         op: &mut OpBuffers,
         provider: &mut dyn LocationProvider,
         now: f64,
-        step: impl FnOnce(
-            &mut QueryProcessor,
-            &mut EvalCtx<'_, FleetView<'_, B>>,
-            &mut Vec<QueryId>,
-            &Rect,
-        ) -> R,
+        step: impl FnOnce(&mut QueryProcessor, &mut EvalCtx<'_, B>, &mut Vec<QueryId>, &Rect) -> R,
     ) -> R {
-        let view = FleetView { shards: &self.shards, owner: &self.owner };
         let mut ctx = EvalCtx {
-            view: &view,
+            view: FleetView { shards: &self.shards, owner: &self.owner },
             exact: &mut op.exact,
+            probed: &mut op.probed,
             provider,
             costs: &mut self.coord_costs,
             work: &mut self.coord_work,
@@ -978,45 +993,61 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         step(&mut self.processor, &mut ctx, &mut op.candidates, &self.config.space)
     }
 
-    /// regions → install: computes, lane by lane, the safe region of every
-    /// object in `op.exact`, installs them (filling `op.recomputed`, in
-    /// shard order and ascending by id within a shard) and moves the
-    /// operation's deferred-probe requests into the shard timers.
-    /// `first_round` runs the lanes of the first region round (see
+    /// The lanes, one per shard and empty, for one operation;
+    /// [`grant`](Self::grant) hands them back.
+    fn take_lanes(&mut self) -> Vec<Lane> {
+        let mut lanes = std::mem::take(&mut self.scratch.lanes);
+        lanes.resize_with(self.shards.len(), Lane::default);
+        lanes
+    }
+
+    /// regions → install (Algorithm 1, lines 14-15): computes, lane by
+    /// lane, the safe region of every object in `op.exact` — the ones the
+    /// caller put on `lanes` and the probed ones — installs them (filling
+    /// `op.recomputed`, in shard order and ascending by id within a shard)
+    /// and moves the operation's deferred-probe requests into the shard
+    /// timers. `first_round` runs the lanes of the first region round (see
     /// [`batch`](Self::batch)); the rare later rounds run on the caller.
     fn grant(
         &mut self,
         op: &mut OpBuffers,
+        mut lanes: Vec<Lane>,
         provider: &mut dyn LocationProvider,
         now: f64,
         first_round: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
     ) {
-        let mut lanes = std::mem::take(&mut self.scratch.lanes);
-        lanes.resize_with(self.shards.len(), Lane::default);
-        for lane in &mut lanes {
-            lane.todo.clear();
-            lane.regions.clear();
-        }
-        op.worklist.refill(&op.exact, &[]);
-        while let Some(oid) = op.worklist.pop() {
+        let _span = srb_obs::span!("location.recompute_safe_regions");
+        for oid in op.probed.drain(..) {
             self.enlist(&mut lanes, oid, op.exact[&oid]);
+        }
+        for lane in busy(&mut lanes) {
+            if !lane.todo.is_sorted_by_key(|&(oid, ..)| oid) {
+                lane.todo.sort_unstable_by_key(|&(oid, ..)| oid);
+            }
         }
 
         let mut first_round = Some(first_round);
         loop {
+            // One lane alone has no other to be slower than.
+            let timed = busy(&mut lanes).nth(1).is_some();
             let plane = Plane {
-                view: FleetView { shards: &self.shards, owner: &self.owner },
+                read: ReadCtx {
+                    view: FleetView { shards: &self.shards, owner: &self.owner },
+                    exact: &op.exact,
+                    max_speed: self.config.max_speed,
+                    now,
+                },
                 processor: &self.processor,
-                exact: &op.exact,
-                config: &self.config,
-                now,
+                steadiness: self.config.steadiness,
             };
-            let compute = |lane: &mut Lane| lane.compute(&plane);
+            let compute = |lane: &mut Lane| lane.compute(&plane, timed);
             match first_round.take() {
                 Some(run) => run(&mut lanes, &compute),
                 None => run_here(&mut lanes, &compute),
             }
-            self.time_lanes(&mut lanes);
+            if timed {
+                self.time_lanes(&mut lanes);
+            }
 
             // Every region of the round stands unless a lane asked for a
             // neighbour's exact location. Probing it makes it an invalid
@@ -1072,11 +1103,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 shard.index.install_region(oid, op.exact[&oid], sr, now);
                 shard.location.start_lease(self.config.lease, oid, now);
             }
-            op.recomputed.extend_from_slice(&lane.regions);
+            op.recomputed.append(&mut lane.regions);
             self.coord_work.probes_avoided += lane.deferred.len() as u64;
             op.deferred.extend(lane.deferred.drain(..).map(|(_, target, due)| (target, due)));
         }
         self.coord_work.safe_regions += op.recomputed.len() as u64;
+        srb_obs::histogram!("location.recompute_regions").record(op.recomputed.len() as u64);
         // A request for an object that ended up exactly known is dropped:
         // its region was just granted afresh.
         for (oid, due) in op.deferred.drain(..) {
@@ -1097,9 +1129,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         &mut lanes[shard]
     }
 
-    /// Publishes what a region round's lanes took: per-shard and overall
-    /// busy time, and the load imbalance between the fastest and the
-    /// slowest lane.
+    /// Publishes what the lanes of a region round with several of them
+    /// took: per-shard and overall busy time, and the load imbalance
+    /// between the fastest and the slowest lane.
     fn time_lanes(&self, lanes: &mut [Lane]) {
         let (mut fastest, mut slowest, mut timed) = (u64::MAX, 0, 0);
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -1115,10 +1147,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     // ------------------------------------------------------------------
-    // Deferred probes
+    // Deferred probes (location-manager timers)
     // ------------------------------------------------------------------
 
-    /// The earliest pending deferred-probe time across all shards.
+    /// The earliest pending deferred-probe time across all shards, if any.
+    /// Event-driven callers (the simulator) use this to schedule
+    /// [`process_deferred`](Self::process_deferred).
     pub fn next_deferred_due(&mut self) -> Option<f64> {
         // Logged even though it looks like a read: each shard lazily pops
         // stale timer entries, mutating the deferred heaps checkpoints
@@ -1130,12 +1164,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_next_due(),
             );
         }
-        self.shards.iter_mut().filter_map(|s| s.next_deferred_due()).min_by(|a, b| a.total_cmp(b))
+        let due = |s: &mut Shard<B>| s.location.next_due(s.index.objects());
+        self.shards.iter_mut().filter_map(due).min_by(|a, b| a.total_cmp(b))
     }
 
     /// Fires every deferred probe due at or before `now`, shard by shard:
     /// each still-fresh target is probed (cost `c_p`) and handled like a
-    /// report from it, as [`Server::process_deferred`] does.
+    /// report from it, restoring raw-safe-region soundness before the
+    /// reachability circle can invalidate the decision that scheduled it.
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
@@ -1148,12 +1184,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_process_deferred(now),
             );
         }
-        if self.shards.len() == 1 {
-            return self.shards[0].process_deferred(provider, now);
-        }
+        let _span = srb_obs::span!("server.process_deferred");
         let mut out = Vec::new();
         for shard in 0..self.shards.len() {
-            let due = |s: &mut Server<B>| s.location.pop_due(s.index.objects(), now);
+            let due = |s: &mut Shard<B>| s.location.pop_due(s.index.objects(), now);
             while let Some(d) = due(&mut self.shards[shard]) {
                 let pos = provider.probe(d.oid);
                 self.coord_costs.probes += 1;
@@ -1190,7 +1224,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     ///
     /// Every signal the controller reads is part of the per-shard
     /// serialized state, and this runs inside the logged batch, before
-    /// its marker ([`commit_batch`](Self::commit_batch)), so recovery
+    /// its marker ([`batch`](Self::batch)), so recovery
     /// replays each decision at exactly the batch that originally made it.
     fn maybe_adapt(&mut self) {
         let Some(mut ctl) = self.adaptive.take() else { return };
@@ -1359,12 +1393,36 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         body: impl FnOnce(&mut Self, &mut dyn LocationProvider) -> R,
         log: impl FnOnce(&mut Wal),
     ) -> R {
-        let mut w = self.wal.take().expect("logged() runs with the WAL attached");
-        let result = body(self, &mut w.recorder(provider));
-        log(&mut w);
-        self.wal = Some(w);
+        let mut wal = self.wal.take();
+        let result = self.fail_stop(&mut wal, |this, wal| {
+            let w = wal.expect("logged() runs with the WAL attached");
+            body(this, &mut w.recorder(provider))
+        });
+        if let Some(w) = wal.as_mut() {
+            log(w);
+        }
+        self.wal = wal;
         self.wal_post_op();
         result
+    }
+
+    /// Runs `body` — an operation's probing part — with the WAL detached.
+    /// Fail-stop: when the provider panics inside it, the operation wrote
+    /// no commit record, so the WAL is poisoned (refusing further writes
+    /// against a half-applied operation), reattached, and the panic
+    /// resumes; recovery lands on the state before the operation.
+    fn fail_stop<R>(
+        &mut self,
+        wal: &mut Option<Box<Wal>>,
+        body: impl FnOnce(&mut Self, Option<&mut Wal>) -> R,
+    ) -> R {
+        catch_unwind(AssertUnwindSafe(|| body(self, wal.as_deref_mut()))).unwrap_or_else(|panic| {
+            if let Some(w) = wal.as_mut() {
+                w.poison();
+            }
+            self.wal = wal.take();
+            resume_unwind(panic)
+        })
     }
 
     /// Group-commit + checkpoint-cadence bookkeeping after one logged
@@ -1379,22 +1437,16 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Serializes the complete fleet state: config fingerprint, shard
-    /// count, coordinator counters and owner map, the controller, the query
-    /// plane, then every shard's own state in shard order. Scratch
-    /// buffers, thread overrides, and telemetry handles carry no state and
-    /// are excluded. A one-shard engine keeps the layout it always had (its
-    /// stores recover across this change): zeroed coordinator counters and,
-    /// where a multi-shard payload carries the query plane, the spec of
-    /// every slot of shard 0's plane and an empty list.
+    /// Serializes the complete engine state: config fingerprint, shard
+    /// count, layout tag, coordinator counters and owner map, the
+    /// controller, the query plane, then every shard's own state in shard
+    /// order. Scratch buffers, thread overrides, and telemetry handles carry
+    /// no state and are excluded.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.shards.len());
-        let fleet = self.shards.len() > 1;
-        if fleet {
-            put_u64(out, FLEET_LAYOUT);
-            put_u64(out, self.coord_costs.probes);
-        }
+        put_u64(out, FLEET_LAYOUT);
+        put_u64(out, self.coord_costs.probes);
         self.coord_work.encode(out);
         put_usize(out, self.owner.len());
         for o in &self.owner {
@@ -1406,20 +1458,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 }
             }
         }
-        if !fleet {
-            let slots = self.plane().slots();
-            put_usize(out, slots.len());
-            for slot in slots {
-                match slot {
-                    None => put_u8(out, 0),
-                    Some(qs) => {
-                        put_u8(out, 1);
-                        wal::put_spec(out, &qs.spec);
-                    }
-                }
-            }
-            put_usize(out, 0);
-        }
         match &self.adaptive {
             None => put_u8(out, 0),
             Some(ctl) => {
@@ -1427,16 +1465,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 ctl.encode_state(out);
             }
         }
-        if fleet {
-            self.processor.encode_state(out);
-        }
+        self.processor.encode_state(out);
         for s in &self.shards {
             s.encode_state(out);
         }
     }
 
-    /// Rebuilds a sharded server from a checkpoint payload. The WAL is
-    /// *not* attached — [`ShardedServer::recover`] does that after replay.
+    /// Rebuilds a server from a checkpoint payload. The WAL is *not*
+    /// attached — [`ShardedServer::recover`] does that after replay.
     pub(crate) fn decode_state(
         config: &ServerConfig,
         shards: usize,
@@ -1449,17 +1485,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if dec.usize()? != shards {
             return Err(RecoveryError::Corrupt("checkpoint shard count mismatch"));
         }
-        let fleet = shards > 1;
-        let mut coord_costs = CostTracker::default();
-        if fleet {
-            // Where this tag sits an older multi-shard checkpoint (every
-            // shard a replica of every query) holds a counter that was
-            // always zero: it is refused here, never misread.
-            if dec.u64()? != FLEET_LAYOUT {
-                return Err(RecoveryError::Corrupt("multi-shard checkpoint of an older layout"));
-            }
-            coord_costs.probes = dec.u64()?;
+        // Where this tag sits, every older checkpoint — one shard whose own
+        // stack was the engine, several shards each a replica of every
+        // query, or shards that still carried a query processor — holds a
+        // counter or an earlier version: refused here, never misread.
+        if dec.u64()? != FLEET_LAYOUT {
+            return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
+        let coord_costs = CostTracker { source_updates: 0, probes: dec.u64()? };
         let coord_work = WorkStats::decode(&mut dec)?;
         let n_owner = dec.len(1)?;
         let mut owner = Vec::with_capacity(n_owner);
@@ -1476,19 +1509,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 _ => return Err(RecoveryError::Corrupt("bad owner tag")),
             });
         }
-        if !fleet {
-            // Shard 0's own state, further down, is the authority.
-            for _ in 0..dec.len(1)? {
-                match dec.u8()? {
-                    0 => {}
-                    1 => drop(wal::dec_spec(&mut dec)?),
-                    _ => return Err(RecoveryError::Corrupt("bad spec tag")),
-                }
-            }
-            if dec.usize()? != 0 {
-                return Err(RecoveryError::Corrupt("one shard merges nothing"));
-            }
-        }
         // The controller tag must agree with the config (whose fingerprint
         // was already checked): adaptive engines always checkpoint their
         // decision state, non-adaptive engines never do.
@@ -1504,19 +1524,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             _ => return Err(RecoveryError::Corrupt("bad controller tag")),
         };
-        let processor = if fleet {
-            QueryProcessor::decode_state(&mut dec)?
-        } else {
-            QueryProcessor::new(config.space, 1)
-        };
-        let mut shard_servers = Vec::with_capacity(shards);
+        let processor = QueryProcessor::decode_state(&mut dec)?;
+        let mut shard_states = Vec::with_capacity(shards);
         for _ in 0..shards {
-            shard_servers.push(Server::decode_state_from(config, &mut dec)?);
+            shard_states.push(Shard::decode_state(&mut dec)?);
         }
         dec.finish()?;
         Ok(Self::assemble(
             *config,
-            shard_servers,
+            shard_states,
             owner,
             processor,
             coord_costs,
@@ -1610,13 +1626,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // ------------------------------------------------------------------
 
     fn owner_of(&self, id: ObjectId) -> Option<usize> {
-        self.owner.get(id.index()).copied().flatten().map(|s| s as usize)
+        owner_in(&self.owner, id)
     }
 
-    fn owning_shard(&self, id: ObjectId) -> Option<&Server<B>> {
-        if self.shards.len() == 1 {
-            return Some(&self.shards[0]);
-        }
+    fn owning_shard(&self, id: ObjectId) -> Option<&Shard<B>> {
         Some(&self.shards[self.owner_of(id)?])
     }
 
@@ -1625,28 +1638,17 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// — later movement never migrates the object, because the union view
     /// keeps query answers exact regardless of the partition.
     fn assign_shard(&self, pos: Point) -> usize {
-        let grid = self.plane().grid();
+        let grid = self.processor.grid();
         let (i, j) = grid.cell_of(pos);
         let key = (i as u64) * (grid.m() as u64) + j as u64;
         (splitmix64(key) % self.shards.len() as u64) as usize
     }
+}
 
-    /// Splits `updates` into one partition per shard, reusing the
-    /// coordinator's buffers (the caller returns them via
-    /// `self.scratch.parts = parts` when done).
-    fn partition(&mut self, updates: &[SequencedUpdate]) -> Vec<Partition> {
-        let mut parts = std::mem::take(&mut self.scratch.parts);
-        parts.resize_with(self.shards.len(), Partition::default);
-        for part in &mut parts {
-            part.updates.clear();
-            part.regrants.clear();
-        }
-        for &u in updates {
-            // Unknown objects go to shard 0, which drops and counts them.
-            parts[self.owner_of(u.id).unwrap_or(0)].updates.push(u);
-        }
-        parts
-    }
+/// The shard `owner` (object → shard, indexed by `ObjectId::index()`) names
+/// for `id`.
+fn owner_in(owner: &[Option<u32>], id: ObjectId) -> Option<usize> {
+    owner.get(id.index()).copied().flatten().map(|s| s as usize)
 }
 
 /// Surfaces a replay that consumed its probe transcript incorrectly.
@@ -1664,6 +1666,9 @@ fn check_replay(rp: &ReplayProvider<'_>) -> Result<(), RecoveryError> {
 /// keys are unique, so an unstable sort of the positions finds the same
 /// permutation, which is then applied cycle by cycle.
 fn sort_by_object(responses: &mut [(ObjectId, UpdateResponse)], order: &mut Vec<u32>) {
+    if responses.is_sorted_by_key(|&(id, _)| id) {
+        return;
+    }
     order.clear();
     order.extend(0..responses.len() as u32);
     order.sort_unstable_by_key(|&i| (responses[i as usize].0, i));
@@ -1760,72 +1765,76 @@ mod tests {
         }
     }
 
-    /// Drives a plain Server and an N-shard ShardedServer through the same
-    /// update stream and asserts global results agree at every step.
+    /// What `spec` answers over the true `positions` (kNN ties do not occur
+    /// in the pseudo-random worlds below).
+    fn brute_force(spec: &QuerySpec, positions: &[Point]) -> Vec<ObjectId> {
+        let ids = (0..positions.len() as u32).map(ObjectId);
+        match *spec {
+            QuerySpec::Range { rect } => {
+                ids.filter(|o| rect.contains_point(positions[o.index()])).collect()
+            }
+            QuerySpec::Knn { center, k, .. } => {
+                let mut ranked: Vec<ObjectId> = ids.collect();
+                ranked.sort_by(|a, b| {
+                    positions[a.index()].dist(center).total_cmp(&positions[b.index()].dist(center))
+                });
+                ranked.truncate(k);
+                ranked
+            }
+        }
+    }
+
+    /// Drives the one-shard engine and an `n_shards` fleet through the same
+    /// update stream and holds both to brute force — and so to each other —
+    /// at every step.
     fn assert_results_agree(n_shards: usize, specs: &[QuerySpec]) {
         let mut positions = world(24, 7);
-        let mut plain = Server::with_defaults();
-        let mut sharded = ShardedServer::new(ServerConfig::default(), n_shards);
-        {
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            for (i, &p) in snapshot.iter().enumerate() {
-                plain.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+        let mut engines =
+            [1, n_shards].map(|shards| ShardedServer::new(ServerConfig::default(), shards));
+        for engine in &mut engines {
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+            for (i, &p) in positions.iter().enumerate() {
+                engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
             }
-            for &spec in specs {
-                let a = plain.register_query(spec, &mut provider, 0.0);
-                let b = sharded.register_query(spec, &mut provider, 0.0);
-                assert_eq!(a.id, b.id);
+            for (q, &spec) in specs.iter().enumerate() {
+                assert_eq!(engine.register_query(spec, &mut provider, 0.0).id, QueryId(q as u32));
             }
         }
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=20u64 {
             step(&mut positions, round);
             let now = round as f64 * 0.1;
-            let mut batch = Vec::new();
-            for (i, &p) in positions.iter().enumerate() {
-                // Report only objects that left their (plain-server) safe
-                // region, like real clients would.
-                let out_of_region =
-                    plain.safe_region(ObjectId(i as u32)).is_none_or(|r| !r.contains_point(p));
-                if out_of_region {
-                    seqs[i] += 1;
-                    batch.push(SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: seqs[i] });
+            // Every object that left the region either engine holds for it
+            // reports, like real clients would (to an engine whose region
+            // still holds it the report is merely early).
+            let mut batch = exit_reports(&engines[0], &positions, &mut seqs);
+            for u in exit_reports(&engines[1], &positions, &mut vec![0; positions.len()]) {
+                if !batch.iter().any(|b| b.id == u.id) {
+                    seqs[u.id.index()] += 1;
+                    batch.push(SequencedUpdate { seq: seqs[u.id.index()], ..u });
                 }
             }
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            plain.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
-            sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
-            plain.check_invariants_deep();
-            sharded.check_invariants_deep();
-            for (q, spec) in specs.iter().enumerate() {
-                let qid = QueryId(q as u32);
-                let mut a = plain.results(qid).unwrap().to_vec();
-                let mut b = sharded.results(qid).unwrap().to_vec();
-                if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
-                    a.sort_unstable();
-                    b.sort_unstable();
+            for engine in &mut engines {
+                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+                engine.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+                engine.check_invariants_deep();
+                for (q, spec) in specs.iter().enumerate() {
+                    let mut got = engine.results(QueryId(q as u32)).unwrap().to_vec();
+                    let mut want = brute_force(spec, &positions);
+                    if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
+                        got.sort_unstable();
+                        want.sort_unstable();
+                    }
+                    let shards = engine.shard_count();
+                    assert_eq!(got, want, "round {round}, query {q}, {shards} shard(s)");
                 }
-                assert_eq!(a, b, "round {round}, query {qid}, shards {n_shards}");
             }
+            assert_eq!(engines[0].costs(), engines[1].costs(), "round {round}: uplinks, probes");
         }
     }
 
     #[test]
-    fn one_shard_matches_plain_server_results() {
-        assert_results_agree(
-            1,
-            &[
-                QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.6, 0.6))),
-                QuerySpec::knn(Point::new(0.5, 0.5), 3),
-            ],
-        );
-    }
-
-    #[test]
-    fn multi_shard_range_results_match_plain_server() {
+    fn multi_shard_range_results_match_one_shard_and_brute_force() {
         for n in [2, 3, 4] {
             assert_results_agree(
                 n,
@@ -1838,7 +1847,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_shard_knn_results_match_plain_server() {
+    fn multi_shard_knn_results_match_one_shard_and_brute_force() {
         for n in [2, 4] {
             assert_results_agree(
                 n,
@@ -2090,29 +2099,70 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// A multi-shard checkpoint from before the one query plane (every
-    /// shard a replica of every query, an always-zero counter block right
-    /// after the shard count) is refused with a typed error; it is never
-    /// decoded as something else.
-    #[test]
-    fn older_multi_shard_checkpoint_is_refused_not_misread() {
-        let config = ServerConfig::default();
-        let mut payload = Vec::new();
-        put_u64(&mut payload, wal::config_fingerprint(&config));
-        put_usize(&mut payload, 2);
-        WorkStats::default().encode(&mut payload);
-        put_usize(&mut payload, 0); // owner map, specs, merged results …
-        match ShardedServer::<RStarTree>::decode_state(&config, 2, &payload) {
+    /// `decode_state`'s refusal of `payload`, a checkpoint of an older
+    /// layout at `shards`.
+    fn refused(shards: usize, payload: &[u8]) {
+        match ShardedServer::<RStarTree>::decode_state(&ServerConfig::default(), shards, payload) {
             Err(RecoveryError::Corrupt(what)) => assert!(what.contains("older layout"), "{what}"),
             other => panic!("decoded an older layout: {:?}", other.map(|_| ())),
         }
+    }
+
+    /// The first bytes every checkpoint layout shares: config fingerprint
+    /// and shard count.
+    fn checkpoint_header(shards: usize) -> Vec<u8> {
+        let mut payload = Vec::new();
+        put_u64(&mut payload, wal::config_fingerprint(&ServerConfig::default()));
+        put_usize(&mut payload, shards);
+        payload
+    }
+
+    /// A multi-shard checkpoint from before the one query plane (every
+    /// shard a replica of every query, an always-zero counter block right
+    /// after the shard count), or from when its shards still carried a
+    /// query processor each (layout version 1), is refused with a typed
+    /// error; it is never decoded as something else.
+    #[test]
+    fn older_multi_shard_checkpoint_is_refused_not_misread() {
+        let mut replicas = checkpoint_header(2);
+        WorkStats::default().encode(&mut replicas);
+        put_usize(&mut replicas, 0); // owner map, specs, merged results …
+        refused(2, &replicas);
+        let mut version_1 = checkpoint_header(2);
+        put_u64(&mut version_1, FLEET_LAYOUT - 1);
+        put_u64(&mut version_1, 0); // coordinator probes, counters, owner map …
+        refused(2, &version_1);
         // The current layout round-trips.
+        let config = ServerConfig::default();
         let (fleet, _) = fleet(config, 2, 1);
         let mut current = Vec::new();
         fleet.encode_state(&mut current);
         let decoded =
             ShardedServer::<RStarTree>::decode_state(&config, 2, &current).expect("decodes");
         assert_eq!(decoded.state_digest(), fleet.state_digest());
+    }
+
+    /// A one-shard checkpoint from when one shard's own stack was the whole
+    /// engine (zeroed coordinator counters right after the shard count, a
+    /// spec per query slot, the shard's state with its own query processor)
+    /// gets the same typed refusal.
+    #[test]
+    fn older_one_shard_checkpoint_is_refused_not_misread() {
+        let mut legacy = checkpoint_header(1);
+        WorkStats::default().encode(&mut legacy);
+        put_usize(&mut legacy, 0); // owner map
+        put_usize(&mut legacy, 0); // query slots
+        put_usize(&mut legacy, 0); // the always-empty list
+        put_u8(&mut legacy, 0); // no controller; the shard's state …
+        refused(1, &legacy);
+        // The current layout is the one layout: one shard round-trips too.
+        let config = ServerConfig::default();
+        let (engine, _) = fleet(config, 1, 1);
+        let mut current = Vec::new();
+        engine.encode_state(&mut current);
+        let decoded =
+            ShardedServer::<RStarTree>::decode_state(&config, 1, &current).expect("decodes");
+        assert_eq!(decoded.state_digest(), engine.state_digest());
     }
 
     /// Every file of a durability directory, by name.
@@ -2330,6 +2380,149 @@ mod tests {
             assert_eq!(server.results(QueryId(u32::from(q.x > 0.5))), Some(&[near, far][..]));
         }
         server.check_invariants_deep();
+    }
+
+    /// An order-sensitive 2-NN query at `Q` whose results are `near` then
+    /// `far`, and a bystander `other` in a distant cell, on `shards` shards.
+    const Q: Point = Point { x: 0.5, y: 0.5 };
+    fn two_nn(shards: usize, [near, far, other]: [ObjectId; 3]) -> (ShardedServer, Vec<Point>) {
+        let mut at = vec![Point::new(0.05, 0.05); 10];
+        at[near.index()] = Point::new(0.52, 0.5);
+        at[far.index()] = Point::new(0.5, 0.56);
+        at[other.index()] = Point::new(0.9, 0.1);
+        let mut server = ShardedServer::new(ServerConfig::default(), shards);
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for id in [near, far, other] {
+            server.add_object(id, at[id.index()], &mut provider, 0.0).expect("fresh id");
+        }
+        let reg = server.register_query(QuerySpec::knn(Q, 2), &mut provider, 0.0);
+        assert_eq!(reg.results, vec![near, far]);
+        (server, at)
+    }
+
+    /// One batch of reports from `movers` at their positions in `at`:
+    /// the responses, and the neighbour probes and regions it took.
+    fn report_all(
+        server: &mut ShardedServer,
+        at: &[Point],
+        movers: &[ObjectId],
+    ) -> (Vec<(ObjectId, UpdateResponse)>, u64, u64) {
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        let before = server.work();
+        let batch: Vec<SequencedUpdate> =
+            movers.iter().map(|&id| SequencedUpdate { id, pos: at[id.index()], seq: 1 }).collect();
+        let mut out = Vec::new();
+        server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut out);
+        server.check_invariants_deep();
+        let after = server.work();
+        let probes = after.probes_neighbor - before.probes_neighbor;
+        (out, probes, after.safe_regions - before.safe_regions)
+    }
+
+    /// The neighbour-probe scenarios of the region step, each at one shard
+    /// and at two with the same outcome to the bit. `far` reports from
+    /// exactly the distance `near`'s stale region reaches out to:
+    /// reevaluation keeps the order without probing, but the ring of `far`
+    /// has no room, so its lane asks for `near` — whether `near`'s id is
+    /// the larger or the smaller one — and `near` rides home as a probed
+    /// bystander with a region of its own. When both results report in one
+    /// batch from distances a hair apart (a stale region between them would
+    /// leave no room), each is exactly known to the other's ring, the
+    /// midpoint rule separates them, and nobody is probed. (From exactly
+    /// one distance their rank is the browse's tie rule — the lower shard
+    /// first — the one place a shard count can show.)
+    #[test]
+    fn neighbour_probe_scenarios_read_the_same_at_one_shard_and_two() {
+        let ids = |raw: [u32; 3]| raw.map(ObjectId);
+        for [near, far, other] in [ids([5, 1, 9]), ids([1, 5, 9])] {
+            let mut outcomes = Vec::new();
+            for shards in [1, 2] {
+                let (mut server, mut at) = two_nn(shards, [near, far, other]);
+                let reach = server.safe_region(near).expect("registered").max_dist(Q);
+                at[far.index()] = Point::new(Q.x, Q.y + reach);
+                at[other.index()] = Point::new(0.9, 0.11);
+                let (out, probes, regions) = report_all(&mut server, &at, &[other, far]);
+                assert_eq!((probes, regions), (1, 3), "{shards} shard(s): far, other, near");
+                let mut movers = vec![far, other];
+                movers.sort_unstable();
+                assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), movers);
+                assert_eq!(out[0].1.probed.iter().map(|(o, _)| *o).collect::<Vec<_>>(), [near]);
+                let (inner, outer) =
+                    (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
+                assert!(inner.max_dist(Q) <= outer.min_dist(Q), "{near} and {far} may swap");
+                outcomes.push(format!("{out:?}"));
+            }
+            assert_eq!(outcomes[0], outcomes[1], "near {near}: one shard against two");
+        }
+
+        let [near, far, other] = ids([1, 2, 9]);
+        let mut outcomes = Vec::new();
+        for shards in [1, 2] {
+            let (mut server, mut at) = two_nn(shards, [near, far, other]);
+            at[near.index()] = Point::new(Q.x + 0.03, Q.y);
+            at[far.index()] = Point::new(Q.x, Q.y + 0.031);
+            let (out, probes, regions) = report_all(&mut server, &at, &[near, far]);
+            assert_eq!((probes, regions), (0, 2), "{shards} shard(s): the midpoint rule suffices");
+            assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), vec![near, far]);
+            assert!(out[0].1.probed.is_empty());
+            assert_eq!(server.results(QueryId(0)), Some(&[near, far][..]));
+            let (inner, outer) =
+                (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
+            let (reach, clear) = (inner.max_dist(Q), outer.min_dist(Q));
+            assert!(reach <= clear + 1e-12, "{near} ({reach}) and {far} ({clear}) may swap unseen");
+            outcomes.push(format!("{out:?}"));
+        }
+        assert_eq!(outcomes[0], outcomes[1], "both results report: one shard against two");
+    }
+
+    /// Fail-stop for the operations that are not batches: a provider that
+    /// panics inside `register_query`, `add_object` or `process_deferred`
+    /// reaches the caller with the WAL reattached and poisoned — no record
+    /// of the operation was written, durability is refused from here on,
+    /// never silently off — the engine's invariants hold, and recovery
+    /// lands on the state before the operation.
+    #[test]
+    fn provider_panic_inside_a_logged_operation_is_fail_stop() {
+        for shards in [1, 2] {
+            for op in ["register_query", "add_object", "process_deferred"] {
+                let what = format!("{op} at {shards} shard(s)");
+                let dir = temp_dir("logged-panic");
+                let config = ServerConfig { lease: Some(0.3), ..durable(dir) };
+                let (mut server, positions) = fleet(config, shards, 1);
+                server.sync_wal();
+                let digest = server.state_digest();
+                // As far from the 4-NN query as its second result, in another
+                // direction: their order cannot be told without a probe.
+                let q = Point::new(0.4, 0.6);
+                let second = positions[server.results(QueryId(1)).expect("registered")[1].index()];
+                let beside = Point::new(q.x - (second.y - q.y), q.y + (second.x - q.x));
+                let mut down =
+                    FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+                let payload = catch_unwind(AssertUnwindSafe(|| match op {
+                    "register_query" => {
+                        server.register_query(
+                            QuerySpec::knn(Point::new(0.5, 0.5), 3),
+                            &mut down,
+                            0.1,
+                        );
+                    }
+                    "add_object" => {
+                        let _ = server.add_object(ObjectId(99), beside, &mut down, 0.1);
+                    }
+                    _ => drop(server.process_deferred(&mut down, 10.0)),
+                }))
+                .expect_err(&what);
+                let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+                assert!(msg.starts_with("no answer from"), "{what}: {msg}");
+                assert!(server.wal_attached() && server.wal_poisoned(), "{what}");
+                server.check_invariants();
+                drop(server);
+                let (recovered, _) =
+                    ShardedServer::<RStarTree>::recover(config, shards).expect("recovery");
+                assert_eq!(recovered.state_digest(), digest, "{what} left a record");
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
     }
 
     #[test]

@@ -2,71 +2,33 @@
 //! moving objects: a best-first browse, a rectangle search, and the stored
 //! rectangle and state of one object.
 //!
-//! The single [`ObjectIndex`] answers from its own backend and table; the
-//! sharded engine's [`FleetView`] answers from whichever shard owns the
-//! object and merges the shards' browses, so the one query plane of a fleet
-//! runs the same code over a partitioned index. Dispatch is static: the
-//! evaluation path is compiled once per view type.
+//! The objects are partitioned over the engine's shards; [`FleetView`]
+//! answers from whichever shard owns the object and merges the shards'
+//! browses, so the one query plane runs the paper's single-server
+//! algorithms over the union of the shard indexes.
 
 use crate::ids::ObjectId;
 use crate::index::ObjectIndex;
 use crate::object::ObjectState;
-use crate::server::Server;
+use crate::shard::Shard;
 use srb_geom::{Point, Rect};
 use srb_index::{LeafEntry, NearestStream, Neighbor, SpatialBackend};
 
-/// A read-only view of the object population.
-pub(crate) trait ObjectView {
-    /// The view's best-first browse.
-    type Nearest<'a>: NearestStream + 'a
-    where
-        Self: 'a;
-
-    /// Starts a best-first browse from `q`.
-    fn nearest(&self, q: Point) -> Self::Nearest<'_>;
-
-    /// Every entry whose stored rectangle intersects `rect` (closed test),
-    /// in a deterministic order.
-    fn search(&self, rect: &Rect) -> Vec<LeafEntry>;
-
-    /// The stored rectangle of `id`: its safe region, or the point it was
-    /// pinned to by a report not yet answered.
-    fn rect_of(&self, id: ObjectId) -> Option<Rect>;
-
-    /// The state of `id`, if registered.
-    fn state_of(&self, id: ObjectId) -> Option<&ObjectState>;
-}
-
-impl<B: SpatialBackend> ObjectView for ObjectIndex<B> {
-    type Nearest<'a>
-        = B::Nearest<'a>
-    where
-        B: 'a;
-
-    fn nearest(&self, q: Point) -> Self::Nearest<'_> {
-        self.tree().nearest_iter(q)
-    }
-
-    fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
-        self.tree().search_vec(rect)
-    }
-
-    fn rect_of(&self, id: ObjectId) -> Option<Rect> {
-        self.tree().get(id.entry())
-    }
-
-    fn state_of(&self, id: ObjectId) -> Option<&ObjectState> {
-        self.get(id)
-    }
-}
-
-/// The union of a fleet's shard indexes: every object lives on exactly one
+/// The union of the shard indexes: every object lives on exactly one
 /// shard, named by the coordinator's owner map.
 pub(crate) struct FleetView<'s, B: SpatialBackend> {
-    pub shards: &'s [Server<B>],
+    pub shards: &'s [Shard<B>],
     /// Object → owning shard, indexed by `ObjectId::index()`.
     pub owner: &'s [Option<u32>],
 }
+
+impl<B: SpatialBackend> Clone for FleetView<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B: SpatialBackend> Copy for FleetView<'_, B> {}
 
 impl<'s, B: SpatialBackend> FleetView<'s, B> {
     /// The index of the shard that owns `id`.
@@ -74,37 +36,35 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
         let shard = self.owner.get(id.index()).copied().flatten()?;
         Some(&self.shards[shard as usize].index)
     }
-}
 
-impl<B: SpatialBackend> ObjectView for FleetView<'_, B> {
-    type Nearest<'a>
-        = MergedNearest<'a, B>
-    where
-        Self: 'a;
-
-    fn nearest(&self, q: Point) -> Self::Nearest<'_> {
+    /// Starts a best-first browse from `q`.
+    pub fn nearest(&self, q: Point) -> MergedNearest<'s, B> {
         let mut browsers: Vec<_> =
             self.shards.iter().map(|s| s.index.tree().nearest_iter(q)).collect();
         let heads = browsers.iter_mut().map(Iterator::next).collect();
         MergedNearest { browsers, heads }
     }
 
-    fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
+    /// Every entry whose stored rectangle intersects `rect` (closed test),
+    /// ascending by id, so that neither the partition nor a shard's backend
+    /// shows in the order a range query meets its candidates.
+    pub fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
         let mut out = Vec::new();
         for shard in self.shards {
             shard.index.tree().search(rect, &mut |e| out.push(*e));
         }
-        // By id, so that neither the partition nor a shard's backend shows
-        // in the order a range query meets its candidates.
         out.sort_unstable_by_key(|e| e.id);
         out
     }
 
-    fn rect_of(&self, id: ObjectId) -> Option<Rect> {
+    /// The stored rectangle of `id`: its safe region, or the point it was
+    /// pinned to by a report not yet answered.
+    pub fn rect_of(&self, id: ObjectId) -> Option<Rect> {
         self.index_of(id)?.tree().get(id.entry())
     }
 
-    fn state_of(&self, id: ObjectId) -> Option<&ObjectState> {
+    /// The state of `id`, if registered.
+    pub fn state_of(&self, id: ObjectId) -> Option<&'s ObjectState> {
         self.index_of(id)?.get(id)
     }
 }

@@ -2,7 +2,7 @@
 //! transcripts, and the write-ahead log wrapper.
 //!
 //! Every top-level [`ShardedServer`](crate::ShardedServer) entry point is
-//! one *logical operation* (the shard-local `Server` stacks never log). The
+//! one *logical operation* (the shards never log). The
 //! log records the operation's inputs **plus the transcript of every probe
 //! the provider answered during it** — probes are the only
 //! non-deterministic input (they read the outside world), so with the
@@ -18,7 +18,7 @@
 use crate::ids::{ObjectId, QueryId};
 use crate::provider::LocationProvider;
 use crate::query::{Quarantine, QuerySpec, QueryState};
-use crate::server::SequencedUpdate;
+use crate::sharded::SequencedUpdate;
 use srb_durable::codec::{put_f64, put_u32, put_u64, put_u8, put_usize};
 use srb_durable::{Dec, DurableError, Store};
 use srb_geom::{Circle, Point, Rect};
@@ -292,11 +292,15 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
     Ok(rec)
 }
 
-/// Encodes a shard-log partition of sequenced updates into `buf`
+/// Encodes a shard-log partition of `len` sequenced updates into `buf`
 /// (append-only; callers clear).
-fn encode_part_seq(buf: &mut Vec<u8>, updates: &[SequencedUpdate]) {
+fn encode_part_seq<'u>(
+    buf: &mut Vec<u8>,
+    len: usize,
+    updates: impl Iterator<Item = &'u SequencedUpdate>,
+) {
     put_u8(buf, OP_PART_SEQ);
-    put_usize(buf, updates.len());
+    put_usize(buf, len);
     for u in updates {
         put_u32(buf, u.id.0);
         put_point(buf, u.pos);
@@ -459,17 +463,13 @@ impl Wal {
     /// Coordinator marker committing a batch: only the per-shard update
     /// counts (one per shard, zeros included); the partitions live in the
     /// shard logs.
-    pub(crate) fn log_batch_marker(
-        &mut self,
-        now: f64,
-        counts: impl ExactSizeIterator<Item = usize>,
-    ) {
+    pub(crate) fn log_batch_marker(&mut self, now: f64, counts: &[usize]) {
         self.buf.clear();
         put_u8(&mut self.buf, OP_BATCH);
         put_f64(&mut self.buf, now);
         put_u8(&mut self.buf, BATCH_MODE_MARKER);
         put_usize(&mut self.buf, counts.len());
-        for c in counts {
+        for &c in counts {
             put_u32(&mut self.buf, c as u32);
         }
         self.emit();
@@ -488,16 +488,21 @@ impl Wal {
         self.emit_no_probes();
     }
 
-    /// Appends one shard's partition of a sequenced batch to shard log
-    /// `shard` (0-based shard id → log index `shard + 1`). An empty
-    /// partition writes nothing: the marker's zero count tells replay to
-    /// skip the shard.
-    pub(crate) fn append_part_seq(&mut self, shard: usize, updates: &[SequencedUpdate]) {
-        if updates.is_empty() {
+    /// Appends one shard's partition of a sequenced batch — `len` updates,
+    /// in arrival order — to shard log `shard` (0-based shard id → log
+    /// index `shard + 1`). An empty partition writes nothing: the marker's
+    /// zero count tells replay to skip the shard.
+    pub(crate) fn append_part_seq<'u>(
+        &mut self,
+        shard: usize,
+        len: usize,
+        updates: impl Iterator<Item = &'u SequencedUpdate>,
+    ) {
+        if len == 0 {
             return;
         }
         self.buf.clear();
-        encode_part_seq(&mut self.buf, updates);
+        encode_part_seq(&mut self.buf, len, updates);
         let _ = self.store.append(shard + 1, &self.buf);
     }
 

@@ -1,7 +1,7 @@
 //! Counting-allocator pin for the memory plane: once capacities have warmed
 //! up, a steady-state sequenced-update batch performs **zero** heap
-//! allocations — on the plain [`Server`] and on the sequential 2-shard
-//! [`ShardedServer`] path alike.
+//! allocations — at one shard (R\*-tree and runtime-dispatched backend)
+//! and on the sequential 2-shard path alike.
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
@@ -11,8 +11,7 @@
 //! the in-place path, and the response buffers retain their capacity.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, ShardedServer,
-    UpdateResponse,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, UpdateResponse,
 };
 use srb_geom::{Point, Rect};
 use srb_index::{NearestScratch, SpatialBackend};
@@ -103,9 +102,9 @@ fn measure(mut step: impl FnMut(&[SequencedUpdate], &mut Vec<(ObjectId, UpdateRe
 }
 
 #[test]
-fn server_steady_state_batches_do_not_allocate() {
+fn one_shard_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = ShardedServer::new(ServerConfig::default(), 1);
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }
@@ -117,16 +116,17 @@ fn server_steady_state_batches_do_not_allocate() {
     let extra = measure(|updates, out| {
         server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
     });
-    assert_eq!(extra, 0, "steady-state Server batch must be allocation-free");
+    assert_eq!(extra, 0, "steady-state one-shard batch must be allocation-free");
 }
 
 /// The enum-dispatched backend must hit the same zero: `DynBackend`'s
 /// per-op `match` adds branch cost, never heap traffic, so the dispatch
 /// seam stays invisible to the memory plane.
 #[test]
-fn dyn_server_steady_state_batches_do_not_allocate() {
+fn dyn_one_shard_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = Server::<srb_core::DynBackend>::with_backend(ServerConfig::default());
+    let mut server =
+        ShardedServer::<srb_core::DynBackend>::with_backend(ServerConfig::default(), 1);
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }

@@ -3,7 +3,7 @@
 //! proptest explore query geometry and k values adversarially.
 
 use proptest::prelude::*;
-use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
+use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
 use srb_geom::{Point, Rect};
 
 #[derive(Clone, Debug)]
@@ -41,7 +41,7 @@ proptest! {
             seed_pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let n = positions.len();
         let cfg = ServerConfig { grid_m, max_speed, ..Default::default() };
-        let mut server = Server::new(cfg);
+        let mut server = ShardedServer::new(cfg, 1);
         {
             let ps = positions.clone();
             let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);

@@ -8,23 +8,22 @@
 //! batch and every churn operation every query's result must equal the
 //! brute-force answer over the true positions: the fleet evaluates each
 //! query once over the union of its shard indexes, so it is exact at every
-//! shard count, not nearly so. A fixed workload reports
-//! `comm_cost(shards = k) / comm_cost(1)` and bounds it.
+//! shard count, not nearly so. A fixed workload must read the same
+//! uplinks, probes and results at every shard count on every backend.
 //!
-//! **Twin** ([`drive`]): the fleet is driven through the same random
-//! sequenced-update stream as a plain `Server` (same duplicates, replays,
-//! and unknown stragglers the fault suite uses) and must agree with it —
-//! exactly (results, safe regions, last-known state, uplink/probe costs,
-//! drop counters) for a range-only workload at any shard count, because
-//! per-object decisions never depend on other objects, and for any
-//! workload at one shard (pure delegation); on every query result, the
-//! admitted uplinks and the drop counters otherwise.
+//! **Twin** ([`drive`]): a fleet is driven through the same random
+//! sequenced-update stream as the one-shard engine (same duplicates,
+//! replays, and unknown stragglers the fault suite uses) and must agree
+//! with it on everything the protocol shows — query results (both held to
+//! brute force), safe regions, last-known state, uplinks, probes and drop
+//! counters — for any workload at any shard count: the partition is
+//! invisible.
 
 use proptest::prelude::*;
 use srb_core::{
-    AdaptiveConfig, BackendConfig, CostModel, DynBackend, FnProvider, GridConfig, ObjectId,
-    QueryId, QuerySpec, RStarTree, SequencedUpdate, Server, ServerConfig, ShardedServer,
-    SpatialBackend, TreeConfig, UniformGrid,
+    AdaptiveConfig, BackendConfig, CostTracker, DynBackend, FnProvider, GridConfig, ObjectId,
+    QueryId, QuerySpec, RStarTree, SequencedUpdate, ServerConfig, ShardedServer, SpatialBackend,
+    TreeConfig, UniformGrid,
 };
 use srb_geom::{Point, Rect};
 
@@ -90,16 +89,22 @@ fn arb_event() -> impl Strategy<Value = Ev> {
     })
 }
 
-/// The harness: registers the same objects and queries on a plain `Server`
-/// and an `n_shards` `ShardedServer`, replays the same sequenced batches
-/// into both, and checks the agreement level requested via `exact_costs`.
-fn drive(
-    n_shards: usize,
-    seed_pts: &[(f64, f64)],
-    queries: &[Q],
-    batches: &[Vec<Ev>],
-    exact_costs: bool,
-) {
+/// A result list as its query defines it: in rank order for an
+/// order-sensitive kNN query, as a set (ascending ids) otherwise.
+fn canonical(spec: &QuerySpec, results: &[ObjectId]) -> Vec<ObjectId> {
+    let mut results = results.to_vec();
+    if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
+        results.sort_unstable();
+    }
+    results
+}
+
+/// The harness: registers the same objects and queries on the one-shard
+/// engine and an `n_shards` fleet, replays the same sequenced batches into
+/// both, and holds the fleet to the one shard and both to brute force. An
+/// object moves only by reporting, so the true positions are the reported
+/// ones.
+fn drive(n_shards: usize, seed_pts: &[(f64, f64)], queries: &[Q], batches: &[Vec<Ev>]) {
     let mut positions: Vec<Point> = (0..N_OBJECTS)
         .map(|i| {
             let (x, y) = seed_pts[i % seed_pts.len()];
@@ -107,18 +112,18 @@ fn drive(
         })
         .collect();
     let cfg = ServerConfig { grid_m: 10, ..Default::default() };
-    let mut plain = Server::new(cfg);
-    let mut sharded = ShardedServer::new(cfg, n_shards);
+    let mut one = ShardedServer::new(cfg, 1);
+    let mut fleet = ShardedServer::new(cfg, n_shards);
     {
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         for (i, &p) in snapshot.iter().enumerate() {
-            plain.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-            sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+            one.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+            fleet.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
         }
         for q in queries {
-            let a = plain.register_query(q.spec(), &mut provider, 0.0);
-            let b = sharded.register_query(q.spec(), &mut provider, 0.0);
+            let a = one.register_query(q.spec(), &mut provider, 0.0);
+            let b = fleet.register_query(q.spec(), &mut provider, 0.0);
             assert_eq!(a.id, b.id, "query allocators in lockstep");
         }
     }
@@ -128,7 +133,7 @@ fn drive(
     for batch_events in batches {
         now += 0.1;
         // Materialize the event batch into one sequenced-update batch both
-        // servers see verbatim (same duplicates, same stragglers).
+        // engines see verbatim (same duplicates, same stragglers).
         let mut batch: Vec<SequencedUpdate> = Vec::new();
         for ev in batch_events {
             match *ev {
@@ -157,47 +162,31 @@ fn drive(
         }
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index() % N_OBJECTS]);
-        plain.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
-        sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
-        plain.check_invariants_deep();
-        sharded.check_invariants_deep();
+        one.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        fleet.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        one.check_invariants_deep();
+        fleet.check_invariants_deep();
 
+        let world: Vec<Option<Point>> = positions.iter().copied().map(Some).collect();
+        let what = || {
+            format!(
+                "at t={now} with {n_shards} shards\nqueries: {queries:?}\nbatches: {batches:?}\nseed_pts: {seed_pts:?}"
+            )
+        };
         for (qi, q) in queries.iter().enumerate() {
             let qid = QueryId(qi as u32);
-            let mut a = plain.results(qid).expect("registered").to_vec();
-            let mut b = sharded.results(qid).expect("registered").to_vec();
-            if !matches!(q.spec(), QuerySpec::Knn { order_sensitive: true, .. }) {
-                a.sort_unstable();
-                b.sort_unstable();
-            }
-            assert_eq!(
-                a, b,
-                "query {qid} ({:?}) diverged at t={now} with {n_shards} shards\nqueries: {queries:?}\nbatches: {batches:?}\nseed_pts: {seed_pts:?}",
-                q.spec()
-            );
+            let a = canonical(&q.spec(), one.results(qid).expect("registered"));
+            let b = canonical(&q.spec(), fleet.results(qid).expect("registered"));
+            assert_eq!(a, b, "query {qid} ({:?}) diverged {}", q.spec(), what());
+            assert_exact(&fleet, &[(qid, q.spec())], &world, &what);
         }
-        if exact_costs {
-            for i in 0..N_OBJECTS {
-                let id = ObjectId(i as u32);
-                assert_eq!(plain.safe_region(id), sharded.safe_region(id), "safe region {id}");
-                assert_eq!(plain.last_known(id), sharded.last_known(id), "last known {id}");
-            }
-            assert_eq!(plain.costs(), sharded.costs(), "uplink/probe costs");
-            let (pw, sw) = (plain.work(), sharded.work());
-            assert_eq!(pw.stale_seq_drops, sw.stale_seq_drops, "stale drops");
-            assert_eq!(pw.unknown_object_drops, sw.unknown_object_drops, "unknown drops");
-            assert_eq!(pw.regrants, sw.regrants, "regrants");
-        } else {
-            // Uplinks are routed to exactly one shard, never duplicated,
-            // and acceptance is a per-object sequence decision — so the
-            // charged source updates (and fault counters) stay identical
-            // even where the fleet's regions, cut by the midpoint rule
-            // alone, make its probes differ.
-            assert_eq!(plain.costs().source_updates, sharded.costs().source_updates);
-            let (pw, sw) = (plain.work(), sharded.work());
-            assert_eq!(pw.stale_seq_drops, sw.stale_seq_drops, "stale drops");
-            assert_eq!(pw.unknown_object_drops, sw.unknown_object_drops, "unknown drops");
+        for i in 0..N_OBJECTS {
+            let id = ObjectId(i as u32);
+            assert_eq!(one.safe_region(id), fleet.safe_region(id), "safe region {id} {}", what());
+            assert_eq!(one.last_known(id), fleet.last_known(id), "last known {id}");
         }
+        assert_eq!(one.costs(), fleet.costs(), "uplink/probe costs {}", what());
+        assert_eq!(one.work(), fleet.work(), "work and drop counters {}", what());
     }
 }
 
@@ -255,12 +244,8 @@ fn assert_exact<B: SpatialBackend>(
     what: &dyn Fn() -> String,
 ) {
     for (qid, spec) in live {
-        let mut got = engine.results(*qid).expect("registered").to_vec();
-        let mut want = brute_force(spec, world);
-        if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
-            got.sort_unstable();
-            want.sort_unstable();
-        }
+        let got = canonical(spec, engine.results(*qid).expect("registered"));
+        let want = canonical(spec, &brute_force(spec, world));
         assert_eq!(got, want, "{qid} ({spec:?}) is not exact {}", what());
     }
 }
@@ -277,7 +262,8 @@ fn jitter(a: u64, b: u64) -> f64 {
 /// in each, every object moves up to `step` per axis and the ones that
 /// left their safe region report as one batch; then the round's churn
 /// operation runs. Results are held to the brute-force oracle after each.
-/// Returns the run's communication cost (§7.1: uplinks + 1.5 probes).
+/// Returns what the protocol shows of the run: uplinks and probes, and the
+/// results of every query live at its end.
 fn drive_oracle<B: SpatialBackend>(
     backend: BackendConfig,
     shards: usize,
@@ -285,7 +271,7 @@ fn drive_oracle<B: SpatialBackend>(
     queries: &[Q],
     rounds: &[Option<Churn>],
     step: f64,
-) -> f64 {
+) -> (CostTracker, Vec<Vec<ObjectId>>) {
     let cfg = ServerConfig { grid_m: 10, backend, ..Default::default() };
     let mut engine = ShardedServer::<B>::with_backend(cfg, shards);
     let mut world: Vec<Option<Point>> = (0..seed_pts.len())
@@ -365,7 +351,9 @@ fn drive_oracle<B: SpatialBackend>(
         assert_exact(&engine, &live, &world, &|| format!("{} after {churn:?}", what(round + 1)));
     }
     assert_eq!(engine.object_count(), world.iter().flatten().count());
-    engine.costs().total(&CostModel::default())
+    let results =
+        |(qid, spec): &(QueryId, QuerySpec)| canonical(spec, engine.results(*qid).expect("live"));
+    (engine.costs(), live.iter().map(results).collect())
 }
 
 /// [`drive_oracle`] at `shards` on each of the three backends.
@@ -383,10 +371,10 @@ fn drive_oracle_on_every_backend(
     drive_oracle::<DynBackend>(adaptive, shards, seed_pts, queries, rounds, 0.06);
 }
 
-/// One query plane costs what one server costs: on a fixed workload (300
-/// objects, 16 mixed queries, 60 rounds with churn every fourth) the
-/// fleet's communication cost stays within 15 % of the single server's at
-/// every shard count. The ratios are printed (`--nocapture`).
+/// The shard count is invisible: on a fixed workload (300 objects, 16
+/// mixed queries, 60 rounds with churn every fourth) the uplinks, the
+/// probes and every query's results are the same at 1, 2, 4 and 8 shards on
+/// every backend.
 #[test]
 fn communication_cost_does_not_grow_with_the_shard_count() {
     let seed_pts: Vec<(f64, f64)> =
@@ -408,23 +396,29 @@ fn communication_cost_does_not_grow_with_the_shard_count() {
             _ => None,
         })
         .collect();
-    let cost = |shards: usize| {
-        let rstar = BackendConfig::RStar(TreeConfig::default());
-        drive_oracle::<RStarTree>(rstar, shards, &seed_pts, &queries, &rounds, 0.02)
-    };
-    let one = cost(1);
-    for shards in [2, 4, 8] {
-        let ratio = cost(shards) / one;
-        println!("comm_cost(shards = {shards}) / comm_cost(1) = {ratio:.4} (of {one})");
-        assert!(ratio <= 1.15, "{shards} shards cost {ratio:.4} of one server's communication");
+    let rstar = BackendConfig::RStar(TreeConfig::default());
+    let one = drive_oracle::<RStarTree>(rstar, 1, &seed_pts, &queries, &rounds, 0.02);
+    println!("one shard, rstar: {:?}", one.0);
+    assert!(one.0.probes > 0 && one.1.iter().any(|r| !r.is_empty()), "a workload that probes");
+    for shards in [1, 2, 4, 8] {
+        let grid = BackendConfig::Grid(GridConfig::default());
+        let adaptive = BackendConfig::Adaptive(AdaptiveConfig::default());
+        let runs = [
+            drive_oracle::<RStarTree>(rstar, shards, &seed_pts, &queries, &rounds, 0.02),
+            drive_oracle::<UniformGrid>(grid, shards, &seed_pts, &queries, &rounds, 0.02),
+            drive_oracle::<DynBackend>(adaptive, shards, &seed_pts, &queries, &rounds, 0.02),
+        ];
+        for (run, backend) in runs.iter().zip(["rstar", "grid", "dyn"]) {
+            assert_eq!(run, &one, "{shards} shards on {backend} differ from one shard on rstar");
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Range-only workloads are *exactly* equivalent at any shard count:
-    /// results, safe regions, costs, and fault counters all match.
+    /// Range-only workloads: per-object decisions never depend on other
+    /// objects.
     #[test]
     fn range_only_workloads_agree_exactly_at_any_shard_count(
         n_shards in 1usize..=8,
@@ -432,22 +426,11 @@ proptest! {
         queries in prop::collection::vec(arb_range(), 1..5),
         batches in prop::collection::vec(prop::collection::vec(arb_event(), 1..10), 1..12),
     ) {
-        drive(n_shards, &seed_pts, &queries, &batches, true);
+        drive(n_shards, &seed_pts, &queries, &batches);
     }
 
-    /// One shard is pure delegation: exact equivalence for *any* workload,
-    /// kNN included.
-    #[test]
-    fn one_shard_is_exactly_equivalent_for_mixed_workloads(
-        seed_pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 5..12),
-        queries in prop::collection::vec(arb_query(), 1..6),
-        batches in prop::collection::vec(prop::collection::vec(arb_event(), 1..10), 1..12),
-    ) {
-        drive(1, &seed_pts, &queries, &batches, true);
-    }
-
-    /// Mixed workloads (kNN included) agree with the plain server on every
-    /// query result at any shard count, fault events included.
+    /// Mixed workloads (kNN included) agree with the one-shard engine at
+    /// any shard count, fault events included.
     #[test]
     fn mixed_workloads_agree_on_results_at_any_shard_count(
         n_shards in 2usize..=8,
@@ -455,7 +438,7 @@ proptest! {
         queries in prop::collection::vec(arb_query(), 1..6),
         batches in prop::collection::vec(prop::collection::vec(arb_event(), 1..10), 1..12),
     ) {
-        drive(n_shards, &seed_pts, &queries, &batches, false);
+        drive(n_shards, &seed_pts, &queries, &batches);
     }
 
     /// Exact at every shard count on every backend, against brute force,

@@ -10,7 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use srb_core::{
-    FnProvider, ObjectId, Quarantine, QueryId, QuerySpec, SequencedUpdate, Server, ServerConfig,
+    FnProvider, ObjectId, Quarantine, QueryId, QuerySpec, SequencedUpdate, ServerConfig,
+    ShardedServer,
 };
 use srb_geom::{Point, Rect};
 
@@ -45,13 +46,13 @@ struct Workload {
     knns: Vec<(QueryId, Point, usize, bool)>, // (id, center, k, order_sensitive)
 }
 
-fn setup(seed: u64, n: usize, config: ServerConfig) -> (World, Server, Workload, StdRng) {
+fn setup(seed: u64, n: usize, config: ServerConfig) -> (World, ShardedServer, Workload, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut world = World { positions: Vec::new() };
     for _ in 0..n {
         world.positions.push(Point::new(rng.gen::<f64>(), rng.gen::<f64>()));
     }
-    let mut server = Server::new(config);
+    let mut server = ShardedServer::new(config, 1);
     {
         let positions = world.positions.clone();
         let mut provider = FnProvider(move |id: ObjectId| positions[id.index()]);
@@ -87,7 +88,7 @@ fn setup(seed: u64, n: usize, config: ServerConfig) -> (World, Server, Workload,
     (world, server, Workload { ranges, knns }, rng)
 }
 
-fn check_all(world: &World, server: &Server, wl: &Workload, step: usize) {
+fn check_all(world: &World, server: &ShardedServer, wl: &Workload, step: usize) {
     for &(qid, rect) in &wl.ranges {
         let mut got = server.results(qid).unwrap().to_vec();
         got.sort_unstable();
@@ -238,7 +239,7 @@ fn probes_are_lazy_far_objects_never_probed() {
     // left end must only ever probe objects near the decision boundary —
     // the lazy-probe discipline of §4.2 guarantees the tail is untouched.
     use std::cell::RefCell;
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     let positions: Vec<Point> =
         (0..18).map(|i| Point::new(0.05 + 0.05 * (i as f64), 0.51)).collect();
     let probed: RefCell<Vec<u32>> = RefCell::new(Vec::new());

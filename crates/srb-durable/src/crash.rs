@@ -9,16 +9,13 @@
 //! so the engine poisons itself. The harness then drops the engine and
 //! recovers from disk, as a restarted process would.
 //!
-//! The default plan ([`arm`]) is thread-local: crash tests in different
-//! threads do not interfere, and production code pays one thread-local
-//! read per boundary (zero when nothing is armed). Boundaries that may
-//! run on another thread — a threaded batch appends a shard's WAL
-//! partition on whichever thread takes that shard's lane — are reachable
-//! reliably only through the shared plan ([`arm_shared`]), a process-wide
-//! atomic countdown whose disarmed fast path is a single relaxed load.
+//! The plan is thread-local: crash tests in different threads do not
+//! interfere, and production code pays one thread-local read per boundary.
+//! That reaches every boundary, because only the thread that calls into
+//! the engine writes its log — the helper threads of a threaded batch
+//! compute safe regions and touch no file.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A fsync/rename boundary where a crash can be injected.
 ///
@@ -80,27 +77,11 @@ impl CrashPoint {
         CrashPoint::CkptRotate,
         CrashPoint::CkptPrune,
     ];
-
-    /// This point's position in [`CrashPoint::ALL`] (used by the packed
-    /// shared-arming encoding).
-    fn ordinal(self) -> u64 {
-        CrashPoint::ALL.iter().position(|&p| p == self).expect("point listed in ALL") as u64
-    }
 }
 
 thread_local! {
     static ARMED: Cell<Option<(CrashPoint, u32)>> = const { Cell::new(None) };
     static FIRED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// The process-wide arming plan, packed into one atomic so the disarmed
-/// fast path is a single relaxed load of zero. Encoding:
-/// `(ordinal + 1) << 32 | (nth + 1)`; `0` means disarmed.
-static SHARED_PLAN: AtomicU64 = AtomicU64::new(0);
-static SHARED_FIRED: AtomicBool = AtomicBool::new(false);
-
-fn encode_plan(point: CrashPoint, nth: u32) -> u64 {
-    ((point.ordinal() + 1) << 32) | (u64::from(nth) + 1)
 }
 
 /// Arms `point` to fire the `nth` time (0-based) its boundary is reached
@@ -110,30 +91,17 @@ pub fn arm(point: CrashPoint, nth: u32) {
     FIRED.with(|f| f.set(false));
 }
 
-/// Arms `point` process-wide: the boundary fires on *whichever thread*
-/// reaches it the `nth` time (0-based) — required for boundaries a
-/// helper thread of a threaded batch may reach, which a test thread's
-/// thread-local plan does not cover. Clears any previous shared plan and
-/// flag.
-pub fn arm_shared(point: CrashPoint, nth: u32) {
-    SHARED_FIRED.store(false, Ordering::SeqCst);
-    SHARED_PLAN.store(encode_plan(point, nth), Ordering::SeqCst);
-}
-
-/// Disarms any pending plan, thread-local and shared (the fired flags
-/// are left for [`fired`]).
+/// Disarms any pending plan (the fired flag is left for [`fired`]).
 pub fn disarm() {
     ARMED.with(|a| a.set(None));
-    SHARED_PLAN.store(0, Ordering::SeqCst);
 }
 
 /// Consulted by the durability plane at each boundary. Returns `true`
 /// exactly once — when an armed point's countdown reaches zero — and
 /// disarms itself, so a recovery running on the same thread cannot
-/// re-trigger the crash. The thread-local plan is checked first, then
-/// the shared one.
+/// re-trigger the crash.
 pub fn fires(point: CrashPoint) -> bool {
-    let local = ARMED.with(|a| match a.get() {
+    ARMED.with(|a| match a.get() {
         Some((p, n)) if p == point => {
             if n == 0 {
                 a.set(None);
@@ -145,55 +113,12 @@ pub fn fires(point: CrashPoint) -> bool {
             }
         }
         _ => false,
-    });
-    if local {
-        return true;
-    }
-    fires_shared(point)
+    })
 }
 
-fn fires_shared(point: CrashPoint) -> bool {
-    let mut cur = SHARED_PLAN.load(Ordering::Relaxed);
-    if cur == 0 {
-        return false;
-    }
-    let want = point.ordinal() + 1;
-    loop {
-        if cur >> 32 != want {
-            return false;
-        }
-        let nth = cur & 0xFFFF_FFFF;
-        let next = if nth <= 1 { 0 } else { cur - 1 };
-        match SHARED_PLAN.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => {
-                if next == 0 {
-                    SHARED_FIRED.store(true, Ordering::SeqCst);
-                    return true;
-                }
-                return false;
-            }
-            Err(actual) => {
-                if actual == 0 {
-                    return false;
-                }
-                cur = actual;
-            }
-        }
-    }
-}
-
-/// Whether the most recently [`arm`]ed thread-local plan has fired.
-/// Shared plans report through [`fired_shared`] — keeping the two
-/// observers separate lets thread-local crash tests run in parallel
-/// with a shared-armed harness without false positives.
+/// Whether the most recently [`arm`]ed plan has fired.
 pub fn fired() -> bool {
     FIRED.with(|f| f.get())
-}
-
-/// Whether the most recently [`arm_shared`]-ed plan has fired (on any
-/// thread).
-pub fn fired_shared() -> bool {
-    SHARED_FIRED.load(Ordering::SeqCst)
 }
 
 #[cfg(test)]

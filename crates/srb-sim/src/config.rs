@@ -65,8 +65,9 @@ pub struct SimConfig {
     /// [`SimConfig::channel`] is non-ideal.
     pub retry: RetryPolicy,
     /// Number of server shards for the SRB scheme
-    /// ([`srb_core::ShardedServer`]). `1` (the default) runs the plain
-    /// single-stack server bit-identically to the paper's setup.
+    /// ([`srb_core::ShardedServer`]). `1` (the default) is the paper's
+    /// single server; the uplinks, probes and results of a run do not
+    /// depend on it.
     pub shards: usize,
     /// Object-index backend for the SRB scheme. [`paper_defaults`]
     /// (Self::paper_defaults) reads it from the `SRB_BACKEND` environment

@@ -54,8 +54,9 @@ impl LocationProvider for Provider<'_> {
 }
 
 /// Runs the SRB scheme and returns the aggregated metrics. With
-/// `cfg.shards == 1` (the default) the server is a single Figure-3.1 stack,
-/// bit-identical to the paper's setup; larger values run the sharded engine.
+/// `cfg.shards == 1` (the default) the server is the paper's single server;
+/// larger values partition its objects over more shards of the same engine,
+/// which changes no uplink, probe or result.
 /// The object-index backend is selected by `cfg.backend` (monomorphized
 /// through [`run_srb_with`]).
 pub fn run_srb(cfg: &SimConfig) -> RunMetrics {

@@ -14,15 +14,20 @@
 //!
 //! The same matrix runs on the durable single node — a 1-shard
 //! [`ShardedServer`] — and on 2 shards (a coordinator marker log plus one
-//! partition log per shard either way), plus a grid-backend round trip and
-//! a corruption fuzzer that bit-flips and truncates every file in the
-//! store — recovery may refuse (an error is a fine answer to a mangled
-//! disk) but must never panic.
+//! partition log per shard either way), each with the region lanes of a
+//! batch on the caller alone and forked over two threads
+//! (`handle_sequenced_updates_parallel_into`): same batch body, same WAL
+//! bytes, and only the calling thread writes the log, so both thread counts
+//! are held to the one golden table and the thread-local crash plan reaches
+//! every boundary. Plus a grid-backend round trip and a corruption fuzzer
+//! that bit-flips and truncates every file in the store — recovery may
+//! refuse (an error is a fine answer to a mangled disk) but must never
+//! panic.
 
 use srb_core::{
     BackendConfig, CrashPoint, DurabilityConfig, FnProvider, GridConfig, ObjectId, QueryId,
     QuerySpec, RStarTree, RecoveryError, SequencedUpdate, ServerConfig, ShardedServer, SyncPolicy,
-    UniformGrid,
+    TableProvider, UniformGrid,
 };
 use srb_durable::crash;
 use srb_geom::{Point, Rect};
@@ -121,7 +126,12 @@ fn script() -> Vec<(u64, Op)> {
     s
 }
 
-fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, r: u64, op: Op) {
+/// Object ids stay below this (the script adds `1000 + r`).
+const ID_SPACE: u64 = 1000 + N_ROUNDS;
+
+/// Applies one operation. `threads` is the engine's thread count: above
+/// one, the ingest calls go through the threaded entry point.
+fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, threads: usize, r: u64, op: Op) {
     let now = 0.05 + r as f64 * 0.1;
     let mut p = FnProvider(move |id: ObjectId| pos_at(id.0 as u64, r));
     // An object reports in at most one operation per round, so the round is
@@ -140,13 +150,18 @@ fn apply<B: SpatialBackend>(e: &mut ShardedServer<B>, r: u64, op: Op) {
         Op::Deregister(q) => {
             let _ = e.deregister_query(QueryId(q));
         }
-        Op::Single(o) => {
-            e.handle_sequenced_updates_into(&[report(o)], &mut p, now, &mut Vec::new());
-        }
-        Op::Batch => {
-            let ups: Vec<SequencedUpdate> =
-                (0..N_OBJ).filter(|o| (o + r).is_multiple_of(3)).map(report).collect();
-            e.handle_sequenced_updates_into(&ups, &mut p, now, &mut Vec::new());
+        Op::Single(_) | Op::Batch => {
+            let ups: Vec<SequencedUpdate> = match op {
+                Op::Single(o) => vec![report(o)],
+                _ => (0..N_OBJ).filter(|o| (o + r).is_multiple_of(3)).map(report).collect(),
+            };
+            if threads > 1 {
+                let table: Vec<Point> = (0..ID_SPACE).map(|o| pos_at(o, r)).collect();
+                let table = TableProvider(&table);
+                e.handle_sequenced_updates_parallel_into(&ups, &table, now, &mut Vec::new());
+            } else {
+                e.handle_sequenced_updates_into(&ups, &mut p, now, &mut Vec::new());
+            }
         }
         Op::NextDue => {
             let _ = e.next_deferred_due();
@@ -187,8 +202,9 @@ fn durable_config(base: ServerConfig, dir: &'static str) -> ServerConfig {
     cfg
 }
 
-/// Digest-after-every-op table from an uninterrupted, durability-OFF run.
-/// `golden[j]` is the state after the first `j` primitive operations.
+/// Digest-after-every-op table from an uninterrupted, durability-OFF,
+/// single-threaded run. `golden[j]` is the state after the first `j`
+/// primitive operations.
 fn golden_digests<B: SpatialBackend>(
     config: ServerConfig,
     shards: usize,
@@ -197,7 +213,7 @@ fn golden_digests<B: SpatialBackend>(
     let mut e = ShardedServer::<B>::with_backend(config, shards);
     let mut digests = vec![e.state_digest()];
     for &(r, op) in script {
-        apply(&mut e, r, op);
+        apply(&mut e, 1, r, op);
         digests.push(e.state_digest());
     }
     digests
@@ -207,9 +223,11 @@ fn golden_digests<B: SpatialBackend>(
 /// proves the recovered state is a completed prefix whose resumption
 /// reproduces the golden final state bit for bit. Returns whether the
 /// point actually fired (a too-large `nth` legitimately never does).
+#[allow(clippy::too_many_arguments)]
 fn crash_run<B: SpatialBackend>(
     base: ServerConfig,
     shards: usize,
+    threads: usize,
     point: CrashPoint,
     nth: u32,
     script: &[(u64, Op)],
@@ -217,10 +235,10 @@ fn crash_run<B: SpatialBackend>(
     tag: &str,
 ) -> bool {
     let cfg = durable_config(base, scratch(tag));
-    let mut e = ShardedServer::<B>::with_backend(cfg, shards);
+    let mut e = ShardedServer::<B>::with_backend(cfg, shards).with_threads(threads);
     crash::arm(point, nth);
     for &(r, op) in script {
-        apply(&mut e, r, op);
+        apply(&mut e, threads, r, op);
         if e.wal_poisoned() {
             break;
         }
@@ -231,15 +249,17 @@ fn crash_run<B: SpatialBackend>(
     // the page cache in a power cut.
     drop(e);
 
-    let (mut rec, _replayed) = ShardedServer::<B>::recover(cfg, shards)
+    let (rec, _replayed) = ShardedServer::<B>::recover(cfg, shards)
         .unwrap_or_else(|err| panic!("recovery after {point:?} #{nth} failed: {err:?}"));
+    // A recovered engine takes its thread count from the environment.
+    let mut rec = rec.with_threads(threads);
     deep_check(&rec);
     let d = rec.state_digest();
     let j = golden.iter().position(|&g| g == d).unwrap_or_else(|| {
         panic!("state recovered after {point:?} #{nth} matches no completed prefix of the script")
     });
     for &(r, op) in &script[j..] {
-        apply(&mut rec, r, op);
+        apply(&mut rec, threads, r, op);
     }
     assert_eq!(
         rec.state_digest(),
@@ -253,13 +273,16 @@ fn crash_run<B: SpatialBackend>(
 fn crash_matrix<B: SpatialBackend>(base: ServerConfig, shards: usize, tag: &str) {
     let script = script();
     let golden = golden_digests::<B>(base, shards, &script);
-    for &point in CrashPoint::ALL.iter() {
-        for nth in [0u32, 1, 3] {
-            let fired = crash_run::<B>(base, shards, point, nth, &script, &golden, tag);
-            assert!(
-                fired || nth > 0,
-                "{point:?} never fired at nth=0 — the script misses that boundary"
-            );
+    for threads in [1, 2] {
+        for &point in CrashPoint::ALL.iter() {
+            for nth in [0u32, 1, 3] {
+                let fired =
+                    crash_run::<B>(base, shards, threads, point, nth, &script, &golden, tag);
+                assert!(
+                    fired || nth > 0,
+                    "{point:?} never fired at nth=0 — the script misses that boundary"
+                );
+            }
         }
     }
 }
@@ -283,21 +306,28 @@ fn crash_matrix_grid_backend() {
     if !matches!(BackendConfig::from_env(), BackendConfig::Grid(_)) {
         return;
     }
-    crash_matrix::<UniformGrid>(grid_config(), 1, "grid-matrix");
+    for shards in [1, 2] {
+        crash_matrix::<UniformGrid>(grid_config(), shards, "grid-matrix");
+    }
 }
 
 /// With no crash injected, a durable run must shadow the golden run
-/// exactly: the WAL hooks and the recording provider may not perturb a
-/// single decision.
+/// exactly, at either shard and thread count: the WAL hooks, the recording
+/// provider and the forked lanes may not perturb a single decision.
 #[test]
 fn durable_run_matches_golden_per_op() {
     let script = script();
-    let golden = golden_digests::<RStarTree>(base_config(), 1, &script);
-    let cfg = durable_config(base_config(), scratch("shadow"));
-    let mut e = ShardedServer::new(cfg, 1);
-    for (j, &(r, op)) in script.iter().enumerate() {
-        apply(&mut e, r, op);
-        assert_eq!(e.state_digest(), golden[j + 1], "durable run diverged at op {j} ({op:?})");
+    for shards in [1, 2] {
+        let golden = golden_digests::<RStarTree>(base_config(), shards, &script);
+        for threads in [1, 2] {
+            let cfg = durable_config(base_config(), scratch("shadow"));
+            let mut e = ShardedServer::new(cfg, shards).with_threads(threads);
+            for (j, &(r, op)) in script.iter().enumerate() {
+                apply(&mut e, threads, r, op);
+                let what = format!("{shards} shard(s), {threads} thread(s), op {j} ({op:?})");
+                assert_eq!(e.state_digest(), golden[j + 1], "durable run diverged: {what}");
+            }
+        }
     }
 }
 
@@ -311,7 +341,7 @@ fn grid_backend_recovers_bit_identical() {
     let cfg = durable_config(grid_config(), scratch("grid"));
     let mut e = ShardedServer::<UniformGrid>::with_backend(cfg, 1);
     for &(r, op) in &script {
-        apply(&mut e, r, op);
+        apply(&mut e, 1, r, op);
     }
     e.sync_wal();
     drop(e);
@@ -327,7 +357,7 @@ fn recovery_rejects_config_mismatch() {
     let cfg = durable_config(base_config(), scratch("mismatch"));
     let mut e = ShardedServer::new(cfg, 1);
     for &(r, op) in &script[..8] {
-        apply(&mut e, r, op);
+        apply(&mut e, 1, r, op);
     }
     e.sync_wal();
     drop(e);
@@ -349,7 +379,7 @@ fn corruption_fuzz_never_panics() {
     let cfg = durable_config(base_config(), src);
     let mut e = ShardedServer::new(cfg, 2);
     for &(r, op) in &script {
-        apply(&mut e, r, op);
+        apply(&mut e, 1, r, op);
     }
     e.sync_wal();
     drop(e);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, ServerError,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ServerError, ShardedServer,
 };
 use srb_geom::{Point, Rect};
 use srb_mobility::RetryPolicy;
@@ -27,7 +27,7 @@ fn faults_cfg() -> SimConfig {
 
 #[test]
 fn unknown_object_update_is_dropped_and_counted_not_a_panic() {
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     let stray = SequencedUpdate { id: ObjectId(7), pos: Point::new(0.5, 0.5), seq: 1 };
     let mut resps = Vec::new();
@@ -39,7 +39,7 @@ fn unknown_object_update_is_dropped_and_counted_not_a_panic() {
 
 #[test]
 fn duplicate_registration_is_rejected() {
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
     let err = server.add_object(ObjectId(0), Point::new(0.8, 0.8), &mut provider, 0.0).unwrap_err();
@@ -50,7 +50,7 @@ fn duplicate_registration_is_rejected() {
 
 #[test]
 fn duplicate_sequenced_update_is_dropped_and_regranted() {
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
     server.add_object(ObjectId(1), Point::new(0.8, 0.8), &mut provider, 0.0).unwrap();
@@ -82,7 +82,7 @@ fn duplicate_sequenced_update_is_dropped_and_regranted() {
 
 #[test]
 fn in_batch_duplicates_accept_first_copy_only() {
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     for i in 0..3u32 {
         server
@@ -106,7 +106,7 @@ fn in_batch_duplicates_accept_first_copy_only() {
 /// object when the lease lapses and repairs the query result.
 #[test]
 fn lease_probe_recovers_dropped_exit_report() {
-    let mut server = Server::new(ServerConfig { lease: Some(1.0), ..Default::default() });
+    let mut server = ShardedServer::new(ServerConfig { lease: Some(1.0), ..Default::default() }, 1);
     // True world state, mutated to simulate movement the server never hears
     // about.
     let mut world = vec![Point::new(0.30, 0.50), Point::new(0.70, 0.50)];
@@ -156,7 +156,7 @@ fn lease_probe_recovers_dropped_exit_report() {
 
 #[test]
 fn contact_renews_lease_without_probing() {
-    let mut server = Server::new(ServerConfig { lease: Some(0.5), ..Default::default() });
+    let mut server = ShardedServer::new(ServerConfig { lease: Some(0.5), ..Default::default() }, 1);
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.5, 0.5), &mut provider, 0.0).unwrap();
     // The client reports (voluntarily) every 0.4 < lease: the old timer goes
@@ -319,10 +319,8 @@ proptest! {
         let mut world: Vec<Point> =
             (0..n).map(|_| Point::new(rng.gen(), rng.gen())).collect();
         let mut seqs = vec![0u64; n];
-        let mut server = Server::new(ServerConfig {
-            lease: if rng.gen::<bool>() { Some(0.4) } else { None },
-            ..Default::default()
-        });
+        let lease = if rng.gen::<bool>() { Some(0.4) } else { None };
+        let mut server = ShardedServer::new(ServerConfig { lease, ..Default::default() }, 1);
         {
             let w = world.clone();
             let mut provider = FnProvider(move |id: ObjectId| w[id.index()]);

@@ -1,13 +1,14 @@
 //! Golden-metrics regression test: every deterministic `RunMetrics` field of
 //! the fixed scenario set in [`srb_sim::golden_scenarios`] must stay
-//! **bit-identical** to the values recorded from the pre-refactor
-//! (monolithic-`Server`) implementation in `golden_data/data.rs`.
+//! **bit-identical** to the values recorded in `golden_data/data.rs` (last
+//! re-pinned when the one-shard pass-through was deleted and `run_srb`'s
+//! single server became the fleet of one; EXPERIMENTS.md tabulates old →
+//! new per scenario).
 //!
-//! This is the before/after drift check for the Figure-3.1 layer
-//! decomposition and the `ShardedServer{1 shard}` substitution inside
-//! `run_srb`: any behavioral divergence — a reordered probe, a changed
-//! iteration order, an off-by-one in the harness extraction — shows up here
-//! as a failed exact comparison.
+//! This is the before/after drift check for every refactor of the engine
+//! under `run_srb`: any behavioral divergence — a reordered probe, a
+//! changed iteration order, an off-by-one in the harness extraction —
+//! shows up here as a failed exact comparison.
 //!
 //! Regenerate deliberately with the `dump_goldens` example only when a
 //! change is *supposed* to move the figures.

@@ -1,11 +1,11 @@
 //! End-to-end test for the sharded server inside the full event-driven
-//! simulation (CI `scaling-smoke` and "sharded exactness"): a 2- or
-//! 4-shard run must complete, stay deterministic, and monitor exactly, as
-//! the single-stack run it partitions does — the fleet evaluates every
-//! query once over the union of its shard indexes, so at τ = 0 there is no
-//! slack to allow.
+//! simulation (CI "sharded exactness"): a 2-, 4- or 8-shard run must
+//! complete, stay deterministic, monitor exactly, and show the protocol
+//! exactly what the one-shard run shows — the engine evaluates every query
+//! once over the union of its shard indexes, so the partition is invisible:
+//! same uplinks, same probes, same accuracy.
 //!
-//! 1-shard bit-identity is covered separately by the golden tests.
+//! The one-shard figures themselves are pinned by the golden tests.
 
 use srb_sim::{run_srb, SimConfig};
 
@@ -16,8 +16,8 @@ fn cfg(shards: usize) -> SimConfig {
 #[test]
 fn sharded_sim_completes_and_monitors_exactly() {
     let one = run_srb(&cfg(1));
-    assert_eq!(one.accuracy, 1.0, "τ=0 single stack is exact ({one:?})");
-    for shards in [2, 4] {
+    assert_eq!(one.accuracy, 1.0, "τ=0 single shard is exact ({one:?})");
+    for shards in [2, 4, 8] {
         let fleet = run_srb(&cfg(shards));
         assert_eq!(fleet.accuracy, 1.0, "τ=0 {shards}-shard fleet is exact ({fleet:?})");
         assert_eq!(fleet.samples, one.samples, "same sampling schedule");
@@ -29,15 +29,11 @@ fn sharded_sim_completes_and_monitors_exactly() {
         ] {
             assert!(v.is_finite() && v >= 0.0, "{name} must be finite and non-negative, got {v}");
         }
-        // One query plane: the fleet pays what one server pays, give or
-        // take the regions the midpoint rule cuts differently.
-        assert!(
-            fleet.comm_cost <= one.comm_cost * 1.15,
-            "{shards} shards cost {} against {} on one",
-            fleet.comm_cost,
-            one.comm_cost
-        );
-        assert_eq!(fleet.grid_footprint > 0, one.grid_footprint > 0);
+        // One engine: the partition does not show in the protocol.
+        assert_eq!(fleet.uplinks, one.uplinks, "{shards} shards: uplinks");
+        assert_eq!(fleet.probes, one.probes, "{shards} shards: probes");
+        assert_eq!(fleet.comm_cost, one.comm_cost, "{shards} shards: comm_cost");
+        assert_eq!(fleet.grid_footprint, one.grid_footprint, "{shards} shards: query grid");
         assert!(fleet.uplinks > 0, "sharded run did real work ({fleet:?})");
     }
 }

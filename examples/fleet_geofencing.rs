@@ -7,7 +7,7 @@
 //! cargo run --release --example fleet_geofencing
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -26,10 +26,11 @@ fn main() {
         .map(|i| MobileClient::new(i as u32, Trajectory::random_waypoint(7, i as u64, mob, 0.0)))
         .collect();
 
-    let mut server = Server::new(ServerConfig {
+    let config = ServerConfig {
         max_speed: Some(mob.max_speed()), // reachability enhancement (§6.1)
         ..Default::default()
-    });
+    };
+    let mut server = ShardedServer::new(config, 1);
 
     // Register the fleet.
     for (i, truck) in fleet.iter_mut().enumerate() {

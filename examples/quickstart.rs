@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
 use srb::geom::{Point, Rect};
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
         Point::new(0.90, 0.50),
     ];
 
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
 
     // Register the objects. The server hands each a safe region; a real
     // client would store it and report only when leaving it.

@@ -7,7 +7,7 @@
 //! cargo run --release --example ride_hailing_knn
 //! ```
 
-use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, Server};
+use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, ShardedServer};
 use srb::geom::Point;
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -23,7 +23,7 @@ fn main() {
         .map(|i| MobileClient::new(i as u32, Trajectory::random_waypoint(99, i as u64, mob, 0.0)))
         .collect();
 
-    let mut server = Server::with_defaults();
+    let mut server = ShardedServer::with_defaults();
     for (i, driver) in drivers.iter_mut().enumerate() {
         let pos = driver.position(0.0);
         let mut provider = FnProvider(|_id: ObjectId| unreachable!());

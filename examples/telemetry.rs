@@ -10,7 +10,7 @@
 //! With `--no-default-features` the whole telemetry layer compiles away and
 //! the snapshot is empty — the example prints that instead of failing.
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
 use srb::geom::Point;
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
@@ -81,28 +81,28 @@ fn main() {
         assert!(json.contains(key), "snapshot is missing {key}");
     }
     // Neighbour probes are rare enough that a short run may see none, and
-    // idle counters are not snapshotted — so force one, on a single server
-    // (a fleet's coordinator recomputes the regions around a probed
-    // neighbour instead: `sharded.region_reruns`).
+    // idle counters are not snapshotted — so force one.
     let before = obs::registry().snapshot();
     force_neighbor_probe();
     let after = obs::registry().snapshot().diff(&before);
+    assert_eq!(after.counters.get("safe_region.neighbor_probes"), Some(&1));
     assert_eq!(
-        after.counters.get("location.worklist_rescans"),
-        after.counters.get("safe_region.neighbor_probes"),
-        "every neighbour probe of a server grows its recompute worklist"
+        after.counters.get("sharded.region_reruns"),
+        Some(&1),
+        "the requester's region is computed again beside the probed neighbour's"
     );
     println!("\nsnapshot covers spans, per-shard batch timings, and index histograms ✓");
 }
 
-/// Two results of an order-sensitive 2-NN query report from the same
-/// distance in one batch: whichever region is computed second finds the
-/// first one's fresh region touching its own position and probes it — the
-/// probe that makes `location.recompute_safe_regions` rescan its worklist.
+/// The second result of an order-sensitive 2-NN query reports from exactly
+/// the distance the first result's stale region reaches out to:
+/// reevaluation keeps the order without probing, but the reporter's ring
+/// has no room, so its region lane asks the coordinator to probe the first
+/// result.
 fn force_neighbor_probe() {
     let q = Point::new(0.5, 0.5);
     let mut at = [Point::new(0.52, 0.5), Point::new(0.5, 0.56)];
-    let mut server = Server::new(ServerConfig::default());
+    let mut server = ShardedServer::new(ServerConfig::default(), 1);
     {
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &p) in at.iter().enumerate() {
@@ -110,9 +110,10 @@ fn force_neighbor_probe() {
         }
         server.register_query(QuerySpec::knn(q, 2), &mut provider, 0.0);
     }
-    at = [Point::new(q.x + 0.03, q.y), Point::new(q.x, q.y + 0.03)];
+    let reach = server.safe_region(ObjectId(0)).expect("registered").max_dist(q);
+    at[1] = Point::new(q.x, q.y + reach);
     let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-    let batch = [0, 1].map(|i| SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: 1 });
-    server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut Vec::new());
-    assert_eq!(server.work().probes_neighbor, 1, "the equidistant pair forces one probe");
+    let report = SequencedUpdate { id: ObjectId(1), pos: at[1], seq: 1 };
+    server.handle_sequenced_updates_into(&[report], &mut provider, 1.0, &mut Vec::new());
+    assert_eq!(server.work().probes_neighbor, 1, "the touching pair forces one probe");
 }

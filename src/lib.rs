@@ -8,7 +8,7 @@
 //!
 //! - [`geom`] — geometry primitives and the Ir-lp safe-region math (§5);
 //! - [`index`] — the R\*-tree object index with bottom-up updates (§3.2);
-//! - [`core`] — the monitoring framework itself: [`core::Server`],
+//! - [`core`] — the monitoring framework itself: [`core::ShardedServer`],
 //!   queries, quarantine areas, safe regions, probes (§3–§6);
 //! - [`mobility`] — random-waypoint trajectories and client logic (§7.1);
 //! - [`sim`] — the discrete event-driven simulator and the SRB/OPT/PRD
@@ -20,12 +20,12 @@
 //! ## Quickstart
 //!
 //! ```
-//! use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server};
+//! use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
 //! use srb::geom::{Point, Rect};
 //!
 //! let positions = vec![Point::new(0.2, 0.2), Point::new(0.7, 0.7)];
 //! let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-//! let mut server = Server::with_defaults();
+//! let mut server = ShardedServer::with_defaults();
 //! for (i, &p) in positions.iter().enumerate() {
 //!     server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
 //! }
