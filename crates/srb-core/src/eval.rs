@@ -9,6 +9,7 @@
 use crate::bounds::LocBound;
 use crate::ids::ObjectId;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
+use crate::scratch::KnnPatch;
 use crate::view::{FleetView, MergedNearest};
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
@@ -35,6 +36,8 @@ pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
     /// invalidated by the growing circle (see DESIGN.md — this makes §6.1
     /// sound). The engine moves these into the shard timers.
     pub deferred: &'a mut Vec<(ObjectId, f64)>,
+    /// Working set of the order-sensitive kNN patch (§4.3).
+    pub patch: &'a mut KnnPatch,
     /// `Some(max_speed)` when the reachability enhancement is enabled.
     pub max_speed: Option<f64>,
     /// Current time (for reachability radii).

@@ -3,18 +3,18 @@
 //!
 //! Owns the registered query states and the grid index over their
 //! quarantine areas, and drives evaluation (§4.1–§4.2) and incremental
-//! reevaluation (§4.3) of individual queries. Probes and cost accounting
-//! flow through the [`EvalCtx`] the caller supplies, so the processor
-//! itself stays free of communication concerns.
+//! reevaluation (§4.3: each affected query once, for the set of its movers)
+//! of individual queries. Probes and cost accounting flow through the
+//! [`EvalCtx`] the caller supplies, so the processor itself stays free of
+//! communication concerns.
 
 use crate::eval::{evaluate_knn_ordered, evaluate_knn_unordered, evaluate_range, EvalCtx};
 use crate::grid::GridIndex;
 use crate::ids::{ObjectId, QueryId};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
-use crate::reeval::{reevaluate, reevaluate_multi};
+use crate::reeval::{reevaluate, rerun_knn};
 use crate::scratch::BatchBuffers;
 use srb_geom::{Circle, Point, Rect};
-use srb_hash::FastMap;
 use srb_index::SpatialBackend;
 
 /// The query processor: registered query states plus the grid index that
@@ -186,64 +186,16 @@ impl QueryProcessor {
         }
     }
 
-    /// Incrementally reevaluates `qid` after `oid` moved from `p_lst` to
-    /// `pos` (§4.3), updating the grid when the quarantine changed. Returns
-    /// the new result set when it changed, `None` otherwise (including for
-    /// unknown ids).
-    pub(crate) fn reevaluate_single<B: SpatialBackend>(
-        &mut self,
-        ctx: &mut EvalCtx<'_, B>,
-        qid: QueryId,
-        oid: ObjectId,
-        pos: Point,
-        p_lst: Point,
-        space: &Rect,
-    ) -> Option<Vec<ObjectId>> {
-        let _span = srb_obs::span!("processor.reevaluate");
-        let qs = self.queries.get_mut(qid.index())?.as_mut()?;
-        let old_bbox = qs.quarantine.bbox();
-        let outcome = reevaluate(ctx, qs, oid, pos, p_lst, space);
-        if outcome.quarantine_changed {
-            self.grid.update(qid, &old_bbox, &qs.quarantine.bbox());
-        }
-        outcome.results_changed.then(|| qs.results.clone())
-    }
-
-    /// Reevaluates `qid` for a batch of simultaneous movers: incrementally
-    /// when a single mover affects it, from scratch when several do. All
-    /// movers' exact positions must already be in `ctx.exact`; `prev` holds
-    /// their previous anchors.
-    pub(crate) fn reevaluate_batch<B: SpatialBackend>(
-        &mut self,
-        ctx: &mut EvalCtx<'_, B>,
-        qid: QueryId,
-        movers: &[ObjectId],
-        prev: &FastMap<ObjectId, Point>,
-        space: &Rect,
-    ) -> Option<Vec<ObjectId>> {
-        if movers.len() == 1 {
-            let id = movers[0];
-            let pos = *ctx.exact.get(&id).expect("mover is exact");
-            return self.reevaluate_single(ctx, qid, id, pos, prev[&id], space);
-        }
-        // Delegated single-mover calls are timed inside reevaluate_single;
-        // opening the span after the delegation keeps counts one-per-call.
-        let _span = srb_obs::span!("processor.reevaluate");
-        let qs = self.queries.get_mut(qid.index())?.as_mut()?;
-        let old_bbox = qs.quarantine.bbox();
-        let outcome = reevaluate_multi(ctx, qs, movers, prev, space);
-        if outcome.quarantine_changed {
-            self.grid.update(qid, &old_bbox, &qs.quarantine.bbox());
-        }
-        outcome.results_changed.then(|| qs.results.clone())
-    }
-
     /// Reevaluates, once each and in ascending id order, every query the
-    /// movers of one batch can affect — incrementally when a single mover
-    /// affects it, from scratch when several do. Every mover's position
-    /// must already be pinned in the view and recorded in `ctx.exact`, its
-    /// previous anchor in `batch.prev`; a repeated mover flagged in
-    /// `batch.repeated_ids`. Returns the changed results.
+    /// movers of one batch can affect (§4.3): each gets the set of its
+    /// movers — a range query flips their membership, an order-sensitive
+    /// kNN query is patched with at most one probe per mover, and only an
+    /// order-insensitive kNN query whose circle a mover crossed, or one
+    /// that fails a consistency check, is evaluated from scratch
+    /// (`reeval.rs`). The grid follows every quarantine that changed. Every
+    /// mover's position must already be pinned in the view and recorded in
+    /// `ctx.exact`, its previous anchor in `batch.prev`; a repeated mover
+    /// flagged in `batch.repeated_ids`. Returns the changed results.
     pub(crate) fn reevaluate_movers<B: SpatialBackend>(
         &mut self,
         ctx: &mut EvalCtx<'_, B>,
@@ -259,8 +211,15 @@ impl QueryProcessor {
         batch.group_movers();
         let mut changes = Vec::new();
         for (qid, movers) in batch.per_query() {
-            if let Some(results) = self.reevaluate_batch(ctx, *qid, movers, &batch.prev, space) {
-                changes.push(ResultChange { query: *qid, results });
+            let _span = srb_obs::span!("processor.reevaluate");
+            let qs = self.queries[qid.index()].as_mut().expect("grid entries are registered");
+            let old_bbox = qs.quarantine.bbox();
+            let outcome = reevaluate(ctx, qs, movers, &batch.prev, space);
+            if outcome.quarantine_changed {
+                self.grid.update(*qid, &old_bbox, &qs.quarantine.bbox());
+            }
+            if outcome.results_changed {
+                changes.push(ResultChange { query: *qid, results: qs.results.clone() });
             }
         }
         changes
@@ -295,28 +254,30 @@ impl QueryProcessor {
         }
     }
 
-    /// Drops a removed object from every query holding it as a result (a
-    /// kNN query is re-run to refill). The object must already be gone
-    /// from the view. Returns the changed results.
+    /// Drops a removed object, last anchored at `anchor`, from every query
+    /// holding it as a result (a kNN query is re-run to refill). The anchor
+    /// lies in the object's last safe region, hence in the cell whose
+    /// bucket lists every such query. The object must already be gone from
+    /// the view. Returns the changed results, ascending by query.
     pub(crate) fn fold_out<B: SpatialBackend>(
         &mut self,
         ctx: &mut EvalCtx<'_, B>,
         id: ObjectId,
+        anchor: Point,
         candidates: &mut Vec<QueryId>,
         space: &Rect,
     ) -> Vec<ResultChange> {
         candidates.clear();
-        candidates.extend(self.ids());
+        candidates.extend_from_slice(self.grid.queries_at(anchor));
+        candidates.sort_unstable();
         let mut changes = Vec::new();
         for &qid in candidates.iter() {
-            let qs = self.get_mut(qid).expect("listed ids are registered");
+            let qs = self.get_mut(qid).expect("grid entries are registered");
             if !qs.is_result(id) {
                 continue;
             }
             qs.results.retain(|&o| o != id);
-            if matches!(qs.spec, QuerySpec::Knn { .. }) {
-                self.refold_knn(ctx, qid, space);
-            }
+            self.refold_knn(ctx, qid, space);
             let results = self.get(qid).expect("query exists").results.clone();
             changes.push(ResultChange { query: qid, results });
         }
@@ -336,14 +297,8 @@ impl QueryProcessor {
             return;
         };
         if let QuerySpec::Knn { center, k, order_sensitive } = qs.spec {
-            let eval = if order_sensitive {
-                evaluate_knn_ordered(ctx, center, k, space, &[])
-            } else {
-                evaluate_knn_unordered(ctx, center, k, space, &[])
-            };
-            qs.results = eval.results;
             let old = qs.quarantine.bbox();
-            qs.quarantine = Quarantine::Circle(Circle::new(center, eval.radius));
+            rerun_knn(ctx, qs, center, k, order_sensitive, space);
             self.grid.update(qid, &old, &qs.quarantine.bbox());
         }
     }
@@ -485,5 +440,33 @@ mod tests {
         // Same cell twice: no duplicates.
         p.candidates_into(Point::new(0.01, 0.01), Point::new(0.02, 0.02), &mut c);
         assert_eq!(c, vec![a]);
+    }
+
+    #[test]
+    fn a_removed_object_leaves_the_queries_of_its_cell_in_id_order() {
+        use crate::provider::FnProvider;
+        use crate::sharded::ShardedServer;
+        let at = [Point::new(0.31, 0.31), Point::new(0.35, 0.33), Point::new(0.8, 0.8)];
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        let mut server = ShardedServer::with_defaults();
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+        }
+        let around = |p: Point| QuerySpec::range(Rect::centered(p, 0.03, 0.03));
+        let specs =
+            [around(at[2]), QuerySpec::knn(at[0], 1), around(at[0]), QuerySpec::knn(at[0], 2)];
+        for spec in specs {
+            server.register_query(spec, &mut provider, 0.0);
+        }
+        // Query 1 leaves and returns: last in the bucket of object 0's cell.
+        assert!(server.deregister_query(QueryId(1)));
+        assert_eq!(server.register_query(specs[1], &mut provider, 0.0).id, QueryId(1));
+
+        let removed = server.remove_object(ObjectId(0), &mut provider, 1.0).expect("registered");
+        let changed: Vec<(u32, &[ObjectId])> =
+            removed.changes.iter().map(|c| (c.query.0, &c.results[..])).collect();
+        let (one, two) = ([ObjectId(1)], [ObjectId(1), ObjectId(2)]);
+        assert_eq!(changed, [(1, &one[..]), (2, &[]), (3, &two[..])], "kNN refilled, ascending");
+        assert_eq!(server.results(QueryId(0)), Some(&[ObjectId(2)][..]), "another cell's query");
     }
 }

@@ -1,23 +1,43 @@
-//! Incremental reevaluation of affected queries upon a source-initiated
-//! location update (paper §4.3).
+//! Incremental reevaluation of affected queries upon source-initiated
+//! location updates (paper §4.3), for the *set* of movers one batch sends a
+//! query — a single report is a set of one.
 //!
-//! Range queries flip the updated object's membership directly. An
-//! order-sensitive kNN query distinguishes three cases by where the new
-//! location `pos` and the previous location `p_lst` fall relative to the
-//! quarantine circle; each case needs **at most one probe**. Order-
-//! insensitive kNN queries are re-run as new queries (the paper's rule —
-//! without a strict order there is no sequence to patch).
+//! Range queries flip each mover's membership directly. Order-insensitive
+//! kNN queries are re-run as new queries when some mover crossed the
+//! quarantine circle (the paper's rule — without a strict order there is no
+//! sequence to patch). An order-sensitive kNN query is patched:
 //!
-//! The §4.3 derivation relies on the invariant that result distances are
-//! strictly interleaved (`δ(o_1) ≤ Δ(o_1) ≤ δ(o_2) ≤ …`). Floating-point
-//! edge cases can break it; this implementation verifies the invariant and
-//! falls back to a full reevaluation when it does not hold (counted in
+//! 1. each mover is classified against the current quarantine circle — a
+//!    result now outside is a *leaver*, a result still inside a *stayer*, a
+//!    non-result now inside an *enterer*; a mover outside at both ends does
+//!    not affect the query (§3.3) and is dropped;
+//! 2. the non-moving results are the base sequence (a subsequence of an
+//!    interleaved sequence is interleaved);
+//! 3. stayers and enterers are merged into it in ascending `(distance,
+//!    id)` — the canonical order that makes the outcome a function of the
+//!    mover *set*, whatever order the reports arrived in. A mover at
+//!    distance `d` passes `o_j` when `d ≥ Δ_j`, stops before it when
+//!    `d ≤ δ_j`, and otherwise costs the one probe of `o_j`; since
+//!    `Δ_j ≤ δ_{j+1}` it never needs a second, so §4.3's bound of **at most
+//!    one probe per mover** holds;
+//! 4. more than `k` in the sequence: it is cut to `k` and the radius becomes
+//!    the midpoint of the kept `Δ`s and the first dropped `δ` (case 2).
+//!    Fewer than before: one evaluation that excludes the sequence refills
+//!    the missing ranks (case 1). Otherwise the radius stands (case 3).
+//!
+//! The cases rely on result distances being interleaved (`δ(o_1) ≤ Δ(o_1) ≤
+//! δ(o_2) ≤ …`) and on every mover's previous anchor lying on its side of
+//! the circle. Floating-point edge cases and teleporting clients can break
+//! either; both are verified, and a query that fails is reevaluated from
+//! scratch (counted in
 //! [`WorkStats::ordering_fallbacks`](crate::provider::WorkStats)).
 
 use crate::eval::{evaluate_knn_ordered, evaluate_knn_unordered, EvalCtx};
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
+use crate::scratch::KnnPatch;
 use srb_geom::{Circle, Point, Rect};
+use srb_hash::FastMap;
 use srb_index::SpatialBackend;
 
 const EPS: f64 = 1e-12;
@@ -31,301 +51,462 @@ pub(crate) struct Reeval {
     pub quarantine_changed: bool,
 }
 
-/// Reevaluates `qs` after object `oid` reported a move from `p_lst` to
-/// `pos`. `pos` must already be recorded in `ctx.exact` and in the object
-/// tree (as a degenerate rectangle) by the caller.
+const UNTOUCHED: Reeval = Reeval { results_changed: false, quarantine_changed: false };
+
+/// Reevaluates `qs` after `movers` — listed once each, in any order —
+/// reported new positions. Every mover's position must already be recorded
+/// in `ctx.exact` and pinned in the view, its previous anchor in `prev`.
 pub(crate) fn reevaluate<B: SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
-    oid: ObjectId,
-    pos: Point,
-    p_lst: Point,
+    movers: &[ObjectId],
+    prev: &FastMap<ObjectId, Point>,
     space: &Rect,
 ) -> Reeval {
-    match qs.spec {
-        QuerySpec::Range { rect } => reevaluate_range(qs, oid, pos, rect),
-        QuerySpec::Knn { center, k, order_sensitive: false } => {
-            reevaluate_knn_unordered(ctx, qs, pos, p_lst, center, k, space)
+    let (center, k, order_sensitive) = match qs.spec {
+        QuerySpec::Range { rect } => {
+            let mut results_changed = false;
+            for &m in movers {
+                let (inside, was_result) = (rect.contains_point(ctx.exact[&m]), qs.is_result(m));
+                match (inside, was_result) {
+                    (true, false) => qs.results.push(m),
+                    (false, true) => qs.results.retain(|&o| o != m),
+                    _ => continue,
+                }
+                results_changed = true;
+            }
+            return Reeval { results_changed, quarantine_changed: false };
         }
-        QuerySpec::Knn { center, k, order_sensitive: true } => {
-            reevaluate_knn_ordered(ctx, qs, oid, pos, p_lst, center, k, space)
+        QuerySpec::Knn { center, k, order_sensitive } => (center, k, order_sensitive),
+    };
+    let Quarantine::Circle(c) = qs.quarantine else {
+        unreachable!("kNN query with rectangular quarantine")
+    };
+    // `affecting`: the movers the query cannot ignore (§3.3).
+    let (affecting, patched) = if order_sensitive {
+        let mut patch = std::mem::take(ctx.patch);
+        let outcome = patch_ordered(ctx, qs, movers, prev, (c, k), space, &mut patch);
+        *ctx.patch = patch;
+        outcome
+    } else {
+        let crossed = |m: &&ObjectId| c.contains(ctx.exact[*m]) != c.contains(prev[*m]);
+        let crossed = movers.iter().filter(crossed).count();
+        (crossed, (crossed == 0).then_some(UNTOUCHED))
+    };
+    srb_obs::histogram!("processor.reeval.movers").record(affecting as u64);
+    let Some(outcome) = patched else {
+        srb_obs::counter!("processor.reeval.scratch").inc();
+        if order_sensitive {
+            // Not the paper's rule: a check failed.
+            ctx.work.ordering_fallbacks += 1;
         }
+        return rerun_knn(ctx, qs, center, k, order_sensitive, space);
+    };
+    if affecting == 0 {
+        srb_obs::counter!("processor.reeval.untouched").inc();
+    } else {
+        srb_obs::counter!("processor.reeval.incremental").inc();
     }
+    outcome
 }
 
-/// Reevaluates a query affected by *several* simultaneous movers. Range
-/// queries flip each mover's membership independently; kNN queries are
-/// reevaluated from scratch (every mover's exact position is already in
-/// `ctx.exact`, so the evaluation is consistent and probes stay lazy).
-pub(crate) fn reevaluate_multi<B: SpatialBackend>(
+/// Patches an order-sensitive kNN query with circle `c` for the movers of
+/// one batch (the module docs have the steps). Returns how many movers
+/// affect the query and the outcome — `None` when the query has to be
+/// evaluated from scratch: a mover's previous anchor contradicts its
+/// membership, or the base sequence is not interleaved.
+fn patch_ordered<B: SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     movers: &[ObjectId],
-    prev: &srb_hash::FastMap<ObjectId, Point>,
+    prev: &FastMap<ObjectId, Point>,
+    (c, k): (Circle, usize),
     space: &Rect,
-) -> Reeval {
-    match qs.spec {
-        QuerySpec::Range { rect } => {
-            let mut changed = false;
-            for &m in movers {
-                let pos = ctx.exact.get(&m).copied().expect("mover is exact");
-                let r = reevaluate_range(qs, m, pos, rect);
-                changed |= r.results_changed;
+    KnnPatch { seq, bounds, mergers }: &mut KnnPatch,
+) -> (usize, Option<Reeval>) {
+    seq.clear();
+    seq.extend_from_slice(&qs.results);
+    mergers.clear();
+    let (mut affecting, mut consistent) = (0, true);
+    for &m in movers {
+        let pos = ctx.exact[&m];
+        let (inside, was_inside, was_result) =
+            (c.contains(pos), c.contains(prev[&m]), qs.is_result(m));
+        if !inside && !was_inside {
+            continue;
+        }
+        affecting += 1;
+        // Results are anchored inside the circle, everything else outside.
+        consistent &= was_result == was_inside;
+        if was_result {
+            seq.retain(|&o| o != m);
+        }
+        if inside {
+            mergers.push((pos.dist(c.center), m));
+        }
+    }
+    if !consistent {
+        srb_obs::counter!("processor.reeval.scratch.anchor").inc();
+        return (affecting, None);
+    }
+    if affecting == 0 {
+        return (0, Some(UNTOUCHED));
+    }
+
+    if !mergers.is_empty() {
+        if !collect_ordered_bounds(ctx, seq, c.center, bounds) {
+            srb_obs::counter!("processor.reeval.scratch.interleaving").inc();
+            return (affecting, None);
+        }
+        mergers.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    }
+    for &(d, m) in mergers.iter() {
+        let mut idx = seq.len();
+        for j in 0..seq.len() {
+            let (lo, hi) = bounds[j];
+            if d >= hi - EPS {
+                continue; // m is farther than o_j for sure
             }
-            Reeval { results_changed: changed, quarantine_changed: false }
-        }
-        QuerySpec::Knn { center, k, order_sensitive } => {
-            // Unaffected fast path: every mover stayed on the same side of
-            // the quarantine area (and outside it, for ordered queries).
-            let c = quarantine_circle(qs);
-            let all_clear = movers.iter().all(|&m| {
-                let pos = ctx.exact.get(&m).copied().expect("mover is exact");
-                let was = prev.get(&m).copied().unwrap_or(pos);
-                let inside = c.contains(pos);
-                let was_inside = c.contains(was);
-                if order_sensitive {
-                    !inside && !was_inside
-                } else {
-                    inside == was_inside
-                }
-            });
-            if all_clear {
-                return Reeval { results_changed: false, quarantine_changed: false };
+            if d > lo + EPS {
+                // Ambiguous against o_j: probe it (the one probe of §4.3).
+                // Its bound is exact from here on, for later movers too.
+                ctx.work.probes_reeval += 1;
+                let dj = ctx.probe(seq[j]).dist(c.center);
+                bounds[j] = (dj, dj);
+                idx = if d >= dj { j + 1 } else { j };
+            } else {
+                idx = j; // m precedes o_j for sure
             }
-            let old = qs.results.clone();
-            let old_quarantine = qs.quarantine;
-            let eval = if order_sensitive {
-                evaluate_knn_ordered(ctx, center, k, space, &[])
-            } else {
-                evaluate_knn_unordered(ctx, center, k, space, &[])
-            };
-            let results_changed = if order_sensitive {
-                eval.results != old
-            } else {
-                let mut a = eval.results.clone();
-                let mut b = old.clone();
-                a.sort_unstable();
-                b.sort_unstable();
-                a != b
-            };
-            qs.results = eval.results;
-            qs.quarantine = Quarantine::Circle(Circle::new(center, eval.radius));
-            Reeval { results_changed, quarantine_changed: qs.quarantine != old_quarantine }
-        }
-    }
-}
-
-fn reevaluate_range(qs: &mut QueryState, oid: ObjectId, pos: Point, rect: Rect) -> Reeval {
-    let inside = rect.contains_point(pos);
-    let was_result = qs.is_result(oid);
-    let results_changed = if inside && !was_result {
-        qs.results.push(oid);
-        true
-    } else if !inside && was_result {
-        qs.results.retain(|&o| o != oid);
-        true
-    } else {
-        false
-    };
-    Reeval { results_changed, quarantine_changed: false }
-}
-
-fn quarantine_circle(qs: &QueryState) -> Circle {
-    match qs.quarantine {
-        Quarantine::Circle(c) => c,
-        Quarantine::Rect(_) => unreachable!("kNN query with rectangular quarantine"),
-    }
-}
-
-fn reevaluate_knn_unordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
-    qs: &mut QueryState,
-    pos: Point,
-    p_lst: Point,
-    center: Point,
-    k: usize,
-    space: &Rect,
-) -> Reeval {
-    let c = quarantine_circle(qs);
-    let inside = c.contains(pos);
-    let was_inside = c.contains(p_lst);
-    if inside == was_inside {
-        return Reeval { results_changed: false, quarantine_changed: false };
-    }
-    let eval = evaluate_knn_unordered(ctx, center, k, space, &[]);
-    let mut old_sorted: Vec<ObjectId> = qs.results.clone();
-    old_sorted.sort_unstable();
-    let mut new_sorted: Vec<ObjectId> = eval.results.clone();
-    new_sorted.sort_unstable();
-    let results_changed = old_sorted != new_sorted;
-    qs.results = eval.results;
-    let quarantine_changed = (eval.radius - c.radius).abs() > EPS;
-    qs.quarantine = Quarantine::Circle(Circle::new(center, eval.radius));
-    Reeval { results_changed, quarantine_changed }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reevaluate_knn_ordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
-    qs: &mut QueryState,
-    oid: ObjectId,
-    pos: Point,
-    p_lst: Point,
-    center: Point,
-    k: usize,
-    space: &Rect,
-) -> Reeval {
-    let c = quarantine_circle(qs);
-    let inside = c.contains(pos);
-    let was_inside = c.contains(p_lst);
-    let was_result = qs.is_result(oid);
-
-    if !inside && !was_inside {
-        // An order-sensitive query is unaffected only when both endpoints
-        // are outside the quarantine area (§3.3).
-        return Reeval { results_changed: false, quarantine_changed: false };
-    }
-
-    // Case 1: left the quarantine area — p stops being a result.
-    if was_inside && !inside {
-        if !was_result {
-            // A non-result inside the quarantine area means the invariant
-            // has already drifted; recover with a full reevaluation.
-            return full_reevaluate(ctx, qs, center, k, space);
-        }
-        let old = qs.results.clone();
-        qs.results.retain(|&o| o != oid);
-        let remaining = qs.results.clone();
-        let one = evaluate_knn_ordered(ctx, center, 1, space, &remaining);
-        qs.results.extend(one.results);
-        qs.quarantine = Quarantine::Circle(Circle::new(center, one.radius));
-        // The leaver may be re-elected as the new k-th NN (it left the
-        // quarantine circle but nothing else is closer) — no visible change.
-        return Reeval { results_changed: qs.results != old, quarantine_changed: true };
-    }
-
-    // Cases 2 and 3 need the interleaved distance sequence of the current
-    // results (excluding p itself for case 3).
-    let old_results = qs.results.clone();
-    let old_radius = c.radius;
-    let mut seq: Vec<ObjectId> = qs.results.clone();
-    let entering = !was_inside; // case 2
-    if !entering {
-        // Case 3: both inside — p must currently be a result.
-        if !was_result {
-            return full_reevaluate(ctx, qs, center, k, space);
-        }
-        seq.retain(|&o| o != oid);
-    } else if was_result {
-        // Entering but already a result: inconsistent.
-        return full_reevaluate(ctx, qs, center, k, space);
-    }
-
-    let Some(bounds) = collect_ordered_bounds(ctx, &seq, center) else {
-        ctx.work.ordering_fallbacks += 1;
-        return full_reevaluate(ctx, qs, center, k, space);
-    };
-
-    let d = pos.dist(center);
-    let mut idx = seq.len();
-    for (j, &(dj, dd_j)) in bounds.iter().enumerate() {
-        if d >= dd_j - EPS {
-            continue; // p is farther than o_j for sure
-        }
-        if d <= dj + EPS {
-            idx = j; // p precedes o_j for sure
             break;
         }
-        // Ambiguous against o_j: probe it (the single probe of §4.3).
-        let oj = seq[j];
-        let pj = match ctx.bound_of(oj) {
-            Some(b) if b.is_exact() => b,
-            _ => {
-                ctx.work.probes_reeval += 1;
-                let pt = ctx.probe(oj);
-                crate::bounds::LocBound::Exact(pt)
-            }
-        };
-        let dj_exact = pj.raw_min_dist(center);
-        idx = if d >= dj_exact { j + 1 } else { j };
-        break;
-    }
-    if idx == seq.len() && bounds.iter().all(|&(_, dd)| d >= dd - EPS) {
-        idx = seq.len();
+        seq.insert(idx, m);
+        bounds.insert(idx, (d, d));
     }
 
-    if entering && idx == seq.len() && seq.len() == k {
-        // p entered the quarantine circle but is farther than every result:
-        // the result set is unchanged, but the quarantine must shrink below
-        // d to restore the non-result-outside invariant. Use fresh bounds —
-        // the k-th result may just have been probed above, which makes its
-        // Δ exact (and ≤ d, or p would have displaced it).
-        let inner = seq
-            .iter()
-            .map(|&o| ctx.bound_of(o).map(|b| b.raw_max_dist(center)).unwrap_or(0.0))
-            .fold(0.0f64, f64::max);
-        let radius = ((inner + d) * 0.5).min(old_radius);
-        qs.quarantine = Quarantine::Circle(Circle::new(center, radius));
-        return Reeval { results_changed: false, quarantine_changed: true };
+    let mut radius = c.radius;
+    if seq.len() > k {
+        // Case 2: the ranks past k drop out (a mover that entered behind
+        // every result among them — the results stand and the circle shrinks
+        // below it); the new radius separates the kept Δs from the first
+        // dropped δ.
+        let inner = bounds[..k].iter().map(|b| b.1).fold(0.0f64, f64::max);
+        radius = ((inner + bounds[k].0.max(inner)) * 0.5).min(radius);
+        seq.truncate(k);
+    } else if seq.len() < qs.results.len() {
+        // Case 1: more left than entered. A leaver may be re-elected (it
+        // left the circle but nothing else is closer) — no visible change.
+        let refill = evaluate_knn_ordered(ctx, c.center, k - seq.len(), space, seq);
+        seq.extend(refill.results);
+        radius = refill.radius;
     }
-
-    seq.insert(idx.min(seq.len()), oid);
-    let mut quarantine_changed = false;
-    if entering && seq.len() > k {
-        // Case 2: the old k-th NN drops out; new radius is the midpoint of
-        // Δ(q, o'_k) and δ(q, o_k-dropped).
-        let dropped = seq.pop().expect("non-empty");
-        let inner = seq
-            .iter()
-            .filter_map(|&o| ctx.bound_of(o))
-            .map(|b| b.raw_max_dist(center))
-            .fold(d.min(old_radius), f64::max);
-        let outer =
-            ctx.bound_of(dropped).map(|b| b.raw_min_dist(center)).unwrap_or(inner).max(inner);
-        qs.quarantine = Quarantine::Circle(Circle::new(center, (inner + outer) * 0.5));
-        quarantine_changed = true;
+    let results_changed = *seq != qs.results;
+    if results_changed {
+        qs.results.clear();
+        qs.results.extend_from_slice(seq);
     }
-    let results_changed = seq != old_results;
-    qs.results = seq;
-    Reeval { results_changed, quarantine_changed }
+    qs.quarantine = Quarantine::Circle(Circle::new(c.center, radius));
+    (affecting, Some(Reeval { results_changed, quarantine_changed: radius != c.radius }))
 }
 
-fn full_reevaluate<B: SpatialBackend>(
+/// Evaluates a kNN query from scratch and installs the fresh results and
+/// quarantine circle.
+pub(crate) fn rerun_knn<B: SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,
     center: Point,
     k: usize,
+    order_sensitive: bool,
     space: &Rect,
 ) -> Reeval {
-    let old = qs.results.clone();
     let old_quarantine = qs.quarantine;
-    let eval = evaluate_knn_ordered(ctx, center, k, space, &[]);
-    let results_changed = eval.results != old;
+    let (eval, results_changed) = if order_sensitive {
+        let eval = evaluate_knn_ordered(ctx, center, k, space, &[]);
+        let changed = eval.results != qs.results;
+        (eval, changed)
+    } else {
+        let eval = evaluate_knn_unordered(ctx, center, k, space, &[]);
+        // As sets; neither list repeats an object.
+        let changed = eval.results.len() != qs.results.len()
+            || eval.results.iter().any(|&o| !qs.is_result(o));
+        (eval, changed)
+    };
     qs.results = eval.results;
     qs.quarantine = Quarantine::Circle(Circle::new(center, eval.radius));
-    let quarantine_changed = qs.quarantine != old_quarantine;
-    Reeval { results_changed, quarantine_changed }
+    Reeval { results_changed, quarantine_changed: qs.quarantine != old_quarantine }
 }
 
-/// Collects `(δ, Δ)` bounds for `seq` and verifies the §4.3 interleaving
-/// invariant `δ_1 ≤ Δ_1 ≤ δ_2 ≤ Δ_2 ≤ …`. Returns `None` when an object is
-/// missing or the invariant is broken.
+/// Collects the `(δ, Δ)` bounds of `seq` into `out` and verifies the §4.3
+/// interleaving invariant `δ_1 ≤ Δ_1 ≤ δ_2 ≤ Δ_2 ≤ …`. Returns `false` when
+/// an object is missing or the invariant is broken.
 fn collect_ordered_bounds<B: SpatialBackend>(
     ctx: &EvalCtx<'_, B>,
     seq: &[ObjectId],
     center: Point,
-) -> Option<Vec<(f64, f64)>> {
-    let mut out = Vec::with_capacity(seq.len());
+    out: &mut Vec<(f64, f64)>,
+) -> bool {
+    out.clear();
     let mut prev_max = 0.0f64;
     for &o in seq {
-        let b = ctx.bound_of(o)?;
-        let lo = b.raw_min_dist(center);
-        let hi = b.raw_max_dist(center);
+        let Some(b) = ctx.bound_of(o) else { return false };
+        let (lo, hi) = (b.raw_min_dist(center), b.raw_max_dist(center));
         if lo + EPS < prev_max {
-            return None;
+            return false;
         }
         prev_max = hi;
         out.push((lo, hi));
     }
-    Some(out)
+    true
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::config::ServerConfig;
+    use crate::ids::{ObjectId, QueryId};
+    use crate::provider::{FnProvider, WorkStats};
+    use crate::query::{Quarantine, QuerySpec};
+    use crate::sharded::{SequencedUpdate, ShardedServer};
+    use srb_geom::Point;
+
+    const CENTER: Point = Point { x: 0.5, y: 0.5 };
+
+    /// One order-sensitive kNN query at [`CENTER`] over objects that move
+    /// only by reporting, so the reported positions are the true ones.
+    struct World {
+        server: ShardedServer,
+        at: Vec<Point>,
+        seq: Vec<u64>,
+        q: QueryId,
+        k: usize,
+    }
+
+    /// The point at distance `d` from [`CENTER`], `i` steps of 0.9 rad
+    /// around it — a direction of its own for every object.
+    fn ray(i: usize, d: f64) -> Point {
+        let a = 0.3 + 0.9 * i as f64;
+        Point::new(CENTER.x + d * a.cos(), CENTER.y + d * a.sin())
+    }
+
+    impl World {
+        /// Object `i` at distance `dists[i]`; every object has reported once
+        /// since the query was registered, so each holds a region granted
+        /// against it.
+        fn new(dists: &[f64], k: usize) -> World {
+            let at: Vec<Point> = dists.iter().enumerate().map(|(i, &d)| ray(i, d)).collect();
+            let mut server = ShardedServer::new(ServerConfig::default(), 1);
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            for (i, &p) in at.iter().enumerate() {
+                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+            }
+            let q = server.register_query(QuerySpec::knn(CENTER, k), &mut provider, 0.0).id;
+            let mut world = World { server, seq: vec![0; at.len()], at, q, k };
+            let everyone: Vec<(usize, f64)> = dists.iter().copied().enumerate().collect();
+            world.report(&everyone);
+            world
+        }
+
+        /// One batch: object `i` reports from distance `d` on its ray, for
+        /// every `(i, d)`; see [`report_at`](Self::report_at).
+        fn report(&mut self, moves: &[(usize, f64)]) -> WorkStats {
+            let moves: Vec<(usize, Point)> = moves.iter().map(|&(i, d)| (i, ray(i, d))).collect();
+            self.report_at(&moves)
+        }
+
+        /// One batch: object `i` reports from `p`, for every `(i, p)`.
+        /// Returns the work the batch did, after holding the result to
+        /// brute force (ties by id), the radius to the regions, and the
+        /// probes to their causes.
+        fn report_at(&mut self, moves: &[(usize, Point)]) -> WorkStats {
+            let (costs, work) = (self.server.costs(), self.server.work());
+            let batch: Vec<SequencedUpdate> = moves
+                .iter()
+                .map(|&(i, p)| {
+                    (self.at[i], self.seq[i]) = (p, self.seq[i] + 1);
+                    SequencedUpdate { id: ObjectId(i as u32), pos: p, seq: self.seq[i] }
+                })
+                .collect();
+            let at = self.at.clone();
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            self.server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut Vec::new());
+            self.server.check_invariants_deep();
+
+            let mut want: Vec<ObjectId> = (0..self.at.len() as u32).map(ObjectId).collect();
+            want.sort_by(|a, b| {
+                self.at[a.index()].dist(CENTER).total_cmp(&self.at[b.index()].dist(CENTER))
+            });
+            want.truncate(self.k);
+            assert_eq!(self.results(), want, "brute force");
+            let radius = self.radius();
+            for i in 0..self.at.len() as u32 {
+                let sr = self.server.safe_region(ObjectId(i)).expect("registered");
+                if want.contains(&ObjectId(i)) {
+                    assert!(sr.max_dist(CENTER) <= radius + 1e-9, "result {i} pokes out");
+                } else {
+                    assert!(sr.min_dist(CENTER) >= radius - 1e-9, "non-result {i} pokes in");
+                }
+            }
+            let now = self.server.work();
+            let did = WorkStats {
+                evaluations: now.evaluations - work.evaluations,
+                ordering_fallbacks: now.ordering_fallbacks - work.ordering_fallbacks,
+                probes_reeval: now.probes_reeval - work.probes_reeval,
+                probes_knn_eval: now.probes_knn_eval - work.probes_knn_eval,
+                probes_radius: now.probes_radius - work.probes_radius,
+                probes_neighbor: now.probes_neighbor - work.probes_neighbor,
+                ..WorkStats::default()
+            };
+            assert_eq!(
+                self.server.costs().probes - costs.probes,
+                did.probes_reeval + did.probes_knn_eval + did.probes_radius + did.probes_neighbor,
+                "every probe has a cause"
+            );
+            assert!(did.probes_reeval <= moves.len() as u64, "at most one probe per mover");
+            assert_eq!(did.ordering_fallbacks, 0, "no check failed");
+            did
+        }
+
+        fn results(&self) -> Vec<ObjectId> {
+            self.server.results(self.q).expect("registered").to_vec()
+        }
+
+        fn radius(&self) -> f64 {
+            match self.server.quarantine(self.q).expect("registered") {
+                Quarantine::Circle(c) => c.radius,
+                Quarantine::Rect(_) => unreachable!("a kNN query"),
+            }
+        }
+
+        /// `(δ, Δ)` of object `i`'s safe region.
+        fn bounds(&self, i: u32) -> (f64, f64) {
+            let sr = self.server.safe_region(ObjectId(i)).expect("registered");
+            (sr.min_dist(CENTER), sr.max_dist(CENTER))
+        }
+    }
+
+    const DISTS: [f64; 6] = [0.05, 0.09, 0.13, 0.20, 0.26, 0.33];
+    fn ids(list: &[u32]) -> Vec<ObjectId> {
+        list.iter().copied().map(ObjectId).collect()
+    }
+
+    #[test]
+    fn leaver_and_enterer_swap_places_at_rank_k() {
+        let mut w = World::new(&DISTS, 3);
+        let radius = w.radius();
+        let did = w.report(&[(2, 0.22), (3, 0.12)]);
+        assert_eq!(w.results(), ids(&[0, 1, 3]));
+        assert_eq!((did.evaluations, did.probes_reeval), (0, 0), "nothing to refill or probe");
+        assert_eq!(w.radius(), radius, "as many entered as left: the circle stands");
+    }
+
+    #[test]
+    fn two_stayers_exchange_order() {
+        let mut w = World::new(&DISTS, 3);
+        let radius = w.radius();
+        let did = w.report(&[(0, 0.095), (1, 0.045)]);
+        assert_eq!(w.results(), ids(&[1, 0, 2]));
+        assert_eq!((did.evaluations, did.probes_reeval), (0, 0));
+        assert_eq!(w.radius(), radius);
+    }
+
+    #[test]
+    fn an_enterer_behind_every_result_shrinks_the_circle_below_itself() {
+        let mut w = World::new(&DISTS, 3);
+        let (radius, (_, kth_max)) = (w.radius(), w.bounds(2));
+        let d = (kth_max + radius) * 0.5;
+        let did = w.report(&[(3, d)]);
+        assert_eq!(w.results(), ids(&[0, 1, 2]));
+        assert_eq!((did.evaluations, did.probes_reeval), (0, 0));
+        assert!(kth_max <= w.radius() && w.radius() < d, "{kth_max} <= {} < {d}", w.radius());
+    }
+
+    #[test]
+    fn two_leavers_and_one_enterer_refill_one_rank() {
+        let mut w = World::new(&DISTS, 3);
+        let did = w.report(&[(1, 0.40), (2, 0.41), (3, 0.07)]);
+        assert_eq!(w.results(), ids(&[0, 3, 4]));
+        assert_eq!((did.evaluations, did.probes_reeval), (1, 0), "one evaluation, for one rank");
+    }
+
+    #[test]
+    fn an_ambiguous_neighbour_is_probed_once_for_all_movers() {
+        let mut w = World::new(&DISTS, 3);
+        let (lo, hi) = w.bounds(1);
+        assert!(hi - lo > 1e-3, "object 1 holds a region to be ambiguous against");
+        // A stayer and an enterer both land inside object 1's [δ, Δ]: the
+        // first costs its probe, which settles the second as well.
+        let (near, far) = (lo + (hi - lo) * 0.25, lo + (hi - lo) * 0.75);
+        let did = w.report(&[(3, far), (0, near)]);
+        assert_eq!(did.probes_reeval, 1, "the probed neighbour is exact for the next mover");
+        assert_eq!(did.evaluations, 0);
+        assert_eq!(w.results().len(), 3);
+    }
+
+    #[test]
+    fn equidistant_movers_rank_by_id_whatever_the_arrival_order() {
+        // Mirror images about the centre, at offsets that are exact in
+        // binary: the same distance to the last bit.
+        let (east, west) = (Point::new(0.625, 0.5), Point::new(0.375, 0.5));
+        assert_eq!(east.dist(CENTER), west.dist(CENTER));
+        for arrival in [[(3, east), (2, west)], [(2, west), (3, east)]] {
+            let mut w = World::new(&DISTS, 3);
+            let did = w.report_at(&arrival);
+            assert_eq!(w.results(), ids(&[0, 1, 2]), "a stayer and an enterer tie: 2 before 3");
+            assert_eq!(did.evaluations, 0);
+        }
+    }
+
+    /// A report is a set of one: a recorded run of one-report batches over
+    /// mixed queries reads the probes, results and radii it read when a
+    /// single mover had a reevaluation body of its own (the parent commit
+    /// printed the pinned values from this very test).
+    #[test]
+    fn a_set_of_one_is_the_single_mover_reevaluation() {
+        let unit = |i: u64, salt: u64| {
+            let mut z = (i ^ (salt << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        const N: u64 = 60;
+        let mut at: Vec<Point> =
+            (0..N).map(|i| Point::new(0.3 + 0.4 * unit(i, 1), 0.3 + 0.4 * unit(i, 2))).collect();
+        let mut server = ShardedServer::new(ServerConfig::default(), 1);
+        let mut queries = Vec::new();
+        {
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            for (i, &p) in at.iter().enumerate() {
+                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+            }
+            for q in 0..8u64 {
+                let c = Point::new(0.35 + 0.3 * unit(q, 3), 0.35 + 0.3 * unit(q, 4));
+                let spec = match q % 4 {
+                    3 => QuerySpec::knn_unordered(c, 3),
+                    _ => QuerySpec::knn(c, 1 + (q % 5) as usize),
+                };
+                queries.push(server.register_query(spec, &mut provider, 0.0).id);
+            }
+        }
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut fold = |v: u64| digest = (digest ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        for step in 0..1500u64 {
+            let i = (unit(step, 5) * N as f64) as usize;
+            let p = at[i];
+            at[i] = Point::new(
+                (p.x + 0.06 * (unit(step, 6) - 0.5)).clamp(0.0, 1.0),
+                (p.y + 0.06 * (unit(step, 7) - 0.5)).clamp(0.0, 1.0),
+            );
+            let report = SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: step + 1 };
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            let now = 0.01 * (step + 1) as f64;
+            server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut Vec::new());
+            fold(server.costs().probes);
+            for &q in &queries {
+                let Some(Quarantine::Circle(c)) = server.quarantine(q) else { unreachable!() };
+                fold(c.radius.to_bits());
+                server.results(q).expect("registered").iter().for_each(|o| fold(o.0 as u64));
+            }
+        }
+        let work = server.work();
+        assert_eq!((work.probes_reeval, work.evaluations), (138, 229), "both kinds of case ran");
+        assert_eq!((server.costs().probes, digest), (440, 0x27AE_96AC_AAE0_A6C1), "{work:?}");
+    }
 }

@@ -12,14 +12,26 @@ use crate::grid::GridIndex;
 use crate::ids::ObjectId;
 use crate::query::{Quarantine, QuerySpec, QueryState};
 use srb_geom::{
-    irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring, ClearanceObjective,
-    OrdinaryPerimeter, PerimeterObjective, Point, Rect, Ring, WeightedPerimeter,
+    irlp_circle, irlp_circle_complement, irlp_rect_complement_batch_with, irlp_ring,
+    ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, Point, Rect, Ring, StaircaseScratch,
+    WeightedPerimeter,
 };
 use srb_index::SpatialBackend;
 
 /// Fraction of the grid-cell size up to which an object's clearance from
 /// its safe-region boundary is rewarded (see [`ClearanceObjective`]).
 const CLEARANCE_FRACTION: f64 = 0.05;
+
+/// Working memory of one safe-region computation, reused from region to
+/// region (content on entry is discarded) so that none allocates. Lanes may
+/// run on different threads, so each owns one.
+#[derive(Default)]
+pub(crate) struct RegionScratch {
+    /// The range-query rectangles the object has to stay out of.
+    range_blocks: Vec<Rect>,
+    /// The staircase over them (§5.3).
+    staircase: StaircaseScratch,
+}
 
 /// Computes the safe region for the object `ctx.requester`, located exactly
 /// at `pos`.
@@ -28,8 +40,7 @@ const CLEARANCE_FRACTION: f64 = 0.05;
 /// previous exactly-known location) supplies the movement direction.
 /// Objects the context knows exactly are treated as having *invalid* safe
 /// regions (probed but not yet recomputed), triggering the midpoint
-/// replacement rule of §5.2. `range_blocks` is a reused scratch buffer (its
-/// content on entry is discarded), so no region allocates.
+/// replacement rule of §5.2.
 pub(crate) fn compute_safe_region<B: SpatialBackend>(
     ctx: &mut RegionCtx<'_, B>,
     grid: &GridIndex,
@@ -37,7 +48,7 @@ pub(crate) fn compute_safe_region<B: SpatialBackend>(
     pos: Point,
     p_lst: Point,
     steadiness: Option<f64>,
-    range_blocks: &mut Vec<Rect>,
+    scratch: &mut RegionScratch,
 ) -> Rect {
     let cell = grid.cell_rect_of(pos);
     let scale = CLEARANCE_FRACTION * cell.width().min(cell.height());
@@ -47,11 +58,11 @@ pub(crate) fn compute_safe_region<B: SpatialBackend>(
         Some(d) if p_lst != pos => {
             let weighted = WeightedPerimeter::new(pos, p_lst, d);
             let objective = ClearanceObjective::new(weighted, pos, scale);
-            safe_region_under(ctx, grid, queries, pos, &cell, &objective, range_blocks)
+            safe_region_under(ctx, grid, queries, pos, &cell, &objective, scratch)
         }
         _ => {
             let objective = ClearanceObjective::new(OrdinaryPerimeter, pos, scale);
-            safe_region_under(ctx, grid, queries, pos, &cell, &objective, range_blocks)
+            safe_region_under(ctx, grid, queries, pos, &cell, &objective, scratch)
         }
     }
 }
@@ -63,11 +74,12 @@ fn safe_region_under<B: SpatialBackend, O: PerimeterObjective>(
     pos: Point,
     cell: &Rect,
     objective: &O,
-    range_blocks: &mut Vec<Rect>,
+    scratch: &mut RegionScratch,
 ) -> Rect {
     srb_obs::counter!("safe_region.computations").inc();
     srb_obs::histogram!("safe_region.relevant_queries").record(grid.queries_at(pos).len() as u64);
     let mut sr = *cell;
+    let RegionScratch { range_blocks, staircase } = scratch;
     range_blocks.clear();
 
     for &qid in grid.queries_at(pos) {
@@ -84,7 +96,7 @@ fn safe_region_under<B: SpatialBackend, O: PerimeterObjective>(
     }
 
     if !range_blocks.is_empty() {
-        let batch = irlp_rect_complement_batch(range_blocks, pos, cell, objective);
+        let batch = irlp_rect_complement_batch_with(range_blocks, pos, cell, objective, staircase);
         sr = sr.intersection(&batch).unwrap_or_else(|| Rect::point(pos));
     }
     if !sr.contains_point(pos) {

@@ -34,6 +34,8 @@ pub(crate) struct OpBuffers {
     pub recomputed: Vec<(ObjectId, Rect)>,
     /// Affected-query candidates of the current report.
     pub candidates: Vec<QueryId>,
+    /// Working set of the order-sensitive kNN patch.
+    pub patch: KnnPatch,
 }
 
 impl OpBuffers {
@@ -44,6 +46,18 @@ impl OpBuffers {
         self.recomputed.clear();
         self.candidates.clear();
     }
+}
+
+/// What patching one order-sensitive kNN query (§4.3, `reeval.rs`) works
+/// on; each patch clears what it uses, the capacity stays.
+#[derive(Default)]
+pub(crate) struct KnnPatch {
+    /// The result sequence being assembled.
+    pub seq: Vec<ObjectId>,
+    /// `(δ, Δ)` of `seq`, entry for entry.
+    pub bounds: Vec<(f64, f64)>,
+    /// The movers to merge into `seq`, as `(distance, id)`.
+    pub mergers: Vec<(f64, ObjectId)>,
 }
 
 /// Extra buffers for the multi-update batch path.

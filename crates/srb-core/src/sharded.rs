@@ -55,7 +55,7 @@ use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
-use crate::safe_region::compute_safe_region;
+use crate::safe_region::{compute_safe_region, RegionScratch};
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
 use crate::shard::Shard;
 use crate::view::FleetView;
@@ -209,8 +209,8 @@ struct Lane {
     /// Out: `(requester, target, due)` — deferred probes that keep the
     /// requester's reachability-based bounds sound.
     deferred: Vec<(ObjectId, ObjectId, f64)>,
-    /// Scratch of one region computation.
-    range_blocks: Vec<Rect>,
+    /// Working memory of one region computation.
+    scratch: RegionScratch,
     /// Out: how long a timed round ran (`None` when telemetry is off).
     duration_ns: Option<u64>,
     /// The thread that ran the lane.
@@ -240,7 +240,7 @@ impl Lane {
                 pos,
                 p_lst,
                 plane.steadiness,
-                &mut self.range_blocks,
+                &mut self.scratch,
             );
             if self.requests.len() > requests {
                 // Void: computed again once the targets are exactly known.
@@ -625,7 +625,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let mut op = self.scratch.arena.take_op();
         let lanes = self.take_lanes();
         let changes = self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
-            plane.fold_out(ctx, id, candidates, space)
+            plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
         self.grant(&mut op, lanes, provider, now, run_here);
         let mut probed = op.recomputed.clone();
@@ -724,10 +724,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// The accepted updates go through the pin → evaluate → regions →
     /// install steps of the module docs: every position is pinned first (so
     /// no query is evaluated against a stale bound of a same-instant
-    /// mover), then each affected query is reevaluated exactly once —
-    /// incrementally, probing lazily, when a single mover affects it, from
-    /// scratch when several do — and the safe regions of the updating and
-    /// the probed objects are recomputed.
+    /// mover), then each affected query is reevaluated exactly once, for
+    /// the set of its movers — incrementally, with at most one lazy probe
+    /// per mover, in an order that depends on the set alone (`reeval.rs`
+    /// has the rule and the checks that send a query back to a scratch
+    /// evaluation) — and the safe regions of the updating and the probed
+    /// objects are recomputed.
     ///
     /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
     /// the result changes (sorted by [`QueryId`]) and the safe regions of
@@ -987,6 +989,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             costs: &mut self.coord_costs,
             work: &mut self.coord_work,
             deferred: &mut op.deferred,
+            patch: &mut op.patch,
             max_speed: self.config.max_speed,
             now,
         };

@@ -1,7 +1,9 @@
 //! Counting-allocator pin for the memory plane: once capacities have warmed
 //! up, a steady-state sequenced-update batch performs **zero** heap
 //! allocations — at one shard (R\*-tree and runtime-dispatched backend)
-//! and on the sequential 2-shard path alike.
+//! and on the sequential 2-shard path alike, beside range rectangles (the
+//! §5.3 staircase) and inside an order-sensitive kNN query's rings (the
+//! §4.3 patch) included.
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
@@ -153,6 +155,65 @@ fn sharded_steady_state_batches_do_not_allocate() {
         server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state sharded batch must be allocation-free");
+}
+
+/// Range-query-dense: four range rectangles sit in the corners of every
+/// object's cell, none holding the object, so every region is cut by the
+/// §5.3 staircase over four blocks — on the lane's reused working memory.
+#[test]
+fn range_dense_steady_state_batches_do_not_allocate() {
+    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
+    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    for i in 0..N_OBJECTS {
+        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
+        for (dx, dy) in [(0.007, 0.007), (0.007, -0.007), (-0.007, -0.007), (-0.007, 0.007)] {
+            let corner = Point::new(home(i).x + dx, home(i).y + dy);
+            let rect = Rect::centered(corner, 0.002, 0.002);
+            server.register_query(QuerySpec::Range { rect }, &mut provider, 0.0);
+        }
+    }
+    let extra = measure(|updates, out| {
+        server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
+        let cut = |(_, r): &(ObjectId, UpdateResponse)| r.safe_region.width() < 0.015;
+        assert!(out.iter().all(cut), "every region is cut by its cell's rectangles");
+    });
+    assert_eq!(extra, 0, "steady-state staircase batch must be allocation-free");
+}
+
+/// Ordered kNN: three of one query's five results jitter in the same batch
+/// without changing the order, between two results that stay put — three
+/// stayers merged into a base sequence, no probe, no result change.
+#[test]
+fn ordered_knn_steady_state_batches_do_not_allocate() {
+    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
+    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    for i in 0..N_OBJECTS {
+        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
+    }
+    // The homes lie 0.07 apart along one line away from the origin, so the
+    // ±0.003 jitter never brings two of them near the same distance.
+    let q = server.register_query(QuerySpec::knn(Point::new(0.0, 0.0), 5), &mut provider, 0.0).id;
+    let movers = |b: u64| -> Vec<SequencedUpdate> {
+        let report =
+            |i: usize| SequencedUpdate { id: ObjectId(i as u32), pos: pos_at(i, b), seq: b + 1 };
+        [0, 2, 4].into_iter().map(report).collect()
+    };
+    let mut out: Vec<(ObjectId, UpdateResponse)> = Vec::new();
+    for b in 0..WARMUP_BATCHES + MEASURED_BATCHES {
+        let updates = movers(b);
+        let (before, probes) = (allocs(), server.costs().probes);
+        out.clear();
+        server.handle_sequenced_updates_into(&updates, &mut provider, 1.0, &mut out);
+        if b >= WARMUP_BATCHES {
+            assert_eq!(allocs(), before, "batch {b} allocated on the steady-state path");
+            assert_eq!(server.costs().probes, probes, "a stayer between its neighbours");
+        }
+        assert_eq!(out.len(), 3);
+        assert!(out[0].1.changes.is_empty(), "the order stands");
+    }
+    let want: Vec<ObjectId> = (0..5).map(ObjectId).collect();
+    assert_eq!(server.results(q), Some(&want[..]));
+    assert_eq!(server.work().ordering_fallbacks, 0);
 }
 
 /// The kNN leg of the allocation-free story: once the scratch frontier has

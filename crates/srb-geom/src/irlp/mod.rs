@@ -14,6 +14,10 @@
 //! | [`irlp_ring`] | inside a ring | Prop 5.5 (+ corner-contact fallback) |
 //! | [`irlp_rect_complement_batch`] | outside a set of rectangles | Prop 5.6 + greedy union |
 //!
+//! ([`irlp_rect_complement_batch_with`] is the same computation on working
+//! memory the caller keeps — [`StaircaseScratch`] — so a caller computing
+//! region after region allocates nothing.)
+//!
 //! All results are intersected with `cell` and are guaranteed to contain `p`
 //! whenever a result is returned at all.
 //!
@@ -42,7 +46,9 @@ mod staircase;
 pub use circle::irlp_circle;
 pub use complement::irlp_circle_complement;
 pub use ring::irlp_ring;
-pub use staircase::irlp_rect_complement_batch;
+pub use staircase::{
+    irlp_rect_complement_batch, irlp_rect_complement_batch_with, StaircaseScratch,
+};
 
 use crate::objective::PerimeterObjective;
 use crate::point::Point;

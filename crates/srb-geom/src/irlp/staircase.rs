@@ -13,6 +13,20 @@ use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
 
+/// Working memory of [`irlp_rect_complement_batch_with`]: the four
+/// quadrant staircases and what building one needs. Content is discarded on
+/// entry and capacity kept, so a caller that reuses one scratch computes
+/// staircase after staircase without allocating.
+#[derive(Debug, Default)]
+pub struct StaircaseScratch {
+    /// The `t` sets of the four quadrants, clockwise from NE.
+    quad_ts: [Vec<Point>; 4],
+    /// Binding block corners of one quadrant, then its Pareto-minimal ones.
+    s: Vec<Point>,
+    /// The quadrant's `t` candidates before dominated ones are dropped.
+    ts: Vec<Point>,
+}
+
 /// Computes a maximal-perimeter rectangle containing `p`, inside `cell`,
 /// that has no positive-area overlap with any rectangle in `blocks`
 /// (Proposition 5.6 + the paper's greedy rectangular-union heuristic).
@@ -21,6 +35,20 @@ use crate::rect::Rect;
 /// strictly contains `p` the constraint is infeasible and the degenerate
 /// rectangle `{p}` is returned.
 pub fn irlp_rect_complement_batch<O>(blocks: &[Rect], p: Point, cell: &Rect, objective: &O) -> Rect
+where
+    O: PerimeterObjective + ?Sized,
+{
+    irlp_rect_complement_batch_with(blocks, p, cell, objective, &mut StaircaseScratch::default())
+}
+
+/// [`irlp_rect_complement_batch`] on caller-owned working memory.
+pub fn irlp_rect_complement_batch_with<O>(
+    blocks: &[Rect],
+    p: Point,
+    cell: &Rect,
+    objective: &O,
+    scratch: &mut StaircaseScratch,
+) -> Rect
 where
     O: PerimeterObjective + ?Sized,
 {
@@ -37,9 +65,9 @@ where
 
     // Quadrants in clockwise order (NE, SE, SW, NW), as (sx, sy) signs.
     const QUADS: [(f64, f64); 4] = [(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)];
-    let mut quad_ts: [Vec<Point>; 4] = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-    for (qi, &(sx, sy)) in QUADS.iter().enumerate() {
-        quad_ts[qi] = staircase_quadrant(blocks, p, cell, sx, sy);
+    let StaircaseScratch { quad_ts, s, ts } = scratch;
+    for (qi, out) in quad_ts.iter_mut().enumerate() {
+        staircase_quadrant(blocks, p, cell, QUADS[qi], s, ts, out);
     }
 
     // Pick the starting quadrant: the one holding the component rectangle
@@ -103,9 +131,19 @@ fn trim(union: &Rect, p: Point, t: Point, sx: f64, sy: f64) -> Rect {
     Rect::new(min.min(max), max.max(min))
 }
 
-/// Computes the `t` set (opposite corners of maximal component rectangles)
-/// for one quadrant, in local coordinates `u = sx(x - p.x)`, `v = sy(y - p.y)`.
-fn staircase_quadrant(blocks: &[Rect], p: Point, cell: &Rect, sx: f64, sy: f64) -> Vec<Point> {
+/// Computes into `out` the `t` set (opposite corners of maximal component
+/// rectangles) for one quadrant, in local coordinates `u = sx(x - p.x)`,
+/// `v = sy(y - p.y)`. `s` and `ts` are working memory.
+fn staircase_quadrant(
+    blocks: &[Rect],
+    p: Point,
+    cell: &Rect,
+    (sx, sy): (f64, f64),
+    s: &mut Vec<Point>,
+    ts: &mut Vec<Point>,
+    out: &mut Vec<Point>,
+) {
+    out.clear();
     // Quadrant extents within the cell.
     let a = if sx > 0.0 { cell.max().x - p.x } else { p.x - cell.min().x };
     let b = if sy > 0.0 { cell.max().y - p.y } else { p.y - cell.min().y };
@@ -116,7 +154,7 @@ fn staircase_quadrant(blocks: &[Rect], p: Point, cell: &Rect, sx: f64, sy: f64) 
     // p's axes cannot be escaped by shrinking the other coordinate to zero
     // (even a degenerate rectangle would pass through them), so they cap the
     // quadrant extent outright instead of joining the staircase.
-    let mut s: Vec<Point> = Vec::new();
+    s.clear();
     for bl in blocks {
         let (u1, u2) = if sx > 0.0 {
             (bl.min().x - p.x, bl.max().x - p.x)
@@ -149,45 +187,45 @@ fn staircase_quadrant(blocks: &[Rect], p: Point, cell: &Rect, sx: f64, sy: f64) 
     s.retain(|pt| pt.x < a && pt.y < b);
 
     if s.is_empty() {
-        return vec![Point::new(a, b)];
+        out.push(Point::new(a, b));
+        return;
     }
 
     // Pareto-minimal points (Proposition 5.6's "corners that do not dominate
     // the other corners"): keep s_i iff no other point is <= it in both
-    // coordinates.
-    s.sort_by(|l, r| l.x.partial_cmp(&r.x).unwrap().then(l.y.partial_cmp(&r.y).unwrap()));
-    let mut minimal: Vec<Point> = Vec::new();
+    // coordinates. (Points that compare equal are interchangeable, so the
+    // unstable sort — which never allocates — loses nothing.)
+    s.sort_unstable_by(|l, r| l.x.partial_cmp(&r.x).unwrap().then(l.y.partial_cmp(&r.y).unwrap()));
     let mut best_v = f64::INFINITY;
-    for pt in s {
-        if pt.y < best_v {
-            minimal.push(pt);
+    s.retain(|pt| {
+        let minimal = pt.y < best_v;
+        if minimal {
             best_v = pt.y;
         }
-    }
-    // minimal is now sorted by u ascending, v strictly descending.
+        minimal
+    });
+    // s is now sorted by u ascending, v strictly descending.
 
     // Build the t set: t_i = (s_i.u, s_{i-1}.v) with s_0.v = B, plus the
     // final corner (A, s_last.v) from the paper's x-axis sentinel.
-    let mut ts: Vec<Point> = Vec::with_capacity(minimal.len() + 1);
+    ts.clear();
     let mut prev_v = b;
-    for sp in &minimal {
+    for sp in s.iter() {
         ts.push(Point::new(sp.x.min(a), prev_v));
         prev_v = sp.y;
     }
     ts.push(Point::new(a, prev_v.min(b)));
     // Drop dominated ts (can arise from clamping) and exact duplicates.
     ts.retain(|t| t.x >= 0.0 && t.y >= 0.0);
-    let mut keep: Vec<Point> = Vec::with_capacity(ts.len());
     for (i, t) in ts.iter().enumerate() {
         let dominated = ts
             .iter()
             .enumerate()
             .any(|(j, o)| j != i && o.x >= t.x && o.y >= t.y && (o.x > t.x || o.y > t.y || j < i));
         if !dominated {
-            keep.push(*t);
+            out.push(*t);
         }
     }
-    keep
 }
 
 #[cfg(test)]
@@ -299,5 +337,35 @@ mod tests {
         let p = Point::new(0.2, 0.8);
         let res = irlp_rect_complement_batch(&blocks, p, &unit_cell(), &OrdinaryPerimeter);
         assert_valid(&res, &blocks, p, &unit_cell());
+    }
+
+    #[test]
+    fn a_reused_scratch_leaves_no_trace() {
+        // Many-block, few-block and degenerate inputs through one scratch,
+        // each held to a computation on fresh working memory.
+        let mut scratch = StaircaseScratch::default();
+        let cases: [(&[Rect], Point); 5] = [
+            (
+                &[r(0.7, 0.7, 0.8, 0.8), r(0.7, 0.1, 0.8, 0.2), r(0.1, 0.1, 0.2, 0.2)],
+                Point::new(0.5, 0.5),
+            ),
+            (&[r(0.5, 0.6, 0.7, 0.8), r(0.7, 0.3, 0.9, 0.5)], Point::new(0.2, 0.2)),
+            (&[r(0.4, 0.4, 0.6, 0.6)], Point::new(0.5, 0.5)),
+            (&[], Point::new(0.5, 0.5)),
+            (&[r(0.6, 0.0, 0.8, 1.0)], Point::new(0.3, 0.5)),
+        ];
+        for round in 0..2 {
+            for (blocks, p) in cases {
+                let fresh = irlp_rect_complement_batch(blocks, p, &unit_cell(), &OrdinaryPerimeter);
+                let reused = irlp_rect_complement_batch_with(
+                    blocks,
+                    p,
+                    &unit_cell(),
+                    &OrdinaryPerimeter,
+                    &mut scratch,
+                );
+                assert_eq!(fresh, reused, "round {round}, {blocks:?}");
+            }
+        }
     }
 }

@@ -30,7 +30,10 @@ mod point;
 mod rect;
 
 pub use circle::{Circle, Ring};
-pub use irlp::{irlp_circle, irlp_circle_complement, irlp_rect_complement_batch, irlp_ring};
+pub use irlp::{
+    irlp_circle, irlp_circle_complement, irlp_rect_complement_batch,
+    irlp_rect_complement_batch_with, irlp_ring, StaircaseScratch,
+};
 pub use objective::{
     optimize_theta, ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, WeightedPerimeter,
     THETA_SEARCH_STEPS,

@@ -175,6 +175,69 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
 }
 
 #[test]
+fn knn_dense_batches_of_many_movers_stay_exact() {
+    // Every object reports in every batch, so each order-sensitive kNN
+    // query gets all five of its results — and whoever crosses its circle
+    // — as one set of movers (§4.3 set-wise: leavers, stayers and enterers
+    // patched in one pass). Held to brute force after every batch, at one
+    // shard and at two.
+    const N: u64 = 120;
+    const QUERIES: u64 = 10;
+    const BATCHES: u64 = 40;
+    let centres: Vec<Point> = (0..QUERIES)
+        .map(|q| Point::new(0.2 + 0.6 * unit(q, 41), 0.2 + 0.6 * unit(q, 42)))
+        .collect();
+    for shards in [1, 2] {
+        let mut at: Vec<Point> = (0..N).map(|i| Point::new(unit(i, 43), unit(i, 44))).collect();
+        let mut server = ShardedServer::new(ServerConfig::default(), shards);
+        {
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            for (i, &p) in at.iter().enumerate() {
+                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+            }
+            for &c in &centres {
+                server.register_query(QuerySpec::knn(c, 5), &mut provider, 0.0);
+            }
+        }
+        let registered = server.work().evaluations;
+        for batch in 1..=BATCHES {
+            let step = |i: u64, salt: u64| 0.03 * (unit(i, salt + 2 * batch) - 0.5);
+            let updates: Vec<SequencedUpdate> = (0..N)
+                .map(|i| {
+                    let p = &mut at[i as usize];
+                    *p = Point::new(
+                        (p.x + step(i, 200)).clamp(0.0, 1.0),
+                        (p.y + step(i, 201)).clamp(0.0, 1.0),
+                    );
+                    SequencedUpdate { id: ObjectId(i as u32), pos: *p, seq: batch }
+                })
+                .collect();
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            let now = batch as f64 * 0.1;
+            server.handle_sequenced_updates_into(&updates, &mut provider, now, &mut Vec::new());
+            for (q, &c) in server.query_ids().zip(&centres) {
+                let mut ranked: Vec<(f64, u32)> =
+                    (0..N as u32).map(|i| (at[i as usize].dist(c), i)).collect();
+                ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
+                let want: Vec<ObjectId> = ranked[..5].iter().map(|&(_, i)| ObjectId(i)).collect();
+                assert_eq!(
+                    server.results(q),
+                    Some(&want[..]),
+                    "{q} at {shards} shards, batch {batch}"
+                );
+            }
+        }
+        server.check_invariants();
+        // Patched, not re-run: an evaluation only where more results left a
+        // circle than objects entered it.
+        let work = server.work();
+        assert_eq!(work.ordering_fallbacks, 0, "no consistency check failed");
+        let reruns = work.evaluations - registered;
+        assert!(reruns < QUERIES * BATCHES / 2, "{reruns} evaluations for 400 reevaluations");
+    }
+}
+
+#[test]
 fn simulator_matches_core_guarantee() {
     let cfg = SimConfig {
         n_objects: 200,
@@ -381,9 +444,10 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     // the queries are order-sensitive kNN, so most reports go through the
     // ring Ir-lp and its candidate-family search; the rest exercise the
     // circle, the circle complement and the staircase. The pinned values
-    // were printed by this very test, in debug and in release, when the
-    // single server became the fleet of one shard (every exactly-known
-    // object an invalid neighbour, §5.2; EXPERIMENTS.md has old → new): an
+    // were printed by this very test, in debug and in release, when §4.3
+    // went set-wise (a kNN query touched by several movers of a batch is
+    // patched, and keeps its radius where a scratch evaluation re-centred
+    // it, so the trajectories differ; EXPERIMENTS.md has old → new): an
     // optimisation of the Ir-lp search has to reproduce them exactly. And
     // the partition does not show: two shards grant the same rectangles.
     const N: usize = 400;
@@ -481,12 +545,12 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     assert_eq!((hash, grants), (plain.1, plain.2), "two shards grant other regions than one");
     assert_eq!(
         plain,
-        (0x1239_D1E4_7F72_00A1, 0x9824_F501_D98C_E674, 5419),
+        (0xE411_7CA8_0EE3_A25B, 0x6DF1_B54C_E1CD_0F1C, 5425),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0x705C_F9F9_C8D1_772A, 0x6928_D012_3E72_65AA, 5443),
+        (0x0CFF_97DD_EF5D_A672, 0x01EA_56DD_3A61_BC49, 5456),
         "weighted-perimeter regions moved"
     );
 }
