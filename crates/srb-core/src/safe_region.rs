@@ -52,7 +52,7 @@ pub(crate) fn compute_safe_region<B: SpatialBackend>(
 ) -> Rect {
     let cell = grid.cell_rect_of(pos);
     let scale = CLEARANCE_FRACTION * cell.width().min(cell.height());
-    // The objective is scored ~50 times per Ir-lp θ-search, so it is picked
+    // The objective is scored ~30 times per Ir-lp θ-search, so it is picked
     // once here and the search below is compiled per objective type.
     match steadiness {
         Some(d) if p_lst != pos => {

@@ -26,7 +26,7 @@
 //! The ring and the circle complement have no single closed form: each
 //! scores several *candidate families* — a rectangle layout with one free
 //! angle θ, searched by [`optimize_theta`](crate::optimize_theta) — and
-//! keeps the best, the earliest family winning a tie. A search costs ~50
+//! keeps the best, the earliest family winning a tie. A search costs ~30
 //! objective evaluations, so a family is searched only if it can still win:
 //! its *envelope* (the rectangle spanned by the extreme edges the layout
 //! reaches over its θ-range, clipped like a member) contains every member,

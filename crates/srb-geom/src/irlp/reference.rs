@@ -1,55 +1,24 @@
 //! The exhaustive Ir-lp evaluation the branch-and-bound replaced, kept as
 //! the reference the pruned searches are tested against: every family is
-//! θ-searched in order and folded with `better_of`, and `optimize_theta`
-//! scores its four candidate angles without skipping repeats. The bodies are
-//! the pre-pruning ones, unchanged but for the search counter's `bump`.
+//! θ-searched in order and folded with `better_of`. The bodies are the
+//! pre-pruning ones; the θ-search is a parameter — the production
+//! `optimize_theta` for the pruning proof, which then pins the pruning and
+//! nothing else, or a dense scan for the search-quality pin.
 
 use super::{clip_containing, pad_range, QuadFrame, EPS};
 use crate::circle::{Circle, Ring};
-use crate::objective::{search_count, PerimeterObjective, THETA_SEARCH_STEPS};
+use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
-fn optimize_theta<O, F>(lo: f64, hi: f64, preferred: f64, objective: &O, rect_of: F) -> Option<Rect>
-where
-    O: PerimeterObjective + ?Sized,
-    F: Fn(f64) -> Option<Rect>,
+/// A θ-search over one family: `(lo, hi, preferred, rect_of)` to the best
+/// rectangle, under an objective the search carries.
+pub(crate) trait Search:
+    Fn(f64, f64, f64, &dyn Fn(f64) -> Option<Rect>) -> Option<Rect>
 {
-    search_count::bump();
-    // NaN-propagating emptiness check: an invalid (NaN) bound must also
-    // yield no rectangle, which `lo > hi` alone would miss.
-    if lo.partial_cmp(&hi).is_none_or(|o| o == std::cmp::Ordering::Greater) {
-        return None;
-    }
-    let refined = (!objective.is_ordinary() && hi - lo > 1e-12).then(|| {
-        // Ternary search on the (near-unimodal) weighted objective.
-        let (mut a, mut b) = (lo, hi);
-        for _ in 0..THETA_SEARCH_STEPS {
-            let m1 = a + (b - a) / 3.0;
-            let m2 = b - (b - a) / 3.0;
-            let s1 = rect_of(m1).map(|r| objective.score(&r)).unwrap_or(f64::NEG_INFINITY);
-            let s2 = rect_of(m2).map(|r| objective.score(&r)).unwrap_or(f64::NEG_INFINITY);
-            if s1 < s2 {
-                a = m1;
-            } else {
-                b = m2;
-            }
-        }
-        (a + b) * 0.5
-    });
-    let candidates = [Some(lo), Some(hi), Some(preferred.clamp(lo, hi)), refined];
-    let mut best: Option<(f64, Rect)> = None;
-    for theta in candidates.into_iter().flatten() {
-        if let Some(rect) = rect_of(theta) {
-            let s = objective.score(&rect);
-            if best.as_ref().is_none_or(|(bs, _)| s > *bs) {
-                best = Some((s, rect));
-            }
-        }
-    }
-    best.map(|(_, r)| r)
 }
+impl<S: Fn(f64, f64, f64, &dyn Fn(f64) -> Option<Rect>) -> Option<Rect>> Search for S {}
 
 fn better_of<O: PerimeterObjective + ?Sized>(
     a: Option<Rect>,
@@ -69,8 +38,14 @@ fn better_of<O: PerimeterObjective + ?Sized>(
     }
 }
 
-/// `irlp_ring` by exhaustive evaluation.
-pub(crate) fn irlp_ring<O>(ring: &Ring, p: Point, cell: &Rect, objective: &O) -> Option<Rect>
+/// `irlp_ring` by exhaustive evaluation, every family searched by `search`.
+pub(crate) fn irlp_ring<O>(
+    ring: &Ring,
+    p: Point,
+    cell: &Rect,
+    objective: &O,
+    search: &impl Search,
+) -> Option<Rect>
 where
     O: PerimeterObjective + ?Sized,
 {
@@ -119,7 +94,7 @@ where
                 clip_containing(frame.rect_to_world(-w, w, r, v2), cell, p)
             };
             // Plain perimeter 4R sinθ + 2(R cosθ − r) peaks at θ = arctan 2.
-            let cand = optimize_theta(t_lo, hi.max(t_lo), 2f64.atan(), objective, rect_of);
+            let cand = search(t_lo, hi.max(t_lo), 2f64.atan(), &rect_of);
             best = better_of(best, cand, objective);
         }
     }
@@ -139,7 +114,7 @@ where
                 clip_containing(frame.rect_to_world(r, u2, -h, h), cell, p)
             };
             // Plain perimeter 4R cosθ + 2(R sinθ − r) peaks at θ = arccot 2.
-            let cand = optimize_theta(lo.min(t_hi), t_hi, 0.5f64.atan(), objective, rect_of);
+            let cand = search(lo.min(t_hi), t_hi, 0.5f64.atan(), &rect_of);
             best = better_of(best, cand, objective);
         }
     }
@@ -167,7 +142,7 @@ where
                     }
                     clip_containing(frame.rect_to_world(iu, u2.max(iu), iv, v2.max(iv)), cell, p)
                 };
-                let cand = optimize_theta(t_lo, t_hi, FRAC_PI_4, objective, rect_of);
+                let cand = search(t_lo, t_hi, FRAC_PI_4, &rect_of);
                 best = better_of(best, cand, objective);
             }
         }
@@ -176,12 +151,14 @@ where
     best
 }
 
-/// `irlp_circle_complement` by exhaustive evaluation.
+/// `irlp_circle_complement` by exhaustive evaluation, the arc searched by
+/// `search`.
 pub(crate) fn irlp_circle_complement<O>(
     circle: &Circle,
     p: Point,
     cell: &Rect,
     objective: &O,
+    search: &impl Search,
 ) -> Option<Rect>
 where
     O: PerimeterObjective + ?Sized,
@@ -232,7 +209,7 @@ where
             let v1 = (r * theta.cos()).min(b);
             clip_containing(frame.rect_to_world(u1, a, v1, b), cell, p)
         };
-        best = optimize_theta(lo, hi, FRAC_PI_4, objective, rect_of);
+        best = search(lo, hi, FRAC_PI_4, &rect_of);
     }
     // Slab candidate ①: p beyond the circle top (dy >= r) — full-width
     // rectangle above the circle: [-mx, a] x [r, b].
@@ -257,8 +234,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::super::{irlp_circle_complement, irlp_ring};
-    use super::search_count::counting;
     use super::*;
+    use crate::objective::search_count::counting;
     use crate::objective::{ClearanceObjective, OrdinaryPerimeter, WeightedPerimeter};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -419,7 +396,7 @@ mod tests {
         let (ring, p, cell) = case;
         check(
             || irlp_ring(ring, *p, cell, objective),
-            || super::irlp_ring(ring, *p, cell, objective),
+            || super::irlp_ring(ring, *p, cell, objective, &production(objective)),
             case,
             searches,
         );
@@ -433,7 +410,7 @@ mod tests {
         let (circle, p, cell) = case;
         check(
             || irlp_circle_complement(circle, *p, cell, objective),
-            || super::irlp_circle_complement(circle, *p, cell, objective),
+            || super::irlp_circle_complement(circle, *p, cell, objective, &production(objective)),
             case,
             searches,
         );
@@ -568,6 +545,98 @@ mod tests {
         }
     }
 
+    /// The production θ-search under `objective`.
+    fn production<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
+        move |lo, hi, preferred, rect_of: &dyn Fn(f64) -> Option<Rect>| {
+            crate::objective::optimize_theta(lo, hi, preferred, objective, rect_of)
+        }
+    }
+
+    /// θs of the dense scan the search-quality pin measures against.
+    const DENSE: usize = 2000;
+
+    /// The first of the highest-scoring of `DENSE` evenly spaced θs over
+    /// `[lo, hi]`, both ends included.
+    fn dense<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
+        move |lo: f64, hi: f64, _preferred, rect_of: &dyn Fn(f64) -> Option<Rect>| {
+            if lo.partial_cmp(&hi).is_none_or(|o| o.is_gt()) {
+                return None;
+            }
+            let theta = |k: usize| {
+                if k == DENSE - 1 {
+                    hi
+                } else {
+                    lo + (hi - lo) * k as f64 / (DENSE - 1) as f64
+                }
+            };
+            let mut best: Option<(f64, Rect)> = None;
+            for rect in (0..DENSE).filter_map(|k| rect_of(theta(k))) {
+                let s = objective.score(&rect);
+                if best.is_none_or(|(bs, _)| s > bs) {
+                    best = Some((s, rect));
+                }
+            }
+            best.map(|(_, rect)| rect)
+        }
+    }
+
+    /// Shares of the generator's ring and circle-complement inputs on which
+    /// the routine, under the engine's objective, scores within 1e-4
+    /// (relative) of a dense scan of the same families. Inputs no family
+    /// admits are not counted.
+    fn search_quality(cases: usize) -> [f64; 2] {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5CA7_2005);
+        let engine = |p: Point, cell: &Rect| {
+            ClearanceObjective::new(OrdinaryPerimeter, p, 0.05 * cell.width().min(cell.height()))
+        };
+        let mut tallies = [(0usize, 0usize); 2];
+        let mut tally = |routine: usize,
+                         got: Option<Rect>,
+                         want: Option<Rect>,
+                         objective: &dyn PerimeterObjective| {
+            let Some(want) = want.map(|r| objective.score(&r)) else { return };
+            let close = got.is_some_and(|r| objective.score(&r) >= want - 1e-4 * want.abs());
+            tallies[routine].0 += usize::from(close);
+            tallies[routine].1 += 1;
+        };
+        for _ in 0..cases {
+            let (ring, p, cell) = ring_case(&mut rng);
+            let objective = engine(p, &cell);
+            tally(
+                0,
+                irlp_ring(&ring, p, &cell, &objective),
+                super::irlp_ring(&ring, p, &cell, &objective, &dense(&objective)),
+                &objective,
+            );
+            let (circle, p, cell) = complement_case(&mut rng);
+            let objective = engine(p, &cell);
+            tally(
+                1,
+                irlp_circle_complement(&circle, p, &cell, &objective),
+                super::irlp_circle_complement(&circle, p, &cell, &objective, &dense(&objective)),
+                &objective,
+            );
+        }
+        tallies.map(|(close, counted)| close as f64 / counted as f64)
+    }
+
+    #[test]
+    fn searches_come_within_1e4_of_a_dense_scan() {
+        // Both sides share the family bodies, so this measures the θ-search
+        // alone — what the equivalence above cannot, since there the
+        // reference runs the production search too.
+        let [ring, complement] = search_quality(2048);
+        println!(
+            "within 1e-4 of a {DENSE}-point scan: ring {:.2} %, circle complement {:.2} %",
+            100.0 * ring,
+            100.0 * complement
+        );
+        assert!(
+            ring >= 0.995 && complement >= 0.995,
+            "ring {ring}, circle complement {complement}"
+        );
+    }
+
     #[test]
     fn thin_ring_searches_only_the_middle_corner_family() {
         // The engine's regime: a 1/50 cell, the query point two cells away
@@ -582,7 +651,8 @@ mod tests {
         let ring = Ring::new(q, d - 0.8e-4, d + 1.2e-4);
         let objective = ClearanceObjective::new(OrdinaryPerimeter, p, 0.05 * cell.width());
         let (got, pruned) = counting(|| irlp_ring(&ring, p, &cell, &objective));
-        let (want, exhaustive) = counting(|| super::irlp_ring(&ring, p, &cell, &objective));
+        let (want, exhaustive) =
+            counting(|| super::irlp_ring(&ring, p, &cell, &objective, &production(&objective)));
         assert_eq!(bits(got), bits(want));
         assert!(got.is_some_and(|r| r.area() > 0.0));
         assert_eq!((pruned, exhaustive), (1, 3), "φ_lo and φ_hi must be skipped");

@@ -36,7 +36,6 @@ pub use irlp::{
 };
 pub use objective::{
     optimize_theta, ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, WeightedPerimeter,
-    THETA_SEARCH_STEPS,
 };
 pub use point::Point;
 pub use rect::Rect;

@@ -444,12 +444,13 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     // the queries are order-sensitive kNN, so most reports go through the
     // ring Ir-lp and its candidate-family search; the rest exercise the
     // circle, the circle complement and the staircase. The pinned values
-    // were printed by this very test, in debug and in release, when §4.3
-    // went set-wise (a kNN query touched by several movers of a batch is
-    // patched, and keeps its radius where a scratch evaluation re-centred
-    // it, so the trajectories differ; EXPERIMENTS.md has old → new): an
-    // optimisation of the Ir-lp search has to reproduce them exactly. And
-    // the partition does not show: two shards grant the same rectangles.
+    // were printed by this very test, in debug and in release, when the
+    // θ-search became a scan plus a golden-section bracket (it lands on
+    // other θs than the ternary search it replaced, so the regions differ;
+    // EXPERIMENTS.md has old → new): an optimisation of
+    // the Ir-lp search that keeps its regions has to reproduce them
+    // exactly. And the partition does not show: two shards grant the same
+    // rectangles.
     const N: usize = 400;
     const QUERIES: u64 = 48;
     const BATCHES: u64 = 24;
@@ -545,12 +546,12 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     assert_eq!((hash, grants), (plain.1, plain.2), "two shards grant other regions than one");
     assert_eq!(
         plain,
-        (0xE411_7CA8_0EE3_A25B, 0x6DF1_B54C_E1CD_0F1C, 5425),
+        (0x7358_16C5_7E81_6F6C, 0x1AC3_D41D_85CB_D57D, 5426),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0x0CFF_97DD_EF5D_A672, 0x01EA_56DD_3A61_BC49, 5456),
+        (0x7F7D_95CC_2CF0_B455, 0xD559_D664_E464_3700, 5456),
         "weighted-perimeter regions moved"
     );
 }
