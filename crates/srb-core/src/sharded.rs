@@ -5,8 +5,8 @@
 //! [`ShardedServer`] hash-partitions the moving objects across `N`
 //! [`Shard`]s, keyed by the grid cell of each object's registration
 //! position. A shard keeps what is per object: its slice of the object
-//! index and state table, sequence numbers, leases and deferred probes, its
-//! own backend and its WAL partition log. The queries live once, in the
+//! index and state table, sequence numbers, leases and deferred probes, and
+//! its own backend. The queries live once, in the
 //! coordinator's [`QueryProcessor`], and are evaluated once, by the §4
 //! code, over the union of the shard indexes ([`FleetView`]) — the
 //! single-server algorithm over a partitioned index, so the answers are
@@ -15,11 +15,10 @@
 //!
 //! A batch of location updates runs in four steps:
 //!
-//! 1. **pin** — per shard, on the caller: the shard's partition record goes
-//!    to its own WAL log (when durability is on), admission checks the
-//!    sequence numbers, and every accepted position is pinned in the
-//!    shard's index, so no query is evaluated against a stale bound of a
-//!    same-instant mover;
+//! 1. **pin** — per shard, on the caller: admission checks the sequence
+//!    numbers, and every accepted position is pinned in the shard's index,
+//!    so no query is evaluated against a stale bound of a same-instant
+//!    mover;
 //! 2. **evaluate** — the coordinator finds the affected queries in its one
 //!    grid and reevaluates each once, in query-id order. Every probe of
 //!    the batch is issued here, by the caller's thread;
@@ -43,7 +42,9 @@
 //!    by [`ObjectId`], result changes by [`QueryId`].
 //!
 //! Registration, deregistration, object churn and deferred probes go
-//! through the same evaluate → regions → install steps.
+//! through the same evaluate → regions → install steps. With durability on,
+//! every operation, a batch included, is one record of the coordinator's
+//! log: its inputs and its probe transcript, appended once it is done.
 
 use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
@@ -278,7 +279,7 @@ fn run_here(lanes: &mut [Lane], compute: &(dyn Fn(&mut Lane) + Sync)) {
 #[derive(Default)]
 struct CoordScratch {
     /// How many updates of the batch each shard owns (sized to the shard
-    /// count once); the batch marker's payload.
+    /// count once).
     counts: Vec<usize>,
     /// The accepted updates of a batch, shard by shard.
     movers: Vec<(ObjectId, Point)>,
@@ -322,9 +323,8 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     shard_batch_ns: Vec<&'static srb_obs::Histogram>,
     /// Reused coordinator buffers (see [`CoordScratch`]).
     scratch: CoordScratch,
-    /// The coordinator-owned write-ahead log, when durability is on. Log 0
-    /// is the arbiter log (one marker per operation); logs `1..=N` hold the
-    /// per-shard batch partitions. Shards never own a store of their own.
+    /// The coordinator-owned write-ahead log, when durability is on: one
+    /// record per operation. Shards never own a store of their own.
     wal: Option<Box<Wal>>,
     /// The adaptive backend controller, present exactly when
     /// `config.backend` is [`BackendConfig::Adaptive`]
@@ -809,12 +809,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
         regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
     ) {
-        // The WAL (when attached) is held for the whole batch. Each
-        // partition record goes to its shard's log first; the marker
-        // (written last, with the one probe transcript) is the commit
-        // point — orphan partitions from a crash mid-batch are ignored on
-        // recovery because no marker references them.
-        let mut wal = self.wal.take();
+        if self.wal.is_some() {
+            return self.logged(
+                provider,
+                |this, p| this.batch(updates, p, now, out, regions),
+                |w| w.log_batch(now, updates),
+            );
+        }
         let mut counts = std::mem::take(&mut self.scratch.counts);
         let mut movers = std::mem::take(&mut self.scratch.movers);
         let mut regrants = std::mem::take(&mut self.scratch.regrants);
@@ -834,9 +835,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             // A batch that one shard owns whole is its own partition.
             let (whole, owner) = (counts[i] == updates.len(), &self.owner);
             let part = updates.iter().filter(|u| whole || shard_of(owner, u.id) == i);
-            if let Some(w) = wal.as_mut() {
-                w.append_part_seq(i, counts[i], part.clone());
-            }
             let admitted = movers.len();
             shard.admit(part, &mut movers, &mut regrants);
             let accepted = (movers.len() - admitted) as u64;
@@ -851,12 +849,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if !movers.is_empty() {
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            changes = self.fail_stop(&mut wal, |this, wal| match wal {
-                Some(w) => {
-                    this.fold(&mut op, &mut batch, &movers, &mut w.recorder(provider), now, regions)
-                }
-                None => this.fold(&mut op, &mut batch, &movers, provider, now, regions),
-            });
+            changes = self.fold(&mut op, &mut batch, &movers, provider, now, regions);
             // Every mover got a region; any beyond theirs is a bystander's.
             let movers_only = op.recomputed.len() == batch.prev.len();
             for &(oid, safe_region) in &op.recomputed {
@@ -883,17 +876,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             (first.probed, first.changes) = (extra, changes);
         }
 
-        // Adapt before the marker commits the batch: the controller's
-        // decision state (and any migration it makes) must be inside the
-        // state a post-marker checkpoint captures, and replay — which runs
-        // the same entry points without a WAL — re-makes the decision at
-        // exactly this point.
+        // Adapt inside the batch, before `logged` appends its record: the
+        // controller's decision state (and any migration it makes) must be
+        // inside the state a checkpoint after the record captures, and
+        // replay — which runs this body without a WAL — re-makes the
+        // decision at exactly this point.
         self.maybe_adapt();
-        if let Some(mut w) = wal {
-            w.log_batch_marker(now, &counts);
-            self.wal = Some(w);
-            self.wal_post_op();
-        }
         self.scratch.counts = counts;
         self.scratch.movers = movers;
         self.scratch.regrants = regrants;
@@ -1227,7 +1215,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     ///
     /// Every signal the controller reads is part of the per-shard
     /// serialized state, and this runs inside the logged batch, before
-    /// its marker ([`batch`](Self::batch)), so recovery
+    /// its record is appended ([`batch`](Self::batch)), so recovery
     /// replays each decision at exactly the batch that originally made it.
     fn maybe_adapt(&mut self) {
         let Some(mut ctl) = self.adaptive.take() else { return };
@@ -1298,48 +1286,32 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Durability plane (coordinator WAL + checkpoints + recovery)
     // ------------------------------------------------------------------
 
-    /// Creates the configured durability store — one arbiter log plus one
-    /// partition log per shard — and attaches a fresh coordinator WAL,
-    /// rooted at a checkpoint of the whole fleet's state.
+    /// Creates the configured durability store and attaches a fresh
+    /// coordinator WAL, rooted at a checkpoint of the whole fleet's state.
     pub fn attach_durability(&mut self) -> Result<(), RecoveryError> {
         let d = self.config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
         let mut payload = Vec::new();
         self.encode_state(&mut payload);
-        let store = srb_durable::Store::create(
-            Path::new(dir),
-            self.shards.len() + 1,
-            d.policy,
-            d.group_ops,
-            &payload,
-        )?;
+        let store = srb_durable::Store::create(Path::new(dir), d.policy, d.group_ops, &payload)?;
         self.wal = Some(Box::new(Wal::new(store, d.checkpoint_ops)));
         Ok(())
     }
 
     /// Rebuilds a sharded server from the durability directory in
     /// `config.durability`: loads the newest valid checkpoint, replays the
-    /// arbiter log against the shard partition logs generation by
-    /// generation, and reattaches the WAL. `shards` must match the crashed
-    /// instance's shard count (it also fixes the expected log count).
-    /// Returns the server and the number of replayed operations.
+    /// log generation by generation, and reattaches the WAL. `shards` must
+    /// match the crashed instance's shard count, which the checkpoint
+    /// records. Returns the server and the number of replayed operations.
     pub fn recover(config: ServerConfig, shards: usize) -> Result<(Self, usize), RecoveryError> {
         let d = config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        let rec = srb_durable::Store::recover(Path::new(dir), shards + 1, d.policy, d.group_ops)?;
+        let rec = srb_durable::Store::recover(Path::new(dir), d.policy, d.group_ops)?;
         let mut server = Self::decode_state(&config, shards, &rec.payload)?;
         let mut replayed = 0usize;
-        for genf in &rec.generations {
-            // Partition cursors restart with each generation: a checkpoint
-            // rotation truncates every log together.
-            let mut cursors = vec![0usize; shards];
-            for payload in &genf.logs[0] {
-                server.apply_coord_record(payload, &genf.logs, &mut cursors)?;
-                replayed += 1;
-            }
-            // Partition records past the last marker are orphans of a
-            // crash mid-operation: the marker is the commit point, so they
-            // are deliberately ignored.
+        for payload in rec.generations.iter().flat_map(|g| &g.records) {
+            server.apply_record(payload)?;
+            replayed += 1;
         }
         server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
         Ok((server, replayed))
@@ -1384,48 +1356,37 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         wal::fnv1a64(&buf)
     }
 
-    /// The log protocol of every non-batch operation, in one place: detach
-    /// the WAL, run `body` (which re-enters the public entry point, now
-    /// unlogged) with every probe transcribed, append the record `log`
-    /// writes — inputs plus that transcript — reattach, and run the
-    /// group-commit / checkpoint cadence. Callers check the WAL is
-    /// attached; that check is also what ends the re-entry.
+    /// The log protocol of every operation, in one place: detach the WAL,
+    /// run `body` (which re-enters the entry point, now unlogged) with every
+    /// probe transcribed, append the record `log` writes — inputs plus that
+    /// transcript — reattach, and run the group-commit / checkpoint
+    /// cadence. Callers check the WAL is attached; that check is also what
+    /// ends the re-entry.
+    ///
+    /// Fail-stop: when the provider panics inside `body`, the operation has
+    /// appended no record, so the WAL is poisoned (refusing further writes
+    /// against a half-applied operation), reattached, and the panic
+    /// resumes; recovery lands on the state before the operation.
     fn logged<R>(
         &mut self,
         provider: &mut dyn LocationProvider,
         body: impl FnOnce(&mut Self, &mut dyn LocationProvider) -> R,
         log: impl FnOnce(&mut Wal),
     ) -> R {
-        let mut wal = self.wal.take();
-        let result = self.fail_stop(&mut wal, |this, wal| {
-            let w = wal.expect("logged() runs with the WAL attached");
-            body(this, &mut w.recorder(provider))
-        });
-        if let Some(w) = wal.as_mut() {
-            log(w);
-        }
-        self.wal = wal;
+        let mut w = self.wal.take().expect("logged() runs with the WAL attached");
+        let run = catch_unwind(AssertUnwindSafe(|| body(self, &mut w.recorder(provider))));
+        let result = match run {
+            Ok(result) => result,
+            Err(panic) => {
+                w.poison();
+                self.wal = Some(w);
+                resume_unwind(panic)
+            }
+        };
+        log(&mut w);
+        self.wal = Some(w);
         self.wal_post_op();
         result
-    }
-
-    /// Runs `body` — an operation's probing part — with the WAL detached.
-    /// Fail-stop: when the provider panics inside it, the operation wrote
-    /// no commit record, so the WAL is poisoned (refusing further writes
-    /// against a half-applied operation), reattached, and the panic
-    /// resumes; recovery lands on the state before the operation.
-    fn fail_stop<R>(
-        &mut self,
-        wal: &mut Option<Box<Wal>>,
-        body: impl FnOnce(&mut Self, Option<&mut Wal>) -> R,
-    ) -> R {
-        catch_unwind(AssertUnwindSafe(|| body(self, wal.as_deref_mut()))).unwrap_or_else(|panic| {
-            if let Some(w) = wal.as_mut() {
-                w.poison();
-            }
-            self.wal = wal.take();
-            resume_unwind(panic)
-        })
     }
 
     /// Group-commit + checkpoint-cadence bookkeeping after one logged
@@ -1544,16 +1505,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         ))
     }
 
-    /// Replays one arbiter-log record through the public entry points.
-    /// Batch markers pull their partitions from the shard logs at
-    /// `cursors`; every structural mismatch is a typed error, never a
-    /// panic.
-    fn apply_coord_record(
-        &mut self,
-        payload: &[u8],
-        gen_logs: &[Vec<Vec<u8>>],
-        cursors: &mut [usize],
-    ) -> Result<(), RecoveryError> {
+    /// Replays one log record through the public entry points; every
+    /// structural mismatch is a typed error, never a panic.
+    fn apply_record(&mut self, payload: &[u8]) -> Result<(), RecoveryError> {
         match wal::decode_record(payload)? {
             Record::AddObject { id, pos, now, probes } => {
                 let mut rp = ReplayProvider::new(&probes);
@@ -1574,8 +1528,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let _ = self.deregister_query(id);
                 Ok(())
             }
-            Record::Batch { now, shard_counts, probes } => {
-                let updates = self.take_partitions(&shard_counts, gen_logs, cursors)?;
+            Record::Batch { now, updates, probes } => {
                 let mut rp = ReplayProvider::new(&probes);
                 self.handle_sequenced_updates_into(&updates, &mut rp, now, &mut Vec::new());
                 check_replay(&rp)
@@ -1590,38 +1543,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 Ok(())
             }
         }
-    }
-
-    /// Reassembles a marker's batch from the shard partition logs,
-    /// advancing each referenced shard's cursor. The reassembled order
-    /// groups by shard, which is execution-equivalent to the original
-    /// interleaving: batch processing partitions by owner anyway, and
-    /// relative order within a shard is preserved.
-    fn take_partitions(
-        &self,
-        counts: &[u32],
-        gen_logs: &[Vec<Vec<u8>>],
-        cursors: &mut [usize],
-    ) -> Result<Vec<SequencedUpdate>, RecoveryError> {
-        if counts.len() != self.shards.len() {
-            return Err(RecoveryError::Corrupt("marker shard count mismatch"));
-        }
-        let mut updates: Vec<SequencedUpdate> = Vec::new();
-        for (i, &c) in counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let rec = gen_logs[i + 1]
-                .get(cursors[i])
-                .ok_or(RecoveryError::Corrupt("missing shard partition"))?;
-            cursors[i] += 1;
-            let part = wal::decode_part_seq(rec)?;
-            if part.len() != c as usize {
-                return Err(RecoveryError::Corrupt("partition length mismatch"));
-            }
-            updates.extend(part);
-        }
-        Ok(updates)
     }
 
     // ------------------------------------------------------------------
@@ -2080,6 +2001,54 @@ mod tests {
         }
     }
 
+    /// A log written when a batch was one partition record per shard in
+    /// logs of its own plus a marker (opcode 6, mode 1) in the first log:
+    /// recovery reads that first log, refuses the marker with a typed
+    /// error and never replays the operations before it as if they were
+    /// the whole history.
+    #[test]
+    fn earlier_batch_marker_is_refused_not_replayed_short() {
+        use srb_durable::codec::put_f64;
+        use srb_durable::log::LogWriter;
+        let dir = temp_dir("marker");
+        let config = durable(dir);
+        let positions = world(6, 5);
+        let mut server = ShardedServer::new(config, 2);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        for (i, &p) in positions.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+        }
+        server.sync_wal();
+        drop(server);
+
+        // One report by object 0, as that layout logged it: the partition
+        // in shard 0's log (index 1), then the marker counting it.
+        let mut part = vec![10u8];
+        put_usize(&mut part, 1);
+        put_u32(&mut part, 0);
+        wal::put_point(&mut part, Point::new(0.5, 0.5));
+        put_u64(&mut part, 1);
+        let mut marker = vec![6u8];
+        put_f64(&mut marker, 0.1);
+        put_u8(&mut marker, 1);
+        put_usize(&mut marker, 2);
+        put_u32(&mut marker, 1);
+        put_u32(&mut marker, 0);
+        put_usize(&mut marker, 0);
+        let (first, shard_0) = (Path::new(dir).join("log-1-0"), Path::new(dir).join("log-1-1"));
+        let mut w = LogWriter::create(&shard_0, 1, 1).expect("partition log");
+        w.append(&part).and_then(|()| w.sync()).expect("partition");
+        let len = std::fs::metadata(&first).expect("the engine's log").len();
+        let mut w = LogWriter::open_append(&first, len).expect("reopen");
+        w.append(&marker).and_then(|()| w.sync()).expect("marker");
+
+        match ShardedServer::<RStarTree>::recover(config, 2) {
+            Err(RecoveryError::Corrupt(what)) => assert_eq!(what, "unknown opcode"),
+            other => panic!("replayed an earlier marker: {:?}", other.map(|(_, n)| n)),
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn durable_sharded_checkpoint_truncates_replay_tail() {
         let dir = temp_dir("ckpt");
@@ -2191,7 +2160,8 @@ mod tests {
                 par_server.sync_wal();
                 assert!(!par_server.wal_poisoned());
                 let logged = dir_bytes(dirs[1]);
-                assert!(logged.len() > shards, "a checkpoint and one log per shard and arbiter");
+                let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
+                assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
                 assert_eq!(dir_bytes(dirs[0]), logged, "{what}");
                 let digest = par_server.state_digest();
                 drop(par_server);
@@ -2272,7 +2242,7 @@ mod tests {
     /// so on the calling thread, before any region of the batch is
     /// installed: the panic reaches the caller, every object keeps the
     /// region and anchor it had, the shard indexes stay coherent, the WAL is
-    /// poisoned with no marker written — recovery lands on the state before
+    /// poisoned with no record written — recovery lands on the state before
     /// the batch.
     #[test]
     fn provider_panic_surfaces_with_nothing_installed_or_committed() {
@@ -2310,7 +2280,7 @@ mod tests {
         assert!(server.wal_poisoned());
         drop(server);
         let (recovered, _) = ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
-        assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no marker");
+        assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no record");
         let _ = std::fs::remove_dir_all(dir);
     }
 

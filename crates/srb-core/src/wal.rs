@@ -2,14 +2,15 @@
 //! transcripts, and the write-ahead log wrapper.
 //!
 //! Every top-level [`ShardedServer`](crate::ShardedServer) entry point is
-//! one *logical operation* (the shards never log). The
-//! log records the operation's inputs **plus the transcript of every probe
-//! the provider answered during it** — probes are the only
-//! non-deterministic input (they read the outside world), so with the
-//! transcript in hand a recovering server can replay the operation
-//! through the same public entry point with a [`ReplayProvider`] and
-//! reach a bit-identical state, no matter what the real clients are
-//! doing by then.
+//! one *logical operation* and one record in the generation's one log (the
+//! shards never log); a batch of reports, however many shards own them, is
+//! one record too. The record holds the operation's inputs **plus the
+//! transcript of every probe the provider answered during it** — probes
+//! are the only non-deterministic input (they read the outside world), so
+//! with the transcript in hand a recovering server can replay the
+//! operation through the same public entry point with a
+//! [`ReplayProvider`] and reach a bit-identical state, no matter what the
+//! real clients are doing by then.
 //!
 //! Record framing, CRC protection, group commit, checkpoint rotation,
 //! and torn-tail repair all live one layer down in `srb-durable`; this
@@ -182,17 +183,14 @@ const OP_ADD: u8 = 1;
 const OP_REMOVE: u8 = 2;
 const OP_REGISTER: u8 = 3;
 const OP_DEREGISTER: u8 = 4;
-const OP_BATCH: u8 = 6;
 const OP_DEFERRED: u8 = 8;
 const OP_NEXT_DUE: u8 = 9;
-const OP_PART_SEQ: u8 = 10;
-/// The mode byte of a batch record: a marker of per-shard partition sizes.
-const BATCH_MODE_MARKER: u8 = 1;
-// Opcodes 5, 7 and 11 (single update, raw batch, raw partition) and batch
-// mode 0 (inline updates) belong to earlier logs. Never reuse them: such a
-// record must keep decoding to `Corrupt`.
+const OP_BATCH: u8 = 12;
+// Opcodes 5, 6, 7, 10 and 11 (single update; the batch marker of either
+// mode; raw batch; sequenced and raw partitions) belong to earlier logs.
+// Never reuse them: such a record must keep decoding to `Corrupt`.
 
-/// A decoded arbiter-log record: one top-level operation plus its probe
+/// A decoded log record: one top-level operation plus its probe
 /// transcript.
 pub(crate) enum Record {
     /// `add_object`.
@@ -203,9 +201,9 @@ pub(crate) enum Record {
     RegisterQuery { spec: QuerySpec, now: f64, probes: Vec<(ObjectId, Point)> },
     /// `deregister_query`.
     DeregisterQuery { id: QueryId },
-    /// A batch marker: the per-shard update counts. The updates themselves
-    /// live as partition records in the shard logs.
-    Batch { now: f64, shard_counts: Vec<u32>, probes: Vec<(ObjectId, Point)> },
+    /// A batch of reports: every update the caller passed, in arrival
+    /// order, the ones admission dropped included.
+    Batch { now: f64, updates: Vec<SequencedUpdate>, probes: Vec<(ObjectId, Point)> },
     /// `process_deferred`.
     ProcessDeferred { now: f64, probes: Vec<(ObjectId, Point)> },
     /// `next_deferred_due` — it lazily pops stale timer entries,
@@ -242,15 +240,6 @@ fn dec_seq_updates(dec: &mut Dec<'_>) -> Result<Vec<SequencedUpdate>, DurableErr
     Ok(out)
 }
 
-fn dec_shard_counts(dec: &mut Dec<'_>) -> Result<Vec<u32>, DurableError> {
-    let n = dec.len(4)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(dec.u32()?);
-    }
-    Ok(out)
-}
-
 /// Decodes one operation record. Total: every malformed payload yields a
 /// typed error, never a panic.
 pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
@@ -275,11 +264,8 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
         OP_DEREGISTER => Record::DeregisterQuery { id: QueryId(dec.u32()?) },
         OP_BATCH => {
             let now = dec.f64()?;
-            if dec.u8()? != BATCH_MODE_MARKER {
-                return Err(DurableError::Corrupt("bad batch mode"));
-            }
-            let shard_counts = dec_shard_counts(&mut dec)?;
-            Record::Batch { now, shard_counts, probes: dec_probes(&mut dec)? }
+            let updates = dec_seq_updates(&mut dec)?;
+            Record::Batch { now, updates, probes: dec_probes(&mut dec)? }
         }
         OP_DEFERRED => {
             let now = dec.f64()?;
@@ -292,31 +278,15 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
     Ok(rec)
 }
 
-/// Encodes a shard-log partition of `len` sequenced updates into `buf`
-/// (append-only; callers clear).
-fn encode_part_seq<'u>(
-    buf: &mut Vec<u8>,
-    len: usize,
-    updates: impl Iterator<Item = &'u SequencedUpdate>,
-) {
-    put_u8(buf, OP_PART_SEQ);
-    put_usize(buf, len);
+/// Encodes sequenced updates, in the order given, as [`dec_seq_updates`]
+/// reads them.
+fn put_seq_updates(out: &mut Vec<u8>, updates: &[SequencedUpdate]) {
+    put_usize(out, updates.len());
     for u in updates {
-        put_u32(buf, u.id.0);
-        put_point(buf, u.pos);
-        put_u64(buf, u.seq);
+        put_u32(out, u.id.0);
+        put_point(out, u.pos);
+        put_u64(out, u.seq);
     }
-}
-
-/// Decodes a shard-log partition of sequenced updates.
-pub(crate) fn decode_part_seq(payload: &[u8]) -> Result<Vec<SequencedUpdate>, DurableError> {
-    let mut dec = Dec::new(payload);
-    if dec.u8()? != OP_PART_SEQ {
-        return Err(DurableError::Corrupt("not a sequenced partition"));
-    }
-    let v = dec_seq_updates(&mut dec)?;
-    dec.finish()?;
-    Ok(v)
 }
 
 // ----------------------------------------------------------------------
@@ -384,8 +354,6 @@ impl LocationProvider for ReplayProvider<'_> {
 
 /// The write-ahead log attached to a server: a generation [`Store`], the
 /// current operation's probe transcript, and the checkpoint cadence.
-/// Log index 0 is the coordinator/arbiter log; a sharded engine adds one
-/// partition log per shard at indices `1..=n_shards`.
 pub(crate) struct Wal {
     store: Store,
     probes: Vec<(ObjectId, Point)>,
@@ -417,7 +385,7 @@ impl Wal {
     fn emit(&mut self) {
         put_probes(&mut self.buf, &self.probes);
         self.probes.clear();
-        let _ = self.store.append(0, &self.buf);
+        let _ = self.store.append(&self.buf);
     }
 
     /// Emits a record that carries no probe transcript (deregister,
@@ -425,7 +393,7 @@ impl Wal {
     /// matching the decoder, which reads no transcript for these opcodes.
     fn emit_no_probes(&mut self) {
         self.probes.clear();
-        let _ = self.store.append(0, &self.buf);
+        let _ = self.store.append(&self.buf);
     }
 
     pub(crate) fn log_add_object(&mut self, id: ObjectId, pos: Point, now: f64) {
@@ -460,18 +428,13 @@ impl Wal {
         self.emit_no_probes();
     }
 
-    /// Coordinator marker committing a batch: only the per-shard update
-    /// counts (one per shard, zeros included); the partitions live in the
-    /// shard logs.
-    pub(crate) fn log_batch_marker(&mut self, now: f64, counts: &[usize]) {
+    /// A batch of reports: the caller's updates as passed, so what
+    /// admission dropped is dropped again on replay.
+    pub(crate) fn log_batch(&mut self, now: f64, updates: &[SequencedUpdate]) {
         self.buf.clear();
         put_u8(&mut self.buf, OP_BATCH);
         put_f64(&mut self.buf, now);
-        put_u8(&mut self.buf, BATCH_MODE_MARKER);
-        put_usize(&mut self.buf, counts.len());
-        for &c in counts {
-            put_u32(&mut self.buf, c as u32);
-        }
+        put_seq_updates(&mut self.buf, updates);
         self.emit();
     }
 
@@ -488,26 +451,8 @@ impl Wal {
         self.emit_no_probes();
     }
 
-    /// Appends one shard's partition of a sequenced batch — `len` updates,
-    /// in arrival order — to shard log `shard` (0-based shard id → log
-    /// index `shard + 1`). An empty partition writes nothing: the marker's
-    /// zero count tells replay to skip the shard.
-    pub(crate) fn append_part_seq<'u>(
-        &mut self,
-        shard: usize,
-        len: usize,
-        updates: impl Iterator<Item = &'u SequencedUpdate>,
-    ) {
-        if len == 0 {
-            return;
-        }
-        self.buf.clear();
-        encode_part_seq(&mut self.buf, len, updates);
-        let _ = self.store.append(shard + 1, &self.buf);
-    }
-
-    /// Poisons the store after a batch failed between its partition
-    /// records and its marker; writes are refused from here on.
+    /// Poisons the store after an operation failed before its record was
+    /// appended; writes are refused from here on.
     pub(crate) fn poison(&mut self) {
         self.store.poison();
     }
@@ -554,6 +499,23 @@ mod tests {
             }
             _ => panic!("wrong record kind"),
         }
+
+        // A batch keeps its updates in arrival order, duplicates included.
+        let at = |id: u32, seq: u64| SequencedUpdate { id: ObjectId(id), pos: Point::ORIGIN, seq };
+        let updates = [at(7, 2), at(3, 1), at(7, 2)];
+        buf.clear();
+        put_u8(&mut buf, OP_BATCH);
+        put_f64(&mut buf, 1.25);
+        put_seq_updates(&mut buf, &updates);
+        put_probes(&mut buf, &probes);
+        match decode_record(&buf).expect("valid record") {
+            Record::Batch { now, updates: u, probes: p } => {
+                assert_eq!(now, 1.25);
+                assert_eq!(u, updates);
+                assert_eq!(p, probes);
+            }
+            _ => panic!("wrong record kind"),
+        }
     }
 
     #[test]
@@ -571,14 +533,14 @@ mod tests {
         for len in 0..64usize {
             let junk: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             let _ = decode_record(&junk);
-            let _ = decode_part_seq(&junk);
         }
     }
 
     /// Single-update records (opcode 5), raw-batch records (opcode 7,
-    /// partition opcode 11) and inline batches (`OP_BATCH` mode 0) are no
-    /// longer written; a log that still holds one is refused with a typed
-    /// error, in either decoder.
+    /// partition opcode 11), the batch marker in either mode (opcode 6:
+    /// mode 0 held the updates inline, mode 1 counted the partitions that
+    /// opcode 10 carried in per-shard logs) are no longer written; a log
+    /// that still holds one is refused with a typed error.
     #[test]
     fn retired_record_shapes_decode_to_corrupt() {
         let mut single = vec![5u8];
@@ -586,21 +548,31 @@ mod tests {
         put_point(&mut single, Point::new(0.1, 0.2));
         put_f64(&mut single, 0.5);
         put_probes(&mut single, &[]);
-        let mut marker = vec![7u8];
-        put_f64(&mut marker, 0.5);
-        put_u8(&mut marker, 1);
-        put_usize(&mut marker, 0);
-        put_probes(&mut marker, &[]);
-        let mut part = vec![11u8];
-        put_usize(&mut part, 0);
-        let mut inline = vec![OP_BATCH];
+        let mut raw_marker = vec![7u8];
+        put_f64(&mut raw_marker, 0.5);
+        put_u8(&mut raw_marker, 1);
+        put_usize(&mut raw_marker, 0);
+        put_probes(&mut raw_marker, &[]);
+        let mut raw_part = vec![11u8];
+        put_usize(&mut raw_part, 0);
+        let mut inline = vec![6u8];
         put_f64(&mut inline, 0.5);
         put_u8(&mut inline, 0);
         put_usize(&mut inline, 0);
         put_probes(&mut inline, &[]);
-        for payload in [&single, &marker, &part, &inline] {
+        let mut marker = vec![6u8];
+        put_f64(&mut marker, 0.5);
+        put_u8(&mut marker, 1);
+        put_usize(&mut marker, 1);
+        put_u32(&mut marker, 1);
+        put_probes(&mut marker, &[]);
+        let mut part = vec![10u8];
+        put_seq_updates(
+            &mut part,
+            &[SequencedUpdate { id: ObjectId(3), pos: Point::ORIGIN, seq: 1 }],
+        );
+        for payload in [&single, &raw_marker, &raw_part, &inline, &marker, &part] {
             assert!(matches!(decode_record(payload), Err(DurableError::Corrupt(_))));
-            assert!(matches!(decode_part_seq(payload), Err(DurableError::Corrupt(_))));
         }
     }
 
@@ -654,23 +626,15 @@ mod tests {
             OP_BATCH => {
                 put_u8(&mut buf, OP_BATCH);
                 put_f64(&mut buf, f(seed));
-                put_u8(&mut buf, BATCH_MODE_MARKER);
-                put_usize(&mut buf, 2);
-                put_u32(&mut buf, 1);
-                put_u32(&mut buf, 2);
+                let update =
+                    |s: u64| SequencedUpdate { id: ObjectId(s as u32), pos: pt(s), seq: s };
+                put_seq_updates(&mut buf, &[update(seed), update(seed ^ 1)]);
                 put_probes(&mut buf, &probes);
             }
             OP_DEFERRED => {
                 put_u8(&mut buf, OP_DEFERRED);
                 put_f64(&mut buf, f(seed));
                 put_probes(&mut buf, &probes);
-            }
-            OP_PART_SEQ => {
-                put_u8(&mut buf, OP_PART_SEQ);
-                put_usize(&mut buf, 1);
-                put_u32(&mut buf, seed as u32);
-                put_point(&mut buf, pt(seed));
-                put_u64(&mut buf, seed);
             }
             _ => put_u8(&mut buf, OP_NEXT_DUE),
         }
@@ -680,14 +644,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-        /// Every decoder is total: a valid record of any kind, corrupted
+        /// The decoder is total: a valid record of any kind, corrupted
         /// by truncation, a bit flip, or appended garbage, must come back
         /// as `Ok` or a typed error — never a panic. (Damaged frames are
         /// routine input after a crash; the recovery path feeds every
-        /// surviving payload through these decoders.)
+        /// surviving payload through it.)
         #[test]
         fn corrupted_records_never_panic_decoders(
-            kind in 1u8..=11,
+            kind in 1u8..=12,
             seed in 0u64..u64::MAX,
             cut in 0usize..256,
             flip_at in 0usize..256,
@@ -711,15 +675,11 @@ mod tests {
 
             for v in &variants {
                 let _ = decode_record(v);
-                let _ = decode_part_seq(v);
             }
 
-            // The untouched payload still decodes through its own entry
-            // point (corruption of *other* copies must not matter).
-            match kind {
-                OP_PART_SEQ => assert!(decode_part_seq(&valid).is_ok()),
-                _ => assert!(decode_record(&valid).is_ok()),
-            }
+            // The untouched payload still decodes (corruption of *other*
+            // copies must not matter).
+            assert!(decode_record(&valid).is_ok());
         }
     }
 

@@ -501,7 +501,7 @@ fn mixed_backend_adaptive_fleet_matches_static_run() {
 }
 
 /// Controller decisions must *replay*: the controller runs inside the
-/// logged batch (before the batch marker commits), so a
+/// logged batch (before its record is appended), so a
 /// recovery that re-drives the log re-makes every migrate/retune decision
 /// at the same batch boundary — the recovered digest is bit-identical
 /// even though migrations themselves are never logged.

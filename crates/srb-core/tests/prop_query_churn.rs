@@ -168,8 +168,9 @@ fn drive(n_shards: usize, pipelined: bool, seed_pts: &[(f64, f64)], batches: &[V
 /// bit-identical, dead queries stay dead across the restart, and live
 /// ones still answer exactly their predicate.
 ///
-/// With `pipelined`, batches run through the threaded batch path
-/// (partition records appended on whichever thread runs the lane) and a
+/// With `pipelined`, batches run through the threaded batch path (its
+/// region lanes on whichever thread takes them, its one record appended
+/// by the calling thread) and a
 /// non-durable *synchronous twin* consumes the identical event stream
 /// through the sequential path; their state digests must agree after
 /// every batch — the threaded WAL transcript and the restart are only
@@ -404,8 +405,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Churn + mid-stream restart between threaded batches: partition
-    /// records are appended on whichever thread runs the lane, the server
+    /// Churn + mid-stream restart between threaded batches: region lanes
+    /// run on whichever thread takes them, the server
     /// is dropped cold, and recovery must land on the completed-operation
     /// prefix — checked after every batch against a synchronous twin's
     /// digest.

@@ -10,8 +10,8 @@
 //!   torn-tail detection;
 //! - [`log`]: an append-only log writer with an explicit *durable prefix*
 //!   (group commit buffers frames in memory until a sync boundary);
-//! - [`store`]: the generation store — one checkpoint file plus a set of
-//!   logs per generation, rotated copy-on-write behind an atomic rename;
+//! - [`store`]: the generation store — one checkpoint file plus one log
+//!   per generation, rotated copy-on-write behind an atomic rename;
 //! - [`atomic`]: the shared temp-file + rename + directory-fsync helper
 //!   every JSON/metrics writer in the workspace reuses;
 //! - [`crash`]: the crash-injection hook. Every fsync/rename boundary in

@@ -1,11 +1,14 @@
 //! Append-only operation log with group commit.
 //!
 //! A log file is a 24-byte header (`magic | generation | index`)
-//! followed by CRC-framed records (see [`crate::frame`]). The writer
-//! keeps two watermarks: `durable` (bytes known fsynced) and `written`
-//! (bytes handed to the kernel). Appends accumulate in an in-memory
-//! group-commit buffer; [`LogWriter::sync`] flushes the buffer and
-//! fsyncs, advancing `durable`.
+//! followed by CRC-framed records (see [`crate::frame`]). The store keeps
+//! one log per generation and writes index 0; the field stays so that a
+//! store written when a generation had several logs still reads.
+//!
+//! The writer keeps two watermarks: `durable` (bytes known fsynced) and
+//! `written` (bytes handed to the kernel). Appends accumulate in an
+//! in-memory group-commit buffer; [`LogWriter::sync`] flushes the buffer
+//! and fsyncs, advancing `durable`.
 //!
 //! Each watermark transition is a crash-point boundary: an armed
 //! [`CrashPoint`](crate::CrashPoint) makes this module emulate the
@@ -84,9 +87,8 @@ impl LogWriter {
     }
 
     /// Creates a fresh log at `path` whose header is written but **not**
-    /// fsynced — the checkpoint-install path batches the whole log group
-    /// behind a single directory fsync instead of one data sync per
-    /// file. The header becomes durable at the log's first record sync
+    /// fsynced — the checkpoint-install path covers it with the directory
+    /// fsync it needs anyway instead of a data sync of its own. The header becomes durable at the log's first record sync
     /// (`sync_data` flushes the whole file); until then a crash may
     /// leave the file missing or torn, which recovery repairs by
     /// recreating it empty — exactly its durable content.

@@ -1,16 +1,21 @@
-//! The generation store: one checkpoint file plus a fixed set of
-//! append-only logs per generation.
+//! The generation store: one checkpoint file plus one append-only log per
+//! generation.
 //!
 //! On-disk layout inside the store directory:
 //!
 //! ```text
 //! ckpt-<gen>        SRBCKP01 | gen u64 | len u64 | crc32 u32 | payload
-//! log-<gen>-<idx>   SRBLOG01 | gen u64 | idx u64 | frames...
+//! log-<gen>-0       SRBLOG01 | gen u64 | 0 u64   | frames...
 //! ```
 //!
-//! A checkpoint rotates the store copy-on-write: commit every log, write
+//! The log keeps its `-0` suffix and index field from when a generation had
+//! several logs, so a store written then is still found and read (and its
+//! retired record shapes refused one layer up), never skipped. Files of
+//! other indices are counted as their generation's and pruned with it.
+//!
+//! A checkpoint rotates the store copy-on-write: commit the log, write
 //! the new checkpoint to a temp sibling, fsync, atomically rename it to
-//! `ckpt-<gen+1>`, fsync the directory, create fresh `<gen+1>` logs, and
+//! `ckpt-<gen+1>`, fsync the directory, create a fresh `<gen+1>` log, and
 //! only then prune generations `<= gen-1`. Generation `gen` is kept as a
 //! fallback root: if the newest checkpoint is ever unreadable, recovery
 //! falls back one generation and replays *two* generations of logs,
@@ -24,7 +29,7 @@ use crate::crash::{self, CrashPoint};
 use crate::crc32::crc32;
 use crate::error::DurableError;
 use crate::frame::read_frames;
-use crate::log::{check_header, LogWriter, LOG_HEADER};
+use crate::log::{check_header, LogWriter};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -61,8 +66,8 @@ pub struct RecoveryStats {
 pub struct GenerationFrames {
     /// The generation these records belong to.
     pub gen: u64,
-    /// `logs[idx]` holds log `idx`'s record payloads, in append order.
-    pub logs: Vec<Vec<Vec<u8>>>,
+    /// The generation's record payloads, in append order.
+    pub records: Vec<Vec<u8>>,
 }
 
 /// The result of [`Store::recover`].
@@ -74,8 +79,7 @@ pub struct Recovered {
     /// The checkpoint payload (engine state snapshot).
     pub payload: Vec<u8>,
     /// Records to replay on top of the checkpoint, oldest generation
-    /// first. Shard-partition cursors must reset at each generation
-    /// boundary.
+    /// first.
     pub generations: Vec<GenerationFrames>,
     /// What recovery had to repair along the way.
     pub stats: RecoveryStats,
@@ -85,8 +89,8 @@ pub struct Recovered {
 pub struct Store {
     dir: PathBuf,
     gen: u64,
-    /// Per-log writers.
-    logs: Vec<LogWriter>,
+    /// The active generation's log.
+    log: LogWriter,
     policy: SyncPolicy,
     group_ops: u32,
     ops_since_sync: u32,
@@ -97,8 +101,8 @@ fn ckpt_path(dir: &Path, gen: u64) -> PathBuf {
     dir.join(format!("ckpt-{gen}"))
 }
 
-fn log_path(dir: &Path, gen: u64, idx: usize) -> PathBuf {
-    dir.join(format!("log-{gen}-{idx}"))
+fn log_path(dir: &Path, gen: u64) -> PathBuf {
+    dir.join(format!("log-{gen}-0"))
 }
 
 /// Parses `ckpt-<gen>` / `log-<gen>-<idx>` file names.
@@ -159,14 +163,9 @@ fn read_ckpt(path: &Path, expected_gen: u64) -> Result<Vec<u8>, DurableError> {
 }
 
 /// Writes checkpoint `gen`, fsyncs the directory, and creates that
-/// generation's logs — the copy-on-write installation protocol, with a
+/// generation's log — the copy-on-write installation protocol, with a
 /// crash point at every boundary.
-fn install_generation(
-    dir: &Path,
-    gen: u64,
-    payload: &[u8],
-    n_logs: usize,
-) -> Result<Vec<LogWriter>, DurableError> {
+fn install_generation(dir: &Path, gen: u64, payload: &[u8]) -> Result<LogWriter, DurableError> {
     let bytes = encode_ckpt(gen, payload);
     let tmp = dir.join(format!("ckpt-{gen}.tmp"));
     let stable = ckpt_path(dir, gen);
@@ -207,25 +206,19 @@ fn install_generation(
     if crash::fires(CrashPoint::CkptPostDirSync) {
         return Err(DurableError::Injected(CrashPoint::CkptPostDirSync));
     }
-    // Log creation is batched: every log file is written with its header
-    // left *unsynced*, then one directory fsync covers the whole install
-    // group — instead of a data sync per file. A crash inside the window
-    // can lose any subset of the files or leave torn headers; recovery's
-    // missing-log and bad-log paths rebuild them empty, which matches
-    // their durable content exactly (a fresh log holds no records, and
-    // its header becomes durable at its first record sync).
-    let mut logs = Vec::with_capacity(n_logs);
-    for idx in 0..n_logs {
-        logs.push(LogWriter::create_unsynced(&log_path(dir, gen, idx), gen, idx as u64)?);
-    }
+    // The log is written with its header left *unsynced*, and the
+    // directory fsync below covers it — instead of a data sync of its own.
+    // A crash inside the window can lose the file or leave a torn header;
+    // recovery's missing-log and bad-log paths rebuild it empty, which
+    // matches its durable content exactly (a fresh log holds no records,
+    // and its header becomes durable at its first record sync).
+    let log = LogWriter::create_unsynced(&log_path(dir, gen), gen, 0)?;
     if crash::fires(CrashPoint::CkptLogUnsynced) {
-        // Power cut after the group was created but before its dir-sync:
-        // nothing about the new logs is guaranteed — model the worst
-        // case, where every file vanishes.
-        drop(logs);
-        for idx in 0..n_logs {
-            let _ = fs::remove_file(log_path(dir, gen, idx));
-        }
+        // Power cut after the log was created but before its dir-sync:
+        // nothing about it is guaranteed — model the worst case, where
+        // the file vanishes.
+        drop(log);
+        let _ = fs::remove_file(log_path(dir, gen));
         return Err(DurableError::Injected(CrashPoint::CkptLogUnsynced));
     }
     crate::atomic::sync_dir(dir);
@@ -234,7 +227,7 @@ fn install_generation(
     }
     srb_obs::counter!("durable.ckpt.writes").inc();
     srb_obs::histogram!("durable.ckpt.bytes").record(payload.len() as u64);
-    Ok(logs)
+    Ok(log)
 }
 
 impl Store {
@@ -244,12 +237,10 @@ impl Store {
     /// `max(existing) + 1`.
     pub fn create(
         dir: &Path,
-        n_logs: usize,
         policy: SyncPolicy,
         group_ops: u32,
         payload: &[u8],
     ) -> Result<Store, DurableError> {
-        assert!(n_logs >= 1, "a store needs at least one log");
         fs::create_dir_all(dir)?;
         let mut max_gen = 0u64;
         for entry in fs::read_dir(dir)? {
@@ -260,11 +251,11 @@ impl Store {
             }
         }
         let gen = max_gen + 1;
-        let logs = install_generation(dir, gen, payload, n_logs)?;
+        let log = install_generation(dir, gen, payload)?;
         Ok(Store {
             dir: dir.to_path_buf(),
             gen,
-            logs,
+            log,
             policy,
             group_ops: group_ops.max(1),
             ops_since_sync: 0,
@@ -298,13 +289,13 @@ impl Store {
         r
     }
 
-    /// Appends `payload` as one record to log `idx` (group-commit
-    /// buffered; durable at the next commit boundary).
-    pub fn append(&mut self, idx: usize, payload: &[u8]) -> Result<(), DurableError> {
+    /// Appends `payload` as one record to the log (group-commit buffered;
+    /// durable at the next commit boundary).
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
-        let r = self.logs[idx].append(payload);
+        let r = self.log.append(payload);
         self.guard(r)
     }
 
@@ -327,23 +318,18 @@ impl Store {
         }
     }
 
-    /// Forces every log to stable storage. Shard logs (indices `1..`)
-    /// sync before the coordinator log (index `0`), so a durable
-    /// coordinator record implies its shard partitions are durable too.
+    /// Forces the log to stable storage.
     pub fn commit(&mut self) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
         self.ops_since_sync = 0;
-        for idx in (1..self.logs.len()).chain([0]) {
-            let r = self.logs[idx].sync();
-            self.guard(r)?;
-        }
-        Ok(())
+        let r = self.log.sync();
+        self.guard(r)
     }
 
     /// Rotates the store to a new generation rooted at `payload`:
-    /// commit, install the new checkpoint and logs copy-on-write, then
+    /// commit, install the new checkpoint and log copy-on-write, then
     /// prune generations older than the immediate fallback.
     pub fn checkpoint(&mut self, payload: &[u8]) -> Result<(), DurableError> {
         if self.poisoned {
@@ -351,10 +337,8 @@ impl Store {
         }
         self.commit()?;
         let new_gen = self.gen + 1;
-        let n_logs = self.logs.len();
-        let r = install_generation(&self.dir, new_gen, payload, n_logs);
-        let logs = self.guard(r)?;
-        self.logs = logs;
+        let r = install_generation(&self.dir, new_gen, payload);
+        self.log = self.guard(r)?;
         self.gen = new_gen;
         // Keep generation `new_gen - 1` as the fallback root; everything
         // older is unreachable and can go.
@@ -391,11 +375,9 @@ impl Store {
     /// torn log tails, and recreates anything the crash interrupted.
     pub fn recover(
         dir: &Path,
-        n_logs: usize,
         policy: SyncPolicy,
         group_ops: u32,
     ) -> Result<Recovered, DurableError> {
-        assert!(n_logs >= 1, "a store needs at least one log");
         let mut stats = RecoveryStats::default();
 
         let mut ckpt_gens = Vec::new();
@@ -447,57 +429,45 @@ impl Store {
             log_gens.iter().copied().chain([ckpt_gen]).max().expect("chain contains ckpt_gen");
 
         let mut generations = Vec::new();
-        let mut active_lens = vec![LOG_HEADER as u64; n_logs];
-        let mut active_missing = vec![true; n_logs];
+        // The valid length of the active generation's log, when it has one.
+        let mut active_len = None;
         for gen in ckpt_gen..=active {
-            let mut logs = Vec::with_capacity(n_logs);
-            for idx in 0..n_logs {
-                let path = log_path(dir, gen, idx);
-                let data = match fs::read(&path) {
-                    Ok(d) => d,
-                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                        logs.push(Vec::new());
-                        continue;
-                    }
-                    Err(e) => return Err(e.into()),
-                };
-                let start = match check_header(&data, gen, idx as u64) {
-                    Ok(s) => s,
+            let path = log_path(dir, gen);
+            let mut records = Vec::new();
+            match fs::read(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+                Ok(data) => match check_header(&data, gen, 0) {
                     Err(_) => {
                         // Unreadable header: nothing in this file can be
                         // trusted. Drop it; the writer is recreated below.
                         stats.bad_logs += 1;
                         srb_obs::counter!("durable.recover.bad_logs").inc();
                         let _ = fs::remove_file(&path);
-                        logs.push(Vec::new());
-                        continue;
                     }
-                };
-                let frames = read_frames(&data[start..]);
-                if !frames.clean {
-                    stats.tail_truncations += 1;
-                    srb_obs::counter!("durable.recover.tail_truncations").inc();
-                }
-                if gen == active {
-                    active_lens[idx] = (start + frames.valid_len) as u64;
-                    active_missing[idx] = false;
-                }
-                logs.push(frames.payloads.iter().map(|p| p.to_vec()).collect());
+                    Ok(start) => {
+                        let frames = read_frames(&data[start..]);
+                        if !frames.clean {
+                            stats.tail_truncations += 1;
+                            srb_obs::counter!("durable.recover.tail_truncations").inc();
+                        }
+                        if gen == active {
+                            active_len = Some((start + frames.valid_len) as u64);
+                        }
+                        records = frames.payloads.iter().map(|p| p.to_vec()).collect();
+                    }
+                },
             }
-            generations.push(GenerationFrames { gen, logs });
+            generations.push(GenerationFrames { gen, records });
         }
 
-        // Reopen writers on the active generation, truncating torn tails
-        // physically and recreating files the crash never got to.
-        let mut writers = Vec::with_capacity(n_logs);
-        for idx in 0..n_logs {
-            let path = log_path(dir, active, idx);
-            if active_missing[idx] {
-                writers.push(LogWriter::create(&path, active, idx as u64)?);
-            } else {
-                writers.push(LogWriter::open_append(&path, active_lens[idx])?);
-            }
-        }
+        // Reopen the writer on the active generation, truncating a torn
+        // tail physically, or recreate the log the crash never got to.
+        let path = log_path(dir, active);
+        let log = match active_len {
+            Some(len) => LogWriter::open_append(&path, len)?,
+            None => LogWriter::create(&path, active, 0)?,
+        };
         crate::atomic::sync_dir(dir);
 
         srb_obs::counter!("durable.recover.runs").inc();
@@ -505,7 +475,7 @@ impl Store {
             store: Store {
                 dir: dir.to_path_buf(),
                 gen: active,
-                logs: writers,
+                log,
                 policy,
                 group_ops: group_ops.max(1),
                 ops_since_sync: 0,
@@ -550,18 +520,18 @@ mod tests {
     }
 
     fn all_records(r: &Recovered) -> Vec<Vec<u8>> {
-        r.generations.iter().flat_map(|g| g.logs.iter().flatten().cloned()).collect()
+        r.generations.iter().flat_map(|g| g.records.iter().cloned()).collect()
     }
 
     #[test]
     fn create_append_commit_recover() {
         let dir = scratch();
-        let mut s = Store::create(&dir, 1, SyncPolicy::GroupCommit, 4, b"root state").unwrap();
-        s.append(0, b"op-1").unwrap();
-        s.append(0, b"op-2").unwrap();
+        let mut s = Store::create(&dir, SyncPolicy::GroupCommit, 4, b"root state").unwrap();
+        s.append(b"op-1").unwrap();
+        s.append(b"op-2").unwrap();
         s.commit().unwrap();
         drop(s);
-        let r = Store::recover(&dir, 1, SyncPolicy::GroupCommit, 4).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::GroupCommit, 4).unwrap();
         assert_eq!(r.payload, b"root state");
         assert_eq!(all_records(&r), vec![b"op-1".to_vec(), b"op-2".to_vec()]);
         assert_eq!(r.stats, RecoveryStats::default());
@@ -571,11 +541,11 @@ mod tests {
     #[test]
     fn uncommitted_records_do_not_survive() {
         let dir = scratch();
-        let mut s = Store::create(&dir, 1, SyncPolicy::Never, 1, b"root").unwrap();
-        s.append(0, b"volatile").unwrap();
+        let mut s = Store::create(&dir, SyncPolicy::Never, 1, b"root").unwrap();
+        s.append(b"volatile").unwrap();
         s.op_end().unwrap();
         drop(s);
-        let r = Store::recover(&dir, 1, SyncPolicy::Never, 1).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::Never, 1).unwrap();
         assert!(all_records(&r).is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -583,26 +553,22 @@ mod tests {
     #[test]
     fn checkpoint_rotates_and_prunes_with_fallback() {
         let dir = scratch();
-        let mut s = Store::create(&dir, 2, SyncPolicy::Always, 1, b"gen1").unwrap();
-        s.append(0, b"a").unwrap();
+        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"gen1").unwrap();
+        s.append(b"a").unwrap();
         s.op_end().unwrap();
         s.checkpoint(b"gen2").unwrap();
-        s.append(0, b"b").unwrap();
+        s.append(b"b").unwrap();
         s.op_end().unwrap();
         s.checkpoint(b"gen3").unwrap();
-        s.append(1, b"c").unwrap();
+        s.append(b"c").unwrap();
         s.op_end().unwrap();
         drop(s);
-        // Generation 1 was pruned; 2 is the fallback; 3 is active.
+        // Generation 1 was pruned; 2 is the fallback; 3 is active; each is
+        // one checkpoint and one log.
         let names: Vec<String> = dir_listing(&dir).into_iter().map(|(n, _)| n).collect();
-        assert!(
-            !names.iter().any(|n| n == "ckpt-1" || n.starts_with("log-1-")),
-            "gen 1 pruned: {names:?}"
-        );
-        assert!(names.contains(&"ckpt-2".to_string()));
-        assert!(names.contains(&"ckpt-3".to_string()));
+        assert_eq!(names, ["ckpt-2", "ckpt-3", "log-2-0", "log-3-0"]);
 
-        let r = Store::recover(&dir, 2, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
         assert_eq!(r.ckpt_gen, 3);
         assert_eq!(r.payload, b"gen3");
         assert_eq!(all_records(&r), vec![b"c".to_vec()]);
@@ -613,7 +579,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(ckpt_path(&dir, 3), bytes).unwrap();
-        let r = Store::recover(&dir, 2, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
         assert_eq!(r.ckpt_gen, 2);
         assert_eq!(r.payload, b"gen2");
         assert_eq!(all_records(&r), vec![b"b".to_vec(), b"c".to_vec()]);
@@ -624,17 +590,17 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_counted() {
         let dir = scratch();
-        let mut s = Store::create(&dir, 1, SyncPolicy::Always, 1, b"root").unwrap();
-        s.append(0, b"good").unwrap();
+        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"root").unwrap();
+        s.append(b"good").unwrap();
         s.op_end().unwrap();
         drop(s);
         // Simulate a torn append: garbage after the valid frame.
-        let path = log_path(&dir, 1, 0);
+        let path = log_path(&dir, 1);
         let mut data = fs::read(&path).unwrap();
         let valid = data.len();
         data.extend_from_slice(&[0x55; 7]);
         fs::write(&path, data).unwrap();
-        let r = Store::recover(&dir, 1, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
         assert_eq!(all_records(&r), vec![b"good".to_vec()]);
         assert_eq!(r.stats.tail_truncations, 1);
         assert_eq!(fs::metadata(&path).unwrap().len() as usize, valid, "tail physically cut");
@@ -654,14 +620,14 @@ mod tests {
             CrashPoint::CkptPrune,
         ] {
             let dir = scratch();
-            let mut s = Store::create(&dir, 1, SyncPolicy::Always, 1, b"gen1").unwrap();
-            s.append(0, b"a").unwrap();
+            let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"gen1").unwrap();
+            s.append(b"a").unwrap();
             s.op_end().unwrap();
             // CkptPrune only fires once generation 1 is prunable, so run
             // one full rotation first for that point.
             if point == CrashPoint::CkptPrune {
                 s.checkpoint(b"gen2").unwrap();
-                s.append(0, b"b").unwrap();
+                s.append(b"b").unwrap();
                 s.op_end().unwrap();
             }
             crash::arm(point, 0);
@@ -669,10 +635,10 @@ mod tests {
             let err = s.checkpoint(target).unwrap_err();
             crash::disarm();
             assert!(matches!(err, DurableError::Injected(p) if p == point));
-            assert!(matches!(s.append(0, b"x"), Err(DurableError::Poisoned)));
+            assert!(matches!(s.append(b"x"), Err(DurableError::Poisoned)));
             drop(s);
 
-            let r = Store::recover(&dir, 1, SyncPolicy::Always, 1).unwrap();
+            let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
             // Whatever the boundary, the recovered root plus its records
             // reconstruct the full history: either the new checkpoint
             // took (no records to replay) or the old one plus its log.
@@ -691,22 +657,22 @@ mod tests {
     #[test]
     fn poisoned_store_refuses_appends() {
         let dir = scratch();
-        let mut s = Store::create(&dir, 1, SyncPolicy::Always, 1, b"root").unwrap();
+        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"root").unwrap();
         s.poison();
-        assert!(matches!(s.append(0, b"x"), Err(DurableError::Poisoned)));
+        assert!(matches!(s.append(b"x"), Err(DurableError::Poisoned)));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn create_supersedes_existing_generations() {
         let dir = scratch();
-        let s = Store::create(&dir, 1, SyncPolicy::Never, 1, b"first").unwrap();
+        let s = Store::create(&dir, SyncPolicy::Never, 1, b"first").unwrap();
         assert_eq!(s.generation(), 1);
         drop(s);
-        let s = Store::create(&dir, 1, SyncPolicy::Never, 1, b"second").unwrap();
+        let s = Store::create(&dir, SyncPolicy::Never, 1, b"second").unwrap();
         assert_eq!(s.generation(), 2);
         drop(s);
-        let r = Store::recover(&dir, 1, SyncPolicy::Never, 1).unwrap();
+        let r = Store::recover(&dir, SyncPolicy::Never, 1).unwrap();
         assert_eq!(r.payload, b"second");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -2,7 +2,7 @@
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -32,17 +32,8 @@ impl Counter {
     /// Increments the counter by `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        // The aggregating default is special-cased so the hot path is one
-        // mode load plus one relaxed RMW — no virtual dispatch.
-        match MODE.load(ORD) {
-            MODE_AGG => {
-                self.value.fetch_add(n, ORD);
-            }
-            MODE_OFF => {}
-            _ => recorder_dispatch().counter_add(self, n),
+        if n > 0 && enabled() {
+            self.value.fetch_add(n, ORD);
         }
     }
 
@@ -63,10 +54,8 @@ impl Gauge {
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, v: u64) {
-        match MODE.load(ORD) {
-            MODE_AGG => self.value.store(v, ORD),
-            MODE_OFF => {}
-            _ => recorder_dispatch().gauge_set(self, v),
+        if enabled() {
+            self.value.store(v, ORD);
         }
     }
 
@@ -112,16 +101,9 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        match MODE.load(ORD) {
-            MODE_AGG => self.record_agg(v),
-            MODE_OFF => {}
-            _ => recorder_dispatch().histogram_record(self, v),
+        if !enabled() {
+            return;
         }
-    }
-
-    /// Folds one sample into the atomics (the aggregating path).
-    #[inline]
-    fn record_agg(&self, v: u64) {
         self.count.fetch_add(1, ORD);
         let prev = self.sum.fetch_add(v, ORD);
         if prev.checked_add(v).is_none() {
@@ -216,11 +198,10 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Opens a span if telemetry (and timing) is live; otherwise returns an
-    /// inert guard.
+    /// Opens a span if telemetry is live; otherwise returns an inert guard.
     #[inline]
     pub fn enter(stats: &'static SpanStats) -> SpanGuard {
-        if timing_enabled() {
+        if enabled() {
             SPAN_STACK.with(|s| {
                 let d = s.depth.get();
                 s.depth.set(d + 1);
@@ -269,10 +250,10 @@ pub struct Stopwatch {
 }
 
 impl Stopwatch {
-    /// Starts the watch (inert when telemetry timing is off).
+    /// Starts the watch (inert when telemetry is off).
     #[inline]
     pub fn start() -> Stopwatch {
-        Stopwatch { start: timing_enabled().then(Instant::now) }
+        Stopwatch { start: enabled().then(Instant::now) }
     }
 
     /// Nanoseconds since [`start`](Stopwatch::start), or `None` when inert.
@@ -283,113 +264,22 @@ impl Stopwatch {
 }
 
 // ---------------------------------------------------------------------
-// Recorder strategy
+// Runtime switch
 // ---------------------------------------------------------------------
 
-/// Where recorded events go. The default [`AggregatingRecorder`] folds them
-/// into each metric's atomics; implement this to tee events elsewhere
-/// ([`set_recorder`]).
-pub trait Recorder: Send + Sync {
-    /// A counter was incremented by `n`.
-    fn counter_add(&self, counter: &Counter, n: u64);
-    /// A gauge was set to `v`.
-    fn gauge_set(&self, gauge: &Gauge, v: u64);
-    /// A histogram recorded the sample `v`.
-    fn histogram_record(&self, histogram: &Histogram, v: u64);
-}
-
-/// The default recorder: folds events into the registry's atomics.
-#[derive(Debug, Default)]
-pub struct AggregatingRecorder;
-
-impl Recorder for AggregatingRecorder {
-    #[inline]
-    fn counter_add(&self, counter: &Counter, n: u64) {
-        counter.value.fetch_add(n, ORD);
-    }
-
-    #[inline]
-    fn gauge_set(&self, gauge: &Gauge, v: u64) {
-        gauge.value.store(v, ORD);
-    }
-
-    #[inline]
-    fn histogram_record(&self, histogram: &Histogram, v: u64) {
-        histogram.record_agg(v);
-    }
-}
-
-/// Discards every event.
-#[derive(Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline]
-    fn counter_add(&self, _: &Counter, _: u64) {}
-    #[inline]
-    fn gauge_set(&self, _: &Gauge, _: u64) {}
-    #[inline]
-    fn histogram_record(&self, _: &Histogram, _: u64) {}
-}
-
-const MODE_AGG: u8 = 0;
-const MODE_OFF: u8 = 1;
-const MODE_CUSTOM: u8 = 2;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_AGG);
-static CUSTOM: OnceLock<Box<dyn Recorder>> = OnceLock::new();
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// True when events are currently being recorded (runtime switch; see also
 /// [`compiled`](crate::compiled) for the compile-time switch).
 #[inline]
 pub fn enabled() -> bool {
-    MODE.load(ORD) != MODE_OFF
+    ENABLED.load(ORD)
 }
 
-/// True when wall-clock timing (spans, stopwatches) should run. Identical
-/// to [`enabled`] today, but a distinct name at call sites so timing can be
-/// gated separately later without touching instrumented code.
-#[inline]
-pub fn timing_enabled() -> bool {
-    enabled()
-}
-
-/// Runtime on/off switch. `set_enabled(false)` routes every event to the
-/// [`NoopRecorder`] and makes spans inert; metrics keep their prior values.
+/// Runtime on/off switch. `set_enabled(false)` drops every event and makes
+/// spans and stopwatches inert; metrics keep their prior values.
 pub fn set_enabled(on: bool) {
-    let target = if on {
-        if CUSTOM.get().is_some() {
-            MODE_CUSTOM
-        } else {
-            MODE_AGG
-        }
-    } else {
-        MODE_OFF
-    };
-    MODE.store(target, ORD);
-}
-
-/// Installs a custom [`Recorder`] for the rest of the process. Returns
-/// `false` (leaving the previous recorder in place) if one was already
-/// installed.
-pub fn set_recorder(r: Box<dyn Recorder>) -> bool {
-    let installed = CUSTOM.set(r).is_ok();
-    if installed {
-        MODE.store(MODE_CUSTOM, ORD);
-    }
-    installed
-}
-
-static AGGREGATING: AggregatingRecorder = AggregatingRecorder;
-static NOOP: NoopRecorder = NoopRecorder;
-
-#[inline]
-fn recorder_dispatch() -> &'static dyn Recorder {
-    match MODE.load(ORD) {
-        MODE_AGG => &AGGREGATING,
-        MODE_OFF => &NOOP,
-        _ => CUSTOM.get().map_or(&AGGREGATING as _, |b| b.as_ref()),
-    }
+    ENABLED.store(on, ORD);
 }
 
 // ---------------------------------------------------------------------

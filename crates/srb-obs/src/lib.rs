@@ -12,13 +12,12 @@
 //!    feature off every type in this crate is an inert zero-sized stub with
 //!    the identical API, so instrumented crates build unchanged and carry
 //!    no telemetry code at all.
-//! 2. **Run time** — a [`Recorder`] strategy behind an atomic mode switch
-//!    ([`set_enabled`], [`set_recorder`]). The default
-//!    [`AggregatingRecorder`] folds events into the registry's atomics; the
-//!    [`NoopRecorder`] discards them. Because telemetry only ever *reads*
+//! 2. **Run time** — one atomic switch ([`set_enabled`]). On (the
+//!    default), events fold into the registry's atomics; off, they are
+//!    dropped and spans are inert. Because telemetry only ever *reads*
 //!    simulation state (it never feeds a measurement back into a decision),
-//!    swapping recorders cannot change any figure — the golden-metrics
-//!    tests pin this bit-identically.
+//!    the switch cannot change any figure — the golden-metrics tests pin
+//!    this bit-identically.
 //!
 //! Hot-path discipline: call sites resolve their handle once through the
 //! [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros (a `OnceLock`
@@ -49,16 +48,16 @@ use std::fmt::Write as _;
 mod imp;
 #[cfg(feature = "obs")]
 pub use imp::{
-    enabled, registry, set_enabled, set_recorder, timing_enabled, AggregatingRecorder, Counter,
-    Gauge, Histogram, NoopRecorder, Recorder, Registry, SpanGuard, SpanStats, Stopwatch,
+    enabled, registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats,
+    Stopwatch,
 };
 
 #[cfg(not(feature = "obs"))]
 mod stub;
 #[cfg(not(feature = "obs"))]
 pub use stub::{
-    enabled, registry, set_enabled, set_recorder, timing_enabled, AggregatingRecorder, Counter,
-    Gauge, Histogram, NoopRecorder, Recorder, Registry, SpanGuard, SpanStats, Stopwatch,
+    enabled, registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats,
+    Stopwatch,
 };
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1` holds

@@ -112,64 +112,15 @@ impl Stopwatch {
     }
 }
 
-/// Event sink interface; with the `obs` feature off, no events exist to
-/// route, so implementations are never called.
-pub trait Recorder: Send + Sync {
-    /// Never called (telemetry compiled out).
-    fn counter_add(&self, counter: &Counter, n: u64);
-    /// Never called (telemetry compiled out).
-    fn gauge_set(&self, gauge: &Gauge, v: u64);
-    /// Never called (telemetry compiled out).
-    fn histogram_record(&self, histogram: &Histogram, v: u64);
-}
-
-/// Inert stand-in for the default recorder (the `obs` feature is off).
-#[derive(Debug, Default)]
-pub struct AggregatingRecorder;
-
-impl Recorder for AggregatingRecorder {
-    #[inline(always)]
-    fn counter_add(&self, _: &Counter, _: u64) {}
-    #[inline(always)]
-    fn gauge_set(&self, _: &Gauge, _: u64) {}
-    #[inline(always)]
-    fn histogram_record(&self, _: &Histogram, _: u64) {}
-}
-
-/// Inert stand-in for the no-op recorder (the `obs` feature is off).
-#[derive(Debug, Default)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {
-    #[inline(always)]
-    fn counter_add(&self, _: &Counter, _: u64) {}
-    #[inline(always)]
-    fn gauge_set(&self, _: &Gauge, _: u64) {}
-    #[inline(always)]
-    fn histogram_record(&self, _: &Histogram, _: u64) {}
-}
-
 /// Always false (telemetry compiled out).
 #[inline(always)]
 pub fn enabled() -> bool {
     false
 }
 
-/// Always false (telemetry compiled out).
-#[inline(always)]
-pub fn timing_enabled() -> bool {
-    false
-}
-
 /// Does nothing (telemetry compiled out).
 #[inline(always)]
 pub fn set_enabled(_on: bool) {}
-
-/// Always false — no recorder can be installed (telemetry compiled out).
-#[inline(always)]
-pub fn set_recorder(_r: Box<dyn Recorder>) -> bool {
-    false
-}
 
 /// Inert stand-in for the real registry (the `obs` feature is off).
 #[derive(Debug, Default)]

@@ -13,13 +13,13 @@
 //! golden run's, operation for operation and bit for bit.
 //!
 //! The same matrix runs on the durable single node — a 1-shard
-//! [`ShardedServer`] — and on 2 shards (a coordinator marker log plus one
-//! partition log per shard either way), each with the region lanes of a
-//! batch on the caller alone and forked over two threads
-//! (`handle_sequenced_updates_parallel_into`): same batch body, same WAL
-//! bytes, and only the calling thread writes the log, so both thread counts
-//! are held to the one golden table and the thread-local crash plan reaches
-//! every boundary. Plus a grid-backend round trip and a corruption fuzzer
+//! [`ShardedServer`] — and on 2 shards (one log per generation either way,
+//! a batch one record in it however many shards own its reports), each
+//! with the region lanes of a batch on the caller alone and forked over two
+//! threads (`handle_sequenced_updates_parallel_into`): same batch body, same
+//! WAL bytes, and only the calling thread writes the log, so both thread
+//! counts are held to the one golden table and the thread-local crash plan
+//! reaches every boundary. Plus a grid-backend round trip and a corruption fuzzer
 //! that bit-flips and truncates every file in the store — recovery may
 //! refuse (an error is a fine answer to a mangled disk) but must never
 //! panic.
@@ -81,10 +81,10 @@ fn spec_at(r: u64) -> QuerySpec {
     }
 }
 
-/// One primitive operation — exactly one arbiter-log record (for the two
-/// ingest calls, `Single` and `Batch`, the marker that commits their
-/// partitions). The golden prefix table is indexed at this granularity: a
-/// crash can land between any two of these, but never inside one.
+/// One primitive operation — exactly one log record, the two ingest calls
+/// `Single` and `Batch` included. The golden prefix table is indexed at
+/// this granularity: a crash can land between any two of these, but never
+/// inside one.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Add(u64),

@@ -353,9 +353,10 @@ fn durable_single_node_round_trips_through_recovery() {
     // The durable single node is the 1-shard engine: a few dozen mixed
     // operations — many-report and one-report batches among them — go
     // through the log, the engine is dropped cold, and what `recover`
-    // rebuilds from disk equals a twin that never had a log. At 2 shards
-    // the same stream replays through the partition logs and markers.
-    for shards in [1, 2] {
+    // rebuilds from disk equals a twin that never had a log. At 2 and 4
+    // shards the store is laid out the same: each operation, a batch owned
+    // by several shards included, is one record of one log per generation.
+    for shards in [1, 2, 4] {
         durable_round_trip(shards);
     }
 }
@@ -426,6 +427,17 @@ fn durable_round_trip(shards: usize) {
 
     durable.sync_wal();
     drop(durable);
+    // The live generations — the active one and the fallback the last
+    // rotation kept — are one checkpoint and one log each, whatever the
+    // shard count.
+    let listing = srb_durable::store::dir_listing(std::path::Path::new(dir));
+    let names: Vec<String> = listing.into_iter().map(|(name, _)| name).collect();
+    let gens: Vec<&str> = names.iter().filter_map(|name| name.strip_prefix("ckpt-")).collect();
+    assert!(gens.len() >= 2, "the run rotated its store: {names:?}");
+    let mut want: Vec<String> =
+        gens.iter().flat_map(|g| [format!("ckpt-{g}"), format!("log-{g}-0")]).collect();
+    want.sort();
+    assert_eq!(names, want, "{shards} shard(s)");
     let (recovered, replayed) =
         ShardedServer::<RStarTree>::recover(durable_cfg, shards).expect("recovery");
     assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
