@@ -47,8 +47,11 @@
 //! [`Shard`]s — the paper's single server is `N = 1` — and keeps the
 //! queries once, in its coordinator, which evaluates each with the §4 code
 //! over the union of the shard indexes: answers are exact and the probes
-//! the same at every shard count. The safe regions of a batch are computed
-//! by one lane per shard, on as many threads as the engine is given.
+//! the same at every shard count. The coordinator also owns the location
+//! manager's one timer queue (`location`): at most one pending lease or
+//! deferred probe per object, fired in `(due, id)` order. The safe regions
+//! of a batch are computed by one lane per shard, on as many threads as
+//! the engine is given.
 //!
 //! The object index under a shard is a pluggable
 //! [`SpatialBackend`](srb_index::SpatialBackend): [`ShardedServer`]
@@ -97,7 +100,6 @@ pub use error::{RecoveryError, ServerError};
 pub use grid::{Cell, GridIndex};
 pub use ids::{ObjectId, QueryId};
 pub use index::ObjectIndex;
-pub use location::LocationManager;
 pub use object::{ObjectSlot, ObjectState, ObjectTable};
 pub use processor::QueryProcessor;
 pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};

@@ -1,203 +1,221 @@
 //! The location manager layer (paper §3.1, Figure 3.1 box "location
-//! manager"): a shard's timers.
+//! manager"): the engine's timers.
 //!
-//! Owns the safe-region leases and the deferred probe queue that keeps the
-//! reachability enhancement (§6.1) sound over time, for the objects of one
-//! shard. Safe regions themselves (§5) are computed by the coordinator's
-//! region lanes against the one query plane (`sharded.rs`).
+//! One queue, owned by the coordinator of
+//! [`ShardedServer`](crate::ShardedServer), holds at most one pending timer
+//! per object: a deferred probe that keeps the reachability enhancement
+//! (§6.1) sound over time, or a safe-region lease. Timers fire in
+//! `(due, id)` order, whichever shard owns the object. Which timer an
+//! object has is the engine's rule, applied where regions are granted: a
+//! grant at a new instant drops the timer (the object is exactly known
+//! again, so nothing scheduled against its old anchor is owed), a grant at
+//! the same instant keeps it, and a lease or a slack request only ever
+//! brings it forward. Safe regions themselves (§5) are computed by the
+//! coordinator's region lanes (`sharded.rs`).
 
 use crate::ids::ObjectId;
-use crate::object::ObjectTable;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use srb_durable::codec::{put_f64, put_u32, put_u8, put_usize};
+use srb_durable::{Dec, DurableError};
+use srb_hash::FastMap;
+use std::collections::BTreeMap;
 
-/// Why a deferred timer entry exists.
+/// Why a timer exists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DeferKind {
     /// Reachability-circle slack expiry (§6.1 soundness restoration).
-    Slack,
+    Slack = 0,
     /// Safe-region lease expiry: the object has not been heard from for a
     /// full lease period — probe it in case its exit report was lost.
-    Lease,
+    Lease = 1,
 }
 
-/// A scheduled deferred probe (see DESIGN.md): `epoch` is the object's
-/// last-report timestamp at scheduling time — the entry is stale (and
-/// silently dropped) if the object has reported or been probed since.
-/// Lease renewals ride the same staleness rule: any contact bumps `t_lst`,
-/// invalidating the old lease entry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Deferred {
-    pub due: f64,
-    pub oid: ObjectId,
-    pub epoch: f64,
-    pub kind: DeferKind,
+/// `due`'s rank under [`f64::total_cmp`], as an integer: the queue's order.
+fn rank(due: f64) -> i64 {
+    let bits = due.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-impl PartialEq for Deferred {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for Deferred {}
-impl PartialOrd for Deferred {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deferred {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.due.total_cmp(&other.due)
-    }
-}
-
-/// The location manager: leases and the deferred probe queue.
+/// The timer queue: at most one pending timer per object, in `(due, id)`
+/// order.
 #[derive(Default)]
-pub struct LocationManager {
-    deferred: BinaryHeap<Reverse<Deferred>>,
+pub(crate) struct Timers {
+    /// Every pending timer, keyed `(rank(due), id)`.
+    queue: BTreeMap<(i64, ObjectId), DeferKind>,
+    /// Each object's due: its key in `queue`.
+    due_of: FastMap<ObjectId, f64>,
 }
 
-impl LocationManager {
-    /// Creates an empty manager.
-    pub fn new() -> Self {
-        Self::default()
+impl Timers {
+    fn set(&mut self, oid: ObjectId, due: f64, kind: DeferKind) {
+        self.due_of.insert(oid, due);
+        self.queue.insert((rank(due), oid), kind);
     }
 
-    /// Schedules one reachability-slack probe of `oid` (an object of
-    /// `objects`; unknown ids are ignored) at `due`.
-    pub(crate) fn defer(&mut self, oid: ObjectId, due: f64, objects: &ObjectTable) {
-        let Some(st) = objects.get(oid) else { return };
-        self.deferred.push(Reverse(Deferred { due, oid, epoch: st.t_lst, kind: DeferKind::Slack }));
-    }
-
-    /// Schedules the lease-expiry probe of the region just granted to `oid`
-    /// at `now`, when leases are enabled. Renewal-on-contact is implicit:
-    /// the entry's epoch is the fresh `t_lst`, so any later contact (which
-    /// bumps `t_lst`) invalidates it via the staleness rule.
-    pub(crate) fn start_lease(&mut self, lease: Option<f64>, oid: ObjectId, now: f64) {
-        if let Some(lease) = lease.filter(|&l| l > 0.0) {
-            self.deferred.push(Reverse(Deferred {
-                due: now + lease,
-                oid,
-                epoch: now,
-                kind: DeferKind::Lease,
-            }));
-        }
-    }
-
-    /// The earliest pending deferred-probe time, if any. Stale entries are
-    /// discarded lazily.
-    pub(crate) fn next_due(&mut self, objects: &ObjectTable) -> Option<f64> {
-        while let Some(Reverse(d)) = self.deferred.peek() {
-            let fresh = objects.get(d.oid).map(|st| st.t_lst == d.epoch).unwrap_or(false);
-            if fresh {
-                return Some(d.due);
+    /// Brings `oid`'s timer forward to `due`; a timer already due at or
+    /// before it stays as it is.
+    pub(crate) fn lower(&mut self, oid: ObjectId, due: f64, kind: DeferKind) {
+        if let Some(&pending) = self.due_of.get(&oid) {
+            if rank(pending) <= rank(due) {
+                return;
             }
-            self.deferred.pop();
+            self.cancel(oid);
         }
-        None
+        self.set(oid, due, kind);
     }
 
-    /// Pops the next fresh entry due at or before `now`, if any.
-    pub(crate) fn pop_due(&mut self, objects: &ObjectTable, now: f64) -> Option<Deferred> {
-        let due = self.next_due(objects)?;
-        if due > now + 1e-12 {
+    /// Drops `oid`'s timer, if it has one.
+    pub(crate) fn cancel(&mut self, oid: ObjectId) {
+        if let Some(due) = self.due_of.remove(&oid) {
+            self.queue.remove(&(rank(due), oid));
+        }
+    }
+
+    /// The earliest pending due, if any.
+    pub(crate) fn first(&self) -> Option<f64> {
+        let (&(_, oid), _) = self.queue.first_key_value()?;
+        Some(self.due_of[&oid])
+    }
+
+    /// Removes and returns the first timer when it is due at or before
+    /// `now`.
+    pub(crate) fn pop_due(&mut self, now: f64) -> Option<(ObjectId, DeferKind)> {
+        if self.first()? > now + 1e-12 {
             return None;
         }
-        self.deferred.pop().map(|Reverse(d)| d)
+        let ((_, oid), kind) = self.queue.pop_first()?;
+        self.due_of.remove(&oid);
+        Some((oid, kind))
     }
 
-    /// Serializes the deferred-probe queue for a durability checkpoint.
-    /// Entries are written in the heap's internal array order; rebuilding
-    /// a `BinaryHeap` from an array that already satisfies the heap
-    /// property moves nothing, so the decoded queue pops in exactly the
-    /// original order (ties included) — a requirement for bit-identical
-    /// recovery.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        use srb_durable::codec::*;
-        put_usize(out, self.deferred.len());
-        for Reverse(d) in self.deferred.iter() {
-            put_f64(out, d.due);
-            put_u32(out, d.oid.0);
-            put_f64(out, d.epoch);
-            put_u8(
-                out,
-                match d.kind {
-                    DeferKind::Slack => 0,
-                    DeferKind::Lease => 1,
-                },
-            );
+    /// `oid`'s due, if it has a timer.
+    #[cfg(test)]
+    pub(crate) fn due_of(&self, oid: ObjectId) -> Option<f64> {
+        self.due_of.get(&oid).copied()
+    }
+
+    /// The number of pending timers.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Asserts that the queue and the per-object index agree and that every
+    /// timer names an object `registered` knows.
+    pub(crate) fn check(&self, registered: impl Fn(ObjectId) -> bool) {
+        assert_eq!(self.queue.len(), self.due_of.len(), "timer queue and index disagree");
+        for &(at, oid) in self.queue.keys() {
+            assert_eq!(self.due_of.get(&oid).map(|&due| rank(due)), Some(at), "{oid} misfiled");
+            assert!(registered(oid), "a timer for unregistered {oid}");
         }
     }
 
-    /// Rebuilds a manager serialized by
-    /// [`encode_state`](Self::encode_state).
+    /// Serializes the timers for a checkpoint, in queue order.
+    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
+        put_usize(out, self.queue.len());
+        for (&(_, oid), &kind) in &self.queue {
+            put_f64(out, self.due_of[&oid]);
+            put_u32(out, oid.0);
+            put_u8(out, kind as u8);
+        }
+    }
+
+    /// Rebuilds the timers [`encode_state`](Self::encode_state) wrote,
+    /// refusing a NaN due, a second timer for one object, and a timer for
+    /// an object `registered` does not know.
     pub(crate) fn decode_state(
-        dec: &mut srb_durable::Dec<'_>,
-    ) -> Result<Self, srb_durable::DurableError> {
-        use srb_durable::DurableError;
-        let n = dec.len(21)?;
-        let mut entries = Vec::with_capacity(n);
+        dec: &mut Dec<'_>,
+        registered: impl Fn(ObjectId) -> bool,
+    ) -> Result<Self, DurableError> {
+        let n = dec.len(13)?;
+        let mut timers = Timers::default();
         for _ in 0..n {
             let due = dec.f64()?;
             let oid = ObjectId(dec.u32()?);
-            let epoch = dec.f64()?;
             let kind = match dec.u8()? {
                 0 => DeferKind::Slack,
                 1 => DeferKind::Lease,
-                _ => return Err(DurableError::Corrupt("bad defer kind")),
+                _ => return Err(DurableError::Corrupt("bad timer kind")),
             };
-            if due.is_nan() || epoch.is_nan() {
-                return Err(DurableError::Corrupt("NaN deferred timestamp"));
+            if due.is_nan() {
+                return Err(DurableError::Corrupt("NaN timer due"));
             }
-            entries.push(Reverse(Deferred { due, oid, epoch, kind }));
+            if !registered(oid) {
+                return Err(DurableError::Corrupt("timer for an unregistered object"));
+            }
+            if timers.due_of.contains_key(&oid) {
+                return Err(DurableError::Corrupt("two timers for one object"));
+            }
+            timers.set(oid, due, kind);
         }
-        Ok(LocationManager { deferred: BinaryHeap::from(entries) })
+        Ok(timers)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::ObjectState;
-    use srb_geom::{Point, Rect};
 
-    fn table_with(oid: ObjectId, t_lst: f64) -> ObjectTable {
-        let mut t = ObjectTable::new();
-        let p = Point::new(0.5, 0.5);
-        t.set(oid, ObjectState { p_lst: p, t_lst, safe_region: Rect::point(p), last_seq: 0 });
-        t
+    #[test]
+    fn lower_keeps_the_earlier_due_and_an_equal_one_stays() {
+        let mut timers = Timers::default();
+        timers.lower(ObjectId(3), 2.0, DeferKind::Lease);
+        timers.lower(ObjectId(3), 5.0, DeferKind::Slack);
+        assert_eq!(timers.first(), Some(2.0));
+        timers.lower(ObjectId(3), 2.0, DeferKind::Slack);
+        assert_eq!(timers.queue.get(&(rank(2.0), ObjectId(3))), Some(&DeferKind::Lease));
+        timers.lower(ObjectId(3), 1.5, DeferKind::Slack);
+        assert_eq!(timers.first(), Some(1.5));
+        assert_eq!(timers.pop_due(1.5), Some((ObjectId(3), DeferKind::Slack)));
+        assert_eq!(timers.first(), None, "one timer per object");
+        timers.check(|_| true);
     }
 
     #[test]
-    fn defer_ignores_unknown_objects() {
-        let mut lm = LocationManager::new();
-        let objects = table_with(ObjectId(1), 0.0);
-        lm.defer(ObjectId(9), 2.0, &objects);
-        lm.defer(ObjectId(1), 5.0, &objects);
-        assert_eq!(lm.next_due(&objects), Some(5.0));
+    fn pop_due_respects_now_and_fires_in_due_then_id_order() {
+        let mut timers = Timers::default();
+        for (id, due) in [(9, 1.0), (4, 3.0), (2, 1.0), (7, 0.5)] {
+            timers.lower(ObjectId(id), due, DeferKind::Lease);
+        }
+        assert_eq!(timers.pop_due(0.4), None);
+        let fired: Vec<u32> =
+            std::iter::from_fn(|| timers.pop_due(1.0)).map(|(oid, _)| oid.0).collect();
+        assert_eq!(fired, [7, 2, 9]);
+        assert_eq!(timers.first(), Some(3.0));
+        timers.cancel(ObjectId(4));
+        timers.cancel(ObjectId(4));
+        assert_eq!(timers.first(), None);
+        timers.check(|_| true);
     }
 
     #[test]
-    fn stale_entries_are_dropped_lazily() {
-        let mut lm = LocationManager::new();
-        let mut objects = table_with(ObjectId(3), 0.0);
-        lm.defer(ObjectId(3), 2.0, &objects);
-        assert_eq!(lm.next_due(&objects), Some(2.0));
-        // A later contact bumps t_lst and invalidates the entry.
-        objects.get_mut(ObjectId(3)).unwrap().t_lst = 1.0;
-        assert_eq!(lm.next_due(&objects), None);
-    }
-
-    #[test]
-    fn pop_due_respects_now() {
-        let mut lm = LocationManager::new();
-        let objects = table_with(ObjectId(4), 0.0);
-        lm.defer(ObjectId(4), 3.0, &objects);
-        assert!(lm.pop_due(&objects, 2.9).is_none());
-        let d = lm.pop_due(&objects, 3.0).expect("due now");
-        assert_eq!(d.oid, ObjectId(4));
-        assert_eq!(d.kind, DeferKind::Slack);
-        assert!(lm.pop_due(&objects, 10.0).is_none());
+    fn codec_round_trips_and_refuses_what_the_queue_cannot_hold() {
+        let mut timers = Timers::default();
+        timers.lower(ObjectId(5), 0.75, DeferKind::Slack);
+        timers.lower(ObjectId(1), 0.75, DeferKind::Lease);
+        let mut buf = Vec::new();
+        timers.encode_state(&mut buf);
+        let back = Timers::decode_state(&mut Dec::new(&buf), |_| true).expect("decodes");
+        assert_eq!(back.queue, timers.queue);
+        assert_eq!(back.first(), Some(0.75));
+        let refused = |bytes: &[u8], registered: fn(ObjectId) -> bool| {
+            matches!(
+                Timers::decode_state(&mut Dec::new(bytes), registered),
+                Err(DurableError::Corrupt(_))
+            )
+        };
+        assert!(refused(&buf, |oid| oid != ObjectId(5)), "an unregistered id");
+        let entry = |out: &mut Vec<u8>, due: f64, id: u32| {
+            put_f64(out, due);
+            put_u32(out, id);
+            put_u8(out, 1);
+        };
+        let (mut nan, mut twice) = (Vec::new(), Vec::new());
+        put_usize(&mut nan, 1);
+        entry(&mut nan, f64::NAN, 2);
+        put_usize(&mut twice, 2);
+        entry(&mut twice, 1.0, 2);
+        entry(&mut twice, 2.0, 2);
+        assert!(refused(&nan, |_| true), "a NaN due");
+        assert!(refused(&twice, |_| true), "a duplicate id");
     }
 }

@@ -2,16 +2,15 @@
 //!
 //! A [`Shard`] holds its slice of the Figure-3.1 object side — the
 //! [`ObjectIndex`] (a pluggable [`SpatialBackend`] over safe regions plus
-//! the object state table, sequence numbers included) and the
-//! [`LocationManager`] (leases and the deferred probe queue) — and counts
-//! the uplinks it admits. It holds no query and never probes: the queries
-//! live once, in the coordinator of [`ShardedServer`](crate::ShardedServer),
-//! which wires every operation to the shards itself.
+//! the object state table, sequence numbers included) — and counts the
+//! uplinks it admits. It holds no query, no timer and never probes: the
+//! queries and the timers live once, in the coordinator of
+//! [`ShardedServer`](crate::ShardedServer), which wires every operation to
+//! the shards itself.
 
 use crate::error::RecoveryError;
 use crate::ids::ObjectId;
 use crate::index::ObjectIndex;
-use crate::location::LocationManager;
 use crate::provider::{CostTracker, WorkStats};
 use crate::sharded::SequencedUpdate;
 use srb_geom::{Point, Rect};
@@ -20,9 +19,8 @@ use srb_index::{BackendConfig, BackendKind, RStarTree, SpatialBackend};
 /// One shard of a [`ShardedServer`](crate::ShardedServer). Generic in the
 /// object-index backend `B`, defaulted to the paper's R\*-tree.
 pub struct Shard<B: SpatialBackend = RStarTree> {
-    // Open to the coordinator, which pins, installs and schedules here.
+    // Open to the coordinator, which pins and installs here.
     pub(crate) index: ObjectIndex<B>,
-    pub(crate) location: LocationManager,
     pub(crate) costs: CostTracker,
     pub(crate) work: WorkStats,
 }
@@ -33,7 +31,6 @@ impl<B: SpatialBackend> Shard<B> {
     pub(crate) fn new(backend: &BackendConfig, space: Rect) -> Self {
         Shard {
             index: ObjectIndex::with_backend(backend, space),
-            location: LocationManager::new(),
             costs: CostTracker::default(),
             work: WorkStats::default(),
         }
@@ -54,7 +51,7 @@ impl<B: SpatialBackend> Shard<B> {
         self.index.get(id).map(|s| s.safe_region)
     }
 
-    /// The last exactly-known location of `id` and its timestamp.
+    /// The last exactly-known position of `id` and its timestamp.
     pub fn last_known(&self, id: ObjectId) -> Option<(Point, f64)> {
         self.index.get(id).map(|s| (s.p_lst, s.t_lst))
     }
@@ -122,7 +119,7 @@ impl<B: SpatialBackend> Shard<B> {
     }
 
     /// Serializes the shard for a checkpoint: the live backend kind, the
-    /// counters, the object index and the timers.
+    /// counters and the object index.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         use srb_durable::codec::{put_u64, put_u8};
         // The *live* index structure, which under the adaptive plane can
@@ -132,7 +129,6 @@ impl<B: SpatialBackend> Shard<B> {
         put_u64(out, self.costs.source_updates);
         self.work.encode(out);
         self.index.encode_state(out);
-        self.location.encode_state(out);
     }
 
     /// Rebuilds a shard from the state [`encode_state`](Self::encode_state)
@@ -149,7 +145,6 @@ impl<B: SpatialBackend> Shard<B> {
         let costs = CostTracker { source_updates: dec.u64()?, probes: 0 };
         let work = WorkStats::decode(dec)?;
         let index = ObjectIndex::decode_state(dec)?;
-        let location = LocationManager::decode_state(dec)?;
-        Ok(Shard { index, location, costs, work })
+        Ok(Shard { index, costs, work })
     }
 }

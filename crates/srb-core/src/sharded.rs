@@ -5,13 +5,15 @@
 //! [`ShardedServer`] hash-partitions the moving objects across `N`
 //! [`Shard`]s, keyed by the grid cell of each object's registration
 //! position. A shard keeps what is per object: its slice of the object
-//! index and state table, sequence numbers, leases and deferred probes, and
-//! its own backend. The queries live once, in the
-//! coordinator's [`QueryProcessor`], and are evaluated once, by the §4
-//! code, over the union of the shard indexes ([`FleetView`]) — the
-//! single-server algorithm over a partitioned index, so the answers are
-//! exact and the probes the same at every shard count. A single server is
-//! the fleet of one shard; there is no other engine.
+//! index and state table, sequence numbers, and its own backend. The
+//! queries live once, in the coordinator's [`QueryProcessor`], and are
+//! evaluated once, by the §4 code, over the union of the shard indexes
+//! ([`FleetView`]) — the single-server algorithm over a partitioned index,
+//! so the answers are exact and the probes the same at every shard count.
+//! The timers — leases and deferred probes — live once too, in the
+//! coordinator's queue (`location.rs`): at most one per object, fired in
+//! `(due, id)` order. A single server is the fleet of one shard; there is
+//! no other engine.
 //!
 //! A batch of location updates runs in four steps:
 //!
@@ -38,7 +40,7 @@
 //!    the caller and joins them — between batches the engine owns no
 //!    thread;
 //! 4. **install** — the regions go into the shard indexes, leases and
-//!    deferred probes into the shard timers, and the responses are sorted
+//!    deferred probes into the timer queue, and the responses are sorted
 //!    by [`ObjectId`], result changes by [`QueryId`].
 //!
 //! Registration, deregistration, object churn and deferred probes go
@@ -51,7 +53,7 @@ use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
 use crate::eval::{EvalCtx, ReadCtx, RegionCtx};
 use crate::ids::{ObjectId, QueryId};
-use crate::location::DeferKind;
+use crate::location::{DeferKind, Timers};
 use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
@@ -68,9 +70,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
-/// plane and query-less shards ("SRBFLT" + version). See
-/// `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0002;
+/// plane, one timer queue and shards holding neither ("SRBFLT" + version).
+/// See `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0003;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -304,6 +306,9 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     shards: Vec<Shard<B>>,
     /// Object → owning shard, indexed by `ObjectId::index()`.
     owner: Vec<Option<u32>>,
+    /// The location manager's timers: at most one lease or deferred probe
+    /// per object, in `(due, id)` order.
+    timers: Timers,
     /// The one query plane: slots, grid index and id allocator of every
     /// registered query.
     processor: QueryProcessor,
@@ -375,7 +380,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         server
     }
 
-    /// An engine around its durable parts; everything else starts fresh.
+    /// An engine around its durable parts but the timers, which start empty
+    /// (a decoded engine sets its own); everything else starts fresh.
     fn assemble(
         config: ServerConfig,
         shards: Vec<Shard<B>>,
@@ -392,6 +398,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 .collect(),
             shards,
             owner,
+            timers: Timers::default(),
             processor,
             coord_costs,
             coord_work,
@@ -511,15 +518,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Full consistency scan (release included): every shard index
-    /// coherent, every object on exactly the shard the owner map names, and
-    /// the query plane against the union view — results are registered
-    /// objects, and wherever an object's anchor agrees with its membership
-    /// in a query, its safe region lies on that side of the quarantine area
-    /// too (the raw safe regions bound nothing while the reachability
-    /// enhancement stands in for them, so that part is skipped with it on).
+    /// coherent, every object on exactly the shard the owner map names, the
+    /// timer queue agreeing with its index and naming registered objects
+    /// only, and the query plane against the union view — results are
+    /// registered objects, and wherever an object's anchor agrees with its
+    /// membership in a query, its safe region lies on that side of the
+    /// quarantine area too (the raw safe regions bound nothing while the
+    /// reachability enhancement stands in for them, so that part is skipped
+    /// with it on).
     #[doc(hidden)]
     pub fn check_invariants_deep(&self) {
         self.processor.check_result_sizes();
+        self.timers.check(|oid| self.owner_of(oid).is_some());
         for (i, shard) in self.shards.iter().enumerate() {
             shard.index.check_coherence();
             for (oid, st) in shard.index.objects().iter() {
@@ -622,6 +632,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let target = self.owner_of(id)?;
         let last_state = self.shards[target].index.remove(id)?;
         self.owner[id.index()] = None;
+        self.timers.cancel(id);
         let mut op = self.scratch.arena.take_op();
         let lanes = self.take_lanes();
         let changes = self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
@@ -996,9 +1007,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// lane, the safe region of every object in `op.exact` — the ones the
     /// caller put on `lanes` and the probed ones — installs them (filling
     /// `op.recomputed`, in shard order and ascending by id within a shard)
-    /// and moves the operation's deferred-probe requests into the shard
-    /// timers. `first_round` runs the lanes of the first region round (see
-    /// [`batch`](Self::batch)); the rare later rounds run on the caller.
+    /// and sets the timers: a grant at another instant than the object's
+    /// last drops its timer (whatever was scheduled against the old anchor
+    /// is owed no more), one at the same instant keeps it, and a lease or a
+    /// deferred-probe request for an object not exactly known only brings a
+    /// timer forward. `first_round` runs the lanes of the first region round
+    /// (see [`batch`](Self::batch)); the rare later rounds run on the caller.
     fn grant(
         &mut self,
         op: &mut OpBuffers,
@@ -1089,10 +1103,17 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
         }
 
+        let lease = self.config.lease.filter(|&l| l > 0.0);
         for (shard, lane) in self.shards.iter_mut().zip(&mut lanes) {
             for &(oid, sr) in &lane.regions {
+                let t_lst = shard.index.get(oid).expect("a region for a registered object").t_lst;
+                if t_lst != now {
+                    self.timers.cancel(oid);
+                }
                 shard.index.install_region(oid, op.exact[&oid], sr, now);
-                shard.location.start_lease(self.config.lease, oid, now);
+                if let Some(lease) = lease {
+                    self.timers.lower(oid, now + lease, DeferKind::Lease);
+                }
             }
             op.recomputed.append(&mut lane.regions);
             self.coord_work.probes_avoided += lane.deferred.len() as u64;
@@ -1103,9 +1124,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // A request for an object that ended up exactly known is dropped:
         // its region was just granted afresh.
         for (oid, due) in op.deferred.drain(..) {
-            if let Some(shard) = self.owner_of(oid).filter(|_| !op.exact.contains_key(&oid)) {
-                let shard = &mut self.shards[shard];
-                shard.location.defer(oid, due, shard.index.objects());
+            if self.owner_of(oid).is_some() && !op.exact.contains_key(&oid) {
+                self.timers.lower(oid, due, DeferKind::Slack);
             }
         }
         self.scratch.lanes = lanes;
@@ -1141,28 +1161,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Deferred probes (location-manager timers)
     // ------------------------------------------------------------------
 
-    /// The earliest pending deferred-probe time across all shards, if any.
-    /// Event-driven callers (the simulator) use this to schedule
-    /// [`process_deferred`](Self::process_deferred).
-    pub fn next_deferred_due(&mut self) -> Option<f64> {
-        // Logged even though it looks like a read: each shard lazily pops
-        // stale timer entries, mutating the deferred heaps checkpoints
-        // serialize.
-        if self.wal.is_some() {
-            return self.logged(
-                &mut NoProbe,
-                |this, _| this.next_deferred_due(),
-                |w| w.log_next_due(),
-            );
-        }
-        let due = |s: &mut Shard<B>| s.location.next_due(s.index.objects());
-        self.shards.iter_mut().filter_map(due).min_by(|a, b| a.total_cmp(b))
+    /// The earliest pending timer — lease or deferred probe — if any: a
+    /// read, never logged. Event-driven callers (the simulator) use this to
+    /// schedule [`process_deferred`](Self::process_deferred).
+    pub fn next_deferred_due(&self) -> Option<f64> {
+        self.timers.first()
     }
 
-    /// Fires every deferred probe due at or before `now`, shard by shard:
-    /// each still-fresh target is probed (cost `c_p`) and handled like a
-    /// report from it, restoring raw-safe-region soundness before the
-    /// reachability circle can invalidate the decision that scheduled it.
+    /// Fires every timer due at or before `now`, in `(due, id)` order
+    /// whichever shard owns the object: each target is probed (cost `c_p`)
+    /// and handled like a report from it, restoring raw-safe-region
+    /// soundness before the reachability circle can invalidate the decision
+    /// that scheduled it, or renewing a lapsed lease.
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
@@ -1177,26 +1187,22 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         let _span = srb_obs::span!("server.process_deferred");
         let mut out = Vec::new();
-        for shard in 0..self.shards.len() {
-            let due = |s: &mut Shard<B>| s.location.pop_due(s.index.objects(), now);
-            while let Some(d) = due(&mut self.shards[shard]) {
-                let pos = provider.probe(d.oid);
-                self.coord_costs.probes += 1;
-                if d.kind == DeferKind::Lease {
-                    self.coord_work.lease_probes += 1;
-                }
-                let mut op = self.scratch.arena.take_op();
-                let mut batch = self.scratch.arena.take_batch();
-                let changes =
-                    self.fold(&mut op, &mut batch, &[(d.oid, pos)], provider, now, run_here);
-                let safe_region = self.safe_region(d.oid).expect("the target got a region");
-                let mut probed = op.recomputed.clone();
-                probed.retain(|&(o, _)| o != d.oid);
-                probed.sort_unstable_by_key(|&(o, _)| o);
-                out.push((d.oid, UpdateResponse { safe_region, probed, changes }));
-                self.scratch.arena.put_batch(batch);
-                self.scratch.arena.put_op(op);
+        while let Some((oid, kind)) = self.timers.pop_due(now) {
+            let pos = provider.probe(oid);
+            self.coord_costs.probes += 1;
+            if kind == DeferKind::Lease {
+                self.coord_work.lease_probes += 1;
             }
+            let mut op = self.scratch.arena.take_op();
+            let mut batch = self.scratch.arena.take_batch();
+            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now, run_here);
+            let safe_region = self.safe_region(oid).expect("the target got a region");
+            let mut probed = op.recomputed.clone();
+            probed.retain(|&(o, _)| o != oid);
+            probed.sort_unstable_by_key(|&(o, _)| o);
+            out.push((oid, UpdateResponse { safe_region, probed, changes }));
+            self.scratch.arena.put_batch(batch);
+            self.scratch.arena.put_op(op);
         }
         out
     }
@@ -1265,14 +1271,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// longer matches the deployment's wishes,
     /// and the way to hand-place per-shard backends on a `DynBackend`
     /// fleet. Semantically a no-op: safe regions, query results, and
-    /// probe behavior are unchanged. Returns `false` when `B` cannot
-    /// represent `backend`.
+    /// probe behavior are unchanged. Returns `false` when there is no shard
+    /// `shard` or `B` cannot represent `backend`.
     ///
     /// With durability attached this forces a coordinator checkpoint:
     /// explicit migrations are not log records, so the checkpoint is what
     /// carries the new structure across a crash.
     pub fn migrate_shard(&mut self, shard: usize, backend: &srb_index::BackendConfig) -> bool {
-        if !self.shards[shard].migrate_index(backend) {
+        if !self.shards.get_mut(shard).is_some_and(|s| s.migrate_index(backend)) {
             return false;
         }
         srb_obs::counter!("index.adaptive.explicit_migrations").inc();
@@ -1402,10 +1408,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Serializes the complete engine state: config fingerprint, shard
-    /// count, layout tag, coordinator counters and owner map, the
-    /// controller, the query plane, then every shard's own state in shard
-    /// order. Scratch buffers, thread overrides, and telemetry handles carry
-    /// no state and are excluded.
+    /// count, layout tag, coordinator counters and owner map, the timers in
+    /// queue order, the controller, the query plane, then every shard's own
+    /// state in shard order. Scratch buffers, thread overrides, and
+    /// telemetry handles carry no state and are excluded.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.shards.len());
@@ -1422,6 +1428,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 }
             }
         }
+        self.timers.encode_state(out);
         match &self.adaptive {
             None => put_u8(out, 0),
             Some(ctl) => {
@@ -1451,8 +1458,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         // Where this tag sits, every older checkpoint — one shard whose own
         // stack was the engine, several shards each a replica of every
-        // query, or shards that still carried a query processor — holds a
-        // counter or an earlier version: refused here, never misread.
+        // query, shards that still carried a query processor (version 1) or
+        // timers of their own (version 2) — holds a counter or an earlier
+        // version: refused here, never misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
@@ -1473,6 +1481,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 _ => return Err(RecoveryError::Corrupt("bad owner tag")),
             });
         }
+        let timers = Timers::decode_state(&mut dec, |oid| owner_in(&owner, oid).is_some())?;
         // The controller tag must agree with the config (whose fingerprint
         // was already checked): adaptive engines always checkpoint their
         // decision state, non-adaptive engines never do.
@@ -1494,7 +1503,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             shard_states.push(Shard::decode_state(&mut dec)?);
         }
         dec.finish()?;
-        Ok(Self::assemble(
+        let server = Self::assemble(
             *config,
             shard_states,
             owner,
@@ -1502,7 +1511,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             coord_costs,
             coord_work,
             adaptive,
-        ))
+        );
+        Ok(Self { timers, ..server })
     }
 
     /// Replays one log record through the public entry points; every
@@ -1537,10 +1547,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let mut rp = ReplayProvider::new(&probes);
                 let _ = self.process_deferred(&mut rp, now);
                 check_replay(&rp)
-            }
-            Record::NextDue => {
-                let _ = self.next_deferred_due();
-                Ok(())
             }
         }
     }
@@ -2089,11 +2095,21 @@ mod tests {
         payload
     }
 
+    /// A checkpoint of the layout before this one, whose shards each kept
+    /// their own timers (version 2), at `shards`.
+    fn version_2(shards: usize) -> Vec<u8> {
+        let mut payload = checkpoint_header(shards);
+        put_u64(&mut payload, FLEET_LAYOUT - 1);
+        put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
+        payload
+    }
+
     /// A multi-shard checkpoint from before the one query plane (every
     /// shard a replica of every query, an always-zero counter block right
-    /// after the shard count), or from when its shards still carried a
-    /// query processor each (layout version 1), is refused with a typed
-    /// error; it is never decoded as something else.
+    /// after the shard count), from when its shards still carried a query
+    /// processor each (layout version 1), or from when they still kept
+    /// timers of their own (version 2), is refused with a typed error; it
+    /// is never decoded as something else.
     #[test]
     fn older_multi_shard_checkpoint_is_refused_not_misread() {
         let mut replicas = checkpoint_header(2);
@@ -2101,9 +2117,10 @@ mod tests {
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
         refused(2, &replicas);
         let mut version_1 = checkpoint_header(2);
-        put_u64(&mut version_1, FLEET_LAYOUT - 1);
+        put_u64(&mut version_1, FLEET_LAYOUT - 2);
         put_u64(&mut version_1, 0); // coordinator probes, counters, owner map …
         refused(2, &version_1);
+        refused(2, &version_2(2));
         // The current layout round-trips.
         let config = ServerConfig::default();
         let (fleet, _) = fleet(config, 2, 1);
@@ -2116,8 +2133,9 @@ mod tests {
 
     /// A one-shard checkpoint from when one shard's own stack was the whole
     /// engine (zeroed coordinator counters right after the shard count, a
-    /// spec per query slot, the shard's state with its own query processor)
-    /// gets the same typed refusal.
+    /// spec per query slot, the shard's state with its own query processor),
+    /// or from when the shard kept its own timers (version 2), gets the same
+    /// typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -2127,6 +2145,7 @@ mod tests {
         put_usize(&mut legacy, 0); // the always-empty list
         put_u8(&mut legacy, 0); // no controller; the shard's state …
         refused(1, &legacy);
+        refused(1, &version_2(1));
         // The current layout is the one layout: one shard round-trips too.
         let config = ServerConfig::default();
         let (engine, _) = fleet(config, 1, 1);
@@ -2496,6 +2515,111 @@ mod tests {
                 let _ = std::fs::remove_dir_all(dir);
             }
         }
+    }
+
+    /// A leased fleet: `lease` 1.0, no query, objects 0 and 1 added at
+    /// `t = 0` on different shards when there are several — object 1 on
+    /// the lower one — and object 2 beside them.
+    fn leased(shards: usize) -> ShardedServer {
+        let config = ServerConfig { lease: Some(1.0), ..Default::default() };
+        let mut server = ShardedServer::new(config, shards);
+        let cell = |i: usize| Point::new(0.01 + 0.02 * i as f64, 0.5);
+        let on = |shard: usize| {
+            let found = (0..50).map(cell).find(|&p| server.assign_shard(p) == shard % shards);
+            found.expect("a cell per shard")
+        };
+        let at = [on(1), on(0), cell(25)];
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+        }
+        server
+    }
+
+    /// One report of object 2 at `now`, from where it stands.
+    fn report_2(server: &mut ShardedServer, seq: u64, now: f64) {
+        let pos = server.last_known(ObjectId(2)).expect("registered").0;
+        let report = SequencedUpdate { id: ObjectId(2), pos, seq };
+        let mut provider = FnProvider(|_| pos);
+        server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut Vec::new());
+    }
+
+    /// The timer rule, applied where regions are granted: a grant at a
+    /// later instant replaces the object's timer, a grant at the same
+    /// instant keeps an earlier due, many leased grants of one object
+    /// leave one entry, a removal cancels, and timers fire in `(due, id)`
+    /// order across shards — not shard by shard.
+    #[test]
+    fn the_grant_rule_keeps_one_timer_per_object() {
+        let due_of = |s: &ShardedServer, id: u32| s.timers.due_of(ObjectId(id));
+        for shards in [1, 2, 3] {
+            let what = format!("{shards} shard(s)");
+            let mut server = leased(shards);
+            if shards > 1 {
+                assert_eq!(
+                    (server.owner_of(ObjectId(0)), server.owner_of(ObjectId(1))),
+                    (Some(1), Some(0))
+                );
+            }
+            assert_eq!(server.next_deferred_due(), Some(1.0), "{what}");
+            report_2(&mut server, 1, 0.25);
+            assert_eq!(due_of(&server, 2), Some(1.25), "{what}: a later grant replaces");
+            for seq in 2..40 {
+                report_2(&mut server, seq, 0.25 + seq as f64 / 256.0);
+            }
+            assert_eq!(server.timers.len(), 3, "{what}: one entry per object");
+
+            // A deferred probe requested at the instant of the last grant
+            // is still owed when the object is granted again at that instant.
+            let last = 0.25 + 39.0 / 256.0;
+            server.timers.lower(ObjectId(2), 0.75, DeferKind::Slack);
+            report_2(&mut server, 40, last);
+            assert_eq!(due_of(&server, 2), Some(0.75), "{what}: a same-instant grant keeps it");
+            report_2(&mut server, 41, 0.5);
+            assert_eq!(due_of(&server, 2), Some(1.5), "{what}: another instant drops it");
+
+            let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
+            server.remove_object(ObjectId(2), &mut provider, 0.5).expect("registered");
+            assert_eq!(due_of(&server, 2), None, "{what}: a removal cancels");
+            server.check_invariants_deep();
+
+            let fired = server.process_deferred(&mut provider, 1.0);
+            let ids: Vec<ObjectId> = fired.iter().map(|&(oid, _)| oid).collect();
+            assert_eq!(ids, [ObjectId(0), ObjectId(1)], "{what}: (due, id) order");
+            assert_eq!(server.work().lease_probes, 2, "{what}");
+            assert_eq!(server.next_deferred_due(), Some(2.0), "{what}: renewed");
+        }
+    }
+
+    /// `next_deferred_due` is a read: it changes nothing a checkpoint
+    /// holds, and a durable engine logs nothing for it.
+    #[test]
+    fn next_deferred_due_leaves_the_state_digest_unchanged() {
+        let dir = temp_dir("next-due");
+        let config = ServerConfig { lease: Some(0.5), ..durable(dir) };
+        let (server, _) = fleet(config, 2, 1);
+        let digest = server.state_digest();
+        let logged = dir_bytes(dir);
+        for _ in 0..3 {
+            assert_eq!(server.next_deferred_due(), Some(0.5));
+        }
+        assert_eq!(server.state_digest(), digest);
+        assert_eq!(dir_bytes(dir), logged, "nothing was logged");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `migrate_shard` with no such shard refuses, like a backend `B`
+    /// cannot represent, and changes nothing.
+    #[test]
+    fn migrate_shard_refuses_a_shard_out_of_range() {
+        let mut server =
+            ShardedServer::<srb_index::DynBackend>::with_backend(Default::default(), 2);
+        let grid = srb_index::BackendConfig::Grid(Default::default());
+        let digest = server.state_digest();
+        assert!(!server.migrate_shard(2, &grid));
+        assert!(!server.migrate_shard(usize::MAX, &grid));
+        assert_eq!(server.state_digest(), digest);
+        assert!(server.migrate_shard(1, &grid), "a shard in range migrates");
     }
 
     #[test]

@@ -184,11 +184,11 @@ const OP_REMOVE: u8 = 2;
 const OP_REGISTER: u8 = 3;
 const OP_DEREGISTER: u8 = 4;
 const OP_DEFERRED: u8 = 8;
-const OP_NEXT_DUE: u8 = 9;
 const OP_BATCH: u8 = 12;
-// Opcodes 5, 6, 7, 10 and 11 (single update; the batch marker of either
-// mode; raw batch; sequenced and raw partitions) belong to earlier logs.
-// Never reuse them: such a record must keep decoding to `Corrupt`.
+// Opcodes 5, 6, 7, 9, 10 and 11 (single update; the batch marker of either
+// mode; raw batch; the next-due lookup; sequenced and raw partitions) belong
+// to earlier logs. Never reuse them: such a record must keep decoding to
+// `Corrupt`.
 
 /// A decoded log record: one top-level operation plus its probe
 /// transcript.
@@ -206,9 +206,6 @@ pub(crate) enum Record {
     Batch { now: f64, updates: Vec<SequencedUpdate>, probes: Vec<(ObjectId, Point)> },
     /// `process_deferred`.
     ProcessDeferred { now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `next_deferred_due` — it lazily pops stale timer entries,
-    /// so even this "read" mutates durable state.
-    NextDue,
 }
 
 fn put_probes(out: &mut Vec<u8>, probes: &[(ObjectId, Point)]) {
@@ -271,7 +268,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
             let now = dec.f64()?;
             Record::ProcessDeferred { now, probes: dec_probes(&mut dec)? }
         }
-        OP_NEXT_DUE => Record::NextDue,
         _ => return Err(DurableError::Corrupt("unknown opcode")),
     };
     dec.finish()?;
@@ -388,9 +384,9 @@ impl Wal {
         let _ = self.store.append(&self.buf);
     }
 
-    /// Emits a record that carries no probe transcript (deregister,
-    /// next-due): any probes left over from a nested context are dropped,
-    /// matching the decoder, which reads no transcript for these opcodes.
+    /// Emits a record that carries no probe transcript (deregister): any
+    /// probes left over from a nested context are dropped, matching the
+    /// decoder, which reads no transcript for this opcode.
     fn emit_no_probes(&mut self) {
         self.probes.clear();
         let _ = self.store.append(&self.buf);
@@ -443,12 +439,6 @@ impl Wal {
         put_u8(&mut self.buf, OP_DEFERRED);
         put_f64(&mut self.buf, now);
         self.emit();
-    }
-
-    pub(crate) fn log_next_due(&mut self) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_NEXT_DUE);
-        self.emit_no_probes();
     }
 
     /// Poisons the store after an operation failed before its record was
@@ -521,8 +511,9 @@ mod tests {
     #[test]
     fn decode_rejects_trailing_garbage() {
         let mut buf = Vec::new();
-        put_u8(&mut buf, OP_NEXT_DUE);
-        assert!(matches!(decode_record(&buf), Ok(Record::NextDue)));
+        put_u8(&mut buf, OP_DEREGISTER);
+        put_u32(&mut buf, 2);
+        assert!(matches!(decode_record(&buf), Ok(Record::DeregisterQuery { .. })));
         buf.push(0xFF);
         assert!(decode_record(&buf).is_err());
     }
@@ -539,7 +530,8 @@ mod tests {
     /// Single-update records (opcode 5), raw-batch records (opcode 7,
     /// partition opcode 11), the batch marker in either mode (opcode 6:
     /// mode 0 held the updates inline, mode 1 counted the partitions that
-    /// opcode 10 carried in per-shard logs) are no longer written; a log
+    /// opcode 10 carried in per-shard logs) and the next-due lookup (opcode
+    /// 9, from when that read pruned timers) are no longer written; a log
     /// that still holds one is refused with a typed error.
     #[test]
     fn retired_record_shapes_decode_to_corrupt() {
@@ -571,7 +563,8 @@ mod tests {
             &mut part,
             &[SequencedUpdate { id: ObjectId(3), pos: Point::ORIGIN, seq: 1 }],
         );
-        for payload in [&single, &raw_marker, &raw_part, &inline, &marker, &part] {
+        let next_due = vec![9u8];
+        for payload in [&single, &raw_marker, &raw_part, &inline, &marker, &part, &next_due] {
             assert!(matches!(decode_record(payload), Err(DurableError::Corrupt(_))));
         }
     }
@@ -619,10 +612,6 @@ mod tests {
                 put_f64(&mut buf, f(seed));
                 put_probes(&mut buf, &probes);
             }
-            OP_DEREGISTER => {
-                put_u8(&mut buf, OP_DEREGISTER);
-                put_u32(&mut buf, seed as u32);
-            }
             OP_BATCH => {
                 put_u8(&mut buf, OP_BATCH);
                 put_f64(&mut buf, f(seed));
@@ -636,7 +625,10 @@ mod tests {
                 put_f64(&mut buf, f(seed));
                 put_probes(&mut buf, &probes);
             }
-            _ => put_u8(&mut buf, OP_NEXT_DUE),
+            _ => {
+                put_u8(&mut buf, OP_DEREGISTER);
+                put_u32(&mut buf, seed as u32);
+            }
         }
         buf
     }

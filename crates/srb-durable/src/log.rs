@@ -28,6 +28,12 @@ pub const LOG_MAGIC: &[u8; 8] = b"SRBLOG01";
 /// Header length: magic + generation (u64) + log index (u64).
 pub const LOG_HEADER: usize = 24;
 
+/// The group-commit buffer grows in whole steps of this many bytes, not by
+/// doubling: what it keeps between syncs is the largest group rounded up
+/// to a step, rather than a power-of-two multiple of a first allocation
+/// that flips to twice its size when a group grows a few bytes past it.
+const PENDING_STEP: usize = 16 * 1024;
+
 /// Builds the 24-byte header for generation `gen`, log `idx`.
 pub fn log_header(gen: u64, idx: u64) -> [u8; LOG_HEADER] {
     let mut h = [0u8; LOG_HEADER];
@@ -138,6 +144,11 @@ impl LogWriter {
         if crash::fires(CrashPoint::LogAppend) {
             return Err(DurableError::Injected(CrashPoint::LogAppend));
         }
+        let need = self.pending.len() + frame::FRAME_HEADER + payload.len();
+        if need > self.pending.capacity() {
+            let step = need.next_multiple_of(PENDING_STEP);
+            self.pending.reserve_exact(step - self.pending.len());
+        }
         frame::push_frame(&mut self.pending, payload);
         srb_obs::counter!("durable.log.appends").inc();
         srb_obs::histogram!("durable.log.record_bytes").record(payload.len() as u64);
@@ -222,6 +233,26 @@ mod tests {
         w.append(b"three").unwrap();
         w.sync().unwrap();
         assert_eq!(records_of(&p, 1, 0), vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The group-commit buffer keeps the largest group rounded up to a whole
+    /// step, and a smaller group after a sync reuses it.
+    #[test]
+    fn pending_buffer_grows_in_whole_steps() {
+        let dir = scratch();
+        let mut w = LogWriter::create(&dir.join("log-1-0"), 1, 0).unwrap();
+        let record = [7u8; 1000];
+        // 40 frames of 1 008 bytes: 40 320 bytes, three steps.
+        for _ in 0..40 {
+            w.append(&record).unwrap();
+        }
+        assert_eq!(w.pending.capacity(), 3 * PENDING_STEP);
+        w.sync().unwrap();
+        for _ in 0..20 {
+            w.append(&record).unwrap();
+        }
+        assert_eq!(w.pending.capacity(), 3 * PENDING_STEP);
         fs::remove_dir_all(&dir).unwrap();
     }
 

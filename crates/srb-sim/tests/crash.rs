@@ -81,10 +81,11 @@ fn spec_at(r: u64) -> QuerySpec {
     }
 }
 
-/// One primitive operation — exactly one log record, the two ingest calls
-/// `Single` and `Batch` included. The golden prefix table is indexed at
-/// this granularity: a crash can land between any two of these, but never
-/// inside one.
+/// One primitive operation — one log record, the two ingest calls
+/// `Single` and `Batch` included, except `NextDue`, a read that logs
+/// nothing and leaves the digest where it was. The golden prefix table is
+/// indexed at this granularity: a crash can land between any two of these,
+/// but never inside one.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Add(u64),

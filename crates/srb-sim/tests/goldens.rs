@@ -1,9 +1,9 @@
 //! Golden-metrics regression test: every deterministic `RunMetrics` field of
 //! the fixed scenario set in [`srb_sim::golden_scenarios`] must stay
 //! **bit-identical** to the values recorded in `golden_data/data.rs` (last
-//! re-pinned when the one-shard pass-through was deleted and `run_srb`'s
-//! single server became the fleet of one; EXPERIMENTS.md tabulates old →
-//! new per scenario).
+//! re-pinned when the per-shard timer heaps became one queue fired in
+//! `(due, id)` order, which moved `srb_lossy` alone; EXPERIMENTS.md
+//! tabulates old → new per scenario).
 //!
 //! This is the before/after drift check for every refactor of the engine
 //! under `run_srb`: any behavioral divergence — a reordered probe, a

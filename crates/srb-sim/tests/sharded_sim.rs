@@ -3,7 +3,9 @@
 //! complete, stay deterministic, monitor exactly, and show the protocol
 //! exactly what the one-shard run shows — the engine evaluates every query
 //! once over the union of its shard indexes, so the partition is invisible:
-//! same uplinks, same probes, same accuracy.
+//! same uplinks, same probes, same accuracy. With leases on, the engine's
+//! timers are one queue fired in `(due, id)` order, so the lease probes do
+//! not show the partition either.
 //!
 //! The one-shard figures themselves are pinned by the golden tests.
 
@@ -35,6 +37,20 @@ fn sharded_sim_completes_and_monitors_exactly() {
         assert_eq!(fleet.comm_cost, one.comm_cost, "{shards} shards: comm_cost");
         assert_eq!(fleet.grid_footprint, one.grid_footprint, "{shards} shards: query grid");
         assert!(fleet.uplinks > 0, "sharded run did real work ({fleet:?})");
+    }
+}
+
+#[test]
+fn leased_fleet_reads_the_one_shard_counts() {
+    let leased = |shards| SimConfig { lease: Some(0.5), ..cfg(shards) };
+    let one = run_srb(&leased(1));
+    assert!(one.lease_probes > 0, "leases lapse in this scenario ({one:?})");
+    for shards in [2, 4, 8] {
+        let fleet = run_srb(&leased(shards));
+        assert_eq!(fleet.uplinks, one.uplinks, "{shards} shards: uplinks");
+        assert_eq!(fleet.probes, one.probes, "{shards} shards: probes");
+        assert_eq!(fleet.lease_probes, one.lease_probes, "{shards} shards: lease_probes");
+        assert_eq!(fleet.comm_cost, one.comm_cost, "{shards} shards: comm_cost");
     }
 }
 

@@ -356,6 +356,8 @@ fn durable_single_node_round_trips_through_recovery() {
     // rebuilds from disk equals a twin that never had a log. At 2 and 4
     // shards the store is laid out the same: each operation, a batch owned
     // by several shards included, is one record of one log per generation.
+    // Both engines hold leases, so timers are pending at every checkpoint
+    // and fire in the replayed tail.
     for shards in [1, 2, 4] {
         durable_round_trip(shards);
     }
@@ -365,6 +367,7 @@ fn durable_round_trip(shards: usize) {
     use srb::core::{DurabilityConfig, QueryId, RStarTree};
     let dir = std::env::temp_dir().join(format!("srb-e2e-durable-{}-{shards}", std::process::id()));
     let dir: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
+    let twin_cfg = ServerConfig { lease: Some(0.05), ..Default::default() };
     let durable_cfg = ServerConfig {
         durability: DurabilityConfig {
             dir: Some(dir),
@@ -372,7 +375,7 @@ fn durable_round_trip(shards: usize) {
             checkpoint_ops: 11,
             ..Default::default()
         },
-        ..Default::default()
+        ..twin_cfg
     };
     let unit = |i: u64, salt: u64| {
         let h = (i * 0x9E37_79B9 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -381,7 +384,7 @@ fn durable_round_trip(shards: usize) {
     let pos_at = |i: u64, round: u64| Point::new(unit(i, 2 * round), unit(i, 2 * round + 1));
 
     let mut durable = ShardedServer::new(durable_cfg, shards);
-    let mut twin = ShardedServer::new(ServerConfig::default(), shards);
+    let mut twin = ShardedServer::new(twin_cfg, shards);
     let mut queries: Vec<QueryId> = Vec::new();
     for engine in [&mut durable, &mut twin] {
         queries.clear();
@@ -442,6 +445,9 @@ fn durable_round_trip(shards: usize) {
         ShardedServer::<RStarTree>::recover(durable_cfg, shards).expect("recovery");
     assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
     assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
+    assert!(twin.work().lease_probes > 0, "leases lapsed and fired");
+    assert!(twin.next_deferred_due().is_some(), "timers are pending");
+    assert_eq!(recovered.next_deferred_due(), twin.next_deferred_due(), "{shards} shard(s)");
     for &q in &queries {
         assert_eq!(recovered.results(q), twin.results(q), "query {q}, {shards} shard(s)");
     }
@@ -468,8 +474,8 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     const BATCHES: u64 = 24;
     // Each granted rectangle hashed on its own (FNV-1a over the id and the
     // four coordinates) and the hashes summed, so the order in which
-    // grants are listed — deferred probes fire shard by shard — is not
-    // part of the pin; the state digest beside it pins every order.
+    // grants are listed is not part of the pin; the state digest beside it
+    // pins every order.
     fn fold(hash: &mut u64, grants: &[(ObjectId, srb::core::UpdateResponse)]) {
         for (id, resp) in grants {
             for (o, r) in std::iter::once(&(*id, resp.safe_region)).chain(&resp.probed) {
@@ -551,19 +557,19 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     let plain = run(ServerConfig::default(), 1);
     let enhanced = run(ServerConfig::enhanced(0.2, 0.5), 1);
     // (With the reachability enhancement on, a best-first browse meets
-    // objects whose stored rectangles tie in a shard-specific order and
-    // deferred probes fire shard by shard, so there the partition may show
-    // in who is probed first.)
+    // objects whose stored rectangles tie in a shard-specific order, so
+    // there the partition may show in who is probed first. Deferred probes
+    // fire in `(due, id)` order at every shard count.)
     let (_, hash, grants) = run(ServerConfig::default(), 2);
     assert_eq!((hash, grants), (plain.1, plain.2), "two shards grant other regions than one");
     assert_eq!(
         plain,
-        (0x7358_16C5_7E81_6F6C, 0x1AC3_D41D_85CB_D57D, 5426),
+        (0x1DFE_66AF_5E30_9C3B, 0x1AC3_D41D_85CB_D57D, 5426),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0x7F7D_95CC_2CF0_B455, 0xD559_D664_E464_3700, 5456),
+        (0x3825_E8F1_93BE_66B2, 0xD559_D664_E464_3700, 5456),
         "weighted-perimeter regions moved"
     );
 }
