@@ -2,21 +2,13 @@
 //! (geometry → index → framework → mobility → simulator) wired together the
 //! way a downstream user would.
 
-use srb::core::{
-    FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer,
-};
+mod common;
+
+use common::{assert_exact, unit, Store};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobilityConfig, Trajectory};
 use srb::sim::{run_scheme, Scheme, SimConfig};
-
-/// A uniform draw in `[0, 1)` from `(i, salt)` (SplitMix64 finaliser): the
-/// seeded tests below lay out their worlds with it.
-fn unit(i: u64, salt: u64) -> f64 {
-    let mut z = (i ^ (salt << 32)).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
-}
 
 #[test]
 fn trajectory_driven_monitoring_stays_exact() {
@@ -29,23 +21,21 @@ fn trajectory_driven_monitoring_stays_exact() {
 
     let mut server = ShardedServer::new(ServerConfig::default(), 1);
     let mut snapshot: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
+    let specs = [
+        QuerySpec::range(Rect::centered(Point::new(0.5, 0.5), 0.1, 0.1)),
+        QuerySpec::knn(Point::new(0.25, 0.75), 4),
+        QuerySpec::knn_unordered(Point::new(0.8, 0.2), 3),
+    ];
+    let mut queries = Vec::new();
     {
         let ps = snapshot.clone();
         let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
         for (i, &pos) in snapshot.iter().enumerate() {
             server.add_object(ObjectId(i as u32), pos, &mut provider, 0.0).expect("fresh id");
         }
-        server.register_query(
-            QuerySpec::range(Rect::centered(Point::new(0.5, 0.5), 0.1, 0.1)),
-            &mut provider,
-            0.0,
-        );
-        server.register_query(QuerySpec::knn(Point::new(0.25, 0.75), 4), &mut provider, 0.0);
-        server.register_query(
-            QuerySpec::knn_unordered(Point::new(0.8, 0.2), 3),
-            &mut provider,
-            0.0,
-        );
+        for spec in specs {
+            queries.push((server.register_query(spec, &mut provider, 0.0).id, spec));
+        }
     }
 
     // One report per call, numbered by the client: a batch of one.
@@ -68,29 +58,16 @@ fn trajectory_driven_monitoring_stays_exact() {
             }
         }
         if step % 50 == 0 {
-            // Brute-force verification of all three queries.
-            for qid in server.query_ids().collect::<Vec<_>>() {
-                let got = server.results(qid).unwrap().to_vec();
-                match server.quarantine(qid).unwrap() {
-                    Quarantine::Rect(rect) => {
-                        let want: Vec<ObjectId> = (0..n as u32)
-                            .map(ObjectId)
-                            .filter(|o| rect.contains_point(snapshot[o.index()]))
-                            .collect();
-                        let mut g = got.clone();
-                        g.sort_unstable();
-                        assert_eq!(g, want, "range mismatch at step {step}");
-                    }
-                    Quarantine::Circle(c) => {
-                        // Every result must be within the quarantine circle.
-                        for o in &got {
-                            assert!(
-                                c.contains(snapshot[o.index()]),
-                                "result {o} escaped quarantine at step {step}"
-                            );
-                        }
-                    }
-                }
+            // All three queries against brute force.
+            for (qid, spec) in &queries {
+                let got = server.results(*qid).expect("registered");
+                assert_exact(
+                    spec,
+                    got,
+                    &snapshot,
+                    &|_| true,
+                    &format_args!("{qid} at step {step}"),
+                );
             }
             server.check_invariants();
         }
@@ -365,8 +342,8 @@ fn durable_single_node_round_trips_through_recovery() {
 
 fn durable_round_trip(shards: usize) {
     use srb::core::{DurabilityConfig, QueryId, RStarTree};
-    let dir = std::env::temp_dir().join(format!("srb-e2e-durable-{}-{shards}", std::process::id()));
-    let dir: &'static str = Box::leak(dir.to_string_lossy().into_owned().into_boxed_str());
+    let store = Store::new();
+    let dir = store.0;
     let twin_cfg = ServerConfig { lease: Some(0.05), ..Default::default() };
     let durable_cfg = ServerConfig {
         durability: DurabilityConfig {
@@ -452,7 +429,6 @@ fn durable_round_trip(shards: usize) {
         assert_eq!(recovered.results(q), twin.results(q), "query {q}, {shards} shard(s)");
     }
     recovered.check_invariants();
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
