@@ -443,11 +443,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards.iter().map(|s| s.object_count()).sum()
     }
 
-    /// Number of registered queries.
-    pub fn query_count(&self) -> usize {
-        self.processor.count()
-    }
-
     /// Iterates over the registered query ids.
     pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.processor.ids()

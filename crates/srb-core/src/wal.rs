@@ -470,6 +470,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use srb_cases::{cases, Rng, Seeds};
 
     #[test]
     fn record_round_trips() {
@@ -633,46 +634,51 @@ mod tests {
         buf
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+    /// Seeds that once failed `decoder_is_total`; it replays them first.
+    const REGRESSIONS: &[u64] = &[];
+    const CASES: u64 = 256;
 
-        /// The decoder is total: a valid record of any kind, corrupted
-        /// by truncation, a bit flip, or appended garbage, must come back
-        /// as `Ok` or a typed error — never a panic. (Damaged frames are
-        /// routine input after a crash; the recovery path feeds every
-        /// surviving payload through it.)
-        #[test]
-        fn corrupted_records_never_panic_decoders(
-            kind in 1u8..=12,
-            seed in 0u64..u64::MAX,
-            cut in 0usize..256,
-            flip_at in 0usize..256,
-            xor in 1u8..=255,
-            junk in proptest::collection::vec(0u8..=255, 0..24),
-        ) {
-            let valid = encode_valid(kind, seed);
+    /// The decoder is total: a valid record of any kind, corrupted by
+    /// truncation, a bit flip, or appended garbage, must come back as `Ok`
+    /// or a typed error — never a panic. (Damaged frames are routine input
+    /// after a crash; the recovery path feeds every surviving payload
+    /// through it.)
+    fn decoder_is_total(rng: &mut Rng) {
+        let valid = encode_valid(1 + rng.below(12) as u8, rng.next());
+        let (cut, flip_at, xor) = (rng.below(256), rng.below(256), 1 + rng.below(255) as u8);
+        let junk = rng.bytes(0..24);
 
-            let mut variants: Vec<Vec<u8>> = Vec::new();
-            variants.push(valid[..cut.min(valid.len())].to_vec());
-            let mut flipped = valid.clone();
-            let at = flip_at % flipped.len().max(1);
-            if let Some(b) = flipped.get_mut(at) {
-                *b ^= xor;
-            }
-            variants.push(flipped);
-            let mut extended = valid.clone();
-            extended.extend_from_slice(&junk);
-            variants.push(extended);
-            variants.push(junk);
-
-            for v in &variants {
-                let _ = decode_record(v);
-            }
-
-            // The untouched payload still decodes (corruption of *other*
-            // copies must not matter).
-            assert!(decode_record(&valid).is_ok());
+        let mut variants: Vec<Vec<u8>> = Vec::new();
+        variants.push(valid[..cut.min(valid.len())].to_vec());
+        let mut flipped = valid.clone();
+        let at = flip_at % flipped.len().max(1);
+        if let Some(b) = flipped.get_mut(at) {
+            *b ^= xor;
         }
+        variants.push(flipped);
+        let mut extended = valid.clone();
+        extended.extend_from_slice(&junk);
+        variants.push(extended);
+        variants.push(junk);
+
+        for v in &variants {
+            let _ = decode_record(v);
+        }
+
+        // The untouched payload still decodes (corruption of *other* copies
+        // must not matter).
+        assert!(decode_record(&valid).is_ok());
+    }
+
+    #[test]
+    fn corrupted_records_never_panic_decoders() {
+        cases(REGRESSIONS, Seeds::Fixed, CASES, decoder_is_total);
+    }
+
+    #[test]
+    #[ignore = "clock-seeded tail: run in release with `--ignored`"]
+    fn clock_seeded_tail() {
+        cases(REGRESSIONS, Seeds::Clock, 10 * CASES, decoder_is_total);
     }
 
     #[test]

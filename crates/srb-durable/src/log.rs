@@ -133,11 +133,6 @@ impl LogWriter {
         &self.path
     }
 
-    /// Bytes currently buffered awaiting the next [`sync`](Self::sync).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Frames `payload` into the group-commit buffer. Nothing reaches the
     /// kernel until [`sync`](Self::sync).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {

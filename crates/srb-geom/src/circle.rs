@@ -119,12 +119,6 @@ impl Ring {
     pub fn outer_circle(&self) -> Circle {
         Circle::new(self.center, self.outer)
     }
-
-    /// The inner circle.
-    #[inline]
-    pub fn inner_circle(&self) -> Circle {
-        Circle::new(self.center, self.inner)
-    }
 }
 
 #[cfg(test)]

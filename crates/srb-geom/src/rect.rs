@@ -33,12 +33,6 @@ impl Rect {
         Rect { min, max }
     }
 
-    /// Creates a rectangle from any two opposite corners (normalizing order).
-    #[inline]
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        Rect::new(a.min(b), a.max(b))
-    }
-
     /// The degenerate rectangle containing exactly `p`.
     #[inline]
     pub fn point(p: Point) -> Self {

@@ -13,7 +13,7 @@
 //!   the price of scan-based search.
 //!
 //! Both expose identical semantics (verified by the backend-equivalence
-//! proptest in `tests/prop_backend.rs`): rectangles keyed by [`EntryId`],
+//! property test in `tests/prop_backend.rs`): rectangles keyed by [`EntryId`],
 //! closed-interval intersection search, and incremental best-first
 //! nearest-neighbor browsing through the [`NearestStream`] interface the
 //! paper's Algorithm 2 consumes.

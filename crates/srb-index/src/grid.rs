@@ -71,7 +71,7 @@ impl GridConfig {
 
 /// The uniform-grid object-index backend. See the module docs for the
 /// design; semantics match [`RStarTree`](crate::RStarTree) exactly (pinned
-/// by the backend-equivalence proptest).
+/// by the backend-equivalence property test).
 pub struct UniformGrid {
     pub(crate) space: Rect,
     pub(crate) m: usize,

@@ -1,157 +1,138 @@
-//! Property-based tests: the R*-tree against a brute-force oracle under a
+//! Property tests: the R*-tree against a brute-force oracle under a
 //! randomized workload of inserts, removals, updates, range searches, and
 //! nearest-neighbor browsing.
 
-use proptest::prelude::*;
+use srb_cases::{cases, Rng, Seeds};
 use srb_geom::{Point, Rect};
 use srb_index::{bulk_load, LeafEntry, RStarTree, TreeConfig};
 use std::collections::HashMap;
 
-#[derive(Clone, Debug)]
-enum Op {
-    Insert(u64, f64, f64, f64, f64),
-    Remove(u64),
-    Update(u64, f64, f64, f64, f64),
-    Search(f64, f64, f64, f64),
-    Nearest(f64, f64),
+/// Seeds that once failed a property below; every property replays them
+/// first.
+const REGRESSIONS: &[u64] = &[];
+const CASES: u64 = 256;
+
+/// A rectangle centered in the unit square, half-extents below 0.1.
+fn rect(rng: &mut Rng) -> Rect {
+    let c = Point::new(rng.unit(), rng.unit());
+    Rect::centered(c, rng.float(0.0, 0.1), rng.float(0.0, 0.1))
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    let id = 0u64..40;
-    let coord = 0.0f64..1.0;
-    let half = 0.0f64..0.1;
-    prop_oneof![
-        (id.clone(), coord.clone(), coord.clone(), half.clone(), half.clone())
-            .prop_map(|(i, x, y, hx, hy)| Op::Insert(i, x, y, hx, hy)),
-        id.clone().prop_map(Op::Remove),
-        (id, coord.clone(), coord.clone(), half.clone(), half.clone())
-            .prop_map(|(i, x, y, hx, hy)| Op::Update(i, x, y, hx, hy)),
-        (coord.clone(), coord.clone(), half.clone(), half)
-            .prop_map(|(x, y, hx, hy)| Op::Search(x, y, hx, hy)),
-        (coord.clone(), coord).prop_map(|(x, y)| Op::Nearest(x, y)),
-    ]
+fn points(rng: &mut Rng, count: std::ops::Range<usize>) -> Vec<Point> {
+    (0..rng.int(count)).map(|_| Point::new(rng.unit(), rng.unit())).collect()
 }
 
-fn rect(x: f64, y: f64, hx: f64, hy: f64) -> Rect {
-    Rect::centered(Point::new(x, y), hx, hy)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn tree_matches_oracle(
-        ops in prop::collection::vec(arb_op(), 1..120),
-        max_entries in 4usize..16,
-    ) {
-        let config = TreeConfig {
-            max_entries,
-            min_entries: (max_entries / 3).max(2),
-            reinsert_count: 1,
-        };
-        let mut tree = RStarTree::new(config);
-        let mut oracle: HashMap<u64, Rect> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(id, x, y, hx, hy) => {
-                    if let std::collections::hash_map::Entry::Vacant(e) = oracle.entry(id) {
-                        let r = rect(x, y, hx, hy);
-                        tree.insert(id, r);
-                        e.insert(r);
-                    }
-                }
-                Op::Remove(id) => {
-                    let expected = oracle.remove(&id);
-                    let got = tree.remove(id);
-                    prop_assert_eq!(got, expected);
-                }
-                Op::Update(id, x, y, hx, hy) => {
-                    let r = rect(x, y, hx, hy);
-                    tree.update(id, r);
-                    oracle.insert(id, r);
-                }
-                Op::Search(x, y, hx, hy) => {
-                    let q = rect(x, y, hx, hy);
-                    let mut got: Vec<u64> = tree.search_vec(&q).iter().map(|e| e.id).collect();
-                    got.sort_unstable();
-                    let mut expected: Vec<u64> = oracle
-                        .iter()
-                        .filter(|(_, r)| r.intersects(&q))
-                        .map(|(&id, _)| id)
-                        .collect();
-                    expected.sort_unstable();
-                    prop_assert_eq!(got, expected);
-                }
-                Op::Nearest(x, y) => {
-                    let q = Point::new(x, y);
-                    let got: Vec<(u64, f64)> =
-                        tree.nearest_iter(q).map(|n| (n.id, n.dist)).collect();
-                    prop_assert_eq!(got.len(), oracle.len());
-                    // Distances must be non-decreasing and match δ(q, rect).
-                    let mut prev = 0.0f64;
-                    for (id, d) in &got {
-                        let r = oracle[id];
-                        prop_assert!((r.min_dist(q) - d).abs() < 1e-12);
-                        prop_assert!(*d >= prev - 1e-12);
-                        prev = *d;
-                    }
+fn tree_vs_oracle(rng: &mut Rng) {
+    let max_entries = rng.int(4..16);
+    let config =
+        TreeConfig { max_entries, min_entries: (max_entries / 3).max(2), reinsert_count: 1 };
+    let mut tree = RStarTree::new(config);
+    let mut oracle: HashMap<u64, Rect> = HashMap::new();
+    for _ in 0..rng.int(1..120) {
+        let id = rng.next() % 40;
+        match rng.below(5) {
+            0 => {
+                let r = rect(rng);
+                if let std::collections::hash_map::Entry::Vacant(e) = oracle.entry(id) {
+                    tree.insert(id, r);
+                    e.insert(r);
                 }
             }
-            prop_assert_eq!(tree.len(), oracle.len());
+            1 => assert_eq!(tree.remove(id), oracle.remove(&id)),
+            2 => {
+                let r = rect(rng);
+                tree.update(id, r);
+                oracle.insert(id, r);
+            }
+            3 => {
+                let q = rect(rng);
+                let mut got: Vec<u64> = tree.search_vec(&q).iter().map(|e| e.id).collect();
+                got.sort_unstable();
+                let mut expected: Vec<u64> =
+                    oracle.iter().filter(|(_, r)| r.intersects(&q)).map(|(&id, _)| id).collect();
+                expected.sort_unstable();
+                assert_eq!(got, expected);
+            }
+            _ => {
+                let q = Point::new(rng.unit(), rng.unit());
+                let got: Vec<(u64, f64)> = tree.nearest_iter(q).map(|n| (n.id, n.dist)).collect();
+                assert_eq!(got.len(), oracle.len());
+                // Distances must be non-decreasing and match δ(q, rect).
+                let mut prev = 0.0f64;
+                for (id, d) in &got {
+                    assert!((oracle[id].min_dist(q) - d).abs() < 1e-12);
+                    assert!(*d >= prev - 1e-12);
+                    prev = *d;
+                }
+            }
         }
-        tree.check_invariants();
-        // Final full consistency: every oracle entry is retrievable.
-        for (&id, &r) in &oracle {
-            prop_assert_eq!(tree.get(id), Some(r));
-        }
+        assert_eq!(tree.len(), oracle.len());
     }
-
-    #[test]
-    fn bulk_load_matches_incremental_search(
-        pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..300),
-        qx in 0.0f64..1.0, qy in 0.0f64..1.0, qh in 0.01f64..0.4,
-    ) {
-        let entries: Vec<LeafEntry> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| LeafEntry { id: i as u64, rect: Rect::point(Point::new(x, y)) })
-            .collect();
-        let bulk = bulk_load(entries.clone(), TreeConfig::default());
-        bulk.check_invariants();
-        let mut incr = RStarTree::default();
-        for e in &entries {
-            incr.insert(e.id, e.rect);
-        }
-        let q = rect(qx, qy, qh, qh);
-        let mut a: Vec<u64> = bulk.search_vec(&q).iter().map(|e| e.id).collect();
-        let mut b: Vec<u64> = incr.search_vec(&q).iter().map(|e| e.id).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+    tree.check_invariants();
+    // Final full consistency: every oracle entry is retrievable.
+    for (&id, &r) in &oracle {
+        assert_eq!(tree.get(id), Some(r));
     }
+}
 
-    #[test]
-    fn knn_via_browsing_matches_brute_force(
-        pts in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 10..200),
-        qx in 0.0f64..1.0, qy in 0.0f64..1.0,
-        k in 1usize..10,
-    ) {
-        let mut tree = RStarTree::default();
-        for (i, &(x, y)) in pts.iter().enumerate() {
-            tree.insert(i as u64, Rect::point(Point::new(x, y)));
-        }
-        let q = Point::new(qx, qy);
-        let got: Vec<u64> = tree.nearest_iter(q).take(k).map(|n| n.id).collect();
-        let mut brute: Vec<(f64, u64)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| (Point::new(x, y).dist(q), i as u64))
-            .collect();
-        brute.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        // Compare distances (ids may tie at equal distance).
-        for (g, b) in got.iter().zip(brute.iter()) {
-            let gd = Point::new(pts[*g as usize].0, pts[*g as usize].1).dist(q);
-            prop_assert!((gd - b.0).abs() < 1e-12);
-        }
+fn bulk_vs_incremental(rng: &mut Rng) {
+    let entries: Vec<LeafEntry> = points(rng, 1..300)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| LeafEntry { id: i as u64, rect: Rect::point(p) })
+        .collect();
+    let bulk = bulk_load(entries.clone(), TreeConfig::default());
+    bulk.check_invariants();
+    let mut incr = RStarTree::default();
+    for e in &entries {
+        incr.insert(e.id, e.rect);
+    }
+    let (c, h) = (Point::new(rng.unit(), rng.unit()), rng.float(0.01, 0.4));
+    let q = Rect::centered(c, h, h);
+    let mut a: Vec<u64> = bulk.search_vec(&q).iter().map(|e| e.id).collect();
+    let mut b: Vec<u64> = incr.search_vec(&q).iter().map(|e| e.id).collect();
+    a.sort_unstable();
+    b.sort_unstable();
+    assert_eq!(a, b);
+}
+
+fn knn_vs_brute_force(rng: &mut Rng) {
+    let pts = points(rng, 10..200);
+    let mut tree = RStarTree::default();
+    for (i, &p) in pts.iter().enumerate() {
+        tree.insert(i as u64, Rect::point(p));
+    }
+    let q = Point::new(rng.unit(), rng.unit());
+    let k = rng.int(1..10);
+    let got: Vec<u64> = tree.nearest_iter(q).take(k).map(|n| n.id).collect();
+    let mut brute: Vec<f64> = pts.iter().map(|p| p.dist(q)).collect();
+    brute.sort_by(f64::total_cmp);
+    // Compare distances (ids may tie at equal distance).
+    for (g, b) in got.iter().zip(&brute) {
+        assert!((pts[*g as usize].dist(q) - b).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn tree_matches_oracle() {
+    cases(REGRESSIONS, Seeds::Fixed, CASES, tree_vs_oracle);
+}
+
+#[test]
+fn bulk_load_matches_incremental_search() {
+    cases(REGRESSIONS, Seeds::Fixed, CASES, bulk_vs_incremental);
+}
+
+#[test]
+fn knn_via_browsing_matches_brute_force() {
+    cases(REGRESSIONS, Seeds::Fixed, CASES, knn_vs_brute_force);
+}
+
+#[test]
+#[ignore = "clock-seeded tail: run in release with `--ignored`"]
+fn clock_seeded_tail() {
+    let properties: [fn(&mut Rng); 3] = [tree_vs_oracle, bulk_vs_incremental, knn_vs_brute_force];
+    for property in properties {
+        cases(REGRESSIONS, Seeds::Clock, 10 * CASES, property);
     }
 }

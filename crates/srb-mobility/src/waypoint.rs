@@ -140,11 +140,6 @@ impl Trajectory {
         Trajectory { segs: VecDeque::new(), gen: Gen::Script { segments, next: 0 }, cursor: 0 }
     }
 
-    /// A trajectory that never moves (useful for tests).
-    pub fn stationary(p: Point, t0: f64) -> Trajectory {
-        Trajectory::scripted(vec![Segment { t0, t1: t0, start: p, vel: Point::ORIGIN }])
-    }
-
     fn generate_next(&mut self) -> Segment {
         match &mut self.gen {
             Gen::Waypoint { rng, cfg, pos, t } => {

@@ -16,13 +16,28 @@ fn cfg() -> SimConfig {
     }
 }
 
-#[test]
-fn srb_is_exact_without_delay() {
-    // Instant reaction: the idealized protocol is exactly accurate.
-    let m = run_srb(&SimConfig { min_reaction: 0.0, ..cfg() });
+// The two runs at instant reaction (`min_reaction` = 0) are bounded to 1 tu
+// here: near-equidistant ordered-kNN neighbours then report at unbounded
+// rates (ROADMAP item 9), and 4 tu take minutes in debug. Their 4-tu bodies
+// are the `#[ignore]` variants, which CI runs in release.
+
+/// Instant reaction: the idealized protocol is exactly accurate.
+fn exact_without_delay(duration: f64, min_samples: u64) {
+    let m = run_srb(&SimConfig { min_reaction: 0.0, duration, ..cfg() });
     assert_eq!(m.accuracy, 1.0, "SRB must be exact at τ=0 ({m:?})");
     assert!(m.uplinks > 0, "no updates at all is suspicious");
-    assert!(m.samples >= 39);
+    assert!(m.samples >= min_samples);
+}
+
+#[test]
+fn srb_is_exact_without_delay() {
+    exact_without_delay(1.0, 9);
+}
+
+#[test]
+#[ignore = "4 tu at instant reaction: run in release with `--ignored`"]
+fn srb_is_exact_without_delay_over_four_tu() {
+    exact_without_delay(4.0, 39);
 }
 
 #[test]
@@ -126,11 +141,22 @@ fn reachability_reduces_probes() {
     );
 }
 
-#[test]
-fn weighted_perimeter_keeps_exactness() {
-    let c = SimConfig { steadiness: Some(0.5), mean_period: 1.0, min_reaction: 0.0, ..cfg() };
+fn weighted_perimeter_exact(duration: f64) {
+    let c =
+        SimConfig { steadiness: Some(0.5), mean_period: 1.0, min_reaction: 0.0, duration, ..cfg() };
     let m = run_srb(&c);
     assert_eq!(m.accuracy, 1.0, "weighted perimeter must not break exactness");
+}
+
+#[test]
+fn weighted_perimeter_keeps_exactness() {
+    weighted_perimeter_exact(1.0);
+}
+
+#[test]
+#[ignore = "4 tu at instant reaction: run in release with `--ignored`"]
+fn weighted_perimeter_keeps_exactness_over_four_tu() {
+    weighted_perimeter_exact(4.0);
 }
 
 #[test]

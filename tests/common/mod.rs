@@ -22,46 +22,18 @@ use srb::core::{
     ServerConfig, ShardedServer, SpatialBackend, SyncPolicy, TableProvider, UniformGrid, WorkStats,
 };
 use srb::geom::{Point, Rect};
+pub use srb_cases::{mix, Rng};
 use srb_durable::crash;
 use std::fmt::Display;
-
-/// SplitMix64's finaliser.
-pub fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A uniform draw in `[0, 1)` from `(i, salt)`, for worlds laid out by index.
 pub fn unit(i: u64, salt: u64) -> f64 {
     (mix(i ^ (salt << 32)) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// A SplitMix64 stream.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(1);
-        mix(self.0)
-    }
-
-    pub fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    pub fn point(&mut self) -> Point {
-        Point::new(self.unit(), self.unit())
-    }
-
-    pub fn pick<T: Copy>(&mut self, from: &[T]) -> T {
-        from[self.below(from.len())]
-    }
+/// A uniform point of the unit square.
+pub fn point(rng: &mut Rng) -> Point {
+    Point::new(rng.unit(), rng.unit())
 }
 
 /// A durability store of one test: removed when the test passes, kept with
@@ -105,7 +77,7 @@ impl Drop for Store {
 /// A random query: a range clipped to the unit square, or an ordered or
 /// unordered kNN query with k in 1..=5.
 pub fn random_spec(rng: &mut Rng) -> QuerySpec {
-    let c = rng.point();
+    let c = point(rng);
     match rng.below(3) {
         0 => {
             let (hx, hy) = (0.02 + 0.2 * rng.unit(), 0.02 + 0.2 * rng.unit());
@@ -640,7 +612,7 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
             worlds: Vec::new(),
             instants: Vec::new(),
         },
-        at: (0..OBJECTS).map(|_| rng.point()).collect(),
+        at: (0..OBJECTS).map(|_| point(&mut rng)).collect(),
         alive: vec![true; OBJECTS],
         seqs: vec![0; OBJECTS],
         live: Vec::new(),
@@ -675,7 +647,7 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
         match g.rng.below(6) {
             0 => {
                 let id = ObjectId(g.at.len() as u32);
-                let p = g.rng.point();
+                let p = point(&mut g.rng);
                 g.at.push(p);
                 g.alive.push(true);
                 g.seqs.push(0);

@@ -15,13 +15,14 @@ use common::Backend::{self, *};
 use common::Delivery::{self, *};
 use common::Durability::*;
 use common::Enhancement::{self, *};
-use common::{check, populate, Config, Hold, Rng, Store};
+use common::{check, point, populate, Config, Hold, Rng, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
     AdaptiveConfig, BackendConfig, BackendKind, DynBackend, FnProvider, GridConfig, ObjectId,
     QuerySpec, RStarTree, RecoveryError, SequencedUpdate, ServerConfig, ShardedServer,
 };
 use srb::geom::{Point, Rect};
+use srb_cases::{cases, Seeds};
 use std::path::PathBuf;
 
 /// Points and seeds that once failed, as the failure printed them.
@@ -167,12 +168,9 @@ fn lattice_full() {
         let hold = if TIES.contains(&(p, seed)) { Hold::Results } else { Hold::Full };
         check(p, seed, hold);
     }
-    let clock = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
-    let mut rng = Rng(clock.expect("after 1970").as_nanos() as u64);
-    for _ in 0..300 {
-        let p = Config::random(&mut rng);
-        check(p, rng.next(), Hold::Results);
-    }
+    // A failure prints the point's typed line above the runner's bare seed;
+    // the typed line is the one `REGRESSIONS` takes.
+    cases(&[], Seeds::Clock, 300, |rng| check(Config::random(rng), rng.next(), Hold::Results));
 }
 
 // ---------------------------------------------------------------------
@@ -198,7 +196,7 @@ fn adaptive_controller_migrates_retunes_and_replays() {
         ServerConfig { grid_m: 10, backend: BackendConfig::Adaptive(eager), ..Default::default() };
     let cfg = store.config(base);
     let mut rng = Rng(0xfeed);
-    let mut at: Vec<Point> = (0..48).map(|_| rng.point()).collect();
+    let mut at: Vec<Point> = (0..48).map(|_| point(&mut rng)).collect();
     let mut e = ShardedServer::<DynBackend>::with_backend(cfg, 3);
     {
         let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
@@ -246,7 +244,7 @@ fn recovery_refuses_backend_kind_mismatch() {
     let store = Store::new();
     let cfg = store.config(ServerConfig { grid_m: 10, ..Default::default() });
     let mut rng = Rng(0xabcd);
-    let at: Vec<Point> = (0..8).map(|_| rng.point()).collect();
+    let at: Vec<Point> = (0..8).map(|_| point(&mut rng)).collect();
     {
         let mut e = ShardedServer::<DynBackend>::with_backend(cfg, 2);
         let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
