@@ -38,7 +38,7 @@ pub enum AdaptAction {
 pub struct ShardSignals {
     /// Objects currently owned by the shard.
     pub len: usize,
-    /// Cumulative index visit counter ([`crate::Shard::index_visits`]).
+    /// Cumulative index visit counter (`Shard::index_visits`).
     pub visits: u64,
     /// Cumulative source updates handled ([`crate::CostTracker`]).
     pub updates: u64,
@@ -84,11 +84,6 @@ impl AdaptiveController {
         let mut shards = Vec::with_capacity(n_shards);
         shards.resize_with(n_shards, ShardWindow::new);
         AdaptiveController { config, batches: 0, migrations: 0, retunes: 0, shards }
-    }
-
-    /// The thresholds in force.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.config
     }
 
     /// Controller-triggered kind migrations so far.

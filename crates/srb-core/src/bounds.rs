@@ -9,7 +9,7 @@ use srb_geom::{Circle, Point, Rect};
 
 /// Bound on an object's current location.
 #[derive(Clone, Copy, Debug)]
-pub enum LocBound {
+pub(crate) enum LocBound {
     /// Exactly known location.
     Exact(Point),
     /// The object is somewhere in `sr ∩ reach` (reach = everywhere when
@@ -24,7 +24,7 @@ pub enum LocBound {
 
 impl LocBound {
     /// True when the bound is an exact point.
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         matches!(self, LocBound::Exact(_))
     }
 
@@ -33,7 +33,7 @@ impl LocBound {
     /// circle keeps growing after the decision, so refined bounds are valid
     /// only at evaluation time, while quarantine areas must stay valid until
     /// the next update (see DESIGN.md §5).
-    pub fn raw_min_dist(&self, q: Point) -> f64 {
+    pub(crate) fn raw_min_dist(&self, q: Point) -> f64 {
         match self {
             LocBound::Exact(p) => p.dist(q),
             LocBound::Region { sr, .. } => sr.min_dist(q),
@@ -41,7 +41,7 @@ impl LocBound {
     }
 
     /// Upper distance bound using only the stored region.
-    pub fn raw_max_dist(&self, q: Point) -> f64 {
+    pub(crate) fn raw_max_dist(&self, q: Point) -> f64 {
         match self {
             LocBound::Exact(p) => p.dist(q),
             LocBound::Region { sr, .. } => sr.max_dist(q),
@@ -50,7 +50,7 @@ impl LocBound {
 
     /// Lower bound on the distance from `q` to the object — the paper's
     /// `δ(q, ·)`, tightened by the reachability circle when available.
-    pub fn min_dist(&self, q: Point) -> f64 {
+    pub(crate) fn min_dist(&self, q: Point) -> f64 {
         match self {
             LocBound::Exact(p) => p.dist(q),
             LocBound::Region { sr, reach } => {
@@ -65,7 +65,7 @@ impl LocBound {
 
     /// Upper bound on the distance from `q` to the object — the paper's
     /// `Δ(q, ·)`, tightened by the reachability circle when available.
-    pub fn max_dist(&self, q: Point) -> f64 {
+    pub(crate) fn max_dist(&self, q: Point) -> f64 {
         match self {
             LocBound::Exact(p) => p.dist(q),
             LocBound::Region { sr, reach } => {
@@ -79,7 +79,7 @@ impl LocBound {
     }
 
     /// True when the object is certainly inside `rect`.
-    pub fn definitely_inside(&self, rect: &Rect) -> bool {
+    pub(crate) fn definitely_inside(&self, rect: &Rect) -> bool {
         match self {
             LocBound::Exact(p) => rect.contains_point(*p),
             LocBound::Region { sr, reach } => {
@@ -100,7 +100,7 @@ impl LocBound {
     }
 
     /// True when the object is certainly outside `rect`.
-    pub fn definitely_outside(&self, rect: &Rect) -> bool {
+    pub(crate) fn definitely_outside(&self, rect: &Rect) -> bool {
         match self {
             LocBound::Exact(p) => !rect.contains_point(*p),
             LocBound::Region { sr, reach } => {

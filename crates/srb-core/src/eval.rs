@@ -23,38 +23,38 @@ use std::collections::BinaryHeap;
 /// engine recomputes safe regions for exactly these objects afterwards
 /// (Algorithm 1 lines 14–15).
 pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
-    pub view: FleetView<'a, B>,
-    pub exact: &'a mut FastMap<ObjectId, Point>,
+    pub(crate) view: FleetView<'a, B>,
+    pub(crate) exact: &'a mut FastMap<ObjectId, Point>,
     /// The objects probed so far, in probe order: the part of `exact` the
     /// caller did not put there itself.
-    pub probed: &'a mut Vec<ObjectId>,
-    pub provider: &'a mut dyn LocationProvider,
-    pub costs: &'a mut CostTracker,
-    pub work: &'a mut WorkStats,
+    pub(crate) probed: &'a mut Vec<ObjectId>,
+    pub(crate) provider: &'a mut dyn LocationProvider,
+    pub(crate) costs: &'a mut CostTracker,
+    pub(crate) work: &'a mut WorkStats,
     /// Deferred probes scheduled by reachability-based decisions: the
     /// earliest future instants at which those decisions could be
     /// invalidated by the growing circle (see DESIGN.md — this makes §6.1
     /// sound). The engine moves these into the shard timers.
-    pub deferred: &'a mut Vec<(ObjectId, f64)>,
+    pub(crate) deferred: &'a mut Vec<(ObjectId, f64)>,
     /// Working set of the order-sensitive kNN patch (§4.3).
-    pub patch: &'a mut KnnPatch,
+    pub(crate) patch: &'a mut KnnPatch,
     /// `Some(max_speed)` when the reachability enhancement is enabled.
-    pub max_speed: Option<f64>,
+    pub(crate) max_speed: Option<f64>,
     /// Current time (for reachability radii).
-    pub now: f64,
+    pub(crate) now: f64,
 }
 
 /// Read-only view of the engine state needed to bound object locations.
 pub(crate) struct ReadCtx<'a, B: SpatialBackend> {
-    pub view: FleetView<'a, B>,
-    pub exact: &'a FastMap<ObjectId, Point>,
-    pub max_speed: Option<f64>,
-    pub now: f64,
+    pub(crate) view: FleetView<'a, B>,
+    pub(crate) exact: &'a FastMap<ObjectId, Point>,
+    pub(crate) max_speed: Option<f64>,
+    pub(crate) now: f64,
 }
 
 impl<B: SpatialBackend> ReadCtx<'_, B> {
     /// The location bound for an object whose stored rectangle is `sr`.
-    pub fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
+    pub(crate) fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
         if let Some(&p) = self.exact.get(&id) {
             return LocBound::Exact(p);
         }
@@ -69,7 +69,7 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 
     /// The location bound for an object, looking its rectangle up in the
     /// view.
-    pub fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
+    pub(crate) fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         if let Some(&p) = self.exact.get(&id) {
             return Some(LocBound::Exact(p));
         }
@@ -88,13 +88,18 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 
     /// The earliest time `id` could be at distance `threshold` from `q` —
     /// when a `Δ_ref(id) <= threshold` decision could stop holding.
-    pub fn due_dist_threshold(&self, id: ObjectId, q: Point, threshold: f64) -> Option<f64> {
+    pub(crate) fn due_dist_threshold(&self, id: ObjectId, q: Point, threshold: f64) -> Option<f64> {
         self.due_after(id, |anchor| threshold - anchor.dist(q))
     }
 
     /// The earliest time `id` could be closer to `q` than `threshold` —
     /// when a `δ_ref(id) >= threshold` decision could stop holding.
-    pub fn due_min_dist_threshold(&self, id: ObjectId, q: Point, threshold: f64) -> Option<f64> {
+    pub(crate) fn due_min_dist_threshold(
+        &self,
+        id: ObjectId,
+        q: Point,
+        threshold: f64,
+    ) -> Option<f64> {
         self.due_after(id, |anchor| anchor.dist(q) - threshold)
     }
 }
@@ -103,16 +108,16 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 /// reads — regions are computed lane by lane, possibly on several threads,
 /// and none may probe — and two lists it hands back to the coordinator.
 pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
-    pub read: &'a ReadCtx<'a, B>,
+    pub(crate) read: &'a ReadCtx<'a, B>,
     /// The object whose region is being computed.
-    pub requester: ObjectId,
+    pub(crate) requester: ObjectId,
     /// Out: `(requester, target)` — a neighbour whose exact location the
     /// computation needs. The region computed meanwhile is void and is
     /// computed again once the coordinator has probed the target.
-    pub requests: &'a mut Vec<(ObjectId, ObjectId)>,
+    pub(crate) requests: &'a mut Vec<(ObjectId, ObjectId)>,
     /// Out: `(requester, target, due)` — deferred probes that keep the
     /// requester's reachability-based bounds sound.
-    pub deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
+    pub(crate) deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
 }
 
 impl<B: SpatialBackend> RegionCtx<'_, B> {
@@ -120,7 +125,7 @@ impl<B: SpatialBackend> RegionCtx<'_, B> {
     /// probe at `due` — or, when `due` is not in the future, an exact
     /// location now (a deferred probe would fire at this very instant, and
     /// two objects can schedule each other forever at a frozen timestamp).
-    pub fn defer_until(&mut self, id: ObjectId, due: f64) {
+    pub(crate) fn defer_until(&mut self, id: ObjectId, due: f64) {
         if due > self.read.now + 1e-9 {
             self.deferred.push((self.requester, id, due));
         } else {
@@ -130,30 +135,30 @@ impl<B: SpatialBackend> RegionCtx<'_, B> {
 
     /// Asks for the exact location of the neighbour `id`, whose stale safe
     /// region leaves no room.
-    pub fn request_neighbor(&mut self, id: ObjectId) {
+    pub(crate) fn request_neighbor(&mut self, id: ObjectId) {
         self.requests.push((self.requester, id));
     }
 }
 
 impl<B: SpatialBackend> EvalCtx<'_, B> {
     /// A read-only view sharing this context's state.
-    pub fn as_read(&self) -> ReadCtx<'_, B> {
+    pub(crate) fn as_read(&self) -> ReadCtx<'_, B> {
         ReadCtx { view: self.view, exact: self.exact, max_speed: self.max_speed, now: self.now }
     }
 
     /// The location bound for an object whose stored rectangle is `sr`.
-    pub fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
+    pub(crate) fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
         self.as_read().bound(id, sr)
     }
 
     /// The location bound for an object, looking its rectangle up in the
     /// view.
-    pub fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
+    pub(crate) fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         self.as_read().bound_of(id)
     }
 
     /// Issues a server-initiated probe (cost `c_p`) and records the result.
-    pub fn probe(&mut self, id: ObjectId) -> Point {
+    pub(crate) fn probe(&mut self, id: ObjectId) -> Point {
         let p = self.provider.probe(id);
         self.costs.probes += 1;
         if self.exact.insert(id, p).is_none() {
@@ -179,7 +184,7 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
     /// reachability circle (anchored at its last report) could reach
     /// distance `threshold` from `q` — the instant a `Δ_ref(id) <= threshold`
     /// decision could stop holding.
-    pub fn defer_dist_threshold(&mut self, id: ObjectId, q: Point, threshold: f64) {
+    pub(crate) fn defer_dist_threshold(&mut self, id: ObjectId, q: Point, threshold: f64) {
         if let Some(due) = self.as_read().due_dist_threshold(id, q, threshold) {
             self.defer_until(id, due);
         }
@@ -187,7 +192,7 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
 
     /// Schedules a deferred probe of `id` at the earliest time its circle
     /// could travel `dist` from the anchor — used for rectangle constraints.
-    pub fn defer_travel(&mut self, id: ObjectId, dist: f64) {
+    pub(crate) fn defer_travel(&mut self, id: ObjectId, dist: f64) {
         if let Some(due) = self.as_read().due_after(id, |_| dist.max(0.0)) {
             self.defer_until(id, due);
         }
@@ -282,10 +287,10 @@ fn reach_anchor(bound: &LocBound) -> Option<(Point, f64)> {
 pub(crate) struct KnnEval {
     /// The k nearest objects; distance-ordered for the order-sensitive
     /// variant.
-    pub results: Vec<ObjectId>,
+    pub(crate) results: Vec<ObjectId>,
     /// Radius of the new quarantine area (midpoint between `Δ(q, o_k)` and
     /// `δ(q, o_{k+1})`).
-    pub radius: f64,
+    pub(crate) radius: f64,
 }
 
 /// A stream item: one object with its bound and sort key `key = δ(q, sr)` —

@@ -14,11 +14,11 @@ use crate::ids::QueryId;
 use srb_geom::{Point, Rect};
 
 /// Grid cell coordinates.
-pub type Cell = (usize, usize);
+pub(crate) type Cell = (usize, usize);
 
 /// The `M x M` grid index over query quarantine areas.
 #[derive(Clone, Debug)]
-pub struct GridIndex {
+pub(crate) struct GridIndex {
     space: Rect,
     m: usize,
     buckets: Vec<Vec<QueryId>>,
@@ -26,23 +26,18 @@ pub struct GridIndex {
 
 impl GridIndex {
     /// Creates an empty grid over `space` with `m x m` cells.
-    pub fn new(space: Rect, m: usize) -> Self {
+    pub(crate) fn new(space: Rect, m: usize) -> Self {
         assert!(m >= 1, "grid must have at least one cell");
         GridIndex { space, m, buckets: vec![Vec::new(); m * m] }
     }
 
     /// The grid resolution `M`.
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
-    /// The indexed space.
-    pub fn space(&self) -> Rect {
-        self.space
-    }
-
     /// The cell containing `p` (clamped to the space).
-    pub fn cell_of(&self, p: Point) -> Cell {
+    pub(crate) fn cell_of(&self, p: Point) -> Cell {
         let fx = (p.x - self.space.min().x) / self.space.width();
         let fy = (p.y - self.space.min().y) / self.space.height();
         let i = ((fx * self.m as f64) as isize).clamp(0, self.m as isize - 1) as usize;
@@ -51,7 +46,7 @@ impl GridIndex {
     }
 
     /// The rectangle of a cell.
-    pub fn cell_rect(&self, (i, j): Cell) -> Rect {
+    pub(crate) fn cell_rect(&self, (i, j): Cell) -> Rect {
         let w = self.space.width() / self.m as f64;
         let h = self.space.height() / self.m as f64;
         let min = Point::new(self.space.min().x + i as f64 * w, self.space.min().y + j as f64 * h);
@@ -60,7 +55,7 @@ impl GridIndex {
 
     /// The cell rectangle containing a point — the container of every safe
     /// region computed for an object at `p` (§5).
-    pub fn cell_rect_of(&self, p: Point) -> Rect {
+    pub(crate) fn cell_rect_of(&self, p: Point) -> Rect {
         self.cell_rect(self.cell_of(p))
     }
 
@@ -83,7 +78,7 @@ impl GridIndex {
     }
 
     /// Registers a query whose quarantine bounding box is `bbox`.
-    pub fn insert(&mut self, qid: QueryId, bbox: &Rect) {
+    pub(crate) fn insert(&mut self, qid: QueryId, bbox: &Rect) {
         let cells: Vec<Cell> = self.cells_overlapping(bbox).collect();
         for c in cells {
             let idx = self.bucket_index(c);
@@ -92,7 +87,7 @@ impl GridIndex {
     }
 
     /// Removes a query previously registered with bounding box `bbox`.
-    pub fn remove(&mut self, qid: QueryId, bbox: &Rect) {
+    pub(crate) fn remove(&mut self, qid: QueryId, bbox: &Rect) {
         let cells: Vec<Cell> = self.cells_overlapping(bbox).collect();
         for c in cells {
             let idx = self.bucket_index(c);
@@ -101,25 +96,20 @@ impl GridIndex {
     }
 
     /// Re-registers a query whose quarantine bounding box changed.
-    pub fn update(&mut self, qid: QueryId, old_bbox: &Rect, new_bbox: &Rect) {
+    pub(crate) fn update(&mut self, qid: QueryId, old_bbox: &Rect, new_bbox: &Rect) {
         self.remove(qid, old_bbox);
         self.insert(qid, new_bbox);
     }
 
     /// The bucket of the cell containing `p`.
-    pub fn queries_at(&self, p: Point) -> &[QueryId] {
+    pub(crate) fn queries_at(&self, p: Point) -> &[QueryId] {
         let idx = self.bucket_index(self.cell_of(p));
         &self.buckets[idx]
     }
 
-    /// The bucket of an explicit cell.
-    pub fn queries_in_cell(&self, cell: Cell) -> &[QueryId] {
-        &self.buckets[self.bucket_index(cell)]
-    }
-
     /// Total size of all buckets (each overlapped cell counts once) — used
     /// to report the index footprint like the paper's §7.3 does.
-    pub fn bucket_entries(&self) -> usize {
+    pub(crate) fn bucket_entries(&self) -> usize {
         self.buckets.iter().map(Vec::len).sum()
     }
 
@@ -174,6 +164,11 @@ mod tests {
         GridIndex::new(Rect::UNIT, m)
     }
 
+    /// The bucket of `cell`, read at the cell's center.
+    fn bucket(g: &GridIndex, cell: Cell) -> &[QueryId] {
+        g.queries_at(g.cell_rect(cell).center())
+    }
+
     #[test]
     fn cell_of_corners_and_interior() {
         let g = grid(10);
@@ -207,11 +202,11 @@ mod tests {
         // Covers cells (2..=4) x (3..=3).
         let bbox = Rect::new(Point::new(0.25, 0.35), Point::new(0.45, 0.39));
         g.insert(q, &bbox);
-        assert!(g.queries_in_cell((2, 3)).contains(&q));
-        assert!(g.queries_in_cell((3, 3)).contains(&q));
-        assert!(g.queries_in_cell((4, 3)).contains(&q));
-        assert!(!g.queries_in_cell((5, 3)).contains(&q));
-        assert!(!g.queries_in_cell((3, 4)).contains(&q));
+        assert!(bucket(&g, (2, 3)).contains(&q));
+        assert!(bucket(&g, (3, 3)).contains(&q));
+        assert!(bucket(&g, (4, 3)).contains(&q));
+        assert!(!bucket(&g, (5, 3)).contains(&q));
+        assert!(!bucket(&g, (3, 4)).contains(&q));
         assert_eq!(g.bucket_entries(), 3);
     }
 
@@ -232,8 +227,8 @@ mod tests {
         let new = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
         g.insert(QueryId(3), &old);
         g.update(QueryId(3), &old, &new);
-        assert!(!g.queries_in_cell((0, 0)).contains(&QueryId(3)));
-        assert!(g.queries_in_cell((9, 9)).contains(&QueryId(3)));
+        assert!(!bucket(&g, (0, 0)).contains(&QueryId(3)));
+        assert!(bucket(&g, (9, 9)).contains(&QueryId(3)));
     }
 
     #[test]

@@ -22,7 +22,7 @@ impl ObjectId {
 
     /// The id as an R-tree entry id.
     #[inline]
-    pub fn entry(self) -> u64 {
+    pub(crate) fn entry(self) -> u64 {
         self.0 as u64
     }
 }
@@ -30,7 +30,7 @@ impl ObjectId {
 impl QueryId {
     /// The id as a vector index.
     #[inline]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }

@@ -12,73 +12,60 @@
 use crate::ids::ObjectId;
 use crate::object::{ObjectState, ObjectTable};
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, RStarTree, SpatialBackend, TreeConfig};
+use srb_index::{BackendConfig, RStarTree, SpatialBackend};
 
 /// The object index: a spatial backend over safe regions plus the dense
 /// object state table, kept in lockstep. Generic in the backend `B`,
 /// defaulted to the paper's R\*-tree so existing call sites are unchanged.
-pub struct ObjectIndex<B: SpatialBackend = RStarTree> {
+pub(crate) struct ObjectIndex<B: SpatialBackend = RStarTree> {
     tree: B,
     objects: ObjectTable,
-}
-
-impl ObjectIndex<RStarTree> {
-    /// Creates an empty R\*-tree-backed index with the given tree
-    /// configuration.
-    pub fn new(tree: TreeConfig) -> Self {
-        ObjectIndex { tree: RStarTree::new(tree), objects: ObjectTable::new() }
-    }
 }
 
 impl<B: SpatialBackend> ObjectIndex<B> {
     /// Creates an empty index whose backend is built from `config` over
     /// `space`. Panics when `config`'s variant does not match `B`.
-    pub fn with_backend(config: &BackendConfig, space: Rect) -> Self {
+    pub(crate) fn with_backend(config: &BackendConfig, space: Rect) -> Self {
         ObjectIndex { tree: B::build(config, space), objects: ObjectTable::new() }
     }
 
     /// The spatial backend, for search and best-first browsing.
-    pub fn tree(&self) -> &B {
+    pub(crate) fn tree(&self) -> &B {
         &self.tree
     }
 
     /// The object state table.
-    pub fn objects(&self) -> &ObjectTable {
+    pub(crate) fn objects(&self) -> &ObjectTable {
         &self.objects
     }
 
     /// Number of indexed objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.objects.len()
     }
 
-    /// True when no objects are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
     /// The state of `id`, if registered.
-    pub fn get(&self, id: ObjectId) -> Option<&ObjectState> {
+    pub(crate) fn get(&self, id: ObjectId) -> Option<&ObjectState> {
         self.objects.get(id)
     }
 
     /// Mutable state access. Safe for fields the backend does not mirror
     /// (`last_seq`, `p_lst`, `t_lst`); safe-region changes must go through
     /// [`install_region`](Self::install_region) instead.
-    pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
+    pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
         self.objects.get_mut(id)
     }
 
     /// Registers a new object: inserts its rectangle into the backend and
     /// its state into the table.
-    pub fn insert(&mut self, id: ObjectId, state: ObjectState) {
+    pub(crate) fn insert(&mut self, id: ObjectId, state: ObjectState) {
         let _span = srb_obs::span!("object_index.insert");
         self.tree.insert(id.entry(), state.safe_region);
         self.objects.set(id, state);
     }
 
     /// Removes an object from both structures, returning its last state.
-    pub fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
+    pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let _span = srb_obs::span!("object_index.remove");
         let st = self.objects.remove(id)?;
         self.tree.remove(id.entry());
@@ -91,7 +78,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     /// The state table is left untouched (the state is rewritten wholesale
     /// by [`install_region`](Self::install_region) at the end of the
     /// operation).
-    pub fn pin_to_point(&mut self, id: ObjectId, pos: Point) {
+    pub(crate) fn pin_to_point(&mut self, id: ObjectId, pos: Point) {
         // Deliberately span-free: this runs once per report and takes well
         // under a microsecond, so a wall-clock span would cost more than
         // the work it measures. The backend-side counters/histograms in
@@ -111,7 +98,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     /// Installs a freshly computed safe region: updates the backend entry
     /// and rewrites the state with the new anchor `pos` at time `now`,
     /// preserving the accepted sequence number.
-    pub fn install_region(&mut self, id: ObjectId, pos: Point, sr: Rect, now: f64) {
+    pub(crate) fn install_region(&mut self, id: ObjectId, pos: Point, sr: Rect, now: f64) {
         // Span-free for the same reason as `pin_to_point`.
         self.tree.update(id.entry(), sr);
         let last_seq = self.objects.get(id).map(|s| s.last_seq).unwrap_or(0);
@@ -119,7 +106,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     }
 
     /// Deterministic work units: backend structural-unit visits.
-    pub fn visits(&self) -> u64 {
+    pub(crate) fn visits(&self) -> u64 {
         self.tree.visits()
     }
 
@@ -128,13 +115,13 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     /// migration preserves every stored rectangle, so coherence holds by
     /// construction. Returns `false` when `B` cannot represent the
     /// requested config (every backend except `DynBackend`).
-    pub fn migrate_backend(&mut self, config: &BackendConfig) -> bool {
+    pub(crate) fn migrate_backend(&mut self, config: &BackendConfig) -> bool {
         self.tree.migrate(config)
     }
 
     /// Cheap structural check: the backend and the table index the same
     /// number of objects.
-    pub fn check_counts(&self) {
+    pub(crate) fn check_counts(&self) {
         assert_eq!(self.tree.len(), self.objects.len(), "tree/table length mismatch");
     }
 
@@ -162,7 +149,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
 
     /// Full O(n) coherence scan: backend invariants plus an entry-by-entry
     /// comparison of stored rectangles against table safe regions.
-    pub fn check_coherence(&self) {
+    pub(crate) fn check_coherence(&self) {
         self.tree.check_invariants();
         self.check_counts();
         for (oid, st) in self.objects.iter() {
@@ -175,7 +162,11 @@ impl<B: SpatialBackend> ObjectIndex<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_index::{GridConfig, UniformGrid};
+    use srb_index::{GridConfig, TreeConfig, UniformGrid};
+
+    fn rstar() -> ObjectIndex {
+        ObjectIndex::with_backend(&BackendConfig::RStar(TreeConfig::default()), Rect::UNIT)
+    }
 
     fn state(p: Point, sr: Rect) -> ObjectState {
         ObjectState { p_lst: p, t_lst: 0.0, safe_region: sr, last_seq: 3 }
@@ -183,8 +174,8 @@ mod tests {
 
     #[test]
     fn insert_remove_keeps_tree_and_table_coherent() {
-        let mut idx = ObjectIndex::new(TreeConfig::default());
-        assert!(idx.is_empty());
+        let mut idx = rstar();
+        assert_eq!(idx.len(), 0);
         let p = Point::new(0.2, 0.3);
         idx.insert(ObjectId(1), state(p, Rect::point(p)));
         assert_eq!(idx.len(), 1);
@@ -196,7 +187,7 @@ mod tests {
 
     #[test]
     fn pin_then_install_region_roundtrip() {
-        let mut idx = ObjectIndex::new(TreeConfig::default());
+        let mut idx = rstar();
         let p0 = Point::new(0.1, 0.1);
         idx.insert(ObjectId(7), state(p0, Rect::point(p0)));
         let p1 = Point::new(0.4, 0.4);
@@ -214,7 +205,7 @@ mod tests {
 
     #[test]
     fn install_region_on_unknown_object_defaults_seq() {
-        let mut idx = ObjectIndex::new(TreeConfig::default());
+        let mut idx = rstar();
         let p = Point::new(0.6, 0.6);
         idx.tree_insert_for_test(ObjectId(2), Rect::point(p));
         idx.install_region(ObjectId(2), p, Rect::point(p), 1.0);

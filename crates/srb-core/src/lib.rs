@@ -36,10 +36,10 @@
 //! assert_eq!(resp.results, vec![ObjectId(0)]);
 //! ```
 //!
-//! Module map (paper section in parentheses): [`query`](crate::query)
+//! Module map (paper section in parentheses): `query`
 //! quarantine areas (§3.3), `grid` query index (§3.3), `eval` evaluation
 //! with lazy probes (§4.1–4.2), `reeval` incremental reevaluation (§4.3),
-//! `safe_region` Ir-lp-based safe regions (§5), [`bounds`](crate::bounds)
+//! `safe_region` Ir-lp-based safe regions (§5), `bounds`
 //! reachability refinement (§6.1), weighted-perimeter objective selection
 //! (§6.2) via [`ServerConfig::steadiness`].
 //!
@@ -54,12 +54,12 @@
 //! the engine is given.
 //!
 //! The object index under a shard is a pluggable
-//! [`SpatialBackend`](srb_index::SpatialBackend): [`ShardedServer`]
+//! [`SpatialBackend`]: [`ShardedServer`]
 //! defaults to the paper's R\*-tree, and
 //! `ShardedServer::<UniformGrid>::with_backend` (or `SRB_BACKEND=grid`
 //! through the simulator) swaps in the uniform-grid backend without
 //! touching any query semantics. The choice is also revisable at runtime:
-//! [`DynBackend`](srb_index::DynBackend) dispatches over both structures
+//! [`DynBackend`] dispatches over both structures
 //! behind one type, [`ShardedServer::migrate_shard`] live-rebuilds a shard
 //! into the other structure mid-stream with bit-identical results, and
 //! `SRB_BACKEND=adaptive` arms an [`AdaptiveController`] that migrates and
@@ -70,6 +70,7 @@
 //! owns, in one checkpoint layout at every shard count.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod adaptive;
@@ -94,15 +95,11 @@ mod view;
 mod wal;
 
 pub use adaptive::{AdaptAction, AdaptiveController, ShardSignals};
-pub use bounds::LocBound;
 pub use config::{DurabilityConfig, ServerConfig};
 pub use error::{RecoveryError, ServerError};
-pub use grid::{Cell, GridIndex};
 pub use ids::{ObjectId, QueryId};
-pub use index::ObjectIndex;
-pub use object::{ObjectSlot, ObjectState, ObjectTable};
 pub use processor::QueryProcessor;
-pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
+pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkStats};
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
 pub use shard::Shard;
 pub use sharded::{
@@ -111,6 +108,6 @@ pub use sharded::{
 };
 pub use srb_durable::{CrashPoint, SyncPolicy};
 pub use srb_index::{
-    AdaptiveConfig, BackendConfig, BackendKind, BackendStats, ConfigError, DynBackend, GridConfig,
-    RStarTree, SpatialBackend, TreeConfig, UniformGrid,
+    AdaptiveConfig, BackendConfig, BackendKind, DynBackend, GridConfig, RStarTree, SpatialBackend,
+    TreeConfig, UniformGrid,
 };

@@ -4,8 +4,7 @@
 //! Storage is a dense generational slab: states live contiguously in slot
 //! order, an `ObjectId -> slot` map (shared fast hasher, see `srb-hash`)
 //! resolves lookups in one multiply-hash probe, and freed slots are recycled
-//! through a free list with a bumped generation so a stale [`ObjectSlot`]
-//! handle can never observe a different object that later reused the slot.
+//! through a free list with a bumped generation.
 //! Steady-state report handling (`get`/`get_mut`/`set` of existing ids)
 //! performs no heap allocation.
 
@@ -15,40 +14,18 @@ use srb_hash::FastMap;
 
 /// What the server knows about one moving object.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ObjectState {
+pub(crate) struct ObjectState {
     /// Last *exactly known* location (from a source-initiated update or a
     /// probe) — the paper's `p_lst`.
-    pub p_lst: Point,
+    pub(crate) p_lst: Point,
     /// Timestamp of that location — the paper's `T`.
-    pub t_lst: f64,
+    pub(crate) t_lst: f64,
     /// Current safe region (also stored in the object R\*-tree).
-    pub safe_region: Rect,
+    pub(crate) safe_region: Rect,
     /// Highest client sequence number accepted so far. Sequenced updates at
     /// or below this are duplicates/reorderings from an unreliable channel
     /// and are rejected idempotently.
-    pub last_seq: u64,
-}
-
-/// Compact generational handle to a slot in an [`ObjectTable`].
-///
-/// The generation is bumped every time a slot is freed, so a handle taken
-/// before a `remove` never resolves against whatever object reuses the slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ObjectSlot {
-    idx: u32,
-    gen: u32,
-}
-
-impl ObjectSlot {
-    /// Dense slot index (useful for sizing side tables).
-    pub fn index(self) -> usize {
-        self.idx as usize
-    }
-
-    /// Reuse generation of the slot at the time the handle was taken.
-    pub fn generation(self) -> u32 {
-        self.gen
-    }
+    pub(crate) last_seq: u64,
 }
 
 #[derive(Clone, Debug)]
@@ -59,7 +36,7 @@ struct Entry {
 
 /// Dense generational slab of object states keyed by [`ObjectId`].
 #[derive(Clone, Debug, Default)]
-pub struct ObjectTable {
+pub(crate) struct ObjectTable {
     entries: Vec<Entry>,
     free: Vec<u32>,
     slot_of: FastMap<ObjectId, u32>,
@@ -68,27 +45,17 @@ pub struct ObjectTable {
 
 impl ObjectTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of registered objects.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slot_of.len()
     }
 
-    /// True when no objects are registered.
-    pub fn is_empty(&self) -> bool {
-        self.slot_of.is_empty()
-    }
-
-    /// Most objects ever registered at once (process-lifetime high-water).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
     /// Registers or replaces an object's state.
-    pub fn set(&mut self, id: ObjectId, state: ObjectState) {
+    pub(crate) fn set(&mut self, id: ObjectId, state: ObjectState) {
         if let Some(&idx) = self.slot_of.get(&id) {
             // Replace in place; the slot keeps its generation while occupied.
             self.entries[idx as usize].occupant = Some((id, state));
@@ -114,38 +81,20 @@ impl ObjectTable {
     }
 
     /// The state of `id`, if registered.
-    pub fn get(&self, id: ObjectId) -> Option<&ObjectState> {
+    pub(crate) fn get(&self, id: ObjectId) -> Option<&ObjectState> {
         let &idx = self.slot_of.get(&id)?;
         self.entries[idx as usize].occupant.as_ref().map(|(_, st)| st)
     }
 
     /// Mutable state access.
-    pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
+    pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
         let &idx = self.slot_of.get(&id)?;
         self.entries[idx as usize].occupant.as_mut().map(|(_, st)| st)
     }
 
-    /// The generational slot handle of `id`, if registered.
-    pub fn slot(&self, id: ObjectId) -> Option<ObjectSlot> {
-        let &idx = self.slot_of.get(&id)?;
-        Some(ObjectSlot { idx, gen: self.entries[idx as usize].gen })
-    }
-
-    /// Resolves a slot handle taken earlier with [`ObjectTable::slot`].
-    ///
-    /// Returns `None` if the slot was freed since (even if another object
-    /// has reused it — the generation check rejects stale handles).
-    pub fn get_slot(&self, slot: ObjectSlot) -> Option<(ObjectId, &ObjectState)> {
-        let entry = self.entries.get(slot.idx as usize)?;
-        if entry.gen != slot.gen {
-            return None;
-        }
-        entry.occupant.as_ref().map(|(id, st)| (*id, st))
-    }
-
     /// Removes an object, returning its state. Frees the slot for reuse and
-    /// bumps its generation so outstanding handles go stale.
-    pub fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
+    /// bumps its generation.
+    pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let idx = self.slot_of.remove(&id)?;
         let entry = &mut self.entries[idx as usize];
         let old = entry.occupant.take().map(|(_, st)| st);
@@ -230,7 +179,7 @@ impl ObjectTable {
     /// This sorts a scratch vector of ids, so it is for cold paths only
     /// (coherence checks, tests) — the hot paths address states through
     /// [`ObjectTable::get`]/[`ObjectTable::get_mut`].
-    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectState)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectState)> {
         let mut order: Vec<u32> = self.slot_of.values().copied().collect();
         order.sort_unstable_by_key(|&idx| {
             self.entries[idx as usize].occupant.as_ref().map(|(id, _)| id.0)
@@ -257,7 +206,7 @@ mod tests {
     #[test]
     fn set_get_remove() {
         let mut t = ObjectTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         t.set(ObjectId(3), state(0.3));
         t.set(ObjectId(0), state(0.0));
         assert_eq!(t.len(), 2);
@@ -299,20 +248,16 @@ mod tests {
     fn slot_reuse_bumps_generation() {
         let mut t = ObjectTable::new();
         t.set(ObjectId(7), state(0.7));
-        let slot = t.slot(ObjectId(7)).unwrap();
-        assert_eq!(t.get_slot(slot).unwrap().0, ObjectId(7));
-
         t.remove(ObjectId(7));
-        assert!(t.get_slot(slot).is_none(), "freed slot must invalidate handles");
+        assert!(t.get(ObjectId(7)).is_none());
 
-        // The freed slot is recycled for the next registration...
+        // The freed slot is recycled for the next registration, one
+        // generation on.
         t.set(ObjectId(11), state(0.11));
-        let reused = t.slot(ObjectId(11)).unwrap();
-        assert_eq!(reused.index(), slot.index(), "free list should recycle the slot");
-        // ...but the old handle still must not resolve to the new occupant.
-        assert!(t.get_slot(slot).is_none(), "stale handle must not see the reused slot");
-        assert_eq!(t.get_slot(reused).unwrap().0, ObjectId(11));
-        assert!(reused.generation() > slot.generation());
+        assert_eq!(t.entries.len(), 1, "free list should recycle the slot");
+        assert_eq!(t.entries[0].gen, 1);
+        assert_eq!(t.get(ObjectId(11)).unwrap().p_lst, Point::new(0.11, 0.11));
+        assert!(t.get(ObjectId(7)).is_none());
     }
 
     #[test]
@@ -324,6 +269,6 @@ mod tests {
         t.remove(ObjectId(0));
         t.remove(ObjectId(1));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.high_water(), 4);
+        assert_eq!(t.high_water, 4);
     }
 }

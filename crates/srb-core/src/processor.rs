@@ -50,51 +50,32 @@ impl QueryProcessor {
     // ------------------------------------------------------------------
 
     /// The grid query index.
-    pub fn grid(&self) -> &GridIndex {
+    pub(crate) fn grid(&self) -> &GridIndex {
         &self.grid
     }
 
     /// The raw query slots — the shape safe-region computation consumes.
-    pub fn slots(&self) -> &[Option<QueryState>] {
+    pub(crate) fn slots(&self) -> &[Option<QueryState>] {
         &self.queries
     }
 
-    /// Number of registered queries.
-    pub fn count(&self) -> usize {
-        self.live
-    }
-
-    /// Most queries ever registered at once (process-lifetime high-water).
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Reuse generation of a query slot: how many times the slot has been
-    /// freed. A reused id carries a higher generation than its predecessor,
-    /// which the churn tests use to prove a dead query's results can never
-    /// be resurrected through slot reuse.
-    pub fn generation(&self, id: QueryId) -> Option<u32> {
-        self.gens.get(id.index()).copied()
-    }
-
     /// Iterates over the registered query ids.
-    pub fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
+    pub(crate) fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.queries.iter().enumerate().filter_map(|(i, q)| q.as_ref().map(|_| QueryId(i as u32)))
     }
 
     /// The state of one query.
-    pub fn get(&self, id: QueryId) -> Option<&QueryState> {
+    pub(crate) fn get(&self, id: QueryId) -> Option<&QueryState> {
         self.queries.get(id.index()).and_then(|q| q.as_ref())
     }
 
-    /// Mutable state access. The grid is not adjusted — callers changing
-    /// the quarantine must re-register via [`grid_update`](Self::grid_update).
-    pub fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryState> {
+    /// Mutable state access. The grid is not adjusted.
+    pub(crate) fn get_mut(&mut self, id: QueryId) -> Option<&mut QueryState> {
         self.queries.get_mut(id.index()).and_then(|q| q.as_mut())
     }
 
     /// Total grid bucket entries (§7.3 footprint metric).
-    pub fn grid_footprint(&self) -> usize {
+    pub(crate) fn grid_footprint(&self) -> usize {
         self.grid.bucket_entries()
     }
 
@@ -130,7 +111,7 @@ impl QueryProcessor {
 
     /// Deregisters a query, clearing its grid buckets and bumping the
     /// slot's reuse generation. Returns `false` for unknown ids.
-    pub fn remove(&mut self, id: QueryId) -> bool {
+    pub(crate) fn remove(&mut self, id: QueryId) -> bool {
         let Some(slot) = self.queries.get_mut(id.index()) else {
             return false;
         };
@@ -140,11 +121,6 @@ impl QueryProcessor {
         self.live -= 1;
         srb_obs::gauge!("processor.slot_occupancy").set(self.live as u64);
         true
-    }
-
-    /// Re-registers a query whose quarantine bounding box changed.
-    pub fn grid_update(&mut self, id: QueryId, old_bbox: &Rect, new_bbox: &Rect) {
-        self.grid.update(id, old_bbox, new_bbox);
     }
 
     // ------------------------------------------------------------------
@@ -358,7 +334,7 @@ impl QueryProcessor {
     }
 
     /// Deep consistency check: kNN result lists never exceed `k`.
-    pub fn check_result_sizes(&self) {
+    pub(crate) fn check_result_sizes(&self) {
         for qs in self.queries.iter().flatten() {
             if let QuerySpec::Knn { k, .. } = qs.spec {
                 assert!(qs.results.len() <= k, "kNN result overflow");
@@ -393,7 +369,7 @@ mod tests {
         let c = p.alloc_id();
         assert_eq!(c, a, "freed slot is reused first");
         p.install(c, state(r));
-        assert_eq!(p.count(), 2);
+        assert_eq!(p.live, 2);
         assert_eq!(p.ids().count(), 2);
     }
 
@@ -403,14 +379,14 @@ mod tests {
         let r = Rect::new(Point::new(0.1, 0.1), Point::new(0.2, 0.2));
         let a = p.alloc_id();
         p.install(a, state(r));
-        assert_eq!(p.generation(a), Some(0));
+        assert_eq!(p.gens[a.index()], 0);
         p.remove(a);
-        assert_eq!(p.generation(a), Some(1));
+        assert_eq!(p.gens[a.index()], 1);
         let b = p.alloc_id();
         assert_eq!(b, a, "slot reused");
         p.install(b, state(r));
-        assert_eq!(p.generation(b), Some(1), "reused id carries the bumped generation");
-        assert_eq!(p.high_water(), 1);
+        assert_eq!(p.gens[b.index()], 1, "reused id carries the bumped generation");
+        assert_eq!(p.high_water, 1);
     }
 
     #[test]
@@ -462,11 +438,10 @@ mod tests {
         assert!(server.deregister_query(QueryId(1)));
         assert_eq!(server.register_query(specs[1], &mut provider, 0.0).id, QueryId(1));
 
-        let removed = server.remove_object(ObjectId(0), &mut provider, 1.0).expect("registered");
-        let changed: Vec<(u32, &[ObjectId])> =
-            removed.changes.iter().map(|c| (c.query.0, &c.results[..])).collect();
-        let (one, two) = ([ObjectId(1)], [ObjectId(1), ObjectId(2)]);
-        assert_eq!(changed, [(1, &one[..]), (2, &[]), (3, &two[..])], "kNN refilled, ascending");
+        server.remove_object(ObjectId(0), &mut provider, 1.0).expect("registered");
+        assert_eq!(server.results(QueryId(1)), Some(&[ObjectId(1)][..]), "kNN refilled");
+        assert_eq!(server.results(QueryId(2)), Some(&[][..]));
+        assert_eq!(server.results(QueryId(3)), Some(&[ObjectId(1), ObjectId(2)][..]));
         assert_eq!(server.results(QueryId(0)), Some(&[ObjectId(2)][..]), "another cell's query");
     }
 }

@@ -24,7 +24,7 @@ impl<F: FnMut(ObjectId) -> Point> LocationProvider for FnProvider<F> {
 
 /// A provider that panics — for call sites where probing must not happen
 /// (e.g. asserting that an operation is probe-free).
-pub struct NoProbe;
+pub(crate) struct NoProbe;
 
 impl LocationProvider for NoProbe {
     fn probe(&mut self, id: ObjectId) -> Point {
@@ -75,7 +75,7 @@ impl CostTracker {
 
     /// Adds another tracker's totals into this one — used to aggregate
     /// per-shard trackers into a fleet-wide view.
-    pub fn merge(&mut self, other: &CostTracker) {
+    pub(crate) fn merge(&mut self, other: &CostTracker) {
         self.source_updates += other.source_updates;
         self.probes += other.probes;
     }
@@ -92,18 +92,18 @@ pub struct WorkStats {
     pub safe_regions: u64,
     /// Ambiguities resolved without probing thanks to the reachability
     /// circle (§6.1) — zero unless the enhancement is enabled.
-    pub probes_avoided: u64,
+    pub(crate) probes_avoided: u64,
     /// Full reevaluations forced by a broken ordering invariant (should be
     /// rare; asserted small in tests).
     pub ordering_fallbacks: u64,
     /// Probes issued while evaluating range queries.
-    pub probes_range: u64,
+    pub(crate) probes_range: u64,
     /// Probes issued by kNN evaluation (held-object ambiguity).
-    pub probes_knn_eval: u64,
+    pub(crate) probes_knn_eval: u64,
     /// Probes issued to separate the quarantine radius.
-    pub probes_radius: u64,
+    pub(crate) probes_radius: u64,
     /// Probes issued by the §4.3 incremental reevaluation (case 2/3).
-    pub probes_reeval: u64,
+    pub(crate) probes_reeval: u64,
     /// Probes issued to resolve conflicting neighbor safe regions during
     /// safe-region computation.
     pub probes_neighbor: u64,
@@ -160,7 +160,7 @@ impl WorkStats {
 
     /// Adds another set of counters into this one — used to aggregate
     /// per-shard stats into a fleet-wide view.
-    pub fn merge(&mut self, other: &WorkStats) {
+    pub(crate) fn merge(&mut self, other: &WorkStats) {
         let mut other = *other;
         for (mine, theirs) in self.fields().into_iter().zip(other.fields()) {
             *mine += *theirs;
@@ -168,7 +168,7 @@ impl WorkStats {
     }
 
     /// Appends the counters to a checkpoint payload.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         let mut copy = *self;
         for v in copy.fields() {
             srb_durable::codec::put_u64(out, *v);
@@ -176,7 +176,9 @@ impl WorkStats {
     }
 
     /// Reads back counters written by [`encode`](Self::encode).
-    pub fn decode(dec: &mut srb_durable::Dec<'_>) -> Result<Self, srb_durable::DurableError> {
+    pub(crate) fn decode(
+        dec: &mut srb_durable::Dec<'_>,
+    ) -> Result<Self, srb_durable::DurableError> {
         let mut stats = WorkStats::default();
         for v in stats.fields() {
             *v = dec.u64()?;

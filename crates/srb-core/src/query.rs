@@ -61,7 +61,7 @@ pub enum Quarantine {
 impl Quarantine {
     /// Closed containment test.
     #[inline]
-    pub fn contains(&self, p: Point) -> bool {
+    pub(crate) fn contains(&self, p: Point) -> bool {
         match self {
             Quarantine::Rect(r) => r.contains_point(p),
             Quarantine::Circle(c) => c.contains(p),
@@ -83,7 +83,7 @@ impl Quarantine {
 
     /// Bounding box — used to register the query in the grid index.
     #[inline]
-    pub fn bbox(&self) -> Rect {
+    pub(crate) fn bbox(&self) -> Rect {
         match self {
             Quarantine::Rect(r) => *r,
             Quarantine::Circle(c) => c.bbox(),
@@ -107,12 +107,12 @@ pub struct QueryState {
 
 impl QueryState {
     /// True when `oid` is currently a result.
-    pub fn is_result(&self, oid: ObjectId) -> bool {
+    pub(crate) fn is_result(&self, oid: ObjectId) -> bool {
         self.results.contains(&oid)
     }
 
     /// Position of `oid` in the (ordered) result list.
-    pub fn result_rank(&self, oid: ObjectId) -> Option<usize> {
+    pub(crate) fn result_rank(&self, oid: ObjectId) -> Option<usize> {
         self.results.iter().position(|&o| o == oid)
     }
 }

@@ -46,9 +46,9 @@ const EPS: f64 = 1e-12;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Reeval {
     /// The result set (or order) changed and must be reported.
-    pub results_changed: bool,
+    pub(crate) results_changed: bool,
     /// The quarantine area changed and the grid index must be updated.
-    pub quarantine_changed: bool,
+    pub(crate) quarantine_changed: bool,
 }
 
 const UNTOUCHED: Reeval = Reeval { results_changed: false, quarantine_changed: false };

@@ -24,18 +24,18 @@ use srb_hash::FastMap;
 pub(crate) struct OpBuffers {
     /// Exactly-known locations of the current operation (the updaters plus
     /// every probed object) — Algorithm 1's invalid set.
-    pub exact: FastMap<ObjectId, Point>,
+    pub(crate) exact: FastMap<ObjectId, Point>,
     /// The probed part of `exact`, in probe order, until the region step
     /// puts each on its shard's lane.
-    pub probed: Vec<ObjectId>,
+    pub(crate) probed: Vec<ObjectId>,
     /// Deferred-probe requests accumulated during evaluation.
-    pub deferred: Vec<(ObjectId, f64)>,
+    pub(crate) deferred: Vec<(ObjectId, f64)>,
     /// Safe regions recomputed at the end of the operation.
-    pub recomputed: Vec<(ObjectId, Rect)>,
+    pub(crate) recomputed: Vec<(ObjectId, Rect)>,
     /// Affected-query candidates of the current report.
-    pub candidates: Vec<QueryId>,
+    pub(crate) candidates: Vec<QueryId>,
     /// Working set of the order-sensitive kNN patch.
-    pub patch: KnnPatch,
+    pub(crate) patch: KnnPatch,
 }
 
 impl OpBuffers {
@@ -53,23 +53,23 @@ impl OpBuffers {
 #[derive(Default)]
 pub(crate) struct KnnPatch {
     /// The result sequence being assembled.
-    pub seq: Vec<ObjectId>,
+    pub(crate) seq: Vec<ObjectId>,
     /// `(δ, Δ)` of `seq`, entry for entry.
-    pub bounds: Vec<(f64, f64)>,
+    pub(crate) bounds: Vec<(f64, f64)>,
     /// The movers to merge into `seq`, as `(distance, id)`.
-    pub mergers: Vec<(f64, ObjectId)>,
+    pub(crate) mergers: Vec<(f64, ObjectId)>,
 }
 
 /// Extra buffers for the multi-update batch path.
 #[derive(Default)]
 pub(crate) struct BatchBuffers {
     /// Previous anchor (`p_lst`) of every mover in the batch.
-    pub prev: FastMap<ObjectId, Point>,
+    pub(crate) prev: FastMap<ObjectId, Point>,
     /// True when some object reported more than once in the batch.
-    pub repeated_ids: bool,
+    pub(crate) repeated_ids: bool,
     /// One `(query, report index, mover)` per affected-query candidate of
     /// every report, grouped by [`group_movers`](Self::group_movers).
-    pub touched: Vec<(QueryId, usize, ObjectId)>,
+    pub(crate) touched: Vec<(QueryId, usize, ObjectId)>,
     /// Movers grouped by affected query. Only the first `groups` slots
     /// belong to the current batch; the rest keep their mover vectors'
     /// capacity for later batches.
@@ -87,7 +87,7 @@ impl BatchBuffers {
 
     /// Groups `touched` by query, ascending, each query's movers in the
     /// order their reports arrived and listed once.
-    pub fn group_movers(&mut self) {
+    pub(crate) fn group_movers(&mut self) {
         if self.repeated_ids {
             // Only a repeated id can touch one query twice; its first
             // report decides its place among the movers.
@@ -114,7 +114,7 @@ impl BatchBuffers {
     }
 
     /// The current batch's affected queries with their movers.
-    pub fn per_query(&self) -> &[(QueryId, Vec<ObjectId>)] {
+    pub(crate) fn per_query(&self) -> &[(QueryId, Vec<ObjectId>)] {
         &self.per_query[..self.groups]
     }
 }
@@ -131,27 +131,27 @@ pub(crate) struct BatchScratch {
 
 impl BatchScratch {
     /// Takes the shared per-operation buffers, cleared.
-    pub fn take_op(&mut self) -> OpBuffers {
+    pub(crate) fn take_op(&mut self) -> OpBuffers {
         let mut b = std::mem::take(&mut self.op);
         b.clear();
         b
     }
 
     /// Returns the per-operation buffers, recording the high-water mark.
-    pub fn put_op(&mut self, b: OpBuffers) {
+    pub(crate) fn put_op(&mut self, b: OpBuffers) {
         self.note(b.recomputed.len().max(b.exact.len()));
         self.op = b;
     }
 
     /// Takes the batch-path buffers, cleared.
-    pub fn take_batch(&mut self) -> BatchBuffers {
+    pub(crate) fn take_batch(&mut self) -> BatchBuffers {
         let mut b = std::mem::take(&mut self.batch);
         b.clear();
         b
     }
 
     /// Returns the batch-path buffers.
-    pub fn put_batch(&mut self, b: BatchBuffers) {
+    pub(crate) fn put_batch(&mut self, b: BatchBuffers) {
         self.note(b.prev.len());
         self.batch = b;
     }

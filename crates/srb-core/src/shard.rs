@@ -37,7 +37,7 @@ impl<B: SpatialBackend> Shard<B> {
     }
 
     /// The object index layer (Figure 3.1 "object index").
-    pub fn object_index(&self) -> &ObjectIndex<B> {
+    pub(crate) fn object_index(&self) -> &ObjectIndex<B> {
         &self.index
     }
 
@@ -47,33 +47,33 @@ impl<B: SpatialBackend> Shard<B> {
     }
 
     /// The safe region the engine believes `id` is inside.
-    pub fn safe_region(&self, id: ObjectId) -> Option<Rect> {
+    pub(crate) fn safe_region(&self, id: ObjectId) -> Option<Rect> {
         self.index.get(id).map(|s| s.safe_region)
     }
 
     /// The last exactly-known position of `id` and its timestamp.
-    pub fn last_known(&self, id: ObjectId) -> Option<(Point, f64)> {
+    pub(crate) fn last_known(&self, id: ObjectId) -> Option<(Point, f64)> {
         self.index.get(id).map(|s| (s.p_lst, s.t_lst))
     }
 
     /// The uplinks this shard admitted (a shard never probes).
-    pub fn costs(&self) -> CostTracker {
+    pub(crate) fn costs(&self) -> CostTracker {
         self.costs
     }
 
     /// The admission counters of this shard.
-    pub fn work(&self) -> WorkStats {
+    pub(crate) fn work(&self) -> WorkStats {
         self.work
     }
 
     /// Deterministic work units: object-index node visits.
-    pub fn index_visits(&self) -> u64 {
+    pub(crate) fn index_visits(&self) -> u64 {
         self.index.visits()
     }
 
     /// The index structure currently live under this shard (which, on the
     /// adaptive plane, can differ from what `config.backend` names).
-    pub fn backend_kind(&self) -> BackendKind {
+    pub(crate) fn backend_kind(&self) -> BackendKind {
         self.index.tree().kind()
     }
 

@@ -124,10 +124,6 @@ pub struct SequencedUpdate {
 /// Result of [`ShardedServer::remove_object`].
 #[derive(Clone, Debug)]
 pub struct ResultRemoval {
-    /// The removed object's last known state.
-    pub last_state: ObjectState,
-    /// Queries whose results changed.
-    pub changes: Vec<ResultChange>,
     /// Safe regions recomputed for objects probed during the removal.
     pub probed: Vec<(ObjectId, Rect)>,
 }
@@ -428,11 +424,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         &self.config
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shards, in shard order.
     pub fn shards(&self) -> &[Shard<B>] {
         &self.shards
@@ -630,14 +621,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.timers.cancel(id);
         let mut op = self.scratch.arena.take_op();
         let lanes = self.take_lanes();
-        let changes = self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
+        self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
         self.grant(&mut op, lanes, provider, now, run_here);
         let mut probed = op.recomputed.clone();
         probed.sort_unstable_by_key(|&(o, _)| o);
         self.scratch.arena.put_op(op);
-        Some(ResultRemoval { last_state, changes, probed })
+        Some(ResultRemoval { probed })
     }
 
     // ------------------------------------------------------------------
@@ -1289,7 +1280,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Creates the configured durability store and attaches a fresh
     /// coordinator WAL, rooted at a checkpoint of the whole fleet's state.
-    pub fn attach_durability(&mut self) -> Result<(), RecoveryError> {
+    pub(crate) fn attach_durability(&mut self) -> Result<(), RecoveryError> {
         let d = self.config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
         let mut payload = Vec::new();
@@ -1316,11 +1307,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
         Ok((server, replayed))
-    }
-
-    /// True when the coordinator WAL is attached.
-    pub fn wal_attached(&self) -> bool {
-        self.wal.is_some()
     }
 
     /// True when an earlier I/O failure poisoned the WAL. A poisoned
@@ -1750,7 +1736,7 @@ mod tests {
                         got.sort_unstable();
                         want.sort_unstable();
                     }
-                    let shards = engine.shard_count();
+                    let shards = engine.shards().len();
                     assert_eq!(got, want, "round {round}, query {q}, {shards} shard(s)");
                 }
             }
@@ -1924,7 +1910,7 @@ mod tests {
         let config = durable(dir);
         let mut positions = world(20, 42);
         let mut sharded = ShardedServer::new(config, 3);
-        assert!(sharded.wal_attached());
+        assert!(sharded.wal.is_some());
         {
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
@@ -2501,7 +2487,7 @@ mod tests {
                 .expect_err(&what);
                 let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
                 assert!(msg.starts_with("no answer from"), "{what}: {msg}");
-                assert!(server.wal_attached() && server.wal_poisoned(), "{what}");
+                assert!(server.wal.is_some() && server.wal_poisoned(), "{what}");
                 server.check_invariants();
                 drop(server);
                 let (recovered, _) =

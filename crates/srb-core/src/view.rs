@@ -17,9 +17,9 @@ use srb_index::{LeafEntry, NearestStream, Neighbor, SpatialBackend};
 /// The union of the shard indexes: every object lives on exactly one
 /// shard, named by the coordinator's owner map.
 pub(crate) struct FleetView<'s, B: SpatialBackend> {
-    pub shards: &'s [Shard<B>],
+    pub(crate) shards: &'s [Shard<B>],
     /// Object → owning shard, indexed by `ObjectId::index()`.
-    pub owner: &'s [Option<u32>],
+    pub(crate) owner: &'s [Option<u32>],
 }
 
 impl<B: SpatialBackend> Clone for FleetView<'_, B> {
@@ -38,7 +38,7 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
     }
 
     /// Starts a best-first browse from `q`.
-    pub fn nearest(&self, q: Point) -> MergedNearest<'s, B> {
+    pub(crate) fn nearest(&self, q: Point) -> MergedNearest<'s, B> {
         let mut browsers: Vec<_> =
             self.shards.iter().map(|s| s.index.tree().nearest_iter(q)).collect();
         let heads = browsers.iter_mut().map(Iterator::next).collect();
@@ -48,7 +48,7 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
     /// Every entry whose stored rectangle intersects `rect` (closed test),
     /// ascending by id, so that neither the partition nor a shard's backend
     /// shows in the order a range query meets its candidates.
-    pub fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
+    pub(crate) fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
         let mut out = Vec::new();
         for shard in self.shards {
             shard.index.tree().search(rect, &mut |e| out.push(*e));
@@ -59,12 +59,12 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
 
     /// The stored rectangle of `id`: its safe region, or the point it was
     /// pinned to by a report not yet answered.
-    pub fn rect_of(&self, id: ObjectId) -> Option<Rect> {
+    pub(crate) fn rect_of(&self, id: ObjectId) -> Option<Rect> {
         self.index_of(id)?.tree().get(id.entry())
     }
 
     /// The state of `id`, if registered.
-    pub fn state_of(&self, id: ObjectId) -> Option<&'s ObjectState> {
+    pub(crate) fn state_of(&self, id: ObjectId) -> Option<&'s ObjectState> {
         self.index_of(id)?.get(id)
     }
 }

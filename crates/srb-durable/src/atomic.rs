@@ -14,7 +14,7 @@ use std::process;
 /// Fsyncs a directory so a rename inside it becomes durable. Best
 /// effort: some filesystems refuse to open directories for writing, and
 /// the rename itself is still atomic without it.
-pub fn sync_dir(dir: &Path) {
+pub(crate) fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
@@ -47,7 +47,7 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 }
 
 /// A temp-file name beside `path`, unique per process.
-pub fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
     let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     name.push(format!(".tmp.{}", process::id()));
     path.with_file_name(name)

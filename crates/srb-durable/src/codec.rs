@@ -61,7 +61,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Takes the next `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], DurableError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DurableError> {
         if self.remaining() < n {
             return Err(DurableError::ShortRecord);
         }

@@ -1,7 +1,7 @@
 //! Crash-point injection.
 //!
 //! Every fsync/rename boundary in the durability plane consults
-//! [`fires`] before (or after) the operation it guards. A test arms a
+//! `fires` before (or after) the operation it guards. A test arms a
 //! [`CrashPoint`] with [`arm`]; when the boundary is reached for the
 //! n-th time, the durability code *emulates the crash* — it leaves the
 //! file system in exactly the state a power cut at that instant would,
@@ -100,7 +100,7 @@ pub fn disarm() {
 /// exactly once — when an armed point's countdown reaches zero — and
 /// disarms itself, so a recovery running on the same thread cannot
 /// re-trigger the crash.
-pub fn fires(point: CrashPoint) -> bool {
+pub(crate) fn fires(point: CrashPoint) -> bool {
     ARMED.with(|a| match a.get() {
         Some((p, n)) if p == point => {
             if n == 0 {

@@ -11,7 +11,7 @@ use crate::crc32::crc32;
 
 /// Frames larger than this are rejected as corrupt length prefixes
 /// rather than honored (a torn length field can read as gigabytes).
-pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Bytes of framing overhead per record.
 pub const FRAME_HEADER: usize = 8;
@@ -38,7 +38,7 @@ pub struct Frames<'a> {
 
 /// Scans `data` for consecutive valid frames, stopping at the first
 /// frame whose header is short, whose declared length overruns the
-/// buffer or [`MAX_FRAME_LEN`], or whose CRC does not match. Never
+/// buffer or `MAX_FRAME_LEN`, or whose CRC does not match. Never
 /// panics, whatever the bytes.
 pub fn read_frames(data: &[u8]) -> Frames<'_> {
     let mut payloads = Vec::new();

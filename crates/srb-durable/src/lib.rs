@@ -15,7 +15,7 @@
 //! - [`atomic`]: the shared temp-file + rename + directory-fsync helper
 //!   every JSON/metrics writer in the workspace reuses;
 //! - [`crash`]: the crash-injection hook. Every fsync/rename boundary in
-//!   this crate consults [`crash::fires`], so a test can arm a
+//!   this crate consults `crash::fires`, so a test can arm a
 //!   [`CrashPoint`] and observe exactly the disk state a real crash at
 //!   that boundary would leave behind.
 //!
@@ -24,6 +24,7 @@
 //! serialization, and replay on top.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 pub mod atomic;
@@ -39,4 +40,4 @@ mod error;
 pub use codec::Dec;
 pub use crash::CrashPoint;
 pub use error::DurableError;
-pub use store::{GenerationFrames, Recovered, RecoveryStats, Store, SyncPolicy};
+pub use store::{GenerationFrames, Recovered, Store, SyncPolicy};

@@ -11,7 +11,7 @@
 //! and fsyncs, advancing `durable`.
 //!
 //! Each watermark transition is a crash-point boundary: an armed
-//! [`CrashPoint`](crate::CrashPoint) makes this module emulate the
+//! [`CrashPoint`] makes this module emulate the
 //! corresponding power cut — a torn half-write, an unflushed page cache
 //! (file truncated back to `durable`), or a crash just after the fsync.
 
@@ -20,13 +20,13 @@ use crate::error::DurableError;
 use crate::frame;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Magic bytes opening every log file.
-pub const LOG_MAGIC: &[u8; 8] = b"SRBLOG01";
+pub(crate) const LOG_MAGIC: &[u8; 8] = b"SRBLOG01";
 
 /// Header length: magic + generation (u64) + log index (u64).
-pub const LOG_HEADER: usize = 24;
+pub(crate) const LOG_HEADER: usize = 24;
 
 /// The group-commit buffer grows in whole steps of this many bytes, not by
 /// doubling: what it keeps between syncs is the largest group rounded up
@@ -35,7 +35,7 @@ pub const LOG_HEADER: usize = 24;
 const PENDING_STEP: usize = 16 * 1024;
 
 /// Builds the 24-byte header for generation `gen`, log `idx`.
-pub fn log_header(gen: u64, idx: u64) -> [u8; LOG_HEADER] {
+pub(crate) fn log_header(gen: u64, idx: u64) -> [u8; LOG_HEADER] {
     let mut h = [0u8; LOG_HEADER];
     h[..8].copy_from_slice(LOG_MAGIC);
     h[8..16].copy_from_slice(&gen.to_le_bytes());
@@ -45,7 +45,7 @@ pub fn log_header(gen: u64, idx: u64) -> [u8; LOG_HEADER] {
 
 /// Validates a log file's header against the expected generation and
 /// index, returning the byte offset where records start.
-pub fn check_header(data: &[u8], gen: u64, idx: u64) -> Result<usize, DurableError> {
+pub(crate) fn check_header(data: &[u8], gen: u64, idx: u64) -> Result<usize, DurableError> {
     if data.len() < LOG_HEADER {
         return Err(DurableError::ShortRecord);
     }
@@ -66,7 +66,6 @@ pub fn check_header(data: &[u8], gen: u64, idx: u64) -> Result<usize, DurableErr
 /// An open append-only log with an explicit durable prefix.
 pub struct LogWriter {
     file: File,
-    path: PathBuf,
     /// Frames appended but not yet handed to the kernel.
     pending: Vec<u8>,
     /// Bytes known durable (header included).
@@ -85,7 +84,6 @@ impl LogWriter {
         file.sync_data()?;
         Ok(LogWriter {
             file,
-            path: path.to_path_buf(),
             pending: Vec::new(),
             durable: LOG_HEADER as u64,
             written: LOG_HEADER as u64,
@@ -98,13 +96,16 @@ impl LogWriter {
     /// (`sync_data` flushes the whole file); until then a crash may
     /// leave the file missing or torn, which recovery repairs by
     /// recreating it empty — exactly its durable content.
-    pub fn create_unsynced(path: &Path, gen: u64, idx: u64) -> Result<LogWriter, DurableError> {
+    pub(crate) fn create_unsynced(
+        path: &Path,
+        gen: u64,
+        idx: u64,
+    ) -> Result<LogWriter, DurableError> {
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
         file.write_all(&log_header(gen, idx))?;
         Ok(LogWriter {
             file,
-            path: path.to_path_buf(),
             pending: Vec::new(),
             durable: LOG_HEADER as u64,
             written: LOG_HEADER as u64,
@@ -119,18 +120,7 @@ impl LogWriter {
         file.set_len(len)?;
         file.sync_data()?;
         file.seek(SeekFrom::Start(len))?;
-        Ok(LogWriter {
-            file,
-            path: path.to_path_buf(),
-            pending: Vec::new(),
-            durable: len,
-            written: len,
-        })
-    }
-
-    /// The path this log lives at.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(LogWriter { file, pending: Vec::new(), durable: len, written: len })
     }
 
     /// Frames `payload` into the group-commit buffer. Nothing reaches the
@@ -193,6 +183,7 @@ mod tests {
     use super::*;
     use crate::frame::read_frames;
     use std::fs;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scratch() -> PathBuf {

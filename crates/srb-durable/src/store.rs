@@ -35,7 +35,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every checkpoint file.
-pub const CKPT_MAGIC: &[u8; 8] = b"SRBCKP01";
+pub(crate) const CKPT_MAGIC: &[u8; 8] = b"SRBCKP01";
 
 /// When appended records are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,22 +50,8 @@ pub enum SyncPolicy {
     Always,
 }
 
-/// Counters describing what recovery had to repair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Log tails physically truncated at the first invalid frame.
-    pub tail_truncations: u64,
-    /// Checkpoints that failed validation, forcing a fallback to an
-    /// older generation.
-    pub ckpt_fallbacks: u64,
-    /// Log files whose header was unreadable (recreated empty).
-    pub bad_logs: u64,
-}
-
 /// One generation's worth of replayable records.
 pub struct GenerationFrames {
-    /// The generation these records belong to.
-    pub gen: u64,
     /// The generation's record payloads, in append order.
     pub records: Vec<Vec<u8>>,
 }
@@ -74,15 +60,11 @@ pub struct GenerationFrames {
 pub struct Recovered {
     /// The reopened store, ready for appends on the active generation.
     pub store: Store,
-    /// The generation whose checkpoint was loaded.
-    pub ckpt_gen: u64,
     /// The checkpoint payload (engine state snapshot).
     pub payload: Vec<u8>,
     /// Records to replay on top of the checkpoint, oldest generation
     /// first.
     pub generations: Vec<GenerationFrames>,
-    /// What recovery had to repair along the way.
-    pub stats: RecoveryStats,
 }
 
 /// An open generation store.
@@ -263,11 +245,6 @@ impl Store {
         })
     }
 
-    /// The active generation.
-    pub fn generation(&self) -> u64 {
-        self.gen
-    }
-
     /// Whether an earlier failure poisoned this store. A poisoned store
     /// rejects every operation — the process is considered dead and the
     /// only way forward is [`Store::recover`].
@@ -378,8 +355,6 @@ impl Store {
         policy: SyncPolicy,
         group_ops: u32,
     ) -> Result<Recovered, DurableError> {
-        let mut stats = RecoveryStats::default();
-
         let mut ckpt_gens = Vec::new();
         let mut log_gens = Vec::new();
         let mut leftovers = Vec::new();
@@ -413,7 +388,6 @@ impl Store {
                     break;
                 }
                 Err(_) => {
-                    stats.ckpt_fallbacks += 1;
                     srb_obs::counter!("durable.recover.ckpt_fallbacks").inc();
                 }
             }
@@ -441,14 +415,12 @@ impl Store {
                     Err(_) => {
                         // Unreadable header: nothing in this file can be
                         // trusted. Drop it; the writer is recreated below.
-                        stats.bad_logs += 1;
                         srb_obs::counter!("durable.recover.bad_logs").inc();
                         let _ = fs::remove_file(&path);
                     }
                     Ok(start) => {
                         let frames = read_frames(&data[start..]);
                         if !frames.clean {
-                            stats.tail_truncations += 1;
                             srb_obs::counter!("durable.recover.tail_truncations").inc();
                         }
                         if gen == active {
@@ -458,7 +430,7 @@ impl Store {
                     }
                 },
             }
-            generations.push(GenerationFrames { gen, records });
+            generations.push(GenerationFrames { records });
         }
 
         // Reopen the writer on the active generation, truncating a torn
@@ -481,10 +453,8 @@ impl Store {
                 ops_since_sync: 0,
                 poisoned: false,
             },
-            ckpt_gen,
             payload,
             generations,
-            stats,
         })
     }
 }
@@ -534,7 +504,6 @@ mod tests {
         let r = Store::recover(&dir, SyncPolicy::GroupCommit, 4).unwrap();
         assert_eq!(r.payload, b"root state");
         assert_eq!(all_records(&r), vec![b"op-1".to_vec(), b"op-2".to_vec()]);
-        assert_eq!(r.stats, RecoveryStats::default());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -569,7 +538,6 @@ mod tests {
         assert_eq!(names, ["ckpt-2", "ckpt-3", "log-2-0", "log-3-0"]);
 
         let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
-        assert_eq!(r.ckpt_gen, 3);
         assert_eq!(r.payload, b"gen3");
         assert_eq!(all_records(&r), vec![b"c".to_vec()]);
 
@@ -580,10 +548,8 @@ mod tests {
         bytes[last] ^= 0xFF;
         fs::write(ckpt_path(&dir, 3), bytes).unwrap();
         let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
-        assert_eq!(r.ckpt_gen, 2);
         assert_eq!(r.payload, b"gen2");
         assert_eq!(all_records(&r), vec![b"b".to_vec(), b"c".to_vec()]);
-        assert_eq!(r.stats.ckpt_fallbacks, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -602,7 +568,6 @@ mod tests {
         fs::write(&path, data).unwrap();
         let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
         assert_eq!(all_records(&r), vec![b"good".to_vec()]);
-        assert_eq!(r.stats.tail_truncations, 1);
         assert_eq!(fs::metadata(&path).unwrap().len() as usize, valid, "tail physically cut");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -667,10 +632,10 @@ mod tests {
     fn create_supersedes_existing_generations() {
         let dir = scratch();
         let s = Store::create(&dir, SyncPolicy::Never, 1, b"first").unwrap();
-        assert_eq!(s.generation(), 1);
+        assert_eq!(s.gen, 1);
         drop(s);
         let s = Store::create(&dir, SyncPolicy::Never, 1, b"second").unwrap();
-        assert_eq!(s.generation(), 2);
+        assert_eq!(s.gen, 2);
         drop(s);
         let r = Store::recover(&dir, SyncPolicy::Never, 1).unwrap();
         assert_eq!(r.payload, b"second");

@@ -63,14 +63,8 @@ impl Circle {
     /// positive measure — i.e. the rectangle pokes strictly inside the
     /// circle. A rectangle merely touching the boundary does not overlap.
     #[inline]
-    pub fn overlaps_rect(&self, r: &Rect) -> bool {
+    pub(crate) fn overlaps_rect(&self, r: &Rect) -> bool {
         r.min_dist(self.center) < self.radius
-    }
-
-    /// True when the rectangle intersects the closed disc at all.
-    #[inline]
-    pub fn intersects_rect(&self, r: &Rect) -> bool {
-        r.min_dist(self.center) <= self.radius
     }
 }
 
@@ -80,11 +74,11 @@ impl Circle {
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ring {
     /// Center of the annulus.
-    pub center: Point,
+    pub(crate) center: Point,
     /// Inner radius.
-    pub inner: f64,
+    pub(crate) inner: f64,
     /// Outer radius (`>= inner`).
-    pub outer: f64,
+    pub(crate) outer: f64,
 }
 
 impl Ring {
@@ -116,7 +110,7 @@ impl Ring {
 
     /// The outer circle.
     #[inline]
-    pub fn outer_circle(&self) -> Circle {
+    pub(crate) fn outer_circle(&self) -> Circle {
         Circle::new(self.center, self.outer)
     }
 }
@@ -152,13 +146,12 @@ mod tests {
         let h = (0.5f64).sqrt();
         let inscribed = Rect::centered(Point::new(0.0, 0.0), h, h);
         assert!(c.contains_rect(&inscribed));
-        // A rect tangent from outside: intersects but does not overlap.
+        // A rect tangent from outside does not overlap.
         let tangent = Rect::new(Point::new(1.0, -0.5), Point::new(2.0, 0.5));
-        assert!(c.intersects_rect(&tangent));
         assert!(!c.overlaps_rect(&tangent));
         // A far rect.
         let far = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert!(!c.intersects_rect(&far));
+        assert!(!c.overlaps_rect(&far));
         assert!(!c.contains_rect(&far));
     }
 

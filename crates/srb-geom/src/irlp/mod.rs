@@ -186,7 +186,7 @@ pub(crate) struct QuadFrame {
 
 impl QuadFrame {
     /// Frame whose positive quadrant contains `p` (ties broken toward `+`).
-    pub fn toward(origin: Point, p: Point) -> Self {
+    pub(crate) fn toward(origin: Point, p: Point) -> Self {
         QuadFrame {
             origin,
             sx: if p.x >= origin.x { 1.0 } else { -1.0 },
@@ -196,14 +196,14 @@ impl QuadFrame {
 
     /// Local coordinates of a world point.
     #[inline]
-    pub fn to_local(self, p: Point) -> Point {
+    pub(crate) fn to_local(self, p: Point) -> Point {
         Point::new(self.sx * (p.x - self.origin.x), self.sy * (p.y - self.origin.y))
     }
 
     /// Converts a local-coordinate rectangle `[u1,u2] x [v1,v2]` back to a
     /// world rectangle.
     #[inline]
-    pub fn rect_to_world(&self, u1: f64, u2: f64, v1: f64, v2: f64) -> Rect {
+    pub(crate) fn rect_to_world(&self, u1: f64, u2: f64, v1: f64, v2: f64) -> Rect {
         debug_assert!(u1 <= u2 && v1 <= v2);
         let (x1, x2) = if self.sx > 0.0 {
             (self.origin.x + u1, self.origin.x + u2)

@@ -25,7 +25,7 @@ use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 /// the best-scoring rectangle is returned, the earliest family winning a
 /// tie. A family is θ-searched only while the objective's
 /// [`upper_bound`](PerimeterObjective::upper_bound) over its envelope says
-/// it can still win (see the [module docs](super)).
+/// it can still win (see the `irlp` module docs).
 ///
 /// Returns `None` when `p` lies outside the closed ring or outside `cell`.
 pub fn irlp_ring<O>(ring: &Ring, p: Point, cell: &Rect, objective: &O) -> Option<Rect>

@@ -245,7 +245,7 @@ mod tests {
         assert!(res.contains_point(p), "{res:?} must contain {p:?}");
         assert!(cell.contains_rect(res), "{res:?} must be inside {cell:?}");
         for b in blocks {
-            assert!(!res.overlaps(b), "{res:?} overlaps block {b:?}");
+            assert_eq!(res.overlap_area(b), 0.0, "{res:?} overlaps block {b:?}");
         }
     }
 

@@ -21,10 +21,11 @@
 //! these primitives.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod circle;
-pub mod irlp;
+mod irlp;
 mod objective;
 mod point;
 mod rect;
@@ -34,8 +35,6 @@ pub use irlp::{
     irlp_circle, irlp_circle_complement, irlp_rect_complement_batch,
     irlp_rect_complement_batch_with, irlp_ring, StaircaseScratch,
 };
-pub use objective::{
-    optimize_theta, ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, WeightedPerimeter,
-};
+pub use objective::{ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, WeightedPerimeter};
 pub use point::Point;
 pub use rect::Rect;

@@ -90,11 +90,11 @@ impl PerimeterObjective for OrdinaryPerimeter {
 #[derive(Clone, Copy, Debug)]
 pub struct WeightedPerimeter {
     /// The just-updated location of the object.
-    pub p: Point,
+    pub(crate) p: Point,
     /// The previously reported location (defines the movement direction).
-    pub p_lst: Point,
+    pub(crate) p_lst: Point,
     /// Steadiness `d ∈ [0, 1]`; `0` reduces to the ordinary perimeter.
-    pub steadiness: f64,
+    pub(crate) steadiness: f64,
 }
 
 impl WeightedPerimeter {
@@ -147,11 +147,11 @@ impl PerimeterObjective for WeightedPerimeter {
 #[derive(Clone, Copy, Debug)]
 pub struct ClearanceObjective<O> {
     /// The underlying perimeter objective.
-    pub inner: O,
+    pub(crate) inner: O,
     /// The point whose clearance is protected (the object location).
-    pub p: Point,
+    pub(crate) p: Point,
     /// Clearance at which the factor saturates at 1.
-    pub scale: f64,
+    pub(crate) scale: f64,
 }
 
 impl<O: PerimeterObjective> ClearanceObjective<O> {
@@ -219,7 +219,7 @@ const INV_PHI: f64 = 0.618_033_988_749_894_9;
 ///
 /// Returns `None` when the interval is empty (`lo > hi`) or `rect_of` yields
 /// no rectangle anywhere in it.
-pub fn optimize_theta<O, F>(
+pub(crate) fn optimize_theta<O, F>(
     lo: f64,
     hi: f64,
     preferred: f64,

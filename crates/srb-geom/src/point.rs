@@ -48,13 +48,13 @@ impl Point {
 
     /// Dot product with `other` (as vectors).
     #[inline]
-    pub fn dot(&self, other: Point) -> f64 {
+    pub(crate) fn dot(&self, other: Point) -> f64 {
         self.x * other.x + self.y * other.y
     }
 
     /// The unit vector in this direction, or `None` for the zero vector.
     #[inline]
-    pub fn normalized(&self) -> Option<Point> {
+    pub(crate) fn normalized(&self) -> Option<Point> {
         let n = self.norm();
         if n > 0.0 {
             Some(Point::new(self.x / n, self.y / n))
@@ -65,25 +65,19 @@ impl Point {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(&self, other: Point) -> Point {
+    pub(crate) fn min(&self, other: Point) -> Point {
         Point::new(self.x.min(other.x), self.y.min(other.y))
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(&self, other: Point) -> Point {
+    pub(crate) fn max(&self, other: Point) -> Point {
         Point::new(self.x.max(other.x), self.y.max(other.y))
-    }
-
-    /// Linear interpolation: `self + t * (other - self)`.
-    #[inline]
-    pub fn lerp(&self, other: Point, t: f64) -> Point {
-        Point::new(self.x + t * (other.x - self.x), self.y + t * (other.y - self.y))
     }
 
     /// True when both coordinates are finite.
     #[inline]
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
     }
 }
@@ -177,15 +171,6 @@ mod tests {
         let v = Point::new(3.0, 4.0).normalized().unwrap();
         assert!((v.norm() - 1.0).abs() < 1e-12);
         assert!(Point::ORIGIN.normalized().is_none());
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(1.0, 2.0));
     }
 
     #[test]

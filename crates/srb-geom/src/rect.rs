@@ -112,16 +112,6 @@ impl Rect {
             && other.min.y <= self.max.y
     }
 
-    /// True when the intersection has strictly positive area — the paper's
-    /// notion of *overlap* for quarantine areas and safe regions.
-    #[inline]
-    pub fn overlaps(&self, other: &Rect) -> bool {
-        self.min.x < other.max.x
-            && other.min.x < self.max.x
-            && self.min.y < other.max.y
-            && other.min.y < self.max.y
-    }
-
     /// Intersection rectangle, or `None` when disjoint.
     #[inline]
     pub fn intersection(&self, other: &Rect) -> Option<Rect> {
@@ -169,7 +159,7 @@ impl Rect {
 
     /// Squared minimum distance (cheaper; used as a best-first search key).
     #[inline]
-    pub fn min_dist_sq(&self, p: Point) -> f64 {
+    pub(crate) fn min_dist_sq(&self, p: Point) -> f64 {
         let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
         dx * dx + dy * dy
@@ -184,44 +174,28 @@ impl Rect {
 
     /// Squared maximum distance.
     #[inline]
-    pub fn max_dist_sq(&self, p: Point) -> f64 {
+    pub(crate) fn max_dist_sq(&self, p: Point) -> f64 {
         let dx = (p.x - self.min.x).abs().max((self.max.x - p.x).abs());
         let dy = (p.y - self.min.y).abs().max((self.max.y - p.y).abs());
         dx * dx + dy * dy
     }
 
-    /// Minimum distance between two rectangles (`δ(S, T)` for rectangles).
-    #[inline]
-    pub fn min_dist_rect(&self, other: &Rect) -> f64 {
-        let dx = (self.min.x - other.max.x).max(0.0).max(other.min.x - self.max.x);
-        let dy = (self.min.y - other.max.y).max(0.0).max(other.min.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Maximum distance between two rectangles (`Δ(S, T)` for rectangles).
-    #[inline]
-    pub fn max_dist_rect(&self, other: &Rect) -> f64 {
-        let dx = (self.max.x - other.min.x).abs().max((other.max.x - self.min.x).abs());
-        let dy = (self.max.y - other.min.y).abs().max((other.max.y - self.min.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// The four corners, counter-clockwise from the lower-left.
     #[inline]
-    pub fn corners(&self) -> [Point; 4] {
+    pub(crate) fn corners(&self) -> [Point; 4] {
         [self.min, Point::new(self.max.x, self.min.y), self.max, Point::new(self.min.x, self.max.y)]
     }
 
     /// Clamps `p` to the nearest point inside the rectangle.
     #[inline]
-    pub fn clamp_point(&self, p: Point) -> Point {
+    pub(crate) fn clamp_point(&self, p: Point) -> Point {
         Point::new(p.x.clamp(self.min.x, self.max.x), p.y.clamp(self.min.y, self.max.y))
     }
 
     /// The set difference `self \ other` as up to four disjoint rectangles
     /// (left, right, bottom, top slabs). Degenerate (zero-area) pieces are
     /// omitted.
-    pub fn difference(&self, other: &Rect) -> Vec<Rect> {
+    pub(crate) fn difference(&self, other: &Rect) -> Vec<Rect> {
         let Some(cap) = self.intersection(other) else {
             return vec![*self];
         };
@@ -255,13 +229,6 @@ impl Rect {
     pub fn escape_dist(&self, p: Point, other: &Rect) -> Option<f64> {
         let pieces = self.difference(other);
         pieces.iter().map(|r| r.min_dist(p)).min_by(|a, b| a.partial_cmp(b).unwrap())
-    }
-
-    /// Increase in perimeter if this rectangle were enlarged to contain
-    /// `other` (used by R-tree insertion heuristics).
-    #[inline]
-    pub fn perimeter_enlargement(&self, other: &Rect) -> f64 {
-        self.union(other).perimeter() - self.perimeter()
     }
 
     /// Increase in area if this rectangle were enlarged to contain `other`.
@@ -317,9 +284,9 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(1.0, 0.0, 2.0, 1.0); // shares an edge
         assert!(a.intersects(&b));
-        assert!(!a.overlaps(&b));
+        assert_eq!(a.overlap_area(&b), 0.0);
         let c = r(0.9, 0.9, 2.0, 2.0);
-        assert!(a.overlaps(&c));
+        assert!(a.overlap_area(&c) > 0.0);
     }
 
     #[test]
@@ -363,15 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_to_rect_distances() {
-        let a = r(0.0, 0.0, 1.0, 1.0);
-        let b = r(2.0, 0.0, 3.0, 1.0);
-        assert_eq!(a.min_dist_rect(&b), 1.0);
-        assert_eq!(a.max_dist_rect(&b), (9.0f64 + 1.0).sqrt());
-        assert_eq!(a.min_dist_rect(&a), 0.0);
-    }
-
-    #[test]
     fn degenerate_point_rect() {
         let p = Point::new(0.3, 0.4);
         let a = Rect::point(p);
@@ -397,7 +355,7 @@ mod tests {
         let sum: f64 = d.iter().map(Rect::area).sum();
         assert!((sum - (a.area() - b.area())).abs() < 1e-12);
         for piece in &d {
-            assert!(!piece.overlaps(&b), "{piece:?} overlaps the subtrahend");
+            assert_eq!(piece.overlap_area(&b), 0.0, "{piece:?} overlaps the subtrahend");
             assert!(a.contains_rect(piece));
         }
     }
@@ -433,7 +391,6 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(2.0, 0.0, 3.0, 1.0);
         assert_eq!(a.area_enlargement(&b), 2.0);
-        assert_eq!(a.perimeter_enlargement(&b), 4.0);
         assert_eq!(a.overlap_area(&b), 0.0);
         assert_eq!(a.overlap_area(&r(0.5, 0.5, 1.5, 1.5)), 0.25);
     }

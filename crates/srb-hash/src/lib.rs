@@ -17,9 +17,10 @@
 //! never changes observable behavior.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -62,9 +63,6 @@ impl Hasher for FxHasher {
 /// A `HashMap` keyed by small integers using [`FxHasher`].
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// A `HashSet` of small integers using [`FxHasher`].
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,17 +77,6 @@ mod tests {
             assert_eq!(m.get(&i), Some(&((i * 2) as u32)));
         }
         assert_eq!(m.len(), 1000);
-    }
-
-    #[test]
-    fn set_round_trip() {
-        let mut s: FastSet<u32> = FastSet::default();
-        for i in 0..100u32 {
-            s.insert(i * 3);
-        }
-        assert!(s.contains(&99));
-        assert!(!s.contains(&100));
-        assert_eq!(s.len(), 100);
     }
 
     #[test]

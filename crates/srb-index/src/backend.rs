@@ -201,7 +201,7 @@ impl BackendConfig {
     /// unset) the R\*-tree defaults. Any other value is a typed
     /// [`ConfigError::UnknownBackend`] — a typo must not silently run the
     /// wrong experiment.
-    pub fn try_from_env() -> Result<Self, ConfigError> {
+    pub(crate) fn try_from_env() -> Result<Self, ConfigError> {
         match std::env::var("SRB_BACKEND") {
             Err(_) => Ok(BackendConfig::default()),
             Ok(v) if v.eq_ignore_ascii_case("grid") => {
@@ -220,7 +220,7 @@ impl BackendConfig {
         }
     }
 
-    /// Like [`try_from_env`](Self::try_from_env) but panics on an unknown
+    /// Like `try_from_env` but panics on an unknown
     /// value — the startup-path convenience the simulator uses.
     pub fn from_env() -> Self {
         match Self::try_from_env() {
@@ -228,22 +228,6 @@ impl BackendConfig {
             Err(e) => panic!("{e}"),
         }
     }
-}
-
-/// Structural snapshot of a backend, for logs and bench rows. The fields
-/// generalize over tree- and grid-shaped indexes.
-#[derive(Clone, Copy, Debug)]
-pub struct BackendStats {
-    /// Backend label (matches [`BackendConfig::label`]).
-    pub backend: &'static str,
-    /// Number of entries stored.
-    pub len: usize,
-    /// Structure depth: tree height, or 1 for a flat grid.
-    pub depth: usize,
-    /// Occupied structural units: live tree nodes, or non-empty grid cells.
-    pub nodes: usize,
-    /// Current value of the deterministic work-unit (visit) counter.
-    pub visits: u64,
 }
 
 /// Incremental best-first nearest-neighbor browsing: entries come out in
@@ -375,9 +359,6 @@ pub trait SpatialBackend: Sync {
     /// Exhaustively verifies structural invariants; panics on violation.
     fn check_invariants(&self);
 
-    /// Structural snapshot for logs and bench rows.
-    fn stats(&self) -> BackendStats;
-
     /// Serializes the backend's full structure bit-exactly for a
     /// durability checkpoint: arenas, free lists, bucket orders, and the
     /// visit counter all round-trip verbatim, so a recovered backend
@@ -447,8 +428,9 @@ impl NearestScratch {
         Self::default()
     }
 
-    /// Retained frontier capacity, in elements (diagnostic).
-    pub fn capacity(&self) -> usize {
+    /// Retained frontier capacity, in elements.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.buf.capacity()
     }
 
@@ -543,16 +525,6 @@ impl SpatialBackend for RStarTree {
 
     fn check_invariants(&self) {
         RStarTree::check_invariants(self);
-    }
-
-    fn stats(&self) -> BackendStats {
-        BackendStats {
-            backend: "rstar",
-            len: self.len(),
-            depth: self.height(),
-            nodes: self.live_nodes(),
-            visits: self.visits(),
-        }
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {

@@ -16,7 +16,7 @@
 //! bit-identical, which is what lets the durability plane checkpoint and
 //! replay across migrations.
 
-use crate::backend::{BackendConfig, BackendKind, BackendStats, NearestScratch, NearestStream};
+use crate::backend::{BackendConfig, BackendKind, NearestScratch, NearestStream};
 use crate::persist::{dec_rect, put_rect};
 use crate::{
     EntryId, GridNearest, LeafEntry, NearestIter, Neighbor, RStarTree, SpatialBackend, UniformGrid,
@@ -59,7 +59,7 @@ impl DynBackend {
     /// Id-ordered insertion makes the result a canonical function of the
     /// entry *set*: the source's own structure and history do not leak
     /// into the rebuilt index.
-    pub fn rebuild_from<S: SpatialBackend + ?Sized>(
+    pub(crate) fn rebuild_from<S: SpatialBackend + ?Sized>(
         config: &BackendConfig,
         space: Rect,
         src: &S,
@@ -221,13 +221,6 @@ impl SpatialBackend for DynBackend {
         match &self.inner {
             DynInner::RStar(t) => t.check_invariants(),
             DynInner::Grid(g) => g.check_invariants(),
-        }
-    }
-
-    fn stats(&self) -> BackendStats {
-        match &self.inner {
-            DynInner::RStar(t) => <RStarTree as SpatialBackend>::stats(t),
-            DynInner::Grid(g) => <UniformGrid as SpatialBackend>::stats(g),
         }
     }
 

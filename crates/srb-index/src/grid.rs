@@ -23,9 +23,7 @@
 //! expected safe-region side (see DESIGN.md §13 for the rule and measured
 //! tradeoffs).
 
-use crate::backend::{
-    BackendConfig, BackendKind, BackendStats, HeapItem, HeapKind, NearestScratch, Visits,
-};
+use crate::backend::{BackendConfig, BackendKind, HeapItem, HeapKind, NearestScratch, Visits};
 use crate::UpdateOutcome;
 use crate::{ConfigError, EntryId, LeafEntry, NearestStream, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
@@ -53,7 +51,7 @@ impl Default for GridConfig {
 impl GridConfig {
     /// Validates the resolution, returning a typed error for zero or
     /// overflow-prone values (cell ids must fit the shared `u32` frontier).
-    pub fn try_validated(self) -> Result<Self, ConfigError> {
+    pub(crate) fn try_validated(self) -> Result<Self, ConfigError> {
         if self.m < 1 || self.m > 1 << 15 {
             return Err(ConfigError::BadGridResolution { m: self.m });
         }
@@ -61,7 +59,7 @@ impl GridConfig {
     }
 
     /// Panicking form of [`try_validated`](Self::try_validated).
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         match self.try_validated() {
             Ok(cfg) => cfg,
             Err(e) => panic!("invalid GridConfig: {e}"),
@@ -99,33 +97,23 @@ impl UniformGrid {
     }
 
     /// The grid resolution `m`.
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
-    /// The indexed space.
-    pub fn space(&self) -> Rect {
-        self.space
-    }
-
     /// Number of entries stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rects.len()
-    }
-
-    /// True when no entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.rects.is_empty()
     }
 
     /// Cell-visit counter (the grid's deterministic work unit, parallel to
     /// the R\*-tree's node visits).
-    pub fn visits(&self) -> u64 {
+    pub(crate) fn visits(&self) -> u64 {
         self.visits.get()
     }
 
     /// Resets the cell-visit counter.
-    pub fn reset_visits(&self) {
+    pub(crate) fn reset_visits(&self) {
         self.visits.set(0);
     }
 
@@ -170,7 +158,7 @@ impl UniformGrid {
 
     /// Inserts an entry. `id` must not already be present (checked in debug
     /// builds; use [`update`](Self::update) to move an existing entry).
-    pub fn insert(&mut self, id: EntryId, rect: Rect) {
+    pub(crate) fn insert(&mut self, id: EntryId, rect: Rect) {
         debug_assert!(!self.rects.contains_key(&id), "duplicate insert of id {id}");
         let (lo_x, lo_y, hi_x, hi_y) = self.cell_range(&rect);
         for j in lo_y..=hi_y {
@@ -183,7 +171,7 @@ impl UniformGrid {
     }
 
     /// Removes an entry, returning its stored rectangle.
-    pub fn remove(&mut self, id: EntryId) -> Option<Rect> {
+    pub(crate) fn remove(&mut self, id: EntryId) -> Option<Rect> {
         let rect = self.rects.remove(&id)?;
         let (lo_x, lo_y, hi_x, hi_y) = self.cell_range(&rect);
         for j in lo_y..=hi_y {
@@ -203,7 +191,7 @@ impl UniformGrid {
     /// relocates the entry across buckets ([`UpdateOutcome::Reinserted`]).
     ///
     /// Inserts the entry fresh when `id` was not present.
-    pub fn update(&mut self, id: EntryId, new_rect: Rect) -> UpdateOutcome {
+    pub(crate) fn update(&mut self, id: EntryId, new_rect: Rect) -> UpdateOutcome {
         let Some(&old_rect) = self.rects.get(&id) else {
             self.insert(id, new_rect);
             srb_obs::counter!("index.grid.relocations").inc();
@@ -235,13 +223,13 @@ impl UniformGrid {
     }
 
     /// The stored rectangle of `id`, if present.
-    pub fn get(&self, id: EntryId) -> Option<Rect> {
+    pub(crate) fn get(&self, id: EntryId) -> Option<Rect> {
         self.rects.get(&id).copied()
     }
 
     /// Visits every entry whose rectangle intersects `query` (closed test),
     /// each exactly once (owner-cell deduplication; no allocation).
-    pub fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
+    pub(crate) fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
         if self.rects.is_empty() {
             return;
         }
@@ -273,27 +261,20 @@ impl UniformGrid {
         srb_obs::histogram!("index.search.visits").record(cells);
     }
 
-    /// Collects every entry intersecting `query` into a vector.
-    pub fn search_vec(&self, query: &Rect) -> Vec<LeafEntry> {
-        let mut out = Vec::new();
-        self.search(query, |e| out.push(*e));
-        out
-    }
-
     /// Iterates over all entries (arbitrary order, each exactly once).
-    pub fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
         self.rects.iter().map(|(&id, &rect)| LeafEntry { id, rect })
     }
 
     /// Incremental best-first browsing of entries by increasing
     /// `δ(q, rect)` via Chebyshev ring expansion around `q`'s cell.
-    pub fn nearest_iter(&self, q: Point) -> GridNearest<'_> {
+    pub(crate) fn nearest_iter(&self, q: Point) -> GridNearest<'_> {
         self.nearest_impl(q, BinaryHeap::new(), None)
     }
 
     /// [`nearest_iter`](Self::nearest_iter) reusing `scratch`'s frontier
     /// storage, so steady-state browses allocate nothing after warmup.
-    pub fn nearest_iter_with<'a>(
+    pub(crate) fn nearest_iter_with<'a>(
         &'a self,
         q: Point,
         scratch: &'a mut NearestScratch,
@@ -323,7 +304,7 @@ impl UniformGrid {
     }
 
     /// Exhaustively verifies structural invariants; panics on violation.
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let mut bucketed = 0usize;
         for j in 0..self.m {
             for i in 0..self.m {
@@ -349,10 +330,6 @@ impl UniformGrid {
             })
             .sum();
         assert_eq!(bucketed, expected, "bucketed entry count disagrees with cell ranges");
-    }
-
-    fn occupied_cells(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.is_empty()).count()
     }
 }
 
@@ -434,16 +411,6 @@ impl SpatialBackend for UniformGrid {
 
     fn check_invariants(&self) {
         UniformGrid::check_invariants(self);
-    }
-
-    fn stats(&self) -> BackendStats {
-        BackendStats {
-            backend: "grid",
-            len: self.len(),
-            depth: 1,
-            nodes: self.occupied_cells(),
-            visits: self.visits(),
-        }
     }
 
     fn encode_state(&self, out: &mut Vec<u8>) {

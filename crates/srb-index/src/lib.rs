@@ -32,6 +32,7 @@
 //! observes and never alters index behavior.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod backend;
@@ -43,13 +44,14 @@ mod persist;
 mod split;
 
 pub use backend::{
-    AdaptiveConfig, BackendConfig, BackendKind, BackendStats, NearestScratch, NearestStream,
-    SpatialBackend,
+    AdaptiveConfig, BackendConfig, BackendKind, NearestScratch, NearestStream, SpatialBackend,
 };
 pub use bulk::bulk_load;
-pub use dyn_backend::{DynBackend, DynNearest};
-pub use grid::{GridConfig, GridNearest, UniformGrid};
-pub use node::{EntryId, LeafEntry};
+pub use dyn_backend::DynBackend;
+pub(crate) use grid::GridNearest;
+pub use grid::{GridConfig, UniformGrid};
+pub(crate) use node::EntryId;
+pub use node::LeafEntry;
 
 use backend::{HeapItem, HeapKind, Visits};
 use node::{Node, NodeId, NodeKind, NO_NODE};
@@ -84,7 +86,7 @@ impl TreeConfig {
     /// outside `[1, max_entries + 1 - 2 * min_entries]` (evicting more
     /// would leave an overflowing node unable to split into two legal
     /// halves).
-    pub fn try_validated(self) -> Result<Self, ConfigError> {
+    pub(crate) fn try_validated(self) -> Result<Self, ConfigError> {
         if self.max_entries < 4 {
             return Err(ConfigError::MaxEntriesTooSmall { max_entries: self.max_entries });
         }
@@ -107,7 +109,7 @@ impl TreeConfig {
     /// Panicking form of [`try_validated`](Self::try_validated) — invalid
     /// configurations fail loudly at construction instead of silently
     /// corrupting the tree later.
-    pub fn validated(self) -> Self {
+    pub(crate) fn validated(self) -> Self {
         match self.try_validated() {
             Ok(cfg) => cfg,
             Err(e) => panic!("invalid TreeConfig: {e}"),
@@ -118,7 +120,7 @@ impl TreeConfig {
 /// A structurally invalid index configuration, reported at construction
 /// time by [`TreeConfig::try_validated`] / [`GridConfig::try_validated`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConfigError {
+pub(crate) enum ConfigError {
     /// `max_entries` below the minimum of 4 a split requires.
     MaxEntriesTooSmall {
         /// The offending node capacity.
@@ -256,24 +258,25 @@ impl RStarTree {
     }
 
     /// The configuration the tree was built with.
-    pub fn config(&self) -> TreeConfig {
+    pub(crate) fn config(&self) -> TreeConfig {
         self.config
     }
 
     /// Height of the tree (1 for a single leaf root).
-    pub fn height(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn height(&self) -> usize {
         self.node(self.root).level as usize + 1
     }
 
     /// Total node visits performed by searches since the last
     /// [`reset_visits`](Self::reset_visits) — the deterministic work-unit
     /// counter used by the experiment harness.
-    pub fn visits(&self) -> u64 {
+    pub(crate) fn visits(&self) -> u64 {
         self.visits.get()
     }
 
     /// Resets the node-visit counter.
-    pub fn reset_visits(&self) {
+    pub(crate) fn reset_visits(&self) {
         self.visits.set(0);
     }
 
@@ -665,7 +668,7 @@ impl RStarTree {
     }
 
     /// Visits every entry whose rectangle intersects `query` (closed test).
-    pub fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
+    pub(crate) fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
         if self.len == 0 {
             return;
         }
@@ -702,7 +705,7 @@ impl RStarTree {
     }
 
     /// Iterates over all entries (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
         AllEntries::new(self)
     }
 
@@ -717,7 +720,7 @@ impl RStarTree {
     /// storage: the browse's binary heap is taken from (and on drop handed
     /// back to) the scratch, so steady-state kNN search performs no heap
     /// allocation after warmup.
-    pub fn nearest_iter_with<'a>(
+    pub(crate) fn nearest_iter_with<'a>(
         &'a self,
         q: Point,
         scratch: &'a mut NearestScratch,
@@ -739,11 +742,6 @@ impl RStarTree {
             }));
         }
         NearestIter { tree: self, q, heap, scratch, visited: 0 }
-    }
-
-    /// Number of live (allocated, non-freed) nodes.
-    pub fn live_nodes(&self) -> usize {
-        self.nodes.len() - self.free.len()
     }
 
     // ------------------------------------------------------------------
@@ -883,7 +881,7 @@ impl NearestIter<'_> {
     /// The `δ` key of the next entry/node without consuming it. Useful to
     /// interleave with externally-probed exact locations, as the paper's
     /// Algorithm 2 requires.
-    pub fn peek_dist(&self) -> Option<f64> {
+    pub(crate) fn peek_dist(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse(item)| item.dist)
     }
 }

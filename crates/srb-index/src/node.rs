@@ -3,7 +3,7 @@
 use srb_geom::Rect;
 
 /// Identifier of an indexed entry (a moving object id in the framework).
-pub type EntryId = u64;
+pub(crate) type EntryId = u64;
 
 /// Index of a node in the tree's arena.
 pub(crate) type NodeId = u32;
@@ -30,15 +30,15 @@ pub(crate) enum NodeKind {
 #[derive(Clone, Debug)]
 pub(crate) struct Node {
     /// Minimum bounding rectangle of everything below this node.
-    pub rect: Rect,
-    pub parent: NodeId,
-    pub kind: NodeKind,
+    pub(crate) rect: Rect,
+    pub(crate) parent: NodeId,
+    pub(crate) kind: NodeKind,
     /// Distance from the leaf level (leaves are level 0).
-    pub level: u16,
+    pub(crate) level: u16,
 }
 
 impl Node {
-    pub fn new_leaf() -> Self {
+    pub(crate) fn new_leaf() -> Self {
         Node {
             rect: Rect::point(srb_geom::Point::ORIGIN),
             parent: NO_NODE,
@@ -47,7 +47,7 @@ impl Node {
         }
     }
 
-    pub fn new_internal(level: u16) -> Self {
+    pub(crate) fn new_internal(level: u16) -> Self {
         Node {
             rect: Rect::point(srb_geom::Point::ORIGIN),
             parent: NO_NODE,
@@ -56,25 +56,25 @@ impl Node {
         }
     }
 
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(self.kind, NodeKind::Leaf(_))
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.kind {
             NodeKind::Leaf(v) => v.len(),
             NodeKind::Internal(v) => v.len(),
         }
     }
 
-    pub fn leaf_entries(&self) -> &[LeafEntry] {
+    pub(crate) fn leaf_entries(&self) -> &[LeafEntry] {
         match &self.kind {
             NodeKind::Leaf(v) => v,
             NodeKind::Internal(_) => panic!("leaf_entries on internal node"),
         }
     }
 
-    pub fn leaf_entries_mut(&mut self) -> &mut Vec<LeafEntry> {
+    pub(crate) fn leaf_entries_mut(&mut self) -> &mut Vec<LeafEntry> {
         match &mut self.kind {
             NodeKind::Leaf(v) => v,
             NodeKind::Internal(_) => panic!("leaf_entries_mut on internal node"),
@@ -85,7 +85,7 @@ impl Node {
     /// index, so callers pass `id` purely to make the corruption report
     /// actionable; `#[track_caller]` points the panic at the misuse site.
     #[track_caller]
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
+    pub(crate) fn children(&self, id: NodeId) -> &[NodeId] {
         match &self.kind {
             NodeKind::Internal(v) => v,
             NodeKind::Leaf(_) => panic!(
@@ -99,7 +99,7 @@ impl Node {
     /// Mutable child list of an internal node; see [`Node::children`] for
     /// the `id` parameter.
     #[track_caller]
-    pub fn children_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
+    pub(crate) fn children_mut(&mut self, id: NodeId) -> &mut Vec<NodeId> {
         let level = self.level;
         let len = self.len();
         match &mut self.kind {

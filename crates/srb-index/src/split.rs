@@ -10,8 +10,8 @@ use srb_geom::Rect;
 /// Result of a split: indices of items assigned to the first and the second
 /// group, in the order of the input slice.
 pub(crate) struct SplitResult {
-    pub first: Vec<usize>,
-    pub second: Vec<usize>,
+    pub(crate) first: Vec<usize>,
+    pub(crate) second: Vec<usize>,
 }
 
 /// Computes the R* split of `rects` with the node capacity bounds

@@ -11,7 +11,7 @@ use srb_geom::{Point, Rect};
 
 /// Client protocol state.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ClientState {
+pub(crate) enum ClientState {
     /// No safe region yet (not registered with the server).
     Unregistered,
     /// Holding a safe region; reports on exit.
@@ -59,8 +59,6 @@ pub struct PendingReport {
 
 /// A simulated mobile client.
 pub struct MobileClient {
-    /// Identifier matching the server-side object id.
-    pub id: u32,
     trajectory: Trajectory,
     safe_region: Option<Rect>,
     state: ClientState,
@@ -69,10 +67,10 @@ pub struct MobileClient {
 }
 
 impl MobileClient {
-    /// Creates a client following `trajectory`.
-    pub fn new(id: u32, trajectory: Trajectory) -> Self {
+    /// Creates a client following `trajectory`. `_id` is the server-side
+    /// object id the caller registers it under; the client does not keep it.
+    pub fn new(_id: u32, trajectory: Trajectory) -> Self {
         MobileClient {
-            id,
             trajectory,
             safe_region: None,
             state: ClientState::Unregistered,
@@ -84,16 +82,6 @@ impl MobileClient {
     /// True position at time `t` (what GPS would report).
     pub fn position(&mut self, t: f64) -> Point {
         self.trajectory.position(t)
-    }
-
-    /// Velocity at time `t`.
-    pub fn velocity(&mut self, t: f64) -> Point {
-        self.trajectory.velocity(t)
-    }
-
-    /// Current protocol state.
-    pub fn state(&self) -> ClientState {
-        self.state
     }
 
     /// The safe region the client currently holds.
@@ -143,11 +131,6 @@ impl MobileClient {
         self.inflight
     }
 
-    /// Highest sequence number assigned so far.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
     /// The next time in `(from, until]` the client would issue a
     /// source-initiated update: the first exit from its safe region.
     /// `None` while unregistered or pending, or when it stays inside.
@@ -184,7 +167,7 @@ mod tests {
     #[test]
     fn unregistered_client_never_reports() {
         let mut c = straight_client();
-        assert_eq!(c.state(), ClientState::Unregistered);
+        assert_eq!(c.state, ClientState::Unregistered);
         assert_eq!(c.next_report(0.0, 100.0), None);
     }
 
@@ -193,7 +176,7 @@ mod tests {
         let mut c = straight_client();
         let sr = Rect::new(Point::new(0.0, 0.4), Point::new(0.3, 0.6));
         assert!(c.receive_safe_region(sr, 0.0));
-        assert_eq!(c.state(), ClientState::Tracking);
+        assert_eq!(c.state, ClientState::Tracking);
         // Exits at x = 0.3: t = (0.3 - 0.1) / 0.1 = 2.0.
         let t = c.next_report(0.0, 100.0).unwrap();
         assert!((t - 2.0).abs() < 1e-9);
@@ -215,11 +198,11 @@ mod tests {
         // position no longer contains it.
         let stale = Rect::new(Point::new(0.0, 0.4), Point::new(0.3, 0.6));
         assert!(!c.receive_safe_region(stale, 5.0));
-        assert_eq!(c.state(), ClientState::Pending);
+        assert_eq!(c.state, ClientState::Pending);
         // A fresh one does.
         let fresh = Rect::new(Point::new(0.5, 0.4), Point::new(0.8, 0.6));
         assert!(c.receive_safe_region(fresh, 5.0));
-        assert_eq!(c.state(), ClientState::Tracking);
+        assert_eq!(c.state, ClientState::Tracking);
     }
 
     #[test]
@@ -229,7 +212,7 @@ mod tests {
         c.receive_safe_region(sr, 0.0);
         let p = c.position(3.0);
         assert_eq!(c.send_report(p), 1);
-        assert_eq!(c.state(), ClientState::Pending);
+        assert_eq!(c.state, ClientState::Pending);
         assert_eq!(c.pending_report(), Some(PendingReport { pos: p, seq: 1 }));
         // The next grant is the ACK.
         let fresh = Rect::new(Point::new(0.3, 0.4), Point::new(0.6, 0.6));
@@ -237,7 +220,7 @@ mod tests {
         assert_eq!(c.pending_report(), None);
         let p6 = c.position(6.0);
         assert_eq!(c.send_report(p6), 2, "sequence keeps rising");
-        assert_eq!(c.last_seq(), 2);
+        assert_eq!(c.last_seq, 2);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! yields the same trajectory.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod client;
 mod waypoint;
 
-pub use client::{ClientState, MobileClient, PendingReport, RetryPolicy};
+pub use client::{MobileClient, PendingReport, RetryPolicy};
 pub use waypoint::{MobilityConfig, Segment, Trajectory};

@@ -38,7 +38,7 @@ impl Segment {
     /// The first time in `[max(t0, from), t1]` at which the trajectory
     /// leaves the *closed* rectangle, assuming it is inside at `from`.
     /// Returns `None` when the segment stays inside through `t1`.
-    pub fn exit_time(&self, rect: &Rect, from: f64) -> Option<f64> {
+    pub(crate) fn exit_time(&self, rect: &Rect, from: f64) -> Option<f64> {
         let from = from.max(self.t0);
         if from > self.t1 {
             return None;
@@ -205,15 +205,9 @@ impl Trajectory {
         self.segs[i].position(t)
     }
 
-    /// Velocity at time `t` (zero at rest).
-    pub fn velocity(&mut self, t: f64) -> Point {
-        let i = self.seg_index(t);
-        self.segs[i].vel
-    }
-
     /// The first time in `[from, until]` at which the trajectory leaves the
     /// closed rectangle `rect`, or `None` if it stays inside.
-    pub fn first_exit(&mut self, rect: &Rect, from: f64, until: f64) -> Option<f64> {
+    pub(crate) fn first_exit(&mut self, rect: &Rect, from: f64, until: f64) -> Option<f64> {
         let mut t = from;
         let mut i = self.seg_index(t);
         loop {
@@ -260,11 +254,6 @@ impl Trajectory {
             self.segs.pop_front();
             self.cursor = self.cursor.saturating_sub(1);
         }
-    }
-
-    /// Number of retained segments (for memory assertions in tests).
-    pub fn retained(&self) -> usize {
-        self.segs.len()
     }
 }
 
@@ -398,7 +387,7 @@ mod tests {
             let t = i as f64 * 0.01;
             let _ = traj.position(t);
             traj.forget_before(t - 0.05);
-            assert!(traj.retained() < 200, "memory unbounded: {}", traj.retained());
+            assert!(traj.segs.len() < 200, "memory unbounded: {}", traj.segs.len());
         }
     }
 
@@ -411,8 +400,9 @@ mod tests {
             vel: Point::new(0.3, -0.1),
         }];
         let mut t = Trajectory::scripted(segs);
-        assert_eq!(t.velocity(2.0), Point::new(0.3, -0.1));
-        assert_eq!(t.velocity(9.0), Point::ORIGIN);
+        let step = t.position(3.0) - t.position(2.0);
+        assert!(step.dist(Point::new(0.3, -0.1)) < 1e-12, "{step:?}");
+        assert_eq!(t.position(9.0), t.position(10.0), "at rest after the last segment");
     }
 }
 

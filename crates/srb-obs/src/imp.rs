@@ -39,7 +39,7 @@ impl Counter {
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(ORD)
     }
 }
@@ -61,7 +61,7 @@ impl Gauge {
 
     /// Current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.value.load(ORD)
     }
 }
@@ -113,14 +113,8 @@ impl Histogram {
         self.buckets[bucket_index(v)].fetch_add(1, ORD);
     }
 
-    /// Number of recorded samples.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count.load(ORD)
-    }
-
     /// Copies the histogram's current state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         let mut buckets = Vec::new();
         for (i, b) in self.buckets.iter().enumerate() {
             let n = b.load(ORD);
@@ -150,14 +144,8 @@ pub struct SpanStats {
 }
 
 impl SpanStats {
-    /// Number of closed spans.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count.load(ORD)
-    }
-
     /// Copies the span's current state.
-    pub fn snapshot(&self) -> SpanSnapshot {
+    pub(crate) fn snapshot(&self) -> SpanSnapshot {
         let total_ns = self.total_ns.load(ORD);
         SpanSnapshot {
             count: self.count.load(ORD),
@@ -272,7 +260,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// True when events are currently being recorded (runtime switch; see also
 /// [`compiled`](crate::compiled) for the compile-time switch).
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(ORD)
 }
 
@@ -442,10 +430,10 @@ mod tests {
         let stats = registry().span("test.imp.disabled_span");
         set_enabled(false);
         drop(SpanGuard::enter(stats));
-        assert_eq!(stats.count(), 0);
+        assert_eq!(stats.snapshot().count, 0);
         set_enabled(true);
         drop(SpanGuard::enter(stats));
-        assert_eq!(stats.count(), 1);
+        assert_eq!(stats.snapshot().count, 1);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 use std::collections::BTreeMap;
@@ -48,21 +49,20 @@ use std::fmt::Write as _;
 mod imp;
 #[cfg(feature = "obs")]
 pub use imp::{
-    enabled, registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats,
-    Stopwatch,
+    registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats, Stopwatch,
 };
 
 #[cfg(not(feature = "obs"))]
 mod stub;
 #[cfg(not(feature = "obs"))]
 pub use stub::{
-    enabled, registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats,
-    Stopwatch,
+    registry, set_enabled, Counter, Gauge, Histogram, Registry, SpanGuard, SpanStats, Stopwatch,
 };
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1` holds
 /// values whose highest set bit is `i - 1` (i.e. `[2^(i-1), 2^i)`).
-pub const HISTOGRAM_BUCKETS: usize = 65;
+#[cfg(feature = "obs")]
+pub(crate) const HISTOGRAM_BUCKETS: usize = 65;
 
 /// True when the crate was compiled with the `obs` feature — i.e. whether
 /// recorded events can be observed at all.
@@ -71,7 +71,8 @@ pub const fn compiled() -> bool {
 }
 
 /// The lower bound of histogram bucket `i` (see [`HISTOGRAM_BUCKETS`]).
-pub fn bucket_lower_bound(i: usize) -> u64 {
+#[cfg(feature = "obs")]
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     if i == 0 {
         0
     } else {
@@ -87,13 +88,13 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Number of recorded values.
-    pub count: u64,
+    pub(crate) count: u64,
     /// Sum of recorded values (saturating).
     pub sum: u64,
     /// Largest recorded value.
-    pub max: u64,
+    pub(crate) max: u64,
     /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub buckets: Vec<(u64, u64)>,
+    pub(crate) buckets: Vec<(u64, u64)>,
 }
 
 impl HistogramSnapshot {
@@ -113,11 +114,11 @@ pub struct SpanSnapshot {
     /// Number of closed spans.
     pub count: u64,
     /// Total wall-clock nanoseconds across closed spans (children included).
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// Nanoseconds spent in the span itself, child spans excluded.
     pub self_ns: u64,
     /// Longest single span in nanoseconds.
-    pub max_ns: u64,
+    pub(crate) max_ns: u64,
 }
 
 /// A point-in-time copy of every metric in the [`Registry`], suitable for
@@ -136,14 +137,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// True when no metric recorded any activity.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-    }
-
     /// The change from `earlier` to `self`: counter/histogram/span totals
     /// are subtracted (saturating), gauges keep their current value.
     /// Entries with no activity in the interval are omitted.
@@ -424,6 +417,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(feature = "obs")]
     fn bucket_bounds_are_log2() {
         assert_eq!(bucket_lower_bound(0), 0);
         assert_eq!(bucket_lower_bound(1), 1);

@@ -1,10 +1,10 @@
 //! Inert zero-sized stubs (compiled when the `obs` feature is off).
 //!
-//! Every public item mirrors the real implementation in `imp.rs` with the
-//! same signatures, so instrumented crates compile unchanged; all bodies
+//! Every item an instrumented crate calls mirrors the real implementation
+//! in `imp.rs` with the same signature, so those crates compile unchanged; all bodies
 //! are empty and every type is a ZST, so the optimizer erases the calls.
 
-use crate::{HistogramSnapshot, Snapshot, SpanSnapshot};
+use crate::Snapshot;
 
 /// Inert stand-in for the real counter (the `obs` feature is off).
 #[derive(Debug, Default)]
@@ -18,12 +18,6 @@ impl Counter {
     /// Does nothing (telemetry compiled out).
     #[inline(always)]
     pub fn add(&self, _n: u64) {}
-
-    /// Always 0 (telemetry compiled out).
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
 }
 
 /// Inert stand-in for the real gauge (the `obs` feature is off).
@@ -34,12 +28,6 @@ impl Gauge {
     /// Does nothing (telemetry compiled out).
     #[inline(always)]
     pub fn set(&self, _v: u64) {}
-
-    /// Always 0 (telemetry compiled out).
-    #[inline(always)]
-    pub fn get(&self) -> u64 {
-        0
-    }
 }
 
 /// Inert stand-in for the real histogram (the `obs` feature is off).
@@ -50,37 +38,11 @@ impl Histogram {
     /// Does nothing (telemetry compiled out).
     #[inline(always)]
     pub fn record(&self, _v: u64) {}
-
-    /// Always 0 (telemetry compiled out).
-    #[inline(always)]
-    pub fn count(&self) -> u64 {
-        0
-    }
-
-    /// Always empty (telemetry compiled out).
-    #[inline(always)]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
 }
 
 /// Inert stand-in for the real span stats (the `obs` feature is off).
 #[derive(Debug, Default)]
 pub struct SpanStats;
-
-impl SpanStats {
-    /// Always 0 (telemetry compiled out).
-    #[inline(always)]
-    pub fn count(&self) -> u64 {
-        0
-    }
-
-    /// Always empty (telemetry compiled out).
-    #[inline(always)]
-    pub fn snapshot(&self) -> SpanSnapshot {
-        SpanSnapshot::default()
-    }
-}
 
 /// Inert stand-in for the real span guard (the `obs` feature is off).
 #[derive(Debug)]
@@ -110,12 +72,6 @@ impl Stopwatch {
     pub fn elapsed_ns(&self) -> Option<u64> {
         None
     }
-}
-
-/// Always false (telemetry compiled out).
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
 }
 
 /// Does nothing (telemetry compiled out).
@@ -179,13 +135,9 @@ mod tests {
         let c = registry().counter("stub.anything");
         c.inc();
         c.add(10);
-        assert_eq!(c.get(), 0);
-        let h = registry().histogram("stub.hist");
-        h.record(42);
-        assert_eq!(h.count(), 0);
+        registry().histogram("stub.hist").record(42);
         let _guard = SpanGuard::enter(registry().span("stub.span"));
         assert!(Stopwatch::start().elapsed_ns().is_none());
-        assert!(!enabled());
-        assert!(registry().snapshot().is_empty());
+        assert_eq!(registry().snapshot(), Snapshot::default());
     }
 }

@@ -32,7 +32,7 @@ pub struct ChannelConfig {
 
 impl ChannelConfig {
     /// The reliable channel: no loss, no duplication, no jitter, no
-    /// outages. [`ChannelModel::transmit`] short-circuits on it without
+    /// outages. `ChannelModel::transmit` short-circuits on it without
     /// consuming randomness.
     pub const IDEAL: ChannelConfig = ChannelConfig {
         loss: 0.0,
@@ -48,7 +48,7 @@ impl ChannelConfig {
     }
 
     /// True when the channel behaves exactly like the paper's reliable one.
-    pub fn is_ideal(&self) -> bool {
+    pub(crate) fn is_ideal(&self) -> bool {
         self.loss <= 0.0
             && self.duplication <= 0.0
             && self.jitter <= 0.0
@@ -68,20 +68,20 @@ impl Default for ChannelConfig {
 /// outage schedule does not depend on its traffic); per-message faults are
 /// drawn lazily from one `ChaCha8` stream in transmission order, which the
 /// deterministic event queue makes reproducible.
-pub struct ChannelModel {
+pub(crate) struct ChannelModel {
     cfg: ChannelConfig,
     rng: ChaCha8Rng,
     /// Per-client sorted `(start, end)` disconnect windows.
     outages: Vec<Vec<(f64, f64)>>,
     /// Messages dropped (loss or outage).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Extra copies delivered due to duplication.
-    pub duplicates: u64,
+    pub(crate) duplicates: u64,
 }
 
 impl ChannelModel {
     /// Builds the channel for `n_clients` clients over `[0, duration]`.
-    pub fn new(cfg: ChannelConfig, seed: u64, n_clients: usize, duration: f64) -> Self {
+    pub(crate) fn new(cfg: ChannelConfig, seed: u64, n_clients: usize, duration: f64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut outages = Vec::new();
         if cfg.outage_rate > 0.0 && cfg.outage_duration > 0.0 {
@@ -105,13 +105,8 @@ impl ChannelModel {
         ChannelModel { cfg, rng, outages, dropped: 0, duplicates: 0 }
     }
 
-    /// The configuration this channel was built with.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
-    }
-
     /// True when `client` is inside a disconnect window at `now`.
-    pub fn in_outage(&self, client: usize, now: f64) -> bool {
+    pub(crate) fn in_outage(&self, client: usize, now: f64) -> bool {
         self.outages
             .get(client)
             .map(|ws| ws.iter().any(|&(s, e)| s <= now && now < e))
@@ -121,7 +116,7 @@ impl ChannelModel {
     /// Transmits one message to or from `client` at time `now`. Returns the
     /// extra delays (beyond the base network delay) at which copies arrive:
     /// empty = dropped, one entry = normal delivery, two = duplicated.
-    pub fn transmit(&mut self, client: usize, now: f64) -> Vec<f64> {
+    pub(crate) fn transmit(&mut self, client: usize, now: f64) -> Vec<f64> {
         if self.cfg.is_ideal() {
             return vec![0.0];
         }

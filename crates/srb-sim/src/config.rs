@@ -69,9 +69,9 @@ pub struct SimConfig {
     /// single server; the uplinks, probes and results of a run do not
     /// depend on it.
     pub shards: usize,
-    /// Object-index backend for the SRB scheme. [`paper_defaults`]
-    /// (Self::paper_defaults) reads it from the `SRB_BACKEND` environment
-    /// variable (`rstar`/unset = the paper's R\*-tree, `grid` = the
+    /// Object-index backend for the SRB scheme.
+    /// [`paper_defaults`](Self::paper_defaults) reads it from the
+    /// `SRB_BACKEND` environment variable (`rstar`/unset = the paper's R\*-tree, `grid` = the
     /// uniform-grid backend), so the whole test/bench surface can run the
     /// backend matrix without code changes.
     pub backend: BackendConfig,
@@ -84,8 +84,8 @@ pub struct SimConfig {
     pub timeline: Option<&'static str>,
     /// Durability plane of the SRB server (write-ahead log +
     /// checkpoints). Off by default so the paper's in-memory semantics
-    /// run with zero logging overhead; [`paper_defaults`]
-    /// (Self::paper_defaults) reads `SRB_DURABLE=1` /
+    /// run with zero logging overhead;
+    /// [`paper_defaults`](Self::paper_defaults) reads `SRB_DURABLE=1` /
     /// `SRB_DURABLE_DIR` from the environment.
     pub durable: DurabilityConfig,
 }
@@ -93,8 +93,8 @@ pub struct SimConfig {
 impl SimConfig {
     /// The paper's default settings (Table 7.1). A full run at this scale
     /// matches the paper's 5,000-time-unit experiments and takes a long
-    /// time; the benches use [`bench_defaults`](Self::bench_defaults) unless
-    /// `SRB_FULL_SCALE` is set.
+    /// time; the benches run a reduced scale unless `SRB_FULL_SCALE` is
+    /// set.
     pub fn paper_defaults() -> Self {
         SimConfig {
             n_objects: 100_000,
@@ -123,13 +123,6 @@ impl SimConfig {
         }
     }
 
-    /// Laptop-scale defaults preserving the paper's ratios: trends and
-    /// relative costs stabilize well below the full scale (see DESIGN.md
-    /// §5 for the substitution argument).
-    pub fn bench_defaults() -> Self {
-        SimConfig { n_objects: 4_000, n_queries: 100, duration: 10.0, ..Self::paper_defaults() }
-    }
-
     /// Small configuration for unit/integration tests.
     pub fn test_defaults() -> Self {
         SimConfig {
@@ -143,14 +136,14 @@ impl SimConfig {
     }
 
     /// The maximum speed implied by the mobility model (`2·v̄`).
-    pub fn max_speed(&self) -> f64 {
+    pub(crate) fn max_speed(&self) -> f64 {
         2.0 * self.mean_speed
     }
 
     /// The client's retransmission timeout for this configuration: the
     /// policy's base timeout plus a full round trip at worst-case jitter,
     /// so a retry never fires while the ACK could still be in flight.
-    pub fn retry_timeout(&self) -> f64 {
+    pub(crate) fn retry_timeout(&self) -> f64 {
         self.retry.timeout + 2.0 * (self.delay + self.channel.jitter)
     }
 }
@@ -165,6 +158,7 @@ mod tests {
         assert_eq!(c.n_objects, 100_000);
         assert_eq!(c.n_queries, 1_000);
         assert_eq!(c.mean_speed, 0.01);
+        assert_eq!(c.max_speed(), 0.02);
         assert_eq!(c.mean_period, 0.005);
         assert_eq!(c.q_len, 0.005);
         assert_eq!(c.k_max, 10);
@@ -180,14 +174,5 @@ mod tests {
         if std::env::var("SRB_DURABLE").is_err() {
             assert!(!c.durable.enabled(), "durability is off unless SRB_DURABLE=1");
         }
-    }
-
-    #[test]
-    fn bench_defaults_shrink_but_keep_parameters() {
-        let c = SimConfig::bench_defaults();
-        assert!(c.n_objects < 100_000);
-        assert_eq!(c.q_len, 0.005);
-        assert_eq!(c.grid_m, 50);
-        assert_eq!(c.max_speed(), 0.02);
     }
 }

@@ -80,16 +80,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|Reverse(s)| s.t)
     }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -132,10 +122,10 @@ mod tests {
     #[test]
     fn len_and_empty() {
         let mut q: EventQueue<u8> = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
         q.push(1.0, 1);
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(1.0));
         let _ = q.pop();
-        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 }

@@ -32,26 +32,26 @@ pub fn check_tick(te: f64, g: f64) -> f64 {
 }
 
 /// The mobility model all schemes share, derived from the run config.
-pub fn mobility(cfg: &SimConfig) -> MobilityConfig {
+pub(crate) fn mobility(cfg: &SimConfig) -> MobilityConfig {
     MobilityConfig { space: cfg.space, mean_speed: cfg.mean_speed, mean_period: cfg.mean_period }
 }
 
 /// Fresh random-waypoint trajectories for every object, deterministic in
 /// the master seed.
-pub fn make_trajectories(cfg: &SimConfig) -> Vec<Trajectory> {
+pub(crate) fn make_trajectories(cfg: &SimConfig) -> Vec<Trajectory> {
     let mob = mobility(cfg);
     (0..cfg.n_objects).map(|i| Trajectory::random_waypoint(cfg.seed, i as u64, mob, 0.0)).collect()
 }
 
 /// The fault-injecting channel for this run, seeded on a stream decorrelated
 /// from trajectories and workload.
-pub fn make_channel(cfg: &SimConfig) -> ChannelModel {
+pub(crate) fn make_channel(cfg: &SimConfig) -> ChannelModel {
     ChannelModel::new(cfg.channel, cfg.seed ^ CHANNEL_SEED_XOR, cfg.n_objects, cfg.duration)
 }
 
 /// Total arc length traveled by all clients over the run — recreates each
 /// trajectory from the seed so live clients may forget early history.
-pub fn total_distance(cfg: &SimConfig) -> f64 {
+pub(crate) fn total_distance(cfg: &SimConfig) -> f64 {
     let mob = mobility(cfg);
     (0..cfg.n_objects)
         .map(|i| {
@@ -64,7 +64,7 @@ pub fn total_distance(cfg: &SimConfig) -> f64 {
 /// Scores one ground-truth sample: each query's monitored result against
 /// the truth row, under the spec's match semantics (set for ranges and
 /// unordered kNN, sequence for order-sensitive kNN).
-pub fn score_sample(
+pub(crate) fn score_sample(
     acc: &mut AccuracyAcc,
     specs: &[QuerySpec],
     monitored: &[Vec<u64>],
@@ -77,7 +77,7 @@ pub fn score_sample(
 
 /// Run finalization every scheme shares: the accuracy value, the total
 /// client travel distance, and the amortized communication figures.
-pub fn finalize(metrics: &mut RunMetrics, accuracy: f64, cfg: &SimConfig) {
+pub(crate) fn finalize(metrics: &mut RunMetrics, accuracy: f64, cfg: &SimConfig) {
     metrics.accuracy = accuracy;
     metrics.total_distance = total_distance(cfg);
     metrics.finish_comm(cfg.cost.c_l, cfg.cost.c_p, cfg.n_objects, cfg.duration);
@@ -92,30 +92,6 @@ pub enum Scheme {
     Opt,
     /// Periodic monitoring with the given interval.
     Prd(f64),
-}
-
-/// A runnable monitoring scheme: the uniform interface the harness, benches,
-/// and figure generators drive. [`Scheme`] implements it for the three
-/// built-in schemes; tests can implement it for oracles.
-pub trait MonitoringScheme {
-    /// Human-readable label for figures and logs.
-    fn label(&self) -> String;
-    /// Runs the scheme under `cfg` and returns the aggregated metrics.
-    fn run(&self, cfg: &SimConfig) -> RunMetrics;
-}
-
-impl MonitoringScheme for Scheme {
-    fn label(&self) -> String {
-        match self {
-            Scheme::Srb => "SRB".into(),
-            Scheme::Opt => "OPT".into(),
-            Scheme::Prd(t) => format!("PRD({t})"),
-        }
-    }
-
-    fn run(&self, cfg: &SimConfig) -> RunMetrics {
-        run_scheme(*self, cfg)
-    }
 }
 
 /// Runs one scheme under `cfg`.
@@ -186,13 +162,6 @@ mod tests {
         assert_eq!(check_tick(0.31, 0.1), 0.4);
         assert!((check_tick(0.4, 0.1) - 0.4).abs() < 1e-12);
         assert_eq!(check_tick(0.123, 0.0), 0.123);
-    }
-
-    #[test]
-    fn scheme_labels() {
-        assert_eq!(Scheme::Srb.label(), "SRB");
-        assert_eq!(Scheme::Opt.label(), "OPT");
-        assert_eq!(Scheme::Prd(0.25).label(), "PRD(0.25)");
     }
 
     #[test]

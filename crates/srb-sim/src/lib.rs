@@ -20,12 +20,13 @@
 //! CPU time per logical time unit).
 //!
 //! Beyond the paper, every message can be routed through a lossy
-//! [`ChannelModel`] (loss, duplication, jitter, disconnect windows); SRB
+//! `ChannelModel` (loss, duplication, jitter, disconnect windows); SRB
 //! then recovers via sequence numbers, safe-region leases, and client
 //! retransmission — see `DESIGN.md` §9. The default [`ChannelConfig`] is
 //! ideal and reproduces the paper bit-for-bit.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod channel;
@@ -39,15 +40,14 @@ mod srb;
 mod truth;
 mod workload;
 
-pub use channel::{ChannelConfig, ChannelModel};
+pub use channel::ChannelConfig;
+pub(crate) use channel::ChannelModel;
 pub use config::SimConfig;
 pub use events::EventQueue;
-pub use harness::{
-    check_tick, golden_scenarios, run_scheme, total_distance, MonitoringScheme, Scheme, EXIT_EPS,
-};
-pub use metrics::{AccuracyAcc, RunMetrics};
+pub use harness::{check_tick, golden_scenarios, run_scheme, Scheme, EXIT_EPS};
+pub use metrics::RunMetrics;
 pub use opt::run_opt;
 pub use prd::run_prd;
-pub use srb::{run_srb, run_srb_with};
-pub use truth::{evaluate_truth, results_match, TruthResults};
+pub use srb::run_srb;
+pub use truth::{evaluate_truth, results_match};
 pub use workload::generate_workload;

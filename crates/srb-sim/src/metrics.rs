@@ -59,7 +59,7 @@ impl RunMetrics {
     /// that model a reliable channel set `uplinks_sent = uplinks`. Degenerate
     /// runs (zero objects, zero duration, zero distance) yield `0.0` for the
     /// amortized figures rather than NaN/∞, so downstream JSON stays finite.
-    pub fn finish_comm(&mut self, c_l: f64, c_p: f64, n_objects: usize, duration: f64) {
+    pub(crate) fn finish_comm(&mut self, c_l: f64, c_p: f64, n_objects: usize, duration: f64) {
         if self.uplinks_sent == 0 {
             self.uplinks_sent = self.uplinks;
         }
@@ -73,7 +73,7 @@ impl RunMetrics {
 
 /// Accuracy accumulator.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct AccuracyAcc {
+pub(crate) struct AccuracyAcc {
     hits: u64,
     total: u64,
 }
@@ -82,7 +82,7 @@ impl AccuracyAcc {
     /// Records one `(query, sample)` comparison. Counts saturate instead of
     /// wrapping, so a pathological run degrades the figure gracefully
     /// rather than corrupting it.
-    pub fn record(&mut self, matched: bool) {
+    pub(crate) fn record(&mut self, matched: bool) {
         self.total = self.total.saturating_add(1);
         if matched {
             self.hits = self.hits.saturating_add(1);
@@ -90,17 +90,12 @@ impl AccuracyAcc {
     }
 
     /// The accuracy so far (1.0 when nothing was recorded).
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         if self.total == 0 {
             1.0
         } else {
             self.hits as f64 / self.total as f64
         }
-    }
-
-    /// Number of comparisons recorded.
-    pub fn count(&self) -> u64 {
-        self.total
     }
 }
 
@@ -117,7 +112,7 @@ mod tests {
         a.record(false);
         a.record(true);
         assert!((a.value() - 0.75).abs() < 1e-12);
-        assert_eq!(a.count(), 4);
+        assert_eq!(a.total, 4);
     }
 
     #[test]
@@ -158,12 +153,12 @@ mod tests {
     fn accuracy_saturates_at_u64_max() {
         let mut a = AccuracyAcc { hits: u64::MAX, total: u64::MAX };
         a.record(true);
-        assert_eq!(a.count(), u64::MAX, "total saturates instead of wrapping");
+        assert_eq!(a.total, u64::MAX, "total saturates instead of wrapping");
         assert!((a.value() - 1.0).abs() < 1e-12);
         // A mismatch at saturation can no longer move the ratio, but it
         // must not wrap either.
         a.record(false);
-        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.total, u64::MAX);
         assert!(a.value() <= 1.0);
     }
 

@@ -58,7 +58,7 @@ impl LocationProvider for Provider<'_> {
 /// larger values partition its objects over more shards of the same engine,
 /// which changes no uplink, probe or result.
 /// The object-index backend is selected by `cfg.backend` (monomorphized
-/// through [`run_srb_with`]).
+/// through `run_srb_with`).
 pub fn run_srb(cfg: &SimConfig) -> RunMetrics {
     match cfg.backend {
         BackendConfig::RStar(_) => run_srb_with::<RStarTree>(cfg),
@@ -69,7 +69,7 @@ pub fn run_srb(cfg: &SimConfig) -> RunMetrics {
 
 /// The monomorphic body of [`run_srb`]: runs the SRB scheme on the spatial
 /// backend `B`, which must match the variant of `cfg.backend`.
-pub fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
+pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
     let mob = mobility(cfg);
     let server_cfg = ServerConfig {
         space: cfg.space,

@@ -7,7 +7,7 @@ use srb_geom::{Point, Rect};
 use srb_index::{bulk_load, LeafEntry, TreeConfig};
 
 /// Exact results for each query: object ids, distance-ordered for kNN.
-pub type TruthResults = Vec<Vec<u64>>;
+pub(crate) type TruthResults = Vec<Vec<u64>>;
 
 /// Evaluates every query against exact positions, using an STR-packed
 /// R\*-tree (brute force would dominate the simulator's run time at larger

@@ -214,12 +214,11 @@ fn knn_dense_batches_of_many_movers_stay_exact() {
     }
 }
 
-#[test]
-fn simulator_matches_core_guarantee() {
+fn core_guarantee_over(duration: f64) {
     let cfg = SimConfig {
         n_objects: 200,
         n_queries: 10,
-        duration: 3.0,
+        duration,
         min_reaction: 0.0,
         ..SimConfig::paper_defaults()
     };
@@ -227,6 +226,17 @@ fn simulator_matches_core_guarantee() {
     assert_eq!(m.accuracy, 1.0, "facade SRB run must be exact: {m:?}");
     let o = run_scheme(Scheme::Opt, &cfg);
     assert!(o.comm_cost <= m.comm_cost);
+}
+
+#[test]
+fn simulator_matches_core_guarantee() {
+    core_guarantee_over(1.0);
+}
+
+#[test]
+#[ignore = "3 tu at instant reaction: run in release with `--ignored`"]
+fn simulator_matches_core_guarantee_over_three_tu() {
+    core_guarantee_over(3.0);
 }
 
 #[test]
