@@ -13,7 +13,7 @@ use crate::scratch::KnnPatch;
 use crate::view::{FleetView, MergedNearest};
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::{NearestStream, SpatialBackend};
+use srb_index::SpatialBackend;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -296,7 +296,8 @@ pub(crate) struct KnnEval {
 /// A stream item: one object with its bound and sort key `key = δ(q, sr)` —
 /// the *raw* safe-region distance. Pop order must use raw keys so that the
 /// key of the next popped item lower-bounds the raw δ of everything still in
-/// the stream (quarantine radii depend on that). The bound itself may be
+/// the stream (quarantine radii depend on that); equal keys pop in id order,
+/// the order the browse yields them in. The bound itself may be
 /// reachability-refined and is used for membership confirmations (§6.1).
 struct Item {
     key: f64,
@@ -312,7 +313,7 @@ impl Item {
 
 impl PartialEq for Item {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for Item {}
@@ -323,12 +324,12 @@ impl PartialOrd for Item {
 }
 impl Ord for Item {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.total_cmp(&other.key)
+        self.key.total_cmp(&other.key).then(self.oid.cmp(&other.oid))
     }
 }
 
 /// Merges the view's best-first browser with probed exact points pushed
-/// back into the frontier, yielding objects in non-decreasing key order.
+/// back into the frontier, yielding objects in ascending `(key, id)`.
 struct Stream<'a, B: SpatialBackend> {
     browser: MergedNearest<'a, B>,
     heap: BinaryHeap<Reverse<Item>>,
@@ -347,20 +348,17 @@ impl<'a, B: SpatialBackend> Stream<'a, B> {
     /// Next object by key, skipping `exclude`.
     fn next(&mut self, ctx: &EvalCtx<'_, B>, exclude: &[ObjectId]) -> Option<Item> {
         loop {
-            // Pull from the browser until its lower bound can no longer beat
-            // the heap top.
-            while let Some(d) = self.browser.peek_dist() {
-                if self.heap.peek().is_none_or(|Reverse(t)| d < t.key) {
-                    if let Some(n) = self.browser.next() {
-                        let oid = ObjectId(n.id as u32);
-                        if exclude.contains(&oid) {
-                            continue;
-                        }
-                        let bound = ctx.bound(oid, n.rect);
-                        self.heap.push(Reverse(Item::new(oid, bound, self.q)));
-                    }
-                } else {
+            // Pull from the browser until its next entry no longer comes
+            // before the heap top.
+            while let Some((d, id)) = self.browser.peek() {
+                let oid = ObjectId(id as u32);
+                if self.heap.peek().is_some_and(|Reverse(t)| (t.key, t.oid) <= (d, oid)) {
                     break;
+                }
+                let n = self.browser.next().expect("peeked");
+                if !exclude.contains(&oid) {
+                    let bound = ctx.bound(oid, n.rect);
+                    self.heap.push(Reverse(Item::new(oid, bound, self.q)));
                 }
             }
             let Reverse(item) = self.heap.pop()?;

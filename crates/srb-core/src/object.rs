@@ -1,10 +1,10 @@
 //! Per-object server-side state: the safe region, the last reported
 //! location, and its timestamp (needed by the reachability circle, §6.1).
 //!
-//! Storage is a dense generational slab: states live contiguously in slot
-//! order, an `ObjectId -> slot` map (shared fast hasher, see `srb-hash`)
-//! resolves lookups in one multiply-hash probe, and freed slots are recycled
-//! through a free list with a bumped generation.
+//! Storage is a dense slab: states live contiguously in slot order, an
+//! `ObjectId -> slot` map (shared fast hasher, see `srb-hash`) resolves
+//! lookups in one multiply-hash probe, and freed slots are recycled through
+//! a free list.
 //! Steady-state report handling (`get`/`get_mut`/`set` of existing ids)
 //! performs no heap allocation.
 
@@ -28,16 +28,11 @@ pub(crate) struct ObjectState {
     pub(crate) last_seq: u64,
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    gen: u32,
-    occupant: Option<(ObjectId, ObjectState)>,
-}
-
-/// Dense generational slab of object states keyed by [`ObjectId`].
+/// Dense slab of object states keyed by [`ObjectId`].
 #[derive(Clone, Debug, Default)]
 pub(crate) struct ObjectTable {
-    entries: Vec<Entry>,
+    /// Slot occupants; `None` is a free slot.
+    entries: Vec<Option<(ObjectId, ObjectState)>>,
     free: Vec<u32>,
     slot_of: FastMap<ObjectId, u32>,
     high_water: usize,
@@ -57,18 +52,17 @@ impl ObjectTable {
     /// Registers or replaces an object's state.
     pub(crate) fn set(&mut self, id: ObjectId, state: ObjectState) {
         if let Some(&idx) = self.slot_of.get(&id) {
-            // Replace in place; the slot keeps its generation while occupied.
-            self.entries[idx as usize].occupant = Some((id, state));
+            self.entries[idx as usize] = Some((id, state));
             return;
         }
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.entries[idx as usize].occupant = Some((id, state));
+                self.entries[idx as usize] = Some((id, state));
                 idx
             }
             None => {
                 let idx = self.entries.len() as u32;
-                self.entries.push(Entry { gen: 0, occupant: Some((id, state)) });
+                self.entries.push(Some((id, state)));
                 idx
             }
         };
@@ -83,22 +77,19 @@ impl ObjectTable {
     /// The state of `id`, if registered.
     pub(crate) fn get(&self, id: ObjectId) -> Option<&ObjectState> {
         let &idx = self.slot_of.get(&id)?;
-        self.entries[idx as usize].occupant.as_ref().map(|(_, st)| st)
+        self.entries[idx as usize].as_ref().map(|(_, st)| st)
     }
 
     /// Mutable state access.
     pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
         let &idx = self.slot_of.get(&id)?;
-        self.entries[idx as usize].occupant.as_mut().map(|(_, st)| st)
+        self.entries[idx as usize].as_mut().map(|(_, st)| st)
     }
 
-    /// Removes an object, returning its state. Frees the slot for reuse and
-    /// bumps its generation.
+    /// Removes an object, returning its state. Frees the slot for reuse.
     pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let idx = self.slot_of.remove(&id)?;
-        let entry = &mut self.entries[idx as usize];
-        let old = entry.occupant.take().map(|(_, st)| st);
-        entry.gen = entry.gen.wrapping_add(1);
+        let old = self.entries[idx as usize].take().map(|(_, st)| st);
         self.free.push(idx);
         srb_obs::gauge!("objects.slab_occupancy").set(self.slot_of.len() as u64);
         old
@@ -106,15 +97,14 @@ impl ObjectTable {
 
     /// Serializes the slab for a durability checkpoint. Slots are written
     /// in dense order and the free list verbatim, so a decoded table is
-    /// bit-identical in structure (slot assignment, reuse order,
-    /// generations) to the original — only the `slot_of` hash map is
-    /// rebuilt, and it is never iterated in hash order anywhere.
+    /// bit-identical in structure (slot assignment, reuse order) to the
+    /// original — only the `slot_of` hash map is rebuilt, and it is never
+    /// iterated in hash order anywhere.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         use srb_durable::codec::*;
         put_usize(out, self.entries.len());
         for e in &self.entries {
-            put_u32(out, e.gen);
-            match &e.occupant {
+            match e {
                 None => put_u8(out, 0),
                 Some((id, st)) => {
                     put_u8(out, 1);
@@ -139,11 +129,10 @@ impl ObjectTable {
         dec: &mut srb_durable::Dec<'_>,
     ) -> Result<Self, srb_durable::DurableError> {
         use srb_durable::DurableError;
-        let n = dec.len(5)?;
+        let n = dec.len(1)?;
         let mut entries = Vec::with_capacity(n);
         let mut slot_of = FastMap::default();
         for idx in 0..n {
-            let gen = dec.u32()?;
             let occupant = match dec.u8()? {
                 0 => None,
                 1 => {
@@ -159,13 +148,13 @@ impl ObjectTable {
                 }
                 _ => return Err(DurableError::Corrupt("bad occupant tag")),
             };
-            entries.push(Entry { gen, occupant });
+            entries.push(occupant);
         }
         let n_free = dec.len(4)?;
         let mut free = Vec::with_capacity(n_free);
         for _ in 0..n_free {
             let idx = dec.u32()?;
-            if idx as usize >= entries.len() || entries[idx as usize].occupant.is_some() {
+            if idx as usize >= entries.len() || entries[idx as usize].is_some() {
                 return Err(DurableError::Corrupt("free list names an occupied slot"));
             }
             free.push(idx);
@@ -181,12 +170,10 @@ impl ObjectTable {
     /// [`ObjectTable::get`]/[`ObjectTable::get_mut`].
     pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectState)> {
         let mut order: Vec<u32> = self.slot_of.values().copied().collect();
-        order.sort_unstable_by_key(|&idx| {
-            self.entries[idx as usize].occupant.as_ref().map(|(id, _)| id.0)
-        });
-        order.into_iter().filter_map(|idx| {
-            self.entries[idx as usize].occupant.as_ref().map(|(id, st)| (*id, st))
-        })
+        order.sort_unstable_by_key(|&idx| self.entries[idx as usize].as_ref().map(|(id, _)| id.0));
+        order
+            .into_iter()
+            .filter_map(|idx| self.entries[idx as usize].as_ref().map(|(id, st)| (*id, st)))
     }
 }
 
@@ -245,17 +232,15 @@ mod tests {
     }
 
     #[test]
-    fn slot_reuse_bumps_generation() {
+    fn freed_slot_is_recycled() {
         let mut t = ObjectTable::new();
         t.set(ObjectId(7), state(0.7));
         t.remove(ObjectId(7));
         assert!(t.get(ObjectId(7)).is_none());
 
-        // The freed slot is recycled for the next registration, one
-        // generation on.
+        // The freed slot is recycled for the next registration.
         t.set(ObjectId(11), state(0.11));
         assert_eq!(t.entries.len(), 1, "free list should recycle the slot");
-        assert_eq!(t.entries[0].gen, 1);
         assert_eq!(t.get(ObjectId(11)).unwrap().p_lst, Point::new(0.11, 0.11));
         assert!(t.get(ObjectId(7)).is_none());
     }

@@ -23,9 +23,6 @@ pub struct QueryProcessor {
     /// Slot-allocated query states (`None` = free slot, ids are reused).
     /// A [`QueryId`] *is* its slot index.
     queries: Vec<Option<QueryState>>,
-    /// Per-slot reuse generation, bumped on deregistration, so callers can
-    /// tell a reused id apart from the query that previously held it.
-    gens: Vec<u32>,
     /// Live-query count (kept so occupancy is O(1)).
     live: usize,
     /// Most queries ever live at once.
@@ -38,7 +35,6 @@ impl QueryProcessor {
     pub fn new(space: Rect, m: usize) -> Self {
         QueryProcessor {
             queries: Vec::new(),
-            gens: Vec::new(),
             live: 0,
             high_water: 0,
             grid: GridIndex::new(space, m),
@@ -91,7 +87,6 @@ impl QueryProcessor {
             }
         }
         self.queries.push(None);
-        self.gens.push(0);
         QueryId((self.queries.len() - 1) as u32)
     }
 
@@ -109,15 +104,14 @@ impl QueryProcessor {
         srb_obs::gauge!("processor.slot_occupancy").set(self.live as u64);
     }
 
-    /// Deregisters a query, clearing its grid buckets and bumping the
-    /// slot's reuse generation. Returns `false` for unknown ids.
+    /// Deregisters a query and clears its grid buckets. Returns `false` for
+    /// unknown ids.
     pub(crate) fn remove(&mut self, id: QueryId) -> bool {
         let Some(slot) = self.queries.get_mut(id.index()) else {
             return false;
         };
         let Some(qs) = slot.take() else { return false };
         self.grid.remove(id, &qs.quarantine.bbox());
-        self.gens[id.index()] = self.gens[id.index()].wrapping_add(1);
         self.live -= 1;
         srb_obs::gauge!("processor.slot_occupancy").set(self.live as u64);
         true
@@ -281,8 +275,8 @@ impl QueryProcessor {
 
     /// Serializes the processor for a durability checkpoint: the query
     /// slots in slot order (ids are slot indices, so this preserves
-    /// lowest-free-id allocation), the per-slot reuse generations, the
-    /// occupancy counters, and the grid index.
+    /// lowest-free-id allocation), the occupancy counters, and the grid
+    /// index.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         use srb_durable::codec::*;
         put_usize(out, self.queries.len());
@@ -294,9 +288,6 @@ impl QueryProcessor {
                     crate::wal::put_query_state(out, qs);
                 }
             }
-        }
-        for &g in &self.gens {
-            put_u32(out, g);
         }
         put_usize(out, self.high_water);
         self.grid.encode_state(out);
@@ -321,16 +312,12 @@ impl QueryProcessor {
                 _ => return Err(DurableError::Corrupt("bad query slot tag")),
             }
         }
-        let mut gens = Vec::with_capacity(n);
-        for _ in 0..n {
-            gens.push(dec.u32()?);
-        }
         let high_water = dec.usize()?;
         if high_water < live {
             return Err(DurableError::Corrupt("high water below occupancy"));
         }
         let grid = GridIndex::decode_state(dec)?;
-        Ok(QueryProcessor { queries, gens, live, high_water, grid })
+        Ok(QueryProcessor { queries, live, high_water, grid })
     }
 
     /// Deep consistency check: kNN result lists never exceed `k`.
@@ -370,23 +357,8 @@ mod tests {
         assert_eq!(c, a, "freed slot is reused first");
         p.install(c, state(r));
         assert_eq!(p.live, 2);
+        assert_eq!(p.high_water, 2);
         assert_eq!(p.ids().count(), 2);
-    }
-
-    #[test]
-    fn deregistration_bumps_slot_generation() {
-        let mut p = QueryProcessor::new(Rect::UNIT, 4);
-        let r = Rect::new(Point::new(0.1, 0.1), Point::new(0.2, 0.2));
-        let a = p.alloc_id();
-        p.install(a, state(r));
-        assert_eq!(p.gens[a.index()], 0);
-        p.remove(a);
-        assert_eq!(p.gens[a.index()], 1);
-        let b = p.alloc_id();
-        assert_eq!(b, a, "slot reused");
-        p.install(b, state(r));
-        assert_eq!(p.gens[b.index()], 1, "reused id carries the bumped generation");
-        assert_eq!(p.high_water, 1);
     }
 
     #[test]

@@ -70,9 +70,9 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue and shards holding neither ("SRBFLT" + version).
-/// See `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0003;
+/// plane, one timer queue, shards holding neither, and no reuse generations
+/// ("SRBFLT" + version). See `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0004;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -1440,8 +1440,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // Where this tag sits, every older checkpoint — one shard whose own
         // stack was the engine, several shards each a replica of every
         // query, shards that still carried a query processor (version 1) or
-        // timers of their own (version 2) — holds a counter or an earlier
-        // version: refused here, never misread.
+        // timers of their own (version 2), slots that still carried reuse
+        // generations (version 3) — holds a counter or an earlier version:
+        // refused here, never misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
@@ -2076,32 +2077,29 @@ mod tests {
         payload
     }
 
-    /// A checkpoint of the layout before this one, whose shards each kept
-    /// their own timers (version 2), at `shards`.
-    fn version_2(shards: usize) -> Vec<u8> {
+    /// A checkpoint of the older layout `version` at `shards`: 1, shards
+    /// each carrying a query processor; 2, shards keeping timers of their
+    /// own; 3, a reuse generation per object slot and per query slot.
+    fn older(version: u64, shards: usize) -> Vec<u8> {
         let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 1);
+        put_u64(&mut payload, FLEET_LAYOUT - 4 + version);
         put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
         payload
     }
 
     /// A multi-shard checkpoint from before the one query plane (every
     /// shard a replica of every query, an always-zero counter block right
-    /// after the shard count), from when its shards still carried a query
-    /// processor each (layout version 1), or from when they still kept
-    /// timers of their own (version 2), is refused with a typed error; it
-    /// is never decoded as something else.
+    /// after the shard count), or of any older layout version, is refused
+    /// with a typed error; it is never decoded as something else.
     #[test]
     fn older_multi_shard_checkpoint_is_refused_not_misread() {
         let mut replicas = checkpoint_header(2);
         WorkStats::default().encode(&mut replicas);
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
         refused(2, &replicas);
-        let mut version_1 = checkpoint_header(2);
-        put_u64(&mut version_1, FLEET_LAYOUT - 2);
-        put_u64(&mut version_1, 0); // coordinator probes, counters, owner map …
-        refused(2, &version_1);
-        refused(2, &version_2(2));
+        for version in 1..=3 {
+            refused(2, &older(version, 2));
+        }
         // The current layout round-trips.
         let config = ServerConfig::default();
         let (fleet, _) = fleet(config, 2, 1);
@@ -2115,8 +2113,8 @@ mod tests {
     /// A one-shard checkpoint from when one shard's own stack was the whole
     /// engine (zeroed coordinator counters right after the shard count, a
     /// spec per query slot, the shard's state with its own query processor),
-    /// or from when the shard kept its own timers (version 2), gets the same
-    /// typed refusal.
+    /// or from when the shard kept its own timers (version 2) or slots kept
+    /// reuse generations (version 3), gets the same typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -2126,7 +2124,8 @@ mod tests {
         put_usize(&mut legacy, 0); // the always-empty list
         put_u8(&mut legacy, 0); // no controller; the shard's state …
         refused(1, &legacy);
-        refused(1, &version_2(1));
+        refused(1, &older(2, 1));
+        refused(1, &older(3, 1));
         // The current layout is the one layout: one shard round-trips too.
         let config = ServerConfig::default();
         let (engine, _) = fleet(config, 1, 1);
@@ -2402,8 +2401,8 @@ mod tests {
     /// batch from distances a hair apart (a stale region between them would
     /// leave no room), each is exactly known to the other's ring, the
     /// midpoint rule separates them, and nobody is probed. (From exactly
-    /// one distance their rank is the browse's tie rule — the lower shard
-    /// first — the one place a shard count can show.)
+    /// one distance they rank by id, the browse's one tie order, at any
+    /// shard count.)
     #[test]
     fn neighbour_probe_scenarios_read_the_same_at_one_shard_and_two() {
         let ids = |raw: [u32; 3]| raw.map(ObjectId);

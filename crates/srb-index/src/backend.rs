@@ -15,8 +15,8 @@
 //! Both expose identical semantics (verified by the backend-equivalence
 //! property test in `tests/prop_backend.rs`): rectangles keyed by [`EntryId`],
 //! closed-interval intersection search, and incremental best-first
-//! nearest-neighbor browsing through the [`NearestStream`] interface the
-//! paper's Algorithm 2 consumes.
+//! nearest-neighbor browsing in one total order, `(δ(q, rect), id)`, which
+//! the paper's Algorithm 2 consumes.
 
 use crate::node::NodeId;
 use crate::{ConfigError, GridConfig};
@@ -230,30 +230,23 @@ impl BackendConfig {
     }
 }
 
-/// Incremental best-first nearest-neighbor browsing: entries come out in
-/// non-decreasing `δ(q, rect)` order, and [`peek_dist`](Self::peek_dist)
-/// exposes the next key without consuming it so callers can interleave the
-/// browse with externally probed exact locations (the paper's Algorithm 2).
-pub trait NearestStream: Iterator<Item = Neighbor> {
-    /// The `δ` key of the next entry/structural unit, or `None` when the
-    /// browse is exhausted.
-    fn peek_dist(&self) -> Option<f64>;
-}
-
 /// A spatial index over `EntryId`-keyed rectangles, as the object index of
 /// the SRB framework requires (paper §3.2): frequent-update support with a
 /// bottom-up fast path, closed-interval rectangle search, and best-first
 /// nearest-neighbor browsing.
 ///
-/// Implementations must agree on *semantics* (same result sets for the same
-/// contents); they are free to differ in enumeration order, cost profile,
-/// and the [`UpdateOutcome`] fast-path classification. Backends are `Sync`:
-/// the sharded engine reads every shard's index by reference while its
-/// threads compute safe regions.
+/// Implementations must agree on *semantics*: the same result sets for the
+/// same contents, and one browse order — ascending `(δ(q, rect), id)` — so
+/// which of several equidistant entries comes first never depends on the
+/// backend. They are free to differ in cost profile, in the order `search`
+/// visits its hits, and in the [`UpdateOutcome`] fast-path classification.
+/// Backends are `Sync`: the sharded engine reads every shard's index by
+/// reference while its threads compute safe regions.
 pub trait SpatialBackend: Sync {
     /// The backend's best-first browse iterator (a GAT so backends can
-    /// borrow internal structures without boxing).
-    type Nearest<'a>: NearestStream + 'a
+    /// borrow internal structures without boxing): every entry once, in
+    /// ascending `(δ(q, rect), id)`.
+    type Nearest<'a>: Iterator<Item = Neighbor> + 'a
     where
         Self: 'a;
 
@@ -379,7 +372,11 @@ pub trait SpatialBackend: Sync {
 // ---------------------------------------------------------------------------
 
 /// One frontier element of a best-first browse: a structural unit (tree
-/// node or grid cell) or a concrete entry, keyed by min-distance.
+/// node or grid cell) or a concrete entry, ordered by `(dist, units before
+/// entries, id)`. A unit's key never exceeds the key of an entry below it,
+/// and at an equal key it is expanded first, so every entry at a key is on
+/// the frontier before the first of them pops: entries come out in
+/// ascending `(δ, id)` whatever the structure's layout.
 pub(crate) struct HeapItem {
     pub(crate) dist: f64,
     pub(crate) kind: HeapKind,
@@ -393,9 +390,19 @@ pub(crate) enum HeapKind {
     Entry(EntryId, Rect),
 }
 
+impl HeapItem {
+    /// The tie-break after `dist`: units first, then by id.
+    fn rank(&self) -> (bool, u64) {
+        match self.kind {
+            HeapKind::Node(n) => (false, u64::from(n)),
+            HeapKind::Entry(id, _) => (true, id),
+        }
+    }
+}
+
 impl PartialEq for HeapItem {
     fn eq(&self, other: &Self) -> bool {
-        self.dist == other.dist
+        self.cmp(other).is_eq()
     }
 }
 
@@ -409,7 +416,7 @@ impl PartialOrd for HeapItem {
 
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.total_cmp(&other.dist)
+        self.dist.total_cmp(&other.dist).then_with(|| self.rank().cmp(&other.rank()))
     }
 }
 

@@ -16,7 +16,7 @@
 //! bit-identical, which is what lets the durability plane checkpoint and
 //! replay across migrations.
 
-use crate::backend::{BackendConfig, BackendKind, NearestScratch, NearestStream};
+use crate::backend::{BackendConfig, BackendKind, NearestScratch};
 use crate::persist::{dec_rect, put_rect};
 use crate::{
     EntryId, GridNearest, LeafEntry, NearestIter, Neighbor, RStarTree, SpatialBackend, UniformGrid,
@@ -265,15 +265,6 @@ impl Iterator for DynNearest<'_> {
         match self {
             DynNearest::RStar(it) => it.next(),
             DynNearest::Grid(it) => it.next(),
-        }
-    }
-}
-
-impl NearestStream for DynNearest<'_> {
-    fn peek_dist(&self) -> Option<f64> {
-        match self {
-            DynNearest::RStar(it) => it.peek_dist(),
-            DynNearest::Grid(it) => it.peek_dist(),
         }
     }
 }

@@ -15,8 +15,8 @@
 //! deduplication needs no allocation. Best-first nearest-neighbor browsing
 //! expands Chebyshev rings of cells around the query point and interleaves
 //! them with candidate entries on the shared frontier heap, preserving the
-//! non-decreasing `δ(q, rect)` contract of
-//! [`NearestStream`](crate::NearestStream).
+//! `(δ(q, rect), id)` browse order of
+//! [`SpatialBackend`](crate::SpatialBackend).
 //!
 //! Cell sizing: throughput is best when a typical stored rectangle overlaps
 //! O(1) cells — pick `m` so the cell side stays a few times larger than the
@@ -25,7 +25,7 @@
 
 use crate::backend::{BackendConfig, BackendKind, HeapItem, HeapKind, NearestScratch, Visits};
 use crate::UpdateOutcome;
-use crate::{ConfigError, EntryId, LeafEntry, NearestStream, Neighbor, SpatialBackend};
+use crate::{ConfigError, EntryId, LeafEntry, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
 use std::cmp::Reverse;
@@ -266,8 +266,8 @@ impl UniformGrid {
         self.rects.iter().map(|(&id, &rect)| LeafEntry { id, rect })
     }
 
-    /// Incremental best-first browsing of entries by increasing
-    /// `δ(q, rect)` via Chebyshev ring expansion around `q`'s cell.
+    /// Incremental best-first browsing of entries by ascending
+    /// `(δ(q, rect), id)` via Chebyshev ring expansion around `q`'s cell.
     pub(crate) fn nearest_iter(&self, q: Point) -> GridNearest<'_> {
         self.nearest_impl(q, BinaryHeap::new(), None)
     }
@@ -422,8 +422,8 @@ impl SpatialBackend for UniformGrid {
     }
 }
 
-/// Iterator of [`UniformGrid::nearest_iter`]: yields entries in
-/// non-decreasing `δ(q, rect)` order.
+/// Iterator of [`UniformGrid::nearest_iter`]: yields entries in ascending
+/// `(δ(q, rect), id)` order.
 ///
 /// Cells enter the frontier ring by ring (Chebyshev distance from the
 /// query's cell); ring `r` is only expanded once the frontier head could be
@@ -505,22 +505,6 @@ impl GridNearest<'_> {
         // Once the ring's box covers the whole grid there is nothing left.
         if ci - r <= 0 && cj - r <= 0 && ci + r >= m - 1 && cj + r >= m - 1 {
             self.exhausted = true;
-        }
-    }
-}
-
-impl NearestStream for GridNearest<'_> {
-    fn peek_dist(&self) -> Option<f64> {
-        // The frontier head is only trustworthy once no unexpanded ring
-        // could beat it; peek therefore reports the conservative minimum of
-        // the head key and the next ring's lower bound.
-        match (self.heap.peek(), self.exhausted) {
-            (None, true) => None,
-            (None, false) => Some(self.ring_lower_bound(self.next_ring)),
-            (Some(Reverse(item)), true) => Some(item.dist),
-            (Some(Reverse(item)), false) => {
-                Some(item.dist.min(self.ring_lower_bound(self.next_ring)))
-            }
         }
     }
 }

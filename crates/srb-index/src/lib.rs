@@ -43,9 +43,7 @@ mod node;
 mod persist;
 mod split;
 
-pub use backend::{
-    AdaptiveConfig, BackendConfig, BackendKind, NearestScratch, NearestStream, SpatialBackend,
-};
+pub use backend::{AdaptiveConfig, BackendConfig, BackendKind, NearestScratch, SpatialBackend};
 pub use bulk::bulk_load;
 pub use dyn_backend::DynBackend;
 pub(crate) use grid::GridNearest;
@@ -709,9 +707,9 @@ impl RStarTree {
         AllEntries::new(self)
     }
 
-    /// Incremental best-first browsing of entries by increasing
-    /// `δ(q, rect)` (Hjaltason & Samet) — the traversal underlying the
-    /// paper's Algorithm 2.
+    /// Incremental best-first browsing of entries by ascending
+    /// `(δ(q, rect), id)` (Hjaltason & Samet) — the traversal underlying
+    /// the paper's Algorithm 2.
     pub fn nearest_iter(&self, q: Point) -> NearestIter<'_> {
         self.nearest_impl(q, BinaryHeap::new(), None)
     }
@@ -852,8 +850,8 @@ impl Iterator for AllEntries<'_> {
     }
 }
 
-/// Iterator of [`RStarTree::nearest_iter`]: yields entries in
-/// non-decreasing `δ(q, rect)` order.
+/// Iterator of [`RStarTree::nearest_iter`]: yields entries in ascending
+/// `(δ(q, rect), id)` order.
 pub struct NearestIter<'a> {
     tree: &'a RStarTree,
     q: Point,
@@ -874,21 +872,6 @@ impl Drop for NearestIter<'_> {
         if let Some(scratch) = self.scratch.take() {
             scratch.put(std::mem::take(&mut self.heap));
         }
-    }
-}
-
-impl NearestIter<'_> {
-    /// The `δ` key of the next entry/node without consuming it. Useful to
-    /// interleave with externally-probed exact locations, as the paper's
-    /// Algorithm 2 requires.
-    pub(crate) fn peek_dist(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse(item)| item.dist)
-    }
-}
-
-impl NearestStream for NearestIter<'_> {
-    fn peek_dist(&self) -> Option<f64> {
-        NearestIter::peek_dist(self)
     }
 }
 
@@ -1144,7 +1127,6 @@ mod tests {
         {
             let mut it = t.nearest_iter_with(q, &mut scratch);
             assert_eq!(it.next().map(|n| n.id), plain.first().copied());
-            assert!(NearestStream::peek_dist(&it).is_some());
         }
         assert!(scratch.capacity() > 0);
         let again: Vec<u64> = t.nearest_iter_with(q, &mut scratch).map(|n| n.id).collect();

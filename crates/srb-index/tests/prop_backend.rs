@@ -5,11 +5,14 @@
 //! *identical result sets* — the trait seam swaps cost profiles, never
 //! semantics. All three are additionally cross-checked against a
 //! brute-force oracle so an agreeing-but-wrong trio cannot slip through.
+//! The browse order is part of that contract: every backend yields its
+//! entries in ascending `(δ, id)`, and about half the rectangles are
+//! duplicates or sit on a coarse lattice, so equal keys are common.
 
 use srb_cases::{cases, Rng, Seeds};
 use srb_geom::{Point, Rect};
 use srb_index::{
-    BackendConfig, DynBackend, GridConfig, NearestStream, RStarTree, SpatialBackend, TreeConfig,
+    BackendConfig, DynBackend, GridConfig, NearestScratch, RStarTree, SpatialBackend, TreeConfig,
     UniformGrid,
 };
 use std::collections::HashMap;
@@ -18,10 +21,40 @@ use std::collections::HashMap;
 const REGRESSIONS: &[u64] = &[];
 const CASES: u64 = 192;
 
-/// A rectangle centered in the unit square, half-extents below 0.1.
-fn rect(rng: &mut Rng) -> Rect {
-    let c = Point::new(rng.unit(), rng.unit());
-    Rect::centered(c, rng.float(0.0, 0.1), rng.float(0.0, 0.1))
+/// `v` snapped to the lattice of step 1/8.
+fn snap(v: f64) -> f64 {
+    (v * 8.0).round() / 8.0
+}
+
+/// A coordinate of the unit square, on the 1/8 lattice half the time.
+fn coord(rng: &mut Rng) -> f64 {
+    let v = rng.unit();
+    if rng.below(2) == 0 {
+        snap(v)
+    } else {
+        v
+    }
+}
+
+/// A rectangle centered in the unit square, half-extents below 0.1: a copy
+/// of a stored one a quarter of the time, on the 1/8 lattice (half-extents
+/// in sixteenths) another quarter.
+fn rect(rng: &mut Rng, stored: &HashMap<u64, Rect>) -> Rect {
+    match rng.below(4) {
+        0 if !stored.is_empty() => {
+            let mut ids: Vec<u64> = stored.keys().copied().collect();
+            ids.sort_unstable();
+            stored[&rng.pick(&ids)]
+        }
+        1 => {
+            let c = Point::new(snap(rng.unit()), snap(rng.unit()));
+            Rect::centered(c, rng.below(2) as f64 / 16.0, rng.below(2) as f64 / 16.0)
+        }
+        _ => {
+            let c = Point::new(rng.unit(), rng.unit());
+            Rect::centered(c, rng.float(0.0, 0.1), rng.float(0.0, 0.1))
+        }
+    }
 }
 
 /// A grid at a resolution drawn from `2..24`, or the R\*-tree.
@@ -41,25 +74,22 @@ fn search_ids<B: SpatialBackend>(b: &B, q: &Rect) -> Vec<u64> {
     ids
 }
 
-/// The full browse as `(dist, id)` pairs sorted by `(dist, id)` — distances
-/// are a pure function of the stored rectangle, so two correct backends
-/// must produce identical sorted sequences even when ties reorder.
-fn nearest_pairs<B: SpatialBackend>(b: &B, q: Point) -> Vec<(f64, u64)> {
-    let mut prev = f64::NEG_INFINITY;
-    let mut out: Vec<(f64, u64)> = Vec::new();
-    let mut it = b.nearest_iter(q);
-    loop {
-        let peek = it.peek_dist();
-        let Some(n) = it.next() else { break };
-        // The stream contract: peek is a valid lower bound, order is
-        // non-decreasing.
-        assert!(peek.expect("peek before a yielded entry") <= n.dist + 1e-12);
-        assert!(n.dist >= prev - 1e-12, "browse out of order");
-        prev = n.dist;
-        out.push((n.dist, n.id));
-    }
-    out.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    out
+/// The browse from `q` as `(dist, id)` pairs, exactly as the backend
+/// yields them — through `nearest_iter` and through `nearest_iter_with`,
+/// which must agree.
+fn browse<B: SpatialBackend>(b: &B, q: Point, scratch: &mut NearestScratch) -> Vec<(f64, u64)> {
+    let plain: Vec<(f64, u64)> = b.nearest_iter(q).map(|n| (n.dist, n.id)).collect();
+    let reused: Vec<(f64, u64)> = b.nearest_iter_with(q, scratch).map(|n| (n.dist, n.id)).collect();
+    assert_eq!(plain, reused, "nearest_iter_with browses like nearest_iter");
+    plain
+}
+
+/// Every stored entry as `(δ(q, rect), id)`, ascending: the one browse
+/// order.
+fn brute_force(oracle: &HashMap<u64, Rect>, q: Point) -> Vec<(f64, u64)> {
+    let mut want: Vec<(f64, u64)> = oracle.iter().map(|(&id, r)| (r.min_dist(q), id)).collect();
+    want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    want
 }
 
 fn backends_agree(rng: &mut Rng) {
@@ -69,13 +99,14 @@ fn backends_agree(rng: &mut Rng) {
     let grid_first = rng.below(2) == 0;
     let mut dynb = DynBackend::build(&backend_config(rng, grid_first), Rect::UNIT);
     let mut oracle: HashMap<u64, Rect> = HashMap::new();
+    let mut scratch = NearestScratch::new();
     for _ in 0..rng.int(1..120) {
         let id = rng.next() % 40;
         // A weighted mix (8:8:8:8:8:3): migrations are rare enough that
         // real workload accumulates between structure swaps.
         match rng.below(43) {
             0..=7 => {
-                let r = rect(rng);
+                let r = rect(rng, &oracle);
                 if let std::collections::hash_map::Entry::Vacant(e) = oracle.entry(id) {
                     tree.insert(id, r);
                     grid.insert(id, r);
@@ -90,7 +121,7 @@ fn backends_agree(rng: &mut Rng) {
                 assert_eq!(SpatialBackend::remove(&mut dynb, id), expected);
             }
             16..=23 => {
-                let r = rect(rng);
+                let r = rect(rng, &oracle);
                 // Outcomes are backend-specific cost classifications;
                 // only the resulting contents must agree.
                 let _ = tree.update(id, r);
@@ -99,7 +130,7 @@ fn backends_agree(rng: &mut Rng) {
                 oracle.insert(id, r);
             }
             24..=31 => {
-                let q = rect(rng);
+                let q = rect(rng, &oracle);
                 let mut expected: Vec<u64> =
                     oracle.iter().filter(|(_, r)| r.intersects(&q)).map(|(&id, _)| id).collect();
                 expected.sort_unstable();
@@ -108,21 +139,15 @@ fn backends_agree(rng: &mut Rng) {
                 assert_eq!(search_ids(&dynb, &q), expected);
             }
             32..=39 => {
-                let q = Point::new(rng.unit(), rng.unit());
-                let got_tree = nearest_pairs(&tree, q);
-                let got_grid = nearest_pairs(&grid, q);
-                let got_dyn = nearest_pairs(&dynb, q);
-                assert_eq!(got_tree.len(), oracle.len());
-                assert_eq!(got_grid.len(), oracle.len());
-                assert_eq!(got_dyn.len(), oracle.len());
-                for ((dt, it), (dg, ig)) in got_tree.iter().zip(got_grid.iter()) {
-                    assert!((dt - dg).abs() < 1e-12);
-                    assert_eq!(it, ig);
-                }
-                for ((dt, it), (dd, id)) in got_tree.iter().zip(got_dyn.iter()) {
-                    assert!((dt - dd).abs() < 1e-12);
-                    assert_eq!(it, id);
-                }
+                let q = Point::new(coord(rng), coord(rng));
+                let want = brute_force(&oracle, q);
+                assert_eq!(browse(&tree, q, &mut scratch), want, "R*-tree browse from {q:?}");
+                assert_eq!(
+                    browse(&grid, q, &mut scratch),
+                    want,
+                    "grid (m = {m}) browse from {q:?}"
+                );
+                assert_eq!(browse(&dynb, q, &mut scratch), want, "DynBackend browse from {q:?}");
             }
             _ => {
                 // Live-migrate the `DynBackend` participant.

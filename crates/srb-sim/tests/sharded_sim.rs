@@ -3,13 +3,15 @@
 //! complete, stay deterministic, monitor exactly, and show the protocol
 //! exactly what the one-shard run shows — the engine evaluates every query
 //! once over the union of its shard indexes, so the partition is invisible:
-//! same uplinks, same probes, same accuracy. With leases on, the engine's
-//! timers are one queue fired in `(due, id)` order, so the lease probes do
-//! not show the partition either.
+//! same uplinks, same probes, same accuracy. The merged best-first browse
+//! breaks equal distances by object id, as every backend does, so who is
+//! held and who is probed does not show the partition either, under
+//! reachability or delayed reports; and the engine's timers are one queue
+//! fired in `(due, id)` order, so lease probes do not.
 //!
 //! The one-shard figures themselves are pinned by the golden tests.
 
-use srb_sim::{run_srb, SimConfig};
+use srb_sim::{run_srb, RunMetrics, SimConfig};
 
 fn cfg(shards: usize) -> SimConfig {
     SimConfig { shards, ..SimConfig::test_defaults() }
@@ -40,18 +42,34 @@ fn sharded_sim_completes_and_monitors_exactly() {
     }
 }
 
-#[test]
-fn leased_fleet_reads_the_one_shard_counts() {
-    let leased = |shards| SimConfig { lease: Some(0.5), ..cfg(shards) };
-    let one = run_srb(&leased(1));
-    assert!(one.lease_probes > 0, "leases lapse in this scenario ({one:?})");
+/// Runs `variant` at one shard and holds the runs at 2, 4 and 8 shards to
+/// its counts. Returns the one-shard run.
+fn fleets_read_the_one_shard_counts(variant: SimConfig) -> RunMetrics {
+    let one = run_srb(&SimConfig { shards: 1, ..variant });
     for shards in [2, 4, 8] {
-        let fleet = run_srb(&leased(shards));
+        let fleet = run_srb(&SimConfig { shards, ..variant });
         assert_eq!(fleet.uplinks, one.uplinks, "{shards} shards: uplinks");
         assert_eq!(fleet.probes, one.probes, "{shards} shards: probes");
         assert_eq!(fleet.lease_probes, one.lease_probes, "{shards} shards: lease_probes");
         assert_eq!(fleet.comm_cost, one.comm_cost, "{shards} shards: comm_cost");
     }
+    one
+}
+
+#[test]
+fn leased_fleet_reads_the_one_shard_counts() {
+    let one = fleets_read_the_one_shard_counts(SimConfig { lease: Some(0.5), ..cfg(1) });
+    assert!(one.lease_probes > 0, "leases lapse in this scenario ({one:?})");
+}
+
+#[test]
+fn reachability_fleet_reads_the_one_shard_counts() {
+    fleets_read_the_one_shard_counts(SimConfig { reachability: true, ..cfg(1) });
+}
+
+#[test]
+fn delayed_fleet_reads_the_one_shard_counts() {
+    fleets_read_the_one_shard_counts(SimConfig { delay: 0.05, ..cfg(1) });
 }
 
 #[test]

@@ -235,43 +235,28 @@ impl Config {
     }
 }
 
-/// What a check instant holds a point to against the reference.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Hold {
-    /// Results and `costs()` everywhere but under reachability (DESIGN.md
-    /// §10's tie order); quarantines, safe regions, last-known state and
-    /// `work()` too where the backend is the R\*-tree.
-    Full,
-    /// Results only. The best-first browse breaks equal keys in an order of
-    /// its index and shard, and regions clipped to one grid cell share
-    /// edges, so a run can probe once or twice more or less than the
-    /// reference, with or without reachability (ROADMAP item 1): the random
-    /// points, and the fixed points that meet such a tie, are held to this.
-    Results,
-}
-
 /// Prints, when the check it guards fails, the line that replays it.
-struct ReplayLine(Config, u64, Hold);
+struct ReplayLine(Config, u64);
 
 impl Drop for ReplayLine {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            eprintln!("add to REGRESSIONS: ({:?}, {:#x}, {:?}),", self.0, self.1, self.2);
+            eprintln!("add to REGRESSIONS: ({:?}, {:#x}),", self.0, self.1);
         }
     }
 }
 
 /// Runs the lattice point `p` on the world `seed` draws, through the
 /// generator and the checker.
-pub fn check(p: Config, seed: u64, hold: Hold) {
-    let _line = ReplayLine(p, seed, hold);
-    fn run<B: SpatialBackend>(p: &Config, seed: u64, hold: Hold) {
-        replay::<B>(p, &generate::<B>(p, seed), hold);
+pub fn check(p: Config, seed: u64) {
+    let _line = ReplayLine(p, seed);
+    fn run<B: SpatialBackend>(p: &Config, seed: u64) {
+        replay::<B>(p, &generate::<B>(p, seed));
     }
     match p.backend {
-        Backend::RStar => run::<RStarTree>(&p, seed, hold),
-        Backend::Grid => run::<UniformGrid>(&p, seed, hold),
-        Backend::Flip | Backend::Adaptive => run::<DynBackend>(&p, seed, hold),
+        Backend::RStar => run::<RStarTree>(&p, seed),
+        Backend::Grid => run::<UniformGrid>(&p, seed),
+        Backend::Flip | Backend::Adaptive => run::<DynBackend>(&p, seed),
     }
 }
 
@@ -681,7 +666,7 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
 
 /// Replays `script` on the point's own engine and checks it after every
 /// call and at every check instant.
-fn replay<B: SpatialBackend>(p: &Config, script: &Script, hold: Hold) {
+fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
     let store = (p.durability != Durability::Off).then(Store::new);
     let cfg = store.as_ref().map_or(script.config, |s| s.config(script.config));
     let recover = || {
@@ -724,7 +709,7 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script, hold: Hold) {
             step = step.call
         );
         for instant in script.instants.iter().filter(|i| i.after == j) {
-            check_instant(p, hold, &e, instant, &script.worlds[instant.world]);
+            check_instant(p, &e, instant, &script.worlds[instant.world]);
         }
     }
     crash::disarm();
@@ -733,13 +718,7 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script, hold: Hold) {
     }
 }
 
-fn check_instant<B: SpatialBackend>(
-    p: &Config,
-    hold: Hold,
-    e: &ShardedServer<B>,
-    i: &Instant,
-    at: &[Point],
-) {
+fn check_instant<B: SpatialBackend>(p: &Config, e: &ShardedServer<B>, i: &Instant, at: &[Point]) {
     let what = format!("check instant after call {}", i.after);
     let alive = |o: usize| i.alive[o];
     for &(q, spec) in &i.live {
@@ -758,16 +737,9 @@ fn check_instant<B: SpatialBackend>(
     for &q in &i.dead {
         assert!(e.results(q).is_none(), "{what}: deregistered {q} answers");
     }
-    // Reachability is excluded because of DESIGN.md §10's tie order.
-    if p.enhancement == Enhancement::Reachability {
-        return;
-    }
     let got = observe(e, &i.live, at.len());
     let want = &i.reference;
     assert_eq!(got.results, want.results, "{what}: results against the reference");
-    if hold == Hold::Results {
-        return;
-    }
     assert_eq!(got.costs, want.costs, "{what}: costs against the reference");
     if p.backend == Backend::RStar {
         assert_eq!(&got, want, "{what}: against the reference");

@@ -448,13 +448,12 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     // the queries are order-sensitive kNN, so most reports go through the
     // ring Ir-lp and its candidate-family search; the rest exercise the
     // circle, the circle complement and the staircase. The pinned values
-    // were printed by this very test, in debug and in release, when the
-    // θ-search became a scan plus a golden-section bracket (it lands on
-    // other θs than the ternary search it replaced, so the regions differ;
-    // EXPERIMENTS.md has old → new): an optimisation of
-    // the Ir-lp search that keeps its regions has to reproduce them
-    // exactly. And the partition does not show: two shards grant the same
-    // rectangles.
+    // were last printed by this very test, in debug and in release, when
+    // best-first ties took the one `(δ, id)` order and the checkpoint
+    // dropped its reuse generations (EXPERIMENTS.md has old → new): an
+    // optimisation of the Ir-lp search that keeps its regions has to
+    // reproduce them exactly. And the partition does not show: two shards
+    // grant the same rectangles, with the §6 enhancements on or off.
     const N: usize = 400;
     const QUERIES: u64 = 48;
     const BATCHES: u64 = 24;
@@ -542,20 +541,20 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
 
     let plain = run(ServerConfig::default(), 1);
     let enhanced = run(ServerConfig::enhanced(0.2, 0.5), 1);
-    // (With the reachability enhancement on, a best-first browse meets
-    // objects whose stored rectangles tie in a shard-specific order, so
-    // there the partition may show in who is probed first. Deferred probes
-    // fire in `(due, id)` order at every shard count.)
-    let (_, hash, grants) = run(ServerConfig::default(), 2);
-    assert_eq!((hash, grants), (plain.1, plain.2), "two shards grant other regions than one");
+    for (config, one) in
+        [(ServerConfig::default(), plain), (ServerConfig::enhanced(0.2, 0.5), enhanced)]
+    {
+        let (_, hash, grants) = run(config, 2);
+        assert_eq!((hash, grants), (one.1, one.2), "two shards grant other regions than one");
+    }
     assert_eq!(
         plain,
-        (0x1DFE_66AF_5E30_9C3B, 0x1AC3_D41D_85CB_D57D, 5426),
+        (0x9D7B_D3AF_D443_B106, 0x1AC3_D41D_85CB_D57D, 5426),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0x3825_E8F1_93BE_66B2, 0xD559_D664_E464_3700, 5456),
+        (0x293E_4D02_A1C9_449F, 0x48E6_0A4E_8CF9_800E, 5457),
         "weighted-perimeter regions moved"
     );
 }

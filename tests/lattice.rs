@@ -15,7 +15,7 @@ use common::Backend::{self, *};
 use common::Delivery::{self, *};
 use common::Durability::*;
 use common::Enhancement::{self, *};
-use common::{check, point, populate, Config, Hold, Rng, Store};
+use common::{check, point, populate, Config, Rng, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
     AdaptiveConfig, BackendConfig, BackendKind, DynBackend, FnProvider, GridConfig, ObjectId,
@@ -27,7 +27,7 @@ use std::path::PathBuf;
 
 /// Points and seeds that once failed, as the failure printed them.
 /// `lattice_full` replays them first.
-const REGRESSIONS: &[(Config, u64, Hold)] = &[];
+const REGRESSIONS: &[(Config, u64)] = &[];
 
 const P: Config = Config {
     shards: 1,
@@ -64,7 +64,7 @@ const CROSS_SECTION: &[(Config, u64)] = &[
 #[test]
 fn lattice_cross_section() {
     for &(p, seed) in CROSS_SECTION {
-        check(p, seed, Hold::Full);
+        check(p, seed);
     }
 }
 
@@ -132,45 +132,18 @@ fn enumerated() -> Vec<Config> {
     points
 }
 
-/// Enumerated points whose seed meets a best-first tie: the run probes once
-/// or twice more or less than the reference, with the same results, so it
-/// is held to results only until ROADMAP item 1 fixes the tie order.
-const TIES: &[(Config, u64)] = &[
-    (Config { shards: 4, backend: Flip, ..P }, 0x1a77_1cf4),
-    (Config { shards: 4, backend: Flip, delivery: PerCall, ..P }, 0x1a77_1cf5),
-    (Config { shards: 2, durability: Crash(CkptPrune, 1), enhancement: Lease, ..P }, 0x1a77_1d8a),
-    (
-        Config { shards: 2, threads: 2, durability: Crash(LogAppend, 3), enhancement: Lease, ..P },
-        0x1a77_1d8e,
-    ),
-    (
-        Config {
-            shards: 2,
-            threads: 2,
-            backend: Grid,
-            durability: Crash(LogWrite, 1),
-            enhancement: Lease,
-            ..P
-        },
-        0x1a77_1e20,
-    ),
-];
-
 #[test]
 #[ignore = "the whole lattice: run in release, `--ignored`"]
 fn lattice_full() {
-    for &(p, seed, hold) in REGRESSIONS {
-        check(p, seed, hold);
+    for &(p, seed) in REGRESSIONS {
+        check(p, seed);
     }
-    let points: Vec<(Config, u64)> = enumerated().into_iter().zip(0x1a77_1ce0..).collect();
-    assert!(TIES.iter().all(|t| points.contains(t)), "every tie names an enumerated point");
-    for (p, seed) in points {
-        let hold = if TIES.contains(&(p, seed)) { Hold::Results } else { Hold::Full };
-        check(p, seed, hold);
+    for (p, seed) in enumerated().into_iter().zip(0x1a77_1ce0..) {
+        check(p, seed);
     }
     // A failure prints the point's typed line above the runner's bare seed;
     // the typed line is the one `REGRESSIONS` takes.
-    cases(&[], Seeds::Clock, 300, |rng| check(Config::random(rng), rng.next(), Hold::Results));
+    cases(&[], Seeds::Clock, 300, |rng| check(Config::random(rng), rng.next()));
 }
 
 // ---------------------------------------------------------------------
