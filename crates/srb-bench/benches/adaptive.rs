@@ -4,9 +4,14 @@
 //! and one the R\*-tree wins (sparse population, update-heavy, kNN
 //! browsing, large safe regions). A static backend is stuck with its
 //! structure through both regimes; the adaptive engine — a [`DynBackend`]
-//! steered by the real [`AdaptiveController`] — must track the phase
-//! switches with live migrations and land at (or under) the better static
-//! backend's total time.
+//! steered by the real [`AdaptiveController`], which reads object counts —
+//! tracks the phase switches with live migrations.
+//!
+//! The bench asserts that every leg answers the same query stream (equal
+//! checksums) and that the adaptive leg migrates at least twice. It does
+//! not assert how the totals compare: the adaptive/grid ratio it prints is
+//! a measurement (EXPERIMENTS.md), and it does not always favour the
+//! adaptive leg.
 //!
 //! A fourth leg pins the *dispatch tax*: the identical steady workload on
 //! a monomorphized [`RStarTree`] vs a `DynBackend` holding one, reported
@@ -96,8 +101,8 @@ struct Outcome {
 }
 
 /// Drives the alternating phases through one backend. `after_round` fires
-/// at every round boundary with the cumulative update count — the adaptive
-/// leg hangs the controller there; static legs pass a no-op. All work,
+/// at every round boundary — the adaptive leg hangs the controller there;
+/// static legs pass a no-op. All work,
 /// including phase-entry resizes and any live migrations performed by the
 /// hook, lands inside the measured time: the adaptive engine pays for its
 /// rebuilds on the same clock it wins rounds with.
@@ -106,11 +111,10 @@ fn run_scenario<B: SpatialBackend>(
     cycles: u64,
     scale: usize,
     seed: u64,
-    mut after_round: impl FnMut(&mut B, u64),
+    mut after_round: impl FnMut(&mut B),
 ) -> Outcome {
     let mut b = B::build(config, Rect::UNIT);
     let mut cur_n = 0usize;
-    let mut updates = 0u64;
     let mut round_no = 1u64;
     let mut hits = 0u64;
     let mut knn_sum = 0.0f64;
@@ -129,7 +133,6 @@ fn run_scenario<B: SpatialBackend>(
             let enter_n = cur_n;
             for i in 0..enter_n {
                 b.update(i as u64, region_of(seed, i as u64, round_no, phase.sr_half));
-                updates += 1;
             }
 
             for round in 1..=phase.rounds {
@@ -143,7 +146,6 @@ fn run_scenario<B: SpatialBackend>(
                 for _ in 0..phase.upd_sweeps {
                     for i in 0..cur_n {
                         b.update(i as u64, region_of(seed, i as u64, round_no, phase.sr_half));
-                        updates += 1;
                     }
                 }
                 for s in 0..phase.searches {
@@ -157,7 +159,7 @@ fn run_scenario<B: SpatialBackend>(
                         knn_sum += nb.dist;
                     }
                 }
-                after_round(&mut b, updates);
+                after_round(&mut b);
             }
             let secs = t0.elapsed().as_secs_f64();
             if pi == 0 {
@@ -179,18 +181,11 @@ fn run_scenario<B: SpatialBackend>(
 
 /// The controller the adaptive leg runs: paper-default thresholds except a
 /// tight decision cadence (so phase tracking costs at most a couple of
-/// rounds of lag per switch), a density threshold sitting low on the
-/// dense regime's arrival ramp, and a hot-window bar the dense regime's
-/// search burst clears in its very first round — so the structure flips
-/// while the population, and therefore the rebuild, is still small.
+/// rounds of lag per switch) and a density threshold sitting low on the
+/// dense regime's arrival ramp, so the structure flips while the
+/// population, and therefore the rebuild, is still small.
 fn controller_config() -> AdaptiveConfig {
-    AdaptiveConfig {
-        decision_every: 1,
-        confirm: 1,
-        dense_above: 3_000,
-        hot_visits_per_op: 12.0,
-        ..Default::default()
-    }
+    AdaptiveConfig { decision_every: 1, confirm: 1, dense_above: 3_000, ..Default::default() }
 }
 
 /// Dispatch-tax microbench: the same update/search loop, monomorphized vs
@@ -231,6 +226,8 @@ fn main() {
         "adaptive backend plane: static rstar vs static grid vs controller-steered DynBackend",
         &sim,
     );
+    let (commit, cores) = srb_bench::provenance();
+    println!("    commit={commit} cores={cores}");
     let seed = sim.seed;
     let scale = if full_scale() { 2 } else { 1 };
     let cycles: u64 = 2;
@@ -252,9 +249,9 @@ fn main() {
         let cfg = *cfg;
         move || {
             let out = if is_grid {
-                run_scenario::<srb_index::UniformGrid>(&cfg, cycles, scale, seed, |_, _| {})
+                run_scenario::<srb_index::UniformGrid>(&cfg, cycles, scale, seed, |_| {})
             } else {
-                run_scenario::<RStarTree>(&cfg, cycles, scale, seed, |_, _| {})
+                run_scenario::<RStarTree>(&cfg, cycles, scale, seed, |_| {})
             };
             (out, 0u64, 0u64)
         }
@@ -262,26 +259,16 @@ fn main() {
     let adaptive_leg = || {
         let acfg = controller_config();
         let mut ctl = AdaptiveController::new(acfg, 1);
-        let out = run_scenario::<DynBackend>(
-            &BackendConfig::Adaptive(acfg),
-            cycles,
-            scale,
-            seed,
-            |b, updates| {
+        let out =
+            run_scenario::<DynBackend>(&BackendConfig::Adaptive(acfg), cycles, scale, seed, |b| {
                 if ctl.note_batch() {
-                    let sig = ShardSignals {
-                        len: b.len(),
-                        visits: b.visits(),
-                        updates,
-                        kind: b.kind(),
-                        grid_m: b.grid_resolution(),
-                    };
+                    let sig =
+                        ShardSignals { len: b.len(), kind: b.kind(), grid_m: b.grid_resolution() };
                     if let Some(action) = ctl.decide(0, sig) {
                         b.migrate(&ctl.config_for(action));
                     }
                 }
-            },
-        );
+            });
         (out, ctl.migrations(), ctl.retunes())
     };
 
@@ -324,6 +311,8 @@ fn main() {
                 "retunes": *retunes,
                 "cycles": cycles,
                 "scale": scale as u64,
+                "commit": commit.as_str(),
+                "cores": cores,
             })
             .to_string(),
         );
@@ -356,6 +345,8 @@ fn main() {
             "dyn_search_ns": dynd.1,
             "update_tax_pct": (dynd.0 / mono.0 - 1.0) * 100.0,
             "search_tax_pct": (dynd.1 / mono.1 - 1.0) * 100.0,
+            "commit": commit.as_str(),
+            "cores": cores,
         })
         .to_string(),
     );

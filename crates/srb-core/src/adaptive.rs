@@ -2,21 +2,19 @@
 //!
 //! Watches per-shard workload signals at batch boundaries and decides when
 //! a shard should *migrate* between index structures or *retune* its grid
-//! resolution. The controller deliberately reads only quantities that are
-//! part of the engine's serialized state — object counts, the backend
-//! visit counter, the cost tracker's update count — never wall-clock time
-//! or the process-global telemetry registry. That makes every decision a
-//! deterministic function of replayable state: a recovered engine re-makes
-//! exactly the decisions the original made, so adaptive runs stay
-//! bit-identical through the durability plane.
+//! resolution. The controller reads only the object count and the live
+//! structure of each shard — state a checkpoint holds — never the visit
+//! counter (a function of the index's shape, which recovery rebuilds),
+//! wall-clock time or the process-global telemetry registry. That makes
+//! every decision a deterministic function of replayable state: a
+//! recovered engine re-makes exactly the decisions the original made, so
+//! adaptive runs stay bit-identical through the durability plane.
 //!
 //! The decision rule is intentionally simple (thresholds + hysteresis; see
-//! [`AdaptiveConfig`]): dense shards amortize the grid's cell scans, sparse
-//! shards waste ring expansion on empty cells and prefer the tree, and a
-//! search-bound window (many index visits per operation) tips a mid-size
-//! shard toward the grid. A shard must cast the same vote on
-//! `confirm` consecutive decisions before it migrates — a one-batch spike
-//! must not pay two rebuild sweeps.
+//! [`AdaptiveConfig`]): dense shards amortize the grid's cell scans and
+//! sparse shards waste ring expansion on empty cells and prefer the tree.
+//! A shard must cast the same vote on `confirm` consecutive decisions
+//! before it migrates — a one-batch spike must not pay two rebuild sweeps.
 
 use srb_durable::codec::{put_u64, put_u8};
 use srb_durable::{Dec, DurableError};
@@ -33,35 +31,23 @@ pub enum AdaptAction {
 }
 
 /// One shard's signal snapshot, taken by the coordinator at a decision
-/// boundary. All fields come from serialized per-shard state.
+/// boundary. All fields come from checkpointed per-shard state.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardSignals {
     /// Objects currently owned by the shard.
     pub len: usize,
-    /// Cumulative index visit counter (`Shard::index_visits`).
-    pub visits: u64,
-    /// Cumulative source updates handled ([`crate::CostTracker`]).
-    pub updates: u64,
     /// The structure currently live on the shard.
     pub kind: BackendKind,
     /// Current grid resolution, when the live structure is a grid.
     pub grid_m: Option<usize>,
 }
 
-/// Per-shard decision window: where the counters stood last decision, and
-/// the running migration vote.
+/// Per-shard decision window: the running migration vote.
+#[derive(Clone, Copy, Default)]
 struct ShardWindow {
-    last_visits: u64,
-    last_updates: u64,
     /// `0` = no pending vote, else `BackendKind::tag() + 1`.
     vote: u8,
     votes: u32,
-}
-
-impl ShardWindow {
-    fn new() -> Self {
-        ShardWindow { last_visits: 0, last_updates: 0, vote: 0, votes: 0 }
-    }
 }
 
 /// Telemetry-driven backend selection for the sharded engine: owns the
@@ -81,8 +67,7 @@ pub struct AdaptiveController {
 impl AdaptiveController {
     /// A controller over `n_shards` shards applying `config`'s thresholds.
     pub fn new(config: AdaptiveConfig, n_shards: usize) -> Self {
-        let mut shards = Vec::with_capacity(n_shards);
-        shards.resize_with(n_shards, ShardWindow::new);
+        let shards = vec![ShardWindow::default(); n_shards];
         AdaptiveController { config, batches: 0, migrations: 0, retunes: 0, shards }
     }
 
@@ -109,18 +94,10 @@ impl AdaptiveController {
     pub fn decide(&mut self, shard: usize, sig: ShardSignals) -> Option<AdaptAction> {
         let config = self.config;
         let w = &mut self.shards[shard];
-        let d_visits = sig.visits.saturating_sub(w.last_visits);
-        let d_updates = sig.updates.saturating_sub(w.last_updates);
-        w.last_visits = sig.visits;
-        w.last_updates = sig.updates;
-        let visits_per_op = d_visits as f64 / d_updates.max(1) as f64;
-
         let desired = if sig.len >= config.dense_above {
             BackendKind::Grid
         } else if sig.len <= config.sparse_below {
             BackendKind::RStar
-        } else if visits_per_op >= config.hot_visits_per_op {
-            BackendKind::Grid
         } else {
             sig.kind
         };
@@ -172,8 +149,6 @@ impl AdaptiveController {
         put_u64(out, self.retunes);
         put_u64(out, self.shards.len() as u64);
         for w in &self.shards {
-            put_u64(out, w.last_visits);
-            put_u64(out, w.last_updates);
             put_u8(out, w.vote);
             put_u64(out, u64::from(w.votes));
         }
@@ -195,15 +170,13 @@ impl AdaptiveController {
         }
         let mut shards = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let last_visits = dec.u64()?;
-            let last_updates = dec.u64()?;
             let vote = dec.u8()?;
             if vote > 2 {
                 return Err(DurableError::Corrupt("controller vote tag"));
             }
             let votes = u32::try_from(dec.u64()?)
                 .map_err(|_| DurableError::Corrupt("controller vote count"))?;
-            shards.push(ShardWindow { last_visits, last_updates, vote, votes });
+            shards.push(ShardWindow { vote, votes });
         }
         Ok(AdaptiveController { config, batches, migrations, retunes, shards })
     }
@@ -221,7 +194,7 @@ mod tests {
     use super::*;
 
     fn sig(len: usize, kind: BackendKind) -> ShardSignals {
-        ShardSignals { len, visits: 0, updates: 0, kind, grid_m: None }
+        ShardSignals { len, kind, grid_m: None }
     }
 
     #[test]
@@ -252,36 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn search_bound_window_tips_toward_grid() {
-        let config = AdaptiveConfig { confirm: 1, ..AdaptiveConfig::default() };
-        let mut ctl = AdaptiveController::new(config, 1);
-        let mid = (config.sparse_below + config.dense_above) / 2;
-        let hot = ShardSignals {
-            len: mid,
-            visits: 100_000,
-            updates: 100,
-            kind: BackendKind::RStar,
-            grid_m: None,
-        };
-        assert_eq!(ctl.decide(0, hot), Some(AdaptAction::Migrate(BackendKind::Grid)));
-        // The window advanced: the same cumulative counters now read as a
-        // quiet window.
-        let mut ctl2 = AdaptiveController::new(config, 1);
-        ctl2.decide(0, hot);
-        assert_eq!(ctl2.decide(0, ShardSignals { kind: BackendKind::RStar, ..hot }), None);
-    }
-
-    #[test]
     fn retune_respects_deadband() {
         let config = AdaptiveConfig::default();
         let mut ctl = AdaptiveController::new(config, 1);
-        let settled = |len: usize, m: usize| ShardSignals {
-            len,
-            visits: 0,
-            updates: 0,
-            kind: BackendKind::Grid,
-            grid_m: Some(m),
-        };
+        let settled =
+            |len: usize, m: usize| ShardSignals { len, kind: BackendKind::Grid, grid_m: Some(m) };
         // Mid-band population on a wildly undersized grid: retune fires.
         let mid = (config.sparse_below + config.dense_above) / 2;
         let ideal = ideal_resolution(mid, config.target_per_cell);

@@ -125,26 +125,26 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         assert_eq!(self.tree.len(), self.objects.len(), "tree/table length mismatch");
     }
 
-    /// Serializes the backend and the state table for a durability
-    /// checkpoint. The backend serializes its own structure (arena slots,
-    /// free lists, visit counters), so the decoded index emits searches in
-    /// the same order and charges the same visit counts as the original.
+    /// Serializes the index for a durability checkpoint: the state table
+    /// only. The backend is derived state — every entry is a copy of a
+    /// `safe_region` the table holds — so [`decode_state`](Self::decode_state)
+    /// rebuilds it.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        self.tree.encode_state(out);
         self.objects.encode_state(out);
     }
 
-    /// Rebuilds an index serialized by
-    /// [`encode_state`](Self::encode_state).
+    /// Rebuilds an index serialized by [`encode_state`](Self::encode_state):
+    /// decodes the table, then builds the backend from `config` over
+    /// `space` holding every object's safe region, in id order
+    /// ([`SpatialBackend::build_from`]).
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
+        config: &BackendConfig,
+        space: Rect,
     ) -> Result<Self, srb_durable::DurableError> {
-        let tree = B::decode_state(dec)?;
         let objects = ObjectTable::decode_state(dec)?;
-        if tree.len() != objects.len() {
-            return Err(srb_durable::DurableError::Corrupt("tree/table length mismatch"));
-        }
-        Ok(ObjectIndex { tree, objects })
+        let entries = objects.iter().map(|(oid, st)| (oid.entry(), st.safe_region)).collect();
+        Ok(ObjectIndex { tree: B::build_from(config, space, entries), objects })
     }
 
     /// Full O(n) coherence scan: backend invariants plus an entry-by-entry

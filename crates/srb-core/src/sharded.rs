@@ -70,9 +70,10 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue, shards holding neither, and no reuse generations
+/// plane, one timer queue, shards holding neither, no reuse generations,
+/// and shards holding their object table but no index structure
 /// ("SRBFLT" + version). See `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0004;
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0005;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -478,7 +479,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         total
     }
 
-    /// Total object-index node visits across shards.
+    /// Total object-index node visits across shards, counted since the
+    /// engine was built or recovered: a recovered engine rebuilds its
+    /// indexes, so the count starts again at recovery.
     pub fn index_visits(&self) -> u64 {
         self.shards.iter().map(|s| s.index_visits()).sum()
     }
@@ -1205,10 +1208,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// controller decision) is a deterministic function of the logged
     /// operation stream.
     ///
-    /// Every signal the controller reads is part of the per-shard
-    /// serialized state, and this runs inside the logged batch, before
-    /// its record is appended ([`batch`](Self::batch)), so recovery
-    /// replays each decision at exactly the batch that originally made it.
+    /// Every signal the controller reads — object count and live
+    /// structure — is part of the per-shard checkpointed state, and this
+    /// runs inside the logged batch, before its record is appended
+    /// ([`batch`](Self::batch)), so recovery replays each decision at
+    /// exactly the batch that originally made it.
     fn maybe_adapt(&mut self) {
         let Some(mut ctl) = self.adaptive.take() else { return };
         if ctl.note_batch() {
@@ -1216,8 +1220,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let shard = &self.shards[i];
                 let sig = ShardSignals {
                     len: shard.object_count(),
-                    visits: shard.index_visits(),
-                    updates: shard.costs().source_updates,
                     kind: shard.backend_kind(),
                     grid_m: shard.object_index().tree().grid_resolution(),
                 };
@@ -1261,8 +1263,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// `shard` or `B` cannot represent `backend`.
     ///
     /// With durability attached this forces a coordinator checkpoint:
-    /// explicit migrations are not log records, so the checkpoint is what
-    /// carries the new structure across a crash.
+    /// explicit migrations are not log records, so the checkpoint, which
+    /// records each shard's live backend config, is what carries the new
+    /// structure across a crash.
     pub fn migrate_shard(&mut self, shard: usize, backend: &srb_index::BackendConfig) -> bool {
         if !self.shards.get_mut(shard).is_some_and(|s| s.migrate_index(backend)) {
             return false;
@@ -1336,7 +1339,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// A 64-bit digest of the full serialized fleet state — what the crash
-    /// harness compares between a recovered run and its golden twin.
+    /// harness compares between a recovered run and its golden twin. The
+    /// serialized state is logical: it holds no index structure, so two
+    /// engines whose indexes hold the same entries in differently shaped
+    /// trees digest alike.
     pub fn state_digest(&self) -> u64 {
         let mut buf = Vec::new();
         self.encode_state(&mut buf);
@@ -1441,8 +1447,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // stack was the engine, several shards each a replica of every
         // query, shards that still carried a query processor (version 1) or
         // timers of their own (version 2), slots that still carried reuse
-        // generations (version 3) — holds a counter or an earlier version:
-        // refused here, never misread.
+        // generations (version 3), shards that carried their index structure
+        // (version 4) — holds a counter or an earlier version: refused here,
+        // never misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
@@ -1482,7 +1489,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let processor = QueryProcessor::decode_state(&mut dec)?;
         let mut shard_states = Vec::with_capacity(shards);
         for _ in 0..shards {
-            shard_states.push(Shard::decode_state(&mut dec)?);
+            shard_states.push(Shard::decode_state(&mut dec, config.space)?);
         }
         dec.finish()?;
         let server = Self::assemble(
@@ -1610,7 +1617,7 @@ fn splitmix64(x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::provider::FnProvider;
-    use srb_index::RStarTree;
+    use srb_index::{RStarTree, SpatialBackend};
     use std::collections::{BTreeMap, HashSet};
 
     #[test]
@@ -1890,8 +1897,8 @@ mod tests {
     /// The batch real clients would send: a report, stamped with its
     /// object's next sequence number, from every object that left its safe
     /// region.
-    fn exit_reports(
-        server: &ShardedServer,
+    fn exit_reports<B: SpatialBackend>(
+        server: &ShardedServer<B>,
         positions: &[Point],
         seqs: &mut [u64],
     ) -> Vec<SequencedUpdate> {
@@ -2079,10 +2086,11 @@ mod tests {
 
     /// A checkpoint of the older layout `version` at `shards`: 1, shards
     /// each carrying a query processor; 2, shards keeping timers of their
-    /// own; 3, a reuse generation per object slot and per query slot.
+    /// own; 3, a reuse generation per object slot and per query slot; 4,
+    /// each shard's index structure written verbatim.
     fn older(version: u64, shards: usize) -> Vec<u8> {
         let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 4 + version);
+        put_u64(&mut payload, FLEET_LAYOUT - 5 + version);
         put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
         payload
     }
@@ -2097,7 +2105,7 @@ mod tests {
         WorkStats::default().encode(&mut replicas);
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
         refused(2, &replicas);
-        for version in 1..=3 {
+        for version in 1..=4 {
             refused(2, &older(version, 2));
         }
         // The current layout round-trips.
@@ -2113,8 +2121,9 @@ mod tests {
     /// A one-shard checkpoint from when one shard's own stack was the whole
     /// engine (zeroed coordinator counters right after the shard count, a
     /// spec per query slot, the shard's state with its own query processor),
-    /// or from when the shard kept its own timers (version 2) or slots kept
-    /// reuse generations (version 3), gets the same typed refusal.
+    /// or from when the shard kept its own timers (version 2), slots kept
+    /// reuse generations (version 3) or shards wrote their index structure
+    /// (version 4), gets the same typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -2124,8 +2133,9 @@ mod tests {
         put_usize(&mut legacy, 0); // the always-empty list
         put_u8(&mut legacy, 0); // no controller; the shard's state …
         refused(1, &legacy);
-        refused(1, &older(2, 1));
-        refused(1, &older(3, 1));
+        for version in 2..=4 {
+            refused(1, &older(version, 1));
+        }
         // The current layout is the one layout: one shard round-trips too.
         let config = ServerConfig::default();
         let (engine, _) = fleet(config, 1, 1);
@@ -2586,6 +2596,67 @@ mod tests {
         assert_eq!(server.state_digest(), digest);
         assert_eq!(dir_bytes(dir), logged, "nothing was logged");
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The index is derived state. A canonical rebuild of shard 0's tree
+    /// (tree → grid → tree) reshapes it but leaves the digest alone; the
+    /// store that rebuild checkpoints recovers to that digest; and the
+    /// engine and its recovered twin answer the next batches alike.
+    #[test]
+    fn index_shape_is_not_state() {
+        use srb_index::{BackendConfig, DynBackend, GridConfig, TreeConfig};
+        let (dir, copy) = (temp_dir("shape"), temp_dir("shape-copy"));
+        let mut positions = world(40, 11);
+        let mut seqs = vec![0u64; positions.len()];
+        let mut engine = ShardedServer::<DynBackend>::with_backend(durable(dir), 2);
+        {
+            let snapshot = positions.clone();
+            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
+            for (i, &p) in snapshot.iter().enumerate() {
+                engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+            }
+            let rect = Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.6));
+            engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
+            engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 4), &mut provider, 0.0);
+        }
+        let mut round = |engines: &mut [&mut ShardedServer<DynBackend>], r: u64| {
+            step(&mut positions, r);
+            let batch = exit_reports(&*engines[0], &positions, &mut seqs);
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+            let answers: Vec<String> = engines
+                .iter_mut()
+                .map(|e| {
+                    let mut out = Vec::new();
+                    e.handle_sequenced_updates_into(
+                        &batch,
+                        &mut provider,
+                        r as f64 * 0.1,
+                        &mut out,
+                    );
+                    format!("{out:?} {:016x}", e.state_digest())
+                })
+                .collect();
+            assert!(answers.windows(2).all(|w| w[0] == w[1]), "round {r}");
+        };
+        for r in 1..=4 {
+            round(&mut [&mut engine], r);
+        }
+        let digest = engine.state_digest();
+        assert!(engine.migrate_shard(0, &BackendConfig::Grid(GridConfig { m: 16 })));
+        assert!(engine.migrate_shard(0, &BackendConfig::RStar(TreeConfig::default())));
+        assert_eq!(engine.state_digest(), digest, "a rebuilt index is the same state");
+        std::fs::create_dir_all(copy).expect("a fresh directory");
+        for (name, bytes) in dir_bytes(dir) {
+            std::fs::write(Path::new(copy).join(name), bytes).expect("a store copy");
+        }
+        let (mut twin, _) =
+            ShardedServer::<DynBackend>::recover(durable(copy), 2).expect("recovery");
+        assert_eq!(twin.state_digest(), digest);
+        for r in 5..=8 {
+            round(&mut [&mut engine, &mut twin], r);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        let _ = std::fs::remove_dir_all(copy);
     }
 
     /// `migrate_shard` with no such shard refuses, like a backend `B`

@@ -34,10 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub(crate) struct Visits(AtomicU64);
 
 impl Visits {
-    pub(crate) fn new(v: u64) -> Self {
-        Visits(AtomicU64::new(v))
-    }
-
     #[inline]
     pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -52,10 +48,10 @@ impl Visits {
 /// The concrete index structure a backend instance is running right now.
 ///
 /// [`BackendConfig`] selects a *policy* (which may be adaptive);
-/// `BackendKind` names the *mechanism* currently holding the entries. The
-/// durable checkpoint header records it so recovery can refuse a silent
-/// backend mismatch, and the adaptive controller uses it as the migration
-/// state variable.
+/// `BackendKind` names the *mechanism* currently holding the entries. A
+/// checkpoint records it ahead of each shard's structure parameters so
+/// recovery can refuse a silent backend mismatch, and the adaptive
+/// controller uses it as the migration state variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// An [`RStarTree`](crate::RStarTree).
@@ -99,7 +95,7 @@ impl BackendKind {
 /// form, so changing any threshold invalidates old checkpoints — which is
 /// required for determinism: controller decisions replay from the log, and
 /// must be made under the thresholds that produced the log.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveConfig {
     /// Build parameters used whenever a shard runs (or migrates to) the
     /// R\*-tree.
@@ -128,10 +124,6 @@ pub struct AdaptiveConfig {
     /// Grid retune deadband: only resize when the ideal resolution differs
     /// from the current one by more than this fraction of the current.
     pub retune_ratio: f64,
-    /// Work-mix signal: when a decision window spends more than this many
-    /// index visits per operation, the shard is search-bound and votes for
-    /// the grid even below `dense_above`.
-    pub hot_visits_per_op: f64,
 }
 
 impl Default for AdaptiveConfig {
@@ -146,7 +138,6 @@ impl Default for AdaptiveConfig {
             confirm: 2,
             target_per_cell: 4.0,
             retune_ratio: 0.5,
-            hot_visits_per_op: 64.0,
         }
     }
 }
@@ -167,7 +158,7 @@ impl AdaptiveConfig {
 /// Lives on `ServerConfig`/`SimConfig` so the whole monitoring stack — the
 /// single-stack server, every shard of the sharded engine, and the
 /// simulator — builds its index through one switch.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BackendConfig {
     /// The R\*-tree reference backend (paper §7.1).
     RStar(TreeConfig),
@@ -220,6 +211,19 @@ impl BackendConfig {
         }
     }
 
+    /// `self` when it is a concrete config that builds a backend: an
+    /// `RStar` or `Grid` config passing the checks `RStarTree::new` and
+    /// `UniformGrid::new` would panic on. A checkpoint's shard config is
+    /// read through this, so a damaged one is refused, never built.
+    pub fn checked(self) -> Option<Self> {
+        let valid = match self {
+            BackendConfig::RStar(cfg) => cfg.try_validated().is_ok(),
+            BackendConfig::Grid(cfg) => cfg.try_validated().is_ok(),
+            BackendConfig::Adaptive(_) => false,
+        };
+        valid.then_some(self)
+    }
+
     /// Like `try_from_env` but panics on an unknown
     /// value — the startup-path convenience the simulator uses.
     pub fn from_env() -> Self {
@@ -263,15 +267,41 @@ pub trait SpatialBackend: Sync {
     where
         Self: Sized;
 
-    /// The concrete index structure currently holding the entries. For the
-    /// monomorphized backends this is a constant; for
-    /// [`DynBackend`](crate::DynBackend) it changes across migrations.
-    fn kind(&self) -> BackendKind;
+    /// Builds a backend from `config` over `space` holding `entries`,
+    /// inserted in ascending id order: the one way an index is rebuilt, by
+    /// a migration and by recovery alike, so the result is a function of
+    /// the entry *set* and never of the history that produced it.
+    fn build_from(config: &BackendConfig, space: Rect, mut entries: Vec<(EntryId, Rect)>) -> Self
+    where
+        Self: Sized,
+    {
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        let mut fresh = Self::build(config, space);
+        for (id, rect) in entries {
+            fresh.insert(id, rect);
+        }
+        fresh
+    }
 
-    /// Whether a checkpoint recorded under `kind` can be decoded into this
-    /// backend type. Recovery checks this *before* touching backend bytes,
-    /// so a type/checkpoint mismatch yields a typed refusal instead of a
-    /// codec error.
+    /// The concrete config of the structure live right now — an `RStar`
+    /// config for a tree, a `Grid` config for a grid, never `Adaptive`.
+    /// For the monomorphized backends this is their build config; for
+    /// [`DynBackend`](crate::DynBackend) it changes across migrations. A
+    /// checkpoint records it, and recovery rebuilds the index from it.
+    fn live_config(&self) -> BackendConfig;
+
+    /// The concrete index structure currently holding the entries.
+    fn kind(&self) -> BackendKind {
+        match self.live_config() {
+            BackendConfig::RStar(_) => BackendKind::RStar,
+            BackendConfig::Grid(_) => BackendKind::Grid,
+            BackendConfig::Adaptive(_) => unreachable!("a live config is concrete"),
+        }
+    }
+
+    /// Whether a checkpoint recorded under `kind` can be recovered into
+    /// this backend type. Recovery checks this before it builds anything,
+    /// so a type/checkpoint mismatch yields a typed refusal.
     fn accepts_kind(kind: BackendKind) -> bool
     where
         Self: Sized;
@@ -289,7 +319,10 @@ pub trait SpatialBackend: Sync {
     /// The current grid resolution `m`, when the live structure is a grid.
     /// The adaptive controller reads this to decide retunes.
     fn grid_resolution(&self) -> Option<usize> {
-        None
+        match self.live_config() {
+            BackendConfig::Grid(cfg) => Some(cfg.m),
+            _ => None,
+        }
     }
 
     /// Number of entries stored.
@@ -351,20 +384,6 @@ pub trait SpatialBackend: Sync {
 
     /// Exhaustively verifies structural invariants; panics on violation.
     fn check_invariants(&self);
-
-    /// Serializes the backend's full structure bit-exactly for a
-    /// durability checkpoint: arenas, free lists, bucket orders, and the
-    /// visit counter all round-trip verbatim, so a recovered backend
-    /// enumerates, allocates, and counts identically to one that never
-    /// restarted.
-    fn encode_state(&self, out: &mut Vec<u8>);
-
-    /// Rebuilds a backend from [`encode_state`](Self::encode_state)
-    /// bytes. Total: structural corruption yields a typed error, never a
-    /// panic.
-    fn decode_state(dec: &mut srb_durable::Dec<'_>) -> Result<Self, srb_durable::DurableError>
-    where
-        Self: Sized;
 }
 
 // ---------------------------------------------------------------------------
@@ -472,8 +491,8 @@ impl SpatialBackend for RStarTree {
         "rstar"
     }
 
-    fn kind(&self) -> BackendKind {
-        BackendKind::RStar
+    fn live_config(&self) -> BackendConfig {
+        BackendConfig::RStar(self.config())
     }
 
     fn accepts_kind(kind: BackendKind) -> bool {
@@ -532,13 +551,5 @@ impl SpatialBackend for RStarTree {
 
     fn check_invariants(&self) {
         RStarTree::check_invariants(self);
-    }
-
-    fn encode_state(&self, out: &mut Vec<u8>) {
-        RStarTree::encode_state(self, out);
-    }
-
-    fn decode_state(dec: &mut srb_durable::Dec<'_>) -> Result<Self, srb_durable::DurableError> {
-        RStarTree::decode_state(dec)
     }
 }

@@ -32,7 +32,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Resolution configuration of a [`UniformGrid`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GridConfig {
     /// Cells per axis (`m × m` cells in total).
     pub m: usize,
@@ -92,13 +92,8 @@ impl UniformGrid {
             cell_h: space.height() / m as f64,
             buckets: vec![Vec::new(); m * m],
             rects: FastMap::default(),
-            visits: Visits::new(0),
+            visits: Visits::default(),
         }
-    }
-
-    /// The grid resolution `m`.
-    pub(crate) fn m(&self) -> usize {
-        self.m
     }
 
     /// Number of entries stored.
@@ -347,16 +342,12 @@ impl SpatialBackend for UniformGrid {
         "grid"
     }
 
-    fn kind(&self) -> BackendKind {
-        BackendKind::Grid
+    fn live_config(&self) -> BackendConfig {
+        BackendConfig::Grid(GridConfig { m: self.m })
     }
 
     fn accepts_kind(kind: BackendKind) -> bool {
         kind == BackendKind::Grid
-    }
-
-    fn grid_resolution(&self) -> Option<usize> {
-        Some(self.m)
     }
 
     fn len(&self) -> usize {
@@ -411,14 +402,6 @@ impl SpatialBackend for UniformGrid {
 
     fn check_invariants(&self) {
         UniformGrid::check_invariants(self);
-    }
-
-    fn encode_state(&self, out: &mut Vec<u8>) {
-        UniformGrid::encode_state(self, out);
-    }
-
-    fn decode_state(dec: &mut srb_durable::Dec<'_>) -> Result<Self, srb_durable::DurableError> {
-        UniformGrid::decode_state(dec)
     }
 }
 

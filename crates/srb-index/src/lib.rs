@@ -40,7 +40,6 @@ mod bulk;
 mod dyn_backend;
 mod grid;
 mod node;
-mod persist;
 mod split;
 
 pub use backend::{AdaptiveConfig, BackendConfig, BackendKind, NearestScratch, SpatialBackend};
@@ -238,7 +237,7 @@ impl RStarTree {
             len: 0,
             leaf_of: FastMap::default(),
             config,
-            visits: Visits::new(0),
+            visits: Visits::default(),
             relaxed_min: false,
         };
         tree.root = tree.alloc(Node::new_leaf());
@@ -814,7 +813,7 @@ impl RStarTree {
             len,
             leaf_of,
             config,
-            visits: Visits::new(0),
+            visits: Visits::default(),
             relaxed_min: true,
         }
     }
