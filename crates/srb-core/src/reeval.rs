@@ -458,10 +458,11 @@ mod tests {
     /// mixed queries reads the probes, results and radii it read when a
     /// single mover had a reevaluation body of its own (that commit printed
     /// the pinned values from this very test). The values were re-pinned
-    /// once since, when the θ-search became a scan plus a golden-section
-    /// bracket: the reevaluation code did not change, the safe regions it
-    /// is fed did (one probe fewer, 440 → 439; the §4.3 probes and the
-    /// evaluations read 138 and 229 before and after).
+    /// twice since, when the θ-search became a scan plus a golden-section
+    /// bracket and when it became exact: the reevaluation code did not
+    /// change, the safe regions it is fed did (the first time one probe
+    /// fewer, 440 → 439, the second time the digest alone; the §4.3 probes
+    /// and the evaluations read 138 and 229 throughout).
     #[test]
     fn a_set_of_one_is_the_single_mover_reevaluation() {
         let unit = |i: u64, salt: u64| {
@@ -511,6 +512,6 @@ mod tests {
         }
         let work = server.work();
         assert_eq!((work.probes_reeval, work.evaluations), (138, 229), "both kinds of case ran");
-        assert_eq!((server.costs().probes, digest), (439, 0x37CE_E514_A692_5AE2), "{work:?}");
+        assert_eq!((server.costs().probes, digest), (439, 0x5901_8B05_32A5_7697), "{work:?}");
     }
 }

@@ -1,11 +1,11 @@
 //! Ir-lp of a circle (paper §5.2.1, Proposition 5.2).
 
+use super::family::{search, Edge, Family, Range};
 use super::{clip_containing, pad_range, QuadFrame, EPS};
 use crate::circle::Circle;
-use crate::objective::{optimize_theta, PerimeterObjective};
+use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
-use std::f64::consts::FRAC_PI_4;
 
 /// Computes the inscribed rectangle of `circle` with the longest
 /// (objective-weighted) perimeter that contains `p`, intersected with `cell`.
@@ -48,12 +48,13 @@ where
     // Both endpoints are p-binding: at θx the vertical edge passes through
     // p, at θy the horizontal one. Keep p strictly interior.
     let (lo, hi) = pad_range(lo, hi, true, true);
-    let rect_of = |theta: f64| {
-        let hx = r * theta.sin();
-        let hy = r * theta.cos();
-        clip_containing(Rect::centered(q, hx, hy), cell, p)
-    };
-    optimize_theta(lo, hi, FRAC_PI_4, objective, rect_of)
+    let family = Family::new(
+        frame,
+        cell,
+        p,
+        [Edge::sin(0.0, -r), Edge::sin(0.0, r), Edge::cos(0.0, -r), Edge::cos(0.0, r)],
+    );
+    search(&family, &Range::new(lo, hi), objective).map(|(_, rect)| rect)
 }
 
 #[cfg(test)]

@@ -8,22 +8,22 @@
 //!
 //! **Correction** (see DESIGN.md §5): for `x` on the arc the perimeter is
 //! `2(a − r·sinθ) + 2(b − r·cosθ)`, which is *minimal* at θ = π/4, not
-//! maximal as Proposition 5.4 states. The optimum over the valid θ-range lies
-//! at its endpoints, so this implementation evaluates both endpoints (plus
-//! π/4 for fidelity — it can never win, but costs nothing) and the two slab
-//! candidates, returning the best.
+//! maximal as Proposition 5.4 states. Under the plain perimeter the optimum
+//! over the valid θ-range lies at its endpoints; under the clearance-weighted
+//! one it can lie inside. The arc is a θ-family searched like the others
+//! (`family::search`), and the two slab candidates join it.
 //!
-//! Under a non-ordinary objective the arc is a θ-search. The slabs and the
-//! whole cell cost one score each, so they are scored first and the arc is
-//! searched only if its envelope can still beat them (see the
-//! [module docs](super)).
+//! The slabs and the whole cell cost one score each, so they are scored
+//! first and the arc is searched only if its envelope can still beat them
+//! (see the [module docs](super)).
 
-use super::{below, best_of_families, clip_containing, offer_rect, pad_range, QuadFrame, EPS};
+use super::family::{search, Edge, Family, Range};
+use super::{best_of_families, clip_containing, offer_rect, pad_range, QuadFrame, EPS};
 use crate::circle::Circle;
-use crate::objective::{optimize_theta_scored, PerimeterObjective};
+use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
-use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
+use std::f64::consts::FRAC_PI_2;
 
 /// Computes the longest-perimeter rectangle containing `p`, inside `cell`,
 /// that does not overlap the open disc `circle`.
@@ -101,19 +101,21 @@ where
     // so p keeps positive clearance (unless the endpoint is the natural
     // 0 / π/2 limit, where the constraint is the circle, not p).
     let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
-    let arc_rect = |sin: f64, cos: f64| {
-        clip_containing(frame.rect_to_world((r * sin).min(a), a, (r * cos).min(b), b), cell, p)
-    };
-    // The arc corner is nearest the circle's axes — the rectangle largest —
-    // at the sine of the range's lower end and the cosine of its upper end.
-    let envelope =
-        if theta_lo <= theta_hi + 1e-9 { arc_rect(below(lo.sin()), below(hi.cos())) } else { None };
+    let arc = Family::new(
+        frame,
+        cell,
+        p,
+        [
+            Edge::sin(0.0, r).held(f64::NEG_INFINITY, a),
+            Edge::fixed(a),
+            Edge::cos(0.0, r).held(f64::NEG_INFINITY, b),
+            Edge::fixed(b),
+        ],
+    );
+    let range = Range::new(lo, hi);
+    let envelope = if theta_lo <= theta_hi + 1e-9 { arc.envelope(&range) } else { None };
     let bound = envelope.map(|e| objective.upper_bound(&e));
-    best_of_families(best, [bound], |_| {
-        optimize_theta_scored(lo, hi, FRAC_PI_4, objective, |theta| {
-            arc_rect(theta.sin(), theta.cos())
-        })
-    })
+    best_of_families(best, [bound], |_| search(&arc, &range, objective))
 }
 
 #[cfg(test)]

@@ -25,19 +25,24 @@
 //!
 //! The ring and the circle complement have no single closed form: each
 //! scores several *candidate families* — a rectangle layout with one free
-//! angle θ, searched by [`optimize_theta`](crate::optimize_theta) — and
-//! keeps the best, the earliest family winning a tie. A search costs ~30
-//! objective evaluations, so a family is searched only if it can still win:
-//! its *envelope* (the rectangle spanned by the extreme edges the layout
-//! reaches over its θ-range, clipped like a member) contains every member,
-//! [`PerimeterObjective::upper_bound`] of the envelope is therefore at least
-//! the score the search would return, and a family whose bound is strictly
-//! below the score already in hand is skipped. The result is the rectangle
-//! the exhaustive evaluation returns, bit for bit (`best_of_families`;
-//! DESIGN.md §5 has the family table and the floating-point argument).
+//! angle θ (`family::Family`), searched by `family::search` — and keeps the
+//! best, the earliest family winning a tie. Under the plain and the
+//! clearance-weighted perimeter the search is exact: it maximizes the family
+//! at its closed-form breakpoints and stationary points and builds about one
+//! member per search; under any other objective it is the numeric
+//! `optimize_theta` (about 30 members). Either way a family is searched only
+//! if it can still win: its *envelope* (the rectangle spanned by the extreme
+//! edges the layout reaches over its θ-range, clipped like a member)
+//! contains every member, [`PerimeterObjective::upper_bound`] of the
+//! envelope is therefore at least the score the search would return, and a
+//! family whose bound is strictly below the score already in hand is
+//! skipped. The result is the rectangle the exhaustive evaluation returns,
+//! bit for bit (`best_of_families`; DESIGN.md §5 has the family table and
+//! the floating-point argument).
 
 mod circle;
 mod complement;
+mod family;
 #[cfg(test)]
 mod reference;
 mod ring;

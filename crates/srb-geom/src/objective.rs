@@ -7,9 +7,13 @@
 //! and derives a *weighted* perimeter; plugging a different objective into
 //! the same Ir-lp searches yields the enhanced safe regions.
 //!
-//! [`optimize_theta`] searches a one-angle family of rectangles: closed-form
-//! candidates for the ordinary perimeter, otherwise a scan of the θ-range
-//! refined by a golden-section bracket (the objectives have several peaks).
+//! The plain perimeter and the clearance-weighted one state their form
+//! ([`PerimeterObjective::perimeter_form`]), under which the Ir-lp routines
+//! maximize a one-angle family of rectangles exactly, at closed-form
+//! breakpoints (`irlp::family`). Any other objective — of the shipped ones,
+//! the §6.2 weighted perimeter — goes through [`optimize_theta`], a scan of
+//! the θ-range refined by a golden-section bracket (such objectives can have
+//! several peaks).
 //!
 //! An objective also bounds itself: [`PerimeterObjective::upper_bound`]
 //! scores an *envelope* — a rectangle containing every member of a candidate
@@ -29,11 +33,13 @@ pub trait PerimeterObjective {
     /// Scores a candidate rectangle.
     fn score(&self, rect: &Rect) -> f64;
 
-    /// True when the closed-form optimum of the *ordinary* perimeter also
-    /// optimizes this objective, letting Ir-lp searches skip the numeric
-    /// θ-search. Only the plain perimeter returns true.
-    fn is_ordinary(&self) -> bool {
-        false
+    /// `Some((p, scale))` when the score is the rectangle's perimeter times
+    /// [`ClearanceObjective`]'s factor for `p` and `scale` — `scale` 0 for
+    /// the plain perimeter, which has no factor. Ir-lp searches maximize
+    /// such an objective exactly; the default, `None`, has them search
+    /// numerically.
+    fn perimeter_form(&self) -> Option<(Point, f64)> {
+        None
     }
 
     /// An upper bound on [`score`](Self::score) over every rectangle that
@@ -60,8 +66,8 @@ impl PerimeterObjective for OrdinaryPerimeter {
     }
 
     #[inline]
-    fn is_ordinary(&self) -> bool {
-        true
+    fn perimeter_form(&self) -> Option<(Point, f64)> {
+        Some((Point::ORIGIN, 0.0))
     }
 
     /// The envelope's own perimeter: subtraction and addition round
@@ -162,7 +168,7 @@ impl<O: PerimeterObjective> ClearanceObjective<O> {
 
     /// Floor of the clearance factor: a rectangle touching `p` still ranks
     /// by its inner score.
-    const MIN_FACTOR: f64 = 1e-6;
+    pub(crate) const MIN_FACTOR: f64 = 1e-6;
 
     /// `min(1, clearance/scale)`, floored at [`Self::MIN_FACTOR`].
     #[inline]
@@ -181,6 +187,14 @@ impl<O: PerimeterObjective> PerimeterObjective for ClearanceObjective<O> {
         self.inner.score(rect) * self.factor(rect)
     }
 
+    /// `(p, scale)` over the plain perimeter; no form over any other.
+    fn perimeter_form(&self) -> Option<(Point, f64)> {
+        match self.inner.perimeter_form() {
+            Some((_, 0.0)) => Some((self.p, self.scale)),
+            _ => None,
+        }
+    }
+
     /// The inner bound times the envelope's own clearance factor: all four
     /// clearances of `p` grow with the rectangle and every step of the
     /// factor rounds monotonically, so the product of the two bounds bounds
@@ -192,15 +206,12 @@ impl<O: PerimeterObjective> PerimeterObjective for ClearanceObjective<O> {
     }
 }
 
-/// A refined θ-search scores `SCAN_INTERVALS + 1` evenly spaced θs, then
-/// takes `GOLDEN_STEPS` golden-section steps in the best one's bracket
-/// `[θ_{i−1}, θ_{i+1}]`. Scanning first is the point: the clearance factor
-/// `min(1, clearance/scale)` gives a family's θ-range kinks and second peaks
-/// (two peaks 0.2 % apart, a narrow peak beside a broad one), and a binary
-/// or ternary search commits to a basin at its first comparison. The final
-/// bracket, 2/8 · 0.618¹⁸ ≈ 4.4e-5 of the range, is no wider than the
-/// (2/3)²⁴ ≈ 5.9e-5 of the 24-step ternary search this replaced, for 30
-/// evaluations instead of 52 (16 intervals would need 36). A power of two
+/// A θ-search scores `SCAN_INTERVALS + 1` evenly spaced θs, then takes
+/// `GOLDEN_STEPS` golden-section steps in the best one's bracket
+/// `[θ_{i−1}, θ_{i+1}]`. Scanning first is the point: the objectives have
+/// kinks and second peaks on a family's θ-range, and a binary or ternary
+/// search commits to a basin at its first comparison. The final bracket,
+/// 2/8 · 0.618¹⁸ ≈ 4.4e-5 of the range, costs 29 evaluations. A power of two
 /// keeps every scan point an exact fraction of the range.
 const SCAN_INTERVALS: usize = 8;
 const GOLDEN_STEPS: usize = 18;
@@ -208,40 +219,24 @@ const GOLDEN_STEPS: usize = 18;
 const INV_PHI: f64 = 0.618_033_988_749_894_9;
 
 /// Finds a θ in `[lo, hi]` (approximately) maximizing
-/// `objective.score(&rect_of(θ))`, and returns the winning rectangle.
+/// `objective.score(&rect_of(θ))`, and returns the winning rectangle with
+/// its score.
 ///
-/// For the ordinary perimeter the caller should pass the closed-form optimum
-/// as `preferred`; it is clamped into range and evaluated together with both
-/// endpoints. Other objectives have no closed form (§6.2): a scan of the
-/// range and a golden-section bracket around its best point refine it, and
-/// the bracket's midpoint and the best scan point join the candidates, a
-/// later one winning only on a strictly higher score.
+/// This is the search for objectives without a
+/// [`perimeter_form`](PerimeterObjective::perimeter_form) (of the shipped
+/// ones, the §6.2 weighted perimeter, which has no closed form): a scan of
+/// the range and a golden-section bracket around its best point, the
+/// bracket's midpoint, the best scan point and both ends then folded, a
+/// later one winning only on a strictly higher score. Every θ it evaluates
+/// lies in `[lo, hi]` — the envelope bounds of the Ir-lp families rely on
+/// that: scan points are clamped to `hi`, and each golden-section point lies
+/// between two θs already evaluated.
 ///
 /// Returns `None` when the interval is empty (`lo > hi`) or `rect_of` yields
 /// no rectangle anywhere in it.
 pub(crate) fn optimize_theta<O, F>(
     lo: f64,
     hi: f64,
-    preferred: f64,
-    objective: &O,
-    rect_of: F,
-) -> Option<Rect>
-where
-    O: PerimeterObjective + ?Sized,
-    F: Fn(f64) -> Option<Rect>,
-{
-    optimize_theta_scored(lo, hi, preferred, objective, rect_of).map(|(_, rect)| rect)
-}
-
-/// [`optimize_theta`] returning the winner's score with it, so a caller
-/// comparing several searches does not score the rectangle again. Every θ
-/// it evaluates lies in `[lo, hi]` — the envelope bounds of the Ir-lp
-/// families rely on that: scan points are clamped to `hi`, and each
-/// golden-section point lies between two θs already evaluated.
-pub(crate) fn optimize_theta_scored<O, F>(
-    lo: f64,
-    hi: f64,
-    preferred: f64,
     objective: &O,
     rect_of: F,
 ) -> Option<(f64, Rect)>
@@ -258,13 +253,11 @@ where
     }
     let eval = |theta: f64| {
         #[cfg(test)]
-        search_count::bump_evaluation();
+        search_count::evaluated(theta);
         rect_of(theta).map(|rect| (objective.score(&rect), rect))
     };
-    let preferred = preferred.clamp(lo, hi);
-    let refine = !objective.is_ordinary() && hi - lo > 1e-12;
-    if !refine {
-        return best_candidate(&[lo, hi, preferred], eval);
+    if hi - lo <= 1e-12 {
+        return best_candidate(&[lo, hi], eval);
     }
     let step = (hi - lo) / SCAN_INTERVALS as f64;
     let thetas: [f64; SCAN_INTERVALS + 1] =
@@ -292,7 +285,7 @@ where
     // The last step keeps `[c, b]` or `[a, d]` and needs no new point.
     let mid = if sc < sd { (c + b) * 0.5 } else { (a + d) * 0.5 };
     let known = |theta: f64| thetas.iter().position(|&t| t == theta).map(|k| scan[k]);
-    best_candidate(&[lo, hi, preferred, mid, thetas[top]], |t| known(t).unwrap_or_else(|| eval(t)))
+    best_candidate(&[lo, hi, mid, thetas[top]], |t| known(t).unwrap_or_else(|| eval(t)))
 }
 
 /// Scores `thetas` in order and keeps the first of the highest scores,
@@ -311,25 +304,28 @@ fn best_candidate(
     })
 }
 
-/// Test-only counts of θ-searches started and of θs evaluated on this
-/// thread, so a test can pin that a pruned family is really skipped and
-/// what one search costs.
+/// Test-only counts of θ-searches started and of family members built on
+/// this thread, so a test can pin that a pruned family is really skipped and
+/// what one search costs, and a record of the θs the members were built at.
 #[cfg(test)]
 pub(crate) mod search_count {
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::thread::LocalKey;
 
     thread_local! {
         static SEARCHES: Cell<usize> = const { Cell::new(0) };
         static EVALUATIONS: Cell<usize> = const { Cell::new(0) };
+        static THETAS: RefCell<Option<Vec<f64>>> = const { RefCell::new(None) };
     }
 
     pub(crate) fn bump() {
         SEARCHES.with(|c| c.set(c.get() + 1));
     }
 
-    pub(crate) fn bump_evaluation() {
+    /// One member built, at `theta`.
+    pub(crate) fn evaluated(theta: f64) {
         EVALUATIONS.with(|c| c.set(c.get() + 1));
+        THETAS.with(|t| t.borrow_mut().as_mut().map(|seen| seen.push(theta)));
     }
 
     fn delta<T>(count: &'static LocalKey<Cell<usize>>, f: impl FnOnce() -> T) -> (T, usize) {
@@ -343,22 +339,30 @@ pub(crate) mod search_count {
         delta(&SEARCHES, f)
     }
 
-    /// Runs `f` and returns its result with the θs its searches evaluated.
+    /// Runs `f` and returns its result with the family members its searches
+    /// built.
     pub(crate) fn evaluating<T>(f: impl FnOnce() -> T) -> (T, usize) {
         delta(&EVALUATIONS, f)
+    }
+
+    /// Runs `f` and returns its result with the θs of the members its
+    /// searches built, in order.
+    pub(crate) fn recording<T>(f: impl FnOnce() -> T) -> (T, Vec<f64>) {
+        THETAS.with(|t| *t.borrow_mut() = Some(Vec::new()));
+        let out = f();
+        (out, THETAS.with(|t| t.borrow_mut().take().unwrap_or_default()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
     #[test]
     fn ordinary_is_perimeter() {
         let r = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 1.0));
         assert_eq!(OrdinaryPerimeter.score(&r), 6.0);
-        assert!(OrdinaryPerimeter.is_ordinary());
+        assert_eq!(OrdinaryPerimeter.perimeter_form().map(|(_, scale)| scale), Some(0.0));
     }
 
     #[test]
@@ -410,12 +414,14 @@ mod tests {
     }
 
     #[test]
-    fn optimize_theta_finds_closed_form_max() {
-        // Maximize sinθ + cosθ on [0, π/2] — peak at π/4.
-        let rect_of =
-            |t: f64| Some(Rect::new(Point::new(0.0, 0.0), Point::new(t.sin() + t.cos(), 1e-9)));
-        let best = optimize_theta(0.0, PI / 2.0, PI / 4.0, &OrdinaryPerimeter, rect_of).unwrap();
-        assert!((best.width() - 2f64.sqrt()).abs() < 1e-9);
+    fn only_the_clearance_weighted_perimeter_has_a_form() {
+        let p = Point::new(0.3, 0.4);
+        let clear = ClearanceObjective::new(OrdinaryPerimeter, p, 0.05);
+        assert_eq!(clear.perimeter_form(), Some((p, 0.05)));
+        let steady = WeightedPerimeter::new(p, Point::ORIGIN, 0.5);
+        assert_eq!(steady.perimeter_form(), None);
+        assert_eq!(ClearanceObjective::new(steady, p, 0.05).perimeter_form(), None);
+        assert_eq!(ClearanceObjective::new(clear, p, 0.05).perimeter_form(), None);
     }
 
     /// A non-ordinary objective of θ alone: `rect_of` below makes θ the
@@ -435,7 +441,7 @@ mod tests {
     fn optimize_theta_scan_and_bracket_near_optimum() {
         // A known interior peak at θ = 1.0.
         let peak = OfTheta(|t: f64| -(t - 1.0) * (t - 1.0));
-        let best = optimize_theta(0.0, 2.0, 0.0, &peak, width_of).unwrap();
+        let (_, best) = optimize_theta(0.0, 2.0, &peak, width_of).unwrap();
         assert!((best.width() - 1.0).abs() < 1e-4);
     }
 
@@ -450,7 +456,7 @@ mod tests {
             let narrow = 1.5 * (1.0 - (t - 0.4).abs() / 0.3);
             broad.max(narrow)
         });
-        let best = optimize_theta(0.0, 3.0, 1.5, &bimodal, width_of).unwrap();
+        let (_, best) = optimize_theta(0.0, 3.0, &bimodal, width_of).unwrap();
         assert!((best.width() - 0.4).abs() < 1e-4, "{best:?}");
     }
 
@@ -458,6 +464,7 @@ mod tests {
     fn optimize_theta_evaluates_only_inside_the_range_and_both_ends() {
         use rand::{Rng, SeedableRng};
         use std::cell::RefCell;
+        use std::f64::consts::FRAC_PI_2;
         let wavy = OfTheta(|t: f64| (40.0 * t).sin() + t);
         let mut ranges = vec![
             (0.3, 0.3),
@@ -482,47 +489,22 @@ mod tests {
                 seen.borrow_mut().push(t);
                 width_of(t)
             };
-            let best = optimize_theta(lo, hi, FRAC_PI_4, &wavy, rect_of).unwrap();
+            let (score, _) = optimize_theta(lo, hi, &wavy, rect_of).unwrap();
             let seen = seen.into_inner();
             assert!(seen.iter().all(|t| (lo..=hi).contains(t)), "[{lo:e}, {hi:e}]: {seen:?}");
             for end in [lo, hi] {
                 assert!(seen.iter().any(|t| t.to_bits() == end.to_bits()), "{end:e} not scored");
-                assert!(wavy.score(&best) >= wavy.score(&width_of(end).unwrap()));
+                assert!(score >= wavy.score(&width_of(end).unwrap()));
             }
         }
     }
 
     #[test]
-    fn a_refined_search_costs_thirty_evaluations() {
-        // Nine scan points, nineteen golden-section points, the clamped
-        // preference and the bracket midpoint (the best scan point and both
-        // ends are reused). The 24-step ternary search made 52.
-        let peak = OfTheta(|t: f64| -(t - 1.1) * (t - 1.1));
-        let (best, n) = search_count::evaluating(|| optimize_theta(0.0, 2.0, 0.3, &peak, width_of));
-        assert!((best.unwrap().width() - 1.1).abs() < 1e-4);
-        assert_eq!(n, 30);
-        // A preference the scan already scored costs nothing.
-        let (_, n) = search_count::evaluating(|| optimize_theta(0.0, 2.0, 0.25, &peak, width_of));
-        assert_eq!(n, 29);
-    }
-
-    #[test]
     fn optimize_theta_scores_each_angle_once() {
-        use std::cell::Cell;
-        let calls = Cell::new(0);
-        let rect_of = |t: f64| {
-            calls.set(calls.get() + 1);
-            Some(Rect::new(Point::new(0.0, 0.0), Point::new(1.0 + t, 1.0)))
-        };
-        // A point interval: lo, hi and the clamped preference coincide.
-        let best = optimize_theta(0.3, 0.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
-        assert_eq!((calls.take(), best.width()), (1, 1.3));
-        // The preference clamps onto hi.
-        let best = optimize_theta(0.1, 0.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
-        assert_eq!((calls.take(), best.width()), (2, 1.3));
-        // An interior preference is its own candidate.
-        optimize_theta(0.1, 1.3, FRAC_PI_4, &OrdinaryPerimeter, rect_of).unwrap();
-        assert_eq!(calls.take(), 3);
+        // A point interval: lo and hi coincide.
+        let peak = OfTheta(|t: f64| t);
+        let (_, n) = search_count::evaluating(|| optimize_theta(0.3, 0.3, &peak, width_of));
+        assert_eq!(n, 1);
     }
 
     #[test]
@@ -550,6 +532,6 @@ mod tests {
     #[test]
     fn optimize_theta_empty_interval() {
         let rect_of = |_t: f64| Some(Rect::UNIT);
-        assert!(optimize_theta(1.0, 0.0, 0.5, &OrdinaryPerimeter, rect_of).is_none());
+        assert!(optimize_theta(1.0, 0.0, &OrdinaryPerimeter, rect_of).is_none());
     }
 }

@@ -449,11 +449,9 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     // ring Ir-lp and its candidate-family search; the rest exercise the
     // circle, the circle complement and the staircase. The pinned values
     // were last printed by this very test, in debug and in release, when
-    // best-first ties took the one `(δ, id)` order; the digests moved
-    // alone, the region hashes and grant counts kept, when the checkpoint
-    // stopped writing the index structure (EXPERIMENTS.md has old → new):
-    // an optimisation of the Ir-lp search that keeps its regions has to
-    // reproduce them exactly. And the partition does not show: two shards
+    // the θ-search became exact (each family maximized at its closed-form
+    // breakpoints; EXPERIMENTS.md has old → new): an optimisation of the
+    // Ir-lp search that keeps its regions has to reproduce them exactly. And the partition does not show: two shards
     // grant the same rectangles, with the §6 enhancements on or off.
     const N: usize = 400;
     const QUERIES: u64 = 48;
@@ -550,12 +548,12 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     }
     assert_eq!(
         plain,
-        (0x575E_6A63_7952_3EC8, 0x1AC3_D41D_85CB_D57D, 5426),
+        (0xCE4C_22C7_A4E7_0C20, 0xF5EB_4C99_3021_5818, 5424),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0xEE8A_1298_1A6E_BDD0, 0x48E6_0A4E_8CF9_800E, 5457),
+        (0xEE8A_1298_1A6E_BDD0, 0x0BBF_A77C_EE63_F357, 5457),
         "weighted-perimeter regions moved"
     );
 }
