@@ -6,7 +6,8 @@
 //! objects and pushes the batch through
 //! [`ShardedServer::handle_sequenced_updates_parallel_into`], i.e. through
 //! the threaded batch path — scoped helper threads and the caller running
-//! the busy shards' lanes, coordinator merge. Two series land per cell grid:
+//! the chunks of the region step, coordinator merge. Two series land per
+//! cell grid:
 //!
 //! - `mode: "batch"` — per-batch throughput over the full
 //!   threads × shards matrix (each leg pins the thread count with
@@ -16,16 +17,18 @@
 //!   batches timed as one window at the widest thread count, measuring
 //!   steady-state ingest with every buffer warm.
 //!
-//! Both modes probe through a [`TableProvider`], which every lane reads
-//! directly (DESIGN.md §15).
+//! Both modes probe through a [`TableProvider`], which the coordinator
+//! reads directly (DESIGN.md §15).
 //!
 //! Rows also land in `BENCH_scaling.json` at the repo root for tooling,
 //! each stamped with the commit and the host's core count. CI's gate
 //! (`tools/check_scaling.py`) fails if sharding on one thread buys more
 //! than locality can explain (a super-linear term in the single engine),
 //! or if shards=4 falls below shards=2 where the host has the cores for
-//! it. With one thread every lane runs on the caller, so speedups only
-//! show on multi-core runners.
+//! it. With one thread every region is computed on the caller, so
+//! speedups only show on multi-core runners; since the region step is
+//! shared in chunks, a one-shard engine uses every thread too, and the
+//! shard count buys locality, not parallelism.
 
 use srb_bench::{figure_header, full_scale};
 use srb_core::{

@@ -8,6 +8,7 @@
 
 use crate::bounds::LocBound;
 use crate::ids::ObjectId;
+use crate::object::ObjectState;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::scratch::KnnPatch;
 use crate::view::{FleetView, MergedNearest};
@@ -58,23 +59,26 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
         if let Some(&p) = self.exact.get(&id) {
             return LocBound::Exact(p);
         }
-        let reach = match (self.max_speed, self.view.state_of(id)) {
-            (Some(v), Some(st)) => {
-                Some(Circle::new(st.p_lst, (v * (self.now - st.t_lst)).max(0.0)))
-            }
-            _ => None,
-        };
+        let reach = self.max_speed.and_then(|v| Some(self.reach(v, self.view.state_of(id)?)));
         LocBound::Region { sr, reach }
     }
 
-    /// The location bound for an object, looking its rectangle up in the
-    /// view.
+    /// The location bound for an object, from its state alone: only movers
+    /// are pinned, and they are exactly known, so the rectangle any other
+    /// object has in the index is the safe region its state holds.
     pub(crate) fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         if let Some(&p) = self.exact.get(&id) {
             return Some(LocBound::Exact(p));
         }
-        let sr = self.view.rect_of(id)?;
-        Some(self.bound(id, sr))
+        let st = self.view.state_of(id)?;
+        let reach = self.max_speed.map(|v| self.reach(v, st));
+        Some(LocBound::Region { sr: st.safe_region, reach })
+    }
+
+    /// The reachability circle (§6.1) of an object in state `st` at top
+    /// speed `v`.
+    fn reach(&self, v: f64, st: &ObjectState) -> Circle {
+        Circle::new(st.p_lst, (v * (self.now - st.t_lst)).max(0.0))
     }
 
     /// `t_lst + slack(p_lst) / v`: when `id`, leaving the anchor of its
@@ -105,7 +109,7 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 }
 
 /// What one safe-region computation (§5) works with: shared state it only
-/// reads — regions are computed lane by lane, possibly on several threads,
+/// reads — regions are computed chunk by chunk, possibly on several threads,
 /// and none may probe — and two lists it hands back to the coordinator.
 pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
     pub(crate) read: &'a ReadCtx<'a, B>,

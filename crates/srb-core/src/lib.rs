@@ -50,8 +50,8 @@
 //! the same at every shard count. The coordinator also owns the location
 //! manager's one timer queue (`location`): at most one pending lease or
 //! deferred probe per object, fired in `(due, id)` order. The safe regions
-//! of a batch are computed by one lane per shard, on as many threads as
-//! the engine is given.
+//! of a batch are computed in chunks, on as many threads as the engine is
+//! given.
 //!
 //! The object index under a shard is a pluggable
 //! [`SpatialBackend`]: [`ShardedServer`]

@@ -26,7 +26,7 @@ pub(crate) struct OpBuffers {
     /// every probed object) — Algorithm 1's invalid set.
     pub(crate) exact: FastMap<ObjectId, Point>,
     /// The probed part of `exact`, in probe order, until the region step
-    /// puts each on its shard's lane.
+    /// lists each for its first round.
     pub(crate) probed: Vec<ObjectId>,
     /// Deferred-probe requests accumulated during evaluation.
     pub(crate) deferred: Vec<(ObjectId, f64)>,

@@ -24,19 +24,20 @@
 //! 2. **evaluate** — the coordinator finds the affected queries in its one
 //!    grid and reevaluates each once, in query-id order. Every probe of
 //!    the batch is issued here, by the caller's thread;
-//! 3. **regions** — one *lane* per shard computes the safe regions of that
-//!    shard's exactly-known objects (movers and probed) against the query
-//!    plane and the union view, mutating nothing shared. Every other
-//!    exactly-known object, local or foreign, is an *invalid* neighbour and
-//!    takes the §5.2 midpoint rule, so a region does not depend on the
-//!    order regions are computed in. A lane that would have to probe a
-//!    neighbour whose stale region leaves no room returns the request
-//!    instead; the coordinator probes in `(requester, target)` order and
-//!    only the regions that could see the difference are computed again.
+//! 3. **regions** — the exactly-known objects (movers and probed), in
+//!    `(shard, id)` order and cut into *chunks* of a few dozen, get their
+//!    safe regions against the query plane and the union view, mutating
+//!    nothing shared. Every other exactly-known object, local or foreign,
+//!    is an *invalid* neighbour and takes the §5.2 midpoint rule, so a
+//!    region does not depend on the order regions are computed in. A
+//!    region that would have to probe a neighbour whose stale region leaves
+//!    no room returns the request instead; the coordinator probes in
+//!    `(requester, target)` order and only the regions that could see the
+//!    difference are computed again.
 //!    [`handle_sequenced_updates_into`](ShardedServer::handle_sequenced_updates_into)
-//!    runs the lanes one after another;
+//!    runs the chunks one after another;
 //!    [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
-//!    forks scoped helper threads that take lanes from one queue beside
+//!    forks scoped helper threads that take chunks from one queue beside
 //!    the caller and joins them — between batches the engine owns no
 //!    thread;
 //! 4. **install** — the regions go into the shard indexes, leases and
@@ -183,7 +184,7 @@ pub fn configured_threads() -> usize {
     resolved
 }
 
-/// What a region round reads, shared by every lane: the union view and
+/// What a region round reads, shared by every chunk: the union view and
 /// the exactly-known objects of the operation (`read`), and the query
 /// plane.
 struct Plane<'a, B: srb_index::SpatialBackend> {
@@ -192,15 +193,29 @@ struct Plane<'a, B: srb_index::SpatialBackend> {
     steadiness: Option<f64>,
 }
 
-/// One shard's share of the region step. Whichever thread takes the lane
-/// reads the shared [`Plane`] and writes only here. Between operations a
-/// lane holds capacity and nothing else.
+/// The most regions one chunk of a region round computes. A region takes
+/// 2–3 µs (on `hotspot_sharded` on the 2-core build box, 1.14 s of region
+/// work over 405 k regions), so a chunk is 60–100 µs of work — about what
+/// forking one helper thread costs before it computes anything. The
+/// threads of a round finish within one chunk of each other, which bounds
+/// the caller's wait in the join; a smaller chunk would tighten that bound
+/// but add queue-lock turns and stopwatch reads, which at 32 regions are
+/// below a thousandth of the chunk's work. And a round of one chunk is no
+/// more work than the fork it would pay for, so it runs on the caller.
+const REGIONS_PER_CHUNK: usize = 32;
+
+/// A run of up to [`REGIONS_PER_CHUNK`] consecutive objects of a region
+/// round, all of one shard. Whichever thread takes the chunk reads the
+/// shared [`Plane`] and the round's list and writes only here. Between
+/// rounds a chunk holds capacity and nothing else.
 #[derive(Default)]
-struct Lane {
-    /// In: the shard's objects whose regions this round computes —
-    /// `(id, position, previous anchor)`, ascending by id.
-    todo: Vec<(ObjectId, Point, Point)>,
-    /// Out: the regions computed so far in this operation, ascending by id.
+struct Chunk {
+    /// The shard that owns the chunk's objects.
+    shard: usize,
+    /// In: the positions of the round's list ([`RegionStep::todo`]) the
+    /// chunk computes.
+    span: std::ops::Range<usize>,
+    /// Out: the regions, ascending by id.
     regions: Vec<(ObjectId, Rect)>,
     /// Out: `(requester, target)` — a neighbour whose stale region leaves
     /// the requester no room and has to be probed. The requester gets no
@@ -209,23 +224,27 @@ struct Lane {
     /// Out: `(requester, target, due)` — deferred probes that keep the
     /// requester's reachability-based bounds sound.
     deferred: Vec<(ObjectId, ObjectId, f64)>,
-    /// Working memory of one region computation.
-    scratch: RegionScratch,
-    /// Out: how long a timed round ran (`None` when telemetry is off).
-    duration_ns: Option<u64>,
-    /// The thread that ran the lane.
+    /// Out: how long a timed round spent on the chunk (0 untimed).
+    duration_ns: u64,
+    /// The thread that ran the chunk.
     #[cfg(test)]
     ran_on: Option<std::thread::ThreadId>,
 }
 
-impl Lane {
-    /// Runs one region round over [`todo`](Self::todo); `timed` when the
-    /// round has other lanes to compare this one's duration with.
-    fn compute<B: srb_index::SpatialBackend>(&mut self, plane: &Plane<'_, B>, timed: bool) {
+impl Chunk {
+    /// Computes the regions of the chunk's span of `todo`, timing it when
+    /// `timed`.
+    fn compute<B: srb_index::SpatialBackend>(
+        &mut self,
+        todo: &[(usize, ObjectId, Point, Point)],
+        plane: &Plane<'_, B>,
+        scratch: &mut RegionScratch,
+        timed: bool,
+    ) {
         #[cfg(test)]
         self.ran_on.replace(std::thread::current().id());
         let watch = timed.then(srb_obs::Stopwatch::start);
-        for &(oid, pos, p_lst) in &self.todo {
+        for &(_, oid, pos, p_lst) in &todo[self.span.clone()] {
             let (requests, deferred) = (self.requests.len(), self.deferred.len());
             let mut ctx = RegionCtx {
                 read: &plane.read,
@@ -240,35 +259,165 @@ impl Lane {
                 pos,
                 p_lst,
                 plane.steadiness,
-                &mut self.scratch,
+                scratch,
             );
             if self.requests.len() > requests {
                 // Void: computed again once the targets are exactly known.
                 self.deferred.truncate(deferred);
                 continue;
             }
-            // In id order; only a later round's rerun lands mid-list.
-            if self.regions.last().is_none_or(|&(last, _)| last < oid) {
-                self.regions.push((oid, sr));
-            } else {
-                match self.regions.binary_search_by_key(&oid, |&(o, _)| o) {
-                    Ok(i) => self.regions[i].1 = sr,
-                    Err(i) => self.regions.insert(i, (oid, sr)),
-                }
-            }
+            self.regions.push((oid, sr));
         }
-        self.duration_ns = watch.and_then(|w| w.elapsed_ns());
+        self.duration_ns = watch.and_then(|w| w.elapsed_ns()).unwrap_or(0);
     }
 }
 
-/// The lanes of a region round that have work.
-fn busy(lanes: &mut [Lane]) -> impl Iterator<Item = &mut Lane> {
-    lanes.iter_mut().filter(|lane| !lane.todo.is_empty())
+/// One thread's part of a region round.
+#[derive(Default)]
+struct Worker {
+    /// Working memory of one region computation.
+    scratch: RegionScratch,
+    /// Out: the summed durations of the chunks the thread took, or `None`
+    /// when it did not run.
+    busy_ns: Option<u64>,
 }
 
-/// Runs every busy lane on the calling thread, in shard order.
-fn run_here(lanes: &mut [Lane], compute: &(dyn Fn(&mut Lane) + Sync)) {
-    busy(lanes).for_each(compute);
+/// The region step of one operation. It lives in [`CoordScratch`] so its
+/// buffers are reused; between operations it holds capacity and nothing
+/// else.
+#[derive(Default)]
+struct RegionStep {
+    /// The objects of the next round — `(shard, id, position, previous
+    /// anchor)` — put in `(shard, id)` order when the round starts.
+    todo: Vec<(usize, ObjectId, Point, Point)>,
+    /// The round's chunks, in list order; the pool beyond them keeps the
+    /// buffers of larger rounds.
+    chunks: Vec<Chunk>,
+    /// One per thread of a round, the calling thread's first.
+    workers: Vec<Worker>,
+    /// The operation's regions so far, in `(shard, id)` order.
+    granted: Vec<(usize, ObjectId, Rect)>,
+    /// The deferred probes behind `granted`: `(requester, target, due)`.
+    deferred: Vec<(ObjectId, ObjectId, f64)>,
+}
+
+impl RegionStep {
+    /// Runs one region round over [`todo`](Self::todo) and empties it: the
+    /// list is cut into chunks, which the calling thread and up to
+    /// `threads − 1` scoped helpers — forked only when there are two chunks
+    /// or more — take in order from one queue. The regions go into
+    /// [`granted`](Self::granted) (a later round's replacing an earlier
+    /// one's), the deferred probes into [`deferred`](Self::deferred), the
+    /// neighbour requests into `requests`. Who ran which chunk is invisible:
+    /// a chunk's output depends on its input alone, and the outputs are
+    /// taken in chunk order. A round that spans two shards or two threads
+    /// is timed ([`time_round`], `shard_ns` the per-shard histograms): on
+    /// one thread over one shard there is nothing to compare.
+    fn round<B: srb_index::SpatialBackend>(
+        &mut self,
+        plane: &Plane<'_, B>,
+        threads: usize,
+        shard_ns: &[&'static srb_obs::Histogram],
+        requests: &mut Vec<(ObjectId, ObjectId)>,
+    ) {
+        let RegionStep { todo, chunks, workers, granted, deferred } = self;
+        if !todo.is_sorted_by_key(|&(shard, oid, ..)| (shard, oid)) {
+            todo.sort_unstable_by_key(|&(shard, oid, ..)| (shard, oid));
+        }
+        let (mut live, mut start) = (0, 0);
+        while let Some(&(shard, ..)) = todo.get(start) {
+            let limit = todo.len().min(start + REGIONS_PER_CHUNK);
+            let end = start + todo[start..limit].partition_point(|t| t.0 == shard);
+            if live == chunks.len() {
+                chunks.push(Chunk::default());
+            }
+            (chunks[live].shard, chunks[live].span) = (shard, start..end);
+            (live, start) = (live + 1, end);
+        }
+        let chunks = &mut chunks[..live];
+        let (Some(first), Some(last)) = (chunks.first(), chunks.last()) else { return };
+        let helpers = threads.min(live) - 1;
+        let timed = helpers > 0 || first.shard != last.shard;
+        if workers.len() <= helpers {
+            workers.resize_with(helpers + 1, Worker::default);
+        }
+        let (caller, helping) = workers[..=helpers].split_first_mut().expect("one worker or more");
+        helping.iter_mut().for_each(|worker| worker.busy_ns = None);
+
+        let queue = Mutex::new(chunks.iter_mut());
+        let list = &todo[..];
+        let work = |worker: &mut Worker| {
+            let mut busy = 0;
+            loop {
+                // Its own statement: the lock is released before the chunk
+                // runs.
+                let next = queue.lock().expect("no chunk runs under the queue lock").next();
+                let Some(chunk) = next else { break };
+                chunk.compute(list, plane, &mut worker.scratch, timed);
+                busy += chunk.duration_ns;
+            }
+            worker.busy_ns = Some(busy);
+        };
+        if helping.is_empty() {
+            work(caller);
+        } else {
+            let work = &work;
+            let joining = std::thread::scope(|scope| {
+                for worker in helping.iter_mut() {
+                    // A spawn error just leaves the chunks to the threads
+                    // that did start — at worst the caller alone.
+                    let _ = std::thread::Builder::new().spawn_scoped(scope, move || work(worker));
+                }
+                work(caller);
+                srb_obs::Stopwatch::start()
+            });
+            if let Some(ns) = joining.elapsed_ns() {
+                srb_obs::histogram!("sharded.merge_wait_ns").record(ns);
+            }
+        }
+
+        if timed {
+            time_round(chunks, &workers[..=helpers], shard_ns);
+        }
+
+        for chunk in chunks {
+            for &(oid, sr) in &chunk.regions {
+                let key = (chunk.shard, oid);
+                // In order; only a later round's rerun lands mid-list.
+                if granted.last().is_none_or(|&(shard, last, _)| (shard, last) < key) {
+                    granted.push((chunk.shard, oid, sr));
+                } else {
+                    match granted.binary_search_by_key(&key, |&(shard, o, _)| (shard, o)) {
+                        Ok(i) => granted[i].2 = sr,
+                        Err(i) => granted.insert(i, (chunk.shard, oid, sr)),
+                    }
+                }
+            }
+            chunk.regions.clear();
+            requests.append(&mut chunk.requests);
+            deferred.append(&mut chunk.deferred);
+        }
+        todo.clear();
+    }
+}
+
+/// Publishes what a timed region round took. Chunks come in shard order:
+/// one `sharded.shardK.batch_ns` sample per shard, the sum of its chunks;
+/// one `sharded.worker_busy_ns` sample per thread that ran, the sum of the
+/// chunks it took; and, with two threads or more, the busiest one's lead
+/// over the least busy one.
+fn time_round(chunks: &[Chunk], workers: &[Worker], shard_ns: &[&'static srb_obs::Histogram]) {
+    for run in chunks.chunk_by(|a, b| a.shard == b.shard) {
+        shard_ns[run[0].shard].record(run.iter().map(|c| c.duration_ns).sum());
+    }
+    let (mut least, mut most, mut ran) = (u64::MAX, 0, 0);
+    for ns in workers.iter().filter_map(|w| w.busy_ns) {
+        srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
+        (least, most, ran) = (least.min(ns), most.max(ns), ran + 1);
+    }
+    if ran > 1 {
+        srb_obs::histogram!("sharded.straggler_gap_ns").record(most - least);
+    }
 }
 
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
@@ -285,9 +434,8 @@ struct CoordScratch {
     /// Senders of stale reports, answered with their region as it stands
     /// after the batch; shard by shard.
     regrants: Vec<ObjectId>,
-    /// One lane per shard; a lane with nothing to compute sits the round
-    /// out.
-    lanes: Vec<Lane>,
+    /// The region step's lists, chunks and per-thread working memory.
+    regions: RegionStep,
     /// The per-operation buffers of the query plane.
     arena: BatchScratch,
     /// The permutation [`sort_by_object`] sorts in place of the responses.
@@ -319,7 +467,7 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// construction, unless [`with_threads`](Self::with_threads)
     /// overwrote it.
     threads: usize,
-    /// Per-shard lane-duration histograms (`sharded.shard{i}.batch_ns`),
+    /// Per-shard region-time histograms (`sharded.shard{i}.batch_ns`),
     /// resolved once at construction so the hot path never touches the
     /// registry lock.
     shard_batch_ns: Vec<&'static srb_obs::Histogram>,
@@ -409,7 +557,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Overrides the fan-out thread count (otherwise [`configured_threads`]
     /// decides): at most this many threads, the caller included, work on
-    /// one batch. 1 runs every lane on the caller.
+    /// one batch. 1 computes every region on the caller.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         srb_obs::gauge!("sharded.threads").set(self.threads as u64);
@@ -592,13 +740,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.shards[target].index.insert(id, state);
         self.owner[id.index()] = Some(target as u32);
         let mut op = self.scratch.arena.take_op();
-        let mut lanes = self.take_lanes();
+        let mut step = std::mem::take(&mut self.scratch.regions);
         op.exact.insert(id, pos);
-        lanes[target].todo.push((id, pos, pos));
+        step.todo.push((target, id, pos, pos));
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_in(ctx, id, pos, candidates, space)
         });
-        self.grant(&mut op, lanes, provider, now, run_here);
+        self.grant(&mut op, step, provider, now, 1);
         self.scratch.arena.put_op(op);
         Ok(self.safe_region(id).expect("just added"))
     }
@@ -623,11 +771,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.owner[id.index()] = None;
         self.timers.cancel(id);
         let mut op = self.scratch.arena.take_op();
-        let lanes = self.take_lanes();
+        let step = std::mem::take(&mut self.scratch.regions);
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
-        self.grant(&mut op, lanes, provider, now, run_here);
+        self.grant(&mut op, step, provider, now, 1);
         let mut probed = op.recomputed.clone();
         probed.sort_unstable_by_key(|&(o, _)| o);
         self.scratch.arena.put_op(op);
@@ -676,12 +824,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             (id, revealed)
         });
         revealed.sort_unstable_by_key(|&(o, _)| o);
-        // The revealed movers get their lanes from `fold`, the other probed
-        // objects from the region step.
+        // The revealed movers are listed for the region step by `fold`, the
+        // other probed objects by the region step itself.
         op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
 
         let mut batch = self.scratch.arena.take_batch();
-        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now, run_here);
+        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now, 1);
         self.scratch.arena.put_batch(batch);
         // Reevaluation never disturbs the freshly installed query: it saw
         // the exact positions already.
@@ -735,8 +883,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// the result changes (sorted by [`QueryId`]) and the safe regions of
     /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
     /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
-    /// lanes and the query plane's buffers live in coordinator scratch.
-    /// Every lane runs on the calling thread, in shard order.
+    /// the region step's and the query plane's buffers live in coordinator
+    /// scratch. Every region is computed on the calling thread.
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -745,21 +893,21 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
         let _span = srb_obs::span!("sharded.fan_out");
-        self.batch(updates, provider, now, out, run_here);
+        self.batch(updates, provider, now, out, 1);
     }
 
     /// The threaded twin of
     /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
-    /// the same batch, the lanes of its region step run by up to
+    /// the same batch, the chunks of its region step run by up to
     /// [`with_threads`](Self::with_threads) threads at once — scoped
     /// helpers forked for this batch and joined before the regions are
     /// installed, the calling thread working beside them, each taking the
-    /// next busy lane from one shared queue. `provider` is probed by the
+    /// next chunk from one shared queue. `provider` is probed by the
     /// calling thread only. Output and every byte logged are identical to
     /// the sequential path whatever the thread count and whoever ran which
-    /// lane. **Appends** the responses to `out`; with a caller-reused `out`
+    /// chunk. **Appends** the responses to `out`; with a caller-reused `out`
     /// a steady-state batch allocates only what spawning its helpers does.
-    /// One thread, or one busy lane, runs on the caller alone.
+    /// One thread, or a round of one chunk, runs on the caller alone.
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -773,46 +921,23 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             return;
         }
         let _span = srb_obs::span!("sharded.pipeline");
-        self.batch(updates, &mut SyncAdapter(provider), now, out, |lanes, compute| {
-            let lanes_busy = busy(lanes).count();
-            let queue = Mutex::new(busy(lanes));
-            let work = || loop {
-                // Its own statement: the lock is released before the lane runs.
-                let next = queue.lock().expect("no lane runs under the queue lock").next();
-                let Some(lane) = next else { break };
-                compute(lane);
-            };
-            let joining = std::thread::scope(|scope| {
-                for _ in 1..threads.min(lanes_busy) {
-                    // A spawn error just leaves that lane to the threads
-                    // that did start — at worst the caller alone.
-                    let _ = std::thread::Builder::new().spawn_scoped(scope, work);
-                }
-                work();
-                srb_obs::Stopwatch::start()
-            });
-            if let Some(ns) = joining.elapsed_ns() {
-                srb_obs::histogram!("sharded.merge_wait_ns").record(ns);
-            }
-        });
+        self.batch(updates, &mut SyncAdapter(provider), now, out, threads);
     }
 
-    /// The one batch body. `regions` gets the lanes of the first region
-    /// round and the computation to run on each busy one ([`busy`]), and
-    /// must have run them all by the time it returns; who runs which lane
-    /// is invisible, because a lane's output depends on its input only.
+    /// The one batch body; its region rounds run on up to `threads`
+    /// threads, the caller included ([`RegionStep::round`]).
     fn batch(
         &mut self,
         updates: &[SequencedUpdate],
         provider: &mut dyn LocationProvider,
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
-        regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
+        threads: usize,
     ) {
         if self.wal.is_some() {
             return self.logged(
                 provider,
-                |this, p| this.batch(updates, p, now, out, regions),
+                |this, p| this.batch(updates, p, now, out, threads),
                 |w| w.log_batch(now, updates),
             );
         }
@@ -849,7 +974,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if !movers.is_empty() {
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            changes = self.fold(&mut op, &mut batch, &movers, provider, now, regions);
+            changes = self.fold(&mut op, &mut batch, &movers, provider, now, threads);
             // Every mover got a region; any beyond theirs is a bystander's.
             let movers_only = op.recomputed.len() == batch.prev.len();
             for &(oid, safe_region) in &op.recomputed {
@@ -908,23 +1033,22 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         movers: &[(ObjectId, Point)],
         provider: &mut dyn LocationProvider,
         now: f64,
-        regions: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
+        threads: usize,
     ) -> Vec<ResultChange> {
-        let mut lanes = self.take_lanes();
+        let mut step = std::mem::take(&mut self.scratch.regions);
         for &(id, pos) in movers {
             let shard = self.owner_of(id).expect("movers are registered");
             let index = &mut self.shards[shard].index;
             let anchor = index.get(id).expect("owner map names the holder").p_lst;
             index.pin_to_point(id, pos);
             op.exact.insert(id, pos);
-            let todo = &mut lanes[shard].todo;
             match batch.prev.insert(id, anchor) {
-                None => todo.push((id, pos, anchor)),
+                None => step.todo.push((shard, id, pos, anchor)),
                 // A later report of the same batch supersedes the earlier.
                 Some(_) => {
                     batch.repeated_ids = true;
-                    todo.iter_mut().find(|t| t.0 == id).expect("on its lane since its first").1 =
-                        pos;
+                    let listed = step.todo.iter_mut().find(|t| t.1 == id);
+                    listed.expect("listed since its first report").2 = pos;
                 }
             }
         }
@@ -947,7 +1071,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                     .add(self.coord_costs.probes - probes);
                 changes
             };
-            self.grant(op, lanes, provider, now, regions);
+            self.grant(op, step, provider, now, threads);
             changes
         }));
         folded.unwrap_or_else(|panic| {
@@ -984,46 +1108,30 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         step(&mut self.processor, &mut ctx, &mut op.candidates, &self.config.space)
     }
 
-    /// The lanes, one per shard and empty, for one operation;
-    /// [`grant`](Self::grant) hands them back.
-    fn take_lanes(&mut self) -> Vec<Lane> {
-        let mut lanes = std::mem::take(&mut self.scratch.lanes);
-        lanes.resize_with(self.shards.len(), Lane::default);
-        lanes
-    }
-
-    /// regions → install (Algorithm 1, lines 14-15): computes, lane by
-    /// lane, the safe region of every object in `op.exact` — the ones the
-    /// caller put on `lanes` and the probed ones — installs them (filling
-    /// `op.recomputed`, in shard order and ascending by id within a shard)
-    /// and sets the timers: a grant at another instant than the object's
-    /// last drops its timer (whatever was scheduled against the old anchor
-    /// is owed no more), one at the same instant keeps it, and a lease or a
+    /// regions → install (Algorithm 1, lines 14-15): computes, round by
+    /// round ([`RegionStep::round`], on up to `threads` threads), the safe
+    /// region of every object in `op.exact` — the ones the caller listed in
+    /// `step` and the probed ones — installs them (filling `op.recomputed`,
+    /// in shard order and ascending by id within a shard) and sets the
+    /// timers: a grant at another instant than the object's last drops its
+    /// timer (whatever was scheduled against the old anchor is owed no
+    /// more), one at the same instant keeps it, and a lease or a
     /// deferred-probe request for an object not exactly known only brings a
-    /// timer forward. `first_round` runs the lanes of the first region round
-    /// (see [`batch`](Self::batch)); the rare later rounds run on the caller.
+    /// timer forward.
     fn grant(
         &mut self,
         op: &mut OpBuffers,
-        mut lanes: Vec<Lane>,
+        mut step: RegionStep,
         provider: &mut dyn LocationProvider,
         now: f64,
-        first_round: impl FnOnce(&mut [Lane], &(dyn Fn(&mut Lane) + Sync)),
+        threads: usize,
     ) {
         let _span = srb_obs::span!("location.recompute_safe_regions");
         for oid in op.probed.drain(..) {
-            self.enlist(&mut lanes, oid, op.exact[&oid]);
-        }
-        for lane in busy(&mut lanes) {
-            if !lane.todo.is_sorted_by_key(|&(oid, ..)| oid) {
-                lane.todo.sort_unstable_by_key(|&(oid, ..)| oid);
-            }
+            self.enlist(&mut step, oid, op.exact[&oid]);
         }
 
-        let mut first_round = Some(first_round);
         loop {
-            // One lane alone has no other to be slower than.
-            let timed = busy(&mut lanes).nth(1).is_some();
             let plane = Plane {
                 read: ReadCtx {
                     view: FleetView { shards: &self.shards, owner: &self.owner },
@@ -1034,25 +1142,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 processor: &self.processor,
                 steadiness: self.config.steadiness,
             };
-            let compute = |lane: &mut Lane| lane.compute(&plane, timed);
-            match first_round.take() {
-                Some(run) => run(&mut lanes, &compute),
-                None => run_here(&mut lanes, &compute),
-            }
-            if timed {
-                self.time_lanes(&mut lanes);
-            }
+            let mut requests: Vec<(ObjectId, ObjectId)> = Vec::new();
+            step.round(&plane, threads, &self.shard_batch_ns, &mut requests);
 
-            // Every region of the round stands unless a lane asked for a
+            // Every region of the round stands unless a chunk asked for a
             // neighbour's exact location. Probing it makes it an invalid
             // neighbour (§5.2) of everything computed so far, so its ring
             // neighbours among them are computed again beside the
             // requester and the target itself.
-            let mut requests: Vec<(ObjectId, ObjectId)> = Vec::new();
-            for lane in &mut lanes {
-                requests.append(&mut lane.requests);
-                lane.todo.clear();
-            }
             if requests.is_empty() {
                 break;
             }
@@ -1086,28 +1183,28 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             let computed_before = again.len() - (op.exact.len() - known);
             srb_obs::counter!("sharded.region_reruns").add(computed_before as u64);
             for &oid in &again {
-                let lane = self.enlist(&mut lanes, oid, op.exact[&oid]);
+                self.enlist(&mut step, oid, op.exact[&oid]);
                 // A second run supersedes what the first one deferred.
-                lane.deferred.retain(|&(by, ..)| by != oid);
+                step.deferred.retain(|&(by, ..)| by != oid);
             }
         }
 
         let lease = self.config.lease.filter(|&l| l > 0.0);
-        for (shard, lane) in self.shards.iter_mut().zip(&mut lanes) {
-            for &(oid, sr) in &lane.regions {
-                let t_lst = shard.index.get(oid).expect("a region for a registered object").t_lst;
-                if t_lst != now {
-                    self.timers.cancel(oid);
-                }
-                shard.index.install_region(oid, op.exact[&oid], sr, now);
-                if let Some(lease) = lease {
-                    self.timers.lower(oid, now + lease, DeferKind::Lease);
-                }
+        for &(shard, oid, sr) in &step.granted {
+            let index = &mut self.shards[shard].index;
+            let t_lst = index.get(oid).expect("a region for a registered object").t_lst;
+            if t_lst != now {
+                self.timers.cancel(oid);
             }
-            op.recomputed.append(&mut lane.regions);
-            self.coord_work.probes_avoided += lane.deferred.len() as u64;
-            op.deferred.extend(lane.deferred.drain(..).map(|(_, target, due)| (target, due)));
+            index.install_region(oid, op.exact[&oid], sr, now);
+            if let Some(lease) = lease {
+                self.timers.lower(oid, now + lease, DeferKind::Lease);
+            }
+            op.recomputed.push((oid, sr));
         }
+        step.granted.clear();
+        self.coord_work.probes_avoided += step.deferred.len() as u64;
+        op.deferred.extend(step.deferred.drain(..).map(|(_, target, due)| (target, due)));
         self.coord_work.safe_regions += op.recomputed.len() as u64;
         srb_obs::histogram!("location.recompute_regions").record(op.recomputed.len() as u64);
         // A request for an object that ended up exactly known is dropped:
@@ -1117,33 +1214,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 self.timers.lower(oid, due, DeferKind::Slack);
             }
         }
-        self.scratch.lanes = lanes;
+        self.scratch.regions = step;
     }
 
-    /// Puts `oid`, exactly known at `pos`, on its owner's lane for the next
-    /// region round.
-    fn enlist<'l>(&self, lanes: &'l mut [Lane], oid: ObjectId, pos: Point) -> &'l mut Lane {
+    /// Lists `oid`, exactly known at `pos`, for the next region round.
+    fn enlist(&self, step: &mut RegionStep, oid: ObjectId, pos: Point) {
         let shard = self.owner_of(oid).expect("exactly-known objects are registered");
         let anchor = self.shards[shard].index.get(oid).expect("owner map names the holder").p_lst;
-        lanes[shard].todo.push((oid, pos, anchor));
-        &mut lanes[shard]
-    }
-
-    /// Publishes what the lanes of a region round with several of them
-    /// took: per-shard and overall busy time, and the load imbalance
-    /// between the fastest and the slowest lane.
-    fn time_lanes(&self, lanes: &mut [Lane]) {
-        let (mut fastest, mut slowest, mut timed) = (u64::MAX, 0, 0);
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            if let Some(ns) = lane.duration_ns.take() {
-                self.shard_batch_ns[i].record(ns);
-                srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
-                (fastest, slowest, timed) = (fastest.min(ns), slowest.max(ns), timed + 1);
-            }
-        }
-        if timed > 1 {
-            srb_obs::histogram!("sharded.straggler_gap_ns").record(slowest - fastest);
-        }
+        step.todo.push((shard, oid, pos, anchor));
     }
 
     // ------------------------------------------------------------------
@@ -1184,7 +1262,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now, run_here);
+            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now, 1);
             let safe_region = self.safe_region(oid).expect("the target got a region");
             let mut probed = op.recomputed.clone();
             probed.retain(|&(o, _)| o != oid);
@@ -1780,7 +1858,17 @@ mod tests {
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
     fn fleet(config: ServerConfig, shards: usize, threads: usize) -> (ShardedServer, Vec<Point>) {
-        let positions = world(30, 11);
+        fleet_of(30, config, shards, threads)
+    }
+
+    /// [`fleet`] over `world(n, 11)`.
+    fn fleet_of(
+        n: usize,
+        config: ServerConfig,
+        shards: usize,
+        threads: usize,
+    ) -> (ShardedServer, Vec<Point>) {
+        let positions = world(n, 11);
         let mut server = ShardedServer::new(config, shards).with_threads(threads);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         for (i, &p) in positions.iter().enumerate() {
@@ -1795,8 +1883,9 @@ mod tests {
         (server, positions)
     }
 
-    /// Drives a sequential and a `threads`-threaded [`fleet`] through the
-    /// same 15 rounds of exit reports — odd rounds as one batch, even
+    /// Drives a sequential and a `threads`-threaded 40-object fleet
+    /// ([`fleet_of`]) through the same 15 rounds of exit reports — odd
+    /// rounds as one batch, of several chunks even on one shard, even
     /// rounds one report per call — and holds the threaded one to the
     /// sequential one after every batch: responses, digest, costs and work
     /// counters.
@@ -1805,8 +1894,8 @@ mod tests {
         shards: usize,
         threads: usize,
     ) -> [ShardedServer; 2] {
-        let (mut seq_server, mut positions) = fleet(configs[0], shards, 1);
-        let (mut par_server, _) = fleet(configs[1], shards, threads);
+        let (mut seq_server, mut positions) = fleet_of(40, configs[0], shards, 1);
+        let (mut par_server, _) = fleet_of(40, configs[1], shards, threads);
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=15u64 {
             step(&mut positions, round);
@@ -1831,7 +1920,7 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential_path() {
-        for shards in [2, 4] {
+        for shards in [1, 2, 4] {
             for threads in [1, 2, 4] {
                 assert_parallel_matches_sequential([ServerConfig::default(); 2], shards, threads);
             }
@@ -2155,7 +2244,7 @@ mod tests {
         srb_durable::store::dir_listing(Path::new(dir)).into_iter().map(read).collect()
     }
 
-    /// Whatever threads run the region lanes, what reaches the disk must be
+    /// Whatever threads run the region chunks, what reaches the disk must be
     /// what the sequential path writes, byte for byte, and replay like it.
     #[test]
     fn parallel_path_under_wal_stays_sequentially_logged() {
@@ -2199,21 +2288,22 @@ mod tests {
         (server, positions, batch)
     }
 
-    /// The distinct threads the lanes of the last region round ran on.
-    fn lane_threads(server: &ShardedServer) -> HashSet<std::thread::ThreadId> {
-        server.scratch.lanes.iter().filter_map(|lane| lane.ran_on).collect()
+    /// The distinct threads the chunks of the region rounds ran on.
+    fn chunk_threads(server: &ShardedServer) -> HashSet<std::thread::ThreadId> {
+        server.scratch.regions.chunks.iter().filter_map(|chunk| chunk.ran_on).collect()
     }
 
     /// Helpers are forked for the region step exactly when more than one
-    /// thread is asked for. Every object of a 2 000-object fleet reports, so
-    /// each of the four lanes has hundreds of regions to compute — long
+    /// thread is asked for, at any shard count. Every object of a
+    /// 2 000-object fleet reports, so a round has dozens of chunks — long
     /// enough for a helper to start beside the caller (in which batch that
     /// first happens is the scheduler's business).
     #[test]
-    fn lanes_spread_over_threads_unless_single_threaded() {
-        for threads in [4, 1] {
+    fn chunks_spread_over_threads_unless_single_threaded() {
+        for (shards, threads) in [(4, 4), (1, 2), (4, 1), (1, 1)] {
             let mut positions = world(2000, 23);
-            let mut server = ShardedServer::new(ServerConfig::default(), 4).with_threads(threads);
+            let mut server =
+                ShardedServer::new(ServerConfig::default(), shards).with_threads(threads);
             {
                 let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
                 for (i, &p) in positions.iter().enumerate() {
@@ -2234,7 +2324,7 @@ mod tests {
                 let table = TableProvider(&positions);
                 let now = round as f64 * 0.1;
                 server.handle_sequenced_updates_parallel_into(&batch, &table, now, &mut Vec::new());
-                let ran_on = lane_threads(&server);
+                let ran_on = chunk_threads(&server);
                 if threads == 1 {
                     assert_eq!(ran_on, HashSet::from([std::thread::current().id()]));
                 }
@@ -2243,7 +2333,7 @@ mod tests {
                     break;
                 }
             }
-            assert_eq!(spread, threads > 1, "{threads} threads");
+            assert_eq!(spread, threads > 1, "{shards} shards, {threads} threads");
         }
     }
 
@@ -2298,7 +2388,7 @@ mod tests {
     /// result (on shard 0) report from exactly the distance its first
     /// result's (on shard 1) stale region reaches out to: reevaluation
     /// keeps the order without probing, but the reporter's ring has no
-    /// room, so its lane hands the first result back as a request. The
+    /// room, so its region hands the first result back as a request. The
     /// coordinator probes in `(requester, target)` order — here against
     /// target order — and both objects of each pair get regions that keep
     /// them apart.
@@ -2405,7 +2495,7 @@ mod tests {
     /// and at two with the same outcome to the bit. `far` reports from
     /// exactly the distance `near`'s stale region reaches out to:
     /// reevaluation keeps the order without probing, but the ring of `far`
-    /// has no room, so its lane asks for `near` — whether `near`'s id is
+    /// has no room, so its region asks for `near` — whether `near`'s id is
     /// the larger or the smaller one — and `near` rides home as a probed
     /// bystander with a region of its own. When both results report in one
     /// batch from distances a hair apart (a stale region between them would

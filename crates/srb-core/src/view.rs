@@ -1,6 +1,6 @@
 //! What query evaluation (§4) and safe-region computation (§5) read of the
-//! moving objects: a best-first browse, a rectangle search, and the stored
-//! rectangle and state of one object.
+//! moving objects: a best-first browse, a rectangle search, and the state
+//! of one object.
 //!
 //! The objects are partitioned over the engine's shards; [`FleetView`]
 //! answers from whichever shard owns the object and merges the shards'
@@ -55,12 +55,6 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
         }
         out.sort_unstable_by_key(|e| e.id);
         out
-    }
-
-    /// The stored rectangle of `id`: its safe region, or the point it was
-    /// pinned to by a report not yet answered.
-    pub(crate) fn rect_of(&self, id: ObjectId) -> Option<Rect> {
-        self.index_of(id)?.tree().get(id.entry())
     }
 
     /// The state of `id`, if registered.

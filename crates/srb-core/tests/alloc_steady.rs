@@ -159,7 +159,7 @@ fn sharded_steady_state_batches_do_not_allocate() {
 
 /// Range-query-dense: four range rectangles sit in the corners of every
 /// object's cell, none holding the object, so every region is cut by the
-/// §5.3 staircase over four blocks — on the lane's reused working memory.
+/// §5.3 staircase over four blocks — on the thread's reused working memory.
 #[test]
 fn range_dense_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));

@@ -2,8 +2,9 @@
 //! have warmed up, a batch through the 4-shard / 4-thread
 //! [`ShardedServer::handle_sequenced_updates_parallel_into`] path allocates
 //! what forking its three helper threads costs and nothing else — across
-//! *every* thread — whatever the batch size; the same fleet at one thread
-//! allocates nothing. And an engine at rest owns no thread.
+//! *every* thread — whatever the batch size, and so does a one-shard,
+//! two-thread batch of several chunks with its one helper; the same fleets
+//! at one thread allocate nothing. And an engine at rest owns no thread.
 //!
 //! Unlike `alloc_steady.rs` (whose counters are thread-local so parallel
 //! test threads cannot pollute a measurement), this pin must observe the
@@ -93,9 +94,10 @@ fn batch(n: usize, b: u64) -> Vec<SequencedUpdate> {
 }
 
 /// Heap allocations of each of `MEASURED_BATCHES` warmed-up batches of `n`
-/// reports through a 4-shard engine at `threads`, all four shards busy.
-fn measured(n: usize, threads: usize) -> Vec<u64> {
-    let mut server = ShardedServer::new(ServerConfig::default(), 4).with_threads(threads);
+/// reports through an engine of `shards` shards at `threads`, every shard
+/// busy.
+fn measured(n: usize, shards: usize, threads: usize) -> Vec<u64> {
+    let mut server = ShardedServer::new(ServerConfig::default(), shards).with_threads(threads);
     {
         let mut provider = FnProvider(|id: ObjectId| home(id.index()));
         for i in 0..n {
@@ -106,12 +108,12 @@ fn measured(n: usize, threads: usize) -> Vec<u64> {
         let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
         server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
     }
-    assert!(server.shards().iter().all(|s| s.object_count() > 0), "every shard has a lane");
+    assert!(server.shards().iter().all(|s| s.object_count() > 0), "every shard has objects");
     let positions: Vec<Point> = (0..n).map(home).collect();
     let provider = TableProvider(&positions);
 
     let mut out: Vec<(ObjectId, UpdateResponse)> = Vec::new();
-    // Warmup resolves every metric slot and grows each lane's partition,
+    // Warmup resolves every metric slot and grows the chunk, per-thread,
     // response and record buffers to their steady-state capacities.
     for b in 0..WARMUP_BATCHES {
         out.clear();
@@ -140,12 +142,20 @@ fn live_threads() -> Option<usize> {
 fn threaded_steady_state_batches_allocate_only_their_spawns() {
     let threads_before = live_threads();
 
-    let small = measured(N_OBJECTS, 4);
-    let large = measured(4 * N_OBJECTS, 4);
+    let small = measured(N_OBJECTS, 4, 4);
+    let large = measured(4 * N_OBJECTS, 4, 4);
     assert!(small[0] <= SCOPE_ALLOCS + 3 * SPAWN_ALLOCS, "{} allocations per batch", small[0]);
-    assert!(small[0] > 0, "four busy lanes at four threads fork helpers");
+    assert!(small[0] > 0, "four shards' chunks at four threads fork helpers");
     assert!(small.iter().all(|&a| a == small[0]), "steady state: {small:?}");
     assert_eq!(large, small, "the count must not depend on the batch size");
+
+    // Two chunks of one shard and eight: one helper either way.
+    let two = measured(4 * N_OBJECTS, 1, 2);
+    let eight = measured(16 * N_OBJECTS, 1, 2);
+    assert!(two[0] <= SCOPE_ALLOCS + SPAWN_ALLOCS, "{} allocations per batch", two[0]);
+    assert!(two[0] > 0, "a one-shard round of several chunks forks a helper");
+    assert!(two.iter().all(|&a| a == two[0]), "steady state: {two:?}");
+    assert_eq!(eight, two, "the count must not depend on the batch size");
 
     // A joined helper may still be on its way out of the kernel's table
     // for a moment; a standing worker would never leave it.
@@ -155,8 +165,9 @@ fn threaded_steady_state_batches_allocate_only_their_spawns() {
     }
     assert_eq!(live_threads(), threads_before, "a threaded batch left a thread behind");
 
-    for n in [N_OBJECTS, 4 * N_OBJECTS] {
-        let caller_only = measured(n, 1);
-        assert!(caller_only.iter().all(|&a| a == 0), "one thread, {n} reports: {caller_only:?}");
+    for (n, shards) in [(N_OBJECTS, 4), (4 * N_OBJECTS, 4), (16 * N_OBJECTS, 1)] {
+        let caller_only = measured(n, shards, 1);
+        let what = format!("one thread, {shards} shards, {n} reports");
+        assert!(caller_only.iter().all(|&a| a == 0), "{what}: {caller_only:?}");
     }
 }

@@ -41,6 +41,7 @@ pub fn bulk_load(mut entries: Vec<LeafEntry>, config: TreeConfig) -> RStarTree {
                 parent: NO_NODE,
                 kind: NodeKind::Leaf(group.to_vec()),
                 level: 0,
+                loose: false,
             });
             leaf_ids.push(id);
         }
@@ -80,7 +81,8 @@ pub fn bulk_load(mut entries: Vec<LeafEntry>, config: TreeConfig) -> RStarTree {
             for &c in &group {
                 nodes[c as usize].parent = id;
             }
-            nodes.push(Node { rect, parent: NO_NODE, kind: NodeKind::Internal(group), level });
+            let kind = NodeKind::Internal(group);
+            nodes.push(Node { rect, parent: NO_NODE, kind, level, loose: false });
             next_level.push(id);
         }
         level_ids = next_level;

@@ -533,7 +533,9 @@ impl RStarTree {
                 it.fold(start, |acc, &c| acc.union(&self.node(c).rect))
             }
         };
-        self.node_mut(node_id).rect = rect;
+        let node = self.node_mut(node_id);
+        node.rect = rect;
+        node.loose = false;
     }
 
     /// Recomputes exact MBRs from `from`'s parent up to the root.
@@ -628,23 +630,34 @@ impl RStarTree {
             return UpdateOutcome::Reinserted;
         };
         let leaf_rect = self.node(leaf).rect;
+        let parent = self.node(leaf).parent;
         if leaf_rect.contains_rect(&new_rect) {
             let entries = self.node_mut(leaf).leaf_entries_mut();
             let e = entries.iter_mut().find(|e| e.id == id).expect("leaf_of consistent");
-            e.rect = new_rect;
-            // Tighten cheaply (O(M)) so repeated in-place updates do not
-            // degrade search performance.
-            self.recompute_mbr(leaf);
-            self.shrink_upward(leaf);
+            let old = std::mem::replace(&mut e.rect, new_rect);
+            // Tighten (O(M)) so repeated in-place updates do not degrade
+            // search performance — but only when something can tighten. A
+            // leaf MBR is the union of its entries, so it shrinks only on a
+            // side the old rectangle reached and the new one leaves; and
+            // the parent is the union of its children unless a local
+            // expansion below it left it loose.
+            if vacates(&old, &new_rect, &leaf_rect)
+                || (parent != NO_NODE && self.node(parent).loose)
+            {
+                self.recompute_mbr(leaf);
+                self.shrink_upward(leaf);
+            }
             srb_obs::counter!("index.update.in_place").inc();
             return UpdateOutcome::InPlace;
         }
-        let parent = self.node(leaf).parent;
         if parent != NO_NODE && self.node(parent).rect.contains_rect(&new_rect) {
             let entries = self.node_mut(leaf).leaf_entries_mut();
             let e = entries.iter_mut().find(|e| e.id == id).expect("leaf_of consistent");
             e.rect = new_rect;
             self.recompute_mbr(leaf);
+            // The leaf may have shrunk on a side only it reached, leaving
+            // the parent larger than its children's union.
+            self.node_mut(parent).loose = true;
             srb_obs::counter!("index.update.local_expand").inc();
             return UpdateOutcome::LocalExpand;
         }
@@ -817,6 +830,15 @@ impl RStarTree {
             relaxed_min: true,
         }
     }
+}
+
+/// Whether putting `new` in place of `old` in a leaf can shrink the leaf's
+/// MBR `mbr` (which contains both): `old` reached a side of `mbr` that `new`
+/// leaves.
+fn vacates(old: &Rect, new: &Rect, mbr: &Rect) -> bool {
+    let sides = |r: &Rect| [r.min().x, r.min().y, r.max().x, r.max().y];
+    let (old, new, mbr) = (sides(old), sides(new), sides(mbr));
+    (0..4).any(|i| old[i] == mbr[i] && new[i] != mbr[i])
 }
 
 struct AllEntries<'a> {
@@ -1042,6 +1064,90 @@ mod tests {
         assert_eq!(out, UpdateOutcome::Reinserted);
         assert_eq!(t.len(), 65);
         t.check_invariants();
+    }
+
+    /// The reference `update`: every in-place update recomputes the leaf
+    /// and its ancestors.
+    fn update_recomputing(t: &mut RStarTree, id: EntryId, new_rect: Rect) {
+        let leaf = t.leaf_of[&id];
+        if !t.node(leaf).rect.contains_rect(&new_rect) {
+            t.update(id, new_rect);
+            return;
+        }
+        let entries = t.node_mut(leaf).leaf_entries_mut();
+        entries.iter_mut().find(|e| e.id == id).expect("leaf_of consistent").rect = new_rect;
+        t.recompute_mbr(leaf);
+        t.shrink_upward(leaf);
+    }
+
+    /// The in-place branch skips the MBR recompute unless it can change
+    /// something. Over an update stream shaped like the engine's — a report
+    /// pins a region to a point inside it, a grant widens a point to a
+    /// region around it, a probed object's region moves anywhere near, and
+    /// objects come and go — every node rectangle equals what a tree that
+    /// always recomputes holds, after every operation.
+    #[test]
+    fn skipping_recomputes_keeps_every_node_rectangle() {
+        srb_cases::cases(&[], srb_cases::Seeds::Fixed, 6, |rng| {
+            let config = TreeConfig { max_entries: 8, min_entries: 3, reinsert_count: 2 };
+            let (mut fast, mut full) = (RStarTree::new(config), RStarTree::new(config));
+            let mut rects: Vec<Option<Rect>> = Vec::new();
+            let around = |rng: &mut srb_cases::Rng, p: Point| {
+                let (w, h) = (rng.float(0.0, 0.05), rng.float(0.0, 0.05));
+                let c = Point::new(p.x + rng.float(-w, w) / 2.0, p.y + rng.float(-h, h) / 2.0);
+                Rect::centered(c, w, h)
+            };
+            let (mut skipped, mut expanded) = (0, 0);
+            for step in 0..3_000 {
+                let id = rng.below(rects.len() + 1);
+                let rect = match rects.get(id).copied().flatten() {
+                    None => {
+                        let p = Point::new(rng.unit(), rng.unit());
+                        let r = around(rng, p);
+                        fast.insert(id as u64, r);
+                        full.insert(id as u64, r);
+                        if id == rects.len() {
+                            rects.push(None);
+                        }
+                        Some(r)
+                    }
+                    Some(_) if rng.below(20) == 0 => {
+                        assert_eq!(fast.remove(id as u64), full.remove(id as u64));
+                        None
+                    }
+                    Some(old) => {
+                        let new = match rng.below(3) {
+                            0 => {
+                                let (lo, hi) = (old.min(), old.max());
+                                Rect::point(Point::new(
+                                    rng.float(lo.x, hi.x.max(lo.x + 1e-12)).min(hi.x),
+                                    rng.float(lo.y, hi.y.max(lo.y + 1e-12)).min(hi.y),
+                                ))
+                            }
+                            1 => old.union(&around(rng, old.center())),
+                            _ => around(rng, old.center()),
+                        };
+                        let leaf = fast.leaf_of[&(id as u64)];
+                        let parent = fast.node(leaf).parent;
+                        let loose = parent != NO_NODE && fast.node(parent).loose;
+                        skipped += usize::from(
+                            fast.node(leaf).rect.contains_rect(&new)
+                                && !vacates(&old, &new, &fast.node(leaf).rect)
+                                && !loose,
+                        );
+                        let outcome = fast.update(id as u64, new);
+                        expanded += usize::from(outcome == UpdateOutcome::LocalExpand);
+                        update_recomputing(&mut full, id as u64, new);
+                        Some(new)
+                    }
+                };
+                rects[id] = rect;
+                let boxes = |t: &RStarTree| t.nodes.iter().map(|n| n.rect).collect::<Vec<_>>();
+                assert_eq!((fast.root, boxes(&fast)), (full.root, boxes(&full)), "step {step}");
+            }
+            fast.check_invariants();
+            assert!(skipped > 100 && expanded > 10, "{skipped} skipped, {expanded} expanded");
+        });
     }
 
     #[test]

@@ -35,6 +35,10 @@ pub(crate) struct Node {
     pub(crate) kind: NodeKind,
     /// Distance from the leaf level (leaves are level 0).
     pub(crate) level: u16,
+    /// The rectangle may exceed the union of the children's: set on the
+    /// parent of a leaf that shrank in a local expansion, cleared when the
+    /// rectangle is recomputed.
+    pub(crate) loose: bool,
 }
 
 impl Node {
@@ -44,6 +48,7 @@ impl Node {
             parent: NO_NODE,
             kind: NodeKind::Leaf(Vec::new()),
             level: 0,
+            loose: false,
         }
     }
 
@@ -53,6 +58,7 @@ impl Node {
             parent: NO_NODE,
             kind: NodeKind::Internal(Vec::new()),
             level,
+            loose: false,
         }
     }
 

@@ -97,7 +97,7 @@ fn main() {
 /// The second result of an order-sensitive 2-NN query reports from exactly
 /// the distance the first result's stale region reaches out to:
 /// reevaluation keeps the order without probing, but the reporter's ring
-/// has no room, so its region lane asks the coordinator to probe the first
+/// has no room, so its region asks the coordinator to probe the first
 /// result.
 fn force_neighbor_probe() {
     let q = Point::new(0.5, 0.5);

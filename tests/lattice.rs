@@ -59,6 +59,7 @@ const CROSS_SECTION: &[(Config, u64)] = &[
     (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
     (Config { shards: 2, enhancement: Lease, durability: Restart, ..P }, 17),
     (Config { shards: 8, backend: Flip, enhancement: Lease, delivery: PerCall, ..P }, 18),
+    (Config { shards: 1, threads: 2, ..P }, 19),
 ];
 
 #[test]
