@@ -15,7 +15,7 @@
 //! configuration. With `lease: None` on the ideal channel the fault path
 //! is completely inert and the paper figures are reproduced bit-for-bit.
 
-use srb_bench::{base_config, figure_header, run_row};
+use srb_bench::{base_config, figure_header, json_row, run_row};
 use srb_mobility::RetryPolicy;
 use srb_sim::{ChannelConfig, Scheme, SimConfig};
 
@@ -43,22 +43,7 @@ fn main() {
                 "", m.uplinks_sent, m.retransmissions, m.channel_drops, m.stale_seq_drops,
                 m.lease_probes, m.regrants
             );
-            let line = serde_json::json!({
-                "figure": "fault_sweep",
-                "series": label,
-                "x": loss,
-                "accuracy": m.accuracy,
-                "comm_cost": m.comm_cost,
-                "uplinks": m.uplinks,
-                "uplinks_sent": m.uplinks_sent,
-                "retransmissions": m.retransmissions,
-                "channel_drops": m.channel_drops,
-                "stale_seq_drops": m.stale_seq_drops,
-                "lease_probes": m.lease_probes,
-                "regrants": m.regrants,
-                "probes": m.probes,
-            });
-            println!("JSON {line}");
+            json_row("fault_sweep", label, loss, &m);
         }
     }
 }

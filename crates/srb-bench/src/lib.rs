@@ -7,7 +7,9 @@
 //!
 //! Scale: by default the harness runs a laptop-scale configuration that
 //! preserves the paper's parameter *ratios* (see `DESIGN.md` §5). Set
-//! `SRB_FULL_SCALE=1` to run the paper's full Table 7.1 scale (hours).
+//! `SRB_FULL_SCALE=1` to run the paper's full Table 7.1 scale (run time
+//! unmeasured). Every `JSON` row is stamped with the commit, the host's
+//! core count and the scale; `cargo bench -p srb-bench` compiles telemetry out.
 
 #![warn(missing_docs)]
 
@@ -34,10 +36,10 @@ pub fn full_scale() -> bool {
     std::env::var_os("SRB_FULL_SCALE").is_some()
 }
 
-/// What a `BENCH_*.json` row is stamped with: the checkout's commit
-/// (`-dirty` when the tree has uncommitted changes, `unknown` outside a git
-/// checkout) and the host's core count.
-pub fn provenance() -> (String, u64) {
+/// What every row is stamped with: the checkout's commit (`-dirty` when
+/// the tree has uncommitted changes, `unknown` outside a git checkout) and
+/// the host's core count.
+fn provenance() -> (String, u64) {
     let commit = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -81,7 +83,13 @@ pub fn figure_header(id: &str, title: &str, cfg: &SimConfig) {
 /// Emits one row of machine-readable JSON alongside the printed tables
 /// (collected by EXPERIMENTS.md tooling).
 pub fn json_row(figure: &str, series: &str, x: f64, m: &RunMetrics) {
-    let line = serde_json::json!({
+    println!("JSON {}", row(figure, series, x, m));
+}
+
+/// One figure row: metrics, fault counters (0 on the ideal channel), stamp.
+fn row(figure: &str, series: &str, x: f64, m: &RunMetrics) -> serde_json::Value {
+    let (commit, cores) = provenance();
+    serde_json::json!({
         "figure": figure,
         "series": series,
         "x": x,
@@ -92,6 +100,30 @@ pub fn json_row(figure: &str, series: &str, x: f64, m: &RunMetrics) {
         "work_units_per_tu": m.work_units_per_tu,
         "uplinks": m.uplinks,
         "probes": m.probes,
-    });
-    println!("JSON {line}");
+        "uplinks_sent": m.uplinks_sent,
+        "retransmissions": m.retransmissions,
+        "channel_drops": m.channel_drops,
+        "stale_seq_drops": m.stale_seq_drops,
+        "lease_probes": m.lease_probes,
+        "regrants": m.regrants,
+        "commit": commit,
+        "cores": cores,
+        "scale": if full_scale() { "full" } else { "bench" },
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_row_carries_every_count_and_its_stamp() {
+        let row = row("7.1", "SRB", 0.0, &RunMetrics::default());
+        let serde_json::Value::Object(fields) = &row else { panic!("not an object: {row}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        let expected = "figure series x accuracy comm_cost comm_cost_per_distance \
+            cpu_seconds_per_tu work_units_per_tu uplinks probes uplinks_sent retransmissions \
+            channel_drops stale_seq_drops lease_probes regrants commit cores scale";
+        assert_eq!(keys, expected.split_whitespace().collect::<Vec<_>>());
+    }
 }

@@ -22,7 +22,7 @@ use srb_index::{AdaptiveConfig, BackendConfig, BackendKind, GridConfig};
 
 /// What the controller decided for one shard at a decision boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdaptAction {
+pub(crate) enum AdaptAction {
     /// Rebuild the shard's index as `kind`, under the adaptive policy's
     /// per-kind build parameters.
     Migrate(BackendKind),
@@ -33,13 +33,13 @@ pub enum AdaptAction {
 /// One shard's signal snapshot, taken by the coordinator at a decision
 /// boundary. All fields come from checkpointed per-shard state.
 #[derive(Clone, Copy, Debug)]
-pub struct ShardSignals {
+pub(crate) struct ShardSignals {
     /// Objects currently owned by the shard.
-    pub len: usize,
+    pub(crate) len: usize,
     /// The structure currently live on the shard.
-    pub kind: BackendKind,
+    pub(crate) kind: BackendKind,
     /// Current grid resolution, when the live structure is a grid.
-    pub grid_m: Option<usize>,
+    pub(crate) grid_m: Option<usize>,
 }
 
 /// Per-shard decision window: the running migration vote.
@@ -53,7 +53,7 @@ struct ShardWindow {
 /// Telemetry-driven backend selection for the sharded engine: owns the
 /// per-shard decision windows and the batch cadence. See the module docs
 /// for the determinism contract.
-pub struct AdaptiveController {
+pub(crate) struct AdaptiveController {
     config: AdaptiveConfig,
     /// Coordinator batches seen since construction (or recovery).
     batches: u64,
@@ -66,24 +66,24 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// A controller over `n_shards` shards applying `config`'s thresholds.
-    pub fn new(config: AdaptiveConfig, n_shards: usize) -> Self {
+    pub(crate) fn new(config: AdaptiveConfig, n_shards: usize) -> Self {
         let shards = vec![ShardWindow::default(); n_shards];
         AdaptiveController { config, batches: 0, migrations: 0, retunes: 0, shards }
     }
 
     /// Controller-triggered kind migrations so far.
-    pub fn migrations(&self) -> u64 {
+    pub(crate) fn migrations(&self) -> u64 {
         self.migrations
     }
 
     /// Controller-triggered grid retunes so far.
-    pub fn retunes(&self) -> u64 {
+    pub(crate) fn retunes(&self) -> u64 {
         self.retunes
     }
 
     /// Counts one coordinator batch; returns `true` when this batch is a
     /// decision boundary (`decision_every` cadence).
-    pub fn note_batch(&mut self) -> bool {
+    pub(crate) fn note_batch(&mut self) -> bool {
         self.batches += 1;
         self.batches.is_multiple_of(u64::from(self.config.decision_every.max(1)))
     }
@@ -91,7 +91,7 @@ impl AdaptiveController {
     /// Decides one shard's fate at a decision boundary. Call once per
     /// shard per boundary, in shard order — the decision windows advance
     /// as a side effect. Allocation-free.
-    pub fn decide(&mut self, shard: usize, sig: ShardSignals) -> Option<AdaptAction> {
+    pub(crate) fn decide(&mut self, shard: usize, sig: ShardSignals) -> Option<AdaptAction> {
         let config = self.config;
         let w = &mut self.shards[shard];
         let desired = if sig.len >= config.dense_above {
@@ -134,7 +134,7 @@ impl AdaptiveController {
 
     /// The concrete [`BackendConfig`] that applies `action` under this
     /// policy's per-kind parameters.
-    pub fn config_for(&self, action: AdaptAction) -> BackendConfig {
+    pub(crate) fn config_for(&self, action: AdaptAction) -> BackendConfig {
         match action {
             AdaptAction::Migrate(kind) => self.config.config_for(kind),
             AdaptAction::Retune(m) => BackendConfig::Grid(GridConfig { m }),

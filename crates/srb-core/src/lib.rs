@@ -62,8 +62,9 @@
 //! [`DynBackend`] dispatches over both structures
 //! behind one type, [`ShardedServer::migrate_shard`] live-rebuilds a shard
 //! into the other structure mid-stream with bit-identical results, and
-//! `SRB_BACKEND=adaptive` arms an [`AdaptiveController`] that migrates and
-//! retunes per shard from observed telemetry at batch boundaries.
+//! `SRB_BACKEND=adaptive` arms the engine's adaptive controller, which
+//! migrates and retunes per shard from observed telemetry at batch
+//! boundaries (DESIGN.md §16).
 //!
 //! Durability ([`DurabilityConfig`]) is the coordinator's: it logs,
 //! checkpoints and recovers ([`ShardedServer::recover`]) for the shards it
@@ -94,7 +95,6 @@ mod sharded;
 mod view;
 mod wal;
 
-pub use adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 pub use config::{DurabilityConfig, ServerConfig};
 pub use error::{RecoveryError, ServerError};
 pub use ids::{ObjectId, QueryId};
@@ -103,8 +103,8 @@ pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkSta
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
 pub use shard::Shard;
 pub use sharded::{
-    configured_threads, RegisterResponse, ResultRemoval, SequencedUpdate, ShardedServer,
-    SyncProvider, TableProvider, UpdateResponse,
+    RegisterResponse, ResultRemoval, SequencedUpdate, ShardedServer, SyncProvider, TableProvider,
+    UpdateResponse,
 };
 pub use srb_durable::{CrashPoint, SyncPolicy};
 pub use srb_index::{

@@ -176,7 +176,7 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
 /// configured parallelism (`RAYON_NUM_THREADS` / available cores).
 /// `SRB_THREADS=0` and unparsable values are rejected, not honored.
 /// The resolved count is published on the `sharded.threads` gauge.
-pub fn configured_threads() -> usize {
+pub(crate) fn configured_threads() -> usize {
     let var = std::env::var("SRB_THREADS");
     let resolved =
         parse_threads(var.as_deref().ok()).unwrap_or_else(rayon::current_num_threads).max(1);
@@ -555,9 +555,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Overrides the fan-out thread count (otherwise [`configured_threads`]
-    /// decides): at most this many threads, the caller included, work on
-    /// one batch. 1 computes every region on the caller.
+    /// Overrides the fan-out thread count (otherwise `SRB_THREADS`, else
+    /// rayon's thread count, decides): at most this many threads, the
+    /// caller included, work on one batch. 1 computes every region on the
+    /// caller.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         srb_obs::gauge!("sharded.threads").set(self.threads as u64);
@@ -689,14 +690,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 assert!(self.last_known(oid).is_some(), "{qid} holds unregistered {oid}");
             }
         }
-    }
-
-    /// Drops every retained scratch capacity. Bench-only hook that
-    /// simulates build-buffers-per-batch behavior; never call it on a hot
-    /// path.
-    #[doc(hidden)]
-    pub fn drop_scratch_capacity(&mut self) {
-        self.scratch = CoordScratch::default();
     }
 
     // ------------------------------------------------------------------

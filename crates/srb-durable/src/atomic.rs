@@ -2,9 +2,10 @@
 //! best-effort directory fsync.
 //!
 //! Used by the checkpoint writer and by every JSON artifact writer in
-//! the workspace (`BENCH_*.json`, `OBS_snapshot.json`, timelines), so a
-//! crash mid-write can never leave a half-written file under the stable
-//! name — readers see either the old contents or the new ones.
+//! the workspace (the perf ledger's report, the simulator's timeline and
+//! the telemetry example's `OBS_snapshot.json`), so a crash mid-write can
+//! never leave a half-written file under the stable name — readers see
+//! either the old contents or the new ones.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
