@@ -1,7 +1,7 @@
 //! Ir-lp of a circle (paper §5.2.1, Proposition 5.2).
 
-use super::family::{search, Edge, Family, Range};
-use super::{clip_containing, pad_range, QuadFrame, EPS};
+use super::family::{Edge, Family, Range};
+use super::{best_of, clip_containing, pad_range, Candidates, QuadFrame, EPS};
 use crate::circle::Circle;
 use crate::objective::PerimeterObjective;
 use crate::point::Point;
@@ -23,18 +23,27 @@ pub fn irlp_circle<O>(circle: &Circle, p: Point, cell: &Rect, objective: &O) -> 
 where
     O: PerimeterObjective + ?Sized,
 {
+    best_of(&candidates(circle, p, cell), objective)
+}
+
+/// The circle's one candidate: the inscribed family, or the point `p` when
+/// the circle has no radius. The table is empty when `p` lies outside the
+/// closed circle or outside `cell`.
+pub(crate) fn candidates(circle: &Circle, p: Point, cell: &Rect) -> Candidates {
+    let mut table = Candidates::default();
     if !cell.contains_point(p) {
-        return None;
+        return table;
     }
     let q = circle.center;
     let r = circle.radius;
     let d = q.dist(p);
     if d > r + EPS {
-        return None; // p outside the circle: no inscribed rect can contain it
+        return table; // p outside the circle: no inscribed rect can contain it
     }
     if r <= EPS {
         // Degenerate circle: the only feasible rectangle is the point itself.
-        return clip_containing(Rect::point(p), cell, p);
+        table.fixed[0] = clip_containing(Rect::point(p), cell, p);
+        return table;
     }
     let frame = QuadFrame::toward(q, p);
     let local = frame.to_local(p);
@@ -42,19 +51,15 @@ where
     let theta_x = (dx / r).asin();
     let theta_y = (dy / r).acos();
     if theta_x > theta_y + 1e-9 {
-        return None; // numerically outside
+        return table; // numerically outside
     }
     let (lo, hi) = (theta_x.min(theta_y), theta_y.max(theta_x));
     // Both endpoints are p-binding: at θx the vertical edge passes through
     // p, at θy the horizontal one. Keep p strictly interior.
     let (lo, hi) = pad_range(lo, hi, true, true);
-    let family = Family::new(
-        frame,
-        cell,
-        p,
-        [Edge::sin(0.0, -r), Edge::sin(0.0, r), Edge::cos(0.0, -r), Edge::cos(0.0, r)],
-    );
-    search(&family, &Range::new(lo, hi), objective).map(|(_, rect)| rect)
+    let edges = [Edge::sin(0.0, -r), Edge::sin(0.0, r), Edge::cos(0.0, -r), Edge::cos(0.0, r)];
+    table.families[0] = Some((Family::new(frame, cell, p, edges), Range::new(lo, hi)));
+    table
 }
 
 #[cfg(test)]

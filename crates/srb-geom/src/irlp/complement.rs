@@ -15,10 +15,10 @@
 //!
 //! The slabs and the whole cell cost one score each, so they are scored
 //! first and the arc is searched only if its envelope can still beat them
-//! (see the [module docs](super)).
+//! (`best_of`; see the [module docs](super)).
 
-use super::family::{search, Edge, Family, Range};
-use super::{best_of_families, clip_containing, offer_rect, pad_range, QuadFrame, EPS};
+use super::family::{Edge, Family, Range};
+use super::{best_of, clip_containing, pad_range, Candidates, QuadFrame, EPS};
 use crate::circle::Circle;
 use crate::objective::PerimeterObjective;
 use crate::point::Point;
@@ -42,18 +42,28 @@ pub fn irlp_circle_complement<O>(
 where
     O: PerimeterObjective + ?Sized,
 {
+    best_of(&candidates(circle, p, cell), objective)
+}
+
+/// The complement's candidates, in tie order: the arc family, slab ①,
+/// slab ② and the whole cell — only the whole cell when the circle has no
+/// radius. The table is empty when `p` is strictly inside the circle or
+/// outside `cell`.
+pub(crate) fn candidates(circle: &Circle, p: Point, cell: &Rect) -> Candidates {
+    let mut table = Candidates::default();
     if !cell.contains_point(p) {
-        return None;
+        return table;
     }
     let q = circle.center;
     let r = circle.radius;
     let d = q.dist(p);
     if d < r - EPS {
-        return None; // p strictly inside the disc: infeasible
+        return table; // p strictly inside the disc: infeasible
     }
     if r <= EPS {
         // Nothing to avoid.
-        return Some(*cell);
+        table.fixed[0] = Some(*cell);
+        return table;
     }
     // Enlarge the cell to fully contain the circle (§5.2).
     let big = cell.union(&circle.bbox());
@@ -76,46 +86,36 @@ where
     // r·sinθ <= dx (θ <= θ_hi).
     let theta_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
     let theta_hi = if dx >= r { FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
-    // Candidates in evaluation order (a tie goes to the earlier): the arc
-    // family (0), slab ① (1), slab ② (2), the whole cell (3).
-    let mut best = None;
-    // Slab candidate ①: p beyond the circle top (dy >= r) — full-width
-    // rectangle above the circle: [-mx, a] x [r, b].
-    if dy >= r - EPS && b >= r {
-        let slab = clip_containing(frame.rect_to_world(-mx, a, r.min(b), b), cell, p);
-        offer_rect(&mut best, 1, slab, objective);
-    }
-    // Slab candidate ②: p beyond the circle side (dx >= r) — full-height
-    // rectangle beside the circle: [r, a] x [-my, b].
-    if dx >= r - EPS && a >= r {
-        let slab = clip_containing(frame.rect_to_world(r.min(a), a, -my, b), cell, p);
-        offer_rect(&mut best, 2, slab, objective);
-    }
-    // If the circle does not even reach the original cell, the whole cell is
-    // feasible and dominates everything above.
-    if !circle.overlaps_rect(cell) {
-        offer_rect(&mut best, 3, Some(*cell), objective);
-    }
-    let (lo, hi) = (theta_lo.min(theta_hi), theta_hi.max(theta_lo));
-    // Both θ-range endpoints put a rectangle edge through p; pad them
-    // so p keeps positive clearance (unless the endpoint is the natural
-    // 0 / π/2 limit, where the constraint is the circle, not p).
-    let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
-    let arc = Family::new(
-        frame,
-        cell,
-        p,
-        [
+    if theta_lo <= theta_hi + 1e-9 {
+        let (lo, hi) = (theta_lo.min(theta_hi), theta_hi.max(theta_lo));
+        // Both θ-range endpoints put a rectangle edge through p; pad them
+        // so p keeps positive clearance (unless the endpoint is the natural
+        // 0 / π/2 limit, where the constraint is the circle, not p).
+        let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
+        let edges = [
             Edge::sin(0.0, r).held(f64::NEG_INFINITY, a),
             Edge::fixed(a),
             Edge::cos(0.0, r).held(f64::NEG_INFINITY, b),
             Edge::fixed(b),
-        ],
-    );
-    let range = Range::new(lo, hi);
-    let envelope = if theta_lo <= theta_hi + 1e-9 { arc.envelope(&range) } else { None };
-    let bound = envelope.map(|e| objective.upper_bound(&e));
-    best_of_families(best, [bound], |_| search(&arc, &range, objective))
+        ];
+        table.families[0] = Some((Family::new(frame, cell, p, edges), Range::new(lo, hi)));
+    }
+    // Slab candidate ①: p beyond the circle top (dy >= r) — full-width
+    // rectangle above the circle: [-mx, a] x [r, b].
+    if dy >= r - EPS && b >= r {
+        table.fixed[0] = clip_containing(frame.rect_to_world(-mx, a, r.min(b), b), cell, p);
+    }
+    // Slab candidate ②: p beyond the circle side (dx >= r) — full-height
+    // rectangle beside the circle: [r, a] x [-my, b].
+    if dx >= r - EPS && a >= r {
+        table.fixed[1] = clip_containing(frame.rect_to_world(r.min(a), a, -my, b), cell, p);
+    }
+    // If the circle does not even reach the original cell, the whole cell is
+    // feasible and dominates everything above.
+    if !circle.overlaps_rect(cell) {
+        table.fixed[2] = Some(*cell);
+    }
+    table
 }
 
 #[cfg(test)]

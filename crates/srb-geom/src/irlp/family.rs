@@ -174,6 +174,12 @@ impl Range {
     pub(crate) fn new(lo: f64, hi: f64) -> Self {
         Range { lo, hi, ends: [At::exact(lo), At::exact(hi)] }
     }
+
+    /// The ends `(lo, hi)`.
+    #[cfg(test)]
+    pub(crate) fn lo_hi(&self) -> (f64, f64) {
+        (self.lo, self.hi)
+    }
 }
 
 /// The member of `family` over `range` that `objective` scores highest,

@@ -21,24 +21,27 @@
 //! All results are intersected with `cell` and are guaranteed to contain `p`
 //! whenever a result is returned at all.
 //!
-//! # Candidate families and the envelope bound
+//! # Candidate tables and the envelope bound
 //!
-//! The ring and the circle complement have no single closed form: each
-//! scores several *candidate families* — a rectangle layout with one free
-//! angle θ (`family::Family`), searched by `family::search` — and keeps the
-//! best, the earliest family winning a tie. Under the plain and the
-//! clearance-weighted perimeter the search is exact: it maximizes the family
-//! at its closed-form breakpoints and stationary points and builds about one
-//! member per search; under any other objective it is the numeric
+//! A constraint has no single closed form: each lists its *candidates* once,
+//! in tie order, as a table (`Candidates`, built by each constraint's
+//! `candidates`) — *candidate families*, each a rectangle layout with one
+//! free angle θ (`family::Family`) over its θ-range, then fixed rectangles
+//! (the complement's slabs, the whole cell, the degenerate point). The
+//! routine is the best of the table, the earliest entry winning a tie. A
+//! family is searched by `family::search`: under the plain and the
+//! clearance-weighted perimeter exactly, maximizing the family at its
+//! closed-form breakpoints and stationary points and building about one
+//! member per search; under any other objective by the numeric
 //! `optimize_theta` (about 30 members). Either way a family is searched only
 //! if it can still win: its *envelope* (the rectangle spanned by the extreme
 //! edges the layout reaches over its θ-range, clipped like a member)
 //! contains every member, [`PerimeterObjective::upper_bound`] of the
 //! envelope is therefore at least the score the search would return, and a
 //! family whose bound is strictly below the score already in hand is
-//! skipped. The result is the rectangle the exhaustive evaluation returns,
-//! bit for bit (`best_of_families`; DESIGN.md §5 has the family table and
-//! the floating-point argument).
+//! skipped. The result is the rectangle the exhaustive fold over the same
+//! table returns, bit for bit (`best_of`; DESIGN.md §5 has the family table
+//! and the floating-point argument).
 
 mod circle;
 mod complement;
@@ -58,6 +61,7 @@ pub use staircase::{
 use crate::objective::PerimeterObjective;
 use crate::point::Point;
 use crate::rect::Rect;
+use family::{search, Family, Range};
 
 /// Tolerance used for boundary classifications inside the Ir-lp routines.
 pub(crate) const EPS: f64 = 1e-12;
@@ -112,71 +116,69 @@ pub(crate) fn below(x: f64) -> f64 {
     x - x.abs() * TRIG_SLACK
 }
 
-/// A scored candidate and the family it came from. Families are numbered in
-/// evaluation order; between equal scores the lower number wins.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Incumbent {
-    score: f64,
-    family: usize,
-    rect: Rect,
+/// θ-families a constraint can list: the ring's five layouts.
+const FAMILIES: usize = 5;
+/// Fixed rectangles a constraint can list: the circle complement's two
+/// slabs and the whole cell.
+const FIXED: usize = 3;
+
+/// One constraint's candidates (DESIGN.md §5's family table) in tie order:
+/// the θ-families with their θ-ranges, then the fixed rectangles, the
+/// earlier entry winning a tie. An empty slot is a candidate the input
+/// rules out; an empty table, an infeasible constraint.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Candidates {
+    pub(crate) families: [Option<(Family, Range)>; FAMILIES],
+    pub(crate) fixed: [Option<Rect>; FIXED],
 }
 
-/// Folds `cand` of family `family` into `best`: the higher score wins, the
-/// earlier family on a tie — what evaluating every family in order and
-/// replacing the incumbent only on a strictly higher score selects,
-/// whatever order the candidates arrive in.
-#[inline]
-pub(crate) fn offer(best: &mut Option<Incumbent>, family: usize, cand: Option<(f64, Rect)>) {
-    let Some((score, rect)) = cand else { return };
-    let wins =
-        best.as_ref().is_none_or(|b| score > b.score || (score == b.score && family < b.family));
-    if wins {
-        *best = Some(Incumbent { score, family, rect });
-    }
-}
-
-/// Scores an O(1) candidate rectangle and folds it into `best`.
-#[inline]
-pub(crate) fn offer_rect<O: PerimeterObjective + ?Sized>(
-    best: &mut Option<Incumbent>,
-    family: usize,
-    rect: Option<Rect>,
-    objective: &O,
-) {
-    offer(best, family, rect.map(|r| (objective.score(&r), r)));
-}
-
-/// Exact branch-and-bound over θ-searched candidate families.
+/// The best candidate of `table` under `objective`, by exact branch and
+/// bound.
 ///
-/// `bounds[i]` is `None` for an infeasible family and otherwise an upper
-/// bound on the score `search(i)` can return. Families are visited from the
-/// highest bound down (the likely winner first, so the incumbent is strong
-/// early); one whose bound is *strictly* below the incumbent's score can
-/// neither win nor tie and is not searched. Everything else is searched and
-/// folded with [`offer`], so the result is the exhaustive one. A bound that
-/// is infinite or NaN never prunes.
-pub(crate) fn best_of_families<const N: usize>(
-    mut best: Option<Incumbent>,
-    mut bounds: [Option<f64>; N],
-    mut search: impl FnMut(usize) -> Option<(f64, Rect)>,
-) -> Option<Rect> {
-    loop {
-        let mut next: Option<(usize, f64)> = None;
-        for (i, bound) in bounds.iter().enumerate() {
-            if let Some(b) = *bound {
-                if next.is_none_or(|(_, top)| b > top) {
-                    next = Some((i, b));
-                }
-            }
+/// The fixed rectangles are scored first. The families are then visited
+/// from the highest envelope bound down (the likely winner first, so the
+/// incumbent is strong early); one without an envelope has no member, and
+/// one whose bound is *strictly* below the incumbent's score can neither
+/// win nor tie and is not searched. Everything scored is folded by (higher
+/// score, earlier entry), so the result is the exhaustive one whatever the
+/// visiting order. A bound that is infinite or NaN never prunes.
+pub(crate) fn best_of<O>(table: &Candidates, objective: &O) -> Option<Rect>
+where
+    O: PerimeterObjective + ?Sized,
+{
+    // The incumbent: score, entry, rectangle.
+    let mut best: Option<(f64, usize, Rect)> = None;
+    let fold = |best: &mut Option<(f64, usize, Rect)>, entry, (score, rect)| {
+        if best.is_none_or(|(top, first, _)| score > top || (score == top && entry < first)) {
+            *best = Some((score, entry, rect));
         }
-        let Some((i, bound)) = next else { break };
+    };
+    for (k, rect) in table.fixed.iter().enumerate() {
+        if let Some(rect) = *rect {
+            fold(&mut best, FAMILIES + k, (objective.score(&rect), rect));
+        }
+    }
+    let mut bounds = table.families.each_ref().map(|entry| {
+        let (family, range) = entry.as_ref()?;
+        family.envelope(range).map(|envelope| objective.upper_bound(&envelope))
+    });
+    // The unvisited family with the highest bound, the earliest of equals.
+    let highest = |bounds: &[Option<f64>; FAMILIES]| {
+        let bounded = (0..FAMILIES).filter_map(|i| Some((i, bounds[i]?)));
+        bounded.reduce(|top, next| if next.1 > top.1 { next } else { top })
+    };
+    while let Some((i, bound)) = highest(&bounds) {
         bounds[i] = None;
-        if best.as_ref().is_some_and(|b| bound < b.score) {
+        if best.is_some_and(|(score, _, _)| bound < score) {
             continue;
         }
-        offer(&mut best, i, search(i));
+        let found =
+            table.families[i].as_ref().and_then(|(family, range)| search(family, range, objective));
+        if let Some(found) = found {
+            fold(&mut best, i, found);
+        }
     }
-    best.map(|b| b.rect)
+    best.map(|(_, _, rect)| rect)
 }
 
 /// A local frame that maps the quadrant of `p` relative to `origin` onto the

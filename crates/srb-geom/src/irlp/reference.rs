@@ -1,257 +1,50 @@
-//! The exhaustive Ir-lp evaluation the branch-and-bound replaced, kept as
-//! the reference the pruned searches are tested against: every family is
-//! θ-searched in order and folded with `better_of`. The bodies are the
-//! pre-pruning ones; the θ-search is a parameter — the production
-//! `family::search` for the pruning proof, which then pins the pruning and
-//! nothing else, a dense scan for the search-quality pin, or the numeric
-//! `optimize_theta` the exact search is held above.
+//! The exhaustive fold over a constraint's candidate table, the reference
+//! the branch-and-bound (`best_of`) is tested against: every entry is
+//! visited in tie order, every family θ-searched, and the best replaced
+//! only on a strictly higher score. Both folds read the same table; the
+//! θ-search is a parameter — the production `family::search` for the
+//! pruning proof, which then pins the pruning and nothing else, a dense scan
+//! for the search-quality pin, or the numeric `optimize_theta` the exact
+//! search is held above.
 
-use super::family::{Edge, Family};
-use super::{clip_containing, pad_range, QuadFrame, EPS};
-use crate::circle::{Circle, Ring};
+use super::family::{Family, Range};
+use super::Candidates;
 use crate::objective::PerimeterObjective;
-use crate::point::Point;
 use crate::rect::Rect;
-use std::f64::consts::FRAC_PI_2;
 
-/// A θ-search over one family: `(family, lo, hi)` to the best rectangle,
-/// under an objective the search carries.
-pub(crate) trait Search: Fn(&Family, f64, f64) -> Option<Rect> {}
-impl<S: Fn(&Family, f64, f64) -> Option<Rect>> Search for S {}
+/// A θ-search over one family and θ-range to the best rectangle, under an
+/// objective the search carries.
+pub(crate) trait Search: Fn(&Family, &Range) -> Option<Rect> {}
+impl<S: Fn(&Family, &Range) -> Option<Rect>> Search for S {}
 
-fn better_of<O: PerimeterObjective + ?Sized>(
-    a: Option<Rect>,
-    b: Option<Rect>,
-    objective: &O,
-) -> Option<Rect> {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            if objective.score(&x) >= objective.score(&y) {
-                Some(x)
-            } else {
-                Some(y)
-            }
-        }
-        (Some(x), None) => Some(x),
-        (None, y) => y,
-    }
-}
-
-/// `irlp_ring` by exhaustive evaluation, every family searched by `search`.
-pub(crate) fn irlp_ring<O>(
-    ring: &Ring,
-    p: Point,
-    cell: &Rect,
-    objective: &O,
-    search: &impl Search,
-) -> Option<Rect>
+/// The best of `table` under `objective`, every family searched by `search`.
+pub(crate) fn exhaustive<O>(table: &Candidates, objective: &O, search: &impl Search) -> Option<Rect>
 where
     O: PerimeterObjective + ?Sized,
 {
-    if !cell.contains_point(p) {
-        return None;
-    }
-    let q = ring.center;
-    let (r, big_r) = (ring.inner, ring.outer);
-    let d = q.dist(p);
-    if d < r - EPS || d > big_r + EPS {
-        return None;
-    }
-    if big_r - r <= EPS && big_r <= EPS {
-        return clip_containing(Rect::point(p), cell, p);
-    }
-    if r <= EPS {
-        // Degenerate ring = circle.
-        return super::irlp_circle(&ring.outer_circle(), p, cell, objective);
-    }
-    let frame = QuadFrame::toward(q, p);
-    let local = frame.to_local(p);
-    let (dx, dy) = (local.x.min(big_r), local.y.min(big_r));
-    // Outer-corner constraint range shared by all layouts: corners at
-    // (R sinθ, R cosθ) must reach past p: R sinθ >= dx and R cosθ >= dy.
-    let theta_x = (dx / big_r).asin();
-    let theta_y = (dy / big_r).acos();
-    if theta_x > theta_y + 1e-9 {
-        return None; // numerically outside the outer circle
-    }
-    let (t_lo, t_hi) = (theta_x.min(theta_y), theta_y.max(theta_x));
-    let mut best: Option<Rect> = None;
-
-    // Layout I: horizontal tangent side at v = r; rectangle
-    // [-R sinθ, R sinθ] x [r, R cosθ]. Feasible only when p is past the
-    // tangent line (dy >= r) and the far side clears it (R cosθ >= r).
-    if dy >= r - EPS {
-        let hi = t_hi.min((r / big_r).acos());
-        if t_lo <= hi + 1e-9 {
-            let (t_lo, hi) = pad_range(t_lo.min(hi), hi, true, hi < (r / big_r).acos());
-            let family = Family::new(
-                frame,
-                cell,
-                p,
-                [
-                    Edge::sin(0.0, -big_r),
-                    Edge::sin(0.0, big_r),
-                    Edge::fixed(r),
-                    Edge::cos(0.0, big_r).needs(r),
-                ],
-            );
-            let cand = search(&family, t_lo, hi.max(t_lo));
-            best = better_of(best, cand, objective);
+    let families = table.families.iter().flatten().map(|(family, range)| search(family, range));
+    let mut best: Option<(f64, Rect)> = None;
+    for rect in families.chain(table.fixed).flatten() {
+        let score = objective.score(&rect);
+        if best.is_none_or(|(top, _)| score > top) {
+            best = Some((score, rect));
         }
     }
-
-    // Layout II: vertical tangent side at u = r; rectangle
-    // [r, R sinθ] x [-R cosθ, R cosθ]. Feasible when dx >= r.
-    if dx >= r - EPS {
-        let lo = t_lo.max((r / big_r).asin());
-        if lo <= t_hi + 1e-9 {
-            let (lo, t_hi) = pad_range(lo, lo.max(t_hi), lo > (r / big_r).asin(), true);
-            let family = Family::new(
-                frame,
-                cell,
-                p,
-                [
-                    Edge::fixed(r),
-                    Edge::sin(0.0, big_r).needs(r),
-                    Edge::cos(0.0, -big_r),
-                    Edge::cos(0.0, big_r),
-                ],
-            );
-            let cand = search(&family, lo.min(t_hi), t_hi);
-            best = better_of(best, cand, objective);
-        }
-    }
-
-    // Layout III (fallback beyond the paper): inner corner on the inner
-    // circle at angle φ, outer corner on the outer circle at angle θ:
-    // [r sinφ, R sinθ] x [r cosφ, R cosθ]. Containment of p requires
-    // r sinφ <= dx and r cosφ <= dy.
-    {
-        let phi_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
-        let phi_hi = if dx >= r { FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
-        if phi_lo <= phi_hi + 1e-9 {
-            // Pad the φ endpoints (inner-corner contact with p) and the
-            // outer θ range below.
-            let (phi_lo, phi_hi) = pad_range(phi_lo.min(phi_hi), phi_hi.max(phi_lo), true, true);
-            let (t_lo, t_hi) = pad_range(t_lo, t_hi, true, true);
-            let phis = [phi_lo, (phi_lo + phi_hi) * 0.5, phi_hi];
-            for phi in phis {
-                let (iu, iv) = (r * phi.sin(), r * phi.cos());
-                let family = Family::new(
-                    frame,
-                    cell,
-                    p,
-                    [
-                        Edge::fixed(iu),
-                        Edge::sin(0.0, big_r).needs(iu - EPS).held(iu, f64::INFINITY),
-                        Edge::fixed(iv),
-                        Edge::cos(0.0, big_r).needs(iv - EPS).held(iv, f64::INFINITY),
-                    ],
-                );
-                let cand = search(&family, t_lo, t_hi);
-                best = better_of(best, cand, objective);
-            }
-        }
-    }
-
-    best
-}
-
-/// `irlp_circle_complement` by exhaustive evaluation, the arc searched by
-/// `search`.
-pub(crate) fn irlp_circle_complement<O>(
-    circle: &Circle,
-    p: Point,
-    cell: &Rect,
-    objective: &O,
-    search: &impl Search,
-) -> Option<Rect>
-where
-    O: PerimeterObjective + ?Sized,
-{
-    if !cell.contains_point(p) {
-        return None;
-    }
-    let q = circle.center;
-    let r = circle.radius;
-    let d = q.dist(p);
-    if d < r - EPS {
-        return None; // p strictly inside the disc: infeasible
-    }
-    if r <= EPS {
-        // Nothing to avoid.
-        return Some(*cell);
-    }
-    // Enlarge the cell to fully contain the circle (§5.2).
-    let big = cell.union(&circle.bbox());
-    let frame = QuadFrame::toward(q, p);
-    let local_p = frame.to_local(p);
-    let (dx, dy) = (local_p.x, local_p.y);
-    // Extents of the enlarged cell in the p-quadrant (a, b) and the opposite
-    // directions (mx, my). q is inside `big` because big contains the circle
-    // bbox, so all four are non-negative.
-    let bl = frame.to_local(big.min());
-    let bm = frame.to_local(big.max());
-    let a = bl.x.max(bm.x);
-    let b = bl.y.max(bm.y);
-    let mx = -bl.x.min(bm.x);
-    let my = -bl.y.min(bm.y);
-    debug_assert!(a >= -EPS && b >= -EPS && mx >= -EPS && my >= -EPS);
-
-    // Valid θ range for the arc candidate: x = (r·sinθ, r·cosθ) with the
-    // rectangle [x, t]; containment of p needs r·cosθ <= dy (θ >= θ_lo) and
-    // r·sinθ <= dx (θ <= θ_hi).
-    let theta_lo = if dy >= r { 0.0 } else { (dy.max(0.0) / r).acos() };
-    let theta_hi = if dx >= r { FRAC_PI_2 } else { (dx.max(0.0) / r).asin() };
-    let mut best: Option<Rect> = None;
-    if theta_lo <= theta_hi + 1e-9 {
-        let (lo, hi) = (theta_lo.min(theta_hi), theta_hi.max(theta_lo));
-        // Both θ-range endpoints put a rectangle edge through p; pad them
-        // so p keeps positive clearance (unless the endpoint is the natural
-        // 0 / π/2 limit, where the constraint is the circle, not p).
-        let (lo, hi) = pad_range(lo, hi, theta_lo > 0.0, theta_hi < FRAC_PI_2);
-        let arc = Family::new(
-            frame,
-            cell,
-            p,
-            [
-                Edge::sin(0.0, r).held(f64::NEG_INFINITY, a),
-                Edge::fixed(a),
-                Edge::cos(0.0, r).held(f64::NEG_INFINITY, b),
-                Edge::fixed(b),
-            ],
-        );
-        best = search(&arc, lo, hi);
-    }
-    // Slab candidate ①: p beyond the circle top (dy >= r) — full-width
-    // rectangle above the circle: [-mx, a] x [r, b].
-    if dy >= r - EPS && b >= r {
-        let cand = clip_containing(frame.rect_to_world(-mx, a, r.min(b), b), cell, p);
-        best = better_of(best, cand, objective);
-    }
-    // Slab candidate ②: p beyond the circle side (dx >= r) — full-height
-    // rectangle beside the circle: [r, a] x [-my, b].
-    if dx >= r - EPS && a >= r {
-        let cand = clip_containing(frame.rect_to_world(r.min(a), a, -my, b), cell, p);
-        best = better_of(best, cand, objective);
-    }
-    // If the circle does not even reach the original cell, the whole cell is
-    // feasible and dominates everything above.
-    if !circle.overlaps_rect(cell) {
-        best = better_of(best, Some(*cell), objective);
-    }
-    best
+    best.map(|(_, rect)| rect)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::family::{search, Range};
-    use super::super::{irlp_circle_complement, irlp_ring};
+    use super::super::family::search;
+    use super::super::{circle, complement, ring};
+    use super::super::{irlp_circle, irlp_circle_complement, irlp_ring};
     use super::*;
+    use crate::circle::{Circle, Ring};
     use crate::objective::search_count::{counting, evaluating};
     use crate::objective::{
         optimize_theta, ClearanceObjective, OrdinaryPerimeter, WeightedPerimeter,
     };
+    use crate::point::Point;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -357,6 +150,20 @@ mod tests {
         (Circle::new(q, radius), p, cell)
     }
 
+    /// A disc around `q` with `p` inside, on its rim one time in four: from
+    /// a sliver past `p` to many cells wide.
+    fn circle_case(rng: &mut ChaCha8Rng) -> (Circle, Point, Rect) {
+        let (cell, p) = cell_and_point(rng);
+        let q = query_point(rng, &cell, p);
+        let d = q.dist(p);
+        let radius = if rng.gen_bool(0.25) {
+            d
+        } else {
+            d + cell.width() * 10f64.powf(rng.gen_range(-3.0..1.5))
+        };
+        (Circle::new(q, radius), p, cell)
+    }
+
     fn weighted(rng: &mut ChaCha8Rng, cell: &Rect, p: Point) -> WeightedPerimeter {
         let step = cell.width() * rng.gen_range(0.0..2.0);
         let angle = rng.gen_range(0.0..std::f64::consts::TAU);
@@ -387,16 +194,17 @@ mod tests {
         exhaustive: usize,
     }
 
-    /// Runs one input through the pruned routine and through the reference:
-    /// the same bits must come back, from no more searches.
-    fn check(
+    /// Runs one input through the pruned routine and through the reference
+    /// over its table: the same bits must come back, from no more searches.
+    fn check<O: PerimeterObjective>(
         pruned: impl FnOnce() -> Option<Rect>,
-        exhaustive: impl FnOnce() -> Option<Rect>,
+        table: &Candidates,
+        objective: &O,
         input: &dyn std::fmt::Debug,
         searches: &mut Searches,
     ) {
         let (got, n) = counting(pruned);
-        let (want, m) = counting(exhaustive);
+        let (want, m) = counting(|| exhaustive(table, objective, &production(objective)));
         assert_eq!(bits(got), bits(want), "{input:?}: pruned {got:?}, exhaustive {want:?}");
         assert!(n <= m, "{input:?}: pruning ran {n} searches, the reference {m}");
         searches.pruned += n;
@@ -409,12 +217,8 @@ mod tests {
         searches: &mut Searches,
     ) {
         let (ring, p, cell) = case;
-        check(
-            || irlp_ring(ring, *p, cell, objective),
-            || super::irlp_ring(ring, *p, cell, objective, &production(objective)),
-            case,
-            searches,
-        );
+        let table = ring::candidates(ring, *p, cell);
+        check(|| irlp_ring(ring, *p, cell, objective), &table, objective, case, searches);
     }
 
     fn check_complement<O: PerimeterObjective>(
@@ -423,9 +227,11 @@ mod tests {
         searches: &mut Searches,
     ) {
         let (circle, p, cell) = case;
+        let table = complement::candidates(circle, *p, cell);
         check(
             || irlp_circle_complement(circle, *p, cell, objective),
-            || super::irlp_circle_complement(circle, *p, cell, objective, &production(objective)),
+            &table,
+            objective,
             case,
             searches,
         );
@@ -562,15 +368,14 @@ mod tests {
 
     /// The production θ-search under `objective`.
     fn production<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
-        move |family: &Family, lo, hi| {
-            search(family, &Range::new(lo, hi), objective).map(|(_, rect)| rect)
-        }
+        move |family: &Family, range: &Range| search(family, range, objective).map(|(_, rect)| rect)
     }
 
     /// The numeric θ-search (scan and golden-section bracket) under
     /// `objective`, whatever its form.
     fn numeric<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
-        move |family: &Family, lo, hi| {
+        move |family: &Family, range: &Range| {
+            let (lo, hi) = range.lo_hi();
             optimize_theta(lo, hi, objective, |theta| family.at(theta)).map(|(_, rect)| rect)
         }
     }
@@ -581,7 +386,8 @@ mod tests {
     /// The first of the highest-scoring of `DENSE` evenly spaced θs over
     /// `[lo, hi]`, both ends included.
     fn dense<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
-        move |family: &Family, lo: f64, hi: f64| {
+        move |family: &Family, range: &Range| {
+            let (lo, hi) = range.lo_hi();
             if lo.partial_cmp(&hi).is_none_or(|o| o.is_gt()) {
                 return None;
             }
@@ -647,20 +453,17 @@ mod tests {
     /// The numeric search, holding the production one on the same family to
     /// no less than its score (within `shortfall`'s margin).
     fn numeric_below_production<O: PerimeterObjective + ?Sized>(objective: &O) -> impl Search + '_ {
-        move |family: &Family, lo, hi| {
-            let numeric = numeric(objective)(family, lo, hi);
-            let exact = production(objective)(family, lo, hi);
+        move |family: &Family, range: &Range| {
+            let numeric = numeric(objective)(family, range);
+            let exact = production(objective)(family, range);
             let (miss, beyond) = shortfall(exact, numeric, objective);
-            assert!(
-                !beyond,
-                "{family:?} [{lo:e}, {hi:e}]: short of the numeric search by {miss:e}"
-            );
+            assert!(!beyond, "{family:?} {range:?}: short of the numeric search by {miss:e}");
             numeric
         }
     }
 
     /// What the production routines fall short of the reference over
-    /// `search`, per routine (ring, circle complement).
+    /// `search`, per routine (ring, circle complement, circle).
     #[derive(Debug, Default, Clone, Copy)]
     struct Shortfalls {
         /// The largest relative shortfall.
@@ -670,16 +473,19 @@ mod tests {
         at_resolution: usize,
     }
 
-    /// The generator's ring and circle-complement inputs under the engine's
-    /// objective, each routine run as the production search and as the
-    /// reference over `search`; panics on the first input where production
-    /// falls short by more than 1e-12 plus the score's resolution.
+    /// The generator's ring, circle-complement and circle inputs under the
+    /// engine's objective, each routine run as the production search and as
+    /// the reference over `search`; panics on the first input where
+    /// production falls short by more than 1e-12 plus the score's
+    /// resolution. The circles come from a stream of their own, so the
+    /// other two routines see the inputs they saw before circles were added.
     fn shortfalls(
         cases: usize,
         search: &dyn Fn(&dyn PerimeterObjective) -> Box<dyn Search + '_>,
-    ) -> [Shortfalls; 2] {
+    ) -> [Shortfalls; 3] {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5CA7_2005);
-        let mut out = [Shortfalls::default(); 2];
+        let mut circles = ChaCha8Rng::seed_from_u64(0xC12C_2005);
+        let mut out = [Shortfalls::default(); 3];
         let mut tally =
             |routine: usize, (miss, beyond): (f64, bool), input: &dyn std::fmt::Debug| {
                 assert!(!beyond, "{input:?}: short by {miss:e}");
@@ -691,15 +497,23 @@ mod tests {
             let (ring, p, cell) = case;
             let objective = engine(p, &cell);
             let got = irlp_ring(&ring, p, &cell, &objective);
-            let want = super::irlp_ring(&ring, p, &cell, &objective, &search(&objective));
+            let table = ring::candidates(&ring, p, &cell);
+            let want = exhaustive(&table, &objective, &search(&objective));
             tally(0, shortfall(got, want, &objective), &(i, case));
             let case = complement_case(&mut rng);
             let (circle, p, cell) = case;
             let objective = engine(p, &cell);
             let got = irlp_circle_complement(&circle, p, &cell, &objective);
-            let want =
-                super::irlp_circle_complement(&circle, p, &cell, &objective, &search(&objective));
+            let table = complement::candidates(&circle, p, &cell);
+            let want = exhaustive(&table, &objective, &search(&objective));
             tally(1, shortfall(got, want, &objective), &(i, case));
+            let case = circle_case(&mut circles);
+            let (circle, p, cell) = case;
+            let objective = engine(p, &cell);
+            let got = irlp_circle(&circle, p, &cell, &objective);
+            let table = circle::candidates(&circle, p, &cell);
+            let want = exhaustive(&table, &objective, &search(&objective));
+            tally(2, shortfall(got, want, &objective), &(i, case));
         }
         out
     }
@@ -714,7 +528,7 @@ mod tests {
         // reference runs the production search too.
         let scan = shortfalls(cases, &|o| Box::new(dense(o)));
         let golden = shortfalls(cases, &|o| Box::new(numeric_below_production(o)));
-        println!("against a {DENSE}-point scan (ring, complement): {scan:?}");
+        println!("against a {DENSE}-point scan (ring, complement, circle): {scan:?}");
         println!("against the numeric search: {golden:?}");
     }
 
@@ -790,10 +604,10 @@ mod tests {
         let ring = Ring::new(q, d - 0.8e-4, d + 1.2e-4);
         let objective = ClearanceObjective::new(OrdinaryPerimeter, p, 0.05 * cell.width());
         let (got, pruned) = counting(|| irlp_ring(&ring, p, &cell, &objective));
-        let (want, exhaustive) =
-            counting(|| super::irlp_ring(&ring, p, &cell, &objective, &production(&objective)));
+        let table = ring::candidates(&ring, p, &cell);
+        let (want, all) = counting(|| exhaustive(&table, &objective, &production(&objective)));
         assert_eq!(bits(got), bits(want));
         assert!(got.is_some_and(|r| r.area() > 0.0));
-        assert_eq!((pruned, exhaustive), (1, 3), "φ_lo and φ_hi must be skipped");
+        assert_eq!((pruned, all), (1, 3), "φ_lo and φ_hi must be skipped");
     }
 }

@@ -9,8 +9,8 @@
 //! inputs this implementation adds a *corner-contact* layout (III) whose
 //! inner corner slides on the inner circle (see DESIGN.md §5).
 
-use super::family::{search, Edge, Family, Range};
-use super::{best_of_families, clip_containing, pad_range, QuadFrame, EPS};
+use super::family::{Edge, Family, Range};
+use super::{best_of, pad_range, Candidates, QuadFrame, EPS};
 use crate::circle::Ring;
 use crate::objective::PerimeterObjective;
 use crate::point::Point;
@@ -33,21 +33,27 @@ pub fn irlp_ring<O>(ring: &Ring, p: Point, cell: &Rect, objective: &O) -> Option
 where
     O: PerimeterObjective + ?Sized,
 {
+    best_of(&candidates(ring, p, cell), objective)
+}
+
+/// The ring's five candidate families, in the tie order of [`irlp_ring`]. A
+/// ring without an inner radius is its outer circle and has the circle's
+/// candidates; the table is empty when `p` lies outside the closed ring or
+/// outside `cell`.
+pub(crate) fn candidates(ring: &Ring, p: Point, cell: &Rect) -> Candidates {
+    let mut table = Candidates::default();
     if !cell.contains_point(p) {
-        return None;
+        return table;
     }
     let q = ring.center;
     let (r, big_r) = (ring.inner, ring.outer);
     let d = q.dist(p);
     if d < r - EPS || d > big_r + EPS {
-        return None;
-    }
-    if big_r - r <= EPS && big_r <= EPS {
-        return clip_containing(Rect::point(p), cell, p);
+        return table;
     }
     if r <= EPS {
-        // Degenerate ring = circle.
-        return super::irlp_circle(&ring.outer_circle(), p, cell, objective);
+        // Degenerate ring = circle (a point when the outer radius is 0 too).
+        return super::circle::candidates(&ring.outer_circle(), p, cell);
     }
     let frame = QuadFrame::toward(q, p);
     let local = frame.to_local(p);
@@ -57,19 +63,10 @@ where
     let theta_x = (dx / big_r).asin();
     let theta_y = (dy / big_r).acos();
     if theta_x > theta_y + 1e-9 {
-        return None; // numerically outside the outer circle
+        return table; // numerically outside the outer circle
     }
     let (t_lo, t_hi) = (theta_x.min(theta_y), theta_y.max(theta_x));
     let family = |edges| Family::new(frame, cell, p, edges);
-    // A family's envelope bounds every member's score; no envelope, no
-    // member.
-    let bound = |family: &Family, range: &Range| {
-        family.envelope(range).map(|envelope| objective.upper_bound(&envelope))
-    };
-    // Family, θ-range and bound; a family without a bound is infeasible.
-    let mut families = [family([Edge::fixed(0.0); 4]); 5];
-    let mut ranges = [Range::new(0.0, 0.0); 5];
-    let mut bounds = [None; 5];
 
     // Layout I: horizontal tangent side at v = r; rectangle
     // [-R sinθ, R sinθ] x [r, R cosθ]. Feasible only when p is past the
@@ -79,14 +76,13 @@ where
         let hi = t_hi.min(tangent);
         if t_lo <= hi + 1e-9 {
             let (lo, hi) = pad_range(t_lo.min(hi), hi, true, hi < tangent);
-            families[0] = family([
+            let edges = [
                 Edge::sin(0.0, -big_r),
                 Edge::sin(0.0, big_r),
                 Edge::fixed(r),
                 Edge::cos(0.0, big_r).needs(r),
-            ]);
-            ranges[0] = Range::new(lo, hi.max(lo));
-            bounds[0] = bound(&families[0], &ranges[0]);
+            ];
+            table.families[0] = Some((family(edges), Range::new(lo, hi.max(lo))));
         }
     }
 
@@ -97,14 +93,13 @@ where
         let lo = t_lo.max(tangent);
         if lo <= t_hi + 1e-9 {
             let (lo, hi) = pad_range(lo, lo.max(t_hi), lo > tangent, true);
-            families[1] = family([
+            let edges = [
                 Edge::fixed(r),
                 Edge::sin(0.0, big_r).needs(r),
                 Edge::cos(0.0, -big_r),
                 Edge::cos(0.0, big_r),
-            ]);
-            ranges[1] = Range::new(lo.min(hi), hi);
-            bounds[1] = bound(&families[1], &ranges[1]);
+            ];
+            table.families[1] = Some((family(edges), Range::new(lo.min(hi), hi)));
         }
     }
 
@@ -123,18 +118,16 @@ where
         let phis = [phi_lo, (phi_lo + phi_hi) * 0.5, phi_hi];
         for (k, phi) in phis.into_iter().enumerate() {
             let (iu, iv) = (r * phi.sin(), r * phi.cos());
-            families[2 + k] = family([
+            let edges = [
                 Edge::fixed(iu),
                 Edge::sin(0.0, big_r).needs(iu - EPS).held(iu, f64::INFINITY),
                 Edge::fixed(iv),
                 Edge::cos(0.0, big_r).needs(iv - EPS).held(iv, f64::INFINITY),
-            ]);
-            ranges[2 + k] = range;
-            bounds[2 + k] = bound(&families[2 + k], &range);
+            ];
+            table.families[2 + k] = Some((family(edges), range));
         }
     }
-
-    best_of_families(None, bounds, |k| search(&families[k], &ranges[k], objective))
+    table
 }
 
 #[cfg(test)]
