@@ -1,42 +1,47 @@
 //! The object index layer (paper §3.1, Figure 3.1 box "object index").
 //!
-//! Couples a pluggable [`SpatialBackend`] over safe regions (the paper's
-//! R\*-tree by default, the uniform grid as the update-optimized
-//! alternative) with the per-object state table and keeps the two
-//! coherent: every mutation that changes an object's stored rectangle
-//! goes through this wrapper, so the backend entry and
-//! [`ObjectState::safe_region`] can never drift apart. The query layers
-//! above ([`crate::grid`], the query processor) only ever see shared
-//! references.
+//! The objects are partitioned over the engine's shards, each a pluggable
+//! [`SpatialBackend`] over its objects' safe regions (the paper's R\*-tree
+//! by default, the uniform grid as the update-optimized alternative), and
+//! every object's state lives once, in the [`ObjectTable`] beside them.
+//! [`ObjectIndex`] owns both and keeps them coherent: every mutation that
+//! changes an object's stored rectangle goes through this wrapper, so a
+//! backend entry and its [`ObjectState::safe_region`] can never drift
+//! apart. The query layers above only ever see shared references, through
+//! [`FleetView`].
 
+use crate::error::RecoveryError;
 use crate::ids::ObjectId;
 use crate::object::{ObjectState, ObjectTable};
+use crate::shard::Shard;
+use crate::view::FleetView;
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, RStarTree, SpatialBackend};
+use srb_index::{BackendConfig, SpatialBackend};
 
-/// The object index: a spatial backend over safe regions plus the dense
-/// object state table, kept in lockstep. Generic in the backend `B`,
-/// defaulted to the paper's R\*-tree so existing call sites are unchanged.
-pub(crate) struct ObjectIndex<B: SpatialBackend = RStarTree> {
-    tree: B,
+/// The object index: the shards' spatial backends over safe regions plus
+/// the one object table, kept in lockstep. Generic in the backend `B`.
+pub(crate) struct ObjectIndex<B: SpatialBackend> {
+    shards: Vec<Shard<B>>,
     objects: ObjectTable,
 }
 
 impl<B: SpatialBackend> ObjectIndex<B> {
-    /// Creates an empty index whose backend is built from `config` over
-    /// `space`. Panics when `config`'s variant does not match `B`.
-    pub(crate) fn with_backend(config: &BackendConfig, space: Rect) -> Self {
-        ObjectIndex { tree: B::build(config, space), objects: ObjectTable::new() }
+    /// An empty index of `shards` shards, each backend built from `config`
+    /// over `space`. Panics when `config`'s variant does not match `B`.
+    pub(crate) fn new(config: &BackendConfig, shards: usize, space: Rect) -> Self {
+        let shards = (0..shards).map(|_| Shard { backend: B::build(config, space) }).collect();
+        ObjectIndex { shards, objects: ObjectTable::default() }
     }
 
-    /// The spatial backend, for search and best-first browsing.
-    pub(crate) fn tree(&self) -> &B {
-        &self.tree
+    /// The shards, in shard order.
+    pub(crate) fn shards(&self) -> &[Shard<B>] {
+        &self.shards
     }
 
-    /// The object state table.
-    pub(crate) fn objects(&self) -> &ObjectTable {
-        &self.objects
+    /// What query evaluation and safe-region computation read: the union of
+    /// the shard backends and the object table.
+    pub(crate) fn view(&self) -> FleetView<'_, B> {
+        FleetView { shards: &self.shards, objects: &self.objects }
     }
 
     /// Number of indexed objects.
@@ -49,6 +54,11 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.get(id)
     }
 
+    /// The shard holding `id` and its state, if registered.
+    pub(crate) fn locate(&self, id: ObjectId) -> Option<(usize, &ObjectState)> {
+        self.objects.locate(id)
+    }
+
     /// Mutable state access. Safe for fields the backend does not mirror
     /// (`last_seq`, `p_lst`, `t_lst`); safe-region changes must go through
     /// [`install_region`](Self::install_region) instead.
@@ -56,19 +66,19 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.get_mut(id)
     }
 
-    /// Registers a new object: inserts its rectangle into the backend and
-    /// its state into the table.
-    pub(crate) fn insert(&mut self, id: ObjectId, state: ObjectState) {
+    /// Registers a new object on `shard`: inserts its rectangle into that
+    /// shard's backend and its state into the table.
+    pub(crate) fn insert(&mut self, id: ObjectId, shard: usize, state: ObjectState) {
         let _span = srb_obs::span!("object_index.insert");
-        self.tree.insert(id.entry(), state.safe_region);
-        self.objects.set(id, state);
+        self.shards[shard].backend.insert(id.entry(), state.safe_region);
+        self.objects.set(id, shard, state);
     }
 
     /// Removes an object from both structures, returning its last state.
     pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let _span = srb_obs::span!("object_index.remove");
-        let st = self.objects.remove(id)?;
-        self.tree.remove(id.entry());
+        let (shard, st) = self.objects.remove(id)?;
+        self.shards[shard].backend.remove(id.entry());
         Some(st)
     }
 
@@ -83,89 +93,115 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         // under a microsecond, so a wall-clock span would cost more than
         // the work it measures. The backend-side counters/histograms in
         // `srb-index` cover this path.
-        self.tree.update(id.entry(), Rect::point(pos));
+        let (shard, _) = self.objects.locate(id).expect("a pinned object is registered");
+        self.shards[shard].backend.update(id.entry(), Rect::point(pos));
     }
 
     /// Undoes [`pin_to_point`](Self::pin_to_point) for an operation that
     /// ended before a new region was installed: the backend entry goes back
     /// to the safe region the state table still holds.
     pub(crate) fn unpin(&mut self, id: ObjectId) {
-        if let Some(st) = self.objects.get(id) {
-            self.tree.update(id.entry(), st.safe_region);
+        if let Some((shard, st)) = self.objects.locate(id) {
+            self.shards[shard].backend.update(id.entry(), st.safe_region);
         }
     }
 
     /// Installs a freshly computed safe region: updates the backend entry
     /// and rewrites the state with the new anchor `pos` at time `now`,
-    /// preserving the accepted sequence number.
-    pub(crate) fn install_region(&mut self, id: ObjectId, pos: Point, sr: Rect, now: f64) {
+    /// preserving the accepted sequence number. Returns the state it
+    /// replaced.
+    pub(crate) fn install_region(
+        &mut self,
+        id: ObjectId,
+        pos: Point,
+        sr: Rect,
+        now: f64,
+    ) -> ObjectState {
         // Span-free for the same reason as `pin_to_point`.
-        self.tree.update(id.entry(), sr);
-        let last_seq = self.objects.get(id).map(|s| s.last_seq).unwrap_or(0);
-        self.objects.set(id, ObjectState { p_lst: pos, t_lst: now, safe_region: sr, last_seq });
+        let (shard, &before) = self.objects.locate(id).expect("a region for a registered object");
+        self.shards[shard].backend.update(id.entry(), sr);
+        let last_seq = before.last_seq;
+        let state = ObjectState { p_lst: pos, t_lst: now, safe_region: sr, last_seq };
+        self.objects.set(id, shard, state);
+        before
     }
 
-    /// Deterministic work units: backend structural-unit visits.
+    /// Deterministic work units: backend structural-unit visits, summed
+    /// over the shards.
     pub(crate) fn visits(&self) -> u64 {
-        self.tree.visits()
+        self.shards.iter().map(|s| s.backend.visits()).sum()
     }
 
-    /// Rebuilds the backend in place under a new [`BackendConfig`] (the
-    /// adaptive plane's live migration). The state table is untouched —
-    /// migration preserves every stored rectangle, so coherence holds by
-    /// construction. Returns `false` when `B` cannot represent the
-    /// requested config (every backend except `DynBackend`).
-    pub(crate) fn migrate_backend(&mut self, config: &BackendConfig) -> bool {
-        self.tree.migrate(config)
+    /// Rebuilds `shard`'s backend in place under a new [`BackendConfig`]
+    /// (the adaptive plane's live migration). The state table is untouched
+    /// — migration preserves every stored rectangle, so coherence holds by
+    /// construction. Returns `false` when there is no shard `shard` or `B`
+    /// cannot represent the requested config (every backend except
+    /// `DynBackend`).
+    pub(crate) fn migrate(&mut self, shard: usize, config: &BackendConfig) -> bool {
+        self.shards.get_mut(shard).is_some_and(|s| s.backend.migrate(config))
     }
 
-    /// Cheap structural check: the backend and the table index the same
-    /// number of objects.
+    /// Cheap structural check: the backends hold as many entries as the
+    /// table names objects.
     pub(crate) fn check_counts(&self) {
-        assert_eq!(self.tree.len(), self.objects.len(), "tree/table length mismatch");
+        let indexed: usize = self.shards.iter().map(Shard::object_count).sum();
+        assert_eq!(indexed, self.objects.len(), "tree/table length mismatch");
     }
 
-    /// Serializes the index for a durability checkpoint: the state table
-    /// only. The backend is derived state — every entry is a copy of a
-    /// `safe_region` the table holds — so [`decode_state`](Self::decode_state)
-    /// rebuilds it.
+    /// Full O(n) coherence scan: backend invariants, and every object in
+    /// the backend of the shard the table names under the rectangle the
+    /// table holds — with [`check_counts`](Self::check_counts), no backend
+    /// holds anything else.
+    pub(crate) fn check_coherence(&self) {
+        self.check_counts();
+        self.shards.iter().for_each(|shard| shard.backend.check_invariants());
+        for (oid, shard, st) in self.objects.iter() {
+            let stored = self.shards[shard].backend.get(oid.entry());
+            assert_eq!(stored, Some(st.safe_region), "{oid} on shard {shard}: tree/state mismatch");
+        }
+    }
+
+    /// Serializes the index for a durability checkpoint: the object table,
+    /// then every shard's live backend config. The backends are derived
+    /// state — every entry is a copy of a `safe_region` the table holds —
+    /// so [`decode_state`](Self::decode_state) rebuilds them.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.objects.encode_state(out);
+        for shard in &self.shards {
+            shard.encode_config(out);
+        }
     }
 
-    /// Rebuilds an index serialized by [`encode_state`](Self::encode_state):
-    /// decodes the table, then builds the backend from `config` over
-    /// `space` holding every object's safe region, in id order
+    /// Rebuilds an index of `shards` shards serialized by
+    /// [`encode_state`](Self::encode_state): decodes the table and the
+    /// configs, then builds each shard's backend over `space` holding its
+    /// objects' safe regions, in id order
     /// ([`SpatialBackend::build_from`]).
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
-        config: &BackendConfig,
+        shards: usize,
         space: Rect,
-    ) -> Result<Self, srb_durable::DurableError> {
-        let objects = ObjectTable::decode_state(dec)?;
-        let entries = objects.iter().map(|(oid, st)| (oid.entry(), st.safe_region)).collect();
-        Ok(ObjectIndex { tree: B::build_from(config, space, entries), objects })
-    }
-
-    /// Full O(n) coherence scan: backend invariants plus an entry-by-entry
-    /// comparison of stored rectangles against table safe regions.
-    pub(crate) fn check_coherence(&self) {
-        self.tree.check_invariants();
-        self.check_counts();
-        for (oid, st) in self.objects.iter() {
-            let stored = self.tree.get(oid.entry()).expect("object in tree");
-            assert_eq!(stored, st.safe_region, "tree/state safe region mismatch for {oid}");
+    ) -> Result<Self, RecoveryError> {
+        let objects = ObjectTable::decode_state(dec, shards)?;
+        let mut index = ObjectIndex { shards: Vec::with_capacity(shards), objects };
+        for i in 0..shards {
+            let config = Shard::<B>::decode_config(dec)?;
+            let on_i = index.objects.iter().filter(|&(_, shard, _)| shard == i);
+            let entries = on_i.map(|(oid, _, st)| (oid.entry(), st.safe_region)).collect();
+            index.shards.push(Shard { backend: B::build_from(&config, space, entries) });
         }
+        Ok(index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_index::{GridConfig, TreeConfig, UniformGrid};
+    use srb_index::{GridConfig, RStarTree, TreeConfig, UniformGrid};
 
-    fn rstar() -> ObjectIndex {
-        ObjectIndex::with_backend(&BackendConfig::RStar(TreeConfig::default()), Rect::UNIT)
+    fn rstar(shards: usize) -> ObjectIndex<RStarTree> {
+        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()), shards, Rect::UNIT)
     }
 
     fn state(p: Point, sr: Rect) -> ObjectState {
@@ -174,27 +210,30 @@ mod tests {
 
     #[test]
     fn insert_remove_keeps_tree_and_table_coherent() {
-        let mut idx = rstar();
+        let mut idx = rstar(2);
         assert_eq!(idx.len(), 0);
         let p = Point::new(0.2, 0.3);
-        idx.insert(ObjectId(1), state(p, Rect::point(p)));
+        idx.insert(ObjectId(1), 1, state(p, Rect::point(p)));
         assert_eq!(idx.len(), 1);
+        assert_eq!(idx.shards()[1].object_count(), 1);
         idx.check_coherence();
         assert!(idx.remove(ObjectId(1)).is_some());
         assert!(idx.remove(ObjectId(1)).is_none());
+        assert_eq!(idx.shards()[1].object_count(), 0);
         idx.check_coherence();
     }
 
     #[test]
     fn pin_then_install_region_roundtrip() {
-        let mut idx = rstar();
+        let mut idx = rstar(1);
         let p0 = Point::new(0.1, 0.1);
-        idx.insert(ObjectId(7), state(p0, Rect::point(p0)));
+        idx.insert(ObjectId(7), 0, state(p0, Rect::point(p0)));
         let p1 = Point::new(0.4, 0.4);
         idx.pin_to_point(ObjectId(7), p1);
-        assert_eq!(idx.tree().get(7), Some(Rect::point(p1)));
+        assert_eq!(idx.shards()[0].backend.get(7), Some(Rect::point(p1)));
         let sr = Rect::new(Point::new(0.3, 0.3), Point::new(0.5, 0.5));
-        idx.install_region(ObjectId(7), p1, sr, 2.0);
+        let before = idx.install_region(ObjectId(7), p1, sr, 2.0);
+        assert_eq!(before.p_lst, p0, "install returns the state it replaced");
         let st = idx.get(ObjectId(7)).unwrap();
         assert_eq!(st.safe_region, sr);
         assert_eq!(st.p_lst, p1);
@@ -204,33 +243,18 @@ mod tests {
     }
 
     #[test]
-    fn install_region_on_unknown_object_defaults_seq() {
-        let mut idx = rstar();
-        let p = Point::new(0.6, 0.6);
-        idx.tree_insert_for_test(ObjectId(2), Rect::point(p));
-        idx.install_region(ObjectId(2), p, Rect::point(p), 1.0);
-        assert_eq!(idx.get(ObjectId(2)).unwrap().last_seq, 0);
-    }
-
-    #[test]
     fn grid_backed_index_stays_coherent() {
         let cfg = BackendConfig::Grid(GridConfig::default());
-        let mut idx: ObjectIndex<UniformGrid> = ObjectIndex::with_backend(&cfg, Rect::UNIT);
+        let mut idx: ObjectIndex<UniformGrid> = ObjectIndex::new(&cfg, 1, Rect::UNIT);
         let p0 = Point::new(0.15, 0.85);
-        idx.insert(ObjectId(9), state(p0, Rect::point(p0)));
+        idx.insert(ObjectId(9), 0, state(p0, Rect::point(p0)));
         let p1 = Point::new(0.9, 0.1);
         idx.pin_to_point(ObjectId(9), p1);
         let sr = Rect::new(Point::new(0.8, 0.05), Point::new(0.95, 0.2));
         idx.install_region(ObjectId(9), p1, sr, 1.5);
-        assert_eq!(idx.tree().get(9), Some(sr));
+        assert_eq!(idx.shards()[0].backend.get(9), Some(sr));
         idx.check_coherence();
         assert!(idx.remove(ObjectId(9)).is_some());
         idx.check_coherence();
-    }
-
-    impl ObjectIndex {
-        fn tree_insert_for_test(&mut self, id: ObjectId, r: Rect) {
-            self.tree.insert(id.entry(), r);
-        }
     }
 }

@@ -44,10 +44,12 @@
 //! (§6.2) via [`ServerConfig::steadiness`].
 //!
 //! There is one engine. [`ShardedServer`] partitions the objects over `N`
-//! [`Shard`]s — the paper's single server is `N = 1` — and keeps the
-//! queries once, in its coordinator, which evaluates each with the §4 code
-//! over the union of the shard indexes: answers are exact and the probes
-//! the same at every shard count. The coordinator also owns the location
+//! [`Shard`]s — the paper's single server is `N = 1` — each shard being its
+//! spatial index over its objects' safe regions. The coordinator keeps each
+//! object's state once, in one table indexed by [`ObjectId`] (`index`,
+//! `object`), and the queries once, evaluating each with the §4 code over
+//! the union of the shard indexes: answers are exact and the probes the
+//! same at every shard count. The coordinator also owns the location
 //! manager's one timer queue (`location`): at most one pending lease or
 //! deferred probe per object, fired in `(due, id)` order. The safe regions
 //! of a batch are computed in chunks, on as many threads as the engine is

@@ -72,13 +72,6 @@ impl CostTracker {
             probes: self.probes - earlier.probes,
         }
     }
-
-    /// Adds another tracker's totals into this one — used to aggregate
-    /// per-shard trackers into a fleet-wide view.
-    pub(crate) fn merge(&mut self, other: &CostTracker) {
-        self.source_updates += other.source_updates;
-        self.probes += other.probes;
-    }
 }
 
 /// Deterministic work counters for the scalability experiments (§7.3): the
@@ -123,8 +116,8 @@ pub struct WorkStats {
 impl WorkStats {
     /// Every counter, in declaration order (the order of the durable
     /// encoding). Destructured without `..`, so a new field fails to
-    /// compile until it is listed here — and with that `merge`, `encode`
-    /// and `decode` all carry it.
+    /// compile until it is listed here — and with that `encode` and
+    /// `decode` both carry it.
     fn fields(&mut self) -> [&mut u64; 13] {
         let WorkStats {
             evaluations,
@@ -156,15 +149,6 @@ impl WorkStats {
             lease_probes,
             regrants,
         ]
-    }
-
-    /// Adds another set of counters into this one — used to aggregate
-    /// per-shard stats into a fleet-wide view.
-    pub(crate) fn merge(&mut self, other: &WorkStats) {
-        let mut other = *other;
-        for (mine, theirs) in self.fields().into_iter().zip(other.fields()) {
-            *mine += *theirs;
-        }
     }
 
     /// Appends the counters to a checkpoint payload.

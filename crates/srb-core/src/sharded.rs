@@ -4,12 +4,14 @@
 //!
 //! [`ShardedServer`] hash-partitions the moving objects across `N`
 //! [`Shard`]s, keyed by the grid cell of each object's registration
-//! position. A shard keeps what is per object: its slice of the object
-//! index and state table, sequence numbers, and its own backend. The
-//! queries live once, in the coordinator's [`QueryProcessor`], and are
-//! evaluated once, by the §4 code, over the union of the shard indexes
-//! ([`FleetView`]) — the single-server algorithm over a partitioned index,
-//! so the answers are exact and the probes the same at every shard count.
+//! position. A shard is its spatial index over its objects' safe regions,
+//! with its own backend. Each object's state — anchor, timestamp, safe
+//! region, sequence number, shard — lives once, in the coordinator's
+//! object table (`index.rs`). The queries live once, in the coordinator's
+//! [`QueryProcessor`], and are evaluated once, by the §4 code, over the
+//! union of the shard indexes (`view::FleetView`) — the single-server
+//! algorithm over a partitioned index, so the answers are exact and the
+//! probes the same at every shard count.
 //! The timers — leases and deferred probes — live once too, in the
 //! coordinator's queue (`location.rs`): at most one per object, fired in
 //! `(due, id)` order. A single server is the fleet of one shard; there is
@@ -17,10 +19,10 @@
 //!
 //! A batch of location updates runs in four steps:
 //!
-//! 1. **pin** — per shard, on the caller: admission checks the sequence
-//!    numbers, and every accepted position is pinned in the shard's index,
-//!    so no query is evaluated against a stale bound of a same-instant
-//!    mover;
+//! 1. **pin** — on the caller: admission checks the sequence numbers in
+//!    arrival order, and every accepted position is pinned in its shard's
+//!    index, so no query is evaluated against a stale bound of a
+//!    same-instant mover;
 //! 2. **evaluate** — the coordinator finds the affected queries in its one
 //!    grid and reevaluates each once, in query-id order. Every probe of
 //!    the batch is issued here, by the caller's thread;
@@ -54,6 +56,7 @@ use crate::config::ServerConfig;
 use crate::error::{RecoveryError, ServerError};
 use crate::eval::{EvalCtx, ReadCtx, RegionCtx};
 use crate::ids::{ObjectId, QueryId};
+use crate::index::ObjectIndex;
 use crate::location::{DeferKind, Timers};
 use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
@@ -62,19 +65,18 @@ use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::safe_region::{compute_safe_region, RegionScratch};
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
 use crate::shard::Shard;
-use crate::view::FleetView;
 use crate::wal::{self, Record, ReplayProvider, Wal};
-use srb_durable::codec::{put_u32, put_u64, put_u8, put_usize};
+use srb_durable::codec::{put_u64, put_u8, put_usize};
 use srb_geom::{Point, Rect};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue, shards holding neither, no reuse generations,
-/// and shards holding their object table but no index structure
-/// ("SRBFLT" + version). See `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0005;
+/// plane, one timer queue, one object table, shards holding nothing but
+/// their backend config, and no index structure ("SRBFLT" + version). See
+/// `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0006;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -162,24 +164,12 @@ impl<P: SyncProvider + ?Sized> LocationProvider for SyncAdapter<'_, P> {
     }
 }
 
-/// Parses an `SRB_THREADS` value: `Some(n)` for a positive integer
-/// (surrounding whitespace tolerated), `None` for everything else —
-/// absent, empty, zero, negative, or non-numeric values all fall back to
-/// the default so a misconfigured environment can never request zero
-/// workers.
-fn parse_threads(raw: Option<&str>) -> Option<usize> {
-    raw?.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// The number of threads the batch fan-out may use: the `SRB_THREADS`
-/// environment variable if set to a positive integer, else rayon's
-/// configured parallelism (`RAYON_NUM_THREADS` / available cores).
-/// `SRB_THREADS=0` and unparsable values are rejected, not honored.
-/// The resolved count is published on the `sharded.threads` gauge.
+/// The number of threads the batch fan-out may use unless
+/// [`ShardedServer::with_threads`] says otherwise: rayon's configured
+/// parallelism (`RAYON_NUM_THREADS` / available cores), at least one. The
+/// resolved count is published on the `sharded.threads` gauge.
 pub(crate) fn configured_threads() -> usize {
-    let var = std::env::var("SRB_THREADS");
-    let resolved =
-        parse_threads(var.as_deref().ok()).unwrap_or_else(rayon::current_num_threads).max(1);
+    let resolved = rayon::current_num_threads().max(1);
     srb_obs::gauge!("sharded.threads").set(resolved as u64);
     resolved
 }
@@ -426,13 +416,10 @@ fn time_round(chunks: &[Chunk], workers: &[Worker], shard_ns: &[&'static srb_obs
 /// value and returned, mirroring [`BatchScratch`].
 #[derive(Default)]
 struct CoordScratch {
-    /// How many updates of the batch each shard owns (sized to the shard
-    /// count once).
-    counts: Vec<usize>,
-    /// The accepted updates of a batch, shard by shard.
+    /// The accepted updates of a batch, in arrival order.
     movers: Vec<(ObjectId, Point)>,
     /// Senders of stale reports, answered with their region as it stands
-    /// after the batch; shard by shard.
+    /// after the batch; in arrival order.
     regrants: Vec<ObjectId>,
     /// The region step's lists, chunks and per-thread working memory.
     regions: RegionStep,
@@ -448,21 +435,19 @@ struct CoordScratch {
 /// is `ShardedServer::new(config, 1)`.
 pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     config: ServerConfig,
-    shards: Vec<Shard<B>>,
-    /// Object → owning shard, indexed by `ObjectId::index()`.
-    owner: Vec<Option<u32>>,
+    /// The shards' spatial backends and the one object table.
+    index: ObjectIndex<B>,
     /// The location manager's timers: at most one lease or deferred probe
     /// per object, in `(due, id)` order.
     timers: Timers,
     /// The one query plane: slots, grid index and id allocator of every
     /// registered query.
     processor: QueryProcessor,
-    /// Probes issued — the coordinator is the only prober; the shards
-    /// count the uplinks they admit.
-    coord_costs: CostTracker,
-    /// The coordinator's work: evaluations, probes by cause, safe regions
-    /// installed.
-    coord_work: WorkStats,
+    /// Uplinks admitted and probes issued.
+    costs: CostTracker,
+    /// Evaluations, probes by cause, safe regions installed, admission
+    /// drops.
+    work: WorkStats,
     /// The fan-out thread count: [`configured_threads`] as resolved at
     /// construction, unless [`with_threads`](Self::with_threads)
     /// overwrote it.
@@ -509,14 +494,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             srb_index::BackendConfig::Adaptive(ac) => Some(AdaptiveController::new(ac, shards)),
             _ => None,
         };
-        let shards = (0..shards).map(|_| Shard::new(&config.backend, config.space)).collect();
         let mut server = Self::assemble(
             config,
-            shards,
-            Vec::new(),
+            ObjectIndex::new(&config.backend, shards, config.space),
             QueryProcessor::new(config.space, config.grid_m),
-            CostTracker::default(),
-            WorkStats::default(),
             adaptive,
         );
         if server.config.durability.enabled() {
@@ -525,28 +506,26 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         server
     }
 
-    /// An engine around its durable parts but the timers, which start empty
-    /// (a decoded engine sets its own); everything else starts fresh.
+    /// An engine around its durable parts but the timers and the counters,
+    /// which start empty (a decoded engine sets its own); everything else
+    /// starts fresh.
     fn assemble(
         config: ServerConfig,
-        shards: Vec<Shard<B>>,
-        owner: Vec<Option<u32>>,
+        index: ObjectIndex<B>,
         processor: QueryProcessor,
-        coord_costs: CostTracker,
-        coord_work: WorkStats,
         adaptive: Option<AdaptiveController>,
     ) -> Self {
-        srb_obs::gauge!("sharded.shards").set(shards.len() as u64);
+        let shards = index.shards().len();
+        srb_obs::gauge!("sharded.shards").set(shards as u64);
         ShardedServer {
-            shard_batch_ns: (0..shards.len())
+            shard_batch_ns: (0..shards)
                 .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
                 .collect(),
-            shards,
-            owner,
+            index,
             timers: Timers::default(),
             processor,
-            coord_costs,
-            coord_work,
+            costs: CostTracker::default(),
+            work: WorkStats::default(),
             threads: configured_threads(),
             scratch: CoordScratch::default(),
             wal: None,
@@ -555,10 +534,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Overrides the fan-out thread count (otherwise `SRB_THREADS`, else
-    /// rayon's thread count, decides): at most this many threads, the
-    /// caller included, work on one batch. 1 computes every region on the
-    /// caller.
+    /// Overrides the fan-out thread count (otherwise rayon's thread count
+    /// decides): at most this many threads, the caller included, work on
+    /// one batch. 1 computes every region on the caller.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         srb_obs::gauge!("sharded.threads").set(self.threads as u64);
@@ -576,12 +554,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// The shards, in shard order.
     pub fn shards(&self) -> &[Shard<B>] {
-        &self.shards
+        self.index.shards()
     }
 
     /// Total number of registered objects across all shards.
     pub fn object_count(&self) -> usize {
-        self.shards.iter().map(|s| s.object_count()).sum()
+        self.index.len()
     }
 
     /// Iterates over the registered query ids.
@@ -599,40 +577,31 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.processor.get(id).map(|q| q.quarantine)
     }
 
-    /// The safe region of `id`, as held by its owning shard.
+    /// The safe region the engine believes `id` is inside.
     pub fn safe_region(&self, id: ObjectId) -> Option<Rect> {
-        self.owning_shard(id)?.safe_region(id)
+        self.index.get(id).map(|st| st.safe_region)
     }
 
     /// The last exactly-known location of `id` and its timestamp.
     pub fn last_known(&self, id: ObjectId) -> Option<(Point, f64)> {
-        self.owning_shard(id)?.last_known(id)
+        self.index.get(id).map(|st| (st.p_lst, st.t_lst))
     }
 
-    /// Communication totals: the uplinks every shard admitted plus the
-    /// probes the coordinator issued.
+    /// Communication totals: the uplinks admitted and the probes issued.
     pub fn costs(&self) -> CostTracker {
-        let mut total = self.coord_costs;
-        for s in &self.shards {
-            total.merge(&s.costs());
-        }
-        total
+        self.costs
     }
 
-    /// Work counters summed across shards plus the coordinator's own.
+    /// Work counters.
     pub fn work(&self) -> WorkStats {
-        let mut total = self.coord_work;
-        for s in &self.shards {
-            total.merge(&s.work());
-        }
-        total
+        self.work
     }
 
     /// Total object-index node visits across shards, counted since the
     /// engine was built or recovered: a recovered engine rebuilds its
     /// indexes, so the count starts again at recovery.
     pub fn index_visits(&self) -> u64 {
-        self.shards.iter().map(|s| s.index_visits()).sum()
+        self.index.visits()
     }
 
     /// Size (bucket entries) of the grid query index — the footprint metric
@@ -642,46 +611,38 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Verifies the engine's consistency. In release builds a cheap
-    /// structural check (per-shard and owner-map counts), so tests can call
-    /// it on hot paths without distorting measurements; debug builds run
-    /// the full [`check_invariants_deep`](Self::check_invariants_deep) scan.
+    /// structural check (the shard indexes hold as many entries as the
+    /// object table names objects), so tests can call it on hot paths
+    /// without distorting measurements; debug builds run the full
+    /// [`check_invariants_deep`](Self::check_invariants_deep) scan.
     pub fn check_invariants(&self) {
-        for s in &self.shards {
-            s.index.check_counts();
-        }
-        let owned = self.owner.iter().filter(|o| o.is_some()).count();
-        assert_eq!(owned, self.object_count(), "owner map out of sync with shards");
+        self.index.check_counts();
         #[cfg(debug_assertions)]
         self.check_invariants_deep();
     }
 
-    /// Full consistency scan (release included): every shard index
-    /// coherent, every object on exactly the shard the owner map names, the
-    /// timer queue agreeing with its index and naming registered objects
-    /// only, and the query plane against the union view — results are
-    /// registered objects, and wherever an object's anchor agrees with its
-    /// membership in a query, its safe region lies on that side of the
+    /// Full consistency scan (release included): every object in the index
+    /// of the shard the object table names, under the safe region the table
+    /// holds, the timer queue agreeing with its index and naming registered
+    /// objects only, and the query plane against the union view — results
+    /// are registered objects, and wherever an object's anchor agrees with
+    /// its membership in a query, its safe region lies on that side of the
     /// quarantine area too (the raw safe regions bound nothing while the
     /// reachability enhancement stands in for them, so that part is skipped
     /// with it on).
     #[doc(hidden)]
     pub fn check_invariants_deep(&self) {
         self.processor.check_result_sizes();
-        self.timers.check(|oid| self.owner_of(oid).is_some());
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.index.check_coherence();
-            for (oid, st) in shard.index.objects().iter() {
-                assert_eq!(self.owner_of(oid), Some(i), "{oid} lives on shard {i}");
-                if self.config.max_speed.is_some() {
-                    continue;
-                }
-                for &qid in self.processor.grid().queries_at(st.p_lst) {
-                    let qs = self.processor.get(qid).expect("grid entries are registered");
-                    let inside = qs.quarantine.contains(st.p_lst);
-                    if inside == qs.is_result(oid) {
-                        let kept = qs.quarantine.keeps(&st.safe_region, inside);
-                        assert!(kept, "{oid} ({st:?}) strays across {qid} ({qs:?})");
-                    }
+        self.timers.check(|oid| self.index.get(oid).is_some());
+        self.index.check_coherence();
+        let objects = self.index.view().objects.iter();
+        for (oid, _, st) in objects.filter(|_| self.config.max_speed.is_none()) {
+            for &qid in self.processor.grid().queries_at(st.p_lst) {
+                let qs = self.processor.get(qid).expect("grid entries are registered");
+                let inside = qs.quarantine.contains(st.p_lst);
+                if inside == qs.is_result(oid) {
+                    let kept = qs.quarantine.keeps(&st.safe_region, inside);
+                    assert!(kept, "{oid} ({st:?}) strays across {qid} ({qs:?})");
                 }
             }
         }
@@ -721,17 +682,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             );
         }
         let _span = srb_obs::span!("server.add_object");
-        if self.owner_of(id).is_some() {
+        if self.index.get(id).is_some() {
             return Err(ServerError::DuplicateObject(id));
         }
         let target = self.assign_shard(pos);
-        if self.owner.len() <= id.index() {
-            self.owner.resize(id.index() + 1, None);
-        }
         let state =
             ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
-        self.shards[target].index.insert(id, state);
-        self.owner[id.index()] = Some(target as u32);
+        self.index.insert(id, target, state);
         let mut op = self.scratch.arena.take_op();
         let mut step = std::mem::take(&mut self.scratch.regions);
         op.exact.insert(id, pos);
@@ -759,9 +716,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_remove_object(id, now),
             );
         }
-        let target = self.owner_of(id)?;
-        let last_state = self.shards[target].index.remove(id)?;
-        self.owner[id.index()] = None;
+        let last_state = self.index.remove(id)?;
         self.timers.cancel(id);
         let mut op = self.scratch.arena.take_op();
         let step = std::mem::take(&mut self.scratch.regions);
@@ -934,31 +889,34 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_batch(now, updates),
             );
         }
-        let mut counts = std::mem::take(&mut self.scratch.counts);
         let mut movers = std::mem::take(&mut self.scratch.movers);
         let mut regrants = std::mem::take(&mut self.scratch.regrants);
-        counts.clear();
-        counts.resize(self.shards.len(), 0);
         movers.clear();
         regrants.clear();
-        // Unknown objects go to shard 0, which drops and counts them.
-        let shard_of = |owner: &[Option<u32>], id| owner_in(owner, id).unwrap_or(0);
+        // Admission, in arrival order: a fresh sequence number is accepted,
+        // a stale one owes its sender a re-grant, an unknown object is
+        // dropped and counted.
         for u in updates {
-            counts[shard_of(&self.owner, u.id)] += 1;
-        }
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            if counts[i] == 0 {
-                continue;
+            match self.index.get_mut(u.id) {
+                None => {
+                    self.work.unknown_object_drops += 1;
+                    srb_obs::counter!("server.unknown_object_drops").inc();
+                }
+                Some(st) if u.seq <= st.last_seq => {
+                    self.work.stale_seq_drops += 1;
+                    self.work.regrants += 1;
+                    srb_obs::counter!("server.stale_seq_drops").inc();
+                    srb_obs::counter!("server.regrants").inc();
+                    regrants.push(u.id);
+                }
+                Some(st) => {
+                    st.last_seq = u.seq;
+                    movers.push((u.id, u.pos));
+                }
             }
-            // A batch that one shard owns whole is its own partition.
-            let (whole, owner) = (counts[i] == updates.len(), &self.owner);
-            let part = updates.iter().filter(|u| whole || shard_of(owner, u.id) == i);
-            let admitted = movers.len();
-            shard.admit(part, &mut movers, &mut regrants);
-            let accepted = (movers.len() - admitted) as u64;
-            shard.costs.source_updates += accepted;
-            srb_obs::counter!("server.updates").add(accepted);
         }
+        self.costs.source_updates += movers.len() as u64;
+        srb_obs::counter!("server.updates").add(movers.len() as u64);
 
         // One response per mover; probed bystanders and the result changes
         // ride with the batch's first entry.
@@ -1000,7 +958,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // replay — which runs this body without a WAL — re-makes the
         // decision at exactly this point.
         self.maybe_adapt();
-        self.scratch.counts = counts;
         self.scratch.movers = movers;
         self.scratch.regrants = regrants;
     }
@@ -1030,10 +987,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     ) -> Vec<ResultChange> {
         let mut step = std::mem::take(&mut self.scratch.regions);
         for &(id, pos) in movers {
-            let shard = self.owner_of(id).expect("movers are registered");
-            let index = &mut self.shards[shard].index;
-            let anchor = index.get(id).expect("owner map names the holder").p_lst;
-            index.pin_to_point(id, pos);
+            let (shard, st) = self.index.locate(id).expect("movers are registered");
+            let anchor = st.p_lst;
+            self.index.pin_to_point(id, pos);
             op.exact.insert(id, pos);
             match batch.prev.insert(id, anchor) {
                 None => step.todo.push((shard, id, pos, anchor)),
@@ -1048,7 +1004,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let folded = catch_unwind(AssertUnwindSafe(|| {
             let changes = {
                 let _span = srb_obs::span!("sharded.merge");
-                let probes = self.coord_costs.probes;
+                let probes = self.costs.probes;
                 let changes =
                     self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
                         plane.reevaluate_movers(
@@ -1060,8 +1016,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                         )
                     });
                 srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
-                srb_obs::counter!("sharded.coordinator_probes")
-                    .add(self.coord_costs.probes - probes);
+                srb_obs::counter!("sharded.coordinator_probes").add(self.costs.probes - probes);
                 changes
             };
             self.grant(op, step, provider, now, threads);
@@ -1069,8 +1024,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }));
         folded.unwrap_or_else(|panic| {
             for &(id, _) in movers {
-                let shard = self.owner_of(id).expect("movers are registered");
-                self.shards[shard].index.unpin(id);
+                self.index.unpin(id);
             }
             resume_unwind(panic)
         })
@@ -1087,12 +1041,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         step: impl FnOnce(&mut QueryProcessor, &mut EvalCtx<'_, B>, &mut Vec<QueryId>, &Rect) -> R,
     ) -> R {
         let mut ctx = EvalCtx {
-            view: FleetView { shards: &self.shards, owner: &self.owner },
+            view: self.index.view(),
             exact: &mut op.exact,
             probed: &mut op.probed,
             provider,
-            costs: &mut self.coord_costs,
-            work: &mut self.coord_work,
+            costs: &mut self.costs,
+            work: &mut self.work,
             deferred: &mut op.deferred,
             patch: &mut op.patch,
             max_speed: self.config.max_speed,
@@ -1127,7 +1081,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         loop {
             let plane = Plane {
                 read: ReadCtx {
-                    view: FleetView { shards: &self.shards, owner: &self.owner },
+                    view: self.index.view(),
                     exact: &op.exact,
                     max_speed: self.config.max_speed,
                     now,
@@ -1153,8 +1107,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 if op.exact.contains_key(&target) {
                     continue;
                 }
-                self.coord_costs.probes += 1;
-                self.coord_work.probes_neighbor += 1;
+                self.costs.probes += 1;
+                self.work.probes_neighbor += 1;
                 srb_obs::counter!("safe_region.neighbor_probes").inc();
                 op.exact.insert(target, provider.probe(target));
                 again.push(target);
@@ -1183,27 +1137,24 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
 
         let lease = self.config.lease.filter(|&l| l > 0.0);
-        for &(shard, oid, sr) in &step.granted {
-            let index = &mut self.shards[shard].index;
-            let t_lst = index.get(oid).expect("a region for a registered object").t_lst;
-            if t_lst != now {
+        for &(_, oid, sr) in &step.granted {
+            if self.index.install_region(oid, op.exact[&oid], sr, now).t_lst != now {
                 self.timers.cancel(oid);
             }
-            index.install_region(oid, op.exact[&oid], sr, now);
             if let Some(lease) = lease {
                 self.timers.lower(oid, now + lease, DeferKind::Lease);
             }
             op.recomputed.push((oid, sr));
         }
         step.granted.clear();
-        self.coord_work.probes_avoided += step.deferred.len() as u64;
+        self.work.probes_avoided += step.deferred.len() as u64;
         op.deferred.extend(step.deferred.drain(..).map(|(_, target, due)| (target, due)));
-        self.coord_work.safe_regions += op.recomputed.len() as u64;
+        self.work.safe_regions += op.recomputed.len() as u64;
         srb_obs::histogram!("location.recompute_regions").record(op.recomputed.len() as u64);
         // A request for an object that ended up exactly known is dropped:
         // its region was just granted afresh.
         for (oid, due) in op.deferred.drain(..) {
-            if self.owner_of(oid).is_some() && !op.exact.contains_key(&oid) {
+            if self.index.get(oid).is_some() && !op.exact.contains_key(&oid) {
                 self.timers.lower(oid, due, DeferKind::Slack);
             }
         }
@@ -1212,9 +1163,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Lists `oid`, exactly known at `pos`, for the next region round.
     fn enlist(&self, step: &mut RegionStep, oid: ObjectId, pos: Point) {
-        let shard = self.owner_of(oid).expect("exactly-known objects are registered");
-        let anchor = self.shards[shard].index.get(oid).expect("owner map names the holder").p_lst;
-        step.todo.push((shard, oid, pos, anchor));
+        let (shard, st) = self.index.locate(oid).expect("exactly-known objects are registered");
+        step.todo.push((shard, oid, pos, st.p_lst));
     }
 
     // ------------------------------------------------------------------
@@ -1249,9 +1199,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let mut out = Vec::new();
         while let Some((oid, kind)) = self.timers.pop_due(now) {
             let pos = provider.probe(oid);
-            self.coord_costs.probes += 1;
+            self.costs.probes += 1;
             if kind == DeferKind::Lease {
-                self.coord_work.lease_probes += 1;
+                self.work.lease_probes += 1;
             }
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
@@ -1287,15 +1237,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     fn maybe_adapt(&mut self) {
         let Some(mut ctl) = self.adaptive.take() else { return };
         if ctl.note_batch() {
-            for i in 0..self.shards.len() {
-                let shard = &self.shards[i];
+            for i in 0..self.index.shards().len() {
+                let backend = &self.index.shards()[i].backend;
                 let sig = ShardSignals {
-                    len: shard.object_count(),
-                    kind: shard.backend_kind(),
-                    grid_m: shard.object_index().tree().grid_resolution(),
+                    len: backend.len(),
+                    kind: backend.kind(),
+                    grid_m: backend.grid_resolution(),
                 };
                 if let Some(action) = ctl.decide(i, sig) {
-                    let migrated = self.shards[i].migrate_index(&ctl.config_for(action));
+                    let migrated = self.index.migrate(i, &ctl.config_for(action));
                     debug_assert!(migrated, "adaptive engines run DynBackend shards");
                     match action {
                         AdaptAction::Migrate(_) => {
@@ -1338,7 +1288,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// records each shard's live backend config, is what carries the new
     /// structure across a crash.
     pub fn migrate_shard(&mut self, shard: usize, backend: &srb_index::BackendConfig) -> bool {
-        if !self.shards.get_mut(shard).is_some_and(|s| s.migrate_index(backend)) {
+        if !self.index.migrate(shard, backend) {
             return false;
         }
         srb_obs::counter!("index.adaptive.explicit_migrations").inc();
@@ -1466,26 +1416,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Serializes the complete engine state: config fingerprint, shard
-    /// count, layout tag, coordinator counters and owner map, the timers in
-    /// queue order, the controller, the query plane, then every shard's own
-    /// state in shard order. Scratch buffers, thread overrides, and
-    /// telemetry handles carry no state and are excluded.
+    /// count, layout tag, counters, the object table and every shard's
+    /// backend config, the timers in queue order, the controller, and the
+    /// query plane. Scratch buffers, thread overrides, and telemetry
+    /// handles carry no state and are excluded.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
-        put_usize(out, self.shards.len());
+        put_usize(out, self.index.shards().len());
         put_u64(out, FLEET_LAYOUT);
-        put_u64(out, self.coord_costs.probes);
-        self.coord_work.encode(out);
-        put_usize(out, self.owner.len());
-        for o in &self.owner {
-            match o {
-                None => put_u8(out, 0),
-                Some(s) => {
-                    put_u8(out, 1);
-                    put_u32(out, *s);
-                }
-            }
-        }
+        put_u64(out, self.costs.source_updates);
+        put_u64(out, self.costs.probes);
+        self.work.encode(out);
+        self.index.encode_state(out);
         self.timers.encode_state(out);
         match &self.adaptive {
             None => put_u8(out, 0),
@@ -1495,9 +1437,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
         }
         self.processor.encode_state(out);
-        for s in &self.shards {
-            s.encode_state(out);
-        }
     }
 
     /// Rebuilds a server from a checkpoint payload. The WAL is *not*
@@ -1519,29 +1458,16 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // query, shards that still carried a query processor (version 1) or
         // timers of their own (version 2), slots that still carried reuse
         // generations (version 3), shards that carried their index structure
-        // (version 4) — holds a counter or an earlier version: refused here,
-        // never misread.
+        // (version 4), an owner map beside per-shard object tables and
+        // counters (version 5) — holds a counter or an earlier version:
+        // refused here, never misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
-        let coord_costs = CostTracker { source_updates: 0, probes: dec.u64()? };
-        let coord_work = WorkStats::decode(&mut dec)?;
-        let n_owner = dec.len(1)?;
-        let mut owner = Vec::with_capacity(n_owner);
-        for _ in 0..n_owner {
-            owner.push(match dec.u8()? {
-                0 => None,
-                1 => {
-                    let s = dec.u32()?;
-                    if s as usize >= shards {
-                        return Err(RecoveryError::Corrupt("owner names a missing shard"));
-                    }
-                    Some(s)
-                }
-                _ => return Err(RecoveryError::Corrupt("bad owner tag")),
-            });
-        }
-        let timers = Timers::decode_state(&mut dec, |oid| owner_in(&owner, oid).is_some())?;
+        let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
+        let work = WorkStats::decode(&mut dec)?;
+        let index = ObjectIndex::decode_state(&mut dec, shards, config.space)?;
+        let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
         // The controller tag must agree with the config (whose fingerprint
         // was already checked): adaptive engines always checkpoint their
         // decision state, non-adaptive engines never do.
@@ -1558,21 +1484,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             _ => return Err(RecoveryError::Corrupt("bad controller tag")),
         };
         let processor = QueryProcessor::decode_state(&mut dec)?;
-        let mut shard_states = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            shard_states.push(Shard::decode_state(&mut dec, config.space)?);
-        }
         dec.finish()?;
-        let server = Self::assemble(
-            *config,
-            shard_states,
-            owner,
-            processor,
-            coord_costs,
-            coord_work,
-            adaptive,
-        );
-        Ok(Self { timers, ..server })
+        let server = Self::assemble(*config, index, processor, adaptive);
+        Ok(Self { timers, costs, work, ..server })
     }
 
     /// Replays one log record through the public entry points; every
@@ -1615,14 +1529,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Coordinator internals
     // ------------------------------------------------------------------
 
-    fn owner_of(&self, id: ObjectId) -> Option<usize> {
-        owner_in(&self.owner, id)
-    }
-
-    fn owning_shard(&self, id: ObjectId) -> Option<&Shard<B>> {
-        Some(&self.shards[self.owner_of(id)?])
-    }
-
     /// The shard a registration at `pos` lands on: a hash of the grid cell,
     /// modulo the shard count. The assignment is fixed at registration time
     /// — later movement never migrates the object, because the union view
@@ -1631,14 +1537,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let grid = self.processor.grid();
         let (i, j) = grid.cell_of(pos);
         let key = (i as u64) * (grid.m() as u64) + j as u64;
-        (splitmix64(key) % self.shards.len() as u64) as usize
+        (splitmix64(key) % self.index.shards().len() as u64) as usize
     }
-}
-
-/// The shard `owner` (object → shard, indexed by `ObjectId::index()`) names
-/// for `id`.
-fn owner_in(owner: &[Option<u32>], id: ObjectId) -> Option<usize> {
-    owner.get(id.index()).copied().flatten().map(|s| s as usize)
 }
 
 /// Surfaces a replay that consumed its probe transcript incorrectly.
@@ -1692,23 +1592,6 @@ mod tests {
     use std::collections::{BTreeMap, HashSet};
 
     #[test]
-    fn parse_threads_accepts_positive_integers() {
-        assert_eq!(parse_threads(Some("1")), Some(1));
-        assert_eq!(parse_threads(Some(" 8 ")), Some(8));
-        assert_eq!(parse_threads(Some("64")), Some(64));
-    }
-
-    #[test]
-    fn parse_threads_rejects_zero_and_garbage() {
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("-3")), None);
-        assert_eq!(parse_threads(Some("two")), None);
-        assert_eq!(parse_threads(Some("1.5")), None);
-        assert_eq!(parse_threads(None), None);
-    }
-
-    #[test]
     fn sort_by_object_is_the_stable_sort() {
         // Ids repeat; the rectangle carries where the entry was appended.
         let entry = |i: usize| {
@@ -1729,7 +1612,7 @@ mod tests {
     #[test]
     fn configured_threads_never_returns_zero() {
         // Whatever the environment says, the fan-out must get at least one
-        // worker (SRB_THREADS=0 falls back to the rayon default).
+        // worker.
         assert!(configured_threads() >= 1);
     }
 
@@ -1820,6 +1703,10 @@ mod tests {
                 }
             }
             assert_eq!(engines[0].costs(), engines[1].costs(), "round {round}: uplinks, probes");
+            for q in 0..specs.len() as u32 {
+                let [one, many] = engines.each_ref().map(|e| e.results(QueryId(q)));
+                assert_eq!(one, many, "round {round}, query {q}: stored in one order");
+            }
         }
     }
 
@@ -1834,6 +1721,39 @@ mod tests {
                 ],
             );
         }
+    }
+
+    /// The query plane is blind to the partition in the order it stores a
+    /// range query's results, not only in their set: one batch, arriving
+    /// against id order, brings every object outside the range into it, and
+    /// one shard and two store the same list.
+    #[test]
+    fn range_results_are_stored_in_one_order_at_any_shard_count() {
+        let rect = Rect::new(Point::new(0.3, 0.3), Point::new(0.7, 0.7));
+        let stored = [1, 2].map(|shards| {
+            let mut at = world(40, 3);
+            let mut engine = ShardedServer::new(ServerConfig::default(), shards);
+            {
+                let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+                for (i, &p) in at.iter().enumerate() {
+                    engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
+                }
+                engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
+            }
+            let mut batch = Vec::new();
+            for i in (0..at.len()).rev() {
+                if !rect.contains_point(at[i]) {
+                    at[i] = Point::new(0.5, 0.31 + 0.0095 * i as f64);
+                    batch.push(SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: 1 });
+                }
+            }
+            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+            engine.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
+            engine.check_invariants_deep();
+            engine.results(QueryId(0)).expect("registered").to_vec()
+        });
+        assert_eq!(stored[0].len(), 40, "every object is in the range");
+        assert_eq!(stored[0], stored[1], "one shard against two");
     }
 
     #[test]
@@ -1922,8 +1842,8 @@ mod tests {
 
     #[test]
     fn sharded_costs_include_coordinator_probes() {
-        // Probes made by the coordinator must land in the fleet-wide totals
-        // (no shard issues any), its work in the fleet-wide counters.
+        // Probes made by the coordinator land in the totals, one per object
+        // the registration granted a region, its work in the counters.
         let positions = world(16, 3);
         let mut sharded = ShardedServer::new(ServerConfig::default(), 4);
         let snapshot = positions.clone();
@@ -1932,10 +1852,12 @@ mod tests {
             sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
         }
         let before = sharded.costs();
-        sharded.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 5), &mut provider, 0.0);
+        let reg =
+            sharded.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 5), &mut provider, 0.0);
         let after = sharded.costs();
-        assert_eq!(after.probes - before.probes, sharded.coord_costs.probes);
-        assert!(sharded.shards().iter().all(|s| s.costs().probes == 0));
+        assert!(!reg.safe_regions.is_empty(), "the registration probes");
+        assert_eq!(after.probes - before.probes, reg.safe_regions.len() as u64);
+        assert_eq!(after.source_updates, before.source_updates);
         assert_eq!(sharded.work().evaluations, 1);
         sharded.check_invariants();
     }
@@ -1955,6 +1877,11 @@ mod tests {
         );
         assert_eq!(resp.len(), 1);
         assert_eq!(sharded.work().unknown_object_drops, 1);
+    }
+
+    /// The shard holding `id`, if registered.
+    fn shard_of(server: &ShardedServer, id: ObjectId) -> Option<usize> {
+        server.index.locate(id).map(|(shard, _)| shard)
     }
 
     /// A unique throwaway durability directory (leaked so the config can
@@ -2085,7 +2012,7 @@ mod tests {
     /// the whole history.
     #[test]
     fn earlier_batch_marker_is_refused_not_replayed_short() {
-        use srb_durable::codec::put_f64;
+        use srb_durable::codec::{put_f64, put_u32};
         use srb_durable::log::LogWriter;
         let dir = temp_dir("marker");
         let config = durable(dir);
@@ -2169,10 +2096,11 @@ mod tests {
     /// A checkpoint of the older layout `version` at `shards`: 1, shards
     /// each carrying a query processor; 2, shards keeping timers of their
     /// own; 3, a reuse generation per object slot and per query slot; 4,
-    /// each shard's index structure written verbatim.
+    /// each shard's index structure written verbatim; 5, an owner map and
+    /// each shard's object table and counters.
     fn older(version: u64, shards: usize) -> Vec<u8> {
         let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 5 + version);
+        put_u64(&mut payload, FLEET_LAYOUT - 6 + version);
         put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
         payload
     }
@@ -2187,7 +2115,7 @@ mod tests {
         WorkStats::default().encode(&mut replicas);
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
         refused(2, &replicas);
-        for version in 1..=4 {
+        for version in 1..=5 {
             refused(2, &older(version, 2));
         }
         // The current layout round-trips.
@@ -2204,8 +2132,9 @@ mod tests {
     /// engine (zeroed coordinator counters right after the shard count, a
     /// spec per query slot, the shard's state with its own query processor),
     /// or from when the shard kept its own timers (version 2), slots kept
-    /// reuse generations (version 3) or shards wrote their index structure
-    /// (version 4), gets the same typed refusal.
+    /// reuse generations (version 3), shards wrote their index structure
+    /// (version 4) or their own object tables beside an owner map (version
+    /// 5), gets the same typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -2215,7 +2144,7 @@ mod tests {
         put_usize(&mut legacy, 0); // the always-empty list
         put_u8(&mut legacy, 0); // no controller; the shard's state …
         refused(1, &legacy);
-        for version in 2..=4 {
+        for version in 2..=5 {
             refused(1, &older(version, 1));
         }
         // The current layout is the one layout: one shard round-trips too.
@@ -2226,6 +2155,34 @@ mod tests {
         let decoded =
             ShardedServer::<RStarTree>::decode_state(&config, 1, &current).expect("decodes");
         assert_eq!(decoded.state_digest(), engine.state_digest());
+    }
+
+    /// A checkpoint whose object table names a shard the engine does not
+    /// have is refused with a typed error, never indexed out of range.
+    #[test]
+    fn a_table_naming_a_missing_shard_is_refused() {
+        let config = ServerConfig::default();
+        let (fleet, _) = fleet(config, 2, 1);
+        let mut payload = Vec::new();
+        fleet.encode_state(&mut payload);
+        // Header, layout and counters, the table's length, object 0's tag:
+        // then its shard.
+        let mut counters = Vec::new();
+        WorkStats::default().encode(&mut counters);
+        let at = 5 * 8 + counters.len() + 8 + 1;
+        assert_eq!(payload[at - 1], 1, "object 0 is registered");
+        for shard in [2u32, u32::MAX] {
+            let mut damaged = payload.clone();
+            damaged[at..at + 4].copy_from_slice(&shard.to_le_bytes());
+            match ShardedServer::<RStarTree>::decode_state(&config, 2, &damaged) {
+                Err(RecoveryError::Corrupt(what)) => {
+                    assert_eq!(what, "object table names a missing shard")
+                }
+                other => panic!("decoded shard {shard}: {:?}", other.map(|_| ())),
+            }
+        }
+        let decoded = ShardedServer::<RStarTree>::decode_state(&config, 2, &payload);
+        assert_eq!(decoded.expect("decodes").state_digest(), fleet.state_digest());
     }
 
     /// Every file of a durability directory, by name.
@@ -2412,7 +2369,7 @@ mod tests {
                 }
                 let reg = server.register_query(QuerySpec::knn(q, 2), &mut provider, 0.0);
                 assert_eq!(reg.results, vec![near, far]);
-                assert_eq!((server.owner_of(near), server.owner_of(far)), (Some(1), Some(0)));
+                assert_eq!((shard_of(&server, near), shard_of(&server, far)), (Some(1), Some(0)));
             }
         }
         let mut batch = Vec::new();
@@ -2630,7 +2587,7 @@ mod tests {
             let mut server = leased(shards);
             if shards > 1 {
                 assert_eq!(
-                    (server.owner_of(ObjectId(0)), server.owner_of(ObjectId(1))),
+                    (shard_of(&server, ObjectId(0)), shard_of(&server, ObjectId(1))),
                     (Some(1), Some(0))
                 );
             }

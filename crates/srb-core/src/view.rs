@@ -3,23 +3,21 @@
 //! of one object.
 //!
 //! The objects are partitioned over the engine's shards; [`FleetView`]
-//! answers from whichever shard owns the object and merges the shards'
-//! browses, so the one query plane runs the paper's single-server
+//! merges the shards' browses and reads an object's state from the one
+//! object table, so the one query plane runs the paper's single-server
 //! algorithms over the union of the shard indexes.
 
 use crate::ids::ObjectId;
-use crate::index::ObjectIndex;
-use crate::object::ObjectState;
+use crate::object::{ObjectState, ObjectTable};
 use crate::shard::Shard;
 use srb_geom::{Point, Rect};
 use srb_index::{LeafEntry, Neighbor, SpatialBackend};
 
-/// The union of the shard indexes: every object lives on exactly one
-/// shard, named by the coordinator's owner map.
+/// The union of the shard indexes, and the object table that names, for
+/// every object, the one shard holding it.
 pub(crate) struct FleetView<'s, B: SpatialBackend> {
     pub(crate) shards: &'s [Shard<B>],
-    /// Object → owning shard, indexed by `ObjectId::index()`.
-    pub(crate) owner: &'s [Option<u32>],
+    pub(crate) objects: &'s ObjectTable,
 }
 
 impl<B: SpatialBackend> Clone for FleetView<'_, B> {
@@ -31,16 +29,9 @@ impl<B: SpatialBackend> Clone for FleetView<'_, B> {
 impl<B: SpatialBackend> Copy for FleetView<'_, B> {}
 
 impl<'s, B: SpatialBackend> FleetView<'s, B> {
-    /// The index of the shard that owns `id`.
-    fn index_of(&self, id: ObjectId) -> Option<&'s ObjectIndex<B>> {
-        let shard = self.owner.get(id.index()).copied().flatten()?;
-        Some(&self.shards[shard as usize].index)
-    }
-
     /// Starts a best-first browse from `q`.
     pub(crate) fn nearest(&self, q: Point) -> MergedNearest<'s, B> {
-        let mut browsers: Vec<_> =
-            self.shards.iter().map(|s| s.index.tree().nearest_iter(q)).collect();
+        let mut browsers: Vec<_> = self.shards.iter().map(|s| s.backend.nearest_iter(q)).collect();
         let heads = browsers.iter_mut().map(Iterator::next).collect();
         MergedNearest { browsers, heads }
     }
@@ -51,7 +42,7 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
     pub(crate) fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
         let mut out = Vec::new();
         for shard in self.shards {
-            shard.index.tree().search(rect, &mut |e| out.push(*e));
+            shard.backend.search(rect, &mut |e| out.push(*e));
         }
         out.sort_unstable_by_key(|e| e.id);
         out
@@ -59,7 +50,7 @@ impl<'s, B: SpatialBackend> FleetView<'s, B> {
 
     /// The state of `id`, if registered.
     pub(crate) fn state_of(&self, id: ObjectId) -> Option<&'s ObjectState> {
-        self.index_of(id)?.get(id)
+        self.objects.get(id)
     }
 }
 
@@ -101,6 +92,7 @@ impl<B: SpatialBackend> Iterator for MergedNearest<'_, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ObjectIndex;
     use srb_index::{BackendConfig, RStarTree};
 
     /// Sixteen objects on four rectangles, four copies each — two of the
@@ -122,19 +114,16 @@ mod tests {
             (0..16).map(|i| (rects[i % 4].min_dist(q), i as u64)).collect();
         want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for shards in [1, 2, 4] {
-            let mut fleet: Vec<Shard<RStarTree>> =
-                (0..shards).map(|_| Shard::new(&BackendConfig::default(), Rect::UNIT)).collect();
-            let mut owner = Vec::new();
+            let mut fleet: ObjectIndex<RStarTree> =
+                ObjectIndex::new(&BackendConfig::default(), shards, Rect::UNIT);
             for i in 0..16u32 {
                 let shard = (15 - i as usize) % shards;
                 let sr = rects[i as usize % 4];
                 let state =
                     ObjectState { p_lst: sr.center(), t_lst: 0.0, safe_region: sr, last_seq: 0 };
-                fleet[shard].index.insert(ObjectId(i), state);
-                owner.push(Some(shard as u32));
+                fleet.insert(ObjectId(i), shard, state);
             }
-            let view = FleetView { shards: &fleet, owner: &owner };
-            let mut browse = view.nearest(q);
+            let mut browse = fleet.view().nearest(q);
             let mut got = Vec::new();
             while let Some(next) = browse.peek() {
                 let n = browse.next().expect("peeked");

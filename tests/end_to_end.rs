@@ -548,12 +548,12 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     }
     assert_eq!(
         plain,
-        (0xCE4C_22C7_A4E7_0C20, 0xF5EB_4C99_3021_5818, 5424),
+        (0x7DD8_D170_C3DD_99AB, 0xF5EB_4C99_3021_5818, 5424),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
         enhanced,
-        (0xEE8A_1298_1A6E_BDD0, 0x0BBF_A77C_EE63_F357, 5457),
+        (0xCD6C_C5FE_E77A_4567, 0x0BBF_A77C_EE63_F357, 5457),
         "weighted-perimeter regions moved"
     );
 }
