@@ -109,8 +109,8 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 }
 
 /// What one safe-region computation (§5) works with: shared state it only
-/// reads — regions are computed chunk by chunk, possibly on several threads,
-/// and none may probe — and two lists it hands back to the coordinator.
+/// reads — no region may probe, so none depends on the ones computed
+/// before it — and two lists it hands back to the coordinator.
 pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
     pub(crate) read: &'a ReadCtx<'a, B>,
     /// The object whose region is being computed.

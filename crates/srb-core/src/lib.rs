@@ -51,9 +51,9 @@
 //! the union of the shard indexes: answers are exact and the probes the
 //! same at every shard count. The coordinator also owns the location
 //! manager's one timer queue (`location`): at most one pending lease or
-//! deferred probe per object, fired in `(due, id)` order. The safe regions
-//! of a batch are computed in chunks, on as many threads as the engine is
-//! given.
+//! deferred probe per object, fired in `(due, id)` order. Like the paper's
+//! server, the engine runs every step of an operation on the caller's
+//! thread.
 //!
 //! The object index under a shard is a pluggable
 //! [`SpatialBackend`]: [`ShardedServer`]

@@ -23,8 +23,7 @@ use srb_index::SpatialBackend;
 const CLEARANCE_FRACTION: f64 = 0.05;
 
 /// Working memory of one safe-region computation, reused from region to
-/// region (content on entry is discarded) so that none allocates. Chunks
-/// may run on different threads, so each thread owns one.
+/// region (content on entry is discarded) so that none allocates.
 #[derive(Default)]
 pub(crate) struct RegionScratch {
     /// The range-query rectangles the object has to stay out of.

@@ -27,21 +27,15 @@
 //!    grid and reevaluates each once, in query-id order. Every probe of
 //!    the batch is issued here, by the caller's thread;
 //! 3. **regions** — the exactly-known objects (movers and probed), in
-//!    `(shard, id)` order and cut into *chunks* of a few dozen, get their
-//!    safe regions against the query plane and the union view, mutating
-//!    nothing shared. Every other exactly-known object, local or foreign,
-//!    is an *invalid* neighbour and takes the §5.2 midpoint rule, so a
-//!    region does not depend on the order regions are computed in. A
-//!    region that would have to probe a neighbour whose stale region leaves
-//!    no room returns the request instead; the coordinator probes in
-//!    `(requester, target)` order and only the regions that could see the
-//!    difference are computed again.
-//!    [`handle_sequenced_updates_into`](ShardedServer::handle_sequenced_updates_into)
-//!    runs the chunks one after another;
-//!    [`handle_sequenced_updates_parallel_into`](ShardedServer::handle_sequenced_updates_parallel_into)
-//!    forks scoped helper threads that take chunks from one queue beside
-//!    the caller and joins them — between batches the engine owns no
-//!    thread;
+//!    `(shard, id)` order, get their safe regions against the query plane
+//!    and the union view, one after another on the caller's thread. Every
+//!    other exactly-known object, local or foreign, is an *invalid*
+//!    neighbour and takes the §5.2 midpoint rule, so a region does not
+//!    depend on the order regions are computed in. A region that would
+//!    have to probe a neighbour whose stale region leaves no room returns
+//!    the request instead; the coordinator probes in `(requester, target)`
+//!    order and only the regions that could see the difference are
+//!    computed again;
 //! 4. **install** — the regions go into the shard indexes, leases and
 //!    deferred probes into the timer queue, and the responses are sorted
 //!    by [`ObjectId`], result changes by [`QueryId`].
@@ -70,7 +64,6 @@ use srb_durable::codec::{put_u64, put_u8, put_usize};
 use srb_geom::{Point, Rect};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
 /// plane, one timer queue, one object table, shards holding nothing but
@@ -132,20 +125,21 @@ pub struct ResultRemoval {
     pub probed: Vec<(ObjectId, Rect)>,
 }
 
-/// The location provider of the threaded batch path, probed through
-/// `&self`. Only the coordinator probes — on the calling thread, between
-/// the forks — so an implementation is never probed from two threads at
-/// once.
-pub trait SyncProvider: Sync {
+/// A location provider probed through `&self`, for
+/// [`ShardedServer::handle_sequenced_updates_parallel_into`]. The name
+/// stays only for `bench/src/engine.rs` and goes with ROADMAP 3(a) after
+/// 2(a).
+pub trait SyncProvider {
     /// Returns the exact current location of `id`.
     fn probe(&self, id: ObjectId) -> Point;
 }
 
 /// The [`SyncProvider`] over a borrowed dense position table (index =
 /// object id): probing is an array read. The table must cover every id a
-/// batch may probe — a probe past its end panics on the calling thread
-/// before any safe region of the batch is installed: nothing is committed
-/// and the WAL is poisoned.
+/// batch may probe — a probe past its end panics before any safe region
+/// of the batch is installed: nothing is committed and the WAL is
+/// poisoned. The name stays only for `bench/src/driver.rs` and goes with
+/// ROADMAP 3(a) after 2(a).
 pub struct TableProvider<'a>(pub &'a [Point]);
 
 impl SyncProvider for TableProvider<'_> {
@@ -154,122 +148,16 @@ impl SyncProvider for TableProvider<'_> {
     }
 }
 
-/// Adapts a shared [`SyncProvider`] to the sequential [`LocationProvider`]
-/// interface the coordinator probes through.
+/// Adapts a shared [`SyncProvider`] to the [`LocationProvider`] interface
+/// the coordinator probes through. It stays only for
+/// `bench/src/engine.rs`'s entry point and goes with ROADMAP 3(a) after
+/// 2(a).
 struct SyncAdapter<'a, P: SyncProvider + ?Sized>(&'a P);
 
 impl<P: SyncProvider + ?Sized> LocationProvider for SyncAdapter<'_, P> {
     fn probe(&mut self, id: ObjectId) -> Point {
         self.0.probe(id)
     }
-}
-
-/// The number of threads the batch fan-out may use unless
-/// [`ShardedServer::with_threads`] says otherwise: rayon's configured
-/// parallelism (`RAYON_NUM_THREADS` / available cores), at least one. The
-/// resolved count is published on the `sharded.threads` gauge.
-pub(crate) fn configured_threads() -> usize {
-    let resolved = rayon::current_num_threads().max(1);
-    srb_obs::gauge!("sharded.threads").set(resolved as u64);
-    resolved
-}
-
-/// What a region round reads, shared by every chunk: the union view and
-/// the exactly-known objects of the operation (`read`), and the query
-/// plane.
-struct Plane<'a, B: srb_index::SpatialBackend> {
-    read: ReadCtx<'a, B>,
-    processor: &'a QueryProcessor,
-    steadiness: Option<f64>,
-}
-
-/// The most regions one chunk of a region round computes. A region takes
-/// 2–3 µs (on `hotspot_sharded` on the 2-core build box, 1.14 s of region
-/// work over 405 k regions), so a chunk is 60–100 µs of work — about what
-/// forking one helper thread costs before it computes anything. The
-/// threads of a round finish within one chunk of each other, which bounds
-/// the caller's wait in the join; a smaller chunk would tighten that bound
-/// but add queue-lock turns and stopwatch reads, which at 32 regions are
-/// below a thousandth of the chunk's work. And a round of one chunk is no
-/// more work than the fork it would pay for, so it runs on the caller.
-const REGIONS_PER_CHUNK: usize = 32;
-
-/// A run of up to [`REGIONS_PER_CHUNK`] consecutive objects of a region
-/// round, all of one shard. Whichever thread takes the chunk reads the
-/// shared [`Plane`] and the round's list and writes only here. Between
-/// rounds a chunk holds capacity and nothing else.
-#[derive(Default)]
-struct Chunk {
-    /// The shard that owns the chunk's objects.
-    shard: usize,
-    /// In: the positions of the round's list ([`RegionStep::todo`]) the
-    /// chunk computes.
-    span: std::ops::Range<usize>,
-    /// Out: the regions, ascending by id.
-    regions: Vec<(ObjectId, Rect)>,
-    /// Out: `(requester, target)` — a neighbour whose stale region leaves
-    /// the requester no room and has to be probed. The requester gets no
-    /// region this round.
-    requests: Vec<(ObjectId, ObjectId)>,
-    /// Out: `(requester, target, due)` — deferred probes that keep the
-    /// requester's reachability-based bounds sound.
-    deferred: Vec<(ObjectId, ObjectId, f64)>,
-    /// Out: how long a timed round spent on the chunk (0 untimed).
-    duration_ns: u64,
-    /// The thread that ran the chunk.
-    #[cfg(test)]
-    ran_on: Option<std::thread::ThreadId>,
-}
-
-impl Chunk {
-    /// Computes the regions of the chunk's span of `todo`, timing it when
-    /// `timed`.
-    fn compute<B: srb_index::SpatialBackend>(
-        &mut self,
-        todo: &[(usize, ObjectId, Point, Point)],
-        plane: &Plane<'_, B>,
-        scratch: &mut RegionScratch,
-        timed: bool,
-    ) {
-        #[cfg(test)]
-        self.ran_on.replace(std::thread::current().id());
-        let watch = timed.then(srb_obs::Stopwatch::start);
-        for &(_, oid, pos, p_lst) in &todo[self.span.clone()] {
-            let (requests, deferred) = (self.requests.len(), self.deferred.len());
-            let mut ctx = RegionCtx {
-                read: &plane.read,
-                requester: oid,
-                requests: &mut self.requests,
-                deferred: &mut self.deferred,
-            };
-            let sr = compute_safe_region(
-                &mut ctx,
-                plane.processor.grid(),
-                plane.processor.slots(),
-                pos,
-                p_lst,
-                plane.steadiness,
-                scratch,
-            );
-            if self.requests.len() > requests {
-                // Void: computed again once the targets are exactly known.
-                self.deferred.truncate(deferred);
-                continue;
-            }
-            self.regions.push((oid, sr));
-        }
-        self.duration_ns = watch.and_then(|w| w.elapsed_ns()).unwrap_or(0);
-    }
-}
-
-/// One thread's part of a region round.
-#[derive(Default)]
-struct Worker {
-    /// Working memory of one region computation.
-    scratch: RegionScratch,
-    /// Out: the summed durations of the chunks the thread took, or `None`
-    /// when it did not run.
-    busy_ns: Option<u64>,
 }
 
 /// The region step of one operation. It lives in [`CoordScratch`] so its
@@ -280,11 +168,8 @@ struct RegionStep {
     /// The objects of the next round — `(shard, id, position, previous
     /// anchor)` — put in `(shard, id)` order when the round starts.
     todo: Vec<(usize, ObjectId, Point, Point)>,
-    /// The round's chunks, in list order; the pool beyond them keeps the
-    /// buffers of larger rounds.
-    chunks: Vec<Chunk>,
-    /// One per thread of a round, the calling thread's first.
-    workers: Vec<Worker>,
+    /// Working memory of one region computation.
+    scratch: RegionScratch,
     /// The operation's regions so far, in `(shard, id)` order.
     granted: Vec<(usize, ObjectId, Rect)>,
     /// The deferred probes behind `granted`: `(requester, target, due)`.
@@ -292,128 +177,60 @@ struct RegionStep {
 }
 
 impl RegionStep {
-    /// Runs one region round over [`todo`](Self::todo) and empties it: the
-    /// list is cut into chunks, which the calling thread and up to
-    /// `threads − 1` scoped helpers — forked only when there are two chunks
-    /// or more — take in order from one queue. The regions go into
+    /// Runs one region round over [`todo`](Self::todo), in `(shard, id)`
+    /// order, and empties it. Each region reads the union view and the
+    /// exactly-known objects (`read`) and the query plane, and nothing the
+    /// round computed before it. The regions go into
     /// [`granted`](Self::granted) (a later round's replacing an earlier
     /// one's), the deferred probes into [`deferred`](Self::deferred), the
-    /// neighbour requests into `requests`. Who ran which chunk is invisible:
-    /// a chunk's output depends on its input alone, and the outputs are
-    /// taken in chunk order. A round that spans two shards or two threads
-    /// is timed ([`time_round`], `shard_ns` the per-shard histograms): on
-    /// one thread over one shard there is nothing to compare.
+    /// neighbour requests into `requests`; a requester gets no region this
+    /// round.
     fn round<B: srb_index::SpatialBackend>(
         &mut self,
-        plane: &Plane<'_, B>,
-        threads: usize,
-        shard_ns: &[&'static srb_obs::Histogram],
+        read: &ReadCtx<'_, B>,
+        processor: &QueryProcessor,
+        steadiness: Option<f64>,
         requests: &mut Vec<(ObjectId, ObjectId)>,
     ) {
-        let RegionStep { todo, chunks, workers, granted, deferred } = self;
+        let RegionStep { todo, scratch, granted, deferred } = self;
         if !todo.is_sorted_by_key(|&(shard, oid, ..)| (shard, oid)) {
             todo.sort_unstable_by_key(|&(shard, oid, ..)| (shard, oid));
         }
-        let (mut live, mut start) = (0, 0);
-        while let Some(&(shard, ..)) = todo.get(start) {
-            let limit = todo.len().min(start + REGIONS_PER_CHUNK);
-            let end = start + todo[start..limit].partition_point(|t| t.0 == shard);
-            if live == chunks.len() {
-                chunks.push(Chunk::default());
+        for &(shard, oid, pos, p_lst) in todo.iter() {
+            let (asked, deferring) = (requests.len(), deferred.len());
+            let mut ctx = RegionCtx { read, requester: oid, requests, deferred };
+            let sr = compute_safe_region(
+                &mut ctx,
+                processor.grid(),
+                processor.slots(),
+                pos,
+                p_lst,
+                steadiness,
+                scratch,
+            );
+            if requests.len() > asked {
+                // Void: computed again once the targets are exactly known.
+                deferred.truncate(deferring);
+                continue;
             }
-            (chunks[live].shard, chunks[live].span) = (shard, start..end);
-            (live, start) = (live + 1, end);
-        }
-        let chunks = &mut chunks[..live];
-        let (Some(first), Some(last)) = (chunks.first(), chunks.last()) else { return };
-        let helpers = threads.min(live) - 1;
-        let timed = helpers > 0 || first.shard != last.shard;
-        if workers.len() <= helpers {
-            workers.resize_with(helpers + 1, Worker::default);
-        }
-        let (caller, helping) = workers[..=helpers].split_first_mut().expect("one worker or more");
-        helping.iter_mut().for_each(|worker| worker.busy_ns = None);
-
-        let queue = Mutex::new(chunks.iter_mut());
-        let list = &todo[..];
-        let work = |worker: &mut Worker| {
-            let mut busy = 0;
-            loop {
-                // Its own statement: the lock is released before the chunk
-                // runs.
-                let next = queue.lock().expect("no chunk runs under the queue lock").next();
-                let Some(chunk) = next else { break };
-                chunk.compute(list, plane, &mut worker.scratch, timed);
-                busy += chunk.duration_ns;
-            }
-            worker.busy_ns = Some(busy);
-        };
-        if helping.is_empty() {
-            work(caller);
-        } else {
-            let work = &work;
-            let joining = std::thread::scope(|scope| {
-                for worker in helping.iter_mut() {
-                    // A spawn error just leaves the chunks to the threads
-                    // that did start — at worst the caller alone.
-                    let _ = std::thread::Builder::new().spawn_scoped(scope, move || work(worker));
-                }
-                work(caller);
-                srb_obs::Stopwatch::start()
-            });
-            if let Some(ns) = joining.elapsed_ns() {
-                srb_obs::histogram!("sharded.merge_wait_ns").record(ns);
-            }
-        }
-
-        if timed {
-            time_round(chunks, &workers[..=helpers], shard_ns);
-        }
-
-        for chunk in chunks {
-            for &(oid, sr) in &chunk.regions {
-                let key = (chunk.shard, oid);
-                // In order; only a later round's rerun lands mid-list.
-                if granted.last().is_none_or(|&(shard, last, _)| (shard, last) < key) {
-                    granted.push((chunk.shard, oid, sr));
-                } else {
-                    match granted.binary_search_by_key(&key, |&(shard, o, _)| (shard, o)) {
-                        Ok(i) => granted[i].2 = sr,
-                        Err(i) => granted.insert(i, (chunk.shard, oid, sr)),
-                    }
+            let key = (shard, oid);
+            // In order; only a later round's rerun lands mid-list.
+            if granted.last().is_none_or(|&(shard, last, _)| (shard, last) < key) {
+                granted.push((shard, oid, sr));
+            } else {
+                match granted.binary_search_by_key(&key, |&(shard, o, _)| (shard, o)) {
+                    Ok(i) => granted[i].2 = sr,
+                    Err(i) => granted.insert(i, (shard, oid, sr)),
                 }
             }
-            chunk.regions.clear();
-            requests.append(&mut chunk.requests);
-            deferred.append(&mut chunk.deferred);
         }
         todo.clear();
     }
 }
 
-/// Publishes what a timed region round took. Chunks come in shard order:
-/// one `sharded.shardK.batch_ns` sample per shard, the sum of its chunks;
-/// one `sharded.worker_busy_ns` sample per thread that ran, the sum of the
-/// chunks it took; and, with two threads or more, the busiest one's lead
-/// over the least busy one.
-fn time_round(chunks: &[Chunk], workers: &[Worker], shard_ns: &[&'static srb_obs::Histogram]) {
-    for run in chunks.chunk_by(|a, b| a.shard == b.shard) {
-        shard_ns[run[0].shard].record(run.iter().map(|c| c.duration_ns).sum());
-    }
-    let (mut least, mut most, mut ran) = (u64::MAX, 0, 0);
-    for ns in workers.iter().filter_map(|w| w.busy_ns) {
-        srb_obs::histogram!("sharded.worker_busy_ns").record(ns);
-        (least, most, ran) = (least.min(ns), most.max(ns), ran + 1);
-    }
-    if ran > 1 {
-        srb_obs::histogram!("sharded.straggler_gap_ns").record(most - least);
-    }
-}
-
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
-/// steady-state batch allocates nothing; what a threaded batch still
-/// allocates is what spawning its helpers costs. Buffer groups are taken by
-/// value and returned, mirroring [`BatchScratch`].
+/// steady-state batch allocates nothing. Buffer groups are taken by value
+/// and returned, mirroring [`BatchScratch`].
 #[derive(Default)]
 struct CoordScratch {
     /// The accepted updates of a batch, in arrival order.
@@ -421,7 +238,7 @@ struct CoordScratch {
     /// Senders of stale reports, answered with their region as it stands
     /// after the batch; in arrival order.
     regrants: Vec<ObjectId>,
-    /// The region step's lists, chunks and per-thread working memory.
+    /// The region step's lists and working memory.
     regions: RegionStep,
     /// The per-operation buffers of the query plane.
     arena: BatchScratch,
@@ -448,14 +265,6 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// Evaluations, probes by cause, safe regions installed, admission
     /// drops.
     work: WorkStats,
-    /// The fan-out thread count: [`configured_threads`] as resolved at
-    /// construction, unless [`with_threads`](Self::with_threads)
-    /// overwrote it.
-    threads: usize,
-    /// Per-shard region-time histograms (`sharded.shard{i}.batch_ns`),
-    /// resolved once at construction so the hot path never touches the
-    /// registry lock.
-    shard_batch_ns: Vec<&'static srb_obs::Histogram>,
     /// Reused coordinator buffers (see [`CoordScratch`]).
     scratch: CoordScratch,
     /// The coordinator-owned write-ahead log, when durability is on: one
@@ -515,18 +324,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         processor: QueryProcessor,
         adaptive: Option<AdaptiveController>,
     ) -> Self {
-        let shards = index.shards().len();
-        srb_obs::gauge!("sharded.shards").set(shards as u64);
+        srb_obs::gauge!("sharded.shards").set(index.shards().len() as u64);
         ShardedServer {
-            shard_batch_ns: (0..shards)
-                .map(|i| srb_obs::registry().histogram(&format!("sharded.shard{i}.batch_ns")))
-                .collect(),
             index,
             timers: Timers::default(),
             processor,
             costs: CostTracker::default(),
             work: WorkStats::default(),
-            threads: configured_threads(),
             scratch: CoordScratch::default(),
             wal: None,
             adaptive,
@@ -534,12 +338,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
     }
 
-    /// Overrides the fan-out thread count (otherwise rayon's thread count
-    /// decides): at most this many threads, the caller included, work on
-    /// one batch. 1 computes every region on the caller.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        srb_obs::gauge!("sharded.threads").set(self.threads as u64);
+    /// Does nothing: every region is computed on the calling thread. The
+    /// name stays only for `bench/src/engine.rs` and goes with ROADMAP 3(a)
+    /// after 2(a).
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -696,7 +498,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_in(ctx, id, pos, candidates, space)
         });
-        self.grant(&mut op, step, provider, now, 1);
+        self.grant(&mut op, step, provider, now);
         self.scratch.arena.put_op(op);
         Ok(self.safe_region(id).expect("just added"))
     }
@@ -723,7 +525,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
-        self.grant(&mut op, step, provider, now, 1);
+        self.grant(&mut op, step, provider, now);
         let mut probed = op.recomputed.clone();
         probed.sort_unstable_by_key(|&(o, _)| o);
         self.scratch.arena.put_op(op);
@@ -777,7 +579,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
 
         let mut batch = self.scratch.arena.take_batch();
-        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now, 1);
+        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now);
         self.scratch.arena.put_batch(batch);
         // Reevaluation never disturbs the freshly installed query: it saw
         // the exact positions already.
@@ -832,7 +634,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
     /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
     /// the region step's and the query plane's buffers live in coordinator
-    /// scratch. Every region is computed on the calling thread.
+    /// scratch.
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -841,21 +643,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
         let _span = srb_obs::span!("sharded.fan_out");
-        self.batch(updates, provider, now, out, 1);
+        self.batch(updates, provider, now, out);
     }
 
-    /// The threaded twin of
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into):
-    /// the same batch, the chunks of its region step run by up to
-    /// [`with_threads`](Self::with_threads) threads at once — scoped
-    /// helpers forked for this batch and joined before the regions are
-    /// installed, the calling thread working beside them, each taking the
-    /// next chunk from one shared queue. `provider` is probed by the
-    /// calling thread only. Output and every byte logged are identical to
-    /// the sequential path whatever the thread count and whoever ran which
-    /// chunk. **Appends** the responses to `out`; with a caller-reused `out`
-    /// a steady-state batch allocates only what spawning its helpers does.
-    /// One thread, or a round of one chunk, runs on the caller alone.
+    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into)
+    /// over a [`SyncProvider`]. The name stays only for
+    /// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -863,29 +656,22 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        let threads = self.threads;
-        if threads <= 1 {
-            self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
-            return;
-        }
-        let _span = srb_obs::span!("sharded.pipeline");
-        self.batch(updates, &mut SyncAdapter(provider), now, out, threads);
+        self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
     }
 
-    /// The one batch body; its region rounds run on up to `threads`
-    /// threads, the caller included ([`RegionStep::round`]).
+    /// The batch body of
+    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into).
     fn batch(
         &mut self,
         updates: &[SequencedUpdate],
         provider: &mut dyn LocationProvider,
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
-        threads: usize,
     ) {
         if self.wal.is_some() {
             return self.logged(
                 provider,
-                |this, p| this.batch(updates, p, now, out, threads),
+                |this, p| this.batch(updates, p, now, out),
                 |w| w.log_batch(now, updates),
             );
         }
@@ -925,7 +711,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if !movers.is_empty() {
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            changes = self.fold(&mut op, &mut batch, &movers, provider, now, threads);
+            changes = self.fold(&mut op, &mut batch, &movers, provider, now);
             // Every mover got a region; any beyond theirs is a bystander's.
             let movers_only = op.recomputed.len() == batch.prev.len();
             for &(oid, safe_region) in &op.recomputed {
@@ -983,7 +769,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         movers: &[(ObjectId, Point)],
         provider: &mut dyn LocationProvider,
         now: f64,
-        threads: usize,
     ) -> Vec<ResultChange> {
         let mut step = std::mem::take(&mut self.scratch.regions);
         for &(id, pos) in movers {
@@ -1019,7 +804,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 srb_obs::counter!("sharded.coordinator_probes").add(self.costs.probes - probes);
                 changes
             };
-            self.grant(op, step, provider, now, threads);
+            self.grant(op, step, provider, now);
             changes
         }));
         folded.unwrap_or_else(|panic| {
@@ -1056,22 +841,20 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// regions → install (Algorithm 1, lines 14-15): computes, round by
-    /// round ([`RegionStep::round`], on up to `threads` threads), the safe
-    /// region of every object in `op.exact` — the ones the caller listed in
-    /// `step` and the probed ones — installs them (filling `op.recomputed`,
-    /// in shard order and ascending by id within a shard) and sets the
-    /// timers: a grant at another instant than the object's last drops its
-    /// timer (whatever was scheduled against the old anchor is owed no
-    /// more), one at the same instant keeps it, and a lease or a
-    /// deferred-probe request for an object not exactly known only brings a
-    /// timer forward.
+    /// round ([`RegionStep::round`]), the safe region of every object in
+    /// `op.exact` — the ones the caller listed in `step` and the probed
+    /// ones — installs them (filling `op.recomputed`, in shard order and
+    /// ascending by id within a shard) and sets the timers: a grant at
+    /// another instant than the object's last drops its timer (whatever was
+    /// scheduled against the old anchor is owed no more), one at the same
+    /// instant keeps it, and a lease or a deferred-probe request for an
+    /// object not exactly known only brings a timer forward.
     fn grant(
         &mut self,
         op: &mut OpBuffers,
         mut step: RegionStep,
         provider: &mut dyn LocationProvider,
         now: f64,
-        threads: usize,
     ) {
         let _span = srb_obs::span!("location.recompute_safe_regions");
         for oid in op.probed.drain(..) {
@@ -1079,20 +862,16 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
 
         loop {
-            let plane = Plane {
-                read: ReadCtx {
-                    view: self.index.view(),
-                    exact: &op.exact,
-                    max_speed: self.config.max_speed,
-                    now,
-                },
-                processor: &self.processor,
-                steadiness: self.config.steadiness,
+            let read = ReadCtx {
+                view: self.index.view(),
+                exact: &op.exact,
+                max_speed: self.config.max_speed,
+                now,
             };
             let mut requests: Vec<(ObjectId, ObjectId)> = Vec::new();
-            step.round(&plane, threads, &self.shard_batch_ns, &mut requests);
+            step.round(&read, &self.processor, self.config.steadiness, &mut requests);
 
-            // Every region of the round stands unless a chunk asked for a
+            // Every region of the round stands unless a region asked for a
             // neighbour's exact location. Probing it makes it an invalid
             // neighbour (§5.2) of everything computed so far, so its ring
             // neighbours among them are computed again beside the
@@ -1205,7 +984,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             let mut op = self.scratch.arena.take_op();
             let mut batch = self.scratch.arena.take_batch();
-            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now, 1);
+            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now);
             let safe_region = self.safe_region(oid).expect("the target got a region");
             let mut probed = op.recomputed.clone();
             probed.retain(|&(o, _)| o != oid);
@@ -1418,8 +1197,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// Serializes the complete engine state: config fingerprint, shard
     /// count, layout tag, counters, the object table and every shard's
     /// backend config, the timers in queue order, the controller, and the
-    /// query plane. Scratch buffers, thread overrides, and telemetry
-    /// handles carry no state and are excluded.
+    /// query plane. Scratch buffers and telemetry handles carry no state
+    /// and are excluded.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.index.shards().len());
@@ -1589,7 +1368,7 @@ mod tests {
     use super::*;
     use crate::provider::FnProvider;
     use srb_index::{RStarTree, SpatialBackend};
-    use std::collections::{BTreeMap, HashSet};
+    use std::collections::BTreeMap;
 
     #[test]
     fn sort_by_object_is_the_stable_sort() {
@@ -1607,13 +1386,6 @@ mod tests {
             sort_by_object(&mut got, &mut Vec::new());
             assert_eq!(format!("{got:?}"), format!("{want:?}"), "{n} entries");
         }
-    }
-
-    #[test]
-    fn configured_threads_never_returns_zero() {
-        // Whatever the environment says, the fan-out must get at least one
-        // worker.
-        assert!(configured_threads() >= 1);
     }
 
     fn world(n: usize, seed: u64) -> Vec<Point> {
@@ -1770,19 +1542,14 @@ mod tests {
     }
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
-    fn fleet(config: ServerConfig, shards: usize, threads: usize) -> (ShardedServer, Vec<Point>) {
-        fleet_of(30, config, shards, threads)
+    fn fleet(config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
+        fleet_of(30, config, shards)
     }
 
     /// [`fleet`] over `world(n, 11)`.
-    fn fleet_of(
-        n: usize,
-        config: ServerConfig,
-        shards: usize,
-        threads: usize,
-    ) -> (ShardedServer, Vec<Point>) {
+    fn fleet_of(n: usize, config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
         let positions = world(n, 11);
-        let mut server = ShardedServer::new(config, shards).with_threads(threads);
+        let mut server = ShardedServer::new(config, shards);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         for (i, &p) in positions.iter().enumerate() {
             server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
@@ -1796,19 +1563,18 @@ mod tests {
         (server, positions)
     }
 
-    /// Drives a sequential and a `threads`-threaded 40-object fleet
-    /// ([`fleet_of`]) through the same 15 rounds of exit reports — odd
-    /// rounds as one batch, of several chunks even on one shard, even
-    /// rounds one report per call — and holds the threaded one to the
-    /// sequential one after every batch: responses, digest, costs and work
-    /// counters.
+    /// Drives two 40-object fleets ([`fleet_of`]) through the same 15
+    /// rounds of exit reports — odd rounds as one batch, even rounds one
+    /// report per call — one through `handle_sequenced_updates_into`, the
+    /// other through the bench's `_parallel_into` over a [`TableProvider`],
+    /// and holds the second to the first after every batch: responses,
+    /// digest, costs and work counters.
     fn assert_parallel_matches_sequential(
         configs: [ServerConfig; 2],
         shards: usize,
-        threads: usize,
     ) -> [ShardedServer; 2] {
-        let (mut seq_server, mut positions) = fleet_of(40, configs[0], shards, 1);
-        let (mut par_server, _) = fleet_of(40, configs[1], shards, threads);
+        let (mut seq_server, mut positions) = fleet_of(40, configs[0], shards);
+        let (mut par_server, _) = fleet_of(40, configs[1], shards);
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=15u64 {
             step(&mut positions, round);
@@ -1821,7 +1587,7 @@ mod tests {
                 seq_server.handle_sequenced_updates_into(batch, &mut provider, now, &mut a);
                 let table = TableProvider(&positions);
                 par_server.handle_sequenced_updates_parallel_into(batch, &table, now, &mut b);
-                let what = format!("{shards} shards, {threads} threads, round {round}");
+                let what = format!("{shards} shards, round {round}");
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
                 assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
                 assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
@@ -1834,9 +1600,7 @@ mod tests {
     #[test]
     fn parallel_path_matches_sequential_path() {
         for shards in [1, 2, 4] {
-            for threads in [1, 2, 4] {
-                assert_parallel_matches_sequential([ServerConfig::default(); 2], shards, threads);
-            }
+            assert_parallel_matches_sequential([ServerConfig::default(); 2], shards);
         }
     }
 
@@ -2120,7 +1884,7 @@ mod tests {
         }
         // The current layout round-trips.
         let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2, 1);
+        let (fleet, _) = fleet(config, 2);
         let mut current = Vec::new();
         fleet.encode_state(&mut current);
         let decoded =
@@ -2149,7 +1913,7 @@ mod tests {
         }
         // The current layout is the one layout: one shard round-trips too.
         let config = ServerConfig::default();
-        let (engine, _) = fleet(config, 1, 1);
+        let (engine, _) = fleet(config, 1);
         let mut current = Vec::new();
         engine.encode_state(&mut current);
         let decoded =
@@ -2162,7 +1926,7 @@ mod tests {
     #[test]
     fn a_table_naming_a_missing_shard_is_refused() {
         let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2, 1);
+        let (fleet, _) = fleet(config, 2);
         let mut payload = Vec::new();
         fleet.encode_state(&mut payload);
         // Header, layout and counters, the table's length, object 0's tag:
@@ -2194,33 +1958,30 @@ mod tests {
         srb_durable::store::dir_listing(Path::new(dir)).into_iter().map(read).collect()
     }
 
-    /// Whatever threads run the region chunks, what reaches the disk must be
-    /// what the sequential path writes, byte for byte, and replay like it.
+    /// What the bench's `_parallel_into` entry writes to disk must be what
+    /// the sequential path writes, byte for byte, and replay like it.
     #[test]
     fn parallel_path_under_wal_stays_sequentially_logged() {
         for shards in [2, 4] {
-            for threads in [1, 2, 4] {
-                let what = format!("{shards} shards, {threads} threads");
-                let dirs = [temp_dir("seq"), temp_dir("par")];
-                let [mut seq_server, mut par_server] =
-                    assert_parallel_matches_sequential(dirs.map(durable), shards, threads);
-                seq_server.sync_wal();
-                par_server.sync_wal();
-                assert!(!par_server.wal_poisoned());
-                let logged = dir_bytes(dirs[1]);
-                let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
-                assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
-                assert_eq!(dir_bytes(dirs[0]), logged, "{what}");
-                let digest = par_server.state_digest();
-                drop(par_server);
-                let (recovered, replayed) =
-                    ShardedServer::<RStarTree>::recover(durable(dirs[1]), shards)
-                        .expect("recovery");
-                assert!(replayed > 0);
-                assert_eq!(recovered.state_digest(), digest, "{what}");
-                for dir in dirs {
-                    let _ = std::fs::remove_dir_all(dir);
-                }
+            let what = format!("{shards} shards");
+            let dirs = [temp_dir("seq"), temp_dir("par")];
+            let [mut seq_server, mut par_server] =
+                assert_parallel_matches_sequential(dirs.map(durable), shards);
+            seq_server.sync_wal();
+            par_server.sync_wal();
+            assert!(!par_server.wal_poisoned());
+            let logged = dir_bytes(dirs[1]);
+            let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
+            assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
+            assert_eq!(dir_bytes(dirs[0]), logged, "{what}");
+            let digest = par_server.state_digest();
+            drop(par_server);
+            let (recovered, replayed) =
+                ShardedServer::<RStarTree>::recover(durable(dirs[1]), shards).expect("recovery");
+            assert!(replayed > 0);
+            assert_eq!(recovered.state_digest(), digest, "{what}");
+            for dir in dirs {
+                let _ = std::fs::remove_dir_all(dir);
             }
         }
     }
@@ -2230,72 +1991,22 @@ mod tests {
     fn fleet_one_step_on(
         config: ServerConfig,
         shards: usize,
-        threads: usize,
     ) -> (ShardedServer, Vec<Point>, Vec<SequencedUpdate>) {
-        let (server, mut positions) = fleet(config, shards, threads);
+        let (server, mut positions) = fleet(config, shards);
         step(&mut positions, 1);
         let batch = exit_reports(&server, &positions, &mut vec![0; positions.len()]);
         (server, positions, batch)
     }
 
-    /// The distinct threads the chunks of the region rounds ran on.
-    fn chunk_threads(server: &ShardedServer) -> HashSet<std::thread::ThreadId> {
-        server.scratch.regions.chunks.iter().filter_map(|chunk| chunk.ran_on).collect()
-    }
-
-    /// Helpers are forked for the region step exactly when more than one
-    /// thread is asked for, at any shard count. Every object of a
-    /// 2 000-object fleet reports, so a round has dozens of chunks — long
-    /// enough for a helper to start beside the caller (in which batch that
-    /// first happens is the scheduler's business).
-    #[test]
-    fn chunks_spread_over_threads_unless_single_threaded() {
-        for (shards, threads) in [(4, 4), (1, 2), (4, 1), (1, 1)] {
-            let mut positions = world(2000, 23);
-            let mut server =
-                ShardedServer::new(ServerConfig::default(), shards).with_threads(threads);
-            {
-                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-                for (i, &p) in positions.iter().enumerate() {
-                    server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                }
-                for c in [0.2, 0.4, 0.6, 0.8] {
-                    server.register_query(QuerySpec::knn(Point::new(c, c), 5), &mut provider, 0.0);
-                }
-            }
-            let mut spread = false;
-            for round in 1..=if threads == 1 { 3 } else { 200u64 } {
-                step(&mut positions, round);
-                let batch: Vec<SequencedUpdate> = positions
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &pos)| SequencedUpdate { id: ObjectId(i as u32), pos, seq: round })
-                    .collect();
-                let table = TableProvider(&positions);
-                let now = round as f64 * 0.1;
-                server.handle_sequenced_updates_parallel_into(&batch, &table, now, &mut Vec::new());
-                let ran_on = chunk_threads(&server);
-                if threads == 1 {
-                    assert_eq!(ran_on, HashSet::from([std::thread::current().id()]));
-                }
-                spread |= ran_on.len() > 1;
-                if spread {
-                    break;
-                }
-            }
-            assert_eq!(spread, threads > 1, "{shards} shards, {threads} threads");
-        }
-    }
-
     /// A provider that panics (a table that ends before the probed id) does
-    /// so on the calling thread, before any region of the batch is
+    /// so before any region of the batch is
     /// installed: the panic reaches the caller, every object keeps the
     /// region and anchor it had, the shard indexes stay coherent, the WAL is
     /// poisoned with no record written — recovery lands on the state before
     /// the batch.
     #[test]
     fn provider_panic_surfaces_with_nothing_installed_or_committed() {
-        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2, 1);
+        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2);
         let before = twin.costs().probes;
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         twin.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
@@ -2303,7 +2014,7 @@ mod tests {
 
         let dir = temp_dir("panic");
         let config = durable(dir);
-        let (mut server, _, _) = fleet_one_step_on(config, 2, 2);
+        let (mut server, _, _) = fleet_one_step_on(config, 2);
         server.sync_wal();
         let digest = server.state_digest();
         let held = |s: &ShardedServer| -> Vec<_> {
@@ -2510,7 +2221,7 @@ mod tests {
                 let what = format!("{op} at {shards} shard(s)");
                 let dir = temp_dir("logged-panic");
                 let config = ServerConfig { lease: Some(0.3), ..durable(dir) };
-                let (mut server, positions) = fleet(config, shards, 1);
+                let (mut server, positions) = fleet(config, shards);
                 server.sync_wal();
                 let digest = server.state_digest();
                 // As far from the 4-NN query as its second result, in another
@@ -2627,7 +2338,7 @@ mod tests {
     fn next_deferred_due_leaves_the_state_digest_unchanged() {
         let dir = temp_dir("next-due");
         let config = ServerConfig { lease: Some(0.5), ..durable(dir) };
-        let (server, _) = fleet(config, 2, 1);
+        let (server, _) = fleet(config, 2);
         let digest = server.state_digest();
         let logged = dir_bytes(dir);
         for _ in 0..3 {

@@ -1,9 +1,9 @@
 //! Counting-allocator pin for the memory plane: once capacities have warmed
 //! up, a steady-state sequenced-update batch performs **zero** heap
 //! allocations — at one shard (R\*-tree and runtime-dispatched backend)
-//! and on the sequential 2-shard path alike, beside range rectangles (the
-//! §5.3 staircase) and inside an order-sensitive kNN query's rings (the
-//! §4.3 patch) included.
+//! and at two shards, through the ledger's entry point too, beside range
+//! rectangles (the §5.3 staircase) and inside an order-sensitive kNN
+//! query's rings (the §4.3 patch) included.
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
@@ -13,7 +13,8 @@
 //! the in-place path, and the response buffers retain their capacity.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, UpdateResponse,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, TableProvider,
+    UpdateResponse,
 };
 use srb_geom::{Point, Rect};
 use srb_index::{NearestScratch, SpatialBackend};
@@ -141,20 +142,37 @@ fn dyn_one_shard_steady_state_batches_do_not_allocate() {
     assert_eq!(extra, 0, "steady-state DynBackend batch must be allocation-free");
 }
 
+/// Two shards, through `handle_sequenced_updates_into` and through the
+/// ledger's entry point: `with_threads(2)` and `_parallel_into` over a
+/// [`TableProvider`], both shards busy.
 #[test]
 fn sharded_steady_state_batches_do_not_allocate() {
-    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = ShardedServer::new(ServerConfig::default(), 2);
-    for i in 0..N_OBJECTS {
-        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
-    }
-    let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
-    server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
+    let two_shards = || {
+        let mut provider = FnProvider(|id: ObjectId| home(id.index()));
+        let mut server = ShardedServer::new(ServerConfig::default(), 2).with_threads(2);
+        for i in 0..N_OBJECTS {
+            server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
+        }
+        let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
+        server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
+        assert!(server.shards().iter().all(|s| s.object_count() > 0), "both shards hold objects");
+        server
+    };
 
+    let mut server = two_shards();
+    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
     let extra = measure(|updates, out| {
         server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state sharded batch must be allocation-free");
+
+    let mut server = two_shards();
+    let homes: Vec<Point> = (0..N_OBJECTS).map(home).collect();
+    let table = TableProvider(&homes);
+    let extra = measure(|updates, out| {
+        server.handle_sequenced_updates_parallel_into(updates, &table, 1.0, out);
+    });
+    assert_eq!(extra, 0, "steady-state batch through the ledger's entry must be allocation-free");
 }
 
 /// Range-query-dense: four range rectangles sit in the corners of every

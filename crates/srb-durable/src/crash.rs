@@ -11,9 +11,8 @@
 //!
 //! The plan is thread-local: crash tests in different threads do not
 //! interfere, and production code pays one thread-local read per boundary.
-//! That reaches every boundary, because only the thread that calls into
-//! the engine writes its log — the helper threads of a threaded batch
-//! compute safe regions and touch no file.
+//! That reaches every boundary, because the engine runs on the thread that
+//! calls into it.
 
 use std::cell::Cell;
 

@@ -245,9 +245,7 @@ impl BackendConfig {
 /// which of several equidistant entries comes first never depends on the
 /// backend. They are free to differ in cost profile, in the order `search`
 /// visits its hits, and in the [`UpdateOutcome`] fast-path classification.
-/// Backends are `Sync`: the sharded engine reads every shard's index by
-/// reference while its threads compute safe regions.
-pub trait SpatialBackend: Sync {
+pub trait SpatialBackend {
     /// The backend's best-first browse iterator (a GAT so backends can
     /// borrow internal structures without boxing): every entry once, in
     /// ascending `(δ(q, rect), id)`.

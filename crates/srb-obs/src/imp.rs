@@ -44,7 +44,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (e.g. a configured thread count).
+/// A last-write-wins instantaneous value (e.g. the shard count).
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,

@@ -3,13 +3,13 @@
 //!
 //! A lattice point ([`Config`]) names one value per axis. [`check`] draws a
 //! world from `(point, seed)` and runs it on the **shadow** — the point's
-//! shards and backend, one thread, no WAL — which decides who reports and
-//! records the run as a list of engine calls, each with the state digest
-//! that follows it. The **reference** — the point's `ServerConfig` at one
-//! shard, one thread, no WAL, on the R\*-tree, fed each batch in id order —
-//! takes the same calls beside it and is observed at every check instant.
-//! Then the point's own engine (its thread count, its WAL, its crash point)
-//! replays the list. After every call it must pass the deep invariants and
+//! shards and backend, no WAL — which decides who reports and records the
+//! run as a list of engine calls, each with the state digest that follows
+//! it. The **reference** — the point's `ServerConfig` at one shard, no WAL,
+//! on the R\*-tree, fed each batch in id order — takes the same calls
+//! beside it and is observed at every check instant. Then the point's own
+//! engine (its WAL, its crash point) replays the list. After every call it
+//! must pass the deep invariants and
 //! read the shadow's digest; a crashed engine must recover onto a digest of
 //! the list and resume to its end. At every check instant its results are
 //! held to brute force over the true positions and to the reference.
@@ -19,7 +19,7 @@
 use srb::core::{
     AdaptiveConfig, BackendConfig, CostTracker, CrashPoint, DurabilityConfig, DynBackend,
     FnProvider, GridConfig, ObjectId, Quarantine, QueryId, QuerySpec, RStarTree, SequencedUpdate,
-    ServerConfig, ShardedServer, SpatialBackend, SyncPolicy, TableProvider, UniformGrid, WorkStats,
+    ServerConfig, ShardedServer, SpatialBackend, SyncPolicy, UniformGrid, WorkStats,
 };
 use srb::geom::{Point, Rect};
 pub use srb_cases::{mix, Rng};
@@ -181,7 +181,6 @@ pub enum Delivery {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
     pub shards: usize,
-    pub threads: usize,
     pub backend: Backend,
     pub durability: Durability,
     pub enhancement: Enhancement,
@@ -201,7 +200,6 @@ impl Config {
         };
         Config {
             shards: rng.pick(&[1, 2, 4, 8]),
-            threads: rng.pick(&[1, 2, 4]),
             backend: rng.pick(&[RStar, Grid, Flip, Adaptive]),
             durability,
             enhancement: rng.pick(&[Plain, Reachability, Steadiness, Lease]),
@@ -266,9 +264,9 @@ pub fn check(p: Config, seed: u64) {
 pub fn populate(p: Config, seed: u64, store: &Store) -> ServerConfig {
     let script = generate::<RStarTree>(&p, seed);
     let cfg = store.config(script.config);
-    let mut e = ShardedServer::new(cfg, p.shards).with_threads(1);
+    let mut e = ShardedServer::new(cfg, p.shards);
     for step in &script.steps {
-        apply(&mut e, &step.call, &script.worlds[step.world], step.now, 1);
+        apply(&mut e, &step.call, &script.worlds[step.world], step.now);
     }
     e.sync_wal();
     cfg
@@ -366,15 +364,13 @@ fn observe<B: SpatialBackend>(
     }
 }
 
-/// Runs `call` on `e`, probing the position table `at`; above one thread an
-/// ingest goes through the threaded entry point. Returns the id a
+/// Runs `call` on `e`, probing the position table `at`. Returns the id a
 /// registration got.
 fn apply<B: SpatialBackend>(
     e: &mut ShardedServer<B>,
     call: &Call,
     at: &[Point],
     now: f64,
-    threads: usize,
 ) -> Option<QueryId> {
     let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
     match call {
@@ -386,12 +382,6 @@ fn apply<B: SpatialBackend>(
         }
         Call::Register(spec) => return Some(e.register_query(*spec, &mut probe, now).id),
         Call::Deregister(q) => assert!(e.deregister_query(*q), "{q} is live"),
-        Call::Ingest(batch) if threads > 1 => e.handle_sequenced_updates_parallel_into(
-            batch,
-            &TableProvider(at),
-            now,
-            &mut Vec::new(),
-        ),
         Call::Ingest(batch) => {
             e.handle_sequenced_updates_into(batch, &mut probe, now, &mut Vec::new())
         }
@@ -427,7 +417,7 @@ impl<B: SpatialBackend> Gen<B> {
     fn call(&mut self, call: Call) -> Option<QueryId> {
         let world = self.script.worlds.len() - 1;
         let at = &self.script.worlds[world];
-        let id = apply(&mut self.shadow, &call, at, self.now, 1);
+        let id = apply(&mut self.shadow, &call, at, self.now);
         let in_id_order = match &call {
             Call::Ingest(batch) => {
                 let mut batch = batch.clone();
@@ -438,7 +428,7 @@ impl<B: SpatialBackend> Gen<B> {
             Call::Flip(..) | Call::Restart => Call::Restart,
             other => other.clone(),
         };
-        let ref_id = apply(&mut self.reference, &in_id_order, at, self.now, 1);
+        let ref_id = apply(&mut self.reference, &in_id_order, at, self.now);
         assert_eq!(id, ref_id, "query ids are allocated alike");
         self.script.digests.push(self.shadow.state_digest());
         self.script.steps.push(Step { call, world, now: self.now });
@@ -588,8 +578,8 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
     let config = p.server_config(3.0 * stride * slots(p.delivery) as f64 / DT);
     let reference = ServerConfig { backend: BackendConfig::default(), ..config };
     let mut g = Gen {
-        shadow: ShardedServer::<B>::with_backend(config, p.shards).with_threads(1),
-        reference: ShardedServer::new(reference, 1).with_threads(1),
+        shadow: ShardedServer::<B>::with_backend(config, p.shards),
+        reference: ShardedServer::new(reference, 1),
         script: Script {
             config,
             steps: Vec::new(),
@@ -672,9 +662,9 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
     let recover = || {
         let (e, _) = ShardedServer::<B>::recover(cfg, p.shards)
             .unwrap_or_else(|err| panic!("recovery failed: {err:?}"));
-        e.with_threads(p.threads)
+        e
     };
-    let mut e = ShardedServer::<B>::with_backend(cfg, p.shards).with_threads(p.threads);
+    let mut e = ShardedServer::<B>::with_backend(cfg, p.shards);
     if let Durability::Crash(point, nth) = p.durability {
         crash::arm(point, nth);
     }
@@ -687,7 +677,7 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
                 e = recover();
             }
         } else {
-            apply(&mut e, &step.call, &script.worlds[step.world], step.now, p.threads);
+            apply(&mut e, &step.call, &script.worlds[step.world], step.now);
         }
         j += 1;
         if e.wal_poisoned() {

@@ -80,7 +80,8 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
     // The fleet evaluates every query once, over the union of its shard
     // indexes: exact at every shard count. Same trajectories as above,
     // reduced; the reports of one check instant go in as one batch through
-    // the threaded path, and every query is held to the brute-force answer
+    // the ledger's entry point (`with_threads`, `_parallel_into` over a
+    // `TableProvider`), and every query is held to the brute-force answer
     // at every check instant.
     use srb::core::TableProvider;
     let n = 100;

@@ -4,10 +4,10 @@
 //! `lattice_cross_section` runs from the tier-1 command: a fixed list of
 //! points and seeds in which every axis value appears at least once.
 //! `lattice_full` (`--ignored`, in release) runs the regressions first, then
-//! the enumerated lattice — every shard count on every backend, the thread
-//! counts with and without a WAL, restarts, the whole crash matrix, every §6
-//! setting, the grid resolutions, both delivery shapes — and then random
-//! points whose seeds come from the clock.
+//! the enumerated lattice — every shard count on every backend, with and
+//! without a WAL, restarts, the whole crash matrix, every §6 setting, the
+//! grid resolutions, both delivery shapes — and then random points whose
+//! seeds come from the clock.
 
 mod common;
 
@@ -31,7 +31,6 @@ const REGRESSIONS: &[(Config, u64)] = &[];
 
 const P: Config = Config {
     shards: 1,
-    threads: 1,
     backend: RStar,
     durability: Off,
     enhancement: Plain,
@@ -45,21 +44,20 @@ const CROSS_SECTION: &[(Config, u64)] = &[
     (Config { shards: 2, delivery: PerCall, ..P }, 2),
     (Config { shards: 4, backend: Grid, grid_m: 5, ..P }, 3),
     (Config { shards: 8, backend: Flip, grid_m: 100, ..P }, 4),
-    (Config { shards: 2, threads: 2, backend: Adaptive, grid_m: 50, ..P }, 5),
-    (Config { shards: 4, threads: 4, durability: Restart, ..P }, 6),
+    (Config { shards: 2, backend: Adaptive, grid_m: 50, ..P }, 5),
+    (Config { shards: 4, durability: Restart, ..P }, 6),
     (Config { shards: 2, durability: Restart, delivery: PerCall, ..P }, 7),
-    (Config { shards: 8, threads: 4, backend: Adaptive, durability: Restart, ..P }, 8),
-    (Config { shards: 2, threads: 2, durability: Crash(LogPreSync, 0), ..P }, 9),
+    (Config { shards: 8, backend: Adaptive, durability: Restart, ..P }, 8),
+    (Config { shards: 2, durability: Crash(LogPreSync, 0), ..P }, 9),
     (Config { backend: Grid, durability: Crash(CkptPostRename, 1), ..P }, 10),
     (Config { shards: 2, backend: Flip, durability: Crash(CkptPrune, 3), ..P }, 11),
     (Config { enhancement: Lease, durability: Crash(CkptLogUnsynced, 0), ..P }, 12),
     (Config { shards: 2, enhancement: Reachability, ..P }, 13),
-    (Config { shards: 4, threads: 2, enhancement: Reachability, delivery: PerCall, ..P }, 14),
+    (Config { shards: 4, enhancement: Reachability, delivery: PerCall, ..P }, 14),
     (Config { shards: 4, enhancement: Steadiness, delivery: PerCall, ..P }, 15),
     (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
     (Config { shards: 2, enhancement: Lease, durability: Restart, ..P }, 17),
     (Config { shards: 8, backend: Flip, enhancement: Lease, delivery: PerCall, ..P }, 18),
-    (Config { shards: 1, threads: 2, ..P }, 19),
 ];
 
 #[test]
@@ -84,15 +82,8 @@ fn enumerated() -> Vec<Config> {
         }
     }
     for shards in [2, 4, 8] {
-        for durability in [Off, Restart] {
-            for backend in BACKENDS {
-                points.push(Config { shards, threads: 4, durability, backend, ..P });
-            }
-        }
-    }
-    for threads in [1, 4] {
         for backend in BACKENDS {
-            points.push(Config { shards: 2, threads, backend, durability: Restart, ..P });
+            points.push(Config { shards, backend, durability: Restart, ..P });
         }
     }
     // Lease timers and reachability's slack timers both cross every crash
@@ -100,19 +91,10 @@ fn enumerated() -> Vec<Config> {
     for enhancement in [Lease, Reachability] {
         for backend in [RStar, Grid] {
             for shards in [1, 2] {
-                for threads in [1, 2] {
-                    for point in CrashPoint::ALL {
-                        for nth in [0, 1, 3] {
-                            let durability = Crash(point, nth);
-                            points.push(Config {
-                                shards,
-                                threads,
-                                backend,
-                                durability,
-                                enhancement,
-                                ..P
-                            });
-                        }
+                for point in CrashPoint::ALL {
+                    for nth in [0, 1, 3] {
+                        let durability = Crash(point, nth);
+                        points.push(Config { shards, backend, durability, enhancement, ..P });
                     }
                 }
             }
