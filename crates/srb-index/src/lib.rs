@@ -26,8 +26,9 @@
 //! report work units alongside wall-clock time. When the `obs` feature is
 //! on (default), the backends additionally publish per-search visit
 //! histograms (`index.search.visits`, `index.nn.visits`), update-path
-//! counters (`index.update.*`, `index.splits`, `index.forced_reinserts`),
-//! and grid counters (`index.grid.cell_visits`, `index.grid.bucket_scans`,
+//! counters (`index.update.*`, `index.splits`, `index.forced_reinserts`,
+//! `index.choose_subtree.overlap_terms`), and grid counters
+//! (`index.grid.cell_visits`, `index.grid.bucket_scans`,
 //! `index.grid.relocations`) through the `srb-obs` registry; telemetry only
 //! observes and never alters index behavior.
 
@@ -37,6 +38,7 @@
 
 mod backend;
 mod bulk;
+mod choose;
 mod dyn_backend;
 mod grid;
 mod node;
@@ -367,44 +369,6 @@ impl RStarTree {
         }
     }
 
-    /// Descends from the root to a node at `target_level`, using the R\*
-    /// subtree-choice heuristics.
-    fn choose_subtree(&self, rect: Rect, target_level: u16) -> NodeId {
-        let mut cur = self.root;
-        debug_assert!(self.node(cur).level >= target_level, "tree too short");
-        while self.node(cur).level > target_level {
-            let node = self.node(cur);
-            let children = node.children(cur);
-            let leaf_children = node.level == 1;
-            let mut best: Option<(f64, f64, f64, NodeId)> = None;
-            for &c in children {
-                let crect = self.node(c).rect;
-                let area_enl = crect.area_enlargement(&rect);
-                let overlap_enl = if leaf_children {
-                    // Overlap enlargement against siblings (the R* heuristic
-                    // for the level just above the leaves).
-                    let grown = crect.union(&rect);
-                    let mut delta = 0.0;
-                    for &o in children {
-                        if o != c {
-                            let or = self.node(o).rect;
-                            delta += grown.overlap_area(&or) - crect.overlap_area(&or);
-                        }
-                    }
-                    delta
-                } else {
-                    0.0
-                };
-                let key = (overlap_enl, area_enl, crect.area());
-                if best.is_none_or(|(o, a, ar, _)| key < (o, a, ar)) {
-                    best = Some((key.0, key.1, key.2, c));
-                }
-            }
-            cur = best.expect("internal node has children").3;
-        }
-        cur
-    }
-
     fn overflow(&mut self, node_id: NodeId, reinserted: &mut u64) {
         let level = self.node(node_id).level;
         let is_root = node_id == self.root;
@@ -422,35 +386,35 @@ impl RStarTree {
     fn forced_reinsert(&mut self, node_id: NodeId, reinserted: &mut u64) {
         let center = self.node(node_id).rect.center();
         let p = self.config.reinsert_count;
+        // Each item keyed once by its centre's squared distance to the
+        // node's, in one stable sort; the `p` farthest are evicted and
+        // reinserted farthest first.
+        fn by_distance<T>(a: &(f64, T), b: &(f64, T)) -> std::cmp::Ordering {
+            a.0.partial_cmp(&b.0).expect("rectangle coordinates are finite")
+        }
         if self.node(node_id).is_leaf() {
             let entries = self.node_mut(node_id).leaf_entries_mut();
-            entries.sort_by(|a, b| {
-                let da = a.rect.center().dist_sq(center);
-                let db = b.rect.center().dist_sq(center);
-                da.partial_cmp(&db).unwrap()
-            });
-            let at = entries.len() - p;
-            let evicted: Vec<LeafEntry> = entries.split_off(at);
+            let mut keyed: Vec<(f64, LeafEntry)> =
+                entries.drain(..).map(|e| (e.rect.center().dist_sq(center), e)).collect();
+            keyed.sort_by(by_distance);
+            let at = keyed.len() - p;
+            entries.extend(keyed[..at].iter().map(|&(_, e)| e));
             self.recompute_mbr(node_id);
             self.shrink_upward(node_id);
-            // Reinsert closest-first.
-            for e in evicted.into_iter().rev() {
+            for &(_, e) in keyed[at..].iter().rev() {
                 self.insert_entry(e, reinserted);
             }
         } else {
-            let kids = self.node(node_id).children(node_id).to_vec();
-            let mut order: Vec<usize> = (0..kids.len()).collect();
-            order.sort_by(|&a, &b| {
-                let da = self.node(kids[a]).rect.center().dist_sq(center);
-                let db = self.node(kids[b]).rect.center().dist_sq(center);
-                da.partial_cmp(&db).unwrap()
-            });
-            let keep: Vec<NodeId> = order[..kids.len() - p].iter().map(|&i| kids[i]).collect();
-            let evict: Vec<NodeId> = order[kids.len() - p..].iter().map(|&i| kids[i]).collect();
-            *self.node_mut(node_id).children_mut(node_id) = keep;
+            let kids = self.node(node_id).children(node_id);
+            let mut keyed: Vec<(f64, NodeId)> =
+                kids.iter().map(|&c| (self.node(c).rect.center().dist_sq(center), c)).collect();
+            keyed.sort_by(by_distance);
+            let at = keyed.len() - p;
+            *self.node_mut(node_id).children_mut(node_id) =
+                keyed[..at].iter().map(|&(_, c)| c).collect();
             self.recompute_mbr(node_id);
             self.shrink_upward(node_id);
-            for c in evict.into_iter().rev() {
+            for &(_, c) in keyed[at..].iter().rev() {
                 self.insert_subtree(c, reinserted);
             }
         }
