@@ -15,10 +15,10 @@ pub struct DurabilityConfig {
     /// Directory holding the log and checkpoint files. `None` disables
     /// durability.
     pub dir: Option<&'static str>,
-    /// When appended log records are forced to stable storage.
+    /// When appended log records are forced to stable storage: group
+    /// commit, the one policy.
     pub policy: SyncPolicy,
-    /// Operations per group-commit window (used by
-    /// [`SyncPolicy::GroupCommit`]).
+    /// Operations per group-commit window; `1` fsyncs every operation.
     pub group_ops: u32,
     /// Rotate to a fresh checkpoint every this many logged operations.
     /// `0` never checkpoints automatically (explicit
@@ -38,11 +38,6 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// True when a durability directory is configured.
-    pub fn enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// Reads the environment: `SRB_DURABLE=1` enables group-commit
     /// durability into `SRB_DURABLE_DIR` (default `target/srb-durable`).
     pub fn from_env() -> Self {
@@ -87,7 +82,7 @@ pub struct ServerConfig {
     pub lease: Option<f64>,
     /// Durability plane: write-ahead log + checkpoints. Off by default.
     /// Excluded from the recovery config fingerprint, so a recovered
-    /// store may change sync policy or checkpoint cadence freely.
+    /// store may change its group size or checkpoint cadence freely.
     pub durability: DurabilityConfig,
 }
 
@@ -129,7 +124,7 @@ mod tests {
         assert!(c.max_speed.is_none());
         assert!(c.steadiness.is_none());
         assert!(c.lease.is_none(), "paper semantics: leases never expire");
-        assert!(!c.durability.enabled(), "durability is off by default");
+        assert!(c.durability.dir.is_none(), "durability is off by default");
         assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
         assert_eq!(c.cost.c_l, 1.0);
         assert_eq!(c.cost.c_p, 1.5);

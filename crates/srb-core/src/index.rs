@@ -54,11 +54,6 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.get(id)
     }
 
-    /// The shard holding `id` and its state, if registered.
-    pub(crate) fn locate(&self, id: ObjectId) -> Option<(usize, &ObjectState)> {
-        self.objects.locate(id)
-    }
-
     /// Mutable state access. Safe for fields the backend does not mirror
     /// (`last_seq`, `p_lst`, `t_lst`); safe-region changes must go through
     /// [`install_region`](Self::install_region) instead.

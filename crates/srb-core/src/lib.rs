@@ -36,12 +36,14 @@
 //! assert_eq!(resp.results, vec![ObjectId(0)]);
 //! ```
 //!
-//! Module map (paper section in parentheses): `query`
-//! quarantine areas (§3.3), `grid` query index (§3.3), `eval` evaluation
-//! with lazy probes (§4.1–4.2), `reeval` incremental reevaluation (§4.3),
-//! `safe_region` Ir-lp-based safe regions (§5), `bounds`
-//! reachability refinement (§6.1), weighted-perimeter objective selection
-//! (§6.2) via [`ServerConfig::steadiness`].
+//! Module map (paper section in parentheses): `query` quarantine areas
+//! (§3.3), `grid` query index (§3.3), `eval` evaluation with lazy probes
+//! (§4.1–4.2), `reeval` incremental reevaluation (§4.3), `safe_region`
+//! Ir-lp-based safe regions (§5), `bounds` reachability refinement (§6.1),
+//! weighted-perimeter objective selection (§6.2) via
+//! [`ServerConfig::steadiness`]; the engine `sharded` (§3.1, Algorithm 1),
+//! its region step `sharded::region` (§5) and its log, checkpoints and
+//! recovery `sharded::persist` (records coded by `wal`).
 //!
 //! There is one engine. [`ShardedServer`] partitions the objects over `N`
 //! [`Shard`]s — the paper's single server is `N = 1` — each shard being its

@@ -11,7 +11,7 @@
 //! again, so nothing scheduled against its old anchor is owed), a grant at
 //! the same instant keeps it, and a lease or a slack request only ever
 //! brings it forward. Safe regions themselves (§5) are computed by the
-//! coordinator's region step (`sharded.rs`).
+//! coordinator's region step (`sharded/region.rs`).
 
 use crate::ids::ObjectId;
 use srb_durable::codec::{put_f64, put_u32, put_u8, put_usize};

@@ -26,16 +26,8 @@
 //! 2. **evaluate** — the coordinator finds the affected queries in its one
 //!    grid and reevaluates each once, in query-id order. Every probe of
 //!    the batch is issued here, by the caller's thread;
-//! 3. **regions** — the exactly-known objects (movers and probed), in
-//!    `(shard, id)` order, get their safe regions against the query plane
-//!    and the union view, one after another on the caller's thread. Every
-//!    other exactly-known object, local or foreign, is an *invalid*
-//!    neighbour and takes the §5.2 midpoint rule, so a region does not
-//!    depend on the order regions are computed in. A region that would
-//!    have to probe a neighbour whose stale region leaves no room returns
-//!    the request instead; the coordinator probes in `(requester, target)`
-//!    order and only the regions that could see the difference are
-//!    computed again;
+//! 3. **regions** — the exactly-known objects (movers and probed) get
+//!    their safe regions, in id order (`region.rs`);
 //! 4. **install** — the regions go into the shard indexes, leases and
 //!    deferred probes into the timer queue, and the responses are sorted
 //!    by [`ObjectId`], result changes by [`QueryId`].
@@ -43,12 +35,15 @@
 //! Registration, deregistration, object churn and deferred probes go
 //! through the same evaluate → regions → install steps. With durability on,
 //! every operation, a batch included, is one record of the coordinator's
-//! log: its inputs and its probe transcript, appended once it is done.
+//! log (`persist.rs`).
+
+mod persist;
+mod region;
 
 use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
-use crate::error::{RecoveryError, ServerError};
-use crate::eval::{EvalCtx, ReadCtx, RegionCtx};
+use crate::error::ServerError;
+use crate::eval::EvalCtx;
 use crate::ids::{ObjectId, QueryId};
 use crate::index::ObjectIndex;
 use crate::location::{DeferKind, Timers};
@@ -56,20 +51,12 @@ use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
-use crate::safe_region::{compute_safe_region, RegionScratch};
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
 use crate::shard::Shard;
-use crate::wal::{self, Record, ReplayProvider, Wal};
-use srb_durable::codec::{put_u64, put_u8, put_usize};
+use crate::wal::Wal;
+use region::RegionStep;
 use srb_geom::{Point, Rect};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::path::Path;
-
-/// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue, one object table, shards holding nothing but
-/// their backend config, and no index structure ("SRBFLT" + version). See
-/// `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0006;
 
 /// Response to a query registration: the id, the initial results, and the
 /// updated safe regions of every object probed during evaluation (step 5 of
@@ -160,74 +147,6 @@ impl<P: SyncProvider + ?Sized> LocationProvider for SyncAdapter<'_, P> {
     }
 }
 
-/// The region step of one operation. It lives in [`CoordScratch`] so its
-/// buffers are reused; between operations it holds capacity and nothing
-/// else.
-#[derive(Default)]
-struct RegionStep {
-    /// The objects of the next round — `(shard, id, position, previous
-    /// anchor)` — put in `(shard, id)` order when the round starts.
-    todo: Vec<(usize, ObjectId, Point, Point)>,
-    /// Working memory of one region computation.
-    scratch: RegionScratch,
-    /// The operation's regions so far, in `(shard, id)` order.
-    granted: Vec<(usize, ObjectId, Rect)>,
-    /// The deferred probes behind `granted`: `(requester, target, due)`.
-    deferred: Vec<(ObjectId, ObjectId, f64)>,
-}
-
-impl RegionStep {
-    /// Runs one region round over [`todo`](Self::todo), in `(shard, id)`
-    /// order, and empties it. Each region reads the union view and the
-    /// exactly-known objects (`read`) and the query plane, and nothing the
-    /// round computed before it. The regions go into
-    /// [`granted`](Self::granted) (a later round's replacing an earlier
-    /// one's), the deferred probes into [`deferred`](Self::deferred), the
-    /// neighbour requests into `requests`; a requester gets no region this
-    /// round.
-    fn round<B: srb_index::SpatialBackend>(
-        &mut self,
-        read: &ReadCtx<'_, B>,
-        processor: &QueryProcessor,
-        steadiness: Option<f64>,
-        requests: &mut Vec<(ObjectId, ObjectId)>,
-    ) {
-        let RegionStep { todo, scratch, granted, deferred } = self;
-        if !todo.is_sorted_by_key(|&(shard, oid, ..)| (shard, oid)) {
-            todo.sort_unstable_by_key(|&(shard, oid, ..)| (shard, oid));
-        }
-        for &(shard, oid, pos, p_lst) in todo.iter() {
-            let (asked, deferring) = (requests.len(), deferred.len());
-            let mut ctx = RegionCtx { read, requester: oid, requests, deferred };
-            let sr = compute_safe_region(
-                &mut ctx,
-                processor.grid(),
-                processor.slots(),
-                pos,
-                p_lst,
-                steadiness,
-                scratch,
-            );
-            if requests.len() > asked {
-                // Void: computed again once the targets are exactly known.
-                deferred.truncate(deferring);
-                continue;
-            }
-            let key = (shard, oid);
-            // In order; only a later round's rerun lands mid-list.
-            if granted.last().is_none_or(|&(shard, last, _)| (shard, last) < key) {
-                granted.push((shard, oid, sr));
-            } else {
-                match granted.binary_search_by_key(&key, |&(shard, o, _)| (shard, o)) {
-                    Ok(i) => granted[i].2 = sr,
-                    Err(i) => granted.insert(i, (shard, oid, sr)),
-                }
-            }
-        }
-        todo.clear();
-    }
-}
-
 /// Coordinator-owned scratch buffers, cleared and reused every batch so a
 /// steady-state batch allocates nothing. Buffer groups are taken by value
 /// and returned, mirroring [`BatchScratch`].
@@ -309,8 +228,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             QueryProcessor::new(config.space, config.grid_m),
             adaptive,
         );
-        if server.config.durability.enabled() {
-            server.attach_durability().expect("failed to create the configured durability store");
+        if let Some(dir) = config.durability.dir {
+            server.attach_durability(dir);
         }
         server
     }
@@ -494,7 +413,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let mut op = self.scratch.arena.take_op();
         let mut step = std::mem::take(&mut self.scratch.regions);
         op.exact.insert(id, pos);
-        step.todo.push((target, id, pos, pos));
+        step.todo.push((id, pos, pos));
         self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_in(ctx, id, pos, candidates, space)
         });
@@ -526,8 +445,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
         self.grant(&mut op, step, provider, now);
-        let mut probed = op.recomputed.clone();
-        probed.sort_unstable_by_key(|&(o, _)| o);
+        let probed = op.recomputed.clone();
+        debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
         self.scratch.arena.put_op(op);
         Some(ResultRemoval { probed })
     }
@@ -584,8 +503,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // Reevaluation never disturbs the freshly installed query: it saw
         // the exact positions already.
         changes.retain(|c| c.query != id);
-        let mut safe_regions = op.recomputed.clone();
-        safe_regions.sort_unstable_by_key(|&(o, _)| o);
+        let safe_regions = op.recomputed.clone();
+        debug_assert!(safe_regions.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
         self.scratch.arena.put_op(op);
         let results = self.results(id).expect("just installed").to_vec();
         RegisterResponse { id, results, safe_regions, changes }
@@ -723,7 +642,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 }
             }
             // In id order, like the responses: no trace of the partition.
-            extra.sort_unstable_by_key(|&(oid, _)| oid);
+            debug_assert!(extra.is_sorted_by_key(|&(oid, _)| oid), "regions come in id order");
             self.scratch.arena.put_batch(batch);
             self.scratch.arena.put_op(op);
         }
@@ -772,17 +691,16 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     ) -> Vec<ResultChange> {
         let mut step = std::mem::take(&mut self.scratch.regions);
         for &(id, pos) in movers {
-            let (shard, st) = self.index.locate(id).expect("movers are registered");
-            let anchor = st.p_lst;
+            let anchor = self.index.get(id).expect("movers are registered").p_lst;
             self.index.pin_to_point(id, pos);
             op.exact.insert(id, pos);
             match batch.prev.insert(id, anchor) {
-                None => step.todo.push((shard, id, pos, anchor)),
+                None => step.todo.push((id, pos, anchor)),
                 // A later report of the same batch supersedes the earlier.
                 Some(_) => {
                     batch.repeated_ids = true;
-                    let listed = step.todo.iter_mut().find(|t| t.1 == id);
-                    listed.expect("listed since its first report").2 = pos;
+                    let listed = step.todo.iter_mut().find(|t| t.0 == id);
+                    listed.expect("listed since its first report").1 = pos;
                 }
             }
         }
@@ -840,112 +758,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         step(&mut self.processor, &mut ctx, &mut op.candidates, &self.config.space)
     }
 
-    /// regions → install (Algorithm 1, lines 14-15): computes, round by
-    /// round ([`RegionStep::round`]), the safe region of every object in
-    /// `op.exact` — the ones the caller listed in `step` and the probed
-    /// ones — installs them (filling `op.recomputed`, in shard order and
-    /// ascending by id within a shard) and sets the timers: a grant at
-    /// another instant than the object's last drops its timer (whatever was
-    /// scheduled against the old anchor is owed no more), one at the same
-    /// instant keeps it, and a lease or a deferred-probe request for an
-    /// object not exactly known only brings a timer forward.
-    fn grant(
-        &mut self,
-        op: &mut OpBuffers,
-        mut step: RegionStep,
-        provider: &mut dyn LocationProvider,
-        now: f64,
-    ) {
-        let _span = srb_obs::span!("location.recompute_safe_regions");
-        for oid in op.probed.drain(..) {
-            self.enlist(&mut step, oid, op.exact[&oid]);
-        }
-
-        loop {
-            let read = ReadCtx {
-                view: self.index.view(),
-                exact: &op.exact,
-                max_speed: self.config.max_speed,
-                now,
-            };
-            let mut requests: Vec<(ObjectId, ObjectId)> = Vec::new();
-            step.round(&read, &self.processor, self.config.steadiness, &mut requests);
-
-            // Every region of the round stands unless a region asked for a
-            // neighbour's exact location. Probing it makes it an invalid
-            // neighbour (§5.2) of everything computed so far, so its ring
-            // neighbours among them are computed again beside the
-            // requester and the target itself.
-            if requests.is_empty() {
-                break;
-            }
-            requests.sort_unstable();
-            let (mut again, known) = (Vec::new(), op.exact.len());
-            for &(requester, target) in &requests {
-                again.push(requester);
-                if op.exact.contains_key(&target) {
-                    continue;
-                }
-                self.costs.probes += 1;
-                self.work.probes_neighbor += 1;
-                srb_obs::counter!("safe_region.neighbor_probes").inc();
-                op.exact.insert(target, provider.probe(target));
-                again.push(target);
-                // Its last anchor lies in its stale region, hence in the
-                // cell whose bucket lists every query holding it.
-                let (anchor, _) = self.last_known(target).expect("a registered object");
-                for &qid in self.processor.grid().queries_at(anchor) {
-                    let qs = self.processor.get(qid).expect("grid entries are registered");
-                    let ordered = matches!(qs.spec, QuerySpec::Knn { order_sensitive: true, .. });
-                    if let Some(rank) = qs.result_rank(target).filter(|_| ordered) {
-                        let ring = [rank.checked_sub(1), Some(rank + 1)];
-                        let beside = ring.into_iter().flatten().filter_map(|r| qs.results.get(r));
-                        again.extend(beside.filter(|o| op.exact.contains_key(o)));
-                    }
-                }
-            }
-            again.sort_unstable();
-            again.dedup();
-            let computed_before = again.len() - (op.exact.len() - known);
-            srb_obs::counter!("sharded.region_reruns").add(computed_before as u64);
-            for &oid in &again {
-                self.enlist(&mut step, oid, op.exact[&oid]);
-                // A second run supersedes what the first one deferred.
-                step.deferred.retain(|&(by, ..)| by != oid);
-            }
-        }
-
-        let lease = self.config.lease.filter(|&l| l > 0.0);
-        for &(_, oid, sr) in &step.granted {
-            if self.index.install_region(oid, op.exact[&oid], sr, now).t_lst != now {
-                self.timers.cancel(oid);
-            }
-            if let Some(lease) = lease {
-                self.timers.lower(oid, now + lease, DeferKind::Lease);
-            }
-            op.recomputed.push((oid, sr));
-        }
-        step.granted.clear();
-        self.work.probes_avoided += step.deferred.len() as u64;
-        op.deferred.extend(step.deferred.drain(..).map(|(_, target, due)| (target, due)));
-        self.work.safe_regions += op.recomputed.len() as u64;
-        srb_obs::histogram!("location.recompute_regions").record(op.recomputed.len() as u64);
-        // A request for an object that ended up exactly known is dropped:
-        // its region was just granted afresh.
-        for (oid, due) in op.deferred.drain(..) {
-            if self.index.get(oid).is_some() && !op.exact.contains_key(&oid) {
-                self.timers.lower(oid, due, DeferKind::Slack);
-            }
-        }
-        self.scratch.regions = step;
-    }
-
-    /// Lists `oid`, exactly known at `pos`, for the next region round.
-    fn enlist(&self, step: &mut RegionStep, oid: ObjectId, pos: Point) {
-        let (shard, st) = self.index.locate(oid).expect("exactly-known objects are registered");
-        step.todo.push((shard, oid, pos, st.p_lst));
-    }
-
     // ------------------------------------------------------------------
     // Deferred probes (location-manager timers)
     // ------------------------------------------------------------------
@@ -986,9 +798,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             let mut batch = self.scratch.arena.take_batch();
             let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now);
             let safe_region = self.safe_region(oid).expect("the target got a region");
-            let mut probed = op.recomputed.clone();
-            probed.retain(|&(o, _)| o != oid);
-            probed.sort_unstable_by_key(|&(o, _)| o);
+            let probed: Vec<_> =
+                op.recomputed.iter().filter(|&&(o, _)| o != oid).copied().collect();
+            debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
             out.push((oid, UpdateResponse { safe_region, probed, changes }));
             self.scratch.arena.put_batch(batch);
             self.scratch.arena.put_op(op);
@@ -1078,233 +890,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     // ------------------------------------------------------------------
-    // Durability plane (coordinator WAL + checkpoints + recovery)
-    // ------------------------------------------------------------------
-
-    /// Creates the configured durability store and attaches a fresh
-    /// coordinator WAL, rooted at a checkpoint of the whole fleet's state.
-    pub(crate) fn attach_durability(&mut self) -> Result<(), RecoveryError> {
-        let d = self.config.durability;
-        let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        let mut payload = Vec::new();
-        self.encode_state(&mut payload);
-        let store = srb_durable::Store::create(Path::new(dir), d.policy, d.group_ops, &payload)?;
-        self.wal = Some(Box::new(Wal::new(store, d.checkpoint_ops)));
-        Ok(())
-    }
-
-    /// Rebuilds a sharded server from the durability directory in
-    /// `config.durability`: loads the newest valid checkpoint, replays the
-    /// log generation by generation, and reattaches the WAL. `shards` must
-    /// match the crashed instance's shard count, which the checkpoint
-    /// records. Returns the server and the number of replayed operations.
-    pub fn recover(config: ServerConfig, shards: usize) -> Result<(Self, usize), RecoveryError> {
-        let d = config.durability;
-        let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        let rec = srb_durable::Store::recover(Path::new(dir), d.policy, d.group_ops)?;
-        let mut server = Self::decode_state(&config, shards, &rec.payload)?;
-        let mut replayed = 0usize;
-        for payload in rec.generations.iter().flat_map(|g| &g.records) {
-            server.apply_record(payload)?;
-            replayed += 1;
-        }
-        server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
-        Ok((server, replayed))
-    }
-
-    /// True when an earlier I/O failure poisoned the WAL. A poisoned
-    /// coordinator keeps serving from memory but persists nothing further;
-    /// the only path back is [`ShardedServer::recover`].
-    pub fn wal_poisoned(&self) -> bool {
-        self.wal.as_ref().map(|w| w.poisoned()).unwrap_or(false)
-    }
-
-    /// Forces every buffered log record to stable storage now.
-    pub fn sync_wal(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            w.sync();
-        }
-    }
-
-    /// Rotates the durability store to a fresh checkpoint of the current
-    /// fleet state, truncating the replay tail. Returns `false` when no
-    /// WAL is attached or the rotation failed (which poisons the WAL).
-    pub fn checkpoint(&mut self) -> bool {
-        let Some(mut w) = self.wal.take() else { return false };
-        let mut payload = Vec::new();
-        self.encode_state(&mut payload);
-        let ok = w.checkpoint(&payload).is_ok();
-        self.wal = Some(w);
-        ok
-    }
-
-    /// A 64-bit digest of the full serialized fleet state — what the crash
-    /// harness compares between a recovered run and its golden twin. The
-    /// serialized state is logical: it holds no index structure, so two
-    /// engines whose indexes hold the same entries in differently shaped
-    /// trees digest alike.
-    pub fn state_digest(&self) -> u64 {
-        let mut buf = Vec::new();
-        self.encode_state(&mut buf);
-        wal::fnv1a64(&buf)
-    }
-
-    /// The log protocol of every operation, in one place: detach the WAL,
-    /// run `body` (which re-enters the entry point, now unlogged) with every
-    /// probe transcribed, append the record `log` writes — inputs plus that
-    /// transcript — reattach, and run the group-commit / checkpoint
-    /// cadence. Callers check the WAL is attached; that check is also what
-    /// ends the re-entry.
-    ///
-    /// Fail-stop: when the provider panics inside `body`, the operation has
-    /// appended no record, so the WAL is poisoned (refusing further writes
-    /// against a half-applied operation), reattached, and the panic
-    /// resumes; recovery lands on the state before the operation.
-    fn logged<R>(
-        &mut self,
-        provider: &mut dyn LocationProvider,
-        body: impl FnOnce(&mut Self, &mut dyn LocationProvider) -> R,
-        log: impl FnOnce(&mut Wal),
-    ) -> R {
-        let mut w = self.wal.take().expect("logged() runs with the WAL attached");
-        let run = catch_unwind(AssertUnwindSafe(|| body(self, &mut w.recorder(provider))));
-        let result = match run {
-            Ok(result) => result,
-            Err(panic) => {
-                w.poison();
-                self.wal = Some(w);
-                resume_unwind(panic)
-            }
-        };
-        log(&mut w);
-        self.wal = Some(w);
-        self.wal_post_op();
-        result
-    }
-
-    /// Group-commit + checkpoint-cadence bookkeeping after one logged
-    /// operation.
-    fn wal_post_op(&mut self) {
-        let due = match self.wal.as_mut() {
-            Some(w) => w.note_op(),
-            None => false,
-        };
-        if due {
-            self.checkpoint();
-        }
-    }
-
-    /// Serializes the complete engine state: config fingerprint, shard
-    /// count, layout tag, counters, the object table and every shard's
-    /// backend config, the timers in queue order, the controller, and the
-    /// query plane. Scratch buffers and telemetry handles carry no state
-    /// and are excluded.
-    pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
-        put_u64(out, wal::config_fingerprint(&self.config));
-        put_usize(out, self.index.shards().len());
-        put_u64(out, FLEET_LAYOUT);
-        put_u64(out, self.costs.source_updates);
-        put_u64(out, self.costs.probes);
-        self.work.encode(out);
-        self.index.encode_state(out);
-        self.timers.encode_state(out);
-        match &self.adaptive {
-            None => put_u8(out, 0),
-            Some(ctl) => {
-                put_u8(out, 1);
-                ctl.encode_state(out);
-            }
-        }
-        self.processor.encode_state(out);
-    }
-
-    /// Rebuilds a server from a checkpoint payload. The WAL is *not*
-    /// attached — [`ShardedServer::recover`] does that after replay.
-    pub(crate) fn decode_state(
-        config: &ServerConfig,
-        shards: usize,
-        payload: &[u8],
-    ) -> Result<Self, RecoveryError> {
-        let mut dec = srb_durable::Dec::new(payload);
-        if dec.u64()? != wal::config_fingerprint(config) {
-            return Err(RecoveryError::ConfigMismatch);
-        }
-        if dec.usize()? != shards {
-            return Err(RecoveryError::Corrupt("checkpoint shard count mismatch"));
-        }
-        // Where this tag sits, every older checkpoint — one shard whose own
-        // stack was the engine, several shards each a replica of every
-        // query, shards that still carried a query processor (version 1) or
-        // timers of their own (version 2), slots that still carried reuse
-        // generations (version 3), shards that carried their index structure
-        // (version 4), an owner map beside per-shard object tables and
-        // counters (version 5) — holds a counter or an earlier version:
-        // refused here, never misread.
-        if dec.u64()? != FLEET_LAYOUT {
-            return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
-        }
-        let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
-        let work = WorkStats::decode(&mut dec)?;
-        let index = ObjectIndex::decode_state(&mut dec, shards, config.space)?;
-        let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
-        // The controller tag must agree with the config (whose fingerprint
-        // was already checked): adaptive engines always checkpoint their
-        // decision state, non-adaptive engines never do.
-        let adaptive = match (dec.u8()?, config.backend) {
-            (0, srb_index::BackendConfig::Adaptive(_))
-            | (1, srb_index::BackendConfig::RStar(_))
-            | (1, srb_index::BackendConfig::Grid(_)) => {
-                return Err(RecoveryError::Corrupt("controller tag disagrees with config"))
-            }
-            (0, _) => None,
-            (1, srb_index::BackendConfig::Adaptive(ac)) => {
-                Some(AdaptiveController::decode_state(ac, shards, &mut dec)?)
-            }
-            _ => return Err(RecoveryError::Corrupt("bad controller tag")),
-        };
-        let processor = QueryProcessor::decode_state(&mut dec)?;
-        dec.finish()?;
-        let server = Self::assemble(*config, index, processor, adaptive);
-        Ok(Self { timers, costs, work, ..server })
-    }
-
-    /// Replays one log record through the public entry points; every
-    /// structural mismatch is a typed error, never a panic.
-    fn apply_record(&mut self, payload: &[u8]) -> Result<(), RecoveryError> {
-        match wal::decode_record(payload)? {
-            Record::AddObject { id, pos, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.add_object(id, pos, &mut rp, now);
-                check_replay(&rp)
-            }
-            Record::RemoveObject { id, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.remove_object(id, &mut rp, now);
-                check_replay(&rp)
-            }
-            Record::RegisterQuery { spec, now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.register_query(spec, &mut rp, now);
-                check_replay(&rp)
-            }
-            Record::DeregisterQuery { id } => {
-                let _ = self.deregister_query(id);
-                Ok(())
-            }
-            Record::Batch { now, updates, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                self.handle_sequenced_updates_into(&updates, &mut rp, now, &mut Vec::new());
-                check_replay(&rp)
-            }
-            Record::ProcessDeferred { now, probes } => {
-                let mut rp = ReplayProvider::new(&probes);
-                let _ = self.process_deferred(&mut rp, now);
-                check_replay(&rp)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Coordinator internals
     // ------------------------------------------------------------------
 
@@ -1317,15 +902,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let (i, j) = grid.cell_of(pos);
         let key = (i as u64) * (grid.m() as u64) + j as u64;
         (splitmix64(key) % self.index.shards().len() as u64) as usize
-    }
-}
-
-/// Surfaces a replay that consumed its probe transcript incorrectly.
-fn check_replay(rp: &ReplayProvider<'_>) -> Result<(), RecoveryError> {
-    if rp.diverged() {
-        Err(RecoveryError::Corrupt("replay diverged from the probe transcript"))
-    } else {
-        Ok(())
     }
 }
 
@@ -1366,9 +942,11 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RecoveryError;
     use crate::provider::FnProvider;
     use srb_index::{RStarTree, SpatialBackend};
     use std::collections::BTreeMap;
+    use std::path::Path;
 
     #[test]
     fn sort_by_object_is_the_stable_sort() {
@@ -1388,7 +966,7 @@ mod tests {
         }
     }
 
-    fn world(n: usize, seed: u64) -> Vec<Point> {
+    pub(super) fn world(n: usize, seed: u64) -> Vec<Point> {
         // Deterministic pseudo-random positions in the unit square.
         (0..n)
             .map(|i| {
@@ -1542,7 +1120,7 @@ mod tests {
     }
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
-    fn fleet(config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
+    pub(super) fn fleet(config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
         fleet_of(30, config, shards)
     }
 
@@ -1626,6 +1204,28 @@ mod tests {
         sharded.check_invariants();
     }
 
+    /// The region step runs in id order whichever shard holds an object:
+    /// a two-shard batch whose movers' ids interleave across the shards,
+    /// arriving against id order, installs its regions ascending by id.
+    #[test]
+    fn regions_are_granted_in_id_order_across_shards() {
+        let (mut server, mut positions) = fleet(ServerConfig::default(), 2);
+        step(&mut positions, 1);
+        let shards: Vec<usize> = (0..positions.len() as u32)
+            .map(|i| shard_of(&server, ObjectId(i)).expect("registered"))
+            .collect();
+        assert!(!shards.is_sorted(), "the ids interleave across the shards");
+        let movers: Vec<(ObjectId, Point)> =
+            positions.iter().enumerate().rev().map(|(i, &p)| (ObjectId(i as u32), p)).collect();
+        let (mut op, mut batch) =
+            (server.scratch.arena.take_op(), server.scratch.arena.take_batch());
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        server.fold(&mut op, &mut batch, &movers, &mut provider, 0.1);
+        let granted: Vec<ObjectId> = op.recomputed.iter().map(|&(o, _)| o).collect();
+        assert_eq!(granted, (0..positions.len() as u32).map(ObjectId).collect::<Vec<_>>());
+        server.check_invariants_deep();
+    }
+
     #[test]
     fn unknown_updates_are_dropped_and_counted() {
         let mut sharded = ShardedServer::new(ServerConfig::default(), 2);
@@ -1645,12 +1245,12 @@ mod tests {
 
     /// The shard holding `id`, if registered.
     fn shard_of(server: &ShardedServer, id: ObjectId) -> Option<usize> {
-        server.index.locate(id).map(|(shard, _)| shard)
+        server.index.view().objects.locate(id).map(|(shard, _)| shard)
     }
 
     /// A unique throwaway durability directory (leaked so the config can
     /// hold a `&'static str`).
-    fn temp_dir(tag: &str) -> &'static str {
+    pub(super) fn temp_dir(tag: &str) -> &'static str {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -1660,7 +1260,7 @@ mod tests {
     }
 
     /// The default configuration, logging to `dir`.
-    fn durable(dir: &'static str) -> ServerConfig {
+    pub(super) fn durable(dir: &'static str) -> ServerConfig {
         ServerConfig {
             durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
             ..Default::default()
@@ -1727,48 +1327,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// What admission refuses — an unknown id, a stale `seq` — is logged
-    /// with the batch that carried it and must be dropped, counted and
-    /// re-granted again on replay: same digest, same drop counters as the
-    /// run that never stopped.
-    #[test]
-    fn sequenced_batch_drops_recur_on_replay() {
-        for shards in [1, 2] {
-            let dir = temp_dir("rawdrops");
-            let config = durable(dir);
-            let positions = world(8, 17);
-            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-            let mut twin = ShardedServer::new(ServerConfig::default(), shards);
-            let mut durable = ShardedServer::new(config, shards);
-            for engine in [&mut twin, &mut durable] {
-                for (i, &p) in positions.iter().enumerate() {
-                    engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                }
-                engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut provider, 0.0);
-                let report =
-                    |id, x, y| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, y), seq: 1 };
-                let batch = [
-                    report(3, 0.31, 0.32),
-                    report(99, 0.1, 0.1),
-                    report(3, 0.33, 0.34),
-                    report(5, 0.6, 0.7),
-                ];
-                let mut resp = Vec::new();
-                engine.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut resp);
-                assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
-            }
-            durable.sync_wal();
-            drop(durable);
-            let (recovered, _) =
-                ShardedServer::<RStarTree>::recover(config, shards).expect("recovery");
-            assert_eq!(recovered.work(), twin.work(), "{shards} shard(s)");
-            assert_eq!(recovered.work().unknown_object_drops, 1);
-            assert_eq!(recovered.work().stale_seq_drops, 1);
-            assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
     /// A log written when a batch was one partition record per shard in
     /// logs of its own plus a marker (opcode 6, mode 1) in the first log:
     /// recovery reads that first log, refuses the marker with a typed
@@ -1776,7 +1334,7 @@ mod tests {
     /// the whole history.
     #[test]
     fn earlier_batch_marker_is_refused_not_replayed_short() {
-        use srb_durable::codec::{put_f64, put_u32};
+        use srb_durable::codec::{put_f64, put_u32, put_u64, put_u8, put_usize};
         use srb_durable::log::LogWriter;
         let dir = temp_dir("marker");
         let config = durable(dir);
@@ -1794,7 +1352,7 @@ mod tests {
         let mut part = vec![10u8];
         put_usize(&mut part, 1);
         put_u32(&mut part, 0);
-        wal::put_point(&mut part, Point::new(0.5, 0.5));
+        crate::wal::put_point(&mut part, Point::new(0.5, 0.5));
         put_u64(&mut part, 1);
         let mut marker = vec![6u8];
         put_f64(&mut marker, 0.1);
@@ -1837,116 +1395,6 @@ mod tests {
         assert_eq!(replayed, 0, "checkpoint must have truncated the log tail");
         assert_eq!(recovered.state_digest(), digest);
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    /// `decode_state`'s refusal of `payload`, a checkpoint of an older
-    /// layout at `shards`.
-    fn refused(shards: usize, payload: &[u8]) {
-        match ShardedServer::<RStarTree>::decode_state(&ServerConfig::default(), shards, payload) {
-            Err(RecoveryError::Corrupt(what)) => assert!(what.contains("older layout"), "{what}"),
-            other => panic!("decoded an older layout: {:?}", other.map(|_| ())),
-        }
-    }
-
-    /// The first bytes every checkpoint layout shares: config fingerprint
-    /// and shard count.
-    fn checkpoint_header(shards: usize) -> Vec<u8> {
-        let mut payload = Vec::new();
-        put_u64(&mut payload, wal::config_fingerprint(&ServerConfig::default()));
-        put_usize(&mut payload, shards);
-        payload
-    }
-
-    /// A checkpoint of the older layout `version` at `shards`: 1, shards
-    /// each carrying a query processor; 2, shards keeping timers of their
-    /// own; 3, a reuse generation per object slot and per query slot; 4,
-    /// each shard's index structure written verbatim; 5, an owner map and
-    /// each shard's object table and counters.
-    fn older(version: u64, shards: usize) -> Vec<u8> {
-        let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 6 + version);
-        put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
-        payload
-    }
-
-    /// A multi-shard checkpoint from before the one query plane (every
-    /// shard a replica of every query, an always-zero counter block right
-    /// after the shard count), or of any older layout version, is refused
-    /// with a typed error; it is never decoded as something else.
-    #[test]
-    fn older_multi_shard_checkpoint_is_refused_not_misread() {
-        let mut replicas = checkpoint_header(2);
-        WorkStats::default().encode(&mut replicas);
-        put_usize(&mut replicas, 0); // owner map, specs, merged results …
-        refused(2, &replicas);
-        for version in 1..=5 {
-            refused(2, &older(version, 2));
-        }
-        // The current layout round-trips.
-        let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2);
-        let mut current = Vec::new();
-        fleet.encode_state(&mut current);
-        let decoded =
-            ShardedServer::<RStarTree>::decode_state(&config, 2, &current).expect("decodes");
-        assert_eq!(decoded.state_digest(), fleet.state_digest());
-    }
-
-    /// A one-shard checkpoint from when one shard's own stack was the whole
-    /// engine (zeroed coordinator counters right after the shard count, a
-    /// spec per query slot, the shard's state with its own query processor),
-    /// or from when the shard kept its own timers (version 2), slots kept
-    /// reuse generations (version 3), shards wrote their index structure
-    /// (version 4) or their own object tables beside an owner map (version
-    /// 5), gets the same typed refusal.
-    #[test]
-    fn older_one_shard_checkpoint_is_refused_not_misread() {
-        let mut legacy = checkpoint_header(1);
-        WorkStats::default().encode(&mut legacy);
-        put_usize(&mut legacy, 0); // owner map
-        put_usize(&mut legacy, 0); // query slots
-        put_usize(&mut legacy, 0); // the always-empty list
-        put_u8(&mut legacy, 0); // no controller; the shard's state …
-        refused(1, &legacy);
-        for version in 2..=5 {
-            refused(1, &older(version, 1));
-        }
-        // The current layout is the one layout: one shard round-trips too.
-        let config = ServerConfig::default();
-        let (engine, _) = fleet(config, 1);
-        let mut current = Vec::new();
-        engine.encode_state(&mut current);
-        let decoded =
-            ShardedServer::<RStarTree>::decode_state(&config, 1, &current).expect("decodes");
-        assert_eq!(decoded.state_digest(), engine.state_digest());
-    }
-
-    /// A checkpoint whose object table names a shard the engine does not
-    /// have is refused with a typed error, never indexed out of range.
-    #[test]
-    fn a_table_naming_a_missing_shard_is_refused() {
-        let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2);
-        let mut payload = Vec::new();
-        fleet.encode_state(&mut payload);
-        // Header, layout and counters, the table's length, object 0's tag:
-        // then its shard.
-        let mut counters = Vec::new();
-        WorkStats::default().encode(&mut counters);
-        let at = 5 * 8 + counters.len() + 8 + 1;
-        assert_eq!(payload[at - 1], 1, "object 0 is registered");
-        for shard in [2u32, u32::MAX] {
-            let mut damaged = payload.clone();
-            damaged[at..at + 4].copy_from_slice(&shard.to_le_bytes());
-            match ShardedServer::<RStarTree>::decode_state(&config, 2, &damaged) {
-                Err(RecoveryError::Corrupt(what)) => {
-                    assert_eq!(what, "object table names a missing shard")
-                }
-                other => panic!("decoded shard {shard}: {:?}", other.map(|_| ())),
-            }
-        }
-        let decoded = ShardedServer::<RStarTree>::decode_state(&config, 2, &payload);
-        assert_eq!(decoded.expect("decodes").state_digest(), fleet.state_digest());
     }
 
     /// Every file of a durability directory, by name.

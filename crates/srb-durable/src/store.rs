@@ -37,17 +37,15 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every checkpoint file.
 pub(crate) const CKPT_MAGIC: &[u8; 8] = b"SRBCKP01";
 
-/// When appended records are forced to stable storage.
+/// When appended records are forced to stable storage: a store fsyncs its
+/// log once every `group_ops` operations, on a checkpoint and on an
+/// explicit [`Store::commit`]. Group commit is the one policy; fsyncing
+/// every operation is a group of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
-    /// Never fsync automatically (tests and throughput ceilings only —
-    /// a crash loses everything since the last explicit commit).
-    Never,
     /// Fsync once every `group_ops` operations (group commit).
     #[default]
     GroupCommit,
-    /// Fsync after every operation.
-    Always,
 }
 
 /// One generation's worth of replayable records.
@@ -73,7 +71,6 @@ pub struct Store {
     gen: u64,
     /// The active generation's log.
     log: LogWriter,
-    policy: SyncPolicy,
     group_ops: u32,
     ops_since_sync: u32,
     poisoned: bool,
@@ -217,12 +214,7 @@ impl Store {
     /// generation rooted at `payload`. Any generations already present
     /// are superseded, never overwritten: the new generation is
     /// `max(existing) + 1`.
-    pub fn create(
-        dir: &Path,
-        policy: SyncPolicy,
-        group_ops: u32,
-        payload: &[u8],
-    ) -> Result<Store, DurableError> {
+    pub fn create(dir: &Path, group_ops: u32, payload: &[u8]) -> Result<Store, DurableError> {
         fs::create_dir_all(dir)?;
         let mut max_gen = 0u64;
         for entry in fs::read_dir(dir)? {
@@ -238,7 +230,6 @@ impl Store {
             dir: dir.to_path_buf(),
             gen,
             log,
-            policy,
             group_ops: group_ops.max(1),
             ops_since_sync: 0,
             poisoned: false,
@@ -276,19 +267,14 @@ impl Store {
         self.guard(r)
     }
 
-    /// Marks the end of one engine operation, syncing according to the
-    /// store's [`SyncPolicy`].
+    /// Marks the end of one engine operation, syncing once every
+    /// `group_ops` of them ([`SyncPolicy::GroupCommit`]).
     pub fn op_end(&mut self) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
         self.ops_since_sync += 1;
-        let due = match self.policy {
-            SyncPolicy::Never => false,
-            SyncPolicy::Always => true,
-            SyncPolicy::GroupCommit => self.ops_since_sync >= self.group_ops,
-        };
-        if due {
+        if self.ops_since_sync >= self.group_ops {
             self.commit()
         } else {
             Ok(())
@@ -350,11 +336,7 @@ impl Store {
     /// checkpoint (falling back a generation if the newest is damaged),
     /// collects every replayable record after it, physically truncates
     /// torn log tails, and recreates anything the crash interrupted.
-    pub fn recover(
-        dir: &Path,
-        policy: SyncPolicy,
-        group_ops: u32,
-    ) -> Result<Recovered, DurableError> {
+    pub fn recover(dir: &Path, group_ops: u32) -> Result<Recovered, DurableError> {
         let mut ckpt_gens = Vec::new();
         let mut log_gens = Vec::new();
         let mut leftovers = Vec::new();
@@ -448,7 +430,6 @@ impl Store {
                 dir: dir.to_path_buf(),
                 gen: active,
                 log,
-                policy,
                 group_ops: group_ops.max(1),
                 ops_since_sync: 0,
                 poisoned: false,
@@ -496,12 +477,12 @@ mod tests {
     #[test]
     fn create_append_commit_recover() {
         let dir = scratch();
-        let mut s = Store::create(&dir, SyncPolicy::GroupCommit, 4, b"root state").unwrap();
+        let mut s = Store::create(&dir, 4, b"root state").unwrap();
         s.append(b"op-1").unwrap();
         s.append(b"op-2").unwrap();
         s.commit().unwrap();
         drop(s);
-        let r = Store::recover(&dir, SyncPolicy::GroupCommit, 4).unwrap();
+        let r = Store::recover(&dir, 4).unwrap();
         assert_eq!(r.payload, b"root state");
         assert_eq!(all_records(&r), vec![b"op-1".to_vec(), b"op-2".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
@@ -510,11 +491,13 @@ mod tests {
     #[test]
     fn uncommitted_records_do_not_survive() {
         let dir = scratch();
-        let mut s = Store::create(&dir, SyncPolicy::Never, 1, b"root").unwrap();
+        // A group larger than the appends: nothing reaches the disk before
+        // the commit that never comes.
+        let mut s = Store::create(&dir, 2, b"root").unwrap();
         s.append(b"volatile").unwrap();
         s.op_end().unwrap();
         drop(s);
-        let r = Store::recover(&dir, SyncPolicy::Never, 1).unwrap();
+        let r = Store::recover(&dir, 2).unwrap();
         assert!(all_records(&r).is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -522,7 +505,7 @@ mod tests {
     #[test]
     fn checkpoint_rotates_and_prunes_with_fallback() {
         let dir = scratch();
-        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"gen1").unwrap();
+        let mut s = Store::create(&dir, 1, b"gen1").unwrap();
         s.append(b"a").unwrap();
         s.op_end().unwrap();
         s.checkpoint(b"gen2").unwrap();
@@ -537,7 +520,7 @@ mod tests {
         let names: Vec<String> = dir_listing(&dir).into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["ckpt-2", "ckpt-3", "log-2-0", "log-3-0"]);
 
-        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(r.payload, b"gen3");
         assert_eq!(all_records(&r), vec![b"c".to_vec()]);
 
@@ -547,7 +530,7 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         fs::write(ckpt_path(&dir, 3), bytes).unwrap();
-        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(r.payload, b"gen2");
         assert_eq!(all_records(&r), vec![b"b".to_vec(), b"c".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
@@ -556,7 +539,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_counted() {
         let dir = scratch();
-        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"root").unwrap();
+        let mut s = Store::create(&dir, 1, b"root").unwrap();
         s.append(b"good").unwrap();
         s.op_end().unwrap();
         drop(s);
@@ -566,7 +549,7 @@ mod tests {
         let valid = data.len();
         data.extend_from_slice(&[0x55; 7]);
         fs::write(&path, data).unwrap();
-        let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
+        let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(all_records(&r), vec![b"good".to_vec()]);
         assert_eq!(fs::metadata(&path).unwrap().len() as usize, valid, "tail physically cut");
         fs::remove_dir_all(&dir).unwrap();
@@ -585,7 +568,7 @@ mod tests {
             CrashPoint::CkptPrune,
         ] {
             let dir = scratch();
-            let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"gen1").unwrap();
+            let mut s = Store::create(&dir, 1, b"gen1").unwrap();
             s.append(b"a").unwrap();
             s.op_end().unwrap();
             // CkptPrune only fires once generation 1 is prunable, so run
@@ -603,7 +586,7 @@ mod tests {
             assert!(matches!(s.append(b"x"), Err(DurableError::Poisoned)));
             drop(s);
 
-            let r = Store::recover(&dir, SyncPolicy::Always, 1).unwrap();
+            let r = Store::recover(&dir, 1).unwrap();
             // Whatever the boundary, the recovered root plus its records
             // reconstruct the full history: either the new checkpoint
             // took (no records to replay) or the old one plus its log.
@@ -622,7 +605,7 @@ mod tests {
     #[test]
     fn poisoned_store_refuses_appends() {
         let dir = scratch();
-        let mut s = Store::create(&dir, SyncPolicy::Always, 1, b"root").unwrap();
+        let mut s = Store::create(&dir, 1, b"root").unwrap();
         s.poison();
         assert!(matches!(s.append(b"x"), Err(DurableError::Poisoned)));
         fs::remove_dir_all(&dir).unwrap();
@@ -631,13 +614,13 @@ mod tests {
     #[test]
     fn create_supersedes_existing_generations() {
         let dir = scratch();
-        let s = Store::create(&dir, SyncPolicy::Never, 1, b"first").unwrap();
+        let s = Store::create(&dir, 1, b"first").unwrap();
         assert_eq!(s.gen, 1);
         drop(s);
-        let s = Store::create(&dir, SyncPolicy::Never, 1, b"second").unwrap();
+        let s = Store::create(&dir, 1, b"second").unwrap();
         assert_eq!(s.gen, 2);
         drop(s);
-        let r = Store::recover(&dir, SyncPolicy::Never, 1).unwrap();
+        let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(r.payload, b"second");
         fs::remove_dir_all(&dir).unwrap();
     }

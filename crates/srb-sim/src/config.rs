@@ -172,7 +172,7 @@ mod tests {
             assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
         }
         if std::env::var("SRB_DURABLE").is_err() {
-            assert!(!c.durable.enabled(), "durability is off unless SRB_DURABLE=1");
+            assert!(c.durable.dir.is_none(), "durability is off unless SRB_DURABLE=1");
         }
     }
 }
