@@ -81,7 +81,7 @@ pub fn figure_header(id: &str, title: &str, cfg: &SimConfig) {
 }
 
 /// Emits one row of machine-readable JSON alongside the printed tables
-/// (collected by EXPERIMENTS.md tooling).
+/// (`tools/experiments.py` renders EXPERIMENTS.md's tables from them).
 pub fn json_row(figure: &str, series: &str, x: f64, m: &RunMetrics) {
     println!("JSON {}", row(figure, series, x, m));
 }

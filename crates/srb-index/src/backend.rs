@@ -110,8 +110,8 @@ pub struct AdaptiveConfig {
     /// (per coordinator, not per shard). Must be ≥ 1.
     pub decision_every: u32,
     /// A shard holding more objects than this votes for the grid (dense
-    /// populations amortize cell scans; see EXPERIMENTS.md, "Backend
-    /// tradeoff").
+    /// populations amortize cell scans, as the retired `backend` bench
+    /// measured once at commit 7e9cc47).
     pub dense_above: usize,
     /// A shard holding fewer objects than this votes for the tree (sparse
     /// populations make ring scans touch mostly empty cells).

@@ -2,7 +2,8 @@
 //! the fixed scenario set in [`srb_sim::golden_scenarios`] must stay
 //! **bit-identical** to the values recorded in `golden_data/data.rs` (last
 //! re-pinned when best-first ties took the one `(δ, id)` order, which moved
-//! `srb_lossy` alone; EXPERIMENTS.md tabulates old → new per scenario).
+//! `srb_lossy` alone; `git show d6f83fb:EXPERIMENTS.md` tabulates old →
+//! new per scenario).
 //!
 //! The tier-1 command checks every scenario but `SLOW`; the `#[ignore]`
 //! test checks those (`--ignored`, in release).

@@ -1,7 +1,9 @@
 //! Telemetry tour: run a small two-shard SRB simulation with the `srb-obs`
 //! layer recording, then read the numbers three ways — a human-oriented
-//! table, a machine-oriented JSON snapshot (written to `OBS_snapshot.json`),
-//! and a per-sample timeline (`OBS_timeline.jsonl`).
+//! table, a machine-oriented JSON snapshot (written to
+//! `target/OBS_snapshot.json`), and a per-sample timeline
+//! (`target/OBS_timeline.jsonl`). Both files land under the ignored build
+//! directory, so a run leaves the checkout clean.
 //!
 //! ```bash
 //! cargo run --release --example telemetry
@@ -15,9 +17,12 @@ use srb::geom::Point;
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
 
+const SNAPSHOT: &str = "target/OBS_snapshot.json";
+const TIMELINE: &str = "target/OBS_timeline.jsonl";
+
 fn main() {
-    let cfg =
-        SimConfig { shards: 2, timeline: Some("OBS_timeline.jsonl"), ..SimConfig::test_defaults() };
+    std::fs::create_dir_all("target").expect("create target/");
+    let cfg = SimConfig { shards: 2, timeline: Some(TIMELINE), ..SimConfig::test_defaults() };
     println!(
         "running SRB: N={} W={} duration={} shards={} (telemetry compiled: {})",
         cfg.n_objects,
@@ -49,24 +54,24 @@ fn main() {
     // --- 2. JSON snapshot for tooling --------------------------------------
     let json = snap.to_json();
     match srb_durable::atomic::atomic_write(
-        std::path::Path::new("OBS_snapshot.json"),
+        std::path::Path::new(SNAPSHOT),
         format!("{json}\n").as_bytes(),
     ) {
-        Ok(()) => println!("wrote OBS_snapshot.json ({} bytes)", json.len()),
-        Err(e) => eprintln!("failed to write OBS_snapshot.json: {e}"),
+        Ok(()) => println!("wrote {SNAPSHOT} ({} bytes)", json.len()),
+        Err(e) => eprintln!("failed to write {SNAPSHOT}: {e}"),
     }
 
     // --- 3. Timeline: one JSON line per ground-truth sample ----------------
-    match std::fs::read_to_string("OBS_timeline.jsonl") {
+    match std::fs::read_to_string(TIMELINE) {
         Ok(body) => {
             let n = body.lines().count();
-            println!("wrote OBS_timeline.jsonl ({n} samples)");
+            println!("wrote {TIMELINE} ({n} samples)");
             if let Some(first) = body.lines().next() {
                 let preview: String = first.chars().take(120).collect();
                 println!("  first line: {preview}...");
             }
         }
-        Err(e) => eprintln!("failed to read back OBS_timeline.jsonl: {e}"),
+        Err(e) => eprintln!("failed to read back {TIMELINE}: {e}"),
     }
 
     // Spot-check the acceptance surface: the safe-region step's span, the

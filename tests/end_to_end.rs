@@ -451,8 +451,9 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
     // circle, the circle complement and the staircase. The pinned values
     // were last printed by this very test, in debug and in release, when
     // the θ-search became exact (each family maximized at its closed-form
-    // breakpoints; EXPERIMENTS.md has old → new): an optimisation of the
-    // Ir-lp search that keeps its regions has to reproduce them exactly. And the partition does not show: two shards
+    // breakpoints; `git show c623972:EXPERIMENTS.md` has old → new): an
+    // optimisation of the Ir-lp search that keeps its regions has to
+    // reproduce them exactly. And the partition does not show: two shards
     // grant the same rectangles, with the §6 enhancements on or off.
     const N: usize = 400;
     const QUERIES: u64 = 48;
