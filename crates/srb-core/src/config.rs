@@ -1,6 +1,5 @@
 //! Server configuration.
 
-use crate::provider::CostModel;
 use srb_durable::SyncPolicy;
 use srb_geom::Rect;
 use srb_index::BackendConfig;
@@ -37,23 +36,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-impl DurabilityConfig {
-    /// Reads the environment: `SRB_DURABLE=1` enables group-commit
-    /// durability into `SRB_DURABLE_DIR` (default `target/srb-durable`).
-    pub fn from_env() -> Self {
-        if std::env::var("SRB_DURABLE").map(|v| v == "1").unwrap_or(false) {
-            static DIR: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-            let dir = DIR.get_or_init(|| {
-                std::env::var("SRB_DURABLE_DIR")
-                    .unwrap_or_else(|_| "target/srb-durable".to_string())
-            });
-            DurabilityConfig { dir: Some(dir.as_str()), ..Default::default() }
-        } else {
-            DurabilityConfig::default()
-        }
-    }
-}
-
 /// Configuration of the SRB database server.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
@@ -72,8 +54,6 @@ pub struct ServerConfig {
     /// Object-index backend selection and parameters. The default is the
     /// paper's R\*-tree; [`BackendConfig::Grid`] swaps in the uniform grid.
     pub backend: BackendConfig,
-    /// Wireless cost model (§7.1).
-    pub cost: CostModel,
     /// Safe-region lease duration. When set, every issued safe region
     /// expires `lease` time units after the object's last contact; a
     /// server-side timer (the deferred-probe queue) probes objects whose
@@ -94,7 +74,6 @@ impl Default for ServerConfig {
             max_speed: None,
             steadiness: None,
             backend: BackendConfig::default(),
-            cost: CostModel::default(),
             lease: None,
             durability: DurabilityConfig::default(),
         }
@@ -126,8 +105,6 @@ mod tests {
         assert!(c.lease.is_none(), "paper semantics: leases never expire");
         assert!(c.durability.dir.is_none(), "durability is off by default");
         assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
-        assert_eq!(c.cost.c_l, 1.0);
-        assert_eq!(c.cost.c_p, 1.5);
     }
 
     #[test]

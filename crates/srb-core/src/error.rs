@@ -52,12 +52,12 @@ pub enum RecoveryError {
     /// The recovered state was checkpointed under a different server
     /// configuration than the one supplied to `recover`.
     ConfigMismatch,
-    /// The checkpoint records an index structure the recovering backend
-    /// type cannot hold. Recover into `ShardedServer<DynBackend>` (which accepts
-    /// every kind) and migrate explicitly afterwards.
+    /// The configured backend (`ServerConfig::backend`) is one the
+    /// recovering backend type cannot build. `ShardedServer<DynBackend>`
+    /// builds every backend.
     BackendMismatch {
-        /// The kind label the checkpoint recorded.
-        found: &'static str,
+        /// The label of the configured backend.
+        configured: &'static str,
         /// The backend type that refused it.
         recovering: &'static str,
     },
@@ -103,10 +103,10 @@ impl fmt::Display for RecoveryError {
             RecoveryError::ConfigMismatch => {
                 write!(f, "checkpoint was taken under a different configuration")
             }
-            RecoveryError::BackendMismatch { found, recovering } => write!(
+            RecoveryError::BackendMismatch { configured, recovering } => write!(
                 f,
-                "checkpoint holds a {found:?} index but the {recovering:?} backend cannot \
-                 hold one; recover with DynBackend and migrate explicitly"
+                "the {recovering:?} backend type cannot build the configured \
+                 {configured:?} backend"
             ),
             RecoveryError::Poisoned => write!(f, "durability store poisoned"),
             RecoveryError::Injected => write!(f, "injected crash point fired"),

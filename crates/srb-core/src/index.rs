@@ -127,16 +127,6 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.shards.iter().map(|s| s.backend.visits()).sum()
     }
 
-    /// Rebuilds `shard`'s backend in place under a new [`BackendConfig`]
-    /// (the adaptive plane's live migration). The state table is untouched
-    /// — migration preserves every stored rectangle, so coherence holds by
-    /// construction. Returns `false` when there is no shard `shard` or `B`
-    /// cannot represent the requested config (every backend except
-    /// `DynBackend`).
-    pub(crate) fn migrate(&mut self, shard: usize, config: &BackendConfig) -> bool {
-        self.shards.get_mut(shard).is_some_and(|s| s.backend.migrate(config))
-    }
-
     /// Cheap structural check: the backends hold as many entries as the
     /// table names objects.
     pub(crate) fn check_counts(&self) {
@@ -157,36 +147,33 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         }
     }
 
-    /// Serializes the index for a durability checkpoint: the object table,
-    /// then every shard's live backend config. The backends are derived
-    /// state — every entry is a copy of a `safe_region` the table holds —
-    /// so [`decode_state`](Self::decode_state) rebuilds them.
+    /// Serializes the index for a durability checkpoint: the object table
+    /// alone. The backends are derived state — every entry is a copy of a
+    /// `safe_region` the table holds — so
+    /// [`decode_state`](Self::decode_state) rebuilds them.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.objects.encode_state(out);
-        for shard in &self.shards {
-            shard.encode_config(out);
-        }
     }
 
     /// Rebuilds an index of `shards` shards serialized by
-    /// [`encode_state`](Self::encode_state): decodes the table and the
-    /// configs, then builds each shard's backend over `space` holding its
-    /// objects' safe regions, in id order
-    /// ([`SpatialBackend::build_from`]).
+    /// [`encode_state`](Self::encode_state): decodes the table, then builds
+    /// each shard's backend from `config` over `space` holding its objects'
+    /// safe regions, in id order ([`SpatialBackend::build_from`]).
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
+        config: &BackendConfig,
         shards: usize,
         space: Rect,
     ) -> Result<Self, RecoveryError> {
         let objects = ObjectTable::decode_state(dec, shards)?;
-        let mut index = ObjectIndex { shards: Vec::with_capacity(shards), objects };
-        for i in 0..shards {
-            let config = Shard::<B>::decode_config(dec)?;
-            let on_i = index.objects.iter().filter(|&(_, shard, _)| shard == i);
-            let entries = on_i.map(|(oid, _, st)| (oid.entry(), st.safe_region)).collect();
-            index.shards.push(Shard { backend: B::build_from(&config, space, entries) });
-        }
-        Ok(index)
+        let shards = (0..shards)
+            .map(|i| {
+                let on_i = objects.iter().filter(|&(_, shard, _)| shard == i);
+                let entries = on_i.map(|(oid, _, st)| (oid.entry(), st.safe_region)).collect();
+                Shard { backend: B::build_from(config, space, entries) }
+            })
+            .collect();
+        Ok(ObjectIndex { shards, objects })
     }
 }
 

@@ -62,13 +62,9 @@
 //! defaults to the paper's R\*-tree, and
 //! `ShardedServer::<UniformGrid>::with_backend` (or `SRB_BACKEND=grid`
 //! through the simulator) swaps in the uniform-grid backend without
-//! touching any query semantics. The choice is also revisable at runtime:
-//! [`DynBackend`] dispatches over both structures
-//! behind one type, [`ShardedServer::migrate_shard`] live-rebuilds a shard
-//! into the other structure mid-stream with bit-identical results, and
-//! `SRB_BACKEND=adaptive` arms the engine's adaptive controller, which
-//! migrates and retunes per shard from observed telemetry at batch
-//! boundaries (DESIGN.md §16).
+//! touching any query semantics. [`DynBackend`] dispatches over both
+//! structures behind one type, picked by `config.backend` when the engine
+//! is built. Each shard's index is built once and rebuilt only by recovery.
 //!
 //! Durability ([`DurabilityConfig`]) is the coordinator's: it logs,
 //! checkpoints and recovers ([`ShardedServer::recover`]) for the shards it
@@ -78,7 +74,6 @@
 #![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-mod adaptive;
 mod bounds;
 mod config;
 mod error;

@@ -40,7 +40,6 @@
 mod persist;
 mod region;
 
-use crate::adaptive::{AdaptAction, AdaptiveController, ShardSignals};
 use crate::config::ServerConfig;
 use crate::error::ServerError;
 use crate::eval::EvalCtx;
@@ -189,12 +188,6 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// The coordinator-owned write-ahead log, when durability is on: one
     /// record per operation. Shards never own a store of their own.
     wal: Option<Box<Wal>>,
-    /// The adaptive backend controller, present exactly when
-    /// `config.backend` is [`BackendConfig::Adaptive`]
-    /// (`srb_index::BackendConfig::Adaptive`). Consulted by
-    /// [`maybe_adapt`](Self::maybe_adapt) at batch boundaries; its decision
-    /// state is checkpointed so recovered runs re-make identical decisions.
-    adaptive: Option<AdaptiveController>,
 }
 
 impl ShardedServer {
@@ -214,19 +207,14 @@ impl ShardedServer {
 
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// Creates a server whose per-shard object indexes use the backend `B`,
-    /// built from `config.backend`. Panics when the config variant does not
-    /// match `B`.
+    /// built once from `config.backend`. Panics when `B` cannot build that
+    /// config variant.
     pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
-        let adaptive = match config.backend {
-            srb_index::BackendConfig::Adaptive(ac) => Some(AdaptiveController::new(ac, shards)),
-            _ => None,
-        };
         let mut server = Self::assemble(
             config,
             ObjectIndex::new(&config.backend, shards, config.space),
             QueryProcessor::new(config.space, config.grid_m),
-            adaptive,
         );
         if let Some(dir) = config.durability.dir {
             server.attach_durability(dir);
@@ -237,12 +225,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// An engine around its durable parts but the timers and the counters,
     /// which start empty (a decoded engine sets its own); everything else
     /// starts fresh.
-    fn assemble(
-        config: ServerConfig,
-        index: ObjectIndex<B>,
-        processor: QueryProcessor,
-        adaptive: Option<AdaptiveController>,
-    ) -> Self {
+    fn assemble(config: ServerConfig, index: ObjectIndex<B>, processor: QueryProcessor) -> Self {
         srb_obs::gauge!("sharded.shards").set(index.shards().len() as u64);
         ShardedServer {
             index,
@@ -252,7 +235,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             work: WorkStats::default(),
             scratch: CoordScratch::default(),
             wal: None,
-            adaptive,
             config,
         }
     }
@@ -656,13 +638,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if let Some((_, first)) = out.get_mut(start) {
             (first.probed, first.changes) = (extra, changes);
         }
-
-        // Adapt inside the batch, before `logged` appends its record: the
-        // controller's decision state (and any migration it makes) must be
-        // inside the state a checkpoint after the record captures, and
-        // replay — which runs this body without a WAL — re-makes the
-        // decision at exactly this point.
-        self.maybe_adapt();
         self.scratch.movers = movers;
         self.scratch.regrants = regrants;
     }
@@ -806,87 +781,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             self.scratch.arena.put_op(op);
         }
         out
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive backend plane
-    // ------------------------------------------------------------------
-
-    /// Runs the adaptive controller at a batch boundary. No-op (one
-    /// `Option` check) unless the engine was built with
-    /// `BackendConfig::Adaptive`. Every ingest call is a batch boundary,
-    /// whatever its size; registrations and deferred-probe drains are
-    /// deliberately excluded so the cadence (and therefore every
-    /// controller decision) is a deterministic function of the logged
-    /// operation stream.
-    ///
-    /// Every signal the controller reads — object count and live
-    /// structure — is part of the per-shard checkpointed state, and this
-    /// runs inside the logged batch, before its record is appended
-    /// ([`batch`](Self::batch)), so recovery replays each decision at
-    /// exactly the batch that originally made it.
-    fn maybe_adapt(&mut self) {
-        let Some(mut ctl) = self.adaptive.take() else { return };
-        if ctl.note_batch() {
-            for i in 0..self.index.shards().len() {
-                let backend = &self.index.shards()[i].backend;
-                let sig = ShardSignals {
-                    len: backend.len(),
-                    kind: backend.kind(),
-                    grid_m: backend.grid_resolution(),
-                };
-                if let Some(action) = ctl.decide(i, sig) {
-                    let migrated = self.index.migrate(i, &ctl.config_for(action));
-                    debug_assert!(migrated, "adaptive engines run DynBackend shards");
-                    match action {
-                        AdaptAction::Migrate(_) => {
-                            srb_obs::counter!("index.adaptive.migrations").inc();
-                        }
-                        AdaptAction::Retune(_) => {
-                            srb_obs::counter!("index.adaptive.retunes").inc();
-                        }
-                    }
-                }
-            }
-        }
-        self.adaptive = Some(ctl);
-    }
-
-    /// Controller-triggered backend migrations so far (0 on non-adaptive
-    /// engines). Deterministic — read this in tests instead of the
-    /// process-global telemetry registry, which parallel tests share.
-    pub fn adaptive_migrations(&self) -> u64 {
-        self.adaptive.as_ref().map_or(0, |c| c.migrations())
-    }
-
-    /// Controller-triggered grid retunes so far (0 on non-adaptive
-    /// engines).
-    pub fn adaptive_retunes(&self) -> u64 {
-        self.adaptive.as_ref().map_or(0, |c| c.retunes())
-    }
-
-    /// Explicitly live-migrates one shard's index to `backend` (see
-    /// [`SpatialBackend::migrate`](srb_index::SpatialBackend::migrate)) —
-    /// the post-recovery escape hatch when a checkpoint's backend no
-    /// longer matches the deployment's wishes,
-    /// and the way to hand-place per-shard backends on a `DynBackend`
-    /// fleet. Semantically a no-op: safe regions, query results, and
-    /// probe behavior are unchanged. Returns `false` when there is no shard
-    /// `shard` or `B` cannot represent `backend`.
-    ///
-    /// With durability attached this forces a coordinator checkpoint:
-    /// explicit migrations are not log records, so the checkpoint, which
-    /// records each shard's live backend config, is what carries the new
-    /// structure across a crash.
-    pub fn migrate_shard(&mut self, shard: usize, backend: &srb_index::BackendConfig) -> bool {
-        if !self.index.migrate(shard, backend) {
-            return false;
-        }
-        srb_obs::counter!("index.adaptive.explicit_migrations").inc();
-        if self.wal.is_some() {
-            self.checkpoint();
-        }
-        true
     }
 
     // ------------------------------------------------------------------
@@ -1797,17 +1691,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The index is derived state. A canonical rebuild of shard 0's tree
-    /// (tree → grid → tree) reshapes it but leaves the digest alone; the
-    /// store that rebuild checkpoints recovers to that digest; and the
-    /// engine and its recovered twin answer the next batches alike.
+    /// The index is derived state. A recovered engine rebuilds every shard
+    /// index from the checkpoint's object table in id order, so its trees
+    /// are shaped unlike the live engine's, which grew them report by
+    /// report; yet it recovers to the live digest, and the engine and its
+    /// recovered twin answer the next batches alike.
     #[test]
     fn index_shape_is_not_state() {
-        use srb_index::{BackendConfig, DynBackend, GridConfig, TreeConfig};
         let (dir, copy) = (temp_dir("shape"), temp_dir("shape-copy"));
         let mut positions = world(40, 11);
         let mut seqs = vec![0u64; positions.len()];
-        let mut engine = ShardedServer::<DynBackend>::with_backend(durable(dir), 2);
+        let mut engine = ShardedServer::new(durable(dir), 2);
         {
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
@@ -1818,7 +1712,7 @@ mod tests {
             engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
             engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 4), &mut provider, 0.0);
         }
-        let mut round = |engines: &mut [&mut ShardedServer<DynBackend>], r: u64| {
+        let mut round = |engines: &mut [&mut ShardedServer], r: u64| {
             step(&mut positions, r);
             let batch = exit_reports(&*engines[0], &positions, &mut seqs);
             let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
@@ -1840,36 +1734,28 @@ mod tests {
         for r in 1..=4 {
             round(&mut [&mut engine], r);
         }
+        // What a shard's shape shows from outside: the order a whole-space
+        // search emits its hits in.
+        let shape = |e: &ShardedServer| -> Vec<Vec<u64>> {
+            let order =
+                |s: &Shard| s.backend.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
+            e.shards().iter().map(order).collect()
+        };
         let digest = engine.state_digest();
-        assert!(engine.migrate_shard(0, &BackendConfig::Grid(GridConfig { m: 16 })));
-        assert!(engine.migrate_shard(0, &BackendConfig::RStar(TreeConfig::default())));
-        assert_eq!(engine.state_digest(), digest, "a rebuilt index is the same state");
+        assert!(engine.checkpoint());
         std::fs::create_dir_all(copy).expect("a fresh directory");
         for (name, bytes) in dir_bytes(dir) {
             std::fs::write(Path::new(copy).join(name), bytes).expect("a store copy");
         }
-        let (mut twin, _) =
-            ShardedServer::<DynBackend>::recover(durable(copy), 2).expect("recovery");
+        let (mut twin, replayed) = ShardedServer::recover(durable(copy), 2).expect("recovery");
+        assert_eq!(replayed, 0, "the twin is the checkpoint's rebuild alone");
+        assert_ne!(shape(&twin), shape(&engine), "the rebuild reshapes the index");
         assert_eq!(twin.state_digest(), digest);
         for r in 5..=8 {
             round(&mut [&mut engine, &mut twin], r);
         }
         let _ = std::fs::remove_dir_all(dir);
         let _ = std::fs::remove_dir_all(copy);
-    }
-
-    /// `migrate_shard` with no such shard refuses, like a backend `B`
-    /// cannot represent, and changes nothing.
-    #[test]
-    fn migrate_shard_refuses_a_shard_out_of_range() {
-        let mut server =
-            ShardedServer::<srb_index::DynBackend>::with_backend(Default::default(), 2);
-        let grid = srb_index::BackendConfig::Grid(Default::default());
-        let digest = server.state_digest();
-        assert!(!server.migrate_shard(2, &grid));
-        assert!(!server.migrate_shard(usize::MAX, &grid));
-        assert_eq!(server.state_digest(), digest);
-        assert!(server.migrate_shard(1, &grid), "a shard in range migrates");
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! or replay a record.
 
 use super::ShardedServer;
-use crate::adaptive::AdaptiveController;
 use crate::config::ServerConfig;
 use crate::error::RecoveryError;
 use crate::index::ObjectIndex;
@@ -14,15 +13,15 @@ use crate::location::Timers;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::wal::{self, Record, ReplayProvider, Wal};
-use srb_durable::codec::{put_u64, put_u8, put_usize};
+use srb_durable::codec::{put_u64, put_usize};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 /// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue, one object table, shards holding nothing but
-/// their backend config, and no index structure ("SRBFLT" + version). See
-/// `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0006;
+/// plane, one timer queue, one object table and nothing per shard — every
+/// shard index is rebuilt from `config.backend` and the table ("SRBFLT" +
+/// version). See `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0007;
 
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// Creates a durability store in `dir` and attaches a fresh coordinator
@@ -41,9 +40,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// log generation by generation, and reattaches the WAL. `shards` must
     /// match the crashed instance's shard count, which the checkpoint
     /// records. Returns the server and the number of replayed operations.
+    /// A backend type `B` that cannot build `config.backend` is refused
+    /// before the store is opened.
     pub fn recover(config: ServerConfig, shards: usize) -> Result<(Self, usize), RecoveryError> {
         let d = config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
+        if !B::builds(&config.backend) {
+            let (configured, recovering) = (config.backend.label(), B::label());
+            return Err(RecoveryError::BackendMismatch { configured, recovering });
+        }
         let rec = srb_durable::Store::recover(Path::new(dir), d.group_ops)?;
         let mut server = Self::decode_state(&config, shards, &rec.payload)?;
         let records: Vec<_> = rec.generations.iter().flat_map(|g| &g.records).collect();
@@ -126,10 +131,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Serializes the complete engine state: config fingerprint, shard
-    /// count, layout tag, counters, the object table and every shard's
-    /// backend config, the timers in queue order, the controller, and the
-    /// query plane. Scratch buffers and telemetry handles carry no state
-    /// and are excluded.
+    /// count, layout tag, counters, the object table, the timers in queue
+    /// order and the query plane. Scratch buffers and telemetry handles
+    /// carry no state and are excluded.
     fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_usize(out, self.index.shards().len());
@@ -139,13 +143,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.work.encode(out);
         self.index.encode_state(out);
         self.timers.encode_state(out);
-        match &self.adaptive {
-            None => put_u8(out, 0),
-            Some(ctl) => {
-                put_u8(out, 1);
-                ctl.encode_state(out);
-            }
-        }
         self.processor.encode_state(out);
     }
 
@@ -169,33 +166,19 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // timers of their own (version 2), slots that still carried reuse
         // generations (version 3), shards that carried their index structure
         // (version 4), an owner map beside per-shard object tables and
-        // counters (version 5) — holds a counter or an earlier version:
-        // refused here, never misread.
+        // counters (version 5), each shard's backend config and the
+        // adaptive controller's state (version 6) — holds a counter or an
+        // earlier version: refused here, never misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
         let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
         let work = WorkStats::decode(&mut dec)?;
-        let index = ObjectIndex::decode_state(&mut dec, shards, config.space)?;
+        let index = ObjectIndex::decode_state(&mut dec, &config.backend, shards, config.space)?;
         let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
-        // The controller tag must agree with the config (whose fingerprint
-        // was already checked): adaptive engines always checkpoint their
-        // decision state, non-adaptive engines never do.
-        let adaptive = match (dec.u8()?, config.backend) {
-            (0, srb_index::BackendConfig::Adaptive(_))
-            | (1, srb_index::BackendConfig::RStar(_))
-            | (1, srb_index::BackendConfig::Grid(_)) => {
-                return Err(RecoveryError::Corrupt("controller tag disagrees with config"))
-            }
-            (0, _) => None,
-            (1, srb_index::BackendConfig::Adaptive(ac)) => {
-                Some(AdaptiveController::decode_state(ac, shards, &mut dec)?)
-            }
-            _ => return Err(RecoveryError::Corrupt("bad controller tag")),
-        };
         let processor = QueryProcessor::decode_state(&mut dec)?;
         dec.finish()?;
-        let server = Self::assemble(*config, index, processor, adaptive);
+        let server = Self::assemble(*config, index, processor);
         Ok(Self { timers, costs, work, ..server })
     }
 
@@ -315,10 +298,11 @@ mod tests {
     /// each carrying a query processor; 2, shards keeping timers of their
     /// own; 3, a reuse generation per object slot and per query slot; 4,
     /// each shard's index structure written verbatim; 5, an owner map and
-    /// each shard's object table and counters.
+    /// each shard's object table and counters; 6, each shard's backend
+    /// config and the adaptive controller's state.
     fn older(version: u64, shards: usize) -> Vec<u8> {
         let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 6 + version);
+        put_u64(&mut payload, FLEET_LAYOUT - 7 + version);
         put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
         payload
     }
@@ -333,7 +317,7 @@ mod tests {
         WorkStats::default().encode(&mut replicas);
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
         refused(2, &replicas);
-        for version in 1..=5 {
+        for version in 1..=6 {
             refused(2, &older(version, 2));
         }
         // The current layout round-trips.
@@ -351,8 +335,9 @@ mod tests {
     /// spec per query slot, the shard's state with its own query processor),
     /// or from when the shard kept its own timers (version 2), slots kept
     /// reuse generations (version 3), shards wrote their index structure
-    /// (version 4) or their own object tables beside an owner map (version
-    /// 5), gets the same typed refusal.
+    /// (version 4), their own object tables beside an owner map (version
+    /// 5) or their backend configs beside the controller (version 6), gets
+    /// the same typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -360,9 +345,9 @@ mod tests {
         put_usize(&mut legacy, 0); // owner map
         put_usize(&mut legacy, 0); // query slots
         put_usize(&mut legacy, 0); // the always-empty list
-        put_u8(&mut legacy, 0); // no controller; the shard's state …
+        legacy.push(0); // no controller; the shard's state …
         refused(1, &legacy);
-        for version in 2..=5 {
+        for version in 2..=6 {
             refused(1, &older(version, 1));
         }
         // The current layout is the one layout: one shard round-trips too.

@@ -169,8 +169,8 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// sync policy, directory, or checkpoint cadence freely.
 pub(crate) fn config_fingerprint(cfg: &crate::config::ServerConfig) -> u64 {
     let s = format!(
-        "{:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        cfg.space, cfg.grid_m, cfg.max_speed, cfg.steadiness, cfg.backend, cfg.cost, cfg.lease
+        "{:?}|{}|{:?}|{:?}|{:?}|{:?}",
+        cfg.space, cfg.grid_m, cfg.max_speed, cfg.steadiness, cfg.backend, cfg.lease
     );
     fnv1a64(s.as_bytes())
 }

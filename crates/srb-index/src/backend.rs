@@ -45,13 +45,7 @@ impl Visits {
     }
 }
 
-/// The concrete index structure a backend instance is running right now.
-///
-/// [`BackendConfig`] selects a *policy* (which may be adaptive);
-/// `BackendKind` names the *mechanism* currently holding the entries. A
-/// checkpoint records it ahead of each shard's structure parameters so
-/// recovery can refuse a silent backend mismatch, and the adaptive
-/// controller uses it as the migration state variable.
+/// An index structure: what [`AdaptiveConfig::initial`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// An [`RStarTree`](crate::RStarTree).
@@ -60,71 +54,19 @@ pub enum BackendKind {
     Grid,
 }
 
-impl BackendKind {
-    /// Short label for logs, errors, and JSON rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::RStar => "rstar",
-            BackendKind::Grid => "grid",
-        }
-    }
-
-    /// One-byte wire tag for checkpoint headers.
-    pub fn tag(self) -> u8 {
-        match self {
-            BackendKind::RStar => 0,
-            BackendKind::Grid => 1,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag).
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(BackendKind::RStar),
-            1 => Some(BackendKind::Grid),
-            _ => None,
-        }
-    }
-}
-
-/// Parameters of the adaptive backend plane: the per-kind build configs a
-/// [`DynBackend`](crate::DynBackend) migrates between, and the thresholds
-/// the `AdaptiveController` (srb-core) applies at batch boundaries.
+/// The build parameters of a [`DynBackend`](crate::DynBackend): the
+/// structure it starts as and the parameters of either structure.
 ///
 /// The whole struct feeds the durable config fingerprint via its `Debug`
-/// form, so changing any threshold invalidates old checkpoints — which is
-/// required for determinism: controller decisions replay from the log, and
-/// must be made under the thresholds that produced the log.
+/// form, so a recovery under other parameters is refused.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Build parameters used whenever a shard runs (or migrates to) the
-    /// R\*-tree.
+    /// Build parameters when `initial` is the R\*-tree.
     pub rstar: TreeConfig,
-    /// Build parameters used whenever a shard runs (or migrates to) the
-    /// grid; `grid.m` is only the *initial* resolution — the controller
-    /// retunes it from live density.
+    /// Build parameters when `initial` is the grid.
     pub grid: GridConfig,
-    /// The kind every shard starts on.
+    /// The structure every shard is built as.
     pub initial: BackendKind,
-    /// Controller cadence: examine counters every this many batches
-    /// (per coordinator, not per shard). Must be ≥ 1.
-    pub decision_every: u32,
-    /// A shard holding more objects than this votes for the grid (dense
-    /// populations amortize cell scans, as the retired `backend` bench
-    /// measured once at commit 7e9cc47).
-    pub dense_above: usize,
-    /// A shard holding fewer objects than this votes for the tree (sparse
-    /// populations make ring scans touch mostly empty cells).
-    pub sparse_below: usize,
-    /// Hysteresis: a shard must vote for the *same* other kind this many
-    /// consecutive decisions before the controller migrates it.
-    pub confirm: u32,
-    /// Grid retune target: ideal resolution is chosen so the average
-    /// occupied cell holds about this many objects.
-    pub target_per_cell: f64,
-    /// Grid retune deadband: only resize when the ideal resolution differs
-    /// from the current one by more than this fraction of the current.
-    pub retune_ratio: f64,
 }
 
 impl Default for AdaptiveConfig {
@@ -133,23 +75,6 @@ impl Default for AdaptiveConfig {
             rstar: TreeConfig::default(),
             grid: GridConfig::default(),
             initial: BackendKind::RStar,
-            decision_every: 8,
-            dense_above: 6000,
-            sparse_below: 1500,
-            confirm: 2,
-            target_per_cell: 4.0,
-            retune_ratio: 0.5,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// The [`BackendConfig`] that builds a backend of `kind` under this
-    /// adaptive policy's per-kind parameters.
-    pub fn config_for(&self, kind: BackendKind) -> BackendConfig {
-        match kind {
-            BackendKind::RStar => BackendConfig::RStar(self.rstar),
-            BackendKind::Grid => BackendConfig::Grid(self.grid),
         }
     }
 }
@@ -165,9 +90,9 @@ pub enum BackendConfig {
     RStar(TreeConfig),
     /// The uniform-grid backend (cell-bucketed safe regions).
     Grid(GridConfig),
-    /// The runtime-dispatched adaptive plane: each shard holds a
-    /// [`DynBackend`](crate::DynBackend) and the controller may migrate it
-    /// between kinds or retune the grid resolution at batch boundaries.
+    /// A [`DynBackend`](crate::DynBackend) built as
+    /// [`AdaptiveConfig::initial`]: the structure is a runtime value, not a
+    /// type parameter.
     Adaptive(AdaptiveConfig),
 }
 
@@ -188,9 +113,8 @@ impl BackendConfig {
     }
 
     /// Reads the backend from the `SRB_BACKEND` environment variable:
-    /// `grid` selects [`UniformGrid`](crate::UniformGrid) defaults,
-    /// `adaptive` the runtime-dispatched adaptive plane, `rstar` (or
-    /// unset) the R\*-tree defaults. Any other value is a typed
+    /// `grid` selects [`UniformGrid`](crate::UniformGrid) defaults, `rstar`
+    /// (or unset) the R\*-tree defaults. Any other value is a typed
     /// [`ConfigError::UnknownBackend`] — a typo must not silently run the
     /// wrong experiment.
     pub(crate) fn try_from_env() -> Result<Self, ConfigError> {
@@ -198,9 +122,6 @@ impl BackendConfig {
             Err(_) => Ok(BackendConfig::default()),
             Ok(v) if v.eq_ignore_ascii_case("grid") => {
                 Ok(BackendConfig::Grid(GridConfig::default()))
-            }
-            Ok(v) if v.eq_ignore_ascii_case("adaptive") => {
-                Ok(BackendConfig::Adaptive(AdaptiveConfig::default()))
             }
             Ok(v) if v.eq_ignore_ascii_case("rstar") || v.is_empty() => {
                 Ok(BackendConfig::default())
@@ -210,19 +131,6 @@ impl BackendConfig {
             // process (env parsing at startup), so the leak is bounded.
             Ok(v) => Err(ConfigError::UnknownBackend { value: Box::leak(v.into_boxed_str()) }),
         }
-    }
-
-    /// `self` when it is a concrete config that builds a backend: an
-    /// `RStar` or `Grid` config passing the checks `RStarTree::new` and
-    /// `UniformGrid::new` would panic on. A checkpoint's shard config is
-    /// read through this, so a damaged one is refused, never built.
-    pub fn checked(self) -> Option<Self> {
-        let valid = match self {
-            BackendConfig::RStar(cfg) => cfg.try_validated().is_ok(),
-            BackendConfig::Grid(cfg) => cfg.try_validated().is_ok(),
-            BackendConfig::Adaptive(_) => false,
-        };
-        valid.then_some(self)
     }
 
     /// Like `try_from_env` but panics on an unknown
@@ -254,10 +162,17 @@ pub trait SpatialBackend {
         Self: 'a;
 
     /// Builds an empty backend over `space` from the matching
-    /// [`BackendConfig`] variant. Panics on a mismatched variant: silently
-    /// running an experiment against the wrong backend parameters would be
-    /// worse than failing.
+    /// [`BackendConfig`] variant. Panics on a variant
+    /// [`builds`](Self::builds) refuses: silently running an experiment
+    /// against the wrong backend parameters would be worse than failing.
     fn build(config: &BackendConfig, space: Rect) -> Self
+    where
+        Self: Sized;
+
+    /// Whether [`build`](Self::build) accepts `config`'s variant. Recovery
+    /// asks this before it builds anything, so a backend type that cannot
+    /// run the configured backend gets a typed refusal, not a panic.
+    fn builds(config: &BackendConfig) -> bool
     where
         Self: Sized;
 
@@ -267,9 +182,9 @@ pub trait SpatialBackend {
         Self: Sized;
 
     /// Builds a backend from `config` over `space` holding `entries`,
-    /// inserted in ascending id order: the one way an index is rebuilt, by
-    /// a migration and by recovery alike, so the result is a function of
-    /// the entry *set* and never of the history that produced it.
+    /// inserted in ascending id order: the way recovery rebuilds an index,
+    /// so the result is a function of the entry *set* and never of the
+    /// history that produced it.
     fn build_from(config: &BackendConfig, space: Rect, mut entries: Vec<(EntryId, Rect)>) -> Self
     where
         Self: Sized,
@@ -280,48 +195,6 @@ pub trait SpatialBackend {
             fresh.insert(id, rect);
         }
         fresh
-    }
-
-    /// The concrete config of the structure live right now — an `RStar`
-    /// config for a tree, a `Grid` config for a grid, never `Adaptive`.
-    /// For the monomorphized backends this is their build config; for
-    /// [`DynBackend`](crate::DynBackend) it changes across migrations. A
-    /// checkpoint records it, and recovery rebuilds the index from it.
-    fn live_config(&self) -> BackendConfig;
-
-    /// The concrete index structure currently holding the entries.
-    fn kind(&self) -> BackendKind {
-        match self.live_config() {
-            BackendConfig::RStar(_) => BackendKind::RStar,
-            BackendConfig::Grid(_) => BackendKind::Grid,
-            BackendConfig::Adaptive(_) => unreachable!("a live config is concrete"),
-        }
-    }
-
-    /// Whether a checkpoint recorded under `kind` can be recovered into
-    /// this backend type. Recovery checks this before it builds anything,
-    /// so a type/checkpoint mismatch yields a typed refusal.
-    fn accepts_kind(kind: BackendKind) -> bool
-    where
-        Self: Sized;
-
-    /// Rebuilds the index in place under a new [`BackendConfig`] (a *live
-    /// migration*), preserving every entry. Returns `false` when the
-    /// backend cannot represent the requested config — the monomorphized
-    /// backends refuse everything; only [`DynBackend`](crate::DynBackend)
-    /// migrates.
-    fn migrate(&mut self, config: &BackendConfig) -> bool {
-        let _ = config;
-        false
-    }
-
-    /// The current grid resolution `m`, when the live structure is a grid.
-    /// The adaptive controller reads this to decide retunes.
-    fn grid_resolution(&self) -> Option<usize> {
-        match self.live_config() {
-            BackendConfig::Grid(cfg) => Some(cfg.m),
-            _ => None,
-        }
     }
 
     /// Number of entries stored.
@@ -355,12 +228,6 @@ pub trait SpatialBackend {
         self.search(query, &mut |e| out.push(*e));
         out
     }
-
-    /// Visits every stored entry (backend-specific order) without touching
-    /// the visit counter. This is the migration sweep: unlike a
-    /// whole-space `search`, it also reaches entries whose rectangles lie
-    /// outside the indexed space (the grid clamps those into edge cells).
-    fn for_each_entry(&self, f: &mut dyn FnMut(EntryId, Rect));
 
     /// Starts a best-first browse from `q`, allocating a fresh frontier.
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_>;
@@ -490,12 +357,8 @@ impl SpatialBackend for RStarTree {
         "rstar"
     }
 
-    fn live_config(&self) -> BackendConfig {
-        BackendConfig::RStar(self.config())
-    }
-
-    fn accepts_kind(kind: BackendKind) -> bool {
-        kind == BackendKind::RStar
+    fn builds(config: &BackendConfig) -> bool {
+        matches!(config, BackendConfig::RStar(_))
     }
 
     fn len(&self) -> usize {
@@ -520,12 +383,6 @@ impl SpatialBackend for RStarTree {
 
     fn search(&self, query: &Rect, f: &mut dyn FnMut(&LeafEntry)) {
         RStarTree::search(self, query, |e| f(e));
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(EntryId, Rect)) {
-        for e in RStarTree::iter(self) {
-            f(e.id, e.rect);
-        }
     }
 
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_> {

@@ -23,7 +23,7 @@
 //! expected safe-region side (see DESIGN.md §13 for the rule and measured
 //! tradeoffs).
 
-use crate::backend::{BackendConfig, BackendKind, HeapItem, HeapKind, NearestScratch, Visits};
+use crate::backend::{BackendConfig, HeapItem, HeapKind, NearestScratch, Visits};
 use crate::UpdateOutcome;
 use crate::{ConfigError, EntryId, LeafEntry, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
@@ -256,11 +256,6 @@ impl UniformGrid {
         srb_obs::histogram!("index.search.visits").record(cells);
     }
 
-    /// Iterates over all entries (arbitrary order, each exactly once).
-    pub(crate) fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
-        self.rects.iter().map(|(&id, &rect)| LeafEntry { id, rect })
-    }
-
     /// Incremental best-first browsing of entries by ascending
     /// `(δ(q, rect), id)` via Chebyshev ring expansion around `q`'s cell.
     pub(crate) fn nearest_iter(&self, q: Point) -> GridNearest<'_> {
@@ -342,12 +337,8 @@ impl SpatialBackend for UniformGrid {
         "grid"
     }
 
-    fn live_config(&self) -> BackendConfig {
-        BackendConfig::Grid(GridConfig { m: self.m })
-    }
-
-    fn accepts_kind(kind: BackendKind) -> bool {
-        kind == BackendKind::Grid
+    fn builds(config: &BackendConfig) -> bool {
+        matches!(config, BackendConfig::Grid(_))
     }
 
     fn len(&self) -> usize {
@@ -372,12 +363,6 @@ impl SpatialBackend for UniformGrid {
 
     fn search(&self, query: &Rect, f: &mut dyn FnMut(&LeafEntry)) {
         UniformGrid::search(self, query, |e| f(e));
-    }
-
-    fn for_each_entry(&self, f: &mut dyn FnMut(EntryId, Rect)) {
-        for e in UniformGrid::iter(self) {
-            f(e.id, e.rect);
-        }
     }
 
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_> {

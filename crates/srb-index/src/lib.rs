@@ -175,7 +175,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnknownBackend { value } => write!(
                 f,
                 "SRB_BACKEND={value:?} is not a known backend \
-                 (use \"rstar\", \"grid\", or \"adaptive\")"
+                 (use \"rstar\" or \"grid\")"
             ),
         }
     }
@@ -254,11 +254,6 @@ impl RStarTree {
     /// True when no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// The configuration the tree was built with.
-    pub(crate) fn config(&self) -> TreeConfig {
-        self.config
     }
 
     /// Height of the tree (1 for a single leaf root).
@@ -679,6 +674,7 @@ impl RStarTree {
     }
 
     /// Iterates over all entries (arbitrary order).
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
         AllEntries::new(self)
     }
@@ -805,12 +801,14 @@ fn vacates(old: &Rect, new: &Rect, mbr: &Rect) -> bool {
     (0..4).any(|i| old[i] == mbr[i] && new[i] != mbr[i])
 }
 
+#[cfg(test)]
 struct AllEntries<'a> {
     tree: &'a RStarTree,
     stack: Vec<NodeId>,
     buf: Vec<LeafEntry>,
 }
 
+#[cfg(test)]
 impl<'a> AllEntries<'a> {
     fn new(tree: &'a RStarTree) -> Self {
         let stack = if tree.len > 0 { vec![tree.root] } else { Vec::new() };
@@ -818,6 +816,7 @@ impl<'a> AllEntries<'a> {
     }
 }
 
+#[cfg(test)]
 impl Iterator for AllEntries<'_> {
     type Item = LeafEntry;
 

@@ -84,9 +84,7 @@ pub struct SimConfig {
     pub timeline: Option<&'static str>,
     /// Durability plane of the SRB server (write-ahead log +
     /// checkpoints). Off by default so the paper's in-memory semantics
-    /// run with zero logging overhead;
-    /// [`paper_defaults`](Self::paper_defaults) reads `SRB_DURABLE=1` /
-    /// `SRB_DURABLE_DIR` from the environment.
+    /// run with zero logging overhead; set `durable.dir` to run durable.
     pub durable: DurabilityConfig,
 }
 
@@ -119,7 +117,7 @@ impl SimConfig {
             shards: 1,
             backend: BackendConfig::from_env(),
             timeline: None,
-            durable: DurabilityConfig::from_env(),
+            durable: DurabilityConfig::default(),
         }
     }
 
@@ -171,8 +169,6 @@ mod tests {
         if std::env::var("SRB_BACKEND").is_err() {
             assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
         }
-        if std::env::var("SRB_DURABLE").is_err() {
-            assert!(c.durable.dir.is_none(), "durability is off unless SRB_DURABLE=1");
-        }
+        assert!(c.durable.dir.is_none(), "durability is off by default");
     }
 }

@@ -76,7 +76,6 @@ pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
         grid_m: cfg.grid_m,
         max_speed: cfg.reachability.then(|| cfg.max_speed()),
         steadiness: cfg.steadiness,
-        cost: cfg.cost,
         lease: cfg.lease,
         backend: cfg.backend,
         durability: cfg.durable,

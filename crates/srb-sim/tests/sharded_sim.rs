@@ -72,6 +72,31 @@ fn delayed_fleet_reads_the_one_shard_counts() {
     fleets_read_the_one_shard_counts(SimConfig { delay: 0.05, ..cfg(1) });
 }
 
+/// The simulation with a write-ahead log under the server, at 1 and 2
+/// shards: logging changes nothing the protocol sees. Each run logs into a
+/// directory of its own, so the test runs beside every other.
+#[test]
+fn durable_sim_reads_the_in_memory_counts() {
+    for shards in [1, 2] {
+        let dir = std::env::temp_dir()
+            .join(format!("srb-sim-durable-{}-{shards}", std::process::id()))
+            .to_string_lossy()
+            .into_owned();
+        let _ = std::fs::remove_dir_all(&dir);
+        let plain = run_srb(&cfg(shards));
+        let mut durable = cfg(shards);
+        durable.durable.dir = Some(Box::leak(dir.clone().into_boxed_str()));
+        let logged = run_srb(&durable);
+        assert_eq!(logged.accuracy, 1.0, "{shards} shard(s): τ=0 durable run is exact");
+        assert_eq!(logged.uplinks, plain.uplinks, "{shards} shard(s): uplinks");
+        assert_eq!(logged.probes, plain.probes, "{shards} shard(s): probes");
+        assert_eq!(logged.comm_cost, plain.comm_cost, "{shards} shard(s): comm_cost");
+        let files = std::path::Path::new(&dir).read_dir().map(|d| d.count()).unwrap_or(0);
+        assert!(files > 0, "{shards} shard(s): the run logged into its store");
+        std::fs::remove_dir_all(&dir).expect("the run's store");
+    }
+}
+
 #[test]
 fn sharded_sim_is_deterministic_in_the_seed() {
     let a = run_srb(&cfg(2));

@@ -7,7 +7,9 @@
 //! cargo run --release --example fleet_geofencing
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
+use srb::core::{
+    CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer,
+};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -111,7 +113,7 @@ fn main() {
         "messages: {} updates + {} probes = cost {:.0}",
         costs.source_updates,
         costs.probes,
-        costs.total(&server.config().cost)
+        costs.total(&CostModel::default())
     );
     println!(
         "naive polling at the same fidelity would send {naive_updates} updates ({:.0}x more)",

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
+use srb::core::{CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
 use srb::geom::{Point, Rect};
 
 fn main() {
@@ -89,6 +89,6 @@ fn main() {
         "communication: {} source updates, {} probes (cost {:.1})",
         costs.source_updates,
         costs.probes,
-        costs.total(&server.config().cost)
+        costs.total(&CostModel::default())
     );
 }

@@ -141,10 +141,9 @@ pub fn assert_exact(
 pub enum Backend {
     RStar,
     Grid,
-    /// `DynBackend`, its shards migrated by `migrate_shard` in the stream.
-    Flip,
-    /// `DynBackend` under an eager `AdaptiveController`.
-    Adaptive,
+    /// `DynBackend` under `BackendConfig::Adaptive(AdaptiveConfig::default())`:
+    /// the R\*-tree behind the runtime dispatch.
+    Dyn,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -200,7 +199,7 @@ impl Config {
         };
         Config {
             shards: rng.pick(&[1, 2, 4, 8]),
-            backend: rng.pick(&[RStar, Grid, Flip, Adaptive]),
+            backend: rng.pick(&[RStar, Grid, Dyn]),
             durability,
             enhancement: rng.pick(&[Plain, Reachability, Steadiness, Lease]),
             grid_m: rng.pick(&[5, 10, 50, 100]),
@@ -211,19 +210,12 @@ impl Config {
     /// The point's engine configuration, WAL aside. `v` bounds the speed of
     /// every object, as §6.1 requires.
     fn server_config(&self, v: f64) -> ServerConfig {
-        let eager = AdaptiveConfig {
-            decision_every: 1,
-            confirm: 1,
-            dense_above: 6,
-            sparse_below: 2,
-            ..Default::default()
-        };
         ServerConfig {
             grid_m: self.grid_m,
             backend: match self.backend {
-                Backend::RStar | Backend::Flip => BackendConfig::default(),
+                Backend::RStar => BackendConfig::default(),
                 Backend::Grid => BackendConfig::Grid(GridConfig::default()),
-                Backend::Adaptive => BackendConfig::Adaptive(eager),
+                Backend::Dyn => BackendConfig::Adaptive(AdaptiveConfig::default()),
             },
             max_speed: (self.enhancement == Enhancement::Reachability).then_some(v),
             steadiness: (self.enhancement == Enhancement::Steadiness).then_some(0.5),
@@ -254,7 +246,7 @@ pub fn check(p: Config, seed: u64) {
     match p.backend {
         Backend::RStar => run::<RStarTree>(&p, seed),
         Backend::Grid => run::<UniformGrid>(&p, seed),
-        Backend::Flip | Backend::Adaptive => run::<DynBackend>(&p, seed),
+        Backend::Dyn => run::<DynBackend>(&p, seed),
     }
 }
 
@@ -301,9 +293,6 @@ enum Call {
     Deregister(QueryId),
     Ingest(Vec<SequencedUpdate>),
     Deferred,
-    /// Migrates a shard to the grid at the given resolution, or to the
-    /// R\*-tree (`None`).
-    Flip(usize, Option<usize>),
     /// Sync, drop, recover; a no-op without a WAL.
     Restart,
 }
@@ -388,10 +377,6 @@ fn apply<B: SpatialBackend>(
         Call::Deferred => {
             e.process_deferred(&mut probe, now);
         }
-        Call::Flip(shard, to) => {
-            let to = to.map_or(BackendConfig::default(), |m| BackendConfig::Grid(GridConfig { m }));
-            assert!(e.migrate_shard(*shard, &to), "a DynBackend shard migrates");
-        }
         Call::Restart => {}
     }
     None
@@ -424,8 +409,6 @@ impl<B: SpatialBackend> Gen<B> {
                 batch.sort_by_key(|u| u.id);
                 Call::Ingest(batch)
             }
-            // The reference neither migrates nor restarts.
-            Call::Flip(..) | Call::Restart => Call::Restart,
             other => other.clone(),
         };
         let ref_id = apply(&mut self.reference, &in_id_order, at, self.now);
@@ -635,11 +618,6 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
                 g.alive[i] = false;
                 g.call(Call::Remove(ObjectId(i as u32)));
             }
-            2 if p.backend == Backend::Flip => {
-                let to = g.rng.pick(&[None, Some(4), Some(16), Some(64)]);
-                let shard = g.rng.below(p.shards);
-                g.call(Call::Flip(shard, to));
-            }
             3 if p.durability == Durability::Restart => {
                 g.call(Call::Restart);
             }
@@ -731,7 +709,8 @@ fn check_instant<B: SpatialBackend>(p: &Config, e: &ShardedServer<B>, i: &Instan
     let want = &i.reference;
     assert_eq!(got.results, want.results, "{what}: results against the reference");
     assert_eq!(got.costs, want.costs, "{what}: costs against the reference");
-    if p.backend == Backend::RStar {
+    // `Dyn` runs the R*-tree too: the dispatch must not show.
+    if p.backend != Backend::Grid {
         assert_eq!(&got, want, "{what}: against the reference");
     }
 }

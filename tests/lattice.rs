@@ -18,8 +18,8 @@ use common::Enhancement::{self, *};
 use common::{check, point, populate, Config, Rng, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
-    AdaptiveConfig, BackendConfig, BackendKind, DynBackend, FnProvider, GridConfig, ObjectId,
-    QuerySpec, RStarTree, RecoveryError, SequencedUpdate, ServerConfig, ShardedServer,
+    BackendConfig, DynBackend, FnProvider, GridConfig, ObjectId, QuerySpec, RStarTree,
+    RecoveryError, SequencedUpdate, ServerConfig, ShardedServer, UniformGrid,
 };
 use srb::geom::{Point, Rect};
 use srb_cases::{cases, Seeds};
@@ -43,21 +43,21 @@ const CROSS_SECTION: &[(Config, u64)] = &[
     (P, 1),
     (Config { shards: 2, delivery: PerCall, ..P }, 2),
     (Config { shards: 4, backend: Grid, grid_m: 5, ..P }, 3),
-    (Config { shards: 8, backend: Flip, grid_m: 100, ..P }, 4),
-    (Config { shards: 2, backend: Adaptive, grid_m: 50, ..P }, 5),
+    (Config { shards: 8, backend: Dyn, grid_m: 100, ..P }, 4),
+    (Config { shards: 2, backend: Dyn, grid_m: 50, ..P }, 5),
     (Config { shards: 4, durability: Restart, ..P }, 6),
     (Config { shards: 2, durability: Restart, delivery: PerCall, ..P }, 7),
-    (Config { shards: 8, backend: Adaptive, durability: Restart, ..P }, 8),
+    (Config { shards: 8, backend: Dyn, durability: Restart, ..P }, 8),
     (Config { shards: 2, durability: Crash(LogPreSync, 0), ..P }, 9),
     (Config { backend: Grid, durability: Crash(CkptPostRename, 1), ..P }, 10),
-    (Config { shards: 2, backend: Flip, durability: Crash(CkptPrune, 3), ..P }, 11),
+    (Config { shards: 2, backend: Dyn, durability: Crash(CkptPrune, 3), ..P }, 11),
     (Config { enhancement: Lease, durability: Crash(CkptLogUnsynced, 0), ..P }, 12),
     (Config { shards: 2, enhancement: Reachability, ..P }, 13),
     (Config { shards: 4, enhancement: Reachability, delivery: PerCall, ..P }, 14),
     (Config { shards: 4, enhancement: Steadiness, delivery: PerCall, ..P }, 15),
     (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
     (Config { shards: 2, enhancement: Lease, durability: Restart, ..P }, 17),
-    (Config { shards: 8, backend: Flip, enhancement: Lease, delivery: PerCall, ..P }, 18),
+    (Config { shards: 8, backend: Dyn, enhancement: Lease, delivery: PerCall, ..P }, 18),
 ];
 
 #[test]
@@ -67,7 +67,7 @@ fn lattice_cross_section() {
     }
 }
 
-const BACKENDS: [Backend; 4] = [RStar, Grid, Flip, Adaptive];
+const BACKENDS: [Backend; 3] = [RStar, Grid, Dyn];
 const ENHANCEMENTS: [Enhancement; 4] = [Plain, Reachability, Steadiness, Lease];
 const DELIVERIES: [Delivery; 2] = [Batch, PerCall];
 
@@ -133,91 +133,33 @@ fn lattice_full() {
 // What the lattice does not cover
 // ---------------------------------------------------------------------
 
-/// An eager controller on three shards of ~16 objects: every shard is
-/// dense, so the tree shards migrate to the grid on the first decision,
-/// and a grid hand-placed at the default resolution (64 per axis, far from
-/// the ideal for 16 objects) is retuned. The controller runs inside each
-/// logged batch, so a restart re-makes every decision from the log.
-#[test]
-fn adaptive_controller_migrates_retunes_and_replays() {
-    let store = Store::new();
-    let eager = AdaptiveConfig {
-        decision_every: 1,
-        confirm: 1,
-        dense_above: 4,
-        sparse_below: 2,
-        ..Default::default()
-    };
-    let base =
-        ServerConfig { grid_m: 10, backend: BackendConfig::Adaptive(eager), ..Default::default() };
-    let cfg = store.config(base);
-    let mut rng = Rng(0xfeed);
-    let mut at: Vec<Point> = (0..48).map(|_| point(&mut rng)).collect();
-    let mut e = ShardedServer::<DynBackend>::with_backend(cfg, 3);
-    {
-        let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
-        for (i, &p) in at.iter().enumerate() {
-            e.add_object(ObjectId(i as u32), p, &mut probe, 0.0).expect("a fresh id");
-        }
-        let rect = Rect::centered(Point::new(0.5, 0.5), 0.25, 0.25);
-        e.register_query(QuerySpec::range(rect), &mut probe, 0.0);
-    }
-    assert!(e.migrate_shard(1, &BackendConfig::Grid(GridConfig::default())));
-    for seq in 1..=6 {
-        let batch: Vec<SequencedUpdate> = (0..at.len())
-            .map(|i| {
-                let p = at[i];
-                at[i] =
-                    Point::new((p.x + 0.1 * rng.unit()).fract(), (p.y + 0.1 * rng.unit()).fract());
-                SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq }
-            })
-            .collect();
-        let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
-        e.handle_sequenced_updates_into(&batch, &mut probe, seq as f64 * 0.1, &mut Vec::new());
-    }
-    let counts = (e.adaptive_migrations(), e.adaptive_retunes());
-    assert!(counts.0 >= 2 && counts.1 >= 1, "(migrations, retunes) = {counts:?}");
-    let digest = e.state_digest();
-    e.sync_wal();
-    drop(e);
-    let (e, _) = ShardedServer::<DynBackend>::recover(cfg, 3).expect("a synced store recovers");
-    assert_eq!(
-        (e.state_digest(), e.adaptive_migrations(), e.adaptive_retunes()),
-        (digest, counts.0, counts.1)
-    );
-}
-
-/// Recovery refuses a checkpoint whose shard backend the recovering engine
-/// cannot hold, and a `DynBackend` engine holds every kind and can migrate
-/// back. The kind tags the refusal names round-trip.
+/// Recovery under a backend type that cannot build the configured backend
+/// is a typed refusal, not a panic: a store a grid engine wrote, recovered
+/// as an R\*-tree engine. A `DynBackend` engine builds every backend, and
+/// the store recovers into it.
 #[test]
 fn recovery_refuses_backend_kind_mismatch() {
-    for kind in [BackendKind::RStar, BackendKind::Grid] {
-        assert_eq!(BackendKind::from_tag(kind.tag()), Some(kind));
-    }
-    assert_eq!(BackendKind::from_tag(9), None);
-
     let store = Store::new();
-    let cfg = store.config(ServerConfig { grid_m: 10, ..Default::default() });
+    let grid = BackendConfig::Grid(GridConfig::default());
+    let cfg = store.config(ServerConfig { grid_m: 10, backend: grid, ..Default::default() });
     let mut rng = Rng(0xabcd);
     let at: Vec<Point> = (0..8).map(|_| point(&mut rng)).collect();
-    {
-        let mut e = ShardedServer::<DynBackend>::with_backend(cfg, 2);
+    let digest = {
+        let mut e = ShardedServer::<UniformGrid>::with_backend(cfg, 2);
         let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &p) in at.iter().enumerate() {
             e.add_object(ObjectId(i as u32), p, &mut probe, 0.0).expect("a fresh id");
         }
-        // The checkpoint a migration forces stamps shard 0 as a grid.
-        assert!(e.migrate_shard(0, &BackendConfig::Grid(GridConfig::default())));
         e.sync_wal();
-    }
+        e.state_digest()
+    };
     match ShardedServer::<RStarTree>::recover(cfg, 2).map(|_| ()) {
-        Err(RecoveryError::BackendMismatch { found: "grid", recovering: "rstar" }) => {}
+        Err(RecoveryError::BackendMismatch { configured: "grid", recovering: "rstar" }) => {}
         other => panic!("expected BackendMismatch, got {other:?}"),
     }
-    let (mut e, _) = ShardedServer::<DynBackend>::recover(cfg, 2).expect("dyn holds every kind");
+    let (e, _) = ShardedServer::<DynBackend>::recover(cfg, 2).expect("dyn builds every backend");
     assert_eq!(e.object_count(), 8);
-    assert!(e.migrate_shard(0, &BackendConfig::default()));
+    assert_eq!(e.state_digest(), digest);
     e.check_invariants_deep();
 }
 
