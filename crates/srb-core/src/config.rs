@@ -5,23 +5,26 @@ use srb_geom::Rect;
 use srb_index::BackendConfig;
 
 /// Configuration of the durability plane (write-ahead log + checkpoints),
-/// which `ShardedServer` owns: a durable single node is the 1-shard
-/// engine. The default — `dir: None` — disables durability
-/// entirely: the engine runs exactly the paper's in-memory semantics with
-/// zero logging overhead.
+/// which the engine's coordinator owns: a durable single node is
+/// [`Server::new`](crate::Server::new) with `dir` set, recovered by
+/// [`Server::reopen`](crate::Server::reopen). The default — `dir: None` —
+/// disables durability entirely: the engine runs exactly the paper's
+/// in-memory semantics with zero logging overhead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Directory holding the log and checkpoint files. `None` disables
     /// durability.
     pub dir: Option<&'static str>,
     /// When appended log records are forced to stable storage: group
-    /// commit, the one policy.
+    /// commit, the one policy; nothing reads it. The field stays only for
+    /// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a) — set
+    /// the others and take it from `..DurabilityConfig::default()`.
     pub policy: SyncPolicy,
     /// Operations per group-commit window; `1` fsyncs every operation.
     pub group_ops: u32,
     /// Rotate to a fresh checkpoint every this many logged operations.
     /// `0` never checkpoints automatically (explicit
-    /// `ShardedServer::checkpoint` calls still work).
+    /// `checkpoint` calls still work).
     pub checkpoint_ops: u64,
 }
 

@@ -4,27 +4,28 @@
 //! *A Generic Framework for Monitoring Continuous Spatial Queries over
 //! Moving Objects* (SIGMOD 2005) — the paper's primary contribution.
 //!
-//! The central abstraction is the server, [`ShardedServer`]: it registers
+//! The central abstraction is the server, [`Server`] (built by
+//! [`Server::new`], recovered by [`Server::reopen`]): it registers
 //! continuous range and k-nearest-neighbor queries ([`QuerySpec`]) over a
 //! population of moving objects, hands each object a rectangular **safe
 //! region**, and guarantees that every registered query's result stays
 //! exact as long as each object reports (a *source-initiated update*: a
-//! [`SequencedUpdate`] through
-//! [`ShardedServer::handle_sequenced_updates_into`], the one way in — a
-//! single report is a batch of one) whenever it leaves its safe region.
+//! [`SequencedUpdate`] through [`ShardedServer::ingest`], the one way in —
+//! a single report is a batch of one) whenever it leaves its safe region.
 //! When an update leaves a query undecided, the server *probes* specific
 //! objects through the caller-supplied [`LocationProvider`] — and the lazy
 //! probing discipline of §4 guarantees each probe is mandatory.
 //!
 //! ```
-//! use srb_core::{ObjectId, QuerySpec, ShardedServer, FnProvider};
-//! use srb_geom::{Point, Rect};
+//! use srb_core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
+//! use srb_geom::Point;
 //!
-//! // World state the "clients" live in (normally: real devices).
-//! let positions = vec![Point::new(0.2, 0.2), Point::new(0.8, 0.8)];
+//! // World state the "clients" live in (normally: real devices); the
+//! // server probes it through a provider over the position table.
+//! let mut positions = vec![Point::new(0.2, 0.2), Point::new(0.8, 0.8)];
 //! let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
 //!
-//! let mut server = ShardedServer::with_defaults();
+//! let mut server = Server::new(ServerConfig::default());
 //! for (i, &p) in positions.iter().enumerate() {
 //!     server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
 //! }
@@ -34,6 +35,14 @@
 //!     0.0,
 //! );
 //! assert_eq!(resp.results, vec![ObjectId(0)]);
+//!
+//! // Object 1 moves next to the query point and reports: one batch in.
+//! positions[1] = Point::new(0.05, 0.05);
+//! let report = SequencedUpdate { id: ObjectId(1), pos: positions[1], seq: 1 };
+//! let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+//! let mut out = Vec::new();
+//! server.ingest(&[report], &mut provider, 1.0, &mut out);
+//! assert_eq!(server.results(resp.id), Some(&[ObjectId(1)][..]));
 //! ```
 //!
 //! Module map (paper section in parentheses): `query` quarantine areas
@@ -46,7 +55,8 @@
 //! recovery `sharded::persist` (records coded by `wal`).
 //!
 //! There is one engine. [`ShardedServer`] partitions the objects over `N`
-//! [`Shard`]s — the paper's single server is `N = 1` — each shard being its
+//! [`Shard`]s — the paper's single server, [`Server`], is `N = 1` on the
+//! R\*-tree; the shard count goes with ROADMAP 19 — each shard being its
 //! spatial index over its objects' safe regions. The coordinator keeps each
 //! object's state once, in one table indexed by [`ObjectId`] (`index`,
 //! `object`), and the queries once, evaluating each with the §4 code over
@@ -58,8 +68,7 @@
 //! thread.
 //!
 //! The object index under a shard is a pluggable
-//! [`SpatialBackend`]: [`ShardedServer`]
-//! defaults to the paper's R\*-tree, and
+//! [`SpatialBackend`]: [`Server`] is the paper's R\*-tree, and
 //! `ShardedServer::<UniformGrid>::with_backend` (or `SRB_BACKEND=grid`
 //! through the simulator) swaps in the uniform-grid backend without
 //! touching any query semantics. [`DynBackend`] dispatches over both
@@ -67,8 +76,9 @@
 //! is built. Each shard's index is built once and rebuilt only by recovery.
 //!
 //! Durability ([`DurabilityConfig`]) is the coordinator's: it logs,
-//! checkpoints and recovers ([`ShardedServer::recover`]) for the shards it
-//! owns, in one checkpoint layout at every shard count.
+//! checkpoints and recovers ([`Server::reopen`]; [`ShardedServer::recover`]
+//! for a shard count or backend of its own) for the shards it owns, in one
+//! checkpoint layout at every shard count.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -102,10 +112,13 @@ pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkSta
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
 pub use shard::Shard;
 pub use sharded::{
-    RegisterResponse, ResultRemoval, SequencedUpdate, ShardedServer, SyncProvider, TableProvider,
-    UpdateResponse,
+    RegisterResponse, ResultRemoval, SequencedUpdate, Server, ShardedServer, UpdateResponse,
 };
-pub use srb_durable::{CrashPoint, SyncPolicy};
+// Named only by `bench/`; ROADMAP 3(a) deletes them after 2(a).
+pub use sharded::{SyncProvider, TableProvider};
+pub use srb_durable::CrashPoint;
+// Named only by `bench/`; ROADMAP 3(a) deletes it after 2(a).
+pub use srb_durable::SyncPolicy;
 pub use srb_index::{
     AdaptiveConfig, BackendConfig, BackendKind, DynBackend, GridConfig, RStarTree, SpatialBackend,
     TreeConfig, UniformGrid,

@@ -392,11 +392,12 @@ mod tests {
 
     #[test]
     fn a_removed_object_leaves_the_queries_of_its_cell_in_id_order() {
+        use crate::config::ServerConfig;
         use crate::provider::FnProvider;
-        use crate::sharded::ShardedServer;
+        use crate::sharded::Server;
         let at = [Point::new(0.31, 0.31), Point::new(0.35, 0.33), Point::new(0.8, 0.8)];
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-        let mut server = ShardedServer::with_defaults();
+        let mut server = Server::new(ServerConfig::default());
         for (i, &p) in at.iter().enumerate() {
             server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
         }

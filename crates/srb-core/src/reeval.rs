@@ -264,7 +264,7 @@ mod tests {
     use crate::ids::{ObjectId, QueryId};
     use crate::provider::{FnProvider, WorkStats};
     use crate::query::{Quarantine, QuerySpec};
-    use crate::sharded::{SequencedUpdate, ShardedServer};
+    use crate::sharded::{SequencedUpdate, Server};
     use srb_geom::Point;
 
     const CENTER: Point = Point { x: 0.5, y: 0.5 };
@@ -272,7 +272,7 @@ mod tests {
     /// One order-sensitive kNN query at [`CENTER`] over objects that move
     /// only by reporting, so the reported positions are the true ones.
     struct World {
-        server: ShardedServer,
+        server: Server,
         at: Vec<Point>,
         seq: Vec<u64>,
         q: QueryId,
@@ -292,7 +292,7 @@ mod tests {
         /// against it.
         fn new(dists: &[f64], k: usize) -> World {
             let at: Vec<Point> = dists.iter().enumerate().map(|(i, &d)| ray(i, d)).collect();
-            let mut server = ShardedServer::new(ServerConfig::default(), 1);
+            let mut server = Server::new(ServerConfig::default());
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
             for (i, &p) in at.iter().enumerate() {
                 server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
@@ -326,7 +326,7 @@ mod tests {
                 .collect();
             let at = self.at.clone();
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            self.server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut Vec::new());
+            self.server.ingest(&batch, &mut provider, 1.0, &mut Vec::new());
             self.server.check_invariants_deep();
 
             let mut want: Vec<ObjectId> = (0..self.at.len() as u32).map(ObjectId).collect();
@@ -474,7 +474,7 @@ mod tests {
         const N: u64 = 60;
         let mut at: Vec<Point> =
             (0..N).map(|i| Point::new(0.3 + 0.4 * unit(i, 1), 0.3 + 0.4 * unit(i, 2))).collect();
-        let mut server = ShardedServer::new(ServerConfig::default(), 1);
+        let mut server = Server::new(ServerConfig::default());
         let mut queries = Vec::new();
         {
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
@@ -502,7 +502,7 @@ mod tests {
             let report = SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: step + 1 };
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
             let now = 0.01 * (step + 1) as f64;
-            server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut Vec::new());
+            server.ingest(&[report], &mut provider, now, &mut Vec::new());
             fold(server.costs().probes);
             for &q in &queries {
                 let Some(Quarantine::Circle(c)) = server.quarantine(q) else { unreachable!() };

@@ -41,14 +41,14 @@ mod persist;
 mod region;
 
 use crate::config::ServerConfig;
-use crate::error::ServerError;
+use crate::error::{RecoveryError, ServerError};
 use crate::eval::EvalCtx;
 use crate::ids::{ObjectId, QueryId};
 use crate::index::ObjectIndex;
 use crate::location::{DeferKind, Timers};
 use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
-use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
+use crate::provider::{CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
 use crate::shard::Shard;
@@ -92,7 +92,7 @@ pub struct UpdateResponse {
 /// A source-initiated location update stamped with the client's sequence
 /// number. Over a lossy channel the same report can arrive duplicated or
 /// reordered; the engine accepts each sequence number at most once
-/// ([`ShardedServer::handle_sequenced_updates_into`]).
+/// ([`ShardedServer::ingest`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SequencedUpdate {
     /// The reporting object.
@@ -112,9 +112,10 @@ pub struct ResultRemoval {
 }
 
 /// A location provider probed through `&self`, for
-/// [`ShardedServer::handle_sequenced_updates_parallel_into`]. The name
-/// stays only for `bench/src/engine.rs` and goes with ROADMAP 3(a) after
-/// 2(a).
+/// [`ShardedServer::handle_sequenced_updates_parallel_into`]. Probe through
+/// [`LocationProvider`] instead (a position table through an
+/// [`FnProvider`](crate::FnProvider) over it). The name stays only for
+/// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
 pub trait SyncProvider {
     /// Returns the exact current location of `id`.
     fn probe(&self, id: ObjectId) -> Point;
@@ -131,18 +132,6 @@ pub struct TableProvider<'a>(pub &'a [Point]);
 impl SyncProvider for TableProvider<'_> {
     fn probe(&self, id: ObjectId) -> Point {
         self.0[id.index()]
-    }
-}
-
-/// Adapts a shared [`SyncProvider`] to the [`LocationProvider`] interface
-/// the coordinator probes through. It stays only for
-/// `bench/src/engine.rs`'s entry point and goes with ROADMAP 3(a) after
-/// 2(a).
-struct SyncAdapter<'a, P: SyncProvider + ?Sized>(&'a P);
-
-impl<P: SyncProvider + ?Sized> LocationProvider for SyncAdapter<'_, P> {
-    fn probe(&mut self, id: ObjectId) -> Point {
-        self.0.probe(id)
     }
 }
 
@@ -167,7 +156,7 @@ struct CoordScratch {
 /// The SRB database server: `N` [`Shard`]s holding the objects behind one
 /// coordinator that holds the queries. See the module docs for the
 /// partitioning and the steps of an operation. The paper's single server
-/// is `ShardedServer::new(config, 1)`.
+/// is [`Server`].
 pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     config: ServerConfig,
     /// The shards' spatial backends and the one object table.
@@ -190,25 +179,36 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     wal: Option<Box<Wal>>,
 }
 
-impl ShardedServer {
-    /// Creates an R\*-tree-backed server with `shards` shards. Panics when
-    /// `config.backend` selects a different backend — use
-    /// [`ShardedServer::with_backend`] with an explicit type for those.
-    pub fn new(config: ServerConfig, shards: usize) -> Self {
-        Self::with_backend(config, shards)
+/// The paper's server (§3.1): one R\*-tree over the objects' safe regions
+/// and one query plane, built by [`Server::new`] and recovered by
+/// [`Server::reopen`]; reports go in through [`ShardedServer::ingest`].
+/// ROADMAP 3(c) makes it the struct once item 19 has taken the shards out.
+pub type Server = ShardedServer<srb_index::RStarTree>;
+
+impl Server {
+    /// Creates the server, with durability when `config.durability.dir`
+    /// is set. Panics when `config.backend` selects another backend than
+    /// the R\*-tree.
+    pub fn new(config: ServerConfig) -> Self {
+        Self::with_backend(config, 1)
     }
 
-    /// Creates a single-shard server with the default (paper Table 7.1)
-    /// configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(ServerConfig::default(), 1)
+    /// Rebuilds the server from the store in `config.durability.dir` (see
+    /// [`ShardedServer::recover`]). Returns it with the number of replayed
+    /// operations; fails with [`RecoveryError::Disabled`] when no
+    /// directory is set and with a typed error on a store it cannot
+    /// replay, one written by an engine of several shards included.
+    pub fn reopen(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
+        Self::recover(config, 1)
     }
 }
 
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
-    /// Creates a server whose per-shard object indexes use the backend `B`,
-    /// built once from `config.backend`. Panics when `B` cannot build that
-    /// config variant.
+    /// Creates a server of `shards` shards whose object indexes use the
+    /// backend `B`, built once from `config.backend`. Panics when `B`
+    /// cannot build that config variant. The shard count goes with ROADMAP
+    /// 19 and the backend parameter with 3(b); [`Server::new`] is the
+    /// one-shard R\*-tree.
     pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
         assert!(shards >= 1, "need at least one shard");
         let mut server = Self::assemble(
@@ -510,7 +510,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // ------------------------------------------------------------------
 
     /// Handles a batch of source-initiated location updates — the one
-    /// update entry point; a single report is a batch of one. Each update
+    /// update entry point; a single report is a batch of one. A position
+    /// table is probed through an [`FnProvider`](crate::FnProvider) over
+    /// it. Each update
     /// carries its client's sequence number: one at or below the object's
     /// last accepted number is a duplicate or reordering, dropped
     /// idempotently (counted in [`WorkStats::stale_seq_drops`]) and answered
@@ -536,6 +538,19 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
     /// the region step's and the query plane's buffers live in coordinator
     /// scratch.
+    pub fn ingest(
+        &mut self,
+        batch: &[SequencedUpdate],
+        probes: &mut dyn LocationProvider,
+        now: f64,
+        out: &mut Vec<(ObjectId, UpdateResponse)>,
+    ) {
+        let _span = srb_obs::span!("sharded.fan_out");
+        self.batch(batch, probes, now, out);
+    }
+
+    /// [`ingest`](Self::ingest) under its old name. It stays only for
+    /// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
     pub fn handle_sequenced_updates_into(
         &mut self,
         updates: &[SequencedUpdate],
@@ -543,13 +558,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        let _span = srb_obs::span!("sharded.fan_out");
-        self.batch(updates, provider, now, out);
+        self.ingest(updates, provider, now, out);
     }
 
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into)
-    /// over a [`SyncProvider`]. The name stays only for
-    /// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
+    /// [`ingest`](Self::ingest) over a [`SyncProvider`]. The name stays
+    /// only for `bench/src/engine.rs` and goes with ROADMAP 3(a) after
+    /// 2(a).
     pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
         &mut self,
         updates: &[SequencedUpdate],
@@ -557,11 +571,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        self.handle_sequenced_updates_into(updates, &mut SyncAdapter(provider), now, out);
+        self.ingest(updates, &mut FnProvider(|id| provider.probe(id)), now, out);
     }
 
-    /// The batch body of
-    /// [`handle_sequenced_updates_into`](Self::handle_sequenced_updates_into).
+    /// The batch body of [`ingest`](Self::ingest).
     fn batch(
         &mut self,
         updates: &[SequencedUpdate],
@@ -836,9 +849,7 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::RecoveryError;
-    use crate::provider::FnProvider;
-    use srb_index::{RStarTree, SpatialBackend};
+    use srb_index::SpatialBackend;
     use std::collections::BTreeMap;
     use std::path::Path;
 
@@ -907,7 +918,7 @@ mod tests {
     fn assert_results_agree(n_shards: usize, specs: &[QuerySpec]) {
         let mut positions = world(24, 7);
         let mut engines =
-            [1, n_shards].map(|shards| ShardedServer::new(ServerConfig::default(), shards));
+            [1, n_shards].map(|shards| Server::with_backend(ServerConfig::default(), shards));
         for engine in &mut engines {
             let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
             for (i, &p) in positions.iter().enumerate() {
@@ -933,7 +944,7 @@ mod tests {
             }
             for engine in &mut engines {
                 let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-                engine.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+                engine.ingest(&batch, &mut provider, now, &mut Vec::new());
                 engine.check_invariants_deep();
                 for (q, spec) in specs.iter().enumerate() {
                     let mut got = engine.results(QueryId(q as u32)).unwrap().to_vec();
@@ -976,7 +987,7 @@ mod tests {
         let rect = Rect::new(Point::new(0.3, 0.3), Point::new(0.7, 0.7));
         let stored = [1, 2].map(|shards| {
             let mut at = world(40, 3);
-            let mut engine = ShardedServer::new(ServerConfig::default(), shards);
+            let mut engine = Server::with_backend(ServerConfig::default(), shards);
             {
                 let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
                 for (i, &p) in at.iter().enumerate() {
@@ -992,7 +1003,7 @@ mod tests {
                 }
             }
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            engine.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
+            engine.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
             engine.check_invariants_deep();
             engine.results(QueryId(0)).expect("registered").to_vec()
         });
@@ -1014,14 +1025,14 @@ mod tests {
     }
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
-    pub(super) fn fleet(config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
+    pub(super) fn fleet(config: ServerConfig, shards: usize) -> (Server, Vec<Point>) {
         fleet_of(30, config, shards)
     }
 
     /// [`fleet`] over `world(n, 11)`.
-    fn fleet_of(n: usize, config: ServerConfig, shards: usize) -> (ShardedServer, Vec<Point>) {
+    fn fleet_of(n: usize, config: ServerConfig, shards: usize) -> (Server, Vec<Point>) {
         let positions = world(n, 11);
-        let mut server = ShardedServer::new(config, shards);
+        let mut server = Server::with_backend(config, shards);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         for (i, &p) in positions.iter().enumerate() {
             server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
@@ -1037,14 +1048,14 @@ mod tests {
 
     /// Drives two 40-object fleets ([`fleet_of`]) through the same 15
     /// rounds of exit reports — odd rounds as one batch, even rounds one
-    /// report per call — one through `handle_sequenced_updates_into`, the
-    /// other through the bench's `_parallel_into` over a [`TableProvider`],
+    /// report per call — one through [`ShardedServer::ingest`], the other
+    /// through the bench's `_parallel_into` over a [`TableProvider`],
     /// and holds the second to the first after every batch: responses,
     /// digest, costs and work counters.
     fn assert_parallel_matches_sequential(
         configs: [ServerConfig; 2],
         shards: usize,
-    ) -> [ShardedServer; 2] {
+    ) -> [Server; 2] {
         let (mut seq_server, mut positions) = fleet_of(40, configs[0], shards);
         let (mut par_server, _) = fleet_of(40, configs[1], shards);
         let mut seqs = vec![0u64; positions.len()];
@@ -1056,7 +1067,7 @@ mod tests {
             for batch in reports.chunks(size) {
                 let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                seq_server.handle_sequenced_updates_into(batch, &mut provider, now, &mut a);
+                seq_server.ingest(batch, &mut provider, now, &mut a);
                 let table = TableProvider(&positions);
                 par_server.handle_sequenced_updates_parallel_into(batch, &table, now, &mut b);
                 let what = format!("{shards} shards, round {round}");
@@ -1081,7 +1092,7 @@ mod tests {
         // Probes made by the coordinator land in the totals, one per object
         // the registration granted a region, its work in the counters.
         let positions = world(16, 3);
-        let mut sharded = ShardedServer::new(ServerConfig::default(), 4);
+        let mut sharded = Server::with_backend(ServerConfig::default(), 4);
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         for (i, &p) in snapshot.iter().enumerate() {
@@ -1122,23 +1133,18 @@ mod tests {
 
     #[test]
     fn unknown_updates_are_dropped_and_counted() {
-        let mut sharded = ShardedServer::new(ServerConfig::default(), 2);
+        let mut sharded = Server::with_backend(ServerConfig::default(), 2);
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
         sharded.add_object(ObjectId(0), Point::new(0.3, 0.3), &mut provider, 0.0).unwrap();
         let report = |id, x| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, x), seq: 1 };
         let mut resp = Vec::new();
-        sharded.handle_sequenced_updates_into(
-            &[report(0, 0.4), report(99, 0.1)],
-            &mut provider,
-            0.1,
-            &mut resp,
-        );
+        sharded.ingest(&[report(0, 0.4), report(99, 0.1)], &mut provider, 0.1, &mut resp);
         assert_eq!(resp.len(), 1);
         assert_eq!(sharded.work().unknown_object_drops, 1);
     }
 
     /// The shard holding `id`, if registered.
-    fn shard_of(server: &ShardedServer, id: ObjectId) -> Option<usize> {
+    fn shard_of(server: &Server, id: ObjectId) -> Option<usize> {
         server.index.view().objects.locate(id).map(|(shard, _)| shard)
     }
 
@@ -1184,7 +1190,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let config = durable(dir);
         let mut positions = world(20, 42);
-        let mut sharded = ShardedServer::new(config, 3);
+        let mut sharded = Server::with_backend(config, 3);
         assert!(sharded.wal.is_some());
         {
             let snapshot = positions.clone();
@@ -1206,15 +1212,14 @@ mod tests {
             let batch = exit_reports(&sharded, &positions, &mut seqs);
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            sharded.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+            sharded.ingest(&batch, &mut provider, now, &mut Vec::new());
         }
         sharded.deregister_query(QueryId(0));
         sharded.sync_wal();
         assert!(!sharded.wal_poisoned());
         let digest = sharded.state_digest();
         drop(sharded);
-        let (recovered, replayed) =
-            ShardedServer::<RStarTree>::recover(config, 3).expect("recovery");
+        let (recovered, replayed) = Server::recover(config, 3).expect("recovery");
         assert!(replayed > 0, "operations were logged and must replay");
         assert_eq!(recovered.state_digest(), digest, "recovery must be bit-identical");
         recovered.check_invariants_deep();
@@ -1233,7 +1238,7 @@ mod tests {
         let dir = temp_dir("marker");
         let config = durable(dir);
         let positions = world(6, 5);
-        let mut server = ShardedServer::new(config, 2);
+        let mut server = Server::with_backend(config, 2);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         for (i, &p) in positions.iter().enumerate() {
             server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
@@ -1262,7 +1267,7 @@ mod tests {
         let mut w = LogWriter::open_append(&first, len).expect("reopen");
         w.append(&marker).and_then(|()| w.sync()).expect("marker");
 
-        match ShardedServer::<RStarTree>::recover(config, 2) {
+        match Server::recover(config, 2) {
             Err(RecoveryError::Corrupt(what)) => assert_eq!(what, "unknown opcode"),
             other => panic!("replayed an earlier marker: {:?}", other.map(|(_, n)| n)),
         }
@@ -1274,7 +1279,7 @@ mod tests {
         let dir = temp_dir("ckpt");
         let config = durable(dir);
         let positions = world(12, 9);
-        let mut sharded = ShardedServer::new(config, 2);
+        let mut sharded = Server::with_backend(config, 2);
         let snapshot = positions.clone();
         let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
         for (i, &p) in snapshot.iter().enumerate() {
@@ -1284,8 +1289,7 @@ mod tests {
         assert!(sharded.checkpoint());
         let digest = sharded.state_digest();
         drop(sharded);
-        let (recovered, replayed) =
-            ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
+        let (recovered, replayed) = Server::recover(config, 2).expect("recovery");
         assert_eq!(replayed, 0, "checkpoint must have truncated the log tail");
         assert_eq!(recovered.state_digest(), digest);
         let _ = std::fs::remove_dir_all(dir);
@@ -1319,7 +1323,7 @@ mod tests {
             let digest = par_server.state_digest();
             drop(par_server);
             let (recovered, replayed) =
-                ShardedServer::<RStarTree>::recover(durable(dirs[1]), shards).expect("recovery");
+                Server::recover(durable(dirs[1]), shards).expect("recovery");
             assert!(replayed > 0);
             assert_eq!(recovered.state_digest(), digest, "{what}");
             for dir in dirs {
@@ -1333,7 +1337,7 @@ mod tests {
     fn fleet_one_step_on(
         config: ServerConfig,
         shards: usize,
-    ) -> (ShardedServer, Vec<Point>, Vec<SequencedUpdate>) {
+    ) -> (Server, Vec<Point>, Vec<SequencedUpdate>) {
         let (server, mut positions) = fleet(config, shards);
         step(&mut positions, 1);
         let batch = exit_reports(&server, &positions, &mut vec![0; positions.len()]);
@@ -1351,7 +1355,7 @@ mod tests {
         let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2);
         let before = twin.costs().probes;
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-        twin.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut Vec::new());
+        twin.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
         assert!(twin.costs().probes > before, "the batch probes");
 
         let dir = temp_dir("panic");
@@ -1359,20 +1363,16 @@ mod tests {
         let (mut server, _, _) = fleet_one_step_on(config, 2);
         server.sync_wal();
         let digest = server.state_digest();
-        let held = |s: &ShardedServer| -> Vec<_> {
+        let held = |s: &Server| -> Vec<_> {
             (0..positions.len() as u32)
                 .map(|i| (s.safe_region(ObjectId(i)), s.last_known(ObjectId(i))))
                 .collect()
         };
         let granted = held(&server);
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            let mut out = Vec::new();
-            server.handle_sequenced_updates_parallel_into(
-                &batch,
-                &TableProvider(&[]),
-                0.1,
-                &mut out,
-            );
+            let table: &[Point] = &[];
+            let mut provider = FnProvider(|id: ObjectId| table[id.index()]);
+            server.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
         }))
         .expect_err("a probe past the table's end must fail the batch");
         let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
@@ -1381,7 +1381,7 @@ mod tests {
         server.check_invariants();
         assert!(server.wal_poisoned());
         drop(server);
-        let (recovered, _) = ShardedServer::<RStarTree>::recover(config, 2).expect("recovery");
+        let (recovered, _) = Server::recover(config, 2).expect("recovery");
         assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no record");
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1397,10 +1397,10 @@ mod tests {
     /// them apart.
     #[test]
     fn stale_neighbour_requests_are_probed_in_requester_order_across_shards() {
-        let mut server = ShardedServer::new(ServerConfig::default(), 2);
+        let mut server = Server::with_backend(ServerConfig::default(), 2);
         // The first position at or beyond `from` (in grid-cell steps) that
         // `shard` owns.
-        let owned_by = |server: &ShardedServer, shard: usize, from: Point| {
+        let owned_by = |server: &Server, shard: usize, from: Point| {
             let step = |i: usize| Point::new(from.x + 0.02 * (i % 4) as f64, from.y);
             (0..4).map(step).find(|&p| server.assign_shard(p) == shard).expect("a cell per shard")
         };
@@ -1438,7 +1438,7 @@ mod tests {
         });
         let before = server.work();
         let mut out = Vec::new();
-        server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut out);
+        server.ingest(&batch, &mut provider, 1.0, &mut out);
         assert_eq!(probed, vec![ObjectId(2), ObjectId(1)], "requesters 3 and 7, in that order");
         assert_eq!(server.work().probes_neighbor - before.probes_neighbor, 2);
         assert_eq!(server.work().safe_regions - before.safe_regions, 4);
@@ -1460,12 +1460,12 @@ mod tests {
     /// An order-sensitive 2-NN query at `Q` whose results are `near` then
     /// `far`, and a bystander `other` in a distant cell, on `shards` shards.
     const Q: Point = Point { x: 0.5, y: 0.5 };
-    fn two_nn(shards: usize, [near, far, other]: [ObjectId; 3]) -> (ShardedServer, Vec<Point>) {
+    fn two_nn(shards: usize, [near, far, other]: [ObjectId; 3]) -> (Server, Vec<Point>) {
         let mut at = vec![Point::new(0.05, 0.05); 10];
         at[near.index()] = Point::new(0.52, 0.5);
         at[far.index()] = Point::new(0.5, 0.56);
         at[other.index()] = Point::new(0.9, 0.1);
-        let mut server = ShardedServer::new(ServerConfig::default(), shards);
+        let mut server = Server::with_backend(ServerConfig::default(), shards);
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for id in [near, far, other] {
             server.add_object(id, at[id.index()], &mut provider, 0.0).expect("fresh id");
@@ -1478,7 +1478,7 @@ mod tests {
     /// One batch of reports from `movers` at their positions in `at`:
     /// the responses, and the neighbour probes and regions it took.
     fn report_all(
-        server: &mut ShardedServer,
+        server: &mut Server,
         at: &[Point],
         movers: &[ObjectId],
     ) -> (Vec<(ObjectId, UpdateResponse)>, u64, u64) {
@@ -1487,7 +1487,7 @@ mod tests {
         let batch: Vec<SequencedUpdate> =
             movers.iter().map(|&id| SequencedUpdate { id, pos: at[id.index()], seq: 1 }).collect();
         let mut out = Vec::new();
-        server.handle_sequenced_updates_into(&batch, &mut provider, 1.0, &mut out);
+        server.ingest(&batch, &mut provider, 1.0, &mut out);
         server.check_invariants_deep();
         let after = server.work();
         let probes = after.probes_neighbor - before.probes_neighbor;
@@ -1592,8 +1592,7 @@ mod tests {
                 assert!(server.wal.is_some() && server.wal_poisoned(), "{what}");
                 server.check_invariants();
                 drop(server);
-                let (recovered, _) =
-                    ShardedServer::<RStarTree>::recover(config, shards).expect("recovery");
+                let (recovered, _) = Server::recover(config, shards).expect("recovery");
                 assert_eq!(recovered.state_digest(), digest, "{what} left a record");
                 let _ = std::fs::remove_dir_all(dir);
             }
@@ -1603,9 +1602,9 @@ mod tests {
     /// A leased fleet: `lease` 1.0, no query, objects 0 and 1 added at
     /// `t = 0` on different shards when there are several — object 1 on
     /// the lower one — and object 2 beside them.
-    fn leased(shards: usize) -> ShardedServer {
+    fn leased(shards: usize) -> Server {
         let config = ServerConfig { lease: Some(1.0), ..Default::default() };
-        let mut server = ShardedServer::new(config, shards);
+        let mut server = Server::with_backend(config, shards);
         let cell = |i: usize| Point::new(0.01 + 0.02 * i as f64, 0.5);
         let on = |shard: usize| {
             let found = (0..50).map(cell).find(|&p| server.assign_shard(p) == shard % shards);
@@ -1620,11 +1619,11 @@ mod tests {
     }
 
     /// One report of object 2 at `now`, from where it stands.
-    fn report_2(server: &mut ShardedServer, seq: u64, now: f64) {
+    fn report_2(server: &mut Server, seq: u64, now: f64) {
         let pos = server.last_known(ObjectId(2)).expect("registered").0;
         let report = SequencedUpdate { id: ObjectId(2), pos, seq };
         let mut provider = FnProvider(|_| pos);
-        server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut Vec::new());
+        server.ingest(&[report], &mut provider, now, &mut Vec::new());
     }
 
     /// The timer rule, applied where regions are granted: a grant at a
@@ -1634,7 +1633,7 @@ mod tests {
     /// order across shards — not shard by shard.
     #[test]
     fn the_grant_rule_keeps_one_timer_per_object() {
-        let due_of = |s: &ShardedServer, id: u32| s.timers.due_of(ObjectId(id));
+        let due_of = |s: &Server, id: u32| s.timers.due_of(ObjectId(id));
         for shards in [1, 2, 3] {
             let what = format!("{shards} shard(s)");
             let mut server = leased(shards);
@@ -1701,7 +1700,7 @@ mod tests {
         let (dir, copy) = (temp_dir("shape"), temp_dir("shape-copy"));
         let mut positions = world(40, 11);
         let mut seqs = vec![0u64; positions.len()];
-        let mut engine = ShardedServer::new(durable(dir), 2);
+        let mut engine = Server::with_backend(durable(dir), 2);
         {
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
@@ -1712,7 +1711,7 @@ mod tests {
             engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
             engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 4), &mut provider, 0.0);
         }
-        let mut round = |engines: &mut [&mut ShardedServer], r: u64| {
+        let mut round = |engines: &mut [&mut Server], r: u64| {
             step(&mut positions, r);
             let batch = exit_reports(&*engines[0], &positions, &mut seqs);
             let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
@@ -1720,12 +1719,7 @@ mod tests {
                 .iter_mut()
                 .map(|e| {
                     let mut out = Vec::new();
-                    e.handle_sequenced_updates_into(
-                        &batch,
-                        &mut provider,
-                        r as f64 * 0.1,
-                        &mut out,
-                    );
+                    e.ingest(&batch, &mut provider, r as f64 * 0.1, &mut out);
                     format!("{out:?} {:016x}", e.state_digest())
                 })
                 .collect();
@@ -1736,7 +1730,7 @@ mod tests {
         }
         // What a shard's shape shows from outside: the order a whole-space
         // search emits its hits in.
-        let shape = |e: &ShardedServer| -> Vec<Vec<u64>> {
+        let shape = |e: &Server| -> Vec<Vec<u64>> {
             let order =
                 |s: &Shard| s.backend.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
             e.shards().iter().map(order).collect()
@@ -1747,7 +1741,7 @@ mod tests {
         for (name, bytes) in dir_bytes(dir) {
             std::fs::write(Path::new(copy).join(name), bytes).expect("a store copy");
         }
-        let (mut twin, replayed) = ShardedServer::recover(durable(copy), 2).expect("recovery");
+        let (mut twin, replayed) = Server::recover(durable(copy), 2).expect("recovery");
         assert_eq!(replayed, 0, "the twin is the checkpoint's rebuild alone");
         assert_ne!(shape(&twin), shape(&engine), "the rebuild reshapes the index");
         assert_eq!(twin.state_digest(), digest);
@@ -1760,7 +1754,7 @@ mod tests {
 
     #[test]
     fn duplicate_object_rejected_across_shards() {
-        let mut sharded = ShardedServer::new(ServerConfig::default(), 3);
+        let mut sharded = Server::with_backend(ServerConfig::default(), 3);
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
         sharded.add_object(ObjectId(1), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
         assert!(matches!(

@@ -41,7 +41,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// match the crashed instance's shard count, which the checkpoint
     /// records. Returns the server and the number of replayed operations.
     /// A backend type `B` that cannot build `config.backend` is refused
-    /// before the store is opened.
+    /// before the store is opened. [`Server::reopen`](super::Server::reopen)
+    /// is the one-shard R\*-tree; the shard count goes with ROADMAP 19 and
+    /// the backend parameter with 3(b).
     pub fn recover(config: ServerConfig, shards: usize) -> Result<(Self, usize), RecoveryError> {
         let d = config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
@@ -59,7 +61,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// True when an earlier I/O failure poisoned the WAL. A poisoned
     /// coordinator keeps serving from memory but persists nothing further;
-    /// the only path back is [`ShardedServer::recover`].
+    /// the only path back is recovery
+    /// ([`Server::reopen`](super::Server::reopen)).
     pub fn wal_poisoned(&self) -> bool {
         self.wal.as_ref().map(|w| w.poisoned()).unwrap_or(false)
     }
@@ -210,7 +213,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 let _ = self.deregister_query(id);
             }
             Record::Batch { now, ref updates, .. } => {
-                self.handle_sequenced_updates_into(updates, &mut rp, now, &mut Vec::new());
+                self.ingest(updates, &mut rp, now, &mut Vec::new());
             }
             Record::ProcessDeferred { now, .. } => {
                 let _ = self.process_deferred(&mut rp, now);
@@ -226,6 +229,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{durable, fleet, temp_dir, world};
+    use super::super::Server;
     use super::*;
     use crate::ids::ObjectId;
     use crate::provider::FnProvider;
@@ -245,8 +249,8 @@ mod tests {
             let config = durable(dir);
             let positions = world(8, 17);
             let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-            let mut twin = ShardedServer::new(ServerConfig::default(), shards);
-            let mut durable = ShardedServer::new(config, shards);
+            let mut twin = Server::with_backend(ServerConfig::default(), shards);
+            let mut durable = Server::with_backend(config, shards);
             for engine in [&mut twin, &mut durable] {
                 for (i, &p) in positions.iter().enumerate() {
                     engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
@@ -261,17 +265,48 @@ mod tests {
                     report(5, 0.6, 0.7),
                 ];
                 let mut resp = Vec::new();
-                engine.handle_sequenced_updates_into(&batch, &mut provider, 0.1, &mut resp);
+                engine.ingest(&batch, &mut provider, 0.1, &mut resp);
                 assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
             }
             durable.sync_wal();
             drop(durable);
-            let (recovered, _) =
-                ShardedServer::<RStarTree>::recover(config, shards).expect("recovery");
+            let (recovered, _) = Server::recover(config, shards).expect("recovery");
             assert_eq!(recovered.work(), twin.work(), "{shards} shard(s)");
             assert_eq!(recovered.work().unknown_object_drops, 1);
             assert_eq!(recovered.work().stale_seq_drops, 1);
             assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// `Server::reopen` fails with a typed error and never panics: with no
+    /// store configured, and on a store a two-shard engine wrote. A store a
+    /// one-shard engine wrote reopens onto its digest.
+    #[test]
+    fn reopen_refuses_with_typed_errors_and_never_panics() {
+        let reopen = |config: ServerConfig| {
+            let run = || Server::reopen(config).map(|(s, replayed)| (s.state_digest(), replayed));
+            catch_unwind(AssertUnwindSafe(run)).expect("reopen must not panic")
+        };
+        match reopen(ServerConfig::default()) {
+            Err(RecoveryError::Disabled) => {}
+            other => panic!("reopened with no store configured: {other:?}"),
+        }
+        let [one, two] = [1, 2].map(|shards| {
+            let dir = temp_dir("reopen");
+            let (mut server, _) = fleet(durable(dir), shards);
+            server.sync_wal();
+            (dir, server.state_digest())
+        });
+        match reopen(durable(two.0)) {
+            Err(RecoveryError::Corrupt(what)) => {
+                assert_eq!(what, "checkpoint shard count mismatch")
+            }
+            other => panic!("reopened a two-shard store: {other:?}"),
+        }
+        let (digest, _) = reopen(durable(one.0)).expect("a one-shard store reopens");
+        assert_eq!(digest, one.1);
+        for (dir, _) in [one, two] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

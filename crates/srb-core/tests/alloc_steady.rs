@@ -13,7 +13,7 @@
 //! the in-place path, and the response buffers retain their capacity.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, TableProvider,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, ShardedServer,
     UpdateResponse,
 };
 use srb_geom::{Point, Rect};
@@ -107,7 +107,7 @@ fn measure(mut step: impl FnMut(&[SequencedUpdate], &mut Vec<(ObjectId, UpdateRe
 #[test]
 fn one_shard_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }
@@ -117,7 +117,7 @@ fn one_shard_steady_state_batches_do_not_allocate() {
     server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
 
     let extra = measure(|updates, out| {
-        server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
+        server.ingest(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state one-shard batch must be allocation-free");
 }
@@ -137,19 +137,21 @@ fn dyn_one_shard_steady_state_batches_do_not_allocate() {
     server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
 
     let extra = measure(|updates, out| {
-        server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
+        server.ingest(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state DynBackend batch must be allocation-free");
 }
 
-/// Two shards, through `handle_sequenced_updates_into` and through the
-/// ledger's entry point: `with_threads(2)` and `_parallel_into` over a
-/// [`TableProvider`], both shards busy.
+/// Two shards, through `ingest` and through the ledger's entry point, both
+/// shards busy.
 #[test]
 fn sharded_steady_state_batches_do_not_allocate() {
+    // The ledger's entry point, which ROADMAP 3(a) deletes: `with_threads`
+    // and `handle_sequenced_updates_parallel_into` over a `TableProvider`.
+    use srb_core::TableProvider;
     let two_shards = || {
         let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-        let mut server = ShardedServer::new(ServerConfig::default(), 2).with_threads(2);
+        let mut server = Server::with_backend(ServerConfig::default(), 2).with_threads(2);
         for i in 0..N_OBJECTS {
             server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
         }
@@ -162,7 +164,7 @@ fn sharded_steady_state_batches_do_not_allocate() {
     let mut server = two_shards();
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
     let extra = measure(|updates, out| {
-        server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
+        server.ingest(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state sharded batch must be allocation-free");
 
@@ -181,7 +183,7 @@ fn sharded_steady_state_batches_do_not_allocate() {
 #[test]
 fn range_dense_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
         for (dx, dy) in [(0.007, 0.007), (0.007, -0.007), (-0.007, -0.007), (-0.007, 0.007)] {
@@ -191,7 +193,7 @@ fn range_dense_steady_state_batches_do_not_allocate() {
         }
     }
     let extra = measure(|updates, out| {
-        server.handle_sequenced_updates_into(updates, &mut provider, 1.0, out);
+        server.ingest(updates, &mut provider, 1.0, out);
         let cut = |(_, r): &(ObjectId, UpdateResponse)| r.safe_region.width() < 0.015;
         assert!(out.iter().all(cut), "every region is cut by its cell's rectangles");
     });
@@ -204,7 +206,7 @@ fn range_dense_steady_state_batches_do_not_allocate() {
 #[test]
 fn ordered_knn_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }
@@ -221,7 +223,7 @@ fn ordered_knn_steady_state_batches_do_not_allocate() {
         let updates = movers(b);
         let (before, probes) = (allocs(), server.costs().probes);
         out.clear();
-        server.handle_sequenced_updates_into(&updates, &mut provider, 1.0, &mut out);
+        server.ingest(&updates, &mut provider, 1.0, &mut out);
         if b >= WARMUP_BATCHES {
             assert_eq!(allocs(), before, "batch {b} allocated on the steady-state path");
             assert_eq!(server.costs().probes, probes, "a stayer between its neighbours");

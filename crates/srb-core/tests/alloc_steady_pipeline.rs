@@ -1,10 +1,11 @@
 //! Counting-allocator pin for the bench's threaded entry: once capacities
 //! have warmed up, a batch through
-//! [`ShardedServer::handle_sequenced_updates_parallel_into`] allocates
+//! [`Server::handle_sequenced_updates_parallel_into`] allocates
 //! nothing on *any* thread — at four shards asked for four threads, at one
 //! shard asked for two, and at one thread — whatever the batch size. One
 //! thread computes every safe region, so the batch forks no helper, and no
-//! batch leaves a thread behind.
+//! batch leaves a thread behind. The entry is the ledger's; this pin goes
+//! with it (ROADMAP 3(a), after 2(a)), and `alloc_steady.rs` pins `ingest`.
 //!
 //! Unlike `alloc_steady.rs` (whose counters are thread-local so parallel
 //! test threads cannot pollute a measurement), this pin must see an
@@ -15,7 +16,7 @@
 //! allocates — or starts a thread — while the batches are measured.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer, TableProvider,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, TableProvider,
     UpdateResponse,
 };
 use srb_geom::{Point, Rect};
@@ -86,7 +87,7 @@ fn batch(n: usize, b: u64) -> Vec<SequencedUpdate> {
 /// reports through an engine of `shards` shards asked for `threads`, every
 /// shard busy.
 fn measured(n: usize, shards: usize, threads: usize) -> Vec<u64> {
-    let mut server = ShardedServer::new(ServerConfig::default(), shards).with_threads(threads);
+    let mut server = Server::with_backend(ServerConfig::default(), shards).with_threads(threads);
     {
         let mut provider = FnProvider(|id: ObjectId| home(id.index()));
         for i in 0..n {

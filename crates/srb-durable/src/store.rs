@@ -40,7 +40,9 @@ pub(crate) const CKPT_MAGIC: &[u8; 8] = b"SRBCKP01";
 /// When appended records are forced to stable storage: a store fsyncs its
 /// log once every `group_ops` operations, on a checkpoint and on an
 /// explicit [`Store::commit`]. Group commit is the one policy; fsyncing
-/// every operation is a group of one.
+/// every operation is a group of one. Nothing reads it: the type stays only
+/// for `bench/src/engine.rs` (through `srb-core`'s `DurabilityConfig`) and
+/// goes with ROADMAP 3(a) after 2(a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SyncPolicy {
     /// Fsync once every `group_ops` operations (group commit).

@@ -673,12 +673,6 @@ impl RStarTree {
         out
     }
 
-    /// Iterates over all entries (arbitrary order).
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = LeafEntry> + '_ {
-        AllEntries::new(self)
-    }
-
     /// Incremental best-first browsing of entries by ascending
     /// `(δ(q, rect), id)` (Hjaltason & Samet) — the traversal underlying
     /// the paper's Algorithm 2.
@@ -799,39 +793,6 @@ fn vacates(old: &Rect, new: &Rect, mbr: &Rect) -> bool {
     let sides = |r: &Rect| [r.min().x, r.min().y, r.max().x, r.max().y];
     let (old, new, mbr) = (sides(old), sides(new), sides(mbr));
     (0..4).any(|i| old[i] == mbr[i] && new[i] != mbr[i])
-}
-
-#[cfg(test)]
-struct AllEntries<'a> {
-    tree: &'a RStarTree,
-    stack: Vec<NodeId>,
-    buf: Vec<LeafEntry>,
-}
-
-#[cfg(test)]
-impl<'a> AllEntries<'a> {
-    fn new(tree: &'a RStarTree) -> Self {
-        let stack = if tree.len > 0 { vec![tree.root] } else { Vec::new() };
-        AllEntries { tree, stack, buf: Vec::new() }
-    }
-}
-
-#[cfg(test)]
-impl Iterator for AllEntries<'_> {
-    type Item = LeafEntry;
-
-    fn next(&mut self) -> Option<LeafEntry> {
-        loop {
-            if let Some(e) = self.buf.pop() {
-                return Some(e);
-            }
-            let id = self.stack.pop()?;
-            match &self.tree.node(id).kind {
-                NodeKind::Leaf(entries) => self.buf.extend_from_slice(entries),
-                NodeKind::Internal(children) => self.stack.extend_from_slice(children),
-            }
-        }
-    }
 }
 
 /// Iterator of [`RStarTree::nearest_iter`]: yields entries in ascending
@@ -1123,17 +1084,6 @@ mod tests {
         assert_eq!(t.visits(), 0);
         let _ = t.search_vec(&Rect::UNIT);
         assert!(t.visits() > 0);
-    }
-
-    #[test]
-    fn iter_yields_all() {
-        let mut t = RStarTree::default();
-        for i in 0..123u64 {
-            t.insert(i, pt_rect((i % 11) as f64 / 11.0, (i / 11) as f64 / 11.0));
-        }
-        let mut ids: Vec<u64> = t.iter().map(|e| e.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..123).collect::<Vec<_>>());
     }
 
     #[test]

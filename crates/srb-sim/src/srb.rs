@@ -204,7 +204,7 @@ pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
                 // to the goldens).
                 let mut provider =
                     Provider { clients: &mut clients, now: batch_t, probed: Vec::new() };
-                server.handle_sequenced_updates_into(&batch, &mut provider, batch_t, &mut resps);
+                server.ingest(&batch, &mut provider, batch_t, &mut resps);
                 for &p in &provider.probed {
                     provider.clients[p as usize].mark_pending();
                 }

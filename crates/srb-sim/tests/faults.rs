@@ -3,7 +3,7 @@
 
 use srb_cases::{cases, Rng, Seeds};
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ServerError, ShardedServer,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, ServerError,
 };
 use srb_geom::{Point, Rect};
 use srb_mobility::RetryPolicy;
@@ -27,11 +27,11 @@ fn faults_cfg() -> SimConfig {
 
 #[test]
 fn unknown_object_update_is_dropped_and_counted_not_a_panic() {
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     let stray = SequencedUpdate { id: ObjectId(7), pos: Point::new(0.5, 0.5), seq: 1 };
     let mut resps = Vec::new();
-    server.handle_sequenced_updates_into(&[stray], &mut provider, 0.0, &mut resps);
+    server.ingest(&[stray], &mut provider, 0.0, &mut resps);
     assert!(resps.is_empty());
     assert_eq!(server.work().unknown_object_drops, 1);
     assert_eq!(server.costs().source_updates, 0, "a dropped report is not charged");
@@ -39,7 +39,7 @@ fn unknown_object_update_is_dropped_and_counted_not_a_panic() {
 
 #[test]
 fn duplicate_registration_is_rejected() {
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
     let err = server.add_object(ObjectId(0), Point::new(0.8, 0.8), &mut provider, 0.0).unwrap_err();
@@ -50,21 +50,21 @@ fn duplicate_registration_is_rejected() {
 
 #[test]
 fn duplicate_sequenced_update_is_dropped_and_regranted() {
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
     server.add_object(ObjectId(1), Point::new(0.8, 0.8), &mut provider, 0.0).unwrap();
 
     let u = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.4, 0.4), seq: 1 };
     let (mut r1, mut r2) = (Vec::new(), Vec::new());
-    server.handle_sequenced_updates_into(&[u], &mut provider, 0.1, &mut r1);
+    server.ingest(&[u], &mut provider, 0.1, &mut r1);
     assert_eq!(r1.len(), 1);
     assert_eq!(server.costs().source_updates, 1);
 
     // The channel delivered a second copy later: dropped idempotently, but
     // answered with the *current* safe region so a client whose grant was
     // lost still converges.
-    server.handle_sequenced_updates_into(&[u], &mut provider, 0.2, &mut r2);
+    server.ingest(&[u], &mut provider, 0.2, &mut r2);
     assert_eq!(server.costs().source_updates, 1, "duplicate must not be charged");
     assert_eq!(server.work().stale_seq_drops, 1);
     assert_eq!(server.work().regrants, 1);
@@ -74,7 +74,7 @@ fn duplicate_sequenced_update_is_dropped_and_regranted() {
 
     // A reordered (older-than-accepted) sequence number behaves the same.
     let stale = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.9, 0.9), seq: 0 };
-    server.handle_sequenced_updates_into(&[stale], &mut provider, 0.3, &mut Vec::new());
+    server.ingest(&[stale], &mut provider, 0.3, &mut Vec::new());
     assert_eq!(server.work().stale_seq_drops, 2);
     assert_eq!(server.last_known(ObjectId(0)).unwrap().0, Point::new(0.4, 0.4));
     server.check_invariants();
@@ -82,7 +82,7 @@ fn duplicate_sequenced_update_is_dropped_and_regranted() {
 
 #[test]
 fn in_batch_duplicates_accept_first_copy_only() {
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     for i in 0..3u32 {
         server
@@ -91,7 +91,7 @@ fn in_batch_duplicates_accept_first_copy_only() {
     }
     let u = SequencedUpdate { id: ObjectId(1), pos: Point::new(0.45, 0.5), seq: 1 };
     let mut resps = Vec::new();
-    server.handle_sequenced_updates_into(&[u, u], &mut provider, 0.1, &mut resps);
+    server.ingest(&[u, u], &mut provider, 0.1, &mut resps);
     assert_eq!(server.costs().source_updates, 1);
     assert_eq!(server.work().stale_seq_drops, 1);
     // One accepted response plus one regrant, both for object 1.
@@ -106,7 +106,7 @@ fn in_batch_duplicates_accept_first_copy_only() {
 /// object when the lease lapses and repairs the query result.
 #[test]
 fn lease_probe_recovers_dropped_exit_report() {
-    let mut server = ShardedServer::new(ServerConfig { lease: Some(1.0), ..Default::default() }, 1);
+    let mut server = Server::new(ServerConfig { lease: Some(1.0), ..Default::default() });
     // True world state, mutated to simulate movement the server never hears
     // about.
     let mut world = vec![Point::new(0.30, 0.50), Point::new(0.70, 0.50)];
@@ -156,7 +156,7 @@ fn lease_probe_recovers_dropped_exit_report() {
 
 #[test]
 fn contact_renews_lease_without_probing() {
-    let mut server = ShardedServer::new(ServerConfig { lease: Some(0.5), ..Default::default() }, 1);
+    let mut server = Server::new(ServerConfig { lease: Some(0.5), ..Default::default() });
     let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
     server.add_object(ObjectId(0), Point::new(0.5, 0.5), &mut provider, 0.0).unwrap();
     // The client reports (voluntarily) every 0.4 < lease: the old timer goes
@@ -164,7 +164,7 @@ fn contact_renews_lease_without_probing() {
     for k in 1..=5 {
         let t = 0.4 * k as f64;
         let u = SequencedUpdate { id: ObjectId(0), pos: Point::new(0.5, 0.5), seq: k };
-        server.handle_sequenced_updates_into(&[u], &mut provider, t, &mut Vec::new());
+        server.ingest(&[u], &mut provider, t, &mut Vec::new());
         server.process_deferred(&mut provider, t);
     }
     assert_eq!(server.work().lease_probes, 0);
@@ -313,7 +313,7 @@ fn sequenced_batches(rng: &mut Rng) {
     let mut world: Vec<Point> = (0..n).map(|_| Point::new(rng.unit(), rng.unit())).collect();
     let mut seqs = vec![0u64; n];
     let lease = (rng.below(2) == 0).then_some(0.4);
-    let mut server = ShardedServer::new(ServerConfig { lease, ..Default::default() }, 1);
+    let mut server = Server::new(ServerConfig { lease, ..Default::default() });
     {
         let w = world.clone();
         let mut provider = FnProvider(move |id: ObjectId| w[id.index()]);
@@ -366,7 +366,7 @@ fn sequenced_batches(rng: &mut Rng) {
         }
         let w = world.clone();
         let mut provider = FnProvider(move |id: ObjectId| w[id.index()]);
-        server.handle_sequenced_updates_into(&batch, &mut provider, now, &mut Vec::new());
+        server.ingest(&batch, &mut provider, now, &mut Vec::new());
         server.process_deferred(&mut provider, now);
         server.check_invariants();
     }

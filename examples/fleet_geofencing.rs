@@ -8,7 +8,7 @@
 //! ```
 
 use srb::core::{
-    CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer,
+    CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig,
 };
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
@@ -32,7 +32,7 @@ fn main() {
         max_speed: Some(mob.max_speed()), // reachability enhancement (§6.1)
         ..Default::default()
     };
-    let mut server = ShardedServer::new(config, 1);
+    let mut server = Server::new(config);
 
     // Register the fleet.
     for (i, truck) in fleet.iter_mut().enumerate() {
@@ -78,7 +78,7 @@ fn main() {
                 let report = SequencedUpdate { id: ObjectId(i as u32), pos, seq };
                 let snapshot: Vec<Point> = fleet.iter_mut().map(|c| c.position(t)).collect();
                 let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
-                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                server.ingest(&[report], &mut provider, t, &mut grants);
                 for (oid, resp) in grants.drain(..) {
                     events += resp.changes.len() as u64;
                     fleet[oid.index()].receive_safe_region(resp.safe_region, t);

@@ -5,7 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use srb::core::{CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
+use srb::core::{
+    CostModel, FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig,
+};
 use srb::geom::{Point, Rect};
 
 fn main() {
@@ -17,7 +19,7 @@ fn main() {
         Point::new(0.90, 0.50),
     ];
 
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
 
     // Register the objects. The server hands each a safe region; a real
     // client would store it and report only when leaving it.
@@ -63,7 +65,7 @@ fn main() {
             seq += 1;
             let report = SequencedUpdate { id: ObjectId(1), pos, seq };
             let mut grants = Vec::new();
-            server.handle_sequenced_updates_into(&[report], &mut provider, now, &mut grants);
+            server.ingest(&[report], &mut provider, now, &mut grants);
             let (_, resp) = grants.pop().expect("the reporter is answered");
             for change in &resp.changes {
                 println!(

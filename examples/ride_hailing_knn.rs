@@ -7,7 +7,9 @@
 //! cargo run --release --example ride_hailing_knn
 //! ```
 
-use srb::core::{FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, ShardedServer};
+use srb::core::{
+    FnProvider, ObjectId, Quarantine, QuerySpec, SequencedUpdate, Server, ServerConfig,
+};
 use srb::geom::Point;
 use srb::mobility::{MobileClient, MobilityConfig, Trajectory};
 
@@ -23,7 +25,7 @@ fn main() {
         .map(|i| MobileClient::new(i as u32, Trajectory::random_waypoint(99, i as u64, mob, 0.0)))
         .collect();
 
-    let mut server = ShardedServer::with_defaults();
+    let mut server = Server::new(ServerConfig::default());
     for (i, driver) in drivers.iter_mut().enumerate() {
         let pos = driver.position(0.0);
         let mut provider = FnProvider(|_id: ObjectId| unreachable!());
@@ -62,7 +64,7 @@ fn main() {
                 let snapshot: Vec<Point> = drivers.iter_mut().map(|c| c.position(t)).collect();
                 let mut provider = FnProvider(move |id: ObjectId| snapshot[id.index()]);
                 let mut grants = Vec::new();
-                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                server.ingest(&[report], &mut provider, t, &mut grants);
                 let (_, resp) = grants.pop().expect("the reporter is answered");
                 drivers[i].receive_safe_region(resp.safe_region, t);
                 for (oid, sr) in resp.probed {

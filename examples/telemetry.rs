@@ -12,7 +12,7 @@
 //! With `--no-default-features` the whole telemetry layer compiles away and
 //! the snapshot is empty — the example prints that instead of failing.
 
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb::geom::Point;
 use srb::obs;
 use srb::sim::{run_srb, SimConfig};
@@ -104,7 +104,7 @@ fn main() {
 fn force_neighbor_probe() {
     let q = Point::new(0.5, 0.5);
     let mut at = [Point::new(0.52, 0.5), Point::new(0.5, 0.56)];
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     {
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &p) in at.iter().enumerate() {
@@ -116,6 +116,6 @@ fn force_neighbor_probe() {
     at[1] = Point::new(q.x, q.y + reach);
     let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
     let report = SequencedUpdate { id: ObjectId(1), pos: at[1], seq: 1 };
-    server.handle_sequenced_updates_into(&[report], &mut provider, 1.0, &mut Vec::new());
+    server.ingest(&[report], &mut provider, 1.0, &mut Vec::new());
     assert_eq!(server.work().probes_neighbor, 1, "the touching pair forces one probe");
 }

@@ -8,8 +8,9 @@
 //!
 //! - [`geom`] — geometry primitives and the Ir-lp safe-region math (§5);
 //! - [`index`] — the R\*-tree object index with bottom-up updates (§3.2);
-//! - [`core`] — the monitoring framework itself: [`core::ShardedServer`],
-//!   queries, quarantine areas, safe regions, probes (§3–§6);
+//! - [`core`] — the monitoring framework itself: [`core::Server`] (built
+//!   by `Server::new`, recovered by `Server::reopen`, fed reports by
+//!   `ingest`), queries, quarantine areas, safe regions, probes (§3–§6);
 //! - [`mobility`] — random-waypoint trajectories and client logic (§7.1);
 //! - [`sim`] — the discrete event-driven simulator and the SRB/OPT/PRD
 //!   schemes of the paper's evaluation (§7);
@@ -20,12 +21,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ShardedServer};
+//! use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 //! use srb::geom::{Point, Rect};
 //!
+//! // The server probes the clients through a provider over their positions.
 //! let positions = vec![Point::new(0.2, 0.2), Point::new(0.7, 0.7)];
 //! let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-//! let mut server = ShardedServer::with_defaults();
+//! let mut server = Server::new(ServerConfig::default());
 //! for (i, &p) in positions.iter().enumerate() {
 //!     server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
 //! }
@@ -40,7 +42,7 @@
 //! // report is a batch of one — the engine has one way in.
 //! let report = SequencedUpdate { id: ObjectId(1), pos: Point::new(0.4, 0.4), seq: 1 };
 //! let mut grants = Vec::new();
-//! server.handle_sequenced_updates_into(&[report], &mut provider, 1.0, &mut grants);
+//! server.ingest(&[report], &mut provider, 1.0, &mut grants);
 //! assert_eq!(server.results(reg.id), Some(&[ObjectId(0), ObjectId(1)][..]));
 //! ```
 //!

@@ -19,7 +19,7 @@
 use srb::core::{
     AdaptiveConfig, BackendConfig, CostTracker, CrashPoint, DurabilityConfig, DynBackend,
     FnProvider, GridConfig, ObjectId, Quarantine, QueryId, QuerySpec, RStarTree, SequencedUpdate,
-    ServerConfig, ShardedServer, SpatialBackend, SyncPolicy, UniformGrid, WorkStats,
+    Server, ServerConfig, ShardedServer, SpatialBackend, UniformGrid, WorkStats,
 };
 use srb::geom::{Point, Rect};
 pub use srb_cases::{mix, Rng};
@@ -56,9 +56,9 @@ impl Store {
     pub fn config(&self, base: ServerConfig) -> ServerConfig {
         let durability = DurabilityConfig {
             dir: Some(self.0),
-            policy: SyncPolicy::GroupCommit,
             group_ops: 2,
             checkpoint_ops: 7,
+            ..DurabilityConfig::default()
         };
         ServerConfig { durability, ..base }
     }
@@ -256,7 +256,7 @@ pub fn check(p: Config, seed: u64) {
 pub fn populate(p: Config, seed: u64, store: &Store) -> ServerConfig {
     let script = generate::<RStarTree>(&p, seed);
     let cfg = store.config(script.config);
-    let mut e = ShardedServer::new(cfg, p.shards);
+    let mut e = Server::with_backend(cfg, p.shards);
     for step in &script.steps {
         apply(&mut e, &step.call, &script.worlds[step.world], step.now);
     }
@@ -371,9 +371,7 @@ fn apply<B: SpatialBackend>(
         }
         Call::Register(spec) => return Some(e.register_query(*spec, &mut probe, now).id),
         Call::Deregister(q) => assert!(e.deregister_query(*q), "{q} is live"),
-        Call::Ingest(batch) => {
-            e.handle_sequenced_updates_into(batch, &mut probe, now, &mut Vec::new())
-        }
+        Call::Ingest(batch) => e.ingest(batch, &mut probe, now, &mut Vec::new()),
         Call::Deferred => {
             e.process_deferred(&mut probe, now);
         }
@@ -386,7 +384,7 @@ fn apply<B: SpatialBackend>(
 /// true world, and the script so far.
 struct Gen<B: SpatialBackend> {
     shadow: ShardedServer<B>,
-    reference: ShardedServer,
+    reference: Server,
     rng: Rng,
     script: Script,
     at: Vec<Point>,
@@ -562,7 +560,7 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
     let reference = ServerConfig { backend: BackendConfig::default(), ..config };
     let mut g = Gen {
         shadow: ShardedServer::<B>::with_backend(config, p.shards),
-        reference: ShardedServer::new(reference, 1),
+        reference: Server::new(reference),
         script: Script {
             config,
             steps: Vec::new(),

@@ -5,7 +5,7 @@
 mod common;
 
 use common::{assert_exact, unit, Store};
-use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, ServerConfig, ShardedServer};
+use srb::core::{FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig};
 use srb::geom::{Point, Rect};
 use srb::mobility::{MobilityConfig, Trajectory};
 use srb::sim::{run_scheme, Scheme, SimConfig};
@@ -19,7 +19,7 @@ fn trajectory_driven_monitoring_stays_exact() {
     let mut trajs: Vec<Trajectory> =
         (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
 
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     let mut snapshot: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
     let specs = [
         QuerySpec::range(Rect::centered(Point::new(0.5, 0.5), 0.1, 0.1)),
@@ -53,7 +53,7 @@ fn trajectory_driven_monitoring_stays_exact() {
                 seqs[i] += 1;
                 let report = SequencedUpdate { id: oid, pos: snapshot[i], seq: seqs[i] };
                 let mut grants = Vec::new();
-                server.handle_sequenced_updates_into(&[report], &mut provider, t, &mut grants);
+                server.ingest(&[report], &mut provider, t, &mut grants);
                 assert_eq!(grants[0].0, oid, "the reporter is answered");
             }
         }
@@ -81,8 +81,8 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
     // indexes: exact at every shard count. Same trajectories as above,
     // reduced; the reports of one check instant go in as one batch through
     // the ledger's entry point (`with_threads`, `_parallel_into` over a
-    // `TableProvider`), and every query is held to the brute-force answer
-    // at every check instant.
+    // `TableProvider`; ROADMAP 3(a) deletes them after 2(a)), and every
+    // query is held to the brute-force answer at every check instant.
     use srb::core::TableProvider;
     let n = 100;
     let mob = MobilityConfig { mean_speed: 0.02, mean_period: 0.5, ..Default::default() };
@@ -100,7 +100,7 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
         let mut trajs: Vec<Trajectory> =
             (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
         let mut at: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
-        let mut server = ShardedServer::new(ServerConfig::default(), shards).with_threads(2);
+        let mut server = Server::with_backend(ServerConfig::default(), shards).with_threads(2);
         {
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
             for (i, &pos) in at.iter().enumerate() {
@@ -167,7 +167,7 @@ fn knn_dense_batches_of_many_movers_stay_exact() {
         .collect();
     for shards in [1, 2] {
         let mut at: Vec<Point> = (0..N).map(|i| Point::new(unit(i, 43), unit(i, 44))).collect();
-        let mut server = ShardedServer::new(ServerConfig::default(), shards);
+        let mut server = Server::with_backend(ServerConfig::default(), shards);
         {
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
             for (i, &p) in at.iter().enumerate() {
@@ -192,7 +192,7 @@ fn knn_dense_batches_of_many_movers_stay_exact() {
                 .collect();
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
             let now = batch as f64 * 0.1;
-            server.handle_sequenced_updates_into(&updates, &mut provider, now, &mut Vec::new());
+            server.ingest(&updates, &mut provider, now, &mut Vec::new());
             for (q, &c) in server.query_ids().zip(&centres) {
                 let mut ranked: Vec<(f64, u32)> =
                     (0..N as u32).map(|i| (at[i as usize].dist(c), i)).collect();
@@ -271,7 +271,7 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
     let n = REPORTS + BYSTANDERS;
     let mut at: Vec<Point> = (0..n as u64).map(|i| Point::new(unit(i, 1), unit(i, 2))).collect();
 
-    let mut server = ShardedServer::new(ServerConfig::default(), 1);
+    let mut server = Server::new(ServerConfig::default());
     let mut specs = Vec::new();
     {
         let ps = at.clone();
@@ -306,7 +306,7 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
     let ps = at.clone();
     let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
     let mut out = Vec::new();
-    server.handle_sequenced_updates_into(&updates, &mut provider, 1.0, &mut out);
+    server.ingest(&updates, &mut provider, 1.0, &mut out);
     assert!(out.len() >= REPORTS, "every report is answered");
 
     for &(qid, spec) in &specs {
@@ -352,7 +352,7 @@ fn durable_single_node_round_trips_through_recovery() {
 }
 
 fn durable_round_trip(shards: usize) {
-    use srb::core::{DurabilityConfig, QueryId, RStarTree};
+    use srb::core::{DurabilityConfig, QueryId};
     let store = Store::new();
     let dir = store.0;
     let twin_cfg = ServerConfig { lease: Some(0.05), ..Default::default() };
@@ -371,8 +371,8 @@ fn durable_round_trip(shards: usize) {
     };
     let pos_at = |i: u64, round: u64| Point::new(unit(i, 2 * round), unit(i, 2 * round + 1));
 
-    let mut durable = ShardedServer::new(durable_cfg, shards);
-    let mut twin = ShardedServer::new(twin_cfg, shards);
+    let mut durable = Server::with_backend(durable_cfg, shards);
+    let mut twin = Server::with_backend(twin_cfg, shards);
     let mut queries: Vec<QueryId> = Vec::new();
     for engine in [&mut durable, &mut twin] {
         queries.clear();
@@ -400,13 +400,8 @@ fn durable_round_trip(shards: usize) {
             let many: Vec<SequencedUpdate> =
                 (0..12u64).filter(|i| (i + round) % 2 == 0).map(|i| report(i, round)).collect();
             let mut out = Vec::new();
-            engine.handle_sequenced_updates_into(&many, &mut provider, now, &mut out);
-            engine.handle_sequenced_updates_into(
-                &[report(round, round)],
-                &mut provider,
-                now,
-                &mut out,
-            );
+            engine.ingest(&many, &mut provider, now, &mut out);
+            engine.ingest(&[report(round, round)], &mut provider, now, &mut out);
             if engine.next_deferred_due().is_some() {
                 engine.process_deferred(&mut provider, now);
             }
@@ -429,8 +424,7 @@ fn durable_round_trip(shards: usize) {
         gens.iter().flat_map(|g| [format!("ckpt-{g}"), format!("log-{g}-0")]).collect();
     want.sort();
     assert_eq!(names, want, "{shards} shard(s)");
-    let (recovered, replayed) =
-        ShardedServer::<RStarTree>::recover(durable_cfg, shards).expect("recovery");
+    let (recovered, replayed) = Server::recover(durable_cfg, shards).expect("recovery");
     assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
     assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
     assert!(twin.work().lease_probes > 0, "leases lapsed and fired");
@@ -442,122 +436,152 @@ fn durable_round_trip(shards: usize) {
     recovered.check_invariants();
 }
 
+/// One run of the region pins: the state digest, the sum of the granted
+/// rectangles' hashes and the number of grants.
+type RegionRun = (u64, u64, usize);
+
+/// The kNN-dense run the region pins share, computed once for both: at one
+/// shard and at two, plain and with both §6 enhancements on.
+struct RegionRuns {
+    plain: [RegionRun; 2],
+    enhanced: [RegionRun; 2],
+}
+
+/// Half the queries are order-sensitive kNN, so most reports go through the
+/// ring Ir-lp and its candidate-family search; the rest exercise the
+/// circle, the circle complement and the staircase.
+fn region_runs() -> &'static RegionRuns {
+    static RUNS: std::sync::OnceLock<RegionRuns> = std::sync::OnceLock::new();
+    RUNS.get_or_init(|| {
+        const N: usize = 400;
+        const QUERIES: u64 = 48;
+        const BATCHES: u64 = 24;
+        // Each granted rectangle hashed on its own (FNV-1a over the id and
+        // the four coordinates) and the hashes summed, so the order in
+        // which grants are listed is not part of the pin; the state digest
+        // pins every order.
+        fn fold(hash: &mut u64, grants: &[(ObjectId, srb::core::UpdateResponse)]) {
+            for (id, resp) in grants {
+                for (o, r) in std::iter::once(&(*id, resp.safe_region)).chain(&resp.probed) {
+                    let mut one = 0xCBF2_9CE4_8422_2325u64;
+                    for v in [o.0 as u64, r.min().x.to_bits(), r.min().y.to_bits()]
+                        .into_iter()
+                        .chain([r.max().x.to_bits(), r.max().y.to_bits()])
+                    {
+                        one = (one ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                    *hash = hash.wrapping_add(one);
+                }
+            }
+        }
+
+        let run = |config: ServerConfig, shards: usize| -> RegionRun {
+            let mut at: Vec<Point> =
+                (0..N as u64).map(|i| Point::new(unit(i, 11), unit(i, 12))).collect();
+            let mut server = Server::with_backend(config, shards);
+            let (mut hash, mut grants) = (0u64, 0usize);
+            {
+                let ps = at.clone();
+                let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+                for (i, &p) in at.iter().enumerate() {
+                    server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+                }
+                for q in 0..QUERIES {
+                    let c = Point::new(unit(q, 13), unit(q, 14));
+                    let k = 2 + (q % 5) as usize;
+                    let spec = match q % 4 {
+                        0 | 2 => QuerySpec::knn(c, k),
+                        1 => QuerySpec::knn_unordered(c, k),
+                        _ => QuerySpec::range(
+                            Rect::centered(c, 0.05, 0.04)
+                                .intersection(&Rect::UNIT)
+                                .expect("inside"),
+                        ),
+                    };
+                    server.register_query(spec, &mut provider, 0.0);
+                }
+            }
+            let mut seq = vec![0u64; N];
+            let mut out = Vec::new();
+            for batch in 1..=BATCHES {
+                let now = batch as f64 * 0.1;
+                for (i, p) in at.iter_mut().enumerate() {
+                    let i = i as u64;
+                    let step =
+                        Point::new(unit(i, 100 + 2 * batch) - 0.5, unit(i, 101 + 2 * batch) - 0.5);
+                    *p = Point::new(
+                        (p.x + 0.02 * step.x).clamp(0.0, 1.0),
+                        (p.y + 0.02 * step.y).clamp(0.0, 1.0),
+                    );
+                }
+                let ps = at.clone();
+                let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
+                if server.next_deferred_due().is_some() {
+                    let fired = server.process_deferred(&mut provider, now);
+                    grants += fired.len();
+                    fold(&mut hash, &fired);
+                }
+                let updates: Vec<SequencedUpdate> = (0..N)
+                    .filter(|&i| {
+                        let sr = server.safe_region(ObjectId(i as u32)).expect("registered");
+                        !sr.contains_point(at[i])
+                    })
+                    .map(|i| {
+                        seq[i] += 1;
+                        SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: seq[i] }
+                    })
+                    .collect();
+                out.clear();
+                server.ingest(&updates, &mut provider, now, &mut out);
+                grants += out.len();
+                fold(&mut hash, &out);
+            }
+            server.check_invariants();
+            (server.state_digest(), hash, grants)
+        };
+        let runs = |config: ServerConfig| [1, 2].map(|shards| run(config, shards));
+        RegionRuns {
+            plain: runs(ServerConfig::default()),
+            enhanced: runs(ServerConfig::enhanced(0.2, 0.5)),
+        }
+    })
+}
+
 #[test]
 fn granted_safe_regions_are_pinned_bit_for_bit() {
-    // Bit-identity guard for the safe-region geometry: a kNN-dense run on
-    // the one-shard engine whose every granted rectangle is hashed. Half
-    // the queries are order-sensitive kNN, so most reports go through the
-    // ring Ir-lp and its candidate-family search; the rest exercise the
-    // circle, the circle complement and the staircase. The pinned values
-    // were last printed by this very test, in debug and in release, when
-    // the θ-search became exact (each family maximized at its closed-form
-    // breakpoints; `git show c623972:EXPERIMENTS.md` has old → new): an
-    // optimisation of the Ir-lp search that keeps its regions has to
-    // reproduce them exactly. And the partition does not show: two shards
-    // grant the same rectangles, with the §6 enhancements on or off.
-    const N: usize = 400;
-    const QUERIES: u64 = 48;
-    const BATCHES: u64 = 24;
-    // Each granted rectangle hashed on its own (FNV-1a over the id and the
-    // four coordinates) and the hashes summed, so the order in which
-    // grants are listed is not part of the pin; the state digest beside it
-    // pins every order. The digest hashes the checkpoint layout as well, so
-    // it moves with the layout (last at v7, whose regions and grants read
-    // as before); the hash and the count move only with the regions.
-    fn fold(hash: &mut u64, grants: &[(ObjectId, srb::core::UpdateResponse)]) {
-        for (id, resp) in grants {
-            for (o, r) in std::iter::once(&(*id, resp.safe_region)).chain(&resp.probed) {
-                let mut one = 0xCBF2_9CE4_8422_2325u64;
-                for v in [o.0 as u64, r.min().x.to_bits(), r.min().y.to_bits()]
-                    .into_iter()
-                    .chain([r.max().x.to_bits(), r.max().y.to_bits()])
-                {
-                    one = (one ^ v).wrapping_mul(0x0000_0100_0000_01B3);
-                }
-                *hash = hash.wrapping_add(one);
-            }
-        }
+    // Bit-identity guard for the safe-region geometry: every granted
+    // rectangle of the kNN-dense run on the one-shard engine, hashed. The
+    // pinned values were last printed by this very test, in debug and in
+    // release, when the θ-search became exact (each family maximized at its
+    // closed-form breakpoints; `git show c623972:EXPERIMENTS.md` has old →
+    // new): an optimisation of the Ir-lp search that keeps its regions has
+    // to reproduce them exactly. They move only with the regions. And the
+    // partition does not show: two shards grant the same rectangles, with
+    // the §6 enhancements on or off.
+    let runs = region_runs();
+    for [one, two] in [runs.plain, runs.enhanced] {
+        assert_eq!((two.1, two.2), (one.1, one.2), "two shards grant other regions than one");
     }
-
-    let run = |config: ServerConfig, shards: usize| -> (u64, u64, usize) {
-        let mut at: Vec<Point> =
-            (0..N as u64).map(|i| Point::new(unit(i, 11), unit(i, 12))).collect();
-        let mut server = ShardedServer::new(config, shards);
-        let (mut hash, mut grants) = (0u64, 0usize);
-        {
-            let ps = at.clone();
-            let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-            for (i, &p) in at.iter().enumerate() {
-                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
-            }
-            for q in 0..QUERIES {
-                let c = Point::new(unit(q, 13), unit(q, 14));
-                let k = 2 + (q % 5) as usize;
-                let spec = match q % 4 {
-                    0 | 2 => QuerySpec::knn(c, k),
-                    1 => QuerySpec::knn_unordered(c, k),
-                    _ => QuerySpec::range(
-                        Rect::centered(c, 0.05, 0.04).intersection(&Rect::UNIT).expect("inside"),
-                    ),
-                };
-                server.register_query(spec, &mut provider, 0.0);
-            }
-        }
-        let mut seq = vec![0u64; N];
-        let mut out = Vec::new();
-        for batch in 1..=BATCHES {
-            let now = batch as f64 * 0.1;
-            for (i, p) in at.iter_mut().enumerate() {
-                let i = i as u64;
-                let step =
-                    Point::new(unit(i, 100 + 2 * batch) - 0.5, unit(i, 101 + 2 * batch) - 0.5);
-                *p = Point::new(
-                    (p.x + 0.02 * step.x).clamp(0.0, 1.0),
-                    (p.y + 0.02 * step.y).clamp(0.0, 1.0),
-                );
-            }
-            let ps = at.clone();
-            let mut provider = FnProvider(move |id: ObjectId| ps[id.index()]);
-            if server.next_deferred_due().is_some() {
-                let fired = server.process_deferred(&mut provider, now);
-                grants += fired.len();
-                fold(&mut hash, &fired);
-            }
-            let updates: Vec<SequencedUpdate> = (0..N)
-                .filter(|&i| {
-                    let sr = server.safe_region(ObjectId(i as u32)).expect("registered");
-                    !sr.contains_point(at[i])
-                })
-                .map(|i| {
-                    seq[i] += 1;
-                    SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: seq[i] }
-                })
-                .collect();
-            out.clear();
-            server.handle_sequenced_updates_into(&updates, &mut provider, now, &mut out);
-            grants += out.len();
-            fold(&mut hash, &out);
-        }
-        server.check_invariants();
-        (server.state_digest(), hash, grants)
-    };
-
-    let plain = run(ServerConfig::default(), 1);
-    let enhanced = run(ServerConfig::enhanced(0.2, 0.5), 1);
-    for (config, one) in
-        [(ServerConfig::default(), plain), (ServerConfig::enhanced(0.2, 0.5), enhanced)]
-    {
-        let (_, hash, grants) = run(config, 2);
-        assert_eq!((hash, grants), (one.1, one.2), "two shards grant other regions than one");
-    }
+    let regions = |(_, hash, grants): RegionRun| (hash, grants);
     assert_eq!(
-        plain,
-        (0x25B4_6425_9A16_FEB4, 0xF5EB_4C99_3021_5818, 5424),
+        regions(runs.plain[0]),
+        (0xF5EB_4C99_3021_5818, 5424),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
-        enhanced,
-        (0xD961_D75C_746C_5853, 0x0BBF_A77C_EE63_F357, 5457),
+        regions(runs.enhanced[0]),
+        (0x0BBF_A77C_EE63_F357, 5457),
         "weighted-perimeter regions moved"
     );
+}
+
+#[test]
+fn checkpoint_encoding_of_the_region_runs_is_pinned() {
+    // The state digest after the region pins' one-shard runs. It hashes the
+    // checkpoint encoding, so it moves with the layout (last at v7, whose
+    // regions and grants read as before) as well as with the state; the
+    // region pin above moves only with the regions.
+    let runs = region_runs();
+    assert_eq!(runs.plain[0].0, 0x25B4_6425_9A16_FEB4, "ordinary-perimeter state digest moved");
+    assert_eq!(runs.enhanced[0].0, 0xD961_D75C_746C_5853, "weighted-perimeter state digest moved");
 }

@@ -18,8 +18,8 @@ use common::Enhancement::{self, *};
 use common::{check, point, populate, Config, Rng, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
-    BackendConfig, DynBackend, FnProvider, GridConfig, ObjectId, QuerySpec, RStarTree,
-    RecoveryError, SequencedUpdate, ServerConfig, ShardedServer, UniformGrid,
+    BackendConfig, DynBackend, FnProvider, GridConfig, ObjectId, QuerySpec, RecoveryError,
+    SequencedUpdate, Server, ServerConfig, ShardedServer, UniformGrid,
 };
 use srb::geom::{Point, Rect};
 use srb_cases::{cases, Seeds};
@@ -153,7 +153,7 @@ fn recovery_refuses_backend_kind_mismatch() {
         e.sync_wal();
         e.state_digest()
     };
-    match ShardedServer::<RStarTree>::recover(cfg, 2).map(|_| ()) {
+    match Server::recover(cfg, 2).map(|_| ()) {
         Err(RecoveryError::BackendMismatch { configured: "grid", recovering: "rstar" }) => {}
         other => panic!("expected BackendMismatch, got {other:?}"),
     }
@@ -169,7 +169,7 @@ fn recovery_refuses_backend_kind_mismatch() {
 fn recovery_rejects_config_mismatch() {
     let store = Store::new();
     let cfg = populate(Config { shards: 2, ..P }, 21, &store);
-    match ShardedServer::<RStarTree>::recover(ServerConfig { grid_m: 32, ..cfg }, 2).map(|_| ()) {
+    match Server::recover(ServerConfig { grid_m: 32, ..cfg }, 2).map(|_| ()) {
         Err(RecoveryError::ConfigMismatch) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
@@ -182,7 +182,7 @@ fn recovery_rejects_config_mismatch() {
 fn corruption_fuzz_never_panics() {
     let src = Store::new();
     let cfg = populate(Config { shards: 2, enhancement: Lease, ..P }, 22, &src);
-    let (e, _) = ShardedServer::<RStarTree>::recover(cfg, 2).expect("an intact store recovers");
+    let (e, _) = Server::recover(cfg, 2).expect("an intact store recovers");
     assert!(e.next_deferred_due().is_some(), "the store holds lease timers");
     drop(e);
     let files: Vec<PathBuf> =
@@ -208,9 +208,7 @@ fn corruption_fuzz_never_panics() {
             }
             std::fs::write(&target, &data).expect("write");
             let durability = srb::core::DurabilityConfig { dir: Some(dst.0), ..cfg.durability };
-            if let Ok((e, _)) =
-                ShardedServer::<RStarTree>::recover(ServerConfig { durability, ..cfg }, 2)
-            {
+            if let Ok((e, _)) = Server::recover(ServerConfig { durability, ..cfg }, 2) {
                 e.check_invariants_deep();
             }
         }
@@ -222,7 +220,7 @@ fn corruption_fuzz_never_panics() {
 /// probes), never the tail.
 #[test]
 fn probes_are_lazy_far_objects_never_probed() {
-    let mut e = ShardedServer::with_defaults();
+    let mut e = Server::new(ServerConfig::default());
     let at: Vec<Point> = (0..18).map(|i| Point::new(0.05 + 0.05 * i as f64, 0.51)).collect();
     let probed = std::cell::RefCell::new(Vec::new());
     let mut probe = FnProvider(|id: ObjectId| {
@@ -246,7 +244,7 @@ fn probes_are_lazy_far_objects_never_probed() {
 /// so an unfolded revelation would stick forever.
 #[test]
 fn registration_probe_maintains_existing_queries() {
-    let mut e = ShardedServer::new(ServerConfig { grid_m: 10, ..Default::default() }, 1);
+    let mut e = Server::new(ServerConfig { grid_m: 10, ..Default::default() });
     let (pos0, pos1) = (Point::new(0.6627, 0.2982), Point::new(0.7167, 0.3095));
     let mut before = FnProvider(|_: ObjectId| pos0);
     e.add_object(ObjectId(0), pos0, &mut before, 0.0).expect("a fresh id");
@@ -263,7 +261,7 @@ fn registration_probe_maintains_existing_queries() {
     assert_eq!(e.results(q2), Some(&[][..]), "q2 drops the mover");
 
     let report = SequencedUpdate { id: ObjectId(0), pos: pos1, seq: 1 };
-    e.handle_sequenced_updates_into(&[report], &mut after, 0.4, &mut Vec::new());
+    e.ingest(&[report], &mut after, 0.4, &mut Vec::new());
     assert_eq!(e.results(q2), Some(&[][..]));
     assert_eq!(e.results(r3.id), Some(&[][..]));
     e.check_invariants_deep();
