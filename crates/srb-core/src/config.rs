@@ -5,7 +5,7 @@ use srb_geom::Rect;
 use srb_index::BackendConfig;
 
 /// Configuration of the durability plane (write-ahead log + checkpoints),
-/// which the engine's coordinator owns: a durable single node is
+/// which the engine owns: a durable single node is
 /// [`Server::new`](crate::Server::new) with `dir` set, recovered by
 /// [`Server::reopen`](crate::Server::reopen). The default — `dir: None` —
 /// disables durability entirely: the engine runs exactly the paper's

@@ -50,7 +50,7 @@ pub enum RecoveryError {
     /// No checkpoint survives in the durability directory.
     NoState,
     /// The recovered state was checkpointed under a different server
-    /// configuration than the one supplied to `recover`.
+    /// configuration than the one supplied to `reopen`.
     ConfigMismatch,
     /// The configured backend (`ServerConfig::backend`) is one the
     /// recovering backend type cannot build. `ShardedServer<DynBackend>`

@@ -8,15 +8,16 @@
 
 use crate::bounds::LocBound;
 use crate::ids::ObjectId;
+use crate::index::ObjectIndex;
 use crate::object::ObjectState;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::scratch::KnnPatch;
-use crate::view::{FleetView, MergedNearest};
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::SpatialBackend;
+use srb_index::{Neighbor, SpatialBackend};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::iter::Peekable;
 
 /// Everything an evaluation needs from the engine, bundled to keep borrows
 /// manageable. `exact` accumulates every exactly-known location of the
@@ -24,7 +25,7 @@ use std::collections::BinaryHeap;
 /// engine recomputes safe regions for exactly these objects afterwards
 /// (Algorithm 1 lines 14–15).
 pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
-    pub(crate) view: FleetView<'a, B>,
+    pub(crate) index: &'a ObjectIndex<B>,
     pub(crate) exact: &'a mut FastMap<ObjectId, Point>,
     /// The objects probed so far, in probe order: the part of `exact` the
     /// caller did not put there itself.
@@ -35,7 +36,7 @@ pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
     /// Deferred probes scheduled by reachability-based decisions: the
     /// earliest future instants at which those decisions could be
     /// invalidated by the growing circle (see DESIGN.md — this makes §6.1
-    /// sound). The engine moves these into the shard timers.
+    /// sound). The engine moves these into its timer queue.
     pub(crate) deferred: &'a mut Vec<(ObjectId, f64)>,
     /// Working set of the order-sensitive kNN patch (§4.3).
     pub(crate) patch: &'a mut KnnPatch,
@@ -47,7 +48,7 @@ pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
 
 /// Read-only view of the engine state needed to bound object locations.
 pub(crate) struct ReadCtx<'a, B: SpatialBackend> {
-    pub(crate) view: FleetView<'a, B>,
+    pub(crate) index: &'a ObjectIndex<B>,
     pub(crate) exact: &'a FastMap<ObjectId, Point>,
     pub(crate) max_speed: Option<f64>,
     pub(crate) now: f64,
@@ -59,7 +60,7 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
         if let Some(&p) = self.exact.get(&id) {
             return LocBound::Exact(p);
         }
-        let reach = self.max_speed.and_then(|v| Some(self.reach(v, self.view.state_of(id)?)));
+        let reach = self.max_speed.and_then(|v| Some(self.reach(v, self.index.get(id)?)));
         LocBound::Region { sr, reach }
     }
 
@@ -70,7 +71,7 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
         if let Some(&p) = self.exact.get(&id) {
             return Some(LocBound::Exact(p));
         }
-        let st = self.view.state_of(id)?;
+        let st = self.index.get(id)?;
         let reach = self.max_speed.map(|v| self.reach(v, st));
         Some(LocBound::Region { sr: st.safe_region, reach })
     }
@@ -86,7 +87,7 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
     /// — the instant that decision could stop holding. `None` with the
     /// enhancement off or for an unknown object.
     fn due_after(&self, id: ObjectId, slack: impl FnOnce(Point) -> f64) -> Option<f64> {
-        let (v, st) = (self.max_speed?, self.view.state_of(id)?);
+        let (v, st) = (self.max_speed?, self.index.get(id)?);
         Some(st.t_lst + slack(st.p_lst) / v)
     }
 
@@ -110,14 +111,14 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 
 /// What one safe-region computation (§5) works with: shared state it only
 /// reads — no region may probe, so none depends on the ones computed
-/// before it — and two lists it hands back to the coordinator.
+/// before it — and two lists it hands back to the engine.
 pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
     pub(crate) read: &'a ReadCtx<'a, B>,
     /// The object whose region is being computed.
     pub(crate) requester: ObjectId,
     /// Out: `(requester, target)` — a neighbour whose exact location the
     /// computation needs. The region computed meanwhile is void and is
-    /// computed again once the coordinator has probed the target.
+    /// computed again once the engine has probed the target.
     pub(crate) requests: &'a mut Vec<(ObjectId, ObjectId)>,
     /// Out: `(requester, target, due)` — deferred probes that keep the
     /// requester's reachability-based bounds sound.
@@ -147,7 +148,7 @@ impl<B: SpatialBackend> RegionCtx<'_, B> {
 impl<B: SpatialBackend> EvalCtx<'_, B> {
     /// A read-only view sharing this context's state.
     pub(crate) fn as_read(&self) -> ReadCtx<'_, B> {
-        ReadCtx { view: self.view, exact: self.exact, max_speed: self.max_speed, now: self.now }
+        ReadCtx { index: self.index, exact: self.exact, max_speed: self.max_speed, now: self.now }
     }
 
     /// The location bound for an object whose stored rectangle is `sr`.
@@ -156,7 +157,7 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
     }
 
     /// The location bound for an object, looking its rectangle up in the
-    /// view.
+    /// index.
     pub(crate) fn bound_of(&self, id: ObjectId) -> Option<LocBound> {
         self.as_read().bound_of(id)
     }
@@ -215,7 +216,7 @@ pub(crate) fn evaluate_range<B: SpatialBackend>(
 ) -> Vec<ObjectId> {
     ctx.work.evaluations += 1;
     let mut results = Vec::new();
-    let candidates = ctx.view.search(rect);
+    let candidates = ctx.index.search(rect);
     for entry in candidates {
         let oid = ObjectId(entry.id as u32);
         let bound = ctx.bound(oid, entry.rect);
@@ -332,17 +333,17 @@ impl Ord for Item {
     }
 }
 
-/// Merges the view's best-first browser with probed exact points pushed
+/// Merges the index's best-first browser with probed exact points pushed
 /// back into the frontier, yielding objects in ascending `(key, id)`.
-struct Stream<'a, B: SpatialBackend> {
-    browser: MergedNearest<'a, B>,
+struct Stream<'a, B: SpatialBackend + 'a> {
+    browser: Peekable<B::Nearest<'a>>,
     heap: BinaryHeap<Reverse<Item>>,
     q: Point,
 }
 
-impl<'a, B: SpatialBackend> Stream<'a, B> {
-    fn new(view: FleetView<'a, B>, q: Point) -> Self {
-        Stream { browser: view.nearest(q), heap: BinaryHeap::new(), q }
+impl<'a, B: SpatialBackend + 'a> Stream<'a, B> {
+    fn new(index: &'a ObjectIndex<B>, q: Point) -> Self {
+        Stream { browser: index.nearest(q), heap: BinaryHeap::new(), q }
     }
 
     fn push(&mut self, item: Item) {
@@ -354,9 +355,9 @@ impl<'a, B: SpatialBackend> Stream<'a, B> {
         loop {
             // Pull from the browser until its next entry no longer comes
             // before the heap top.
-            while let Some((d, id)) = self.browser.peek() {
+            while let Some(&Neighbor { dist, id, .. }) = self.browser.peek() {
                 let oid = ObjectId(id as u32);
-                if self.heap.peek().is_some_and(|Reverse(t)| (t.key, t.oid) <= (d, oid)) {
+                if self.heap.peek().is_some_and(|Reverse(t)| (t.key, t.oid) <= (dist, oid)) {
                     break;
                 }
                 let n = self.browser.next().expect("peeked");
@@ -389,7 +390,7 @@ pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
     exclude: &[ObjectId],
 ) -> KnnEval {
     ctx.work.evaluations += 1;
-    let mut stream = Stream::new(ctx.view, q);
+    let mut stream = Stream::new(ctx.index, q);
     let mut held: Option<Item> = None;
     let mut results: Vec<Item> = Vec::with_capacity(k);
     let mut next_for_radius: Option<Item> = None;
@@ -516,7 +517,7 @@ pub(crate) fn evaluate_knn_unordered<B: SpatialBackend>(
     exclude: &[ObjectId],
 ) -> KnnEval {
     ctx.work.evaluations += 1;
-    let mut stream = Stream::new(ctx.view, q);
+    let mut stream = Stream::new(ctx.index, q);
     let mut held: Vec<Item> = Vec::new();
     let mut results: Vec<Item> = Vec::with_capacity(k);
     let mut next_for_radius: Option<Item> = None;

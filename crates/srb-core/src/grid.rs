@@ -31,11 +31,6 @@ impl GridIndex {
         GridIndex { space, m, buckets: vec![Vec::new(); m * m] }
     }
 
-    /// The grid resolution `M`.
-    pub(crate) fn m(&self) -> usize {
-        self.m
-    }
-
     /// The cell containing `p` (clamped to the space).
     pub(crate) fn cell_of(&self, p: Point) -> Cell {
         let fx = (p.x - self.space.min().x) / self.space.width();

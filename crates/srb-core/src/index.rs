@@ -1,47 +1,34 @@
 //! The object index layer (paper §3.1, Figure 3.1 box "object index").
 //!
-//! The objects are partitioned over the engine's shards, each a pluggable
-//! [`SpatialBackend`] over its objects' safe regions (the paper's R\*-tree
-//! by default, the uniform grid as the update-optimized alternative), and
-//! every object's state lives once, in the [`ObjectTable`] beside them.
-//! [`ObjectIndex`] owns both and keeps them coherent: every mutation that
-//! changes an object's stored rectangle goes through this wrapper, so a
-//! backend entry and its [`ObjectState::safe_region`] can never drift
-//! apart. The query layers above only ever see shared references, through
-//! [`FleetView`].
+//! One pluggable [`SpatialBackend`] holds the objects' safe regions (the
+//! paper's R\*-tree by default, the uniform grid as the update-optimized
+//! alternative), and every object's state lives once, in the
+//! [`ObjectTable`] beside it. [`ObjectIndex`] owns both and keeps them
+//! coherent: every mutation that changes an object's stored rectangle goes
+//! through this wrapper, so a backend entry and its
+//! [`ObjectState::safe_region`] can never drift apart. The query layers
+//! above only ever read it, through a shared reference: a best-first
+//! browse, a rectangle search, and the state of one object.
 
 use crate::error::RecoveryError;
 use crate::ids::ObjectId;
 use crate::object::{ObjectState, ObjectTable};
-use crate::shard::Shard;
-use crate::view::FleetView;
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, SpatialBackend};
+use srb_index::{BackendConfig, LeafEntry, SpatialBackend};
+use std::iter::Peekable;
 
-/// The object index: the shards' spatial backends over safe regions plus
-/// the one object table, kept in lockstep. Generic in the backend `B`.
+/// The object index: the spatial backend over safe regions plus the object
+/// table, kept in lockstep. Generic in the backend `B`.
 pub(crate) struct ObjectIndex<B: SpatialBackend> {
-    shards: Vec<Shard<B>>,
+    backend: B,
     objects: ObjectTable,
 }
 
 impl<B: SpatialBackend> ObjectIndex<B> {
-    /// An empty index of `shards` shards, each backend built from `config`
-    /// over `space`. Panics when `config`'s variant does not match `B`.
-    pub(crate) fn new(config: &BackendConfig, shards: usize, space: Rect) -> Self {
-        let shards = (0..shards).map(|_| Shard { backend: B::build(config, space) }).collect();
-        ObjectIndex { shards, objects: ObjectTable::default() }
-    }
-
-    /// The shards, in shard order.
-    pub(crate) fn shards(&self) -> &[Shard<B>] {
-        &self.shards
-    }
-
-    /// What query evaluation and safe-region computation read: the union of
-    /// the shard backends and the object table.
-    pub(crate) fn view(&self) -> FleetView<'_, B> {
-        FleetView { shards: &self.shards, objects: &self.objects }
+    /// An empty index whose backend is built from `config` over `space`.
+    /// Panics when `config`'s variant does not match `B`.
+    pub(crate) fn new(config: &BackendConfig, space: Rect) -> Self {
+        ObjectIndex { backend: B::build(config, space), objects: ObjectTable::default() }
     }
 
     /// Number of indexed objects.
@@ -54,6 +41,32 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.get(id)
     }
 
+    /// Starts a best-first browse from `q`, in ascending `(distance, id)`.
+    pub(crate) fn nearest(&self, q: Point) -> Peekable<B::Nearest<'_>> {
+        self.backend.nearest_iter(q).peekable()
+    }
+
+    /// Every entry whose stored rectangle intersects `rect` (closed test),
+    /// ascending by id, so that the backend's structure does not show in
+    /// the order a range query meets its candidates.
+    pub(crate) fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
+        let mut out = Vec::new();
+        self.backend.search(rect, &mut |e| out.push(*e));
+        out.sort_unstable_by_key(|e| e.id);
+        out
+    }
+
+    /// Registered objects and their states, ascending by id.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectState)> {
+        self.objects.iter()
+    }
+
+    /// The backend, for tests that look at its shape.
+    #[cfg(test)]
+    pub(crate) fn backend(&self) -> &B {
+        &self.backend
+    }
+
     /// Mutable state access. Safe for fields the backend does not mirror
     /// (`last_seq`, `p_lst`, `t_lst`); safe-region changes must go through
     /// [`install_region`](Self::install_region) instead.
@@ -61,19 +74,19 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.get_mut(id)
     }
 
-    /// Registers a new object on `shard`: inserts its rectangle into that
-    /// shard's backend and its state into the table.
-    pub(crate) fn insert(&mut self, id: ObjectId, shard: usize, state: ObjectState) {
+    /// Registers a new object: inserts its rectangle into the backend and
+    /// its state into the table.
+    pub(crate) fn insert(&mut self, id: ObjectId, state: ObjectState) {
         let _span = srb_obs::span!("object_index.insert");
-        self.shards[shard].backend.insert(id.entry(), state.safe_region);
-        self.objects.set(id, shard, state);
+        self.backend.insert(id.entry(), state.safe_region);
+        self.objects.set(id, state);
     }
 
     /// Removes an object from both structures, returning its last state.
     pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let _span = srb_obs::span!("object_index.remove");
-        let (shard, st) = self.objects.remove(id)?;
-        self.shards[shard].backend.remove(id.entry());
+        let st = self.objects.remove(id)?;
+        self.backend.remove(id.entry());
         Some(st)
     }
 
@@ -88,16 +101,16 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         // under a microsecond, so a wall-clock span would cost more than
         // the work it measures. The backend-side counters/histograms in
         // `srb-index` cover this path.
-        let (shard, _) = self.objects.locate(id).expect("a pinned object is registered");
-        self.shards[shard].backend.update(id.entry(), Rect::point(pos));
+        assert!(self.objects.get(id).is_some(), "a pinned object is registered");
+        self.backend.update(id.entry(), Rect::point(pos));
     }
 
     /// Undoes [`pin_to_point`](Self::pin_to_point) for an operation that
     /// ended before a new region was installed: the backend entry goes back
     /// to the safe region the state table still holds.
     pub(crate) fn unpin(&mut self, id: ObjectId) {
-        if let Some((shard, st)) = self.objects.locate(id) {
-            self.shards[shard].backend.update(id.entry(), st.safe_region);
+        if let Some(st) = self.objects.get(id) {
+            self.backend.update(id.entry(), st.safe_region);
         }
     }
 
@@ -113,67 +126,57 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         now: f64,
     ) -> ObjectState {
         // Span-free for the same reason as `pin_to_point`.
-        let (shard, &before) = self.objects.locate(id).expect("a region for a registered object");
-        self.shards[shard].backend.update(id.entry(), sr);
-        let last_seq = before.last_seq;
-        let state = ObjectState { p_lst: pos, t_lst: now, safe_region: sr, last_seq };
-        self.objects.set(id, shard, state);
+        let st = self.objects.get_mut(id).expect("a region for a registered object");
+        let before = *st;
+        *st = ObjectState { p_lst: pos, t_lst: now, safe_region: sr, last_seq: before.last_seq };
+        self.backend.update(id.entry(), sr);
         before
     }
 
-    /// Deterministic work units: backend structural-unit visits, summed
-    /// over the shards.
+    /// Deterministic work units: backend structural-unit visits.
     pub(crate) fn visits(&self) -> u64 {
-        self.shards.iter().map(|s| s.backend.visits()).sum()
+        self.backend.visits()
     }
 
-    /// Cheap structural check: the backends hold as many entries as the
+    /// Cheap structural check: the backend holds as many entries as the
     /// table names objects.
     pub(crate) fn check_counts(&self) {
-        let indexed: usize = self.shards.iter().map(Shard::object_count).sum();
-        assert_eq!(indexed, self.objects.len(), "tree/table length mismatch");
+        assert_eq!(self.backend.len(), self.objects.len(), "tree/table length mismatch");
     }
 
     /// Full O(n) coherence scan: backend invariants, and every object in
-    /// the backend of the shard the table names under the rectangle the
-    /// table holds — with [`check_counts`](Self::check_counts), no backend
-    /// holds anything else.
+    /// the backend under the rectangle the table holds — with
+    /// [`check_counts`](Self::check_counts), the backend holds nothing
+    /// else.
     pub(crate) fn check_coherence(&self) {
         self.check_counts();
-        self.shards.iter().for_each(|shard| shard.backend.check_invariants());
-        for (oid, shard, st) in self.objects.iter() {
-            let stored = self.shards[shard].backend.get(oid.entry());
-            assert_eq!(stored, Some(st.safe_region), "{oid} on shard {shard}: tree/state mismatch");
+        self.backend.check_invariants();
+        for (oid, st) in self.objects.iter() {
+            let stored = self.backend.get(oid.entry());
+            assert_eq!(stored, Some(st.safe_region), "{oid}: tree/state mismatch");
         }
     }
 
     /// Serializes the index for a durability checkpoint: the object table
-    /// alone. The backends are derived state — every entry is a copy of a
+    /// alone. The backend is derived state — every entry is a copy of a
     /// `safe_region` the table holds — so
-    /// [`decode_state`](Self::decode_state) rebuilds them.
+    /// [`decode_state`](Self::decode_state) rebuilds it.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         self.objects.encode_state(out);
     }
 
-    /// Rebuilds an index of `shards` shards serialized by
-    /// [`encode_state`](Self::encode_state): decodes the table, then builds
-    /// each shard's backend from `config` over `space` holding its objects'
-    /// safe regions, in id order ([`SpatialBackend::build_from`]).
+    /// Rebuilds an index serialized by [`encode_state`](Self::encode_state):
+    /// decodes the table, then builds the backend from `config` over
+    /// `space` holding every object's safe region, in id order
+    /// ([`SpatialBackend::build_from`]).
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
         config: &BackendConfig,
-        shards: usize,
         space: Rect,
     ) -> Result<Self, RecoveryError> {
-        let objects = ObjectTable::decode_state(dec, shards)?;
-        let shards = (0..shards)
-            .map(|i| {
-                let on_i = objects.iter().filter(|&(_, shard, _)| shard == i);
-                let entries = on_i.map(|(oid, _, st)| (oid.entry(), st.safe_region)).collect();
-                Shard { backend: B::build_from(config, space, entries) }
-            })
-            .collect();
-        Ok(ObjectIndex { shards, objects })
+        let objects = ObjectTable::decode_state(dec)?;
+        let entries = objects.iter().map(|(oid, st)| (oid.entry(), st.safe_region)).collect();
+        Ok(ObjectIndex { backend: B::build_from(config, space, entries), objects })
     }
 }
 
@@ -182,8 +185,8 @@ mod tests {
     use super::*;
     use srb_index::{GridConfig, RStarTree, TreeConfig, UniformGrid};
 
-    fn rstar(shards: usize) -> ObjectIndex<RStarTree> {
-        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()), shards, Rect::UNIT)
+    fn rstar() -> ObjectIndex<RStarTree> {
+        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()), Rect::UNIT)
     }
 
     fn state(p: Point, sr: Rect) -> ObjectState {
@@ -192,27 +195,27 @@ mod tests {
 
     #[test]
     fn insert_remove_keeps_tree_and_table_coherent() {
-        let mut idx = rstar(2);
+        let mut idx = rstar();
         assert_eq!(idx.len(), 0);
         let p = Point::new(0.2, 0.3);
-        idx.insert(ObjectId(1), 1, state(p, Rect::point(p)));
+        idx.insert(ObjectId(1), state(p, Rect::point(p)));
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.shards()[1].object_count(), 1);
+        assert_eq!(idx.backend.len(), 1);
         idx.check_coherence();
         assert!(idx.remove(ObjectId(1)).is_some());
         assert!(idx.remove(ObjectId(1)).is_none());
-        assert_eq!(idx.shards()[1].object_count(), 0);
+        assert_eq!(idx.backend.len(), 0);
         idx.check_coherence();
     }
 
     #[test]
     fn pin_then_install_region_roundtrip() {
-        let mut idx = rstar(1);
+        let mut idx = rstar();
         let p0 = Point::new(0.1, 0.1);
-        idx.insert(ObjectId(7), 0, state(p0, Rect::point(p0)));
+        idx.insert(ObjectId(7), state(p0, Rect::point(p0)));
         let p1 = Point::new(0.4, 0.4);
         idx.pin_to_point(ObjectId(7), p1);
-        assert_eq!(idx.shards()[0].backend.get(7), Some(Rect::point(p1)));
+        assert_eq!(idx.backend.get(7), Some(Rect::point(p1)));
         let sr = Rect::new(Point::new(0.3, 0.3), Point::new(0.5, 0.5));
         let before = idx.install_region(ObjectId(7), p1, sr, 2.0);
         assert_eq!(before.p_lst, p0, "install returns the state it replaced");
@@ -227,14 +230,14 @@ mod tests {
     #[test]
     fn grid_backed_index_stays_coherent() {
         let cfg = BackendConfig::Grid(GridConfig::default());
-        let mut idx: ObjectIndex<UniformGrid> = ObjectIndex::new(&cfg, 1, Rect::UNIT);
+        let mut idx: ObjectIndex<UniformGrid> = ObjectIndex::new(&cfg, Rect::UNIT);
         let p0 = Point::new(0.15, 0.85);
-        idx.insert(ObjectId(9), 0, state(p0, Rect::point(p0)));
+        idx.insert(ObjectId(9), state(p0, Rect::point(p0)));
         let p1 = Point::new(0.9, 0.1);
         idx.pin_to_point(ObjectId(9), p1);
         let sr = Rect::new(Point::new(0.8, 0.05), Point::new(0.95, 0.2));
         idx.install_region(ObjectId(9), p1, sr, 1.5);
-        assert_eq!(idx.shards()[0].backend.get(9), Some(sr));
+        assert_eq!(idx.backend.get(9), Some(sr));
         idx.check_coherence();
         assert!(idx.remove(ObjectId(9)).is_some());
         idx.check_coherence();

@@ -54,31 +54,26 @@
 //! its region step `sharded::region` (§5) and its log, checkpoints and
 //! recovery `sharded::persist` (records coded by `wal`).
 //!
-//! There is one engine. [`ShardedServer`] partitions the objects over `N`
-//! [`Shard`]s — the paper's single server, [`Server`], is `N = 1` on the
-//! R\*-tree; the shard count goes with ROADMAP 19 — each shard being its
-//! spatial index over its objects' safe regions. The coordinator keeps each
+//! There is one engine, [`ShardedServer`], generic in its object-index
+//! backend; the paper's server, [`Server`], is it on the R\*-tree. It holds
+//! one spatial index over the objects' safe regions and keeps each
 //! object's state once, in one table indexed by [`ObjectId`] (`index`,
 //! `object`), and the queries once, evaluating each with the §4 code over
-//! the union of the shard indexes: answers are exact and the probes the
-//! same at every shard count. The coordinator also owns the location
-//! manager's one timer queue (`location`): at most one pending lease or
-//! deferred probe per object, fired in `(due, id)` order. Like the paper's
-//! server, the engine runs every step of an operation on the caller's
-//! thread.
+//! the index. It also owns the location manager's one timer queue
+//! (`location`): at most one pending lease or deferred probe per object,
+//! fired in `(due, id)` order. Like the paper's server, the engine runs
+//! every step of an operation on the caller's thread.
 //!
-//! The object index under a shard is a pluggable
-//! [`SpatialBackend`]: [`Server`] is the paper's R\*-tree, and
-//! `ShardedServer::<UniformGrid>::with_backend` (or `SRB_BACKEND=grid`
-//! through the simulator) swaps in the uniform-grid backend without
-//! touching any query semantics. [`DynBackend`] dispatches over both
-//! structures behind one type, picked by `config.backend` when the engine
-//! is built. Each shard's index is built once and rebuilt only by recovery.
+//! The object index is a pluggable [`SpatialBackend`]: [`Server`] is the
+//! paper's R\*-tree, and `ShardedServer::<UniformGrid>::new` (or
+//! `SRB_BACKEND=grid` through the simulator) swaps in the uniform-grid
+//! backend without touching any query semantics. [`DynBackend`] dispatches
+//! over both structures behind one type, picked by `config.backend` when
+//! the engine is built. The index is built once and rebuilt only by
+//! recovery.
 //!
-//! Durability ([`DurabilityConfig`]) is the coordinator's: it logs,
-//! checkpoints and recovers ([`Server::reopen`]; [`ShardedServer::recover`]
-//! for a shard count or backend of its own) for the shards it owns, in one
-//! checkpoint layout at every shard count.
+//! Durability ([`DurabilityConfig`]) is the engine's: it logs, checkpoints
+//! and recovers ([`ShardedServer::reopen`]) in one checkpoint layout.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -99,9 +94,7 @@ mod query;
 mod reeval;
 mod safe_region;
 mod scratch;
-mod shard;
 mod sharded;
-mod view;
 mod wal;
 
 pub use config::{DurabilityConfig, ServerConfig};
@@ -110,7 +103,6 @@ pub use ids::{ObjectId, QueryId};
 pub use processor::QueryProcessor;
 pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkStats};
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
-pub use shard::Shard;
 pub use sharded::{
     RegisterResponse, ResultRemoval, SequencedUpdate, Server, ShardedServer, UpdateResponse,
 };

@@ -1,17 +1,16 @@
 //! The location manager layer (paper §3.1, Figure 3.1 box "location
 //! manager"): the engine's timers.
 //!
-//! One queue, owned by the coordinator of
-//! [`ShardedServer`](crate::ShardedServer), holds at most one pending timer
-//! per object: a deferred probe that keeps the reachability enhancement
-//! (§6.1) sound over time, or a safe-region lease. Timers fire in
-//! `(due, id)` order, whichever shard owns the object. Which timer an
+//! One queue, owned by [`ShardedServer`](crate::ShardedServer), holds at
+//! most one pending timer per object: a deferred probe that keeps the
+//! reachability enhancement (§6.1) sound over time, or a safe-region
+//! lease. Timers fire in `(due, id)` order. Which timer an
 //! object has is the engine's rule, applied where regions are granted: a
 //! grant at a new instant drops the timer (the object is exactly known
 //! again, so nothing scheduled against its old anchor is owed), a grant at
 //! the same instant keeps it, and a lease or a slack request only ever
 //! brings it forward. Safe regions themselves (§5) are computed by the
-//! coordinator's region step (`sharded/region.rs`).
+//! engine's region step (`sharded/region.rs`).
 
 use crate::ids::ObjectId;
 use srb_durable::codec::{put_f64, put_u32, put_u8, put_usize};

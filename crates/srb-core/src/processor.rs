@@ -163,7 +163,7 @@ impl QueryProcessor {
     /// order-insensitive kNN query whose circle a mover crossed, or one
     /// that fails a consistency check, is evaluated from scratch
     /// (`reeval.rs`). The grid follows every quarantine that changed. Every
-    /// mover's position must already be pinned in the view and recorded in
+    /// mover's position must already be pinned in the index and recorded in
     /// `ctx.exact`, its previous anchor in `batch.prev`; a repeated mover
     /// flagged in `batch.repeated_ids`. Returns the changed results.
     pub(crate) fn reevaluate_movers<B: SpatialBackend>(
@@ -228,7 +228,7 @@ impl QueryProcessor {
     /// holding it as a result (a kNN query is re-run to refill). The anchor
     /// lies in the object's last safe region, hence in the cell whose
     /// bucket lists every such query. The object must already be gone from
-    /// the view. Returns the changed results, ascending by query.
+    /// the index. Returns the changed results, ascending by query.
     pub(crate) fn fold_out<B: SpatialBackend>(
         &mut self,
         ctx: &mut EvalCtx<'_, B>,

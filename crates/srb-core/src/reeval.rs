@@ -55,7 +55,7 @@ const UNTOUCHED: Reeval = Reeval { results_changed: false, quarantine_changed: f
 
 /// Reevaluates `qs` after `movers` — listed once each, in any order —
 /// reported new positions. Every mover's position must already be recorded
-/// in `ctx.exact` and pinned in the view, its previous anchor in `prev`.
+/// in `ctx.exact` and pinned in the index, its previous anchor in `prev`.
 pub(crate) fn reevaluate<B: SpatialBackend>(
     ctx: &mut EvalCtx<'_, B>,
     qs: &mut QueryState,

@@ -205,7 +205,7 @@ fn sr_for_query<B: SpatialBackend, O: PerimeterObjective>(
 /// would leave no room for the ring — `Δ(q, o.sr) >= d(q, pos)` for the
 /// inner neighbor, or `δ(q, o.sr) <= d(q, pos)` for the outer), the
 /// neighbor's exact location is requested ([`RegionCtx::request_neighbor`]):
-/// the coordinator's probe both resolves the conflict via the midpoint rule
+/// the engine's probe both resolves the conflict via the midpoint rule
 /// and queues the neighbor's own safe region for recomputation.
 /// Without the probe the ring collapses to a sliver pinned at `pos`, and
 /// the object would have to update continuously.

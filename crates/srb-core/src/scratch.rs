@@ -4,7 +4,7 @@
 //! exactly-known locations, the deferred-probe requests, the regions it
 //! recomputed. Building them per operation — not geometry — used to bound
 //! throughput at millions of reports per second, so they live in a
-//! [`BatchScratch`] arena owned by the coordinator and are cleared and
+//! [`BatchScratch`] arena owned by the engine and are cleared and
 //! reused instead of reallocated. Once capacities have warmed up, the
 //! steady-state report path performs **zero** heap allocations (pinned by
 //! the counting-allocator test `alloc_steady.rs` and the `mem` bench).
@@ -119,7 +119,7 @@ impl BatchBuffers {
     }
 }
 
-/// The coordinator's scratch arena. All buffers retain their capacity across
+/// The engine's scratch arena. All buffers retain their capacity across
 /// operations; `take_*` clears content (never capacity) before handing a
 /// group out.
 #[derive(Default)]

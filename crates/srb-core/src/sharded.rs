@@ -1,47 +1,38 @@
-//! The engine: one query plane over a partitioned object index (the
-//! paper's server loop, §3.1 Algorithm 1, and the scalability direction of
-//! §7.3).
+//! The engine: one query plane over one object index (the paper's server
+//! loop, §3.1 Algorithm 1).
 //!
-//! [`ShardedServer`] hash-partitions the moving objects across `N`
-//! [`Shard`]s, keyed by the grid cell of each object's registration
-//! position. A shard is its spatial index over its objects' safe regions,
-//! with its own backend. Each object's state — anchor, timestamp, safe
-//! region, sequence number, shard — lives once, in the coordinator's
-//! object table (`index.rs`). The queries live once, in the coordinator's
-//! [`QueryProcessor`], and are evaluated once, by the §4 code, over the
-//! union of the shard indexes (`view::FleetView`) — the single-server
-//! algorithm over a partitioned index, so the answers are exact and the
-//! probes the same at every shard count.
-//! The timers — leases and deferred probes — live once too, in the
-//! coordinator's queue (`location.rs`): at most one per object, fired in
-//! `(due, id)` order. A single server is the fleet of one shard; there is
-//! no other engine.
+//! [`ShardedServer`] holds one spatial index over the objects' safe
+//! regions, built from `config.backend`. Each object's state — anchor,
+//! timestamp, safe region, sequence number — lives once, in the object
+//! table beside the index (`index.rs`). The queries live once, in the
+//! [`QueryProcessor`], and are evaluated by the §4 code over the index.
+//! The timers — leases and deferred probes — live once too, in one queue
+//! (`location.rs`): at most one per object, fired in `(due, id)` order.
 //!
 //! A batch of location updates runs in four steps:
 //!
-//! 1. **pin** — on the caller: admission checks the sequence numbers in
-//!    arrival order, and every accepted position is pinned in its shard's
-//!    index, so no query is evaluated against a stale bound of a
-//!    same-instant mover;
-//! 2. **evaluate** — the coordinator finds the affected queries in its one
-//!    grid and reevaluates each once, in query-id order. Every probe of
-//!    the batch is issued here, by the caller's thread;
+//! 1. **pin** — admission checks the sequence numbers in arrival order,
+//!    and every accepted position is pinned in the index, so no query is
+//!    evaluated against a stale bound of a same-instant mover;
+//! 2. **evaluate** — the engine finds the affected queries in its grid and
+//!    reevaluates each once, in query-id order. Every probe of the batch
+//!    is issued here, by the caller's thread;
 //! 3. **regions** — the exactly-known objects (movers and probed) get
 //!    their safe regions, in id order (`region.rs`);
-//! 4. **install** — the regions go into the shard indexes, leases and
-//!    deferred probes into the timer queue, and the responses are sorted
-//!    by [`ObjectId`], result changes by [`QueryId`].
+//! 4. **install** — the regions go into the index, leases and deferred
+//!    probes into the timer queue, and the responses are sorted by
+//!    [`ObjectId`], result changes by [`QueryId`].
 //!
 //! Registration, deregistration, object churn and deferred probes go
 //! through the same evaluate → regions → install steps. With durability on,
-//! every operation, a batch included, is one record of the coordinator's
-//! log (`persist.rs`).
+//! every operation, a batch included, is one record of the engine's log
+//! (`persist.rs`).
 
 mod persist;
 mod region;
 
 use crate::config::ServerConfig;
-use crate::error::{RecoveryError, ServerError};
+use crate::error::ServerError;
 use crate::eval::EvalCtx;
 use crate::ids::{ObjectId, QueryId};
 use crate::index::ObjectIndex;
@@ -51,7 +42,6 @@ use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
-use crate::shard::Shard;
 use crate::wal::Wal;
 use region::RegionStep;
 use srb_geom::{Point, Rect};
@@ -135,11 +125,11 @@ impl SyncProvider for TableProvider<'_> {
     }
 }
 
-/// Coordinator-owned scratch buffers, cleared and reused every batch so a
+/// Engine-owned scratch buffers, cleared and reused every batch so a
 /// steady-state batch allocates nothing. Buffer groups are taken by value
 /// and returned, mirroring [`BatchScratch`].
 #[derive(Default)]
-struct CoordScratch {
+struct EngineScratch {
     /// The accepted updates of a batch, in arrival order.
     movers: Vec<(ObjectId, Point)>,
     /// Senders of stale reports, answered with their region as it stands
@@ -153,13 +143,12 @@ struct CoordScratch {
     order: Vec<u32>,
 }
 
-/// The SRB database server: `N` [`Shard`]s holding the objects behind one
-/// coordinator that holds the queries. See the module docs for the
-/// partitioning and the steps of an operation. The paper's single server
-/// is [`Server`].
+/// The SRB database server: one object index and one query plane, generic
+/// in the index backend `B`. See the module docs for the steps of an
+/// operation. The paper's server, on the R\*-tree, is [`Server`].
 pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     config: ServerConfig,
-    /// The shards' spatial backends and the one object table.
+    /// The spatial backend and the object table.
     index: ObjectIndex<B>,
     /// The location manager's timers: at most one lease or deferred probe
     /// per object, in `(due, id)` order.
@@ -172,48 +161,28 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     /// Evaluations, probes by cause, safe regions installed, admission
     /// drops.
     work: WorkStats,
-    /// Reused coordinator buffers (see [`CoordScratch`]).
-    scratch: CoordScratch,
-    /// The coordinator-owned write-ahead log, when durability is on: one
-    /// record per operation. Shards never own a store of their own.
+    /// Reused buffers (see [`EngineScratch`]).
+    scratch: EngineScratch,
+    /// The write-ahead log, when durability is on: one record per
+    /// operation.
     wal: Option<Box<Wal>>,
 }
 
 /// The paper's server (§3.1): one R\*-tree over the objects' safe regions
 /// and one query plane, built by [`Server::new`] and recovered by
 /// [`Server::reopen`]; reports go in through [`ShardedServer::ingest`].
-/// ROADMAP 3(c) makes it the struct once item 19 has taken the shards out.
+/// ROADMAP 3(c) makes it the struct once `bench/` no longer names
+/// [`ShardedServer`].
 pub type Server = ShardedServer<srb_index::RStarTree>;
 
-impl Server {
-    /// Creates the server, with durability when `config.durability.dir`
-    /// is set. Panics when `config.backend` selects another backend than
-    /// the R\*-tree.
-    pub fn new(config: ServerConfig) -> Self {
-        Self::with_backend(config, 1)
-    }
-
-    /// Rebuilds the server from the store in `config.durability.dir` (see
-    /// [`ShardedServer::recover`]). Returns it with the number of replayed
-    /// operations; fails with [`RecoveryError::Disabled`] when no
-    /// directory is set and with a typed error on a store it cannot
-    /// replay, one written by an engine of several shards included.
-    pub fn reopen(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
-        Self::recover(config, 1)
-    }
-}
-
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
-    /// Creates a server of `shards` shards whose object indexes use the
-    /// backend `B`, built once from `config.backend`. Panics when `B`
-    /// cannot build that config variant. The shard count goes with ROADMAP
-    /// 19 and the backend parameter with 3(b); [`Server::new`] is the
-    /// one-shard R\*-tree.
-    pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
+    /// Creates the server, its index built once from `config.backend`,
+    /// with durability when `config.durability.dir` is set. Panics when
+    /// `B` cannot build that config variant.
+    pub fn new(config: ServerConfig) -> Self {
         let mut server = Self::assemble(
             config,
-            ObjectIndex::new(&config.backend, shards, config.space),
+            ObjectIndex::new(&config.backend, config.space),
             QueryProcessor::new(config.space, config.grid_m),
         );
         if let Some(dir) = config.durability.dir {
@@ -222,18 +191,25 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         server
     }
 
+    /// [`new`](Self::new); the count must be at least one and is otherwise
+    /// ignored. The name stays only for `bench/src/engine.rs` and goes
+    /// with ROADMAP 3(a) after 2(a).
+    pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
+        assert!(shards >= 1, "need at least one shard");
+        Self::new(config)
+    }
+
     /// An engine around its durable parts but the timers and the counters,
     /// which start empty (a decoded engine sets its own); everything else
     /// starts fresh.
     fn assemble(config: ServerConfig, index: ObjectIndex<B>, processor: QueryProcessor) -> Self {
-        srb_obs::gauge!("sharded.shards").set(index.shards().len() as u64);
         ShardedServer {
             index,
             timers: Timers::default(),
             processor,
             costs: CostTracker::default(),
             work: WorkStats::default(),
-            scratch: CoordScratch::default(),
+            scratch: EngineScratch::default(),
             wal: None,
             config,
         }
@@ -255,12 +231,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         &self.config
     }
 
-    /// The shards, in shard order.
-    pub fn shards(&self) -> &[Shard<B>] {
-        self.index.shards()
-    }
-
-    /// Total number of registered objects across all shards.
+    /// Number of registered objects.
     pub fn object_count(&self) -> usize {
         self.index.len()
     }
@@ -300,9 +271,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.work
     }
 
-    /// Total object-index node visits across shards, counted since the
-    /// engine was built or recovered: a recovered engine rebuilds its
-    /// indexes, so the count starts again at recovery.
+    /// Object-index node visits, counted since the engine was built or
+    /// recovered: a recovered engine rebuilds its index, so the count
+    /// starts again at recovery.
     pub fn index_visits(&self) -> u64 {
         self.index.visits()
     }
@@ -314,8 +285,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Verifies the engine's consistency. In release builds a cheap
-    /// structural check (the shard indexes hold as many entries as the
-    /// object table names objects), so tests can call it on hot paths
+    /// structural check (the index holds as many entries as the object
+    /// table names objects), so tests can call it on hot paths
     /// without distorting measurements; debug builds run the full
     /// [`check_invariants_deep`](Self::check_invariants_deep) scan.
     pub fn check_invariants(&self) {
@@ -325,21 +296,20 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Full consistency scan (release included): every object in the index
-    /// of the shard the object table names, under the safe region the table
-    /// holds, the timer queue agreeing with its index and naming registered
-    /// objects only, and the query plane against the union view — results
-    /// are registered objects, and wherever an object's anchor agrees with
-    /// its membership in a query, its safe region lies on that side of the
-    /// quarantine area too (the raw safe regions bound nothing while the
-    /// reachability enhancement stands in for them, so that part is skipped
-    /// with it on).
+    /// under the safe region the object table holds, the timer queue
+    /// agreeing with its index and naming registered objects only, and the
+    /// query plane against the index — results are registered objects, and
+    /// wherever an object's anchor agrees with its membership in a query,
+    /// its safe region lies on that side of the quarantine area too (the
+    /// raw safe regions bound nothing while the reachability enhancement
+    /// stands in for them, so that part is skipped with it on).
     #[doc(hidden)]
     pub fn check_invariants_deep(&self) {
         self.processor.check_result_sizes();
         self.timers.check(|oid| self.index.get(oid).is_some());
         self.index.check_coherence();
-        let objects = self.index.view().objects.iter();
-        for (oid, _, st) in objects.filter(|_| self.config.max_speed.is_none()) {
+        let objects = self.index.iter();
+        for (oid, st) in objects.filter(|_| self.config.max_speed.is_none()) {
             for &qid in self.processor.grid().queries_at(st.p_lst) {
                 let qs = self.processor.get(qid).expect("grid entries are registered");
                 let inside = qs.quarantine.contains(st.p_lst);
@@ -360,14 +330,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Object lifecycle
     // ------------------------------------------------------------------
 
-    /// Registers a new moving object at `pos` on the shard its registration
-    /// grid cell hashes to, folds it into every query whose quarantine area
-    /// covers it, and returns its initial safe region (the client must be
-    /// told). Fails with [`ServerError::DuplicateObject`] if the id is
-    /// already registered — a replayed registration must not corrupt
-    /// existing state. The regions of objects probed on the way are granted
-    /// but cannot be returned through this signature (each affected client
-    /// recovers on its next report).
+    /// Registers a new moving object at `pos`, folds it into every query
+    /// whose quarantine area covers it, and returns its initial safe region
+    /// (the client must be told). Fails with
+    /// [`ServerError::DuplicateObject`] if the id is already registered — a
+    /// replayed registration must not corrupt existing state. The regions
+    /// of objects probed on the way are granted but cannot be returned
+    /// through this signature (each affected client recovers on its next
+    /// report).
     pub fn add_object(
         &mut self,
         id: ObjectId,
@@ -388,10 +358,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if self.index.get(id).is_some() {
             return Err(ServerError::DuplicateObject(id));
         }
-        let target = self.assign_shard(pos);
         let state =
             ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
-        self.index.insert(id, target, state);
+        self.index.insert(id, state);
         let mut op = self.scratch.arena.take_op();
         let mut step = std::mem::take(&mut self.scratch.regions);
         op.exact.insert(id, pos);
@@ -404,8 +373,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         Ok(self.safe_region(id).expect("just added"))
     }
 
-    /// Removes a moving object from its owning shard (extension beyond the
-    /// paper: object churn); queries holding it are reevaluated.
+    /// Removes a moving object (extension beyond the paper: object churn);
+    /// queries holding it are reevaluated.
     pub fn remove_object(
         &mut self,
         id: ObjectId,
@@ -437,8 +406,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     // Query lifecycle (Algorithm 1, lines 2-7)
     // ------------------------------------------------------------------
 
-    /// Registers a continuous query: evaluates it over the union view
-    /// (probing lazily), computes its quarantine area, installs it in the
+    /// Registers a continuous query: evaluates it over the index (probing
+    /// lazily), computes its quarantine area, installs it in the
     /// query plane, folds what the probes revealed about silent movers into
     /// the existing queries, and grants every probed object a fresh safe
     /// region. Only probed objects need to learn about the new query (§5,
@@ -466,8 +435,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             // but the object's membership in *existing* queries was last
             // decided against the stale bound: each such object is a mover
             // of the existing queries, from its old anchor.
-            let moved =
-                |o: ObjectId, p: Point| ctx.view.state_of(o).is_some_and(|st| st.p_lst != p);
+            let moved = |o: ObjectId, p: Point| ctx.index.get(o).is_some_and(|st| st.p_lst != p);
             let probed = ctx.exact.iter().map(|(&o, &p)| (o, p));
             let revealed: Vec<(ObjectId, Point)> = probed.filter(|&(o, p)| moved(o, p)).collect();
             let id = plane.alloc_id();
@@ -536,7 +504,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// the result changes (sorted by [`QueryId`]) and the safe regions of
     /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
     /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
-    /// the region step's and the query plane's buffers live in coordinator
+    /// the region step's and the query plane's buffers live in engine
     /// scratch.
     pub fn ingest(
         &mut self,
@@ -636,7 +604,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                     extra.push((oid, safe_region));
                 }
             }
-            // In id order, like the responses: no trace of the partition.
+            // In id order, like the responses.
             debug_assert!(extra.is_sorted_by_key(|&(oid, _)| oid), "regions come in id order");
             self.scratch.arena.put_batch(batch);
             self.scratch.arena.put_op(op);
@@ -722,8 +690,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// The evaluate step: runs `step` on the query plane with an evaluation
-    /// context over the union view. Every probe it issues is billed to the
-    /// coordinator and lands in `op.exact` and `op.probed`.
+    /// context over the index. Every probe it issues is billed to the
+    /// engine and lands in `op.exact` and `op.probed`.
     fn evaluating<R>(
         &mut self,
         op: &mut OpBuffers,
@@ -732,7 +700,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         step: impl FnOnce(&mut QueryProcessor, &mut EvalCtx<'_, B>, &mut Vec<QueryId>, &Rect) -> R,
     ) -> R {
         let mut ctx = EvalCtx {
-            view: self.index.view(),
+            index: &self.index,
             exact: &mut op.exact,
             probed: &mut op.probed,
             provider,
@@ -757,11 +725,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.timers.first()
     }
 
-    /// Fires every timer due at or before `now`, in `(due, id)` order
-    /// whichever shard owns the object: each target is probed (cost `c_p`)
-    /// and handled like a report from it, restoring raw-safe-region
-    /// soundness before the reachability circle can invalidate the decision
-    /// that scheduled it, or renewing a lapsed lease.
+    /// Fires every timer due at or before `now`, in `(due, id)` order: each
+    /// target is probed (cost `c_p`) and handled like a report from it,
+    /// restoring raw-safe-region soundness before the reachability circle
+    /// can invalidate the decision that scheduled it, or renewing a lapsed
+    /// lease.
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
@@ -795,21 +763,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         out
     }
-
-    // ------------------------------------------------------------------
-    // Coordinator internals
-    // ------------------------------------------------------------------
-
-    /// The shard a registration at `pos` lands on: a hash of the grid cell,
-    /// modulo the shard count. The assignment is fixed at registration time
-    /// — later movement never migrates the object, because the union view
-    /// keeps query answers exact regardless of the partition.
-    fn assign_shard(&self, pos: Point) -> usize {
-        let grid = self.processor.grid();
-        let (i, j) = grid.cell_of(pos);
-        let key = (i as u64) * (grid.m() as u64) + j as u64;
-        (splitmix64(key) % self.index.shards().len() as u64) as usize
-    }
 }
 
 /// Sorts a batch's responses by [`ObjectId`], entries of one object staying
@@ -838,20 +791,22 @@ fn sort_by_object(responses: &mut [(ObjectId, UpdateResponse)], order: &mut Vec<
     }
 }
 
-/// SplitMix64 finalizer — a deterministic, well-mixed cell → shard hash.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RecoveryError;
     use srb_index::SpatialBackend;
     use std::collections::BTreeMap;
     use std::path::Path;
+
+    /// SplitMix64 finalizer — a deterministic, well-mixed hash for the
+    /// pseudo-random worlds below.
+    fn splitmix64(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn sort_by_object_is_the_stable_sort() {
@@ -893,150 +848,27 @@ mod tests {
         }
     }
 
-    /// What `spec` answers over the true `positions` (kNN ties do not occur
-    /// in the pseudo-random worlds below).
-    fn brute_force(spec: &QuerySpec, positions: &[Point]) -> Vec<ObjectId> {
-        let ids = (0..positions.len() as u32).map(ObjectId);
-        match *spec {
-            QuerySpec::Range { rect } => {
-                ids.filter(|o| rect.contains_point(positions[o.index()])).collect()
-            }
-            QuerySpec::Knn { center, k, .. } => {
-                let mut ranked: Vec<ObjectId> = ids.collect();
-                ranked.sort_by(|a, b| {
-                    positions[a.index()].dist(center).total_cmp(&positions[b.index()].dist(center))
-                });
-                ranked.truncate(k);
-                ranked
-            }
+    /// A server on `config` holding one object per position of `at`, each
+    /// registered at `t = 0`, in id order.
+    pub(super) fn populated(config: ServerConfig, at: &[Point]) -> Server {
+        let mut server = Server::new(config);
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
         }
-    }
-
-    /// Drives the one-shard engine and an `n_shards` fleet through the same
-    /// update stream and holds both to brute force — and so to each other —
-    /// at every step.
-    fn assert_results_agree(n_shards: usize, specs: &[QuerySpec]) {
-        let mut positions = world(24, 7);
-        let mut engines =
-            [1, n_shards].map(|shards| Server::with_backend(ServerConfig::default(), shards));
-        for engine in &mut engines {
-            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-            for (i, &p) in positions.iter().enumerate() {
-                engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-            }
-            for (q, &spec) in specs.iter().enumerate() {
-                assert_eq!(engine.register_query(spec, &mut provider, 0.0).id, QueryId(q as u32));
-            }
-        }
-        let mut seqs = vec![0u64; positions.len()];
-        for round in 1..=20u64 {
-            step(&mut positions, round);
-            let now = round as f64 * 0.1;
-            // Every object that left the region either engine holds for it
-            // reports, like real clients would (to an engine whose region
-            // still holds it the report is merely early).
-            let mut batch = exit_reports(&engines[0], &positions, &mut seqs);
-            for u in exit_reports(&engines[1], &positions, &mut vec![0; positions.len()]) {
-                if !batch.iter().any(|b| b.id == u.id) {
-                    seqs[u.id.index()] += 1;
-                    batch.push(SequencedUpdate { seq: seqs[u.id.index()], ..u });
-                }
-            }
-            for engine in &mut engines {
-                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-                engine.ingest(&batch, &mut provider, now, &mut Vec::new());
-                engine.check_invariants_deep();
-                for (q, spec) in specs.iter().enumerate() {
-                    let mut got = engine.results(QueryId(q as u32)).unwrap().to_vec();
-                    let mut want = brute_force(spec, &positions);
-                    if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
-                        got.sort_unstable();
-                        want.sort_unstable();
-                    }
-                    let shards = engine.shards().len();
-                    assert_eq!(got, want, "round {round}, query {q}, {shards} shard(s)");
-                }
-            }
-            assert_eq!(engines[0].costs(), engines[1].costs(), "round {round}: uplinks, probes");
-            for q in 0..specs.len() as u32 {
-                let [one, many] = engines.each_ref().map(|e| e.results(QueryId(q)));
-                assert_eq!(one, many, "round {round}, query {q}: stored in one order");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_shard_range_results_match_one_shard_and_brute_force() {
-        for n in [2, 3, 4] {
-            assert_results_agree(
-                n,
-                &[
-                    QuerySpec::range(Rect::new(Point::new(0.1, 0.1), Point::new(0.5, 0.7))),
-                    QuerySpec::range(Rect::new(Point::new(0.4, 0.0), Point::new(0.9, 0.4))),
-                ],
-            );
-        }
-    }
-
-    /// The query plane is blind to the partition in the order it stores a
-    /// range query's results, not only in their set: one batch, arriving
-    /// against id order, brings every object outside the range into it, and
-    /// one shard and two store the same list.
-    #[test]
-    fn range_results_are_stored_in_one_order_at_any_shard_count() {
-        let rect = Rect::new(Point::new(0.3, 0.3), Point::new(0.7, 0.7));
-        let stored = [1, 2].map(|shards| {
-            let mut at = world(40, 3);
-            let mut engine = Server::with_backend(ServerConfig::default(), shards);
-            {
-                let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-                for (i, &p) in at.iter().enumerate() {
-                    engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                }
-                engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
-            }
-            let mut batch = Vec::new();
-            for i in (0..at.len()).rev() {
-                if !rect.contains_point(at[i]) {
-                    at[i] = Point::new(0.5, 0.31 + 0.0095 * i as f64);
-                    batch.push(SequencedUpdate { id: ObjectId(i as u32), pos: at[i], seq: 1 });
-                }
-            }
-            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            engine.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
-            engine.check_invariants_deep();
-            engine.results(QueryId(0)).expect("registered").to_vec()
-        });
-        assert_eq!(stored[0].len(), 40, "every object is in the range");
-        assert_eq!(stored[0], stored[1], "one shard against two");
-    }
-
-    #[test]
-    fn multi_shard_knn_results_match_one_shard_and_brute_force() {
-        for n in [2, 4] {
-            assert_results_agree(
-                n,
-                &[
-                    QuerySpec::knn(Point::new(0.5, 0.5), 3),
-                    QuerySpec::knn_unordered(Point::new(0.2, 0.8), 2),
-                ],
-            );
-        }
+        server
     }
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
-    pub(super) fn fleet(config: ServerConfig, shards: usize) -> (Server, Vec<Point>) {
-        fleet_of(30, config, shards)
+    pub(super) fn fleet(config: ServerConfig) -> (Server, Vec<Point>) {
+        fleet_of(30, config)
     }
 
     /// [`fleet`] over `world(n, 11)`.
-    fn fleet_of(n: usize, config: ServerConfig, shards: usize) -> (Server, Vec<Point>) {
+    fn fleet_of(n: usize, config: ServerConfig) -> (Server, Vec<Point>) {
         let positions = world(n, 11);
-        let mut server = Server::with_backend(config, shards);
+        let mut server = populated(config, &positions);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-        for (i, &p) in positions.iter().enumerate() {
-            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
         for spec in [
             QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
             QuerySpec::knn(Point::new(0.4, 0.6), 4),
@@ -1052,12 +884,9 @@ mod tests {
     /// through the bench's `_parallel_into` over a [`TableProvider`],
     /// and holds the second to the first after every batch: responses,
     /// digest, costs and work counters.
-    fn assert_parallel_matches_sequential(
-        configs: [ServerConfig; 2],
-        shards: usize,
-    ) -> [Server; 2] {
-        let (mut seq_server, mut positions) = fleet_of(40, configs[0], shards);
-        let (mut par_server, _) = fleet_of(40, configs[1], shards);
+    fn assert_parallel_matches_sequential(configs: [ServerConfig; 2]) -> [Server; 2] {
+        let (mut seq_server, mut positions) = fleet_of(40, configs[0]);
+        let (mut par_server, _) = fleet_of(40, configs[1]);
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=15u64 {
             step(&mut positions, round);
@@ -1070,7 +899,7 @@ mod tests {
                 seq_server.ingest(batch, &mut provider, now, &mut a);
                 let table = TableProvider(&positions);
                 par_server.handle_sequenced_updates_parallel_into(batch, &table, now, &mut b);
-                let what = format!("{shards} shards, round {round}");
+                let what = format!("round {round}");
                 assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
                 assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
                 assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
@@ -1082,44 +911,33 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential_path() {
-        for shards in [1, 2, 4] {
-            assert_parallel_matches_sequential([ServerConfig::default(); 2], shards);
-        }
+        assert_parallel_matches_sequential([ServerConfig::default(); 2]);
     }
 
     #[test]
     fn sharded_costs_include_coordinator_probes() {
-        // Probes made by the coordinator land in the totals, one per object
-        // the registration granted a region, its work in the counters.
+        // Probes made by the engine land in the totals, one per object the
+        // registration granted a region, its work in the counters.
         let positions = world(16, 3);
-        let mut sharded = Server::with_backend(ServerConfig::default(), 4);
-        let snapshot = positions.clone();
-        let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        for (i, &p) in snapshot.iter().enumerate() {
-            sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
-        let before = sharded.costs();
+        let mut server = populated(ServerConfig::default(), &positions);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        let before = server.costs();
         let reg =
-            sharded.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 5), &mut provider, 0.0);
-        let after = sharded.costs();
+            server.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 5), &mut provider, 0.0);
+        let after = server.costs();
         assert!(!reg.safe_regions.is_empty(), "the registration probes");
         assert_eq!(after.probes - before.probes, reg.safe_regions.len() as u64);
         assert_eq!(after.source_updates, before.source_updates);
-        assert_eq!(sharded.work().evaluations, 1);
-        sharded.check_invariants();
+        assert_eq!(server.work().evaluations, 1);
+        server.check_invariants();
     }
 
-    /// The region step runs in id order whichever shard holds an object:
-    /// a two-shard batch whose movers' ids interleave across the shards,
-    /// arriving against id order, installs its regions ascending by id.
+    /// The region step runs in id order: a batch whose movers arrive
+    /// against id order installs its regions ascending by id.
     #[test]
-    fn regions_are_granted_in_id_order_across_shards() {
-        let (mut server, mut positions) = fleet(ServerConfig::default(), 2);
+    fn regions_are_granted_in_id_order() {
+        let (mut server, mut positions) = fleet(ServerConfig::default());
         step(&mut positions, 1);
-        let shards: Vec<usize> = (0..positions.len() as u32)
-            .map(|i| shard_of(&server, ObjectId(i)).expect("registered"))
-            .collect();
-        assert!(!shards.is_sorted(), "the ids interleave across the shards");
         let movers: Vec<(ObjectId, Point)> =
             positions.iter().enumerate().rev().map(|(i, &p)| (ObjectId(i as u32), p)).collect();
         let (mut op, mut batch) =
@@ -1133,19 +951,14 @@ mod tests {
 
     #[test]
     fn unknown_updates_are_dropped_and_counted() {
-        let mut sharded = Server::with_backend(ServerConfig::default(), 2);
+        let mut server = Server::new(ServerConfig::default());
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
-        sharded.add_object(ObjectId(0), Point::new(0.3, 0.3), &mut provider, 0.0).unwrap();
+        server.add_object(ObjectId(0), Point::new(0.3, 0.3), &mut provider, 0.0).unwrap();
         let report = |id, x| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, x), seq: 1 };
         let mut resp = Vec::new();
-        sharded.ingest(&[report(0, 0.4), report(99, 0.1)], &mut provider, 0.1, &mut resp);
+        server.ingest(&[report(0, 0.4), report(99, 0.1)], &mut provider, 0.1, &mut resp);
         assert_eq!(resp.len(), 1);
-        assert_eq!(sharded.work().unknown_object_drops, 1);
-    }
-
-    /// The shard holding `id`, if registered.
-    fn shard_of(server: &Server, id: ObjectId) -> Option<usize> {
-        server.index.view().objects.locate(id).map(|(shard, _)| shard)
+        assert_eq!(server.work().unknown_object_drops, 1);
     }
 
     /// A unique throwaway durability directory (leaked so the config can
@@ -1190,36 +1003,32 @@ mod tests {
         let dir = temp_dir("roundtrip");
         let config = durable(dir);
         let mut positions = world(20, 42);
-        let mut sharded = Server::with_backend(config, 3);
-        assert!(sharded.wal.is_some());
+        let mut server = populated(config, &positions);
+        assert!(server.wal.is_some());
         {
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            for (i, &p) in snapshot.iter().enumerate() {
-                sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-            }
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
             for spec in [
                 QuerySpec::range(Rect::new(Point::new(0.1, 0.1), Point::new(0.6, 0.6))),
                 QuerySpec::knn(Point::new(0.5, 0.5), 3),
             ] {
-                sharded.register_query(spec, &mut provider, 0.0);
+                server.register_query(spec, &mut provider, 0.0);
             }
         }
         let mut seqs = vec![0u64; positions.len()];
         for round in 1..=8u64 {
             step(&mut positions, round);
             let now = round as f64 * 0.1;
-            let batch = exit_reports(&sharded, &positions, &mut seqs);
+            let batch = exit_reports(&server, &positions, &mut seqs);
             let snapshot = positions.clone();
             let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            sharded.ingest(&batch, &mut provider, now, &mut Vec::new());
+            server.ingest(&batch, &mut provider, now, &mut Vec::new());
         }
-        sharded.deregister_query(QueryId(0));
-        sharded.sync_wal();
-        assert!(!sharded.wal_poisoned());
-        let digest = sharded.state_digest();
-        drop(sharded);
-        let (recovered, replayed) = Server::recover(config, 3).expect("recovery");
+        server.deregister_query(QueryId(0));
+        server.sync_wal();
+        assert!(!server.wal_poisoned());
+        let digest = server.state_digest();
+        drop(server);
+        let (recovered, replayed) = Server::reopen(config).expect("recovery");
         assert!(replayed > 0, "operations were logged and must replay");
         assert_eq!(recovered.state_digest(), digest, "recovery must be bit-identical");
         recovered.check_invariants_deep();
@@ -1237,12 +1046,7 @@ mod tests {
         use srb_durable::log::LogWriter;
         let dir = temp_dir("marker");
         let config = durable(dir);
-        let positions = world(6, 5);
-        let mut server = Server::with_backend(config, 2);
-        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-        for (i, &p) in positions.iter().enumerate() {
-            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
+        let mut server = populated(config, &world(6, 5));
         server.sync_wal();
         drop(server);
 
@@ -1267,7 +1071,7 @@ mod tests {
         let mut w = LogWriter::open_append(&first, len).expect("reopen");
         w.append(&marker).and_then(|()| w.sync()).expect("marker");
 
-        match Server::recover(config, 2) {
+        match Server::reopen(config) {
             Err(RecoveryError::Corrupt(what)) => assert_eq!(what, "unknown opcode"),
             other => panic!("replayed an earlier marker: {:?}", other.map(|(_, n)| n)),
         }
@@ -1279,17 +1083,13 @@ mod tests {
         let dir = temp_dir("ckpt");
         let config = durable(dir);
         let positions = world(12, 9);
-        let mut sharded = Server::with_backend(config, 2);
-        let snapshot = positions.clone();
-        let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-        for (i, &p) in snapshot.iter().enumerate() {
-            sharded.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-        }
-        sharded.register_query(QuerySpec::knn(Point::new(0.4, 0.4), 2), &mut provider, 0.0);
-        assert!(sharded.checkpoint());
-        let digest = sharded.state_digest();
-        drop(sharded);
-        let (recovered, replayed) = Server::recover(config, 2).expect("recovery");
+        let mut server = populated(config, &positions);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        server.register_query(QuerySpec::knn(Point::new(0.4, 0.4), 2), &mut provider, 0.0);
+        assert!(server.checkpoint());
+        let digest = server.state_digest();
+        drop(server);
+        let (recovered, replayed) = Server::reopen(config).expect("recovery");
         assert_eq!(replayed, 0, "checkpoint must have truncated the log tail");
         assert_eq!(recovered.state_digest(), digest);
         let _ = std::fs::remove_dir_all(dir);
@@ -1308,37 +1108,30 @@ mod tests {
     /// the sequential path writes, byte for byte, and replay like it.
     #[test]
     fn parallel_path_under_wal_stays_sequentially_logged() {
-        for shards in [2, 4] {
-            let what = format!("{shards} shards");
-            let dirs = [temp_dir("seq"), temp_dir("par")];
-            let [mut seq_server, mut par_server] =
-                assert_parallel_matches_sequential(dirs.map(durable), shards);
-            seq_server.sync_wal();
-            par_server.sync_wal();
-            assert!(!par_server.wal_poisoned());
-            let logged = dir_bytes(dirs[1]);
-            let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
-            assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
-            assert_eq!(dir_bytes(dirs[0]), logged, "{what}");
-            let digest = par_server.state_digest();
-            drop(par_server);
-            let (recovered, replayed) =
-                Server::recover(durable(dirs[1]), shards).expect("recovery");
-            assert!(replayed > 0);
-            assert_eq!(recovered.state_digest(), digest, "{what}");
-            for dir in dirs {
-                let _ = std::fs::remove_dir_all(dir);
-            }
+        let dirs = [temp_dir("seq"), temp_dir("par")];
+        let [mut seq_server, mut par_server] =
+            assert_parallel_matches_sequential(dirs.map(durable));
+        seq_server.sync_wal();
+        par_server.sync_wal();
+        assert!(!par_server.wal_poisoned());
+        let logged = dir_bytes(dirs[1]);
+        let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
+        assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
+        assert_eq!(dir_bytes(dirs[0]), logged);
+        let digest = par_server.state_digest();
+        drop(par_server);
+        let (recovered, replayed) = Server::reopen(durable(dirs[1])).expect("recovery");
+        assert!(replayed > 0);
+        assert_eq!(recovered.state_digest(), digest);
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 
     /// A [`fleet`], the world one `step` later, and the [`exit_reports`] of
     /// that point.
-    fn fleet_one_step_on(
-        config: ServerConfig,
-        shards: usize,
-    ) -> (Server, Vec<Point>, Vec<SequencedUpdate>) {
-        let (server, mut positions) = fleet(config, shards);
+    fn fleet_one_step_on(config: ServerConfig) -> (Server, Vec<Point>, Vec<SequencedUpdate>) {
+        let (server, mut positions) = fleet(config);
         step(&mut positions, 1);
         let batch = exit_reports(&server, &positions, &mut vec![0; positions.len()]);
         (server, positions, batch)
@@ -1347,12 +1140,12 @@ mod tests {
     /// A provider that panics (a table that ends before the probed id) does
     /// so before any region of the batch is
     /// installed: the panic reaches the caller, every object keeps the
-    /// region and anchor it had, the shard indexes stay coherent, the WAL is
+    /// region and anchor it had, the index stays coherent, the WAL is
     /// poisoned with no record written — recovery lands on the state before
     /// the batch.
     #[test]
     fn provider_panic_surfaces_with_nothing_installed_or_committed() {
-        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default(), 2);
+        let (mut twin, positions, batch) = fleet_one_step_on(ServerConfig::default());
         let before = twin.costs().probes;
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         twin.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
@@ -1360,7 +1153,7 @@ mod tests {
 
         let dir = temp_dir("panic");
         let config = durable(dir);
-        let (mut server, _, _) = fleet_one_step_on(config, 2);
+        let (mut server, _, _) = fleet_one_step_on(config);
         server.sync_wal();
         let digest = server.state_digest();
         let held = |s: &Server| -> Vec<_> {
@@ -1381,29 +1174,22 @@ mod tests {
         server.check_invariants();
         assert!(server.wal_poisoned());
         drop(server);
-        let (recovered, _) = Server::recover(config, 2).expect("recovery");
+        let (recovered, _) = Server::reopen(config).expect("recovery");
         assert_eq!(recovered.state_digest(), digest, "the failed batch must leave no record");
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The stale-neighbour request path across two shards, twice in one
-    /// batch. Each of two order-sensitive 2-NN queries has its second
-    /// result (on shard 0) report from exactly the distance its first
-    /// result's (on shard 1) stale region reaches out to: reevaluation
-    /// keeps the order without probing, but the reporter's ring has no
-    /// room, so its region hands the first result back as a request. The
-    /// coordinator probes in `(requester, target)` order — here against
-    /// target order — and both objects of each pair get regions that keep
-    /// them apart.
+    /// The stale-neighbour request path, twice in one batch. Each of two
+    /// order-sensitive 2-NN queries has its second result report from
+    /// exactly the distance its first result's stale region reaches out
+    /// to: reevaluation keeps the order without probing, but the reporter's
+    /// ring has no room, so its region hands the first result back as a
+    /// request. The engine probes in `(requester, target)` order — here
+    /// against target order — and both objects of each pair get regions
+    /// that keep them apart.
     #[test]
-    fn stale_neighbour_requests_are_probed_in_requester_order_across_shards() {
-        let mut server = Server::with_backend(ServerConfig::default(), 2);
-        // The first position at or beyond `from` (in grid-cell steps) that
-        // `shard` owns.
-        let owned_by = |server: &Server, shard: usize, from: Point| {
-            let step = |i: usize| Point::new(from.x + 0.02 * (i % 4) as f64, from.y);
-            (0..4).map(step).find(|&p| server.assign_shard(p) == shard).expect("a cell per shard")
-        };
+    fn stale_neighbour_requests_are_probed_in_requester_order() {
+        let mut server = Server::new(ServerConfig::default());
         // (query point, first result, second result)
         let pairs = [
             (Point::new(0.3, 0.3), ObjectId(2), ObjectId(3)),
@@ -1411,8 +1197,8 @@ mod tests {
         ];
         let mut at = [Point::new(0.05, 0.95); 8];
         for (q, near, far) in pairs {
-            at[near.index()] = owned_by(&server, 1, Point::new(q.x + 0.02, q.y));
-            at[far.index()] = owned_by(&server, 0, Point::new(q.x + 0.1, q.y));
+            at[near.index()] = Point::new(q.x + 0.02, q.y);
+            at[far.index()] = Point::new(q.x + 0.1, q.y);
         }
         {
             let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
@@ -1422,7 +1208,6 @@ mod tests {
                 }
                 let reg = server.register_query(QuerySpec::knn(q, 2), &mut provider, 0.0);
                 assert_eq!(reg.results, vec![near, far]);
-                assert_eq!((shard_of(&server, near), shard_of(&server, far)), (Some(1), Some(0)));
             }
         }
         let mut batch = Vec::new();
@@ -1444,7 +1229,7 @@ mod tests {
         assert_eq!(server.work().safe_regions - before.safe_regions, 4);
         assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), vec![ObjectId(3), ObjectId(7)]);
         let bystanders: Vec<ObjectId> = out[0].1.probed.iter().map(|(o, _)| *o).collect();
-        assert_eq!(bystanders, vec![ObjectId(1), ObjectId(2)], "both of shard 1, ascending");
+        assert_eq!(bystanders, vec![ObjectId(1), ObjectId(2)], "ascending");
         for (q, near, far) in pairs {
             let (inner, outer) =
                 (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
@@ -1458,14 +1243,14 @@ mod tests {
     }
 
     /// An order-sensitive 2-NN query at `Q` whose results are `near` then
-    /// `far`, and a bystander `other` in a distant cell, on `shards` shards.
+    /// `far`, and a bystander `other` in a distant cell.
     const Q: Point = Point { x: 0.5, y: 0.5 };
-    fn two_nn(shards: usize, [near, far, other]: [ObjectId; 3]) -> (Server, Vec<Point>) {
+    fn two_nn([near, far, other]: [ObjectId; 3]) -> (Server, Vec<Point>) {
         let mut at = vec![Point::new(0.05, 0.05); 10];
         at[near.index()] = Point::new(0.52, 0.5);
         at[far.index()] = Point::new(0.5, 0.56);
         at[other.index()] = Point::new(0.9, 0.1);
-        let mut server = Server::with_backend(ServerConfig::default(), shards);
+        let mut server = Server::new(ServerConfig::default());
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for id in [near, far, other] {
             server.add_object(id, at[id.index()], &mut provider, 0.0).expect("fresh id");
@@ -1494,9 +1279,8 @@ mod tests {
         (out, probes, after.safe_regions - before.safe_regions)
     }
 
-    /// The neighbour-probe scenarios of the region step, each at one shard
-    /// and at two with the same outcome to the bit. `far` reports from
-    /// exactly the distance `near`'s stale region reaches out to:
+    /// The neighbour-probe scenarios of the region step. `far` reports
+    /// from exactly the distance `near`'s stale region reaches out to:
     /// reevaluation keeps the order without probing, but the ring of `far`
     /// has no room, so its region asks for `near` — whether `near`'s id is
     /// the larger or the smaller one — and `near` rides home as a probed
@@ -1504,50 +1288,38 @@ mod tests {
     /// batch from distances a hair apart (a stale region between them would
     /// leave no room), each is exactly known to the other's ring, the
     /// midpoint rule separates them, and nobody is probed. (From exactly
-    /// one distance they rank by id, the browse's one tie order, at any
-    /// shard count.)
+    /// one distance they rank by id, the browse's one tie order.)
     #[test]
-    fn neighbour_probe_scenarios_read_the_same_at_one_shard_and_two() {
+    fn neighbour_probe_scenarios_separate_the_two_results() {
         let ids = |raw: [u32; 3]| raw.map(ObjectId);
         for [near, far, other] in [ids([5, 1, 9]), ids([1, 5, 9])] {
-            let mut outcomes = Vec::new();
-            for shards in [1, 2] {
-                let (mut server, mut at) = two_nn(shards, [near, far, other]);
-                let reach = server.safe_region(near).expect("registered").max_dist(Q);
-                at[far.index()] = Point::new(Q.x, Q.y + reach);
-                at[other.index()] = Point::new(0.9, 0.11);
-                let (out, probes, regions) = report_all(&mut server, &at, &[other, far]);
-                assert_eq!((probes, regions), (1, 3), "{shards} shard(s): far, other, near");
-                let mut movers = vec![far, other];
-                movers.sort_unstable();
-                assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), movers);
-                assert_eq!(out[0].1.probed.iter().map(|(o, _)| *o).collect::<Vec<_>>(), [near]);
-                let (inner, outer) =
-                    (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
-                assert!(inner.max_dist(Q) <= outer.min_dist(Q), "{near} and {far} may swap");
-                outcomes.push(format!("{out:?}"));
-            }
-            assert_eq!(outcomes[0], outcomes[1], "near {near}: one shard against two");
+            let (mut server, mut at) = two_nn([near, far, other]);
+            let reach = server.safe_region(near).expect("registered").max_dist(Q);
+            at[far.index()] = Point::new(Q.x, Q.y + reach);
+            at[other.index()] = Point::new(0.9, 0.11);
+            let (out, probes, regions) = report_all(&mut server, &at, &[other, far]);
+            assert_eq!((probes, regions), (1, 3), "near {near}: far, other, near");
+            let mut movers = vec![far, other];
+            movers.sort_unstable();
+            assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), movers);
+            assert_eq!(out[0].1.probed.iter().map(|(o, _)| *o).collect::<Vec<_>>(), [near]);
+            let (inner, outer) =
+                (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
+            assert!(inner.max_dist(Q) <= outer.min_dist(Q), "{near} and {far} may swap");
         }
 
         let [near, far, other] = ids([1, 2, 9]);
-        let mut outcomes = Vec::new();
-        for shards in [1, 2] {
-            let (mut server, mut at) = two_nn(shards, [near, far, other]);
-            at[near.index()] = Point::new(Q.x + 0.03, Q.y);
-            at[far.index()] = Point::new(Q.x, Q.y + 0.031);
-            let (out, probes, regions) = report_all(&mut server, &at, &[near, far]);
-            assert_eq!((probes, regions), (0, 2), "{shards} shard(s): the midpoint rule suffices");
-            assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), vec![near, far]);
-            assert!(out[0].1.probed.is_empty());
-            assert_eq!(server.results(QueryId(0)), Some(&[near, far][..]));
-            let (inner, outer) =
-                (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
-            let (reach, clear) = (inner.max_dist(Q), outer.min_dist(Q));
-            assert!(reach <= clear + 1e-12, "{near} ({reach}) and {far} ({clear}) may swap unseen");
-            outcomes.push(format!("{out:?}"));
-        }
-        assert_eq!(outcomes[0], outcomes[1], "both results report: one shard against two");
+        let (mut server, mut at) = two_nn([near, far, other]);
+        at[near.index()] = Point::new(Q.x + 0.03, Q.y);
+        at[far.index()] = Point::new(Q.x, Q.y + 0.031);
+        let (out, probes, regions) = report_all(&mut server, &at, &[near, far]);
+        assert_eq!((probes, regions), (0, 2), "the midpoint rule suffices");
+        assert_eq!(out.iter().map(|(o, _)| *o).collect::<Vec<_>>(), vec![near, far]);
+        assert!(out[0].1.probed.is_empty());
+        assert_eq!(server.results(QueryId(0)), Some(&[near, far][..]));
+        let (inner, outer) = (server.safe_region(near).unwrap(), server.safe_region(far).unwrap());
+        let (reach, clear) = (inner.max_dist(Q), outer.min_dist(Q));
+        assert!(reach <= clear + 1e-12, "{near} ({reach}) and {far} ({clear}) may swap unseen");
     }
 
     /// Fail-stop for the operations that are not batches: a provider that
@@ -1558,64 +1330,45 @@ mod tests {
     /// lands on the state before the operation.
     #[test]
     fn provider_panic_inside_a_logged_operation_is_fail_stop() {
-        for shards in [1, 2] {
-            for op in ["register_query", "add_object", "process_deferred"] {
-                let what = format!("{op} at {shards} shard(s)");
-                let dir = temp_dir("logged-panic");
-                let config = ServerConfig { lease: Some(0.3), ..durable(dir) };
-                let (mut server, positions) = fleet(config, shards);
-                server.sync_wal();
-                let digest = server.state_digest();
-                // As far from the 4-NN query as its second result, in another
-                // direction: their order cannot be told without a probe.
-                let q = Point::new(0.4, 0.6);
-                let second = positions[server.results(QueryId(1)).expect("registered")[1].index()];
-                let beside = Point::new(q.x - (second.y - q.y), q.y + (second.x - q.x));
-                let mut down =
-                    FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
-                let payload = catch_unwind(AssertUnwindSafe(|| match op {
-                    "register_query" => {
-                        server.register_query(
-                            QuerySpec::knn(Point::new(0.5, 0.5), 3),
-                            &mut down,
-                            0.1,
-                        );
-                    }
-                    "add_object" => {
-                        let _ = server.add_object(ObjectId(99), beside, &mut down, 0.1);
-                    }
-                    _ => drop(server.process_deferred(&mut down, 10.0)),
-                }))
-                .expect_err(&what);
-                let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
-                assert!(msg.starts_with("no answer from"), "{what}: {msg}");
-                assert!(server.wal.is_some() && server.wal_poisoned(), "{what}");
-                server.check_invariants();
-                drop(server);
-                let (recovered, _) = Server::recover(config, shards).expect("recovery");
-                assert_eq!(recovered.state_digest(), digest, "{what} left a record");
-                let _ = std::fs::remove_dir_all(dir);
-            }
+        for op in ["register_query", "add_object", "process_deferred"] {
+            let dir = temp_dir("logged-panic");
+            let config = ServerConfig { lease: Some(0.3), ..durable(dir) };
+            let (mut server, positions) = fleet(config);
+            server.sync_wal();
+            let digest = server.state_digest();
+            // As far from the 4-NN query as its second result, in another
+            // direction: their order cannot be told without a probe.
+            let q = Point::new(0.4, 0.6);
+            let second = positions[server.results(QueryId(1)).expect("registered")[1].index()];
+            let beside = Point::new(q.x - (second.y - q.y), q.y + (second.x - q.x));
+            let mut down = FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+            let payload = catch_unwind(AssertUnwindSafe(|| match op {
+                "register_query" => {
+                    server.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 3), &mut down, 0.1);
+                }
+                "add_object" => {
+                    let _ = server.add_object(ObjectId(99), beside, &mut down, 0.1);
+                }
+                _ => drop(server.process_deferred(&mut down, 10.0)),
+            }))
+            .expect_err(op);
+            let msg = payload.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.starts_with("no answer from"), "{op}: {msg}");
+            assert!(server.wal.is_some() && server.wal_poisoned(), "{op}");
+            server.check_invariants();
+            drop(server);
+            let (recovered, _) = Server::reopen(config).expect("recovery");
+            assert_eq!(recovered.state_digest(), digest, "{op} left a record");
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 
     /// A leased fleet: `lease` 1.0, no query, objects 0 and 1 added at
-    /// `t = 0` on different shards when there are several — object 1 on
-    /// the lower one — and object 2 beside them.
-    fn leased(shards: usize) -> Server {
+    /// `t = 0` at one spot and object 2 beside them.
+    fn leased() -> Server {
         let config = ServerConfig { lease: Some(1.0), ..Default::default() };
-        let mut server = Server::with_backend(config, shards);
         let cell = |i: usize| Point::new(0.01 + 0.02 * i as f64, 0.5);
-        let on = |shard: usize| {
-            let found = (0..50).map(cell).find(|&p| server.assign_shard(p) == shard % shards);
-            found.expect("a cell per shard")
-        };
-        let at = [on(1), on(0), cell(25)];
-        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-        for (i, &p) in at.iter().enumerate() {
-            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
-        }
-        server
+        populated(config, &[cell(0), cell(0), cell(25)])
     }
 
     /// One report of object 2 at `now`, from where it stands.
@@ -1630,47 +1383,38 @@ mod tests {
     /// later instant replaces the object's timer, a grant at the same
     /// instant keeps an earlier due, many leased grants of one object
     /// leave one entry, a removal cancels, and timers fire in `(due, id)`
-    /// order across shards — not shard by shard.
+    /// order.
     #[test]
     fn the_grant_rule_keeps_one_timer_per_object() {
         let due_of = |s: &Server, id: u32| s.timers.due_of(ObjectId(id));
-        for shards in [1, 2, 3] {
-            let what = format!("{shards} shard(s)");
-            let mut server = leased(shards);
-            if shards > 1 {
-                assert_eq!(
-                    (shard_of(&server, ObjectId(0)), shard_of(&server, ObjectId(1))),
-                    (Some(1), Some(0))
-                );
-            }
-            assert_eq!(server.next_deferred_due(), Some(1.0), "{what}");
-            report_2(&mut server, 1, 0.25);
-            assert_eq!(due_of(&server, 2), Some(1.25), "{what}: a later grant replaces");
-            for seq in 2..40 {
-                report_2(&mut server, seq, 0.25 + seq as f64 / 256.0);
-            }
-            assert_eq!(server.timers.len(), 3, "{what}: one entry per object");
-
-            // A deferred probe requested at the instant of the last grant
-            // is still owed when the object is granted again at that instant.
-            let last = 0.25 + 39.0 / 256.0;
-            server.timers.lower(ObjectId(2), 0.75, DeferKind::Slack);
-            report_2(&mut server, 40, last);
-            assert_eq!(due_of(&server, 2), Some(0.75), "{what}: a same-instant grant keeps it");
-            report_2(&mut server, 41, 0.5);
-            assert_eq!(due_of(&server, 2), Some(1.5), "{what}: another instant drops it");
-
-            let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
-            server.remove_object(ObjectId(2), &mut provider, 0.5).expect("registered");
-            assert_eq!(due_of(&server, 2), None, "{what}: a removal cancels");
-            server.check_invariants_deep();
-
-            let fired = server.process_deferred(&mut provider, 1.0);
-            let ids: Vec<ObjectId> = fired.iter().map(|&(oid, _)| oid).collect();
-            assert_eq!(ids, [ObjectId(0), ObjectId(1)], "{what}: (due, id) order");
-            assert_eq!(server.work().lease_probes, 2, "{what}");
-            assert_eq!(server.next_deferred_due(), Some(2.0), "{what}: renewed");
+        let mut server = leased();
+        assert_eq!(server.next_deferred_due(), Some(1.0));
+        report_2(&mut server, 1, 0.25);
+        assert_eq!(due_of(&server, 2), Some(1.25), "a later grant replaces");
+        for seq in 2..40 {
+            report_2(&mut server, seq, 0.25 + seq as f64 / 256.0);
         }
+        assert_eq!(server.timers.len(), 3, "one entry per object");
+
+        // A deferred probe requested at the instant of the last grant is
+        // still owed when the object is granted again at that instant.
+        let last = 0.25 + 39.0 / 256.0;
+        server.timers.lower(ObjectId(2), 0.75, DeferKind::Slack);
+        report_2(&mut server, 40, last);
+        assert_eq!(due_of(&server, 2), Some(0.75), "a same-instant grant keeps it");
+        report_2(&mut server, 41, 0.5);
+        assert_eq!(due_of(&server, 2), Some(1.5), "another instant drops it");
+
+        let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
+        server.remove_object(ObjectId(2), &mut provider, 0.5).expect("registered");
+        assert_eq!(due_of(&server, 2), None, "a removal cancels");
+        server.check_invariants_deep();
+
+        let fired = server.process_deferred(&mut provider, 1.0);
+        let ids: Vec<ObjectId> = fired.iter().map(|&(oid, _)| oid).collect();
+        assert_eq!(ids, [ObjectId(0), ObjectId(1)], "(due, id) order");
+        assert_eq!(server.work().lease_probes, 2);
+        assert_eq!(server.next_deferred_due(), Some(2.0), "renewed");
     }
 
     /// `next_deferred_due` is a read: it changes nothing a checkpoint
@@ -1679,7 +1423,7 @@ mod tests {
     fn next_deferred_due_leaves_the_state_digest_unchanged() {
         let dir = temp_dir("next-due");
         let config = ServerConfig { lease: Some(0.5), ..durable(dir) };
-        let (server, _) = fleet(config, 2);
+        let (server, _) = fleet(config);
         let digest = server.state_digest();
         let logged = dir_bytes(dir);
         for _ in 0..3 {
@@ -1690,9 +1434,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
-    /// The index is derived state. A recovered engine rebuilds every shard
-    /// index from the checkpoint's object table in id order, so its trees
-    /// are shaped unlike the live engine's, which grew them report by
+    /// The index is derived state. A recovered engine rebuilds its index
+    /// from the checkpoint's object table in id order, so its tree is
+    /// shaped unlike the live engine's, which grew it report by
     /// report; yet it recovers to the live digest, and the engine and its
     /// recovered twin answer the next batches alike.
     #[test]
@@ -1700,13 +1444,9 @@ mod tests {
         let (dir, copy) = (temp_dir("shape"), temp_dir("shape-copy"));
         let mut positions = world(40, 11);
         let mut seqs = vec![0u64; positions.len()];
-        let mut engine = Server::with_backend(durable(dir), 2);
+        let mut engine = populated(durable(dir), &positions);
         {
-            let snapshot = positions.clone();
-            let mut provider = FnProvider(|id: ObjectId| snapshot[id.index()]);
-            for (i, &p) in snapshot.iter().enumerate() {
-                engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-            }
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
             let rect = Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.6));
             engine.register_query(QuerySpec::range(rect), &mut provider, 0.0);
             engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 4), &mut provider, 0.0);
@@ -1728,12 +1468,10 @@ mod tests {
         for r in 1..=4 {
             round(&mut [&mut engine], r);
         }
-        // What a shard's shape shows from outside: the order a whole-space
-        // search emits its hits in.
-        let shape = |e: &Server| -> Vec<Vec<u64>> {
-            let order =
-                |s: &Shard| s.backend.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
-            e.shards().iter().map(order).collect()
+        // What the index's shape shows from outside: the order a
+        // whole-space search emits its hits in.
+        let shape = |e: &Server| -> Vec<u64> {
+            e.index.backend().search_vec(&Rect::UNIT).iter().map(|e| e.id).collect()
         };
         let digest = engine.state_digest();
         assert!(engine.checkpoint());
@@ -1741,7 +1479,7 @@ mod tests {
         for (name, bytes) in dir_bytes(dir) {
             std::fs::write(Path::new(copy).join(name), bytes).expect("a store copy");
         }
-        let (mut twin, replayed) = Server::recover(durable(copy), 2).expect("recovery");
+        let (mut twin, replayed) = Server::reopen(durable(copy)).expect("recovery");
         assert_eq!(replayed, 0, "the twin is the checkpoint's rebuild alone");
         assert_ne!(shape(&twin), shape(&engine), "the rebuild reshapes the index");
         assert_eq!(twin.state_digest(), digest);
@@ -1753,12 +1491,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_object_rejected_across_shards() {
-        let mut sharded = Server::with_backend(ServerConfig::default(), 3);
+    fn duplicate_object_is_rejected() {
+        let mut server = Server::new(ServerConfig::default());
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
-        sharded.add_object(ObjectId(1), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
+        server.add_object(ObjectId(1), Point::new(0.2, 0.2), &mut provider, 0.0).unwrap();
         assert!(matches!(
-            sharded.add_object(ObjectId(1), Point::new(0.8, 0.8), &mut provider, 0.0),
+            server.add_object(ObjectId(1), Point::new(0.8, 0.8), &mut provider, 0.0),
             Err(ServerError::DuplicateObject(_))
         ));
     }

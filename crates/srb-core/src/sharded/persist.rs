@@ -1,5 +1,5 @@
 //! The durability plane: every operation, a batch included, is one record
-//! of the coordinator's log — its inputs and its probe transcript, appended
+//! of the engine's log — its inputs and its probe transcript, appended
 //! by `logged`. A checkpoint is the whole engine state in one layout
 //! (`FLEET_LAYOUT`); recovery decodes one and replays the records after it
 //! through the entry points. Only this module and `wal.rs` encode, decode
@@ -13,19 +13,19 @@ use crate::location::Timers;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::wal::{self, Record, ReplayProvider, Wal};
-use srb_durable::codec::{put_u64, put_usize};
+use srb_durable::codec::put_u64;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-/// Leads a checkpoint's coordinator section: the layout with one query
-/// plane, one timer queue, one object table and nothing per shard — every
-/// shard index is rebuilt from `config.backend` and the table ("SRBFLT" +
-/// version). See `ShardedServer::decode_state`.
-const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0007;
+/// Follows a checkpoint's config fingerprint: the layout with one query
+/// plane, one timer queue and one object table whose entries name no
+/// shard — the index is rebuilt from `config.backend` and the table
+/// ("SRBFLT" + version). See `ShardedServer::decode_state`.
+const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0008;
 
 impl<B: srb_index::SpatialBackend> ShardedServer<B> {
-    /// Creates a durability store in `dir` and attaches a fresh coordinator
-    /// WAL, rooted at a checkpoint of the whole fleet's state.
+    /// Creates a durability store in `dir` and attaches a fresh WAL, rooted
+    /// at a checkpoint of the whole engine state.
     pub(super) fn attach_durability(&mut self, dir: &str) {
         let d = self.config.durability;
         let mut payload = Vec::new();
@@ -35,16 +35,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.wal = Some(Box::new(Wal::new(store, d.checkpoint_ops)));
     }
 
-    /// Rebuilds a sharded server from the durability directory in
-    /// `config.durability`: loads the newest valid checkpoint, replays the
-    /// log generation by generation, and reattaches the WAL. `shards` must
-    /// match the crashed instance's shard count, which the checkpoint
-    /// records. Returns the server and the number of replayed operations.
-    /// A backend type `B` that cannot build `config.backend` is refused
-    /// before the store is opened. [`Server::reopen`](super::Server::reopen)
-    /// is the one-shard R\*-tree; the shard count goes with ROADMAP 19 and
-    /// the backend parameter with 3(b).
-    pub fn recover(config: ServerConfig, shards: usize) -> Result<(Self, usize), RecoveryError> {
+    /// Rebuilds the server from the store in `config.durability.dir`: loads
+    /// the newest valid checkpoint, replays the log generation by
+    /// generation, and reattaches the WAL. Returns the server and the
+    /// number of replayed operations. Fails with
+    /// [`RecoveryError::Disabled`] when no directory is set, and with a
+    /// typed error on a store it cannot replay: a backend type `B` that
+    /// cannot build `config.backend` is refused before the store is opened,
+    /// and a checkpoint of an older layout when it is read.
+    pub fn reopen(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
         let d = config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
         if !B::builds(&config.backend) {
@@ -52,15 +51,21 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             return Err(RecoveryError::BackendMismatch { configured, recovering });
         }
         let rec = srb_durable::Store::recover(Path::new(dir), d.group_ops)?;
-        let mut server = Self::decode_state(&config, shards, &rec.payload)?;
+        let mut server = Self::decode_state(&config, &rec.payload)?;
         let records: Vec<_> = rec.generations.iter().flat_map(|g| &g.records).collect();
         records.iter().try_for_each(|payload| server.apply_record(payload))?;
         server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
         Ok((server, records.len()))
     }
 
+    /// [`reopen`](Self::reopen); the count is ignored. The name stays only
+    /// for `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
+    pub fn recover(config: ServerConfig, _shards: usize) -> Result<(Self, usize), RecoveryError> {
+        Self::reopen(config)
+    }
+
     /// True when an earlier I/O failure poisoned the WAL. A poisoned
-    /// coordinator keeps serving from memory but persists nothing further;
+    /// engine keeps serving from memory but persists nothing further;
     /// the only path back is recovery
     /// ([`Server::reopen`](super::Server::reopen)).
     pub fn wal_poisoned(&self) -> bool {
@@ -75,7 +80,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Rotates the durability store to a fresh checkpoint of the current
-    /// fleet state, truncating the replay tail. Returns `false` when no
+    /// engine state, truncating the replay tail. Returns `false` when no
     /// WAL is attached or the rotation failed (which poisons the WAL).
     pub fn checkpoint(&mut self) -> bool {
         let Some(mut w) = self.wal.take() else { return false };
@@ -86,7 +91,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         ok
     }
 
-    /// A 64-bit digest of the full serialized fleet state — what the crash
+    /// A 64-bit digest of the full serialized engine state — what the crash
     /// harness compares between a recovered run and its golden twin. The
     /// serialized state is logical: it holds no index structure, so two
     /// engines whose indexes hold the same entries in differently shaped
@@ -133,13 +138,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         result
     }
 
-    /// Serializes the complete engine state: config fingerprint, shard
-    /// count, layout tag, counters, the object table, the timers in queue
-    /// order and the query plane. Scratch buffers and telemetry handles
-    /// carry no state and are excluded.
+    /// Serializes the complete engine state: config fingerprint, layout
+    /// tag, counters, the object table, the timers in queue order and the
+    /// query plane. Scratch buffers and telemetry handles carry no state
+    /// and are excluded.
     fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
-        put_usize(out, self.index.shards().len());
         put_u64(out, FLEET_LAYOUT);
         put_u64(out, self.costs.source_updates);
         put_u64(out, self.costs.probes);
@@ -150,18 +154,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Rebuilds a server from a checkpoint payload. The WAL is *not*
-    /// attached — [`ShardedServer::recover`] does that after replay.
-    fn decode_state(
-        config: &ServerConfig,
-        shards: usize,
-        payload: &[u8],
-    ) -> Result<Self, RecoveryError> {
+    /// attached — [`ShardedServer::reopen`] does that after replay.
+    fn decode_state(config: &ServerConfig, payload: &[u8]) -> Result<Self, RecoveryError> {
         let mut dec = srb_durable::Dec::new(payload);
         if dec.u64()? != wal::config_fingerprint(config) {
             return Err(RecoveryError::ConfigMismatch);
-        }
-        if dec.usize()? != shards {
-            return Err(RecoveryError::Corrupt("checkpoint shard count mismatch"));
         }
         // Where this tag sits, every older checkpoint — one shard whose own
         // stack was the engine, several shards each a replica of every
@@ -170,14 +167,15 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // generations (version 3), shards that carried their index structure
         // (version 4), an owner map beside per-shard object tables and
         // counters (version 5), each shard's backend config and the
-        // adaptive controller's state (version 6) — holds a counter or an
-        // earlier version: refused here, never misread.
+        // adaptive controller's state (version 6), a shard number per
+        // object (version 7) — holds its shard count: refused here, never
+        // misread.
         if dec.u64()? != FLEET_LAYOUT {
             return Err(RecoveryError::Corrupt("checkpoint of an older layout"));
         }
         let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
         let work = WorkStats::decode(&mut dec)?;
-        let index = ObjectIndex::decode_state(&mut dec, &config.backend, shards, config.space)?;
+        let index = ObjectIndex::decode_state(&mut dec, &config.backend, config.space)?;
         let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
         let processor = QueryProcessor::decode_state(&mut dec)?;
         dec.finish()?;
@@ -228,13 +226,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{durable, fleet, temp_dir, world};
+    use super::super::tests::{durable, fleet, populated, temp_dir, world};
     use super::super::Server;
     use super::*;
     use crate::ids::ObjectId;
-    use crate::provider::FnProvider;
+    use crate::provider::{FnProvider, NoProbe};
     use crate::query::QuerySpec;
     use crate::SequencedUpdate;
+    use srb_durable::codec::put_usize;
     use srb_geom::Point;
     use srb_index::RStarTree;
 
@@ -244,44 +243,40 @@ mod tests {
     /// run that never stopped.
     #[test]
     fn sequenced_batch_drops_recur_on_replay() {
-        for shards in [1, 2] {
-            let dir = temp_dir("rawdrops");
-            let config = durable(dir);
-            let positions = world(8, 17);
-            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-            let mut twin = Server::with_backend(ServerConfig::default(), shards);
-            let mut durable = Server::with_backend(config, shards);
-            for engine in [&mut twin, &mut durable] {
-                for (i, &p) in positions.iter().enumerate() {
-                    engine.add_object(ObjectId(i as u32), p, &mut provider, 0.0).unwrap();
-                }
-                engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut provider, 0.0);
-                let report =
-                    |id, x, y| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, y), seq: 1 };
-                let batch = [
-                    report(3, 0.31, 0.32),
-                    report(99, 0.1, 0.1),
-                    report(3, 0.33, 0.34),
-                    report(5, 0.6, 0.7),
-                ];
-                let mut resp = Vec::new();
-                engine.ingest(&batch, &mut provider, 0.1, &mut resp);
-                assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
-            }
-            durable.sync_wal();
-            drop(durable);
-            let (recovered, _) = Server::recover(config, shards).expect("recovery");
-            assert_eq!(recovered.work(), twin.work(), "{shards} shard(s)");
-            assert_eq!(recovered.work().unknown_object_drops, 1);
-            assert_eq!(recovered.work().stale_seq_drops, 1);
-            assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
-            let _ = std::fs::remove_dir_all(dir);
+        let dir = temp_dir("rawdrops");
+        let config = durable(dir);
+        let positions = world(8, 17);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        let mut twin = populated(ServerConfig::default(), &positions);
+        let mut durable = populated(config, &positions);
+        for engine in [&mut twin, &mut durable] {
+            engine.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut provider, 0.0);
+            let report =
+                |id, x, y| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, y), seq: 1 };
+            let batch = [
+                report(3, 0.31, 0.32),
+                report(99, 0.1, 0.1),
+                report(3, 0.33, 0.34),
+                report(5, 0.6, 0.7),
+            ];
+            let mut resp = Vec::new();
+            engine.ingest(&batch, &mut provider, 0.1, &mut resp);
+            assert_eq!(resp.len(), 3, "two accepted reports and one regrant");
         }
+        durable.sync_wal();
+        drop(durable);
+        let (recovered, _) = Server::reopen(config).expect("recovery");
+        assert_eq!(recovered.work(), twin.work());
+        assert_eq!(recovered.work().unknown_object_drops, 1);
+        assert_eq!(recovered.work().stale_seq_drops, 1);
+        assert_eq!(recovered.state_digest(), twin.state_digest());
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// `Server::reopen` fails with a typed error and never panics: with no
-    /// store configured, and on a store a two-shard engine wrote. A store a
-    /// one-shard engine wrote reopens onto its digest.
+    /// store configured, and on a store whose checkpoint is of layout 7 —
+    /// the last to record a shard count and a shard number per object. A
+    /// store of the current layout reopens onto its digest.
     #[test]
     fn reopen_refuses_with_typed_errors_and_never_panics() {
         let reopen = |config: ServerConfig| {
@@ -292,36 +287,42 @@ mod tests {
             Err(RecoveryError::Disabled) => {}
             other => panic!("reopened with no store configured: {other:?}"),
         }
-        let [one, two] = [1, 2].map(|shards| {
-            let dir = temp_dir("reopen");
-            let (mut server, _) = fleet(durable(dir), shards);
-            server.sync_wal();
-            (dir, server.state_digest())
-        });
-        match reopen(durable(two.0)) {
-            Err(RecoveryError::Corrupt(what)) => {
-                assert_eq!(what, "checkpoint shard count mismatch")
-            }
-            other => panic!("reopened a two-shard store: {other:?}"),
+        // With no object ever registered, the table is empty and the rest of
+        // a layout-7 checkpoint reads as the current one: only the header
+        // tells them apart.
+        let (empty, older) = (temp_dir("reopen-v8"), temp_dir("reopen-v7"));
+        let mut server = Server::new(durable(empty));
+        server.register_query(QuerySpec::knn(Point::new(0.5, 0.5), 2), &mut NoProbe, 0.0);
+        let mut current = Vec::new();
+        server.encode_state(&mut current);
+        let mut v7 = checkpoint_header(1);
+        put_u64(&mut v7, FLEET_LAYOUT - 1);
+        v7.extend_from_slice(&current[16..]);
+        let group_ops = durable(older).durability.group_ops;
+        srb_durable::Store::create(Path::new(older), group_ops, &v7).expect("a layout-7 store");
+        match reopen(durable(older)) {
+            Err(RecoveryError::Corrupt(what)) => assert_eq!(what, "checkpoint of an older layout"),
+            other => panic!("reopened a layout-7 store: {other:?}"),
         }
-        let (digest, _) = reopen(durable(one.0)).expect("a one-shard store reopens");
-        assert_eq!(digest, one.1);
-        for (dir, _) in [one, two] {
+        server.sync_wal();
+        let (digest, _) = reopen(durable(empty)).expect("a current store reopens");
+        assert_eq!(digest, server.state_digest());
+        for dir in [empty, older] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
 
     /// `decode_state`'s refusal of `payload`, a checkpoint of an older
-    /// layout at `shards`.
-    fn refused(shards: usize, payload: &[u8]) {
-        match ShardedServer::<RStarTree>::decode_state(&ServerConfig::default(), shards, payload) {
+    /// layout.
+    fn refused(payload: &[u8]) {
+        match ShardedServer::<RStarTree>::decode_state(&ServerConfig::default(), payload) {
             Err(RecoveryError::Corrupt(what)) => assert!(what.contains("older layout"), "{what}"),
             other => panic!("decoded an older layout: {:?}", other.map(|_| ())),
         }
     }
 
-    /// The first bytes every checkpoint layout shares: config fingerprint
-    /// and shard count.
+    /// The first bytes every older checkpoint layout shares: config
+    /// fingerprint and shard count.
     fn checkpoint_header(shards: usize) -> Vec<u8> {
         let mut payload = Vec::new();
         put_u64(&mut payload, wal::config_fingerprint(&ServerConfig::default()));
@@ -334,12 +335,24 @@ mod tests {
     /// own; 3, a reuse generation per object slot and per query slot; 4,
     /// each shard's index structure written verbatim; 5, an owner map and
     /// each shard's object table and counters; 6, each shard's backend
-    /// config and the adaptive controller's state.
+    /// config and the adaptive controller's state; 7, a shard number per
+    /// object.
     fn older(version: u64, shards: usize) -> Vec<u8> {
         let mut payload = checkpoint_header(shards);
-        put_u64(&mut payload, FLEET_LAYOUT - 7 + version);
-        put_u64(&mut payload, 0); // coordinator probes, counters, owner map …
+        put_u64(&mut payload, FLEET_LAYOUT - 8 + version);
+        put_u64(&mut payload, 0); // counters, owner map, object table …
         payload
+    }
+
+    /// The current layout round-trips: a fleet's checkpoint decodes onto
+    /// its digest.
+    fn round_trips() {
+        let config = ServerConfig::default();
+        let (fleet, _) = fleet(config);
+        let mut current = Vec::new();
+        fleet.encode_state(&mut current);
+        let decoded = ShardedServer::<RStarTree>::decode_state(&config, &current).expect("decodes");
+        assert_eq!(decoded.state_digest(), fleet.state_digest());
     }
 
     /// A multi-shard checkpoint from before the one query plane (every
@@ -351,18 +364,11 @@ mod tests {
         let mut replicas = checkpoint_header(2);
         WorkStats::default().encode(&mut replicas);
         put_usize(&mut replicas, 0); // owner map, specs, merged results …
-        refused(2, &replicas);
-        for version in 1..=6 {
-            refused(2, &older(version, 2));
+        refused(&replicas);
+        for version in 1..=7 {
+            refused(&older(version, 2));
         }
-        // The current layout round-trips.
-        let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2);
-        let mut current = Vec::new();
-        fleet.encode_state(&mut current);
-        let decoded =
-            ShardedServer::<RStarTree>::decode_state(&config, 2, &current).expect("decodes");
-        assert_eq!(decoded.state_digest(), fleet.state_digest());
+        round_trips();
     }
 
     /// A one-shard checkpoint from when one shard's own stack was the whole
@@ -371,8 +377,9 @@ mod tests {
     /// or from when the shard kept its own timers (version 2), slots kept
     /// reuse generations (version 3), shards wrote their index structure
     /// (version 4), their own object tables beside an owner map (version
-    /// 5) or their backend configs beside the controller (version 6), gets
-    /// the same typed refusal.
+    /// 5), their backend configs beside the controller (version 6) or the
+    /// object table named each object's shard (version 7), gets the same
+    /// typed refusal.
     #[test]
     fn older_one_shard_checkpoint_is_refused_not_misread() {
         let mut legacy = checkpoint_header(1);
@@ -381,45 +388,10 @@ mod tests {
         put_usize(&mut legacy, 0); // query slots
         put_usize(&mut legacy, 0); // the always-empty list
         legacy.push(0); // no controller; the shard's state …
-        refused(1, &legacy);
-        for version in 2..=6 {
-            refused(1, &older(version, 1));
+        refused(&legacy);
+        for version in 2..=7 {
+            refused(&older(version, 1));
         }
-        // The current layout is the one layout: one shard round-trips too.
-        let config = ServerConfig::default();
-        let (engine, _) = fleet(config, 1);
-        let mut current = Vec::new();
-        engine.encode_state(&mut current);
-        let decoded =
-            ShardedServer::<RStarTree>::decode_state(&config, 1, &current).expect("decodes");
-        assert_eq!(decoded.state_digest(), engine.state_digest());
-    }
-
-    /// A checkpoint whose object table names a shard the engine does not
-    /// have is refused with a typed error, never indexed out of range.
-    #[test]
-    fn a_table_naming_a_missing_shard_is_refused() {
-        let config = ServerConfig::default();
-        let (fleet, _) = fleet(config, 2);
-        let mut payload = Vec::new();
-        fleet.encode_state(&mut payload);
-        // Header, layout and counters, the table's length, object 0's tag:
-        // then its shard.
-        let mut counters = Vec::new();
-        WorkStats::default().encode(&mut counters);
-        let at = 5 * 8 + counters.len() + 8 + 1;
-        assert_eq!(payload[at - 1], 1, "object 0 is registered");
-        for shard in [2u32, u32::MAX] {
-            let mut damaged = payload.clone();
-            damaged[at..at + 4].copy_from_slice(&shard.to_le_bytes());
-            match ShardedServer::<RStarTree>::decode_state(&config, 2, &damaged) {
-                Err(RecoveryError::Corrupt(what)) => {
-                    assert_eq!(what, "object table names a missing shard")
-                }
-                other => panic!("decoded shard {shard}: {:?}", other.map(|_| ())),
-            }
-        }
-        let decoded = ShardedServer::<RStarTree>::decode_state(&config, 2, &payload);
-        assert_eq!(decoded.expect("decodes").state_digest(), fleet.state_digest());
+        round_trips();
     }
 }

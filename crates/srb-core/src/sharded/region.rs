@@ -15,7 +15,7 @@ use crate::safe_region::{compute_safe_region, RegionScratch};
 use crate::scratch::OpBuffers;
 use srb_geom::{Point, Rect};
 
-/// The region step of one operation. It lives in the coordinator's scratch
+/// The region step of one operation. It lives in the engine's scratch
 /// so its buffers are reused; between operations it holds capacity and
 /// nothing else.
 #[derive(Default)]
@@ -33,7 +33,7 @@ pub(super) struct RegionStep {
 
 impl RegionStep {
     /// Runs one region round over [`todo`](Self::todo), in id order, and
-    /// empties it. Each region reads the union view and the exactly-known
+    /// empties it. Each region reads the index and the exactly-known
     /// objects (`read`) and the query plane, and nothing the round computed
     /// before it. The regions go into [`granted`](Self::granted) (a later
     /// round's replacing an earlier one's), the deferred probes into
@@ -105,7 +105,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
         loop {
             let read = ReadCtx {
-                view: self.index.view(),
+                index: &self.index,
                 exact: &op.exact,
                 max_speed: self.config.max_speed,
                 now,

@@ -2,9 +2,9 @@
 //! transcripts, and the write-ahead log wrapper.
 //!
 //! Every top-level [`ShardedServer`](crate::ShardedServer) entry point is
-//! one *logical operation* and one record in the generation's one log (the
-//! shards never log); a batch of reports, however many shards own them, is
-//! one record too. The record holds the operation's inputs **plus the
+//! one *logical operation* and one record in the generation's one log; a
+//! batch of reports, however many it holds, is one record too. The
+//! record holds the operation's inputs **plus the
 //! transcript of every probe the provider answered during it** — probes
 //! are the only non-deterministic input (they read the outside world), so
 //! with the transcript in hand a recovering server can replay the
@@ -60,7 +60,7 @@ pub(crate) fn dec_rect(dec: &mut Dec<'_>) -> Result<Rect, DurableError> {
     Ok(Rect::new(min, max))
 }
 
-/// Encodes a query spec (shared by the sharded coordinator checkpoint).
+/// Encodes a query spec (shared by the engine's checkpoint).
 pub(crate) fn put_spec(out: &mut Vec<u8>, spec: &QuerySpec) {
     match spec {
         QuerySpec::Range { rect } => {

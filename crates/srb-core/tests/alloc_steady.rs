@@ -1,9 +1,9 @@
 //! Counting-allocator pin for the memory plane: once capacities have warmed
 //! up, a steady-state sequenced-update batch performs **zero** heap
-//! allocations — at one shard (R\*-tree and runtime-dispatched backend)
-//! and at two shards, through the ledger's entry point too, beside range
-//! rectangles (the §5.3 staircase) and inside an order-sensitive kNN
-//! query's rings (the §4.3 patch) included.
+//! allocations — on the R\*-tree and on the runtime-dispatched backend,
+//! through the ledger's entry point too, beside range rectangles (the §5.3
+//! staircase) and inside an order-sensitive kNN query's rings (the §4.3
+//! patch) included.
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
@@ -119,7 +119,7 @@ fn one_shard_steady_state_batches_do_not_allocate() {
     let extra = measure(|updates, out| {
         server.ingest(updates, &mut provider, 1.0, out);
     });
-    assert_eq!(extra, 0, "steady-state one-shard batch must be allocation-free");
+    assert_eq!(extra, 0, "steady-state batch must be allocation-free");
 }
 
 /// The enum-dispatched backend must hit the same zero: `DynBackend`'s
@@ -128,8 +128,7 @@ fn one_shard_steady_state_batches_do_not_allocate() {
 #[test]
 fn dyn_one_shard_steady_state_batches_do_not_allocate() {
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server =
-        ShardedServer::<srb_core::DynBackend>::with_backend(ServerConfig::default(), 1);
+    let mut server = ShardedServer::<srb_core::DynBackend>::new(ServerConfig::default());
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }
@@ -142,33 +141,19 @@ fn dyn_one_shard_steady_state_batches_do_not_allocate() {
     assert_eq!(extra, 0, "steady-state DynBackend batch must be allocation-free");
 }
 
-/// Two shards, through `ingest` and through the ledger's entry point, both
-/// shards busy.
+/// The ledger's entry point.
 #[test]
 fn sharded_steady_state_batches_do_not_allocate() {
-    // The ledger's entry point, which ROADMAP 3(a) deletes: `with_threads`
-    // and `handle_sequenced_updates_parallel_into` over a `TableProvider`.
+    // The entry ROADMAP 3(a) deletes: `with_threads` and
+    // `handle_sequenced_updates_parallel_into` over a `TableProvider`.
     use srb_core::TableProvider;
-    let two_shards = || {
-        let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-        let mut server = Server::with_backend(ServerConfig::default(), 2).with_threads(2);
-        for i in 0..N_OBJECTS {
-            server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
-        }
-        let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
-        server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
-        assert!(server.shards().iter().all(|s| s.object_count() > 0), "both shards hold objects");
-        server
-    };
-
-    let mut server = two_shards();
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let extra = measure(|updates, out| {
-        server.ingest(updates, &mut provider, 1.0, out);
-    });
-    assert_eq!(extra, 0, "steady-state sharded batch must be allocation-free");
-
-    let mut server = two_shards();
+    let mut server = Server::new(ServerConfig::default()).with_threads(2);
+    for i in 0..N_OBJECTS {
+        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
+    }
+    let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
+    server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
     let homes: Vec<Point> = (0..N_OBJECTS).map(home).collect();
     let table = TableProvider(&homes);
     let extra = measure(|updates, out| {

@@ -1,8 +1,8 @@
 //! Counting-allocator pin for the bench's threaded entry: once capacities
 //! have warmed up, a batch through
 //! [`Server::handle_sequenced_updates_parallel_into`] allocates
-//! nothing on *any* thread — at four shards asked for four threads, at one
-//! shard asked for two, and at one thread — whatever the batch size. One
+//! nothing on *any* thread — asked for four threads, for two and for one —
+//! whatever the batch size. One
 //! thread computes every safe region, so the batch forks no helper, and no
 //! batch leaves a thread behind. The entry is the ledger's; this pin goes
 //! with it (ROADMAP 3(a), after 2(a)), and `alloc_steady.rs` pins `ingest`.
@@ -84,10 +84,9 @@ fn batch(n: usize, b: u64) -> Vec<SequencedUpdate> {
 }
 
 /// Heap allocations of each of `MEASURED_BATCHES` warmed-up batches of `n`
-/// reports through an engine of `shards` shards asked for `threads`, every
-/// shard busy.
-fn measured(n: usize, shards: usize, threads: usize) -> Vec<u64> {
-    let mut server = Server::with_backend(ServerConfig::default(), shards).with_threads(threads);
+/// reports through an engine asked for `threads`.
+fn measured(n: usize, threads: usize) -> Vec<u64> {
+    let mut server = Server::new(ServerConfig::default()).with_threads(threads);
     {
         let mut provider = FnProvider(|id: ObjectId| home(id.index()));
         for i in 0..n {
@@ -98,7 +97,6 @@ fn measured(n: usize, shards: usize, threads: usize) -> Vec<u64> {
         let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
         server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
     }
-    assert!(server.shards().iter().all(|s| s.object_count() > 0), "every shard has objects");
     let positions: Vec<Point> = (0..n).map(home).collect();
     let provider = TableProvider(&positions);
 
@@ -132,17 +130,17 @@ fn live_threads() -> Option<usize> {
 fn threaded_steady_state_batches_allocate_only_their_spawns() {
     let threads_before = live_threads();
 
-    for (n, shards, threads) in [
-        (N_OBJECTS, 4, 4),
-        (4 * N_OBJECTS, 4, 4),
-        (4 * N_OBJECTS, 1, 2),
-        (16 * N_OBJECTS, 1, 2),
-        (N_OBJECTS, 4, 1),
-        (4 * N_OBJECTS, 4, 1),
-        (16 * N_OBJECTS, 1, 1),
+    for (n, threads) in [
+        (N_OBJECTS, 4),
+        (4 * N_OBJECTS, 4),
+        (4 * N_OBJECTS, 2),
+        (16 * N_OBJECTS, 2),
+        (N_OBJECTS, 1),
+        (4 * N_OBJECTS, 1),
+        (16 * N_OBJECTS, 1),
     ] {
-        let spent = measured(n, shards, threads);
-        let what = format!("{threads} threads asked, {shards} shards, {n} reports");
+        let spent = measured(n, threads);
+        let what = format!("{threads} threads asked, {n} reports");
         assert!(spent.iter().all(|&a| a == 0), "{what}: the batch spawns nothing: {spent:?}");
     }
 

@@ -24,26 +24,6 @@ use crate::{EntryId, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
 use srb_geom::{Point, Rect};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A backend's work-unit counter. One thread at a time browses or searches
-/// a backend, but a fleet's shard indexes are read by reference from every
-/// thread that computes safe regions, so the counter behind `&self` has to
-/// be `Sync`: a relaxed load and a relaxed store — what a `Cell` costs.
-#[derive(Debug, Default)]
-pub(crate) struct Visits(AtomicU64);
-
-impl Visits {
-    #[inline]
-    pub(crate) fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    pub(crate) fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-}
 
 /// An index structure: what [`AdaptiveConfig::initial`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,7 +45,7 @@ pub struct AdaptiveConfig {
     pub rstar: TreeConfig,
     /// Build parameters when `initial` is the grid.
     pub grid: GridConfig,
-    /// The structure every shard is built as.
+    /// The structure the index is built as.
     pub initial: BackendKind,
 }
 
@@ -82,8 +62,7 @@ impl Default for AdaptiveConfig {
 /// Selects and parameterizes the object-index backend.
 ///
 /// Lives on `ServerConfig`/`SimConfig` so the whole monitoring stack — the
-/// single-stack server, every shard of the sharded engine, and the
-/// simulator — builds its index through one switch.
+/// server and the simulator — builds its index through one switch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BackendConfig {
     /// The R\*-tree reference backend (paper §7.1).

@@ -23,11 +23,12 @@
 //! expected safe-region side (see DESIGN.md §13 for the rule and measured
 //! tradeoffs).
 
-use crate::backend::{BackendConfig, HeapItem, HeapKind, NearestScratch, Visits};
+use crate::backend::{BackendConfig, HeapItem, HeapKind, NearestScratch};
 use crate::UpdateOutcome;
 use crate::{ConfigError, EntryId, LeafEntry, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -77,7 +78,9 @@ pub struct UniformGrid {
     pub(crate) cell_h: f64,
     pub(crate) buckets: Vec<Vec<LeafEntry>>,
     pub(crate) rects: FastMap<EntryId, Rect>,
-    pub(crate) visits: Visits,
+    /// Cell visits, counted behind `&self` like the R\*-tree's node
+    /// visits.
+    pub(crate) visits: Cell<u64>,
 }
 
 impl UniformGrid {
@@ -92,7 +95,7 @@ impl UniformGrid {
             cell_h: space.height() / m as f64,
             buckets: vec![Vec::new(); m * m],
             rects: FastMap::default(),
-            visits: Visits::default(),
+            visits: Cell::default(),
         }
     }
 

@@ -52,11 +52,12 @@ pub use grid::{GridConfig, UniformGrid};
 pub(crate) use node::EntryId;
 pub use node::LeafEntry;
 
-use backend::{HeapItem, HeapKind, Visits};
+use backend::{HeapItem, HeapKind};
 use node::{Node, NodeId, NodeKind, NO_NODE};
 use split::{mbr_of, rstar_split};
 use srb_geom::{Point, Rect};
 use srb_hash::FastMap;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -216,7 +217,9 @@ pub struct RStarTree {
     pub(crate) len: usize,
     pub(crate) leaf_of: FastMap<EntryId, NodeId>,
     pub(crate) config: TreeConfig,
-    pub(crate) visits: Visits,
+    /// Node visits, counted behind `&self` by browses and searches. One
+    /// thread reads a backend at a time, so a `Cell` suffices.
+    pub(crate) visits: Cell<u64>,
     /// Bulk-loaded trees may have trailing nodes below `min_entries`; the
     /// invariant checker relaxes the fill-factor assertion for them.
     pub(crate) relaxed_min: bool,
@@ -239,7 +242,7 @@ impl RStarTree {
             len: 0,
             leaf_of: FastMap::default(),
             config,
-            visits: Visits::default(),
+            visits: Cell::default(),
             relaxed_min: false,
         };
         tree.root = tree.alloc(Node::new_leaf());
@@ -780,7 +783,7 @@ impl RStarTree {
             len,
             leaf_of,
             config,
-            visits: Visits::default(),
+            visits: Cell::default(),
             relaxed_min: true,
         }
     }

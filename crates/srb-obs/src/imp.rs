@@ -44,7 +44,7 @@ impl Counter {
     }
 }
 
-/// A last-write-wins instantaneous value (e.g. the shard count).
+/// A last-write-wins instantaneous value (e.g. a table's occupancy).
 #[derive(Debug, Default)]
 pub struct Gauge {
     value: AtomicU64,
@@ -230,7 +230,7 @@ impl Drop for SpanGuard {
 }
 
 /// A manually driven timer for cases where RAII scoping is awkward (e.g.
-/// timing disjoint per-shard work inside one function). Returns `None`
+/// timing one fsync into a histogram). Returns `None`
 /// elapsed when telemetry was off at start.
 #[derive(Debug)]
 pub struct Stopwatch {

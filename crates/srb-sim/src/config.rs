@@ -64,10 +64,8 @@ pub struct SimConfig {
     /// Client retransmission policy for exit reports. Only consulted when
     /// [`SimConfig::channel`] is non-ideal.
     pub retry: RetryPolicy,
-    /// Number of server shards for the SRB scheme
-    /// ([`srb_core::ShardedServer`]). `1` (the default) is the paper's
-    /// single server; the uplinks, probes and results of a run do not
-    /// depend on it.
+    /// Ignored: the server holds one index. The field stays only for
+    /// `bench/src/workload.rs` and goes with ROADMAP 3(a) after 2(a).
     pub shards: usize,
     /// Object-index backend for the SRB scheme.
     /// [`paper_defaults`](Self::paper_defaults) reads it from the
@@ -165,7 +163,6 @@ mod tests {
         assert_eq!(c.cost.c_p, 1.5);
         assert!(c.channel.is_ideal(), "paper assumes a reliable channel");
         assert!(c.lease.is_none());
-        assert_eq!(c.shards, 1, "the paper's server is unsharded");
         if std::env::var("SRB_BACKEND").is_err() {
             assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
         }

@@ -53,11 +53,8 @@ impl LocationProvider for Provider<'_> {
     }
 }
 
-/// Runs the SRB scheme and returns the aggregated metrics. With
-/// `cfg.shards == 1` (the default) the server is the paper's single server;
-/// larger values partition its objects over more shards of the same engine,
-/// which changes no uplink, probe or result.
-/// The object-index backend is selected by `cfg.backend` (monomorphized
+/// Runs the SRB scheme and returns the aggregated metrics. The server is
+/// the paper's single server; the object-index backend is selected by `cfg.backend` (monomorphized
 /// through `run_srb_with`).
 pub fn run_srb(cfg: &SimConfig) -> RunMetrics {
     match cfg.backend {
@@ -80,7 +77,7 @@ pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
         backend: cfg.backend,
         durability: cfg.durable,
     };
-    let mut server = ShardedServer::<B>::with_backend(server_cfg, cfg.shards);
+    let mut server = ShardedServer::<B>::new(server_cfg);
     let mut channel = make_channel(cfg);
     let channel_ideal = cfg.channel.is_ideal();
     // Retry timers only exist on a faulty channel; lease checks only with a
@@ -198,9 +195,8 @@ pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
                 srb_obs::counter!("sim.batches").inc();
                 srb_obs::histogram!("sim.batch_size").record(batch.len() as u64);
                 let t0 = Instant::now();
-                // One entry point for every shape, single stack or sharded
-                // fleet: probes are answered by the live clients, in the
-                // order the engine asks (the paper's path, bit-identical
+                // One entry point for every batch: probes are answered by
+                // the live clients, in the order the engine asks (the paper's path, bit-identical
                 // to the goldens).
                 let mut provider =
                     Provider { clients: &mut clients, now: batch_t, probed: Vec::new() };

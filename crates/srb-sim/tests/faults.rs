@@ -1,5 +1,6 @@
 //! Fault-injection tests: the lossy channel, sequence-number dedup, lease
-//! recovery, and graceful degradation of the SRB scheme under message loss.
+//! recovery, graceful degradation of the SRB scheme under message loss, and
+//! a write-ahead log under the server that the protocol never sees.
 
 use srb_cases::{cases, Rng, Seeds};
 use srb_core::{
@@ -270,6 +271,29 @@ fn outages_disconnect_clients_without_breaking_the_run() {
     let m = run_srb(&cfg);
     assert!(m.accuracy > 0.5, "outages degrade but must not destroy monitoring");
     assert!(m.samples > 0);
+}
+
+/// The simulation with a write-ahead log under the server: logging changes
+/// nothing the protocol sees. The run logs into a directory of its own, so
+/// the test runs beside every other.
+#[test]
+fn durable_sim_reads_the_in_memory_counts() {
+    let dir = std::env::temp_dir()
+        .join(format!("srb-sim-durable-{}", std::process::id()))
+        .to_string_lossy()
+        .into_owned();
+    let _ = std::fs::remove_dir_all(&dir);
+    let plain = run_srb(&SimConfig::test_defaults());
+    let mut durable = SimConfig::test_defaults();
+    durable.durable.dir = Some(Box::leak(dir.clone().into_boxed_str()));
+    let logged = run_srb(&durable);
+    assert_eq!(logged.accuracy, 1.0, "τ=0 durable run is exact");
+    assert_eq!(logged.uplinks, plain.uplinks, "uplinks");
+    assert_eq!(logged.probes, plain.probes, "probes");
+    assert_eq!(logged.comm_cost, plain.comm_cost, "comm_cost");
+    let files = std::path::Path::new(&dir).read_dir().map(|d| d.count()).unwrap_or(0);
+    assert!(files > 0, "the run logged into its store");
+    std::fs::remove_dir_all(&dir).expect("the run's store");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-//! Telemetry tour: run a small two-shard SRB simulation with the `srb-obs`
+//! Telemetry tour: run a small SRB simulation with the `srb-obs`
 //! layer recording, then read the numbers three ways — a human-oriented
 //! table, a machine-oriented JSON snapshot (written to
 //! `target/OBS_snapshot.json`), and a per-sample timeline
@@ -22,13 +22,12 @@ const TIMELINE: &str = "target/OBS_timeline.jsonl";
 
 fn main() {
     std::fs::create_dir_all("target").expect("create target/");
-    let cfg = SimConfig { shards: 2, timeline: Some(TIMELINE), ..SimConfig::test_defaults() };
+    let cfg = SimConfig { timeline: Some(TIMELINE), ..SimConfig::test_defaults() };
     println!(
-        "running SRB: N={} W={} duration={} shards={} (telemetry compiled: {})",
+        "running SRB: N={} W={} duration={} (telemetry compiled: {})",
         cfg.n_objects,
         cfg.n_queries,
         cfg.duration,
-        cfg.shards,
         obs::compiled()
     );
 

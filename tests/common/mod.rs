@@ -3,10 +3,10 @@
 //!
 //! A lattice point ([`Config`]) names one value per axis. [`check`] draws a
 //! world from `(point, seed)` and runs it on the **shadow** — the point's
-//! shards and backend, no WAL — which decides who reports and records the
+//! backend, no WAL — which decides who reports and records the
 //! run as a list of engine calls, each with the state digest that follows
-//! it. The **reference** — the point's `ServerConfig` at one shard, no WAL,
-//! on the R\*-tree, fed each batch in id order — takes the same calls
+//! it. The **reference** — the point's `ServerConfig`, no WAL, on the
+//! R\*-tree, fed each batch in id order — takes the same calls
 //! beside it and is observed at every check instant. Then the point's own
 //! engine (its WAL, its crash point) replays the list. After every call it
 //! must pass the deep invariants and
@@ -136,7 +136,7 @@ pub fn assert_exact(
 // The lattice
 // ---------------------------------------------------------------------
 
-/// The object index under each shard.
+/// The object index.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Backend {
     RStar,
@@ -179,7 +179,6 @@ pub enum Delivery {
 /// variants in scope, is the Rust that rebuilds it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
-    pub shards: usize,
     pub backend: Backend,
     pub durability: Durability,
     pub enhancement: Enhancement,
@@ -198,7 +197,6 @@ impl Config {
             _ => Durability::Crash(rng.pick(&CrashPoint::ALL), rng.pick(&[0, 1, 3])),
         };
         Config {
-            shards: rng.pick(&[1, 2, 4, 8]),
             backend: rng.pick(&[RStar, Grid, Dyn]),
             durability,
             enhancement: rng.pick(&[Plain, Reachability, Steadiness, Lease]),
@@ -251,12 +249,12 @@ pub fn check(p: Config, seed: u64) {
 }
 
 /// Replays the run `(p, seed)` draws into a durable engine logging into
-/// `store` at the point's shard count, syncs and drops it cold. Returns
-/// the configuration that recovers it.
+/// `store`, syncs and drops it cold. Returns the configuration that
+/// recovers it.
 pub fn populate(p: Config, seed: u64, store: &Store) -> ServerConfig {
     let script = generate::<RStarTree>(&p, seed);
     let cfg = store.config(script.config);
-    let mut e = Server::with_backend(cfg, p.shards);
+    let mut e = Server::new(cfg);
     for step in &script.steps {
         apply(&mut e, &step.call, &script.worlds[step.world], step.now);
     }
@@ -559,7 +557,7 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
     let config = p.server_config(3.0 * stride * slots(p.delivery) as f64 / DT);
     let reference = ServerConfig { backend: BackendConfig::default(), ..config };
     let mut g = Gen {
-        shadow: ShardedServer::<B>::with_backend(config, p.shards),
+        shadow: ShardedServer::<B>::new(config),
         reference: Server::new(reference),
         script: Script {
             config,
@@ -636,11 +634,11 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
     let store = (p.durability != Durability::Off).then(Store::new);
     let cfg = store.as_ref().map_or(script.config, |s| s.config(script.config));
     let recover = || {
-        let (e, _) = ShardedServer::<B>::recover(cfg, p.shards)
+        let (e, _) = ShardedServer::<B>::reopen(cfg)
             .unwrap_or_else(|err| panic!("recovery failed: {err:?}"));
         e
     };
-    let mut e = ShardedServer::<B>::with_backend(cfg, p.shards);
+    let mut e = ShardedServer::<B>::new(cfg);
     if let Durability::Crash(point, nth) = p.durability {
         crash::arm(point, nth);
     }

@@ -77,12 +77,11 @@ fn trajectory_driven_monitoring_stays_exact() {
 
 #[test]
 fn sharded_trajectory_driven_monitoring_matches_brute_force() {
-    // The fleet evaluates every query once, over the union of its shard
-    // indexes: exact at every shard count. Same trajectories as above,
-    // reduced; the reports of one check instant go in as one batch through
-    // the ledger's entry point (`with_threads`, `_parallel_into` over a
-    // `TableProvider`; ROADMAP 3(a) deletes them after 2(a)), and every
-    // query is held to the brute-force answer at every check instant.
+    // Same trajectories as above, reduced; the reports of one check instant
+    // go in as one batch through the ledger's entry point (`with_threads`,
+    // `_parallel_into` over a `TableProvider`; ROADMAP 3(a) deletes them
+    // after 2(a)), and every query is held to the brute-force answer at
+    // every check instant.
     use srb::core::TableProvider;
     let n = 100;
     let mob = MobilityConfig { mean_speed: 0.02, mean_period: 0.5, ..Default::default() };
@@ -96,60 +95,58 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
             }
         })
         .collect();
-    for shards in [1, 2, 4] {
-        let mut trajs: Vec<Trajectory> =
-            (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
-        let mut at: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
-        let mut server = Server::with_backend(ServerConfig::default(), shards).with_threads(2);
-        {
-            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            for (i, &pos) in at.iter().enumerate() {
-                server.add_object(ObjectId(i as u32), pos, &mut provider, 0.0).expect("fresh id");
-            }
-            for &spec in &queries {
-                server.register_query(spec, &mut provider, 0.0);
-            }
+    let mut trajs: Vec<Trajectory> =
+        (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
+    let mut at: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
+    let mut server = Server::new(ServerConfig::default()).with_threads(2);
+    {
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for (i, &pos) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), pos, &mut provider, 0.0).expect("fresh id");
         }
-        let mut seqs = vec![0u64; n];
-        let mut reports = 0;
-        for step in 1..=150 {
-            let t = step as f64 * 0.02;
-            let mut batch = Vec::new();
-            for i in 0..n {
-                at[i] = trajs[i].position(t);
-                let id = ObjectId(i as u32);
-                if !server.safe_region(id).expect("registered").contains_point(at[i]) {
-                    seqs[i] += 1;
-                    batch.push(SequencedUpdate { id, pos: at[i], seq: seqs[i] });
-                }
-            }
-            reports += batch.len();
-            let table = TableProvider(&at);
-            server.handle_sequenced_updates_parallel_into(&batch, &table, t, &mut Vec::new());
-            for (q, spec) in server.query_ids().zip(&queries) {
-                let mut got = server.results(q).expect("registered").to_vec();
-                let mut want: Vec<ObjectId> = match *spec {
-                    QuerySpec::Range { rect } => (0..n)
-                        .filter(|&i| rect.contains_point(at[i]))
-                        .map(|i| ObjectId(i as u32))
-                        .collect(),
-                    QuerySpec::Knn { center, k, .. } => {
-                        let mut ranked: Vec<(f64, u32)> =
-                            (0..n).map(|i| (at[i].dist(center), i as u32)).collect();
-                        ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
-                        ranked[..k].iter().map(|&(_, i)| ObjectId(i)).collect()
-                    }
-                };
-                if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
-                    got.sort_unstable();
-                    want.sort_unstable();
-                }
-                assert_eq!(got, want, "{q} ({spec:?}) at {shards} shards, step {step}");
-            }
+        for &spec in &queries {
+            server.register_query(spec, &mut provider, 0.0);
         }
-        assert!(reports > 100, "the objects moved: {reports} reports");
-        server.check_invariants();
     }
+    let mut seqs = vec![0u64; n];
+    let mut reports = 0;
+    for step in 1..=150 {
+        let t = step as f64 * 0.02;
+        let mut batch = Vec::new();
+        for i in 0..n {
+            at[i] = trajs[i].position(t);
+            let id = ObjectId(i as u32);
+            if !server.safe_region(id).expect("registered").contains_point(at[i]) {
+                seqs[i] += 1;
+                batch.push(SequencedUpdate { id, pos: at[i], seq: seqs[i] });
+            }
+        }
+        reports += batch.len();
+        let table = TableProvider(&at);
+        server.handle_sequenced_updates_parallel_into(&batch, &table, t, &mut Vec::new());
+        for (q, spec) in server.query_ids().zip(&queries) {
+            let mut got = server.results(q).expect("registered").to_vec();
+            let mut want: Vec<ObjectId> = match *spec {
+                QuerySpec::Range { rect } => (0..n)
+                    .filter(|&i| rect.contains_point(at[i]))
+                    .map(|i| ObjectId(i as u32))
+                    .collect(),
+                QuerySpec::Knn { center, k, .. } => {
+                    let mut ranked: Vec<(f64, u32)> =
+                        (0..n).map(|i| (at[i].dist(center), i as u32)).collect();
+                    ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
+                    ranked[..k].iter().map(|&(_, i)| ObjectId(i)).collect()
+                }
+            };
+            if !matches!(spec, QuerySpec::Knn { order_sensitive: true, .. }) {
+                got.sort_unstable();
+                want.sort_unstable();
+            }
+            assert_eq!(got, want, "{q} ({spec:?}) at step {step}");
+        }
+    }
+    assert!(reports > 100, "the objects moved: {reports} reports");
+    server.check_invariants();
 }
 
 #[test]
@@ -157,62 +154,55 @@ fn knn_dense_batches_of_many_movers_stay_exact() {
     // Every object reports in every batch, so each order-sensitive kNN
     // query gets all five of its results — and whoever crosses its circle
     // — as one set of movers (§4.3 set-wise: leavers, stayers and enterers
-    // patched in one pass). Held to brute force after every batch, at one
-    // shard and at two.
+    // patched in one pass). Held to brute force after every batch.
     const N: u64 = 120;
     const QUERIES: u64 = 10;
     const BATCHES: u64 = 40;
     let centres: Vec<Point> = (0..QUERIES)
         .map(|q| Point::new(0.2 + 0.6 * unit(q, 41), 0.2 + 0.6 * unit(q, 42)))
         .collect();
-    for shards in [1, 2] {
-        let mut at: Vec<Point> = (0..N).map(|i| Point::new(unit(i, 43), unit(i, 44))).collect();
-        let mut server = Server::with_backend(ServerConfig::default(), shards);
-        {
-            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            for (i, &p) in at.iter().enumerate() {
-                server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
-            }
-            for &c in &centres {
-                server.register_query(QuerySpec::knn(c, 5), &mut provider, 0.0);
-            }
+    let mut at: Vec<Point> = (0..N).map(|i| Point::new(unit(i, 43), unit(i, 44))).collect();
+    let mut server = Server::new(ServerConfig::default());
+    {
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        for (i, &p) in at.iter().enumerate() {
+            server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
         }
-        let registered = server.work().evaluations;
-        for batch in 1..=BATCHES {
-            let step = |i: u64, salt: u64| 0.03 * (unit(i, salt + 2 * batch) - 0.5);
-            let updates: Vec<SequencedUpdate> = (0..N)
-                .map(|i| {
-                    let p = &mut at[i as usize];
-                    *p = Point::new(
-                        (p.x + step(i, 200)).clamp(0.0, 1.0),
-                        (p.y + step(i, 201)).clamp(0.0, 1.0),
-                    );
-                    SequencedUpdate { id: ObjectId(i as u32), pos: *p, seq: batch }
-                })
-                .collect();
-            let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
-            let now = batch as f64 * 0.1;
-            server.ingest(&updates, &mut provider, now, &mut Vec::new());
-            for (q, &c) in server.query_ids().zip(&centres) {
-                let mut ranked: Vec<(f64, u32)> =
-                    (0..N as u32).map(|i| (at[i as usize].dist(c), i)).collect();
-                ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
-                let want: Vec<ObjectId> = ranked[..5].iter().map(|&(_, i)| ObjectId(i)).collect();
-                assert_eq!(
-                    server.results(q),
-                    Some(&want[..]),
-                    "{q} at {shards} shards, batch {batch}"
-                );
-            }
+        for &c in &centres {
+            server.register_query(QuerySpec::knn(c, 5), &mut provider, 0.0);
         }
-        server.check_invariants();
-        // Patched, not re-run: an evaluation only where more results left a
-        // circle than objects entered it.
-        let work = server.work();
-        assert_eq!(work.ordering_fallbacks, 0, "no consistency check failed");
-        let reruns = work.evaluations - registered;
-        assert!(reruns < QUERIES * BATCHES / 2, "{reruns} evaluations for 400 reevaluations");
     }
+    let registered = server.work().evaluations;
+    for batch in 1..=BATCHES {
+        let step = |i: u64, salt: u64| 0.03 * (unit(i, salt + 2 * batch) - 0.5);
+        let updates: Vec<SequencedUpdate> = (0..N)
+            .map(|i| {
+                let p = &mut at[i as usize];
+                *p = Point::new(
+                    (p.x + step(i, 200)).clamp(0.0, 1.0),
+                    (p.y + step(i, 201)).clamp(0.0, 1.0),
+                );
+                SequencedUpdate { id: ObjectId(i as u32), pos: *p, seq: batch }
+            })
+            .collect();
+        let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
+        let now = batch as f64 * 0.1;
+        server.ingest(&updates, &mut provider, now, &mut Vec::new());
+        for (q, &c) in server.query_ids().zip(&centres) {
+            let mut ranked: Vec<(f64, u32)> =
+                (0..N as u32).map(|i| (at[i as usize].dist(c), i)).collect();
+            ranked.sort_by(|a, b| a.partial_cmp(b).expect("distances are numbers"));
+            let want: Vec<ObjectId> = ranked[..5].iter().map(|&(_, i)| ObjectId(i)).collect();
+            assert_eq!(server.results(q), Some(&want[..]), "{q} at batch {batch}");
+        }
+    }
+    server.check_invariants();
+    // Patched, not re-run: an evaluation only where more results left a
+    // circle than objects entered it.
+    let work = server.work();
+    assert_eq!(work.ordering_fallbacks, 0, "no consistency check failed");
+    let reruns = work.evaluations - registered;
+    assert!(reruns < QUERIES * BATCHES / 2, "{reruns} evaluations for 400 reevaluations");
 }
 
 fn core_guarantee_over(duration: f64) {
@@ -338,20 +328,12 @@ fn one_batch_of_twenty_thousand_reports_stays_exact() {
 
 #[test]
 fn durable_single_node_round_trips_through_recovery() {
-    // The durable single node is the 1-shard engine: a few dozen mixed
-    // operations — many-report and one-report batches among them — go
-    // through the log, the engine is dropped cold, and what `recover`
-    // rebuilds from disk equals a twin that never had a log. At 2 and 4
-    // shards the store is laid out the same: each operation, a batch owned
-    // by several shards included, is one record of one log per generation.
-    // Both engines hold leases, so timers are pending at every checkpoint
-    // and fire in the replayed tail.
-    for shards in [1, 2, 4] {
-        durable_round_trip(shards);
-    }
-}
-
-fn durable_round_trip(shards: usize) {
+    // A few dozen mixed operations — many-report and one-report batches
+    // among them — go through the log, the engine is dropped cold, and what
+    // `reopen` rebuilds from disk equals a twin that never had a log. Each
+    // operation, a batch included, is one record of one log per
+    // generation. Both engines hold leases, so timers are pending at every
+    // checkpoint and fire in the replayed tail.
     use srb::core::{DurabilityConfig, QueryId};
     let store = Store::new();
     let dir = store.0;
@@ -371,8 +353,8 @@ fn durable_round_trip(shards: usize) {
     };
     let pos_at = |i: u64, round: u64| Point::new(unit(i, 2 * round), unit(i, 2 * round + 1));
 
-    let mut durable = Server::with_backend(durable_cfg, shards);
-    let mut twin = Server::with_backend(twin_cfg, shards);
+    let mut durable = Server::new(durable_cfg);
+    let mut twin = Server::new(twin_cfg);
     let mut queries: Vec<QueryId> = Vec::new();
     for engine in [&mut durable, &mut twin] {
         queries.clear();
@@ -414,8 +396,7 @@ fn durable_round_trip(shards: usize) {
     durable.sync_wal();
     drop(durable);
     // The live generations — the active one and the fallback the last
-    // rotation kept — are one checkpoint and one log each, whatever the
-    // shard count.
+    // rotation kept — are one checkpoint and one log each.
     let listing = srb_durable::store::dir_listing(std::path::Path::new(dir));
     let names: Vec<String> = listing.into_iter().map(|(name, _)| name).collect();
     let gens: Vec<&str> = names.iter().filter_map(|name| name.strip_prefix("ckpt-")).collect();
@@ -423,15 +404,15 @@ fn durable_round_trip(shards: usize) {
     let mut want: Vec<String> =
         gens.iter().flat_map(|g| [format!("ckpt-{g}"), format!("log-{g}-0")]).collect();
     want.sort();
-    assert_eq!(names, want, "{shards} shard(s)");
-    let (recovered, replayed) = Server::recover(durable_cfg, shards).expect("recovery");
+    assert_eq!(names, want);
+    let (recovered, replayed) = Server::reopen(durable_cfg).expect("recovery");
     assert!(replayed > 0, "the tail past the last checkpoint replays, got {replayed}");
-    assert_eq!(recovered.state_digest(), twin.state_digest(), "{shards} shard(s)");
+    assert_eq!(recovered.state_digest(), twin.state_digest());
     assert!(twin.work().lease_probes > 0, "leases lapsed and fired");
     assert!(twin.next_deferred_due().is_some(), "timers are pending");
-    assert_eq!(recovered.next_deferred_due(), twin.next_deferred_due(), "{shards} shard(s)");
+    assert_eq!(recovered.next_deferred_due(), twin.next_deferred_due());
     for &q in &queries {
-        assert_eq!(recovered.results(q), twin.results(q), "query {q}, {shards} shard(s)");
+        assert_eq!(recovered.results(q), twin.results(q), "query {q}");
     }
     recovered.check_invariants();
 }
@@ -440,11 +421,11 @@ fn durable_round_trip(shards: usize) {
 /// rectangles' hashes and the number of grants.
 type RegionRun = (u64, u64, usize);
 
-/// The kNN-dense run the region pins share, computed once for both: at one
-/// shard and at two, plain and with both §6 enhancements on.
+/// The kNN-dense run the region pins share, computed once for both: plain
+/// and with both §6 enhancements on.
 struct RegionRuns {
-    plain: [RegionRun; 2],
-    enhanced: [RegionRun; 2],
+    plain: RegionRun,
+    enhanced: RegionRun,
 }
 
 /// Half the queries are order-sensitive kNN, so most reports go through the
@@ -475,10 +456,10 @@ fn region_runs() -> &'static RegionRuns {
             }
         }
 
-        let run = |config: ServerConfig, shards: usize| -> RegionRun {
+        let run = |config: ServerConfig| -> RegionRun {
             let mut at: Vec<Point> =
                 (0..N as u64).map(|i| Point::new(unit(i, 11), unit(i, 12))).collect();
-            let mut server = Server::with_backend(config, shards);
+            let mut server = Server::new(config);
             let (mut hash, mut grants) = (0u64, 0usize);
             {
                 let ps = at.clone();
@@ -539,10 +520,9 @@ fn region_runs() -> &'static RegionRuns {
             server.check_invariants();
             (server.state_digest(), hash, grants)
         };
-        let runs = |config: ServerConfig| [1, 2].map(|shards| run(config, shards));
         RegionRuns {
-            plain: runs(ServerConfig::default()),
-            enhanced: runs(ServerConfig::enhanced(0.2, 0.5)),
+            plain: run(ServerConfig::default()),
+            enhanced: run(ServerConfig::enhanced(0.2, 0.5)),
         }
     })
 }
@@ -550,26 +530,21 @@ fn region_runs() -> &'static RegionRuns {
 #[test]
 fn granted_safe_regions_are_pinned_bit_for_bit() {
     // Bit-identity guard for the safe-region geometry: every granted
-    // rectangle of the kNN-dense run on the one-shard engine, hashed. The
-    // pinned values were last printed by this very test, in debug and in
-    // release, when the θ-search became exact (each family maximized at its
-    // closed-form breakpoints; `git show c623972:EXPERIMENTS.md` has old →
-    // new): an optimisation of the Ir-lp search that keeps its regions has
-    // to reproduce them exactly. They move only with the regions. And the
-    // partition does not show: two shards grant the same rectangles, with
-    // the §6 enhancements on or off.
+    // rectangle of the kNN-dense run, hashed. The pinned values were last
+    // printed by this very test, in debug and in release, when the θ-search
+    // became exact (each family maximized at its closed-form breakpoints;
+    // `git show c623972:EXPERIMENTS.md` has old → new): an optimisation of
+    // the Ir-lp search that keeps its regions has to reproduce them
+    // exactly. They move only with the regions.
     let runs = region_runs();
-    for [one, two] in [runs.plain, runs.enhanced] {
-        assert_eq!((two.1, two.2), (one.1, one.2), "two shards grant other regions than one");
-    }
     let regions = |(_, hash, grants): RegionRun| (hash, grants);
     assert_eq!(
-        regions(runs.plain[0]),
+        regions(runs.plain),
         (0xF5EB_4C99_3021_5818, 5424),
         "ordinary-perimeter regions moved"
     );
     assert_eq!(
-        regions(runs.enhanced[0]),
+        regions(runs.enhanced),
         (0x0BBF_A77C_EE63_F357, 5457),
         "weighted-perimeter regions moved"
     );
@@ -577,11 +552,11 @@ fn granted_safe_regions_are_pinned_bit_for_bit() {
 
 #[test]
 fn checkpoint_encoding_of_the_region_runs_is_pinned() {
-    // The state digest after the region pins' one-shard runs. It hashes the
-    // checkpoint encoding, so it moves with the layout (last at v7, whose
+    // The state digest after the region pins' runs. It hashes the
+    // checkpoint encoding, so it moves with the layout (last at v8, whose
     // regions and grants read as before) as well as with the state; the
     // region pin above moves only with the regions.
     let runs = region_runs();
-    assert_eq!(runs.plain[0].0, 0x25B4_6425_9A16_FEB4, "ordinary-perimeter state digest moved");
-    assert_eq!(runs.enhanced[0].0, 0xD961_D75C_746C_5853, "weighted-perimeter state digest moved");
+    assert_eq!(runs.plain.0, 0x70EF_7EEC_56D6_EFFA, "ordinary-perimeter state digest moved");
+    assert_eq!(runs.enhanced.0, 0x540C_30D1_8ABD_FB1D, "weighted-perimeter state digest moved");
 }

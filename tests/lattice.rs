@@ -4,10 +4,10 @@
 //! `lattice_cross_section` runs from the tier-1 command: a fixed list of
 //! points and seeds in which every axis value appears at least once.
 //! `lattice_full` (`--ignored`, in release) runs the regressions first, then
-//! the enumerated lattice — every shard count on every backend, with and
-//! without a WAL, restarts, the whole crash matrix, every §6 setting, the
-//! grid resolutions, both delivery shapes — and then random points whose
-//! seeds come from the clock.
+//! the enumerated lattice — every backend, with and without a WAL,
+//! restarts, the whole crash matrix, every §6 setting, the grid
+//! resolutions, both delivery shapes — and then random points whose seeds
+//! come from the clock.
 
 mod common;
 
@@ -29,35 +29,29 @@ use std::path::PathBuf;
 /// `lattice_full` replays them first.
 const REGRESSIONS: &[(Config, u64)] = &[];
 
-const P: Config = Config {
-    shards: 1,
-    backend: RStar,
-    durability: Off,
-    enhancement: Plain,
-    grid_m: 10,
-    delivery: Batch,
-};
+const P: Config =
+    Config { backend: RStar, durability: Off, enhancement: Plain, grid_m: 10, delivery: Batch };
 
 /// Every axis value at least once.
 const CROSS_SECTION: &[(Config, u64)] = &[
     (P, 1),
-    (Config { shards: 2, delivery: PerCall, ..P }, 2),
-    (Config { shards: 4, backend: Grid, grid_m: 5, ..P }, 3),
-    (Config { shards: 8, backend: Dyn, grid_m: 100, ..P }, 4),
-    (Config { shards: 2, backend: Dyn, grid_m: 50, ..P }, 5),
-    (Config { shards: 4, durability: Restart, ..P }, 6),
-    (Config { shards: 2, durability: Restart, delivery: PerCall, ..P }, 7),
-    (Config { shards: 8, backend: Dyn, durability: Restart, ..P }, 8),
-    (Config { shards: 2, durability: Crash(LogPreSync, 0), ..P }, 9),
+    (Config { delivery: PerCall, ..P }, 2),
+    (Config { backend: Grid, grid_m: 5, ..P }, 3),
+    (Config { backend: Dyn, grid_m: 100, ..P }, 4),
+    (Config { backend: Dyn, grid_m: 50, ..P }, 5),
+    (Config { durability: Restart, ..P }, 6),
+    (Config { durability: Restart, delivery: PerCall, ..P }, 7),
+    (Config { backend: Dyn, durability: Restart, ..P }, 8),
+    (Config { durability: Crash(LogPreSync, 0), ..P }, 9),
     (Config { backend: Grid, durability: Crash(CkptPostRename, 1), ..P }, 10),
-    (Config { shards: 2, backend: Dyn, durability: Crash(CkptPrune, 3), ..P }, 11),
+    (Config { backend: Dyn, durability: Crash(CkptPrune, 3), ..P }, 11),
     (Config { enhancement: Lease, durability: Crash(CkptLogUnsynced, 0), ..P }, 12),
-    (Config { shards: 2, enhancement: Reachability, ..P }, 13),
-    (Config { shards: 4, enhancement: Reachability, delivery: PerCall, ..P }, 14),
-    (Config { shards: 4, enhancement: Steadiness, delivery: PerCall, ..P }, 15),
+    (Config { enhancement: Reachability, ..P }, 13),
+    (Config { enhancement: Reachability, delivery: PerCall, ..P }, 14),
+    (Config { enhancement: Steadiness, delivery: PerCall, ..P }, 15),
     (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
-    (Config { shards: 2, enhancement: Lease, durability: Restart, ..P }, 17),
-    (Config { shards: 8, backend: Dyn, enhancement: Lease, delivery: PerCall, ..P }, 18),
+    (Config { enhancement: Lease, durability: Restart, ..P }, 17),
+    (Config { backend: Dyn, enhancement: Lease, delivery: PerCall, ..P }, 18),
 ];
 
 #[test]
@@ -74,43 +68,31 @@ const DELIVERIES: [Delivery; 2] = [Batch, PerCall];
 /// What the six hand-rolled suites enumerated, as lattice points.
 fn enumerated() -> Vec<Config> {
     let mut points = Vec::new();
-    for shards in [1, 2, 4, 8] {
-        for backend in BACKENDS {
-            for delivery in DELIVERIES {
-                points.push(Config { shards, backend, delivery, ..P });
-            }
+    for backend in BACKENDS {
+        for delivery in DELIVERIES {
+            points.push(Config { backend, delivery, ..P });
         }
-    }
-    for shards in [2, 4, 8] {
-        for backend in BACKENDS {
-            points.push(Config { shards, backend, durability: Restart, ..P });
-        }
+        points.push(Config { backend, durability: Restart, ..P });
     }
     // Lease timers and reachability's slack timers both cross every crash
     // boundary.
     for enhancement in [Lease, Reachability] {
         for backend in [RStar, Grid] {
-            for shards in [1, 2] {
-                for point in CrashPoint::ALL {
-                    for nth in [0, 1, 3] {
-                        let durability = Crash(point, nth);
-                        points.push(Config { shards, backend, durability, enhancement, ..P });
-                    }
+            for point in CrashPoint::ALL {
+                for nth in [0, 1, 3] {
+                    let durability = Crash(point, nth);
+                    points.push(Config { backend, durability, enhancement, ..P });
                 }
             }
         }
     }
     for enhancement in ENHANCEMENTS {
-        for shards in [1, 2, 8] {
-            for delivery in DELIVERIES {
-                points.push(Config { shards, enhancement, delivery, ..P });
-            }
+        for delivery in DELIVERIES {
+            points.push(Config { enhancement, delivery, ..P });
         }
     }
     for grid_m in [5, 50, 100] {
-        for shards in [1, 4] {
-            points.push(Config { shards, grid_m, ..P });
-        }
+        points.push(Config { grid_m, ..P });
     }
     points
 }
@@ -145,7 +127,7 @@ fn recovery_refuses_backend_kind_mismatch() {
     let mut rng = Rng(0xabcd);
     let at: Vec<Point> = (0..8).map(|_| point(&mut rng)).collect();
     let digest = {
-        let mut e = ShardedServer::<UniformGrid>::with_backend(cfg, 2);
+        let mut e = ShardedServer::<UniformGrid>::new(cfg);
         let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &p) in at.iter().enumerate() {
             e.add_object(ObjectId(i as u32), p, &mut probe, 0.0).expect("a fresh id");
@@ -153,11 +135,11 @@ fn recovery_refuses_backend_kind_mismatch() {
         e.sync_wal();
         e.state_digest()
     };
-    match Server::recover(cfg, 2).map(|_| ()) {
+    match Server::reopen(cfg).map(|_| ()) {
         Err(RecoveryError::BackendMismatch { configured: "grid", recovering: "rstar" }) => {}
         other => panic!("expected BackendMismatch, got {other:?}"),
     }
-    let (e, _) = ShardedServer::<DynBackend>::recover(cfg, 2).expect("dyn builds every backend");
+    let (e, _) = ShardedServer::<DynBackend>::reopen(cfg).expect("dyn builds every backend");
     assert_eq!(e.object_count(), 8);
     assert_eq!(e.state_digest(), digest);
     e.check_invariants_deep();
@@ -168,8 +150,8 @@ fn recovery_refuses_backend_kind_mismatch() {
 #[test]
 fn recovery_rejects_config_mismatch() {
     let store = Store::new();
-    let cfg = populate(Config { shards: 2, ..P }, 21, &store);
-    match Server::recover(ServerConfig { grid_m: 32, ..cfg }, 2).map(|_| ()) {
+    let cfg = populate(P, 21, &store);
+    match Server::reopen(ServerConfig { grid_m: 32, ..cfg }).map(|_| ()) {
         Err(RecoveryError::ConfigMismatch) => {}
         other => panic!("expected ConfigMismatch, got {other:?}"),
     }
@@ -181,8 +163,8 @@ fn recovery_rejects_config_mismatch() {
 #[test]
 fn corruption_fuzz_never_panics() {
     let src = Store::new();
-    let cfg = populate(Config { shards: 2, enhancement: Lease, ..P }, 22, &src);
-    let (e, _) = Server::recover(cfg, 2).expect("an intact store recovers");
+    let cfg = populate(Config { enhancement: Lease, ..P }, 22, &src);
+    let (e, _) = Server::reopen(cfg).expect("an intact store recovers");
     assert!(e.next_deferred_due().is_some(), "the store holds lease timers");
     drop(e);
     let files: Vec<PathBuf> =
@@ -208,7 +190,7 @@ fn corruption_fuzz_never_panics() {
             }
             std::fs::write(&target, &data).expect("write");
             let durability = srb::core::DurabilityConfig { dir: Some(dst.0), ..cfg.durability };
-            if let Ok((e, _)) = Server::recover(ServerConfig { durability, ..cfg }, 2) {
+            if let Ok((e, _)) = Server::reopen(ServerConfig { durability, ..cfg }) {
                 e.check_invariants_deep();
             }
         }
