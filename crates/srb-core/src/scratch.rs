@@ -3,16 +3,11 @@
 //! Every state-mutating operation needs the same working set: the map of
 //! exactly-known locations, the deferred-probe requests, the regions it
 //! recomputed. Building them per operation — not geometry — used to bound
-//! throughput at millions of reports per second, so they live in a
-//! [`BatchScratch`] arena owned by the engine and are cleared and
-//! reused instead of reallocated. Once capacities have warmed up, the
-//! steady-state report path performs **zero** heap allocations (pinned by
+//! throughput at millions of reports per second, so they live in the
+//! engine's one scratch (`EngineScratch`, `sharded.rs`) and are cleared
+//! and reused instead of reallocated. Once capacities have warmed up, a
+//! steady-state report batch performs **zero** heap allocations (pinned by
 //! the counting-allocator test `alloc_steady.rs` and the `mem` bench).
-//!
-//! The buffers are handed out by value (`take_*`) and returned (`put_*`)
-//! rather than borrowed, so an operation can hold its buffers as locals
-//! while freely taking `&mut self` borrows of the engine's layers. Taking
-//! moves a few pointers per group; nothing is copied.
 
 use crate::ids::{ObjectId, QueryId};
 use srb_geom::{Point, Rect};
@@ -39,7 +34,7 @@ pub(crate) struct OpBuffers {
 }
 
 impl OpBuffers {
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.exact.clear();
         self.probed.clear();
         self.deferred.clear();
@@ -78,7 +73,7 @@ pub(crate) struct BatchBuffers {
 }
 
 impl BatchBuffers {
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.prev.clear();
         self.repeated_ids = false;
         self.touched.clear();
@@ -116,75 +111,5 @@ impl BatchBuffers {
     /// The current batch's affected queries with their movers.
     pub(crate) fn per_query(&self) -> &[(QueryId, Vec<ObjectId>)] {
         &self.per_query[..self.groups]
-    }
-}
-
-/// The engine's scratch arena. All buffers retain their capacity across
-/// operations; `take_*` clears content (never capacity) before handing a
-/// group out.
-#[derive(Default)]
-pub(crate) struct BatchScratch {
-    op: OpBuffers,
-    batch: BatchBuffers,
-    high_water: usize,
-}
-
-impl BatchScratch {
-    /// Takes the shared per-operation buffers, cleared.
-    pub(crate) fn take_op(&mut self) -> OpBuffers {
-        let mut b = std::mem::take(&mut self.op);
-        b.clear();
-        b
-    }
-
-    /// Returns the per-operation buffers, recording the high-water mark.
-    pub(crate) fn put_op(&mut self, b: OpBuffers) {
-        self.note(b.recomputed.len().max(b.exact.len()));
-        self.op = b;
-    }
-
-    /// Takes the batch-path buffers, cleared.
-    pub(crate) fn take_batch(&mut self) -> BatchBuffers {
-        let mut b = std::mem::take(&mut self.batch);
-        b.clear();
-        b
-    }
-
-    /// Returns the batch-path buffers.
-    pub(crate) fn put_batch(&mut self, b: BatchBuffers) {
-        self.note(b.prev.len());
-        self.batch = b;
-    }
-
-    fn note(&mut self, used: usize) {
-        if used > self.high_water {
-            self.high_water = used;
-            srb_obs::gauge!("server.scratch_high_water").set(self.high_water as u64);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn take_clears_content_but_keeps_capacity() {
-        let mut s = BatchScratch::default();
-        let mut op = s.take_op();
-        for i in 0..64u32 {
-            op.exact.insert(ObjectId(i), Point::new(0.0, 0.0));
-            op.deferred.push((ObjectId(i), 1.0));
-        }
-        let map_cap = op.exact.capacity();
-        let vec_cap = op.deferred.capacity();
-        s.put_op(op);
-
-        let op = s.take_op();
-        assert!(op.exact.is_empty() && op.deferred.is_empty());
-        assert!(op.exact.capacity() >= map_cap);
-        assert!(op.deferred.capacity() >= vec_cap);
-        s.put_op(op);
-        assert_eq!(s.high_water, 64);
     }
 }

@@ -41,7 +41,7 @@ use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
-use crate::scratch::{BatchBuffers, BatchScratch, OpBuffers};
+use crate::scratch::{BatchBuffers, OpBuffers};
 use crate::wal::Wal;
 use region::RegionStep;
 use srb_geom::{Point, Rect};
@@ -125,22 +125,41 @@ impl SyncProvider for TableProvider<'_> {
     }
 }
 
-/// Engine-owned scratch buffers, cleared and reused every batch so a
-/// steady-state batch allocates nothing. Buffer groups are taken by value
-/// and returned, mirroring [`BatchScratch`].
+/// The engine's one scratch: every buffer an operation works in, kept
+/// between operations for its capacity so a steady-state batch allocates
+/// nothing. Each mutating entry point takes it whole once
+/// (`std::mem::take`), clears it, lends its parts to the steps, and puts
+/// it back once; a provider panic unwinds with the taken scratch, and the
+/// engine continues on a default one.
 #[derive(Default)]
 struct EngineScratch {
+    /// The per-operation buffers of the query plane.
+    op: OpBuffers,
+    /// The buffers of the report path.
+    batch: BatchBuffers,
+    /// The region step's lists and working memory.
+    regions: RegionStep,
     /// The accepted updates of a batch, in arrival order.
     movers: Vec<(ObjectId, Point)>,
     /// Senders of stale reports, answered with their region as it stands
     /// after the batch; in arrival order.
     regrants: Vec<ObjectId>,
-    /// The region step's lists and working memory.
-    regions: RegionStep,
-    /// The per-operation buffers of the query plane.
-    arena: BatchScratch,
     /// The permutation [`sort_by_object`] sorts in place of the responses.
     order: Vec<u32>,
+    /// The `server.scratch_high_water` gauge: the most entries one
+    /// operation has held.
+    high_water: usize,
+}
+
+impl EngineScratch {
+    /// Empties every buffer, keeping its capacity; the region step empties itself.
+    fn clear(&mut self) {
+        self.op.clear();
+        self.batch.clear();
+        self.movers.clear();
+        self.regrants.clear();
+        self.order.clear();
+    }
 }
 
 /// The SRB database server: one object index and one query plane, generic
@@ -361,15 +380,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let state =
             ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
         self.index.insert(id, state);
-        let mut op = self.scratch.arena.take_op();
-        let mut step = std::mem::take(&mut self.scratch.regions);
-        op.exact.insert(id, pos);
-        step.todo.push((id, pos, pos));
-        self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
+        let mut s = self.take_scratch();
+        s.op.exact.insert(id, pos);
+        s.regions.todo.push((id, pos, pos));
+        self.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_in(ctx, id, pos, candidates, space)
         });
-        self.grant(&mut op, step, provider, now);
-        self.scratch.arena.put_op(op);
+        self.grant(&mut s.op, &mut s.regions, provider, now);
+        self.put_scratch(s);
         Ok(self.safe_region(id).expect("just added"))
     }
 
@@ -390,15 +408,14 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         let last_state = self.index.remove(id)?;
         self.timers.cancel(id);
-        let mut op = self.scratch.arena.take_op();
-        let step = std::mem::take(&mut self.scratch.regions);
-        self.evaluating(&mut op, provider, now, |plane, ctx, candidates, space| {
+        let mut s = self.take_scratch();
+        self.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
             plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
         });
-        self.grant(&mut op, step, provider, now);
-        let probed = op.recomputed.clone();
+        self.grant(&mut s.op, &mut s.regions, provider, now);
+        let probed = s.op.recomputed.clone();
         debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
-        self.scratch.arena.put_op(op);
+        self.put_scratch(s);
         Some(ResultRemoval { probed })
     }
 
@@ -426,8 +443,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             );
         }
         let _span = srb_obs::span!("server.register_query");
-        let mut op = self.scratch.arena.take_op();
-        let (id, mut revealed) = self.evaluating(&mut op, provider, now, |plane, ctx, _, space| {
+        let mut s = self.take_scratch();
+        let EngineScratch { op, batch, regions, .. } = &mut s;
+        let (id, mut revealed) = self.evaluating(op, provider, now, |plane, ctx, _, space| {
             let (results, quarantine) = plane.evaluate_new(ctx, spec, space);
             // A registration probe may reveal that an object silently moved
             // since its last report (the report can still be in flight).
@@ -447,15 +465,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         // other probed objects by the region step itself.
         op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
 
-        let mut batch = self.scratch.arena.take_batch();
-        let mut changes = self.fold(&mut op, &mut batch, &revealed, provider, now);
-        self.scratch.arena.put_batch(batch);
+        let mut changes = self.fold(op, batch, regions, &revealed, provider, now);
         // Reevaluation never disturbs the freshly installed query: it saw
         // the exact positions already.
         changes.retain(|c| c.query != id);
         let safe_regions = op.recomputed.clone();
         debug_assert!(safe_regions.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
-        self.scratch.arena.put_op(op);
+        self.put_scratch(s);
         let results = self.results(id).expect("just installed").to_vec();
         RegisterResponse { id, results, safe_regions, changes }
     }
@@ -503,9 +519,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
     /// the result changes (sorted by [`QueryId`]) and the safe regions of
     /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
-    /// a steady-state batch allocates nothing (see `alloc_steady.rs`) —
-    /// the region step's and the query plane's buffers live in engine
-    /// scratch.
+    /// a steady-state batch that runs no kNN browse allocates nothing (see
+    /// `alloc_steady.rs`): every other buffer lives in engine scratch.
     pub fn ingest(
         &mut self,
         batch: &[SequencedUpdate],
@@ -557,10 +572,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 |w| w.log_batch(now, updates),
             );
         }
-        let mut movers = std::mem::take(&mut self.scratch.movers);
-        let mut regrants = std::mem::take(&mut self.scratch.regrants);
-        movers.clear();
-        regrants.clear();
+        let mut s = self.take_scratch();
         // Admission, in arrival order: a fresh sequence number is accepted,
         // a stale one owes its sender a re-grant, an unknown object is
         // dropped and counted.
@@ -575,25 +587,24 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                     self.work.regrants += 1;
                     srb_obs::counter!("server.stale_seq_drops").inc();
                     srb_obs::counter!("server.regrants").inc();
-                    regrants.push(u.id);
+                    s.regrants.push(u.id);
                 }
                 Some(st) => {
                     st.last_seq = u.seq;
-                    movers.push((u.id, u.pos));
+                    s.movers.push((u.id, u.pos));
                 }
             }
         }
-        self.costs.source_updates += movers.len() as u64;
-        srb_obs::counter!("server.updates").add(movers.len() as u64);
+        self.costs.source_updates += s.movers.len() as u64;
+        srb_obs::counter!("server.updates").add(s.movers.len() as u64);
 
         // One response per mover; probed bystanders and the result changes
         // ride with the batch's first entry.
         let start = out.len();
         let (mut extra, mut changes) = (Vec::new(), Vec::new());
-        if !movers.is_empty() {
-            let mut op = self.scratch.arena.take_op();
-            let mut batch = self.scratch.arena.take_batch();
-            changes = self.fold(&mut op, &mut batch, &movers, provider, now);
+        if !s.movers.is_empty() {
+            let EngineScratch { op, batch, regions, movers, .. } = &mut s;
+            changes = self.fold(op, batch, regions, movers, provider, now);
             // Every mover got a region; any beyond theirs is a bystander's.
             let movers_only = op.recomputed.len() == batch.prev.len();
             for &(oid, safe_region) in &op.recomputed {
@@ -606,21 +617,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             }
             // In id order, like the responses.
             debug_assert!(extra.is_sorted_by_key(|&(oid, _)| oid), "regions come in id order");
-            self.scratch.arena.put_batch(batch);
-            self.scratch.arena.put_op(op);
         }
         // Re-grants carry the post-batch safe region, never a stale one.
-        for &id in &regrants {
+        for &id in &s.regrants {
             let safe_region = self.safe_region(id).expect("admission saw the object");
             let (probed, changes) = (Vec::new(), Vec::new());
             out.push((id, UpdateResponse { safe_region, probed, changes }));
         }
-        sort_by_object(&mut out[start..], &mut self.scratch.order);
+        sort_by_object(&mut out[start..], &mut s.order);
         if let Some((_, first)) = out.get_mut(start) {
             (first.probed, first.changes) = (extra, changes);
         }
-        self.scratch.movers = movers;
-        self.scratch.regrants = regrants;
+        self.put_scratch(s);
     }
 
     // ------------------------------------------------------------------
@@ -641,11 +649,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         &mut self,
         op: &mut OpBuffers,
         batch: &mut BatchBuffers,
+        step: &mut RegionStep,
         movers: &[(ObjectId, Point)],
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<ResultChange> {
-        let mut step = std::mem::take(&mut self.scratch.regions);
         for &(id, pos) in movers {
             let anchor = self.index.get(id).expect("movers are registered").p_lst;
             self.index.pin_to_point(id, pos);
@@ -744,24 +752,41 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         let _span = srb_obs::span!("server.process_deferred");
         let mut out = Vec::new();
+        let mut s = std::mem::take(&mut self.scratch);
         while let Some((oid, kind)) = self.timers.pop_due(now) {
             let pos = provider.probe(oid);
             self.costs.probes += 1;
             if kind == DeferKind::Lease {
                 self.work.lease_probes += 1;
             }
-            let mut op = self.scratch.arena.take_op();
-            let mut batch = self.scratch.arena.take_batch();
-            let changes = self.fold(&mut op, &mut batch, &[(oid, pos)], provider, now);
+            s.clear();
+            let EngineScratch { op, batch, regions, .. } = &mut s;
+            let changes = self.fold(op, batch, regions, &[(oid, pos)], provider, now);
             let safe_region = self.safe_region(oid).expect("the target got a region");
             let probed: Vec<_> =
                 op.recomputed.iter().filter(|&&(o, _)| o != oid).copied().collect();
             debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
             out.push((oid, UpdateResponse { safe_region, probed, changes }));
-            self.scratch.arena.put_batch(batch);
-            self.scratch.arena.put_op(op);
         }
+        self.put_scratch(s);
         out
+    }
+
+    /// Takes the engine's scratch for one operation, cleared.
+    fn take_scratch(&mut self) -> EngineScratch {
+        let mut s = std::mem::take(&mut self.scratch);
+        s.clear();
+        s
+    }
+
+    /// Puts the operation's scratch back and raises the high-water gauge.
+    fn put_scratch(&mut self, mut s: EngineScratch) {
+        let used = s.op.recomputed.len().max(s.op.exact.len()).max(s.batch.prev.len());
+        if used > s.high_water {
+            s.high_water = used;
+            srb_obs::gauge!("server.scratch_high_water").set(used as u64);
+        }
+        self.scratch = s;
     }
 }
 
@@ -940,13 +965,72 @@ mod tests {
         step(&mut positions, 1);
         let movers: Vec<(ObjectId, Point)> =
             positions.iter().enumerate().rev().map(|(i, &p)| (ObjectId(i as u32), p)).collect();
-        let (mut op, mut batch) =
-            (server.scratch.arena.take_op(), server.scratch.arena.take_batch());
+        let mut s = server.take_scratch();
+        let EngineScratch { op, batch, regions, .. } = &mut s;
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-        server.fold(&mut op, &mut batch, &movers, &mut provider, 0.1);
+        server.fold(op, batch, regions, &movers, &mut provider, 0.1);
         let granted: Vec<ObjectId> = op.recomputed.iter().map(|&(o, _)| o).collect();
         assert_eq!(granted, (0..positions.len() as u32).map(ObjectId).collect::<Vec<_>>());
         server.check_invariants_deep();
+    }
+
+    /// Taking the scratch clears its content and keeps its capacity;
+    /// putting it back records the high-water mark.
+    #[test]
+    fn take_clears_content_but_keeps_capacity() {
+        let mut server = Server::new(ServerConfig::default());
+        let mut s = server.take_scratch();
+        for i in 0..64u32 {
+            s.op.exact.insert(ObjectId(i), Point::ORIGIN);
+            s.op.deferred.push((ObjectId(i), 1.0));
+            s.batch.prev.insert(ObjectId(i), Point::ORIGIN);
+        }
+        let caps = |s: &EngineScratch| {
+            [s.op.exact.capacity(), s.op.deferred.capacity(), s.batch.prev.capacity()]
+        };
+        let warm = caps(&s);
+        server.put_scratch(s);
+        assert_eq!(server.scratch.high_water, 64);
+        let s = server.take_scratch();
+        assert!(s.op.exact.is_empty() && s.op.deferred.is_empty() && s.batch.prev.is_empty());
+        assert_eq!(caps(&s), warm);
+    }
+
+    /// An in-memory engine serves on after a caught provider panic: the
+    /// failed batch's scratch unwinds with the panic, and the next batch
+    /// answers exactly as on a twin rebuilt from the engine's state after
+    /// the panic, which never saw the failed batch.
+    #[test]
+    fn in_memory_engine_serves_on_after_a_caught_provider_panic() {
+        let config = ServerConfig::default();
+        let (mut server, mut positions) = fleet(config);
+        let mut seqs = vec![0u64; positions.len()];
+        step(&mut positions, 1);
+        let failed = exit_reports(&server, &positions, &mut seqs);
+        let probes = server.costs().probes;
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut down = FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+            server.ingest(&failed, &mut down, 0.1, &mut Vec::new());
+        }))
+        .expect_err("the batch probes");
+        server.check_invariants_deep();
+
+        let mut state = Vec::new();
+        server.encode_state(&mut state);
+        let mut twin = Server::decode_state(&config, &state).expect("decodes");
+        // The movers are still outside their regions and report again.
+        let next = exit_reports(&server, &positions, &mut seqs);
+        assert_eq!(next.len(), failed.len());
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        server.ingest(&next, &mut provider, 0.2, &mut got);
+        twin.ingest(&next, &mut provider, 0.2, &mut want);
+        assert!(server.costs().probes > probes, "the next batch probes");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        for q in server.query_ids() {
+            assert_eq!(server.results(q), twin.results(q), "{q}");
+        }
+        assert_eq!(server.state_digest(), twin.state_digest());
     }
 
     #[test]

@@ -52,10 +52,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         let rec = srb_durable::Store::recover(Path::new(dir), d.group_ops)?;
         let mut server = Self::decode_state(&config, &rec.payload)?;
-        let records: Vec<_> = rec.generations.iter().flat_map(|g| &g.records).collect();
-        records.iter().try_for_each(|payload| server.apply_record(payload))?;
+        rec.records.iter().try_for_each(|payload| server.apply_record(payload))?;
         server.wal = Some(Box::new(Wal::new(rec.store, d.checkpoint_ops)));
-        Ok((server, records.len()))
+        Ok((server, rec.records.len()))
     }
 
     /// [`reopen`](Self::reopen); the count is ignored. The name stays only
@@ -142,7 +141,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// tag, counters, the object table, the timers in queue order and the
     /// query plane. Scratch buffers and telemetry handles carry no state
     /// and are excluded.
-    fn encode_state(&self, out: &mut Vec<u8>) {
+    pub(super) fn encode_state(&self, out: &mut Vec<u8>) {
         put_u64(out, wal::config_fingerprint(&self.config));
         put_u64(out, FLEET_LAYOUT);
         put_u64(out, self.costs.source_updates);
@@ -155,7 +154,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 
     /// Rebuilds a server from a checkpoint payload. The WAL is *not*
     /// attached — [`ShardedServer::reopen`] does that after replay.
-    fn decode_state(config: &ServerConfig, payload: &[u8]) -> Result<Self, RecoveryError> {
+    pub(super) fn decode_state(
+        config: &ServerConfig,
+        payload: &[u8],
+    ) -> Result<Self, RecoveryError> {
         let mut dec = srb_durable::Dec::new(payload);
         if dec.u64()? != wal::config_fingerprint(config) {
             return Err(RecoveryError::ConfigMismatch);

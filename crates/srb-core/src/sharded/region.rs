@@ -94,13 +94,13 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     pub(super) fn grant(
         &mut self,
         op: &mut OpBuffers,
-        mut step: RegionStep,
+        step: &mut RegionStep,
         provider: &mut dyn LocationProvider,
         now: f64,
     ) {
         let _span = srb_obs::span!("location.recompute_safe_regions");
         for oid in op.probed.drain(..) {
-            self.enlist(&mut step, oid, op.exact[&oid]);
+            self.enlist(step, oid, op.exact[&oid]);
         }
 
         loop {
@@ -151,7 +151,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             let computed_before = again.len() - (op.exact.len() - known);
             srb_obs::counter!("sharded.region_reruns").add(computed_before as u64);
             for &oid in &again {
-                self.enlist(&mut step, oid, op.exact[&oid]);
+                self.enlist(step, oid, op.exact[&oid]);
                 // A second run supersedes what the first one deferred.
                 step.deferred.retain(|&(by, ..)| by != oid);
             }
@@ -178,7 +178,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 self.timers.lower(oid, due, DeferKind::Slack);
             }
         }
-        self.scratch.regions = step;
     }
 
     /// Lists `oid`, exactly known at `pos`, for the next region round.

@@ -17,7 +17,6 @@ use srb_core::{
     UpdateResponse,
 };
 use srb_geom::{Point, Rect};
-use srb_index::{NearestScratch, SpatialBackend};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -219,51 +218,4 @@ fn ordered_knn_steady_state_batches_do_not_allocate() {
     let want: Vec<ObjectId> = (0..5).map(ObjectId).collect();
     assert_eq!(server.results(q), Some(&want[..]));
     assert_eq!(server.work().ordering_fallbacks, 0);
-}
-
-/// The kNN leg of the allocation-free story: once the scratch frontier has
-/// warmed up, a full best-first browse through `nearest_iter_with` performs
-/// zero heap allocations, on both spatial backends.
-#[test]
-fn nearest_iter_with_steady_state_does_not_allocate() {
-    fn check<B: SpatialBackend>(backend: &mut B, label: &str) {
-        for i in 0..64u64 {
-            let p = Point::new(0.013 * (i % 8) as f64 + 0.05, 0.011 * (i / 8) as f64 + 0.05);
-            backend.insert(i, Rect::point(p));
-        }
-        let mut scratch = NearestScratch::new();
-        let q = Point::new(0.4, 0.6);
-        // Warmup: grows the frontier buffer (and any per-browse telemetry
-        // buffers) to steady-state capacity.
-        for _ in 0..4 {
-            assert_eq!(backend.nearest_iter_with(q, &mut scratch).count(), 64);
-        }
-        let before = allocs();
-        let mut n = 0u64;
-        let mut last = 0.0f64;
-        for nb in backend.nearest_iter_with(q, &mut scratch) {
-            assert!(nb.dist >= last);
-            last = nb.dist;
-            n += 1;
-        }
-        assert_eq!(n, 64);
-        assert_eq!(allocs(), before, "steady-state {label} kNN browse must be allocation-free");
-    }
-    check(&mut srb_core::RStarTree::new(srb_core::TreeConfig::default()), "rstar");
-    check(&mut srb_core::UniformGrid::new(srb_core::GridConfig::default(), Rect::UNIT), "grid");
-    // And through the enum dispatch seam, on both inner structures.
-    check(
-        &mut srb_core::DynBackend::build(
-            &srb_core::BackendConfig::RStar(srb_core::TreeConfig::default()),
-            Rect::UNIT,
-        ),
-        "dyn-rstar",
-    );
-    check(
-        &mut srb_core::DynBackend::build(
-            &srb_core::BackendConfig::Grid(srb_core::GridConfig::default()),
-            Rect::UNIT,
-        ),
-        "dyn-grid",
-    );
 }

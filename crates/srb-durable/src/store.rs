@@ -50,21 +50,15 @@ pub enum SyncPolicy {
     GroupCommit,
 }
 
-/// One generation's worth of replayable records.
-pub struct GenerationFrames {
-    /// The generation's record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
-}
-
 /// The result of [`Store::recover`].
 pub struct Recovered {
     /// The reopened store, ready for appends on the active generation.
     pub store: Store,
     /// The checkpoint payload (engine state snapshot).
     pub payload: Vec<u8>,
-    /// Records to replay on top of the checkpoint, oldest generation
-    /// first.
-    pub generations: Vec<GenerationFrames>,
+    /// Record payloads to replay on top of the checkpoint: generation by
+    /// generation, oldest first, each in append order.
+    pub records: Vec<Vec<u8>>,
 }
 
 /// An open generation store.
@@ -386,12 +380,11 @@ impl Store {
         let active =
             log_gens.iter().copied().chain([ckpt_gen]).max().expect("chain contains ckpt_gen");
 
-        let mut generations = Vec::new();
+        let mut records = Vec::new();
         // The valid length of the active generation's log, when it has one.
         let mut active_len = None;
         for gen in ckpt_gen..=active {
             let path = log_path(dir, gen);
-            let mut records = Vec::new();
             match fs::read(&path) {
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => return Err(e.into()),
@@ -410,11 +403,10 @@ impl Store {
                         if gen == active {
                             active_len = Some((start + frames.valid_len) as u64);
                         }
-                        records = frames.payloads.iter().map(|p| p.to_vec()).collect();
+                        records.extend(frames.payloads.iter().map(|p| p.to_vec()));
                     }
                 },
             }
-            generations.push(GenerationFrames { records });
         }
 
         // Reopen the writer on the active generation, truncating a torn
@@ -437,7 +429,7 @@ impl Store {
                 poisoned: false,
             },
             payload,
-            generations,
+            records,
         })
     }
 }
@@ -472,10 +464,6 @@ mod tests {
         d
     }
 
-    fn all_records(r: &Recovered) -> Vec<Vec<u8>> {
-        r.generations.iter().flat_map(|g| g.records.iter().cloned()).collect()
-    }
-
     #[test]
     fn create_append_commit_recover() {
         let dir = scratch();
@@ -486,7 +474,7 @@ mod tests {
         drop(s);
         let r = Store::recover(&dir, 4).unwrap();
         assert_eq!(r.payload, b"root state");
-        assert_eq!(all_records(&r), vec![b"op-1".to_vec(), b"op-2".to_vec()]);
+        assert_eq!(r.records, vec![b"op-1".to_vec(), b"op-2".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -500,7 +488,7 @@ mod tests {
         s.op_end().unwrap();
         drop(s);
         let r = Store::recover(&dir, 2).unwrap();
-        assert!(all_records(&r).is_empty());
+        assert!(r.records.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -524,7 +512,7 @@ mod tests {
 
         let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(r.payload, b"gen3");
-        assert_eq!(all_records(&r), vec![b"c".to_vec()]);
+        assert_eq!(r.records, vec![b"c".to_vec()]);
 
         // Damage the newest checkpoint: recovery falls back to gen 2 and
         // replays both generations of logs.
@@ -534,7 +522,7 @@ mod tests {
         fs::write(ckpt_path(&dir, 3), bytes).unwrap();
         let r = Store::recover(&dir, 1).unwrap();
         assert_eq!(r.payload, b"gen2");
-        assert_eq!(all_records(&r), vec![b"b".to_vec(), b"c".to_vec()]);
+        assert_eq!(r.records, vec![b"b".to_vec(), b"c".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -552,7 +540,7 @@ mod tests {
         data.extend_from_slice(&[0x55; 7]);
         fs::write(&path, data).unwrap();
         let r = Store::recover(&dir, 1).unwrap();
-        assert_eq!(all_records(&r), vec![b"good".to_vec()]);
+        assert_eq!(r.records, vec![b"good".to_vec()]);
         assert_eq!(fs::metadata(&path).unwrap().len() as usize, valid, "tail physically cut");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -592,12 +580,11 @@ mod tests {
             // Whatever the boundary, the recovered root plus its records
             // reconstruct the full history: either the new checkpoint
             // took (no records to replay) or the old one plus its log.
-            let records = all_records(&r);
             match (r.payload.as_slice(), point) {
-                (b"gen1", _) => assert_eq!(records, vec![b"a".to_vec()]),
-                (b"gen2", CrashPoint::CkptPrune) => assert_eq!(records, vec![b"b".to_vec()]),
-                (b"gen2", _) => assert!(records.is_empty()),
-                (b"gen3", _) => assert!(records.is_empty()),
+                (b"gen1", _) => assert_eq!(r.records, vec![b"a".to_vec()]),
+                (b"gen2", CrashPoint::CkptPrune) => assert_eq!(r.records, vec![b"b".to_vec()]),
+                (b"gen2", _) => assert!(r.records.is_empty()),
+                (b"gen3", _) => assert!(r.records.is_empty()),
                 other => panic!("unexpected root {other:?} at {point:?}"),
             }
             fs::remove_dir_all(&dir).unwrap();

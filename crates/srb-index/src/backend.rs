@@ -22,8 +22,6 @@ use crate::node::NodeId;
 use crate::{ConfigError, GridConfig};
 use crate::{EntryId, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
 use srb_geom::{Point, Rect};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// An index structure: what [`AdaptiveConfig::initial`] names.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -211,14 +209,6 @@ pub trait SpatialBackend {
     /// Starts a best-first browse from `q`, allocating a fresh frontier.
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_>;
 
-    /// Starts a best-first browse from `q` reusing `scratch`'s frontier
-    /// storage: after warmup, repeated browses perform no heap allocation.
-    fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> Self::Nearest<'a>;
-
     /// The deterministic work-unit counter: structural units (tree nodes or
     /// grid cells) visited by searches and browses since the last
     /// [`reset_visits`](Self::reset_visits).
@@ -284,40 +274,6 @@ impl Ord for HeapItem {
     }
 }
 
-/// Reusable frontier storage for [`SpatialBackend::nearest_iter_with`]:
-/// holds the best-first binary heap's buffer between browses so
-/// steady-state nearest-neighbor search allocates nothing (the kNN leg of
-/// the allocation-free hot path, pinned by `alloc_steady.rs`).
-#[derive(Default)]
-pub struct NearestScratch {
-    buf: Vec<Reverse<HeapItem>>,
-}
-
-impl NearestScratch {
-    /// Creates an empty scratch; capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Retained frontier capacity, in elements.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.buf.capacity()
-    }
-
-    /// Hands the (empty, capacity-retaining) buffer to a starting browse.
-    pub(crate) fn take(&mut self) -> BinaryHeap<Reverse<HeapItem>> {
-        BinaryHeap::from(std::mem::take(&mut self.buf))
-    }
-
-    /// Takes the finished browse's buffer back, keeping its capacity.
-    pub(crate) fn put(&mut self, heap: BinaryHeap<Reverse<HeapItem>>) {
-        let mut buf = heap.into_vec();
-        buf.clear();
-        self.buf = buf;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reference implementation: the R*-tree
 // ---------------------------------------------------------------------------
@@ -366,14 +322,6 @@ impl SpatialBackend for RStarTree {
 
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_> {
         RStarTree::nearest_iter(self, q)
-    }
-
-    fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> Self::Nearest<'a> {
-        RStarTree::nearest_iter_with(self, q, scratch)
     }
 
     fn visits(&self) -> u64 {

@@ -8,7 +8,7 @@
 //! vtable call); the steady-state allocation pins in `alloc_steady.rs`
 //! bound its cost.
 
-use crate::backend::{BackendConfig, BackendKind, NearestScratch};
+use crate::backend::{BackendConfig, BackendKind};
 use crate::{
     EntryId, GridNearest, LeafEntry, NearestIter, Neighbor, RStarTree, SpatialBackend, UniformGrid,
     UpdateOutcome,
@@ -95,17 +95,6 @@ impl SpatialBackend for DynBackend {
         match self {
             DynBackend::RStar(t) => DynNearest::RStar(t.nearest_iter(q)),
             DynBackend::Grid(g) => DynNearest::Grid(g.nearest_iter(q)),
-        }
-    }
-
-    fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> Self::Nearest<'a> {
-        match self {
-            DynBackend::RStar(t) => DynNearest::RStar(t.nearest_iter_with(q, scratch)),
-            DynBackend::Grid(g) => DynNearest::Grid(g.nearest_iter_with(q, scratch)),
         }
     }
 

@@ -23,7 +23,7 @@
 //! expected safe-region side (see DESIGN.md §13 for the rule and measured
 //! tradeoffs).
 
-use crate::backend::{BackendConfig, HeapItem, HeapKind, NearestScratch};
+use crate::backend::{BackendConfig, HeapItem, HeapKind};
 use crate::UpdateOutcome;
 use crate::{ConfigError, EntryId, LeafEntry, Neighbor, SpatialBackend};
 use srb_geom::{Point, Rect};
@@ -259,43 +259,6 @@ impl UniformGrid {
         srb_obs::histogram!("index.search.visits").record(cells);
     }
 
-    /// Incremental best-first browsing of entries by ascending
-    /// `(δ(q, rect), id)` via Chebyshev ring expansion around `q`'s cell.
-    pub(crate) fn nearest_iter(&self, q: Point) -> GridNearest<'_> {
-        self.nearest_impl(q, BinaryHeap::new(), None)
-    }
-
-    /// [`nearest_iter`](Self::nearest_iter) reusing `scratch`'s frontier
-    /// storage, so steady-state browses allocate nothing after warmup.
-    pub(crate) fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> GridNearest<'a> {
-        let heap = scratch.take();
-        self.nearest_impl(q, heap, Some(scratch))
-    }
-
-    fn nearest_impl<'a>(
-        &'a self,
-        q: Point,
-        heap: BinaryHeap<Reverse<HeapItem>>,
-        scratch: Option<&'a mut NearestScratch>,
-    ) -> GridNearest<'a> {
-        let qc = self.cell_of(q);
-        GridNearest {
-            grid: self,
-            q,
-            qc,
-            heap,
-            scratch,
-            next_ring: 0,
-            exhausted: self.rects.is_empty(),
-            visited: 0,
-            scanned: 0,
-        }
-    }
-
     /// Exhaustively verifies structural invariants; panics on violation.
     pub(crate) fn check_invariants(&self) {
         let mut bucketed = 0usize;
@@ -368,16 +331,18 @@ impl SpatialBackend for UniformGrid {
         UniformGrid::search(self, query, |e| f(e));
     }
 
+    /// Browses by Chebyshev ring expansion around `q`'s cell.
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_> {
-        UniformGrid::nearest_iter(self, q)
-    }
-
-    fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> Self::Nearest<'a> {
-        UniformGrid::nearest_iter_with(self, q, scratch)
+        GridNearest {
+            grid: self,
+            q,
+            qc: self.cell_of(q),
+            heap: BinaryHeap::new(),
+            next_ring: 0,
+            exhausted: self.rects.is_empty(),
+            visited: 0,
+            scanned: 0,
+        }
     }
 
     fn visits(&self) -> u64 {
@@ -393,7 +358,7 @@ impl SpatialBackend for UniformGrid {
     }
 }
 
-/// Iterator of [`UniformGrid::nearest_iter`]: yields entries in ascending
+/// The grid's [`SpatialBackend::nearest_iter`] browse: yields entries in ascending
 /// `(δ(q, rect), id)` order.
 ///
 /// Cells enter the frontier ring by ring (Chebyshev distance from the
@@ -409,7 +374,6 @@ pub struct GridNearest<'a> {
     q: Point,
     qc: (usize, usize),
     heap: BinaryHeap<Reverse<HeapItem>>,
-    scratch: Option<&'a mut NearestScratch>,
     /// Next Chebyshev ring radius to expand.
     next_ring: usize,
     /// True once every grid cell has been pushed (or the grid is empty).
@@ -426,9 +390,6 @@ impl Drop for GridNearest<'_> {
             srb_obs::counter!("index.grid.cell_visits").add(self.visited);
             srb_obs::counter!("index.grid.bucket_scans").add(self.scanned);
             srb_obs::histogram!("index.nn.visits").record(self.visited);
-        }
-        if let Some(scratch) = self.scratch.take() {
-            scratch.put(std::mem::take(&mut self.heap));
         }
     }
 }
@@ -611,24 +572,6 @@ mod tests {
         assert_eq!(ids.len(), 3);
         // Entry 2 at dist 0.1, entry 1 at dist 0.3, entry 3 further out.
         assert_eq!(ids, vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn nearest_scratch_reuses_capacity() {
-        let mut g = grid();
-        for i in 0..100u64 {
-            g.insert(i, pt_rect((i % 10) as f64 / 10.0, (i / 10) as f64 / 10.0));
-        }
-        let mut scratch = NearestScratch::new();
-        let n1: Vec<u64> =
-            g.nearest_iter_with(Point::new(0.2, 0.8), &mut scratch).map(|n| n.id).collect();
-        assert_eq!(n1.len(), 100);
-        let cap = scratch.capacity();
-        assert!(cap > 0, "finished browse must hand its buffer back");
-        let n2: Vec<u64> =
-            g.nearest_iter_with(Point::new(0.2, 0.8), &mut scratch).map(|n| n.id).collect();
-        assert_eq!(n1, n2);
-        assert_eq!(scratch.capacity(), cap);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! - **range search** over rectangles ([`SpatialBackend::search`]), and
 //! - **incremental best-first nearest-neighbor browsing**
 //!   ([`SpatialBackend::nearest_iter`]; Hjaltason & Samet distance
-//!   browsing, the paradigm of the paper's Algorithm 2), with a reusable
-//!   [`NearestScratch`] frontier for allocation-free steady-state kNN.
+//!   browsing, the paradigm of the paper's Algorithm 2).
 //!
 //! Two backends ship here: [`RStarTree`], the from-scratch R\*-tree
 //! (Beckmann et al., SIGMOD 1990) this file implements, and
@@ -44,7 +43,7 @@ mod grid;
 mod node;
 mod split;
 
-pub use backend::{AdaptiveConfig, BackendConfig, BackendKind, NearestScratch, SpatialBackend};
+pub use backend::{AdaptiveConfig, BackendConfig, BackendKind, SpatialBackend};
 pub use bulk::bulk_load;
 pub use dyn_backend::DynBackend;
 pub(crate) use grid::GridNearest;
@@ -680,35 +679,14 @@ impl RStarTree {
     /// `(δ(q, rect), id)` (Hjaltason & Samet) — the traversal underlying
     /// the paper's Algorithm 2.
     pub fn nearest_iter(&self, q: Point) -> NearestIter<'_> {
-        self.nearest_impl(q, BinaryHeap::new(), None)
-    }
-
-    /// [`nearest_iter`](Self::nearest_iter) reusing `scratch`'s frontier
-    /// storage: the browse's binary heap is taken from (and on drop handed
-    /// back to) the scratch, so steady-state kNN search performs no heap
-    /// allocation after warmup.
-    pub(crate) fn nearest_iter_with<'a>(
-        &'a self,
-        q: Point,
-        scratch: &'a mut NearestScratch,
-    ) -> NearestIter<'a> {
-        let heap = scratch.take();
-        self.nearest_impl(q, heap, Some(scratch))
-    }
-
-    fn nearest_impl<'a>(
-        &'a self,
-        q: Point,
-        mut heap: BinaryHeap<Reverse<HeapItem>>,
-        scratch: Option<&'a mut NearestScratch>,
-    ) -> NearestIter<'a> {
+        let mut heap = BinaryHeap::new();
         if self.len > 0 {
             heap.push(Reverse(HeapItem {
                 dist: self.node(self.root).rect.min_dist(q),
                 kind: HeapKind::Node(self.root),
             }));
         }
-        NearestIter { tree: self, q, heap, scratch, visited: 0 }
+        NearestIter { tree: self, q, heap, visited: 0 }
     }
 
     // ------------------------------------------------------------------
@@ -804,9 +782,6 @@ pub struct NearestIter<'a> {
     tree: &'a RStarTree,
     q: Point,
     heap: BinaryHeap<Reverse<HeapItem>>,
-    /// When the browse was started with a [`NearestScratch`], the heap's
-    /// buffer is handed back to it on drop.
-    scratch: Option<&'a mut NearestScratch>,
     /// Node pops this browse performed; published as one histogram sample
     /// when the iterator is dropped.
     visited: u64,
@@ -816,9 +791,6 @@ impl Drop for NearestIter<'_> {
     fn drop(&mut self) {
         if self.visited > 0 {
             srb_obs::histogram!("index.nn.visits").record(self.visited);
-        }
-        if let Some(scratch) = self.scratch.take() {
-            scratch.put(std::mem::take(&mut self.heap));
         }
     }
 }
@@ -1129,29 +1101,5 @@ mod tests {
     #[should_panic(expected = "invalid TreeConfig")]
     fn invalid_config_fails_loudly_at_construction() {
         let _ = RStarTree::new(TreeConfig { max_entries: 8, min_entries: 7, reinsert_count: 1 });
-    }
-
-    #[test]
-    fn nearest_iter_with_reuses_scratch_capacity() {
-        let mut t = RStarTree::default();
-        for i in 0..200u64 {
-            t.insert(i, pt_rect(((i * 37) % 101) as f64 / 101.0, ((i * 61) % 97) as f64 / 97.0));
-        }
-        let q = Point::new(0.4, 0.6);
-        let plain: Vec<u64> = t.nearest_iter(q).map(|n| n.id).collect();
-        let mut scratch = NearestScratch::new();
-        let first: Vec<u64> = t.nearest_iter_with(q, &mut scratch).map(|n| n.id).collect();
-        assert_eq!(plain, first);
-        let cap = scratch.capacity();
-        assert!(cap > 0, "finished browse must hand its buffer back");
-        // An abandoned (partially consumed) browse must also hand it back.
-        {
-            let mut it = t.nearest_iter_with(q, &mut scratch);
-            assert_eq!(it.next().map(|n| n.id), plain.first().copied());
-        }
-        assert!(scratch.capacity() > 0);
-        let again: Vec<u64> = t.nearest_iter_with(q, &mut scratch).map(|n| n.id).collect();
-        assert_eq!(plain, again);
-        assert_eq!(scratch.capacity(), cap);
     }
 }

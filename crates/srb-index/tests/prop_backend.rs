@@ -11,8 +11,7 @@
 use srb_cases::{cases, Rng, Seeds};
 use srb_geom::{Point, Rect};
 use srb_index::{
-    BackendConfig, DynBackend, GridConfig, NearestScratch, RStarTree, SpatialBackend, TreeConfig,
-    UniformGrid,
+    BackendConfig, DynBackend, GridConfig, RStarTree, SpatialBackend, TreeConfig, UniformGrid,
 };
 use std::collections::HashMap;
 
@@ -73,14 +72,10 @@ fn search_ids<B: SpatialBackend>(b: &B, q: &Rect) -> Vec<u64> {
     ids
 }
 
-/// The browse from `q` as `(dist, id)` pairs, exactly as the backend
-/// yields them — through `nearest_iter` and through `nearest_iter_with`,
-/// which must agree.
-fn browse<B: SpatialBackend>(b: &B, q: Point, scratch: &mut NearestScratch) -> Vec<(f64, u64)> {
-    let plain: Vec<(f64, u64)> = b.nearest_iter(q).map(|n| (n.dist, n.id)).collect();
-    let reused: Vec<(f64, u64)> = b.nearest_iter_with(q, scratch).map(|n| (n.dist, n.id)).collect();
-    assert_eq!(plain, reused, "nearest_iter_with browses like nearest_iter");
-    plain
+/// The browse from `q` as `(dist, id)` pairs, exactly as the backend's
+/// `nearest_iter` yields them.
+fn browse<B: SpatialBackend>(b: &B, q: Point) -> Vec<(f64, u64)> {
+    b.nearest_iter(q).map(|n| (n.dist, n.id)).collect()
 }
 
 /// Every stored entry as `(δ(q, rect), id)`, ascending: the one browse
@@ -98,7 +93,6 @@ fn backends_agree(rng: &mut Rng) {
     let grid_first = rng.below(2) == 0;
     let mut dynb = DynBackend::build(&backend_config(rng, grid_first), Rect::UNIT);
     let mut oracle: HashMap<u64, Rect> = HashMap::new();
-    let mut scratch = NearestScratch::new();
     for _ in 0..rng.int(1..120) {
         let id = rng.next() % 40;
         match rng.below(40) {
@@ -138,13 +132,9 @@ fn backends_agree(rng: &mut Rng) {
             _ => {
                 let q = Point::new(coord(rng), coord(rng));
                 let want = brute_force(&oracle, q);
-                assert_eq!(browse(&tree, q, &mut scratch), want, "R*-tree browse from {q:?}");
-                assert_eq!(
-                    browse(&grid, q, &mut scratch),
-                    want,
-                    "grid (m = {m}) browse from {q:?}"
-                );
-                assert_eq!(browse(&dynb, q, &mut scratch), want, "DynBackend browse from {q:?}");
+                assert_eq!(browse(&tree, q), want, "R*-tree browse from {q:?}");
+                assert_eq!(browse(&grid, q), want, "grid (m = {m}) browse from {q:?}");
+                assert_eq!(browse(&dynb, q), want, "DynBackend browse from {q:?}");
             }
         }
         assert_eq!(tree.len(), oracle.len());

@@ -7,7 +7,7 @@
 use crate::config::SimConfig;
 use crate::harness::{finalize, make_channel, make_trajectories, score_sample};
 use crate::metrics::{AccuracyAcc, RunMetrics};
-use crate::truth::{evaluate_truth, TruthResults};
+use crate::truth::{answer, evaluate_truth, TruthResults};
 use crate::workload::generate_workload;
 use srb_core::QuerySpec;
 use srb_geom::{Point, Rect};
@@ -26,19 +26,7 @@ fn prd_round(positions: &[Point], queries: &[QuerySpec]) -> TruthResults {
     for (i, &p) in positions.iter().enumerate() {
         tree.insert(i as u64, Rect::point(p));
     }
-    queries
-        .iter()
-        .map(|q| match q {
-            QuerySpec::Range { rect } => {
-                let mut ids: Vec<u64> = tree.search_vec(rect).iter().map(|e| e.id).collect();
-                ids.sort_unstable();
-                ids
-            }
-            QuerySpec::Knn { center, k, .. } => {
-                tree.nearest_iter(*center).take(*k).map(|n| n.id).collect()
-            }
-        })
-        .collect()
+    answer(&tree, queries)
 }
 
 /// Runs the PRD scheme with update interval `t_prd`.

@@ -4,7 +4,7 @@
 
 use srb_core::QuerySpec;
 use srb_geom::{Point, Rect};
-use srb_index::{bulk_load, LeafEntry, TreeConfig};
+use srb_index::{bulk_load, LeafEntry, RStarTree, TreeConfig};
 
 /// Exact results for each query: object ids, distance-ordered for kNN.
 pub(crate) type TruthResults = Vec<Vec<u64>>;
@@ -18,7 +18,13 @@ pub fn evaluate_truth(positions: &[Point], queries: &[QuerySpec]) -> TruthResult
         .enumerate()
         .map(|(i, &p)| LeafEntry { id: i as u64, rect: Rect::point(p) })
         .collect();
-    let tree = bulk_load(entries, TreeConfig::default());
+    answer(&bulk_load(entries, TreeConfig::default()), queries)
+}
+
+/// The exact results of every query over `tree`, which holds each object
+/// at its position: a range's hits sorted by id, a kNN's first `k` of the
+/// best-first browse.
+pub(crate) fn answer(tree: &RStarTree, queries: &[QuerySpec]) -> TruthResults {
     queries
         .iter()
         .map(|q| match q {
