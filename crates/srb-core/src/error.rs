@@ -53,8 +53,9 @@ pub enum RecoveryError {
     /// configuration than the one supplied to `reopen`.
     ConfigMismatch,
     /// The configured backend (`ServerConfig::backend`) is one the
-    /// recovering backend type cannot build. `ShardedServer<DynBackend>`
-    /// builds every backend.
+    /// recovering backend type cannot build: a grid store recovers only as
+    /// a `ShardedServer<UniformGrid>`, an R\*-tree store only as a
+    /// [`Server`](crate::Server).
     BackendMismatch {
         /// The label of the configured backend.
         configured: &'static str,

@@ -65,12 +65,11 @@
 //! every step of an operation on the caller's thread.
 //!
 //! The object index is a pluggable [`SpatialBackend`]: [`Server`] is the
-//! paper's R\*-tree, and `ShardedServer::<UniformGrid>::new` (or
-//! `SRB_BACKEND=grid` through the simulator) swaps in the uniform-grid
-//! backend without touching any query semantics. [`DynBackend`] dispatches
-//! over both structures behind one type, picked by `config.backend` when
-//! the engine is built. The index is built once and rebuilt only by
-//! recovery.
+//! paper's R\*-tree, and `ShardedServer::<UniformGrid>::new` swaps in the
+//! uniform-grid backend without touching any query semantics. The backend
+//! is a type, never a run-time choice: [`DynBackend`] is an alias of
+//! [`RStarTree`], kept only for `bench/` (ROADMAP 3(b)). The index is built
+//! once from `config.backend` and rebuilt only by recovery.
 //!
 //! Durability ([`DurabilityConfig`]) is the engine's: it logs, checkpoints
 //! and recovers ([`ShardedServer::reopen`]) in one checkpoint layout.
@@ -112,6 +111,6 @@ pub use srb_durable::CrashPoint;
 // Named only by `bench/`; ROADMAP 3(a) deletes it after 2(a).
 pub use srb_durable::SyncPolicy;
 pub use srb_index::{
-    AdaptiveConfig, BackendConfig, BackendKind, DynBackend, GridConfig, RStarTree, SpatialBackend,
-    TreeConfig, UniformGrid,
+    AdaptiveConfig, BackendConfig, DynBackend, GridConfig, RStarTree, SpatialBackend, TreeConfig,
+    UniformGrid,
 };

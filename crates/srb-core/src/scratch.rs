@@ -60,6 +60,8 @@ pub(crate) struct KnnPatch {
 pub(crate) struct BatchBuffers {
     /// Previous anchor (`p_lst`) of every mover in the batch.
     pub(crate) prev: FastMap<ObjectId, Point>,
+    /// The `last_seq` each accepted report replaced, in arrival order.
+    pub(crate) admitted: Vec<(ObjectId, u64)>,
     /// True when some object reported more than once in the batch.
     pub(crate) repeated_ids: bool,
     /// One `(query, report index, mover)` per affected-query candidate of
@@ -75,6 +77,7 @@ pub(crate) struct BatchBuffers {
 impl BatchBuffers {
     pub(crate) fn clear(&mut self) {
         self.prev.clear();
+        self.admitted.clear();
         self.repeated_ids = false;
         self.touched.clear();
         self.groups = 0;

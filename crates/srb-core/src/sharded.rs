@@ -590,6 +590,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                     s.regrants.push(u.id);
                 }
                 Some(st) => {
+                    s.batch.admitted.push((u.id, st.last_seq));
                     st.last_seq = u.seq;
                     s.movers.push((u.id, u.pos));
                 }
@@ -644,7 +645,9 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     ///
     /// Fail-stop: every probe precedes the first install, so when the
     /// provider panics the pins are undone and the objects keep the regions
-    /// and anchors they had; the panic resumes.
+    /// and anchors they had; a batch's admissions (`batch.admitted`) are
+    /// undone too, so a resent report is evaluated, not re-granted. The
+    /// panic resumes.
     fn fold(
         &mut self,
         op: &mut OpBuffers,
@@ -693,6 +696,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             for &(id, _) in movers {
                 self.index.unpin(id);
             }
+            // In reverse, so an object that reported twice gets its
+            // sequence number from before the batch.
+            for &(id, seq) in batch.admitted.iter().rev() {
+                self.index.get_mut(id).expect("admitted objects are registered").last_seq = seq;
+            }
+            self.costs.source_updates -= batch.admitted.len() as u64;
             resume_unwind(panic)
         })
     }
@@ -1031,6 +1040,28 @@ mod tests {
             assert_eq!(server.results(q), twin.results(q), "{q}");
         }
         assert_eq!(server.state_digest(), twin.state_digest());
+    }
+
+    /// A batch whose provider panics leaves its admissions unmade: its
+    /// own reports, resent with the same sequence numbers, are evaluated,
+    /// not re-granted as stale. (What the failed evaluation left in the
+    /// query plane is ROADMAP 6(a)'s.)
+    #[test]
+    fn a_failed_batch_resent_with_its_seqs_is_evaluated() {
+        let (mut server, positions, failed) = fleet_one_step_on(ServerConfig::default());
+        let (costs, work) = (server.costs(), server.work());
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut down = FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+            server.ingest(&failed, &mut down, 0.1, &mut Vec::new());
+        }))
+        .expect_err("the batch probes");
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        server.ingest(&failed, &mut provider, 0.2, &mut Vec::new());
+        assert_eq!(server.work().stale_seq_drops, work.stale_seq_drops, "none is stale");
+        assert_eq!(server.costs().source_updates, costs.source_updates + failed.len() as u64);
+        for u in &failed {
+            assert!(server.safe_region(u.id).is_some_and(|r| r.contains_point(u.pos)), "{}", u.id);
+        }
     }
 
     #[test]

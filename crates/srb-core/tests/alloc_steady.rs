@@ -1,9 +1,8 @@
 //! Counting-allocator pin for the memory plane: once capacities have warmed
 //! up, a steady-state sequenced-update batch performs **zero** heap
-//! allocations — on the R\*-tree and on the runtime-dispatched backend,
-//! through the ledger's entry point too, beside range rectangles (the §5.3
-//! staircase) and inside an order-sensitive kNN query's rings (the §4.3
-//! patch) included.
+//! allocations — on the R\*-tree, through the ledger's entry point too,
+//! beside range rectangles (the §5.3 staircase) and inside an
+//! order-sensitive kNN query's rings (the §4.3 patch) included.
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
@@ -13,8 +12,7 @@
 //! the in-place path, and the response buffers retain their capacity.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, ShardedServer,
-    UpdateResponse,
+    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, UpdateResponse,
 };
 use srb_geom::{Point, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -119,25 +117,6 @@ fn one_shard_steady_state_batches_do_not_allocate() {
         server.ingest(updates, &mut provider, 1.0, out);
     });
     assert_eq!(extra, 0, "steady-state batch must be allocation-free");
-}
-
-/// The enum-dispatched backend must hit the same zero: `DynBackend`'s
-/// per-op `match` adds branch cost, never heap traffic, so the dispatch
-/// seam stays invisible to the memory plane.
-#[test]
-fn dyn_one_shard_steady_state_batches_do_not_allocate() {
-    let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = ShardedServer::<srb_core::DynBackend>::new(ServerConfig::default());
-    for i in 0..N_OBJECTS {
-        server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
-    }
-    let far = Rect::new(Point::new(0.9, 0.9), Point::new(0.95, 0.95));
-    server.register_query(QuerySpec::Range { rect: far }, &mut provider, 0.0);
-
-    let extra = measure(|updates, out| {
-        server.ingest(updates, &mut provider, 1.0, out);
-    });
-    assert_eq!(extra, 0, "steady-state DynBackend batch must be allocation-free");
 }
 
 /// The ledger's entry point.

@@ -19,57 +19,29 @@
 //! the paper's Algorithm 2 consumes.
 
 use crate::node::NodeId;
-use crate::{ConfigError, GridConfig};
-use crate::{EntryId, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
+use crate::{EntryId, GridConfig, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
 use srb_geom::{Point, Rect};
 
-/// An index structure: what [`AdaptiveConfig::initial`] names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// An [`RStarTree`](crate::RStarTree).
-    RStar,
-    /// A [`UniformGrid`](crate::UniformGrid).
-    Grid,
-}
+/// The build parameters `BackendConfig::Adaptive` carries: the R\*-tree's.
+/// The name stays only for `bench/` and goes with ROADMAP 3(b) after 2(a).
+pub type AdaptiveConfig = TreeConfig;
 
-/// The build parameters of a [`DynBackend`](crate::DynBackend): the
-/// structure it starts as and the parameters of either structure.
-///
-/// The whole struct feeds the durable config fingerprint via its `Debug`
-/// form, so a recovery under other parameters is refused.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Build parameters when `initial` is the R\*-tree.
-    pub rstar: TreeConfig,
-    /// Build parameters when `initial` is the grid.
-    pub grid: GridConfig,
-    /// The structure the index is built as.
-    pub initial: BackendKind,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            rstar: TreeConfig::default(),
-            grid: GridConfig::default(),
-            initial: BackendKind::RStar,
-        }
-    }
-}
+/// The one index type the engine runs: the R\*-tree. The name stays only
+/// for `bench/` and goes with ROADMAP 3(b) after 2(a).
+pub type DynBackend = RStarTree;
 
 /// Selects and parameterizes the object-index backend.
 ///
-/// Lives on `ServerConfig`/`SimConfig` so the whole monitoring stack — the
-/// server and the simulator — builds its index through one switch.
+/// Lives on `ServerConfig`, so the server builds its index through one
+/// switch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BackendConfig {
     /// The R\*-tree reference backend (paper §7.1).
     RStar(TreeConfig),
     /// The uniform-grid backend (cell-bucketed safe regions).
     Grid(GridConfig),
-    /// A [`DynBackend`](crate::DynBackend) built as
-    /// [`AdaptiveConfig::initial`]: the structure is a runtime value, not a
-    /// type parameter.
+    /// A second spelling of [`RStar`](Self::RStar), which `bench/` names;
+    /// it goes with ROADMAP 3(b) after 2(a).
     Adaptive(AdaptiveConfig),
 }
 
@@ -86,36 +58,6 @@ impl BackendConfig {
             BackendConfig::RStar(_) => "rstar",
             BackendConfig::Grid(_) => "grid",
             BackendConfig::Adaptive(_) => "adaptive",
-        }
-    }
-
-    /// Reads the backend from the `SRB_BACKEND` environment variable:
-    /// `grid` selects [`UniformGrid`](crate::UniformGrid) defaults, `rstar`
-    /// (or unset) the R\*-tree defaults. Any other value is a typed
-    /// [`ConfigError::UnknownBackend`] — a typo must not silently run the
-    /// wrong experiment.
-    pub(crate) fn try_from_env() -> Result<Self, ConfigError> {
-        match std::env::var("SRB_BACKEND") {
-            Err(_) => Ok(BackendConfig::default()),
-            Ok(v) if v.eq_ignore_ascii_case("grid") => {
-                Ok(BackendConfig::Grid(GridConfig::default()))
-            }
-            Ok(v) if v.eq_ignore_ascii_case("rstar") || v.is_empty() => {
-                Ok(BackendConfig::default())
-            }
-            // `ConfigError` is `Copy`, so the offending value is leaked
-            // into a `'static` str. This path runs at most once per
-            // process (env parsing at startup), so the leak is bounded.
-            Ok(v) => Err(ConfigError::UnknownBackend { value: Box::leak(v.into_boxed_str()) }),
-        }
-    }
-
-    /// Like `try_from_env` but panics on an unknown
-    /// value — the startup-path convenience the simulator uses.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(config) => config,
-            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -283,7 +225,7 @@ impl SpatialBackend for RStarTree {
 
     fn build(config: &BackendConfig, _space: Rect) -> Self {
         match config {
-            BackendConfig::RStar(cfg) => RStarTree::new(*cfg),
+            BackendConfig::RStar(cfg) | BackendConfig::Adaptive(cfg) => RStarTree::new(*cfg),
             other => panic!("BackendConfig::{other:?} cannot build an RStarTree"),
         }
     }
@@ -293,7 +235,7 @@ impl SpatialBackend for RStarTree {
     }
 
     fn builds(config: &BackendConfig) -> bool {
-        matches!(config, BackendConfig::RStar(_))
+        matches!(config, BackendConfig::RStar(_) | BackendConfig::Adaptive(_))
     }
 
     fn len(&self) -> usize {
@@ -334,5 +276,65 @@ impl SpatialBackend for RStarTree {
 
     fn check_invariants(&self) {
         RStarTree::check_invariants(self);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::UniformGrid;
+
+    /// Point entries `0..n` on a deterministic scatter over the unit square.
+    fn scatter(n: u64) -> Vec<(EntryId, Rect)> {
+        let at = |i: u64| Point::new((i as f64 * 0.37).fract(), (i as f64 * 0.61).fract());
+        (0..n).map(|i| (i, Rect::point(at(i)))).collect()
+    }
+
+    /// `Adaptive` is a second spelling of `RStar`: the R\*-tree builds from
+    /// both, into the same tree, and refuses the grid.
+    #[test]
+    fn adaptive_builds_the_same_rstar_tree() {
+        let adaptive = BackendConfig::Adaptive(AdaptiveConfig::default());
+        let rstar = BackendConfig::default();
+        let entries = scatter(100);
+        let a = RStarTree::build_from(&adaptive, Rect::UNIT, entries.clone());
+        let r = RStarTree::build_from(&rstar, Rect::UNIT, entries);
+        assert_eq!(a.config, r.config);
+        assert_eq!(a.search_vec(&Rect::UNIT), r.search_vec(&Rect::UNIT));
+        assert!(RStarTree::builds(&adaptive) && RStarTree::builds(&rstar));
+        assert!(!RStarTree::builds(&BackendConfig::Grid(GridConfig::default())));
+    }
+
+    /// What a structure's shape shows from outside: the order a whole-space
+    /// search emits its hits in, and the work units a search and a browse
+    /// charge.
+    fn shape<B: SpatialBackend>(b: &B) -> (Vec<EntryId>, u64) {
+        b.reset_visits();
+        let order = b.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
+        let _ = b.nearest_iter(Point::new(0.3, 0.7)).take(5).count();
+        (order, b.visits())
+    }
+
+    /// `build_from`, the rebuild recovery runs, is a canonical function of
+    /// the entry set on both backends: neither the order the entries come in
+    /// nor the churn that produced them leaks into the structure.
+    #[test]
+    fn rebuild_is_history_independent() {
+        fn check<B: SpatialBackend>(config: BackendConfig) {
+            let sorted = scatter(150);
+            // The same entries, listed in reverse after churn.
+            let mut b = B::build_from(&config, Rect::UNIT, sorted.clone());
+            for &(id, rect) in &sorted[..40] {
+                b.remove(id);
+                b.insert(id, rect);
+            }
+            let churned: Vec<(EntryId, Rect)> =
+                b.search_vec(&Rect::UNIT).iter().rev().map(|e| (e.id, e.rect)).collect();
+            let ra = B::build_from(&config, Rect::UNIT, sorted);
+            let rb = B::build_from(&config, Rect::UNIT, churned);
+            assert_eq!(shape(&ra), shape(&rb), "rebuild must be canonical in the entry set");
+        }
+        check::<UniformGrid>(BackendConfig::Grid(GridConfig { m: 16 }));
+        check::<RStarTree>(BackendConfig::default());
     }
 }

@@ -17,8 +17,8 @@
 //! (Beckmann et al., SIGMOD 1990) this file implements, and
 //! [`UniformGrid`], a cell-bucketed grid index. [`bulk_load`] (STR) serves
 //! the PRD baseline, which rebuilds its index from exact positions every
-//! period. Backends are selected through [`BackendConfig`] (see
-//! `DESIGN.md` §13 for the tradeoff).
+//! period. A backend is a type built from its [`BackendConfig`] variant
+//! (`DESIGN.md` §13); [`DynBackend`] is an alias of the R\*-tree.
 //!
 //! Everything is arena- or bucket-allocated, entirely safe Rust, and
 //! instrumented with a deterministic visit counter so experiments can
@@ -38,15 +38,12 @@
 mod backend;
 mod bulk;
 mod choose;
-mod dyn_backend;
 mod grid;
 mod node;
 mod split;
 
-pub use backend::{AdaptiveConfig, BackendConfig, BackendKind, SpatialBackend};
+pub use backend::{AdaptiveConfig, BackendConfig, DynBackend, SpatialBackend};
 pub use bulk::bulk_load;
-pub use dyn_backend::DynBackend;
-pub(crate) use grid::GridNearest;
 pub use grid::{GridConfig, UniformGrid};
 pub(crate) use node::EntryId;
 pub use node::LeafEntry;
@@ -145,12 +142,6 @@ pub(crate) enum ConfigError {
         /// The offending per-axis resolution.
         m: usize,
     },
-    /// `SRB_BACKEND` named a backend that does not exist.
-    UnknownBackend {
-        /// The unrecognized value (leaked to `'static` so the error stays
-        /// `Copy`; env parsing runs once per process).
-        value: &'static str,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -172,11 +163,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadGridResolution { m } => {
                 write!(f, "grid resolution must lie in [1, 32768], got {m}")
             }
-            ConfigError::UnknownBackend { value } => write!(
-                f,
-                "SRB_BACKEND={value:?} is not a known backend \
-                 (use \"rstar\" or \"grid\")"
-            ),
         }
     }
 }

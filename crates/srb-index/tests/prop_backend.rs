@@ -1,18 +1,17 @@
 //! Backend-equivalence property test: under a randomized workload of
 //! inserts, removals, updates, range searches, and nearest-neighbor
-//! browses, the [`RStarTree`], the [`UniformGrid`], and a [`DynBackend`]
-//! built as either structure must all produce *identical result sets* — the trait seam swaps cost profiles, never
-//! semantics. All three are additionally cross-checked against a
-//! brute-force oracle so an agreeing-but-wrong trio cannot slip through.
+//! browses, the [`RStarTree`] and the [`UniformGrid`] must produce
+//! *identical result sets* — the trait seam swaps cost profiles, never
+//! semantics. Both are additionally cross-checked against a brute-force
+//! oracle so an agreeing-but-wrong pair cannot slip through.
 //! The browse order is part of that contract: every backend yields its
 //! entries in ascending `(δ, id)`, and about half the rectangles are
-//! duplicates or sit on a coarse lattice, so equal keys are common.
+//! duplicates or sit on a coarse lattice, so equal keys are common. Each
+//! backend's rebuild (`build_from`) is a function of its entry set alone.
 
 use srb_cases::{cases, Rng, Seeds};
 use srb_geom::{Point, Rect};
-use srb_index::{
-    BackendConfig, DynBackend, GridConfig, RStarTree, SpatialBackend, TreeConfig, UniformGrid,
-};
+use srb_index::{BackendConfig, GridConfig, RStarTree, SpatialBackend, TreeConfig, UniformGrid};
 use std::collections::HashMap;
 
 /// Seeds that once failed the property below; it replays them first.
@@ -55,16 +54,6 @@ fn rect(rng: &mut Rng, stored: &HashMap<u64, Rect>) -> Rect {
     }
 }
 
-/// A grid at a resolution drawn from `2..24`, or the R\*-tree.
-fn backend_config(rng: &mut Rng, grid: bool) -> BackendConfig {
-    let m = rng.int(2..24);
-    if grid {
-        BackendConfig::Grid(GridConfig { m })
-    } else {
-        BackendConfig::RStar(TreeConfig::default())
-    }
-}
-
 /// Sorted `(id)` result set of a range search.
 fn search_ids<B: SpatialBackend>(b: &B, q: &Rect) -> Vec<u64> {
     let mut ids: Vec<u64> = b.search_vec(q).iter().map(|e| e.id).collect();
@@ -86,12 +75,31 @@ fn brute_force(oracle: &HashMap<u64, Rect>, q: Point) -> Vec<(f64, u64)> {
     want
 }
 
+/// What a structure's shape shows from outside: the order a whole-space
+/// search emits its hits in, and the work units it and a browse charge.
+fn shape<B: SpatialBackend>(b: &B) -> (Vec<u64>, u64) {
+    b.reset_visits();
+    let order = b.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
+    let _ = b.nearest_iter(Point::new(0.3, 0.7)).take(5).count();
+    (order, b.visits())
+}
+
+/// `build_from`, the rebuild recovery runs, is canonical in the entry set:
+/// `b`'s entries, listed in the order its history left them, rebuild into
+/// the structure they build from in id order.
+fn rebuilds_canonically<B: SpatialBackend>(b: &B, config: &BackendConfig) {
+    let churned: Vec<(u64, Rect)> =
+        b.search_vec(&Rect::UNIT).iter().rev().map(|e| (e.id, e.rect)).collect();
+    let mut sorted = churned.clone();
+    sorted.sort_unstable_by_key(|&(id, _)| id);
+    let rebuilt = |entries| shape(&B::build_from(config, Rect::UNIT, entries));
+    assert_eq!(rebuilt(churned), rebuilt(sorted), "rebuild must be canonical in the entry set");
+}
+
 fn backends_agree(rng: &mut Rng) {
     let m = rng.int(2..24);
     let mut tree = RStarTree::new(TreeConfig::default());
     let mut grid = UniformGrid::new(GridConfig { m }, Rect::UNIT);
-    let grid_first = rng.below(2) == 0;
-    let mut dynb = DynBackend::build(&backend_config(rng, grid_first), Rect::UNIT);
     let mut oracle: HashMap<u64, Rect> = HashMap::new();
     for _ in 0..rng.int(1..120) {
         let id = rng.next() % 40;
@@ -101,7 +109,6 @@ fn backends_agree(rng: &mut Rng) {
                 if let std::collections::hash_map::Entry::Vacant(e) = oracle.entry(id) {
                     tree.insert(id, r);
                     grid.insert(id, r);
-                    dynb.insert(id, r);
                     e.insert(r);
                 }
             }
@@ -109,7 +116,6 @@ fn backends_agree(rng: &mut Rng) {
                 let expected = oracle.remove(&id);
                 assert_eq!(tree.remove(id), expected);
                 assert_eq!(grid.remove(id), expected);
-                assert_eq!(SpatialBackend::remove(&mut dynb, id), expected);
             }
             16..=23 => {
                 let r = rect(rng, &oracle);
@@ -117,7 +123,6 @@ fn backends_agree(rng: &mut Rng) {
                 // only the resulting contents must agree.
                 let _ = tree.update(id, r);
                 let _ = grid.update(id, r);
-                let _ = SpatialBackend::update(&mut dynb, id, r);
                 oracle.insert(id, r);
             }
             24..=31 => {
@@ -127,30 +132,28 @@ fn backends_agree(rng: &mut Rng) {
                 expected.sort_unstable();
                 assert_eq!(search_ids(&tree, &q), expected);
                 assert_eq!(search_ids(&grid, &q), expected);
-                assert_eq!(search_ids(&dynb, &q), expected);
             }
             _ => {
                 let q = Point::new(coord(rng), coord(rng));
                 let want = brute_force(&oracle, q);
                 assert_eq!(browse(&tree, q), want, "R*-tree browse from {q:?}");
                 assert_eq!(browse(&grid, q), want, "grid (m = {m}) browse from {q:?}");
-                assert_eq!(browse(&dynb, q), want, "DynBackend browse from {q:?}");
             }
         }
         assert_eq!(tree.len(), oracle.len());
         assert_eq!(grid.len(), oracle.len());
-        assert_eq!(dynb.len(), oracle.len());
         for (&id, &r) in &oracle {
             assert_eq!(tree.get(id), Some(r));
             assert_eq!(grid.get(id), Some(r));
-            assert_eq!(SpatialBackend::get(&dynb, id), Some(r));
         }
     }
     tree.check_invariants();
     grid.check_invariants();
-    dynb.check_invariants();
+    rebuilds_canonically(&tree, &BackendConfig::RStar(TreeConfig::default()));
+    rebuilds_canonically(&grid, &BackendConfig::Grid(GridConfig { m }));
 }
 
+/// `DynBackend` is an alias of `RStarTree`, so the tree here is its leg too.
 #[test]
 fn grid_rstar_and_dyn_agree() {
     cases(REGRESSIONS, Seeds::Fixed, CASES, backends_agree);

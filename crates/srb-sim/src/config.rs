@@ -67,11 +67,8 @@ pub struct SimConfig {
     /// Ignored: the server holds one index. The field stays only for
     /// `bench/src/workload.rs` and goes with ROADMAP 3(a) after 2(a).
     pub shards: usize,
-    /// Object-index backend for the SRB scheme.
-    /// [`paper_defaults`](Self::paper_defaults) reads it from the
-    /// `SRB_BACKEND` environment variable (`rstar`/unset = the paper's R\*-tree, `grid` = the
-    /// uniform-grid backend), so the whole test/bench surface can run the
-    /// backend matrix without code changes.
+    /// Ignored: the SRB scheme runs the paper's R\*-tree. The field stays only
+    /// for `bench/src/workload.rs` and goes with ROADMAP 3(b) after 2(a).
     pub backend: BackendConfig,
     /// When set, the SRB run appends one JSON line per ground-truth sample
     /// to this path: `{"t": <time>, "metrics": <telemetry diff>}`, where
@@ -113,7 +110,7 @@ impl SimConfig {
             lease: None,
             retry: RetryPolicy::default(),
             shards: 1,
-            backend: BackendConfig::from_env(),
+            backend: BackendConfig::default(),
             timeline: None,
             durable: DurabilityConfig::default(),
         }
@@ -163,9 +160,7 @@ mod tests {
         assert_eq!(c.cost.c_p, 1.5);
         assert!(c.channel.is_ideal(), "paper assumes a reliable channel");
         assert!(c.lease.is_none());
-        if std::env::var("SRB_BACKEND").is_err() {
-            assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
-        }
+        assert_eq!(c.backend.label(), "rstar", "default backend is the paper's R*-tree");
         assert!(c.durable.dir.is_none(), "durability is off by default");
     }
 }

@@ -11,8 +11,8 @@ use crate::metrics::{AccuracyAcc, RunMetrics};
 use crate::truth::evaluate_truth;
 use crate::workload::generate_workload;
 use srb_core::{
-    BackendConfig, DynBackend, LocationProvider, ObjectId, QueryId, QuerySpec, RStarTree,
-    SequencedUpdate, ServerConfig, ShardedServer, SpatialBackend, UniformGrid,
+    BackendConfig, LocationProvider, ObjectId, QueryId, QuerySpec, SequencedUpdate, Server,
+    ServerConfig,
 };
 use srb_geom::{Point, Rect};
 use srb_mobility::{MobileClient, Trajectory};
@@ -54,30 +54,18 @@ impl LocationProvider for Provider<'_> {
 }
 
 /// Runs the SRB scheme and returns the aggregated metrics. The server is
-/// the paper's single server; the object-index backend is selected by `cfg.backend` (monomorphized
-/// through `run_srb_with`).
+/// the paper's single server on its R\*-tree; `cfg.backend` is ignored.
 pub fn run_srb(cfg: &SimConfig) -> RunMetrics {
-    match cfg.backend {
-        BackendConfig::RStar(_) => run_srb_with::<RStarTree>(cfg),
-        BackendConfig::Grid(_) => run_srb_with::<UniformGrid>(cfg),
-        BackendConfig::Adaptive(_) => run_srb_with::<DynBackend>(cfg),
-    }
-}
-
-/// The monomorphic body of [`run_srb`]: runs the SRB scheme on the spatial
-/// backend `B`, which must match the variant of `cfg.backend`.
-pub(crate) fn run_srb_with<B: SpatialBackend>(cfg: &SimConfig) -> RunMetrics {
     let mob = mobility(cfg);
-    let server_cfg = ServerConfig {
+    let mut server = Server::new(ServerConfig {
         space: cfg.space,
         grid_m: cfg.grid_m,
         max_speed: cfg.reachability.then(|| cfg.max_speed()),
         steadiness: cfg.steadiness,
         lease: cfg.lease,
-        backend: cfg.backend,
+        backend: BackendConfig::default(),
         durability: cfg.durable,
-    };
-    let mut server = ShardedServer::<B>::new(server_cfg);
+    });
     let mut channel = make_channel(cfg);
     let channel_ideal = cfg.channel.is_ideal();
     // Retry timers only exist on a faulty channel; lease checks only with a

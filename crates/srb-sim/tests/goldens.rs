@@ -86,14 +86,7 @@ fn scenarios_match_goldens(select: impl Fn(&str) -> bool) {
             "{name}: comm_cost_per_distance"
         );
         assert_eq!(m.total_distance, g.total_distance, "{name}: total_distance");
-        // `work_units_per_tu` is an object-index cost model (node visits):
-        // the uniform-grid backend visits bucket cells where the R*-tree
-        // visits tree nodes, so under a non-default `SRB_BACKEND` the
-        // figure legitimately diverges from these R*-tree-recorded goldens.
-        // Every behavioral field above and below must still match exactly.
-        if std::env::var("SRB_BACKEND").map_or(true, |v| v.is_empty() || v == "rstar") {
-            assert_eq!(m.work_units_per_tu, g.work_units_per_tu, "{name}: work_units_per_tu");
-        }
+        assert_eq!(m.work_units_per_tu, g.work_units_per_tu, "{name}: work_units_per_tu");
         assert_eq!(m.samples, g.samples, "{name}: samples");
         assert_eq!(m.grid_footprint, g.grid_footprint, "{name}: grid_footprint");
     }

@@ -18,8 +18,8 @@ use common::Enhancement::{self, *};
 use common::{check, point, populate, Config, Rng, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
-    BackendConfig, DynBackend, FnProvider, GridConfig, ObjectId, QuerySpec, RecoveryError,
-    SequencedUpdate, Server, ServerConfig, ShardedServer, UniformGrid,
+    BackendConfig, FnProvider, GridConfig, ObjectId, QuerySpec, RecoveryError, SequencedUpdate,
+    Server, ServerConfig, ShardedServer, UniformGrid,
 };
 use srb::geom::{Point, Rect};
 use srb_cases::{cases, Seeds};
@@ -37,21 +37,21 @@ const CROSS_SECTION: &[(Config, u64)] = &[
     (P, 1),
     (Config { delivery: PerCall, ..P }, 2),
     (Config { backend: Grid, grid_m: 5, ..P }, 3),
-    (Config { backend: Dyn, grid_m: 100, ..P }, 4),
-    (Config { backend: Dyn, grid_m: 50, ..P }, 5),
+    (Config { grid_m: 100, ..P }, 4),
+    (Config { grid_m: 50, ..P }, 5),
     (Config { durability: Restart, ..P }, 6),
     (Config { durability: Restart, delivery: PerCall, ..P }, 7),
-    (Config { backend: Dyn, durability: Restart, ..P }, 8),
+    (Config { durability: Restart, ..P }, 8),
     (Config { durability: Crash(LogPreSync, 0), ..P }, 9),
     (Config { backend: Grid, durability: Crash(CkptPostRename, 1), ..P }, 10),
-    (Config { backend: Dyn, durability: Crash(CkptPrune, 3), ..P }, 11),
+    (Config { durability: Crash(CkptPrune, 3), ..P }, 11),
     (Config { enhancement: Lease, durability: Crash(CkptLogUnsynced, 0), ..P }, 12),
     (Config { enhancement: Reachability, ..P }, 13),
     (Config { enhancement: Reachability, delivery: PerCall, ..P }, 14),
     (Config { enhancement: Steadiness, delivery: PerCall, ..P }, 15),
     (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
     (Config { enhancement: Lease, durability: Restart, ..P }, 17),
-    (Config { backend: Dyn, enhancement: Lease, delivery: PerCall, ..P }, 18),
+    (Config { enhancement: Lease, delivery: PerCall, ..P }, 18),
 ];
 
 #[test]
@@ -61,7 +61,7 @@ fn lattice_cross_section() {
     }
 }
 
-const BACKENDS: [Backend; 3] = [RStar, Grid, Dyn];
+const BACKENDS: [Backend; 2] = [RStar, Grid];
 const ENHANCEMENTS: [Enhancement; 4] = [Plain, Reachability, Steadiness, Lease];
 const DELIVERIES: [Delivery; 2] = [Batch, PerCall];
 
@@ -117,8 +117,8 @@ fn lattice_full() {
 
 /// Recovery under a backend type that cannot build the configured backend
 /// is a typed refusal, not a panic: a store a grid engine wrote, recovered
-/// as an R\*-tree engine. A `DynBackend` engine builds every backend, and
-/// the store recovers into it.
+/// as an R\*-tree engine. A grid engine builds it, and the store recovers
+/// into it onto the digest it was written with.
 #[test]
 fn recovery_refuses_backend_kind_mismatch() {
     let store = Store::new();
@@ -139,7 +139,7 @@ fn recovery_refuses_backend_kind_mismatch() {
         Err(RecoveryError::BackendMismatch { configured: "grid", recovering: "rstar" }) => {}
         other => panic!("expected BackendMismatch, got {other:?}"),
     }
-    let (e, _) = ShardedServer::<DynBackend>::reopen(cfg).expect("dyn builds every backend");
+    let (e, _) = ShardedServer::<UniformGrid>::reopen(cfg).expect("a grid engine builds the grid");
     assert_eq!(e.object_count(), 8);
     assert_eq!(e.state_digest(), digest);
     e.check_invariants_deep();
