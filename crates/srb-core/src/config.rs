@@ -54,8 +54,8 @@ pub struct ServerConfig {
     /// enhancement (§6.2). When set, safe regions maximize the weighted
     /// perimeter instead of the ordinary perimeter.
     pub steadiness: Option<f64>,
-    /// Object-index backend selection and parameters. The default is the
-    /// paper's R\*-tree; [`BackendConfig::Grid`] swaps in the uniform grid.
+    /// Object-index parameters: the paper's R\*-tree, whichever
+    /// [`BackendConfig`] variant spells it.
     pub backend: BackendConfig,
     /// Safe-region lease duration. When set, every issued safe region
     /// expires `lease` time units after the object's last contact; a

@@ -52,16 +52,6 @@ pub enum RecoveryError {
     /// The recovered state was checkpointed under a different server
     /// configuration than the one supplied to `reopen`.
     ConfigMismatch,
-    /// The configured backend (`ServerConfig::backend`) is one the
-    /// recovering backend type cannot build: a grid store recovers only as
-    /// a `ShardedServer<UniformGrid>`, an R\*-tree store only as a
-    /// [`Server`](crate::Server).
-    BackendMismatch {
-        /// The label of the configured backend.
-        configured: &'static str,
-        /// The backend type that refused it.
-        recovering: &'static str,
-    },
     /// The durability store was poisoned by an earlier write failure.
     Poisoned,
     /// A crash point injected by the test harness fired.
@@ -104,11 +94,6 @@ impl fmt::Display for RecoveryError {
             RecoveryError::ConfigMismatch => {
                 write!(f, "checkpoint was taken under a different configuration")
             }
-            RecoveryError::BackendMismatch { configured, recovering } => write!(
-                f,
-                "the {recovering:?} backend type cannot build the configured \
-                 {configured:?} backend"
-            ),
             RecoveryError::Poisoned => write!(f, "durability store poisoned"),
             RecoveryError::Injected => write!(f, "injected crash point fired"),
             RecoveryError::Disabled => write!(f, "durability is not configured"),

@@ -1,8 +1,7 @@
 //! The object index layer (paper §3.1, Figure 3.1 box "object index").
 //!
-//! One pluggable [`SpatialBackend`] holds the objects' safe regions (the
-//! paper's R\*-tree by default, the uniform grid as the update-optimized
-//! alternative), and every object's state lives once, in the
+//! One [`SpatialBackend`] holds the objects' safe regions (the paper's
+//! R\*-tree), and every object's state lives once, in the
 //! [`ObjectTable`] beside it. [`ObjectIndex`] owns both and keeps them
 //! coherent: every mutation that changes an object's stored rectangle goes
 //! through this wrapper, so a backend entry and its
@@ -183,7 +182,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_index::{GridConfig, RStarTree, TreeConfig, UniformGrid};
+    use srb_index::{RStarTree, TreeConfig};
 
     fn rstar() -> ObjectIndex<RStarTree> {
         ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()), Rect::UNIT)
@@ -224,22 +223,6 @@ mod tests {
         assert_eq!(st.p_lst, p1);
         assert_eq!(st.t_lst, 2.0);
         assert_eq!(st.last_seq, 3, "install preserves the sequence number");
-        idx.check_coherence();
-    }
-
-    #[test]
-    fn grid_backed_index_stays_coherent() {
-        let cfg = BackendConfig::Grid(GridConfig::default());
-        let mut idx: ObjectIndex<UniformGrid> = ObjectIndex::new(&cfg, Rect::UNIT);
-        let p0 = Point::new(0.15, 0.85);
-        idx.insert(ObjectId(9), state(p0, Rect::point(p0)));
-        let p1 = Point::new(0.9, 0.1);
-        idx.pin_to_point(ObjectId(9), p1);
-        let sr = Rect::new(Point::new(0.8, 0.05), Point::new(0.95, 0.2));
-        idx.install_region(ObjectId(9), p1, sr, 1.5);
-        assert_eq!(idx.backend.get(9), Some(sr));
-        idx.check_coherence();
-        assert!(idx.remove(ObjectId(9)).is_some());
         idx.check_coherence();
     }
 }

@@ -64,12 +64,11 @@
 //! fired in `(due, id)` order. Like the paper's server, the engine runs
 //! every step of an operation on the caller's thread.
 //!
-//! The object index is a pluggable [`SpatialBackend`]: [`Server`] is the
-//! paper's R\*-tree, and `ShardedServer::<UniformGrid>::new` swaps in the
-//! uniform-grid backend without touching any query semantics. The backend
-//! is a type, never a run-time choice: [`DynBackend`] is an alias of
-//! [`RStarTree`], kept only for `bench/` (ROADMAP 3(b)). The index is built
-//! once from `config.backend` and rebuilt only by recovery.
+//! The object index is the paper's R\*-tree behind the [`SpatialBackend`]
+//! seam, built once from `config.backend` and rebuilt only by recovery.
+//! [`DynBackend`] and [`UniformGrid`] are aliases of [`RStarTree`], and
+//! [`GridConfig`] and [`AdaptiveConfig`] of [`TreeConfig`], kept only for
+//! `bench/` (ROADMAP 3(b)).
 //!
 //! Durability ([`DurabilityConfig`]) is the engine's: it logs, checkpoints
 //! and recovers ([`ShardedServer::reopen`]) in one checkpoint layout.

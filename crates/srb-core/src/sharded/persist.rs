@@ -40,16 +40,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// generation, and reattaches the WAL. Returns the server and the
     /// number of replayed operations. Fails with
     /// [`RecoveryError::Disabled`] when no directory is set, and with a
-    /// typed error on a store it cannot replay: a backend type `B` that
-    /// cannot build `config.backend` is refused before the store is opened,
-    /// and a checkpoint of an older layout when it is read.
+    /// typed error on a store it cannot replay, such as a checkpoint of an
+    /// older layout.
     pub fn reopen(config: ServerConfig) -> Result<(Self, usize), RecoveryError> {
         let d = config.durability;
         let Some(dir) = d.dir else { return Err(RecoveryError::Disabled) };
-        if !B::builds(&config.backend) {
-            let (configured, recovering) = (config.backend.label(), B::label());
-            return Err(RecoveryError::BackendMismatch { configured, recovering });
-        }
         let rec = srb_durable::Store::recover(Path::new(dir), d.group_ops)?;
         let mut server = Self::decode_state(&config, &rec.payload)?;
         rec.records.iter().try_for_each(|payload| server.apply_record(payload))?;

@@ -509,6 +509,18 @@ mod tests {
         }
     }
 
+    /// A store's checkpoint carries its configuration's fingerprint, and
+    /// `reopen` refuses a mismatch, so these values must not move: a store
+    /// an earlier build wrote under either configuration must still reopen.
+    /// The fingerprint hashes `BackendConfig`'s `Debug` form, so renaming a
+    /// variant or a field of it moves them.
+    #[test]
+    fn config_fingerprint_is_pinned() {
+        use crate::config::ServerConfig;
+        assert_eq!(config_fingerprint(&ServerConfig::default()), 0x6102_6595_684f_2000);
+        assert_eq!(config_fingerprint(&ServerConfig::enhanced(0.2, 0.5)), 0x61b2_123f_7ba9_5de9);
+    }
+
     #[test]
     fn decode_rejects_trailing_garbage() {
         let mut buf = Vec::new();

@@ -1,46 +1,47 @@
-//! The pluggable object-index seam: [`SpatialBackend`] is the interface the
-//! SRB framework's object index (paper Figure 3.1) is written against, so
-//! the index structure under the monitoring stack can be swapped without
-//! touching the query-processing layers.
+//! The object-index seam: [`SpatialBackend`] is the interface the SRB
+//! framework's object index (paper Figure 3.1) is written against, and
+//! [`RStarTree`](crate::RStarTree) is its one implementor — the paper's §7.1
+//! choice, an R\*-tree with the bottom-up update fast path of Lee et al.
+//! (VLDB 2003). The trait stays because `bench/` compiles against it
+//! (ROADMAP 3(b)).
 //!
-//! Two backends ship in this crate:
-//!
-//! - [`RStarTree`](crate::RStarTree) — the paper's §7.1 choice: an R\*-tree
-//!   with the bottom-up update fast path of Lee et al. (VLDB 2003);
-//! - [`UniformGrid`](crate::UniformGrid) — the cell-bucketed index the
-//!   update-heavy moving-object literature favors (e.g. the distributed
-//!   range-query systems in PAPERS.md): O(1) relocation inside a cell, at
-//!   the price of scan-based search.
-//!
-//! Both expose identical semantics (verified by the backend-equivalence
-//! property test in `tests/prop_backend.rs`): rectangles keyed by [`EntryId`],
-//! closed-interval intersection search, and incremental best-first
-//! nearest-neighbor browsing in one total order, `(δ(q, rect), id)`, which
-//! the paper's Algorithm 2 consumes.
+//! Its contract: rectangles keyed by [`EntryId`], closed-interval
+//! intersection search, and incremental best-first nearest-neighbor
+//! browsing in one total order, `(δ(q, rect), id)`, which the paper's
+//! Algorithm 2 consumes (checked against brute force in
+//! `tests/prop_backend.rs`).
 
-use crate::node::NodeId;
-use crate::{EntryId, GridConfig, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
+use crate::{EntryId, LeafEntry, Neighbor, RStarTree, TreeConfig, UpdateOutcome};
 use srb_geom::{Point, Rect};
 
 /// The build parameters `BackendConfig::Adaptive` carries: the R\*-tree's.
 /// The name stays only for `bench/` and goes with ROADMAP 3(b) after 2(a).
 pub type AdaptiveConfig = TreeConfig;
 
+/// The build parameters `BackendConfig::Grid` carries: the R\*-tree's.
+/// The name stays only for `bench/` and goes with ROADMAP 3(b) after 2(a).
+pub type GridConfig = TreeConfig;
+
 /// The one index type the engine runs: the R\*-tree. The name stays only
 /// for `bench/` and goes with ROADMAP 3(b) after 2(a).
 pub type DynBackend = RStarTree;
 
-/// Selects and parameterizes the object-index backend.
+/// The R\*-tree, under the name of the uniform grid that stood beside it.
+/// The name stays only for `bench/` and goes with ROADMAP 3(b) after 2(a).
+pub type UniformGrid = RStarTree;
+
+/// Parameterizes the object index: every variant is the R\*-tree's
+/// [`TreeConfig`].
 ///
-/// Lives on `ServerConfig`, so the server builds its index through one
-/// switch.
+/// Lives on `ServerConfig`; the server builds its index from it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BackendConfig {
-    /// The R\*-tree reference backend (paper §7.1).
+    /// The R\*-tree (paper §7.1).
     RStar(TreeConfig),
-    /// The uniform-grid backend (cell-bucketed safe regions).
-    Grid(GridConfig),
     /// A second spelling of [`RStar`](Self::RStar), which `bench/` names;
+    /// it goes with ROADMAP 3(b) after 2(a).
+    Grid(GridConfig),
+    /// A third spelling of [`RStar`](Self::RStar), which `bench/` names;
     /// it goes with ROADMAP 3(b) after 2(a).
     Adaptive(AdaptiveConfig),
 }
@@ -65,42 +66,22 @@ impl BackendConfig {
 /// A spatial index over `EntryId`-keyed rectangles, as the object index of
 /// the SRB framework requires (paper §3.2): frequent-update support with a
 /// bottom-up fast path, closed-interval rectangle search, and best-first
-/// nearest-neighbor browsing.
-///
-/// Implementations must agree on *semantics*: the same result sets for the
-/// same contents, and one browse order — ascending `(δ(q, rect), id)` — so
-/// which of several equidistant entries comes first never depends on the
-/// backend. They are free to differ in cost profile, in the order `search`
-/// visits its hits, and in the [`UpdateOutcome`] fast-path classification.
+/// nearest-neighbor browsing in ascending `(δ(q, rect), id)`, so which of
+/// several equidistant entries comes first is fixed. The order `search`
+/// visits its hits in is the implementation's own, but deterministic.
 pub trait SpatialBackend {
-    /// The backend's best-first browse iterator (a GAT so backends can
-    /// borrow internal structures without boxing): every entry once, in
-    /// ascending `(δ(q, rect), id)`.
+    /// The best-first browse iterator (a GAT, so it can borrow the index
+    /// without boxing): every entry once, in ascending `(δ(q, rect), id)`.
     type Nearest<'a>: Iterator<Item = Neighbor> + 'a
     where
         Self: 'a;
 
-    /// Builds an empty backend over `space` from the matching
-    /// [`BackendConfig`] variant. Panics on a variant
-    /// [`builds`](Self::builds) refuses: silently running an experiment
-    /// against the wrong backend parameters would be worse than failing.
+    /// Builds an empty index over `space` from `config`.
     fn build(config: &BackendConfig, space: Rect) -> Self
     where
         Self: Sized;
 
-    /// Whether [`build`](Self::build) accepts `config`'s variant. Recovery
-    /// asks this before it builds anything, so a backend type that cannot
-    /// run the configured backend gets a typed refusal, not a panic.
-    fn builds(config: &BackendConfig) -> bool
-    where
-        Self: Sized;
-
-    /// Backend label (matches [`BackendConfig::label`]).
-    fn label() -> &'static str
-    where
-        Self: Sized;
-
-    /// Builds a backend from `config` over `space` holding `entries`,
+    /// Builds an index from `config` over `space` holding `entries`,
     /// inserted in ascending id order: the way recovery rebuilds an index,
     /// so the result is a function of the entry *set* and never of the
     /// history that produced it.
@@ -130,15 +111,15 @@ pub trait SpatialBackend {
     /// Removes an entry, returning its stored rectangle.
     fn remove(&mut self, id: EntryId) -> Option<Rect>;
 
-    /// Moves an existing entry to `new_rect`, preferring the backend's
-    /// cheap relocation path; inserts fresh when `id` was not present.
+    /// Moves an existing entry to `new_rect`, preferring the cheap
+    /// relocation path; inserts fresh when `id` was not present.
     fn update(&mut self, id: EntryId, new_rect: Rect) -> UpdateOutcome;
 
     /// The stored rectangle of `id`, if present.
     fn get(&self, id: EntryId) -> Option<Rect>;
 
-    /// Visits every entry whose rectangle intersects `query` (closed test).
-    /// Enumeration order is backend-specific but deterministic.
+    /// Visits every entry whose rectangle intersects `query` (closed test),
+    /// in a deterministic order.
     fn search(&self, query: &Rect, f: &mut dyn FnMut(&LeafEntry));
 
     /// Collects every entry intersecting `query` into a vector.
@@ -151,8 +132,8 @@ pub trait SpatialBackend {
     /// Starts a best-first browse from `q`, allocating a fresh frontier.
     fn nearest_iter(&self, q: Point) -> Self::Nearest<'_>;
 
-    /// The deterministic work-unit counter: structural units (tree nodes or
-    /// grid cells) visited by searches and browses since the last
+    /// The deterministic work-unit counter: tree nodes visited by searches
+    /// and browses since the last
     /// [`reset_visits`](Self::reset_visits).
     fn visits(&self) -> u64;
 
@@ -163,79 +144,15 @@ pub trait SpatialBackend {
     fn check_invariants(&self);
 }
 
-// ---------------------------------------------------------------------------
-// Shared best-first frontier
-// ---------------------------------------------------------------------------
-
-/// One frontier element of a best-first browse: a structural unit (tree
-/// node or grid cell) or a concrete entry, ordered by `(dist, units before
-/// entries, id)`. A unit's key never exceeds the key of an entry below it,
-/// and at an equal key it is expanded first, so every entry at a key is on
-/// the frontier before the first of them pops: entries come out in
-/// ascending `(δ, id)` whatever the structure's layout.
-pub(crate) struct HeapItem {
-    pub(crate) dist: f64,
-    pub(crate) kind: HeapKind,
-}
-
-/// What a [`HeapItem`] refers to. `Node` doubles as the grid's cell index —
-/// both backends fit their structural ids in a `u32`.
-#[derive(Clone, Copy)]
-pub(crate) enum HeapKind {
-    Node(NodeId),
-    Entry(EntryId, Rect),
-}
-
-impl HeapItem {
-    /// The tie-break after `dist`: units first, then by id.
-    fn rank(&self) -> (bool, u64) {
-        match self.kind {
-            HeapKind::Node(n) => (false, u64::from(n)),
-            HeapKind::Entry(id, _) => (true, id),
-        }
-    }
-}
-
-impl PartialEq for HeapItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for HeapItem {}
-
-impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist.total_cmp(&other.dist).then_with(|| self.rank().cmp(&other.rank()))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the R*-tree
-// ---------------------------------------------------------------------------
-
 impl SpatialBackend for RStarTree {
     type Nearest<'a> = crate::NearestIter<'a>;
 
     fn build(config: &BackendConfig, _space: Rect) -> Self {
         match config {
-            BackendConfig::RStar(cfg) | BackendConfig::Adaptive(cfg) => RStarTree::new(*cfg),
-            other => panic!("BackendConfig::{other:?} cannot build an RStarTree"),
+            BackendConfig::RStar(cfg) | BackendConfig::Grid(cfg) | BackendConfig::Adaptive(cfg) => {
+                RStarTree::new(*cfg)
+            }
         }
-    }
-
-    fn label() -> &'static str {
-        "rstar"
-    }
-
-    fn builds(config: &BackendConfig) -> bool {
-        matches!(config, BackendConfig::RStar(_) | BackendConfig::Adaptive(_))
     }
 
     fn len(&self) -> usize {
@@ -282,7 +199,6 @@ impl SpatialBackend for RStarTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UniformGrid;
 
     /// Point entries `0..n` on a deterministic scatter over the unit square.
     fn scatter(n: u64) -> Vec<(EntryId, Rect)> {
@@ -290,51 +206,49 @@ mod tests {
         (0..n).map(|i| (i, Rect::point(at(i)))).collect()
     }
 
-    /// `Adaptive` is a second spelling of `RStar`: the R\*-tree builds from
-    /// both, into the same tree, and refuses the grid.
+    /// `Adaptive` and `Grid` are spellings of `RStar`: each builds the same
+    /// tree.
     #[test]
     fn adaptive_builds_the_same_rstar_tree() {
-        let adaptive = BackendConfig::Adaptive(AdaptiveConfig::default());
-        let rstar = BackendConfig::default();
         let entries = scatter(100);
-        let a = RStarTree::build_from(&adaptive, Rect::UNIT, entries.clone());
-        let r = RStarTree::build_from(&rstar, Rect::UNIT, entries);
-        assert_eq!(a.config, r.config);
-        assert_eq!(a.search_vec(&Rect::UNIT), r.search_vec(&Rect::UNIT));
-        assert!(RStarTree::builds(&adaptive) && RStarTree::builds(&rstar));
-        assert!(!RStarTree::builds(&BackendConfig::Grid(GridConfig::default())));
+        let reference =
+            RStarTree::build_from(&BackendConfig::default(), Rect::UNIT, entries.clone());
+        for config in [
+            BackendConfig::Adaptive(AdaptiveConfig::default()),
+            BackendConfig::Grid(GridConfig::default()),
+        ] {
+            let tree = RStarTree::build_from(&config, Rect::UNIT, entries.clone());
+            assert_eq!(tree.config, reference.config);
+            assert_eq!(tree.search_vec(&Rect::UNIT), reference.search_vec(&Rect::UNIT));
+        }
     }
 
-    /// What a structure's shape shows from outside: the order a whole-space
-    /// search emits its hits in, and the work units a search and a browse
-    /// charge.
-    fn shape<B: SpatialBackend>(b: &B) -> (Vec<EntryId>, u64) {
-        b.reset_visits();
-        let order = b.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
-        let _ = b.nearest_iter(Point::new(0.3, 0.7)).take(5).count();
-        (order, b.visits())
+    /// What a tree's shape shows from outside: the order a whole-space
+    /// search emits its hits in, and the nodes a search and a browse visit.
+    fn shape(t: &RStarTree) -> (Vec<EntryId>, u64) {
+        t.reset_visits();
+        let order = t.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
+        let _ = t.nearest_iter(Point::new(0.3, 0.7)).take(5).count();
+        (order, t.visits())
     }
 
     /// `build_from`, the rebuild recovery runs, is a canonical function of
-    /// the entry set on both backends: neither the order the entries come in
-    /// nor the churn that produced them leaks into the structure.
+    /// the entry set: neither the order the entries come in nor the churn
+    /// that produced them leaks into the tree.
     #[test]
     fn rebuild_is_history_independent() {
-        fn check<B: SpatialBackend>(config: BackendConfig) {
-            let sorted = scatter(150);
-            // The same entries, listed in reverse after churn.
-            let mut b = B::build_from(&config, Rect::UNIT, sorted.clone());
-            for &(id, rect) in &sorted[..40] {
-                b.remove(id);
-                b.insert(id, rect);
-            }
-            let churned: Vec<(EntryId, Rect)> =
-                b.search_vec(&Rect::UNIT).iter().rev().map(|e| (e.id, e.rect)).collect();
-            let ra = B::build_from(&config, Rect::UNIT, sorted);
-            let rb = B::build_from(&config, Rect::UNIT, churned);
-            assert_eq!(shape(&ra), shape(&rb), "rebuild must be canonical in the entry set");
+        let config = BackendConfig::default();
+        let sorted = scatter(150);
+        // The same entries, listed in reverse after churn.
+        let mut t = RStarTree::build_from(&config, Rect::UNIT, sorted.clone());
+        for &(id, rect) in &sorted[..40] {
+            t.remove(id);
+            t.insert(id, rect);
         }
-        check::<UniformGrid>(BackendConfig::Grid(GridConfig { m: 16 }));
-        check::<RStarTree>(BackendConfig::default());
+        let churned: Vec<(EntryId, Rect)> =
+            t.search_vec(&Rect::UNIT).iter().rev().map(|e| (e.id, e.rect)).collect();
+        let ra = RStarTree::build_from(&config, Rect::UNIT, sorted);
+        let rb = RStarTree::build_from(&config, Rect::UNIT, churned);
+        assert_eq!(shape(&ra), shape(&rb), "rebuild must be canonical in the entry set");
     }
 }

@@ -1,35 +1,32 @@
 //! # srb-index
 //!
 //! The *object-index layer* of the SRB monitoring framework (paper §3.2,
-//! Figure 3.1): spatial indexes over the current safe region of every
-//! moving object, behind the pluggable [`SpatialBackend`] trait. Every
-//! backend supports
+//! Figure 3.1): an index over the current safe region of every moving
+//! object, behind the [`SpatialBackend`] trait. It supports
 //!
 //! - **frequent updates** via a cheap-relocation fast path classified by
-//!   [`UpdateOutcome`] (for the R\*-tree, the bottom-up technique of Lee et
-//!   al., VLDB 2003 — what the paper adopts in §7.1),
+//!   [`UpdateOutcome`] (the bottom-up technique of Lee et al., VLDB 2003 —
+//!   what the paper adopts in §7.1),
 //! - **range search** over rectangles ([`SpatialBackend::search`]), and
 //! - **incremental best-first nearest-neighbor browsing**
 //!   ([`SpatialBackend::nearest_iter`]; Hjaltason & Samet distance
 //!   browsing, the paradigm of the paper's Algorithm 2).
 //!
-//! Two backends ship here: [`RStarTree`], the from-scratch R\*-tree
-//! (Beckmann et al., SIGMOD 1990) this file implements, and
-//! [`UniformGrid`], a cell-bucketed grid index. [`bulk_load`] (STR) serves
+//! The one structure is [`RStarTree`], the from-scratch R\*-tree (Beckmann
+//! et al., SIGMOD 1990) this file implements; [`bulk_load`] (STR) serves
 //! the PRD baseline, which rebuilds its index from exact positions every
-//! period. A backend is a type built from its [`BackendConfig`] variant
-//! (`DESIGN.md` §13); [`DynBackend`] is an alias of the R\*-tree.
+//! period. It is built from a [`BackendConfig`] (`DESIGN.md` §10);
+//! [`DynBackend`] and [`UniformGrid`] are aliases of it that `bench/` still
+//! names.
 //!
-//! Everything is arena- or bucket-allocated, entirely safe Rust, and
-//! instrumented with a deterministic visit counter so experiments can
-//! report work units alongside wall-clock time. When the `obs` feature is
-//! on (default), the backends additionally publish per-search visit
-//! histograms (`index.search.visits`, `index.nn.visits`), update-path
-//! counters (`index.update.*`, `index.splits`, `index.forced_reinserts`,
-//! `index.choose_subtree.overlap_terms`), and grid counters
-//! (`index.grid.cell_visits`, `index.grid.bucket_scans`,
-//! `index.grid.relocations`) through the `srb-obs` registry; telemetry only
-//! observes and never alters index behavior.
+//! Everything is arena-allocated, entirely safe Rust, and instrumented with
+//! a deterministic visit counter so experiments can report work units
+//! alongside wall-clock time. When the `obs` feature is on (default), the
+//! tree additionally publishes per-search visit histograms
+//! (`index.search.visits`, `index.nn.visits`) and update-path counters
+//! (`index.update.*`, `index.splits`, `index.forced_reinserts`,
+//! `index.choose_subtree.overlap_terms`) through the `srb-obs` registry;
+//! telemetry only observes and never alters index behavior.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -38,17 +35,16 @@
 mod backend;
 mod bulk;
 mod choose;
-mod grid;
 mod node;
 mod split;
 
-pub use backend::{AdaptiveConfig, BackendConfig, DynBackend, SpatialBackend};
+pub use backend::{
+    AdaptiveConfig, BackendConfig, DynBackend, GridConfig, SpatialBackend, UniformGrid,
+};
 pub use bulk::bulk_load;
-pub use grid::{GridConfig, UniformGrid};
 pub(crate) use node::EntryId;
 pub use node::LeafEntry;
 
-use backend::{HeapItem, HeapKind};
 use node::{Node, NodeId, NodeKind, NO_NODE};
 use split::{mbr_of, rstar_split};
 use srb_geom::{Point, Rect};
@@ -113,8 +109,8 @@ impl TreeConfig {
     }
 }
 
-/// A structurally invalid index configuration, reported at construction
-/// time by [`TreeConfig::try_validated`] / [`GridConfig::try_validated`].
+/// A structurally invalid tree configuration, reported at construction
+/// time by [`TreeConfig::try_validated`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ConfigError {
     /// `max_entries` below the minimum of 4 a split requires.
@@ -137,11 +133,6 @@ pub(crate) enum ConfigError {
         /// The largest legal eviction count for this configuration.
         limit: usize,
     },
-    /// Grid resolution of zero, or large enough to overflow cell ids.
-    BadGridResolution {
-        /// The offending per-axis resolution.
-        m: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -160,9 +151,6 @@ impl std::fmt::Display for ConfigError {
                 "reinsert_count must lie in [1, max_entries + 1 - 2 * min_entries = {limit}], \
                  got {reinsert_count}"
             ),
-            ConfigError::BadGridResolution { m } => {
-                write!(f, "grid resolution must lie in [1, 32768], got {m}")
-            }
         }
     }
 }
@@ -760,6 +748,54 @@ fn vacates(old: &Rect, new: &Rect, mbr: &Rect) -> bool {
     let sides = |r: &Rect| [r.min().x, r.min().y, r.max().x, r.max().y];
     let (old, new, mbr) = (sides(old), sides(new), sides(mbr));
     (0..4).any(|i| old[i] == mbr[i] && new[i] != mbr[i])
+}
+
+/// One frontier element of a best-first browse: a node or an entry,
+/// ordered by `(dist, nodes before entries, id)`. A node's key never
+/// exceeds the key of an entry below it, and at an equal key it is expanded
+/// first, so every entry at a key is on the frontier before the first of
+/// them pops: entries come out in ascending `(δ, id)` whatever the tree's
+/// shape.
+struct HeapItem {
+    dist: f64,
+    kind: HeapKind,
+}
+
+/// What a [`HeapItem`] refers to.
+#[derive(Clone, Copy)]
+enum HeapKind {
+    Node(NodeId),
+    Entry(EntryId, Rect),
+}
+
+impl HeapItem {
+    /// The tie-break after `dist`: nodes first, then by id.
+    fn rank(&self) -> (bool, u64) {
+        match self.kind {
+            HeapKind::Node(n) => (false, u64::from(n)),
+            HeapKind::Entry(id, _) => (true, id),
+        }
+    }
+}
+
+impl PartialEq for HeapItem {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for HeapItem {}
+
+impl PartialOrd for HeapItem {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for HeapItem {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.dist.total_cmp(&other.dist).then_with(|| self.rank().cmp(&other.rank()))
+    }
 }
 
 /// Iterator of [`RStarTree::nearest_iter`]: yields entries in ascending

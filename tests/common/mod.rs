@@ -3,23 +3,22 @@
 //!
 //! A lattice point ([`Config`]) names one value per axis. [`check`] draws a
 //! world from `(point, seed)` and runs it on the **shadow** — the point's
-//! backend, no WAL — which decides who reports and records the
+//! `ServerConfig`, no WAL — which decides who reports and records the
 //! run as a list of engine calls, each with the state digest that follows
-//! it. The **reference** — the point's `ServerConfig`, no WAL, on the
-//! R\*-tree, fed each batch in id order — takes the same calls
-//! beside it and is observed at every check instant. Then the point's own
-//! engine (its WAL, its crash point) replays the list. After every call it
-//! must pass the deep invariants and
-//! read the shadow's digest; a crashed engine must recover onto a digest of
-//! the list and resume to its end. At every check instant its results are
-//! held to brute force over the true positions and to the reference.
+//! it. The **reference** — the same configuration, fed each batch in id
+//! order — takes the same calls beside it and is observed at every check
+//! instant. Then the point's own engine (its WAL, its crash point) replays
+//! the list. After every call it must pass the deep invariants and read
+//! the shadow's digest; a crashed engine must recover onto a digest of the
+//! list and resume to its end. At every check instant its results are held
+//! to brute force over the true positions, and its whole observation to
+//! the reference.
 
 #![allow(dead_code)] // each test binary uses its own share of the harness
 
 use srb::core::{
-    BackendConfig, CostTracker, CrashPoint, DurabilityConfig, FnProvider, GridConfig, ObjectId,
-    Quarantine, QueryId, QuerySpec, RStarTree, SequencedUpdate, Server, ServerConfig,
-    ShardedServer, SpatialBackend, UniformGrid, WorkStats,
+    CostTracker, CrashPoint, DurabilityConfig, FnProvider, ObjectId, Quarantine, QueryId,
+    QuerySpec, SequencedUpdate, Server, ServerConfig, WorkStats,
 };
 use srb::geom::{Point, Rect};
 pub use srb_cases::{mix, Rng};
@@ -136,13 +135,6 @@ pub fn assert_exact(
 // The lattice
 // ---------------------------------------------------------------------
 
-/// The object index.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Backend {
-    RStar,
-    Grid,
-}
-
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Durability {
     Off,
@@ -176,7 +168,6 @@ pub enum Delivery {
 /// variants in scope, is the Rust that rebuilds it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Config {
-    pub backend: Backend,
     pub durability: Durability,
     pub enhancement: Enhancement,
     pub grid_m: usize,
@@ -186,7 +177,6 @@ pub struct Config {
 impl Config {
     /// A point drawn uniformly from every axis.
     pub fn random(rng: &mut Rng) -> Config {
-        use Backend::*;
         use Enhancement::*;
         let durability = match rng.below(3) {
             0 => Durability::Off,
@@ -194,7 +184,6 @@ impl Config {
             _ => Durability::Crash(rng.pick(&CrashPoint::ALL), rng.pick(&[0, 1, 3])),
         };
         Config {
-            backend: rng.pick(&[RStar, Grid]),
             durability,
             enhancement: rng.pick(&[Plain, Reachability, Steadiness, Lease]),
             grid_m: rng.pick(&[5, 10, 50, 100]),
@@ -207,10 +196,6 @@ impl Config {
     fn server_config(&self, v: f64) -> ServerConfig {
         ServerConfig {
             grid_m: self.grid_m,
-            backend: match self.backend {
-                Backend::RStar => BackendConfig::default(),
-                Backend::Grid => BackendConfig::Grid(GridConfig::default()),
-            },
             max_speed: (self.enhancement == Enhancement::Reachability).then_some(v),
             steadiness: (self.enhancement == Enhancement::Steadiness).then_some(0.5),
             lease: (self.enhancement == Enhancement::Lease).then_some(0.25),
@@ -234,20 +219,14 @@ impl Drop for ReplayLine {
 /// generator and the checker.
 pub fn check(p: Config, seed: u64) {
     let _line = ReplayLine(p, seed);
-    fn run<B: SpatialBackend>(p: &Config, seed: u64) {
-        replay::<B>(p, &generate::<B>(p, seed));
-    }
-    match p.backend {
-        Backend::RStar => run::<RStarTree>(&p, seed),
-        Backend::Grid => run::<UniformGrid>(&p, seed),
-    }
+    replay(&p, &generate(&p, seed));
 }
 
 /// Replays the run `(p, seed)` draws into a durable engine logging into
 /// `store`, syncs and drops it cold. Returns the configuration that
 /// recovers it.
 pub fn populate(p: Config, seed: u64, store: &Store) -> ServerConfig {
-    let script = generate::<RStarTree>(&p, seed);
+    let script = generate(&p, seed);
     let cfg = store.config(script.config);
     let mut e = Server::new(cfg);
     for step in &script.steps {
@@ -330,11 +309,7 @@ struct Observed {
     work: WorkStats,
 }
 
-fn observe<B: SpatialBackend>(
-    e: &ShardedServer<B>,
-    live: &[(QueryId, QuerySpec)],
-    ids: usize,
-) -> Observed {
+fn observe(e: &Server, live: &[(QueryId, QuerySpec)], ids: usize) -> Observed {
     let result = |&(q, spec): &(QueryId, QuerySpec)| canonical(&spec, e.results(q).expect("live"));
     Observed {
         results: live.iter().map(result).collect(),
@@ -348,12 +323,7 @@ fn observe<B: SpatialBackend>(
 
 /// Runs `call` on `e`, probing the position table `at`. Returns the id a
 /// registration got.
-fn apply<B: SpatialBackend>(
-    e: &mut ShardedServer<B>,
-    call: &Call,
-    at: &[Point],
-    now: f64,
-) -> Option<QueryId> {
+fn apply(e: &mut Server, call: &Call, at: &[Point], now: f64) -> Option<QueryId> {
     let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
     match call {
         Call::Add(id) => {
@@ -375,8 +345,8 @@ fn apply<B: SpatialBackend>(
 
 /// The generator's state: the shadow and the reference in lockstep, the
 /// true world, and the script so far.
-struct Gen<B: SpatialBackend> {
-    shadow: ShardedServer<B>,
+struct Gen {
+    shadow: Server,
     reference: Server,
     rng: Rng,
     script: Script,
@@ -389,7 +359,7 @@ struct Gen<B: SpatialBackend> {
     stride: f64,
 }
 
-impl<B: SpatialBackend> Gen<B> {
+impl Gen {
     fn call(&mut self, call: Call) -> Option<QueryId> {
         let world = self.script.worlds.len() - 1;
         let at = &self.script.worlds[world];
@@ -543,17 +513,16 @@ impl<B: SpatialBackend> Gen<B> {
 /// engine before anything else probes; and registration, deregistration,
 /// object churn, flips and restarts all run at check instants, where every
 /// object is inside its safe region.
-fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
+fn generate(p: &Config, seed: u64) -> Script {
     let mut rng = Rng(seed);
     let stride = rng.pick(&[0.02, 0.05, 0.2]);
     // An object moves at most `stride`·√2 per step, at an instant of its
     // own: within the half slot before it at speed `v`, so §6.1's bound
     // holds for the timers fired half a slot early.
     let config = p.server_config(3.0 * stride * slots(p.delivery) as f64 / DT);
-    let reference = ServerConfig { backend: BackendConfig::default(), ..config };
     let mut g = Gen {
-        shadow: ShardedServer::<B>::new(config),
-        reference: Server::new(reference),
+        shadow: Server::new(config),
+        reference: Server::new(config),
         script: Script {
             config,
             steps: Vec::new(),
@@ -625,15 +594,14 @@ fn generate<B: SpatialBackend>(p: &Config, seed: u64) -> Script {
 
 /// Replays `script` on the point's own engine and checks it after every
 /// call and at every check instant.
-fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
+fn replay(p: &Config, script: &Script) {
     let store = (p.durability != Durability::Off).then(Store::new);
     let cfg = store.as_ref().map_or(script.config, |s| s.config(script.config));
     let recover = || {
-        let (e, _) = ShardedServer::<B>::reopen(cfg)
-            .unwrap_or_else(|err| panic!("recovery failed: {err:?}"));
+        let (e, _) = Server::reopen(cfg).unwrap_or_else(|err| panic!("recovery failed: {err:?}"));
         e
     };
-    let mut e = ShardedServer::<B>::new(cfg);
+    let mut e = Server::new(cfg);
     if let Durability::Crash(point, nth) = p.durability {
         crash::arm(point, nth);
     }
@@ -668,7 +636,7 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
             step = step.call
         );
         for instant in script.instants.iter().filter(|i| i.after == j) {
-            check_instant(p, &e, instant, &script.worlds[instant.world]);
+            check_instant(&e, instant, &script.worlds[instant.world]);
         }
     }
     crash::disarm();
@@ -677,7 +645,7 @@ fn replay<B: SpatialBackend>(p: &Config, script: &Script) {
     }
 }
 
-fn check_instant<B: SpatialBackend>(p: &Config, e: &ShardedServer<B>, i: &Instant, at: &[Point]) {
+fn check_instant(e: &Server, i: &Instant, at: &[Point]) {
     let what = format!("check instant after call {}", i.after);
     let alive = |o: usize| i.alive[o];
     for &(q, spec) in &i.live {
@@ -700,9 +668,5 @@ fn check_instant<B: SpatialBackend>(p: &Config, e: &ShardedServer<B>, i: &Instan
     let want = &i.reference;
     assert_eq!(got.results, want.results, "{what}: results against the reference");
     assert_eq!(got.costs, want.costs, "{what}: costs against the reference");
-    // The reference runs the R*-tree; a grid point is held to its results
-    // and costs only (DESIGN.md §17).
-    if p.backend == Backend::RStar {
-        assert_eq!(&got, want, "{what}: against the reference");
-    }
+    assert_eq!(&got, want, "{what}: against the reference");
 }

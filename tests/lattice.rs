@@ -4,22 +4,19 @@
 //! `lattice_cross_section` runs from the tier-1 command: a fixed list of
 //! points and seeds in which every axis value appears at least once.
 //! `lattice_full` (`--ignored`, in release) runs the regressions first, then
-//! the enumerated lattice — every backend, with and without a WAL,
-//! restarts, the whole crash matrix, every §6 setting, the grid
-//! resolutions, both delivery shapes — and then random points whose seeds
-//! come from the clock.
+//! the enumerated lattice — with and without a WAL, restarts, the whole
+//! crash matrix, every §6 setting, the grid resolutions, both delivery
+//! shapes — and then random points whose seeds come from the clock.
 
 mod common;
 
-use common::Backend::{self, *};
 use common::Delivery::{self, *};
 use common::Durability::*;
 use common::Enhancement::{self, *};
-use common::{check, point, populate, Config, Rng, Store};
+use common::{check, populate, Config, Store};
 use srb::core::CrashPoint::{self, *};
 use srb::core::{
-    BackendConfig, FnProvider, GridConfig, ObjectId, QuerySpec, RecoveryError, SequencedUpdate,
-    Server, ServerConfig, ShardedServer, UniformGrid,
+    FnProvider, ObjectId, QuerySpec, RecoveryError, SequencedUpdate, Server, ServerConfig,
 };
 use srb::geom::{Point, Rect};
 use srb_cases::{cases, Seeds};
@@ -29,27 +26,26 @@ use std::path::PathBuf;
 /// `lattice_full` replays them first.
 const REGRESSIONS: &[(Config, u64)] = &[];
 
-const P: Config =
-    Config { backend: RStar, durability: Off, enhancement: Plain, grid_m: 10, delivery: Batch };
+const P: Config = Config { durability: Off, enhancement: Plain, grid_m: 10, delivery: Batch };
 
 /// Every axis value at least once.
 const CROSS_SECTION: &[(Config, u64)] = &[
     (P, 1),
     (Config { delivery: PerCall, ..P }, 2),
-    (Config { backend: Grid, grid_m: 5, ..P }, 3),
+    (Config { grid_m: 5, ..P }, 3),
     (Config { grid_m: 100, ..P }, 4),
     (Config { grid_m: 50, ..P }, 5),
     (Config { durability: Restart, ..P }, 6),
     (Config { durability: Restart, delivery: PerCall, ..P }, 7),
     (Config { durability: Restart, ..P }, 8),
     (Config { durability: Crash(LogPreSync, 0), ..P }, 9),
-    (Config { backend: Grid, durability: Crash(CkptPostRename, 1), ..P }, 10),
+    (Config { durability: Crash(CkptPostRename, 1), ..P }, 10),
     (Config { durability: Crash(CkptPrune, 3), ..P }, 11),
     (Config { enhancement: Lease, durability: Crash(CkptLogUnsynced, 0), ..P }, 12),
     (Config { enhancement: Reachability, ..P }, 13),
     (Config { enhancement: Reachability, delivery: PerCall, ..P }, 14),
     (Config { enhancement: Steadiness, delivery: PerCall, ..P }, 15),
-    (Config { backend: Grid, enhancement: Steadiness, grid_m: 50, ..P }, 16),
+    (Config { enhancement: Steadiness, grid_m: 50, ..P }, 16),
     (Config { enhancement: Lease, durability: Restart, ..P }, 17),
     (Config { enhancement: Lease, delivery: PerCall, ..P }, 18),
 ];
@@ -61,28 +57,22 @@ fn lattice_cross_section() {
     }
 }
 
-const BACKENDS: [Backend; 2] = [RStar, Grid];
 const ENHANCEMENTS: [Enhancement; 4] = [Plain, Reachability, Steadiness, Lease];
 const DELIVERIES: [Delivery; 2] = [Batch, PerCall];
 
 /// What the six hand-rolled suites enumerated, as lattice points.
 fn enumerated() -> Vec<Config> {
     let mut points = Vec::new();
-    for backend in BACKENDS {
-        for delivery in DELIVERIES {
-            points.push(Config { backend, delivery, ..P });
-        }
-        points.push(Config { backend, durability: Restart, ..P });
+    for delivery in DELIVERIES {
+        points.push(Config { delivery, ..P });
     }
+    points.push(Config { durability: Restart, ..P });
     // Lease timers and reachability's slack timers both cross every crash
     // boundary.
     for enhancement in [Lease, Reachability] {
-        for backend in [RStar, Grid] {
-            for point in CrashPoint::ALL {
-                for nth in [0, 1, 3] {
-                    let durability = Crash(point, nth);
-                    points.push(Config { backend, durability, enhancement, ..P });
-                }
+        for point in CrashPoint::ALL {
+            for nth in [0, 1, 3] {
+                points.push(Config { durability: Crash(point, nth), enhancement, ..P });
             }
         }
     }
@@ -114,36 +104,6 @@ fn lattice_full() {
 // ---------------------------------------------------------------------
 // What the lattice does not cover
 // ---------------------------------------------------------------------
-
-/// Recovery under a backend type that cannot build the configured backend
-/// is a typed refusal, not a panic: a store a grid engine wrote, recovered
-/// as an R\*-tree engine. A grid engine builds it, and the store recovers
-/// into it onto the digest it was written with.
-#[test]
-fn recovery_refuses_backend_kind_mismatch() {
-    let store = Store::new();
-    let grid = BackendConfig::Grid(GridConfig::default());
-    let cfg = store.config(ServerConfig { grid_m: 10, backend: grid, ..Default::default() });
-    let mut rng = Rng(0xabcd);
-    let at: Vec<Point> = (0..8).map(|_| point(&mut rng)).collect();
-    let digest = {
-        let mut e = ShardedServer::<UniformGrid>::new(cfg);
-        let mut probe = FnProvider(|id: ObjectId| at[id.index()]);
-        for (i, &p) in at.iter().enumerate() {
-            e.add_object(ObjectId(i as u32), p, &mut probe, 0.0).expect("a fresh id");
-        }
-        e.sync_wal();
-        e.state_digest()
-    };
-    match Server::reopen(cfg).map(|_| ()) {
-        Err(RecoveryError::BackendMismatch { configured: "grid", recovering: "rstar" }) => {}
-        other => panic!("expected BackendMismatch, got {other:?}"),
-    }
-    let (e, _) = ShardedServer::<UniformGrid>::reopen(cfg).expect("a grid engine builds the grid");
-    assert_eq!(e.object_count(), 8);
-    assert_eq!(e.state_digest(), digest);
-    e.check_invariants_deep();
-}
 
 /// A store recovered under another configuration is refused: the
 /// checkpoint carries the configuration's fingerprint.
