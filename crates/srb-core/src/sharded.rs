@@ -1243,6 +1243,31 @@ mod tests {
         }
     }
 
+    /// The bytes a durable engine logs are pinned: a leased [`fleet`]
+    /// (thirty `add_object`s and two `register_query`s) makes one call of
+    /// each other logged kind — a batch, `remove_object`,
+    /// `process_deferred` and `deregister_query` — and its one log file
+    /// hashes to the value this layout has always written. A change to a
+    /// record's opcode, field order or transcript moves it; so does a
+    /// change to what an operation probes or in which order.
+    #[test]
+    fn log_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let config = ServerConfig { lease: Some(0.3), ..durable(dir) };
+        let (mut server, positions, batch) = fleet_one_step_on(config);
+        let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+        server.ingest(&batch, &mut provider, 0.1, &mut Vec::new());
+        server.remove_object(ObjectId(3), &mut provider, 0.2).expect("registered");
+        assert!(!server.process_deferred(&mut provider, 1.0).is_empty(), "leases lapse");
+        assert!(server.deregister_query(QueryId(0)));
+        server.sync_wal();
+        let logs: Vec<_> =
+            dir_bytes(dir).into_iter().filter(|(n, _)| n.starts_with("log-")).collect();
+        assert_eq!(logs.len(), 1, "one generation");
+        assert_eq!(crate::wal::fnv1a64(&logs[0].1), 0xbce1_5894_d511_5afc);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     /// A [`fleet`], the world one `step` later, and the [`exit_reports`] of
     /// that point.
     fn fleet_one_step_on(config: ServerConfig) -> (Server, Vec<Point>, Vec<SequencedUpdate>) {
