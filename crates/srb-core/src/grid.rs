@@ -74,8 +74,7 @@ impl GridIndex {
 
     /// Registers a query whose quarantine bounding box is `bbox`.
     pub(crate) fn insert(&mut self, qid: QueryId, bbox: &Rect) {
-        let cells: Vec<Cell> = self.cells_overlapping(bbox).collect();
-        for c in cells {
+        for c in self.cells_overlapping(bbox) {
             let idx = self.bucket_index(c);
             self.buckets[idx].push(qid);
         }
@@ -83,8 +82,7 @@ impl GridIndex {
 
     /// Removes a query previously registered with bounding box `bbox`.
     pub(crate) fn remove(&mut self, qid: QueryId, bbox: &Rect) {
-        let cells: Vec<Cell> = self.cells_overlapping(bbox).collect();
-        for c in cells {
+        for c in self.cells_overlapping(bbox) {
             let idx = self.bucket_index(c);
             self.buckets[idx].retain(|&q| q != qid);
         }

@@ -75,15 +75,11 @@ impl Timers {
         Some(self.due_of[&oid])
     }
 
-    /// Removes and returns the first timer when it is due at or before
-    /// `now`.
-    pub(crate) fn pop_due(&mut self, now: f64) -> Option<(ObjectId, DeferKind)> {
-        if self.first()? > now + 1e-12 {
-            return None;
-        }
-        let ((_, oid), kind) = self.queue.pop_first()?;
-        self.due_of.remove(&oid);
-        Some((oid, kind))
+    /// The first timer when it is due at or before `now`; it stays
+    /// queued until [`cancel`](Self::cancel)led.
+    pub(crate) fn first_due(&self, now: f64) -> Option<(ObjectId, DeferKind)> {
+        let (&(_, oid), &kind) = self.queue.first_key_value()?;
+        (self.due_of[&oid] <= now + 1e-12).then_some((oid, kind))
     }
 
     /// `oid`'s due, if it has a timer.
@@ -154,6 +150,14 @@ impl Timers {
 mod tests {
     use super::*;
 
+    /// Fires the first timer due at or before `now`, as `process_deferred`
+    /// does once its probe has answered.
+    fn pop_due(timers: &mut Timers, now: f64) -> Option<(ObjectId, DeferKind)> {
+        let due = timers.first_due(now)?;
+        timers.cancel(due.0);
+        Some(due)
+    }
+
     #[test]
     fn lower_keeps_the_earlier_due_and_an_equal_one_stays() {
         let mut timers = Timers::default();
@@ -164,7 +168,7 @@ mod tests {
         assert_eq!(timers.queue.get(&(rank(2.0), ObjectId(3))), Some(&DeferKind::Lease));
         timers.lower(ObjectId(3), 1.5, DeferKind::Slack);
         assert_eq!(timers.first(), Some(1.5));
-        assert_eq!(timers.pop_due(1.5), Some((ObjectId(3), DeferKind::Slack)));
+        assert_eq!(pop_due(&mut timers, 1.5), Some((ObjectId(3), DeferKind::Slack)));
         assert_eq!(timers.first(), None, "one timer per object");
         timers.check(|_| true);
     }
@@ -175,9 +179,9 @@ mod tests {
         for (id, due) in [(9, 1.0), (4, 3.0), (2, 1.0), (7, 0.5)] {
             timers.lower(ObjectId(id), due, DeferKind::Lease);
         }
-        assert_eq!(timers.pop_due(0.4), None);
+        assert_eq!(pop_due(&mut timers, 0.4), None);
         let fired: Vec<u32> =
-            std::iter::from_fn(|| timers.pop_due(1.0)).map(|(oid, _)| oid.0).collect();
+            std::iter::from_fn(|| pop_due(&mut timers, 1.0)).map(|(oid, _)| oid.0).collect();
         assert_eq!(fired, [7, 2, 9]);
         assert_eq!(timers.first(), Some(3.0));
         timers.cancel(ObjectId(4));

@@ -24,9 +24,10 @@
 //!    [`ObjectId`], result changes by [`QueryId`].
 //!
 //! Registration, deregistration, object churn and deferred probes go
-//! through the same evaluate → regions → install steps. With durability on,
-//! every operation, a batch included, is one record of the engine's log
-//! (`persist.rs`).
+//! through the same evaluate → regions → install steps. Every mutating
+//! call is one [`Op`] run through one wrapper, `operation`, the engine's
+//! one catch of a provider panic; with durability on, it appends the `Op`
+//! and its probe transcript as one record of the log (`persist.rs`).
 
 mod persist;
 mod region;
@@ -42,9 +43,10 @@ use crate::processor::QueryProcessor;
 use crate::provider::{CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::scratch::{BatchBuffers, OpBuffers};
-use crate::wal::Wal;
+use crate::wal::{Op, Wal};
 use region::RegionStep;
 use srb_geom::{Point, Rect};
+use std::borrow::Cow;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Response to a query registration: the id, the initial results, and the
@@ -127,10 +129,10 @@ impl SyncProvider for TableProvider<'_> {
 
 /// The engine's one scratch: every buffer an operation works in, kept
 /// between operations for its capacity so a steady-state batch allocates
-/// nothing. Each mutating entry point takes it whole once
-/// (`std::mem::take`), clears it, lends its parts to the steps, and puts
-/// it back once; a provider panic unwinds with the taken scratch, and the
-/// engine continues on a default one.
+/// nothing. [`operation`](ShardedServer::operation) takes it whole once
+/// per mutating call (`std::mem::take`), clears it, lends it to the call,
+/// and puts it back once; a provider panic unwinds with the taken scratch,
+/// and the engine continues on a default one.
 #[derive(Default)]
 struct EngineScratch {
     /// The per-operation buffers of the query plane.
@@ -364,31 +366,24 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Result<Rect, ServerError> {
+        let _span = srb_obs::span!("server.add_object");
         // Logged unconditionally — even a rejected duplicate must replay to
         // the same rejection.
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.add_object(id, pos, p, now),
-                |w| w.log_add_object(id, pos, now),
-            );
-        }
-        let _span = srb_obs::span!("server.add_object");
-        if self.index.get(id).is_some() {
-            return Err(ServerError::DuplicateObject(id));
-        }
-        let state =
-            ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
-        self.index.insert(id, state);
-        let mut s = self.take_scratch();
-        s.op.exact.insert(id, pos);
-        s.regions.todo.push((id, pos, pos));
-        self.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
-            plane.fold_in(ctx, id, pos, candidates, space)
-        });
-        self.grant(&mut s.op, &mut s.regions, provider, now);
-        self.put_scratch(s);
-        Ok(self.safe_region(id).expect("just added"))
+        self.operation(Op::AddObject { id, pos, now }, provider, |this, s, provider| {
+            if this.index.get(id).is_some() {
+                return Err(ServerError::DuplicateObject(id));
+            }
+            let state =
+                ObjectState { p_lst: pos, t_lst: now, safe_region: Rect::point(pos), last_seq: 0 };
+            this.index.insert(id, state);
+            s.op.exact.insert(id, pos);
+            s.regions.todo.push((id, pos, pos));
+            this.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
+                plane.fold_in(ctx, id, pos, candidates, space)
+            });
+            this.grant(&mut s.op, &mut s.regions, provider, now);
+            Ok(this.safe_region(id).expect("just added"))
+        })
     }
 
     /// Removes a moving object (extension beyond the paper: object churn);
@@ -399,24 +394,17 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Option<ResultRemoval> {
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.remove_object(id, p, now),
-                |w| w.log_remove_object(id, now),
-            );
-        }
-        let last_state = self.index.remove(id)?;
-        self.timers.cancel(id);
-        let mut s = self.take_scratch();
-        self.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
-            plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
-        });
-        self.grant(&mut s.op, &mut s.regions, provider, now);
-        let probed = s.op.recomputed.clone();
-        debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
-        self.put_scratch(s);
-        Some(ResultRemoval { probed })
+        self.operation(Op::RemoveObject { id, now }, provider, |this, s, provider| {
+            let last_state = this.index.remove(id)?;
+            this.timers.cancel(id);
+            this.evaluating(&mut s.op, provider, now, |plane, ctx, candidates, space| {
+                plane.fold_out(ctx, id, last_state.p_lst, candidates, space)
+            });
+            this.grant(&mut s.op, &mut s.regions, provider, now);
+            let probed = s.op.recomputed.clone();
+            debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
+            Some(ResultRemoval { probed })
+        })
     }
 
     // ------------------------------------------------------------------
@@ -435,58 +423,47 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> RegisterResponse {
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.register_query(spec, p, now),
-                |w| w.log_register_query(&spec, now),
-            );
-        }
         let _span = srb_obs::span!("server.register_query");
-        let mut s = self.take_scratch();
-        let EngineScratch { op, batch, regions, .. } = &mut s;
-        let (id, mut revealed) = self.evaluating(op, provider, now, |plane, ctx, _, space| {
-            let (results, quarantine) = plane.evaluate_new(ctx, spec, space);
-            // A registration probe may reveal that an object silently moved
-            // since its last report (the report can still be in flight).
-            // The new query already evaluated against the exact position,
-            // but the object's membership in *existing* queries was last
-            // decided against the stale bound: each such object is a mover
-            // of the existing queries, from its old anchor.
-            let moved = |o: ObjectId, p: Point| ctx.index.get(o).is_some_and(|st| st.p_lst != p);
-            let probed = ctx.exact.iter().map(|(&o, &p)| (o, p));
-            let revealed: Vec<(ObjectId, Point)> = probed.filter(|&(o, p)| moved(o, p)).collect();
-            let id = plane.alloc_id();
-            plane.install(id, QueryState { spec, results, quarantine });
-            (id, revealed)
-        });
-        revealed.sort_unstable_by_key(|&(o, _)| o);
-        // The revealed movers are listed for the region step by `fold`, the
-        // other probed objects by the region step itself.
-        op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
+        self.operation(Op::RegisterQuery { spec, now }, provider, |this, s, provider| {
+            let EngineScratch { op, batch, regions, .. } = s;
+            let (id, mut revealed) = this.evaluating(op, provider, now, |plane, ctx, _, space| {
+                let (results, quarantine) = plane.evaluate_new(ctx, spec, space);
+                // A registration probe may reveal that an object silently
+                // moved since its last report (which may be in flight). The
+                // new query saw the exact position, but the object's
+                // membership in *existing* queries was decided against the
+                // stale bound: it is their mover, from its old anchor.
+                let moved =
+                    |o: ObjectId, p: Point| ctx.index.get(o).is_some_and(|st| st.p_lst != p);
+                let probed = ctx.exact.iter().map(|(&o, &p)| (o, p));
+                let revealed: Vec<(ObjectId, Point)> =
+                    probed.filter(|&(o, p)| moved(o, p)).collect();
+                let id = plane.alloc_id();
+                plane.install(id, QueryState { spec, results, quarantine });
+                (id, revealed)
+            });
+            revealed.sort_unstable_by_key(|&(o, _)| o);
+            // The revealed movers are listed for the region step by `fold`,
+            // the other probed objects by the region step itself.
+            op.probed.retain(|o| revealed.binary_search_by_key(o, |&(r, _)| r).is_err());
 
-        let mut changes = self.fold(op, batch, regions, &revealed, provider, now);
-        // Reevaluation never disturbs the freshly installed query: it saw
-        // the exact positions already.
-        changes.retain(|c| c.query != id);
-        let safe_regions = op.recomputed.clone();
-        debug_assert!(safe_regions.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
-        self.put_scratch(s);
-        let results = self.results(id).expect("just installed").to_vec();
-        RegisterResponse { id, results, safe_regions, changes }
+            let mut changes = this.fold(op, batch, regions, &revealed, provider, now);
+            // Reevaluation never disturbs the freshly installed query: it
+            // saw the exact positions already.
+            changes.retain(|c| c.query != id);
+            let safe_regions = op.recomputed.clone();
+            debug_assert!(safe_regions.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
+            let results = this.results(id).expect("just installed").to_vec();
+            RegisterResponse { id, results, safe_regions, changes }
+        })
     }
 
     /// Deregisters a query (Algorithm 1 lines 6-7). Safe regions are not
     /// eagerly enlarged; they regrow on each object's next update.
     pub fn deregister_query(&mut self, id: QueryId) -> bool {
-        if self.wal.is_some() {
-            return self.logged(
-                &mut NoProbe,
-                |this, _| this.deregister_query(id),
-                |w| w.log_deregister_query(id),
-            );
-        }
-        self.processor.remove(id)
+        self.operation(Op::DeregisterQuery { id }, &mut NoProbe, |this, _, _| {
+            this.processor.remove(id)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -529,7 +506,8 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
         let _span = srb_obs::span!("sharded.fan_out");
-        self.batch(batch, probes, now, out);
+        let op = Op::Batch { now, updates: Cow::Borrowed(batch) };
+        self.operation(op, probes, |this, s, provider| this.batch(s, batch, provider, now, out));
     }
 
     /// [`ingest`](Self::ingest) under its old name. It stays only for
@@ -560,19 +538,12 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// The batch body of [`ingest`](Self::ingest).
     fn batch(
         &mut self,
+        s: &mut EngineScratch,
         updates: &[SequencedUpdate],
         provider: &mut dyn LocationProvider,
         now: f64,
         out: &mut Vec<(ObjectId, UpdateResponse)>,
     ) {
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.batch(updates, p, now, out),
-                |w| w.log_batch(now, updates),
-            );
-        }
-        let mut s = self.take_scratch();
         // Admission, in arrival order: a fresh sequence number is accepted,
         // a stale one owes its sender a re-grant, an unknown object is
         // dropped and counted.
@@ -604,7 +575,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let start = out.len();
         let (mut extra, mut changes) = (Vec::new(), Vec::new());
         if !s.movers.is_empty() {
-            let EngineScratch { op, batch, regions, movers, .. } = &mut s;
+            let EngineScratch { op, batch, regions, movers, .. } = &mut *s;
             changes = self.fold(op, batch, regions, movers, provider, now);
             // Every mover got a region; any beyond theirs is a bystander's.
             let movers_only = op.recomputed.len() == batch.prev.len();
@@ -629,25 +600,74 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         if let Some((_, first)) = out.get_mut(start) {
             (first.probed, first.changes) = (extra, changes);
         }
-        self.put_scratch(s);
     }
 
     // ------------------------------------------------------------------
     // The steps of an operation
     // ------------------------------------------------------------------
 
+    /// Runs one mutating call: `body` on the engine's scratch, with the WAL
+    /// detached and, when durable, every probe transcribed. On success the
+    /// record of `op` and that transcript is appended, the WAL and the
+    /// scratch go back, and a due checkpoint is taken.
+    ///
+    /// Fail-stop: every probe precedes the first install, so when the
+    /// provider panics no region is installed. The movers `fold` pinned
+    /// (`batch.prev`) are unpinned and a batch's admissions
+    /// (`batch.admitted`) undone, so a resent report is evaluated, not
+    /// re-granted; the WAL, holding no record of the call, is poisoned
+    /// (durability refused, never silently off), and the panic resumes.
+    fn operation<R>(
+        &mut self,
+        op: Op<'_>,
+        provider: &mut dyn LocationProvider,
+        body: impl FnOnce(&mut Self, &mut EngineScratch, &mut dyn LocationProvider) -> R,
+    ) -> R {
+        let mut s = self.take_scratch();
+        let mut wal = self.wal.take();
+        let mut recorder;
+        let probes: &mut dyn LocationProvider = match wal.as_deref_mut() {
+            Some(w) => {
+                recorder = w.recorder(provider);
+                &mut recorder
+            }
+            None => provider,
+        };
+        let result = match catch_unwind(AssertUnwindSafe(|| body(self, &mut s, probes))) {
+            Ok(result) => result,
+            Err(panic) => {
+                for &id in s.batch.prev.keys() {
+                    self.index.unpin(id);
+                }
+                // In reverse, so an object that reported twice gets its
+                // sequence number from before the batch.
+                for &(id, seq) in s.batch.admitted.iter().rev() {
+                    self.index.get_mut(id).expect("admitted objects are registered").last_seq = seq;
+                }
+                self.costs.source_updates -= s.batch.admitted.len() as u64;
+                if let Some(w) = wal.as_mut() {
+                    w.poison();
+                }
+                self.wal = wal;
+                resume_unwind(panic)
+            }
+        };
+        let due = wal.as_mut().is_some_and(|w| w.append(&op));
+        self.wal = wal;
+        self.put_scratch(s);
+        if due {
+            self.checkpoint();
+        }
+        result
+    }
+
     /// pin → evaluate → regions → install for `movers`, each already
     /// admitted: the report path, shared by batches, registration
     /// revelations and deferred probes. Objects already in `op.exact`
     /// (probed earlier in the operation) get regions too. Returns the
     /// result changes, ascending by query; the installed regions are in
-    /// `op.recomputed`, the movers' previous anchors in `batch.prev`.
-    ///
-    /// Fail-stop: every probe precedes the first install, so when the
-    /// provider panics the pins are undone and the objects keep the regions
-    /// and anchors they had; a batch's admissions (`batch.admitted`) are
-    /// undone too, so a resent report is evaluated, not re-granted. The
-    /// panic resumes.
+    /// `op.recomputed`, the movers' previous anchors in `batch.prev`. A
+    /// provider panic is undone by [`operation`](Self::operation).
     fn fold(
         &mut self,
         op: &mut OpBuffers,
@@ -671,39 +691,18 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
                 }
             }
         }
-        let folded = catch_unwind(AssertUnwindSafe(|| {
-            let changes = {
-                let _span = srb_obs::span!("sharded.merge");
-                let probes = self.costs.probes;
-                let changes =
-                    self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
-                        plane.reevaluate_movers(
-                            ctx,
-                            movers.iter().copied(),
-                            batch,
-                            candidates,
-                            space,
-                        )
-                    });
-                srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
-                srb_obs::counter!("sharded.coordinator_probes").add(self.costs.probes - probes);
-                changes
-            };
-            self.grant(op, step, provider, now);
+        let changes = {
+            let _span = srb_obs::span!("sharded.merge");
+            let probes = self.costs.probes;
+            let changes = self.evaluating(op, provider, now, |plane, ctx, candidates, space| {
+                plane.reevaluate_movers(ctx, movers.iter().copied(), batch, candidates, space)
+            });
+            srb_obs::counter!("sharded.merge_rounds").add(batch.per_query().len() as u64);
+            srb_obs::counter!("sharded.coordinator_probes").add(self.costs.probes - probes);
             changes
-        }));
-        folded.unwrap_or_else(|panic| {
-            for &(id, _) in movers {
-                self.index.unpin(id);
-            }
-            // In reverse, so an object that reported twice gets its
-            // sequence number from before the batch.
-            for &(id, seq) in batch.admitted.iter().rev() {
-                self.index.get_mut(id).expect("admitted objects are registered").last_seq = seq;
-            }
-            self.costs.source_updates -= batch.admitted.len() as u64;
-            resume_unwind(panic)
-        })
+        };
+        self.grant(op, step, provider, now);
+        changes
     }
 
     /// The evaluate step: runs `step` on the query plane with an evaluation
@@ -746,39 +745,34 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// target is probed (cost `c_p`) and handled like a report from it,
     /// restoring raw-safe-region soundness before the reachability circle
     /// can invalidate the decision that scheduled it, or renewing a lapsed
-    /// lease.
+    /// lease. A timer leaves the queue once its probe has answered, so a
+    /// probe that panics leaves it owed.
     pub fn process_deferred(
         &mut self,
         provider: &mut dyn LocationProvider,
         now: f64,
     ) -> Vec<(ObjectId, UpdateResponse)> {
-        if self.wal.is_some() {
-            return self.logged(
-                provider,
-                |this, p| this.process_deferred(p, now),
-                |w| w.log_process_deferred(now),
-            );
-        }
         let _span = srb_obs::span!("server.process_deferred");
-        let mut out = Vec::new();
-        let mut s = std::mem::take(&mut self.scratch);
-        while let Some((oid, kind)) = self.timers.pop_due(now) {
-            let pos = provider.probe(oid);
-            self.costs.probes += 1;
-            if kind == DeferKind::Lease {
-                self.work.lease_probes += 1;
+        self.operation(Op::ProcessDeferred { now }, provider, |this, s, provider| {
+            let mut out = Vec::new();
+            while let Some((oid, kind)) = this.timers.first_due(now) {
+                let pos = provider.probe(oid);
+                this.timers.cancel(oid);
+                this.costs.probes += 1;
+                if kind == DeferKind::Lease {
+                    this.work.lease_probes += 1;
+                }
+                s.clear();
+                let EngineScratch { op, batch, regions, .. } = &mut *s;
+                let changes = this.fold(op, batch, regions, &[(oid, pos)], provider, now);
+                let safe_region = this.safe_region(oid).expect("the target got a region");
+                let probed: Vec<_> =
+                    op.recomputed.iter().filter(|&&(o, _)| o != oid).copied().collect();
+                debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
+                out.push((oid, UpdateResponse { safe_region, probed, changes }));
             }
-            s.clear();
-            let EngineScratch { op, batch, regions, .. } = &mut s;
-            let changes = self.fold(op, batch, regions, &[(oid, pos)], provider, now);
-            let safe_region = self.safe_region(oid).expect("the target got a region");
-            let probed: Vec<_> =
-                op.recomputed.iter().filter(|&&(o, _)| o != oid).copied().collect();
-            debug_assert!(probed.is_sorted_by_key(|&(o, _)| o), "regions come in id order");
-            out.push((oid, UpdateResponse { safe_region, probed, changes }));
-        }
-        self.put_scratch(s);
-        out
+            out
+        })
     }
 
     /// Takes the engine's scratch for one operation, cleared.
@@ -1243,13 +1237,10 @@ mod tests {
         }
     }
 
-    /// The bytes a durable engine logs are pinned: a leased [`fleet`]
-    /// (thirty `add_object`s and two `register_query`s) makes one call of
-    /// each other logged kind — a batch, `remove_object`,
-    /// `process_deferred` and `deregister_query` — and its one log file
-    /// hashes to the value this layout has always written. A change to a
-    /// record's opcode, field order or transcript moves it; so does a
-    /// change to what an operation probes or in which order.
+    /// The bytes a durable engine logs are pinned: a leased [`fleet`] (its
+    /// `add_object`s and `register_query`s) makes one call of each other
+    /// logged kind, and its log hashes to what this layout always wrote.
+    /// A record's opcode, field order or transcript moves it.
     #[test]
     fn log_bytes_are_pinned() {
         let dir = temp_dir("pinned");
@@ -1555,6 +1546,24 @@ mod tests {
         assert_eq!(ids, [ObjectId(0), ObjectId(1)], "(due, id) order");
         assert_eq!(server.work().lease_probes, 2);
         assert_eq!(server.next_deferred_due(), Some(2.0), "renewed");
+    }
+
+    /// A timer whose probe panics is still owed: an in-memory engine keeps
+    /// it queued at its due, so the lease fires on the next call, and the
+    /// engine's state is the state before the call.
+    #[test]
+    fn a_panicking_timer_probe_keeps_its_timer() {
+        let mut server = leased();
+        let digest = server.state_digest();
+        catch_unwind(AssertUnwindSafe(|| {
+            let mut down = FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+            server.process_deferred(&mut down, 1.0);
+        }))
+        .expect_err("the timer probes");
+        assert_eq!(server.timers.len(), 3);
+        assert_eq!(server.next_deferred_due(), Some(1.0));
+        assert_eq!(server.state_digest(), digest);
+        server.check_invariants_deep();
     }
 
     /// `next_deferred_due` is a read: it changes nothing a checkpoint

@@ -1,9 +1,10 @@
 //! The durability plane: every operation, a batch included, is one record
-//! of the engine's log — its inputs and its probe transcript, appended
-//! by `logged`. A checkpoint is the whole engine state in one layout
-//! (`FLEET_LAYOUT`); recovery decodes one and replays the records after it
-//! through the entry points. Only this module and `wal.rs` encode, decode
-//! or replay a record.
+//! of the engine's log — its [`Op`] and its probe transcript, appended by
+//! the engine's one operation wrapper (`operation`, `sharded.rs`) once the
+//! operation has run. A checkpoint is the whole engine state in one layout
+//! (`FLEET_LAYOUT`); recovery decodes one and replays the records after it,
+//! each through its operation's entry point. Only this module and `wal.rs`
+//! encode, decode or replay a record.
 
 use super::ShardedServer;
 use crate::config::ServerConfig;
@@ -11,10 +12,9 @@ use crate::error::RecoveryError;
 use crate::index::ObjectIndex;
 use crate::location::Timers;
 use crate::processor::QueryProcessor;
-use crate::provider::{CostTracker, LocationProvider, WorkStats};
-use crate::wal::{self, Record, ReplayProvider, Wal};
+use crate::provider::{CostTracker, WorkStats};
+use crate::wal::{self, Op, ReplayProvider, Wal};
 use srb_durable::codec::put_u64;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 /// Follows a checkpoint's config fingerprint: the layout with one query
@@ -96,42 +96,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         wal::fnv1a64(&buf)
     }
 
-    /// The log protocol of every operation, in one place: detach the WAL,
-    /// run `body` (which re-enters the entry point, now unlogged) with every
-    /// probe transcribed, append the record `log` writes — inputs plus that
-    /// transcript — reattach, and run the group-commit / checkpoint
-    /// cadence. Callers check the WAL is attached; that check is also what
-    /// ends the re-entry.
-    ///
-    /// Fail-stop: when the provider panics inside `body`, the operation has
-    /// appended no record, so the WAL is poisoned (refusing further writes
-    /// against a half-applied operation), reattached, and the panic
-    /// resumes; recovery lands on the state before the operation.
-    pub(super) fn logged<R>(
-        &mut self,
-        provider: &mut dyn LocationProvider,
-        body: impl FnOnce(&mut Self, &mut dyn LocationProvider) -> R,
-        log: impl FnOnce(&mut Wal),
-    ) -> R {
-        let mut w = self.wal.take().expect("logged() runs with the WAL attached");
-        let run = catch_unwind(AssertUnwindSafe(|| body(self, &mut w.recorder(provider))));
-        let result = match run {
-            Ok(result) => result,
-            Err(panic) => {
-                w.poison();
-                self.wal = Some(w);
-                resume_unwind(panic)
-            }
-        };
-        log(&mut w);
-        let due = w.note_op();
-        self.wal = Some(w);
-        if due {
-            self.checkpoint();
-        }
-        result
-    }
-
     /// Serializes the complete engine state: config fingerprint, layout
     /// tag, counters, the object table, the timers in queue order and the
     /// query plane. Scratch buffers and telemetry handles carry no state
@@ -180,39 +144,19 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         Ok(Self { timers, costs, work, ..server })
     }
 
-    /// Replays one log record through the public entry points, feeding
-    /// every probe from the record's transcript; every structural mismatch
-    /// is a typed error, never a panic.
+    /// Replays one log record through the public entry point of its
+    /// operation, feeding every probe from the record's transcript; every
+    /// structural mismatch is a typed error, never a panic.
     fn apply_record(&mut self, payload: &[u8]) -> Result<(), RecoveryError> {
-        let record = wal::decode_record(payload)?;
-        let probes: &[_] = match &record {
-            Record::AddObject { probes, .. }
-            | Record::RemoveObject { probes, .. }
-            | Record::RegisterQuery { probes, .. }
-            | Record::Batch { probes, .. }
-            | Record::ProcessDeferred { probes, .. } => probes,
-            Record::DeregisterQuery { .. } => &[],
-        };
-        let mut rp = ReplayProvider::new(probes);
-        match record {
-            Record::AddObject { id, pos, now, .. } => {
-                let _ = self.add_object(id, pos, &mut rp, now);
-            }
-            Record::RemoveObject { id, now, .. } => {
-                let _ = self.remove_object(id, &mut rp, now);
-            }
-            Record::RegisterQuery { spec, now, .. } => {
-                let _ = self.register_query(spec, &mut rp, now);
-            }
-            Record::DeregisterQuery { id } => {
-                let _ = self.deregister_query(id);
-            }
-            Record::Batch { now, ref updates, .. } => {
-                self.ingest(updates, &mut rp, now, &mut Vec::new());
-            }
-            Record::ProcessDeferred { now, .. } => {
-                let _ = self.process_deferred(&mut rp, now);
-            }
+        let (op, probes) = wal::decode_record(payload)?;
+        let mut rp = ReplayProvider::new(&probes);
+        match op {
+            Op::AddObject { id, pos, now } => _ = self.add_object(id, pos, &mut rp, now),
+            Op::RemoveObject { id, now } => _ = self.remove_object(id, &mut rp, now),
+            Op::RegisterQuery { spec, now } => _ = self.register_query(spec, &mut rp, now),
+            Op::DeregisterQuery { id } => _ = self.deregister_query(id),
+            Op::Batch { now, updates } => self.ingest(&updates, &mut rp, now, &mut Vec::new()),
+            Op::ProcessDeferred { now } => _ = self.process_deferred(&mut rp, now),
         }
         if rp.diverged() {
             return Err(RecoveryError::Corrupt("replay diverged from the probe transcript"));
@@ -233,6 +177,7 @@ mod tests {
     use srb_durable::codec::put_usize;
     use srb_geom::Point;
     use srb_index::RStarTree;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// What admission refuses — an unknown id, a stale `seq` — is logged
     /// with the batch that carried it and must be dropped, counted and

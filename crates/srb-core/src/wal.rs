@@ -1,10 +1,10 @@
 //! The durability plane's server-side half: operation records, probe
 //! transcripts, and the write-ahead log wrapper.
 //!
-//! Every top-level [`ShardedServer`](crate::ShardedServer) entry point is
-//! one *logical operation* and one record in the generation's one log; a
-//! batch of reports, however many it holds, is one record too. The
-//! record holds the operation's inputs **plus the
+//! Every mutating [`ShardedServer`](crate::ShardedServer) entry point is
+//! one *logical operation*, an [`Op`], and one record in the generation's
+//! one log; a batch of reports, however many it holds, is one record too.
+//! The record holds the operation's inputs ([`Op::encode`]) **plus the
 //! transcript of every probe the provider answered during it** — probes
 //! are the only non-deterministic input (they read the outside world), so
 //! with the transcript in hand a recovering server can replay the
@@ -23,6 +23,7 @@ use crate::sharded::SequencedUpdate;
 use srb_durable::codec::{put_f64, put_u32, put_u64, put_u8, put_usize};
 use srb_durable::{Dec, DurableError, Store};
 use srb_geom::{Circle, Point, Rect};
+use std::borrow::Cow;
 
 // ----------------------------------------------------------------------
 // Shared geometry / query codecs
@@ -190,22 +191,77 @@ const OP_BATCH: u8 = 12;
 // to earlier logs. Never reuse them: such a record must keep decoding to
 // `Corrupt`.
 
-/// A decoded log record: one top-level operation plus its probe
-/// transcript.
-pub(crate) enum Record {
+/// A probe transcript: every probe the provider answered during one
+/// operation, in the order it answered them.
+pub(crate) type Transcript = Vec<(ObjectId, Point)>;
+
+/// One logged operation: the inputs of one mutating entry point, as its
+/// record holds them. The engine builds one per call; recovery decodes
+/// one from each record and replays it through the same entry point.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) enum Op<'a> {
     /// `add_object`.
-    AddObject { id: ObjectId, pos: Point, now: f64, probes: Vec<(ObjectId, Point)> },
+    AddObject { id: ObjectId, pos: Point, now: f64 },
     /// `remove_object`.
-    RemoveObject { id: ObjectId, now: f64, probes: Vec<(ObjectId, Point)> },
+    RemoveObject { id: ObjectId, now: f64 },
     /// `register_query`.
-    RegisterQuery { spec: QuerySpec, now: f64, probes: Vec<(ObjectId, Point)> },
-    /// `deregister_query`.
+    RegisterQuery { spec: QuerySpec, now: f64 },
+    /// `deregister_query`: it never probes, so its record carries no
+    /// transcript.
     DeregisterQuery { id: QueryId },
     /// A batch of reports: every update the caller passed, in arrival
-    /// order, the ones admission dropped included.
-    Batch { now: f64, updates: Vec<SequencedUpdate>, probes: Vec<(ObjectId, Point)> },
+    /// order, the ones admission dropped included, so what admission
+    /// dropped is dropped again on replay.
+    Batch { now: f64, updates: Cow<'a, [SequencedUpdate]> },
     /// `process_deferred`.
-    ProcessDeferred { now: f64, probes: Vec<(ObjectId, Point)> },
+    ProcessDeferred { now: f64 },
+}
+
+impl Op<'_> {
+    /// Writes this operation's record: the opcode, the inputs, then the
+    /// probe transcript `probes` (which a deregistration does not carry).
+    pub(crate) fn encode(&self, probes: &[(ObjectId, Point)], out: &mut Vec<u8>) {
+        match self {
+            Op::AddObject { id, pos, now } => {
+                put_u8(out, OP_ADD);
+                put_u32(out, id.0);
+                put_point(out, *pos);
+                put_f64(out, *now);
+            }
+            Op::RemoveObject { id, now } => {
+                put_u8(out, OP_REMOVE);
+                put_u32(out, id.0);
+                put_f64(out, *now);
+            }
+            Op::RegisterQuery { spec, now } => {
+                put_u8(out, OP_REGISTER);
+                put_spec(out, spec);
+                put_f64(out, *now);
+            }
+            Op::DeregisterQuery { id } => {
+                put_u8(out, OP_DEREGISTER);
+                put_u32(out, id.0);
+            }
+            Op::Batch { now, updates } => {
+                put_u8(out, OP_BATCH);
+                put_f64(out, *now);
+                put_seq_updates(out, updates);
+            }
+            Op::ProcessDeferred { now } => {
+                put_u8(out, OP_DEFERRED);
+                put_f64(out, *now);
+            }
+        }
+        if self.probes() {
+            put_probes(out, probes);
+        }
+    }
+
+    /// Whether the record carries a probe transcript: every operation's
+    /// does but a deregistration's, which never probes.
+    fn probes(&self) -> bool {
+        !matches!(self, Op::DeregisterQuery { .. })
+    }
 }
 
 fn put_probes(out: &mut Vec<u8>, probes: &[(ObjectId, Point)]) {
@@ -216,7 +272,7 @@ fn put_probes(out: &mut Vec<u8>, probes: &[(ObjectId, Point)]) {
     }
 }
 
-fn dec_probes(dec: &mut Dec<'_>) -> Result<Vec<(ObjectId, Point)>, DurableError> {
+fn dec_probes(dec: &mut Dec<'_>) -> Result<Transcript, DurableError> {
     let n = dec.len(20)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -224,6 +280,17 @@ fn dec_probes(dec: &mut Dec<'_>) -> Result<Vec<(ObjectId, Point)>, DurableError>
         out.push((oid, dec_point(dec)?));
     }
     Ok(out)
+}
+
+/// Encodes sequenced updates, in the order given, as [`dec_seq_updates`]
+/// reads them.
+fn put_seq_updates(out: &mut Vec<u8>, updates: &[SequencedUpdate]) {
+    put_usize(out, updates.len());
+    for u in updates {
+        put_u32(out, u.id.0);
+        put_point(out, u.pos);
+        put_u64(out, u.seq);
+    }
 }
 
 fn dec_seq_updates(dec: &mut Dec<'_>) -> Result<Vec<SequencedUpdate>, DurableError> {
@@ -237,52 +304,36 @@ fn dec_seq_updates(dec: &mut Dec<'_>) -> Result<Vec<SequencedUpdate>, DurableErr
     Ok(out)
 }
 
-/// Decodes one operation record. Total: every malformed payload yields a
-/// typed error, never a panic.
-pub(crate) fn decode_record(payload: &[u8]) -> Result<Record, DurableError> {
+/// Decodes one record written by [`Op::encode`] into the operation and its
+/// probe transcript. Total: every malformed payload yields a typed error,
+/// never a panic.
+pub(crate) fn decode_record(payload: &[u8]) -> Result<(Op<'static>, Transcript), DurableError> {
     let mut dec = Dec::new(payload);
-    let rec = match dec.u8()? {
+    let op = match dec.u8()? {
         OP_ADD => {
             let id = ObjectId(dec.u32()?);
             let pos = dec_point(&mut dec)?;
-            let now = dec.f64()?;
-            Record::AddObject { id, pos, now, probes: dec_probes(&mut dec)? }
+            Op::AddObject { id, pos, now: dec.f64()? }
         }
         OP_REMOVE => {
             let id = ObjectId(dec.u32()?);
-            let now = dec.f64()?;
-            Record::RemoveObject { id, now, probes: dec_probes(&mut dec)? }
+            Op::RemoveObject { id, now: dec.f64()? }
         }
         OP_REGISTER => {
             let spec = dec_spec(&mut dec)?;
-            let now = dec.f64()?;
-            Record::RegisterQuery { spec, now, probes: dec_probes(&mut dec)? }
+            Op::RegisterQuery { spec, now: dec.f64()? }
         }
-        OP_DEREGISTER => Record::DeregisterQuery { id: QueryId(dec.u32()?) },
+        OP_DEREGISTER => Op::DeregisterQuery { id: QueryId(dec.u32()?) },
         OP_BATCH => {
             let now = dec.f64()?;
-            let updates = dec_seq_updates(&mut dec)?;
-            Record::Batch { now, updates, probes: dec_probes(&mut dec)? }
+            Op::Batch { now, updates: Cow::Owned(dec_seq_updates(&mut dec)?) }
         }
-        OP_DEFERRED => {
-            let now = dec.f64()?;
-            Record::ProcessDeferred { now, probes: dec_probes(&mut dec)? }
-        }
+        OP_DEFERRED => Op::ProcessDeferred { now: dec.f64()? },
         _ => return Err(DurableError::Corrupt("unknown opcode")),
     };
+    let probes = if op.probes() { dec_probes(&mut dec)? } else { Vec::new() };
     dec.finish()?;
-    Ok(rec)
-}
-
-/// Encodes sequenced updates, in the order given, as [`dec_seq_updates`]
-/// reads them.
-fn put_seq_updates(out: &mut Vec<u8>, updates: &[SequencedUpdate]) {
-    put_usize(out, updates.len());
-    for u in updates {
-        put_u32(out, u.id.0);
-        put_point(out, u.pos);
-        put_u64(out, u.seq);
-    }
+    Ok((op, probes))
 }
 
 // ----------------------------------------------------------------------
@@ -352,7 +403,7 @@ impl LocationProvider for ReplayProvider<'_> {
 /// current operation's probe transcript, and the checkpoint cadence.
 pub(crate) struct Wal {
     store: Store,
-    probes: Vec<(ObjectId, Point)>,
+    probes: Transcript,
     buf: Vec<u8>,
     checkpoint_ops: u64,
     ops_since_ckpt: u64,
@@ -378,81 +429,24 @@ impl Wal {
         self.store.poisoned()
     }
 
-    fn emit(&mut self) {
-        put_probes(&mut self.buf, &self.probes);
+    /// Appends `op`'s record, with the transcript of the probes answered
+    /// since the last record, and ends the operation: applies the sync
+    /// policy (group commit) and reports whether the checkpoint cadence is
+    /// due.
+    pub(crate) fn append(&mut self, op: &Op<'_>) -> bool {
+        self.buf.clear();
+        op.encode(&self.probes, &mut self.buf);
         self.probes.clear();
         let _ = self.store.append(&self.buf);
-    }
-
-    /// Emits a record that carries no probe transcript (deregister): any
-    /// probes left over from a nested context are dropped, matching the
-    /// decoder, which reads no transcript for this opcode.
-    fn emit_no_probes(&mut self) {
-        self.probes.clear();
-        let _ = self.store.append(&self.buf);
-    }
-
-    pub(crate) fn log_add_object(&mut self, id: ObjectId, pos: Point, now: f64) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_ADD);
-        put_u32(&mut self.buf, id.0);
-        put_point(&mut self.buf, pos);
-        put_f64(&mut self.buf, now);
-        self.emit();
-    }
-
-    pub(crate) fn log_remove_object(&mut self, id: ObjectId, now: f64) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_REMOVE);
-        put_u32(&mut self.buf, id.0);
-        put_f64(&mut self.buf, now);
-        self.emit();
-    }
-
-    pub(crate) fn log_register_query(&mut self, spec: &QuerySpec, now: f64) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_REGISTER);
-        put_spec(&mut self.buf, spec);
-        put_f64(&mut self.buf, now);
-        self.emit();
-    }
-
-    pub(crate) fn log_deregister_query(&mut self, id: QueryId) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_DEREGISTER);
-        put_u32(&mut self.buf, id.0);
-        self.emit_no_probes();
-    }
-
-    /// A batch of reports: the caller's updates as passed, so what
-    /// admission dropped is dropped again on replay.
-    pub(crate) fn log_batch(&mut self, now: f64, updates: &[SequencedUpdate]) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_BATCH);
-        put_f64(&mut self.buf, now);
-        put_seq_updates(&mut self.buf, updates);
-        self.emit();
-    }
-
-    pub(crate) fn log_process_deferred(&mut self, now: f64) {
-        self.buf.clear();
-        put_u8(&mut self.buf, OP_DEFERRED);
-        put_f64(&mut self.buf, now);
-        self.emit();
+        let _ = self.store.op_end();
+        self.ops_since_ckpt += 1;
+        self.checkpoint_ops > 0 && self.ops_since_ckpt >= self.checkpoint_ops
     }
 
     /// Poisons the store after an operation failed before its record was
     /// appended; writes are refused from here on.
     pub(crate) fn poison(&mut self) {
         self.store.poison();
-    }
-
-    /// Ends one logical operation: applies the sync policy (group
-    /// commit) and reports whether the checkpoint cadence is due.
-    pub(crate) fn note_op(&mut self) -> bool {
-        let _ = self.store.op_end();
-        self.ops_since_ckpt += 1;
-        self.checkpoint_ops > 0 && self.ops_since_ckpt >= self.checkpoint_ops
     }
 
     /// Rotates to a fresh checkpoint rooted at `payload`.
@@ -472,6 +466,9 @@ mod tests {
     use super::*;
     use srb_cases::{cases, Rng, Seeds};
 
+    /// A hand-written record decodes to its operation and transcript, and
+    /// [`Op::encode`] writes every kind of [`encode_valid`] (a batch's
+    /// updates in arrival order) back byte for byte.
     #[test]
     fn record_round_trips() {
         let probes = vec![(ObjectId(4), Point::new(0.25, 0.75))];
@@ -481,31 +478,15 @@ mod tests {
         put_point(&mut buf, Point::new(0.1, 0.2));
         put_f64(&mut buf, 3.5);
         put_probes(&mut buf, &probes);
-        match decode_record(&buf).expect("valid record") {
-            Record::AddObject { id, pos, now, probes: p } => {
-                assert_eq!(id, ObjectId(9));
-                assert_eq!(pos, Point::new(0.1, 0.2));
-                assert_eq!(now, 3.5);
-                assert_eq!(p, probes);
-            }
-            _ => panic!("wrong record kind"),
-        }
+        let add = Op::AddObject { id: ObjectId(9), pos: Point::new(0.1, 0.2), now: 3.5 };
+        assert_eq!(decode_record(&buf).expect("valid record"), (add, probes));
 
-        // A batch keeps its updates in arrival order, duplicates included.
-        let at = |id: u32, seq: u64| SequencedUpdate { id: ObjectId(id), pos: Point::ORIGIN, seq };
-        let updates = [at(7, 2), at(3, 1), at(7, 2)];
-        buf.clear();
-        put_u8(&mut buf, OP_BATCH);
-        put_f64(&mut buf, 1.25);
-        put_seq_updates(&mut buf, &updates);
-        put_probes(&mut buf, &probes);
-        match decode_record(&buf).expect("valid record") {
-            Record::Batch { now, updates: u, probes: p } => {
-                assert_eq!(now, 1.25);
-                assert_eq!(u, updates);
-                assert_eq!(p, probes);
-            }
-            _ => panic!("wrong record kind"),
+        for kind in [OP_ADD, OP_REMOVE, OP_REGISTER, OP_DEREGISTER, OP_BATCH, OP_DEFERRED] {
+            let valid = encode_valid(kind, 0x5eed ^ u64::from(kind));
+            let (op, probes) = decode_record(&valid).expect("valid record");
+            buf.clear();
+            op.encode(&probes, &mut buf);
+            assert_eq!(buf, valid, "opcode {kind}");
         }
     }
 
@@ -526,7 +507,7 @@ mod tests {
         let mut buf = Vec::new();
         put_u8(&mut buf, OP_DEREGISTER);
         put_u32(&mut buf, 2);
-        assert!(matches!(decode_record(&buf), Ok(Record::DeregisterQuery { .. })));
+        assert!(matches!(decode_record(&buf), Ok((Op::DeregisterQuery { .. }, _))));
         buf.push(0xFF);
         assert!(decode_record(&buf).is_err());
     }
@@ -594,7 +575,9 @@ mod tests {
     }
 
     /// Builds one valid record payload of the given kind, fields derived
-    /// deterministically from `seed`.
+    /// deterministically from `seed`, written field by field apart from
+    /// [`Op::encode`]: the layout the decoder is fuzzed against. The bytes
+    /// the engine writes are pinned by `sharded::tests::log_bytes_are_pinned`.
     fn encode_valid(kind: u8, seed: u64) -> Vec<u8> {
         let f = |s: u64| (s % 997) as f64 / 997.0;
         let pt = |s: u64| Point::new(f(s), f(s >> 13));
