@@ -1237,10 +1237,13 @@ mod tests {
         }
     }
 
-    /// The bytes a durable engine logs are pinned: a leased [`fleet`] (its
-    /// `add_object`s and `register_query`s) makes one call of each other
-    /// logged kind, and its log hashes to what this layout always wrote.
-    /// A record's opcode, field order or transcript moves it.
+    /// The bytes a durable engine logs are pinned: a leased [`fleet`]
+    /// (thirty `add_object`s and two `register_query`s) makes one call of
+    /// each other logged kind — a batch, `remove_object`,
+    /// `process_deferred` and `deregister_query` — and its one log file
+    /// hashes to the value this layout has always written. A change to a
+    /// record's opcode, field order or transcript moves it; so does a
+    /// change to what an operation probes or in which order.
     #[test]
     fn log_bytes_are_pinned() {
         let dir = temp_dir("pinned");
