@@ -5,16 +5,17 @@
 //!    individually-computed complements.
 //! 2. **Bottom-up update vs delete+reinsert** in the R*-tree (§3.2).
 //! 3. **STR bulk load vs one-by-one insertion** (the PRD rebuild path).
+//!
+//! One [`time_row`] row each.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use srb_bench::time_row;
 use srb_geom::{irlp_rect_complement_batch, OrdinaryPerimeter, Point, Rect};
 use srb_index::{bulk_load, LeafEntry, RStarTree, TreeConfig};
 use std::hint::black_box;
 
-fn bench_batch_vs_individual(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_range_safe_region");
+fn bench_batch_vs_individual() {
     let cell = Rect::new(Point::new(0.4, 0.4), Point::new(0.42, 0.42));
     let p = Point::new(0.41, 0.41);
     let mut rng = StdRng::seed_from_u64(9);
@@ -26,11 +27,15 @@ fn bench_batch_vs_individual(c: &mut Criterion) {
         .filter(|r| !(p.x > r.min().x && p.x < r.max().x && p.y > r.min().y && p.y < r.max().y))
         .collect();
 
-    g.bench_function("batch_staircase", |b| {
-        b.iter(|| irlp_rect_complement_batch(black_box(&blocks), p, &cell, &OrdinaryPerimeter))
-    });
-    g.bench_function("individual_intersection", |b| {
-        b.iter(|| {
+    time_row(
+        "ablation_range_safe_region/batch_staircase",
+        || (),
+        |()| irlp_rect_complement_batch(black_box(&blocks), p, &cell, &OrdinaryPerimeter),
+    );
+    time_row(
+        "ablation_range_safe_region/individual_intersection",
+        || (),
+        |()| {
             let mut sr = cell;
             for blk in &blocks {
                 let r = irlp_rect_complement_batch(
@@ -42,8 +47,8 @@ fn bench_batch_vs_individual(c: &mut Criterion) {
                 sr = sr.intersection(&r).unwrap_or(Rect::point(p));
             }
             sr
-        })
-    });
+        },
+    );
     // Also report the quality difference once.
     let batch = irlp_rect_complement_batch(&blocks, p, &cell, &OrdinaryPerimeter);
     let mut indiv = cell;
@@ -57,11 +62,9 @@ fn bench_batch_vs_individual(c: &mut Criterion) {
         indiv.perimeter(),
         100.0 * (batch.perimeter() - indiv.perimeter()) / indiv.perimeter().max(1e-12)
     );
-    g.finish();
 }
 
-fn bench_update_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_index_update");
+fn bench_update_strategies() {
     let mut rng = StdRng::seed_from_u64(4);
     let pts: Vec<Point> = (0..10_000).map(|_| Point::new(rng.gen(), rng.gen())).collect();
 
@@ -73,66 +76,58 @@ fn bench_update_strategies(c: &mut Criterion) {
         t
     };
 
-    g.bench_function("bottom_up_update", |b| {
-        let mut tree = build();
-        let mut i = 0u64;
-        b.iter(|| {
+    let (mut tree, mut i) = (build(), 0u64);
+    time_row(
+        "ablation_index_update/bottom_up_update",
+        || (),
+        |()| {
             let id = i % 10_000;
             let p = pts[id as usize];
             // Small wiggle: mostly hits the in-place fast path.
             tree.update(id, Rect::centered(p, 0.0019, 0.0021));
             i += 1;
-        })
-    });
-    g.bench_function("delete_plus_reinsert", |b| {
-        let mut tree = build();
-        let mut i = 0u64;
-        b.iter(|| {
+        },
+    );
+    let (mut tree, mut i) = (build(), 0u64);
+    time_row(
+        "ablation_index_update/delete_plus_reinsert",
+        || (),
+        |()| {
             let id = i % 10_000;
             let p = pts[id as usize];
             tree.remove(id);
             tree.insert(id, Rect::centered(p, 0.0019, 0.0021));
             i += 1;
-        })
-    });
-    g.finish();
+        },
+    );
 }
 
-fn bench_build_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_index_build");
-    g.sample_size(20);
+fn bench_build_strategies() {
     let mut rng = StdRng::seed_from_u64(8);
     let entries: Vec<LeafEntry> = (0..20_000)
         .map(|i| LeafEntry { id: i as u64, rect: Rect::point(Point::new(rng.gen(), rng.gen())) })
         .collect();
 
-    g.bench_function("str_bulk_load_20k", |b| {
-        b.iter_batched(
-            || entries.clone(),
-            |es| bulk_load(es, TreeConfig::default()),
-            BatchSize::SmallInput,
-        )
-    });
-    g.bench_function("insert_one_by_one_20k", |b| {
-        b.iter_batched(
-            || entries.clone(),
-            |es| {
-                let mut t = RStarTree::default();
-                for e in es {
-                    t.insert(e.id, e.rect);
-                }
-                t
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
+    time_row(
+        "ablation_index_build/str_bulk_load_20k",
+        || entries.clone(),
+        |es| bulk_load(es, TreeConfig::default()),
+    );
+    time_row(
+        "ablation_index_build/insert_one_by_one_20k",
+        || entries.clone(),
+        |es| {
+            let mut t = RStarTree::default();
+            for e in es {
+                t.insert(e.id, e.rect);
+            }
+            t
+        },
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_batch_vs_individual,
-    bench_update_strategies,
-    bench_build_strategies
-);
-criterion_main!(benches);
+fn main() {
+    bench_batch_vs_individual();
+    bench_update_strategies();
+    bench_build_strategies();
+}

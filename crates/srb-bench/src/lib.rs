@@ -3,7 +3,8 @@
 //! Benchmark harness regenerating every table and figure of the paper's
 //! evaluation (§7). Each figure has a `harness = false` bench target that
 //! prints the same series the paper plots; `cargo bench -p srb-bench`
-//! runs them all plus the Criterion micro-benchmarks.
+//! runs them all plus the `micro` and `ablations` timing rows
+//! ([`time_row`]).
 //!
 //! Scale: by default the harness runs a laptop-scale configuration that
 //! preserves the paper's parameter *ratios* (see `DESIGN.md` §5). Set
@@ -14,6 +15,8 @@
 #![warn(missing_docs)]
 
 use srb_sim::{RunMetrics, Scheme, SimConfig};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 /// Returns the base configuration for figure harnesses: laptop scale unless
 /// `SRB_FULL_SCALE` is set.
@@ -78,6 +81,27 @@ pub fn figure_header(id: &str, title: &str, cfg: &SimConfig) {
         cfg.seed,
         if full_scale() { " [FULL SCALE]" } else { " [bench scale]" }
     );
+}
+
+/// Times `routine` on inputs `setup` makes outside the timing: 50 ms of
+/// warm-up calls, then calls for 300 ms of wall time. Prints one row,
+/// `bench <name> <mean> ns/iter (<calls> iters)`: a bounded loop for
+/// comparing hot paths on one machine, not a statistical estimate.
+pub fn time_row<I, O>(name: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) {
+    let warm = Instant::now();
+    while warm.elapsed() < Duration::from_millis(50) {
+        black_box(routine(setup()));
+    }
+    let (started, mut spent, mut iters) = (Instant::now(), Duration::ZERO, 0u32);
+    while started.elapsed() < Duration::from_millis(300) {
+        let input = setup();
+        let t0 = Instant::now();
+        black_box(routine(input));
+        spent += t0.elapsed();
+        iters += 1;
+    }
+    let ns = spent.as_nanos() as f64 / f64::from(iters);
+    println!("bench {name:<40} {ns:>14.1} ns/iter  ({iters} iters)");
 }
 
 /// Emits one row of machine-readable JSON alongside the printed tables

@@ -14,7 +14,7 @@ use crate::provider::{CostTracker, LocationProvider, WorkStats};
 use crate::scratch::KnnPatch;
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::{Neighbor, SpatialBackend};
+use srb_index::{NearestIter, Neighbor};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::iter::Peekable;
@@ -24,8 +24,8 @@ use std::iter::Peekable;
 /// current operation (the updating objects plus all probed objects); the
 /// engine recomputes safe regions for exactly these objects afterwards
 /// (Algorithm 1 lines 14–15).
-pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
-    pub(crate) index: &'a ObjectIndex<B>,
+pub(crate) struct EvalCtx<'a> {
+    pub(crate) index: &'a ObjectIndex,
     pub(crate) exact: &'a mut FastMap<ObjectId, Point>,
     /// The objects probed so far, in probe order: the part of `exact` the
     /// caller did not put there itself.
@@ -47,14 +47,14 @@ pub(crate) struct EvalCtx<'a, B: SpatialBackend> {
 }
 
 /// Read-only view of the engine state needed to bound object locations.
-pub(crate) struct ReadCtx<'a, B: SpatialBackend> {
-    pub(crate) index: &'a ObjectIndex<B>,
+pub(crate) struct ReadCtx<'a> {
+    pub(crate) index: &'a ObjectIndex,
     pub(crate) exact: &'a FastMap<ObjectId, Point>,
     pub(crate) max_speed: Option<f64>,
     pub(crate) now: f64,
 }
 
-impl<B: SpatialBackend> ReadCtx<'_, B> {
+impl ReadCtx<'_> {
     /// The location bound for an object whose stored rectangle is `sr`.
     pub(crate) fn bound(&self, id: ObjectId, sr: Rect) -> LocBound {
         if let Some(&p) = self.exact.get(&id) {
@@ -112,8 +112,8 @@ impl<B: SpatialBackend> ReadCtx<'_, B> {
 /// What one safe-region computation (§5) works with: shared state it only
 /// reads — no region may probe, so none depends on the ones computed
 /// before it — and two lists it hands back to the engine.
-pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
-    pub(crate) read: &'a ReadCtx<'a, B>,
+pub(crate) struct RegionCtx<'a> {
+    pub(crate) read: &'a ReadCtx<'a>,
     /// The object whose region is being computed.
     pub(crate) requester: ObjectId,
     /// Out: `(requester, target)` — a neighbour whose exact location the
@@ -125,7 +125,7 @@ pub(crate) struct RegionCtx<'a, B: SpatialBackend> {
     pub(crate) deferred: &'a mut Vec<(ObjectId, ObjectId, f64)>,
 }
 
-impl<B: SpatialBackend> RegionCtx<'_, B> {
+impl RegionCtx<'_> {
     /// Keeps a reachability-based decision about `id` sound: a deferred
     /// probe at `due` — or, when `due` is not in the future, an exact
     /// location now (a deferred probe would fire at this very instant, and
@@ -145,9 +145,9 @@ impl<B: SpatialBackend> RegionCtx<'_, B> {
     }
 }
 
-impl<B: SpatialBackend> EvalCtx<'_, B> {
+impl EvalCtx<'_> {
     /// A read-only view sharing this context's state.
-    pub(crate) fn as_read(&self) -> ReadCtx<'_, B> {
+    pub(crate) fn as_read(&self) -> ReadCtx<'_> {
         ReadCtx { index: self.index, exact: self.exact, max_speed: self.max_speed, now: self.now }
     }
 
@@ -210,10 +210,7 @@ impl<B: SpatialBackend> EvalCtx<'_, B> {
 
 /// Evaluates a new range query over safe regions, probing only objects whose
 /// bound straddles the rectangle boundary.
-pub(crate) fn evaluate_range<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
-    rect: &Rect,
-) -> Vec<ObjectId> {
+pub(crate) fn evaluate_range(ctx: &mut EvalCtx<'_>, rect: &Rect) -> Vec<ObjectId> {
     ctx.work.evaluations += 1;
     let mut results = Vec::new();
     let candidates = ctx.index.search(rect);
@@ -335,14 +332,14 @@ impl Ord for Item {
 
 /// Merges the index's best-first browser with probed exact points pushed
 /// back into the frontier, yielding objects in ascending `(key, id)`.
-struct Stream<'a, B: SpatialBackend + 'a> {
-    browser: Peekable<B::Nearest<'a>>,
+struct Stream<'a> {
+    browser: Peekable<NearestIter<'a>>,
     heap: BinaryHeap<Reverse<Item>>,
     q: Point,
 }
 
-impl<'a, B: SpatialBackend + 'a> Stream<'a, B> {
-    fn new(index: &'a ObjectIndex<B>, q: Point) -> Self {
+impl<'a> Stream<'a> {
+    fn new(index: &'a ObjectIndex, q: Point) -> Self {
         Stream { browser: index.nearest(q), heap: BinaryHeap::new(), q }
     }
 
@@ -351,7 +348,7 @@ impl<'a, B: SpatialBackend + 'a> Stream<'a, B> {
     }
 
     /// Next object by key, skipping `exclude`.
-    fn next(&mut self, ctx: &EvalCtx<'_, B>, exclude: &[ObjectId]) -> Option<Item> {
+    fn next(&mut self, ctx: &EvalCtx<'_>, exclude: &[ObjectId]) -> Option<Item> {
         loop {
             // Pull from the browser until its next entry no longer comes
             // before the heap top.
@@ -382,8 +379,8 @@ fn open_radius(q: Point, space: &Rect, inner: f64) -> f64 {
 }
 
 /// Evaluates a new **order-sensitive** kNN query (Algorithm 2).
-pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn evaluate_knn_ordered(
+    ctx: &mut EvalCtx<'_>,
     q: Point,
     k: usize,
     space: &Rect,
@@ -452,12 +449,12 @@ pub(crate) fn evaluate_knn_ordered<B: SpatialBackend>(
 /// confirmations leave those raw ranges overlapping, the separation is
 /// restored by probing (each probed object's safe region is recomputed by
 /// the server afterwards, shrinking it to an exact point here).
-fn sound_radius<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn sound_radius(
+    ctx: &mut EvalCtx<'_>,
     q: Point,
     results: &mut [Item],
     mut next: Option<Item>,
-    stream: &mut Stream<'_, B>,
+    stream: &mut Stream<'_>,
     exclude: &[ObjectId],
     space: &Rect,
 ) -> f64 {
@@ -509,8 +506,8 @@ fn sound_radius<B: SpatialBackend>(
 /// Evaluates a new **order-insensitive** kNN query: same browsing, but up to
 /// `k` objects may be held simultaneously, so fewer probes are needed
 /// (§4.2, last paragraph).
-pub(crate) fn evaluate_knn_unordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn evaluate_knn_unordered(
+    ctx: &mut EvalCtx<'_>,
     q: Point,
     k: usize,
     space: &Rect,

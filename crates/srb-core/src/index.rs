@@ -1,11 +1,11 @@
 //! The object index layer (paper §3.1, Figure 3.1 box "object index").
 //!
-//! One [`SpatialBackend`] holds the objects' safe regions (the paper's
-//! R\*-tree), and every object's state lives once, in the
-//! [`ObjectTable`] beside it. [`ObjectIndex`] owns both and keeps them
-//! coherent: every mutation that changes an object's stored rectangle goes
-//! through this wrapper, so a backend entry and its
-//! [`ObjectState::safe_region`] can never drift apart. The query layers
+//! One [`RStarTree`] holds the objects' safe regions (the paper's §7.1
+//! choice), and every object's state lives once, in the [`ObjectTable`]
+//! beside it. [`ObjectIndex`] owns both and keeps them coherent: every
+//! mutation that changes an object's stored rectangle goes through this
+//! wrapper, so a tree entry and its [`ObjectState::safe_region`] can never
+//! drift apart. The query layers
 //! above only ever read it, through a shared reference: a best-first
 //! browse, a rectangle search, and the state of one object.
 
@@ -13,21 +13,24 @@ use crate::error::RecoveryError;
 use crate::ids::ObjectId;
 use crate::object::{ObjectState, ObjectTable};
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, LeafEntry, SpatialBackend};
+use srb_index::{BackendConfig, LeafEntry, NearestIter, RStarTree};
 use std::iter::Peekable;
 
-/// The object index: the spatial backend over safe regions plus the object
-/// table, kept in lockstep. Generic in the backend `B`.
-pub(crate) struct ObjectIndex<B: SpatialBackend> {
-    backend: B,
+/// The object index: the R\*-tree over safe regions plus the object table,
+/// kept in lockstep.
+pub(crate) struct ObjectIndex {
+    tree: RStarTree,
     objects: ObjectTable,
 }
 
-impl<B: SpatialBackend> ObjectIndex<B> {
-    /// An empty index whose backend is built from `config` over `space`.
-    /// Panics when `config`'s variant does not match `B`.
-    pub(crate) fn new(config: &BackendConfig, space: Rect) -> Self {
-        ObjectIndex { backend: B::build(config, space), objects: ObjectTable::default() }
+impl ObjectIndex {
+    /// An empty index whose tree is built from `config`: every variant
+    /// carries the R\*-tree's parameters.
+    pub(crate) fn new(config: &BackendConfig) -> Self {
+        let (BackendConfig::RStar(tree)
+        | BackendConfig::Grid(tree)
+        | BackendConfig::Adaptive(tree)) = *config;
+        ObjectIndex { tree: RStarTree::new(tree), objects: ObjectTable::default() }
     }
 
     /// Number of indexed objects.
@@ -41,16 +44,15 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     }
 
     /// Starts a best-first browse from `q`, in ascending `(distance, id)`.
-    pub(crate) fn nearest(&self, q: Point) -> Peekable<B::Nearest<'_>> {
-        self.backend.nearest_iter(q).peekable()
+    pub(crate) fn nearest(&self, q: Point) -> Peekable<NearestIter<'_>> {
+        self.tree.nearest_iter(q).peekable()
     }
 
     /// Every entry whose stored rectangle intersects `rect` (closed test),
-    /// ascending by id, so that the backend's structure does not show in
-    /// the order a range query meets its candidates.
+    /// ascending by id, so that the tree's structure does not show in the
+    /// order a range query meets its candidates.
     pub(crate) fn search(&self, rect: &Rect) -> Vec<LeafEntry> {
-        let mut out = Vec::new();
-        self.backend.search(rect, &mut |e| out.push(*e));
+        let mut out = self.tree.search_vec(rect);
         out.sort_unstable_by_key(|e| e.id);
         out
     }
@@ -60,24 +62,24 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         self.objects.iter()
     }
 
-    /// The backend, for tests that look at its shape.
+    /// The tree, for tests that look at its shape.
     #[cfg(test)]
-    pub(crate) fn backend(&self) -> &B {
-        &self.backend
+    pub(crate) fn tree(&self) -> &RStarTree {
+        &self.tree
     }
 
-    /// Mutable state access. Safe for fields the backend does not mirror
+    /// Mutable state access. Safe for fields the tree does not mirror
     /// (`last_seq`, `p_lst`, `t_lst`); safe-region changes must go through
     /// [`install_region`](Self::install_region) instead.
     pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectState> {
         self.objects.get_mut(id)
     }
 
-    /// Registers a new object: inserts its rectangle into the backend and
+    /// Registers a new object: inserts its rectangle into the tree and
     /// its state into the table.
     pub(crate) fn insert(&mut self, id: ObjectId, state: ObjectState) {
         let _span = srb_obs::span!("object_index.insert");
-        self.backend.insert(id.entry(), state.safe_region);
+        self.tree.insert(id.entry(), state.safe_region);
         self.objects.set(id, state);
     }
 
@@ -85,7 +87,7 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     pub(crate) fn remove(&mut self, id: ObjectId) -> Option<ObjectState> {
         let _span = srb_obs::span!("object_index.remove");
         let st = self.objects.remove(id)?;
-        self.backend.remove(id.entry());
+        self.tree.remove(id.entry());
         Some(st)
     }
 
@@ -98,22 +100,22 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     pub(crate) fn pin_to_point(&mut self, id: ObjectId, pos: Point) {
         // Deliberately span-free: this runs once per report and takes well
         // under a microsecond, so a wall-clock span would cost more than
-        // the work it measures. The backend-side counters/histograms in
+        // the work it measures. The tree-side counters/histograms in
         // `srb-index` cover this path.
         assert!(self.objects.get(id).is_some(), "a pinned object is registered");
-        self.backend.update(id.entry(), Rect::point(pos));
+        self.tree.update(id.entry(), Rect::point(pos));
     }
 
     /// Undoes [`pin_to_point`](Self::pin_to_point) for an operation that
-    /// ended before a new region was installed: the backend entry goes back
+    /// ended before a new region was installed: the tree entry goes back
     /// to the safe region the state table still holds.
     pub(crate) fn unpin(&mut self, id: ObjectId) {
         if let Some(st) = self.objects.get(id) {
-            self.backend.update(id.entry(), st.safe_region);
+            self.tree.update(id.entry(), st.safe_region);
         }
     }
 
-    /// Installs a freshly computed safe region: updates the backend entry
+    /// Installs a freshly computed safe region: updates the tree entry
     /// and rewrites the state with the new anchor `pos` at time `now`,
     /// preserving the accepted sequence number. Returns the state it
     /// replaced.
@@ -128,36 +130,36 @@ impl<B: SpatialBackend> ObjectIndex<B> {
         let st = self.objects.get_mut(id).expect("a region for a registered object");
         let before = *st;
         *st = ObjectState { p_lst: pos, t_lst: now, safe_region: sr, last_seq: before.last_seq };
-        self.backend.update(id.entry(), sr);
+        self.tree.update(id.entry(), sr);
         before
     }
 
-    /// Deterministic work units: backend structural-unit visits.
+    /// Deterministic work units: R\*-tree node visits.
     pub(crate) fn visits(&self) -> u64 {
-        self.backend.visits()
+        self.tree.visits()
     }
 
-    /// Cheap structural check: the backend holds as many entries as the
+    /// Cheap structural check: the tree holds as many entries as the
     /// table names objects.
     pub(crate) fn check_counts(&self) {
-        assert_eq!(self.backend.len(), self.objects.len(), "tree/table length mismatch");
+        assert_eq!(self.tree.len(), self.objects.len(), "tree/table length mismatch");
     }
 
-    /// Full O(n) coherence scan: backend invariants, and every object in
-    /// the backend under the rectangle the table holds — with
-    /// [`check_counts`](Self::check_counts), the backend holds nothing
+    /// Full O(n) coherence scan: tree invariants, and every object in
+    /// the tree under the rectangle the table holds — with
+    /// [`check_counts`](Self::check_counts), the tree holds nothing
     /// else.
     pub(crate) fn check_coherence(&self) {
         self.check_counts();
-        self.backend.check_invariants();
+        self.tree.check_invariants();
         for (oid, st) in self.objects.iter() {
-            let stored = self.backend.get(oid.entry());
+            let stored = self.tree.get(oid.entry());
             assert_eq!(stored, Some(st.safe_region), "{oid}: tree/state mismatch");
         }
     }
 
     /// Serializes the index for a durability checkpoint: the object table
-    /// alone. The backend is derived state — every entry is a copy of a
+    /// alone. The tree is derived state — every entry is a copy of a
     /// `safe_region` the table holds — so
     /// [`decode_state`](Self::decode_state) rebuilds it.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
@@ -165,27 +167,29 @@ impl<B: SpatialBackend> ObjectIndex<B> {
     }
 
     /// Rebuilds an index serialized by [`encode_state`](Self::encode_state):
-    /// decodes the table, then builds the backend from `config` over
-    /// `space` holding every object's safe region, in id order
-    /// ([`SpatialBackend::build_from`]).
+    /// decodes the table, then builds the tree from `config` holding every
+    /// object's safe region, inserted in id order (the table iterates so),
+    /// which makes the tree a function of the entry set alone.
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
         config: &BackendConfig,
-        space: Rect,
     ) -> Result<Self, RecoveryError> {
-        let objects = ObjectTable::decode_state(dec)?;
-        let entries = objects.iter().map(|(oid, st)| (oid.entry(), st.safe_region)).collect();
-        Ok(ObjectIndex { backend: B::build_from(config, space, entries), objects })
+        let mut index = ObjectIndex::new(config);
+        index.objects = ObjectTable::decode_state(dec)?;
+        for (oid, st) in index.objects.iter() {
+            index.tree.insert(oid.entry(), st.safe_region);
+        }
+        Ok(index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_index::{RStarTree, TreeConfig};
+    use srb_index::TreeConfig;
 
-    fn rstar() -> ObjectIndex<RStarTree> {
-        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()), Rect::UNIT)
+    fn rstar() -> ObjectIndex {
+        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()))
     }
 
     fn state(p: Point, sr: Rect) -> ObjectState {
@@ -199,11 +203,11 @@ mod tests {
         let p = Point::new(0.2, 0.3);
         idx.insert(ObjectId(1), state(p, Rect::point(p)));
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.backend.len(), 1);
+        assert_eq!(idx.tree.len(), 1);
         idx.check_coherence();
         assert!(idx.remove(ObjectId(1)).is_some());
         assert!(idx.remove(ObjectId(1)).is_none());
-        assert_eq!(idx.backend.len(), 0);
+        assert_eq!(idx.tree.len(), 0);
         idx.check_coherence();
     }
 
@@ -214,7 +218,7 @@ mod tests {
         idx.insert(ObjectId(7), state(p0, Rect::point(p0)));
         let p1 = Point::new(0.4, 0.4);
         idx.pin_to_point(ObjectId(7), p1);
-        assert_eq!(idx.backend.get(7), Some(Rect::point(p1)));
+        assert_eq!(idx.tree.get(7), Some(Rect::point(p1)));
         let sr = Rect::new(Point::new(0.3, 0.3), Point::new(0.5, 0.5));
         let before = idx.install_region(ObjectId(7), p1, sr, 2.0);
         assert_eq!(before.p_lst, p0, "install returns the state it replaced");

@@ -10,7 +10,7 @@
 //! population of moving objects, hands each object a rectangular **safe
 //! region**, and guarantees that every registered query's result stays
 //! exact as long as each object reports (a *source-initiated update*: a
-//! [`SequencedUpdate`] through [`ShardedServer::ingest`], the one way in —
+//! [`SequencedUpdate`] through [`Server::ingest`], the one way in —
 //! a single report is a batch of one) whenever it leaves its safe region.
 //! When an update leaves a query undecided, the server *probes* specific
 //! objects through the caller-supplied [`LocationProvider`] — and the lazy
@@ -54,30 +54,32 @@
 //! its region step `sharded::region` (§5) and its log, checkpoints and
 //! recovery `sharded::persist` (records coded by `wal`).
 //!
-//! There is one engine, [`ShardedServer`], generic in its object-index
-//! backend; the paper's server, [`Server`], is it on the R\*-tree. It holds
-//! one spatial index over the objects' safe regions and keeps each
-//! object's state once, in one table indexed by [`ObjectId`] (`index`,
-//! `object`), and the queries once, evaluating each with the §4 code over
-//! the index. It also owns the location manager's one timer queue
-//! (`location`): at most one pending lease or deferred probe per object,
-//! fired in `(due, id)` order. Like the paper's server, the engine runs
-//! every step of an operation on the caller's thread.
-//!
-//! The object index is the paper's R\*-tree behind the [`SpatialBackend`]
-//! seam, built once from `config.backend` and rebuilt only by recovery.
-//! [`DynBackend`] and [`UniformGrid`] are aliases of [`RStarTree`], and
-//! [`GridConfig`] and [`AdaptiveConfig`] of [`TreeConfig`], kept only for
-//! `bench/` (ROADMAP 3(b)).
+//! There is one engine, the paper's server [`Server`]. It holds one
+//! R\*-tree ([`RStarTree`], the paper's §7.1 index) over the objects' safe
+//! regions, built once from `config.backend` and rebuilt only by recovery,
+//! and keeps each object's state once, in one table indexed by
+//! [`ObjectId`] (`index`, `object`), and the queries once, evaluating each
+//! with the §4 code over the index. It also owns the location manager's
+//! one timer queue (`location`): at most one pending lease or deferred
+//! probe per object, fired in `(due, id)` order. Like the paper's server,
+//! the engine runs every step of an operation on the caller's thread.
 //!
 //! Durability ([`DurabilityConfig`]) is the engine's: it logs, checkpoints
-//! and recovers ([`ShardedServer::reopen`]) in one checkpoint layout.
+//! and recovers ([`Server::reopen`]) in one checkpoint layout.
+//!
+//! The names `bench/` still compiles against and the engine no longer
+//! needs live in `compat` alone (ROADMAP 3(a)): the generic engine name,
+//! its forwards and the `&self` provider over a position table. The index
+//! trait, [`DynBackend`] and [`UniformGrid`] (aliases of [`RStarTree`]),
+//! and [`GridConfig`] and [`AdaptiveConfig`] (aliases of [`TreeConfig`])
+//! stay for it too (ROADMAP 3(b)).
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 mod bounds;
+mod compat;
 mod config;
 mod error;
 mod eval;
@@ -101,15 +103,10 @@ pub use ids::{ObjectId, QueryId};
 pub use processor::QueryProcessor;
 pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkStats};
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
-pub use sharded::{
-    RegisterResponse, ResultRemoval, SequencedUpdate, Server, ShardedServer, UpdateResponse,
-};
-// Named only by `bench/`; ROADMAP 3(a) deletes them after 2(a).
-pub use sharded::{SyncProvider, TableProvider};
+pub use sharded::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
 pub use srb_durable::CrashPoint;
-// Named only by `bench/`; ROADMAP 3(a) deletes it after 2(a).
+pub use srb_index::{BackendConfig, RStarTree, TreeConfig};
+// Named only by `bench/`; ROADMAP 3(a) and 3(b) delete them after 2(a).
+pub use compat::{ShardedServer, SyncProvider, TableProvider};
 pub use srb_durable::SyncPolicy;
-pub use srb_index::{
-    AdaptiveConfig, BackendConfig, DynBackend, GridConfig, RStarTree, SpatialBackend, TreeConfig,
-    UniformGrid,
-};
+pub use srb_index::{AdaptiveConfig, DynBackend, GridConfig, SpatialBackend, UniformGrid};

@@ -1,7 +1,7 @@
 //! The location manager layer (paper §3.1, Figure 3.1 box "location
 //! manager"): the engine's timers.
 //!
-//! One queue, owned by [`ShardedServer`](crate::ShardedServer), holds at
+//! One queue, owned by [`Server`](crate::Server), holds at
 //! most one pending timer per object: a deferred probe that keeps the
 //! reachability enhancement (§6.1) sound over time, or a safe-region
 //! lease. Timers fire in `(due, id)` order. Which timer an

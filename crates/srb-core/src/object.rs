@@ -3,7 +3,7 @@
 //!
 //! Each object's state is kept once, in an [`ObjectTable`] indexed by
 //! [`ObjectId::index`] — object ids are small dense integers — beside the
-//! spatial backend that holds its safe region. Steady-state report
+//! R\*-tree that holds its safe region. Steady-state report
 //! handling (`get`/`get_mut` of existing ids) is a vector read and performs
 //! no heap allocation.
 
@@ -19,7 +19,7 @@ pub(crate) struct ObjectState {
     pub(crate) p_lst: Point,
     /// Timestamp of that location — the paper's `T`.
     pub(crate) t_lst: f64,
-    /// Current safe region (also stored in the spatial backend).
+    /// Current safe region (also stored in the R\*-tree).
     pub(crate) safe_region: Rect,
     /// Highest client sequence number accepted so far. Sequenced updates at
     /// or below this are duplicates/reorderings from an unreliable channel

@@ -15,7 +15,6 @@ use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::reeval::{reevaluate, rerun_knn};
 use crate::scratch::BatchBuffers;
 use srb_geom::{Circle, Point, Rect};
-use srb_index::SpatialBackend;
 
 /// The query processor: registered query states plus the grid index that
 /// locates the queries a moving object can affect.
@@ -136,9 +135,9 @@ impl QueryProcessor {
 
     /// Evaluates a brand-new query from scratch (§4.1–§4.2), returning its
     /// initial results and quarantine area. Nothing is registered yet.
-    pub(crate) fn evaluate_new<B: SpatialBackend>(
+    pub(crate) fn evaluate_new(
         &self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_>,
         spec: QuerySpec,
         space: &Rect,
     ) -> (Vec<ObjectId>, Quarantine) {
@@ -166,9 +165,9 @@ impl QueryProcessor {
     /// mover's position must already be pinned in the index and recorded in
     /// `ctx.exact`, its previous anchor in `batch.prev`; a repeated mover
     /// flagged in `batch.repeated_ids`. Returns the changed results.
-    pub(crate) fn reevaluate_movers<B: SpatialBackend>(
+    pub(crate) fn reevaluate_movers(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_>,
         movers: impl Iterator<Item = (ObjectId, Point)>,
         batch: &mut BatchBuffers,
         candidates: &mut Vec<QueryId>,
@@ -198,9 +197,9 @@ impl QueryProcessor {
     /// Folds a newly registered object at `pos` into every query whose
     /// quarantine area covers it: a range query gains it, a kNN query is
     /// re-run. `ctx.exact` must already hold the object.
-    pub(crate) fn fold_in<B: SpatialBackend>(
+    pub(crate) fn fold_in(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_>,
         id: ObjectId,
         pos: Point,
         candidates: &mut Vec<QueryId>,
@@ -229,9 +228,9 @@ impl QueryProcessor {
     /// lies in the object's last safe region, hence in the cell whose
     /// bucket lists every such query. The object must already be gone from
     /// the index. Returns the changed results, ascending by query.
-    pub(crate) fn fold_out<B: SpatialBackend>(
+    pub(crate) fn fold_out(
         &mut self,
-        ctx: &mut EvalCtx<'_, B>,
+        ctx: &mut EvalCtx<'_>,
         id: ObjectId,
         anchor: Point,
         candidates: &mut Vec<QueryId>,
@@ -257,12 +256,7 @@ impl QueryProcessor {
     /// Re-runs a kNN query from scratch and installs the fresh results and
     /// quarantine (used when object churn invalidates the incremental
     /// cases). No-op for range queries and unknown ids.
-    pub(crate) fn refold_knn<B: SpatialBackend>(
-        &mut self,
-        ctx: &mut EvalCtx<'_, B>,
-        qid: QueryId,
-        space: &Rect,
-    ) {
+    pub(crate) fn refold_knn(&mut self, ctx: &mut EvalCtx<'_>, qid: QueryId, space: &Rect) {
         let Some(qs) = self.queries.get_mut(qid.index()).and_then(Option::as_mut) else {
             return;
         };

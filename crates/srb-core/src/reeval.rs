@@ -38,7 +38,6 @@ use crate::query::{Quarantine, QuerySpec, QueryState};
 use crate::scratch::KnnPatch;
 use srb_geom::{Circle, Point, Rect};
 use srb_hash::FastMap;
-use srb_index::SpatialBackend;
 
 const EPS: f64 = 1e-12;
 
@@ -56,8 +55,8 @@ const UNTOUCHED: Reeval = Reeval { results_changed: false, quarantine_changed: f
 /// Reevaluates `qs` after `movers` — listed once each, in any order —
 /// reported new positions. Every mover's position must already be recorded
 /// in `ctx.exact` and pinned in the index, its previous anchor in `prev`.
-pub(crate) fn reevaluate<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn reevaluate(
+    ctx: &mut EvalCtx<'_>,
     qs: &mut QueryState,
     movers: &[ObjectId],
     prev: &FastMap<ObjectId, Point>,
@@ -115,8 +114,8 @@ pub(crate) fn reevaluate<B: SpatialBackend>(
 /// affect the query and the outcome — `None` when the query has to be
 /// evaluated from scratch: a mover's previous anchor contradicts its
 /// membership, or the base sequence is not interleaved.
-fn patch_ordered<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+fn patch_ordered(
+    ctx: &mut EvalCtx<'_>,
     qs: &mut QueryState,
     movers: &[ObjectId],
     prev: &FastMap<ObjectId, Point>,
@@ -210,8 +209,8 @@ fn patch_ordered<B: SpatialBackend>(
 
 /// Evaluates a kNN query from scratch and installs the fresh results and
 /// quarantine circle.
-pub(crate) fn rerun_knn<B: SpatialBackend>(
-    ctx: &mut EvalCtx<'_, B>,
+pub(crate) fn rerun_knn(
+    ctx: &mut EvalCtx<'_>,
     qs: &mut QueryState,
     center: Point,
     k: usize,
@@ -238,8 +237,8 @@ pub(crate) fn rerun_knn<B: SpatialBackend>(
 /// Collects the `(δ, Δ)` bounds of `seq` into `out` and verifies the §4.3
 /// interleaving invariant `δ_1 ≤ Δ_1 ≤ δ_2 ≤ Δ_2 ≤ …`. Returns `false` when
 /// an object is missing or the invariant is broken.
-fn collect_ordered_bounds<B: SpatialBackend>(
-    ctx: &EvalCtx<'_, B>,
+fn collect_ordered_bounds(
+    ctx: &EvalCtx<'_>,
     seq: &[ObjectId],
     center: Point,
     out: &mut Vec<(f64, f64)>,

@@ -16,7 +16,6 @@ use srb_geom::{
     ClearanceObjective, OrdinaryPerimeter, PerimeterObjective, Point, Rect, Ring, StaircaseScratch,
     WeightedPerimeter,
 };
-use srb_index::SpatialBackend;
 
 /// Fraction of the grid-cell size up to which an object's clearance from
 /// its safe-region boundary is rewarded (see [`ClearanceObjective`]).
@@ -40,8 +39,8 @@ pub(crate) struct RegionScratch {
 /// Objects the context knows exactly are treated as having *invalid* safe
 /// regions (probed but not yet recomputed), triggering the midpoint
 /// replacement rule of §5.2.
-pub(crate) fn compute_safe_region<B: SpatialBackend>(
-    ctx: &mut RegionCtx<'_, B>,
+pub(crate) fn compute_safe_region(
+    ctx: &mut RegionCtx<'_>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
     pos: Point,
@@ -68,8 +67,8 @@ pub(crate) fn compute_safe_region<B: SpatialBackend>(
     }
 }
 
-fn safe_region_under<B: SpatialBackend, O: PerimeterObjective>(
-    ctx: &mut RegionCtx<'_, B>,
+fn safe_region_under<O: PerimeterObjective>(
+    ctx: &mut RegionCtx<'_>,
     grid: &GridIndex,
     queries: &[Option<QueryState>],
     pos: Point,
@@ -121,8 +120,8 @@ enum SrQ {
     Whole,
 }
 
-fn sr_for_query<B: SpatialBackend, O: PerimeterObjective>(
-    ctx: &mut RegionCtx<'_, B>,
+fn sr_for_query<O: PerimeterObjective>(
+    ctx: &mut RegionCtx<'_>,
     qs: &QueryState,
     pos: Point,
     cell: &Rect,
@@ -209,13 +208,7 @@ fn sr_for_query<B: SpatialBackend, O: PerimeterObjective>(
 /// and queues the neighbor's own safe region for recomputation.
 /// Without the probe the ring collapses to a sliver pinned at `pos`, and
 /// the object would have to update continuously.
-fn neighbor_bound<B: SpatialBackend>(
-    ctx: &mut RegionCtx<'_, B>,
-    o: ObjectId,
-    q: Point,
-    pos: Point,
-    inner: bool,
-) -> f64 {
+fn neighbor_bound(ctx: &mut RegionCtx<'_>, o: ObjectId, q: Point, pos: Point, inner: bool) -> f64 {
     let d = pos.dist(q);
     let read = ctx.read;
     if let Some(&pt) = read.exact.get(&o) {

@@ -1,8 +1,8 @@
 //! The engine: one query plane over one object index (the paper's server
 //! loop, §3.1 Algorithm 1).
 //!
-//! [`ShardedServer`] holds one spatial index over the objects' safe
-//! regions, built from `config.backend`. Each object's state — anchor,
+//! [`Server`] holds one R\*-tree over the objects' safe regions, built
+//! from `config.backend`. Each object's state — anchor,
 //! timestamp, safe region, sequence number — lives once, in the object
 //! table beside the index (`index.rs`). The queries live once, in the
 //! [`QueryProcessor`], and are evaluated by the §4 code over the index.
@@ -20,8 +20,8 @@
 //! 3. **regions** — the exactly-known objects (movers and probed) get
 //!    their safe regions, in id order (`region.rs`);
 //! 4. **install** — the regions go into the index, leases and deferred
-//!    probes into the timer queue, and the responses are sorted by
-//!    [`ObjectId`], result changes by [`QueryId`].
+//!    probes into the timer queue; the responses come in [`ObjectId`]
+//!    order, result changes in [`QueryId`] order.
 //!
 //! Registration, deregistration, object churn and deferred probes go
 //! through the same evaluate → regions → install steps. Every mutating
@@ -40,7 +40,7 @@ use crate::index::ObjectIndex;
 use crate::location::{DeferKind, Timers};
 use crate::object::ObjectState;
 use crate::processor::QueryProcessor;
-use crate::provider::{CostTracker, FnProvider, LocationProvider, NoProbe, WorkStats};
+use crate::provider::{CostTracker, LocationProvider, NoProbe, WorkStats};
 use crate::query::{Quarantine, QuerySpec, QueryState, ResultChange};
 use crate::scratch::{BatchBuffers, OpBuffers};
 use crate::wal::{Op, Wal};
@@ -84,7 +84,7 @@ pub struct UpdateResponse {
 /// A source-initiated location update stamped with the client's sequence
 /// number. Over a lossy channel the same report can arrive duplicated or
 /// reordered; the engine accepts each sequence number at most once
-/// ([`ShardedServer::ingest`]).
+/// ([`Server::ingest`]).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SequencedUpdate {
     /// The reporting object.
@@ -96,40 +96,16 @@ pub struct SequencedUpdate {
     pub seq: u64,
 }
 
-/// Result of [`ShardedServer::remove_object`].
+/// Result of [`Server::remove_object`].
 #[derive(Clone, Debug)]
 pub struct ResultRemoval {
     /// Safe regions recomputed for objects probed during the removal.
     pub probed: Vec<(ObjectId, Rect)>,
 }
 
-/// A location provider probed through `&self`, for
-/// [`ShardedServer::handle_sequenced_updates_parallel_into`]. Probe through
-/// [`LocationProvider`] instead (a position table through an
-/// [`FnProvider`](crate::FnProvider) over it). The name stays only for
-/// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
-pub trait SyncProvider {
-    /// Returns the exact current location of `id`.
-    fn probe(&self, id: ObjectId) -> Point;
-}
-
-/// The [`SyncProvider`] over a borrowed dense position table (index =
-/// object id): probing is an array read. The table must cover every id a
-/// batch may probe — a probe past its end panics before any safe region
-/// of the batch is installed: nothing is committed and the WAL is
-/// poisoned. The name stays only for `bench/src/driver.rs` and goes with
-/// ROADMAP 3(a) after 2(a).
-pub struct TableProvider<'a>(pub &'a [Point]);
-
-impl SyncProvider for TableProvider<'_> {
-    fn probe(&self, id: ObjectId) -> Point {
-        self.0[id.index()]
-    }
-}
-
 /// The engine's one scratch: every buffer an operation works in, kept
 /// between operations for its capacity so a steady-state batch allocates
-/// nothing. [`operation`](ShardedServer::operation) takes it whole once
+/// nothing. [`operation`](Server::operation) takes it whole once
 /// per mutating call (`std::mem::take`), clears it, lends it to the call,
 /// and puts it back once; a provider panic unwinds with the taken scratch,
 /// and the engine continues on a default one.
@@ -144,10 +120,8 @@ struct EngineScratch {
     /// The accepted updates of a batch, in arrival order.
     movers: Vec<(ObjectId, Point)>,
     /// Senders of stale reports, answered with their region as it stands
-    /// after the batch; in arrival order.
+    /// after the batch.
     regrants: Vec<ObjectId>,
-    /// The permutation [`sort_by_object`] sorts in place of the responses.
-    order: Vec<u32>,
     /// The `server.scratch_high_water` gauge: the most entries one
     /// operation has held.
     high_water: usize,
@@ -160,17 +134,17 @@ impl EngineScratch {
         self.batch.clear();
         self.movers.clear();
         self.regrants.clear();
-        self.order.clear();
     }
 }
 
-/// The SRB database server: one object index and one query plane, generic
-/// in the index backend `B`. See the module docs for the steps of an
-/// operation. The paper's server, on the R\*-tree, is [`Server`].
-pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
+/// The SRB database server (§3.1): one R\*-tree over the objects' safe
+/// regions and one query plane, built by [`Server::new`] and recovered by
+/// [`Server::reopen`]; reports go in through [`Server::ingest`]. See the
+/// module docs for the steps of an operation.
+pub struct Server {
     config: ServerConfig,
-    /// The spatial backend and the object table.
-    index: ObjectIndex<B>,
+    /// The R\*-tree and the object table.
+    index: ObjectIndex,
     /// The location manager's timers: at most one lease or deferred probe
     /// per object, in `(due, id)` order.
     timers: Timers,
@@ -189,21 +163,13 @@ pub struct ShardedServer<B: srb_index::SpatialBackend = srb_index::RStarTree> {
     wal: Option<Box<Wal>>,
 }
 
-/// The paper's server (§3.1): one R\*-tree over the objects' safe regions
-/// and one query plane, built by [`Server::new`] and recovered by
-/// [`Server::reopen`]; reports go in through [`ShardedServer::ingest`].
-/// ROADMAP 3(c) makes it the struct once `bench/` no longer names
-/// [`ShardedServer`].
-pub type Server = ShardedServer<srb_index::RStarTree>;
-
-impl<B: srb_index::SpatialBackend> ShardedServer<B> {
+impl Server {
     /// Creates the server, its index built once from `config.backend`,
-    /// with durability when `config.durability.dir` is set. Panics when
-    /// `B` cannot build that config variant.
+    /// with durability when `config.durability.dir` is set.
     pub fn new(config: ServerConfig) -> Self {
         let mut server = Self::assemble(
             config,
-            ObjectIndex::new(&config.backend, config.space),
+            ObjectIndex::new(&config.backend),
             QueryProcessor::new(config.space, config.grid_m),
         );
         if let Some(dir) = config.durability.dir {
@@ -212,19 +178,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         server
     }
 
-    /// [`new`](Self::new); the count must be at least one and is otherwise
-    /// ignored. The name stays only for `bench/src/engine.rs` and goes
-    /// with ROADMAP 3(a) after 2(a).
-    pub fn with_backend(config: ServerConfig, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        Self::new(config)
-    }
-
     /// An engine around its durable parts but the timers and the counters,
     /// which start empty (a decoded engine sets its own); everything else
     /// starts fresh.
-    fn assemble(config: ServerConfig, index: ObjectIndex<B>, processor: QueryProcessor) -> Self {
-        ShardedServer {
+    fn assemble(config: ServerConfig, index: ObjectIndex, processor: QueryProcessor) -> Self {
+        Server {
             index,
             timers: Timers::default(),
             processor,
@@ -234,13 +192,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
             wal: None,
             config,
         }
-    }
-
-    /// Does nothing: every region is computed on the calling thread. The
-    /// name stays only for `bench/src/engine.rs` and goes with ROADMAP 3(a)
-    /// after 2(a).
-    pub fn with_threads(self, _threads: usize) -> Self {
-        self
     }
 
     // ------------------------------------------------------------------
@@ -493,7 +444,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     /// evaluation) — and the safe regions of the updating and the probed
     /// objects are recomputed.
     ///
-    /// **Appends** the batch's responses to `out`, sorted by [`ObjectId`];
+    /// **Appends** the batch's responses to `out`, ascending by [`ObjectId`];
     /// the result changes (sorted by [`QueryId`]) and the safe regions of
     /// probed objects (sorted by [`ObjectId`]) ride on the first entry. With a caller-reused `out`,
     /// a steady-state batch that runs no kNN browse allocates nothing (see
@@ -508,31 +459,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         let _span = srb_obs::span!("sharded.fan_out");
         let op = Op::Batch { now, updates: Cow::Borrowed(batch) };
         self.operation(op, probes, |this, s, provider| this.batch(s, batch, provider, now, out));
-    }
-
-    /// [`ingest`](Self::ingest) under its old name. It stays only for
-    /// `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
-    pub fn handle_sequenced_updates_into(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &mut dyn LocationProvider,
-        now: f64,
-        out: &mut Vec<(ObjectId, UpdateResponse)>,
-    ) {
-        self.ingest(updates, provider, now, out);
-    }
-
-    /// [`ingest`](Self::ingest) over a [`SyncProvider`]. The name stays
-    /// only for `bench/src/engine.rs` and goes with ROADMAP 3(a) after
-    /// 2(a).
-    pub fn handle_sequenced_updates_parallel_into<P: SyncProvider>(
-        &mut self,
-        updates: &[SequencedUpdate],
-        provider: &P,
-        now: f64,
-        out: &mut Vec<(ObjectId, UpdateResponse)>,
-    ) {
-        self.ingest(updates, &mut FnProvider(|id| provider.probe(id)), now, out);
     }
 
     /// The batch body of [`ingest`](Self::ingest).
@@ -570,33 +496,38 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         self.costs.source_updates += s.movers.len() as u64;
         srb_obs::counter!("server.updates").add(s.movers.len() as u64);
 
-        // One response per mover; probed bystanders and the result changes
-        // ride with the batch's first entry.
         let start = out.len();
         let (mut extra, mut changes) = (Vec::new(), Vec::new());
-        if !s.movers.is_empty() {
-            let EngineScratch { op, batch, regions, movers, .. } = &mut *s;
+        let EngineScratch { op, batch, regions, movers, regrants, .. } = &mut *s;
+        if !movers.is_empty() {
             changes = self.fold(op, batch, regions, movers, provider, now);
-            // Every mover got a region; any beyond theirs is a bystander's.
-            let movers_only = op.recomputed.len() == batch.prev.len();
-            for &(oid, safe_region) in &op.recomputed {
-                if movers_only || batch.prev.contains_key(&oid) {
-                    let (probed, changes) = (Vec::new(), Vec::new());
-                    out.push((oid, UpdateResponse { safe_region, probed, changes }));
-                } else {
-                    extra.push((oid, safe_region));
-                }
-            }
-            // In id order, like the responses.
-            debug_assert!(extra.is_sorted_by_key(|&(oid, _)| oid), "regions come in id order");
         }
-        // Re-grants carry the post-batch safe region, never a stale one.
-        for &id in &s.regrants {
+        // One response per mover and one per re-grant, merged in id order
+        // (the movers' regions come so; entries of one stale id are alike),
+        // a mover before a re-grant of its own id. A re-grant carries the
+        // post-batch safe region, never a stale one. Probed bystanders and
+        // the result changes ride with the batch's first entry.
+        regrants.sort_unstable();
+        let mut regrants = regrants.iter().copied().peekable();
+        let respond = |id: ObjectId| {
             let safe_region = self.safe_region(id).expect("admission saw the object");
-            let (probed, changes) = (Vec::new(), Vec::new());
-            out.push((id, UpdateResponse { safe_region, probed, changes }));
+            (id, UpdateResponse { safe_region, probed: Vec::new(), changes: Vec::new() })
+        };
+        // Every mover got a region; any beyond theirs is a bystander's.
+        let movers_only = op.recomputed.len() == batch.prev.len();
+        for &(oid, safe_region) in &op.recomputed {
+            if movers_only || batch.prev.contains_key(&oid) {
+                while let Some(id) = regrants.next_if(|&id| id < oid) {
+                    out.push(respond(id));
+                }
+                out.push(respond(oid));
+            } else {
+                extra.push((oid, safe_region));
+            }
         }
-        sort_by_object(&mut out[start..], &mut s.order);
+        out.extend(regrants.map(respond));
+        debug_assert!(out[start..].is_sorted_by_key(|&(oid, _)| oid), "responses in id order");
+        debug_assert!(extra.is_sorted_by_key(|&(oid, _)| oid), "regions come in id order");
         if let Some((_, first)) = out.get_mut(start) {
             (first.probed, first.changes) = (extra, changes);
         }
@@ -713,7 +644,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         op: &mut OpBuffers,
         provider: &mut dyn LocationProvider,
         now: f64,
-        step: impl FnOnce(&mut QueryProcessor, &mut EvalCtx<'_, B>, &mut Vec<QueryId>, &Rect) -> R,
+        step: impl FnOnce(&mut QueryProcessor, &mut EvalCtx<'_>, &mut Vec<QueryId>, &Rect) -> R,
     ) -> R {
         let mut ctx = EvalCtx {
             index: &self.index,
@@ -793,37 +724,11 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 }
 
-/// Sorts a batch's responses by [`ObjectId`], entries of one object staying
-/// in the order they were appended — what `sort_by_key` does, without the
-/// merge buffer it allocates beyond twenty entries: the (id, position)
-/// keys are unique, so an unstable sort of the positions finds the same
-/// permutation, which is then applied cycle by cycle.
-fn sort_by_object(responses: &mut [(ObjectId, UpdateResponse)], order: &mut Vec<u32>) {
-    if responses.is_sorted_by_key(|&(id, _)| id) {
-        return;
-    }
-    order.clear();
-    order.extend(0..responses.len() as u32);
-    order.sort_unstable_by_key(|&i| (responses[i as usize].0, i));
-    // `order[k]` is the position of the entry that belongs at `k`; a slot
-    // is marked done by pointing it at itself.
-    for start in 0..order.len() {
-        let mut k = start;
-        while order[k] as usize != start {
-            let from = order[k] as usize;
-            responses.swap(k, from);
-            order[k] = k as u32;
-            k = from;
-        }
-        order[k] = k as u32;
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::error::RecoveryError;
-    use srb_index::SpatialBackend;
+    use crate::provider::FnProvider;
     use std::collections::BTreeMap;
     use std::path::Path;
 
@@ -834,24 +739,6 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
-    }
-
-    #[test]
-    fn sort_by_object_is_the_stable_sort() {
-        // Ids repeat; the rectangle carries where the entry was appended.
-        let entry = |i: usize| {
-            let at = Point::new(i as f64, 0.0);
-            let safe_region = Rect::new(at, at);
-            let resp = UpdateResponse { safe_region, probed: Vec::new(), changes: Vec::new() };
-            (ObjectId((splitmix64(i as u64) % 7) as u32), resp)
-        };
-        for n in [0, 1, 2, 19, 64, 500] {
-            let mut got: Vec<_> = (0..n).map(entry).collect();
-            let mut want = got.clone();
-            want.sort_by_key(|&(id, _)| id);
-            sort_by_object(&mut got, &mut Vec::new());
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{n} entries");
-        }
     }
 
     pub(super) fn world(n: usize, seed: u64) -> Vec<Point> {
@@ -866,7 +753,7 @@ mod tests {
             .collect()
     }
 
-    fn step(world: &mut [Point], round: u64) {
+    pub(crate) fn step(world: &mut [Point], round: u64) {
         for (i, p) in world.iter_mut().enumerate() {
             let h = splitmix64(round.wrapping_mul(31).wrapping_add(i as u64));
             let dx = ((h >> 32) as f64 / u32::MAX as f64 - 0.5) * 0.08;
@@ -880,11 +767,17 @@ mod tests {
     /// registered at `t = 0`, in id order.
     pub(super) fn populated(config: ServerConfig, at: &[Point]) -> Server {
         let mut server = Server::new(config);
+        populate(&mut server, at);
+        server
+    }
+
+    /// Registers one object per position of `at` on `server`, each at
+    /// `t = 0`, in id order.
+    fn populate(server: &mut Server, at: &[Point]) {
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &p) in at.iter().enumerate() {
             server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
         }
-        server
     }
 
     /// A fleet over `world(30, 11)` with a range and a kNN query.
@@ -893,9 +786,17 @@ mod tests {
     }
 
     /// [`fleet`] over `world(n, 11)`.
-    fn fleet_of(n: usize, config: ServerConfig) -> (Server, Vec<Point>) {
+    pub(crate) fn fleet_of(n: usize, config: ServerConfig) -> (Server, Vec<Point>) {
+        let mut server = Server::new(config);
+        let positions = fill(&mut server, n);
+        (server, positions)
+    }
+
+    /// Makes the empty `server` [`fleet_of`]'s fleet of `n`; returns the
+    /// positions.
+    pub(crate) fn fill(server: &mut Server, n: usize) -> Vec<Point> {
         let positions = world(n, 11);
-        let mut server = populated(config, &positions);
+        populate(server, &positions);
         let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
         for spec in [
             QuerySpec::range(Rect::new(Point::new(0.2, 0.2), Point::new(0.7, 0.7))),
@@ -903,43 +804,7 @@ mod tests {
         ] {
             server.register_query(spec, &mut provider, 0.0);
         }
-        (server, positions)
-    }
-
-    /// Drives two 40-object fleets ([`fleet_of`]) through the same 15
-    /// rounds of exit reports — odd rounds as one batch, even rounds one
-    /// report per call — one through [`ShardedServer::ingest`], the other
-    /// through the bench's `_parallel_into` over a [`TableProvider`],
-    /// and holds the second to the first after every batch: responses,
-    /// digest, costs and work counters.
-    fn assert_parallel_matches_sequential(configs: [ServerConfig; 2]) -> [Server; 2] {
-        let (mut seq_server, mut positions) = fleet_of(40, configs[0]);
-        let (mut par_server, _) = fleet_of(40, configs[1]);
-        let mut seqs = vec![0u64; positions.len()];
-        for round in 1..=15u64 {
-            step(&mut positions, round);
-            let now = round as f64 * 0.1;
-            let reports = exit_reports(&seq_server, &positions, &mut seqs);
-            let size = if round % 2 == 0 { 1 } else { reports.len().max(1) };
-            for batch in reports.chunks(size) {
-                let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                seq_server.ingest(batch, &mut provider, now, &mut a);
-                let table = TableProvider(&positions);
-                par_server.handle_sequenced_updates_parallel_into(batch, &table, now, &mut b);
-                let what = format!("round {round}");
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}");
-                assert_eq!(seq_server.state_digest(), par_server.state_digest(), "{what}");
-                assert_eq!(seq_server.costs(), par_server.costs(), "{what}");
-                assert_eq!(seq_server.work(), par_server.work(), "{what}");
-            }
-        }
-        [seq_server, par_server]
-    }
-
-    #[test]
-    fn parallel_path_matches_sequential_path() {
-        assert_parallel_matches_sequential([ServerConfig::default(); 2]);
+        positions
     }
 
     #[test]
@@ -1058,21 +923,42 @@ mod tests {
         }
     }
 
+    /// An unknown id is dropped and counted. A stale report is answered
+    /// with its object's post-batch region, merged into the responses in
+    /// id order, after the mover's of the same id.
     #[test]
     fn unknown_updates_are_dropped_and_counted() {
         let mut server = Server::new(ServerConfig::default());
         let mut provider = FnProvider(|_| Point::new(0.5, 0.5));
-        server.add_object(ObjectId(0), Point::new(0.3, 0.3), &mut provider, 0.0).unwrap();
-        let report = |id, x| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, x), seq: 1 };
+        for id in [0, 3, 5] {
+            let at = Point::new(0.3, 0.1 * f64::from(id) + 0.2);
+            server.add_object(ObjectId(id), at, &mut provider, 0.0).unwrap();
+        }
+        let report = |id, x, seq| SequencedUpdate { id: ObjectId(id), pos: Point::new(x, x), seq };
         let mut resp = Vec::new();
-        server.ingest(&[report(0, 0.4), report(99, 0.1)], &mut provider, 0.1, &mut resp);
+        server.ingest(&[report(0, 0.4, 1), report(99, 0.1, 1)], &mut provider, 0.1, &mut resp);
         assert_eq!(resp.len(), 1);
         assert_eq!(server.work().unknown_object_drops, 1);
+
+        resp.clear();
+        let batch = [report(5, 0.6, 2), report(3, 0.35, 1), report(5, 0.62, 1)];
+        server.ingest(&batch, &mut provider, 0.2, &mut resp);
+        let ids: Vec<ObjectId> = resp.iter().map(|&(o, _)| o).collect();
+        assert_eq!(ids, [ObjectId(3), ObjectId(5), ObjectId(5)], "the mover, then its re-grant");
+        let region = server.safe_region(ObjectId(5));
+        assert!(region.is_some_and(|r| r.contains_point(Point::new(0.6, 0.6))));
+        assert!(resp[1..].iter().all(|(_, r)| Some(r.safe_region) == region), "post-batch");
+        // A re-grant below a mover's id comes first.
+        resp.clear();
+        server.ingest(&[report(5, 0.61, 3), report(3, 0.36, 1)], &mut provider, 0.3, &mut resp);
+        let ids: Vec<ObjectId> = resp.iter().map(|&(o, _)| o).collect();
+        assert_eq!(ids, [ObjectId(3), ObjectId(5)]);
+        assert_eq!(server.work().stale_seq_drops, 2);
     }
 
     /// A unique throwaway durability directory (leaked so the config can
     /// hold a `&'static str`).
-    pub(super) fn temp_dir(tag: &str) -> &'static str {
+    pub(crate) fn temp_dir(tag: &str) -> &'static str {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
@@ -1082,7 +968,7 @@ mod tests {
     }
 
     /// The default configuration, logging to `dir`.
-    pub(super) fn durable(dir: &'static str) -> ServerConfig {
+    pub(crate) fn durable(dir: &'static str) -> ServerConfig {
         ServerConfig {
             durability: crate::config::DurabilityConfig { dir: Some(dir), ..Default::default() },
             ..Default::default()
@@ -1092,8 +978,8 @@ mod tests {
     /// The batch real clients would send: a report, stamped with its
     /// object's next sequence number, from every object that left its safe
     /// region.
-    fn exit_reports<B: SpatialBackend>(
-        server: &ShardedServer<B>,
+    pub(crate) fn exit_reports(
+        server: &Server,
         positions: &[Point],
         seqs: &mut [u64],
     ) -> Vec<SequencedUpdate> {
@@ -1205,36 +1091,12 @@ mod tests {
     }
 
     /// Every file of a durability directory, by name.
-    fn dir_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
+    pub(crate) fn dir_bytes(dir: &str) -> BTreeMap<String, Vec<u8>> {
         let read = |(name, _): (String, u64)| {
             let bytes = std::fs::read(Path::new(dir).join(&name)).expect("store file");
             (name, bytes)
         };
         srb_durable::store::dir_listing(Path::new(dir)).into_iter().map(read).collect()
-    }
-
-    /// What the bench's `_parallel_into` entry writes to disk must be what
-    /// the sequential path writes, byte for byte, and replay like it.
-    #[test]
-    fn parallel_path_under_wal_stays_sequentially_logged() {
-        let dirs = [temp_dir("seq"), temp_dir("par")];
-        let [mut seq_server, mut par_server] =
-            assert_parallel_matches_sequential(dirs.map(durable));
-        seq_server.sync_wal();
-        par_server.sync_wal();
-        assert!(!par_server.wal_poisoned());
-        let logged = dir_bytes(dirs[1]);
-        let logs = logged.keys().filter(|name| name.starts_with("log-")).count();
-        assert_eq!(2 * logs, logged.len(), "one checkpoint and one log per generation");
-        assert_eq!(dir_bytes(dirs[0]), logged);
-        let digest = par_server.state_digest();
-        drop(par_server);
-        let (recovered, replayed) = Server::reopen(durable(dirs[1])).expect("recovery");
-        assert!(replayed > 0);
-        assert_eq!(recovered.state_digest(), digest);
-        for dir in dirs {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 
     /// The bytes a durable engine logs are pinned: a leased [`fleet`]
@@ -1623,7 +1485,7 @@ mod tests {
         // What the index's shape shows from outside: the order a
         // whole-space search emits its hits in.
         let shape = |e: &Server| -> Vec<u64> {
-            e.index.backend().search_vec(&Rect::UNIT).iter().map(|e| e.id).collect()
+            e.index.tree().search_vec(&Rect::UNIT).iter().map(|e| e.id).collect()
         };
         let digest = engine.state_digest();
         assert!(engine.checkpoint());

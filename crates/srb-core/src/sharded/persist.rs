@@ -6,7 +6,7 @@
 //! each through its operation's entry point. Only this module and `wal.rs`
 //! encode, decode or replay a record.
 
-use super::ShardedServer;
+use super::Server;
 use crate::config::ServerConfig;
 use crate::error::RecoveryError;
 use crate::index::ObjectIndex;
@@ -20,10 +20,10 @@ use std::path::Path;
 /// Follows a checkpoint's config fingerprint: the layout with one query
 /// plane, one timer queue and one object table whose entries name no
 /// shard — the index is rebuilt from `config.backend` and the table
-/// ("SRBFLT" + version). See `ShardedServer::decode_state`.
+/// ("SRBFLT" + version). See `Server::decode_state`.
 const FLEET_LAYOUT: u64 = 0x5352_4246_4C54_0008;
 
-impl<B: srb_index::SpatialBackend> ShardedServer<B> {
+impl Server {
     /// Creates a durability store in `dir` and attaches a fresh WAL, rooted
     /// at a checkpoint of the whole engine state.
     pub(super) fn attach_durability(&mut self, dir: &str) {
@@ -52,16 +52,10 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         Ok((server, rec.records.len()))
     }
 
-    /// [`reopen`](Self::reopen); the count is ignored. The name stays only
-    /// for `bench/src/engine.rs` and goes with ROADMAP 3(a) after 2(a).
-    pub fn recover(config: ServerConfig, _shards: usize) -> Result<(Self, usize), RecoveryError> {
-        Self::reopen(config)
-    }
-
     /// True when an earlier I/O failure poisoned the WAL. A poisoned
     /// engine keeps serving from memory but persists nothing further;
     /// the only path back is recovery
-    /// ([`Server::reopen`](super::Server::reopen)).
+    /// ([`reopen`](Self::reopen)).
     pub fn wal_poisoned(&self) -> bool {
         self.wal.as_ref().map(|w| w.poisoned()).unwrap_or(false)
     }
@@ -112,7 +106,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
     }
 
     /// Rebuilds a server from a checkpoint payload. The WAL is *not*
-    /// attached — [`ShardedServer::reopen`] does that after replay.
+    /// attached — [`reopen`](Self::reopen) does that after replay.
     pub(super) fn decode_state(
         config: &ServerConfig,
         payload: &[u8],
@@ -136,7 +130,7 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
         }
         let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
         let work = WorkStats::decode(&mut dec)?;
-        let index = ObjectIndex::decode_state(&mut dec, &config.backend, config.space)?;
+        let index = ObjectIndex::decode_state(&mut dec, &config.backend)?;
         let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
         let processor = QueryProcessor::decode_state(&mut dec)?;
         dec.finish()?;
@@ -168,7 +162,6 @@ impl<B: srb_index::SpatialBackend> ShardedServer<B> {
 #[cfg(test)]
 mod tests {
     use super::super::tests::{durable, fleet, populated, temp_dir, world};
-    use super::super::Server;
     use super::*;
     use crate::ids::ObjectId;
     use crate::provider::{FnProvider, NoProbe};
@@ -176,7 +169,6 @@ mod tests {
     use crate::SequencedUpdate;
     use srb_durable::codec::put_usize;
     use srb_geom::Point;
-    use srb_index::RStarTree;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// What admission refuses — an unknown id, a stale `seq` — is logged
@@ -257,7 +249,7 @@ mod tests {
     /// `decode_state`'s refusal of `payload`, a checkpoint of an older
     /// layout.
     fn refused(payload: &[u8]) {
-        match ShardedServer::<RStarTree>::decode_state(&ServerConfig::default(), payload) {
+        match Server::decode_state(&ServerConfig::default(), payload) {
             Err(RecoveryError::Corrupt(what)) => assert!(what.contains("older layout"), "{what}"),
             other => panic!("decoded an older layout: {:?}", other.map(|_| ())),
         }
@@ -293,7 +285,7 @@ mod tests {
         let (fleet, _) = fleet(config);
         let mut current = Vec::new();
         fleet.encode_state(&mut current);
-        let decoded = ShardedServer::<RStarTree>::decode_state(&config, &current).expect("decodes");
+        let decoded = Server::decode_state(&config, &current).expect("decodes");
         assert_eq!(decoded.state_digest(), fleet.state_digest());
     }
 

@@ -4,7 +4,7 @@
 //! object is an *invalid* neighbour of every region (the §5.2 midpoint
 //! rule), so regions do not depend on the order they are computed in.
 
-use super::ShardedServer;
+use super::Server;
 use crate::eval::{ReadCtx, RegionCtx};
 use crate::ids::ObjectId;
 use crate::location::DeferKind;
@@ -39,9 +39,9 @@ impl RegionStep {
     /// round's replacing an earlier one's), the deferred probes into
     /// [`deferred`](Self::deferred), the neighbour requests into
     /// `requests`; a requester gets no region this round.
-    fn round<B: srb_index::SpatialBackend>(
+    fn round(
         &mut self,
-        read: &ReadCtx<'_, B>,
+        read: &ReadCtx<'_>,
         processor: &QueryProcessor,
         steadiness: Option<f64>,
         requests: &mut Vec<(ObjectId, ObjectId)>,
@@ -81,7 +81,7 @@ impl RegionStep {
     }
 }
 
-impl<B: srb_index::SpatialBackend> ShardedServer<B> {
+impl Server {
     /// regions → install (Algorithm 1, lines 14-15): computes, round by
     /// round ([`RegionStep::round`]), the safe region of every object in
     /// `op.exact` — the ones the caller listed in `step` and the probed

@@ -1,7 +1,7 @@
 //! The durability plane's server-side half: operation records, probe
 //! transcripts, and the write-ahead log wrapper.
 //!
-//! Every mutating [`ShardedServer`](crate::ShardedServer) entry point is
+//! Every mutating [`Server`](crate::Server) entry point is
 //! one *logical operation*, an [`Op`], and one record in the generation's
 //! one log; a batch of reports, however many it holds, is one record too.
 //! The record holds the operation's inputs ([`Op::encode`]) **plus the
@@ -430,15 +430,13 @@ impl Wal {
     }
 
     /// Appends `op`'s record, with the transcript of the probes answered
-    /// since the last record, and ends the operation: applies the sync
-    /// policy (group commit) and reports whether the checkpoint cadence is
-    /// due.
+    /// since the last record (the store applies group commit), and reports
+    /// whether the checkpoint cadence is due.
     pub(crate) fn append(&mut self, op: &Op<'_>) -> bool {
         self.buf.clear();
         op.encode(&self.probes, &mut self.buf);
         self.probes.clear();
         let _ = self.store.append(&self.buf);
-        let _ = self.store.op_end();
         self.ops_since_ckpt += 1;
         self.checkpoint_ops > 0 && self.ops_since_ckpt >= self.checkpoint_ops
     }

@@ -122,11 +122,13 @@ fn one_shard_steady_state_batches_do_not_allocate() {
 /// The ledger's entry point.
 #[test]
 fn sharded_steady_state_batches_do_not_allocate() {
-    // The entry ROADMAP 3(a) deletes: `with_threads` and
+    // The entry ROADMAP 3(a) deletes, built as `bench/` builds it:
+    // `with_backend`, `with_threads` and
     // `handle_sequenced_updates_parallel_into` over a `TableProvider`.
-    use srb_core::TableProvider;
+    use srb_core::{RStarTree, ShardedServer, TableProvider};
     let mut provider = FnProvider(|id: ObjectId| home(id.index()));
-    let mut server = Server::new(ServerConfig::default()).with_threads(2);
+    let mut server =
+        ShardedServer::<RStarTree>::with_backend(ServerConfig::default(), 1).with_threads(2);
     for i in 0..N_OBJECTS {
         server.add_object(ObjectId(i as u32), home(i), &mut provider, 0.0).expect("fresh id");
     }

@@ -1,6 +1,6 @@
 //! Counting-allocator pin for the bench's threaded entry: once capacities
 //! have warmed up, a batch through
-//! [`Server::handle_sequenced_updates_parallel_into`] allocates
+//! [`ShardedServer::handle_sequenced_updates_parallel_into`] allocates
 //! nothing on *any* thread — asked for four threads, for two and for one —
 //! whatever the batch size. One
 //! thread computes every safe region, so the batch forks no helper, and no
@@ -16,8 +16,8 @@
 //! allocates — or starts a thread — while the batches are measured.
 
 use srb_core::{
-    FnProvider, ObjectId, QuerySpec, SequencedUpdate, Server, ServerConfig, TableProvider,
-    UpdateResponse,
+    FnProvider, ObjectId, QuerySpec, RStarTree, SequencedUpdate, ServerConfig, ShardedServer,
+    TableProvider, UpdateResponse,
 };
 use srb_geom::{Point, Rect};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -86,7 +86,8 @@ fn batch(n: usize, b: u64) -> Vec<SequencedUpdate> {
 /// Heap allocations of each of `MEASURED_BATCHES` warmed-up batches of `n`
 /// reports through an engine asked for `threads`.
 fn measured(n: usize, threads: usize) -> Vec<u64> {
-    let mut server = Server::new(ServerConfig::default()).with_threads(threads);
+    let config = ServerConfig::default();
+    let mut server = ShardedServer::<RStarTree>::with_backend(config, 1).with_threads(threads);
     {
         let mut provider = FnProvider(|id: ObjectId| home(id.index()));
         for i in 0..n {

@@ -239,9 +239,10 @@ impl Store {
         self.poisoned
     }
 
-    /// Poisons the store explicitly — used when the engine above failed
-    /// half way through an operation whose records are already appended,
-    /// a failure that cannot flow through [`Store::append`]'s guard.
+    /// Poisons the store explicitly — used when an engine operation failed
+    /// before its record was appended, a failure that never reaches
+    /// [`Store::append`]'s guard: the log holds no record of that
+    /// operation, so no later one may follow it there.
     pub fn poison(&mut self) {
         self.poisoned = true;
     }
@@ -253,22 +254,16 @@ impl Store {
         r
     }
 
-    /// Appends `payload` as one record to the log (group-commit buffered;
-    /// durable at the next commit boundary).
+    /// Appends `payload` as the one record of an engine operation, syncing
+    /// the log once every `group_ops` operations
+    /// ([`SyncPolicy::GroupCommit`]): a record is durable at the next
+    /// commit boundary.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);
         }
         let r = self.log.append(payload);
-        self.guard(r)
-    }
-
-    /// Marks the end of one engine operation, syncing once every
-    /// `group_ops` of them ([`SyncPolicy::GroupCommit`]).
-    pub fn op_end(&mut self) -> Result<(), DurableError> {
-        if self.poisoned {
-            return Err(DurableError::Poisoned);
-        }
+        self.guard(r)?;
         self.ops_since_sync += 1;
         if self.ops_since_sync >= self.group_ops {
             self.commit()
@@ -485,7 +480,6 @@ mod tests {
         // the commit that never comes.
         let mut s = Store::create(&dir, 2, b"root").unwrap();
         s.append(b"volatile").unwrap();
-        s.op_end().unwrap();
         drop(s);
         let r = Store::recover(&dir, 2).unwrap();
         assert!(r.records.is_empty());
@@ -497,13 +491,10 @@ mod tests {
         let dir = scratch();
         let mut s = Store::create(&dir, 1, b"gen1").unwrap();
         s.append(b"a").unwrap();
-        s.op_end().unwrap();
         s.checkpoint(b"gen2").unwrap();
         s.append(b"b").unwrap();
-        s.op_end().unwrap();
         s.checkpoint(b"gen3").unwrap();
         s.append(b"c").unwrap();
-        s.op_end().unwrap();
         drop(s);
         // Generation 1 was pruned; 2 is the fallback; 3 is active; each is
         // one checkpoint and one log.
@@ -531,7 +522,6 @@ mod tests {
         let dir = scratch();
         let mut s = Store::create(&dir, 1, b"root").unwrap();
         s.append(b"good").unwrap();
-        s.op_end().unwrap();
         drop(s);
         // Simulate a torn append: garbage after the valid frame.
         let path = log_path(&dir, 1);
@@ -560,13 +550,11 @@ mod tests {
             let dir = scratch();
             let mut s = Store::create(&dir, 1, b"gen1").unwrap();
             s.append(b"a").unwrap();
-            s.op_end().unwrap();
             // CkptPrune only fires once generation 1 is prunable, so run
             // one full rotation first for that point.
             if point == CrashPoint::CkptPrune {
                 s.checkpoint(b"gen2").unwrap();
                 s.append(b"b").unwrap();
-                s.op_end().unwrap();
             }
             crash::arm(point, 0);
             let target = if point == CrashPoint::CkptPrune { b"gen3".as_slice() } else { b"gen2" };

@@ -239,9 +239,9 @@ impl RStarTree {
     }
 
     /// Total node visits performed by searches since the last
-    /// [`reset_visits`](Self::reset_visits) — the deterministic work-unit
-    /// counter used by the experiment harness.
-    pub(crate) fn visits(&self) -> u64 {
+    /// `reset_visits` — the deterministic work-unit counter used by the
+    /// experiment harness.
+    pub fn visits(&self) -> u64 {
         self.visits.get()
     }
 

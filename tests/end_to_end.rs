@@ -78,11 +78,11 @@ fn trajectory_driven_monitoring_stays_exact() {
 #[test]
 fn sharded_trajectory_driven_monitoring_matches_brute_force() {
     // Same trajectories as above, reduced; the reports of one check instant
-    // go in as one batch through the ledger's entry point (`with_threads`,
-    // `_parallel_into` over a `TableProvider`; ROADMAP 3(a) deletes them
-    // after 2(a)), and every query is held to the brute-force answer at
-    // every check instant.
-    use srb::core::TableProvider;
+    // go in as one batch through the ledger's entry point (`with_backend`,
+    // `with_threads`, `_parallel_into` over a `TableProvider`; ROADMAP 3(a)
+    // deletes them after 2(a)), and every query is held to the brute-force
+    // answer at every check instant.
+    use srb::core::{RStarTree, ShardedServer, TableProvider};
     let n = 100;
     let mob = MobilityConfig { mean_speed: 0.02, mean_period: 0.5, ..Default::default() };
     let queries: Vec<QuerySpec> = (0..9u64)
@@ -98,7 +98,8 @@ fn sharded_trajectory_driven_monitoring_matches_brute_force() {
     let mut trajs: Vec<Trajectory> =
         (0..n).map(|i| Trajectory::random_waypoint(404, i as u64, mob, 0.0)).collect();
     let mut at: Vec<Point> = trajs.iter_mut().map(|t| t.position(0.0)).collect();
-    let mut server = Server::new(ServerConfig::default()).with_threads(2);
+    let mut server =
+        ShardedServer::<RStarTree>::with_backend(ServerConfig::default(), 1).with_threads(2);
     {
         let mut provider = FnProvider(|id: ObjectId| at[id.index()]);
         for (i, &pos) in at.iter().enumerate() {
