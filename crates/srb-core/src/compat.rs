@@ -1,18 +1,122 @@
 //! The names `bench/` still compiles against, and nothing else: the generic
 //! engine `ShardedServer<B>`, its shard-count constructor and recovery, the
-//! thread-count setter, the two old ingest entry points and the `&self`
-//! provider over a position table. Each is written against [`Server`]'s
-//! public API alone. ROADMAP 2(a) moves `bench/` onto `Server`; its
-//! follow-up deletes this file and its tests whole (ROADMAP 3(a)).
+//! thread-count setter, the two old ingest entry points, the `&self`
+//! provider over a position table, the index trait with its one
+//! implementor, the aliases of [`RStarTree`] and [`TreeConfig`], the
+//! three-spelling [`BackendConfig`] and the one-value [`SyncPolicy`]. Each
+//! is written against the public API of [`Server`] and [`RStarTree`] alone.
+//! ROADMAP 2(a) moves `bench/` onto `Server`; its follow-up deletes this
+//! file and its tests whole and makes `ServerConfig::backend` a
+//! [`TreeConfig`] (ROADMAP 3(a), 3(b)).
 
 use crate::{
     FnProvider, LocationProvider, ObjectId, RecoveryError, SequencedUpdate, Server, ServerConfig,
     UpdateResponse,
 };
-use srb_geom::Point;
-use srb_index::{RStarTree, SpatialBackend};
+use srb_geom::{Point, Rect};
+use srb_index::{LeafEntry, NearestIter, RStarTree, TreeConfig, UpdateOutcome};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+
+/// [`RStarTree`] under the name of the runtime-dispatched index.
+pub type DynBackend = RStarTree;
+
+/// [`RStarTree`] under the name of the uniform grid that stood beside it.
+pub type UniformGrid = RStarTree;
+
+/// [`TreeConfig`] under the name `BackendConfig::Adaptive` carries.
+pub type AdaptiveConfig = TreeConfig;
+
+/// [`TreeConfig`] under the name `BackendConfig::Grid` carries.
+pub type GridConfig = TreeConfig;
+
+/// The object index's parameters: every variant is the R\*-tree's
+/// [`TreeConfig`]. `ServerConfig::backend` holds it, and the recovery
+/// fingerprint hashes its `Debug` form, so a variant's name stays.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum BackendConfig {
+    /// The R\*-tree (paper §7.1).
+    RStar(TreeConfig),
+    /// A second spelling of [`RStar`](Self::RStar).
+    Grid(GridConfig),
+    /// A third spelling of [`RStar`](Self::RStar).
+    Adaptive(AdaptiveConfig),
+}
+
+impl Default for BackendConfig {
+    fn default() -> Self {
+        BackendConfig::RStar(TreeConfig::default())
+    }
+}
+
+impl BackendConfig {
+    /// Short label for logs, benches, and JSON rows.
+    pub fn label(&self) -> &'static str {
+        match self {
+            BackendConfig::RStar(_) => "rstar",
+            BackendConfig::Grid(_) => "grid",
+            BackendConfig::Adaptive(_) => "adaptive",
+        }
+    }
+
+    /// The tree parameters, whichever variant spells them.
+    pub(crate) fn tree(&self) -> TreeConfig {
+        let (BackendConfig::RStar(tree)
+        | BackendConfig::Grid(tree)
+        | BackendConfig::Adaptive(tree)) = *self;
+        tree
+    }
+}
+
+/// When appended log records reach stable storage: group commit, the one
+/// policy (`DurabilityConfig::group_ops` sets the group). Nothing reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SyncPolicy {
+    /// Fsync once every `group_ops` operations.
+    #[default]
+    GroupCommit,
+}
+
+/// The calls `bench/` makes on an object index, with [`RStarTree`] their
+/// one implementor: each forwards to the tree's inherent method.
+pub trait SpatialBackend {
+    /// An empty index built from `config`; `space` is ignored.
+    fn build(config: &BackendConfig, space: Rect) -> Self;
+
+    /// [`RStarTree::insert`].
+    fn insert(&mut self, id: u64, rect: Rect);
+
+    /// [`RStarTree::update`].
+    fn update(&mut self, id: u64, new_rect: Rect) -> UpdateOutcome;
+
+    /// [`RStarTree::search`].
+    fn search(&self, query: &Rect, f: &mut dyn FnMut(&LeafEntry));
+
+    /// [`RStarTree::nearest_iter`].
+    fn nearest_iter(&self, q: Point) -> NearestIter<'_>;
+}
+
+impl SpatialBackend for RStarTree {
+    fn build(config: &BackendConfig, _space: Rect) -> Self {
+        RStarTree::new(config.tree())
+    }
+
+    fn insert(&mut self, id: u64, rect: Rect) {
+        RStarTree::insert(self, id, rect);
+    }
+
+    fn update(&mut self, id: u64, new_rect: Rect) -> UpdateOutcome {
+        RStarTree::update(self, id, new_rect)
+    }
+
+    fn search(&self, query: &Rect, f: &mut dyn FnMut(&LeafEntry)) {
+        RStarTree::search(self, query, |e| f(e));
+    }
+
+    fn nearest_iter(&self, q: Point) -> NearestIter<'_> {
+        RStarTree::nearest_iter(self, q)
+    }
+}
 
 /// [`Server`] under the generic name `bench/` writes. Every `B` is the
 /// R\*-tree, because [`SpatialBackend`] has one implementor, so the

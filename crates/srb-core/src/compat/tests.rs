@@ -1,10 +1,15 @@
 //! The ledger's entry — [`ShardedServer::with_backend`], `with_threads` and
 //! `handle_sequenced_updates_parallel_into` over a [`TableProvider`], as
-//! `bench/src/engine.rs` calls them — held to [`Server::ingest`].
+//! `bench/src/engine.rs` calls them — held to [`Server::ingest`]; and the
+//! index trait's calls, as `bench/src/micro.rs` makes them, under every
+//! [`BackendConfig`] spelling.
 
-use super::{ShardedServer, TableProvider};
+use super::{
+    AdaptiveConfig, BackendConfig, GridConfig, ShardedServer, SpatialBackend, TableProvider,
+};
 use crate::sharded::tests::{dir_bytes, durable, exit_reports, fill, fleet_of, step, temp_dir};
-use crate::{FnProvider, ObjectId, RStarTree, Server, ServerConfig};
+use crate::{FnProvider, ObjectId, RStarTree, Server, ServerConfig, TreeConfig};
+use srb_geom::{Point, Rect};
 
 /// Drives a 40-object fleet ([`fleet_of`]) through 15 rounds of exit
 /// reports — odd rounds as one batch, even rounds one report per call —
@@ -63,5 +68,41 @@ fn parallel_path_under_wal_stays_sequentially_logged() {
     assert_eq!(recovered.state_digest(), digest);
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// An index built through the trait from `config`, holding 100 scattered
+/// points, half of them then moved; what it shows from outside: the order
+/// a whole-space search emits its hits in, a browse's first five, and the
+/// nodes both visited.
+fn trait_shape<B: SpatialBackend>(config: &BackendConfig) -> (Vec<u64>, Vec<u64>, B) {
+    let at = |i: u64, s: f64| Point::new((i as f64 * s).fract(), (i as f64 * 0.61).fract());
+    let mut index = B::build(config, Rect::UNIT);
+    for i in 0..100 {
+        index.insert(i, Rect::point(at(i, 0.37)));
+    }
+    for i in (0..100).step_by(2) {
+        index.update(i, Rect::point(at(i, 0.53)));
+    }
+    let mut order = Vec::new();
+    index.search(&Rect::UNIT, &mut |e| order.push(e.id));
+    let near = index.nearest_iter(Point::new(0.3, 0.7)).take(5).map(|n| n.id).collect();
+    (order, near, index)
+}
+
+/// `Adaptive` and `Grid` are spellings of `RStar`: each carries the tree's
+/// parameters and builds the same tree, and so does the default.
+#[test]
+fn adaptive_builds_the_same_rstar_tree() {
+    let (order, near, tree) = trait_shape::<RStarTree>(&BackendConfig::default());
+    assert_eq!(order.len(), 100);
+    for config in [
+        BackendConfig::RStar(TreeConfig::default()),
+        BackendConfig::Adaptive(AdaptiveConfig::default()),
+        BackendConfig::Grid(GridConfig::default()),
+    ] {
+        assert_eq!(config.tree(), TreeConfig::default(), "{}", config.label());
+        let (o, n, t) = trait_shape::<RStarTree>(&config);
+        assert_eq!((o, n, t.visits()), (order.clone(), near.clone(), tree.visits()));
     }
 }

@@ -1,8 +1,7 @@
 //! Server configuration.
 
-use srb_durable::SyncPolicy;
+use crate::compat::{BackendConfig, SyncPolicy};
 use srb_geom::Rect;
-use srb_index::BackendConfig;
 
 /// Configuration of the durability plane (write-ahead log + checkpoints),
 /// which the engine owns: a durable single node is

@@ -235,24 +235,18 @@ pub(crate) fn evaluate_range(ctx: &mut EvalCtx<'_>, rect: &Rect) -> Vec<ObjectId
                 // circle grows, so each one schedules a deferred probe.
                 if bound.definitely_inside(rect) {
                     results.push(oid);
-                    if let Some((anchor, radius)) = reach_anchor(&bound) {
+                    if let Some(anchor) = reach_anchor(&bound) {
                         let escape = sr.escape_dist(anchor, rect).unwrap_or(f64::INFINITY);
                         if escape.is_finite() {
                             ctx.defer_travel(oid, escape);
                         } else {
                             ctx.work.probes_avoided += 1;
                         }
-                        let _ = radius;
                     }
                 } else if bound.definitely_outside(rect) {
-                    if reach_anchor(&bound).is_some() {
-                        let enter = sr
-                            .intersection(rect)
-                            .map(|cap| {
-                                let anchor = reach_anchor(&bound).expect("checked").0;
-                                cap.min_dist(anchor)
-                            })
-                            .unwrap_or(f64::INFINITY);
+                    if let Some(anchor) = reach_anchor(&bound) {
+                        let enter =
+                            sr.intersection(rect).map_or(f64::INFINITY, |cap| cap.min_dist(anchor));
                         if enter.is_finite() {
                             ctx.defer_travel(oid, enter);
                         } else {
@@ -271,11 +265,11 @@ pub(crate) fn evaluate_range(ctx: &mut EvalCtx<'_>, rect: &Rect) -> Vec<ObjectId
     results
 }
 
-/// The reachability anchor (last reported location) and current radius of a
-/// region bound, when the enhancement is active.
-fn reach_anchor(bound: &LocBound) -> Option<(Point, f64)> {
+/// The reachability anchor (last reported location) of a region bound,
+/// when the enhancement is active.
+fn reach_anchor(bound: &LocBound) -> Option<Point> {
     match bound {
-        LocBound::Region { reach: Some(c), .. } => Some((c.center, c.radius)),
+        LocBound::Region { reach: Some(c), .. } => Some(c.center),
         _ => None,
     }
 }

@@ -13,7 +13,7 @@ use crate::error::RecoveryError;
 use crate::ids::ObjectId;
 use crate::object::{ObjectState, ObjectTable};
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, LeafEntry, NearestIter, RStarTree};
+use srb_index::{LeafEntry, NearestIter, RStarTree, TreeConfig};
 use std::iter::Peekable;
 
 /// The object index: the R\*-tree over safe regions plus the object table,
@@ -24,13 +24,9 @@ pub(crate) struct ObjectIndex {
 }
 
 impl ObjectIndex {
-    /// An empty index whose tree is built from `config`: every variant
-    /// carries the R\*-tree's parameters.
-    pub(crate) fn new(config: &BackendConfig) -> Self {
-        let (BackendConfig::RStar(tree)
-        | BackendConfig::Grid(tree)
-        | BackendConfig::Adaptive(tree)) = *config;
-        ObjectIndex { tree: RStarTree::new(tree), objects: ObjectTable::default() }
+    /// An empty index whose tree is built from `config`.
+    pub(crate) fn new(config: TreeConfig) -> Self {
+        ObjectIndex { tree: RStarTree::new(config), objects: ObjectTable::default() }
     }
 
     /// Number of indexed objects.
@@ -172,7 +168,7 @@ impl ObjectIndex {
     /// which makes the tree a function of the entry set alone.
     pub(crate) fn decode_state(
         dec: &mut srb_durable::Dec<'_>,
-        config: &BackendConfig,
+        config: TreeConfig,
     ) -> Result<Self, RecoveryError> {
         let mut index = ObjectIndex::new(config);
         index.objects = ObjectTable::decode_state(dec)?;
@@ -186,10 +182,9 @@ impl ObjectIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use srb_index::TreeConfig;
 
     fn rstar() -> ObjectIndex {
-        ObjectIndex::new(&BackendConfig::RStar(TreeConfig::default()))
+        ObjectIndex::new(TreeConfig::default())
     }
 
     fn state(p: Point, sr: Rect) -> ObjectState {

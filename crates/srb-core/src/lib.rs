@@ -68,11 +68,14 @@
 //! and recovers ([`Server::reopen`]) in one checkpoint layout.
 //!
 //! The names `bench/` still compiles against and the engine no longer
-//! needs live in `compat` alone (ROADMAP 3(a)): the generic engine name,
-//! its forwards and the `&self` provider over a position table. The index
-//! trait, [`DynBackend`] and [`UniformGrid`] (aliases of [`RStarTree`]),
-//! and [`GridConfig`] and [`AdaptiveConfig`] (aliases of [`TreeConfig`])
-//! stay for it too (ROADMAP 3(b)).
+//! needs live in `compat` alone, written against the public API of
+//! [`Server`] and [`RStarTree`]: the generic engine name, its forwards and
+//! the `&self` provider over a position table (ROADMAP 3(a)); the index
+//! trait with its one implementor, the aliases of [`RStarTree`] and
+//! [`TreeConfig`], and [`BackendConfig`], whose every variant spells the
+//! tree's parameters (ROADMAP 3(b)); and the one-value durability policy.
+//! After ROADMAP 2(a) moves `bench/` onto [`Server`], `compat` goes whole
+//! and `ServerConfig::backend` becomes a [`TreeConfig`].
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -105,8 +108,8 @@ pub use provider::{CostModel, CostTracker, FnProvider, LocationProvider, WorkSta
 pub use query::{Quarantine, QuerySpec, QueryState, ResultChange};
 pub use sharded::{RegisterResponse, ResultRemoval, SequencedUpdate, Server, UpdateResponse};
 pub use srb_durable::CrashPoint;
-pub use srb_index::{BackendConfig, RStarTree, TreeConfig};
-// Named only by `bench/`; ROADMAP 3(a) and 3(b) delete them after 2(a).
-pub use compat::{ShardedServer, SyncProvider, TableProvider};
-pub use srb_durable::SyncPolicy;
-pub use srb_index::{AdaptiveConfig, DynBackend, GridConfig, SpatialBackend, UniformGrid};
+pub use srb_index::{RStarTree, TreeConfig};
+// Kept for `bench/`; ROADMAP 3(a) and 3(b) delete them after 2(a), when
+// `ServerConfig::backend` becomes a `TreeConfig`.
+pub use compat::{AdaptiveConfig, DynBackend, GridConfig, TableProvider, UniformGrid};
+pub use compat::{BackendConfig, ShardedServer, SpatialBackend, SyncPolicy, SyncProvider};

@@ -227,7 +227,9 @@ impl QueryProcessor {
     /// holding it as a result (a kNN query is re-run to refill). The anchor
     /// lies in the object's last safe region, hence in the cell whose
     /// bucket lists every such query. The object must already be gone from
-    /// the index. Returns the changed results, ascending by query.
+    /// the index. Every holder drops it before the first refold probes, so
+    /// a probe that panics leaves no result naming it. Returns the changed
+    /// results, ascending by query.
     pub(crate) fn fold_out(
         &mut self,
         ctx: &mut EvalCtx<'_>,
@@ -239,18 +241,22 @@ impl QueryProcessor {
         candidates.clear();
         candidates.extend_from_slice(self.grid.queries_at(anchor));
         candidates.sort_unstable();
-        let mut changes = Vec::new();
-        for &qid in candidates.iter() {
-            let qs = self.get_mut(qid).expect("grid entries are registered");
-            if !qs.is_result(id) {
-                continue;
-            }
-            qs.results.retain(|&o| o != id);
-            self.refold_knn(ctx, qid, space);
-            let results = self.get(qid).expect("query exists").results.clone();
-            changes.push(ResultChange { query: qid, results });
-        }
-        changes
+        candidates.retain(|&qid| {
+            let results = &mut self.get_mut(qid).expect("grid entries are registered").results;
+            let before = results.len();
+            results.retain(|&o| o != id);
+            results.len() < before
+        });
+        // A refold reads only its own query and the index, so the drops
+        // above change nothing it probes.
+        candidates
+            .iter()
+            .map(|&qid| {
+                self.refold_knn(ctx, qid, space);
+                let results = self.get(qid).expect("query exists").results.clone();
+                ResultChange { query: qid, results }
+            })
+            .collect()
     }
 
     /// Re-runs a kNN query from scratch and installs the fresh results and

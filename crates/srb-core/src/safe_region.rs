@@ -153,8 +153,7 @@ fn sr_for_query<O: PerimeterObjective>(
                         None => SrQ::Rect(Rect::point(pos)),
                     }
                 }
-                Some(i) if !*order_sensitive => {
-                    let _ = i;
+                Some(_) if !*order_sensitive => {
                     // Order-insensitive result: stay inside the circle.
                     srb_obs::counter!("safe_region.case.knn_result_circle").inc();
                     match irlp_circle(c, pos, cell, objective) {

@@ -169,7 +169,7 @@ impl Server {
     pub fn new(config: ServerConfig) -> Self {
         let mut server = Self::assemble(
             config,
-            ObjectIndex::new(&config.backend),
+            ObjectIndex::new(config.backend.tree()),
             QueryProcessor::new(config.space, config.grid_m),
         );
         if let Some(dir) = config.durability.dir {
@@ -1429,6 +1429,28 @@ pub(crate) mod tests {
         assert_eq!(server.next_deferred_due(), Some(1.0));
         assert_eq!(server.state_digest(), digest);
         server.check_invariants_deep();
+    }
+
+    /// A removal whose refold probe panics leaves no result naming the
+    /// removed object: every holder drops it before the first refold.
+    /// Three order-sensitive 4-NN queries beside the fleet's share most of
+    /// their results, so each removal below refolds more than one holder.
+    #[test]
+    fn a_panicking_refold_leaves_no_result_naming_the_removed_object() {
+        for removed in [4, 13, 16, 29] {
+            let (mut server, positions) = fleet(ServerConfig::default());
+            let mut provider = FnProvider(|id: ObjectId| positions[id.index()]);
+            for (x, y) in [(0.41, 0.6), (0.39, 0.61), (0.4, 0.62)] {
+                server.register_query(QuerySpec::knn(Point::new(x, y), 4), &mut provider, 0.0);
+            }
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut down =
+                    FnProvider(|id: ObjectId| -> Point { panic!("no answer from {id}") });
+                server.remove_object(ObjectId(removed), &mut down, 0.1);
+            }))
+            .expect_err("the refold probes");
+            server.check_invariants_deep();
+        }
     }
 
     /// `next_deferred_due` is a read: it changes nothing a checkpoint

@@ -130,7 +130,7 @@ impl Server {
         }
         let costs = CostTracker { source_updates: dec.u64()?, probes: dec.u64()? };
         let work = WorkStats::decode(&mut dec)?;
-        let index = ObjectIndex::decode_state(&mut dec, &config.backend)?;
+        let index = ObjectIndex::decode_state(&mut dec, config.backend.tree())?;
         let timers = Timers::decode_state(&mut dec, |oid| index.get(oid).is_some())?;
         let processor = QueryProcessor::decode_state(&mut dec)?;
         dec.finish()?;

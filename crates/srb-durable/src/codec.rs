@@ -13,16 +13,6 @@ pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-/// Appends a `bool` as one byte.
-pub fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(v as u8);
-}
-
-/// Appends a `u16` little-endian.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a `u32` little-endian.
 pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -73,17 +63,6 @@ impl<'a> Dec<'a> {
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, DurableError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `bool` (any non-zero byte is `true`).
-    pub fn bool(&mut self) -> Result<bool, DurableError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, DurableError> {
-        let s = self.take(2)?;
-        Ok(u16::from_le_bytes([s[0], s[1]]))
     }
 
     /// Reads a little-endian `u32`.
@@ -137,8 +116,6 @@ mod tests {
     fn round_trip_all_widths() {
         let mut b = Vec::new();
         put_u8(&mut b, 0xAB);
-        put_bool(&mut b, true);
-        put_u16(&mut b, 0xBEEF);
         put_u32(&mut b, 0xDEAD_BEEF);
         put_u64(&mut b, u64::MAX - 1);
         put_usize(&mut b, 42);
@@ -146,8 +123,6 @@ mod tests {
         put_f64(&mut b, f64::NAN);
         let mut d = Dec::new(&b);
         assert_eq!(d.u8().unwrap(), 0xAB);
-        assert!(d.bool().unwrap());
-        assert_eq!(d.u16().unwrap(), 0xBEEF);
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
         assert_eq!(d.usize().unwrap(), 42);
@@ -161,10 +136,9 @@ mod tests {
     fn short_reads_error_instead_of_panicking() {
         let mut d = Dec::new(&[1, 2, 3]);
         assert!(matches!(d.u64(), Err(DurableError::ShortRecord)));
-        // The failed read consumed nothing usable; smaller reads still work.
-        let mut d = Dec::new(&[1, 2, 3]);
-        assert_eq!(d.u16().unwrap(), 0x0201);
-        assert!(matches!(d.u16(), Err(DurableError::ShortRecord)));
+        // The failed read consumed nothing; smaller reads still work.
+        assert_eq!(d.u8().unwrap(), 1);
+        assert!(matches!(d.u32(), Err(DurableError::ShortRecord)));
     }
 
     #[test]

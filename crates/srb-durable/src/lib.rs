@@ -40,4 +40,4 @@ mod error;
 pub use codec::Dec;
 pub use crash::CrashPoint;
 pub use error::DurableError;
-pub use store::{Recovered, Store, SyncPolicy};
+pub use store::{Recovered, Store};

@@ -37,19 +37,6 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every checkpoint file.
 pub(crate) const CKPT_MAGIC: &[u8; 8] = b"SRBCKP01";
 
-/// When appended records are forced to stable storage: a store fsyncs its
-/// log once every `group_ops` operations, on a checkpoint and on an
-/// explicit [`Store::commit`]. Group commit is the one policy; fsyncing
-/// every operation is a group of one. Nothing reads it: the type stays only
-/// for `bench/src/engine.rs` (through `srb-core`'s `DurabilityConfig`) and
-/// goes with ROADMAP 3(a) after 2(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Fsync once every `group_ops` operations (group commit).
-    #[default]
-    GroupCommit,
-}
-
 /// The result of [`Store::recover`].
 pub struct Recovered {
     /// The reopened store, ready for appends on the active generation.
@@ -255,9 +242,10 @@ impl Store {
     }
 
     /// Appends `payload` as the one record of an engine operation, syncing
-    /// the log once every `group_ops` operations
-    /// ([`SyncPolicy::GroupCommit`]): a record is durable at the next
-    /// commit boundary.
+    /// the log once every `group_ops` operations (group commit, the one
+    /// policy; fsyncing every operation is a group of one): a record is
+    /// durable at the next commit boundary — a group's end, a checkpoint or
+    /// an explicit [`commit`](Self::commit).
     pub fn append(&mut self, payload: &[u8]) -> Result<(), DurableError> {
         if self.poisoned {
             return Err(DurableError::Poisoned);

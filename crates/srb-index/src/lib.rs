@@ -1,23 +1,23 @@
 //! # srb-index
 //!
 //! The *object-index layer* of the SRB monitoring framework (paper §3.2,
-//! Figure 3.1): an index over the current safe region of every moving
-//! object, behind the [`SpatialBackend`] trait. It supports
+//! Figure 3.1): [`RStarTree`], the from-scratch R\*-tree (Beckmann et al.,
+//! SIGMOD 1990) over the current safe region of every moving object — the
+//! paper's §7.1 choice, and the one index. It supports
 //!
 //! - **frequent updates** via a cheap-relocation fast path classified by
 //!   [`UpdateOutcome`] (the bottom-up technique of Lee et al., VLDB 2003 —
 //!   what the paper adopts in §7.1),
-//! - **range search** over rectangles ([`SpatialBackend::search`]), and
+//! - **range search** over rectangles ([`RStarTree::search`]), and
 //! - **incremental best-first nearest-neighbor browsing**
-//!   ([`SpatialBackend::nearest_iter`]; Hjaltason & Samet distance
-//!   browsing, the paradigm of the paper's Algorithm 2).
+//!   ([`RStarTree::nearest_iter`]; Hjaltason & Samet distance browsing,
+//!   the paradigm of the paper's Algorithm 2), in ascending
+//!   `(δ(q, rect), id)`, so which of several equidistant entries comes
+//!   first is fixed.
 //!
-//! The one structure is [`RStarTree`], the from-scratch R\*-tree (Beckmann
-//! et al., SIGMOD 1990) this file implements; [`bulk_load`] (STR) serves
-//! the PRD baseline, which rebuilds its index from exact positions every
-//! period. It is built from a [`BackendConfig`] (`DESIGN.md` §10);
-//! [`DynBackend`] and [`UniformGrid`] are aliases of it that `bench/` still
-//! names.
+//! [`bulk_load`] (STR) serves the PRD baseline, which rebuilds its index
+//! from exact positions every period. The tree is built from a
+//! [`TreeConfig`] (`DESIGN.md` §10).
 //!
 //! Everything is arena-allocated, entirely safe Rust, and instrumented with
 //! a deterministic visit counter so experiments can report work units
@@ -32,15 +32,11 @@
 #![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-mod backend;
 mod bulk;
 mod choose;
 mod node;
 mod split;
 
-pub use backend::{
-    AdaptiveConfig, BackendConfig, DynBackend, GridConfig, SpatialBackend, UniformGrid,
-};
 pub use bulk::bulk_load;
 pub(crate) use node::EntryId;
 pub use node::LeafEntry;
@@ -191,7 +187,7 @@ pub struct RStarTree {
     pub(crate) leaf_of: FastMap<EntryId, NodeId>,
     pub(crate) config: TreeConfig,
     /// Node visits, counted behind `&self` by browses and searches. One
-    /// thread reads a backend at a time, so a `Cell` suffices.
+    /// thread reads a tree at a time, so a `Cell` suffices.
     pub(crate) visits: Cell<u64>,
     /// Bulk-loaded trees may have trailing nodes below `min_entries`; the
     /// invariant checker relaxes the fill-factor assertion for them.
@@ -246,6 +242,7 @@ impl RStarTree {
     }
 
     /// Resets the node-visit counter.
+    #[cfg(test)]
     pub(crate) fn reset_visits(&self) {
         self.visits.set(0);
     }
@@ -612,8 +609,9 @@ impl RStarTree {
         self.node(leaf).leaf_entries().iter().find(|e| e.id == id).map(|e| e.rect)
     }
 
-    /// Visits every entry whose rectangle intersects `query` (closed test).
-    pub(crate) fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
+    /// Visits every entry whose rectangle intersects `query` (closed test),
+    /// in a deterministic order.
+    pub fn search(&self, query: &Rect, mut f: impl FnMut(&LeafEntry)) {
         if self.len == 0 {
             return;
         }

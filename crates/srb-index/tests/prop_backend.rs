@@ -3,12 +3,13 @@
 //! nearest-neighbor browses, every result set matches a brute-force oracle,
 //! and every browse yields its entries in ascending `(δ, id)`. About half
 //! the rectangles are duplicates or sit on a coarse lattice, so equal keys
-//! are common. The rebuild (`build_from`) is a function of the entry set
-//! alone.
+//! are common. The rebuild recovery runs (a fresh tree fed the entries in
+//! id order) is a function of the entry set alone and answers every browse
+//! as the churned tree does.
 
 use srb_cases::{cases, Rng, Seeds};
 use srb_geom::{Point, Rect};
-use srb_index::{BackendConfig, RStarTree, SpatialBackend, TreeConfig};
+use srb_index::{RStarTree, TreeConfig};
 use std::collections::HashMap;
 
 /// Seeds that once failed the property below; it replays them first.
@@ -75,22 +76,37 @@ fn brute_force(oracle: &HashMap<u64, Rect>, q: Point) -> Vec<(f64, u64)> {
 /// What a tree's shape shows from outside: the order a whole-space search
 /// emits its hits in, and the nodes it and a browse visit.
 fn shape(t: &RStarTree) -> (Vec<u64>, u64) {
-    t.reset_visits();
+    let before = t.visits();
     let order = t.search_vec(&Rect::UNIT).iter().map(|e| e.id).collect();
     let _ = t.nearest_iter(Point::new(0.3, 0.7)).take(5).count();
-    (order, t.visits())
+    (order, t.visits() - before)
 }
 
-/// `build_from`, the rebuild recovery runs, is canonical in the entry set:
-/// `t`'s entries, listed in the order its history left them, rebuild into
-/// the tree they build from in id order.
-fn rebuilds_canonically(t: &RStarTree, config: &BackendConfig) {
+/// The rebuild recovery runs (`ObjectIndex::decode_state`): a fresh tree
+/// fed `entries` in id order.
+fn rebuild(mut entries: Vec<(u64, Rect)>) -> RStarTree {
+    entries.sort_unstable_by_key(|&(id, _)| id);
+    let mut t = RStarTree::new(TreeConfig::default());
+    for (id, r) in entries {
+        t.insert(id, r);
+    }
+    t
+}
+
+/// The rebuild is canonical in the entry set: `t`'s entries, listed in the
+/// order its history left them, rebuild into the tree the oracle's entries
+/// rebuild into, and that tree browses as `t` does.
+fn rebuilds_canonically(t: &RStarTree, oracle: &HashMap<u64, Rect>, rng: &mut Rng) {
     let churned: Vec<(u64, Rect)> =
         t.search_vec(&Rect::UNIT).iter().rev().map(|e| (e.id, e.rect)).collect();
-    let mut sorted = churned.clone();
-    sorted.sort_unstable_by_key(|&(id, _)| id);
-    let rebuilt = |entries| shape(&RStarTree::build_from(config, Rect::UNIT, entries));
-    assert_eq!(rebuilt(churned), rebuilt(sorted), "rebuild must be canonical in the entry set");
+    let rebuilt = rebuild(churned);
+    rebuilt.check_invariants();
+    let from_oracle = rebuild(oracle.iter().map(|(&id, &r)| (id, r)).collect());
+    assert_eq!(shape(&rebuilt), shape(&from_oracle), "rebuild must be canonical in the entry set");
+    for _ in 0..4 {
+        let q = Point::new(coord(rng), coord(rng));
+        assert_eq!(browse(&rebuilt, q), browse(t, q), "rebuilt browse from {q:?}");
+    }
 }
 
 fn matches_brute_force(rng: &mut Rng) {
@@ -136,7 +152,7 @@ fn matches_brute_force(rng: &mut Rng) {
         }
     }
     tree.check_invariants();
-    rebuilds_canonically(&tree, &BackendConfig::default());
+    rebuilds_canonically(&tree, &oracle, rng);
 }
 
 #[test]
