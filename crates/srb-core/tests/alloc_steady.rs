@@ -6,7 +6,9 @@
 //!
 //! The allocator counters are thread-local (const-initialized `Cell`s, so
 //! reading them never allocates and other test threads cannot pollute a
-//! measurement). The workload keeps objects jittering around fixed homes in
+//! measurement). Beside the allocation count, a live-bytes counter pins the
+//! engine's per-object footprint: the bytes a populated server frees when
+//! it is dropped. The workload keeps objects jittering around fixed homes in
 //! the interiors of distinct grid cells, with the only query far away: after
 //! warmup every batch reuses the scratch arenas, the R*-tree updates stay on
 //! the in-place path, and the response buffers retain their capacity.
@@ -22,27 +24,42 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-// SAFETY: delegates every operation to `System`; only bumps a thread-local
-// counter on the allocating entry points.
+fn grow(bytes: usize) {
+    LIVE.with(|c| c.set(c.get() + bytes as i64));
+}
+
+fn shrink(bytes: usize) {
+    LIVE.with(|c| c.set(c.get() - bytes as i64));
+}
+
+// SAFETY: delegates every operation to `System`; only bumps thread-local
+// counters.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        shrink(layout.size());
+        grow(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         System.dealloc(ptr, layout)
     }
 }
@@ -52,6 +69,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCS.with(|c| c.get())
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(|c| c.get())
 }
 
 const N_OBJECTS: usize = 12;
@@ -199,4 +220,40 @@ fn ordered_knn_steady_state_batches_do_not_allocate() {
     let want: Vec<ObjectId> = (0..5).map(ObjectId).collect();
     assert_eq!(server.results(q), Some(&want[..]));
     assert_eq!(server.work().ordering_fallbacks, 0);
+}
+
+/// The engine's memory per object: a server over 4 096 objects with dense
+/// ids and a few range and kNN queries frees, when dropped, at most
+/// `MAX_BYTES_PER_OBJECT` bytes per object. It frees 148: the object
+/// table's 64-byte slots and occupancy bits, the R\*-tree's 4-byte
+/// id→leaf slots, its leaves' entry buffers and nodes, and the rest of the
+/// engine's per-object state. The bound is that value plus under 5 %, so a
+/// structure that grows per object fails it.
+#[test]
+fn per_object_footprint_is_pinned() {
+    const N: u32 = 4_096;
+    const MAX_BYTES_PER_OBJECT: i64 = 155;
+    let mut rng = srb_cases::Rng(0x5eed_2005);
+    let homes: Vec<Point> = (0..N).map(|_| Point::new(rng.unit(), rng.unit())).collect();
+    let mut provider = FnProvider(|id: ObjectId| homes[id.index()]);
+    let mut server = Server::new(ServerConfig::default());
+    for (i, &p) in homes.iter().enumerate() {
+        server.add_object(ObjectId(i as u32), p, &mut provider, 0.0).expect("fresh id");
+    }
+    for _ in 0..4 {
+        let c = Point::new(rng.unit(), rng.unit());
+        let rect = Rect::centered(c, 0.05, 0.05);
+        server.register_query(QuerySpec::Range { rect }, &mut provider, 0.0);
+        let center = Point::new(rng.unit(), rng.unit());
+        server.register_query(QuerySpec::knn(center, 8), &mut provider, 0.0);
+    }
+
+    let before = live_bytes();
+    drop(server);
+    let per_object = (before - live_bytes()) / i64::from(N);
+    println!("a server frees {per_object} bytes per object");
+    assert!(
+        per_object <= MAX_BYTES_PER_OBJECT,
+        "{per_object} bytes per object, over the pinned {MAX_BYTES_PER_OBJECT}"
+    );
 }

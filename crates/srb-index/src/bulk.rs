@@ -1,24 +1,28 @@
 //! Sort-Tile-Recursive (STR) bulk loading.
 //!
-//! The PRD baseline of the paper's evaluation rebuilds its object index from
-//! exact positions at every update period; STR packing makes that honest and
-//! fast instead of inserting N entries one at a time.
+//! The simulator's ground-truth evaluator builds an index from exact
+//! positions at every sample; STR packing does that in one pass instead of
+//! inserting N entries one at a time. (The PRD baseline inserts one by one,
+//! as the paper's does.)
 
-use crate::node::{EntryId, LeafEntry, Node, NodeId, NodeKind, NO_NODE};
+use crate::node::{slot, LeafEntry, Node, NodeId, NodeKind, NO_NODE};
 use crate::{RStarTree, TreeConfig};
-use srb_hash::FastMap;
 
 /// Builds an [`RStarTree`] from `entries` using STR packing. Duplicate ids
-/// must not appear. The resulting tree is fully functional (it supports
-/// subsequent inserts, removals, and updates).
+/// must not appear, and ids are small dense integers as for
+/// [`RStarTree::insert`]: one above `u32::MAX` panics before anything is
+/// allocated. The resulting tree is fully functional (it supports
+/// subsequent inserts, removals, and updates); its leaves keep their exact
+/// sizes.
 pub fn bulk_load(mut entries: Vec<LeafEntry>, config: TreeConfig) -> RStarTree {
     let config = config.validated();
     if entries.is_empty() {
         return RStarTree::new(config);
     }
+    let top = slot(entries.iter().map(|e| e.id).max().expect("entries are not empty"));
     let cap = config.max_entries;
     let mut nodes: Vec<Node> = Vec::new();
-    let mut leaf_of: FastMap<EntryId, NodeId> = FastMap::default();
+    let mut leaf_of: Vec<NodeId> = vec![NO_NODE; top + 1];
     let len = entries.len();
 
     // --- Pack the leaf level ---------------------------------------------
@@ -34,7 +38,7 @@ pub fn bulk_load(mut entries: Vec<LeafEntry>, config: TreeConfig) -> RStarTree {
             let id = nodes.len() as NodeId;
             let rect = group.iter().skip(1).fold(group[0].rect, |acc, e| acc.union(&e.rect));
             for e in group {
-                leaf_of.insert(e.id, id);
+                leaf_of[e.id as usize] = id;
             }
             nodes.push(Node {
                 rect,

@@ -15,9 +15,15 @@
 //!   `(δ(q, rect), id)`, so which of several equidistant entries comes
 //!   first is fixed.
 //!
-//! [`bulk_load`] (STR) serves the PRD baseline, which rebuilds its index
-//! from exact positions every period. The tree is built from a
-//! [`TreeConfig`] (`DESIGN.md` §10).
+//! [`bulk_load`] (STR) serves the simulator's ground-truth evaluator, which
+//! builds an index from exact positions at every sample. The tree is built
+//! from a [`TreeConfig`] (`DESIGN.md` §10).
+//!
+//! Entry ids are small dense integers, as the engine's object ids are: the
+//! id→leaf index that the bottom-up update needs is a vector with one slot
+//! per id up to the highest one inserted ([`RStarTree::insert`]), so ids
+//! far above the number of entries waste memory, and an id above
+//! `u32::MAX` panics.
 //!
 //! Everything is arena-allocated, entirely safe Rust, and instrumented with
 //! a deterministic visit counter so experiments can report work units
@@ -41,10 +47,9 @@ pub use bulk::bulk_load;
 pub(crate) use node::EntryId;
 pub use node::LeafEntry;
 
-use node::{Node, NodeId, NodeKind, NO_NODE};
+use node::{slot, Node, NodeId, NodeKind, NO_NODE};
 use split::{mbr_of, rstar_split};
 use srb_geom::{Point, Rect};
-use srb_hash::FastMap;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -184,7 +189,10 @@ pub struct RStarTree {
     pub(crate) free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) len: usize,
-    pub(crate) leaf_of: FastMap<EntryId, NodeId>,
+    /// The leaf holding each entry, indexed by entry id; [`NO_NODE`] marks
+    /// an id not stored now. Entry ids are small dense integers, so the
+    /// vector is as long as the highest id ever inserted, plus one.
+    pub(crate) leaf_of: Vec<NodeId>,
     pub(crate) config: TreeConfig,
     /// Node visits, counted behind `&self` by browses and searches. One
     /// thread reads a tree at a time, so a `Cell` suffices.
@@ -209,7 +217,7 @@ impl RStarTree {
             free: Vec::new(),
             root: NO_NODE,
             len: 0,
-            leaf_of: FastMap::default(),
+            leaf_of: Vec::new(),
             config,
             visits: Cell::default(),
             relaxed_min: false,
@@ -276,14 +284,30 @@ impl RStarTree {
         &mut self.nodes[id as usize]
     }
 
+    /// The leaf holding `id`, if stored.
+    #[inline]
+    fn leaf(&self, id: EntryId) -> Option<NodeId> {
+        let leaf = *self.leaf_of.get(usize::try_from(id).ok()?)?;
+        (leaf != NO_NODE).then_some(leaf)
+    }
+
     // ------------------------------------------------------------------
     // Insertion
     // ------------------------------------------------------------------
 
     /// Inserts an entry. `id` must not already be present (checked in debug
     /// builds; use [`update`](Self::update) to move an existing entry).
+    ///
+    /// Entry ids are small dense integers: the tree keeps one id→leaf slot
+    /// per id up to the highest one inserted, so the ids in use should be
+    /// about `0..len`. An id above `u32::MAX` (an `ObjectId`'s range)
+    /// panics before anything is allocated.
     pub fn insert(&mut self, id: EntryId, rect: Rect) {
-        debug_assert!(!self.leaf_of.contains_key(&id), "duplicate insert of id {id}");
+        let slot = slot(id);
+        if self.leaf_of.len() <= slot {
+            self.leaf_of.resize(slot + 1, NO_NODE);
+        }
+        debug_assert!(self.leaf_of[slot] == NO_NODE, "duplicate insert of id {id}");
         let mut reinserted = 0u64;
         self.insert_entry(LeafEntry { id, rect }, &mut reinserted);
         self.len += 1;
@@ -291,7 +315,7 @@ impl RStarTree {
 
     fn insert_entry(&mut self, entry: LeafEntry, reinserted: &mut u64) {
         let leaf = self.choose_subtree(entry.rect, 0);
-        self.leaf_of.insert(entry.id, leaf);
+        self.leaf_of[entry.id as usize] = leaf;
         let node = self.node_mut(leaf);
         if node.len() == 0 {
             node.rect = entry.rect;
@@ -397,17 +421,20 @@ impl RStarTree {
             let split = rstar_split(&rects, min);
             let node_rect = mbr_of(&rects, &split.first);
             let sib_rect = mbr_of(&rects, &split.second);
-            let first: Vec<LeafEntry> = split.first.iter().map(|&i| items[i]).collect();
-            let second: Vec<LeafEntry> = split.second.iter().map(|&i| items[i]).collect();
+            // Each half gets its buffer once, at the most a leaf ever holds
+            // (it overflows at `max_entries + 1`), instead of growing to it.
+            let half = |picks: &[usize]| {
+                let mut entries = Vec::with_capacity(self.config.max_entries + 1);
+                entries.extend(picks.iter().map(|&i| items[i]));
+                entries
+            };
+            let (first, second) = (half(&split.first), half(&split.second));
             *self.node_mut(node_id).leaf_entries_mut() = first;
-            let mut sib = Node::new_leaf();
-            sib.kind = NodeKind::Leaf(second);
-            let sib_id = self.alloc(sib);
-            let moved: Vec<EntryId> =
-                self.node(sib_id).leaf_entries().iter().map(|e| e.id).collect();
-            for id in moved {
-                self.leaf_of.insert(id, sib_id);
+            let sib_id = self.alloc(Node::new_leaf());
+            for e in &second {
+                self.leaf_of[e.id as usize] = sib_id;
             }
+            self.node_mut(sib_id).kind = NodeKind::Leaf(second);
             (sib_id, node_rect, sib_rect)
         } else {
             let items = std::mem::take(self.node_mut(node_id).children_mut(node_id));
@@ -489,7 +516,8 @@ impl RStarTree {
 
     /// Removes an entry, returning its stored rectangle.
     pub fn remove(&mut self, id: EntryId) -> Option<Rect> {
-        let leaf = self.leaf_of.remove(&id)?;
+        let leaf = self.leaf(id)?;
+        self.leaf_of[id as usize] = NO_NODE;
         let entries = self.node_mut(leaf).leaf_entries_mut();
         let pos = entries.iter().position(|e| e.id == id)?;
         let rect = entries.swap_remove(pos).rect;
@@ -554,9 +582,11 @@ impl RStarTree {
     /// covers the new rectangle, local leaf-MBR expansion when the parent
     /// covers it, and a full delete + reinsert otherwise.
     ///
-    /// Inserts the entry fresh when `id` was not present.
+    /// Inserts the entry fresh when `id` was not present, under
+    /// [`insert`](Self::insert)'s precondition: ids are small dense
+    /// integers, at most `u32::MAX`.
     pub fn update(&mut self, id: EntryId, new_rect: Rect) -> UpdateOutcome {
-        let Some(&leaf) = self.leaf_of.get(&id) else {
+        let Some(leaf) = self.leaf(id) else {
             self.insert(id, new_rect);
             srb_obs::counter!("index.update.reinsert").inc();
             return UpdateOutcome::Reinserted;
@@ -605,7 +635,7 @@ impl RStarTree {
 
     /// The stored rectangle of `id`, if present.
     pub fn get(&self, id: EntryId) -> Option<Rect> {
-        let leaf = *self.leaf_of.get(&id)?;
+        let leaf = self.leaf(id)?;
         self.node(leaf).leaf_entries().iter().find(|e| e.id == id).map(|e| e.rect)
     }
 
@@ -670,16 +700,19 @@ impl RStarTree {
     pub fn check_invariants(&self) {
         let mut seen = 0usize;
         self.check_node(self.root, None);
-        for (&id, &leaf) in &self.leaf_of {
+        // Every occupied slot points at a leaf holding its entry; together
+        // with `check_node`'s per-entry check, slots and leaves agree both
+        // ways.
+        for (id, &leaf) in self.leaf_of.iter().enumerate().filter(|(_, &l)| l != NO_NODE) {
             let node = self.node(leaf);
             assert!(node.is_leaf(), "leaf_of[{id}] points at internal node");
             assert!(
-                node.leaf_entries().iter().any(|e| e.id == id),
+                node.leaf_entries().iter().any(|e| e.id == id as EntryId),
                 "leaf_of[{id}] points at a leaf missing the entry"
             );
             seen += 1;
         }
-        assert_eq!(seen, self.len, "len does not match leaf_of size");
+        assert_eq!(seen, self.len, "len does not match the occupied leaf_of slots");
         assert_eq!(self.node(self.root).parent, NO_NODE, "root has a parent");
     }
 
@@ -696,7 +729,7 @@ impl RStarTree {
                 assert_eq!(node.level, 0, "leaf at non-zero level");
                 for e in entries {
                     assert!(node.rect.contains_rect(&e.rect), "entry escapes leaf MBR");
-                    assert_eq!(self.leaf_of.get(&e.id), Some(&id), "stale leaf_of for {}", e.id);
+                    assert_eq!(self.leaf(e.id), Some(id), "stale leaf_of for {}", e.id);
                 }
                 if id != self.root && !self.relaxed_min {
                     assert!(entries.len() >= self.config.min_entries, "leaf underflow");
@@ -723,7 +756,7 @@ impl RStarTree {
         nodes: Vec<Node>,
         root: NodeId,
         len: usize,
-        leaf_of: FastMap<EntryId, NodeId>,
+        leaf_of: Vec<NodeId>,
         config: TreeConfig,
     ) -> Self {
         RStarTree {
@@ -929,6 +962,74 @@ mod tests {
     }
 
     #[test]
+    fn a_removed_id_can_be_inserted_again() {
+        let mut t =
+            RStarTree::new(TreeConfig { max_entries: 8, min_entries: 3, reinsert_count: 2 });
+        for i in 0..40u64 {
+            t.insert(i, pt_rect((i % 7) as f64 / 7.0, (i / 7) as f64 / 7.0));
+        }
+        assert_eq!(t.remove(5), Some(pt_rect(5.0 / 7.0, 0.0)));
+        assert_eq!((t.get(5), t.leaf_of[5]), (None, NO_NODE));
+        t.check_invariants();
+        t.insert(5, pt_rect(0.5, 0.5));
+        assert_eq!(t.get(5), Some(pt_rect(0.5, 0.5)));
+        assert_eq!((t.len(), t.leaf_of.len()), (40, 40));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn an_id_past_the_end_grows_the_slots_with_vacancies() {
+        let mut t = RStarTree::default();
+        t.insert(0, pt_rect(0.1, 0.1));
+        t.insert(300, pt_rect(0.9, 0.9));
+        assert_eq!(t.leaf_of.len(), 301);
+        assert!(t.leaf_of[1..300].iter().all(|&l| l == NO_NODE));
+        assert_eq!((t.get(300), t.get(299)), (Some(pt_rect(0.9, 0.9)), None));
+        t.check_invariants();
+        assert_eq!(t.update(150, pt_rect(0.5, 0.5)), UpdateOutcome::Reinserted);
+        assert_eq!((t.len(), t.leaf_of.len()), (3, 301));
+        t.check_invariants();
+    }
+
+    #[test]
+    fn unknown_ids_read_and_remove_as_none() {
+        let mut t = RStarTree::default();
+        for i in 0..10u64 {
+            t.insert(i, pt_rect(i as f64 / 10.0, 0.5));
+        }
+        t.remove(3);
+        // Never seen below the end, removed, past the end, past `u32::MAX`.
+        for id in [3u64, 10, 11, 1 << 20, u64::from(u32::MAX) + 1, u64::MAX] {
+            assert_eq!(t.get(id), None, "get {id}");
+            assert_eq!(t.remove(id), None, "remove {id}");
+        }
+        assert_eq!((t.len(), t.leaf_of.len()), (9, 10));
+        t.check_invariants();
+    }
+
+    /// An id outside `ObjectId`'s range panics with its reason before the
+    /// slot vector or the arena grows, and leaves the tree as it was.
+    #[test]
+    fn an_id_above_u32_max_panics_before_allocating() {
+        let mut t = RStarTree::default();
+        t.insert(0, pt_rect(0.5, 0.5));
+        let footprint = |t: &RStarTree| (t.leaf_of.capacity(), t.nodes.capacity(), t.len());
+        let before = footprint(&t);
+        let id = u64::from(u32::MAX) + 1;
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.insert(id, pt_rect(0.1, 0.1));
+        }))
+        .expect_err("an id above u32::MAX panics");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(message.contains("above u32::MAX"), "{message}");
+        assert_eq!(footprint(&t), before);
+        t.check_invariants();
+        let entries = vec![LeafEntry { id, rect: pt_rect(0.1, 0.1) }];
+        let bulk = std::panic::catch_unwind(|| bulk_load(entries, TreeConfig::default()));
+        assert!(bulk.is_err(), "bulk loading an id above u32::MAX panics too");
+    }
+
+    #[test]
     fn nearest_iter_orders_by_min_dist() {
         let mut t = RStarTree::default();
         for i in 0..50u64 {
@@ -988,7 +1089,7 @@ mod tests {
     /// The reference `update`: every in-place update recomputes the leaf
     /// and its ancestors.
     fn update_recomputing(t: &mut RStarTree, id: EntryId, new_rect: Rect) {
-        let leaf = t.leaf_of[&id];
+        let leaf = t.leaf_of[id as usize];
         if !t.node(leaf).rect.contains_rect(&new_rect) {
             t.update(id, new_rect);
             return;
@@ -1046,7 +1147,7 @@ mod tests {
                             1 => old.union(&around(rng, old.center())),
                             _ => around(rng, old.center()),
                         };
-                        let leaf = fast.leaf_of[&(id as u64)];
+                        let leaf = fast.leaf_of[id];
                         let parent = fast.node(leaf).parent;
                         let loose = parent != NO_NODE && fast.node(parent).loose;
                         skipped += usize::from(

@@ -11,6 +11,16 @@ pub(crate) type NodeId = u32;
 /// Sentinel for "no node".
 pub(crate) const NO_NODE: NodeId = u32::MAX;
 
+/// The id→leaf slot of `id`. Entry ids are small dense integers in an
+/// `ObjectId`'s range; one above `u32::MAX` panics.
+#[track_caller]
+pub(crate) fn slot(id: EntryId) -> usize {
+    match u32::try_from(id) {
+        Ok(slot) => slot as usize,
+        Err(_) => panic!("entry id {id} is above u32::MAX: entry ids are small dense integers"),
+    }
+}
+
 /// A leaf entry: an object id with its bounding rectangle (a safe region in
 /// the SRB framework, or an exact point stored as a degenerate rectangle).
 #[derive(Clone, Copy, Debug, PartialEq)]
